@@ -3,7 +3,7 @@ Jordan superalgebras over Q."""
 
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog,
                               lie_entries, load_algebra, resolve, save_algebra)
-from supertkk.exact import Q, Matrix, Subspace, kernel, solve, span
+from supertkk.exact import CertificateError, Q, Matrix, Subspace, kernel, solve, span
 from supertkk.jordan import (JordanAlgebra, check_commutator_identity,
                              check_five_linear, check_jordan_identity,
                              check_triple_symmetry, d_op, find_unit, l_op,
@@ -26,7 +26,7 @@ from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
                           tits_roundtrip)
 
 __all__ = [
-    "Q", "Matrix", "Subspace", "kernel", "solve", "span",
+    "Q", "Matrix", "Subspace", "kernel", "solve", "span", "CertificateError",
     "SuperAlgebra", "Witness", "make_algebra", "graded_dims", "parity_dims",
     "center", "derived", "supercommutator",
     "JordanAlgebra", "make_jordan", "find_unit", "l_op", "d_op", "u_op",

@@ -34,6 +34,11 @@ def Q(value=0, den=None):
 ZERO = Q(0)
 ONE = Q(1)
 
+
+class CertificateError(ValueError):
+    """A certificate failed: a computed result did not verify exactly."""
+
+
 # Primes just below 2**26: products of two reduced residues fit comfortably in
 # int64 even when summed over >1000 terms (1300 * p**2 < 2**63).
 _PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763)

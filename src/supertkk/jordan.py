@@ -5,17 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from supertkk import tensor
 from supertkk.exact import Matrix, Q, ZERO, kernel, solve
-from supertkk.superspace import (
-    GradedOperator, SuperAlgebra, Witness, check_supercommutative,
-    operator_parity, supercommutator,
-)
-
-_SIGN = (Q(1), Q(-1))
-
-
-def _sgn(e: int):
-    return _SIGN[e % 2]
+from supertkk.superspace import (GradedOperator, SuperAlgebra, Witness,
+                                 check_supercommutative, operator_parity, parity_sign)
 
 
 def l_op(V: SuperAlgebra, x) -> GradedOperator:
@@ -24,89 +17,26 @@ def l_op(V: SuperAlgebra, x) -> GradedOperator:
     return GradedOperator(m, operator_parity(V, m), algebra=V)
 
 
-def _l_matrices(V: SuperAlgebra):
-    return [V.left_mult_matrix(V.basis_vector(i)) for i in range(V.dim)]
-
-
-def _combine(mats, coords) -> Matrix:
-    n = mats[0].rows
-    acc = [[ZERO] * n for _ in range(n)]
-    for m, c in zip(mats, coords):
-        if c:
-            for r in range(n):
-                row = m.data[r]
-                arow = acc[r]
-                for j in range(n):
-                    if row[j]:
-                        arow[j] += c * row[j]
-    return Matrix(acc)
-
-
-def _commutator(A: Matrix, B: Matrix, sign) -> Matrix:
-    return A @ B - (B @ A).scale(sign)
-
-
 def check_jordan_identity(V: SuperAlgebra) -> Witness | None:
     """(-1)^{|x||z|}[L_x,L_{yz}] + (-1)^{|y||x|}[L_y,L_{zx}] + (-1)^{|z||y|}[L_z,L_{xy}] = 0
     on homogeneous basis triples (super-commutators of operators)."""
     w = check_supercommutative(V)
     if w is not None:
         return w
-    L = _l_matrices(V)
-    p = V.parities
-    n = V.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                acc = Matrix.zero(n, n)
-                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    prod = V.basis_product(y, z)
-                    if not prod:
-                        continue
-                    lyz = _combine(L, [prod.get(m, ZERO) for m in range(n)])
-                    term = _commutator(L[x], lyz, _sgn(p[x] * (p[y] + p[z])))
-                    acc = acc + term.scale(_sgn(p[x] * p[z]))
-                if not acc.is_zero():
-                    return Witness((i, j, k),
-                                   f"Jordan identity fails at basis triple ({i},{j},{k})")
-    return None
+    at = tensor.jordan_defect(V)
+    return at and Witness(at, "Jordan identity fails at basis triple ({},{},{})".format(*at))
 
 
 def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
     """[[L_x,L_y],L_z] = L_{x(yz)} - (-1)^{|x||y|} L_{y(xz)} on basis triples."""
-    L = _l_matrices(V)
-    p = V.parities
-    n = V.dim
-    e = [V.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lij = _commutator(L[i], L[j], _sgn(p[i] * p[j]))
-            for k in range(n):
-                lhs = _commutator(lij, L[k], _sgn((p[i] + p[j]) * p[k]))
-                rhs = (V.left_mult_matrix(V.product(e[i], V.product(e[j], e[k])))
-                       - V.left_mult_matrix(
-                           V.product(e[j], V.product(e[i], e[k]))).scale(_sgn(p[i] * p[j])))
-                if lhs != rhs:
-                    return Witness((i, j, k),
-                                   f"operator identity fails at basis triple ({i},{j},{k})")
-    return None
+    at = tensor.commutator_defect(V)
+    return at and Witness(at, "operator identity fails at basis triple ({},{},{})".format(*at))
 
 
 def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
     """{x,y,z} = (-1)^{|x||y|+|y||z|+|x||z|} {z,y,x} on basis triples."""
-    p = V.parities
-    n = V.dim
-    e = [V.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = _sgn(p[i] * p[j] + p[j] * p[k] + p[i] * p[k])
-                lhs = triple(V, e[i], e[j], e[k])
-                rhs = triple(V, e[k], e[j], e[i])
-                if lhs != tuple(s * t for t in rhs):
-                    return Witness((i, j, k),
-                                   f"triple symmetry fails at ({i},{j},{k})")
-    return None
+    at = tensor.outer_symmetry_defect(tensor.triple_tensor(V), V.parities, V.parities)
+    return at and Witness(at, "triple symmetry fails at ({},{},{})".format(*at))
 
 
 def _parity_parts(V: SuperAlgebra, x):
@@ -122,7 +52,7 @@ def triple(V: SuperAlgebra, x, y, z) -> tuple:
     out = [ZERO] * V.dim
     for px, xp in _parity_parts(V, x):
         for py, yp in _parity_parts(V, y):
-            s = _sgn(px * py)
+            s = parity_sign(px * py)
             xy = V.product(xp, yp)
             t1 = V.product(xy, z)
             t2 = V.product(xp, V.product(yp, z))
@@ -133,16 +63,9 @@ def triple(V: SuperAlgebra, x, y, z) -> tuple:
 
 
 def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
-    """D_{x,y} = 2L_{xy} + 2[L_x,L_y]; applied to z it gives {x,y,z}."""
-    n = V.dim
-    acc = Matrix.zero(n, n)
-    for px, xp in _parity_parts(V, x):
-        for py, yp in _parity_parts(V, y):
-            lx = V.left_mult_matrix(xp)
-            ly = V.left_mult_matrix(yp)
-            lxy = V.left_mult_matrix(V.product(xp, yp))
-            acc = acc + (lxy + _commutator(lx, ly, _sgn(px * py))).scale(Q(2))
-    return GradedOperator(acc, operator_parity(V, acc), algebra=V)
+    """D_{x,y} = 2L_{xy} + 2[L_x,L_y]: the operator z -> {x,y,z}."""
+    m = Matrix.from_columns([triple(V, x, y, V.basis_vector(c)) for c in range(V.dim)])
+    return GradedOperator(m, operator_parity(V, m), algebra=V)
 
 
 def u_op(V: SuperAlgebra, x, y) -> GradedOperator:
@@ -152,7 +75,7 @@ def u_op(V: SuperAlgebra, x, y) -> GradedOperator:
     for k in range(V.dim):
         col = [ZERO] * V.dim
         for py, yp in ys:
-            s = _sgn(py * V.parity(k))
+            s = parity_sign(py * V.parity(k))
             t = triple(V, x, V.basis_vector(k), yp)
             for i in range(V.dim):
                 col[i] += s * t[i]
@@ -167,37 +90,12 @@ def check_five_linear(V: SuperAlgebra) -> Witness | None:
     [D_{x,y}, D_{u,v}] = D_{{x,y,u},v} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{u,{v,x,y}}
                        = D_{x,{y,u,v}} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{{u,v,x},y}
 
-    over all homogeneous basis 4-tuples.
+    over all homogeneous basis 4-tuples; the first is the superpair form.
     """
-    n = V.dim
-    p = V.parities
-    e = [V.basis_vector(i) for i in range(n)]
-    D = [[d_op(V, e[i], e[j]).matrix for j in range(n)] for i in range(n)]
-
-    def d_vec_right(i, w):  # D_{e_i, w} for a coordinate vector w
-        return _combine(D[i], w)
-
-    def d_vec_left(w, j):
-        return _combine([D[i][j] for i in range(n)], w)
-
-    for i in range(n):
-        for j in range(n):
-            pij = (p[i] + p[j]) % 2
-            for u in range(n):
-                for v in range(n):
-                    s = _sgn(pij * ((p[u] + p[v]) % 2))
-                    lhs = _commutator(D[i][j], D[u][v], s)
-                    rhs1 = (d_vec_left(triple(V, e[i], e[j], e[u]), v)
-                            - d_vec_right(u, triple(V, e[v], e[i], e[j])).scale(s))
-                    if lhs != rhs1:
-                        return Witness((i, j, u, v),
-                                       f"5-linear identity (form 1) fails at ({i},{j},{u},{v})")
-                    rhs2 = (d_vec_right(i, triple(V, e[j], e[u], e[v]))
-                            - d_vec_left(triple(V, e[u], e[v], e[i]), j).scale(s))
-                    if lhs != rhs2:
-                        return Witness((i, j, u, v),
-                                       f"5-linear identity (form 2) fails at ({i},{j},{u},{v})")
-    return None
+    T = tensor.triple_tensor(V)
+    hit = tensor.five_linear_defect(T, T, V.parities, V.parities, both_forms=True)
+    return hit and Witness(hit[1], "5-linear identity (form {}) fails at ({},{},{},{})"
+                           .format(hit[0], *hit[1]))
 
 
 def find_unit(V: SuperAlgebra):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import tensor
 from .exact import Matrix, Q, Subspace, kernel_sparse, solve
 from .jordan import d_op, l_op, triple, u_op
 from .superspace import GradedOperator, SuperAlgebra, Witness, supercommutator
@@ -363,54 +364,15 @@ def _pair_der(pair: JordanPair) -> OperatorSpace:
 
 def check_pair_axioms(pair: JordanPair) -> Witness | None:
     """Outer symmetry and the 5-linear identity on all homogeneous basis tuples."""
+    tables = tensor.encode(pair.triples, [(a, b, a, a) for a, b in (pair.shape, pair.shape[::-1])])
     for sigma in (0, 1):
-        other = 1 - sigma
-        dp, dm = pair.dim(sigma), pair.dim(other)
-
-        def combo(pos, a, b, vec):
-            # triple with vec substituted at slot pos, the rest basis elements
-            out: dict = {}
-            for l, c in vec.items():
-                args = ((l, a, b), (a, l, b), (a, b, l))[pos]
-                for k, w in pair.basis_triple(sigma, *args).items():
-                    out[k] = out.get(k, Q(0)) + c * w
-            return out
-
-        for i in range(dp):
-            pi = pair.parity(sigma, i)
-            for j in range(dm):
-                pj = pair.parity(other, j)
-                for k in range(dp):
-                    lhs = pair.basis_triple(sigma, i, j, k)
-                    pk = pair.parity(sigma, k)
-                    s = Q(-1) if (pi * pj + pj * pk + pk * pi) % 2 else Q(1)
-                    rhs = {l: s * c for l, c
-                           in pair.basis_triple(sigma, k, j, i).items()}
-                    if lhs != rhs:
-                        return Witness((sigma, i, j, k),
-                                       f"outer symmetry fails at {(sigma, i, j, k)}")
-        for i in range(dp):
-            for j in range(dm):
-                sxy = pair.parity(sigma, i) + pair.parity(other, j)
-                for u in range(dp):
-                    for v in range(dm):
-                        suv = pair.parity(sigma, u) + pair.parity(other, v)
-                        sg = Q(-1) if (sxy * suv) % 2 else Q(1)
-                        for w in range(dp):
-                            # {x,y,{u,v,w}} - {{x,y,u},v,w}
-                            #   = sg * (-{u,{v,x,y},w} + {u,v,{x,y,w}})
-                            total: dict = {}
-                            for vec, f in (
-                                    (combo(2, i, j, pair.basis_triple(sigma, u, v, w)), Q(1)),
-                                    (combo(0, v, w, pair.basis_triple(sigma, i, j, u)), Q(-1)),
-                                    (combo(1, u, w, pair.basis_triple(other, v, i, j)), sg),
-                                    (combo(2, u, v, pair.basis_triple(sigma, i, j, w)), -sg)):
-                                for l, c in vec.items():
-                                    total[l] = total.get(l, Q(0)) + f * c
-                            if any(total.values()):
-                                return Witness(
-                                    (sigma, i, j, u, v, w),
-                                    f"5-linear identity fails at {(sigma, i, j, u, v, w)}")
+        p, q = pair.parities[sigma], pair.parities[1 - sigma]
+        at = tensor.outer_symmetry_defect(tables[sigma], p, q)
+        if at is not None:
+            return Witness((sigma,) + at, f"outer symmetry fails at {(sigma,) + at}")
+        hit = tensor.five_linear_defect(tables[sigma], tables[1 - sigma], p, q)
+        if hit is not None:
+            return Witness((sigma,) + hit[1], f"5-linear identity fails at {(sigma,) + hit[1]}")
     return None
 
 

@@ -10,10 +10,11 @@ are required to be homogeneous with respect to both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from supertkk import tensor
 from supertkk.exact import (Matrix, Q, Subspace, SpanSolver, ZERO, _row_primitive,
-                            kernel_sparse, vec_is_zero)
+                            kernel_sparse)
 
 
 @dataclass
@@ -79,9 +80,6 @@ class SuperAlgebra:
         cols = [self.product(x, self.basis_vector(j)) for j in range(self.dim)]
         return Matrix.from_columns(cols) if cols else Matrix([])
 
-    def is_graded(self) -> bool:
-        return self.zdegrees is not None
-
     def __repr__(self):
         return f"SuperAlgebra({self.name!r}, dim={self.dim}, kind={self.kind})"
 
@@ -122,48 +120,35 @@ def make_algebra(parities, products, zdegrees=None, *, name="", kind="plain",
         if w is not None:
             raise ValueError(f"not supercommutative: {w}")
     if check and kind == "lie":
-        w = check_superanticommutative(alg) or check_super_jacobi(alg)
+        w = check_super_jacobi(alg)  # super-anticommutativity first
         if w is not None:
             raise ValueError(f"not a Lie superalgebra: {w}")
     return alg
 
 
-def _sign(e: int):
+def parity_sign(e: int):
+    """(-1)**e as a rational."""
     return Q(-1) if e % 2 else Q(1)
+
+
+def _check_symmetry(a: SuperAlgebra, sign: int, what: str) -> Witness | None:
+    for i, j in sorted({(max(key), min(key)) for key in a.table}):  # other pairs: 0 = 0
+        s = sign * parity_sign(a.parity(i) * a.parity(j))
+        left, right = a.basis_product(i, j), a.basis_product(j, i)
+        for k in set(left) | set(right):
+            if left.get(k, ZERO) != s * right.get(k, ZERO):
+                return Witness((i, j), f"{what} fails at pair ({i},{j})")
+    return None
 
 
 def check_supercommutative(a: SuperAlgebra) -> Witness | None:
     """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds."""
-    for i in range(a.dim):
-        for j in range(i + 1):
-            s = _sign(a.parity(i) * a.parity(j))
-            left = a.basis_product(i, j)
-            right = a.basis_product(j, i)
-            for k in set(left) | set(right):
-                if left.get(k, ZERO) != s * right.get(k, ZERO):
-                    return Witness((i, j), f"supercommutativity fails at pair ({i},{j})")
-    return None
+    return _check_symmetry(a, 1, "supercommutativity")
 
 
 def check_superanticommutative(a: SuperAlgebra) -> Witness | None:
     """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs."""
-    for i in range(a.dim):
-        for j in range(i + 1):
-            s = -_sign(a.parity(i) * a.parity(j))
-            left = a.basis_product(i, j)
-            right = a.basis_product(j, i)
-            for k in set(left) | set(right):
-                if left.get(k, ZERO) != s * right.get(k, ZERO):
-                    return Witness((i, j), f"super-anticommutativity fails at pair ({i},{j})")
-    return None
-
-
-def _bracket_with_dict(a: SuperAlgebra, i: int, w: dict) -> dict:
-    out: dict = {}
-    for m, c in w.items():
-        for k, v in a.basis_product(i, m).items():
-            out[k] = out.get(k, ZERO) + c * v
-    return {k: v for k, v in out.items() if v}
+    return _check_symmetry(a, -1, "super-anticommutativity")
 
 
 def check_super_jacobi(a: SuperAlgebra) -> Witness | None:
@@ -176,20 +161,8 @@ def check_super_jacobi(a: SuperAlgebra) -> Witness | None:
     w = check_superanticommutative(a)
     if w is not None:
         return w
-    p = a.parities
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            for k in range(j, a.dim):
-                acc: dict = {}
-                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    s = _sign(p[x] * p[z])
-                    inner = a.basis_product(y, z)
-                    for m, c in _bracket_with_dict(a, x, inner).items():
-                        acc[m] = acc.get(m, ZERO) + s * c
-                if any(acc.values()):
-                    return Witness((i, j, k),
-                                   f"super-Jacobi fails at basis triple ({i},{j},{k})")
-    return None
+    at = tensor.jacobi_defect(a)
+    return at and Witness(at, "super-Jacobi fails at basis triple ({},{},{})".format(*at))
 
 
 def graded_dims(a: SuperAlgebra) -> dict:
@@ -268,7 +241,7 @@ def supercommutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     """[A,B] = AB - (-1)^{|A||B|} BA."""
     if A.parity is None or B.parity is None:
         raise ValueError("supercommutator needs homogeneous operators")
-    s = _sign(A.parity * B.parity)
+    s = parity_sign(A.parity * B.parity)
     m = A.matrix @ B.matrix - (B.matrix @ A.matrix).scale(s)
     zs = None
     if A.zshift is not None and B.zshift is not None:

@@ -1,0 +1,159 @@
+"""Exact integer tensors for the identity checks.
+
+A rational table becomes an integer tensor (its constants times their common
+denominator d, output coordinate last), and an identity of degree r holds iff
+the same sum over the tensor, d**r times it, is zero.  A check runs in int64
+only after proving its bound terms * n * max|a| * max|b| < 2**62 for each sum
+of `terms` contractions over an index of length n; else in object-dtype Python
+ints, still exact.  Per leading index, super-Jacobi holds O(n**3) entries (Lie
+tables reach dim 64) and the Jordan checks O(n**5).  Nothing is cached (tables
+are mutable); numpy is imported lazily, so building algebras never loads it.
+"""
+
+from math import lcm
+
+
+def encode(tables, shapes) -> list:
+    """Tensors of the given shapes for sparse tables {index: {k: c}}, entry
+    [index + (k,)] = c * d with one denominator d common to all tables."""
+    import numpy as np
+    d = lcm(1, *{int(c.denominator) for t in tables for e in t.values() for c in e.values()})
+    out = []
+    for table, shape in zip(tables, shapes):
+        at = np.array([i + (k,) for i, e in table.items() for k in e], dtype=np.int64)
+        vals = [int(c.numerator) * (d // int(c.denominator))
+                for e in table.values() for c in e.values()]
+        t = np.zeros(shape, dtype=np.int64 if max(map(abs, vals), default=0) < 2 ** 62 else object)
+        t[tuple(at.reshape(-1, len(shape)).T)] = vals
+        out.append(t)
+    return out
+
+
+def _exact(arrays, factor, degree) -> list:
+    """The arrays in int64 if factor * max|entry|**degree < 2**62, else object."""
+    import numpy as np
+    top = max((int(abs(a).max()) for a in arrays if a.size), default=0)
+    fits = factor * max(top, 1) ** degree < 2 ** 62  # factor >= 1 unless all are empty
+    return [a.astype(np.int64 if fits else object) for a in arrays]
+
+
+def _structure(a, terms, degree):
+    """(C, s): C[i, j, k] = d (e_i e_j)_k cast for the check's bound, s[i, j] = (-1)**(|i||j|)."""
+    import numpy as np
+    n, p = a.dim, np.array(a.parities, dtype=np.int64)
+    C = _exact(encode([a.table], [(n, n, n)]), terms * n ** (degree - 1), degree)[0]
+    return C, 1 - 2 * (np.outer(p, p) % 2)
+
+
+def _first(mask):
+    """Index tuple of the first True entry in loop (C) order, or None."""
+    import numpy as np
+    if mask.any():
+        return tuple(int(x) for x in np.unravel_index(int(mask.argmax()), mask.shape))
+    return None
+
+
+def _matmul(a, b):
+    """a @ b over the nonzero entries of a (~10x a dense product on sparse Lie tables)."""
+    import numpy as np
+    out, (rows, cols) = np.zeros((a.shape[0], b.shape[1]), dtype=b.dtype), np.nonzero(a)
+    step = max(1, 2 ** 16 // max(1, b.shape[1]))  # products per chunk (~0.5 MB)
+    for s in range(0, len(rows), step):
+        r, c = rows[s:s + step], cols[s:s + step]
+        np.add.at(out, r, a[r, c][:, None] * b[c])
+    return out
+
+
+def _bracket(A, B, sign):
+    """Super-commutator AB - sign BA of (broadcast stacks of) matrices."""
+    return A @ B - sign * (B @ A)
+
+
+def jacobi_defect(a):
+    """First basis triple i <= j <= k with a nonzero super-Jacobi sum
+    s(i,k)[e_i,[e_j,e_k]] + s(j,i)[e_j,[e_k,e_i]] + s(k,j)[e_k,[e_i,e_j]]."""
+    import numpy as np
+    n = a.dim
+    C, s = _structure(a, 3, 2)
+    upper = np.triu(np.ones((n, n), bool))
+    for i in range(n):
+        m = n - i  # j, k >= i only
+        mid = C[i:].transpose(1, 0, 2).reshape(n, m * n)  # [l, (j, t)] = C[j, l, t]
+        t1 = _matmul(C[i:, i:].reshape(m * m, n), C[i]).reshape(m, m, n)
+        t23 = _matmul(np.concatenate([C[i:, i], C[i, i:]]), mid).reshape(2, m, m, n)
+        total = (s[i, None, i:, None] * t1 + s[i:, i, None, None] * t23[0].transpose(1, 0, 2)
+                 + s[i:, i:, None] * t23[1])
+        hit = _first((total != 0).any(axis=2) & upper[i:, i:])
+        if hit is not None:
+            return (i, i + hit[0], i + hit[1])
+    return None
+
+
+def jordan_defect(a):
+    """First basis triple i <= j <= k where the sum over its cyclic shifts
+    (x, y, z) of s(x,z)[L_x, L_{yz}] is nonzero."""
+    import numpy as np
+    C, s = _structure(a, 6, 3)
+    L = C.transpose(0, 2, 1)               # L[x][r, c] = C[x, c, r]
+    Lw = np.einsum('yzm,mrc->yzrc', C, L)  # L_{e_y e_z}
+    sxz = s[:, None, :, None, None]
+    H = sxz * _bracket(L[:, None, None], Lw[None], s[:, :, None, None, None] * sxz)
+    J = H + H.transpose(1, 2, 0, 3, 4) + H.transpose(2, 0, 1, 3, 4)  # [x, y, z, r, c]
+    i, j, k = np.indices(J.shape[:3])
+    return _first((J != 0).any(axis=(3, 4)) & (i <= j) & (j <= k))
+
+
+def commutator_defect(a):
+    """First (i, j, k) with [[L_i, L_j], L_k] != L_{i(jk)} - s(i,j) L_{j(ik)}."""
+    import numpy as np
+    C, s = _structure(a, 4, 3)
+    L = C.transpose(0, 2, 1)
+    M = _bracket(L[:, None], L[None], s[:, :, None, None])  # [L_i, L_j]
+    lhs = _bracket(M[:, :, None], L[None, None], (s[:, None] * s[None])[..., None, None])
+    W = (np.einsum('jkl,ilt->ijkt', C, C)
+         - s[:, :, None, None] * np.einsum('ikl,jlt->ijkt', C, C))  # i(jk) - s j(ik)
+    return _first((lhs != np.einsum('ijkt,trc->ijkrc', W, L)).any(axis=(3, 4)))
+
+
+def triple_tensor(a):
+    """T[i, j, k] = d**2 {e_i, e_j, e_k}, the Jordan triple
+    2((e_i e_j) e_k + e_i (e_j e_k) - s(i,j) e_j (e_i e_k))."""
+    import numpy as np
+    C, s = _structure(a, 6, 2)
+    X = np.einsum('jkm,iml->ijkl', C, C)  # e_i (e_j e_k)
+    P = np.einsum('ijm,mkl->ijkl', C, C)  # (e_i e_j) e_k
+    return 2 * (P + X - s[:, :, None, None] * X.transpose(1, 0, 2, 3))
+
+
+def outer_symmetry_defect(T, p, q):
+    """First (i, j, k) with T[i, j, k] != (-1)**(p_i q_j + q_j p_k + p_k p_i)
+    T[k, j, i] for a triple on (V, W): i, k index V (parities p), j W (q)."""
+    import numpy as np
+    e = np.outer(p, q)[:, :, None] + np.outer(q, p)[None] + np.outer(p, p)[:, None]
+    return _first((T != (1 - 2 * (e % 2))[..., None] * T.transpose(2, 1, 0, 3)).any(axis=3))
+
+
+def five_linear_defect(T, U, p, q, both_forms=False):
+    """First failure of the 5-linear identity of triples T on V, U on W (T[i, j, k]:
+    i, k in V, j in W; scaled alike; parities p, q).  Form 1, the pair form
+    {x,y,{u,v,w}} - {{x,y,u},v,w} + s{u,{v,x,y},w} - s{u,v,{x,y,w}} = 0 with
+    s = (-1)**((|x|+|y|)(|u|+|v|)), gives (1, (i, j, u, v, w)).  both_forms (U is T)
+    adds form 2, {x,y,{u,v,w}} - s{u,v,{x,y,w}} - {x,{y,u,v},w} + s{{u,v,x},y,w}
+    = 0, and gives (form, (i, j, u, v)) at the first 4-tuple failing either, 1 first."""
+    import numpy as np
+    p, q = np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
+    T, U = _exact([T, U], 4 * max(len(p), len(q)), 2)
+    uv = (p[:, None] + q[None, :]) % 2
+    for i in range(len(p)):
+        s = 1 - 2 * (((p[i] + q)[:, None, None] * uv) % 2)[..., None, None]
+        a = np.einsum('uvwm,jml->juvwl', T, T[i])
+        d = np.einsum('jwm,uvml->juvwl', T[i], T)
+        bad = (a - np.einsum('jum,mvwl->juvwl', T[i], T)
+               + s * (np.einsum('vjm,umwl->juvwl', U[:, i], T) - d) != 0).any(axis=4)
+        if both_forms:
+            bad2 = (a - s * d - np.einsum('juvm,mwl->juvwl', T, T[i])
+                    + s * np.einsum('uvm,mjwl->juvwl', T[:, :, i], T) != 0).any(axis=(3, 4))
+        hit = _first(bad.any(axis=3) | bad2 if both_forms else bad)
+        if hit is not None:
+            return (1 if bad[hit].any() else 2), (i,) + hit
+    return None

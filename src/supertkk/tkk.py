@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import _mirror
-from .exact import Matrix, Q, Subspace, solve, span
+from .exact import CertificateError, Matrix, Q, Subspace, solve, span
 from .jordan import find_unit, l_op
 from .structure import (CheckResult, JordanPair, OperatorSpace, _as_pair,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -691,7 +691,8 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
     """The superpair (g_{+1}, g_{-1}) with {x,y,z} = [[x,y],z].
 
     With check=True (the default) the superpair axioms — outer symmetry and
-    the 5-linear identity — are verified on all homogeneous basis tuples.
+    the 5-linear identity — are verified on all homogeneous basis tuples;
+    a failed certificate raises CertificateError.
     """
     if g.zdegrees is None:
         raise ValueError("j_functor needs a Z-graded Lie superalgebra")
@@ -712,7 +713,8 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
                     entry = {}
                     for l, c in enumerate(out):
                         if c:
-                            assert l in posmap, "triple left the graded block"
+                            if l not in posmap:
+                                raise CertificateError("triple left the graded block")
                             entry[posmap[l]] = c
                     if entry:
                         table[i, j, k] = entry
@@ -722,7 +724,8 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
     pair = JordanPair(f"J({g.name})", parities, tuple(tables))
     if check:
         witness = check_pair_axioms(pair)
-        assert witness is None, f"superpair axioms fail: {witness}"
+        if witness is not None:
+            raise CertificateError(f"superpair axioms fail: {witness}")
     return pair
 
 

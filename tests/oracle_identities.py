@@ -1,0 +1,281 @@
+"""Loop reference implementations of the identity checks (test-only oracle).
+
+These are the basis-loop checkers that supertkk used before its exact tensor
+layer (supertkk.tensor), kept verbatim as the slow reference: the
+differential tests require the tensor checkers to return the same verdicts
+and witnesses.  The two graded-symmetry loops are the references for the
+table-key scan in superspace, and d_op is the former operator-formula
+D_{x,y}, the reference for jordan.d_op, now built from the triple product.
+"""
+
+from __future__ import annotations
+
+from supertkk.exact import Matrix, Q, ZERO
+from supertkk.jordan import _parity_parts, triple
+from supertkk.structure import JordanPair
+from supertkk.superspace import (GradedOperator, SuperAlgebra, Witness,
+                                 operator_parity, parity_sign)
+
+_sign = _sgn = parity_sign  # the names the checkers used in their modules
+
+
+# ---------------------------------------------------------------------------
+# superspace
+
+
+def check_supercommutative(a: SuperAlgebra) -> Witness | None:
+    """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds."""
+    for i in range(a.dim):
+        for j in range(i + 1):
+            s = _sign(a.parity(i) * a.parity(j))
+            left = a.basis_product(i, j)
+            right = a.basis_product(j, i)
+            for k in set(left) | set(right):
+                if left.get(k, ZERO) != s * right.get(k, ZERO):
+                    return Witness((i, j), f"supercommutativity fails at pair ({i},{j})")
+    return None
+
+
+def check_superanticommutative(a: SuperAlgebra) -> Witness | None:
+    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs."""
+    for i in range(a.dim):
+        for j in range(i + 1):
+            s = -_sign(a.parity(i) * a.parity(j))
+            left = a.basis_product(i, j)
+            right = a.basis_product(j, i)
+            for k in set(left) | set(right):
+                if left.get(k, ZERO) != s * right.get(k, ZERO):
+                    return Witness((i, j), f"super-anticommutativity fails at pair ({i},{j})")
+    return None
+
+
+def _bracket_with_dict(a: SuperAlgebra, i: int, w: dict) -> dict:
+    out: dict = {}
+    for m, c in w.items():
+        for k, v in a.basis_product(i, m).items():
+            out[k] = out.get(k, ZERO) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def check_super_jacobi(a: SuperAlgebra) -> Witness | None:
+    """Graded Jacobi identity on homogeneous basis triples.
+
+    Requires super-anticommutativity (checked first); given it, the Jacobi
+    expression is permutation-covariant up to a nonzero sign, so scanning
+    unordered triples i <= j <= k is complete.
+    """
+    w = check_superanticommutative(a)
+    if w is not None:
+        return w
+    p = a.parities
+    for i in range(a.dim):
+        for j in range(i, a.dim):
+            for k in range(j, a.dim):
+                acc: dict = {}
+                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                    s = _sign(p[x] * p[z])
+                    inner = a.basis_product(y, z)
+                    for m, c in _bracket_with_dict(a, x, inner).items():
+                        acc[m] = acc.get(m, ZERO) + s * c
+                if any(acc.values()):
+                    return Witness((i, j, k),
+                                   f"super-Jacobi fails at basis triple ({i},{j},{k})")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# jordan
+
+
+def _commutator(A: Matrix, B: Matrix, sign) -> Matrix:
+    return A @ B - (B @ A).scale(sign)
+
+
+def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
+    """D_{x,y} = 2L_{xy} + 2[L_x,L_y]; applied to z it gives {x,y,z}."""
+    n = V.dim
+    acc = Matrix.zero(n, n)
+    for px, xp in _parity_parts(V, x):
+        for py, yp in _parity_parts(V, y):
+            lx = V.left_mult_matrix(xp)
+            ly = V.left_mult_matrix(yp)
+            lxy = V.left_mult_matrix(V.product(xp, yp))
+            acc = acc + (lxy + _commutator(lx, ly, _sgn(px * py))).scale(Q(2))
+    return GradedOperator(acc, operator_parity(V, acc), algebra=V)
+
+
+def _l_matrices(V: SuperAlgebra):
+    return [V.left_mult_matrix(V.basis_vector(i)) for i in range(V.dim)]
+
+
+def _combine(mats, coords) -> Matrix:
+    n = mats[0].rows
+    acc = [[ZERO] * n for _ in range(n)]
+    for m, c in zip(mats, coords):
+        if c:
+            for r in range(n):
+                row = m.data[r]
+                arow = acc[r]
+                for j in range(n):
+                    if row[j]:
+                        arow[j] += c * row[j]
+    return Matrix(acc)
+
+
+def check_jordan_identity(V: SuperAlgebra) -> Witness | None:
+    """(-1)^{|x||z|}[L_x,L_{yz}] + (-1)^{|y||x|}[L_y,L_{zx}] + (-1)^{|z||y|}[L_z,L_{xy}] = 0
+    on homogeneous basis triples (super-commutators of operators)."""
+    w = check_supercommutative(V)
+    if w is not None:
+        return w
+    L = _l_matrices(V)
+    p = V.parities
+    n = V.dim
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                acc = Matrix.zero(n, n)
+                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                    prod = V.basis_product(y, z)
+                    if not prod:
+                        continue
+                    lyz = _combine(L, [prod.get(m, ZERO) for m in range(n)])
+                    term = _commutator(L[x], lyz, _sgn(p[x] * (p[y] + p[z])))
+                    acc = acc + term.scale(_sgn(p[x] * p[z]))
+                if not acc.is_zero():
+                    return Witness((i, j, k),
+                                   f"Jordan identity fails at basis triple ({i},{j},{k})")
+    return None
+
+
+def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
+    """[[L_x,L_y],L_z] = L_{x(yz)} - (-1)^{|x||y|} L_{y(xz)} on basis triples."""
+    L = _l_matrices(V)
+    p = V.parities
+    n = V.dim
+    e = [V.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lij = _commutator(L[i], L[j], _sgn(p[i] * p[j]))
+            for k in range(n):
+                lhs = _commutator(lij, L[k], _sgn((p[i] + p[j]) * p[k]))
+                rhs = (V.left_mult_matrix(V.product(e[i], V.product(e[j], e[k])))
+                       - V.left_mult_matrix(
+                           V.product(e[j], V.product(e[i], e[k]))).scale(_sgn(p[i] * p[j])))
+                if lhs != rhs:
+                    return Witness((i, j, k),
+                                   f"operator identity fails at basis triple ({i},{j},{k})")
+    return None
+
+
+def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
+    """{x,y,z} = (-1)^{|x||y|+|y||z|+|x||z|} {z,y,x} on basis triples."""
+    p = V.parities
+    n = V.dim
+    e = [V.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                s = _sgn(p[i] * p[j] + p[j] * p[k] + p[i] * p[k])
+                lhs = triple(V, e[i], e[j], e[k])
+                rhs = triple(V, e[k], e[j], e[i])
+                if lhs != tuple(s * t for t in rhs):
+                    return Witness((i, j, k),
+                                   f"triple symmetry fails at ({i},{j},{k})")
+    return None
+
+
+def check_five_linear(V: SuperAlgebra) -> Witness | None:
+    """The operator form of the 5-linear identity, in both of its shapes:
+
+    [D_{x,y}, D_{u,v}] = D_{{x,y,u},v} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{u,{v,x,y}}
+                       = D_{x,{y,u,v}} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{{u,v,x},y}
+
+    over all homogeneous basis 4-tuples.
+    """
+    n = V.dim
+    p = V.parities
+    e = [V.basis_vector(i) for i in range(n)]
+    D = [[d_op(V, e[i], e[j]).matrix for j in range(n)] for i in range(n)]
+
+    def d_vec_right(i, w):  # D_{e_i, w} for a coordinate vector w
+        return _combine(D[i], w)
+
+    def d_vec_left(w, j):
+        return _combine([D[i][j] for i in range(n)], w)
+
+    for i in range(n):
+        for j in range(n):
+            pij = (p[i] + p[j]) % 2
+            for u in range(n):
+                for v in range(n):
+                    s = _sgn(pij * ((p[u] + p[v]) % 2))
+                    lhs = _commutator(D[i][j], D[u][v], s)
+                    rhs1 = (d_vec_left(triple(V, e[i], e[j], e[u]), v)
+                            - d_vec_right(u, triple(V, e[v], e[i], e[j])).scale(s))
+                    if lhs != rhs1:
+                        return Witness((i, j, u, v),
+                                       f"5-linear identity (form 1) fails at ({i},{j},{u},{v})")
+                    rhs2 = (d_vec_right(i, triple(V, e[j], e[u], e[v]))
+                            - d_vec_left(triple(V, e[u], e[v], e[i]), j).scale(s))
+                    if lhs != rhs2:
+                        return Witness((i, j, u, v),
+                                       f"5-linear identity (form 2) fails at ({i},{j},{u},{v})")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# structure
+
+
+def check_pair_axioms(pair: JordanPair) -> Witness | None:
+    """Outer symmetry and the 5-linear identity on all homogeneous basis tuples."""
+    for sigma in (0, 1):
+        other = 1 - sigma
+        dp, dm = pair.dim(sigma), pair.dim(other)
+
+        def combo(pos, a, b, vec):
+            # triple with vec substituted at slot pos, the rest basis elements
+            out: dict = {}
+            for l, c in vec.items():
+                args = ((l, a, b), (a, l, b), (a, b, l))[pos]
+                for k, w in pair.basis_triple(sigma, *args).items():
+                    out[k] = out.get(k, Q(0)) + c * w
+            return out
+
+        for i in range(dp):
+            pi = pair.parity(sigma, i)
+            for j in range(dm):
+                pj = pair.parity(other, j)
+                for k in range(dp):
+                    lhs = pair.basis_triple(sigma, i, j, k)
+                    pk = pair.parity(sigma, k)
+                    s = Q(-1) if (pi * pj + pj * pk + pk * pi) % 2 else Q(1)
+                    rhs = {l: s * c for l, c
+                           in pair.basis_triple(sigma, k, j, i).items()}
+                    if lhs != rhs:
+                        return Witness((sigma, i, j, k),
+                                       f"outer symmetry fails at {(sigma, i, j, k)}")
+        for i in range(dp):
+            for j in range(dm):
+                sxy = pair.parity(sigma, i) + pair.parity(other, j)
+                for u in range(dp):
+                    for v in range(dm):
+                        suv = pair.parity(sigma, u) + pair.parity(other, v)
+                        sg = Q(-1) if (sxy * suv) % 2 else Q(1)
+                        for w in range(dp):
+                            # {x,y,{u,v,w}} - {{x,y,u},v,w}
+                            #   = sg * (-{u,{v,x,y},w} + {u,v,{x,y,w}})
+                            total: dict = {}
+                            for vec, f in (
+                                    (combo(2, i, j, pair.basis_triple(sigma, u, v, w)), Q(1)),
+                                    (combo(0, v, w, pair.basis_triple(sigma, i, j, u)), Q(-1)),
+                                    (combo(1, u, w, pair.basis_triple(other, v, i, j)), sg),
+                                    (combo(2, u, v, pair.basis_triple(sigma, i, j, w)), -sg)):
+                                for l, c in vec.items():
+                                    total[l] = total.get(l, Q(0)) + f * c
+                            if any(total.values()):
+                                return Witness(
+                                    (sigma, i, j, u, v, w),
+                                    f"5-linear identity fails at {(sigma, i, j, u, v, w)}")
+    return None

@@ -125,7 +125,9 @@ def test_five_linear_catches_a_broken_odd_sign():
                 (0, 2, 2, Q(1, 2)), (2, 0, 2, Q(1, 2)),
                 (1, 2, 0, 1), (2, 1, 0, 1)]
     bad = make_algebra([0, 1, 1], products, check=False)
-    assert check_five_linear(bad) is not None
+    w = check_five_linear(bad)
+    assert w is not None and w.indices == (0, 0, 1, 2)
+    assert str(w) == "5-linear identity (form 2) fails at (0,0,1,2)"
 
 
 def test_find_unit_outcomes():

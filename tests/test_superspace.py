@@ -65,7 +65,8 @@ def test_super_jacobi_on_sl2_and_a_broken_table():
                 (0, 2, 0, 1), (2, 0, 0, -1)]
     broken = make_algebra([0, 0, 0], products, check=False)
     w = check_super_jacobi(broken)
-    assert w is not None and len(w.indices) == 3
+    assert w is not None and w.indices == (0, 1, 2)
+    assert str(w) == "super-Jacobi fails at basis triple (0,1,2)"
 
 
 def test_product_is_bilinear_against_left_mult():

@@ -1,0 +1,267 @@
+"""The exact tensor layer against the loop oracle (tests/oracle_identities.py).
+
+Every tensor-backed checker must return what its loop reference returns:
+None, or a witness with identical indices and message.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_identities as oracle
+import supertkk
+from supertkk import tensor
+from supertkk.catalog import jordan_catalog, resolve
+from supertkk.exact import CertificateError, Q
+from supertkk.jordan import (check_commutator_identity, check_five_linear,
+                             check_jordan_identity, check_triple_symmetry, d_op)
+from supertkk.structure import JordanPair, check_pair_axioms, double
+from supertkk.superspace import (SuperAlgebra, check_super_jacobi, check_superanticommutative,
+                                 check_supercommutative, make_algebra)
+from supertkk.tkk import j_functor, koecher
+
+SETTINGS = dict(max_examples=30, deadline=None)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Q)
+coefficients = st.one_of(st.just(Q(0)), rationals)
+
+JORDAN_CHECKS = [
+    (check_jordan_identity, oracle.check_jordan_identity),
+    (check_commutator_identity, oracle.check_commutator_identity),
+    (check_triple_symmetry, oracle.check_triple_symmetry),
+    (check_five_linear, oracle.check_five_linear),
+]
+SMALL_JORDAN = ("j19", "kacK", "trunc_poly:4", "trunc_poly:5", "full_matrix:1,1",
+                "form:1,2", "form:3,0", "dt:2")
+SMALL_LIE = ("gl:1,1", "sl:2,1", "psl:2,2", "pe:2", "q:2", "w:2", "lambda:4")
+SRC = Path(supertkk.__file__).resolve().parents[1]
+
+
+def _key(w):
+    return None if w is None else (w.indices, w.message)
+
+
+def _assert_same(V):
+    for new, old in JORDAN_CHECKS:
+        assert _key(new(V)) == _key(old(V)), new.__name__
+    assert _key(check_pair_axioms(double(V))) == _key(oracle.check_pair_axioms(double(V)))
+
+
+@st.composite
+def graded_tables(draw, sym):
+    """A random supercommutative (sym=1) or super-anticommutative (sym=-1)
+    table of dim <= 4 with mixed parities and rational constants."""
+    n = draw(st.integers(1, 4))
+    par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    products = []
+    for i in range(n):
+        for j in range(i, n):
+            s = sym * (-1) ** (par[i] * par[j])
+            if i == j and s == -1:
+                continue  # x x = -x x forces zero
+            for k in range(n):
+                c = draw(coefficients) if par[k] == (par[i] + par[j]) % 2 else 0
+                if c:
+                    products.append((i, j, k, c))
+                    if i != j:
+                        products.append((j, i, k, s * c))
+    return make_algebra(par, products, name="random", check=False)
+
+
+@st.composite
+def triple_pairs(draw):
+    """A random homogeneous triple pair of dims <= 3, half of them with the
+    outer symmetry imposed so that the 5-linear scan is reached."""
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    par = [tuple(draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))) for d in dims]
+    symmetric = draw(st.booleans())
+    tables = []
+    for sigma in (0, 1):
+        p, q = par[sigma], par[1 - sigma]
+        table: dict = {}
+        for i in range(len(p)):
+            for j in range(len(q)):
+                for k in range(i if symmetric else 0, len(p)):
+                    s = (-1) ** (p[i] * q[j] + q[j] * p[k] + p[k] * p[i])
+                    if symmetric and k == i and s == -1:
+                        continue
+                    for l in range(len(p)):
+                        c = draw(coefficients) if p[l] == (p[i] + q[j] + p[k]) % 2 else 0
+                        if c:
+                            table.setdefault((i, j, k), {})[l] = c
+                            if symmetric and k != i:
+                                table.setdefault((k, j, i), {})[l] = s * c
+        tables.append(table)
+    return JordanPair("random", tuple(par), tuple(tables))
+
+
+def _perturbed(a, sym=None):
+    """a with its first structure constant raised by one; with sym = +-1 the
+    first off-diagonal one, its mirror adjusted to keep the (anti)symmetry."""
+    entries = [(i, j, k, c) for (i, j), e in a.table.items() for k, c in e.items()]
+    at = 0 if sym is None else next(n for n, e in enumerate(entries) if e[0] != e[1])
+    i, j, k, c = entries[at]
+    entries[at] = (i, j, k, c + 1)
+    if sym is not None:
+        mirror = next((n for n, e in enumerate(entries) if e[:3] == (j, i, k)), None)
+        s = sym * (-1) ** (a.parity(i) * a.parity(j))
+        if mirror is None:
+            entries.append((j, i, k, Q(s)))
+        else:
+            entries[mirror] = (j, i, k, entries[mirror][3] + s)
+    return make_algebra(a.parities, entries, a.zdegrees, name=f"{a.name}+1", check=False)
+
+
+@given(graded_tables(1))
+@settings(**SETTINGS)
+def test_jordan_checkers_match_the_loop_oracle(V):
+    _assert_same(V)
+
+
+@given(graded_tables(-1))
+@settings(**SETTINGS)
+def test_super_jacobi_matches_the_loop_oracle(g):
+    assert _key(check_super_jacobi(g)) == _key(oracle.check_super_jacobi(g))
+
+
+@given(st.sampled_from([1, -1]).flatmap(graded_tables))
+@settings(**SETTINGS)
+def test_graded_symmetry_checks_match_the_loop_oracle(a):
+    for table in (a, _perturbed(a)) if a.table else (a,):
+        for new, old in ((check_supercommutative, oracle.check_supercommutative),
+                         (check_superanticommutative, oracle.check_superanticommutative)):
+            assert _key(new(table)) == _key(old(table)), new.__name__
+
+
+@given(triple_pairs())
+@settings(**SETTINGS)
+def test_pair_axioms_match_the_loop_oracle(pair):
+    assert _key(check_pair_axioms(pair)) == _key(oracle.check_pair_axioms(pair))
+
+
+@pytest.mark.parametrize("source", SMALL_JORDAN)
+def test_perturbed_jordan_catalog_is_rejected_like_the_oracle(source):
+    # the truncated polynomial algebras are nilpotent: raising their first
+    # constant gives another Jordan algebra, so only agreement is required
+    control = not source.startswith("trunc_poly")
+    V = resolve(source)
+    _assert_same(V)
+    for bad in (_perturbed(V), _perturbed(V, 1)):
+        _assert_same(bad)
+        assert any(new(bad) is not None for new, _ in JORDAN_CHECKS) or not control
+    pair = j_functor(koecher(V).lie, check=False)
+    plus = dict(pair.triples[0])
+    (i, j, k), entry = next(iter(plus.items()))
+    l, c = next(iter(entry.items()))
+    plus[i, j, k] = {**entry, l: c + 1}
+    bad_pair = JordanPair(pair.name, pair.parities, (plus, pair.triples[1]))
+    assert check_pair_axioms(pair) is None
+    w = check_pair_axioms(bad_pair)
+    assert _key(w) == _key(oracle.check_pair_axioms(bad_pair))
+    assert w is not None or not control
+
+
+@pytest.mark.parametrize("source", SMALL_LIE)
+def test_perturbed_lie_catalog_is_rejected_like_the_oracle(source):
+    g = resolve(source)
+    assert check_super_jacobi(g) is None is oracle.check_super_jacobi(g)
+    for bad in (_perturbed(g), _perturbed(g, -1)):
+        w = check_super_jacobi(bad)
+        assert w is not None and _key(w) == _key(oracle.check_super_jacobi(bad)), bad.name
+
+
+def test_d_op_matches_the_operator_formula():
+    for source in ("kacK", "full_matrix:1,1", "form:1,2"):
+        V = resolve(source)
+        for i in range(V.dim):
+            for j in range(V.dim):
+                x, y = V.basis_vector(i), V.basis_vector(j)
+                assert d_op(V, x, y).matrix == oracle.d_op(V, x, y).matrix
+
+
+def _sl2():
+    """sl(2) with basis e, f, h: [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    return make_algebra([0, 0, 0], [(2, 0, 0, 2), (0, 2, 0, -2), (2, 1, 1, -2),
+                                    (1, 2, 1, 2), (0, 1, 2, 1), (1, 0, 2, -1)],
+                        name="sl2", kind="lie")
+
+
+def _rescaled(a, scales):
+    """a in the basis scales[i] * e_i: constant c of e_i e_j -> e_k becomes
+    c * scales[i] * scales[j] / scales[k]."""
+    products = [(i, j, k, c * scales[i] * scales[j] / scales[k])
+                for (i, j), e in a.table.items() for k, c in e.items()]
+    return make_algebra(a.parities, products, name=f"{a.name}*", kind=a.kind)
+
+
+def test_constants_near_1e12_take_the_exact_object_path(monkeypatch):
+    # sl(2) with e scaled by 10^12 and kacK with xi1 scaled: [e, f] = 10^12 h,
+    # xi1 xi2 = 10^12 a.  No int64 bound can be proved for their sums.
+    big = Q(10 ** 12)
+    lie = _rescaled(_sl2(), [big, Q(1), Q(1)])
+    jordan = _rescaled(jordan_catalog("kacK"), [Q(1), big, Q(1)])
+    assert max(abs(c) for e in lie.table.values() for c in e.values()) == big
+    dtypes = []
+    cast = tensor._exact
+
+    def spy(*args):
+        out = cast(*args)
+        dtypes.extend(str(t.dtype) for t in out)
+        return out
+
+    monkeypatch.setattr(tensor, "_exact", spy)
+    assert check_super_jacobi(lie) is None is oracle.check_super_jacobi(lie)
+    _assert_same(jordan)
+    assert all(check(jordan) is None for check, _ in JORDAN_CHECKS)
+    assert dtypes and set(dtypes) == {"object"}
+    bad = _perturbed(lie, -1)
+    w = check_super_jacobi(bad)
+    assert w is not None and _key(w) == _key(oracle.check_super_jacobi(bad))
+    _assert_same(_perturbed(jordan))
+
+
+def _run(flags, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_building_the_jordan_catalog_does_not_import_numpy():
+    # supercommutativity runs on every make_algebra and stays pure Python;
+    # numpy's import would otherwise land in every command's start-up
+    done = _run([], "import sys, supertkk\nsupertkk.jordan_entries()\n"
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+BROKEN_PAIR = """
+import sys
+from supertkk import make_algebra
+from supertkk.tkk import j_functor
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+# g+1 = <a1, a2>, g-1 = <b>, g0 = <h>: {a1, b, a2} = [h, a2] = a1, {a2, b, a1} = 0
+g = make_algebra([0] * 4, [(0, 2, 3, 1), (3, 1, 0, 1)], zdegrees=[1, 1, -1, 0], check=False)
+j_functor(g)
+"""
+
+
+def test_superpair_certificate_survives_python_O():
+    done = _run(["-O"], BROKEN_PAIR)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert ("CertificateError: superpair axioms fail: outer symmetry fails at (0, 0, 0, 1)"
+            in done.stderr.strip().splitlines()[-1])
+
+
+def test_triple_leaving_the_graded_block_raises_a_certificate_error():
+    assert issubclass(CertificateError, ValueError)  # the CLI's exit-2 path
+    # [a, b] = h but [h, a] = b breaks the grading: {a, b, a} lands in g-1
+    g = SuperAlgebra("bad", (0, 0, 0), {(0, 1): {2: Q(1)}, (2, 0): {1: Q(1)}},
+                     zdegrees=(1, -1, 0))
+    with pytest.raises(CertificateError, match="left the graded block"):
+        j_functor(g)
