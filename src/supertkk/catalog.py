@@ -17,28 +17,15 @@ from __future__ import annotations
 
 import json
 import re
-
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .exact import Q, SpanSolver, span
-from .superspace import SuperAlgebra, derived, make_algebra, quotient_algebra, subalgebra
+from .superspace import (SuperAlgebra, derived, make_algebra, mirror, quotient_algebra,
+                         subalgebra)
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-
-def _mirror(parities, upper, sym):
-    """Complete an upper-triangle product list by (anti)supersymmetry.
-
-    sym=+1 mirrors supercommutatively (Jordan), sym=-1 anticommutatively (Lie).
-    Diagonal entries (i == j) are kept as given.
-    """
-    out = list(upper)
-    for i, j, k, c in upper:
-        if i != j:
-            s = sym if parities[i] * parities[j] % 2 == 0 else -sym
-            out.append((j, i, k, Q(c) * s))
-    return out
 
 
 def _norm_param(p):
@@ -57,7 +44,7 @@ def _norm_param(p):
 def _build_j19():
     upper = [(0, 0, 0, Q(1)), (0, 1, 1, Q(1, 2)), (1, 1, 2, Q(1))]
     parities = (0, 0, 0)
-    return make_algebra(parities, _mirror(parities, upper, 1), name="j19",
+    return make_algebra(parities, mirror(parities, upper, 1), name="j19",
                         kind="jordan", metadata={"family": "j19"})
 
 
@@ -66,7 +53,7 @@ def _build_kac_k():
     upper = [(0, 0, 0, Q(1)), (0, 1, 1, Q(1, 2)), (0, 2, 2, Q(1, 2)),
              (1, 2, 0, Q(1))]
     parities = (0, 1, 1)
-    return make_algebra(parities, _mirror(parities, upper, 1), name="kacK",
+    return make_algebra(parities, mirror(parities, upper, 1), name="kacK",
                         kind="jordan", metadata={"family": "kacK"})
 
 
@@ -80,7 +67,7 @@ def _build_trunc_poly(k):
             if i + j + 2 <= k - 1:
                 upper.append((i, j, i + j + 1, Q(1)))
     parities = (0,) * (k - 1)
-    return make_algebra(parities, _mirror(parities, upper, 1),
+    return make_algebra(parities, mirror(parities, upper, 1),
                         name=f"trunc_poly({k})", kind="jordan",
                         metadata={"family": "trunc_poly"})
 
@@ -119,7 +106,7 @@ def _build_form(p, two_q):
     upper = [(0, i, i, Q(1)) for i in range(dim)]
     upper += [(i, i, 0, Q(1)) for i in range(1, 1 + p)]
     upper += [(1 + p + 2 * l, 2 + p + 2 * l, 0, Q(1)) for l in range(two_q // 2)]
-    return make_algebra(parities, _mirror(parities, upper, 1),
+    return make_algebra(parities, mirror(parities, upper, 1),
                         name=f"form({p},{two_q})", kind="jordan",
                         metadata={"family": "form", "external": "yes"})
 
@@ -134,7 +121,7 @@ def _build_dt(t):
              (1, 2, 2, Q(1, 2)), (1, 3, 3, Q(1, 2)),
              (2, 3, 0, Q(1)), (2, 3, 1, t)]
     parities = (0, 0, 1, 1)
-    return make_algebra(parities, _mirror(parities, upper, 1),
+    return make_algebra(parities, mirror(parities, upper, 1),
                         name=f"dt({t})", kind="jordan",
                         metadata={"family": "dt", "external": "yes"})
 
@@ -637,27 +624,36 @@ _INT_RE = re.compile(r"^-?[0-9]+$")
 def resolve(source: str) -> SuperAlgebra:
     """Turn a textual source like "dt:1/2" or "form(2,2)" into an algebra.
 
-    Accepts catalog names with colon or parenthesis parameter syntax, and
-    "file:PATH" for a serialized algebra file.
+    Accepts catalog names with colon or parenthesis parameter syntax, and a
+    serialized algebra file given as "file:PATH" or as a bare path (anything
+    that is not a catalog name and has a suffix or names a file).
     """
     if source.startswith("file:"):
-        with open(source[5:], "rb") as fh:
-            return spec_to_algebra(load(fh.read()))
+        return _load_file(source[5:])
     m = _SOURCE_RE.match(source.strip())
-    if m is None:
-        raise ValueError(f"cannot parse algebra source {source!r}")
-    name, rest = m.group(1), m.group(2)
+    name = m.group(1) if m else None
+    if name not in _JORDAN_BUILDERS and name not in _LIE_BUILDERS:
+        path = Path(source)
+        if path.suffix or path.is_file():
+            return _load_file(path)
+        if m is None:
+            raise ValueError(f"cannot parse algebra source {source!r}")
+        known = ", ".join(sorted(set(_JORDAN_BUILDERS) | set(_LIE_BUILDERS)))
+        raise ValueError(f"unknown algebra {name!r}; known names: {known}")
     params = []
-    if rest:
-        for tok in rest.split(","):
-            tok = tok.strip()
-            params.append(int(tok) if _INT_RE.match(tok) else Q(tok))
+    for tok in m.group(2).split(",") if m.group(2) else ():
+        tok = tok.strip()
+        params.append(int(tok) if _INT_RE.match(tok) else Q(tok))
     if name in _JORDAN_BUILDERS:
         return jordan_catalog(name, *params)
-    if name in _LIE_BUILDERS:
-        return lie_catalog(name, *params)
-    known = ", ".join(sorted(set(_JORDAN_BUILDERS) | set(_LIE_BUILDERS)))
-    raise ValueError(f"unknown algebra {name!r}; known names: {known}")
+    return lie_catalog(name, *params)
+
+
+def _load_file(path) -> SuperAlgebra:
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"no such file: {path}")
+    return load_algebra(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------

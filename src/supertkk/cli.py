@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .catalog import jordan_catalog, jordan_entries, load_algebra, save_algebra
+from .catalog import jordan_entries, resolve, save_algebra
 from .jordan import (check_commutator_identity, check_five_linear,
                      check_jordan_identity, check_triple_symmetry, find_unit)
 from .structure import (CheckResult, inclusion_report, pair_der,
@@ -78,28 +78,12 @@ def report_to_human(report: Report) -> str:
     return "\n".join(lines)
 
 
-def parse_source(text: str) -> SuperAlgebra:
-    """A catalog name like dt:1/2 (or dt(1/2)), or a path to a saved algebra."""
-    entries = jordan_entries()
-    if text in entries:
-        return entries[text]
-    p = Path(text)
-    if p.suffix or p.exists():
-        if not p.exists():
-            raise ValueError(f"no such file: {text}")
-        return load_algebra(p.read_bytes())
-    name, _, argstr = text.partition(":")
-    if not argstr and "(" in text:  # accept the catalog's own spelling
-        name, argstr = text.rstrip(")").split("(", 1)
-    args = []
-    for a in argstr.split(",") if argstr else ():
-        a = a.strip()
-        args.append(int(a) if a.lstrip("-").isdigit() else a)
-    try:
-        return jordan_catalog(name, *args)
-    except KeyError:
-        raise ValueError(f"unknown source {text!r}; known: "
-                         + ", ".join(sorted(entries))) from None
+def _jordan_source(source: str) -> SuperAlgebra:
+    """The Jordan superalgebra named by a catalog.resolve source."""
+    V = resolve(source)
+    if V.kind != "jordan":
+        raise ValueError(f"{source!r} is a {V.kind} algebra, not a Jordan superalgebra")
+    return V
 
 
 def _witness_check(name: str, witness) -> CheckResult:
@@ -114,7 +98,7 @@ def _dims_cell(space) -> list:
 
 
 def cmd_dims(source: str, max_dim: int) -> Report:
-    V = parse_source(source)
+    V = _jordan_source(source)
     section = Section(V.name)
     if V.dim > max_dim:
         section.notes.append(f"skipped: dim {V.dim} exceeds --max-dim {max_dim}")
@@ -141,7 +125,7 @@ def _build(V: SuperAlgebra, construction: str):
 
 
 def cmd_tkk(source: str, construction: str, max_dim: int) -> Report:
-    V = parse_source(source)
+    V = _jordan_source(source)
     section = Section(V.name)
     report = Report(f"tkk {source} {construction}", [section])
     if V.dim > max_dim:
@@ -252,12 +236,12 @@ def cmd_verify(source: str, max_dim: int, seed: int | None) -> Report:
         sections = [verify_section(V, max_dim) for V in entries]
         sections.sort(key=lambda s: s.name)
         return Report("verify all", sections)
-    V = parse_source(source)
+    V = _jordan_source(source)
     return Report(f"verify {source}", [verify_section(V, max_dim)])
 
 
 def cmd_export(source: str, construction: str, out, max_dim: int) -> Report:
-    V = parse_source(source)
+    V = _jordan_source(source)
     if V.dim > max_dim:
         raise ValueError(f"dim {V.dim} exceeds --max-dim {max_dim}")
     alg = V if construction == "self" else _build(V, construction).lie

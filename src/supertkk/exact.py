@@ -4,18 +4,18 @@ Scalars are arbitrary-precision rationals (gmpy2.mpq when available, else
 fractions.Fraction).  No floating point anywhere: every identity this package
 checks is an algebraic identity over Q and must hold exactly.
 
-Large sparse kernel systems go through a certified modular fast path: rows are
-eliminated mod a word-size prime with numpy int64 arithmetic, kernel vectors
-are lifted by rational reconstruction and then verified *exactly* against
-every row.  The mod-p rank lower-bounds the rational rank, so ncols - rank_p
-exactly-verified independent kernel vectors prove the kernel dimension; any
-failure escalates to more primes (CRT) and finally to pure exact elimination.
+Sparse kernels are computed by fraction-free elimination: each row is scaled
+to a primitive integer row, eliminated over the integers (Bareiss-style
+v <- b*v - a*r, divided by the row gcd), and rationals are formed only when
+kernel vectors are read off.  Every kernel vector is then verified exactly
+against every row, and `solve` re-multiplies its answer; a failure of either
+certificate raises CertificateError, so the checks survive `python -O`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 try:
@@ -37,12 +37,6 @@ ONE = Q(1)
 
 class CertificateError(ValueError):
     """A certificate failed: a computed result did not verify exactly."""
-
-
-# Primes just below 2**26: products of two reduced residues fit comfortably in
-# int64 even when summed over >1000 terms (1300 * p**2 < 2**63).
-_PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763)
-_MATMUL_SLICE = 1024  # max inner dimension per int64 matmul (overflow guard)
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -208,7 +202,8 @@ def solve(m: Matrix, b: Sequence):
     for r, p in zip(rows, pivots):
         x[p] = r[m.cols]
     x = tuple(x)
-    assert m.apply(x) == tuple(Q(v) for v in b), "solve verification failed"
+    if m.apply(x) != tuple(Q(v) for v in b):
+        raise CertificateError("solve verification failed: m @ x != b")
     return x
 
 
@@ -379,155 +374,78 @@ class SpanSolver:
 
 
 # ---------------------------------------------------------------------------
-# sparse kernel with certified modular fast path
+# sparse kernel by fraction-free integer elimination
 
 
-def _row_primitive(row: dict) -> dict:
+def row_primitive(row: dict) -> dict:
     """Scale a sparse rational row to a primitive integer row (sign-normalized)."""
-    items = [(c, Q(v)) for c, v in row.items() if v]
+    # ints and rationals already carry numerator/denominator; re-wrapping
+    # them in Q() was the larger part of this function's time
+    items = [(c, v if isinstance(v, (int, Fraction, _Scalar)) else Q(v))
+             for c, v in row.items() if v]
     if not items:
         return {}
-    den = 1
-    for _, v in items:
-        den = den * v.denominator // gcd(den, int(v.denominator))
-    den = int(den)
+    den = lcm(*(int(v.denominator) for _, v in items))
     ints = [(c, int(v.numerator) * (den // int(v.denominator))) for c, v in items]
-    g = 0
-    for _, v in ints:
-        g = gcd(g, v)
-    lead = min(ints)[1]
-    s = -1 if lead < 0 else 1
-    return {c: v // (g * s) for c, v in ints}
+    g = gcd(*(v for _, v in ints))
+    if min(ints)[1] < 0:
+        g = -g
+    return {c: v // g for c, v in ints}
 
 
-def _rat_reconstruct(residue: int, modulus: int):
-    """Rational number n/d with |n|, d <= sqrt(modulus/2) congruent to residue,
-    or None.  (Wang's algorithm; half-extended Euclid.)"""
-    bound = isqrt((modulus - 1) // 2)
-    r0, r1 = modulus, residue % modulus
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound or gcd(r1, abs(t1)) != 1:
-        return None
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    return r1, t1
+def _combine(s: int, v: dict, terms) -> dict:
+    """The primitive part of s*v - sum(f*r for f, r in terms), zeros dropped."""
+    out = {c: s * x for c, x in v.items()}
+    for f, r in terms:
+        for c, x in r.items():
+            out[c] = out.get(c, 0) - f * x
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items() if x} if g else {}
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int):
-    """x mod m1*m2 with x = r1 (m1), x = r2 (m2); moduli coprime."""
-    inv = pow(m1, -1, m2)
-    return (r1 + ((r2 - r1) * inv % m2) * m1) % (m1 * m2)
+def _echelon(int_rows: list[dict]) -> dict[int, dict]:
+    """Fraction-free elimination of sparse integer rows.
 
-
-def _modular_rref(int_rows: list[dict], ncols: int, p: int):
-    """RREF mod p via numpy int64.  Returns (pivots, R) with R reduced, pivot
-    entries 1 and pivot columns cleared, rows sorted by pivot column."""
-    import numpy as np
-
-    R = np.zeros((0, ncols), dtype=np.int64)
-    piv: list[int] = []
-    chunk = 512
-    for start in range(0, len(int_rows), chunk):
-        block = int_rows[start:start + chunk]
-        B = np.zeros((len(block), ncols), dtype=np.int64)
-        for i, row in enumerate(block):
-            for c, v in row.items():
-                B[i, c] = v % p
-        if piv:
-            # batch-reduce the whole chunk against the current RREF; slice the
-            # inner dimension so int64 accumulation can never overflow
-            for s in range(0, len(piv), _MATMUL_SLICE):
-                cols = piv[s:s + _MATMUL_SLICE]
-                B = (B - B[:, cols] @ R[s:s + _MATMUL_SLICE]) % p
-        for i in range(B.shape[0]):
-            v = B[i]
-            if piv:
-                for s in range(0, len(piv), _MATMUL_SLICE):
-                    cols = piv[s:s + _MATMUL_SLICE]
-                    v = (v - v[cols] @ R[s:s + _MATMUL_SLICE]) % p
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                continue
-            lead = int(nz[0])
-            v = (v * pow(int(v[lead]), p - 2, p)) % p
-            if R.shape[0]:
-                coef = R[:, lead].copy()
-                R = (R - coef[:, None] * v[None, :]) % p
-            R = np.vstack([R, v[None, :]])
-            piv.append(lead)
-    order = sorted(range(len(piv)), key=lambda i: piv[i])
-    return [piv[i] for i in order], R[order] if R.shape[0] else R
-
-
-def _kernel_from_rref(pivots, rows_get, ncols: int):
-    """Standard kernel basis from an RREF description: one vector per free
-    column f, with 1 at f, -R[r,f] at each pivot column."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    vecs = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = rows_get(r, f)
-        vecs.append(v)
-    return free, vecs
-
-
-def _kernel_exact_sparse(int_rows: list[dict], ncols: int):
-    """Pure exact sparse elimination (fallback path).  The store is kept in
-    full RREF throughout, so reducing a row is a single pass over its pivots."""
-    store: list[dict] = []
-    piv: dict[int, int] = {}
+    Returns a store mapping each pivot column to an integer row, kept in full
+    RREF up to scaling: a row is zero in every other row's pivot column.  So
+    a new row v is reduced in one pass, m*v - sum (m*v[c]/r[c])*r over its
+    pivot columns c with m the lcm of those pivot entries, and each row
+    operation is followed by division by the row gcd.
+    """
+    store: dict[int, dict] = {}
     for row in sorted(int_rows, key=len):
-        v = {c: Q(n) for c, n in row.items()}
-        for c in list(v):
-            coeff = v.get(c)
-            if coeff and c in piv:
-                for cc, vv in store[piv[c]].items():
-                    w = v.get(cc, ZERO) - coeff * vv
-                    if w:
-                        v[cc] = w
-                    else:
-                        v.pop(cc, None)
-        if not v:
-            continue
+        hits = [(c, x) for c, x in row.items() if c in store]
+        v = row
+        if hits:
+            m = lcm(*(store[c][c] for c, _ in hits))
+            v = _combine(m, row, [(m // store[c][c] * x, store[c]) for c, x in hits])
+            if not v:
+                continue
         lead = min(v)
-        inv = ONE / v[lead]
-        v = {c: x * inv for c, x in v.items()}
-        for r in store:
-            c = r.get(lead)
-            if c:
-                for cc, vv in v.items():
-                    w = r.get(cc, ZERO) - c * vv
-                    if w:
-                        r[cc] = w
-                    else:
-                        r.pop(cc, None)
-        store.append(v)
-        piv[lead] = len(store) - 1
-    pivots = sorted(piv)
-    rows = [store[piv[p]] for p in pivots]
-    _, vecs = _kernel_from_rref(pivots, lambda r, f: -rows[r].get(f, ZERO), ncols)
-    return vecs
+        b = v[lead]
+        for p, r in store.items():
+            a = r.get(lead)
+            if a:
+                g = gcd(a, b)
+                store[p] = _combine(b // g, r, [(a // g, v)])
+        store[lead] = v
+    return store
 
 
-def _verify_kernel(int_rows: list[dict], vecs: list[list]) -> bool:
-    """Exact check that every candidate vector kills every row (integer
-    arithmetic; numpy int64 when a conservative bound rules out overflow)."""
+def _verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
+    """Exact check that every sparse integer vector kills every row (numpy
+    int64 when a conservative bound rules out overflow, else Python ints)."""
     import numpy as np
 
     if not vecs:
         return True
-    ncols = len(vecs[0])
     max_r = max((max(abs(v) for v in r.values()) for r in int_rows if r), default=0)
-    max_v = max(max(abs(x) for x in v) for v in vecs)
+    max_v = max(abs(x) for v in vecs for x in v.values())
     if max_r and max_r * max_v * ncols < 2 ** 62:
-        V = np.array(vecs, dtype=np.int64).T  # ncols x k
+        V = np.zeros((ncols, len(vecs)), dtype=np.int64)
+        for k, v in enumerate(vecs):
+            for j, x in v.items():
+                V[j, k] = x
         chunk = 4096
         for start in range(0, len(int_rows), chunk):
             block = int_rows[start:start + chunk]
@@ -540,109 +458,49 @@ def _verify_kernel(int_rows: list[dict], vecs: list[list]) -> bool:
         return True
     for row in int_rows:  # big-int fallback, still exact
         for v in vecs:
-            if sum(c * v[j] for j, c in row.items()):
+            if sum(c * v.get(j, 0) for j, c in row.items()):
                 return False
     return True
 
 
-def kernel_sparse(rows: Iterable[dict], ncols: int, *, modular: bool | None = None) -> list[tuple]:
+def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
     """Canonical RREF kernel basis of a sparse system (rows: dicts col->scalar).
 
-    The modular path is *certified*: rank mod p lower-bounds the rational rank,
-    so producing ncols - rank_p independent, exactly-verified kernel vectors
-    proves completeness.  Any failure falls back to exact elimination.
+    Rows are scaled to primitive integer rows, deduplicated and eliminated
+    over the integers.  The kernel is read off as one integer vector per free
+    column f (lcm of the pivots involved at f, -r[f]*lcm/r[p] at each pivot
+    column p), and the same elimination brings those vectors to the canonical
+    RREF basis.  Certificate: that basis has one vector per free column and
+    every vector kills every row exactly; rationals are formed only at the end.
     """
     int_rows = []
     seen = set()
     for row in rows:
-        pr = _row_primitive(row)
+        pr = row_primitive(row)
         if not pr:
             continue
         key = tuple(sorted(pr.items()))
         if key not in seen:
             seen.add(key)
             int_rows.append(pr)
-    if not int_rows:
-        eye = Matrix.identity(ncols)
-        return [tuple(r) for r in eye.data]
-    if modular is None:
-        modular = len(int_rows) * ncols > 20000 and ncols >= 32
-    vecs = _kernel_modular(int_rows, ncols) if modular else None
-    if vecs is None:
-        vecs = _kernel_exact_sparse(int_rows, ncols)
-        assert _verify_kernel(int_rows, [_scaled_int(v) for v in vecs]), \
-            "exact kernel failed verification"
-    sub = Subspace(ncols, vecs)
-    return [tuple(b) for b in sub.basis]
-
-
-def _common_den(v) -> int:
-    den = 1
-    for x in v:
-        q = Q(x)
-        den = den * int(q.denominator) // gcd(den, int(q.denominator))
-    return den
-
-
-def _scaled_int(v) -> list:
-    den = _common_den(v)
-    return [int(Q(x) * den) for x in v]
-
-
-def _kernel_modular(int_rows: list[dict], ncols: int):
-    """Certified multi-prime modular kernel; None if every attempt failed."""
-    results = {}
-    for nprimes in (1, 2, len(_PRIMES)):
-        usable = []
-        for p in _PRIMES:
-            if p not in results:
-                results[p] = _modular_rref(int_rows, ncols, p)
-            usable.append((p, *results[p]))
-            if len(usable) == nprimes:
-                break
-        # keep only primes achieving the best (largest) rank with agreeing pivots
-        best_rank = max(len(piv) for _, piv, _ in usable)
-        usable = [(p, piv, R) for p, piv, R in usable if len(piv) == best_rank]
-        pivots = usable[0][1]
-        usable = [(p, piv, R) for p, piv, R in usable if piv == pivots]
-        modulus = 1
-        for p, _, _ in usable:
-            modulus *= p
-        free, residue_vecs = _kernel_from_rref(
-            pivots, lambda r, f: 0, ncols)
-        # fill residues: entry at pivot pc is -R[r, f] combined across primes
-        fidx = {f: i for i, f in enumerate(free)}
-        for r, pc in enumerate(pivots):
-            for f in free:
-                res, mod = 0, 1
-                for p, _, R in usable:
-                    res = _crt_pair(res, mod, int(-R[r, f]) % p, p)
-                    mod *= p
-                residue_vecs[fidx[f]][pc] = res
-        lifted = []
-        ok = True
-        for v in residue_vecs:
-            out = []
-            for x in v:
-                if x in (0, 1):
-                    out.append(Q(x))
-                    continue
-                rec = _rat_reconstruct(x % modulus, modulus)
-                if rec is None:
-                    ok = False
-                    break
-                out.append(Q(rec[0], rec[1]))
-            if not ok:
-                break
-            lifted.append(out)
-        if not ok:
+    store = _echelon(int_rows)
+    pivots = sorted(store.items())
+    vecs = []
+    for f in range(ncols):
+        if f in store:
             continue
-        if _verify_kernel(int_rows, [_scaled_int(v) for v in lifted]):
-            # best_rank <= rank_Q, and we exhibited ncols-best_rank independent
-            # exact kernel vectors (identity pattern on free columns), so the
-            # kernel dimension is exactly ncols-best_rank and the basis is full
-            return lifted
-    return None
+        hits = [(p, r) for p, r in pivots if f in r]
+        m = lcm(*(r[p] for p, r in hits))
+        v = {f: m}
+        for p, r in hits:
+            v[p] = -r[f] * (m // r[p])
+        vecs.append(v)
+    basis = sorted(_echelon(vecs).items())
+    if len(basis) != len(vecs) or not _verify_kernel(int_rows, [r for _, r in basis], ncols):
+        raise CertificateError("kernel verification failed: the basis needs one "
+                               "vector per free column, each killing every row")
+    return [tuple(Q(r[j], r[p]) if j in r else ZERO for j in range(ncols))
+            for p, r in basis]
 
 
 def grassmann_ok(a: Subspace, b: Subspace) -> bool:

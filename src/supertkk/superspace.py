@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (Matrix, Q, Subspace, SpanSolver, ZERO, _row_primitive,
-                            kernel_sparse)
+from supertkk.exact import (Matrix, Q, Subspace, SpanSolver, ZERO, kernel_sparse,
+                            row_primitive)
 
 
 @dataclass
@@ -126,6 +126,20 @@ def make_algebra(parities, products, zdegrees=None, *, name="", kind="plain",
     return alg
 
 
+def mirror(parities, upper, sym):
+    """Complete an upper-triangle product list by (anti)supersymmetry.
+
+    sym=+1 mirrors supercommutatively (Jordan), sym=-1 anticommutatively (Lie).
+    Diagonal entries (i == j) are kept as given.
+    """
+    out = list(upper)
+    for i, j, k, c in upper:
+        if i != j:
+            s = sym if parities[i] * parities[j] % 2 == 0 else -sym
+            out.append((j, i, k, Q(c) * s))
+    return out
+
+
 def parity_sign(e: int):
     """(-1)**e as a rational."""
     return Q(-1) if e % 2 else Q(1)
@@ -196,7 +210,7 @@ def derived(a: SuperAlgebra) -> Subspace:
     vecs = []
     seen = set()  # the table repeats many proportional rows; dedupe first
     for entry in a.table.values():
-        key = _row_primitive(entry)
+        key = row_primitive(entry)
         sig = tuple(sorted(key.items()))
         if not sig or sig in seen:
             continue

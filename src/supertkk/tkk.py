@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import _mirror
 from .exact import CertificateError, Matrix, Q, Subspace, solve, span
 from .jordan import find_unit, l_op
 from .structure import (CheckResult, JordanPair, OperatorSpace, _as_pair,
@@ -21,7 +20,7 @@ from .structure import (CheckResult, JordanPair, OperatorSpace, _as_pair,
                         inn_algebra, istr_algebra, pair_d_ops, pair_der,
                         pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, derived, graded_dims,
-                         make_algebra, supercommutator)
+                         make_algebra, mirror, supercommutator)
 
 
 @dataclass
@@ -130,7 +129,7 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
     prefix = "Ko" if middle == "inn" else "Ko~"
     name = (prefix + pair.name if pair.name.startswith("(")
             else f"{prefix}({pair.name})")
-    alg = make_algebra(parities, _mirror(parities, _entries(upper), -1),
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
                        zdegrees=zdeg, name=name, kind="lie",
                        metadata={"construction": "koecher", "middle": middle})
     return TkkAlgebra(alg, "Ko" if middle == "inn" else "KoTilde",
@@ -321,7 +320,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
             if entry:
                 upper[n + t, n + nm + u] = entry
 
-    alg = make_algebra(parities, _mirror(parities, _entries(upper), -1),
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
                        zdegrees=zdeg, name=f"Kan({V.name})", kind="lie",
                        metadata={"construction": "kantor"})
     return TkkAlgebra(alg, "Kan", origin, source=f"Kan({V.name})",
@@ -424,7 +423,7 @@ class TitsData:
 
 def _sl2() -> SuperAlgebra:
     # basis order e, h, f with [e,f] = h, [h,e] = 2e, [h,f] = -2f
-    return make_algebra((0, 0, 0), _mirror((0, 0, 0), [
+    return make_algebra((0, 0, 0), mirror((0, 0, 0), [
         (0, 2, 1, Q(1)), (1, 0, 0, Q(2)), (1, 2, 2, Q(-2))], -1),
         zdegrees=(1, 0, -1), name="sl2", kind="lie", metadata={})
 
@@ -529,7 +528,7 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                         upper[a, b] = entry
 
     name = f"Ti({V.name},{data.label})"
-    alg = make_algebra(parities, _mirror(parities, _entries(upper), -1),
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
                        zdegrees=zdeg, name=name, kind="lie",
                        metadata={"construction": "tits", "dchoice": data.label})
     return TkkAlgebra(alg, "Ti", origin, source=name,
@@ -654,7 +653,7 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                 upper[off_l + i, off_l + j] = entry
 
     name = f"Ko_{data.label}({V.name})"
-    alg = make_algebra(parities, _mirror(parities, _entries(upper), -1),
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
                        zdegrees=zdeg, name=name, kind="lie",
                        metadata={"construction": "koecher_d",
                                  "dchoice": data.label})

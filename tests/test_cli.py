@@ -4,26 +4,37 @@ import json
 
 import pytest
 
-from supertkk.catalog import load_algebra, save_algebra
-from supertkk.cli import (cmd_dims, cmd_tkk, cmd_verify, main, parse_source,
+from supertkk.catalog import load_algebra, resolve, save_algebra
+from supertkk.cli import (cmd_dims, cmd_tkk, cmd_verify, main,
                           report_from_machine, report_to_human,
                           report_to_machine)
 from supertkk.superspace import check_super_jacobi
 
 
 def test_parse_source_forms():
-    assert parse_source("j19").name == "j19"
-    assert parse_source("full_matrix:1,1").name == "full_matrix(1,1)"
-    assert parse_source("full_matrix(1,2)").name == "full_matrix(1,2)"
-    assert parse_source("dt:1/2").name == "dt(1/2)"
+    # the command line parses its sources with catalog.resolve
+    assert resolve("j19").name == "j19"
+    assert resolve("full_matrix:1,1").name == "full_matrix(1,1)"
+    assert resolve("full_matrix(1,2)").name == "full_matrix(1,2)"
+    assert resolve("dt:1/2").name == "dt(1/2)"
     with pytest.raises(ValueError):
-        parse_source("nosuch.alg")
+        resolve("nosuch.alg")
 
 
 def test_parse_source_file(tmp_path):
     path = tmp_path / "v.alg"
-    path.write_bytes(save_algebra(parse_source("j19")))
-    assert parse_source(str(path)).name == "j19"
+    path.write_bytes(save_algebra(resolve("j19")))
+    assert resolve(str(path)).name == "j19"
+    assert resolve(f"file:{path}").name == "j19"
+
+
+def test_non_jordan_source_exit_code(tmp_path, capsys):
+    assert main(["dims", "psl:2,2"]) == 2
+    assert "not a Jordan superalgebra" in capsys.readouterr().err
+    path = tmp_path / "ko.alg"
+    assert main(["export", "j19", "ko", "-o", str(path)]) == 0
+    assert main(["verify", str(path)]) == 2
+    assert "not a Jordan superalgebra" in capsys.readouterr().err
 
 
 def test_dims_j19_table():
@@ -126,7 +137,7 @@ def test_export_deterministic(tmp_path):
 def test_export_self_matches_catalog(tmp_path):
     path = tmp_path / "self.alg"
     main(["export", "kacK", "self", "-o", str(path)])
-    assert path.read_bytes() == save_algebra(parse_source("kacK"))
+    assert path.read_bytes() == save_algebra(resolve("kacK"))
 
 
 def test_export_stdout(capsys):

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from pyrun import run_python
 from supertkk.exact import (
     Q, Matrix, SpanSolver, Subspace, grassmann_ok, kernel, kernel_sparse,
     rref, solve, span,
@@ -142,27 +143,99 @@ def _random_sparse_system(rng, nrows, ncols, density=0.2):
     return rows
 
 
-def test_modular_kernel_agrees_with_exact():
-    """The certified modular path and plain exact elimination give the same
-    canonical kernel basis on random sparse systems."""
+def _dense_kernel(rows, ncols):
+    """Oracle: one vector per free column of rref(Matrix(rows))."""
+    r, pivots = rref(Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows]))
+    vecs = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i, f]
+        vecs.append(v)
+    return Subspace(ncols, vecs)
+
+
+def test_integer_kernel_matches_dense_oracle():
+    """Fraction-free sparse elimination and dense rational RREF give the same
+    kernel on random sparse systems with mixed denominators."""
     rng = random.Random(7)
     for trial in range(8):
         ncols = rng.randint(60, 120)
         rows = _random_sparse_system(rng, rng.randint(30, 90), ncols)
-        fast = kernel_sparse(rows, ncols, modular=True)
-        slow = kernel_sparse(rows, ncols, modular=False)
-        assert fast == slow, f"trial {trial}: modular/exact kernel mismatch"
+        got = Subspace(ncols, kernel_sparse(rows, ncols))
+        assert got == _dense_kernel(rows, ncols), f"trial {trial}: kernel mismatch"
 
 
-def test_modular_kernel_with_large_coefficients():
-    # force entries past the single-prime reconstruction bound
+def test_integer_kernel_with_large_coefficients():
     big = 10 ** 12
     rows = [{0: Q(1), 1: Q(big)}, {2: Q(1), 3: Q(1, big)}]
-    ker = kernel_sparse(rows, 4, modular=True)
-    assert ker == kernel_sparse(rows, 4, modular=False)
+    ker = kernel_sparse(rows, 4)
+    assert Subspace(4, ker) == _dense_kernel(rows, 4)
     assert len(ker) == 2
     for v in ker:
         assert v[0] + big * v[1] == 0 and v[2] + Q(1, big) * v[3] == 0
+
+
+sparse_rationals = st.one_of(st.just(Q(0)), rationals)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(sparse_rationals, min_size=n, max_size=n),
+                         max_size=7))))
+@settings(**SETTINGS)
+def test_integer_kernel_differential(system):
+    ncols, dense = system
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    ker = kernel_sparse(rows, ncols)
+    sub = Subspace(ncols, ker)
+    assert sub.basis == tuple(ker)  # already canonical
+    assert sub == _dense_kernel(rows, ncols)
+
+
+BROKEN_KERNEL = """
+import sys
+from supertkk import exact
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+echelon, calls = exact._echelon, []
+def broken(rows):  # doubles the pivots of the system's echelon form only
+    store = echelon(rows)
+    if not calls:
+        calls.append(rows)
+        store = {p: {**r, p: 2 * r[p]} for p, r in store.items()}
+    return store
+exact._echelon = broken
+exact.kernel_sparse([{0: 1, 1: 1}], 2)
+"""
+
+BROKEN_SOLVE = """
+import sys
+from supertkk import exact
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+rref_rows = exact._rref_rows
+def broken(vectors, ncols):  # shifts the first solved coordinate
+    rows, pivots = rref_rows(vectors, ncols)
+    rows[0][-1] += 1
+    return rows, pivots
+exact._rref_rows = broken
+exact.solve(exact.Matrix.identity(2), (1, 2))
+"""
+
+
+def test_kernel_certificate_survives_python_O():
+    done = run_python(["-O"], BROKEN_KERNEL)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert ("CertificateError: kernel verification failed"
+            in done.stderr.strip().splitlines()[-1])
+
+
+def test_solve_certificate_survives_python_O():
+    done = run_python(["-O"], BROKEN_SOLVE)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert ("CertificateError: solve verification failed"
+            in done.stderr.strip().splitlines()[-1])
 
 
 def test_matrix_flatten_roundtrip():

@@ -4,16 +4,11 @@ Every tensor-backed checker must return what its loop reference returns:
 None, or a witness with identical indices and message.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_identities as oracle
-import supertkk
+from pyrun import run_python
 from supertkk import tensor
 from supertkk.catalog import jordan_catalog, resolve
 from supertkk.exact import CertificateError, Q
@@ -37,7 +32,6 @@ JORDAN_CHECKS = [
 SMALL_JORDAN = ("j19", "kacK", "trunc_poly:4", "trunc_poly:5", "full_matrix:1,1",
                 "form:1,2", "form:3,0", "dt:2")
 SMALL_LIE = ("gl:1,1", "sl:2,1", "psl:2,2", "pe:2", "q:2", "w:2", "lambda:4")
-SRC = Path(supertkk.__file__).resolve().parents[1]
 
 
 def _key(w):
@@ -223,18 +217,11 @@ def test_constants_near_1e12_take_the_exact_object_path(monkeypatch):
     _assert_same(_perturbed(jordan))
 
 
-def _run(flags, code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_building_the_jordan_catalog_does_not_import_numpy():
     # supercommutativity runs on every make_algebra and stays pure Python;
     # numpy's import would otherwise land in every command's start-up
-    done = _run([], "import sys, supertkk\nsupertkk.jordan_entries()\n"
-                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    done = run_python([], "import sys, supertkk\nsupertkk.jordan_entries()\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -252,7 +239,7 @@ j_functor(g)
 
 
 def test_superpair_certificate_survives_python_O():
-    done = _run(["-O"], BROKEN_PAIR)
+    done = run_python(["-O"], BROKEN_PAIR)
     assert done.returncode == 1, done.stdout + done.stderr
     assert ("CertificateError: superpair axioms fail: outer symmetry fails at (0, 0, 0, 1)"
             in done.stderr.strip().splitlines()[-1])
