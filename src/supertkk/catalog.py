@@ -217,16 +217,14 @@ def _identity_mat(d):
     return _mat_sum(*((_E(a, a), Q(1)) for a in range(d)))
 
 
-def _quotient_by_identity(alg, idx_par, mats, *, name):
+def _quotient_by_identity(alg, idx_par, mats, *, name, metadata):
     d = len(idx_par)
     solver = SpanSolver(d * d)
     for m in mats:
         solver.add(_flat(m, d))
     coords = solver.express(_flat(_identity_mat(d), d))
     assert coords is not None, "identity matrix should lie in the span"
-    out = quotient_algebra(alg, span([coords]), name=name)
-    out.metadata = dict(alg.metadata)
-    return out
+    return quotient_algebra(alg, span([coords]), name=name, metadata=metadata)
 
 
 def _pe_mats(n):
@@ -346,18 +344,14 @@ def _build_lambda(n):
 
 def _build_htilde(n):
     lam = lie_catalog("lambda", n)
-    out = quotient_algebra(lam, span([lam.basis_vector(0)]), name=f"htilde({n})")
-    out.metadata = {"family": "htilde"}
-    return out
+    return quotient_algebra(lam, span([lam.basis_vector(0)]), name=f"htilde({n})",
+                            metadata={"family": "htilde"})
 
 
 def _build_h(n):
     ht = lie_catalog("htilde", n)
-    out = subalgebra(ht, derived(ht), name=f"h({n})")
-    out.metadata = {"family": "h"}
-    if n >= 4:
-        out.metadata["simple"] = "yes"
-    return out
+    return subalgebra(ht, derived(ht), name=f"h({n})",
+                      metadata={"family": "h", **({"simple": "yes"} if n >= 4 else {})})
 
 
 def _build_w(n):
@@ -466,20 +460,17 @@ def _build_psl(n):
     if not 1 <= n <= 2:
         raise ValueError(f"psl: need 1 <= n <= 2, got {n}")
     idx_par, mats = _sl_mats(n, n)
-    alg = _quotient_by_identity(lie_catalog("sl", n, n), idx_par, mats,
-                                name=f"psl({n},{n})")
-    alg.metadata = {"family": "psl", **({"simple": "yes"} if n > 1 else {})}
-    return alg
+    return _quotient_by_identity(
+        lie_catalog("sl", n, n), idx_par, mats, name=f"psl({n},{n})",
+        metadata={"family": "psl", **({"simple": "yes"} if n > 1 else {})})
 
 
 def _build_pgl(n):
     if not 1 <= n <= 2:
         raise ValueError(f"pgl: need 1 <= n <= 2, got {n}")
     idx_par, mats = _gl_mats(n, n)
-    alg = _quotient_by_identity(lie_catalog("gl", n, n), idx_par, mats,
-                                name=f"pgl({n},{n})")
-    alg.metadata = {"family": "pgl"}
-    return alg
+    return _quotient_by_identity(lie_catalog("gl", n, n), idx_par, mats,
+                                 name=f"pgl({n},{n})", metadata={"family": "pgl"})
 
 
 def _build_pe(n):
@@ -515,20 +506,17 @@ def _build_psq(n):
     if not 1 <= n <= 3:
         raise ValueError(f"psq: need 1 <= n <= 3, got {n}")
     idx_par, mats = _sq_mats(n)
-    alg = _quotient_by_identity(lie_catalog("sq", n), idx_par, mats,
-                                name=f"psq({n})")
-    alg.metadata = {"family": "psq", **({"simple": "yes"} if n >= 3 else {})}
-    return alg
+    return _quotient_by_identity(
+        lie_catalog("sq", n), idx_par, mats, name=f"psq({n})",
+        metadata={"family": "psq", **({"simple": "yes"} if n >= 3 else {})})
 
 
 def _build_pq(n):
     if not 1 <= n <= 3:
         raise ValueError(f"pq: need 1 <= n <= 3, got {n}")
     idx_par, mats = _q_mats(n)
-    alg = _quotient_by_identity(lie_catalog("q", n), idx_par, mats,
-                                name=f"pq({n})")
-    alg.metadata = {"family": "pq"}
-    return alg
+    return _quotient_by_identity(lie_catalog("q", n), idx_par, mats,
+                                 name=f"pq({n})", metadata={"family": "pq"})
 
 
 _JORDAN_BUILDERS = {

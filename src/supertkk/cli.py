@@ -198,8 +198,7 @@ def verify_section(V: SuperAlgebra, max_dim: int) -> Section:
     checks.append(j_roundtrip_check(V))
     checks.extend(koecher_inverse_check(ko.lie))
     checks.append(tits_roundtrip(V, "inn"))
-    for r in kantor_relations(V):
-        checks.append(r)
+    checks.extend(kantor_relations(V))
 
     kot = koecher_tilde(V)
     if kot.dim > max_dim:
@@ -211,20 +210,18 @@ def verify_section(V: SuperAlgebra, max_dim: int) -> Section:
                                   "Out(Ko~(V)) = 0" if od == {}
                                   else f"Out(Ko~(V)) dims {od}"))
 
-    if unit is not None:
-        checks.extend(check_unital_equivalences(V))
-    else:
+    if unit is None:
         # counterexample corner: expected non-theorems for non-unital V
         checks.append(kantor_koecher_comparison(V))
-        checks.extend(check_unital_equivalences(V))
-        if ko.dim <= max_dim:
-            od = out_dims(lie_der_tower(ko.lie))
-            shifts = sorted(od)
-            dims = ",".join(str(sum(od[s])) for s in shifts)
-            parity = ("all even" if all(v[1] == 0 for v in od.values())
-                      else "mixed parity")
-            section.notes.append(
-                f"Out(Ko) dims ({dims}) at shifts {tuple(shifts)}, {parity}")
+    checks.extend(check_unital_equivalences(V))
+    if unit is None and ko.dim <= max_dim:
+        od = out_dims(lie_der_tower(ko.lie))
+        shifts = sorted(od)
+        dims = ",".join(str(sum(od[s])) for s in shifts)
+        parity = ("all even" if all(v[1] == 0 for v in od.values())
+                  else "mixed parity")
+        section.notes.append(
+            f"Out(Ko) dims ({dims}) at shifts {tuple(shifts)}, {parity}")
     return section
 
 

@@ -39,6 +39,12 @@ class CertificateError(ValueError):
     """A certificate failed: a computed result did not verify exactly."""
 
 
+def certify(ok, message: str):
+    """Raise CertificateError(message) unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise CertificateError(message)
+
+
 def vec_is_zero(v: Sequence) -> bool:
     return all(not x for x in v)
 
@@ -202,8 +208,7 @@ def solve(m: Matrix, b: Sequence):
     for r, p in zip(rows, pivots):
         x[p] = r[m.cols]
     x = tuple(x)
-    if m.apply(x) != tuple(Q(v) for v in b):
-        raise CertificateError("solve verification failed: m @ x != b")
+    certify(m.apply(x) == tuple(Q(v) for v in b), "solve verification failed: m @ x != b")
     return x
 
 
@@ -235,7 +240,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _reduce(self, vec: Sequence):
+    def reduce(self, vec: Sequence):
+        """vec reduced by the canonical basis (pivot coordinates zeroed); 0 iff vec is inside."""
         v = [Q(x) for x in vec]
         assert len(v) == self.ambient, "ambient dimension mismatch"
         for r, p in zip(self.basis, self.pivots):
@@ -247,7 +253,7 @@ class Subspace:
         return v
 
     def contains(self, vec: Sequence) -> bool:
-        return vec_is_zero(self._reduce(vec))
+        return vec_is_zero(self.reduce(vec))
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -496,9 +502,9 @@ def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
             v[p] = -r[f] * (m // r[p])
         vecs.append(v)
     basis = sorted(_echelon(vecs).items())
-    if len(basis) != len(vecs) or not _verify_kernel(int_rows, [r for _, r in basis], ncols):
-        raise CertificateError("kernel verification failed: the basis needs one "
-                               "vector per free column, each killing every row")
+    certify(len(basis) == len(vecs) and _verify_kernel(int_rows, [r for _, r in basis], ncols),
+            "kernel verification failed: the basis needs one vector per free column, "
+            "each killing every row")
     return [tuple(Q(r[j], r[p]) if j in r else ZERO for j in range(ncols))
             for p, r in basis]
 

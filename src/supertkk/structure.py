@@ -10,12 +10,12 @@ as canonical subspaces of flattened matrices, split by parity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import tensor
-from .exact import Matrix, Q, Subspace, kernel_sparse, solve
+from .exact import Matrix, Q, Subspace, certify, kernel_sparse, solve
 from .jordan import d_op, l_op, triple, u_op
-from .superspace import GradedOperator, SuperAlgebra, Witness, supercommutator
+from .superspace import (GradedOperator, SuperAlgebra, Witness, frozen_table,
+                         memoized, supercommutator)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
 # plain operator spaces
 
 
-@lru_cache(maxsize=None)
+@memoized
 def l_space(V: SuperAlgebra) -> OperatorSpace:
     """Span of the left multiplications L_x."""
     flats: dict = {0: [], 1: []}
@@ -104,7 +104,7 @@ def l_space(V: SuperAlgebra) -> OperatorSpace:
     return _space("{L}", flats, (V.dim,), V)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
     """Inner derivations: the span of the [L_x, L_y]."""
     flats: dict = {0: [], 1: []}
@@ -155,24 +155,24 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     return Subspace(n * n, scattered)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def der_algebra(V: SuperAlgebra) -> OperatorSpace:
     """All superderivations of the product."""
     return OperatorSpace("Der", derivation_kernel(V, 0), derivation_kernel(V, 1),
                          (V.dim,), V)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def istr_algebra(V: SuperAlgebra) -> OperatorSpace:
     return l_space(V).sum(inn_algebra(V), label="istr")
 
 
-@lru_cache(maxsize=None)
+@memoized
 def str_algebra(V: SuperAlgebra) -> OperatorSpace:
     return l_space(V).sum(der_algebra(V), label="str")
 
 
-@lru_cache(maxsize=None)
+@memoized
 def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
     """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y]."""
     flats: dict = {0: [], 1: []}
@@ -193,12 +193,16 @@ class JordanPair:
 
     triples[sigma] maps (i, j, k) to the coordinates of {e_i, e_j, e_k}^sigma,
     where i, k index V^sigma and j indexes V^(-sigma); sigma is 0 for + and
-    1 for -.
+    1 for -.  Immutable like SuperAlgebra: the triples are read-only copies.
     """
 
     name: str
     parities: tuple  # (parities of V+, parities of V-)
     triples: tuple   # (dict for sigma=+, dict for sigma=-)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "triples", tuple(frozen_table(t) for t in self.triples))
 
     def dim(self, sigma: int) -> int:
         return len(self.parities[sigma])
@@ -229,6 +233,7 @@ class JordanPair:
         return (self.dim(0), self.dim(1))
 
 
+@memoized
 def double(V: SuperAlgebra) -> JordanPair:
     """The doubled superpair (V, V) with both triples from the algebra triple."""
     table: dict = {}
@@ -239,20 +244,7 @@ def double(V: SuperAlgebra) -> JordanPair:
                 t = triple(V, V.basis_vector(i), V.basis_vector(j), V.basis_vector(k))
                 if any(t):
                     table[i, j, k] = {l: c for l, c in enumerate(t) if c}
-    parities = tuple(V.parities)
-    return JordanPair(f"({V.name},{V.name})", (parities, parities), (table, table))
-
-
-_DOUBLES: dict = {}
-
-
-def _as_pair(v) -> JordanPair:
-    if isinstance(v, JordanPair):
-        return v
-    key = id(v)
-    if key not in _DOUBLES:
-        _DOUBLES[key] = (v, double(v))
-    return _DOUBLES[key][1]
+    return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (table, table))
 
 
 def pair_d_ops(pair: JordanPair, sigma: int, i: int, j: int):
@@ -275,25 +267,13 @@ def pair_d_ops(pair: JordanPair, sigma: int, i: int, j: int):
     return d_same, d_other, parity
 
 
-_PAIR_MEMO: dict = {}
-
-
-def _pair_cached(tag, v, build):
-    key = (tag, id(v))
-    if key not in _PAIR_MEMO:
-        _PAIR_MEMO[key] = (v, build())
-    return _PAIR_MEMO[key][1]
-
-
+@memoized
 def pair_inn(v) -> OperatorSpace:
     """Inner derivations of the pair: the span of the (D_{x,y}, companion).
 
     Accepts a Jordan superalgebra (meaning its doubled pair) or a JordanPair.
     """
-    return _pair_cached("pair_inn", v, lambda: _pair_inn(_as_pair(v)))
-
-
-def _pair_inn(pair: JordanPair) -> OperatorSpace:
+    pair = double(v) if isinstance(v, SuperAlgebra) else v
     flats: dict = {0: [], 1: []}
     for i in range(pair.dim(0)):
         for j in range(pair.dim(1)):
@@ -350,12 +330,10 @@ def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
     return Subspace(amb, scattered)
 
 
+@memoized
 def pair_der(v) -> OperatorSpace:
     """All superderivations of the pair (of the doubled pair for an algebra)."""
-    return _pair_cached("pair_der", v, lambda: _pair_der(_as_pair(v)))
-
-
-def _pair_der(pair: JordanPair) -> OperatorSpace:
+    pair = double(v) if isinstance(v, SuperAlgebra) else v
     return _space("Der(V,V)", {
         0: pair_derivation_kernel(pair, 0).basis,
         1: pair_derivation_kernel(pair, 1).basis,
@@ -380,7 +358,7 @@ def check_pair_axioms(pair: JordanPair) -> Witness | None:
 # the weak structure algebra
 
 
-@lru_cache(maxsize=None)
+@memoized
 def str_w(V: SuperAlgebra) -> OperatorSpace:
     """Pairs (X, Y) satisfying the two U-operator structure identities.
 
@@ -472,7 +450,7 @@ def _l_witness(V: SuperAlgebra, flat_op):
     """Recover x with L_x proportional to the given flattened operator."""
     columns = [l_op(V, V.basis_vector(i)).matrix.flatten() for i in range(V.dim)]
     x = solve(Matrix.from_columns(columns), flat_op)
-    assert x is not None, "operator claimed to be a left multiplication is not"
+    certify(x is not None, "operator claimed to be a left multiplication is not")
     lead = next((c for c in x if c), None)
     return tuple(c / lead for c in x) if lead else x
 
@@ -557,11 +535,8 @@ def inclusion_report(V: SuperAlgebra) -> list:
 
     # psi forgets the second component: Inn(V,V) -> istr~
     image: dict = {0: [], 1: []}
-    pair = _as_pair(V)
-    for i in range(n):
-        for j in range(n):
-            d_plus, _, parity = pair_d_ops(pair, 0, i, j)
-            image[parity].append(d_plus.flatten())
+    for d_plus, _, parity in pinn.operators():
+        image[parity].append(d_plus.flatten())
     psi_img = _space("psi(Inn(V,V))", image, (n,), V)
     results.append(CheckResult(
         "psi_onto_istr_tilde",

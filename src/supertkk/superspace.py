@@ -9,7 +9,10 @@ are required to be homogeneous with respect to both.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
@@ -27,23 +30,57 @@ class Witness:
         return self.message
 
 
+def frozen_table(table) -> MappingProxyType:
+    """A read-only copy of a sparse table {index: {k: c}}, rows read-only too."""
+    return MappingProxyType({key: MappingProxyType(dict(row)) for key, row in table.items()})
+
+
+def memoized(fn):
+    """Cache fn(obj, ...) in obj's memo slot, keyed by the arguments with their
+    defaults filled in, so f(V) and f(V, x=<default>) share one entry.  The
+    memo lives and dies with obj, which is immutable, so a result never goes
+    stale and never serves another object."""
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        obj, *rest = bound.arguments.values()
+        memo, key = obj._memo, (fn, *rest)
+        if key not in memo:
+            memo[key] = fn(*args, **kwargs)
+        return memo[key]
+
+    return wrapper
+
+
 class SuperAlgebra:
     """A finite-dimensional algebra given by exact structure constants.
 
     table maps a basis pair (i, j) to the sparse coordinate dict of b_i * b_j.
     kind is "jordan", "lie" or "plain"; constructors verify the corresponding
-    symmetry axioms unless explicitly told not to.
+    symmetry axioms unless explicitly told not to.  Immutable: table, its rows
+    and metadata are read-only mappings, and attributes cannot be set.
     """
 
-    __slots__ = ("name", "parities", "zdegrees", "table", "kind", "metadata")
+    __slots__ = ("name", "parities", "zdegrees", "table", "kind", "metadata",
+                 "_memo", "__weakref__")
 
     def __init__(self, name, parities, table, zdegrees=None, kind="plain", metadata=None):
-        self.name = name
-        self.parities = tuple(int(p) % 2 for p in parities)
-        self.zdegrees = tuple(int(z) for z in zdegrees) if zdegrees is not None else None
-        self.table = table
-        self.kind = kind
-        self.metadata = dict(metadata or {})
+        init = functools.partial(object.__setattr__, self)
+        init("name", name)
+        init("parities", tuple(int(p) % 2 for p in parities))
+        init("zdegrees", tuple(int(z) for z in zdegrees) if zdegrees is not None else None)
+        init("table", frozen_table(table))
+        init("kind", kind)
+        init("metadata", MappingProxyType(dict(metadata or {})))
+        init("_memo", {})
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"SuperAlgebra is immutable: cannot change {attr!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def dim(self) -> int:
@@ -292,8 +329,8 @@ def _split_graded_basis(a: SuperAlgebra, s: Subspace, what: str):
     return out
 
 
-def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None) -> SuperAlgebra:
-    """Restrict the product to a graded subspace closed under it."""
+def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None, metadata=None) -> SuperAlgebra:
+    """Restrict the product to a graded subspace closed under it; metadata defaults to a's."""
     graded = _split_graded_basis(a, s, "subalgebra")
     vectors = [v for _, v in graded]
     solver = SpanSolver(a.dim)
@@ -316,11 +353,13 @@ def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None) -> SuperAlgebra:
                 for v in vectors]
     return make_algebra(parities, products, zdeg,
                         name=name or f"{a.name}|sub", kind=a.kind,
-                        metadata=a.metadata, check=False)
+                        metadata=a.metadata if metadata is None else metadata,
+                        check=False)
 
 
-def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None) -> SuperAlgebra:
-    """Quotient by a graded two-sided ideal (verified, with witnesses)."""
+def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
+                     metadata=None) -> SuperAlgebra:
+    """Quotient by a graded two-sided ideal (verified); metadata defaults to a's."""
     _split_graded_basis(a, ideal, "quotient")
     for i in range(a.dim):
         b = a.basis_vector(i)
@@ -334,7 +373,7 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None) -> SuperAlg
     products = []
     for m, i in enumerate(keep):
         for l, j in enumerate(keep):
-            prod = ideal._reduce(a.product(a.basis_vector(i), a.basis_vector(j)))
+            prod = ideal.reduce(a.product(a.basis_vector(i), a.basis_vector(j)))
             for k, c in enumerate(prod):
                 if c:
                     assert k in pos, "reduction left a pivot coordinate"
@@ -343,4 +382,5 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None) -> SuperAlg
     zdeg = [a.zdegree(i) for i in keep] if a.zdegrees is not None else None
     return make_algebra(parities, products, zdeg,
                         name=name or f"{a.name}/ideal", kind=a.kind,
-                        metadata=a.metadata, check=False)
+                        metadata=a.metadata if metadata is None else metadata,
+                        check=False)

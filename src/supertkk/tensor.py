@@ -6,8 +6,8 @@ the same sum over the tensor, d**r times it, is zero.  A check runs in int64
 only after proving its bound terms * n * max|a| * max|b| < 2**62 for each sum
 of `terms` contractions over an index of length n; else in object-dtype Python
 ints, still exact.  Per leading index, super-Jacobi holds O(n**3) entries (Lie
-tables reach dim 64) and the Jordan checks O(n**5).  Nothing is cached (tables
-are mutable); numpy is imported lazily, so building algebras never loads it.
+tables reach dim 64) and the Jordan checks O(n**5).  Nothing is cached here;
+numpy is imported lazily, so building algebras never loads it.
 """
 
 from math import lcm

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import CertificateError, Matrix, Q, Subspace, solve, span
+from .exact import Matrix, Q, Subspace, certify, solve, span
 from .jordan import find_unit, l_op
-from .structure import (CheckResult, JordanPair, OperatorSpace, _as_pair,
+from .structure import (CheckResult, JordanPair, OperatorSpace,
                         check_pair_axioms, der_algebra, derivation_kernel,
-                        inn_algebra, istr_algebra, pair_d_ops, pair_der,
-                        pair_inn, str_algebra)
+                        double, inn_algebra, istr_algebra, pair_d_ops,
+                        pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, derived, graded_dims,
-                         make_algebra, mirror, supercommutator)
+                         make_algebra, memoized, mirror, supercommutator)
 
 
 @dataclass
@@ -50,7 +50,7 @@ class TkkAlgebra:
 def _op_coords(space: OperatorSpace, flat, parity: int) -> list:
     """Coordinates of a flattened operator in the basis order of operators()."""
     coords = space.part(parity).coordinates(flat)
-    assert coords is not None, f"operator does not lie in {space.label}"
+    certify(coords is not None, f"operator does not lie in {space.label}")
     if parity % 2:
         return [Q(0)] * space.even.dim + list(coords)
     return list(coords) + [Q(0)] * space.odd.dim
@@ -72,13 +72,14 @@ def zdims(g: SuperAlgebra) -> dict:
 # Koecher construction on superpairs
 
 
+@memoized
 def koecher(v, middle: str = "inn") -> TkkAlgebra:
     """The 3-graded Lie superalgebra V+ (+) mid (+) V- over a pair or algebra.
 
     middle "inn" uses Inn(V,V) (the classical construction), "der" uses
     Der(V,V) (the extended one, in which the former embeds as an ideal).
     """
-    pair = _as_pair(v)
+    pair = double(v) if isinstance(v, SuperAlgebra) else v
     if middle == "inn":
         mid = pair_inn(v)
     elif middle == "der":
@@ -217,11 +218,6 @@ def _gplus_on_gminus(V: SuperAlgebra, t_flat, x_index: int) -> Matrix:
         if t_flat[l * n * n + x_index * n + j]})
 
 
-def _lp_flat(V: SuperAlgebra, a_index: int):
-    la = l_op(V, V.basis_vector(a_index))
-    return _g0_on_gplus(V, la.matrix, la.parity, _hom2_flat_p(V), 0)
-
-
 class KantorTop:
     """The degree +1 space <P, [L_a, P]> inside Hom(V (x) V, V).
 
@@ -232,9 +228,9 @@ class KantorTop:
 
     def __init__(self, V: SuperAlgebra):
         n = V.dim
-        self.algebra = V
         self.p_flat = _hom2_flat_p(V)
-        self.lp_flats = [_lp_flat(V, a) for a in range(n)]
+        self.lp_flats = [_g0_on_gplus(V, la.matrix, la.parity, self.p_flat, 0)
+                         for la in (l_op(V, V.basis_vector(a)) for a in range(n))]
         candidates = [(("kantorP", 0), self.p_flat, 0)] + [
             (("kantorLP", a), self.lp_flats[a], V.parity(a)) for a in range(n)]
         kept: dict = {0: [], 1: []}
@@ -245,7 +241,6 @@ class KantorTop:
                 spans[par] = grown
                 kept[par].append((tag, flat))
         self.kept = kept
-        self.spans = spans
         self._cols = {p: Matrix.from_columns([f for _, f in kept[p]])
                       if kept[p] else None for p in (0, 1)}
 
@@ -263,14 +258,15 @@ class KantorTop:
 
     def coords(self, flat, parity: int) -> list:
         cols = self._cols[parity % 2]
-        assert cols is not None, "empty parity block in the Kantor top space"
+        certify(cols is not None, "empty parity block in the Kantor top space")
         c = solve(cols, flat)
-        assert c is not None, "element does not lie in the Kantor top space"
+        certify(c is not None, "element does not lie in the Kantor top space")
         if parity % 2:
             return [Q(0)] * len(self.kept[0]) + list(c)
         return list(c) + [Q(0)] * len(self.kept[1])
 
 
+@memoized
 def kantor(V: SuperAlgebra) -> TkkAlgebra:
     """Kantor's 3-graded Lie superalgebra V (+) istr(V) (+) <P, [L_a, P]>."""
     if V.kind != "jordan":
@@ -330,9 +326,9 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
 def kantor_relations(V: SuperAlgebra) -> list:
     """The bracket relations that pin down the Kantor construction."""
     n = V.dim
-    p_flat = _hom2_flat_p(V)
+    top = kantor(V).data["top"]
+    p_flat, lp = top.p_flat, top.lp_flats
     lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
-    lp = [_lp_flat(V, a) for a in range(n)]
     zero3 = tuple([Q(0)] * n ** 3)
 
     def lp_of(vec):
@@ -406,7 +402,7 @@ def kantor_relations(V: SuperAlgebra) -> list:
 # Tits construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class TitsData:
     """A derivation container Inn(V) <= D <= Der(V) plus the fixed sl2 data.
 
@@ -450,10 +446,9 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         label = d
     else:
         dsp, label = d, d.label
-    inn, der = inn_algebra(V), der_algebra(V)
-    if not (der.even.contains_space(dsp.even) and der.odd.contains_space(dsp.odd)):
+    if not der_algebra(V).contains_space(dsp):
         raise ValueError("derivation container must consist of derivations")
-    if not (dsp.even.contains_space(inn.even) and dsp.odd.contains_space(inn.odd)):
+    if not dsp.contains_space(inn_algebra(V)):
         raise ValueError("derivation container must contain the inner derivations")
     ops = dsp.operators()
     for i, a_op in enumerate(ops):
@@ -464,6 +459,7 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     return TitsData(dsp, _sl2(), _killing_half(_sl2()), label)
 
 
+@memoized
 def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     """Tits construction D (+) (sl2 (x) V) with the half-Killing pairing."""
     if V.kind != "jordan":
@@ -548,7 +544,7 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     dsp = ti.data["dspace"]
     nd = dsp.dim
     ef = ti.data["kappa"][0, 2]
-    assert ef, "sl2 pairing (e,f) must be nonzero"
+    certify(ef, "sl2 pairing (e,f) must be nonzero")
     dmats = [op.matrix for op in dsp.operators()]
     lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
     for a in range(n):
@@ -712,8 +708,7 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
                     entry = {}
                     for l, c in enumerate(out):
                         if c:
-                            if l not in posmap:
-                                raise CertificateError("triple left the graded block")
+                            certify(l in posmap, "triple left the graded block")
                             entry[posmap[l]] = c
                     if entry:
                         table[i, j, k] = entry
@@ -723,8 +718,7 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
     pair = JordanPair(f"J({g.name})", parities, tuple(tables))
     if check:
         witness = check_pair_axioms(pair)
-        if witness is not None:
-            raise CertificateError(f"superpair axioms fail: {witness}")
+        certify(witness is None, f"superpair axioms fail: {witness}")
     return pair
 
 
@@ -754,7 +748,7 @@ def j_roundtrip_check(V: SuperAlgebra) -> CheckResult:
     ko = koecher(V, middle="inn")
     # table equality against the doubled pair subsumes the axiom check here
     got = j_functor(ko.lie, check=False)
-    want = _as_pair(V)
+    want = double(V)
     ok = got.parities == want.parities and got.triples == want.triples
     return CheckResult("j_of_ko_is_double", ok,
                        "triple tables agree" if ok else "triple tables differ")
@@ -794,7 +788,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
         else:
             a_plus, a_minus, _ = mid_ops[tag[1]]
             coeffs = solve(gen_matrix, a_plus.flatten() + a_minus.flatten())
-            assert coeffs is not None, "middle element outside the D span"
+            certify(coeffs is not None, "middle element outside the D span")
             vec = [Q(0)] * g.dim
             for c, (i, j) in zip(coeffs, gen_pairs):
                 if c:
@@ -887,7 +881,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
         elif tag[0] == "op0":
             w = istr.operators()[tag[1]]
             coeffs = solve(span_matrix, w.matrix.flatten())
-            assert coeffs is not None, "istr basis element outside the L span"
+            certify(coeffs is not None, "istr basis element outside the L span")
             acc_plus, acc_minus = Matrix.zero(n, n), Matrix.zero(n, n)
             for idx, c in enumerate(coeffs):
                 if not c:
@@ -975,6 +969,7 @@ def kantor_koecher_comparison(V: SuperAlgebra) -> CheckResult:
 # derivation towers of graded Lie superalgebras
 
 
+@memoized
 def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
     """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity).
 
@@ -995,8 +990,8 @@ def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
         for parity in (0, 1):
             der_block = derivation_kernel(g, parity, shift)
             inn_block = Subspace(n * n, ad_flats.get((shift, parity), ()))
-            assert der_block.contains_space(inn_block), \
-                f"adjoint operators must be derivations (shift {shift})"
+            certify(der_block.contains_space(inn_block),
+                    f"adjoint operators must be derivations (shift {shift})")
             if der_block.dim or inn_block.dim:
                 tower[shift, parity] = {
                     "der": der_block.dim,
@@ -1007,8 +1002,7 @@ def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
         for parity in (0, 1):
             total = sum(b["der"] for (s, p), b in tower.items() if p == parity)
             full = derivation_kernel(g, parity).dim
-            assert total == full, \
-                f"graded Der blocks sum to {total}, full kernel has {full}"
+            certify(total == full, f"graded Der blocks sum to {total}, full kernel has {full}")
     return tower
 
 

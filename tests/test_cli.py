@@ -1,13 +1,19 @@
 """CLI subcommands, report formats and exit codes."""
 
+import gc
 import json
+import weakref
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from pyrun import run_python
+from supertkk import tkk
 from supertkk.catalog import load_algebra, resolve, save_algebra
 from supertkk.cli import (cmd_dims, cmd_tkk, cmd_verify, main,
                           report_from_machine, report_to_human,
-                          report_to_machine)
+                          report_to_machine, verify_section)
 from supertkk.superspace import check_super_jacobi
 
 
@@ -164,3 +170,55 @@ def test_max_dim_guard():
 def test_seed_flag_accepted(capsys):
     assert main(["--seed", "7", "verify", "j19"]) == 0
     capsys.readouterr()
+
+
+def _non_jordan_file(tmp_path):
+    """j19 with its first structure constant raised by one: still
+    supercommutative, no longer Jordan."""
+    doc = json.loads(save_algebra(resolve("j19")))
+    entry = doc["products"][0]
+    entry["coeff"] = str(Fraction(entry["coeff"]) + 1)
+    path = tmp_path / "bad.alg"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_non_jordan_table_exit_code(tmp_path, capsys):
+    # a failed certificate inside a construction is a ValueError, not a crash
+    assert main(["verify", str(_non_jordan_file(tmp_path))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_non_jordan_table_survives_python_O(tmp_path):
+    path = _non_jordan_file(tmp_path)
+    done = run_python(["-O"], "import sys\nfrom supertkk.cli import main\n"
+                      f"sys.exit(main(['verify', {str(path)!r}]))")
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: "), done.stderr
+
+
+@pytest.mark.parametrize("source", ["j19", "full_matrix:1,1"])
+def test_verify_section_builds_each_construction_once(source, monkeypatch):
+    # a freshly loaded object, so no construction can be warm from earlier tests
+    V = load_algebra(save_algebra(resolve(source)))
+    built = Counter()
+    make_algebra = tkk.make_algebra
+
+    def spy(*args, **kwargs):
+        built[kwargs["name"]] += 1
+        return make_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(tkk, "make_algebra", spy)
+    verify_section(V, 64)
+    pair = f"({V.name},{V.name})"
+    for name in (f"Ko{pair}", f"Ko~{pair}", f"Kan({V.name})", f"Ti({V.name},inn)"):
+        assert built[name] == 1, (name, built)
+
+
+def test_verify_section_releases_its_algebra():
+    V = load_algebra(save_algebra(resolve("j19")))
+    ref = weakref.ref(V)
+    verify_section(V, 64)
+    del V
+    gc.collect()
+    assert ref() is None

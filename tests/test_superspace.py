@@ -11,7 +11,9 @@ from supertkk.superspace import (
     check_supercommutative, derived, graded_dims, make_algebra, operator_parity,
     parity_dims, quotient_algebra, subalgebra, supercommutator,
 )
-from supertkk.catalog import jordan_catalog, lie_catalog
+from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_algebra
+from supertkk.structure import double
+from supertkk.tkk import j_functor, koecher
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -169,3 +171,44 @@ def test_mixed_basis_vector_proves_subspace_not_graded():
     a = jordan_catalog("kacK")  # parities (0,1,1)
     with pytest.raises(ValueError, match="not graded"):
         subalgebra(a, span([(1, 1, 0)], ambient=3))
+
+
+def _assert_frozen(a):
+    key = next(iter(a.table))
+    with pytest.raises(TypeError):
+        a.table[0, 0] = {0: Q(1)}
+    with pytest.raises(TypeError):
+        a.table[key][0] = Q(1)
+    with pytest.raises(TypeError):
+        a.metadata["family"] = "x"
+    for attr in ("name", "table", "metadata", "parities"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, getattr(a, attr))
+
+
+def test_algebras_are_immutable():
+    a = sl2()
+    psl = lie_catalog("psl", 2, 2)
+    built = [a, jordan_catalog("j19"), psl, load_algebra(save_algebra(psl)),
+             subalgebra(a, span([(0, 1, 0), (1, 0, 0)], ambient=3)),
+             quotient_algebra(lie_catalog("gl", 1, 1), span([(1, 0, 0, 1)], ambient=4),
+                              metadata={"family": "pgl"})]
+    for alg in built:
+        _assert_frozen(alg)
+    # metadata is passed in when an algebra is built, never written afterwards
+    assert dict(psl.metadata) == {"family": "psl", "simple": "yes"}
+    assert dict(built[-2].metadata) == {} and dict(built[-1].metadata) == {"family": "pgl"}
+    assert dict(lie_catalog("h", 4).metadata) == {"family": "h", "simple": "yes"}
+
+
+def test_superpairs_are_immutable():
+    V = jordan_catalog("j19")
+    for pair in (double(V), j_functor(koecher(V).lie)):
+        for table in pair.triples:
+            key = next(iter(table))
+            with pytest.raises(TypeError):
+                table[key] = {0: Q(1)}
+            with pytest.raises(TypeError):
+                table[key][0] = Q(1)
+        with pytest.raises(AttributeError):
+            pair.name = "x"
