@@ -4,12 +4,14 @@ Scalars are arbitrary-precision rationals (gmpy2.mpq when available, else
 fractions.Fraction).  No floating point anywhere: every identity this package
 checks is an algebraic identity over Q and must hold exactly.
 
-Sparse kernels are computed by fraction-free elimination: each row is scaled
-to a primitive integer row, eliminated over the integers (Bareiss-style
-v <- b*v - a*r, divided by the row gcd), and rationals are formed only when
-kernel vectors are read off.  Every kernel vector is then verified exactly
-against every row, and `solve` re-multiplies its answer; a failure of either
-certificate raises CertificateError, so the checks survive `python -O`.
+There is one elimination, fraction-free over the integers, for kernels,
+spans and solves (`kernel_sparse`, `Subspace`, `rref`, `solve`): each row is
+scaled to a primitive integer row, eliminated over the integers
+(Bareiss-style v <- b*v - a*r, divided by the row gcd), and rationals are
+formed only when the reduced rows are read off.  Every kernel vector is then
+verified exactly against every row, and `solve` re-multiplies its answer; a
+failure of either certificate raises CertificateError, so the checks survive
+`python -O`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 try:
-    from gmpy2 import mpq as _Scalar  # ~20x faster than Fraction
+    from gmpy2 import mpq as _Scalar
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _Scalar = Fraction
 
@@ -156,38 +158,20 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# dense reduced row echelon form
+# reduced row echelon form
 
 
 def _rref_rows(vectors: Iterable[Sequence], ncols: int):
-    """Incremental exact RREF.  Returns (rows, pivots) with rows fully reduced,
-    pivot entries 1, pivot columns cleared elsewhere, sorted by pivot column."""
-    rows: list[list] = []
-    pivots: list[int] = []
+    """Exact RREF of dense rational vectors by the integer elimination of
+    `kernel_sparse`.  Returns (rows, pivots): tuples fully reduced, pivot
+    entries 1, pivot columns cleared elsewhere, sorted by pivot column."""
+    rows = []
     for vec in vectors:
-        v = [Q(x) for x in vec]
-        assert len(v) == ncols, "ambient dimension mismatch"
-        for r, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                for j in range(ncols):
-                    if r[j]:
-                        v[j] -= c * r[j]
-        lead = next((j for j in range(ncols) if v[j]), None)
-        if lead is None:
-            continue
-        inv = ONE / v[lead]
-        v = [x * inv for x in v]
-        for r in rows:
-            c = r[lead]
-            if c:
-                for j in range(ncols):
-                    if v[j]:
-                        r[j] -= c * v[j]
-        rows.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [rows[i] for i in order], [pivots[i] for i in order]
+        v = tuple(vec)
+        if len(v) != ncols:
+            raise ValueError(f"ambient dimension mismatch: {len(v)} != {ncols}")
+        rows.append({j: x for j, x in enumerate(v) if x})
+    return _rational_rows(_echelon(_primitive_rows(rows)), ncols)
 
 
 def rref(m: Matrix):
@@ -220,7 +204,7 @@ class Subspace:
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
         self.ambient = ambient
         rows, pivots = _rref_rows(vectors, ambient)
-        self.basis = tuple(tuple(r) for r in rows)
+        self.basis = tuple(rows)
         self.pivots = tuple(pivots)
 
     @classmethod
@@ -243,7 +227,8 @@ class Subspace:
     def reduce(self, vec: Sequence):
         """vec reduced by the canonical basis (pivot coordinates zeroed); 0 iff vec is inside."""
         v = [Q(x) for x in vec]
-        assert len(v) == self.ambient, "ambient dimension mismatch"
+        if len(v) != self.ambient:
+            raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
         for r, p in zip(self.basis, self.pivots):
             c = v[p]
             if c:
@@ -260,17 +245,12 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
     def coordinates(self, vec: Sequence):
-        """Coefficients of vec in the canonical basis, or None if outside."""
+        """Coefficients of vec in the canonical basis, or None if outside.
+
+        Each basis row is 1 at its own pivot and 0 at the others, so the
+        coefficients are the entries of vec at the pivot columns."""
         v = [Q(x) for x in vec]
-        coords = []
-        for r, p in zip(self.basis, self.pivots):
-            coords.append(v[p])
-            c = v[p]
-            if c:
-                for j in range(self.ambient):
-                    if r[j]:
-                        v[j] -= c * r[j]
-        return tuple(coords) if vec_is_zero(v) else None
+        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -281,8 +261,8 @@ class Subspace:
         # vanishing left half carry the intersection in their right half.
         self._check_ambient(other)
         n = self.ambient
-        stacked = [list(v) + list(v) for v in self.basis]
-        stacked += [list(w) + [ZERO] * n for w in other.basis]
+        stacked = [v + v for v in self.basis]
+        stacked += [w + (ZERO,) * n for w in other.basis]
         rows, pivots = _rref_rows(stacked, 2 * n)
         inter = [r[n:] for r, p in zip(rows, pivots) if p >= n]
         return Subspace(n, inter)
@@ -336,7 +316,8 @@ class SpanSolver:
 
     def _reduce(self, vec: Sequence):
         v = [Q(x) for x in vec]
-        assert len(v) == self.ambient, "ambient dimension mismatch"
+        if len(v) != self.ambient:
+            raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
         combo = [ZERO] * self.count
         for (r, t), p in zip(self._rows, self._pivots):
             c = v[p]
@@ -397,6 +378,32 @@ def row_primitive(row: dict) -> dict:
     if min(ints)[1] < 0:
         g = -g
     return {c: v // g for c, v in ints}
+
+
+def _primitive_rows(rows: Iterable[dict]) -> list[dict]:
+    """The distinct nonzero primitive integer rows of sparse rational rows."""
+    out, seen = [], set()
+    for row in rows:
+        pr = row_primitive(row)
+        key = tuple(sorted(pr.items()))
+        if pr and key not in seen:
+            seen.add(key)
+            out.append(pr)
+    return out
+
+
+def _rational_rows(store: dict[int, dict], ncols: int):
+    """Read an `_echelon` store off as (rows, pivots): dense rational rows
+    r/r[p], sorted by pivot column p.  Rationals are formed only here."""
+    pivots = sorted(store)
+    rows = []
+    for p in pivots:
+        r, d = store[p], store[p][p]
+        v = [ZERO] * ncols
+        for j, x in r.items():
+            v[j] = Q(x, d)
+        rows.append(tuple(v))
+    return rows, pivots
 
 
 def _combine(s: int, v: dict, terms) -> dict:
@@ -479,16 +486,7 @@ def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
     RREF basis.  Certificate: that basis has one vector per free column and
     every vector kills every row exactly; rationals are formed only at the end.
     """
-    int_rows = []
-    seen = set()
-    for row in rows:
-        pr = row_primitive(row)
-        if not pr:
-            continue
-        key = tuple(sorted(pr.items()))
-        if key not in seen:
-            seen.add(key)
-            int_rows.append(pr)
+    int_rows = _primitive_rows(rows)
     store = _echelon(int_rows)
     pivots = sorted(store.items())
     vecs = []
@@ -501,12 +499,11 @@ def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
         for p, r in hits:
             v[p] = -r[f] * (m // r[p])
         vecs.append(v)
-    basis = sorted(_echelon(vecs).items())
-    certify(len(basis) == len(vecs) and _verify_kernel(int_rows, [r for _, r in basis], ncols),
+    basis = _echelon(vecs)
+    certify(len(basis) == len(vecs) and _verify_kernel(int_rows, list(basis.values()), ncols),
             "kernel verification failed: the basis needs one vector per free column, "
             "each killing every row")
-    return [tuple(Q(r[j], r[p]) if j in r else ZERO for j in range(ncols))
-            for p, r in basis]
+    return _rational_rows(basis, ncols)[0]
 
 
 def grassmann_ok(a: Subspace, b: Subspace) -> bool:

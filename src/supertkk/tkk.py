@@ -456,7 +456,8 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
             br = supercommutator(a_op, b_op)
             if not dsp.contains_flat(br.matrix.flatten(), br.parity):
                 raise ValueError("derivation container is not closed under bracket")
-    return TitsData(dsp, _sl2(), _killing_half(_sl2()), label)
+    sl2 = _sl2()
+    return TitsData(dsp, sl2, _killing_half(sl2), label)
 
 
 @memoized

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import oracle_linalg as oracle
 from pyrun import run_python
 from supertkk.exact import (
     Q, Matrix, SpanSolver, Subspace, grassmann_ok, kernel, kernel_sparse,
@@ -143,17 +144,8 @@ def _random_sparse_system(rng, nrows, ncols, density=0.2):
     return rows
 
 
-def _dense_kernel(rows, ncols):
-    """Oracle: one vector per free column of rref(Matrix(rows))."""
-    r, pivots = rref(Matrix([[row.get(c, 0) for c in range(ncols)] for row in rows]))
-    vecs = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
-        vecs.append(v)
-    return Subspace(ncols, vecs)
+def _canonical(sub):
+    return sub.basis, sub.pivots
 
 
 def test_integer_kernel_matches_dense_oracle():
@@ -164,14 +156,14 @@ def test_integer_kernel_matches_dense_oracle():
         ncols = rng.randint(60, 120)
         rows = _random_sparse_system(rng, rng.randint(30, 90), ncols)
         got = Subspace(ncols, kernel_sparse(rows, ncols))
-        assert got == _dense_kernel(rows, ncols), f"trial {trial}: kernel mismatch"
+        assert _canonical(got) == oracle.kernel(rows, ncols), f"trial {trial}: kernel mismatch"
 
 
 def test_integer_kernel_with_large_coefficients():
     big = 10 ** 12
     rows = [{0: Q(1), 1: Q(big)}, {2: Q(1), 3: Q(1, big)}]
     ker = kernel_sparse(rows, 4)
-    assert Subspace(4, ker) == _dense_kernel(rows, 4)
+    assert _canonical(Subspace(4, ker)) == oracle.kernel(rows, 4)
     assert len(ker) == 2
     for v in ker:
         assert v[0] + big * v[1] == 0 and v[2] + Q(1, big) * v[3] == 0
@@ -190,7 +182,81 @@ def test_integer_kernel_differential(system):
     ker = kernel_sparse(rows, ncols)
     sub = Subspace(ncols, ker)
     assert sub.basis == tuple(ker)  # already canonical
-    assert sub == _dense_kernel(rows, ncols)
+    assert _canonical(sub) == oracle.kernel(rows, ncols)
+
+
+def _with_repeats(data, vectors, n):
+    """vectors plus zero rows and rescaled duplicates, shuffled."""
+    out = list(vectors)
+    out += [(Q(0),) * n] * data.draw(st.integers(0, 2))
+    for _ in range(data.draw(st.integers(0, 3)) if vectors else 0):
+        v = data.draw(st.sampled_from(vectors))
+        c = data.draw(st.sampled_from([1, -1, Q(2, 3), Q(-7, 5)]))
+        out.append(tuple(c * x for x in v))
+    random.Random(data.draw(st.integers(0, 10 ** 6))).shuffle(out)
+    return out
+
+
+def dense_systems(max_rows=6, max_cols=6):
+    """(n, vectors in Q^n), about half of whose entries are 0."""
+    return st.integers(1, max_cols).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(sparse_rationals, min_size=n, max_size=n)
+                             .map(tuple), max_size=max_rows)))
+
+
+@given(dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_subspace_matches_dense_oracle(system, data):
+    n, vectors = system
+    vectors = _with_repeats(data, vectors, n)
+    assert _canonical(Subspace(n, vectors)) == oracle.subspace(n, vectors)
+
+
+@given(dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_rref_matches_dense_oracle(system, data):
+    n, vectors = system
+    m = Matrix(_with_repeats(data, vectors, n) or [(Q(0),) * n])
+    assert rref(m) == oracle.rref(m)
+
+
+@given(dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_solve_matches_dense_oracle(system, data):
+    n, vectors = system
+    m = Matrix(_with_repeats(data, vectors, n) or [(Q(0),) * n])
+    if data.draw(st.booleans()):
+        b = m.apply(data.draw(vecs(n)))  # consistent
+    else:
+        b = data.draw(vecs(m.rows))  # usually inconsistent when rank < rows
+    got = solve(m, b)
+    assert got == oracle.solve(m, b)
+    assert got is None or m.apply(got) == tuple(b)
+
+
+@given(dense_systems(), dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_intersect_matches_dense_oracle(us, ws, data):
+    n = min(us[0], ws[0])
+    us = _with_repeats(data, [u[:n] for u in us[1]], n)
+    ws = _with_repeats(data, [w[:n] for w in ws[1]], n)
+    got = Subspace(n, us).intersect(Subspace(n, ws))
+    assert _canonical(got) == oracle.intersect(n, us, ws)
+
+
+@given(dense_systems(max_rows=4), st.data())
+@settings(**SETTINGS)
+def test_inconsistent_solve_is_none_on_both_sides(system, data):
+    """Negative control: a row repeated with a shifted right-hand side."""
+    n, vectors = system
+    vectors = [v for v in vectors if any(v)] or [(Q(1),) * n]
+    b = list(data.draw(vecs(len(vectors))))
+    i = data.draw(st.integers(0, len(vectors) - 1))
+    c = data.draw(st.sampled_from([1, -2, Q(3, 4)]))
+    m = Matrix(vectors + [tuple(c * x for x in vectors[i])])
+    b.append(c * b[i] + data.draw(st.sampled_from([1, Q(-1, 3)])))
+    assert solve(m, b) is None
+    assert oracle.solve(m, b) is None
 
 
 BROKEN_KERNEL = """
@@ -217,11 +283,46 @@ if not sys.flags.optimize:
 rref_rows = exact._rref_rows
 def broken(vectors, ncols):  # shifts the first solved coordinate
     rows, pivots = rref_rows(vectors, ncols)
-    rows[0][-1] += 1
+    rows[0] = rows[0][:-1] + (rows[0][-1] + 1,)
     return rows, pivots
 exact._rref_rows = broken
 exact.solve(exact.Matrix.identity(2), (1, 2))
 """
+
+
+SHAPE_GUARDS = """
+import sys
+from supertkk.exact import Matrix, SpanSolver, Subspace, rref
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+plane = Subspace(3, [(1, 0, 0), (0, 1, 0)])
+solver = SpanSolver(3)
+solver.add((1, 0, 0))
+calls = {
+    "Subspace long": lambda: Subspace(2, [(1, 0), (1, 2, 3)]),
+    "Subspace short": lambda: Subspace(3, [(1, 2)]),
+    "reduce long": lambda: plane.reduce((0, 0, 0, 1)),
+    "reduce short": lambda: plane.reduce((1, 0)),
+    "coordinates long": lambda: plane.coordinates((1, 0, 0, 1)),
+    "SpanSolver.add long": lambda: solver.add((0, 1, 0, 1)),
+    "SpanSolver.express short": lambda: solver.express((1, 0)),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except ValueError as e:
+        if "ambient dimension mismatch" not in str(e):
+            raise SystemExit(f"{name}: {e}")
+    else:
+        raise SystemExit(f"{name}: no ValueError")
+print("ok")
+"""
+
+
+def test_shape_guards_survive_python_O():
+    done = run_python(["-O"], SHAPE_GUARDS)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_kernel_certificate_survives_python_O():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from supertkk import tkk
 from supertkk.catalog import jordan_catalog
 from supertkk.exact import Q
 from supertkk.structure import l_space, pair_der
@@ -149,6 +150,21 @@ def test_tits_data_validation():
     # the half Killing form of sl2 in the basis e, h, f
     assert [[data.killing[i, j] for j in range(3)] for i in range(3)] == [
         [0, 0, 2], [0, 4, 0], [2, 0, 0]]
+
+
+def test_tits_data_builds_sl2_once(monkeypatch):
+    K = jordan_catalog("kacK")
+    built = []
+    make_algebra = tkk.make_algebra
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["name"])
+        return make_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(tkk, "make_algebra", spy)
+    data = tits_data(K, "inn")
+    assert built.count("sl2") == 1, built
+    assert data.sl2.name == "sl2"
 
 
 @pytest.mark.parametrize("name,params,d", [
