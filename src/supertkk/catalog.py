@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .exact import Q, SpanSolver, span
+from .exact import GeneratedSpan, Q, certify, span
 from .superspace import (SuperAlgebra, derived, make_algebra, mirror, quotient_algebra,
                          subalgebra)
 
@@ -163,10 +163,9 @@ def _span_algebra(idx_par, mats, *, name, metadata=None):
     the span is not closed.
     """
     d = len(idx_par)
-    solver = SpanSolver(d * d)
-    for m in mats:
-        if not solver.add(_flat(m, d)):
-            raise ValueError(f"{name}: spanning matrices are dependent")
+    gens = GeneratedSpan([_flat(m, d) for m in mats], d * d)
+    if gens.dim < len(mats):
+        raise ValueError(f"{name}: spanning matrices are dependent")
     parities = tuple(_mat_parity(m, idx_par) for m in mats)
     products = []
     for i, x in enumerate(mats):
@@ -176,7 +175,7 @@ def _span_algebra(idx_par, mats, *, name, metadata=None):
             br = dict(xy)
             for ab, v in yx.items():
                 br[ab] = br.get(ab, Q(0)) - v * s
-            coords = solver.express(_flat(br, d))
+            coords = gens.express(_flat(br, d))
             if coords is None:
                 raise ValueError(f"{name}: span not closed under the bracket")
             products.extend((i, j, k, c) for k, c in enumerate(coords) if c)
@@ -219,11 +218,9 @@ def _identity_mat(d):
 
 def _quotient_by_identity(alg, idx_par, mats, *, name, metadata):
     d = len(idx_par)
-    solver = SpanSolver(d * d)
-    for m in mats:
-        solver.add(_flat(m, d))
-    coords = solver.express(_flat(_identity_mat(d), d))
-    assert coords is not None, "identity matrix should lie in the span"
+    coords = GeneratedSpan([_flat(m, d) for m in mats], d * d).express(
+        _flat(_identity_mat(d), d))
+    certify(coords is not None, "identity matrix should lie in the span")
     return quotient_algebra(alg, span([coords]), name=name, metadata=metadata)
 
 
@@ -435,6 +432,8 @@ def _build_c_htilde_lambda(n):
 # ---------------------------------------------------------------------------
 # catalog entry points
 
+# resolved algebras by (side, name, params); bounded, as every builder has a
+# finite parameter range except `dt` (any rational t), which is not stored
 _MEMO: dict = {}
 
 
@@ -560,6 +559,8 @@ def _catalog(side, builders, name, params):
         params = params[:1]
     if len(params) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    if name == "dt":
+        return fn(*params)
     key = (side, name, params)
     if key not in _MEMO:
         _MEMO[key] = fn(*params)

@@ -5,13 +5,15 @@ fractions.Fraction).  No floating point anywhere: every identity this package
 checks is an algebraic identity over Q and must hold exactly.
 
 There is one elimination, fraction-free over the integers, for kernels,
-spans and solves (`kernel_sparse`, `Subspace`, `rref`, `solve`): each row is
-scaled to a primitive integer row, eliminated over the integers
-(Bareiss-style v <- b*v - a*r, divided by the row gcd), and rationals are
-formed only when the reduced rows are read off.  Every kernel vector is then
-verified exactly against every row, and `solve` re-multiplies its answer; a
-failure of either certificate raises CertificateError, so the checks survive
-`python -O`.
+spans, solves and generator coordinates (`kernel_sparse`, `Subspace`,
+`rref`, `GeneratedSpan`, `solve`): each row is scaled to a primitive integer
+row, eliminated over the integers (Bareiss-style v <- b*v - a*r, divided by
+the row gcd), and rationals are formed only when the reduced rows are read
+off.  A `GeneratedSpan` eliminates its generator list once and then writes
+any number of members in those generators, each by one reduction.  Every
+kernel vector is verified exactly against every row, and every expressed
+member is recombined from its coefficients; a failure of either certificate
+raises CertificateError, so the checks survive `python -O`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class Matrix:
         self.data = tuple(tuple(Q(x) for x in row) for row in data)
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
-        assert all(len(r) == self.cols for r in self.data), "ragged matrix rows"
+        if any(len(r) != self.cols for r in self.data):
+            raise ValueError("ragged matrix rows")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -144,7 +147,8 @@ class Matrix:
 
     @classmethod
     def unflatten(cls, rows: int, cols: int, flat: Sequence) -> "Matrix":
-        assert len(flat) == rows * cols, "flatten length mismatch"
+        if len(flat) != rows * cols:
+            raise ValueError(f"flatten length mismatch: {len(flat)} != {rows}*{cols}")
         return cls(flat[i * cols:(i + 1) * cols] for i in range(rows))
 
     def __eq__(self, other) -> bool:
@@ -181,19 +185,11 @@ def rref(m: Matrix):
 
 
 def solve(m: Matrix, b: Sequence):
-    """Some x with m@x = b, or None if inconsistent.  Verified by re-multiplication."""
+    """Some x with m@x = b (0 at each column that depends on earlier ones), or
+    None if inconsistent: `GeneratedSpan` over the columns of m, certified."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    aug = [list(row) + [Q(x)] for row, x in zip(m.data, b)]
-    rows, pivots = _rref_rows(aug, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for r, p in zip(rows, pivots):
-        x[p] = r[m.cols]
-    x = tuple(x)
-    certify(m.apply(x) == tuple(Q(v) for v in b), "solve verification failed: m @ x != b")
-    return x
+    return GeneratedSpan([m.column(c) for c in range(m.cols)], m.rows).express(b)
 
 
 class Subspace:
@@ -304,60 +300,61 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace(m.cols, vecs)
 
 
-class SpanSolver:
-    """Incremental span that can express members as combinations of the
-    generators added so far (used to rewrite brackets in a chosen basis)."""
+class GeneratedSpan:
+    """The span of a fixed generator list, eliminated once, that writes its
+    members as combinations of the generators.
 
-    def __init__(self, ambient: int):
+    One `_echelon` runs over the rows [g_i | e_i], e_i at column ambient +
+    k - 1 - i for k generators.  A row with a right-half pivot is a relation
+    led by the last generator it involves, so the generators a left-to-right
+    greedy scan keeps are those whose identity column is no pivot
+    (`independent`).  A left-pivot row reads w = sum t_i g_i off its right
+    half, and full RREF puts t on the independent generators only, so
+    `express` returns the unique coefficients over those."""
+
+    __slots__ = ("ambient", "count", "independent", "_gens", "_store")
+
+    def __init__(self, generators: Iterable[Sequence], ambient: int):
         self.ambient = ambient
-        self.count = 0
-        self._rows: list[tuple[list, list]] = []  # (reduced vector, combo over generators)
-        self._pivots: list[int] = []
+        self._gens = [self._sparse(g) for g in generators]
+        self.count = len(self._gens)
+        top = ambient + self.count - 1
+        self._store = _echelon([row_primitive({**g, top - i: ONE})
+                                for i, g in enumerate(self._gens)])
+        self.independent = tuple(i for i in range(self.count)
+                                 if top - i not in self._store)
 
-    def _reduce(self, vec: Sequence):
-        v = [Q(x) for x in vec]
+    def _sparse(self, vec: Sequence) -> dict:
+        v = tuple(vec)
         if len(v) != self.ambient:
             raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
-        combo = [ZERO] * self.count
-        for (r, t), p in zip(self._rows, self._pivots):
-            c = v[p]
-            if c:
-                for j, rj in enumerate(r):
-                    if rj:
-                        v[j] -= c * rj
-                for g, tg in enumerate(t):
-                    if tg:
-                        combo[g] += c * tg
-        return v, combo
-
-    def add(self, vec: Sequence) -> bool:
-        """Add a generator; True if it enlarged the span."""
-        v, combo = self._reduce(vec)
-        combo = combo + [ZERO] * (self.count + 1 - len(combo))
-        idx = self.count
-        self.count += 1
-        for r, t in self._rows:
-            t.append(ZERO)
-        lead = next((j for j in range(self.ambient) if v[j]), None)
-        if lead is None:
-            return False
-        inv = ONE / v[lead]
-        v = [x * inv for x in v]
-        # vec = sum(combo) + v*lead_coeff  =>  v = (gen_idx - combo) / lead_coeff
-        t = [-c * inv for c in combo]
-        t[idx] = inv
-        self._rows.append((v, t))
-        self._pivots.append(lead)
-        return True
+        return {j: Q(x) for j, x in enumerate(v) if x}
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self.independent)
 
     def express(self, vec: Sequence):
-        """Coefficients over the added generators reproducing vec, or None."""
-        v, combo = self._reduce(vec)
-        return tuple(combo) if vec_is_zero(v) else None
+        """Coefficients over the generators reproducing vec, or None if vec is
+        outside the span.  Certified by recombining sum c_i g_i == vec."""
+        v = self._sparse(vec)
+        # [v | 0 | 1]: the marker column keeps the scale the reduction applies
+        mark = self.ambient + self.count
+        row = _reduce(row_primitive({**v, mark: ONE}), self._store)
+        if any(c < self.ambient for c in row):
+            return None
+        coeffs = [ZERO] * self.count
+        for c, x in row.items():
+            if c != mark:
+                coeffs[mark - 1 - c] = Q(-x, row[mark])
+        got = {}
+        for c, g in zip(coeffs, self._gens):
+            if c:
+                for j, x in g.items():
+                    got[j] = got.get(j, ZERO) + c * x
+        certify({j: x for j, x in got.items() if x} == v,
+                "solve verification failed: sum c_i g_i != v")
+        return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +413,30 @@ def _combine(s: int, v: dict, terms) -> dict:
     return {c: x // g for c, x in out.items() if x} if g else {}
 
 
+def _reduce(row: dict, store: dict[int, dict]) -> dict:
+    """The primitive part of row reduced by an `_echelon` store in one pass:
+    m*row - sum (m*row[c]/r[c])*r over its pivot columns c, with m the lcm of
+    those pivot entries."""
+    hits = [(c, x) for c, x in row.items() if c in store]
+    if not hits:
+        return row
+    m = lcm(*(store[c][c] for c, _ in hits))
+    return _combine(m, row, [(m // store[c][c] * x, store[c]) for c, x in hits])
+
+
 def _echelon(int_rows: list[dict]) -> dict[int, dict]:
     """Fraction-free elimination of sparse integer rows.
 
     Returns a store mapping each pivot column to an integer row, kept in full
     RREF up to scaling: a row is zero in every other row's pivot column.  So
-    a new row v is reduced in one pass, m*v - sum (m*v[c]/r[c])*r over its
-    pivot columns c with m the lcm of those pivot entries, and each row
-    operation is followed by division by the row gcd.
+    a new row is reduced in one pass (`_reduce`), and each row operation is
+    followed by division by the row gcd.
     """
     store: dict[int, dict] = {}
     for row in sorted(int_rows, key=len):
-        hits = [(c, x) for c, x in row.items() if c in store]
-        v = row
-        if hits:
-            m = lcm(*(store[c][c] for c, _ in hits))
-            v = _combine(m, row, [(m // store[c][c] * x, store[c]) for c, x in hits])
-            if not v:
-                continue
+        v = _reduce(row, store)
+        if not v:
+            continue
         lead = min(v)
         b = v[lead]
         for p, r in store.items():

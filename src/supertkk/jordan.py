@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from supertkk import tensor
-from supertkk.exact import Matrix, Q, ZERO, kernel, solve
+from supertkk.exact import GeneratedSpan, Matrix, Q, ZERO
 from supertkk.superspace import (GradedOperator, SuperAlgebra, Witness,
                                  check_supercommutative, operator_parity, parity_sign)
 
@@ -105,17 +105,14 @@ def find_unit(V: SuperAlgebra):
     reported as an error rather than an arbitrary pick.
     """
     n = V.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        for k in range(n):
-            rows.append([V.basis_product(j, i).get(k, ZERO) for j in range(n)])
-            rhs.append(Q(1) if k == i else ZERO)
-    m = Matrix(rows)
-    x = solve(m, rhs)
+    # unknown j contributes e_j * b_i at coordinate k of row (i, k)
+    gens = GeneratedSpan([[V.basis_product(j, i).get(k, ZERO)
+                           for i in range(n) for k in range(n)] for j in range(n)],
+                         n * n)
+    x = gens.express([Q(1) if k == i else ZERO for i in range(n) for k in range(n)])
     if x is None:
         return None
-    if kernel(m).dim:
+    if gens.dim < n:
         raise ValueError("unit system is underdetermined: unit not unique")
     return x
 

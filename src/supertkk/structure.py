@@ -55,13 +55,15 @@ class OperatorSpace:
                 and self.odd.contains_space(other.odd))
 
     def sum(self, other: "OperatorSpace", label=None) -> "OperatorSpace":
-        assert self.shape == other.shape, "operator spaces live on different spaces"
+        if self.shape != other.shape:
+            raise ValueError("operator spaces live on different spaces")
         return OperatorSpace(label or f"{self.label}+{other.label}",
                              self.even.sum(other.even), self.odd.sum(other.odd),
                              self.shape, self.algebra)
 
     def intersect(self, other: "OperatorSpace", label=None) -> "OperatorSpace":
-        assert self.shape == other.shape, "operator spaces live on different spaces"
+        if self.shape != other.shape:
+            raise ValueError("operator spaces live on different spaces")
         return OperatorSpace(label or f"{self.label}&{other.label}",
                              self.even.intersect(other.even),
                              self.odd.intersect(other.odd),

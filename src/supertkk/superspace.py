@@ -16,8 +16,8 @@ from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (Matrix, Q, Subspace, SpanSolver, ZERO, kernel_sparse,
-                            row_primitive)
+from supertkk.exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify,
+                            kernel_sparse, row_primitive)
 
 
 @dataclass
@@ -333,14 +333,12 @@ def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None, metadata=None) -> Sup
     """Restrict the product to a graded subspace closed under it; metadata defaults to a's."""
     graded = _split_graded_basis(a, s, "subalgebra")
     vectors = [v for _, v in graded]
-    solver = SpanSolver(a.dim)
-    for v in vectors:
-        solver.add(v)
+    gens = GeneratedSpan(vectors, a.dim)
     products = []
     for m, vm in enumerate(vectors):
         for l, vl in enumerate(vectors):
             prod = a.product(vm, vl)
-            coords = solver.express(prod)
+            coords = gens.express(prod)
             if coords is None:
                 raise ValueError(
                     f"subalgebra: not closed, product of basis vectors ({m},{l}) leaves it")
@@ -376,7 +374,7 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
             prod = ideal.reduce(a.product(a.basis_vector(i), a.basis_vector(j)))
             for k, c in enumerate(prod):
                 if c:
-                    assert k in pos, "reduction left a pivot coordinate"
+                    certify(k in pos, "reduction left a pivot coordinate")
                     products.append((m, l, pos[k], c))
     parities = [a.parity(i) for i in keep]
     zdeg = [a.zdegree(i) for i in keep] if a.zdegrees is not None else None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import Matrix, Q, Subspace, certify, solve, span
+from .exact import GeneratedSpan, Matrix, Q, Subspace, certify, span
 from .jordan import find_unit, l_op
 from .structure import (CheckResult, JordanPair, OperatorSpace,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -233,16 +233,11 @@ class KantorTop:
                          for la in (l_op(V, V.basis_vector(a)) for a in range(n))]
         candidates = [(("kantorP", 0), self.p_flat, 0)] + [
             (("kantorLP", a), self.lp_flats[a], V.parity(a)) for a in range(n)]
-        kept: dict = {0: [], 1: []}
-        spans = {0: Subspace(n ** 3), 1: Subspace(n ** 3)}
-        for tag, flat, par in candidates:
-            grown = Subspace(n ** 3, list(spans[par].basis) + [flat])
-            if grown.dim > spans[par].dim:
-                spans[par] = grown
-                kept[par].append((tag, flat))
-        self.kept = kept
-        self._cols = {p: Matrix.from_columns([f for _, f in kept[p]])
-                      if kept[p] else None for p in (0, 1)}
+        self.kept, self._spans = {}, {}
+        for par in (0, 1):
+            block = [(tag, flat) for tag, flat, p in candidates if p == par]
+            self._spans[par] = GeneratedSpan([f for _, f in block], n ** 3)
+            self.kept[par] = [block[i] for i in self._spans[par].independent]
 
     def dims(self) -> tuple:
         return len(self.kept[0]), len(self.kept[1])
@@ -257,13 +252,13 @@ class KantorTop:
                 + [(t, f, 1) for t, f in self.kept[1]])
 
     def coords(self, flat, parity: int) -> list:
-        cols = self._cols[parity % 2]
-        certify(cols is not None, "empty parity block in the Kantor top space")
-        c = solve(cols, flat)
+        gens = self._spans[parity % 2]
+        c = gens.express(flat)
         certify(c is not None, "element does not lie in the Kantor top space")
+        c = [c[i] for i in gens.independent]
         if parity % 2:
-            return [Q(0)] * len(self.kept[0]) + list(c)
-        return list(c) + [Q(0)] * len(self.kept[1])
+            return [Q(0)] * len(self.kept[0]) + c
+        return c + [Q(0)] * len(self.kept[1])
 
 
 @memoized
@@ -777,7 +772,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
             d_plus, d_minus, _ = pair_d_ops(pair, 0, i, j)
             gen_flats.append(d_plus.flatten() + d_minus.flatten())
             gen_pairs.append((i, j))
-    gen_matrix = Matrix.from_columns(gen_flats)
+    gens = GeneratedSpan(gen_flats, dp * dp + dm * dm)
     mid = ko2.data["middle"]
     mid_ops = mid.operators()
     images = []
@@ -788,7 +783,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
             images.append(g.basis_vector(minus[tag[1]]))
         else:
             a_plus, a_minus, _ = mid_ops[tag[1]]
-            coeffs = solve(gen_matrix, a_plus.flatten() + a_minus.flatten())
+            coeffs = gens.express(a_plus.flatten() + a_minus.flatten())
             certify(coeffs is not None, "middle element outside the D span")
             vec = [Q(0)] * g.dim
             for c, (i, j) in zip(coeffs, gen_pairs):
@@ -872,16 +867,18 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     l_flats = [op.matrix.flatten() for op in lmats]
     lbr = {(i, j): supercommutator(lmats[i], lmats[j])
            for i in range(n) for j in range(n)}
-    span_matrix = Matrix.from_columns(
-        l_flats + [lbr[i, j].matrix.flatten() for i in range(n) for j in range(n)])
+    gens = GeneratedSpan(
+        l_flats + [lbr[i, j].matrix.flatten() for i in range(n) for j in range(n)],
+        n * n)
+    istr_ops = istr.operators()
     images = []
     for tag in kan.origin:
         vec = [Q(0)] * ko.dim
         if tag[0] == "vminus":
             vec[off_minus + tag[1]] = Q(1)
         elif tag[0] == "op0":
-            w = istr.operators()[tag[1]]
-            coeffs = solve(span_matrix, w.matrix.flatten())
+            w = istr_ops[tag[1]]
+            coeffs = gens.express(w.matrix.flatten())
             certify(coeffs is not None, "istr basis element outside the L span")
             acc_plus, acc_minus = Matrix.zero(n, n), Matrix.zero(n, n)
             for idx, c in enumerate(coeffs):
@@ -909,6 +906,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     # inner derivation W -> (W, W)
     ti = tits(V, "inn")
     dsp = ti.data["dspace"]
+    dsp_ops = dsp.operators()
     images = []
     for tag in ti.origin:
         vec = [Q(0)] * ko.dim
@@ -921,7 +919,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
             for l, c in enumerate(mid_coords(dp, dm, V.parity(tag[1]))):
                 vec[off_mid + l] = c
         else:
-            w = dsp.operators()[tag[1]]
+            w = dsp_ops[tag[1]]
             for l, c in enumerate(mid_coords(w.matrix, w.matrix, w.parity)):
                 vec[off_mid + l] = c
         images.append(tuple(vec))

@@ -5,14 +5,15 @@
 fraction-free integer elimination of `kernel_sparse`.  It is kept verbatim
 as the slow reference; the helpers below rebuild the public operations on it
 the way supertkk.exact used to, so the differential tests compare two
-independent eliminations.
+independent eliminations.  `SpanSolver` is likewise the incremental span that
+wrote members as combinations of generators before `GeneratedSpan`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from supertkk.exact import ONE, ZERO, Matrix, Q
+from supertkk.exact import ONE, ZERO, Matrix, Q, vec_is_zero
 
 
 def rref_rows(vectors: Iterable[Sequence], ncols: int):
@@ -90,3 +91,60 @@ def kernel(rows: Sequence[dict], ncols: int) -> tuple[tuple, tuple]:
             v[p] = -r[i, f]
         vecs.append(v)
     return subspace(ncols, vecs)
+
+
+class SpanSolver:
+    """Incremental span that can express members as combinations of the
+    generators added so far (used to rewrite brackets in a chosen basis)."""
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.count = 0
+        self._rows: list[tuple[list, list]] = []  # (reduced vector, combo over generators)
+        self._pivots: list[int] = []
+
+    def _reduce(self, vec: Sequence):
+        v = [Q(x) for x in vec]
+        if len(v) != self.ambient:
+            raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
+        combo = [ZERO] * self.count
+        for (r, t), p in zip(self._rows, self._pivots):
+            c = v[p]
+            if c:
+                for j, rj in enumerate(r):
+                    if rj:
+                        v[j] -= c * rj
+                for g, tg in enumerate(t):
+                    if tg:
+                        combo[g] += c * tg
+        return v, combo
+
+    def add(self, vec: Sequence) -> bool:
+        """Add a generator; True if it enlarged the span."""
+        v, combo = self._reduce(vec)
+        combo = combo + [ZERO] * (self.count + 1 - len(combo))
+        idx = self.count
+        self.count += 1
+        for r, t in self._rows:
+            t.append(ZERO)
+        lead = next((j for j in range(self.ambient) if v[j]), None)
+        if lead is None:
+            return False
+        inv = ONE / v[lead]
+        v = [x * inv for x in v]
+        # vec = sum(combo) + v*lead_coeff  =>  v = (gen_idx - combo) / lead_coeff
+        t = [-c * inv for c in combo]
+        t[idx] = inv
+        self._rows.append((v, t))
+        self._pivots.append(lead)
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def express(self, vec: Sequence):
+        """Coefficients over the added generators reproducing vec, or None."""
+        v, combo = self._reduce(vec)
+        return tuple(combo) if vec_is_zero(v) else None
+

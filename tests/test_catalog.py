@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertkk.exact import Matrix, Q, SpanSolver
+from supertkk.exact import GeneratedSpan, Matrix, Q
 from supertkk.superspace import (
     center, check_super_jacobi, check_supercommutative, derived, parity_dims,
 )
@@ -86,15 +86,14 @@ def test_w2_structure_constants_match_operator_matrices():
     # w(2)'s own basis order: (mask, i) sorted by (popcount, mask, i)
     order = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
     mats = {fi: _w2_matrix(*fi) for fi in order}
-    solver = SpanSolver(16)
-    for fi in order:
-        assert solver.add(mats[fi].flatten())
+    gens = GeneratedSpan([mats[fi].flatten() for fi in order], 16)
+    assert gens.dim == len(order)
     for i, fi in enumerate(order):
         for j, gj in enumerate(order):
             a, b = mats[fi], mats[gj]
             sgn = Q(-1) if w2.parity(i) * w2.parity(j) % 2 else Q(1)
             br = a @ b - (b @ a).scale(sgn)
-            coords = solver.express(br.flatten())
+            coords = gens.express(br.flatten())
             assert coords is not None, (fi, gj)
             got = {k: c for k, c in enumerate(coords) if c}
             assert got == w2.basis_product(i, j), (fi, gj)
@@ -142,6 +141,14 @@ def test_resolve_accepts_colon_and_paren_syntax():
         resolve("dt:0")
     with pytest.raises(ValueError, match="must be in 3..8"):
         jordan_catalog("trunc_poly", 12)
+
+
+def test_catalog_memo_does_not_grow_with_dt_parameters():
+    from supertkk import catalog
+    before = len(catalog._MEMO)
+    for k in range(1, 41):
+        assert resolve(f"dt:{k}/{k + 1}").name == f"dt({k}/{k + 1})"
+    assert len(catalog._MEMO) == before
 
 
 def test_round_trip_every_jordan_entry():

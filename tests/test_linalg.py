@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_linalg as oracle
 from pyrun import run_python
 from supertkk.exact import (
-    Q, Matrix, SpanSolver, Subspace, grassmann_ok, kernel, kernel_sparse,
+    GeneratedSpan, Q, Matrix, Subspace, grassmann_ok, kernel, kernel_sparse,
     rref, solve, span,
 )
 
@@ -118,19 +118,19 @@ def test_subspace_contains_and_coordinates():
     assert s.coordinates((0, 0, 1)) is None
 
 
-def test_span_solver_expresses_members():
-    ss = SpanSolver(3)
-    assert ss.add((1, 1, 0))
-    assert ss.add((0, 1, 1))
-    assert not ss.add((1, 2, 1))  # dependent
-    combo = ss.express((2, 3, 1))
-    assert combo is not None
+def test_generated_span_expresses_members():
+    gens = GeneratedSpan([(1, 1, 0), (0, 1, 1), (1, 2, 1)], 3)
+    assert gens.independent == (0, 1) and gens.dim == 2  # the third is dependent
+    combo = gens.express((2, 3, 1))
+    assert combo == (Q(2), Q(1), Q(0))
     target = [Q(0)] * 3
     for c, gen in zip(combo, [(1, 1, 0), (0, 1, 1), (1, 2, 1)]):
         for i, g in enumerate(gen):
             target[i] += c * Q(g)
     assert tuple(target) == (Q(2), Q(3), Q(1))
-    assert ss.express((1, 0, 1)) is None
+    assert gens.express((1, 0, 1)) is None
+    assert GeneratedSpan([], 2).express((0, 0)) == ()
+    assert GeneratedSpan([], 2).express((0, 1)) is None
 
 
 def _random_sparse_system(rng, nrows, ncols, density=0.2):
@@ -259,6 +259,53 @@ def test_inconsistent_solve_is_none_on_both_sides(system, data):
     assert oracle.solve(m, b) is None
 
 
+def _greedy_independent(n, gens):
+    """Indices a left-to-right scan keeps because they grow the span."""
+    kept, grown = [], Subspace(n)
+    for i, g in enumerate(gens):
+        bigger = Subspace(n, list(grown.basis) + [g])
+        if bigger.dim > grown.dim:
+            kept.append(i)
+            grown = bigger
+    return tuple(kept)
+
+
+@given(dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_generated_span_matches_span_solver_oracle(system, data):
+    n, gens = system
+    gens = _with_repeats(data, gens, n)
+    ours = GeneratedSpan(gens, n)
+    theirs = oracle.SpanSolver(n)
+    added = [theirs.add(g) for g in gens]
+    assert ours.independent == _greedy_independent(n, gens)
+    assert ours.independent == tuple(i for i, grew in enumerate(added) if grew)
+    m = Matrix.from_columns(gens) if gens else None
+    member = m.apply(data.draw(vecs(len(gens)))) if gens else (Q(0),) * n
+    for v in (member, data.draw(vecs(n))):  # the second is usually outside
+        got = ours.express(v)
+        assert got == theirs.express(v)
+        if gens:
+            assert got == oracle.solve(m, v)
+
+
+@given(dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_outside_the_span_is_none_on_both_sides(system, data):
+    """Negative control: every generator is 0 in the last coordinate, the
+    target is not."""
+    n, gens = system
+    gens = _with_repeats(data, [g[:-1] + (Q(0),) for g in gens], n)
+    v = data.draw(vecs(n - 1)) + (data.draw(st.sampled_from([1, Q(-2, 3)])),)
+    assert GeneratedSpan(gens, n).express(v) is None
+    solver = oracle.SpanSolver(n)
+    for g in gens:
+        solver.add(g)
+    assert solver.express(v) is None
+    if gens:
+        assert oracle.solve(Matrix.from_columns(gens), v) is None
+
+
 BROKEN_KERNEL = """
 import sys
 from supertkk import exact
@@ -280,41 +327,66 @@ import sys
 from supertkk import exact
 if not sys.flags.optimize:
     raise SystemExit("expected python -O")
-rref_rows = exact._rref_rows
-def broken(vectors, ncols):  # shifts the first solved coordinate
-    rows, pivots = rref_rows(vectors, ncols)
-    rows[0] = rows[0][:-1] + (rows[0][-1] + 1,)
-    return rows, pivots
-exact._rref_rows = broken
+echelon = exact._echelon
+def broken(rows):  # doubles the generator coordinates every row records
+    return {p: {c: 2 * x if c >= 2 else x for c, x in r.items()}
+            for p, r in echelon(rows).items()}
+exact._echelon = broken
 exact.solve(exact.Matrix.identity(2), (1, 2))
 """
 
 
 SHAPE_GUARDS = """
 import sys
-from supertkk.exact import Matrix, SpanSolver, Subspace, rref
+from supertkk import catalog
+from supertkk.exact import CertificateError, GeneratedSpan, Matrix, Subspace
+from supertkk.structure import OperatorSpace
+from supertkk.superspace import quotient_algebra
 if not sys.flags.optimize:
     raise SystemExit("expected python -O")
 plane = Subspace(3, [(1, 0, 0), (0, 1, 0)])
-solver = SpanSolver(3)
-solver.add((1, 0, 0))
+gens = GeneratedSpan([(1, 0, 0)], 3)
+on2, on3 = (OperatorSpace("a", Subspace(k * k), Subspace(k * k), (k,)) for k in (2, 3))
+gl11 = catalog.lie_catalog("gl", 1, 1)
+
+class Unreduced(Subspace):  # claims every vector, reduces none
+    __slots__ = ()
+    def contains(self, vec):
+        return True
+    def reduce(self, vec):
+        return list(vec)
+
+idx_par, mats = catalog._gl_mats(1, 1)
+mismatch = (ValueError, "ambient dimension mismatch")
 calls = {
-    "Subspace long": lambda: Subspace(2, [(1, 0), (1, 2, 3)]),
-    "Subspace short": lambda: Subspace(3, [(1, 2)]),
-    "reduce long": lambda: plane.reduce((0, 0, 0, 1)),
-    "reduce short": lambda: plane.reduce((1, 0)),
-    "coordinates long": lambda: plane.coordinates((1, 0, 0, 1)),
-    "SpanSolver.add long": lambda: solver.add((0, 1, 0, 1)),
-    "SpanSolver.express short": lambda: solver.express((1, 0)),
+    "Subspace long": (lambda: Subspace(2, [(1, 0), (1, 2, 3)]), mismatch),
+    "Subspace short": (lambda: Subspace(3, [(1, 2)]), mismatch),
+    "reduce long": (lambda: plane.reduce((0, 0, 0, 1)), mismatch),
+    "reduce short": (lambda: plane.reduce((1, 0)), mismatch),
+    "coordinates long": (lambda: plane.coordinates((1, 0, 0, 1)), mismatch),
+    "GeneratedSpan long": (lambda: GeneratedSpan([(0, 1, 0, 1)], 3), mismatch),
+    "GeneratedSpan.express short": (lambda: gens.express((1, 0)), mismatch),
+    "Matrix ragged": (lambda: Matrix([(1, 2), (3,)]), (ValueError, "ragged")),
+    "Matrix.unflatten": (lambda: Matrix.unflatten(2, 2, (1, 2, 3)),
+                         (ValueError, "flatten length mismatch")),
+    "OperatorSpace.sum": (lambda: on2.sum(on3), (ValueError, "different spaces")),
+    "OperatorSpace.intersect": (lambda: on2.intersect(on3),
+                                (ValueError, "different spaces")),
+    "quotient pivot": (lambda: quotient_algebra(gl11, Unreduced(4, [(1, 0, 0, 1)])),
+                       (CertificateError, "reduction left a pivot coordinate")),
+    "quotient by identity": (
+        lambda: catalog._quotient_by_identity(gl11, idx_par, mats[1:3],
+                                              name="x", metadata={}),
+        (CertificateError, "identity matrix should lie in the span")),
 }
-for name, call in calls.items():
+for name, (call, (error, text)) in calls.items():
     try:
         call()
-    except ValueError as e:
-        if "ambient dimension mismatch" not in str(e):
+    except error as e:
+        if text not in str(e):
             raise SystemExit(f"{name}: {e}")
     else:
-        raise SystemExit(f"{name}: no ValueError")
+        raise SystemExit(f"{name}: no {error.__name__}")
 print("ok")
 """
 

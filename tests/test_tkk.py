@@ -329,3 +329,39 @@ def test_tkk_algebra_bookkeeping():
     ti = tits(K, "der")
     assert ti.data["label"] == "der"
     assert {o[0] for o in ti.origin} == {"d", "e", "h", "f"}
+
+
+@pytest.mark.parametrize("source", [("full_matrix", 1, 1), ("form", 1, 2)])
+def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch):
+    """The Kantor top space and both equivalence checks factorise their
+    generator lists once per call, however many elements they express."""
+    from collections import Counter
+
+    from supertkk.catalog import load_algebra, save_algebra
+    from supertkk.exact import GeneratedSpan
+    from supertkk.jordan import find_unit
+
+    V = load_algebra(save_algebra(jordan_catalog(*source)))
+    ko = koecher(V, middle="inn")
+    kantor(V), tits(V, "inn"), koecher_tilde(V), lie_der_tower(ko.lie)
+    koecher(j_functor(ko.lie), middle="inn")  # warm every memoized construction
+    calls = Counter()
+    init, express = GeneratedSpan.__init__, GeneratedSpan.express
+
+    def spy_init(self, *args):
+        calls["built"] += 1
+        init(self, *args)
+
+    def spy_express(self, *args):
+        calls["expressed"] += 1
+        return express(self, *args)
+
+    monkeypatch.setattr(GeneratedSpan, "__init__", spy_init)
+    monkeypatch.setattr(GeneratedSpan, "express", spy_express)
+    for run, built in ((lambda: tkk.KantorTop(V), 2), (lambda: find_unit(V), 1),
+                       (lambda: check_unital_equivalences(V), 2),
+                       (lambda: koecher_inverse_check(ko.lie), 1)):
+        calls.clear()
+        run()
+        assert calls["built"] == built, calls
+    assert calls["expressed"] > 1
