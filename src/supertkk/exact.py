@@ -29,9 +29,14 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 
 def Q(value=0, den=None):
-    """Exact rational from an int, a "p/q" string, or another rational."""
+    """Exact rational from an int, a "p/q" string, or another rational.
+
+    A rational is returned as it is (rationals are immutable): `Matrix`
+    passes every entry of every result through here."""
     if den is not None:
         return _Scalar(value, den)
+    if type(value) is _Scalar:
+        return value
     return _Scalar(value)
 
 
@@ -175,7 +180,7 @@ def _rref_rows(vectors: Iterable[Sequence], ncols: int):
         if len(v) != ncols:
             raise ValueError(f"ambient dimension mismatch: {len(v)} != {ncols}")
         rows.append({j: x for j, x in enumerate(v) if x})
-    return _rational_rows(_echelon(_primitive_rows(rows)), ncols)
+    return _rational_rows(_echelon(primitive_rows(rows)), ncols)
 
 
 def rref(m: Matrix):
@@ -377,7 +382,7 @@ def row_primitive(row: dict) -> dict:
     return {c: v // g for c, v in ints}
 
 
-def _primitive_rows(rows: Iterable[dict]) -> list[dict]:
+def primitive_rows(rows: Iterable[dict]) -> list[dict]:
     """The distinct nonzero primitive integer rows of sparse rational rows."""
     out, seen = [], set()
     for row in rows:
@@ -489,7 +494,7 @@ def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
     RREF basis.  Certificate: that basis has one vector per free column and
     every vector kills every row exactly; rationals are formed only at the end.
     """
-    int_rows = _primitive_rows(rows)
+    int_rows = primitive_rows(rows)
     store = _echelon(int_rows)
     pivots = sorted(store.items())
     vecs = []

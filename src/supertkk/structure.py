@@ -5,14 +5,19 @@ istr~, the superpair spaces Inn(V,V) and Der(V,V), and the weak structure
 algebra str_w cut out by the two U-operator identities.  Everything is an
 exact kernel or span computation over the rationals; operator spaces are kept
 as canonical subspaces of flattened matrices, split by parity.
+
+The Leibniz system of an algebra is assembled once, on the integers, and
+split into (degree shift, parity) blocks (`leibniz_blocks`);
+`derivation_kernel` and the derivation towers of tkk read it from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import tensor
-from .exact import Matrix, Q, Subspace, certify, kernel_sparse, solve
+from .exact import Matrix, Q, Subspace, certify, kernel_sparse, primitive_rows, solve
 from .jordan import d_op, l_op, triple, u_op
 from .superspace import (GradedOperator, SuperAlgebra, Witness, frozen_table,
                          memoized, supercommutator)
@@ -118,43 +123,88 @@ def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
     return _space("Inn", flats, (V.dim,), V)
 
 
+@memoized
+def leibniz_blocks(a: SuperAlgebra) -> dict:
+    """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j),
+    assembled once on the integers and split into (shift, parity) blocks.
+
+    Maps each (shift, parity) to (cols, rows): the operator entries (r, c)
+    of the block in row-major order, and the distinct primitive integer rows
+    over their positions.
+
+    Equation (i, j, k) is the e_k coordinate; the table is scaled to a common
+    denominator, which scales every row alike.  Supercommutativity (or
+    anticommutativity) of the table makes the (j, i) equation a consequence
+    of the (i, j) one, so unordered pairs suffice.  On a homogeneous table
+    every term of equation (i, j, k) is an entry of the block
+    (deg k - deg i - deg j, |i| + |j| + |k|).
+    """
+    n = a.dim
+    deg, par = [a.zdegree(i) for i in range(n)], a.parities
+    for (i, j), w in a.table.items():
+        for k in w:
+            if par[k] != (par[i] + par[j]) % 2 or deg[k] != deg[i] + deg[j]:
+                raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k}")
+    den = lcm(*(int(c.denominator) for w in a.table.values() for c in w.values()))
+    table = {ij: {k: int(c.numerator) * (den // int(c.denominator)) for k, c in w.items()}
+             for ij, w in a.table.items()}
+    cols: dict = {}
+    pos = {}  # (r, c) -> position in its block
+    for r in range(n):
+        for c in range(n):
+            block = cols.setdefault((deg[r] - deg[c], (par[r] + par[c]) % 2), [])
+            pos[r, c] = len(block)
+            block.append((r, c))
+    rows: dict = {key: [] for key in cols}
+    for i in range(n):
+        for j in range(i, n):
+            row_for: dict = {}  # k -> equation (i, j, k)
+
+            def add(k, rc, val):
+                row = row_for.setdefault(k, {})
+                row[pos[rc]] = row.get(pos[rc], 0) + val
+
+            for c, wc in table.get((i, j), {}).items():
+                for k in range(n):
+                    add(k, (k, c), wc)
+            for r in range(n):
+                for k, x in table.get((r, j), {}).items():
+                    add(k, (r, i), -x)
+                flip = (par[r] + par[j]) * par[i] % 2
+                for k, x in table.get((i, r), {}).items():
+                    add(k, (r, j), x if flip else -x)
+            for k, row in row_for.items():
+                rows[deg[k] - deg[i] - deg[j], (par[i] + par[j] + par[k]) % 2].append(row)
+    return {key: (tuple(cols[key]), tuple(primitive_rows(rows[key]))) for key in sorted(cols)}
+
+
+def _kernel_space(rows, positions, ambient: int) -> Subspace:
+    """Kernel of sparse rows over len(positions) unknowns, each kernel vector
+    scattered to the given flat positions of Q^ambient."""
+    scattered = []
+    for v in kernel_sparse(rows, len(positions)):
+        flat = [Q(0)] * ambient
+        for at, x in zip(positions, v):
+            flat[at] = x
+        scattered.append(tuple(flat))
+    return Subspace(ambient, scattered)
+
+
 def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     """Leibniz kernel: operators of given parity (and degree shift, if set).
 
-    Supercommutativity (or anticommutativity) of the table makes the (j, i)
-    Leibniz row a consequence of the (i, j) one, so unordered pairs suffice.
+    Reads the (zshift, parity) block of `leibniz_blocks`; with zshift None it
+    stacks every block of that parity into one system and eliminates that
+    independently of the blocks.
     """
     n = a.dim
-    cols = [(r, c) for r in range(n) for c in range(n)
-            if (a.parity(r) + a.parity(c)) % 2 == parity
-            and (zshift is None or a.zdegree(r) - a.zdegree(c) == zshift)]
+    blocks = [b for (s, p), b in leibniz_blocks(a).items()
+              if p == parity and zshift in (None, s)]
+    cols = sorted(rc for b_cols, _ in blocks for rc in b_cols)
     pos = {rc: idx for idx, rc in enumerate(cols)}
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            w = a.basis_product(i, j)
-            sgn = Q(-1) if (parity * a.parity(i)) % 2 else Q(1)
-            row_for: dict = {k: {} for k in range(n)}
-            for c, wc in w.items():
-                for k in range(n):
-                    if (k, c) in pos:
-                        row_for[k][pos[k, c]] = row_for[k].get(pos[k, c], Q(0)) + wc
-            for r in range(n):
-                if (r, i) in pos:
-                    for k, c in a.basis_product(r, j).items():
-                        row_for[k][pos[r, i]] = row_for[k].get(pos[r, i], Q(0)) - c
-                if (r, j) in pos:
-                    for k, c in a.basis_product(i, r).items():
-                        row_for[k][pos[r, j]] = row_for[k].get(pos[r, j], Q(0)) - sgn * c
-            rows.extend(v for v in row_for.values() if v)
-    vecs = kernel_sparse(rows, len(cols))
-    scattered = []
-    for v in vecs:
-        flat = [Q(0)] * (n * n)
-        for idx, (r, c) in enumerate(cols):
-            flat[r * n + c] = v[idx]
-        scattered.append(tuple(flat))
-    return Subspace(n * n, scattered)
+    rows = [{pos[b_cols[idx]]: x for idx, x in row.items()}
+            for b_cols, b_rows in blocks for row in b_rows]
+    return _kernel_space(rows, [r * n + c for r, c in cols], n * n)
 
 
 @memoized
@@ -321,15 +371,8 @@ def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
                         for l, c in pair.basis_triple(sigma, i, r, k).items():
                             add(l, (other, r, j), -s_i * c)
                     rows.extend(v for v in row_for.values() if v)
-    vecs = kernel_sparse(rows, len(cols))
-    amb = dims[0] ** 2 + dims[1] ** 2
-    scattered = []
-    for v in vecs:
-        flat = [Q(0)] * amb
-        for idx, (s, r, c) in enumerate(cols):
-            flat[(0 if s == 0 else dims[0] ** 2) + r * dims[s] + c] = v[idx]
-        scattered.append(tuple(flat))
-    return Subspace(amb, scattered)
+    return _kernel_space(rows, [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
+                         dims[0] ** 2 + dims[1] ** 2)
 
 
 @memoized
@@ -402,14 +445,8 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
                                 add((second, c, m), -s_ij * uij[l, c])
                             if row:
                                 rows.append(row)
-        vecs = kernel_sparse(rows, len(cols))
-        scattered = []
-        for v in vecs:
-            flat = [Q(0)] * (2 * n * n)
-            for idx, (s, r, c) in enumerate(cols):
-                flat[s * n * n + r * n + c] = v[idx]
-            scattered.append(tuple(flat))
-        parts[parity] = Subspace(2 * n * n, scattered)
+        parts[parity] = _kernel_space(rows, [s * n * n + r * n + c for s, r, c in cols],
+                                      2 * n * n)
     return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)
 
 

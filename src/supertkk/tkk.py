@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import GeneratedSpan, Matrix, Q, Subspace, certify, span
+from .exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify,
+                    kernel_sparse, span)
 from .jordan import find_unit, l_op
 from .structure import (CheckResult, JordanPair, OperatorSpace,
                         check_pair_axioms, der_algebra, derivation_kernel,
-                        double, inn_algebra, istr_algebra, pair_d_ops,
-                        pair_der, pair_inn, str_algebra)
+                        double, inn_algebra, istr_algebra, leibniz_blocks,
+                        pair_d_ops, pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, derived, graded_dims,
                          make_algebra, memoized, mirror, supercommutator)
 
@@ -972,31 +973,26 @@ def kantor_koecher_comparison(V: SuperAlgebra) -> CheckResult:
 def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
     """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity).
 
-    Inn is the span of the adjoint operators, graded by generator degree; the
-    outer dimensions are the block-wise differences.  With check_total, the
-    block dimensions are re-verified against the ungraded derivation kernel.
+    Der is the kernel of each `leibniz_blocks` block.  Inn is the span of the
+    adjoint operators: every entry of ad_x is a table constant in the block
+    (deg x, |x|), so Inn of a block is the rank of those rows, and they are
+    certified to lie in the block's Der.  The outer dimensions are the
+    block-wise differences.  With check_total, the block dimensions are
+    re-verified against the ungraded derivation kernel.
     """
     n = g.dim
-    shifts = sorted({g.zdegree(r) - g.zdegree(c)
-                     for r in range(n) for c in range(n)})
-    ad_flats: dict = {}
-    for i in range(n):
-        key = (g.zdegree(i), g.parity(i))
-        ad_flats.setdefault(key, []).append(
-            g.left_mult_matrix(g.basis_vector(i)).flatten())
     tower = {}
-    for shift in shifts:
-        for parity in (0, 1):
-            der_block = derivation_kernel(g, parity, shift)
-            inn_block = Subspace(n * n, ad_flats.get((shift, parity), ()))
-            certify(der_block.contains_space(inn_block),
-                    f"adjoint operators must be derivations (shift {shift})")
-            if der_block.dim or inn_block.dim:
-                tower[shift, parity] = {
-                    "der": der_block.dim,
-                    "inn": inn_block.dim,
-                    "out": der_block.dim - inn_block.dim,
-                }
+    for (shift, parity), (cols, rows) in leibniz_blocks(g).items():
+        m = len(cols)
+        der = kernel_sparse(rows, m)
+        ad = [{(k, c): x for c in range(n) for k, x in g.basis_product(i, c).items()}
+              for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)]
+        ad_rows = [[e.get(rc, ZERO) for rc in cols] for e in ad]
+        certify(Subspace(m, der + ad_rows).dim == len(der),
+                f"adjoint operators must be derivations (shift {shift})")
+        inn = Subspace(m, ad_rows).dim
+        if der or inn:
+            tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
     if check_total:
         for parity in (0, 1):
             total = sum(b["der"] for (s, p), b in tower.items() if p == parity)

@@ -7,13 +7,18 @@ as the slow reference; the helpers below rebuild the public operations on it
 the way supertkk.exact used to, so the differential tests compare two
 independent eliminations.  `SpanSolver` is likewise the incremental span that
 wrote members as combinations of generators before `GeneratedSpan`.
+`derivation_kernel` is the Fraction Leibniz-row builder that
+supertkk.structure ran once per (shift, parity) before the integer
+`leibniz_blocks` assembly; it is kept verbatim as the reference for that
+assembly.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from supertkk.exact import ONE, ZERO, Matrix, Q, vec_is_zero
+from supertkk.exact import ONE, ZERO, Matrix, Q, Subspace, kernel_sparse, vec_is_zero
+from supertkk.superspace import SuperAlgebra
 
 
 def rref_rows(vectors: Iterable[Sequence], ncols: int):
@@ -148,3 +153,42 @@ class SpanSolver:
         v, combo = self._reduce(vec)
         return tuple(combo) if vec_is_zero(v) else None
 
+
+
+def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
+    """Leibniz kernel: operators of given parity (and degree shift, if set).
+
+    Supercommutativity (or anticommutativity) of the table makes the (j, i)
+    Leibniz row a consequence of the (i, j) one, so unordered pairs suffice.
+    """
+    n = a.dim
+    cols = [(r, c) for r in range(n) for c in range(n)
+            if (a.parity(r) + a.parity(c)) % 2 == parity
+            and (zshift is None or a.zdegree(r) - a.zdegree(c) == zshift)]
+    pos = {rc: idx for idx, rc in enumerate(cols)}
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            w = a.basis_product(i, j)
+            sgn = Q(-1) if (parity * a.parity(i)) % 2 else Q(1)
+            row_for: dict = {k: {} for k in range(n)}
+            for c, wc in w.items():
+                for k in range(n):
+                    if (k, c) in pos:
+                        row_for[k][pos[k, c]] = row_for[k].get(pos[k, c], Q(0)) + wc
+            for r in range(n):
+                if (r, i) in pos:
+                    for k, c in a.basis_product(r, j).items():
+                        row_for[k][pos[r, i]] = row_for[k].get(pos[r, i], Q(0)) - c
+                if (r, j) in pos:
+                    for k, c in a.basis_product(i, r).items():
+                        row_for[k][pos[r, j]] = row_for[k].get(pos[r, j], Q(0)) - sgn * c
+            rows.extend(v for v in row_for.values() if v)
+    vecs = kernel_sparse(rows, len(cols))
+    scattered = []
+    for v in vecs:
+        flat = [Q(0)] * (n * n)
+        for idx, (r, c) in enumerate(cols):
+            flat[r * n + c] = v[idx]
+        scattered.append(tuple(flat))
+    return Subspace(n * n, scattered)

@@ -1,6 +1,7 @@
 """Exact linear algebra: kernels, solving, subspace lattice, canonical forms."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,13 @@ def test_scalar_contract():
     assert Q("-2/6") == Q(-1, 3)
     assert str(Q(-4, 6)) == "-2/3"  # reduced, denominator positive
     assert str(Q(5)) == "5"
+
+
+def test_q_keeps_an_existing_rational():
+    x = Q(-4, 6)
+    assert Q(x) is x
+    assert (Q(3), Q("2/4"), Q(1, 2)) == (Fraction(3), Fraction(1, 2), Fraction(1, 2))
+    assert type(Q(3)) is type(x) and Q(Q(3)) == 3
 
 
 def test_kernel_identity_and_zero():

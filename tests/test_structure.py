@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from supertkk.catalog import jordan_catalog, lie_catalog
+import oracle_linalg as oracle
+from supertkk import structure, tkk
+from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_algebra
 from supertkk.exact import Matrix, Q
 from supertkk.jordan import d_op, l_op, triple
 from supertkk.structure import (
     der_algebra,
     derivation_kernel,
+    leibniz_blocks,
     double,
     inclusion_report,
     inn_algebra,
@@ -23,7 +26,8 @@ from supertkk.structure import (
     str_w,
     structure_summary,
 )
-from supertkk.superspace import supercommutator
+from supertkk.superspace import (SuperAlgebra, make_algebra, memoized, mirror,
+                                 supercommutator)
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -162,14 +166,79 @@ def test_pair_triple_is_trilinear_extension(x, y, z):
 
 
 def test_derivation_kernel_graded_blocks():
-    # for a graded algebra the degree-homogeneous pieces exhaust Der
-    g = lie_catalog("lambda", 2)
-    shifts = sorted({g.zdegree(r) - g.zdegree(c)
-                     for r in range(g.dim) for c in range(g.dim)})
+    # for a graded algebra the degree-homogeneous pieces exhaust Der, and each
+    # piece is the block the Fraction row builder of the oracle finds
+    for name, params in [("lambda", (2,)), ("w", (2,)), ("h", (4,)), ("htilde", (4,)),
+                         ("pe", (2,)), ("gl", (2, 1))]:
+        g = lie_catalog(name, *params)
+        shifts = sorted({g.zdegree(r) - g.zdegree(c)
+                         for r in range(g.dim) for c in range(g.dim)})
+        for parity in (0, 1):
+            full = derivation_kernel(g, parity)
+            pieces = [derivation_kernel(g, parity, s) for s in shifts]
+            assert sum(p.dim for p in pieces) == full.dim, \
+                f"graded Der pieces must sum up ({name}, parity {parity})"
+            assert all(full.contains_space(p) for p in pieces), name
+            assert pieces == [oracle.derivation_kernel(g, parity, s) for s in shifts], name
+
+
+constants = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool).map(Q)
+
+
+@st.composite
+def homogeneous_tables(draw):
+    """A random table homogeneous for a parity and (maybe) a Z-grading: made
+    supercommutative, super-anticommutative or left as drawn, and in general
+    neither Jordan nor Lie."""
+    n = draw(st.integers(1, 5))
+    parities = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    graded = draw(st.booleans())
+    zdeg = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) if graded else [0] * n
+    upper = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if (parities[k] == (parities[i] + parities[j]) % 2
+                        and zdeg[k] == zdeg[i] + zdeg[j] and draw(st.booleans())):
+                    upper.append((i, j, k, draw(constants)))
+    sym = draw(st.sampled_from((1, -1, 0)))
+    products = mirror(parities, upper, sym) if sym else upper
+    return make_algebra(parities, products, zdeg if graded else None, check=False)
+
+
+@given(homogeneous_tables())
+@settings(max_examples=60, deadline=None)
+def test_derivation_kernel_matches_fraction_oracle(a):
+    n = a.dim
     for parity in (0, 1):
-        full = derivation_kernel(g, parity)
-        total = sum(derivation_kernel(g, parity, s).dim for s in shifts)
-        assert total == full.dim, f"graded Der pieces must sum up (parity {parity})"
+        assert derivation_kernel(a, parity) == oracle.derivation_kernel(a, parity)
+        for s in {a.zdegree(r) - a.zdegree(c) for r in range(n) for c in range(n)}:
+            assert (derivation_kernel(a, parity, s)
+                    == oracle.derivation_kernel(a, parity, s)), (parity, s)
+
+
+def test_leibniz_blocks_reject_an_inhomogeneous_table():
+    # [a, b] = h but [h, a] = b: e_2 * e_0 lands in the wrong degree
+    g = SuperAlgebra("bad", (0, 0, 0), {(0, 1): {2: Q(1)}, (2, 0): {1: Q(1)}},
+                     zdegrees=(1, -1, 0))
+    with pytest.raises(ValueError, match="inhomogeneous product: e_2\\*e_0 hits e_1"):
+        leibniz_blocks(g)
+
+
+def test_leibniz_system_is_assembled_once(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return leibniz_blocks.__wrapped__(a)
+
+    spy = memoized(counted)
+    monkeypatch.setattr(structure, "leibniz_blocks", spy)
+    monkeypatch.setattr(tkk, "leibniz_blocks", spy)
+    g = load_algebra(save_algebra(lie_catalog("w", 2)))  # fresh: an empty memo
+    tkk.lie_der_tower(g, check_total=True)
+    der_algebra(g)
+    assert calls == [g]
 
 
 def test_operator_space_basis_roundtrip():

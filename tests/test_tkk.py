@@ -1,11 +1,16 @@
 """TKK constructions checked against hand-computed dimensions and roundtrips."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from pyrun import run_python
 from supertkk import tkk
-from supertkk.catalog import jordan_catalog
+from supertkk.catalog import jordan_catalog, resolve
 from supertkk.exact import Q
 from supertkk.structure import l_space, pair_der
 from supertkk.superspace import graded_dims, parity_dims
@@ -34,6 +39,13 @@ from supertkk.tkk import (
 )
 
 SETTINGS = dict(max_examples=25, deadline=None)
+
+# the Lie catalog entries the lie-fingerprint benchmark runs
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+_workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+LIE_SOURCES = _workloads.LIE_SOURCES
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(Q)
 
@@ -268,6 +280,30 @@ def test_out_koecher_kack():
 def test_out_koecher_tilde_vanishes(name, params):
     kot = koecher_tilde(jordan_catalog(name, *params))
     assert out_dims(lie_der_tower(kot.lie, check_total=True)) == {}
+
+
+@pytest.mark.parametrize("source", LIE_SOURCES)
+def test_lie_catalog_towers_sum_to_the_ungraded_kernel(source):
+    tower = lie_der_tower(resolve(source), check_total=True)
+    assert all(b["out"] == b["der"] - b["inn"] >= 0 for b in tower.values())
+
+
+NOT_LIE = """
+from supertkk.superspace import make_algebra, mirror
+from supertkk.tkk import lie_der_tower
+# h, e, f of degrees 0, 1, -1 with [h,e] = e, [h,f] = f, [e,f] = h: graded and
+# anticommutative, but Jacobi on (h, e, f) gives -2h, and ad_f is no derivation
+g = make_algebra([0, 0, 0], mirror([0, 0, 0], [(0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 0, 1)], -1),
+                 zdegrees=[0, 1, -1], check=False)
+lie_der_tower(g)
+"""
+
+
+def test_adjoint_certificate_survives_python_O():
+    done = run_python(["-O"], NOT_LIE)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert (done.stderr.strip().splitlines()[-1]
+            == "supertkk.exact.CertificateError: adjoint operators must be derivations (shift -1)")
 
 
 def test_der_tower_blocks_match_pair_der():
