@@ -5,7 +5,8 @@ fractions.Fraction).  No floating point anywhere: every identity this package
 checks is an algebraic identity over Q and must hold exactly.
 
 There is one elimination, fraction-free over the integers, for kernels,
-spans, solves and generator coordinates (`kernel_sparse`, `Subspace`,
+spans, solves and generator coordinates (`kernel_sparse` and its
+integer-row core `integer_kernel`, `Subspace`,
 `rref`, `GeneratedSpan`, `solve`): each row is scaled to a primitive integer
 row, eliminated over the integers (Bareiss-style v <- b*v - a*r, divided by
 the row gcd), and rationals are formed only when the reduced rows are read
@@ -485,16 +486,22 @@ def _verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
 
 
 def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
-    """Canonical RREF kernel basis of a sparse system (rows: dicts col->scalar).
+    """Canonical RREF kernel basis of a sparse system (rows: dicts col->scalar):
+    the rows scaled to distinct primitive integer rows, then `integer_kernel`."""
+    return integer_kernel(primitive_rows(rows), ncols)
 
-    Rows are scaled to primitive integer rows, deduplicated and eliminated
-    over the integers.  The kernel is read off as one integer vector per free
-    column f (lcm of the pivots involved at f, -r[f]*lcm/r[p] at each pivot
-    column p), and the same elimination brings those vectors to the canonical
-    RREF basis.  Certificate: that basis has one vector per free column and
-    every vector kills every row exactly; rationals are formed only at the end.
+
+def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
+    """Canonical RREF kernel basis of sparse integer rows (col -> int), which
+    callers pass already primitive and distinct, as `primitive_rows` leaves them.
+
+    The rows are eliminated over the integers.  The kernel is read off as one
+    integer vector per free column f (lcm of the pivots involved at f,
+    -r[f]*lcm/r[p] at each pivot column p), and the same elimination brings
+    those vectors to the canonical RREF basis.  Certificate: that basis has one
+    vector per free column and every vector kills every row exactly;
+    rationals are formed only at the end.
     """
-    int_rows = primitive_rows(rows)
     store = _echelon(int_rows)
     pivots = sorted(store.items())
     vecs = []

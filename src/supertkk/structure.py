@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import Matrix, Q, Subspace, certify, kernel_sparse, primitive_rows, solve
+from .exact import (Matrix, Q, Subspace, certify, integer_kernel, kernel_sparse,
+                    primitive_rows, solve)
 from .jordan import d_op, l_op, triple, u_op
 from .superspace import (GradedOperator, SuperAlgebra, Witness, frozen_table,
                          memoized, supercommutator)
@@ -178,11 +179,11 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     return {key: (tuple(cols[key]), tuple(primitive_rows(rows[key]))) for key in sorted(cols)}
 
 
-def _kernel_space(rows, positions, ambient: int) -> Subspace:
-    """Kernel of sparse rows over len(positions) unknowns, each kernel vector
-    scattered to the given flat positions of Q^ambient."""
+def _kernel_space(kernel, positions, ambient: int) -> Subspace:
+    """A kernel basis over len(positions) unknowns as a Subspace of Q^ambient,
+    each vector scattered to the given flat positions."""
     scattered = []
-    for v in kernel_sparse(rows, len(positions)):
+    for v in kernel:
         flat = [Q(0)] * ambient
         for at, x in zip(positions, v):
             flat[at] = x
@@ -204,7 +205,7 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     pos = {rc: idx for idx, rc in enumerate(cols)}
     rows = [{pos[b_cols[idx]]: x for idx, x in row.items()}
             for b_cols, b_rows in blocks for row in b_rows]
-    return _kernel_space(rows, [r * n + c for r, c in cols], n * n)
+    return _kernel_space(integer_kernel(rows, len(cols)), [r * n + c for r, c in cols], n * n)
 
 
 @memoized
@@ -371,7 +372,8 @@ def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
                         for l, c in pair.basis_triple(sigma, i, r, k).items():
                             add(l, (other, r, j), -s_i * c)
                     rows.extend(v for v in row_for.values() if v)
-    return _kernel_space(rows, [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
+    return _kernel_space(kernel_sparse(rows, len(cols)),
+                         [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
                          dims[0] ** 2 + dims[1] ** 2)
 
 
@@ -387,7 +389,8 @@ def pair_der(v) -> OperatorSpace:
 
 def check_pair_axioms(pair: JordanPair) -> Witness | None:
     """Outer symmetry and the 5-linear identity on all homogeneous basis tuples."""
-    tables = tensor.encode(pair.triples, [(a, b, a, a) for a, b in (pair.shape, pair.shape[::-1])])
+    tables, _ = tensor.encode(pair.triples,
+                              [(a, b, a, a) for a, b in (pair.shape, pair.shape[::-1])])
     for sigma in (0, 1):
         p, q = pair.parities[sigma], pair.parities[1 - sigma]
         at = tensor.outer_symmetry_defect(tables[sigma], p, q)
@@ -445,8 +448,8 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
                                 add((second, c, m), -s_ij * uij[l, c])
                             if row:
                                 rows.append(row)
-        parts[parity] = _kernel_space(rows, [s * n * n + r * n + c for s, r, c in cols],
-                                      2 * n * n)
+        parts[parity] = _kernel_space(kernel_sparse(rows, len(cols)),
+                                      [s * n * n + r * n + c for s, r, c in cols], 2 * n * n)
     return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)
 
 

@@ -1,4 +1,4 @@
-"""Exact integer tensors for the identity checks.
+"""Exact integer tensors for the identity checks and the Kantor relations.
 
 A rational table becomes an integer tensor (its constants times their common
 denominator d, output coordinate last), and an identity of degree r holds iff
@@ -6,16 +6,22 @@ the same sum over the tensor, d**r times it, is zero.  A check runs in int64
 only after proving its bound terms * n * max|a| * max|b| < 2**62 for each sum
 of `terms` contractions over an index of length n; else in object-dtype Python
 ints, still exact.  Per leading index, super-Jacobi holds O(n**3) entries (Lie
-tables reach dim 64) and the Jordan checks O(n**5).  Nothing is cached here;
-numpy is imported lazily, so building algebras never loads it.
+tables reach dim 64) and the Jordan checks O(n**5).
+
+The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
+(`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
+from it (`lp_tensor`), and so are the bracket relations that pin Kan(V)
+down (`kantor_relation_verdicts`), each compared as integers at one power
+of d.  Nothing is cached here; numpy is imported lazily, so building
+algebras never loads it.
 """
 
 from math import lcm
 
 
-def encode(tables, shapes) -> list:
-    """Tensors of the given shapes for sparse tables {index: {k: c}}, entry
-    [index + (k,)] = c * d with one denominator d common to all tables."""
+def encode(tables, shapes) -> tuple:
+    """(tensors, d): tensors of the given shapes for sparse tables {index: {k: c}},
+    entry [index + (k,)] = c * d with one denominator d common to all tables."""
     import numpy as np
     d = lcm(1, *{int(c.denominator) for t in tables for e in t.values() for c in e.values()})
     out = []
@@ -26,7 +32,7 @@ def encode(tables, shapes) -> list:
         t = np.zeros(shape, dtype=np.int64 if max(map(abs, vals), default=0) < 2 ** 62 else object)
         t[tuple(at.reshape(-1, len(shape)).T)] = vals
         out.append(t)
-    return out
+    return out, d
 
 
 def _exact(arrays, factor, degree) -> list:
@@ -41,7 +47,7 @@ def _structure(a, terms, degree):
     """(C, s): C[i, j, k] = d (e_i e_j)_k cast for the check's bound, s[i, j] = (-1)**(|i||j|)."""
     import numpy as np
     n, p = a.dim, np.array(a.parities, dtype=np.int64)
-    C = _exact(encode([a.table], [(n, n, n)]), terms * n ** (degree - 1), degree)[0]
+    C = _exact(encode([a.table], [(n, n, n)])[0], terms * n ** (degree - 1), degree)[0]
     return C, 1 - 2 * (np.outer(p, p) % 2)
 
 
@@ -157,3 +163,75 @@ def five_linear_defect(T, U, p, q, both_forms=False):
         if hit is not None:
             return (1 if bad[hit].any() else 2), (i,) + hit
     return None
+
+
+def g0_action(A, B, sign, p):
+    """[A, B] for operators A[..., r, c] (A e_c = sum_r A[r, c] e_r) on bilinear
+    maps B[..., i, j, l] = B(e_i, e_j)_l, batch axes broadcast:
+    A B(x, y) - sign B(Ax, y) - sign (-1)**(|x||y|) B(Ay, x), where sign holds
+    (-1)**(|A||B|) in the batch's shape and p the parities of V.  Integer A, B
+    scaled by dA, dB give dA dB [A, B]; each entry sums 3n products."""
+    import numpy as np
+    s = 1 - 2 * (np.outer(p, p) % 2)
+    sign = np.asarray(sign)[..., None, None, None]
+    A, B = _exact([A, B], 3 * len(p), 2)
+    Bx = np.einsum('...ri,...rjl->...ijl', A, B)  # B(A e_i, e_j)
+    return (np.einsum('...lm,...ijm->...ijl', A, B)
+            - sign * (Bx + s[:, :, None] * np.swapaxes(Bx, -3, -2)))
+
+
+def lp_tensor(a):
+    """(LP, d): LP[x] = d**2 [L_x, P], with P(e_i, e_j) = e_i e_j and d the
+    table's common denominator."""
+    n = a.dim
+    (C,), d = encode([a.table], [(n, n, n)])
+    return g0_action(C.transpose(0, 2, 1), C, 1, a.parities), d
+
+
+def kantor_relation_verdicts(a, unit=None) -> list:
+    """Whether each Kantor relation on Hom(V (x) V, V) holds, in the order
+    [P, x] = L_x;  [[L_a, P], x] = [L_a, L_x] - L_{ax};
+    [L_a, [L_b, P]] = -[L_{ab}, P];  [[L_a, L_b], P] = 0;
+    [[L_a, L_b], [L_c, P]] = (-1)**(|b||c|) [L_{a(cb) - (ac)b}, P];
+    and, for a unit e (rational coordinates), P = -[L_e, P].
+
+    [B, x] is the operator y -> B(x, y).  Every relation but the last is
+    homogeneous in the table, so both sides compare as integers at one power
+    of d: 1 for the first, 2 for the second, 3 for the next two, 4 for the
+    Weyl relation.  The last compares at d times the unit's denominator.
+    Loops over a keep every array at n**5 entries.
+    """
+    import numpy as np
+    n, p = a.dim, np.array(a.parities, dtype=np.int64)
+    s = 1 - 2 * (np.outer(p, p) % 2)
+    (C,), d = encode([a.table], [(n, n, n)])
+    L = C.transpose(0, 2, 1)                       # d L_a
+    LP = g0_action(L, C, 1, p)                     # d**2 [L_a, P]
+    Cq, Lq = _exact([C, L], 3 * n, 2)
+    LL = np.einsum('alm,xmj->axlj', Lq, Lq)        # d**2 L_a L_x
+    inner = LL - s[:, :, None, None] * LL.transpose(1, 0, 2, 3)  # d**2 [L_a, L_x]
+    l_ax = np.einsum('axm,mlj->axlj', Cq, Lq)      # d**2 L_{ax}
+    verdicts = [True,  # [P, x](y) = P(x, y) = xy = L_x y: P is the product itself
+                bool((LP.transpose(0, 1, 3, 2) == inner - l_ax).all())]
+    mid = kills = weyl = True
+    for i in range(n):
+        # [L_a, d**2 [L_b, P]] against -d (ab)_c d**2 [L_c, P], over b
+        Ci, LPq = _exact([C[i], LP], n, 2)
+        mid = mid and bool((g0_action(L[i], LP, s[i], p)
+                            == -np.einsum('bc,cijl->bijl', Ci, LPq)).all())
+        kills = kills and not (g0_action(inner[i], C, 1, p) != 0).any()
+        # d**2 (a(cb) - (ac)b) over (b, c); Cq's 3n bound covers its 2n terms
+        w = (np.einsum('cbk,km->bcm', Cq, Cq[i]) - np.einsum('ck,kbm->bcm', Cq[i], Cq))
+        w, LPq = _exact([w, LP], n, 2)
+        sign = s[i, None, :] * s  # (-1)**((|a|+|b|)|c|) over (b, c)
+        weyl = weyl and bool((g0_action(inner[i][:, None], LP[None], sign, p)
+                              == s[:, :, None, None, None]
+                              * np.einsum('bcm,mijl->bcijl', w, LPq)).all())
+    verdicts += [mid, kills, weyl]
+    if unit is not None:
+        du = lcm(1, *(int(x.denominator) for x in unit))
+        u = np.array([int(x.numerator) * (du // int(x.denominator)) for x in unit], dtype=object)
+        Cd, = _exact([C], d * du, 1)
+        u, LPq = _exact([u, LP], n, 2)
+        verdicts.append(bool((Cd * (d * du) == -np.einsum('c,cijl->ijl', u, LPq)).all()))
+    return verdicts

@@ -6,15 +6,18 @@ differential tests require the tensor checkers to return the same verdicts
 and witnesses.  The two graded-symmetry loops are the references for the
 table-key scan in superspace, and d_op is the former operator-formula
 D_{x,y}, the reference for jordan.d_op, now built from the triple product.
+The tkk section holds the former Fraction loops of the g_0 action on
+Hom(V (x) V, V) and of kantor_relations, the references for
+tensor.g0_action, tensor.lp_tensor and tensor.kantor_relation_verdicts.
 """
 
 from __future__ import annotations
 
 from supertkk.exact import Matrix, Q, ZERO
-from supertkk.jordan import _parity_parts, triple
-from supertkk.structure import JordanPair
+from supertkk.jordan import _parity_parts, find_unit, l_op, triple
+from supertkk.structure import CheckResult, JordanPair
 from supertkk.superspace import (GradedOperator, SuperAlgebra, Witness,
-                                 operator_parity, parity_sign)
+                                 operator_parity, parity_sign, supercommutator)
 
 _sign = _sgn = parity_sign  # the names the checkers used in their modules
 
@@ -279,3 +282,129 @@ def check_pair_axioms(pair: JordanPair) -> Witness | None:
                                     (sigma, i, j, u, v, w),
                                     f"5-linear identity fails at {(sigma, i, j, u, v, w)}")
     return None
+
+
+# ---------------------------------------------------------------------------
+# tkk
+
+
+def _hom2_flat_p(V: SuperAlgebra) -> tuple:
+    """P(x, y) = xy as a vector in Hom(V (x) V, V), flat index (l, i, j)."""
+    n = V.dim
+    flat = [Q(0)] * n ** 3
+    for (i, j), vec in V.table.items():
+        for l, c in vec.items():
+            flat[l * n * n + i * n + j] = c
+    return tuple(flat)
+
+
+def _hom2_eval(V: SuperAlgebra, t_flat, i: int, j: int) -> tuple:
+    n = V.dim
+    return tuple(t_flat[l * n * n + i * n + j] for l in range(n))
+
+
+def _g0_on_gplus(V: SuperAlgebra, a_mat: Matrix, a_par: int, t_flat, t_par: int):
+    """[a, B](x,y) = a(B(x,y)) - (-1)^{|a||B|}B(ax,y) - (-1)^{|a||B|+|x||y|}B(ay,x)."""
+    n = V.dim
+    out = [Q(0)] * n ** 3
+    s_ab = Q(-1) if (a_par * t_par) % 2 else Q(1)
+    for i in range(n):
+        for j in range(n):
+            acc = list(a_mat.apply(_hom2_eval(V, t_flat, i, j)))
+            for r in range(n):
+                if a_mat[r, i]:
+                    for l, c in enumerate(_hom2_eval(V, t_flat, r, j)):
+                        acc[l] -= s_ab * a_mat[r, i] * c
+            s_xy = s_ab if (V.parity(i) * V.parity(j)) % 2 == 0 else -s_ab
+            for r in range(n):
+                if a_mat[r, j]:
+                    for l, c in enumerate(_hom2_eval(V, t_flat, r, i)):
+                        acc[l] -= s_xy * a_mat[r, j] * c
+            for l in range(n):
+                out[l * n * n + i * n + j] = acc[l]
+    return tuple(out)
+
+
+def _gplus_on_gminus(V: SuperAlgebra, t_flat, x_index: int) -> Matrix:
+    """[B, x] as the operator y -> B(x, y) in the middle."""
+    n = V.dim
+    return Matrix.from_entries(n, n, {
+        (l, j): t_flat[l * n * n + x_index * n + j]
+        for l in range(n) for j in range(n)
+        if t_flat[l * n * n + x_index * n + j]})
+
+
+def kantor_relations(V: SuperAlgebra) -> list:
+    """The bracket relations that pin down the Kantor construction."""
+    n = V.dim
+    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    # KantorTop's P and [L_a, P], formed here so that no Kan(V) is built
+    p_flat = _hom2_flat_p(V)
+    lp = [_g0_on_gplus(V, la.matrix, la.parity, p_flat, 0) for la in lmats]
+    zero3 = tuple([Q(0)] * n ** 3)
+
+    def lp_of(vec):
+        out = [Q(0)] * n ** 3
+        for a, c in enumerate(vec):
+            if c:
+                out = [o + c * t for o, t in zip(out, lp[a])]
+        return tuple(out)
+
+    results = []
+    ok = all(_gplus_on_gminus(V, p_flat, x) == lmats[x].matrix for x in range(n))
+    results.append(CheckResult("kantor_p_bracket", ok, "[P, x] = L_x"))
+
+    ok = True
+    for a in range(n):
+        for x in range(n):
+            got = _gplus_on_gminus(V, lp[a], x)
+            want = (supercommutator(lmats[a], lmats[x]).matrix
+                    - l_op(V, V.product(V.basis_vector(a), V.basis_vector(x))).matrix)
+            ok = ok and got == want
+    results.append(CheckResult(
+        "kantor_lp_bracket", ok, "[[L_a,P], x] = [L_a,L_x] - L_{ax}"))
+
+    ok = True
+    for a in range(n):
+        for b in range(n):
+            got = _g0_on_gplus(V, lmats[a].matrix, lmats[a].parity,
+                               lp[b], V.parity(b))
+            want = tuple(-c for c in lp_of(V.product(V.basis_vector(a),
+                                                     V.basis_vector(b))))
+            ok = ok and got == want
+    results.append(CheckResult(
+        "kantor_mid_action", ok, "[L_a, [L_b,P]] = -[L_{ab}, P]"))
+
+    ok = True
+    inner = {}
+    for a in range(n):
+        for b in range(n):
+            br = supercommutator(lmats[a], lmats[b])
+            inner[a, b] = br
+            got = _g0_on_gplus(V, br.matrix, br.parity, p_flat, 0)
+            ok = ok and got == zero3
+    results.append(CheckResult("kantor_inner_kills_p", ok, "[[L_a,L_b], P] = 0"))
+
+    ok = True
+    for a in range(n):
+        for b in range(n):
+            br = inner[a, b]
+            for c in range(n):
+                got = _g0_on_gplus(V, br.matrix, br.parity, lp[c], V.parity(c))
+                cb = V.product(V.basis_vector(c), V.basis_vector(b))
+                w = [x - y for x, y in zip(
+                    V.product(V.basis_vector(a), cb),
+                    V.product(V.product(V.basis_vector(a), V.basis_vector(c)),
+                              V.basis_vector(b)))]
+                s = Q(-1) if (V.parity(b) * V.parity(c)) % 2 else Q(1)
+                want = tuple(s * x for x in lp_of(w))
+                ok = ok and got == want
+    results.append(CheckResult(
+        "kantor_weyl_relation", ok,
+        "[[L_a,L_b], [L_c,P]] = (-1)^{|b||c|} [L_{a(cb) - (ac)b}, P]"))
+
+    unit = find_unit(V)
+    if unit is not None:
+        ok = p_flat == tuple(-c for c in lp_of(unit))
+        results.append(CheckResult("kantor_unital_p", ok, "P = -[L_e, P]"))
+    return results

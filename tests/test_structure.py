@@ -241,6 +241,31 @@ def test_leibniz_system_is_assembled_once(monkeypatch):
     assert calls == [g]
 
 
+def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
+    # the block rows are primitive and distinct already: lie_der_tower and
+    # derivation_kernel hand them to integer_kernel, never to kernel_sparse
+    # and its second primitive_rows pass
+    from supertkk import exact
+    g = load_algebra(save_algebra(lie_catalog("w", 2)))
+    blocks = leibniz_blocks(g)
+    passed = []
+
+    def spy(rows, ncols):
+        passed.append(rows)
+        return exact.integer_kernel(rows, ncols)
+
+    def refuse(rows, ncols):
+        raise AssertionError("kernel_sparse called on Leibniz rows")
+
+    for module in (structure, tkk):
+        monkeypatch.setattr(module, "integer_kernel", spy)
+    monkeypatch.setattr(structure, "kernel_sparse", refuse)
+    tkk.lie_der_tower(g)
+    assert [id(r) for r in passed] == [id(rows) for _, rows in blocks.values()]
+    passed.clear()
+    assert derivation_kernel(g, 0) == oracle.derivation_kernel(g, 0)  # every even block
+    assert len(passed) == 1 and exact.primitive_rows(passed[0]) == passed[0]
+
 def test_operator_space_basis_roundtrip():
     V = jordan_catalog("kacK")
     sp = istr_algebra(V)

@@ -11,13 +11,13 @@ import oracle_identities as oracle
 from pyrun import run_python
 from supertkk import tensor
 from supertkk.catalog import jordan_catalog, resolve
-from supertkk.exact import CertificateError, Q
+from supertkk.exact import CertificateError, Matrix, Q
 from supertkk.jordan import (check_commutator_identity, check_five_linear,
                              check_jordan_identity, check_triple_symmetry, d_op)
 from supertkk.structure import JordanPair, check_pair_axioms, double
 from supertkk.superspace import (SuperAlgebra, check_super_jacobi, check_superanticommutative,
                                  check_supercommutative, make_algebra)
-from supertkk.tkk import j_functor, koecher
+from supertkk.tkk import KantorTop, j_functor, kantor, kantor_relations, koecher
 
 SETTINGS = dict(max_examples=30, deadline=None)
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Q)
@@ -45,7 +45,7 @@ def _assert_same(V):
 
 
 @st.composite
-def graded_tables(draw, sym):
+def graded_tables(draw, sym, coeffs=coefficients):
     """A random supercommutative (sym=1) or super-anticommutative (sym=-1)
     table of dim <= 4 with mixed parities and rational constants."""
     n = draw(st.integers(1, 4))
@@ -57,7 +57,7 @@ def graded_tables(draw, sym):
             if i == j and s == -1:
                 continue  # x x = -x x forces zero
             for k in range(n):
-                c = draw(coefficients) if par[k] == (par[i] + par[j]) % 2 else 0
+                c = draw(coeffs) if par[k] == (par[i] + par[j]) % 2 else 0
                 if c:
                     products.append((i, j, k, c))
                     if i != j:
@@ -252,3 +252,140 @@ def test_triple_leaving_the_graded_block_raises_a_certificate_error():
                      zdegrees=(1, -1, 0))
     with pytest.raises(CertificateError, match="left the graded block"):
         j_functor(g)
+
+
+# ---------------------------------------------------------------------------
+# the Kantor relations and the g_0 action on Hom(V (x) V, V)
+
+twelfths = st.fractions(min_value=-3, max_value=3, max_denominator=12).map(Q)
+KANTOR_JORDAN = ("j19", "kacK", "full_matrix:1,1", "form:1,2", "trunc_poly:5", "dt:1/2")
+
+
+def _as_jordan(a, unit=False):
+    """a's table as kind "jordan" without the checks; with unit, an even unit
+    adjoined as the last basis vector."""
+    n = a.dim
+    entries = [(i, j, k, c) for (i, j), e in a.table.items() for k, c in e.items()]
+    if unit:
+        entries += [(n, i, i, 1) for i in range(n)] + [(i, n, i, 1) for i in range(n)]
+        entries.append((n, n, n, 1))
+    return make_algebra(a.parities + ((0,) if unit else ()), entries, name=f"{a.name}j",
+                        kind="jordan", check=False)
+
+
+@st.composite
+def kantor_inputs(draw):
+    """A supercommutative table with mixed parities and denominators up to 12:
+    a small Jordan catalog algebra in a rescaled basis, or a random table
+    (rarely Jordan), half of those with a unit adjoined."""
+    if draw(st.booleans()):
+        V = resolve(draw(st.sampled_from(KANTOR_JORDAN)))
+        nonzero = twelfths.filter(bool)
+        return _rescaled(V, draw(st.lists(nonzero, min_size=V.dim, max_size=V.dim)))
+    a = draw(graded_tables(1, st.one_of(st.just(Q(0)), twelfths)))
+    return _as_jordan(a, draw(st.booleans()) and a.dim < 4)
+
+
+def _triples(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+def _oracle_lp(V):
+    p_flat = oracle._hom2_flat_p(V)
+    return [oracle._g0_on_gplus(V, V.left_mult_matrix(V.basis_vector(a)), V.parity(a), p_flat, 0)
+            for a in range(V.dim)]
+
+
+@given(kantor_inputs())
+@settings(**SETTINGS)
+def test_kantor_relations_match_the_loop_oracle(V):
+    try:
+        want = _triples(oracle.kantor_relations(V))
+    except ValueError as e:  # find_unit: the unit is not unique
+        with pytest.raises(ValueError, match=str(e)):
+            kantor_relations(V)
+        return
+    assert _triples(kantor_relations(V)) == want
+    assert KantorTop(V).lp_flats == _oracle_lp(V)
+
+
+@st.composite
+def g0_inputs(draw):
+    """A random table, and a homogeneous operator A and bilinear map B on it
+    with constants of denominators up to 12."""
+    V = draw(graded_tables(1))
+    n, p = V.dim, V.parities
+    pa, pb = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    values = st.one_of(st.just(Q(0)), twelfths)
+    A = Matrix([[draw(values) if (p[r] + p[c]) % 2 == pa else Q(0) for c in range(n)]
+                for r in range(n)])
+    B = tuple(draw(values) if (p[i] + p[j] + p[l]) % 2 == pb else Q(0)
+              for l in range(n) for i in range(n) for j in range(n))  # flat (l, i, j)
+    return V, A, pa, B, pb
+
+
+@given(g0_inputs())
+@settings(**SETTINGS)
+def test_g0_action_matches_the_loop_oracle(inputs):
+    V, A, pa, B, pb = inputs
+    n = V.dim
+    (a, b), d = tensor.encode(
+        [{(r,): {c: x for c, x in enumerate(row) if x} for r, row in enumerate(A.data)},
+         {(i, j): {l: B[l * n * n + i * n + j] for l in range(n) if B[l * n * n + i * n + j]}
+          for i in range(n) for j in range(n)}], [(n, n), (n, n, n)])
+    got = tensor.g0_action(a, b, (-1) ** (pa * pb), V.parities)
+    flat = tuple(Q(int(x), d * d) for x in got.transpose(2, 0, 1).ravel())
+    assert flat == oracle._g0_on_gplus(V, A, pa, B, pb)
+
+
+def test_perturbed_table_fails_the_weyl_relation_like_the_oracle():
+    bad = _as_jordan(_perturbed(jordan_catalog("full_matrix", 1, 1), 1))
+    got, want = _triples(kantor_relations(bad)), _triples(oracle.kantor_relations(bad))
+    assert got == want
+    assert ("kantor_weyl_relation", False) in [(name, ok) for name, ok, _ in got]
+
+
+@pytest.mark.parametrize("scale", [5 * 10 ** 8, 10 ** 12])
+def test_kantor_contractions_prove_their_int64_bound(scale, monkeypatch):
+    # full_matrix(1,1) with e12 scaled: its constants reach the scale, so the
+    # relation checks can prove int64 for some contractions (products of two
+    # tensors) at 5 * 10^8 and for none at 10^12; there only the unit's scaling of
+    # the table fits.  Every cast is checked against its own bound.
+    V = _rescaled(jordan_catalog("full_matrix", 1, 1), [Q(1), Q(scale), Q(1), Q(1)])
+    casts = []
+    cast = tensor._exact
+
+    def spy(arrays, factor, degree):
+        out = cast(arrays, factor, degree)
+        top = max((int(abs(a).max()) for a in arrays if a.size), default=0)
+        casts.append((factor * max(top, 1) ** degree < 2 ** 62, degree,
+                      {str(t.dtype) for t in out}))
+        return out
+
+    monkeypatch.setattr(tensor, "_exact", spy)
+    got = _triples(kantor_relations(V))
+    assert got == _triples(oracle.kantor_relations(V)) and all(ok for _, ok, _ in got)
+    assert len(got) == 6  # unital: P = -[L_e, P] is reached
+    products = {proved for proved, degree, _ in casts if degree == 2}
+    assert products == ({True, False} if scale < 10 ** 12 else {False})
+    _assert_kantor_top_matches_oracle(V)  # the build's own casts go either way
+    assert all(dtypes == ({"int64"} if proved else {"object"}) for proved, _, dtypes in casts)
+
+
+def _assert_kantor_top_matches_oracle(V):
+    """[L_a, P] and the g_0 action block of Kan(V) against the Fraction loop."""
+    kan = kantor(V)
+    top, ops = kan.data["top"], kan.data["middle"].operators()
+    n, nm = V.dim, len(ops)
+    assert top.lp_flats == _oracle_lp(V)
+    for t, op in enumerate(ops):
+        for u, (_, flat, par) in enumerate(top.basis()):
+            acted = oracle._g0_on_gplus(V, op.matrix, op.parity, flat, par)
+            coords = top.coords(acted, (op.parity + par) % 2)
+            want = {n + nm + l: c for l, c in enumerate(coords) if c}
+            assert kan.lie.basis_product(n + t, n + nm + u) == want
+
+
+@pytest.mark.parametrize("source", ["kacK", "full_matrix:1,1", "form:1,2", "dt:1/2"])
+def test_kantor_top_block_matches_the_loop_oracle(source):
+    _assert_kantor_top_matches_oracle(resolve(source))
