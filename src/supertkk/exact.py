@@ -108,9 +108,6 @@ class Matrix:
         r, c = rc
         return self.data[r][c]
 
-    def row(self, r: int) -> tuple:
-        return self.data[r]
-
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.data)
 

@@ -9,6 +9,10 @@ as canonical subspaces of flattened matrices, split by parity.
 The Leibniz system of an algebra is assembled once, on the integers, and
 split into (degree shift, parity) blocks (`leibniz_blocks`);
 `derivation_kernel` and the derivation towers of tkk read it from there.
+The pair derivations and str_w are the graded derivation rule of trilinear
+tables (the pair's two triples; the U operator of the algebra, twice), and
+one integer assembler writes both.  The Fraction row builders these
+assemblies replaced are test oracles in tests/oracle_linalg.py.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from math import lcm
 from . import tensor
 from .exact import (Matrix, Q, Subspace, certify, integer_kernel, kernel_sparse,
                     primitive_rows, solve)
-from .jordan import d_op, l_op, triple, u_op
-from .superspace import (GradedOperator, SuperAlgebra, Witness, frozen_table,
-                         memoized, supercommutator)
+from .jordan import d_op, l_op, triple
+from .superspace import (GradedOperator, SuperAlgebra, Witness,
+                         check_superanticommutative, check_supercommutative,
+                         frozen_table, memoized, supercommutator)
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,15 @@ def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
     return _space("Inn", flats, (V.dim,), V)
 
 
+def _integer_tables(*tables) -> tuple:
+    """Sparse tables {key: {k: c}} scaled by one common denominator to integer
+    tables.  Every row of a system assembled from them is scaled alike, so its
+    kernel is unchanged."""
+    den = lcm(*(int(c.denominator) for t in tables for w in t.values() for c in w.values()))
+    return tuple({key: {k: int(c.numerator) * (den // int(c.denominator)) for k, c in w.items()}
+                  for key, w in t.items()} for t in tables)
+
+
 @memoized
 def leibniz_blocks(a: SuperAlgebra) -> dict:
     """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j),
@@ -133,11 +147,11 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     of the block in row-major order, and the distinct primitive integer rows
     over their positions.
 
-    Equation (i, j, k) is the e_k coordinate; the table is scaled to a common
-    denominator, which scales every row alike.  Supercommutativity (or
-    anticommutativity) of the table makes the (j, i) equation a consequence
-    of the (i, j) one, so unordered pairs suffice.  On a homogeneous table
-    every term of equation (i, j, k) is an entry of the block
+    Equation (i, j, k) is the e_k coordinate, on the table scaled to integers.
+    When the table is supercommutative or super-anticommutative the (j, i)
+    equation is a consequence of the (i, j) one, so unordered pairs suffice;
+    any other table gets every ordered pair.  On a homogeneous table every
+    term of equation (i, j, k) is an entry of the block
     (deg k - deg i - deg j, |i| + |j| + |k|).
     """
     n = a.dim
@@ -146,9 +160,8 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
         for k in w:
             if par[k] != (par[i] + par[j]) % 2 or deg[k] != deg[i] + deg[j]:
                 raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k}")
-    den = lcm(*(int(c.denominator) for w in a.table.values() for c in w.values()))
-    table = {ij: {k: int(c.numerator) * (den // int(c.denominator)) for k, c in w.items()}
-             for ij, w in a.table.items()}
+    table, = _integer_tables(a.table)
+    symmetric = check_superanticommutative(a) is None or check_supercommutative(a) is None
     cols: dict = {}
     pos = {}  # (r, c) -> position in its block
     for r in range(n):
@@ -158,7 +171,7 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
             block.append((r, c))
     rows: dict = {key: [] for key in cols}
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i if symmetric else 0, n):
             row_for: dict = {}  # k -> equation (i, j, k)
 
             def add(k, rc, val):
@@ -234,6 +247,51 @@ def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
             m = d_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
             flats[(V.parity(i) + V.parity(j)) % 2].append(m.flatten())
     return _space("istr~", flats, (V.dim,), V)
+
+
+def _derivation_rule_kernel(maps, parities, parity: int) -> Subspace:
+    """Operators (X_0, X_1) of the given parity, X_s acting on the space whose
+    basis has the parities parities[s], satisfying the graded derivation rule
+
+        X_out T(x1, x2, x3) = sum_s eps_s (-1)^{|X|(|x1| + ... + |x_{s-1}|)}
+                                     T(..., X_{op_s} x_s, ...)
+
+    of every trilinear table in maps, given as (T, out, (op_1, op_2, op_3),
+    (eps_1, eps_2, eps_3)); T maps (i, j, k) to the coordinates of
+    T(e_i, e_j, e_k), and slot s takes its basis from the space of X_{op_s}.
+
+    Equation (T, i, j, k, l) is the e_l coordinate, an integer row on the
+    tables scaled to one common denominator.  Each term is read off the
+    support of T.  The kernel comes back with X_s flattened row-major at
+    offset s * dim_0^2.
+    """
+    dims = [len(p) for p in parities]
+    cols = [(s, r, c) for s in (0, 1) for r in range(dims[s]) for c in range(dims[s])
+            if (parities[s][r] + parities[s][c]) % 2 == parity]
+    pos = {src: idx for idx, src in enumerate(cols)}
+    rows: dict = {}  # equation -> row
+
+    def add(eq, col, val):
+        if col in pos:
+            row = rows.setdefault(eq, {})
+            row[pos[col]] = row.get(pos[col], 0) + val
+
+    tables = _integer_tables(*(t for t, *_ in maps))
+    for m, (table, (_, out, ops, eps)) in enumerate(zip(tables, maps)):
+        for key, w in table.items():
+            for c, x in w.items():  # X_out T(e_i, e_j, e_k)
+                for l in range(dims[out]):
+                    add((m, *key, l), (out, l, c), x)
+            for s, (op, e) in enumerate(zip(ops, eps)):  # T(..., X_op e_a, ...)
+                koszul = parity * sum(parities[ops[t]][key[t]] for t in range(s)) % 2
+                sign = e if koszul else -e
+                for a in range(dims[op]):
+                    eq = key[:s] + (a,) + key[s + 1:]
+                    for l, x in w.items():
+                        add((m, *eq, l), (op, key[s], a), sign * x)
+    return _kernel_space(kernel_sparse(rows.values(), len(cols)),
+                         [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
+                         dims[0] ** 2 + dims[1] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,45 +394,12 @@ def pair_inn(v) -> OperatorSpace:
 
 
 def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
-    """Pairs (D+, D-) satisfying the derivation rule for both triples."""
-    dims = (pair.dim(0), pair.dim(1))
-    cols = []
-    for s in (0, 1):
-        cols.extend((s, r, c) for r in range(dims[s]) for c in range(dims[s])
-                    if (pair.parity(s, r) + pair.parity(s, c)) % 2 == parity)
-    pos = {src: idx for idx, src in enumerate(cols)}
-    rows = []
-    for sigma in (0, 1):
-        other = 1 - sigma
-        for i in range(dims[sigma]):
-            pi = pair.parity(sigma, i)
-            s_i = Q(-1) if (parity * pi) % 2 else Q(1)
-            for j in range(dims[other]):
-                pj = pair.parity(other, j)
-                s_ij = Q(-1) if (parity * (pi + pj)) % 2 else Q(1)
-                for k in range(dims[sigma]):
-                    row_for: dict = {}
-
-                    def add(l, col, val):
-                        if col in pos:
-                            cell = row_for.setdefault(l, {})
-                            cell[pos[col]] = cell.get(pos[col], Q(0)) + val
-
-                    for c, wc in pair.basis_triple(sigma, i, j, k).items():
-                        for l in range(dims[sigma]):
-                            add(l, (sigma, l, c), wc)
-                    for r in range(dims[sigma]):
-                        for l, c in pair.basis_triple(sigma, r, j, k).items():
-                            add(l, (sigma, r, i), -c)
-                        for l, c in pair.basis_triple(sigma, i, j, r).items():
-                            add(l, (sigma, r, k), -s_ij * c)
-                    for r in range(dims[other]):
-                        for l, c in pair.basis_triple(sigma, i, r, k).items():
-                            add(l, (other, r, j), -s_i * c)
-                    rows.extend(v for v in row_for.values() if v)
-    return _kernel_space(kernel_sparse(rows, len(cols)),
-                         [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
-                         dims[0] ** 2 + dims[1] ** 2)
+    """Pairs (D+, D-) satisfying the derivation rule for both triples:
+    D_sigma {x, y, z} = {D_sigma x, y, z} + (-1)^{|D||x|} {x, D_-sigma y, z}
+                        + (-1)^{|D|(|x|+|y|)} {x, y, D_sigma z}."""
+    return _derivation_rule_kernel(
+        [(pair.triples[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)],
+        pair.parities, parity)
 
 
 @memoized
@@ -412,45 +437,17 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
 
     Identity 1: U_{X(a),b} + (-1)^{|X||a|} U_{a,X(b)}
                   = X U_{a,b} + (-1)^{|Y|(|a|+|b|)} U_{a,b} Y,
-    identity 2 is the same with X and Y exchanged.
+    identity 2 is the same with X and Y exchanged.  Applied to z, identity 1
+    is the derivation rule of U(a, b, z) = U_{a,b} z with X on the output and
+    the first two slots and Y, with sign -1, on the third; U is read off the
+    doubled pair's triple as U(a, b, z) = (-1)^{|b||z|} {a, z, b}.
     """
-    n = V.dim
-    U = [[u_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
-          for j in range(n)] for i in range(n)]
-    parts = {}
-    for parity in (0, 1):
-        cols = []
-        for s in (0, 1):  # 0 -> X entries, 1 -> Y entries
-            cols.extend((s, r, c) for r in range(n) for c in range(n)
-                        if (V.parity(r) + V.parity(c)) % 2 == parity)
-        pos = {src: idx for idx, src in enumerate(cols)}
-        rows = []
-        for first in (0, 1):  # which of X, Y is differentiated in the identity
-            second = 1 - first
-            for i in range(n):
-                for j in range(n):
-                    s_i = Q(-1) if (parity * V.parity(i)) % 2 else Q(1)
-                    s_ij = Q(-1) if (parity * (V.parity(i) + V.parity(j))) % 2 else Q(1)
-                    uij = U[i][j]
-                    for l in range(n):
-                        for m in range(n):
-                            row: dict = {}
-
-                            def add(col, val):
-                                if val and col in pos:
-                                    row[pos[col]] = row.get(pos[col], Q(0)) + val
-
-                            for r in range(n):
-                                add((first, r, i), U[r][j][l, m])
-                                add((first, r, j), s_i * U[i][r][l, m])
-                            for c in range(n):
-                                add((first, l, c), -uij[c, m])
-                                add((second, c, m), -s_ij * uij[l, c])
-                            if row:
-                                rows.append(row)
-        parts[parity] = _kernel_space(kernel_sparse(rows, len(cols)),
-                                      [s * n * n + r * n + c for s, r, c in cols], 2 * n * n)
-    return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)
+    par = V.parities
+    U = {(a, b, z): {l: -c if par[b] * par[z] else c for l, c in w.items()}
+         for (a, z, b), w in double(V).triples[0].items()}
+    maps = [(U, f, (f, f, 1 - f), (1, 1, -1)) for f in (0, 1)]
+    parts = [_derivation_rule_kernel(maps, (par, par), parity) for parity in (0, 1)]
+    return OperatorSpace("str_w", *parts, (V.dim, V.dim), V)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ independent eliminations.  `SpanSolver` is likewise the incremental span that
 wrote members as combinations of generators before `GeneratedSpan`.
 `derivation_kernel` is the Fraction Leibniz-row builder that
 supertkk.structure ran once per (shift, parity) before the integer
-`leibniz_blocks` assembly; it is kept verbatim as the reference for that
-assembly.
+`leibniz_blocks` assembly, kept as the reference for that assembly; unlike
+the assembly it takes every ordered pair (i, j), whatever the symmetry of
+the table.  `pair_derivation_kernel` and `str_w` are the Fraction row
+builders that supertkk.structure ran before the integer trilinear assembler,
+kept verbatim: the first loops over the pair's triples, the second over the
+dense U_{e_i,e_j} matrices of the two U-operator identities.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from supertkk.exact import ONE, ZERO, Matrix, Q, Subspace, kernel_sparse, vec_is_zero
+from supertkk.jordan import u_op
+from supertkk.structure import JordanPair, OperatorSpace
 from supertkk.superspace import SuperAlgebra
 
 
@@ -158,8 +164,7 @@ class SpanSolver:
 def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     """Leibniz kernel: operators of given parity (and degree shift, if set).
 
-    Supercommutativity (or anticommutativity) of the table makes the (j, i)
-    Leibniz row a consequence of the (i, j) one, so unordered pairs suffice.
+    Assembles every ordered pair (i, j), whatever the symmetry of the table.
     """
     n = a.dim
     cols = [(r, c) for r in range(n) for c in range(n)
@@ -168,7 +173,7 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     pos = {rc: idx for idx, rc in enumerate(cols)}
     rows = []
     for i in range(n):
-        for j in range(i, n):
+        for j in range(n):
             w = a.basis_product(i, j)
             sgn = Q(-1) if (parity * a.parity(i)) % 2 else Q(1)
             row_for: dict = {k: {} for k in range(n)}
@@ -184,11 +189,104 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
                     for k, c in a.basis_product(i, r).items():
                         row_for[k][pos[r, j]] = row_for[k].get(pos[r, j], Q(0)) - sgn * c
             rows.extend(v for v in row_for.values() if v)
-    vecs = kernel_sparse(rows, len(cols))
+    return _kernel_space(kernel_sparse(rows, len(cols)),
+                         [r * n + c for r, c in cols], n * n)
+
+
+def _kernel_space(kernel, positions, ambient: int) -> Subspace:
+    """The kernel vectors scattered to the given flat positions, as a Subspace."""
     scattered = []
-    for v in vecs:
-        flat = [Q(0)] * (n * n)
-        for idx, (r, c) in enumerate(cols):
-            flat[r * n + c] = v[idx]
+    for v in kernel:
+        flat = [Q(0)] * ambient
+        for at, x in zip(positions, v):
+            flat[at] = x
         scattered.append(tuple(flat))
-    return Subspace(n * n, scattered)
+    return Subspace(ambient, scattered)
+
+
+def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
+    """Pairs (D+, D-) satisfying the derivation rule for both triples."""
+    dims = (pair.dim(0), pair.dim(1))
+    cols = []
+    for s in (0, 1):
+        cols.extend((s, r, c) for r in range(dims[s]) for c in range(dims[s])
+                    if (pair.parity(s, r) + pair.parity(s, c)) % 2 == parity)
+    pos = {src: idx for idx, src in enumerate(cols)}
+    rows = []
+    for sigma in (0, 1):
+        other = 1 - sigma
+        for i in range(dims[sigma]):
+            pi = pair.parity(sigma, i)
+            s_i = Q(-1) if (parity * pi) % 2 else Q(1)
+            for j in range(dims[other]):
+                pj = pair.parity(other, j)
+                s_ij = Q(-1) if (parity * (pi + pj)) % 2 else Q(1)
+                for k in range(dims[sigma]):
+                    row_for: dict = {}
+
+                    def add(l, col, val):
+                        if col in pos:
+                            cell = row_for.setdefault(l, {})
+                            cell[pos[col]] = cell.get(pos[col], Q(0)) + val
+
+                    for c, wc in pair.basis_triple(sigma, i, j, k).items():
+                        for l in range(dims[sigma]):
+                            add(l, (sigma, l, c), wc)
+                    for r in range(dims[sigma]):
+                        for l, c in pair.basis_triple(sigma, r, j, k).items():
+                            add(l, (sigma, r, i), -c)
+                        for l, c in pair.basis_triple(sigma, i, j, r).items():
+                            add(l, (sigma, r, k), -s_ij * c)
+                    for r in range(dims[other]):
+                        for l, c in pair.basis_triple(sigma, i, r, k).items():
+                            add(l, (other, r, j), -s_i * c)
+                    rows.extend(v for v in row_for.values() if v)
+    return _kernel_space(kernel_sparse(rows, len(cols)),
+                         [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
+                         dims[0] ** 2 + dims[1] ** 2)
+
+
+def str_w(V: SuperAlgebra) -> OperatorSpace:
+    """Pairs (X, Y) satisfying the two U-operator structure identities.
+
+    Identity 1: U_{X(a),b} + (-1)^{|X||a|} U_{a,X(b)}
+                  = X U_{a,b} + (-1)^{|Y|(|a|+|b|)} U_{a,b} Y,
+    identity 2 is the same with X and Y exchanged.
+    """
+    n = V.dim
+    U = [[u_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
+          for j in range(n)] for i in range(n)]
+    parts = {}
+    for parity in (0, 1):
+        cols = []
+        for s in (0, 1):  # 0 -> X entries, 1 -> Y entries
+            cols.extend((s, r, c) for r in range(n) for c in range(n)
+                        if (V.parity(r) + V.parity(c)) % 2 == parity)
+        pos = {src: idx for idx, src in enumerate(cols)}
+        rows = []
+        for first in (0, 1):  # which of X, Y is differentiated in the identity
+            second = 1 - first
+            for i in range(n):
+                for j in range(n):
+                    s_i = Q(-1) if (parity * V.parity(i)) % 2 else Q(1)
+                    s_ij = Q(-1) if (parity * (V.parity(i) + V.parity(j))) % 2 else Q(1)
+                    uij = U[i][j]
+                    for l in range(n):
+                        for m in range(n):
+                            row: dict = {}
+
+                            def add(col, val):
+                                if val and col in pos:
+                                    row[pos[col]] = row.get(pos[col], Q(0)) + val
+
+                            for r in range(n):
+                                add((first, r, i), U[r][j][l, m])
+                                add((first, r, j), s_i * U[i][r][l, m])
+                            for c in range(n):
+                                add((first, l, c), -uij[c, m])
+                                add((second, c, m), -s_ij * uij[l, c])
+                            if row:
+                                rows.append(row)
+        parts[parity] = _kernel_space(kernel_sparse(rows, len(cols)),
+                                      [s * n * n + r * n + c for s, r, c in cols], 2 * n * n)
+    return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)

@@ -6,10 +6,12 @@ import pytest
 
 import oracle_linalg as oracle
 from supertkk import structure, tkk
-from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_algebra
-from supertkk.exact import Matrix, Q
+from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
+                              resolve, save_algebra)
+from supertkk.exact import Matrix, Q, Subspace
 from supertkk.jordan import d_op, l_op, triple
 from supertkk.structure import (
+    JordanPair,
     der_algebra,
     derivation_kernel,
     leibniz_blocks,
@@ -21,6 +23,7 @@ from supertkk.structure import (
     l_space,
     pair_d_ops,
     pair_der,
+    pair_derivation_kernel,
     pair_inn,
     str_algebra,
     str_w,
@@ -132,9 +135,31 @@ def test_trunc_poly_report_witness():
 
 
 def test_str_w_matches_pair_der():
-    for source in ("j19", "kacK"):
-        V = jordan_catalog(source)
-        assert str_w(V).dims() == pair_der(V).dims(), source
+    # (X, Y) -> (X, -Y) carries str_w onto Der(V,V), not just into it, on
+    # every catalog entry (all of dim <= 9)
+    for name, V in jordan_entries().items():
+        sw, pd = str_w(V), pair_der(V)
+        assert sw.dims() == pd.dims(), name
+        n2 = V.dim * V.dim
+        for parity in (0, 1):
+            swapped = [v[:n2] + tuple(-x for x in v[n2:]) for v in sw.part(parity).basis]
+            assert Subspace(2 * n2, swapped) == pd.part(parity), (name, parity)
+
+
+@pytest.mark.parametrize("source", ["kacK", "full_matrix:1,1", "h:4"])
+def test_pair_der_of_a_j_functor_pair_matches_the_oracle(source):
+    # J(g) reads its triples off a Lie bracket, not off a Jordan triple as
+    # double(V) does: for g = Ko(V) the tables come out equal to double(V)'s,
+    # for g = h(4) the two triples differ
+    g = resolve(source)
+    pair = tkk.j_functor(tkk.koecher(g).lie if g.kind == "jordan" else g)
+    for parity in (0, 1):
+        assert (pair_derivation_kernel(pair, parity)
+                == oracle.pair_derivation_kernel(pair, parity)), parity
+    if g.kind == "jordan":
+        assert pair_der(pair) == pair_der(g)
+    else:
+        assert pair.triples[0] != pair.triples[1]
 
 
 def test_unital_str_w_is_str():
@@ -206,15 +231,91 @@ def homogeneous_tables(draw):
     return make_algebra(parities, products, zdeg if graded else None, check=False)
 
 
+def _is_derivation(a, op) -> bool:
+    """D(xy) = D(x)y + (-1)^{|D||x|} x D(y) on every ordered basis pair."""
+    m, n = op.matrix, a.dim
+    for i in range(n):
+        for j in range(n):
+            x, y = a.basis_vector(i), a.basis_vector(j)
+            left = m.apply(a.product(x, y))
+            right = [u + (-v if op.parity * a.parity(i) % 2 else v) for u, v in
+                     zip(a.product(m.apply(x), y), a.product(x, m.apply(y)))]
+            if list(left) != right:
+                return False
+    return True
+
+
 @given(homogeneous_tables())
 @settings(max_examples=60, deadline=None)
 def test_derivation_kernel_matches_fraction_oracle(a):
     n = a.dim
+    assert all(_is_derivation(a, op) for op in der_algebra(a).operators())
     for parity in (0, 1):
         assert derivation_kernel(a, parity) == oracle.derivation_kernel(a, parity)
         for s in {a.zdegree(r) - a.zdegree(c) for r in range(n) for c in range(n)}:
             assert (derivation_kernel(a, parity, s)
                     == oracle.derivation_kernel(a, parity, s)), (parity, s)
+
+
+def test_der_algebra_of_a_table_without_symmetry():
+    # e0*e0 = e0 - e1 and e1*e0 = e0 + 2 e1: the Leibniz equations of the
+    # pairs i <= j admit a nonzero operator, those of (1, 0) rule it out
+    a = make_algebra((0, 0), [(0, 0, 0, 1), (0, 0, 1, -1), (1, 0, 0, 1), (1, 0, 1, 2)])
+    assert der_algebra(a).dims() == (0, 0)
+    assert oracle.derivation_kernel(a, 0).dim == 0
+
+
+@st.composite
+def rational_pairs(draw):
+    """A random pair of triple tables on V+ and V- with dim V+ != dim V-, at
+    least one odd basis vector, parity-homogeneous rational constants, and in
+    general no superpair axiom."""
+    dp, dm = draw(st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]))
+    parities = [draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)) for d in (dp, dm)]
+    if not any(parities[0] + parities[1]):
+        parities[draw(st.integers(0, 1))][0] = 1
+    sparsity = draw(st.integers(2, 8))
+    tables = []
+    for sigma in (0, 1):
+        same, other = parities[sigma], parities[1 - sigma]
+        table: dict = {}
+        for i in range(len(same)):
+            for j in range(len(other)):
+                for k in range(len(same)):
+                    for l in range(len(same)):
+                        if (same[l] == (same[i] + other[j] + same[k]) % 2
+                                and draw(st.integers(1, sparsity)) == 1):
+                            table.setdefault((i, j, k), {})[l] = draw(constants)
+        tables.append(table)
+    return JordanPair("random", tuple(map(tuple, parities)), tuple(tables))
+
+
+@given(rational_pairs())
+@settings(max_examples=60, deadline=None)
+def test_pair_derivation_kernel_matches_fraction_oracle(pair):
+    for parity in (0, 1):
+        assert (pair_derivation_kernel(pair, parity)
+                == oracle.pair_derivation_kernel(pair, parity)), parity
+
+
+@st.composite
+def supercommutative_tables(draw):
+    """A random supercommutative parity-homogeneous table, in general not Jordan."""
+    n = draw(st.integers(1, 4))
+    parities = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sparsity = draw(st.integers(2, 6))
+    upper = [(i, j, k, draw(constants))
+             for i in range(n) for j in range(i, n) for k in range(n)
+             if parities[k] == (parities[i] + parities[j]) % 2
+             and draw(st.integers(1, sparsity)) == 1]
+    return make_algebra(parities, mirror(parities, upper, 1), check=False)
+
+
+@given(supercommutative_tables())
+@settings(max_examples=60, deadline=None)
+def test_str_w_matches_fraction_oracle(a):
+    got, want = str_w(a), oracle.str_w(a)
+    assert (got.even, got.odd) == (want.even, want.odd)
 
 
 def test_leibniz_blocks_reject_an_inhomogeneous_table():
