@@ -35,7 +35,7 @@ def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
 
 def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
     """{x,y,z} = (-1)^{|x||y|+|y||z|+|x||z|} {z,y,x} on basis triples."""
-    at = tensor.outer_symmetry_defect(tensor.triple_tensor(V), V.parities, V.parities)
+    at = tensor.outer_symmetry_defect(tensor.triple_tensor(V)[0], V.parities, V.parities)
     return at and Witness(at, "triple symmetry fails at ({},{},{})".format(*at))
 
 
@@ -92,7 +92,7 @@ def check_five_linear(V: SuperAlgebra) -> Witness | None:
 
     over all homogeneous basis 4-tuples; the first is the superpair form.
     """
-    T = tensor.triple_tensor(V)
+    T, _ = tensor.triple_tensor(V)
     hit = tensor.five_linear_defect(T, T, V.parities, V.parities, both_forms=True)
     return hit and Witness(hit[1], "5-linear identity (form {}) fails at ({},{},{},{})"
                            .format(hit[0], *hit[1]))

@@ -13,20 +13,86 @@ The pair derivations and str_w are the graded derivation rule of trilinear
 tables (the pair's two triples; the U operator of the algebra, twice), and
 one integer assembler writes both.  The Fraction row builders these
 assemblies replaced are test oracles in tests/oracle_linalg.py.
+
+Bracket arithmetic on operators runs on integers: an `OperatorStack` holds
+a batch of operators as integer arrays with one denominator, its `bracket`
+forms every supercommutator in one batched product (`tensor.brackets`), and
+`OperatorSpace.coordinates` reads a stack's coordinates off the pivots of
+the canonical basis, certified by one recombination per parity.  Inn,
+Inn(V,V), the doubled pair and the ideal check [Der(V,V), Inn(V,V)] are
+built this way; the Fraction loops they replaced are test oracles in
+tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from . import tensor
 from .exact import (Matrix, Q, Subspace, certify, integer_kernel, kernel_sparse,
                     primitive_rows, solve)
-from .jordan import d_op, l_op, triple
+from .jordan import d_op, l_op
 from .superspace import (GradedOperator, SuperAlgebra, Witness,
                          check_superanticommutative, check_supercommutative,
-                         frozen_table, memoized, supercommutator)
+                         frozen_table, memoized)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorStack:
+    """A batch of homogeneous operators as integer arrays, all scaled by den.
+
+    blocks[0][t] is the matrix of operator t on V (on V+ when paired) and,
+    when paired, blocks[1][t] its matrix on V-; parities[t] is its parity.
+    """
+
+    blocks: tuple
+    parities: object  # int64 array; any sequence of ints is converted
+    den: int
+
+    def __post_init__(self):
+        import numpy as np
+        object.__setattr__(self, "parities", np.array(self.parities, dtype=np.int64).reshape(-1))
+
+    def __len__(self) -> int:
+        return len(self.parities)
+
+    @classmethod
+    def from_flats(cls, flats, parities, shape) -> "OperatorStack":
+        """Rational flattened operators, row-major, the V- block after the
+        V+ block when paired (the vectors of an OperatorSpace)."""
+        flats = list(flats)
+        (ints,), den = tensor.encode(
+            [{(b,): {j: x for j, x in enumerate(f) if x} for b, f in enumerate(flats)}],
+            [(len(flats), sum(m * m for m in shape))])
+        blocks, at = [], 0
+        for m in shape:
+            blocks.append(ints[:, at:at + m * m].reshape(len(flats), m, m))
+            at += m * m
+        return cls(tuple(blocks), parities, den)
+
+    def flats(self):
+        """The operators flattened as in an OperatorSpace, one row each."""
+        import numpy as np
+        return np.concatenate([b.reshape(len(b), b.shape[1] * b.shape[2]) for b in self.blocks],
+                              axis=1)
+
+    def bracket(self, other: "OperatorStack | None" = None) -> "OperatorStack":
+        """The supercommutators [A_t, B_s] for every t and s in row-major
+        order, blockwise and by one contraction per block
+        (`tensor.brackets`); without other, the [A_t, A_s] with t <= s."""
+        import numpy as np
+        B = self if other is None else other
+        k = len(self) * len(B)
+        parities = ((self.parities[:, None] + B.parities[None]) % 2).reshape(k)
+        blocks = [tensor.brackets(a, self.parities, b, B.parities).reshape((k,) + a.shape[1:])
+                  for a, b in zip(self.blocks, B.blocks)]
+        if other is None:
+            t, s = np.triu_indices(len(self))
+            keep = t * len(self) + s
+            blocks, parities = [b[keep] for b in blocks], parities[keep]
+        return OperatorStack(tuple(blocks), parities, self.den * B.den)
 
 
 @dataclass(frozen=True)
@@ -80,6 +146,38 @@ class OperatorSpace:
                              self.odd.intersect(other.odd),
                              self.shape, self.algebra)
 
+    @cached_property
+    def stack(self) -> OperatorStack:
+        """The basis, in the order of operators(), as an OperatorStack."""
+        return OperatorStack.from_flats(self.even.basis + self.odd.basis,
+                                        [0] * self.even.dim + [1] * self.odd.dim, self.shape)
+
+    def _read(self, ops: OperatorStack):
+        """(C, inside): `tensor.pivot_coordinates` of each operator in the
+        part of its parity, C[t] over the basis of operators()."""
+        import numpy as np
+        X, basis = ops.flats(), self.stack
+        B = basis.flats()
+        C = np.zeros((len(ops), self.dim), dtype=X.dtype)
+        inside = np.ones(len(ops), dtype=bool)
+        for parity, at in ((0, 0), (1, self.even.dim)):
+            rows, part = np.flatnonzero(ops.parities == parity), self.part(parity)
+            C[rows, at:at + part.dim], inside[rows] = tensor.pivot_coordinates(
+                X[rows], part.pivots, B[at:at + part.dim], basis.den)
+        return C, inside
+
+    def coordinates(self, ops: OperatorStack):
+        """Coordinates of a stack of operators over the basis of operators(),
+        an integer array [t, l] scaled like the stack (by ops.den); each part
+        is certified by one recombination, and an operator outside the space
+        raises CertificateError."""
+        C, inside = self._read(ops)
+        certify(inside.all(), f"operator does not lie in {self.label}")
+        return C
+
+    def contains_stack(self, ops: OperatorStack) -> bool:
+        return bool(self._read(ops)[1].all())
+
     def operators(self):
         """Basis as GradedOperators (plain) or (plus, minus, parity) triples."""
         out = []
@@ -108,25 +206,32 @@ def _space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
 # plain operator spaces
 
 
+def l_stack(V: SuperAlgebra) -> OperatorStack:
+    """The left multiplications L_{e_i} as an OperatorStack, read off the
+    table: d L_{e_i}[r, c] = d (e_i e_c)_r."""
+    n = V.dim
+    (C,), d = tensor.encode([V.table], [(n, n, n)])
+    return OperatorStack((C.transpose(0, 2, 1),), V.parities, d)
+
+
+def _stack_space(label, ops: OperatorStack, shape, algebra=None) -> OperatorSpace:
+    """The span of a stack; its integer rows span what the operators do."""
+    flats: dict = {0: [], 1: []}
+    for row, parity in zip(ops.flats().tolist(), ops.parities.tolist()):
+        flats[parity].append(row)
+    return _space(label, flats, shape, algebra)
+
+
 @memoized
 def l_space(V: SuperAlgebra) -> OperatorSpace:
     """Span of the left multiplications L_x."""
-    flats: dict = {0: [], 1: []}
-    for i in range(V.dim):
-        flats[V.parity(i)].append(l_op(V, V.basis_vector(i)).matrix.flatten())
-    return _space("{L}", flats, (V.dim,), V)
+    return _stack_space("{L}", l_stack(V), (V.dim,), V)
 
 
 @memoized
 def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
     """Inner derivations: the span of the [L_x, L_y]."""
-    flats: dict = {0: [], 1: []}
-    mats = [l_op(V, V.basis_vector(i)) for i in range(V.dim)]
-    for i in range(V.dim):
-        for j in range(i, V.dim):
-            br = supercommutator(mats[i], mats[j])
-            flats[(V.parity(i) + V.parity(j)) % 2].append(br.matrix.flatten())
-    return _space("Inn", flats, (V.dim,), V)
+    return _stack_space("Inn", l_stack(V).bracket(), (V.dim,), V)
 
 
 def _integer_tables(*tables) -> tuple:
@@ -161,7 +266,10 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
             if par[k] != (par[i] + par[j]) % 2 or deg[k] != deg[i] + deg[j]:
                 raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k}")
     table, = _integer_tables(a.table)
-    symmetric = check_superanticommutative(a) is None or check_supercommutative(a) is None
+    # the symmetry checks are memoized; asking first for the one a's kind
+    # was built with reuses the check make_algebra ran
+    checks = (check_superanticommutative, check_supercommutative)
+    symmetric = any(check(a) is None for check in (checks[::-1] if a.kind == "jordan" else checks))
     cols: dict = {}
     pos = {}  # (r, c) -> position in its block
     for r in range(n):
@@ -346,36 +454,25 @@ class JordanPair:
 
 @memoized
 def double(V: SuperAlgebra) -> JordanPair:
-    """The doubled superpair (V, V) with both triples from the algebra triple."""
-    table: dict = {}
-    n = V.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t = triple(V, V.basis_vector(i), V.basis_vector(j), V.basis_vector(k))
-                if any(t):
-                    table[i, j, k] = {l: c for l, c in enumerate(t) if c}
+    """The doubled superpair (V, V), both triples read off
+    `tensor.triple_tensor` (d**2 times the algebra triple)."""
+    T, d = tensor.triple_tensor(V)
+    table = tensor.decode(T, d * d)
     return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (table, table))
 
 
-def pair_d_ops(pair: JordanPair, sigma: int, i: int, j: int):
-    """The derivation pair D_{e_i, e_j} for e_i in V^sigma, e_j in V^(-sigma).
-
-    Returns (D acting on V^sigma, companion acting on V^(-sigma), parity);
-    the companion is -(-1)^{|x||y|} {y, x, .}^(-sigma).
-    """
-    d_same = Matrix.from_entries(pair.dim(sigma), pair.dim(sigma), {
-        (l, k): c
-        for k in range(pair.dim(sigma))
-        for l, c in pair.basis_triple(sigma, i, j, k).items()})
-    other = 1 - sigma
-    s = Q(-1) if (pair.parity(sigma, i) * pair.parity(other, j)) % 2 == 0 else Q(1)
-    d_other = Matrix.from_entries(pair.dim(other), pair.dim(other), {
-        (l, k): s * c
-        for k in range(pair.dim(other))
-        for l, c in pair.basis_triple(other, j, i, k).items()})
-    parity = (pair.parity(sigma, i) + pair.parity(other, j)) % 2
-    return d_same, d_other, parity
+def pair_d_stack(pair: JordanPair) -> OperatorStack:
+    """The derivation pairs D_{e_i, e_u}, e_i in V+ and e_u in V-, in
+    row-major order over (i, u): D {e_i, e_u, .}+ on V+ and the companion
+    -(-1)^{|i||u|} {e_u, e_i, .}- on V-, read off the encoded triples."""
+    import numpy as np
+    dp, dm = pair.shape
+    (T0, T1), d = tensor.encode(pair.triples, [(dp, dm, dp, dp), (dm, dp, dm, dm)])
+    pp, pm = (np.array(p, dtype=np.int64) for p in pair.parities)
+    odd = np.outer(pp, pm) % 2  # the companion's sign is 2 odd - 1
+    plus = T0.transpose(0, 1, 3, 2).reshape(dp * dm, dp, dp)
+    minus = ((2 * odd - 1)[:, :, None, None] * T1.transpose(1, 0, 3, 2)).reshape(dp * dm, dm, dm)
+    return OperatorStack((plus, minus), ((pp[:, None] + pm[None]) % 2).reshape(-1), d)
 
 
 @memoized
@@ -385,12 +482,7 @@ def pair_inn(v) -> OperatorSpace:
     Accepts a Jordan superalgebra (meaning its doubled pair) or a JordanPair.
     """
     pair = double(v) if isinstance(v, SuperAlgebra) else v
-    flats: dict = {0: [], 1: []}
-    for i in range(pair.dim(0)):
-        for j in range(pair.dim(1)):
-            d_plus, d_minus, parity = pair_d_ops(pair, 0, i, j)
-            flats[parity].append(d_plus.flatten() + d_minus.flatten())
-    return _space("Inn(V,V)", flats, pair.shape)
+    return _stack_space("Inn(V,V)", pair_d_stack(pair), pair.shape)
 
 
 def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
@@ -550,33 +642,25 @@ def inclusion_report(V: SuperAlgebra) -> list:
         "istr_sum_direct", direct,
         f"dim {{L}} + dim Inn = {ls.dim + inn.dim} vs dim istr = {istr.dim}", "note"))
 
-    ok = True
-    for i in range(n):
-        li = l_op(V, V.basis_vector(i)).matrix
-        vec = li.flatten() + (-li).flatten()
-        ok = ok and pder.contains_flat(vec, V.parity(i))
+    # operator pairs, each family one stack tested by one certified read
+    L, D, W = l_stack(V), der.stack, inn.stack
     results.append(CheckResult(
-        "lx_minus_lx_in_pair_der", ok, "(L_x, -L_x) is a pair derivation"))
-
-    ok = True
-    for op in der.operators():
-        vec = op.matrix.flatten() + op.matrix.flatten()
-        ok = ok and pder.contains_flat(vec, op.parity)
+        "lx_minus_lx_in_pair_der",
+        pder.contains_stack(OperatorStack(L.blocks + (-L.blocks[0],), L.parities, L.den)),
+        "(L_x, -L_x) is a pair derivation"))
     results.append(CheckResult(
-        "diag_der_in_pair_der", ok, "(D, D) is a pair derivation"))
-
-    ok = True
-    for op in inn.operators():
-        vec = op.matrix.flatten() + op.matrix.flatten()
-        ok = ok and pinn.contains_flat(vec, op.parity)
+        "diag_der_in_pair_der",
+        pder.contains_stack(OperatorStack(D.blocks * 2, D.parities, D.den)),
+        "(D, D) is a pair derivation"))
     results.append(CheckResult(
-        "diag_inn_in_pair_inn", ok, "([L_x,L_y], [L_x,L_y]) lies in Inn(V,V)"))
+        "diag_inn_in_pair_inn",
+        pinn.contains_stack(OperatorStack(W.blocks * 2, W.parities, W.den)),
+        "([L_x,L_y], [L_x,L_y]) lies in Inn(V,V)"))
 
     # psi forgets the second component: Inn(V,V) -> istr~
-    image: dict = {0: [], 1: []}
-    for d_plus, _, parity in pinn.operators():
-        image[parity].append(d_plus.flatten())
-    psi_img = _space("psi(Inn(V,V))", image, (n,), V)
+    P = pinn.stack
+    psi_img = _stack_space("psi(Inn(V,V))", OperatorStack(P.blocks[:1], P.parities, P.den),
+                           (n,), V)
     results.append(CheckResult(
         "psi_onto_istr_tilde",
         psi_img.even == itld.even and psi_img.odd == itld.odd,
@@ -585,23 +669,14 @@ def inclusion_report(V: SuperAlgebra) -> list:
         "psi_injective", pinn.dim == itld.dim,
         f"Inn(V,V) dim {pinn.dim} vs istr~ dim {itld.dim}", "note"))
 
-    ok = True
-    for a_plus, a_minus, pa in pder.operators():
-        for b_plus, b_minus, pb in pinn.operators():
-            s = Q(-1) if (pa * pb) % 2 else Q(1)
-            br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(s)
-            br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(s)
-            ok = ok and pinn.contains_flat(br_plus.flatten() + br_minus.flatten(),
-                                           (pa + pb) % 2)
     results.append(CheckResult(
-        "pair_inn_ideal", ok, "[Der(V,V), Inn(V,V)] lies in Inn(V,V)"))
+        "pair_inn_ideal", pinn.contains_stack(pder.stack.bracket(P)),
+        "[Der(V,V), Inn(V,V)] lies in Inn(V,V)"))
 
-    ok = True
-    for x, y, parity in sw.operators():
-        vec = x.flatten() + (-y).flatten()
-        ok = ok and pder.contains_flat(vec, parity)
+    X, Y = sw.stack.blocks
     results.append(CheckResult(
-        "str_w_swap_in_pair_der", ok,
+        "str_w_swap_in_pair_der",
+        pder.contains_stack(OperatorStack((X, -Y), sw.stack.parities, sw.stack.den)),
         "(X, Y) -> (X, -Y) carries str_w into Der(V,V)"))
     results.append(CheckResult(
         "str_w_matches_pair_der", sw.dims() == pder.dims(),

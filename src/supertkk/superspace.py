@@ -192,13 +192,17 @@ def _check_symmetry(a: SuperAlgebra, sign: int, what: str) -> Witness | None:
     return None
 
 
+@memoized
 def check_supercommutative(a: SuperAlgebra) -> Witness | None:
-    """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds."""
+    """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds.
+    Memoized like every fact of an immutable algebra: the check make_algebra
+    runs serves every later caller."""
     return _check_symmetry(a, 1, "supercommutativity")
 
 
+@memoized
 def check_superanticommutative(a: SuperAlgebra) -> Witness | None:
-    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs."""
+    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs; memoized."""
     return _check_symmetry(a, -1, "super-anticommutativity")
 
 

@@ -12,11 +12,21 @@ The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
 from it (`lp_tensor`), and so are the bracket relations that pin Kan(V)
 down (`kantor_relation_verdicts`), each compared as integers at one power
-of d.  Nothing is cached here; numpy is imported lazily, so building
-algebras never loads it.
+of d.
+
+The degree-0 parts of the TKK constructions run here too: `brackets` forms
+the supercommutators of two stacks of integer matrices in one batched
+product, `pivot_coordinates` reads coordinates in a canonical basis off its
+pivot columns and certifies them by one recombination, `decode` turns an
+integer tensor back into a rational table (the doubled pair is `decode` of
+`triple_tensor`), and `bracket_map_defect` checks a linear map against two
+bracket tables.  Nothing is cached here; numpy is imported lazily, so
+building algebras never loads it.
 """
 
 from math import lcm
+
+from .exact import Q
 
 
 def encode(tables, shapes) -> tuple:
@@ -44,11 +54,13 @@ def _exact(arrays, factor, degree) -> list:
 
 
 def _structure(a, terms, degree):
-    """(C, s): C[i, j, k] = d (e_i e_j)_k cast for the check's bound, s[i, j] = (-1)**(|i||j|)."""
+    """(C, s, d): C[i, j, k] = d (e_i e_j)_k cast for the check's bound,
+    s[i, j] = (-1)**(|i||j|)."""
     import numpy as np
     n, p = a.dim, np.array(a.parities, dtype=np.int64)
-    C = _exact(encode([a.table], [(n, n, n)])[0], terms * n ** (degree - 1), degree)[0]
-    return C, 1 - 2 * (np.outer(p, p) % 2)
+    (C,), d = encode([a.table], [(n, n, n)])
+    C, = _exact([C], terms * n ** (degree - 1), degree)
+    return C, 1 - 2 * (np.outer(p, p) % 2), d
 
 
 def _first(mask):
@@ -80,7 +92,7 @@ def jacobi_defect(a):
     s(i,k)[e_i,[e_j,e_k]] + s(j,i)[e_j,[e_k,e_i]] + s(k,j)[e_k,[e_i,e_j]]."""
     import numpy as np
     n = a.dim
-    C, s = _structure(a, 3, 2)
+    C, s, _ = _structure(a, 3, 2)
     upper = np.triu(np.ones((n, n), bool))
     for i in range(n):
         m = n - i  # j, k >= i only
@@ -99,7 +111,7 @@ def jordan_defect(a):
     """First basis triple i <= j <= k where the sum over its cyclic shifts
     (x, y, z) of s(x,z)[L_x, L_{yz}] is nonzero."""
     import numpy as np
-    C, s = _structure(a, 6, 3)
+    C, s, _ = _structure(a, 6, 3)
     L = C.transpose(0, 2, 1)               # L[x][r, c] = C[x, c, r]
     Lw = np.einsum('yzm,mrc->yzrc', C, L)  # L_{e_y e_z}
     sxz = s[:, None, :, None, None]
@@ -112,7 +124,7 @@ def jordan_defect(a):
 def commutator_defect(a):
     """First (i, j, k) with [[L_i, L_j], L_k] != L_{i(jk)} - s(i,j) L_{j(ik)}."""
     import numpy as np
-    C, s = _structure(a, 4, 3)
+    C, s, _ = _structure(a, 4, 3)
     L = C.transpose(0, 2, 1)
     M = _bracket(L[:, None], L[None], s[:, :, None, None])  # [L_i, L_j]
     lhs = _bracket(M[:, :, None], L[None, None], (s[:, None] * s[None])[..., None, None])
@@ -122,13 +134,14 @@ def commutator_defect(a):
 
 
 def triple_tensor(a):
-    """T[i, j, k] = d**2 {e_i, e_j, e_k}, the Jordan triple
-    2((e_i e_j) e_k + e_i (e_j e_k) - s(i,j) e_j (e_i e_k))."""
+    """(T, d): T[i, j, k] = d**2 {e_i, e_j, e_k}, the Jordan triple
+    2((e_i e_j) e_k + e_i (e_j e_k) - s(i,j) e_j (e_i e_k)), with d the
+    table's common denominator."""
     import numpy as np
-    C, s = _structure(a, 6, 2)
+    C, s, d = _structure(a, 6, 2)
     X = np.einsum('jkm,iml->ijkl', C, C)  # e_i (e_j e_k)
     P = np.einsum('ijm,mkl->ijkl', C, C)  # (e_i e_j) e_k
-    return 2 * (P + X - s[:, :, None, None] * X.transpose(1, 0, 2, 3))
+    return 2 * (P + X - s[:, :, None, None] * X.transpose(1, 0, 2, 3)), d
 
 
 def outer_symmetry_defect(T, p, q):
@@ -235,3 +248,64 @@ def kantor_relation_verdicts(a, unit=None) -> list:
         u, LPq = _exact([u, LP], n, 2)
         verdicts.append(bool((Cd * (d * du) == -np.einsum('c,cijl->ijl', u, LPq)).all()))
     return verdicts
+
+
+def decode(T, d) -> dict:
+    """The sparse table {index: {k: T[index + (k,)] / d}} of an integer
+    tensor, the inverse of `encode`; indices without a nonzero entry are left
+    out, and both levels come in C order."""
+    import numpy as np
+    out: dict = {}
+    for at in zip(*np.nonzero(T)):
+        at = tuple(int(x) for x in at)
+        out.setdefault(at[:-1], {})[at[-1]] = Q(int(T[at]), d)
+    return out
+
+
+def brackets(A, pa, B, pb):
+    """[A_t, B_s] = A_t B_s - (-1)**(pa_t pb_s) B_s A_t for stacks of integer
+    matrices A[t, r, c], B[s, r, c] with parities pa, pb, as one array
+    [t, s, r, c].  A, B scaled by dA, dB give dA dB [A_t, B_s]; each entry
+    sums 2m products for m x m matrices."""
+    import numpy as np
+    A, B = _exact([A, B], 2 * A.shape[-1], 2)
+    return _bracket(A[:, None], B[None], (1 - 2 * (np.outer(pa, pb) % 2))[:, :, None, None])
+
+
+def pivot_coordinates(X, pivots, B, den):
+    """(C, inside) for integer rows X[b] and a subspace whose canonical basis
+    is B / den (B integer; each basis row 1 at its own pivot, 0 at the
+    others): C[b] = X[b] at the pivots, the coordinates of X[b] / s in the
+    basis for every scale s, and inside[b] certifies them by recombination,
+    C[b] B == den X[b], which holds iff X[b] lies in the subspace."""
+    import numpy as np
+    C = X[:, list(pivots)]
+    Cq, Bq = _exact([C, B], max(1, len(pivots)), 2)
+    Xq, = _exact([X], den, 1)
+    return C, ((Cq @ Bq) == den * Xq).all(axis=1)
+
+
+def mismatch(X, fx, Y, fy):
+    """X fx != Y fy entrywise for integer arrays and positive integer factors,
+    each product cast for its own bound."""
+    Xq, = _exact([X], fx, 1)
+    Yq, = _exact([Y], fy, 1)
+    return Xq * fx != Yq * fy
+
+
+def bracket_map_defect(src, dst, images):
+    """First basis pair (i, j), in row-major order, where the linear map
+    phi: e_i -> images[i] (rational coordinates) breaks phi(e_i e_j) =
+    phi(e_i) phi(e_j), or None.  On the tables and images scaled by one
+    common denominator d (F[i, a] = d phi(e_i)_a) the two sides are
+    d**2 phi(e_i e_j) = C_src[i, j] F and d**3 phi(e_i) phi(e_j) =
+    F[i, a] F[j, b] C_dst[a, b], compared as d * lhs == rhs."""
+    import numpy as np
+    n = src.dim
+    phi = {(i,): {a: c for a, c in enumerate(v) if c} for i, v in enumerate(images)}
+    (Cs, Cd, F), d = encode([src.table, dst.table, phi], [(n, n, n), (n, n, n), (n, n)])
+    Cs, Fs = _exact([Cs, F], n, 2)
+    lhs = np.einsum('ijk,kc->ijc', Cs, Fs)
+    Cd, Fd = _exact([Cd, F], n * n, 3)  # n**2 max**3 bounds both contractions
+    rhs = np.einsum('jb,ibc->ijc', Fd, np.einsum('ia,abc->ibc', Fd, Cd))
+    return _first(mismatch(lhs, d, rhs, 1).any(axis=2))

@@ -7,6 +7,12 @@ formal copy of V in the middle, the J functor back from 3-graded Lie
 superalgebras to superpairs, derivation towers of graded Lie superalgebras,
 and the explicit equivalence maps between all of these.  Every constructed
 bracket table goes through make_algebra with the super-Jacobi check enabled.
+
+The constructions differ only in their degree-0 parts, and each block of
+brackets there is one batched integer bracket of operator stacks followed
+by one certified coordinate read (`OperatorStack.bracket`,
+`OperatorSpace.coordinates`); an equivalence map is certified against both
+bracket tables by `tensor.bracket_map_defect`.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ from . import tensor
 from .exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify,
                     integer_kernel, span)
 from .jordan import find_unit, l_op
-from .structure import (CheckResult, JordanPair, OperatorSpace,
+from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
-                        double, inn_algebra, istr_algebra, leibniz_blocks,
-                        pair_d_ops, pair_der, pair_inn, str_algebra)
+                        double, inn_algebra, istr_algebra, l_stack, leibniz_blocks,
+                        pair_d_stack, pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, derived, graded_dims,
                          make_algebra, memoized, mirror, supercommutator)
 
@@ -49,13 +55,25 @@ class TkkAlgebra:
         return [i for i, o in enumerate(self.origin) if o[0] == tag]
 
 
-def _op_coords(space: OperatorSpace, flat, parity: int) -> list:
-    """Coordinates of a flattened operator in the basis order of operators()."""
-    coords = space.part(parity).coordinates(flat)
-    certify(coords is not None, f"operator does not lie in {space.label}")
-    if parity % 2:
-        return [Q(0)] * space.even.dim + list(coords)
-    return list(coords) + [Q(0)] * space.odd.dim
+def _coordinate_rows(space: OperatorSpace, ops: OperatorStack) -> list:
+    """The coordinates of each operator of a stack over the basis of
+    space.operators(), as sparse dicts (certified, see
+    OperatorSpace.coordinates)."""
+    rows = tensor.decode(space.coordinates(ops), ops.den)
+    return [rows.get((b,), {}) for b in range(len(ops))]
+
+
+def _middle_brackets(upper: dict, space: OperatorSpace, at: int):
+    """Write [A_t, A_s] = sum_l c_l A_l, t <= s, for the basis of space
+    placed at offset at: one batched bracket, one certified read."""
+    pairs = [(t, s) for t in range(space.dim) for s in range(t, space.dim)]
+    for (t, s), w in zip(pairs, _coordinate_rows(space, space.stack.bracket())):
+        if w:
+            upper[at + t, at + s] = {at + l: c for l, c in w.items()}
+
+
+def _basis_flats(space: OperatorSpace) -> tuple:
+    return space.even.basis + space.odd.basis
 
 
 def _entries(upper: dict) -> list:
@@ -89,45 +107,30 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
     else:
         raise ValueError(f"unknown middle {middle!r}, expected 'inn' or 'der'")
     dp, dm = pair.shape
-    ops = mid.operators()
-    nm = len(ops)
-    parities = (tuple(pair.parities[0]) + tuple(p for _, _, p in ops)
-                + tuple(pair.parities[1]))
+    nm = mid.dim
+    mid_par = mid.stack.parities.tolist()
+    parities = tuple(pair.parities[0]) + tuple(mid_par) + tuple(pair.parities[1])
     zdeg = (1,) * dp + (0,) * nm + (-1,) * dm
     origin = tuple([("vplus", i) for i in range(dp)]
                    + [("op0", t) for t in range(nm)]
                    + [("vminus", u) for u in range(dm)])
 
     upper: dict = {}
-    for i in range(dp):
-        for u in range(dm):
-            # [x+, u-] = D_{x,u} as an operator pair in the middle
-            d_plus, d_minus, par = pair_d_ops(pair, 0, i, u)
-            coords = _op_coords(mid, d_plus.flatten() + d_minus.flatten(), par)
-            upper[i, dp + nm + u] = {dp + t: c for t, c in enumerate(coords) if c}
-    for t, (a_plus, a_minus, pa) in enumerate(ops):
+    # [x+, u-] = D_{x,u} as an operator pair in the middle
+    for b, w in enumerate(_coordinate_rows(mid, pair_d_stack(pair))):
+        i, u = divmod(b, dm)
+        upper[i, dp + nm + u] = {dp + t: c for t, c in w.items()}
+    for t, (flat, pa) in enumerate(zip(_basis_flats(mid), mid_par)):
         for i in range(dp):
-            # [x+, M] = -(-1)^{|x||M|} (M+ x)+
-            s = Q(-1) if (pair.parity(0, i) * pa) % 2 else Q(1)
-            vec = a_plus.apply(
-                tuple(Q(1) if r == i else Q(0) for r in range(dp)))
-            upper[i, dp + t] = {l: -s * c for l, c in enumerate(vec) if c}
+            # [x+, M] = -(-1)^{|x||M|} (M+ x)+, column i of M+
+            s = -1 if pair.parity(0, i) * pa % 2 else 1
+            upper[i, dp + t] = {l: -s * flat[l * dp + i] for l in range(dp)
+                                if flat[l * dp + i]}
         for u in range(dm):
-            # [M, u-] = (M- u)-
-            vec = a_minus.apply(
-                tuple(Q(1) if r == u else Q(0) for r in range(dm)))
-            upper[dp + t, dp + nm + u] = {dp + nm + l: c
-                                          for l, c in enumerate(vec) if c}
-        for s_idx in range(t, nm):
-            b_plus, b_minus, pb = ops[s_idx]
-            sg = Q(-1) if (pa * pb) % 2 else Q(1)
-            br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(sg)
-            br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(sg)
-            coords = _op_coords(mid, br_plus.flatten() + br_minus.flatten(),
-                                (pa + pb) % 2)
-            entry = {dp + r: c for r, c in enumerate(coords) if c}
-            if entry:
-                upper[dp + t, dp + s_idx] = entry
+            # [M, u-] = (M- u)-, column u of M-
+            col = [flat[dp * dp + l * dm + u] for l in range(dm)]
+            upper[dp + t, dp + nm + u] = {dp + nm + l: c for l, c in enumerate(col) if c}
+    _middle_brackets(upper, mid, dp)
 
     prefix = "Ko" if middle == "inn" else "Ko~"
     name = (prefix + pair.name if pair.name.startswith("(")
@@ -153,10 +156,9 @@ def koecher_ideal_check(v) -> CheckResult:
     sub = []
     for i in range(dp):
         sub.append(tuple(Q(1) if r == i else Q(0) for r in range(g.dim)))
-    for w_plus, w_minus, wpar in pair_inn(v).operators():
-        coords = _op_coords(mid, w_plus.flatten() + w_minus.flatten(), wpar)
+    for w in _coordinate_rows(mid, pair_inn(v).stack):
         vec = [Q(0)] * g.dim
-        for l, c in enumerate(coords):
+        for l, c in w.items():
             vec[dp + l] = c
         sub.append(tuple(vec))
     for u in range(dm):
@@ -182,15 +184,6 @@ def _hom2_flat_p(V: SuperAlgebra) -> tuple:
         for l, c in vec.items():
             flat[l * n * n + i * n + j] = c
     return tuple(flat)
-
-
-def _gplus_on_gminus(V: SuperAlgebra, t_flat, x_index: int) -> Matrix:
-    """[B, x] as the operator y -> B(x, y) in the middle."""
-    n = V.dim
-    return Matrix.from_entries(n, n, {
-        (l, j): t_flat[l * n * n + x_index * n + j]
-        for l in range(n) for j in range(n)
-        if t_flat[l * n * n + x_index * n + j]})
 
 
 class KantorTop:
@@ -244,58 +237,51 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
         raise ValueError("kantor expects a Jordan superalgebra")
     n = V.dim
     istr = istr_algebra(V)
-    mid_ops = istr.operators()
-    nm = len(mid_ops)
+    basis = istr.stack
+    nm = istr.dim
+    mid_par = basis.parities.tolist()
     top = KantorTop(V)
     top_basis = top.basis()
     nt = len(top_basis)
-    parities = (tuple(V.parities) + tuple(op.parity for op in mid_ops)
-                + tuple(p for _, _, p in top_basis))
+    top_par = [p for _, _, p in top_basis]
+    parities = tuple(V.parities) + tuple(mid_par) + tuple(top_par)
     zdeg = (-1,) * n + (0,) * nm + (1,) * nt
     origin = tuple([("vminus", i) for i in range(n)]
                    + [("op0", t) for t in range(nm)]
                    + [tag for tag, _, _ in top_basis])
 
     upper: dict = {}
-    for i in range(n):
-        for t, op in enumerate(mid_ops):
-            # [x, A] = -(-1)^{|x||A|} A(x)
-            s = Q(-1) if (V.parity(i) * op.parity) % 2 else Q(1)
-            vec = op.matrix.apply(V.basis_vector(i))
-            entry = {l: -s * c for l, c in enumerate(vec) if c}
+    for t, (flat, pa) in enumerate(zip(_basis_flats(istr), mid_par)):
+        for i in range(n):
+            # [x, A] = -(-1)^{|x||A|} A(x), column i of A
+            s = -1 if V.parity(i) * pa % 2 else 1
+            entry = {l: -s * flat[l * n + i] for l in range(n) if flat[l * n + i]}
             if entry:
                 upper[i, n + t] = entry
-        for t, (_, t_flat, t_par) in enumerate(top_basis):
-            # [x, B] = -(-1)^{|x||B|} [B, x], with [B, x](y) = B(x, y) in istr
-            s = Q(-1) if (V.parity(i) * t_par) % 2 else Q(1)
-            mat = _gplus_on_gminus(V, t_flat, i)
-            coords = _op_coords(istr, mat.flatten(), (V.parity(i) + t_par) % 2)
-            entry = {n + l: -s * c for l, c in enumerate(coords) if c}
-            if entry:
-                upper[i, n + nm + t] = entry
-    # [A, B] for A in istr and B in the top, as d**2 times integer flats
     tops: dict = {}  # (u, i, j) -> {l: B_u(e_i, e_j)_l}
     for u, (_, t_flat, _) in enumerate(top_basis):
         for at, x in enumerate(t_flat):
             if x:
                 l, ij = divmod(at, n * n)
                 tops.setdefault((u,) + divmod(ij, n), {})[l] = x
-    ops = {(t, r): {c: x for c, x in enumerate(row) if x}
-           for t, op in enumerate(mid_ops) for r, row in enumerate(op.matrix.data)}
-    (ops, tops), d = tensor.encode([ops, tops], [(nm, n, n), (nt, n, n, n)])
-    top_par = [p for _, _, p in top_basis]
-    for t, a_op in enumerate(mid_ops):
-        for s_idx in range(t, nm):
-            br = supercommutator(a_op, mid_ops[s_idx])
-            coords = _op_coords(istr, br.matrix.flatten(), br.parity)
-            entry = {n + l: c for l, c in enumerate(coords) if c}
-            if entry:
-                upper[n + t, n + s_idx] = entry
-        sign = [-1 if a_op.parity * q % 2 else 1 for q in top_par]
-        acted = tensor.g0_action(ops[t], tops, sign, V.parities)
+    (tops,), d = tensor.encode([tops], [(nt, n, n, n)])
+    # [x, B] = -(-1)^{|x||B|} [B, x], with [B, x](y) = B(x, y) in istr:
+    # the operator of (x, B) has entries [l, j] = B(e_x, e_j)_l
+    at_x = OperatorStack((tops.transpose(1, 0, 3, 2).reshape(n * nt, n, n),),
+                         [(p + q) % 2 for p in V.parities for q in top_par], d)
+    for b, w in enumerate(_coordinate_rows(istr, at_x)):
+        i, u = divmod(b, nt)
+        s = -1 if V.parity(i) * top_par[u] % 2 else 1
+        if w:
+            upper[i, n + nm + u] = {n + l: -s * c for l, c in w.items()}
+    _middle_brackets(upper, istr, n)
+    # [A, B] for A in istr and B in the top: basis.den * d times integer flats
+    for t, pa in enumerate(mid_par):
+        sign = [-1 if pa * q % 2 else 1 for q in top_par]
+        acted = tensor.g0_action(basis.blocks[0][t], tops, sign, V.parities)
         for u, flat in enumerate(acted.transpose(0, 3, 1, 2).reshape(nt, n ** 3).tolist()):
-            coords = top.coords(flat, (a_op.parity + top_par[u]) % 2)
-            entry = {n + nm + l: c / (d * d) for l, c in enumerate(coords) if c}
+            coords = top.coords(flat, (pa + top_par[u]) % 2)
+            entry = {n + nm + l: c / (basis.den * d) for l, c in enumerate(coords) if c}
             if entry:
                 upper[n + t, n + nm + u] = entry
 
@@ -379,12 +365,8 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         raise ValueError("derivation container must consist of derivations")
     if not dsp.contains_space(inn_algebra(V)):
         raise ValueError("derivation container must contain the inner derivations")
-    ops = dsp.operators()
-    for i, a_op in enumerate(ops):
-        for b_op in ops[i:]:
-            br = supercommutator(a_op, b_op)
-            if not dsp.contains_flat(br.matrix.flatten(), br.parity):
-                raise ValueError("derivation container is not closed under bracket")
+    if not dsp.contains_stack(dsp.stack.bracket()):
+        raise ValueError("derivation container is not closed under bracket")
     sl2 = _sl2()
     return TitsData(dsp, sl2, _killing_half(sl2), label)
 
@@ -397,11 +379,10 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     n = V.dim
     data = tits_data(V, d)
     dsp, y, kappa = data.dspace, data.sl2, data.killing
-    dops = dsp.operators()
-    nd = len(dops)
+    nd = dsp.dim
     # sl2 basis order e, h, f carries the 3-grading +1, 0, -1
     sl2_deg = (1, 0, -1)
-    parities = tuple(op.parity for op in dops) + tuple(V.parities) * 3
+    parities = tuple(dsp.stack.parities.tolist()) + tuple(V.parities) * 3
     zdeg = tuple(0 for _ in range(nd)) + tuple(
         z for z in sl2_deg for _ in range(n))
     origin = tuple([("d", t) for t in range(nd)]
@@ -411,21 +392,17 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
         return nd + y_idx * n + v_idx
 
     upper: dict = {}
-    for t, a_op in enumerate(dops):
-        for s_idx in range(t, nd):
-            br = supercommutator(a_op, dops[s_idx])
-            coords = _op_coords(dsp, br.matrix.flatten(), br.parity)
-            entry = {l: c for l, c in enumerate(coords) if c}
-            if entry:
-                upper[t, s_idx] = entry
+    _middle_brackets(upper, dsp, 0)
+    for t, flat in enumerate(_basis_flats(dsp)):
         for yi in range(3):
-            # [d, y (x) v] = y (x) d(v)
+            # [d, y (x) v] = y (x) d(v), column v of d
             for vj in range(n):
-                vec = a_op.matrix.apply(V.basis_vector(vj))
-                entry = {tensor_index(yi, l): c for l, c in enumerate(vec) if c}
+                entry = {tensor_index(yi, l): flat[l * n + vj] for l in range(n)
+                         if flat[l * n + vj]}
                 if entry:
                     upper[t, tensor_index(yi, vj)] = entry
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    ls = l_stack(V)
+    lbr = _coordinate_rows(dsp, ls.bracket(ls))  # [L_v, L_v'] at v * n + v'
     for yi in range(3):
         for yj in range(3):
             for vi in range(n):
@@ -436,19 +413,15 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                     # [y (x) v, y' (x) v'] = (y,y')[L_v,L_{v'}] + [y,y'] (x) vv'
                     entry: dict = {}
                     if kappa[yi, yj]:
-                        br = supercommutator(lmats[vi], lmats[vj])
-                        coords = _op_coords(dsp, br.matrix.flatten(), br.parity)
-                        for l, c in enumerate(coords):
-                            if c:
-                                entry[l] = entry.get(l, Q(0)) + kappa[yi, yj] * c
+                        for l, c in lbr[vi * n + vj].items():
+                            entry[l] = entry.get(l, Q(0)) + kappa[yi, yj] * c
                     ybr = y.basis_product(yi, yj)
                     if ybr:
-                        prod = V.product(V.basis_vector(vi), V.basis_vector(vj))
+                        prod = V.basis_product(vi, vj)
                         for yk, yc in ybr.items():
-                            for l, c in enumerate(prod):
-                                if c:
-                                    idx = tensor_index(yk, l)
-                                    entry[idx] = entry.get(idx, Q(0)) + yc * c
+                            for l, c in prod.items():
+                                idx = tensor_index(yk, l)
+                                entry[idx] = entry.get(idx, Q(0)) + yc * c
                     entry = {k: c for k, c in entry.items() if c}
                     if entry:
                         upper[a, b] = entry
@@ -509,74 +482,49 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     n = V.dim
     data = tits_data(V, d)
     dsp = data.dspace
-    dops = dsp.operators()
-    nd = len(dops)
-    parities = (tuple(V.parities) + tuple(op.parity for op in dops)
-                + tuple(V.parities) + tuple(V.parities))
+    nd = dsp.dim
+    d_par = dsp.stack.parities.tolist()
+    parities = tuple(V.parities) + tuple(d_par) + tuple(V.parities) + tuple(V.parities)
     zdeg = (1,) * n + (0,) * (nd + n) + (-1,) * n
     origin = tuple([("vplus", i) for i in range(n)]
                    + [("d", t) for t in range(nd)]
                    + [("lhat", i) for i in range(n)]
                    + [("vminus", i) for i in range(n)])
     off_d, off_l, off_m = n, n + nd, n + nd + n
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    ls = l_stack(V)
+    lbr = _coordinate_rows(dsp, ls.bracket(ls))  # [L_x, L_y] at x * n + y
 
     upper: dict = {}
     for i in range(n):
         for u in range(n):
             # [x+, u-] = 2 L-hat_{xu} + 2 [L_x, L_u] in D
-            prod = V.product(V.basis_vector(i), V.basis_vector(u))
-            entry = {off_l + l: 2 * c for l, c in enumerate(prod) if c}
-            br = supercommutator(lmats[i], lmats[u])
-            coords = _op_coords(dsp, br.matrix.flatten(), br.parity)
-            for l, c in enumerate(coords):
-                if c:
-                    entry[off_d + l] = entry.get(off_d + l, Q(0)) + 2 * c
-            entry = {k: c for k, c in entry.items() if c}
+            entry = {off_l + l: 2 * c for l, c in V.basis_product(i, u).items()}
+            entry.update({off_d + l: 2 * c for l, c in lbr[i * n + u].items()})
             if entry:
                 upper[i, off_m + u] = entry
-    for t, a_op in enumerate(dops):
+    for t, (flat, pa) in enumerate(zip(_basis_flats(dsp), d_par)):
         for i in range(n):
-            vec = a_op.matrix.apply(V.basis_vector(i))
+            col = {l: flat[l * n + i] for l in range(n) if flat[l * n + i]}
             # [x+, D] = -(-1)^{|x||D|}[D, x+] = -(-1)^{|x||D|}(Dx)+
-            s = Q(1) if (V.parity(i) * a_op.parity) % 2 else Q(-1)
-            entry = {l: s * c for l, c in enumerate(vec) if c}
-            if entry:
-                upper[i, off_d + t] = entry
-            # [D, u-] = (Du)-
-            entry_m = {off_m + l: c for l, c in enumerate(vec) if c}
-            if entry_m:
-                upper[off_d + t, off_m + i] = entry_m
-        for s_idx in range(t, nd):
-            br = supercommutator(a_op, dops[s_idx])
-            coords = _op_coords(dsp, br.matrix.flatten(), br.parity)
-            entry = {off_d + l: c for l, c in enumerate(coords) if c}
-            if entry:
-                upper[off_d + t, off_d + s_idx] = entry
-        for j in range(n):
-            # [D, L-hat_y] = L-hat_{D(y)}
-            vec = a_op.matrix.apply(V.basis_vector(j))
-            entry = {off_l + l: c for l, c in enumerate(vec) if c}
-            if entry:
-                upper[off_d + t, off_l + j] = entry
+            s = 1 if V.parity(i) * pa % 2 else -1
+            if col:
+                upper[i, off_d + t] = {l: s * c for l, c in col.items()}
+                # [D, u-] = (Du)- and [D, L-hat_y] = L-hat_{D(y)}
+                upper[off_d + t, off_m + i] = {off_m + l: c for l, c in col.items()}
+                upper[off_d + t, off_l + i] = {off_l + l: c for l, c in col.items()}
+    _middle_brackets(upper, dsp, off_d)
     for i in range(n):
         for j in range(n):
             # [L-hat_y, x+] = (yx)+ and [L-hat_y, u-] = -(yu)-
-            prod = V.product(V.basis_vector(j), V.basis_vector(i))
-            s = Q(-1) if (V.parity(i) * V.parity(j)) % 2 else Q(1)
-            entry_p = {l: -s * c for l, c in enumerate(prod) if c}
-            if entry_p:
-                upper[i, off_l + j] = entry_p
-            entry_m = {off_m + l: -c for l, c in enumerate(prod) if c}
-            if entry_m:
-                upper[off_l + j, off_m + i] = entry_m
+            prod = V.basis_product(j, i)
+            s = -1 if V.parity(i) * V.parity(j) % 2 else 1
+            if prod:
+                upper[i, off_l + j] = {l: -s * c for l, c in prod.items()}
+                upper[off_l + j, off_m + i] = {off_m + l: -c for l, c in prod.items()}
         for j in range(i, n):
             # [L-hat_x, L-hat_y] = [L_x, L_y] lands in D via Inn <= D
-            br = supercommutator(lmats[i], lmats[j])
-            coords = _op_coords(dsp, br.matrix.flatten(), br.parity)
-            entry = {off_d + l: c for l, c in enumerate(coords) if c}
-            if entry:
-                upper[off_l + i, off_l + j] = entry
+            if lbr[i * n + j]:
+                upper[off_l + i, off_l + j] = {off_d + l: c for l, c in lbr[i * n + j].items()}
 
     name = f"Ko_{data.label}({V.name})"
     alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
@@ -700,13 +648,10 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
     minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
     dp, dm = pair.shape
-    gen_flats, gen_pairs = [], []
-    for i in range(dp):
-        for j in range(dm):
-            d_plus, d_minus, _ = pair_d_ops(pair, 0, i, j)
-            gen_flats.append(d_plus.flatten() + d_minus.flatten())
-            gen_pairs.append((i, j))
-    gens = GeneratedSpan(gen_flats, dp * dp + dm * dm)
+    ds = pair_d_stack(pair)
+    gen_pairs = [(i, j) for i in range(dp) for j in range(dm)]
+    gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
+                          for row in ds.flats().tolist()], dp * dp + dm * dm)
     mid = ko2.data["middle"]
     mid_ops = mid.operators()
     images = []
@@ -751,20 +696,15 @@ def _check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, images: list,
     if src.dim != dst.dim:
         return CheckResult(name, False,
                            f"dimension mismatch {src.dim} vs {dst.dim}")
-    m = Matrix.from_columns(images)
     if span(images, ambient=dst.dim).dim != src.dim:
         return CheckResult(name, False, "images are linearly dependent")
     for i in range(src.dim):
         par = _image_parity(dst, images[i])
         if par is not None and par != src.parity(i):
             return CheckResult(name, False, f"parity broken at basis {i}")
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = m.apply(src.product(src.basis_vector(i), src.basis_vector(j)))
-            rhs = dst.product(images[i], images[j])
-            if lhs != rhs:
-                return CheckResult(
-                    name, False, f"bracket mismatch at basis pair ({i},{j})")
+    at = tensor.bracket_map_defect(src, dst, images)
+    if at is not None:
+        return CheckResult(name, False, "bracket mismatch at basis pair ({},{})".format(*at))
     return CheckResult(name, True, "linear bijection matching all brackets")
 
 
@@ -785,8 +725,14 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     nm = mid.dim
     off_mid, off_minus = n, n + nm
 
-    def mid_coords(d_plus, d_minus, parity):
-        return _op_coords(mid, d_plus.flatten() + d_minus.flatten(), parity)
+    def fill_mid(images, pending):
+        # pending: (image, plus, minus, parity); one batched read in the middle
+        ops = OperatorStack.from_flats([p.flatten() + m.flatten() for _, p, m, _ in pending],
+                                       [par for *_, par in pending], mid.shape)
+        for (at, *_), w in zip(pending, _coordinate_rows(mid, ops)):
+            for l, c in w.items():
+                images[at][off_mid + l] = c
+        return [tuple(v) for v in images]
 
     def dxe_pair(x_vec):
         # D_{x,e} = (2 L_x, -2 L_x) when e is the unit
@@ -805,7 +751,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
         l_flats + [lbr[i, j].matrix.flatten() for i in range(n) for j in range(n)],
         n * n)
     istr_ops = istr.operators()
-    images = []
+    images, pending = [], []
     for tag in kan.origin:
         vec = [Q(0)] * ko.dim
         if tag[0] == "vminus":
@@ -825,15 +771,14 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
                 else:
                     b = lbr[divmod(idx - n, n)].matrix.scale(c)
                     acc_plus, acc_minus = acc_plus + b, acc_minus + b
-            for l, c in enumerate(mid_coords(acc_plus, acc_minus, w.parity)):
-                vec[off_mid + l] = c
+            pending.append((len(images), acc_plus, acc_minus, w.parity))
         elif tag[0] == "kantorP":
             for l, c in enumerate(unit):
                 vec[l] = -c * Q(1, 2)
         else:  # kantorLP a
             vec[tag[1]] = Q(1, 2)
-        images.append(tuple(vec))
-    results.append(_check_bracket_map(kan.lie, ko.lie, images,
+        images.append(vec)
+    results.append(_check_bracket_map(kan.lie, ko.lie, fill_mid(images, pending),
                                       "kantor_equals_koecher"))
 
     # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-, h(x)a -> D_{a,e},
@@ -841,7 +786,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     ti = tits(V, "inn")
     dsp = ti.data["dspace"]
     dsp_ops = dsp.operators()
-    images = []
+    images, pending = [], []
     for tag in ti.origin:
         vec = [Q(0)] * ko.dim
         if tag[0] == "e":
@@ -849,15 +794,12 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
         elif tag[0] == "f":
             vec[off_minus + tag[1]] = Q(1)
         elif tag[0] == "h":
-            dp, dm = dxe_pair(V.basis_vector(tag[1]))
-            for l, c in enumerate(mid_coords(dp, dm, V.parity(tag[1]))):
-                vec[off_mid + l] = c
+            pending.append((len(images), *dxe_pair(V.basis_vector(tag[1])), V.parity(tag[1])))
         else:
             w = dsp_ops[tag[1]]
-            for l, c in enumerate(mid_coords(w.matrix, w.matrix, w.parity)):
-                vec[off_mid + l] = c
-        images.append(tuple(vec))
-    results.append(_check_bracket_map(ti.lie, ko.lie, images,
+            pending.append((len(images), w.matrix, w.matrix, w.parity))
+        images.append(vec)
+    results.append(_check_bracket_map(ti.lie, ko.lie, fill_mid(images, pending),
                                       "tits_inn_equals_koecher"))
 
     # derivation tower of Ko(V) against Ko~(V), dim V, and str/istr
@@ -948,66 +890,47 @@ def out_dims(tower: dict) -> dict:
 def pair_der_matches_der0(v) -> CheckResult:
     """Pair derivations are exactly the shift-0 derivations of Ko(V+,V-).
 
-    The embedding acts as D+ / D- on the tips and by bracket on the middle;
-    it is verified to land in Der(Ko)_0, to fill it, and to match brackets.
+    The embedding E_D acts as D+ / D- on the tips and by bracket on the
+    middle, E_D W_t = [D, W_t]; it is verified to land in Der(Ko)_0, to fill
+    it, and to match brackets, E_[D,D'] = [E_D, E_D'].  Both sides are
+    block diagonal and agree on the tips by construction, so the brackets
+    are compared on the middle blocks: one batched contraction each.
     """
+    import numpy as np
     ko = koecher(v, middle="inn")
     g = ko.lie
     mid = ko.data["middle"]
     dp, dm = ko.data["pair"].shape
-    nm = mid.dim
-    mid_ops = mid.operators()
+    nm, N = mid.dim, g.dim
     pd = pair_der(v)
-    pd_ops = pd.operators()
-    der0 = {p: derivation_kernel(g, p, 0) for p in (0, 1)}
-
-    def embed(d_plus, d_minus, par):
-        entries = {}
-        for r in range(dp):
-            for c in range(dp):
-                if d_plus[r, c]:
-                    entries[r, c] = d_plus[r, c]
-        for r in range(dm):
-            for c in range(dm):
-                if d_minus[r, c]:
-                    entries[dp + nm + r, dp + nm + c] = d_minus[r, c]
-        for t, (w_plus, w_minus, wpar) in enumerate(mid_ops):
-            sg = Q(-1) if (par * wpar) % 2 else Q(1)
-            br_plus = d_plus @ w_plus - (w_plus @ d_plus).scale(sg)
-            br_minus = d_minus @ w_minus - (w_minus @ d_minus).scale(sg)
-            coords = _op_coords(mid, br_plus.flatten() + br_minus.flatten(),
-                                (par + wpar) % 2)
-            for l, c in enumerate(coords):
-                if c:
-                    entries[dp + l, dp + t] = c
-        return Matrix.from_entries(g.dim, g.dim, entries)
-
-    embedded = []
-    for d_plus, d_minus, par in pd_ops:
-        m = embed(d_plus, d_minus, par)
-        if not der0[par].contains(m.flatten()):
-            return CheckResult("pair_der_equals_der0", False,
-                               "embedded pair derivation is not a derivation of Ko")
-        embedded.append((m, par))
-    dims = (der0[0].dim, der0[1].dim)
-    if dims != pd.dims():
+    P, W = pd.stack, mid.stack
+    k = len(P)
+    # middle blocks [l, t] = coordinate l of [D, W_t], scaled by P.den * W.den
+    M = mid.coordinates(P.bracket(W)).reshape(k, nm, nm).transpose(0, 2, 1)
+    E = np.zeros((k, N, N), dtype=object)
+    E[:, :dp, :dp] = P.blocks[0].astype(object) * W.den
+    E[:, dp + nm:, dp + nm:] = P.blocks[1].astype(object) * W.den
+    E[:, dp:dp + nm, dp:dp + nm] = M
+    embedded = OperatorStack((E,), P.parities, P.den * W.den)
+    der0 = OperatorSpace("Der(Ko)_0", derivation_kernel(g, 0, 0),
+                         derivation_kernel(g, 1, 0), (N,))
+    if not der0.contains_stack(embedded):
         return CheckResult("pair_der_equals_der0", False,
-                           f"Der(Ko)_0 dims {dims} vs pair_der {pd.dims()}")
-    if span([m.flatten() for m, _ in embedded], ambient=g.dim ** 2).dim != pd.dim:
+                           "embedded pair derivation is not a derivation of Ko")
+    if der0.dims() != pd.dims():
+        return CheckResult("pair_der_equals_der0", False,
+                           f"Der(Ko)_0 dims {der0.dims()} vs pair_der {pd.dims()}")
+    if Subspace(N * N, embedded.flats().tolist()).dim != pd.dim:
         return CheckResult("pair_der_equals_der0", False,
                            "embedded derivations are dependent")
-    # bracket match: embed([D,D']) = [embed D, embed D']
-    for a, (ma, pa) in enumerate(embedded):
-        da_plus, da_minus, _ = pd_ops[a]
-        for b, (mb, pb) in enumerate(embedded):
-            db_plus, db_minus, _ = pd_ops[b]
-            sg = Q(-1) if (pa * pb) % 2 else Q(1)
-            br = embed(da_plus @ db_plus - (db_plus @ da_plus).scale(sg),
-                       da_minus @ db_minus - (db_minus @ da_minus).scale(sg),
-                       (pa + pb) % 2)
-            if br != ma @ mb - (mb @ ma).scale(sg):
-                return CheckResult("pair_der_equals_der0", False,
-                                   f"bracket mismatch at embedded pair ({a},{b})")
+    # bracket match on the middle: E_[Da,Db] (P.den**2 W.den) against
+    # [E_Da, E_Db] (P.den**2 W.den**2)
+    MB = mid.coordinates(P.bracket(P).bracket(W)).reshape(k, k, nm, nm).transpose(0, 1, 3, 2)
+    bad = tensor.mismatch(MB, W.den, tensor.brackets(M, P.parities, M, P.parities), 1)
+    hits = np.argwhere(bad.any(axis=(2, 3)))
+    if len(hits):
+        return CheckResult("pair_der_equals_der0", False,
+                           "bracket mismatch at embedded pair ({},{})".format(*hits[0]))
     return CheckResult("pair_der_equals_der0", True,
                        "Der(V+,V-) fills Der(Ko)_0 and matches brackets")
 

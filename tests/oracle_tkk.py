@@ -1,0 +1,581 @@
+"""Loop reference implementations of the degree-0 layer (test-only oracle).
+
+These are the Fraction loops that supertkk ran for the degree-0 parts of
+the TKK constructions before they moved onto the integer-tensor layer
+(`OperatorStack.bracket`, `OperatorSpace.coordinates`, `tensor.decode`,
+`tensor.bracket_map_defect`), kept verbatim as the slow reference: each
+supercommutator is a dense Matrix product, and each coordinate vector comes
+from `Subspace.coordinates` one operator at a time (`op_coords`).
+
+- `inn_algebra`, `l_space`, `double`, `pair_d_ops` and `pair_inn` are the
+  former structure builders (`double` calls the Fraction `triple` n**3
+  times), and `inclusion_checks` the former loops of the operator-pair
+  checks of `inclusion_report`.
+- `koecher`, `kantor`, `tits_data`, `tits` and `koecher_d` are the former
+  constructions, not memoized.  They build Inn(V), Inn(V,V) and the doubled
+  pair with the loops here and take Der(V), Der(V,V) and istr from supertkk;
+  every middle is a canonical subspace, so both sides write their brackets
+  in the same basis.
+- `check_bracket_map` is the former `_check_bracket_map` loop and
+  `pair_der_matches_der0` the former embedding check.
+"""
+
+from __future__ import annotations
+
+from oracle_identities import _gplus_on_gminus
+from supertkk import tensor
+from supertkk.exact import Matrix, Q, certify, span
+from supertkk.jordan import l_op, triple
+from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
+                                der_algebra, derivation_kernel, istr_algebra,
+                                istr_tilde, pair_der, str_w)
+from supertkk.superspace import SuperAlgebra, make_algebra, mirror, supercommutator
+from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _killing_half, _sl2
+
+
+# ---------------------------------------------------------------------------
+# structure
+
+
+def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
+    """Inner derivations: the span of the [L_x, L_y]."""
+    flats: dict = {0: [], 1: []}
+    mats = [l_op(V, V.basis_vector(i)) for i in range(V.dim)]
+    for i in range(V.dim):
+        for j in range(i, V.dim):
+            br = supercommutator(mats[i], mats[j])
+            flats[(V.parity(i) + V.parity(j)) % 2].append(br.matrix.flatten())
+    return _space("Inn", flats, (V.dim,), V)
+
+
+def double(V: SuperAlgebra) -> JordanPair:
+    """The doubled superpair (V, V) with both triples from the algebra triple."""
+    table: dict = {}
+    n = V.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t = triple(V, V.basis_vector(i), V.basis_vector(j), V.basis_vector(k))
+                if any(t):
+                    table[i, j, k] = {l: c for l, c in enumerate(t) if c}
+    return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (table, table))
+
+
+def pair_d_ops(pair: JordanPair, sigma: int, i: int, j: int):
+    """The derivation pair D_{e_i, e_j} for e_i in V^sigma, e_j in V^(-sigma).
+
+    Returns (D acting on V^sigma, companion acting on V^(-sigma), parity);
+    the companion is -(-1)^{|x||y|} {y, x, .}^(-sigma).
+    """
+    d_same = Matrix.from_entries(pair.dim(sigma), pair.dim(sigma), {
+        (l, k): c
+        for k in range(pair.dim(sigma))
+        for l, c in pair.basis_triple(sigma, i, j, k).items()})
+    other = 1 - sigma
+    s = Q(-1) if (pair.parity(sigma, i) * pair.parity(other, j)) % 2 == 0 else Q(1)
+    d_other = Matrix.from_entries(pair.dim(other), pair.dim(other), {
+        (l, k): s * c
+        for k in range(pair.dim(other))
+        for l, c in pair.basis_triple(other, j, i, k).items()})
+    parity = (pair.parity(sigma, i) + pair.parity(other, j)) % 2
+    return d_same, d_other, parity
+
+
+def pair_inn(v) -> OperatorSpace:
+    """Inner derivations of the pair: the span of the (D_{x,y}, companion).
+
+    Accepts a Jordan superalgebra (meaning its doubled pair) or a JordanPair.
+    """
+    pair = double(v) if isinstance(v, SuperAlgebra) else v
+    flats: dict = {0: [], 1: []}
+    for i in range(pair.dim(0)):
+        for j in range(pair.dim(1)):
+            d_plus, d_minus, parity = pair_d_ops(pair, 0, i, j)
+            flats[parity].append(d_plus.flatten() + d_minus.flatten())
+    return _space("Inn(V,V)", flats, pair.shape)
+
+
+def l_space(V: SuperAlgebra) -> OperatorSpace:
+    """Span of the left multiplications L_x."""
+    flats: dict = {0: [], 1: []}
+    for i in range(V.dim):
+        flats[V.parity(i)].append(l_op(V, V.basis_vector(i)).matrix.flatten())
+    return _space("{L}", flats, (V.dim,), V)
+
+
+def inclusion_checks(V: SuperAlgebra) -> dict:
+    """The operator-pair checks of inclusion_report by their names, one
+    Matrix operation and one containment test at a time."""
+    n = V.dim
+    inn, der, pinn, pder, sw = (inn_algebra(V), der_algebra(V), pair_inn(V), pair_der(V),
+                                str_w(V))
+    out = {}
+    ok = True
+    for i in range(n):
+        li = l_op(V, V.basis_vector(i)).matrix
+        vec = li.flatten() + (-li).flatten()
+        ok = ok and pder.contains_flat(vec, V.parity(i))
+    out["lx_minus_lx_in_pair_der"] = ok
+    ok = True
+    for op in der.operators():
+        vec = op.matrix.flatten() + op.matrix.flatten()
+        ok = ok and pder.contains_flat(vec, op.parity)
+    out["diag_der_in_pair_der"] = ok
+    ok = True
+    for op in inn.operators():
+        vec = op.matrix.flatten() + op.matrix.flatten()
+        ok = ok and pinn.contains_flat(vec, op.parity)
+    out["diag_inn_in_pair_inn"] = ok
+    image: dict = {0: [], 1: []}
+    for d_plus, _, parity in pinn.operators():
+        image[parity].append(d_plus.flatten())
+    psi_img = _space("psi(Inn(V,V))", image, (n,), V)
+    itld = istr_tilde(V)
+    out["psi_onto_istr_tilde"] = psi_img.even == itld.even and psi_img.odd == itld.odd
+    ok = True
+    for a_plus, a_minus, pa in pder.operators():
+        for b_plus, b_minus, pb in pinn.operators():
+            s = Q(-1) if (pa * pb) % 2 else Q(1)
+            br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(s)
+            br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(s)
+            ok = ok and pinn.contains_flat(br_plus.flatten() + br_minus.flatten(),
+                                           (pa + pb) % 2)
+    out["pair_inn_ideal"] = ok
+    ok = True
+    for x, y, parity in sw.operators():
+        vec = x.flatten() + (-y).flatten()
+        ok = ok and pder.contains_flat(vec, parity)
+    out["str_w_swap_in_pair_der"] = ok
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tkk
+
+
+def op_coords(space: OperatorSpace, flat, parity: int) -> list:
+    """Coordinates of a flattened operator in the basis order of operators()."""
+    coords = space.part(parity).coordinates(flat)
+    certify(coords is not None, f"operator does not lie in {space.label}")
+    if parity % 2:
+        return [Q(0)] * space.even.dim + list(coords)
+    return list(coords) + [Q(0)] * space.odd.dim
+
+
+def koecher(v, middle: str = "inn") -> TkkAlgebra:
+    """The 3-graded Lie superalgebra V+ (+) mid (+) V- over a pair or algebra.
+
+    middle "inn" uses Inn(V,V) (the classical construction), "der" uses
+    Der(V,V) (the extended one, in which the former embeds as an ideal).
+    """
+    pair = double(v) if isinstance(v, SuperAlgebra) else v
+    if middle == "inn":
+        mid = pair_inn(v)
+    elif middle == "der":
+        mid = pair_der(v)
+    else:
+        raise ValueError(f"unknown middle {middle!r}, expected 'inn' or 'der'")
+    dp, dm = pair.shape
+    ops = mid.operators()
+    nm = len(ops)
+    parities = (tuple(pair.parities[0]) + tuple(p for _, _, p in ops)
+                + tuple(pair.parities[1]))
+    zdeg = (1,) * dp + (0,) * nm + (-1,) * dm
+    origin = tuple([("vplus", i) for i in range(dp)]
+                   + [("op0", t) for t in range(nm)]
+                   + [("vminus", u) for u in range(dm)])
+
+    upper: dict = {}
+    for i in range(dp):
+        for u in range(dm):
+            # [x+, u-] = D_{x,u} as an operator pair in the middle
+            d_plus, d_minus, par = pair_d_ops(pair, 0, i, u)
+            coords = op_coords(mid, d_plus.flatten() + d_minus.flatten(), par)
+            upper[i, dp + nm + u] = {dp + t: c for t, c in enumerate(coords) if c}
+    for t, (a_plus, a_minus, pa) in enumerate(ops):
+        for i in range(dp):
+            # [x+, M] = -(-1)^{|x||M|} (M+ x)+
+            s = Q(-1) if (pair.parity(0, i) * pa) % 2 else Q(1)
+            vec = a_plus.apply(
+                tuple(Q(1) if r == i else Q(0) for r in range(dp)))
+            upper[i, dp + t] = {l: -s * c for l, c in enumerate(vec) if c}
+        for u in range(dm):
+            # [M, u-] = (M- u)-
+            vec = a_minus.apply(
+                tuple(Q(1) if r == u else Q(0) for r in range(dm)))
+            upper[dp + t, dp + nm + u] = {dp + nm + l: c
+                                          for l, c in enumerate(vec) if c}
+        for s_idx in range(t, nm):
+            b_plus, b_minus, pb = ops[s_idx]
+            sg = Q(-1) if (pa * pb) % 2 else Q(1)
+            br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(sg)
+            br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(sg)
+            coords = op_coords(mid, br_plus.flatten() + br_minus.flatten(),
+                                (pa + pb) % 2)
+            entry = {dp + r: c for r, c in enumerate(coords) if c}
+            if entry:
+                upper[dp + t, dp + s_idx] = entry
+
+    prefix = "Ko" if middle == "inn" else "Ko~"
+    name = (prefix + pair.name if pair.name.startswith("(")
+            else f"{prefix}({pair.name})")
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
+                       zdegrees=zdeg, name=name, kind="lie",
+                       metadata={"construction": "koecher", "middle": middle})
+    return TkkAlgebra(alg, "Ko" if middle == "inn" else "KoTilde",
+                      origin, source=name, data={"pair": pair, "middle": mid})
+
+
+def kantor(V: SuperAlgebra) -> TkkAlgebra:
+    """Kantor's 3-graded Lie superalgebra V (+) istr(V) (+) <P, [L_a, P]>."""
+    if V.kind != "jordan":
+        raise ValueError("kantor expects a Jordan superalgebra")
+    n = V.dim
+    istr = istr_algebra(V)
+    mid_ops = istr.operators()
+    nm = len(mid_ops)
+    top = KantorTop(V)
+    top_basis = top.basis()
+    nt = len(top_basis)
+    parities = (tuple(V.parities) + tuple(op.parity for op in mid_ops)
+                + tuple(p for _, _, p in top_basis))
+    zdeg = (-1,) * n + (0,) * nm + (1,) * nt
+    origin = tuple([("vminus", i) for i in range(n)]
+                   + [("op0", t) for t in range(nm)]
+                   + [tag for tag, _, _ in top_basis])
+
+    upper: dict = {}
+    for i in range(n):
+        for t, op in enumerate(mid_ops):
+            # [x, A] = -(-1)^{|x||A|} A(x)
+            s = Q(-1) if (V.parity(i) * op.parity) % 2 else Q(1)
+            vec = op.matrix.apply(V.basis_vector(i))
+            entry = {l: -s * c for l, c in enumerate(vec) if c}
+            if entry:
+                upper[i, n + t] = entry
+        for t, (_, t_flat, t_par) in enumerate(top_basis):
+            # [x, B] = -(-1)^{|x||B|} [B, x], with [B, x](y) = B(x, y) in istr
+            s = Q(-1) if (V.parity(i) * t_par) % 2 else Q(1)
+            mat = _gplus_on_gminus(V, t_flat, i)
+            coords = op_coords(istr, mat.flatten(), (V.parity(i) + t_par) % 2)
+            entry = {n + l: -s * c for l, c in enumerate(coords) if c}
+            if entry:
+                upper[i, n + nm + t] = entry
+    # [A, B] for A in istr and B in the top, as d**2 times integer flats
+    tops: dict = {}  # (u, i, j) -> {l: B_u(e_i, e_j)_l}
+    for u, (_, t_flat, _) in enumerate(top_basis):
+        for at, x in enumerate(t_flat):
+            if x:
+                l, ij = divmod(at, n * n)
+                tops.setdefault((u,) + divmod(ij, n), {})[l] = x
+    ops = {(t, r): {c: x for c, x in enumerate(row) if x}
+           for t, op in enumerate(mid_ops) for r, row in enumerate(op.matrix.data)}
+    (ops, tops), d = tensor.encode([ops, tops], [(nm, n, n), (nt, n, n, n)])
+    top_par = [p for _, _, p in top_basis]
+    for t, a_op in enumerate(mid_ops):
+        for s_idx in range(t, nm):
+            br = supercommutator(a_op, mid_ops[s_idx])
+            coords = op_coords(istr, br.matrix.flatten(), br.parity)
+            entry = {n + l: c for l, c in enumerate(coords) if c}
+            if entry:
+                upper[n + t, n + s_idx] = entry
+        sign = [-1 if a_op.parity * q % 2 else 1 for q in top_par]
+        acted = tensor.g0_action(ops[t], tops, sign, V.parities)
+        for u, flat in enumerate(acted.transpose(0, 3, 1, 2).reshape(nt, n ** 3).tolist()):
+            coords = top.coords(flat, (a_op.parity + top_par[u]) % 2)
+            entry = {n + nm + l: c / (d * d) for l, c in enumerate(coords) if c}
+            if entry:
+                upper[n + t, n + nm + u] = entry
+
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
+                       zdegrees=zdeg, name=f"Kan({V.name})", kind="lie",
+                       metadata={"construction": "kantor"})
+    return TkkAlgebra(alg, "Kan", origin, source=f"Kan({V.name})",
+                      data={"middle": istr, "top": top})
+
+
+def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
+    """Resolve a derivation-container choice and validate its preconditions."""
+    if isinstance(d, TitsData):
+        return d
+    if isinstance(d, str):
+        if d == "inn":
+            dsp = inn_algebra(V)
+        elif d == "der":
+            dsp = der_algebra(V)
+        else:
+            raise ValueError(f"unknown derivation choice {d!r}, "
+                             "expected 'inn' or 'der'")
+        label = d
+    else:
+        dsp, label = d, d.label
+    if not der_algebra(V).contains_space(dsp):
+        raise ValueError("derivation container must consist of derivations")
+    if not dsp.contains_space(inn_algebra(V)):
+        raise ValueError("derivation container must contain the inner derivations")
+    ops = dsp.operators()
+    for i, a_op in enumerate(ops):
+        for b_op in ops[i:]:
+            br = supercommutator(a_op, b_op)
+            if not dsp.contains_flat(br.matrix.flatten(), br.parity):
+                raise ValueError("derivation container is not closed under bracket")
+    sl2 = _sl2()
+    return TitsData(dsp, sl2, _killing_half(sl2), label)
+
+
+def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
+    """Tits construction D (+) (sl2 (x) V) with the half-Killing pairing."""
+    if V.kind != "jordan":
+        raise ValueError("tits expects a Jordan superalgebra")
+    n = V.dim
+    data = tits_data(V, d)
+    dsp, y, kappa = data.dspace, data.sl2, data.killing
+    dops = dsp.operators()
+    nd = len(dops)
+    # sl2 basis order e, h, f carries the 3-grading +1, 0, -1
+    sl2_deg = (1, 0, -1)
+    parities = tuple(op.parity for op in dops) + tuple(V.parities) * 3
+    zdeg = tuple(0 for _ in range(nd)) + tuple(
+        z for z in sl2_deg for _ in range(n))
+    origin = tuple([("d", t) for t in range(nd)]
+                   + [(tag, i) for tag in ("e", "h", "f") for i in range(n)])
+
+    def tensor_index(y_idx: int, v_idx: int) -> int:
+        return nd + y_idx * n + v_idx
+
+    upper: dict = {}
+    for t, a_op in enumerate(dops):
+        for s_idx in range(t, nd):
+            br = supercommutator(a_op, dops[s_idx])
+            coords = op_coords(dsp, br.matrix.flatten(), br.parity)
+            entry = {l: c for l, c in enumerate(coords) if c}
+            if entry:
+                upper[t, s_idx] = entry
+        for yi in range(3):
+            # [d, y (x) v] = y (x) d(v)
+            for vj in range(n):
+                vec = a_op.matrix.apply(V.basis_vector(vj))
+                entry = {tensor_index(yi, l): c for l, c in enumerate(vec) if c}
+                if entry:
+                    upper[t, tensor_index(yi, vj)] = entry
+    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    for yi in range(3):
+        for yj in range(3):
+            for vi in range(n):
+                for vj in range(n):
+                    a, b = tensor_index(yi, vi), tensor_index(yj, vj)
+                    if a > b:
+                        continue
+                    # [y (x) v, y' (x) v'] = (y,y')[L_v,L_{v'}] + [y,y'] (x) vv'
+                    entry: dict = {}
+                    if kappa[yi, yj]:
+                        br = supercommutator(lmats[vi], lmats[vj])
+                        coords = op_coords(dsp, br.matrix.flatten(), br.parity)
+                        for l, c in enumerate(coords):
+                            if c:
+                                entry[l] = entry.get(l, Q(0)) + kappa[yi, yj] * c
+                    ybr = y.basis_product(yi, yj)
+                    if ybr:
+                        prod = V.product(V.basis_vector(vi), V.basis_vector(vj))
+                        for yk, yc in ybr.items():
+                            for l, c in enumerate(prod):
+                                if c:
+                                    idx = tensor_index(yk, l)
+                                    entry[idx] = entry.get(idx, Q(0)) + yc * c
+                    entry = {k: c for k, c in entry.items() if c}
+                    if entry:
+                        upper[a, b] = entry
+
+    name = f"Ti({V.name},{data.label})"
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
+                       zdegrees=zdeg, name=name, kind="lie",
+                       metadata={"construction": "tits", "dchoice": data.label})
+    return TkkAlgebra(alg, "Ti", origin, source=name,
+                      data={"dspace": dsp, "sl2": y, "kappa": kappa,
+                            "label": data.label})
+
+
+def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
+    """V+ (+) (D (+) a formal L-hat copy of V) (+) V-."""
+    if V.kind != "jordan":
+        raise ValueError("koecher_d expects a Jordan superalgebra")
+    n = V.dim
+    data = tits_data(V, d)
+    dsp = data.dspace
+    dops = dsp.operators()
+    nd = len(dops)
+    parities = (tuple(V.parities) + tuple(op.parity for op in dops)
+                + tuple(V.parities) + tuple(V.parities))
+    zdeg = (1,) * n + (0,) * (nd + n) + (-1,) * n
+    origin = tuple([("vplus", i) for i in range(n)]
+                   + [("d", t) for t in range(nd)]
+                   + [("lhat", i) for i in range(n)]
+                   + [("vminus", i) for i in range(n)])
+    off_d, off_l, off_m = n, n + nd, n + nd + n
+    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+
+    upper: dict = {}
+    for i in range(n):
+        for u in range(n):
+            # [x+, u-] = 2 L-hat_{xu} + 2 [L_x, L_u] in D
+            prod = V.product(V.basis_vector(i), V.basis_vector(u))
+            entry = {off_l + l: 2 * c for l, c in enumerate(prod) if c}
+            br = supercommutator(lmats[i], lmats[u])
+            coords = op_coords(dsp, br.matrix.flatten(), br.parity)
+            for l, c in enumerate(coords):
+                if c:
+                    entry[off_d + l] = entry.get(off_d + l, Q(0)) + 2 * c
+            entry = {k: c for k, c in entry.items() if c}
+            if entry:
+                upper[i, off_m + u] = entry
+    for t, a_op in enumerate(dops):
+        for i in range(n):
+            vec = a_op.matrix.apply(V.basis_vector(i))
+            # [x+, D] = -(-1)^{|x||D|}[D, x+] = -(-1)^{|x||D|}(Dx)+
+            s = Q(1) if (V.parity(i) * a_op.parity) % 2 else Q(-1)
+            entry = {l: s * c for l, c in enumerate(vec) if c}
+            if entry:
+                upper[i, off_d + t] = entry
+            # [D, u-] = (Du)-
+            entry_m = {off_m + l: c for l, c in enumerate(vec) if c}
+            if entry_m:
+                upper[off_d + t, off_m + i] = entry_m
+        for s_idx in range(t, nd):
+            br = supercommutator(a_op, dops[s_idx])
+            coords = op_coords(dsp, br.matrix.flatten(), br.parity)
+            entry = {off_d + l: c for l, c in enumerate(coords) if c}
+            if entry:
+                upper[off_d + t, off_d + s_idx] = entry
+        for j in range(n):
+            # [D, L-hat_y] = L-hat_{D(y)}
+            vec = a_op.matrix.apply(V.basis_vector(j))
+            entry = {off_l + l: c for l, c in enumerate(vec) if c}
+            if entry:
+                upper[off_d + t, off_l + j] = entry
+    for i in range(n):
+        for j in range(n):
+            # [L-hat_y, x+] = (yx)+ and [L-hat_y, u-] = -(yu)-
+            prod = V.product(V.basis_vector(j), V.basis_vector(i))
+            s = Q(-1) if (V.parity(i) * V.parity(j)) % 2 else Q(1)
+            entry_p = {l: -s * c for l, c in enumerate(prod) if c}
+            if entry_p:
+                upper[i, off_l + j] = entry_p
+            entry_m = {off_m + l: -c for l, c in enumerate(prod) if c}
+            if entry_m:
+                upper[off_l + j, off_m + i] = entry_m
+        for j in range(i, n):
+            # [L-hat_x, L-hat_y] = [L_x, L_y] lands in D via Inn <= D
+            br = supercommutator(lmats[i], lmats[j])
+            coords = op_coords(dsp, br.matrix.flatten(), br.parity)
+            entry = {off_d + l: c for l, c in enumerate(coords) if c}
+            if entry:
+                upper[off_l + i, off_l + j] = entry
+
+    name = f"Ko_{data.label}({V.name})"
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
+                       zdegrees=zdeg, name=name, kind="lie",
+                       metadata={"construction": "koecher_d",
+                                 "dchoice": data.label})
+    return TkkAlgebra(alg, "KoD", origin, source=name, data={"dspace": dsp})
+
+
+def _image_parity(dst: SuperAlgebra, vec):
+    par = None
+    for l, c in enumerate(vec):
+        if c:
+            if par is None:
+                par = dst.parity(l)
+            elif par != dst.parity(l):
+                return -1  # mixed parity never matches
+    return par
+
+
+def check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, images: list,
+                       name: str) -> CheckResult:
+    """Verify that basis -> images extends to an isomorphism src -> dst."""
+    if src.dim != dst.dim:
+        return CheckResult(name, False,
+                           f"dimension mismatch {src.dim} vs {dst.dim}")
+    m = Matrix.from_columns(images)
+    if span(images, ambient=dst.dim).dim != src.dim:
+        return CheckResult(name, False, "images are linearly dependent")
+    for i in range(src.dim):
+        par = _image_parity(dst, images[i])
+        if par is not None and par != src.parity(i):
+            return CheckResult(name, False, f"parity broken at basis {i}")
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = m.apply(src.product(src.basis_vector(i), src.basis_vector(j)))
+            rhs = dst.product(images[i], images[j])
+            if lhs != rhs:
+                return CheckResult(
+                    name, False, f"bracket mismatch at basis pair ({i},{j})")
+    return CheckResult(name, True, "linear bijection matching all brackets")
+
+
+def pair_der_matches_der0(v) -> CheckResult:
+    """Pair derivations are exactly the shift-0 derivations of Ko(V+,V-).
+
+    The embedding acts as D+ / D- on the tips and by bracket on the middle;
+    it is verified to land in Der(Ko)_0, to fill it, and to match brackets.
+    """
+    ko = koecher(v, middle="inn")
+    g = ko.lie
+    mid = ko.data["middle"]
+    dp, dm = ko.data["pair"].shape
+    nm = mid.dim
+    mid_ops = mid.operators()
+    pd = pair_der(v)
+    pd_ops = pd.operators()
+    der0 = {p: derivation_kernel(g, p, 0) for p in (0, 1)}
+
+    def embed(d_plus, d_minus, par):
+        entries = {}
+        for r in range(dp):
+            for c in range(dp):
+                if d_plus[r, c]:
+                    entries[r, c] = d_plus[r, c]
+        for r in range(dm):
+            for c in range(dm):
+                if d_minus[r, c]:
+                    entries[dp + nm + r, dp + nm + c] = d_minus[r, c]
+        for t, (w_plus, w_minus, wpar) in enumerate(mid_ops):
+            sg = Q(-1) if (par * wpar) % 2 else Q(1)
+            br_plus = d_plus @ w_plus - (w_plus @ d_plus).scale(sg)
+            br_minus = d_minus @ w_minus - (w_minus @ d_minus).scale(sg)
+            coords = op_coords(mid, br_plus.flatten() + br_minus.flatten(),
+                                (par + wpar) % 2)
+            for l, c in enumerate(coords):
+                if c:
+                    entries[dp + l, dp + t] = c
+        return Matrix.from_entries(g.dim, g.dim, entries)
+
+    embedded = []
+    for d_plus, d_minus, par in pd_ops:
+        m = embed(d_plus, d_minus, par)
+        if not der0[par].contains(m.flatten()):
+            return CheckResult("pair_der_equals_der0", False,
+                               "embedded pair derivation is not a derivation of Ko")
+        embedded.append((m, par))
+    dims = (der0[0].dim, der0[1].dim)
+    if dims != pd.dims():
+        return CheckResult("pair_der_equals_der0", False,
+                           f"Der(Ko)_0 dims {dims} vs pair_der {pd.dims()}")
+    if span([m.flatten() for m, _ in embedded], ambient=g.dim ** 2).dim != pd.dim:
+        return CheckResult("pair_der_equals_der0", False,
+                           "embedded derivations are dependent")
+    # bracket match: embed([D,D']) = [embed D, embed D']
+    for a, (ma, pa) in enumerate(embedded):
+        da_plus, da_minus, _ = pd_ops[a]
+        for b, (mb, pb) in enumerate(embedded):
+            db_plus, db_minus, _ = pd_ops[b]
+            sg = Q(-1) if (pa * pb) % 2 else Q(1)
+            br = embed(da_plus @ db_plus - (db_plus @ da_plus).scale(sg),
+                       da_minus @ db_minus - (db_minus @ da_minus).scale(sg),
+                       (pa + pb) % 2)
+            if br != ma @ mb - (mb @ ma).scale(sg):
+                return CheckResult("pair_der_equals_der0", False,
+                                   f"bracket mismatch at embedded pair ({a},{b})")
+    return CheckResult("pair_der_equals_der0", True,
+                       "Der(V+,V-) fills Der(Ko)_0 and matches brackets")
+

@@ -1,0 +1,258 @@
+"""The degree-0 layer against the loop oracle (tests/oracle_tkk.py).
+
+The supercommutators of an operator basis come from one batched contraction
+(`OperatorStack.bracket`), their coordinates from the pivot entries,
+certified by one recombination per parity (`OperatorSpace.coordinates`).
+Every construction built on them must write the structure constants the
+Fraction loops wrote, and a bracket leaving its space must raise where the
+loop raised.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_tkk as oracle
+from supertkk import tensor, tkk
+from supertkk.catalog import jordan_catalog, resolve
+from supertkk.exact import CertificateError, Q, Subspace
+from supertkk.structure import (OperatorSpace, _space, double, inclusion_report,
+                                inn_algebra, l_space, pair_inn)
+from supertkk.superspace import make_algebra, supercommutator
+from test_tensor import _as_jordan, _rescaled, graded_tables, twelfths
+
+SETTINGS = dict(max_examples=25, deadline=None)
+values = st.one_of(st.just(Q(0)), st.just(Q(0)), twelfths)
+CONSTRUCTION_SOURCES = ("kacK", "full_matrix:1,1", "form:1,2", "j19", "dt:1/2",
+                        "trunc_poly:4", "form:3,0")
+
+
+# ---------------------------------------------------------------------------
+# random operator spaces
+
+
+def _loop_brackets(space: OperatorSpace, other: OperatorSpace):
+    """(flat, parity) of [A_t, B_s] for the bases of two spaces, by Matrix products."""
+    out = []
+    for a in space.operators():
+        for b in other.operators():
+            if space.paired:
+                (ap, am, pa), (bp, bm, pb) = a, b
+                s = Q(-1) if pa * pb % 2 else Q(1)
+                out.append(((ap @ bp - (bp @ ap).scale(s)).flatten()
+                            + (am @ bm - (bm @ am).scale(s)).flatten(), (pa + pb) % 2))
+            else:
+                br = supercommutator(a, b)
+                out.append((br.matrix.flatten(), br.parity))
+    return out
+
+
+@st.composite
+def operator_spaces(draw, shape=None):
+    """A span of homogeneous operators on V (plain) or on V+ x V- (paired,
+    dim V+ != dim V-) with constants of denominators up to 12, both parities
+    drawn; about half of them closed under bracket."""
+    if shape is None:
+        paired = draw(st.booleans())
+        shape = ((draw(st.integers(1, 3)),) if not paired
+                 else draw(st.tuples(st.integers(1, 3), st.integers(1, 3))
+                           .filter(lambda s: s[0] != s[1])))
+    par = [draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)) for m in shape]
+    flats = {0: [], 1: []}
+    for parity in (0, 1):
+        for _ in range(draw(st.integers(0, 2))):
+            flats[parity].append(tuple(
+                draw(values) if (p[r] + p[c]) % 2 == parity else Q(0)
+                for p in par for r in range(len(p)) for c in range(len(p))))
+    space = _space("S", flats, tuple(shape))
+    closed = not draw(st.booleans())
+    while not closed:
+        for flat, parity in _loop_brackets(space, space):
+            flats[parity].append(flat)
+        bigger = _space("S", flats, tuple(shape))
+        closed, space = bigger.dims() == space.dims(), bigger
+    return space
+
+
+def _new_coordinates(space, ops):
+    rows = tensor.decode(space.coordinates(ops), ops.den)
+    return [[rows.get((b,), {}).get(l, Q(0)) for l in range(space.dim)]
+            for b in range(len(ops))]
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except CertificateError as e:
+        return ("raised", str(e))
+
+
+@given(operator_spaces())
+@settings(**SETTINGS)
+def test_bracket_coordinates_match_the_loop_oracle(space):
+    t_le_s = [(t, s) for t in range(space.dim) for s in range(t, space.dim)]
+    loop = _loop_brackets(space, space)
+    want = _outcome(lambda: [oracle.op_coords(space, *loop[t * space.dim + s])
+                             for t, s in t_le_s])
+    got = _outcome(lambda: _new_coordinates(space, space.stack.bracket()))
+    assert got == want
+
+
+@given(st.data())
+@settings(**SETTINGS)
+def test_bracket_of_two_spaces_is_contained_like_the_loop(data):
+    a = data.draw(operator_spaces())
+    b = data.draw(operator_spaces(a.shape))
+    want = all(b.contains_flat(flat, parity) for flat, parity in _loop_brackets(a, b))
+    assert b.contains_stack(a.stack.bracket(b.stack)) is want
+    flats = [v for v in a.even.basis + a.odd.basis]
+    assert [[Q(int(x), a.stack.den) for x in row] for row in a.stack.flats().tolist()] == \
+        [list(v) for v in flats]
+
+
+def test_an_unclosed_space_raises_where_the_loop_raised():
+    # span{E12, E21} in End(Q^2): [E12, E21] = E11 - E22 leaves it
+    e12, e21 = (Q(0), Q(1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(0))
+    space = OperatorSpace("span{E12,E21}", Subspace(4, [e12, e21]), Subspace(4, []), (2,))
+    with pytest.raises(CertificateError, match=r"operator does not lie in span\{E12,E21\}"):
+        space.coordinates(space.stack.bracket())
+    assert not space.contains_stack(space.stack.bracket())
+    A, B = (op for op in space.operators())
+    with pytest.raises(CertificateError, match=r"operator does not lie in span\{E12,E21\}"):
+        oracle.op_coords(space, supercommutator(A, B).matrix.flatten(), 0)
+    # as a Tits derivation container of the zero product on Q^2, where
+    # Der = End(Q^2) and Inn = 0, it passes every other precondition
+    V = make_algebra((0, 0), [], name="zero2", kind="jordan")
+    for tits_data in (tkk.tits_data, oracle.tits_data):
+        with pytest.raises(ValueError, match="derivation container is not closed under bracket"):
+            tits_data(V, space)
+
+
+# ---------------------------------------------------------------------------
+# the constructions on catalog algebras in rescaled bases
+
+
+def _same_algebra(new, old):
+    assert new.lie.name == old.lie.name
+    assert new.lie.parities == old.lie.parities and new.lie.zdegrees == old.lie.zdegrees
+    assert new.lie.table == old.lie.table
+    assert new.origin == old.origin
+
+
+@st.composite
+def rescaled_jordan(draw, sources=CONSTRUCTION_SOURCES):
+    V = resolve(draw(st.sampled_from(sources)))
+    nonzero = twelfths.filter(bool)
+    return _rescaled(V, draw(st.lists(nonzero, min_size=V.dim, max_size=V.dim)))
+
+
+def _assert_constructions_match(V):
+    _same_algebra(tkk.koecher(V), oracle.koecher(V))
+    _same_algebra(tkk.koecher_tilde(V), oracle.koecher(V, "der"))
+    _same_algebra(tkk.kantor(V), oracle.kantor(V))
+    for d in ("inn", "der"):
+        _same_algebra(tkk.tits(V, d), oracle.tits(V, d))
+        _same_algebra(tkk.koecher_d(V, d), oracle.koecher_d(V, d))
+
+
+@given(rescaled_jordan())
+@settings(max_examples=8, deadline=None)
+def test_constructions_match_the_loop_oracle(V):
+    _assert_constructions_match(V)
+
+
+@given(rescaled_jordan())
+@settings(max_examples=8, deadline=None)
+def test_structure_spaces_and_checks_match_the_loop_oracle(V):
+    assert inn_algebra(V) == oracle.inn_algebra(V)
+    assert l_space(V) == oracle.l_space(V)
+    assert pair_inn(V) == oracle.pair_inn(V)
+    want = oracle.inclusion_checks(V)
+    assert {r.name: r.passed for r in inclusion_report(V) if r.name in want} == want
+    assert all(want.values())
+    assert tkk.pair_der_matches_der0(V) == oracle.pair_der_matches_der0(V)
+    for got in tkk.check_propnu(V, "inn") + tkk.check_unital_equivalences(V)[:2]:
+        assert got.passed or got.kind == "note", got
+
+
+@given(st.one_of(rescaled_jordan(),
+                 graded_tables(1, values).flatmap(
+                     lambda a: st.booleans().map(lambda u: _as_jordan(a, u and a.dim < 4)))))
+@settings(**SETTINGS)
+def test_double_matches_the_triple_loop(V):
+    got, want = double(V), oracle.double(V)
+    assert got.parities == want.parities and got.triples == want.triples
+
+
+# ---------------------------------------------------------------------------
+# the equivalence-map certificate
+
+
+def _identity_images(g):
+    return [g.basis_vector(i) for i in range(g.dim)]
+
+
+@given(st.data())
+@settings(**SETTINGS)
+def test_perturbed_bracket_map_fails_like_the_loop(data):
+    V = resolve(data.draw(st.sampled_from(("kacK", "full_matrix:1,1", "j19"))))
+    g = data.draw(st.sampled_from([tkk.koecher(V), tkk.tits(V, "inn")])).lie
+    images = [list(v) for v in _identity_images(g)]
+    at = data.draw(st.integers(0, g.dim - 1))
+    to = data.draw(st.sampled_from([k for k in range(g.dim) if g.parity(k) == g.parity(at)]))
+    images[at][to] += data.draw(twelfths.filter(bool))
+    images = [tuple(v) for v in images]
+    got = tkk._check_bracket_map(g, g, images, "perturbed")
+    assert got == oracle.check_bracket_map(g, g, images, "perturbed")
+
+
+def test_a_perturbed_image_names_the_first_pair_in_loop_order():
+    V = jordan_catalog("full_matrix", 1, 1)
+    ti, kd = tkk.tits(V, "inn"), tkk.koecher_d(V, "inn")
+    assert tkk.check_propnu(V, "inn")[0].passed
+    n, nd = V.dim, ti.data["dspace"].dim
+    off_d, off_l, off_m = n, n + nd, n + nd + n
+    # the propnu map, with h (x) e_0 sent to 3 L-hat_0 instead of 2 L-hat_0
+    images = []
+    for tag in ti.origin:
+        vec = [Q(0)] * kd.dim
+        at = {"d": off_d, "e": 0, "f": off_m, "h": off_l}[tag[0]] + tag[1]
+        vec[at] = Q(2) if tag[0] == "h" else Q(1)
+        images.append(vec)
+    images[nd + n][off_l] = Q(3)  # h (x) e_0
+    images = [tuple(v) for v in images]
+    got = tkk._check_bracket_map(ti.lie, kd.lie, images, "propnu")
+    want = oracle.check_bracket_map(ti.lie, kd.lie, images, "propnu")
+    assert got == want and not got.passed
+    assert got.detail.startswith("bracket mismatch at basis pair (")
+
+
+# ---------------------------------------------------------------------------
+# the int64 bound
+
+
+def test_degree0_contractions_prove_their_int64_bound(monkeypatch):
+    # full_matrix(1,1) with e12 scaled by 10^12: the bases of the middles
+    # carry the scale and its inverse, so bracket and reader casts cannot be
+    # proved for int64 and take object-dtype Python ints.  Every cast is
+    # checked against its own bound, and every result against the loops.
+    import sys
+
+    V = _rescaled(jordan_catalog("full_matrix", 1, 1), [Q(1), Q(10 ** 12), Q(1), Q(1)])
+    casts = []
+    cast = tensor._exact
+
+    def spy(arrays, factor, degree):
+        out = cast(arrays, factor, degree)
+        top = max((int(abs(a).max()) for a in arrays if a.size), default=0)
+        casts.append((sys._getframe(1).f_code.co_name, factor * max(top, 1) ** degree < 2 ** 62,
+                      {str(t.dtype) for t in out}))
+        return out
+
+    monkeypatch.setattr(tensor, "_exact", spy)
+    _assert_constructions_match(V)
+    assert double(V).triples == oracle.double(V).triples
+    assert tkk.pair_der_matches_der0(V) == oracle.pair_der_matches_der0(V)
+    for kernel in ("brackets", "pivot_coordinates"):  # both reach the object path
+        assert False in {proved for caller, proved, _ in casts if caller == kernel}, kernel
+    assert {proved for _, proved, _ in casts} == {True, False}
+    assert all(dtypes == ({"int64"} if proved else {"object"}) for _, proved, dtypes in casts)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import pytest
 
 import oracle_linalg as oracle
+import oracle_tkk
 from supertkk import structure, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
@@ -21,7 +22,7 @@ from supertkk.structure import (
     istr_algebra,
     istr_tilde,
     l_space,
-    pair_d_ops,
+    pair_d_stack,
     pair_der,
     pair_derivation_kernel,
     pair_inn,
@@ -106,10 +107,16 @@ def test_kacK_pair_generator():
     V = jordan_catalog("kacK")
     assert d_op(V, V.basis_vector(1), V.basis_vector(2)).matrix == diag(2, 0, 2)
     assert d_op(V, V.basis_vector(2), V.basis_vector(1)).matrix == diag(-2, -2, 0)
-    d_plus, d_minus, parity = pair_d_ops(double(V), 0, 1, 2)
+    d_plus, d_minus, parity = oracle_tkk.pair_d_ops(double(V), 0, 1, 2)
     assert parity == 0
     assert d_plus == diag(2, 0, 2)
     assert d_minus == diag(-2, -2, 0)
+    ds = pair_d_stack(double(V))  # row x * dim V- + y
+    assert ds.parities[1 * 3 + 2] == 0
+    assert [[Q(int(x), ds.den) for x in row] for row in ds.blocks[0][1 * 3 + 2]] == \
+        [list(r) for r in d_plus.data]
+    assert [[Q(int(x), ds.den) for x in row] for row in ds.blocks[1][1 * 3 + 2]] == \
+        [list(r) for r in d_minus.data]
     assert pair_inn(V).contains_flat(d_plus.flatten() + d_minus.flatten(), 0)
     assert istr_tilde(V).contains_flat(d_plus.flatten(), 0)
 
@@ -384,3 +391,31 @@ def test_operator_space_sum_and_intersect():
     meet = ls.intersect(inn)
     assert meet.dims() == (1, 0)
     assert meet.even.contains(l_op(V, V.basis_vector(1)).matrix.flatten())
+
+
+def test_symmetry_is_checked_once_per_algebra(monkeypatch):
+    # make_algebra checks the symmetry of a Lie or Jordan table once; the
+    # memoized check then decides whether leibniz_blocks may halve the
+    # system of the tower (Lie) or of Der (Jordan)
+    from collections import Counter
+
+    from supertkk import superspace
+    from supertkk.tkk import lie_der_tower
+
+    sources = ("sl:2,1", "w:2", "psl:2,2", "kacK", "full_matrix:1,1")
+    data = [save_algebra(resolve(s)) for s in sources]
+    passes = Counter()
+    check = superspace._check_symmetry
+
+    def spy(a, sign, what):
+        passes[a] += 1
+        return check(a, sign, what)
+
+    monkeypatch.setattr(superspace, "_check_symmetry", spy)
+    loaded = []
+    for blob in data:
+        g = load_algebra(blob)
+        loaded.append(g)
+        lie_der_tower(g) if g.kind == "lie" else der_algebra(g)
+    assert [passes[g] for g in loaded] == [1] * len(sources)
+    assert set(passes) == set(loaded)
