@@ -15,6 +15,15 @@ any number of members in those generators, each by one reduction.  Every
 kernel vector is verified exactly against every row, and every expressed
 member is recombined from its coefficients; a failure of either certificate
 raises CertificateError, so the checks survive `python -O`.
+
+Integer systems assembled as numpy COO triplets are made primitive by
+`primitive_row_blocks`, one vectorised pass per chunk of equations (sort,
+sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
+splits them into blocks of columns and removes repeated rows; the rational
+`primitive_rows` serves `Subspace`, `rref` and `kernel_sparse`.  The kernel
+certificate evaluates only the nonzero entries of the rows.  Every numpy
+path runs in int64 only after proving its bound below 2**62 (`int_dtype`),
+and on object-dtype Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -365,7 +374,10 @@ class GeneratedSpan:
 
 
 def row_primitive(row: dict) -> dict:
-    """Scale a sparse rational row to a primitive integer row (sign-normalized)."""
+    """Scale a sparse rational row to a primitive integer row, its entry in
+    the lowest column positive.  For rational rows (`Subspace`,
+    `GeneratedSpan`, `derived`); assembled integer systems take
+    `primitive_row_blocks`."""
     # ints and rationals already carry numerator/denominator; re-wrapping
     # them in Q() was the larger part of this function's time
     items = [(c, v if isinstance(v, (int, Fraction, _Scalar)) else Q(v))
@@ -381,7 +393,10 @@ def row_primitive(row: dict) -> dict:
 
 
 def primitive_rows(rows: Iterable[dict]) -> list[dict]:
-    """The distinct nonzero primitive integer rows of sparse rational rows."""
+    """The distinct nonzero primitive integer rows of sparse rational rows,
+    one `row_primitive` each: for the rational rows of `Subspace`, `rref` and
+    `kernel_sparse` (`center`); integer systems assembled as COO triplets take
+    `primitive_row_blocks`."""
     out, seen = [], set()
     for row in rows:
         pr = row_primitive(row)
@@ -390,6 +405,126 @@ def primitive_rows(rows: Iterable[dict]) -> list[dict]:
             seen.add(key)
             out.append(pr)
     return out
+
+
+def int_dtype(bound: int):
+    """The numpy dtype for integers of absolute value at most bound: int64
+    when bound < 2**62 (so sums and negations of two stay in range), else
+    object, whose entries are exact Python ints."""
+    import numpy as np
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int, list[dict]]:
+    """The distinct primitive rows of a sparse integer system given as COO
+    triplets, split into blocks of columns.
+
+    chunks yields (eq, col, val) integer arrays: entry (e, c) of the system is
+    the sum of the val of the triplets (e, c), of which there are at most
+    terms, and all triplets of an equation come in one chunk.  A column c is
+    a flat index; block_of[c] is its block and position_of[c] its position
+    in that block (int arrays).  Row (e, b) is equation e on the columns of
+    block b.
+
+    Each chunk is reduced in one vectorised pass: the triplets are sorted by
+    (e, b, c), duplicates summed by `np.add.reduceat`, zeros dropped, and
+    each row divided by its gcd (`np.gcd.reduceat`), signed so that its first
+    entry is positive, as `row_primitive` signs.  Rows repeated anywhere in
+    the system are then removed.  Returns {block: rows} for the blocks that
+    have a row, each row a dict {position: int}, in the order of the chunks
+    and, within one, of (e, b).
+
+    The values run in int64 only when terms * max|val| < 2**62, and the sort
+    keys when (rows) * (columns) < 2**62; otherwise both run on object-dtype
+    Python ints (`int_dtype`), still exact.
+    """
+    import numpy as np
+
+    ncols, nblocks = len(block_of), int(block_of.max(initial=0)) + 1
+    parts = []  # per chunk: (block of each row, row lengths, columns, values)
+    for eq, col, val in chunks:
+        if not len(eq):
+            continue
+        val = val.astype(int_dtype(terms * int(np.abs(val).max())))
+        key = eq.astype(int_dtype((int(eq.max()) + 1) * nblocks * ncols))
+        key = (key * nblocks + block_of[col]) * ncols + col
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, val = key[first], np.add.reduceat(val, first)
+        nonzero = val != 0
+        key, val = key[nonzero], val[nonzero]
+        if not len(key):
+            continue
+        row, col = key // ncols, (key % ncols).astype(np.int64)
+        start = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        lens = np.diff(np.r_[start, len(key)])
+        g = np.gcd.reduceat(np.abs(val), start)
+        val = val // np.repeat(np.where(val[start] < 0, -g, g), lens)
+        # deduplicated per chunk first, so that only about the distinct rows
+        # are held until the last pass
+        parts.append(_distinct_rows(block_of[col[start]], start, lens, col, val))
+    out: dict[int, list[dict]] = {}
+    if not parts:
+        return out
+    blocks, lens, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    blocks, lens, cols, vals = _distinct_rows(blocks, np.r_[0, np.cumsum(lens)[:-1]], lens,
+                                              cols, vals)
+    at, vals, start = position_of[cols].tolist(), vals.tolist(), 0
+    for b, end in zip(blocks.tolist(), np.cumsum(lens).tolist()):
+        out.setdefault(b, []).append(dict(zip(at[start:end], vals[start:end])))
+        start = end
+    return out
+
+
+def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
+    """(blocks, lens, cols, vals) of the rows, given by their starts and lens
+    into cols and vals, that no earlier row equals.
+
+    int64 rows are grouped by a 64-bit hash of their entries, and each row is
+    compared entry by entry with the first row of its group; a collision,
+    where they differ, sends the rows to the exact comparison of tuples that
+    object values always take."""
+    import numpy as np
+    keep = None
+    if vals.dtype != object:
+        h = _row_hashes(starts, lens, cols, vals)
+        _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+        dup = np.flatnonzero(first[inverse] != np.arange(len(h)))
+        rep = first[inverse[dup]]
+        if (lens[dup] == lens[rep]).all():
+            a, b = _entries(starts[dup], lens[dup]), _entries(starts[rep], lens[dup])
+            same = (cols[a] == cols[b]) & (vals[a] == vals[b])
+            if same.all():
+                keep = np.sort(first)
+    if keep is None:
+        seen: dict = {}
+        for r, (s, m) in enumerate(zip(starts.tolist(), lens.tolist())):
+            seen.setdefault((tuple(cols[s:s + m].tolist()), tuple(vals[s:s + m].tolist())), r)
+        keep = np.array(sorted(seen.values()), dtype=np.int64)
+    at = _entries(starts[keep], lens[keep])
+    return blocks[keep], lens[keep], cols[at], vals[at]
+
+
+def _entries(starts, lens):
+    """Indices of the entries of the rows given by starts and lens, row after row."""
+    import numpy as np
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _row_hashes(starts, lens, cols, vals):
+    """A 64-bit hash of each row's length and (column, value) entries
+    (splitmix64 finaliser of each entry, summed per row, wrapping)."""
+    import numpy as np
+    u = np.uint64
+    x = cols.astype(u) * u(0x9E3779B97F4A7C15) + vals.astype(u)
+    x ^= x >> u(30)
+    x *= u(0xBF58476D1CE4E5B9)
+    x ^= x >> u(27)
+    x *= u(0x94D049BB133111EB)
+    x ^= x >> u(31)
+    return np.add.reduceat(x, starts) + lens.astype(u) * u(0xD6E8FEB86659FD93)
 
 
 def _rational_rows(store: dict[int, dict], ncols: int):
@@ -452,33 +587,37 @@ def _echelon(int_rows: list[dict]) -> dict[int, dict]:
 
 
 def _verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
-    """Exact check that every sparse integer vector kills every row (numpy
-    int64 when a conservative bound rules out overflow, else Python ints)."""
+    """Exact check that every sparse integer vector kills every row.
+
+    Only the nonzero entries of the rows are evaluated: the products
+    row[c] * V[c] of a chunk of entries are summed per row by
+    `np.add.reduceat`.  int64 is used when max|row| * max|v| * (longest
+    row) < 2**62 bounds every partial sum, else object-dtype Python ints."""
     import numpy as np
 
-    if not vecs:
+    rows = [r for r in int_rows if r]
+    if not vecs or not rows:
         return True
-    max_r = max((max(abs(v) for v in r.values()) for r in int_rows if r), default=0)
+    max_r = max(abs(x) for r in rows for x in r.values())
     max_v = max(abs(x) for v in vecs for x in v.values())
-    if max_r and max_r * max_v * ncols < 2 ** 62:
-        V = np.zeros((ncols, len(vecs)), dtype=np.int64)
-        for k, v in enumerate(vecs):
-            for j, x in v.items():
-                V[j, k] = x
-        chunk = 4096
-        for start in range(0, len(int_rows), chunk):
-            block = int_rows[start:start + chunk]
-            B = np.zeros((len(block), ncols), dtype=np.int64)
-            for i, row in enumerate(block):
-                for c, v in row.items():
-                    B[i, c] = v
-            if np.any(B @ V):
-                return False
-        return True
-    for row in int_rows:  # big-int fallback, still exact
-        for v in vecs:
-            if sum(c * v.get(j, 0) for j, c in row.items()):
-                return False
+    dtype = int_dtype(max_r * max_v * max(map(len, rows)))
+    V = np.zeros((ncols, len(vecs)), dtype=dtype)
+    for k, v in enumerate(vecs):
+        V[list(v), k] = list(v.values())
+    cols = np.fromiter((c for r in rows for c in r), dtype=np.int64)
+    vals = np.array([x for r in rows for x in r.values()], dtype=dtype)
+    lens = np.array([len(r) for r in rows])
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    chunk = max(1, 2 ** 16 // len(vecs))  # entries per chunk, ~0.5 MB of int64 products
+    first = 0
+    while first < len(rows):  # whole rows, about chunk entries at a time
+        last = max(first + 1, int(np.searchsorted(ends, starts[first] + chunk, side="right")))
+        lo, hi = starts[first], ends[last - 1]
+        if np.add.reduceat(vals[lo:hi, None] * V[cols[lo:hi]], starts[first:last] - lo,
+                           axis=0).any():
+            return False
+        first = last
     return True
 
 
@@ -490,7 +629,8 @@ def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
 
 def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
     """Canonical RREF kernel basis of sparse integer rows (col -> int), which
-    callers pass already primitive and distinct, as `primitive_rows` leaves them.
+    callers pass already primitive and distinct, as `primitive_rows` and
+    `primitive_row_blocks` leave them.
 
     The rows are eliminated over the integers.  The kernel is read off as one
     integer vector per free column f (lcm of the pivots involved at f,

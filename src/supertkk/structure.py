@@ -11,8 +11,12 @@ split into (degree shift, parity) blocks (`leibniz_blocks`);
 `derivation_kernel` and the derivation towers of tkk read it from there.
 The pair derivations and str_w are the graded derivation rule of trilinear
 tables (the pair's two triples; the U operator of the algebra, twice), and
-one integer assembler writes both.  The Fraction row builders these
-assemblies replaced are test oracles in tests/oracle_linalg.py.
+one integer assembler writes both.  Both systems are numpy COO triplets
+broadcast from the support of the tables, made primitive, split into
+blocks and deduplicated by `exact.primitive_row_blocks`, which proves its
+int64 bounds first (an entry sums at most 3 constants in a Leibniz system,
+4 in a derivation-rule system).  The Fraction row builders and the Python
+Leibniz assembler these replaced are test oracles in tests/oracle_linalg.py.
 
 Bracket arithmetic on operators runs on integers: an `OperatorStack` holds
 a batch of operators as integer arrays with one denominator, its `bracket`
@@ -20,8 +24,8 @@ forms every supercommutator in one batched product (`tensor.brackets`), and
 `OperatorSpace.coordinates` reads a stack's coordinates off the pivots of
 the canonical basis, certified by one recombination per parity.  Inn,
 Inn(V,V), the doubled pair and the ideal check [Der(V,V), Inn(V,V)] are
-built this way; the Fraction loops they replaced are test oracles in
-tests/oracle_tkk.py.
+built this way, and istr~ is read off `tensor.triple_tensor`; the Fraction
+loops they replaced are test oracles in tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ from functools import cached_property
 from math import lcm
 
 from . import tensor
-from .exact import (Matrix, Q, Subspace, certify, integer_kernel, kernel_sparse,
-                    primitive_rows, solve)
-from .jordan import d_op, l_op
+from .exact import (Matrix, Q, Subspace, certify, int_dtype, integer_kernel,
+                    primitive_row_blocks, solve)
+# no system here goes through kernel_sparse; the name stays bound so that the
+# tests can check that the assembled integer rows never reach it
+from .exact import kernel_sparse  # noqa: F401
+from .jordan import l_op
 from .superspace import (GradedOperator, SuperAlgebra, Witness,
                          check_superanticommutative, check_supercommutative,
                          frozen_table, memoized)
@@ -243,6 +250,41 @@ def _integer_tables(*tables) -> tuple:
                   for key, w in t.items()} for t in tables)
 
 
+def _support(table, arity: int) -> tuple:
+    """The nonzero entries of an integer table {key: {k: c}} with keys of the
+    given length, as int arrays (one per key slot, then k) and the constants,
+    in int64 when they fit (`int_dtype`)."""
+    import numpy as np
+    keys = [key + (k,) for key, w in table.items() for k in w]
+    vals = [c for w in table.values() for c in w.values()]
+    at = np.array(keys, dtype=np.int64).reshape(len(keys), arity + 1).T
+    return (*at, np.array(vals, dtype=int_dtype(max(map(abs, vals), default=0))))
+
+
+def _runs(cost, budget: int = 2 ** 16):
+    """Ranges [lo, hi) of consecutive first indices whose costs (triplets
+    broadcast) sum to about budget, one index at least: the chunks of an
+    assembly, which bound its transient arrays."""
+    import numpy as np
+    before = np.cumsum(np.r_[0, cost])
+    lo = 0
+    while lo < len(cost):
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + budget, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _triplets(terms) -> tuple:
+    """(eq, col, val) of terms (eq, col, val, keep) of broadcastable arrays,
+    each flattened where keep holds, concatenated."""
+    import numpy as np
+    parts = []
+    for term in terms:
+        *arrays, keep = np.broadcast_arrays(*term)
+        parts.append([t[keep] for t in arrays])
+    return tuple(np.concatenate(t) for t in zip(*parts))
+
+
 @memoized
 def leibniz_blocks(a: SuperAlgebra) -> dict:
     """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j),
@@ -258,46 +300,58 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     any other table gets every ordered pair.  On a homogeneous table every
     term of equation (i, j, k) is an entry of the block
     (deg k - deg i - deg j, |i| + |j| + |k|).
+
+    The three terms are COO triplets broadcast from the table's support, for
+    a run of first indices i at a time (`_runs`), and
+    `exact.primitive_row_blocks` sums, reduces, splits and deduplicates
+    them; an entry sums at most three table constants.
     """
+    import numpy as np
     n = a.dim
     deg, par = [a.zdegree(i) for i in range(n)], a.parities
     for (i, j), w in a.table.items():
         for k in w:
             if par[k] != (par[i] + par[j]) % 2 or deg[k] != deg[i] + deg[j]:
                 raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k}")
-    table, = _integer_tables(a.table)
     # the symmetry checks are memoized; asking first for the one a's kind
     # was built with reuses the check make_algebra ran
     checks = (check_superanticommutative, check_supercommutative)
     symmetric = any(check(a) is None for check in (checks[::-1] if a.kind == "jordan" else checks))
     cols: dict = {}
-    pos = {}  # (r, c) -> position in its block
+    block_of, position_of = np.zeros(n * n, dtype=np.int64), np.zeros(n * n, dtype=np.int64)
     for r in range(n):
         for c in range(n):
-            block = cols.setdefault((deg[r] - deg[c], (par[r] + par[c]) % 2), [])
-            pos[r, c] = len(block)
-            block.append((r, c))
-    rows: dict = {key: [] for key in cols}
-    for i in range(n):
-        for j in range(i if symmetric else 0, n):
-            row_for: dict = {}  # k -> equation (i, j, k)
+            cols.setdefault((deg[r] - deg[c], (par[r] + par[c]) % 2), []).append((r, c))
+    keys = sorted(cols)
+    for b, key in enumerate(keys):
+        flat = [r * n + c for r, c in cols[key]]
+        block_of[flat], position_of[flat] = b, np.arange(len(flat))
+    I, J, K, C = _support(*_integer_tables(a.table), 2)
+    p, ks = np.array(par, dtype=np.int64), np.arange(n)
 
-            def add(k, rc, val):
-                row = row_for.setdefault(k, {})
-                row[pos[rc]] = row.get(pos[rc], 0) + val
+    def terms(lo, hi):
+        """(eq, col, val, keep), broadcast, for the equations (i, j, k) with
+        lo <= i < hi: eq = (i n + j) n + k, col = r n + c for D[r, c]."""
+        first = (I >= lo) & (I < hi)
+        # D(e_i e_j): (e_i e_j)_c D[k, c]
+        i, j, c, x = (t[first & (I <= J) if symmetric else first] for t in (I, J, K, C))
+        yield ((i * n + j) * n)[:, None] + ks, ks * n + c[:, None], x[:, None], True
+        # -D(e_i) e_j: (e_r e_j)_k D[r, i]
+        i = np.arange(lo, hi)
+        yield ((i * n + J[:, None]) * n + K[:, None], I[:, None] * n + i, -C[:, None],
+               i <= J[:, None] if symmetric else True)
+        # -(-1)^{|D||i|} e_i D(e_j): (e_i e_r)_k D[r, j], |D| = |r| + |j|
+        i, r, k, x = (t[first] for t in (I, J, K, C))
+        flip = (p[r][:, None] + p) * p[i][:, None] % 2
+        yield ((i[:, None] * n + ks) * n + k[:, None], r[:, None] * n + ks,
+               np.where(flip, x[:, None], -x[:, None]), ks >= i[:, None] if symmetric else True)
 
-            for c, wc in table.get((i, j), {}).items():
-                for k in range(n):
-                    add(k, (k, c), wc)
-            for r in range(n):
-                for k, x in table.get((r, j), {}).items():
-                    add(k, (r, i), -x)
-                flip = (par[r] + par[j]) * par[i] % 2
-                for k, x in table.get((i, r), {}).items():
-                    add(k, (r, j), x if flip else -x)
-            for k, row in row_for.items():
-                rows[deg[k] - deg[i] - deg[j], (par[i] + par[j] + par[k]) % 2].append(row)
-    return {key: (tuple(cols[key]), tuple(primitive_rows(rows[key]))) for key in sorted(cols)}
+    # equation (i, j, k) broadcasts n triplets per entry of e_i e_* (two
+    # terms) and one per entry of the table
+    chunks = (_triplets(terms(lo, hi))
+              for lo, hi in _runs(2 * n * np.bincount(I, minlength=n) + len(I)))
+    rows = primitive_row_blocks(chunks, 3, block_of, position_of)
+    return {key: (tuple(cols[key]), tuple(rows.get(b, ()))) for b, key in enumerate(keys)}
 
 
 def _kernel_space(kernel, positions, ambient: int) -> Subspace:
@@ -348,18 +402,20 @@ def str_algebra(V: SuperAlgebra) -> OperatorSpace:
 
 @memoized
 def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
-    """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y]."""
-    flats: dict = {0: [], 1: []}
-    for i in range(V.dim):
-        for j in range(V.dim):
-            m = d_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
-            flats[(V.parity(i) + V.parity(j)) % 2].append(m.flatten())
-    return _space("istr~", flats, (V.dim,), V)
+    """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y], read off
+    `tensor.triple_tensor`: d**2 D_{e_i,e_j}[r, c] = T[i, j, c, r]."""
+    import numpy as np
+    n, p = V.dim, np.array(V.parities, dtype=np.int64)
+    T, d = tensor.triple_tensor(V)
+    ops = OperatorStack((T.transpose(0, 1, 3, 2).reshape(n * n, n, n),),
+                        ((p[:, None] + p) % 2).reshape(-1), d * d)
+    return _stack_space("istr~", ops, (n,), V)
 
 
-def _derivation_rule_kernel(maps, parities, parity: int) -> Subspace:
-    """Operators (X_0, X_1) of the given parity, X_s acting on the space whose
-    basis has the parities parities[s], satisfying the graded derivation rule
+def _derivation_rule_kernels(maps, parities) -> tuple:
+    """The even and the odd operators (X_0, X_1), X_s acting on the space
+    whose basis has the parities parities[s], satisfying the graded
+    derivation rule
 
         X_out T(x1, x2, x3) = sum_s eps_s (-1)^{|X|(|x1| + ... + |x_{s-1}|)}
                                      T(..., X_{op_s} x_s, ...)
@@ -368,38 +424,63 @@ def _derivation_rule_kernel(maps, parities, parity: int) -> Subspace:
     (eps_1, eps_2, eps_3)); T maps (i, j, k) to the coordinates of
     T(e_i, e_j, e_k), and slot s takes its basis from the space of X_{op_s}.
 
-    Equation (T, i, j, k, l) is the e_l coordinate, an integer row on the
-    tables scaled to one common denominator.  Each term is read off the
-    support of T.  The kernel comes back with X_s flattened row-major at
-    offset s * dim_0^2.
+    Equation (T, i, j, k, l) is the e_l coordinate, on the tables scaled to
+    one common denominator; its terms are COO triplets broadcast from the
+    support of T, four at most to an entry, and `exact.primitive_row_blocks`
+    splits them by the parity of X.  Each kernel comes back with X_s
+    flattened row-major at offset s * dim_0^2.
     """
+    import numpy as np
     dims = [len(p) for p in parities]
-    cols = [(s, r, c) for s in (0, 1) for r in range(dims[s]) for c in range(dims[s])
-            if (parities[s][r] + parities[s][c]) % 2 == parity]
-    pos = {src: idx for idx, src in enumerate(cols)}
-    rows: dict = {}  # equation -> row
-
-    def add(eq, col, val):
-        if col in pos:
-            row = rows.setdefault(eq, {})
-            row[pos[col]] = row.get(pos[col], 0) + val
-
+    p = [np.array(q, dtype=np.int64) for q in parities]
+    offset, top = (0, dims[0] ** 2), max(dims)
+    block_of = np.concatenate([(q[:, None] + q).reshape(-1) % 2 for q in p])
+    position_of = np.zeros_like(block_of)
+    for b in (0, 1):
+        position_of[block_of == b] = np.arange(np.count_nonzero(block_of == b))
     tables = _integer_tables(*(t for t, *_ in maps))
-    for m, (table, (_, out, ops, eps)) in enumerate(zip(tables, maps)):
-        for key, w in table.items():
-            for c, x in w.items():  # X_out T(e_i, e_j, e_k)
-                for l in range(dims[out]):
-                    add((m, *key, l), (out, l, c), x)
-            for s, (op, e) in enumerate(zip(ops, eps)):  # T(..., X_op e_a, ...)
-                koszul = parity * sum(parities[ops[t]][key[t]] for t in range(s)) % 2
-                sign = e if koszul else -e
-                for a in range(dims[op]):
-                    eq = key[:s] + (a,) + key[s + 1:]
-                    for l, x in w.items():
-                        add((m, *eq, l), (op, key[s], a), sign * x)
-    return _kernel_space(kernel_sparse(rows.values(), len(cols)),
-                         [s * dims[0] ** 2 + r * dims[s] + c for s, r, c in cols],
-                         dims[0] ** 2 + dims[1] ** 2)
+
+    def terms(m, table, lo, hi):
+        """(eq, col, val, keep), broadcast, for the equations (T, i, j, k, l)
+        of map m with lo <= i < hi."""
+        _, out, ops, eps = maps[m]
+        *key, l, x = table
+        first = (key[0] >= lo) & (key[0] < hi)
+
+        def eq(i, j, k, l):
+            return (((m * top + i) * top + j) * top + k) * top + l
+
+        def entries(at):  # the entries at a mask, broadcast against the range
+            return [k[at][:, None] for k in key], l[at][:, None], x[at][:, None]
+
+        # X_out T(e_i, e_j, e_k): X_out[l', l]
+        slots, ls, xs = entries(first)
+        a = np.arange(dims[out])
+        yield eq(*slots, a), offset[out] + a * dims[out] + ls, xs, True
+        for s, (op, e) in enumerate(zip(ops, eps)):  # T(..., X_op e_a, ...): X_op[key_s, a]
+            slots, ls, xs = entries(first) if s else entries(slice(None))
+            a = np.arange(lo, hi) if s == 0 else np.arange(dims[op])
+            before = sum((p[ops[t]][slots[t]] for t in range(s)), np.zeros_like(ls))
+            koszul = (p[op][slots[s]] + p[op][a]) * before % 2
+            yield (eq(*slots[:s], a, *slots[s + 1:], ls), offset[op] + slots[s] * dims[op] + a,
+                   np.where(koszul, e * xs, -e * xs), True)
+
+    def chunks():
+        for m, (_, out, ops, _) in enumerate(maps):
+            table = _support(tables[m], 3)
+            # equation (T, i, j, k, l) broadcasts a triplet per entry T(e_i, ...)
+            # and output slot of X_out, X_{op_2} and X_{op_3}, one per entry of T
+            width = dims[out] + dims[ops[1]] + dims[ops[2]]
+            for lo, hi in _runs(np.bincount(table[0], minlength=dims[ops[0]]) * width
+                                + len(table[-1])):
+                yield _triplets(terms(m, table, lo, hi))
+
+    rows = primitive_row_blocks(chunks(), 4, block_of, position_of)
+    kernels = []
+    for b in (0, 1):
+        at = np.flatnonzero(block_of == b).tolist()
+        kernels.append(_kernel_space(integer_kernel(rows.get(b, []), len(at)), at, len(block_of)))
+    return tuple(kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +570,19 @@ def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
     """Pairs (D+, D-) satisfying the derivation rule for both triples:
     D_sigma {x, y, z} = {D_sigma x, y, z} + (-1)^{|D||x|} {x, D_-sigma y, z}
                         + (-1)^{|D|(|x|+|y|)} {x, y, D_sigma z}."""
-    return _derivation_rule_kernel(
-        [(pair.triples[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)],
-        pair.parities, parity)
+    return _pair_derivation_kernels(pair)[parity]
+
+
+def _pair_derivation_kernels(pair: JordanPair) -> tuple:
+    return _derivation_rule_kernels(
+        [(pair.triples[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)], pair.parities)
 
 
 @memoized
 def pair_der(v) -> OperatorSpace:
     """All superderivations of the pair (of the doubled pair for an algebra)."""
     pair = double(v) if isinstance(v, SuperAlgebra) else v
-    return _space("Der(V,V)", {
-        0: pair_derivation_kernel(pair, 0).basis,
-        1: pair_derivation_kernel(pair, 1).basis,
-    }, pair.shape)
+    return OperatorSpace("Der(V,V)", *_pair_derivation_kernels(pair), pair.shape)
 
 
 def check_pair_axioms(pair: JordanPair) -> Witness | None:
@@ -538,8 +619,7 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
     U = {(a, b, z): {l: -c if par[b] * par[z] else c for l, c in w.items()}
          for (a, z, b), w in double(V).triples[0].items()}
     maps = [(U, f, (f, f, 1 - f), (1, 1, -1)) for f in (0, 1)]
-    parts = [_derivation_rule_kernel(maps, (par, par), parity) for parity in (0, 1)]
-    return OperatorSpace("str_w", *parts, (V.dim, V.dim), V)
+    return OperatorSpace("str_w", *_derivation_rule_kernels(maps, (par, par)), (V.dim, V.dim), V)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ building algebras never loads it.
 
 from math import lcm
 
-from .exact import Q
+from .exact import Q, int_dtype
 
 
 def encode(tables, shapes) -> tuple:
@@ -39,7 +39,7 @@ def encode(tables, shapes) -> tuple:
         at = np.array([i + (k,) for i, e in table.items() for k in e], dtype=np.int64)
         vals = [int(c.numerator) * (d // int(c.denominator))
                 for e in table.values() for c in e.values()]
-        t = np.zeros(shape, dtype=np.int64 if max(map(abs, vals), default=0) < 2 ** 62 else object)
+        t = np.zeros(shape, dtype=int_dtype(max(map(abs, vals), default=0)))
         t[tuple(at.reshape(-1, len(shape)).T)] = vals
         out.append(t)
     return out, d
@@ -47,10 +47,9 @@ def encode(tables, shapes) -> tuple:
 
 def _exact(arrays, factor, degree) -> list:
     """The arrays in int64 if factor * max|entry|**degree < 2**62, else object."""
-    import numpy as np
     top = max((int(abs(a).max()) for a in arrays if a.size), default=0)
-    fits = factor * max(top, 1) ** degree < 2 ** 62  # factor >= 1 unless all are empty
-    return [a.astype(np.int64 if fits else object) for a in arrays]
+    dtype = int_dtype(factor * max(top, 1) ** degree)  # factor >= 1 unless all are empty
+    return [a.astype(dtype) for a in arrays]
 
 
 def _structure(a, terms, degree):

@@ -15,16 +15,25 @@ the table.  `pair_derivation_kernel` and `str_w` are the Fraction row
 builders that supertkk.structure ran before the integer trilinear assembler,
 kept verbatim: the first loops over the pair's triples, the second over the
 dense U_{e_i,e_j} matrices of the two U-operator identities.
+`leibniz_blocks` is the Python integer assembler that supertkk.structure ran
+before it built the system as numpy COO triplets for
+`exact.primitive_row_blocks`: per-equation dict rows, each made primitive
+and deduplicated by `exact.primitive_rows`; it is kept verbatim, not
+memoized.  `verify_kernel` is the dense kernel certificate that
+supertkk.exact ran before it evaluated only the nonzero entries: every row
+block built densely and multiplied by the kernel basis.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from supertkk.exact import ONE, ZERO, Matrix, Q, Subspace, kernel_sparse, vec_is_zero
+from supertkk.exact import (ONE, ZERO, Matrix, Q, Subspace, kernel_sparse, primitive_rows,
+                            vec_is_zero)
 from supertkk.jordan import u_op
-from supertkk.structure import JordanPair, OperatorSpace
-from supertkk.superspace import SuperAlgebra
+from supertkk.structure import JordanPair, OperatorSpace, _integer_tables
+from supertkk.superspace import (SuperAlgebra, check_superanticommutative,
+                                 check_supercommutative)
 
 
 def rref_rows(vectors: Iterable[Sequence], ncols: int):
@@ -290,3 +299,90 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
         parts[parity] = _kernel_space(kernel_sparse(rows, len(cols)),
                                       [s * n * n + r * n + c for s, r, c in cols], 2 * n * n)
     return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)
+
+
+def leibniz_blocks(a: SuperAlgebra) -> dict:
+    """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j),
+    assembled once on the integers and split into (shift, parity) blocks.
+
+    Maps each (shift, parity) to (cols, rows): the operator entries (r, c)
+    of the block in row-major order, and the distinct primitive integer rows
+    over their positions.
+
+    Equation (i, j, k) is the e_k coordinate, on the table scaled to integers.
+    When the table is supercommutative or super-anticommutative the (j, i)
+    equation is a consequence of the (i, j) one, so unordered pairs suffice;
+    any other table gets every ordered pair.  On a homogeneous table every
+    term of equation (i, j, k) is an entry of the block
+    (deg k - deg i - deg j, |i| + |j| + |k|).
+    """
+    n = a.dim
+    deg, par = [a.zdegree(i) for i in range(n)], a.parities
+    for (i, j), w in a.table.items():
+        for k in w:
+            if par[k] != (par[i] + par[j]) % 2 or deg[k] != deg[i] + deg[j]:
+                raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k}")
+    table, = _integer_tables(a.table)
+    # the symmetry checks are memoized; asking first for the one a's kind
+    # was built with reuses the check make_algebra ran
+    checks = (check_superanticommutative, check_supercommutative)
+    symmetric = any(check(a) is None for check in (checks[::-1] if a.kind == "jordan" else checks))
+    cols: dict = {}
+    pos = {}  # (r, c) -> position in its block
+    for r in range(n):
+        for c in range(n):
+            block = cols.setdefault((deg[r] - deg[c], (par[r] + par[c]) % 2), [])
+            pos[r, c] = len(block)
+            block.append((r, c))
+    rows: dict = {key: [] for key in cols}
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            row_for: dict = {}  # k -> equation (i, j, k)
+
+            def add(k, rc, val):
+                row = row_for.setdefault(k, {})
+                row[pos[rc]] = row.get(pos[rc], 0) + val
+
+            for c, wc in table.get((i, j), {}).items():
+                for k in range(n):
+                    add(k, (k, c), wc)
+            for r in range(n):
+                for k, x in table.get((r, j), {}).items():
+                    add(k, (r, i), -x)
+                flip = (par[r] + par[j]) * par[i] % 2
+                for k, x in table.get((i, r), {}).items():
+                    add(k, (r, j), x if flip else -x)
+            for k, row in row_for.items():
+                rows[deg[k] - deg[i] - deg[j], (par[i] + par[j] + par[k]) % 2].append(row)
+    return {key: (tuple(cols[key]), tuple(primitive_rows(rows[key]))) for key in sorted(cols)}
+
+
+def verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
+    """Exact check that every sparse integer vector kills every row (numpy
+    int64 when a conservative bound rules out overflow, else Python ints)."""
+    import numpy as np
+
+    if not vecs:
+        return True
+    max_r = max((max(abs(v) for v in r.values()) for r in int_rows if r), default=0)
+    max_v = max(abs(x) for v in vecs for x in v.values())
+    if max_r and max_r * max_v * ncols < 2 ** 62:
+        V = np.zeros((ncols, len(vecs)), dtype=np.int64)
+        for k, v in enumerate(vecs):
+            for j, x in v.items():
+                V[j, k] = x
+        chunk = 4096
+        for start in range(0, len(int_rows), chunk):
+            block = int_rows[start:start + chunk]
+            B = np.zeros((len(block), ncols), dtype=np.int64)
+            for i, row in enumerate(block):
+                for c, v in row.items():
+                    B[i, c] = v
+            if np.any(B @ V):
+                return False
+        return True
+    for row in int_rows:  # big-int fallback, still exact
+        for v in vecs:
+            if sum(c * v.get(j, 0) for j, c in row.items()):
+                return False
+    return True

@@ -7,10 +7,11 @@ the TKK constructions before they moved onto the integer-tensor layer
 supercommutator is a dense Matrix product, and each coordinate vector comes
 from `Subspace.coordinates` one operator at a time (`op_coords`).
 
-- `inn_algebra`, `l_space`, `double`, `pair_d_ops` and `pair_inn` are the
-  former structure builders (`double` calls the Fraction `triple` n**3
-  times), and `inclusion_checks` the former loops of the operator-pair
-  checks of `inclusion_report`.
+- `inn_algebra`, `l_space`, `double`, `pair_d_ops`, `pair_inn` and
+  `istr_tilde` are the former structure builders (`double` calls the
+  Fraction `triple` n**3 times, and so does `istr_tilde` through n**2
+  `d_op` matrices), and `inclusion_checks` the former loops of the
+  operator-pair checks of `inclusion_report`.
 - `koecher`, `kantor`, `tits_data`, `tits` and `koecher_d` are the former
   constructions, not memoized.  They build Inn(V), Inn(V,V) and the doubled
   pair with the loops here and take Der(V), Der(V,V) and istr from supertkk;
@@ -25,10 +26,10 @@ from __future__ import annotations
 from oracle_identities import _gplus_on_gminus
 from supertkk import tensor
 from supertkk.exact import Matrix, Q, certify, span
-from supertkk.jordan import l_op, triple
+from supertkk.jordan import d_op, l_op, triple
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
-                                der_algebra, derivation_kernel, istr_algebra,
-                                istr_tilde, pair_der, str_w)
+                                der_algebra, derivation_kernel, istr_algebra, pair_der,
+                                str_w)
 from supertkk.superspace import SuperAlgebra, make_algebra, mirror, supercommutator
 from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _killing_half, _sl2
 
@@ -101,6 +102,16 @@ def l_space(V: SuperAlgebra) -> OperatorSpace:
     for i in range(V.dim):
         flats[V.parity(i)].append(l_op(V, V.basis_vector(i)).matrix.flatten())
     return _space("{L}", flats, (V.dim,), V)
+
+
+def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
+    """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y]."""
+    flats: dict = {0: [], 1: []}
+    for i in range(V.dim):
+        for j in range(V.dim):
+            m = d_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
+            flats[(V.parity(i) + V.parity(j)) % 2].append(m.flatten())
+    return _space("istr~", flats, (V.dim,), V)
 
 
 def inclusion_checks(V: SuperAlgebra) -> dict:

@@ -16,7 +16,7 @@ from supertkk import tensor, tkk
 from supertkk.catalog import jordan_catalog, resolve
 from supertkk.exact import CertificateError, Q, Subspace
 from supertkk.structure import (OperatorSpace, _space, double, inclusion_report,
-                                inn_algebra, l_space, pair_inn)
+                                inn_algebra, istr_tilde, l_space, pair_inn)
 from supertkk.superspace import make_algebra, supercommutator
 from test_tensor import _as_jordan, _rescaled, graded_tables, twelfths
 
@@ -172,6 +172,13 @@ def test_structure_spaces_and_checks_match_the_loop_oracle(V):
     assert tkk.pair_der_matches_der0(V) == oracle.pair_der_matches_der0(V)
     for got in tkk.check_propnu(V, "inn") + tkk.check_unital_equivalences(V)[:2]:
         assert got.passed or got.kind == "note", got
+
+
+@given(rescaled_jordan(CONSTRUCTION_SOURCES + ("trunc_poly:6", "form:2,2", "dt:2")))
+@settings(**SETTINGS)
+def test_istr_tilde_matches_the_d_op_loop(V):
+    # read off the triple tensor against n**2 d_op matrices of Fraction triples
+    assert istr_tilde(V) == oracle.istr_tilde(V)
 
 
 @given(st.one_of(rescaled_jordan(),

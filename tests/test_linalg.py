@@ -1,16 +1,23 @@
 """Exact linear algebra: kernels, solving, subspace lattice, canonical forms."""
 
 import random
+import sys
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_linalg as oracle
 from pyrun import run_python
+from supertkk import exact
+from supertkk.catalog import lie_catalog
 from supertkk.exact import (
-    GeneratedSpan, Q, Matrix, Subspace, grassmann_ok, kernel, kernel_sparse,
-    rref, solve, span,
+    GeneratedSpan, Q, Matrix, Subspace, grassmann_ok, integer_kernel, kernel, kernel_sparse,
+    primitive_rows, rref, solve, span,
 )
+from supertkk.structure import leibniz_blocks
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -175,6 +182,81 @@ def test_integer_kernel_with_large_coefficients():
     assert len(ker) == 2
     for v in ker:
         assert v[0] + big * v[1] == 0 and v[2] + Q(1, big) * v[3] == 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel certificate
+
+
+def _integer_vectors(basis) -> list[dict]:
+    """Rational vectors scaled to sparse integer vectors."""
+    out = []
+    for v in basis:
+        m = lcm(*(int(x.denominator) for x in v))
+        out.append({j: int(x * m) for j, x in enumerate(v) if x})
+    return out
+
+
+certificate_entries = st.one_of(st.integers(-9, 9), st.integers(-9, 9),
+                                st.integers(-10 ** 20, 10 ** 20)).filter(bool)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(rows, vectors, ncols): sparse integer rows, some entries past int64,
+    and either their own kernel basis or random sparse vectors."""
+    n = draw(st.integers(1, 8))
+    rows, vecs = (draw(st.lists(st.dictionaries(st.integers(0, n - 1), certificate_entries,
+                                                min_size=least, max_size=n),
+                                min_size=least, max_size=most))
+                  for least, most in ((0, 8), (1, 4)))
+    if draw(st.booleans()):
+        vecs = _integer_vectors(integer_kernel(primitive_rows(rows), n))
+    return rows, vecs, n
+
+
+@given(certificate_cases())
+@settings(**SETTINGS)
+def test_sparse_kernel_certificate_matches_the_dense_check(case):
+    assert exact._verify_kernel(*case) == oracle.verify_kernel(*case)
+
+
+def test_raising_one_kernel_entry_fails_the_certificate():
+    # the Leibniz blocks of w(3): each kernel vector raised by 1 at a column
+    # some row uses no longer kills every row, on both checks
+    g = lie_catalog("w", 3)
+    for cols, rows in leibniz_blocks(g).values():
+        vecs = _integer_vectors(integer_kernel(rows, len(cols)))
+        assert exact._verify_kernel(rows, vecs, len(cols))
+        used = sorted({c for r in rows for c in r})
+        for k, v in enumerate(vecs[:4]):
+            j = next((c for c in v if c in used), used[0])
+            bad = [dict(u) for u in vecs]
+            bad[k][j] = bad[k].get(j, 0) + 1
+            assert not exact._verify_kernel(rows, bad, len(cols))
+            assert not oracle.verify_kernel(rows, bad, len(cols))
+
+
+@pytest.mark.parametrize("scale", [10 ** 6, 10 ** 12])
+def test_kernel_certificate_proves_its_int64_bound(scale, monkeypatch):
+    # rows and kernel vectors with entries near the scale: max|row| *
+    # max|v| * (longest row) is 2 * 10^12 or 2 * 10^24, so the certificate
+    # runs in int64 at 10^6 and on object-dtype Python ints at 10^12
+    rows = [{0: Q(1), 1: Q(scale)}, {2: Q(1), 3: Q(1, scale)}, {0: Q(2), 4: Q(-scale)}]
+    casts = []
+    cast = exact.int_dtype
+
+    def spy(bound):
+        dtype = cast(bound)
+        casts.append((sys._getframe(1).f_code.co_name, bound < 2 ** 62, dtype))
+        return dtype
+
+    monkeypatch.setattr(exact, "int_dtype", spy)
+    ker = kernel_sparse(rows, 5)
+    assert _canonical(Subspace(5, ker)) == oracle.kernel(rows, 5)
+    proved = {ok for caller, ok, _ in casts if caller == "_verify_kernel"}
+    assert proved == ({True} if scale < 10 ** 12 else {False})
+    assert all((dtype is np.int64) == ok for _, ok, dtype in casts)
 
 
 sparse_rationals = st.one_of(st.just(Q(0)), rationals)

@@ -1,12 +1,15 @@
 """Structure algebras checked against hand-computed small cases."""
 
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 import oracle_linalg as oracle
 import oracle_tkk
-from supertkk import structure, tkk
+from supertkk import exact, structure, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
 from supertkk.exact import Matrix, Q, Subspace
@@ -32,6 +35,7 @@ from supertkk.structure import (
 )
 from supertkk.superspace import (SuperAlgebra, make_algebra, memoized, mirror,
                                  supercommutator)
+from test_tensor import _rescaled, _sl2
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -331,6 +335,70 @@ def test_leibniz_blocks_reject_an_inhomogeneous_table():
                      zdegrees=(1, -1, 0))
     with pytest.raises(ValueError, match="inhomogeneous product: e_2\\*e_0 hits e_1"):
         leibniz_blocks(g)
+
+
+def _row_set(rows) -> frozenset:
+    return frozenset(tuple(sorted(row.items())) for row in rows)
+
+
+def _assert_same_blocks(got, want):
+    """Same blocks and columns, and the same distinct rows in each block."""
+    assert got.keys() == want.keys()
+    for key, (cols, rows) in got.items():
+        want_cols, want_rows = want[key]
+        assert cols == want_cols, key
+        assert len(rows) == len(want_rows) and _row_set(rows) == _row_set(want_rows), key
+
+
+@given(homogeneous_tables())
+@settings(max_examples=60, deadline=None)
+def test_leibniz_blocks_match_the_assembler_oracle(a):
+    _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
+
+
+def test_leibniz_blocks_match_the_oracle_on_fixed_tables():
+    # the table without symmetry of the Der test above, and the towers of
+    # Ko and Ko~ of small Jordan entries
+    algebras = [make_algebra((0, 0), [(0, 0, 0, 1), (0, 0, 1, -1), (1, 0, 0, 1), (1, 0, 1, 2)])]
+    for source in ("kacK", "j19", "full_matrix:1,1", "dt:1/2", "form:1,2"):
+        V = resolve(source)
+        algebras += [tkk.koecher(V).lie, tkk.koecher_tilde(V).lie]
+    for a in algebras:
+        _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
+
+
+@pytest.mark.parametrize("scale", [10 ** 12, 10 ** 20])
+def test_leibniz_assembly_proves_its_int64_bound(scale, monkeypatch):
+    # sl(2) with e scaled and kacK with xi1 scaled: [e, f] = scale h and
+    # xi1 xi2 = scale a.  An entry sums at most three constants, so the
+    # triplet values stay int64 at 10^12 and take object-dtype Python ints
+    # at 10^20.  Every cast is checked against its own bound.
+    casts = []
+    cast = exact.int_dtype
+
+    def spy(bound):
+        dtype = cast(bound)
+        casts.append((sys._getframe(1).f_code.co_name, bound < 2 ** 62, dtype))
+        return dtype
+
+    monkeypatch.setattr(exact, "int_dtype", spy)
+    lie = _rescaled(_sl2(), [Q(scale), Q(1), Q(1)])
+    jordan = _rescaled(jordan_catalog("kacK"), [Q(1), Q(scale), Q(1)])
+    for a in (lie, jordan):
+        _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
+    assert tkk.lie_der_tower(lie) == tkk.lie_der_tower(_sl2())
+    proved = {ok for caller, ok, _ in casts if caller == "primitive_row_blocks"}
+    assert proved == ({True} if 3 * scale < 2 ** 62 else {True, False})  # the keys fit
+    assert all((dtype is np.int64) == ok for _, ok, dtype in casts)
+
+
+def test_row_hash_collisions_fall_back_to_exact_comparison(monkeypatch):
+    # every row hashed alike: deduplication must still keep exactly the
+    # distinct rows, through the comparison of tuples
+    monkeypatch.setattr(exact, "_row_hashes",
+                        lambda starts, lens, cols, vals: np.zeros(len(starts), dtype=np.uint64))
+    for a in (lie_catalog("w", 2), lie_catalog("q", 2), resolve("kacK")):
+        _assert_same_blocks(leibniz_blocks.__wrapped__(a), oracle.leibniz_blocks(a))
 
 
 def test_leibniz_system_is_assembled_once(monkeypatch):
