@@ -6,16 +6,15 @@ from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog,
 from supertkk.exact import CertificateError, Q, Matrix, Subspace, kernel, solve, span
 from supertkk.jordan import (JordanAlgebra, check_commutator_identity,
                              check_five_linear, check_jordan_identity,
-                             check_triple_symmetry, d_op, find_unit, l_op,
-                             make_jordan, triple, u_op)
+                             check_triple_symmetry, find_unit, make_jordan,
+                             triple)
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace,
                                 check_pair_axioms, der_algebra, double,
                                 inclusion_report, inn_algebra, istr_algebra,
                                 istr_tilde, pair_der, pair_inn, str_algebra,
                                 str_w, structure_summary)
 from supertkk.superspace import (SuperAlgebra, Witness, center, derived,
-                                 graded_dims, make_algebra, parity_dims,
-                                 supercommutator)
+                                 graded_dims, make_algebra, parity_dims)
 from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
                           check_unital_equivalences, fingerprint, j_functor,
                           j_roundtrip_check, kantor, kantor_koecher_comparison,
@@ -28,9 +27,9 @@ from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
 __all__ = [
     "Q", "Matrix", "Subspace", "kernel", "solve", "span", "CertificateError",
     "SuperAlgebra", "Witness", "make_algebra", "graded_dims", "parity_dims",
-    "center", "derived", "supercommutator",
-    "JordanAlgebra", "make_jordan", "find_unit", "l_op", "d_op", "u_op",
-    "triple", "check_jordan_identity", "check_commutator_identity",
+    "center", "derived",
+    "JordanAlgebra", "make_jordan", "find_unit", "triple",
+    "check_jordan_identity", "check_commutator_identity",
     "check_triple_symmetry", "check_five_linear",
     "jordan_catalog", "jordan_entries", "lie_catalog", "lie_entries",
     "resolve", "save_algebra", "load_algebra",

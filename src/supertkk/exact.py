@@ -14,7 +14,9 @@ off.  A `GeneratedSpan` eliminates its generator list once and then writes
 any number of members in those generators, each by one reduction.  Every
 kernel vector is verified exactly against every row, and every expressed
 member is recombined from its coefficients; a failure of either certificate
-raises CertificateError, so the checks survive `python -O`.
+raises CertificateError, so the checks survive `python -O`.  `Matrix` is
+only the immutable container of such systems and of their results; no
+operator arithmetic runs on it.
 
 Integer systems assembled as numpy COO triplets are made primitive by
 `primitive_row_blocks`, one vectorised pass per chunk of equations (sort,
@@ -41,8 +43,8 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 def Q(value=0, den=None):
     """Exact rational from an int, a "p/q" string, or another rational.
 
-    A rational is returned as it is (rationals are immutable): `Matrix`
-    passes every entry of every result through here."""
+    A rational is returned as it is (rationals are immutable): every entry
+    of a `Matrix` and every vector a `Subspace` reduces passes through here."""
     if den is not None:
         return _Scalar(value, den)
     if type(value) is _Scalar:
@@ -68,20 +70,10 @@ def vec_is_zero(v: Sequence) -> bool:
     return all(not x for x in v)
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * a for a in v)
-
-
 class Matrix:
-    """Dense exact-rational matrix (immutable)."""
+    """Dense exact-rational matrix (immutable): the container that `rref`,
+    `solve` and `kernel` take or return.  It has no arithmetic; operators
+    are multiplied as integer stacks (`structure.OperatorStack`)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -120,38 +112,8 @@ class Matrix:
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.data)
 
-    def apply(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((a * x for a, x in zip(row, v) if x), ZERO) for row in self.data)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matmul dimension mismatch")
-        cols = other.transpose().data
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col) if a and b), ZERO) for col in cols]
-             for row in self.data]
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(vec_add(r, s) for r, s in zip(self.data, other.data, strict=True))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(vec_sub(r, s) for r, s in zip(self.data, other.data, strict=True))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(vec_scale(-ONE, r) for r in self.data)
-
-    def scale(self, c) -> "Matrix":
-        c = Q(c)
-        return Matrix(vec_scale(c, r) for r in self.data)
-
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.data)) if self.data else Matrix([])
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.data)
 
     def flatten(self) -> tuple:
         """Row-major flattening, used to treat operators as vectors."""

@@ -1,20 +1,17 @@
-"""Jordan-superalgebra operators (L, D, U, triple product), identity
-verification, and unit detection."""
+"""The Jordan triple product, identity verification, and unit detection.
+
+The operators L_x, D_{x,y} and U_{x,y} have no dense form here: the identity
+checks contract them as integer tensors (supertkk.tensor), L is
+`structure.l_stack`, and D and U are read off `tensor.triple_tensor`
+(`structure.istr_tilde`, `structure.str_w`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from supertkk import tensor
-from supertkk.exact import GeneratedSpan, Matrix, Q, ZERO
-from supertkk.superspace import (GradedOperator, SuperAlgebra, Witness,
-                                 check_supercommutative, operator_parity, parity_sign)
-
-
-def l_op(V: SuperAlgebra, x) -> GradedOperator:
-    """Left multiplication L_x(y) = x*y."""
-    m = V.left_mult_matrix(x)
-    return GradedOperator(m, operator_parity(V, m), algebra=V)
+from supertkk.exact import GeneratedSpan, Q, ZERO
+from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative, parity_sign
 
 
 def check_jordan_identity(V: SuperAlgebra) -> Witness | None:
@@ -60,28 +57,6 @@ def triple(V: SuperAlgebra, x, y, z) -> tuple:
             for i in range(V.dim):
                 out[i] += 2 * (t1[i] + t2[i] - s * t3[i])
     return tuple(out)
-
-
-def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
-    """D_{x,y} = 2L_{xy} + 2[L_x,L_y]: the operator z -> {x,y,z}."""
-    m = Matrix.from_columns([triple(V, x, y, V.basis_vector(c)) for c in range(V.dim)])
-    return GradedOperator(m, operator_parity(V, m), algebra=V)
-
-
-def u_op(V: SuperAlgebra, x, y) -> GradedOperator:
-    """U_{x,y}(z) = (-1)^{|y||z|} {x,z,y}."""
-    ys = _parity_parts(V, y)
-    cols = []
-    for k in range(V.dim):
-        col = [ZERO] * V.dim
-        for py, yp in ys:
-            s = parity_sign(py * V.parity(k))
-            t = triple(V, x, V.basis_vector(k), yp)
-            for i in range(V.dim):
-                col[i] += s * t[i]
-        cols.append(tuple(col))
-    m = Matrix.from_columns(cols)
-    return GradedOperator(m, operator_parity(V, m), algebra=V)
 
 
 def check_five_linear(V: SuperAlgebra) -> Witness | None:

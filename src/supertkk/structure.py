@@ -35,15 +35,10 @@ from functools import cached_property
 from math import lcm
 
 from . import tensor
-from .exact import (Matrix, Q, Subspace, certify, int_dtype, integer_kernel,
-                    primitive_row_blocks, solve)
-# no system here goes through kernel_sparse; the name stays bound so that the
-# tests can check that the assembled integer rows never reach it
-from .exact import kernel_sparse  # noqa: F401
-from .jordan import l_op
-from .superspace import (GradedOperator, SuperAlgebra, Witness,
-                         check_superanticommutative, check_supercommutative,
-                         frozen_table, memoized)
+from .exact import (GeneratedSpan, Q, Subspace, certify, int_dtype, integer_kernel,
+                    primitive_row_blocks)
+from .superspace import (SuperAlgebra, Witness, check_superanticommutative,
+                         check_supercommutative, frozen_table, memoized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,13 +150,13 @@ class OperatorSpace:
 
     @cached_property
     def stack(self) -> OperatorStack:
-        """The basis, in the order of operators(), as an OperatorStack."""
+        """The basis, even rows then odd, as an OperatorStack."""
         return OperatorStack.from_flats(self.even.basis + self.odd.basis,
                                         [0] * self.even.dim + [1] * self.odd.dim, self.shape)
 
     def _read(self, ops: OperatorStack):
         """(C, inside): `tensor.pivot_coordinates` of each operator in the
-        part of its parity, C[t] over the basis of operators()."""
+        part of its parity, C[t] over the basis of `stack`."""
         import numpy as np
         X, basis = ops.flats(), self.stack
         B = basis.flats()
@@ -174,7 +169,7 @@ class OperatorSpace:
         return C, inside
 
     def coordinates(self, ops: OperatorStack):
-        """Coordinates of a stack of operators over the basis of operators(),
+        """Coordinates of a stack of operators over the basis of `stack`,
         an integer array [t, l] scaled like the stack (by ops.den); each part
         is certified by one recombination, and an operator outside the space
         raises CertificateError."""
@@ -184,21 +179,6 @@ class OperatorSpace:
 
     def contains_stack(self, ops: OperatorStack) -> bool:
         return bool(self._read(ops)[1].all())
-
-    def operators(self):
-        """Basis as GradedOperators (plain) or (plus, minus, parity) triples."""
-        out = []
-        for parity in (0, 1):
-            for v in self.part(parity).basis:
-                if self.paired:
-                    dp, dm = self.shape
-                    out.append((Matrix.unflatten(dp, dp, v[:dp * dp]),
-                                Matrix.unflatten(dm, dm, v[dp * dp:]), parity))
-                else:
-                    n = self.shape[0]
-                    out.append(GradedOperator(Matrix.unflatten(n, n, v), parity,
-                                              algebra=self.algebra))
-        return out
 
 
 def _space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
@@ -658,9 +638,10 @@ def _format_element(v) -> str:
 
 
 def _l_witness(V: SuperAlgebra, flat_op):
-    """Recover x with L_x proportional to the given flattened operator."""
-    columns = [l_op(V, V.basis_vector(i)).matrix.flatten() for i in range(V.dim)]
-    x = solve(Matrix.from_columns(columns), flat_op)
+    """Recover x with L_x proportional to the given flattened operator: its
+    coordinates over the flats of `l_stack`, whose common scale the
+    normalisation divides out."""
+    x = GeneratedSpan(l_stack(V).flats().tolist(), V.dim ** 2).express(flat_op)
     certify(x is not None, "operator claimed to be a left multiplication is not")
     lead = next((c for c in x if c), None)
     return tuple(c / lead for c in x) if lead else x

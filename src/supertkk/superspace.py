@@ -4,20 +4,23 @@ layers.
 
 Vectors are coordinate tuples in a fixed ordered basis; every basis coordinate
 carries a parity (and optionally an integer degree), and structure constants
-are required to be homogeneous with respect to both.
+are required to be homogeneous with respect to both.  Operators on these
+spaces have no class here: left multiplications, their supercommutators and
+operator spaces are integer stacks in supertkk.structure (`l_stack`,
+`OperatorStack`).
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify,
-                            kernel_sparse, row_primitive)
+from supertkk.exact import (GeneratedSpan, Q, Subspace, ZERO, certify, kernel_sparse,
+                            row_primitive)
 
 
 @dataclass
@@ -111,11 +114,6 @@ class SuperAlgebra:
                 for k, c in self.basis_product(i, j).items():
                     out[k] += xi * yj * c
         return tuple(out)
-
-    def left_mult_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of y -> x*y (the adjoint map for Lie kind)."""
-        cols = [self.product(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols) if cols else Matrix([])
 
     def __repr__(self):
         return f"SuperAlgebra({self.name!r}, dim={self.dim}, kind={self.kind})"
@@ -261,47 +259,6 @@ def derived(a: SuperAlgebra) -> Subspace:
             v[k] = c
         vecs.append(tuple(v))
     return Subspace(a.dim, vecs)
-
-
-@dataclass
-class GradedOperator:
-    """Parity-homogeneous endomorphism of a SuperAlgebra's space."""
-    matrix: Matrix
-    parity: int | None
-    zshift: int | None = None
-    algebra: SuperAlgebra | None = field(default=None, repr=False, compare=False)
-
-    def apply(self, v):
-        return self.matrix.apply(v)
-
-    def flatten(self):
-        return self.matrix.flatten()
-
-
-def operator_parity(a: SuperAlgebra, m: Matrix) -> int | None:
-    """Parity of a matrix as a map of the graded space; None if mixed/zero-safe."""
-    par = None
-    for r in range(m.rows):
-        for c in range(m.cols):
-            if m[r, c]:
-                this = (a.parity(r) + a.parity(c)) % 2
-                if par is None:
-                    par = this
-                elif par != this:
-                    return None
-    return par if par is not None else 0
-
-
-def supercommutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
-    """[A,B] = AB - (-1)^{|A||B|} BA."""
-    if A.parity is None or B.parity is None:
-        raise ValueError("supercommutator needs homogeneous operators")
-    s = parity_sign(A.parity * B.parity)
-    m = A.matrix @ B.matrix - (B.matrix @ A.matrix).scale(s)
-    zs = None
-    if A.zshift is not None and B.zshift is not None:
-        zs = A.zshift + B.zshift
-    return GradedOperator(m, (A.parity + B.parity) % 2, zs, A.algebra)
 
 
 def _graded_components(a: SuperAlgebra, vec) -> dict:

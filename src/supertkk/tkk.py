@@ -12,7 +12,12 @@ The constructions differ only in their degree-0 parts, and each block of
 brackets there is one batched integer bracket of operator stacks followed
 by one certified coordinate read (`OperatorStack.bracket`,
 `OperatorSpace.coordinates`); an equivalence map is certified against both
-bracket tables by `tensor.bracket_map_defect`.
+bracket tables by `tensor.bracket_map_defect`.  The checks run on the same
+integer layer: `tits_roundtrip` compares all [e (x) a, f (x) b] at once with
+the coordinates of the [L_a, L_b], the images of the unital equivalence maps
+are operator stacks read in one go, and the half-Killing form of sl2 is one
+contraction of its table.  The Fraction Matrix loops these replaced are test
+oracles in tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tensor
-from .exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify,
+from .exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify, int_dtype,
                     integer_kernel, span)
-from .jordan import find_unit, l_op
+from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
                         double, inn_algebra, istr_algebra, l_stack, leibniz_blocks,
                         pair_d_stack, pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, derived, graded_dims,
-                         make_algebra, memoized, mirror, supercommutator)
+                         make_algebra, memoized, mirror)
 
 
 @dataclass
@@ -56,9 +61,8 @@ class TkkAlgebra:
 
 
 def _coordinate_rows(space: OperatorSpace, ops: OperatorStack) -> list:
-    """The coordinates of each operator of a stack over the basis of
-    space.operators(), as sparse dicts (certified, see
-    OperatorSpace.coordinates)."""
+    """The coordinates of each operator of a stack over the basis of space,
+    as sparse dicts (certified, see OperatorSpace.coordinates)."""
     rows = tensor.decode(space.coordinates(ops), ops.den)
     return [rows.get((b,), {}) for b in range(len(ops))]
 
@@ -340,10 +344,15 @@ def _sl2() -> SuperAlgebra:
 
 
 def _killing_half(y: SuperAlgebra) -> Matrix:
-    """(a, b) = 1/2 tr(ad a . ad b)."""
-    ads = [y.left_mult_matrix(y.basis_vector(i)) for i in range(y.dim)]
-    return Matrix([[Q(1, 2) * sum((ads[i] @ ads[j])[k, k] for k in range(y.dim))
-                    for j in range(y.dim)] for i in range(y.dim)])
+    """(a, b) = 1/2 tr(ad a . ad b), one contraction on the encoded table:
+    d**2 tr(ad e_i ad e_j) = sum over c, k of C[i, c, k] C[j, k, c], taken
+    on Python ints."""
+    import numpy as np
+    n = y.dim
+    (C,), d = tensor.encode([y.table], [(n, n, n)])
+    C = C.astype(object)
+    return Matrix([[Q(int(t), 2 * d * d) for t in row]
+                   for row in np.einsum('ick,jkc->ij', C, C).tolist()])
 
 
 def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
@@ -440,7 +449,12 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
 
     [e (x) a, f (x) b] = (e,f)<a,b> + h (x) ab, so projecting onto h (x) V must
     return the product, and the D component divided by (e,f) must be [L_a,L_b].
+    The n**2 brackets are one integer tensor X, at one denominator dx with the
+    table of V, and their D components are compared at once with the
+    coordinates in D of l_stack(V).bracket(l_stack(V)); the first failing
+    (a, b) in row-major order is reported, as a loop over them would.
     """
+    import numpy as np
     ti = tits(V, d)
     g = ti.lie
     n = V.dim
@@ -448,25 +462,24 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     nd = dsp.dim
     ef = ti.data["kappa"][0, 2]
     certify(ef, "sl2 pairing (e,f) must be nonzero")
-    dmats = [op.matrix for op in dsp.operators()]
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            br = g.product(g.basis_vector(nd + a), g.basis_vector(nd + 2 * n + b))
-            if any(br[nd:nd + n]) or any(br[nd + 2 * n:]):
-                return CheckResult("tits_roundtrip", False,
-                                   f"[e (x) {a}, f (x) {b}] leaves D + h (x) V")
-            if br[nd + n:nd + 2 * n] != V.product(V.basis_vector(a),
-                                                  V.basis_vector(b)):
-                return CheckResult("tits_roundtrip", False,
-                                   f"recovered product wrong at ({a},{b})")
-            w = Matrix.zero(n, n)
-            for t, c in enumerate(br[:nd]):
-                if c:
-                    w = w + dmats[t].scale(c)
-            if w.scale(Q(1) / ef) != supercommutator(lmats[a], lmats[b]).matrix:
-                return CheckResult("tits_roundtrip", False,
-                                   f"recovered pairing wrong at ({a},{b})")
+    brs = {(a, b): g.basis_product(nd + a, nd + 2 * n + b) for a in range(n) for b in range(n)}
+    (X, P), dx = tensor.encode([brs, V.table], [(n, n, g.dim), (n, n, n)])
+    ls = l_stack(V)
+    lbr = ls.bracket(ls)
+    M = dsp.coordinates(lbr).reshape(n, n, nd)  # lbr.den [L_a, L_b] in D
+    # X / (dx ef) == M / lbr.den on the D components, cross-multiplied
+    num, den = int(ef.numerator), int(ef.denominator)
+    leaves = X[..., nd:nd + n].any(axis=2) | X[..., nd + 2 * n:].any(axis=2)
+    product = (X[..., nd + n:nd + 2 * n] != P).any(axis=2)
+    pairing = tensor.mismatch(X[..., :nd], lbr.den * den, M if num > 0 else -M,
+                              dx * abs(num)).any(axis=2)
+    bad = np.argwhere(leaves | product | pairing)
+    if len(bad):
+        a, b = (int(x) for x in bad[0])
+        detail = (f"[e (x) {a}, f (x) {b}] leaves D + h (x) V" if leaves[a, b]
+                  else f"recovered product wrong at ({a},{b})" if product[a, b]
+                  else f"recovered pairing wrong at ({a},{b})")
+        return CheckResult("tits_roundtrip", False, detail)
     return CheckResult("tits_roundtrip", True,
                        "product and pairing recovered from [e (x) a, f (x) b]")
 
@@ -652,8 +665,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     gen_pairs = [(i, j) for i in range(dp) for j in range(dm)]
     gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
                           for row in ds.flats().tolist()], dp * dp + dm * dm)
-    mid = ko2.data["middle"]
-    mid_ops = mid.operators()
+    mid_flats = _basis_flats(ko2.data["middle"])
     images = []
     for tag in ko2.origin:
         if tag[0] == "vplus":
@@ -661,8 +673,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
         elif tag[0] == "vminus":
             images.append(g.basis_vector(minus[tag[1]]))
         else:
-            a_plus, a_minus, _ = mid_ops[tag[1]]
-            coeffs = gens.express(a_plus.flatten() + a_minus.flatten())
+            coeffs = gens.express(mid_flats[tag[1]])
             certify(coeffs is not None, "middle element outside the D span")
             vec = [Q(0)] * g.dim
             for c, (i, j) in zip(coeffs, gen_pairs):
@@ -718,88 +729,73 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
         return [CheckResult("unital_equivalences", False,
                             "no unit: see the counterexample comparisons",
                             "note")]
+    import numpy as np
     results = []
     ko = koecher(V, middle="inn")
     mid = ko.data["middle"]
     n = V.dim
     nm = mid.dim
     off_mid, off_minus = n, n + nm
+    ls = l_stack(V)
 
-    def fill_mid(images, pending):
-        # pending: (image, plus, minus, parity); one batched read in the middle
-        ops = OperatorStack.from_flats([p.flatten() + m.flatten() for _, p, m, _ in pending],
-                                       [par for *_, par in pending], mid.shape)
-        for (at, *_), w in zip(pending, _coordinate_rows(mid, ops)):
+    def fill_mid(images, at, ops):
+        # ops[t] is the operator pair that images[at[t]] has in the middle:
+        # one batched read
+        for i, w in zip(at, _coordinate_rows(mid, ops)):
             for l, c in w.items():
-                images[at][off_mid + l] = c
-        return [tuple(v) for v in images]
-
-    def dxe_pair(x_vec):
-        # D_{x,e} = (2 L_x, -2 L_x) when e is the unit
-        lx = V.left_mult_matrix(x_vec)
-        return lx.scale(Q(2)), lx.scale(Q(-2))
+                images[i][off_mid + l] = c
 
     # Kantor vs Koecher: x -> x-, P -> -(e/2)+, [L_a,P] -> (a/2)+,
-    # L_x -> -D_{x,e}/2, [L_a,L_b] -> ([L_a,L_b], [L_a,L_b])
+    # L_x -> -D_{x,e}/2 = (-L_x, L_x) as e is the unit,
+    # [L_a,L_b] -> ([L_a,L_b], [L_a,L_b])
     kan = kantor(V)
     istr = kan.data["middle"]
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
-    l_flats = [op.matrix.flatten() for op in lmats]
-    lbr = {(i, j): supercommutator(lmats[i], lmats[j])
-           for i in range(n) for j in range(n)}
-    gens = GeneratedSpan(
-        l_flats + [lbr[i, j].matrix.flatten() for i in range(n) for j in range(n)],
-        n * n)
-    istr_ops = istr.operators()
-    images, pending = [], []
+    # the L_a, then the [L_a, L_b] at n + a n + b, each row at its stack's scale
+    G = np.concatenate([ls.flats(), ls.bracket(ls).flats()])
+    gens = GeneratedSpan(G.tolist(), n * n)
+    table = {}
+    for t, w in enumerate(_basis_flats(istr)):
+        coeffs = gens.express(w)
+        certify(coeffs is not None, "istr basis element outside the L span")
+        table[t,] = {k: c for k, c in enumerate(coeffs) if c}
+    (C,), dc = tensor.encode([table], [(istr.dim, len(G))])
+    # each entry of an image sums len(G) products
+    dtype = int_dtype(len(G) * max((abs(int(x)) for x in C.flat), default=0)
+                      * max((abs(int(x)) for x in G.flat), default=0))
+    C, G = C.astype(dtype), G.astype(dtype)
+    plus, minus = (C * np.r_[[-1] * n, [1] * n * n]) @ G, C @ G  # L_x -> (-L_x, L_x)
+    images = []
     for tag in kan.origin:
         vec = [Q(0)] * ko.dim
         if tag[0] == "vminus":
             vec[off_minus + tag[1]] = Q(1)
-        elif tag[0] == "op0":
-            w = istr_ops[tag[1]]
-            coeffs = gens.express(w.matrix.flatten())
-            certify(coeffs is not None, "istr basis element outside the L span")
-            acc_plus, acc_minus = Matrix.zero(n, n), Matrix.zero(n, n)
-            for idx, c in enumerate(coeffs):
-                if not c:
-                    continue
-                if idx < n:
-                    dp, dm = dxe_pair(V.basis_vector(idx))
-                    acc_plus = acc_plus - dp.scale(c * Q(1, 2))
-                    acc_minus = acc_minus - dm.scale(c * Q(1, 2))
-                else:
-                    b = lbr[divmod(idx - n, n)].matrix.scale(c)
-                    acc_plus, acc_minus = acc_plus + b, acc_minus + b
-            pending.append((len(images), acc_plus, acc_minus, w.parity))
         elif tag[0] == "kantorP":
             for l, c in enumerate(unit):
                 vec[l] = -c * Q(1, 2)
-        else:  # kantorLP a
+        elif tag[0] == "kantorLP":
             vec[tag[1]] = Q(1, 2)
         images.append(vec)
-    results.append(_check_bracket_map(kan.lie, ko.lie, fill_mid(images, pending),
+    fill_mid(images, kan.block("op0"), OperatorStack(
+        (plus.reshape(-1, n, n), minus.reshape(-1, n, n)), istr.stack.parities, dc))
+    results.append(_check_bracket_map(kan.lie, ko.lie, [tuple(v) for v in images],
                                       "kantor_equals_koecher"))
 
-    # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-, h(x)a -> D_{a,e},
-    # inner derivation W -> (W, W)
+    # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-,
+    # h(x)a -> D_{a,e} = (2 L_a, -2 L_a), inner derivation W -> (W, W)
     ti = tits(V, "inn")
-    dsp = ti.data["dspace"]
-    dsp_ops = dsp.operators()
-    images, pending = [], []
+    W = ti.data["dspace"].stack
+    images = []
     for tag in ti.origin:
         vec = [Q(0)] * ko.dim
         if tag[0] == "e":
             vec[tag[1]] = Q(1)
         elif tag[0] == "f":
             vec[off_minus + tag[1]] = Q(1)
-        elif tag[0] == "h":
-            pending.append((len(images), *dxe_pair(V.basis_vector(tag[1])), V.parity(tag[1])))
-        else:
-            w = dsp_ops[tag[1]]
-            pending.append((len(images), w.matrix, w.matrix, w.parity))
         images.append(vec)
-    results.append(_check_bracket_map(ti.lie, ko.lie, fill_mid(images, pending),
+    L = ls.blocks[0]
+    fill_mid(images, ti.block("h"), OperatorStack((2 * L, -2 * L), ls.parities, ls.den))
+    fill_mid(images, ti.block("d"), OperatorStack(W.blocks * 2, W.parities, W.den))
+    results.append(_check_bracket_map(ti.lie, ko.lie, [tuple(v) for v in images],
                                       "tits_inn_equals_koecher"))
 
     # derivation tower of Ko(V) against Ko~(V), dim V, and str/istr

@@ -5,7 +5,9 @@ layer (supertkk.tensor), kept verbatim as the slow reference: the
 differential tests require the tensor checkers to return the same verdicts
 and witnesses.  The two graded-symmetry loops are the references for the
 table-key scan in superspace, and d_op is the former operator-formula
-D_{x,y}, the reference for jordan.d_op, now built from the triple product.
+D_{x,y}, the reference for the D operators read off tensor.triple_tensor
+(and for the Fraction-triple d_op of oracle_linalg).  The dense operators
+(Matrix, l_op, supercommutator) come from oracle_linalg.
 The tkk section holds the former Fraction loops of the g_0 action on
 Hom(V (x) V, V) and of kantor_relations, the references for
 tensor.g0_action, tensor.lp_tensor and tensor.kantor_relation_verdicts.
@@ -13,11 +15,12 @@ tensor.g0_action, tensor.lp_tensor and tensor.kantor_relation_verdicts.
 
 from __future__ import annotations
 
-from supertkk.exact import Matrix, Q, ZERO
-from supertkk.jordan import _parity_parts, find_unit, l_op, triple
+from oracle_linalg import (GradedOperator, Matrix, l_op, left_mult_matrix, operator_parity,
+                           supercommutator)
+from supertkk.exact import Q, ZERO
+from supertkk.jordan import _parity_parts, find_unit, triple
 from supertkk.structure import CheckResult, JordanPair
-from supertkk.superspace import (GradedOperator, SuperAlgebra, Witness,
-                                 operator_parity, parity_sign, supercommutator)
+from supertkk.superspace import SuperAlgebra, Witness, parity_sign
 
 _sign = _sgn = parity_sign  # the names the checkers used in their modules
 
@@ -100,15 +103,15 @@ def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
     acc = Matrix.zero(n, n)
     for px, xp in _parity_parts(V, x):
         for py, yp in _parity_parts(V, y):
-            lx = V.left_mult_matrix(xp)
-            ly = V.left_mult_matrix(yp)
-            lxy = V.left_mult_matrix(V.product(xp, yp))
+            lx = left_mult_matrix(V, xp)
+            ly = left_mult_matrix(V, yp)
+            lxy = left_mult_matrix(V, V.product(xp, yp))
             acc = acc + (lxy + _commutator(lx, ly, _sgn(px * py))).scale(Q(2))
     return GradedOperator(acc, operator_parity(V, acc), algebra=V)
 
 
 def _l_matrices(V: SuperAlgebra):
-    return [V.left_mult_matrix(V.basis_vector(i)) for i in range(V.dim)]
+    return [left_mult_matrix(V, V.basis_vector(i)) for i in range(V.dim)]
 
 
 def _combine(mats, coords) -> Matrix:
@@ -162,9 +165,9 @@ def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
             lij = _commutator(L[i], L[j], _sgn(p[i] * p[j]))
             for k in range(n):
                 lhs = _commutator(lij, L[k], _sgn((p[i] + p[j]) * p[k]))
-                rhs = (V.left_mult_matrix(V.product(e[i], V.product(e[j], e[k])))
-                       - V.left_mult_matrix(
-                           V.product(e[j], V.product(e[i], e[k]))).scale(_sgn(p[i] * p[j])))
+                rhs = (left_mult_matrix(V, V.product(e[i], V.product(e[j], e[k])))
+                       - left_mult_matrix(
+                           V, V.product(e[j], V.product(e[i], e[k]))).scale(_sgn(p[i] * p[j])))
                 if lhs != rhs:
                     return Witness((i, j, k),
                                    f"operator identity fails at basis triple ({i},{j},{k})")

@@ -22,18 +22,179 @@ and deduplicated by `exact.primitive_rows`; it is kept verbatim, not
 memoized.  `verify_kernel` is the dense kernel certificate that
 supertkk.exact ran before it evaluated only the nonzero entries: every row
 block built densely and multiplied by the kernel basis.
+
+The last section is the dense operator arithmetic that supertkk ran beside
+its integer operator stacks, kept verbatim for the oracles: `Matrix` is
+`exact.Matrix` with the products, sums, scalings and `apply` that the
+package's container no longer has; `GradedOperator`, `operator_parity`,
+`supercommutator` and `left_mult_matrix` are the former superspace
+operators, `l_op`, `d_op` and `u_op` the former jordan ones (`d_op` here
+built from the Fraction `triple`, unlike the operator-formula `d_op` of
+oracle_identities), and `operators` the former `OperatorSpace.operators()`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from supertkk.exact import (ONE, ZERO, Matrix, Q, Subspace, kernel_sparse, primitive_rows,
-                            vec_is_zero)
-from supertkk.jordan import u_op
+from supertkk import exact
+from supertkk.exact import ONE, ZERO, Q, Subspace, kernel_sparse, primitive_rows, vec_is_zero
+from supertkk.jordan import _parity_parts, triple
 from supertkk.structure import JordanPair, OperatorSpace, _integer_tables
 from supertkk.superspace import (SuperAlgebra, check_superanticommutative,
-                                 check_supercommutative)
+                                 check_supercommutative, parity_sign)
+
+
+# ---------------------------------------------------------------------------
+# dense operator arithmetic
+
+
+def vec_add(u: Sequence, v: Sequence) -> tuple:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u: Sequence, v: Sequence) -> tuple:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(c, v: Sequence) -> tuple:
+    return tuple(c * a for a in v)
+
+
+class Matrix(exact.Matrix):
+    """Dense exact-rational matrix with the arithmetic of the former
+    `exact.Matrix`; equal to an `exact.Matrix` with the same entries."""
+
+    __slots__ = ()
+
+    def apply(self, v: Sequence) -> tuple:
+        if len(v) != self.cols:
+            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
+        return tuple(sum((a * x for a, x in zip(row, v) if x), ZERO) for row in self.data)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.rows:
+            raise ValueError("matmul dimension mismatch")
+        cols = other.transpose().data
+        return Matrix(
+            [[sum((a * b for a, b in zip(row, col) if a and b), ZERO) for col in cols]
+             for row in self.data]
+        )
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return Matrix(vec_add(r, s) for r, s in zip(self.data, other.data, strict=True))
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return Matrix(vec_sub(r, s) for r, s in zip(self.data, other.data, strict=True))
+
+    def __neg__(self) -> "Matrix":
+        return Matrix(vec_scale(-ONE, r) for r in self.data)
+
+    def scale(self, c) -> "Matrix":
+        c = Q(c)
+        return Matrix(vec_scale(c, r) for r in self.data)
+
+    def transpose(self) -> "Matrix":
+        return Matrix(zip(*self.data)) if self.data else Matrix([])
+
+    def is_zero(self) -> bool:
+        return all(vec_is_zero(r) for r in self.data)
+
+
+def left_mult_matrix(a: SuperAlgebra, x: Sequence) -> Matrix:
+    """Matrix of y -> x*y (the adjoint map for Lie kind)."""
+    cols = [a.product(x, a.basis_vector(j)) for j in range(a.dim)]
+    return Matrix.from_columns(cols) if cols else Matrix([])
+
+
+@dataclass
+class GradedOperator:
+    """Parity-homogeneous endomorphism of a SuperAlgebra's space."""
+    matrix: Matrix
+    parity: int | None
+    zshift: int | None = None
+    algebra: SuperAlgebra | None = field(default=None, repr=False, compare=False)
+
+    def apply(self, v):
+        return self.matrix.apply(v)
+
+    def flatten(self):
+        return self.matrix.flatten()
+
+
+def operator_parity(a: SuperAlgebra, m: Matrix) -> int | None:
+    """Parity of a matrix as a map of the graded space; None if mixed/zero-safe."""
+    par = None
+    for r in range(m.rows):
+        for c in range(m.cols):
+            if m[r, c]:
+                this = (a.parity(r) + a.parity(c)) % 2
+                if par is None:
+                    par = this
+                elif par != this:
+                    return None
+    return par if par is not None else 0
+
+
+def supercommutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
+    """[A,B] = AB - (-1)^{|A||B|} BA."""
+    if A.parity is None or B.parity is None:
+        raise ValueError("supercommutator needs homogeneous operators")
+    s = parity_sign(A.parity * B.parity)
+    m = A.matrix @ B.matrix - (B.matrix @ A.matrix).scale(s)
+    zs = None
+    if A.zshift is not None and B.zshift is not None:
+        zs = A.zshift + B.zshift
+    return GradedOperator(m, (A.parity + B.parity) % 2, zs, A.algebra)
+
+
+def l_op(V: SuperAlgebra, x) -> GradedOperator:
+    """Left multiplication L_x(y) = x*y."""
+    m = left_mult_matrix(V, x)
+    return GradedOperator(m, operator_parity(V, m), algebra=V)
+
+
+def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
+    """D_{x,y} = 2L_{xy} + 2[L_x,L_y]: the operator z -> {x,y,z}."""
+    m = Matrix.from_columns([triple(V, x, y, V.basis_vector(c)) for c in range(V.dim)])
+    return GradedOperator(m, operator_parity(V, m), algebra=V)
+
+
+def u_op(V: SuperAlgebra, x, y) -> GradedOperator:
+    """U_{x,y}(z) = (-1)^{|y||z|} {x,z,y}."""
+    ys = _parity_parts(V, y)
+    cols = []
+    for k in range(V.dim):
+        col = [ZERO] * V.dim
+        for py, yp in ys:
+            s = parity_sign(py * V.parity(k))
+            t = triple(V, x, V.basis_vector(k), yp)
+            for i in range(V.dim):
+                col[i] += s * t[i]
+        cols.append(tuple(col))
+    m = Matrix.from_columns(cols)
+    return GradedOperator(m, operator_parity(V, m), algebra=V)
+
+
+def operators(space: OperatorSpace):
+    """Basis as GradedOperators (plain) or (plus, minus, parity) triples."""
+    out = []
+    for parity in (0, 1):
+        for v in space.part(parity).basis:
+            if space.paired:
+                dp, dm = space.shape
+                out.append((Matrix.unflatten(dp, dp, v[:dp * dp]),
+                            Matrix.unflatten(dm, dm, v[dp * dp:]), parity))
+            else:
+                n = space.shape[0]
+                out.append(GradedOperator(Matrix.unflatten(n, n, v), parity,
+                                          algebra=space.algebra))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dense elimination
 
 
 def rref_rows(vectors: Iterable[Sequence], ncols: int):

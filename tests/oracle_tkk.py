@@ -19,19 +19,31 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   in the same basis.
 - `check_bracket_map` is the former `_check_bracket_map` loop and
   `pair_der_matches_der0` the former embedding check.
+- `l_witness`, `killing_half`, `tits_roundtrip` and `equivalence_images`
+  are the last dense `Matrix` loops of supertkk: `structure._l_witness`
+  (`solve` over the L_{e_i} matrices), `tkk._killing_half` (adjoint
+  products), `tkk.tits_roundtrip` (a D combination against
+  `supercommutator` per pair) and the Kantor->Koecher and Tits->Koecher
+  image lists of `tkk.check_unital_equivalences` (Matrix accumulations of
+  D_{x,e} and [L_a, L_b]).  The last two run on the Ti, Kan and Ko that
+  supertkk builds (`tkk.tits`, ...), so that a test can perturb those, and
+  `equivalence_images` reads each middle coordinate with `op_coords`.
+The dense operators themselves (Matrix, l_op, d_op, supercommutator,
+operators) come from oracle_linalg.
 """
 
 from __future__ import annotations
 
 from oracle_identities import _gplus_on_gminus
-from supertkk import tensor
-from supertkk.exact import Matrix, Q, certify, span
-from supertkk.jordan import d_op, l_op, triple
+from oracle_linalg import Matrix, d_op, l_op, left_mult_matrix, operators, supercommutator
+from supertkk import tensor, tkk
+from supertkk.exact import GeneratedSpan, Q, certify, solve, span
+from supertkk.jordan import find_unit, triple
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
                                 der_algebra, derivation_kernel, istr_algebra, pair_der,
                                 str_w)
-from supertkk.superspace import SuperAlgebra, make_algebra, mirror, supercommutator
-from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _killing_half, _sl2
+from supertkk.superspace import SuperAlgebra, make_algebra, mirror
+from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _sl2
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +140,24 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
         ok = ok and pder.contains_flat(vec, V.parity(i))
     out["lx_minus_lx_in_pair_der"] = ok
     ok = True
-    for op in der.operators():
+    for op in operators(der):
         vec = op.matrix.flatten() + op.matrix.flatten()
         ok = ok and pder.contains_flat(vec, op.parity)
     out["diag_der_in_pair_der"] = ok
     ok = True
-    for op in inn.operators():
+    for op in operators(inn):
         vec = op.matrix.flatten() + op.matrix.flatten()
         ok = ok and pinn.contains_flat(vec, op.parity)
     out["diag_inn_in_pair_inn"] = ok
     image: dict = {0: [], 1: []}
-    for d_plus, _, parity in pinn.operators():
+    for d_plus, _, parity in operators(pinn):
         image[parity].append(d_plus.flatten())
     psi_img = _space("psi(Inn(V,V))", image, (n,), V)
     itld = istr_tilde(V)
     out["psi_onto_istr_tilde"] = psi_img.even == itld.even and psi_img.odd == itld.odd
     ok = True
-    for a_plus, a_minus, pa in pder.operators():
-        for b_plus, b_minus, pb in pinn.operators():
+    for a_plus, a_minus, pa in operators(pder):
+        for b_plus, b_minus, pb in operators(pinn):
             s = Q(-1) if (pa * pb) % 2 else Q(1)
             br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(s)
             br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(s)
@@ -153,7 +165,7 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
                                            (pa + pb) % 2)
     out["pair_inn_ideal"] = ok
     ok = True
-    for x, y, parity in sw.operators():
+    for x, y, parity in operators(sw):
         vec = x.flatten() + (-y).flatten()
         ok = ok and pder.contains_flat(vec, parity)
     out["str_w_swap_in_pair_der"] = ok
@@ -187,7 +199,7 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
     else:
         raise ValueError(f"unknown middle {middle!r}, expected 'inn' or 'der'")
     dp, dm = pair.shape
-    ops = mid.operators()
+    ops = operators(mid)
     nm = len(ops)
     parities = (tuple(pair.parities[0]) + tuple(p for _, _, p in ops)
                 + tuple(pair.parities[1]))
@@ -243,7 +255,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
         raise ValueError("kantor expects a Jordan superalgebra")
     n = V.dim
     istr = istr_algebra(V)
-    mid_ops = istr.operators()
+    mid_ops = operators(istr)
     nm = len(mid_ops)
     top = KantorTop(V)
     top_basis = top.basis()
@@ -305,6 +317,13 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
                       data={"middle": istr, "top": top})
 
 
+def killing_half(y: SuperAlgebra) -> Matrix:
+    """(a, b) = 1/2 tr(ad a . ad b)."""
+    ads = [left_mult_matrix(y, y.basis_vector(i)) for i in range(y.dim)]
+    return Matrix([[Q(1, 2) * sum((ads[i] @ ads[j])[k, k] for k in range(y.dim))
+                    for j in range(y.dim)] for i in range(y.dim)])
+
+
 def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     """Resolve a derivation-container choice and validate its preconditions."""
     if isinstance(d, TitsData):
@@ -324,14 +343,14 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         raise ValueError("derivation container must consist of derivations")
     if not dsp.contains_space(inn_algebra(V)):
         raise ValueError("derivation container must contain the inner derivations")
-    ops = dsp.operators()
+    ops = operators(dsp)
     for i, a_op in enumerate(ops):
         for b_op in ops[i:]:
             br = supercommutator(a_op, b_op)
             if not dsp.contains_flat(br.matrix.flatten(), br.parity):
                 raise ValueError("derivation container is not closed under bracket")
     sl2 = _sl2()
-    return TitsData(dsp, sl2, _killing_half(sl2), label)
+    return TitsData(dsp, sl2, killing_half(sl2), label)
 
 
 def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
@@ -341,7 +360,7 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     n = V.dim
     data = tits_data(V, d)
     dsp, y, kappa = data.dspace, data.sl2, data.killing
-    dops = dsp.operators()
+    dops = operators(dsp)
     nd = len(dops)
     # sl2 basis order e, h, f carries the 3-grading +1, 0, -1
     sl2_deg = (1, 0, -1)
@@ -413,7 +432,7 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     n = V.dim
     data = tits_data(V, d)
     dsp = data.dspace
-    dops = dsp.operators()
+    dops = operators(dsp)
     nd = len(dops)
     parities = (tuple(V.parities) + tuple(op.parity for op in dops)
                 + tuple(V.parities) + tuple(V.parities))
@@ -490,6 +509,138 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     return TkkAlgebra(alg, "KoD", origin, source=name, data={"dspace": dsp})
 
 
+def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
+    """Recover the Jordan product and the pairing from Ti(V, D, sl2).
+
+    [e (x) a, f (x) b] = (e,f)<a,b> + h (x) ab, so projecting onto h (x) V must
+    return the product, and the D component divided by (e,f) must be [L_a,L_b].
+    """
+    ti = tkk.tits(V, d)
+    g = ti.lie
+    n = V.dim
+    dsp = ti.data["dspace"]
+    nd = dsp.dim
+    ef = ti.data["kappa"][0, 2]
+    certify(ef, "sl2 pairing (e,f) must be nonzero")
+    dmats = [op.matrix for op in operators(dsp)]
+    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            br = g.product(g.basis_vector(nd + a), g.basis_vector(nd + 2 * n + b))
+            if any(br[nd:nd + n]) or any(br[nd + 2 * n:]):
+                return CheckResult("tits_roundtrip", False,
+                                   f"[e (x) {a}, f (x) {b}] leaves D + h (x) V")
+            if br[nd + n:nd + 2 * n] != V.product(V.basis_vector(a),
+                                                  V.basis_vector(b)):
+                return CheckResult("tits_roundtrip", False,
+                                   f"recovered product wrong at ({a},{b})")
+            w = Matrix.zero(n, n)
+            for t, c in enumerate(br[:nd]):
+                if c:
+                    w = w + dmats[t].scale(c)
+            if w.scale(Q(1) / ef) != supercommutator(lmats[a], lmats[b]).matrix:
+                return CheckResult("tits_roundtrip", False,
+                                   f"recovered pairing wrong at ({a},{b})")
+    return CheckResult("tits_roundtrip", True,
+                       "product and pairing recovered from [e (x) a, f (x) b]")
+
+
+def equivalence_images(V: SuperAlgebra) -> dict:
+    """The images of the basis of Kan(V) and of Ti(V, Inn, sl2) in Ko(V)
+    that check_unital_equivalences certifies, by check name; V unital."""
+    unit = find_unit(V)
+    ko = tkk.koecher(V, middle="inn")
+    mid = ko.data["middle"]
+    n = V.dim
+    nm = mid.dim
+    off_mid, off_minus = n, n + nm
+
+    def fill_mid(images, pending):
+        # pending: (image, plus, minus, parity); one coordinate read each
+        for at, p, m, par in pending:
+            for l, c in enumerate(op_coords(mid, p.flatten() + m.flatten(), par)):
+                if c:
+                    images[at][off_mid + l] = c
+        return [tuple(v) for v in images]
+
+    def dxe_pair(x_vec):
+        # D_{x,e} = (2 L_x, -2 L_x) when e is the unit
+        lx = left_mult_matrix(V, x_vec)
+        return lx.scale(Q(2)), lx.scale(Q(-2))
+
+    # Kantor vs Koecher: x -> x-, P -> -(e/2)+, [L_a,P] -> (a/2)+,
+    # L_x -> -D_{x,e}/2, [L_a,L_b] -> ([L_a,L_b], [L_a,L_b])
+    out = {}
+    kan = tkk.kantor(V)
+    istr = kan.data["middle"]
+    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    l_flats = [op.matrix.flatten() for op in lmats]
+    lbr = {(i, j): supercommutator(lmats[i], lmats[j])
+           for i in range(n) for j in range(n)}
+    gens = GeneratedSpan(
+        l_flats + [lbr[i, j].matrix.flatten() for i in range(n) for j in range(n)],
+        n * n)
+    istr_ops = operators(istr)
+    images, pending = [], []
+    for tag in kan.origin:
+        vec = [Q(0)] * ko.dim
+        if tag[0] == "vminus":
+            vec[off_minus + tag[1]] = Q(1)
+        elif tag[0] == "op0":
+            w = istr_ops[tag[1]]
+            coeffs = gens.express(w.matrix.flatten())
+            certify(coeffs is not None, "istr basis element outside the L span")
+            acc_plus, acc_minus = Matrix.zero(n, n), Matrix.zero(n, n)
+            for idx, c in enumerate(coeffs):
+                if not c:
+                    continue
+                if idx < n:
+                    dp, dm = dxe_pair(V.basis_vector(idx))
+                    acc_plus = acc_plus - dp.scale(c * Q(1, 2))
+                    acc_minus = acc_minus - dm.scale(c * Q(1, 2))
+                else:
+                    b = lbr[divmod(idx - n, n)].matrix.scale(c)
+                    acc_plus, acc_minus = acc_plus + b, acc_minus + b
+            pending.append((len(images), acc_plus, acc_minus, w.parity))
+        elif tag[0] == "kantorP":
+            for l, c in enumerate(unit):
+                vec[l] = -c * Q(1, 2)
+        else:  # kantorLP a
+            vec[tag[1]] = Q(1, 2)
+        images.append(vec)
+    out["kantor_equals_koecher"] = fill_mid(images, pending)
+
+    # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-, h(x)a -> D_{a,e},
+    # inner derivation W -> (W, W)
+    ti = tkk.tits(V, "inn")
+    dsp = ti.data["dspace"]
+    dsp_ops = operators(dsp)
+    images, pending = [], []
+    for tag in ti.origin:
+        vec = [Q(0)] * ko.dim
+        if tag[0] == "e":
+            vec[tag[1]] = Q(1)
+        elif tag[0] == "f":
+            vec[off_minus + tag[1]] = Q(1)
+        elif tag[0] == "h":
+            pending.append((len(images), *dxe_pair(V.basis_vector(tag[1])), V.parity(tag[1])))
+        else:
+            w = dsp_ops[tag[1]]
+            pending.append((len(images), w.matrix, w.matrix, w.parity))
+        images.append(vec)
+    out["tits_inn_equals_koecher"] = fill_mid(images, pending)
+    return out
+
+
+def l_witness(V: SuperAlgebra, flat_op):
+    """Recover x with L_x proportional to the given flattened operator."""
+    columns = [l_op(V, V.basis_vector(i)).matrix.flatten() for i in range(V.dim)]
+    x = solve(Matrix.from_columns(columns), flat_op)
+    certify(x is not None, "operator claimed to be a left multiplication is not")
+    lead = next((c for c in x if c), None)
+    return tuple(c / lead for c in x) if lead else x
+
+
 def _image_parity(dst: SuperAlgebra, vec):
     par = None
     for l, c in enumerate(vec):
@@ -535,9 +686,9 @@ def pair_der_matches_der0(v) -> CheckResult:
     mid = ko.data["middle"]
     dp, dm = ko.data["pair"].shape
     nm = mid.dim
-    mid_ops = mid.operators()
+    mid_ops = operators(mid)
     pd = pair_der(v)
-    pd_ops = pd.operators()
+    pd_ops = operators(pd)
     der0 = {p: derivation_kernel(g, p, 0) for p in (0, 1)}
 
     def embed(d_plus, d_minus, par):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supertkk.exact import GeneratedSpan, Matrix, Q
+from oracle_linalg import Matrix  # dense products for the independent route below
+from supertkk.exact import GeneratedSpan, Q
 from supertkk.superspace import (
     center, check_super_jacobi, check_supercommutative, derived, parity_dims,
 )

@@ -5,20 +5,26 @@ The supercommutators of an operator basis come from one batched contraction
 certified by one recombination per parity (`OperatorSpace.coordinates`).
 Every construction built on them must write the structure constants the
 Fraction loops wrote, and a bracket leaving its space must raise where the
-loop raised.
+loop raised.  The checks that ran the last dense Matrix loops (the Tits
+round trip, the unital equivalence maps, the L witness and the Killing form
+of sl2) must give what those loops give, on perturbed input too.
 """
 
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_tkk as oracle
-from supertkk import tensor, tkk
-from supertkk.catalog import jordan_catalog, resolve
+from oracle_linalg import operators, supercommutator
+from supertkk import structure, tensor, tkk
+from supertkk.catalog import jordan_catalog, lie_catalog, resolve
 from supertkk.exact import CertificateError, Q, Subspace
 from supertkk.structure import (OperatorSpace, _space, double, inclusion_report,
                                 inn_algebra, istr_tilde, l_space, pair_inn)
-from supertkk.superspace import make_algebra, supercommutator
-from test_tensor import _as_jordan, _rescaled, graded_tables, twelfths
+from supertkk.superspace import SuperAlgebra, make_algebra
+from test_tensor import _as_jordan, _rescaled, _sl2, graded_tables, twelfths
 
 SETTINGS = dict(max_examples=25, deadline=None)
 values = st.one_of(st.just(Q(0)), st.just(Q(0)), twelfths)
@@ -33,8 +39,8 @@ CONSTRUCTION_SOURCES = ("kacK", "full_matrix:1,1", "form:1,2", "j19", "dt:1/2",
 def _loop_brackets(space: OperatorSpace, other: OperatorSpace):
     """(flat, parity) of [A_t, B_s] for the bases of two spaces, by Matrix products."""
     out = []
-    for a in space.operators():
-        for b in other.operators():
+    for a in operators(space):
+        for b in operators(other):
             if space.paired:
                 (ap, am, pa), (bp, bm, pb) = a, b
                 s = Q(-1) if pa * pb % 2 else Q(1)
@@ -116,7 +122,7 @@ def test_an_unclosed_space_raises_where_the_loop_raised():
     with pytest.raises(CertificateError, match=r"operator does not lie in span\{E12,E21\}"):
         space.coordinates(space.stack.bracket())
     assert not space.contains_stack(space.stack.bracket())
-    A, B = (op for op in space.operators())
+    A, B = (op for op in operators(space))
     with pytest.raises(CertificateError, match=r"operator does not lie in span\{E12,E21\}"):
         oracle.op_coords(space, supercommutator(A, B).matrix.flatten(), 0)
     # as a Tits derivation container of the zero product on Q^2, where
@@ -262,4 +268,170 @@ def test_degree0_contractions_prove_their_int64_bound(monkeypatch):
     for kernel in ("brackets", "pivot_coordinates"):  # both reach the object path
         assert False in {proved for caller, proved, _ in casts if caller == kernel}, kernel
     assert {proved for _, proved, _ in casts} == {True, False}
+    assert all(dtypes == ({"int64"} if proved else {"object"}) for _, proved, dtypes in casts)
+
+
+# ---------------------------------------------------------------------------
+# the last dense loops: Tits round trip, equivalence maps, L witness, Killing
+
+
+UNITAL_SOURCES = ("full_matrix:1,1", "form:1,2", "dt:1/2", "form:3,0", "dt:2", "form:2,2")
+
+
+def _equivalence_images(V):
+    """The images check_unital_equivalences certifies, by check name, and its
+    results."""
+    images = {}
+    check = tkk._check_bracket_map
+
+    def spy(src, dst, got, name):
+        images[name] = got
+        return check(src, dst, got, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tkk, "_check_bracket_map", spy)
+        results = tkk.check_unital_equivalences(V)
+    return images, results
+
+
+@given(rescaled_jordan(), st.sampled_from(("inn", "der")))
+@settings(**SETTINGS)
+def test_tits_roundtrip_matches_the_loop_oracle(V, d):
+    got = tkk.tits_roundtrip(V, d)
+    assert got == oracle.tits_roundtrip(V, d) and got.passed, got
+
+
+def _perturbed_tits(V, d, changes):
+    """Ti(V, d) with the constant at coordinate k of [e (x) a, f (x) b]
+    raised by c, for each (a, b, k, c) in changes."""
+    ti = tkk.tits(V, d)
+    g, n, nd = ti.lie, V.dim, ti.data["dspace"].dim
+    table = {key: dict(row) for key, row in g.table.items()}
+    for a, b, k, c in changes:
+        row = table.setdefault((nd + a, nd + 2 * n + b), {})
+        row[k] = row.get(k, Q(0)) + c
+    lie = SuperAlgebra(g.name, g.parities, table, g.zdegrees, g.kind, g.metadata)
+    return tkk.TkkAlgebra(lie, ti.construction, ti.origin, ti.source, ti.data)
+
+
+@st.composite
+def tits_perturbations(draw):
+    """A catalog algebra, a derivation choice and one or two raised constants
+    of [e (x) a, f (x) b]: in its D component, in h (x) V, or outside D + h (x) V."""
+    V = resolve(draw(st.sampled_from(("kacK", "full_matrix:1,1", "j19", "form:1,2"))))
+    d = draw(st.sampled_from(("inn", "der")))
+    n, nd = V.dim, tkk.tits(V, d).data["dspace"].dim
+    changes = []
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        where = draw(st.sampled_from(("D", "h", "e", "f")))
+        k = {"D": draw(st.integers(0, nd - 1)) if nd else nd + n,
+             "h": nd + n + draw(st.integers(0, n - 1)),
+             "e": nd + draw(st.integers(0, n - 1)),
+             "f": nd + 2 * n + draw(st.integers(0, n - 1))}[where]
+        changes.append((a, b, k, draw(twelfths.filter(bool))))
+    return V, d, changes
+
+
+@given(tits_perturbations())
+@settings(**SETTINGS)
+def test_perturbed_tits_fails_like_the_loop(case):
+    # a Ti whose [e (x) a, f (x) b] has raised constants fails the round trip
+    # with the oracle's detail, at the first perturbed (a, b) in loop order
+    V, d, changes = case
+    bad = _perturbed_tits(V, d, changes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tkk, "tits", lambda V, d="inn": bad)
+        got, want = tkk.tits_roundtrip(V, d), oracle.tits_roundtrip(V, d)
+    assert got == want and not got.passed, (got, want)
+    a, b = min((a, b) for a, b, _, _ in changes)
+    assert f"{a}, f (x) {b}]" in got.detail or f"at ({a},{b})" in got.detail, got.detail
+
+
+def test_a_raised_d_coefficient_names_its_pair():
+    V = jordan_catalog("full_matrix", 1, 1)
+    bad = _perturbed_tits(V, "inn", [(2, 1, 0, Q(1))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tkk, "tits", lambda V, d="inn": bad)
+        got = tkk.tits_roundtrip(V, "inn")
+        assert got == oracle.tits_roundtrip(V, "inn")
+    assert got.detail == "recovered pairing wrong at (2,1)"
+
+
+@given(rescaled_jordan(UNITAL_SOURCES))
+@settings(max_examples=12, deadline=None)
+def test_equivalence_images_match_the_loop_oracle(V):
+    images, results = _equivalence_images(V)
+    assert images == oracle.equivalence_images(V)
+    assert all(r.passed for r in results), results
+
+
+@given(rescaled_jordan(CONSTRUCTION_SOURCES + ("trunc_poly:6",)), st.data())
+@settings(**SETTINGS)
+def test_l_witness_matches_the_loop_oracle(V, data):
+    # a multiple of some L_x, and (usually) an operator outside {L}
+    n = V.dim
+    x = data.draw(st.lists(twelfths, min_size=n, max_size=n))
+    scale = data.draw(twelfths.filter(bool))
+    flat = tuple(scale * c for c in oracle.l_op(V, x).matrix.flatten())
+    other = tuple(data.draw(st.lists(twelfths, min_size=n * n, max_size=n * n)))
+    for op in (flat, other):
+        got = _outcome(lambda: structure._l_witness(V, op))
+        assert got == _outcome(lambda: oracle.l_witness(V, op))
+    if any(flat):  # the witness w has L_w proportional to the operator
+        w = oracle.l_op(V, structure._l_witness(V, flat)).matrix.flatten()
+        assert Subspace(n * n, [w, flat]).dim == 1
+
+
+@given(st.one_of(graded_tables(-1, values), graded_tables(1, values),
+                 st.lists(twelfths.filter(bool), min_size=3, max_size=3)
+                 .map(lambda s: _rescaled(_sl2(), s))))
+@settings(**SETTINGS)
+def test_killing_half_matches_the_adjoint_loop(y):
+    assert tkk._killing_half(y) == oracle.killing_half(y)
+
+
+def test_killing_half_of_sl2_is_computed():
+    # e, h, f: (e, f) = (f, e) = 2 and (h, h) = 4, from the adjoint traces
+    assert tkk._killing_half(tkk._sl2()) == oracle.killing_half(tkk._sl2())
+    assert [[int(x) for x in row] for row in tkk._killing_half(tkk._sl2()).data] == \
+        [[0, 0, 2], [0, 4, 0], [2, 0, 0]]
+    gl11 = lie_catalog("gl", 1, 1)
+    assert tkk._killing_half(gl11) == oracle.killing_half(gl11)
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 12])
+def test_roundtrip_and_equivalences_prove_their_int64_bound(scale, monkeypatch):
+    # full_matrix(1,1) with e12 scaled: the equivalence images (a product of
+    # generator coefficients and stack flats, cast by int_dtype) and the
+    # round trip's comparison (tensor.mismatch) run in int64 only where
+    # their bounds are proved, and give what the loops give
+    V = _rescaled(jordan_catalog("full_matrix", 1, 1), [Q(1), Q(scale), Q(1), Q(1)])
+    casts = []
+    cast, exact_cast = tkk.int_dtype, tensor._exact
+
+    def spy(bound):
+        dtype = cast(bound)
+        casts.append(("int_dtype", bound < 2 ** 62, {np.dtype(dtype).name}))
+        return dtype
+
+    def exact_spy(arrays, factor, degree):
+        out = exact_cast(arrays, factor, degree)
+        top = max((int(abs(a).max()) for a in arrays if a.size), default=0)
+        casts.append((sys._getframe(1).f_code.co_name, factor * max(top, 1) ** degree < 2 ** 62,
+                      {str(t.dtype) for t in out}))
+        return out
+
+    for d in ("inn", "der"):
+        tkk.tits(V, d)  # built outside the spies
+    images = oracle.equivalence_images(V)
+    monkeypatch.setattr(tkk, "int_dtype", spy)
+    monkeypatch.setattr(tensor, "_exact", exact_spy)
+    assert _equivalence_images(V)[0] == images
+    for d in ("inn", "der"):
+        got = tkk.tits_roundtrip(V, d)
+        assert got.passed and got == oracle.tits_roundtrip(V, d)
+    for caller in ("int_dtype", "mismatch"):  # both reach the object path at 10^12
+        proved = {p for c, p, _ in casts if c == caller}
+        assert proved == {True} if scale == 1 else False in proved, (caller, proved)
     assert all(dtypes == ({"int64"} if proved else {"object"}) for _, proved, dtypes in casts)

@@ -1,13 +1,21 @@
-"""Jordan operators and identities against hand-computed small examples."""
+"""Jordan operators and identities against hand-computed small examples.
 
+L_x is read off `structure.l_stack` and D_{x,y}, U_{x,y} off
+`tensor.triple_tensor`, the integer forms the package computes with.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_linalg as oracle
+from supertkk import tensor
 from supertkk.exact import Matrix, Q
 from supertkk.jordan import (
     check_commutator_identity, check_five_linear, check_jordan_identity,
-    check_triple_symmetry, d_op, find_unit, l_op, make_jordan, triple, u_op,
+    check_triple_symmetry, find_unit, make_jordan, triple,
 )
+from supertkk.structure import l_stack
 from supertkk.superspace import make_algebra
 from supertkk.catalog import jordan_catalog
 
@@ -25,39 +33,66 @@ def diag(*entries):
     return Matrix.from_entries(n, n, {(i, i): e for i, e in enumerate(entries)})
 
 
+def contract(A, den, *vecs):
+    """A contracted with the coordinate vectors over its leading indices,
+    divided by den, as exact rationals."""
+    out = A.astype(object)
+    for v in vecs:
+        out = np.tensordot(np.array([Q(c) for c in v], dtype=object), out, axes=1)
+    return out * Q(1, den)
+
+
+def l_matrix(V, x):
+    """L_x, read off l_stack: den L_{e_i}[r, c] = blocks[0][i, r, c]."""
+    ls = l_stack(V)
+    return Matrix(contract(ls.blocks[0], ls.den, x).tolist())
+
+
+def d_matrix(V, x, y):
+    """D_{x,y}, read off the triple tensor: d**2 D_{e_i,e_j}[r, c] = T[i, j, c, r]."""
+    T, d = tensor.triple_tensor(V)
+    return Matrix(contract(T, d * d, x, y).T.tolist())
+
+
+def stack_matrix(ops, t):
+    """Operator t of an OperatorStack (one block) as a rational Matrix."""
+    return Matrix(contract(ops.blocks[0][t], ops.den).tolist())
+
+
 def test_l_op_on_j19():
     V = jordan_catalog("j19")
-    assert l_op(V, (1, 0, 0)).matrix == diag(1, Q(1, 2), 0)
-    assert l_op(V, (0, 0, 1)).matrix.is_zero()  # e3 multiplies everything to 0
-    assert l_op(V, (1, 0, 0)).parity == 0
+    assert l_matrix(V, (1, 0, 0)) == diag(1, Q(1, 2), 0)
+    assert l_matrix(V, (0, 0, 1)) == Matrix.zero(3, 3)  # e3 multiplies everything to 0
+    assert l_stack(V).parities[0] == 0
 
 
 def test_l_commutator_on_j19_lands_in_inner():
     V = jordan_catalog("j19")
-    l1 = l_op(V, (1, 0, 0)).matrix
-    l2 = l_op(V, (0, 1, 0)).matrix
+    ls = l_stack(V)
     # [L_e1, L_e2] = -L_e2 / 2, so L_e2 is an inner derivation
-    assert l1 @ l2 - l2 @ l1 == l2.scale(Q(-1, 2))
+    assert stack_matrix(ls.bracket(), 1) == l_matrix(V, (0, Q(-1, 2), 0))
 
 
 def test_d_op_oracles_on_j19():
     V = jordan_catalog("j19")
     e1, e2 = (1, 0, 0), (0, 1, 0)
-    assert d_op(V, e1, e2).matrix.is_zero()
-    assert d_op(V, e2, e1).matrix == l_op(V, e2).matrix.scale(2)
+    assert d_matrix(V, e1, e2) == Matrix.zero(3, 3)
+    assert d_matrix(V, e2, e1) == l_matrix(V, (0, 2, 0))
 
 
 def test_operator_oracles_on_kac_k():
     V = jordan_catalog("kacK")
     a, x1, x2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert l_op(V, a).matrix == diag(1, Q(1, 2), Q(1, 2))
+    assert l_matrix(V, a) == diag(1, Q(1, 2), Q(1, 2))
     # L_xi1: a -> xi1/2, xi1 -> 0, xi2 -> a; columns are images of basis vectors
-    assert l_op(V, x1).matrix == Matrix([[0, 0, 1], [Q(1, 2), 0, 0], [0, 0, 0]])
-    l1, l2 = l_op(V, x1).matrix, l_op(V, x2).matrix
+    assert l_matrix(V, x1) == Matrix([[0, 0, 1], [Q(1, 2), 0, 0], [0, 0, 0]])
+    ls = l_stack(V)
     # odd-odd commutator carries a plus sign: [L_x1, L_x2] = L1 L2 + L2 L1
-    assert l1 @ l2 + l2 @ l1 == diag(0, Q(-1, 2), Q(1, 2))
-    assert d_op(V, x1, x2).matrix == diag(2, 0, 2)
-    assert d_op(V, x1, x2).parity == 0
+    assert stack_matrix(ls.bracket(ls), 1 * 3 + 2) == diag(0, Q(-1, 2), Q(1, 2))
+    D = d_matrix(V, x1, x2)
+    assert D == diag(2, 0, 2)
+    p = V.parities  # D_{x1,x2} is even: no entry between opposite parities
+    assert not any(D[r, c] for r in range(3) for c in range(3) if (p[r] + p[c]) % 2)
 
 
 def test_unital_triple_identities():
@@ -80,15 +115,22 @@ def _params(name):
 @settings(**SETTINGS)
 def test_d_op_matches_triple_on_kac_k(x, y, z):
     V = jordan_catalog("kacK")
-    assert d_op(V, x, y).apply(z) == triple(V, x, y, z)
+    T, d = tensor.triple_tensor(V)
+    assert tuple(contract(T, d * d, x, y, z)) == triple(V, x, y, z)
+    assert d_matrix(V, x, y) == oracle.d_op(V, x, y).matrix
 
 
 @given(vecs(4), vecs(4))
 @settings(**SETTINGS)
 def test_u_op_against_triple_on_dt(x, y):
     V = jordan_catalog("dt", 2)
-    # U_{x,y}(e_k) = (-1)^{|y||e_k|} {x, e_k, y}, checked per parity of y
-    U = u_op(V, x, y)
+    # U_{x,y}(e_k) = (-1)^{|y||e_k|} {x, e_k, y}, checked per parity of y,
+    # against U read off the triple tensor as str_w reads it
+    T, d = tensor.triple_tensor(V)
+    p = np.array(V.parities)
+    sign = 1 - 2 * (np.outer(p, p) % 2)  # (-1)^{|e_j||e_k|}
+    # [i, j, k, l] = (-1)^{|e_j||e_k|} d**2 {e_i, e_k, e_j}_l
+    U = contract(T.transpose(0, 2, 1, 3) * sign[None, :, :, None], d * d, x, y)
     y_even = (y[0], y[1], Q(0), Q(0))
     y_odd = (Q(0), Q(0), y[2], y[3])
     for k in range(V.dim):
@@ -97,7 +139,8 @@ def test_u_op_against_triple_on_dt(x, y):
         sgn = Q(-1) if V.parity(k) else Q(1)
         expected = tuple(a + sgn * b for a, b in
                          zip(expected, triple(V, x, z, y_odd)))
-        assert U.apply(z) == expected
+        assert tuple(U[k]) == expected
+        assert oracle.u_op(V, x, y).apply(z) == expected
 
 
 def test_d_op_of_unit_doubles_l_op():
@@ -105,7 +148,7 @@ def test_d_op_of_unit_doubles_l_op():
     e = find_unit(V)
     for i in range(V.dim):
         x = V.basis_vector(i)
-        assert d_op(V, x, e).matrix == l_op(V, x).matrix.scale(2)
+        assert d_matrix(V, x, e) == l_matrix(V, tuple(2 * c for c in x))
 
 
 def test_identity_suite_catches_a_mutated_table():

@@ -108,7 +108,7 @@ def test_grassmann_identity(us, ws):
 @given(st.lists(vecs(3), min_size=3, max_size=3), vecs(3))
 @settings(**SETTINGS)
 def test_solve_verifies(rows, x):
-    m = Matrix(rows)
+    m = oracle.Matrix(rows)
     b = m.apply(x)
     got = solve(m, b)
     assert got is not None and m.apply(got) == b
@@ -117,7 +117,7 @@ def test_solve_verifies(rows, x):
 @given(st.lists(vecs(4), min_size=1, max_size=6))
 @settings(**SETTINGS)
 def test_kernel_orthogonal_to_rows(rows):
-    m = Matrix(rows)
+    m = oracle.Matrix(rows)
     ker = kernel(m)
     assert ker.dim + rref(m)[0].rows == 4
     for v in ker.basis:
@@ -314,7 +314,7 @@ def test_rref_matches_dense_oracle(system, data):
 @settings(**SETTINGS)
 def test_solve_matches_dense_oracle(system, data):
     n, vectors = system
-    m = Matrix(_with_repeats(data, vectors, n) or [(Q(0),) * n])
+    m = oracle.Matrix(_with_repeats(data, vectors, n) or [(Q(0),) * n])
     if data.draw(st.booleans()):
         b = m.apply(data.draw(vecs(n)))  # consistent
     else:
@@ -370,7 +370,7 @@ def test_generated_span_matches_span_solver_oracle(system, data):
     added = [theirs.add(g) for g in gens]
     assert ours.independent == _greedy_independent(n, gens)
     assert ours.independent == tuple(i for i, grew in enumerate(added) if grew)
-    m = Matrix.from_columns(gens) if gens else None
+    m = oracle.Matrix.from_columns(gens) if gens else None
     member = m.apply(data.draw(vecs(len(gens)))) if gens else (Q(0),) * n
     for v in (member, data.draw(vecs(n))):  # the second is usually outside
         got = ours.express(v)
@@ -507,10 +507,14 @@ def test_matrix_flatten_roundtrip():
 
 
 def test_matrix_algebra():
-    a = Matrix([[1, 2], [3, 4]])
-    b = Matrix([[0, 1], [1, 0]])
+    # the dense arithmetic lives on in the oracle's Matrix
+    a = oracle.Matrix([[1, 2], [3, 4]])
+    b = oracle.Matrix([[0, 1], [1, 0]])
     assert (a @ b).data == Matrix([[2, 1], [4, 3]]).data
     assert (a - a).is_zero()
     assert (-a + a).is_zero()
     assert a.scale(Q(1, 2))[0, 1] == Q(1)
     assert a.transpose()[0, 1] == Q(3)
+    assert a == Matrix([[1, 2], [3, 4]])  # equal to the package's container
+    assert not any(hasattr(Matrix, name) for name in (
+        "__matmul__", "__add__", "__sub__", "__neg__", "scale", "apply", "is_zero"))

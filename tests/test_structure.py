@@ -9,11 +9,11 @@ import pytest
 
 import oracle_linalg as oracle
 import oracle_tkk
-from supertkk import exact, structure, tkk
+from supertkk import exact, structure, tensor, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
 from supertkk.exact import Matrix, Q, Subspace
-from supertkk.jordan import d_op, l_op, triple
+from supertkk.jordan import triple
 from supertkk.structure import (
     JordanPair,
     der_algebra,
@@ -25,6 +25,7 @@ from supertkk.structure import (
     istr_algebra,
     istr_tilde,
     l_space,
+    l_stack,
     pair_d_stack,
     pair_der,
     pair_derivation_kernel,
@@ -33,8 +34,7 @@ from supertkk.structure import (
     str_w,
     structure_summary,
 )
-from supertkk.superspace import (SuperAlgebra, make_algebra, memoized, mirror,
-                                 supercommutator)
+from supertkk.superspace import SuperAlgebra, make_algebra, memoized, mirror
 from test_tensor import _rescaled, _sl2
 
 SETTINGS = dict(max_examples=40, deadline=None)
@@ -45,6 +45,18 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(Q)
 def diag(*entries):
     n = len(entries)
     return Matrix.from_entries(n, n, {(i, i): Q(e) for i, e in enumerate(entries)})
+
+
+def l_flat(V, i):
+    """L_{e_i} flattened, read off l_stack."""
+    ls = l_stack(V)
+    return tuple(Q(int(x), ls.den) for x in ls.flats()[i])
+
+
+def d_matrix(V, i, j):
+    """D_{e_i,e_j}, read off the triple tensor: d**2 D[r, c] = T[i, j, c, r]."""
+    T, d = tensor.triple_tensor(V)
+    return Matrix([[Q(int(x), d * d) for x in row] for row in T[i, j].T.tolist()])
 
 
 def test_j19_dims():
@@ -65,13 +77,12 @@ def test_j19_dims():
 
 def test_j19_l_e2_is_inner():
     V = jordan_catalog("j19")
-    l1 = l_op(V, V.basis_vector(0))
-    l2 = l_op(V, V.basis_vector(1))
+    ls = l_stack(V)
     # [L_{e1}, L_{e2}] = -1/2 L_{e2}, so L_{e2} = -2 [L_{e1}, L_{e2}] is inner
-    br = supercommutator(l1, l2)
-    assert br.matrix.scale(Q(-2)) == l2.matrix
-    assert inn_algebra(V).contains_flat(l2.matrix.flatten(), 0)
-    assert not inn_algebra(V).contains_flat(l1.matrix.flatten(), 0)
+    br = ls.bracket(ls)  # [L_{e_i}, L_{e_j}] at i * 3 + j, scaled by den**2
+    assert (-2 * br.blocks[0][0 * 3 + 1] == ls.den * ls.blocks[0][1]).all()
+    assert inn_algebra(V).contains_flat(l_flat(V, 1), 0)
+    assert not inn_algebra(V).contains_flat(l_flat(V, 0), 0)
 
 
 def test_j19_grading_derivation():
@@ -109,8 +120,8 @@ def test_kacK_pair_generator():
     # for x = xi1, y = xi2: D_{x,y} = diag(2,0,2) and the companion slot is
     # -(-1)^{|x||y|} D_{y,x} = +D_{xi2,xi1} = diag(-2,-2,0)
     V = jordan_catalog("kacK")
-    assert d_op(V, V.basis_vector(1), V.basis_vector(2)).matrix == diag(2, 0, 2)
-    assert d_op(V, V.basis_vector(2), V.basis_vector(1)).matrix == diag(-2, -2, 0)
+    assert d_matrix(V, 1, 2) == diag(2, 0, 2)
+    assert d_matrix(V, 2, 1) == diag(-2, -2, 0)
     d_plus, d_minus, parity = oracle_tkk.pair_d_ops(double(V), 0, 1, 2)
     assert parity == 0
     assert d_plus == diag(2, 0, 2)
@@ -133,10 +144,10 @@ def test_trunc_poly_tower():
         assert inn_algebra(V).dim == 0
         der = der_algebra(V)
         # L_{t^m} is a derivation exactly when 2m >= k, i.e. m >= k - 2 here
-        top = l_op(V, V.basis_vector(k - 3)).matrix  # basis index m-1 holds t^m
-        below = l_op(V, V.basis_vector(k - 4)).matrix
-        assert der.contains_flat(top.flatten(), 0)
-        assert not der.contains_flat(below.flatten(), 0)
+        top = l_flat(V, k - 3)  # basis index m-1 holds t^m
+        below = l_flat(V, k - 4)
+        assert der.contains_flat(top, 0)
+        assert not der.contains_flat(below, 0)
         assert l_space(V).intersect(der).dim > 0
 
 
@@ -242,14 +253,15 @@ def homogeneous_tables(draw):
     return make_algebra(parities, products, zdeg if graded else None, check=False)
 
 
-def _is_derivation(a, op) -> bool:
-    """D(xy) = D(x)y + (-1)^{|D||x|} x D(y) on every ordered basis pair."""
-    m, n = op.matrix, a.dim
+def _is_derivation(a, flat, parity) -> bool:
+    """D(xy) = D(x)y + (-1)^{|D||x|} x D(y) on every ordered basis pair, for
+    the flattened operator D of the given parity."""
+    m, n = oracle.Matrix.unflatten(a.dim, a.dim, flat), a.dim
     for i in range(n):
         for j in range(n):
             x, y = a.basis_vector(i), a.basis_vector(j)
             left = m.apply(a.product(x, y))
-            right = [u + (-v if op.parity * a.parity(i) % 2 else v) for u, v in
+            right = [u + (-v if parity * a.parity(i) % 2 else v) for u, v in
                      zip(a.product(m.apply(x), y), a.product(x, m.apply(y)))]
             if list(left) != right:
                 return False
@@ -260,7 +272,8 @@ def _is_derivation(a, op) -> bool:
 @settings(max_examples=60, deadline=None)
 def test_derivation_kernel_matches_fraction_oracle(a):
     n = a.dim
-    assert all(_is_derivation(a, op) for op in der_algebra(a).operators())
+    der = der_algebra(a)
+    assert all(_is_derivation(a, v, p) for p in (0, 1) for v in der.part(p).basis)
     for parity in (0, 1):
         assert derivation_kernel(a, parity) == oracle.derivation_kernel(a, parity)
         for s in {a.zdegree(r) - a.zdegree(c) for r in range(n) for c in range(n)}:
@@ -420,8 +433,8 @@ def test_leibniz_system_is_assembled_once(monkeypatch):
 def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
     # the block rows are primitive and distinct already: lie_der_tower and
     # derivation_kernel hand them to integer_kernel, never to kernel_sparse
-    # and its second primitive_rows pass
-    from supertkk import exact
+    # and its second primitive_rows pass (structure does not even bind it)
+    assert not hasattr(structure, "kernel_sparse")
     g = load_algebra(save_algebra(lie_catalog("w", 2)))
     blocks = leibniz_blocks(g)
     passed = []
@@ -435,7 +448,7 @@ def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
 
     for module in (structure, tkk):
         monkeypatch.setattr(module, "integer_kernel", spy)
-    monkeypatch.setattr(structure, "kernel_sparse", refuse)
+    monkeypatch.setattr(exact, "kernel_sparse", refuse)
     tkk.lie_der_tower(g)
     assert [id(r) for r in passed] == [id(rows) for _, rows in blocks.values()]
     passed.clear()
@@ -444,12 +457,13 @@ def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
 
 def test_operator_space_basis_roundtrip():
     V = jordan_catalog("kacK")
-    sp = istr_algebra(V)
-    for op in sp.operators():
-        assert sp.contains_flat(op.matrix.flatten(), op.parity)
-    paired = pair_der(V)
-    for plus, minus, parity in paired.operators():
-        assert paired.contains_flat(plus.flatten() + minus.flatten(), parity)
+    # the basis as an integer stack, read back, is the basis and lies inside
+    for sp in (istr_algebra(V), pair_der(V)):
+        ops = sp.stack
+        flats = [tuple(Q(int(x), ops.den) for x in row) for row in ops.flats().tolist()]
+        assert flats == list(sp.even.basis + sp.odd.basis)
+        for flat, parity in zip(flats, ops.parities.tolist()):
+            assert sp.contains_flat(flat, parity)
 
 
 def test_operator_space_sum_and_intersect():
@@ -458,7 +472,7 @@ def test_operator_space_sum_and_intersect():
     assert ls.sum(inn).dims() == (2, 0)  # L_{e2} already lies in Inn
     meet = ls.intersect(inn)
     assert meet.dims() == (1, 0)
-    assert meet.even.contains(l_op(V, V.basis_vector(1)).matrix.flatten())
+    assert meet.even.contains(l_flat(V, 1))
 
 
 def test_symmetry_is_checked_once_per_algebra(monkeypatch):

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from supertkk.exact import Q, span
 from supertkk.superspace import (
-    GradedOperator, center, check_super_jacobi, check_superanticommutative,
-    check_supercommutative, derived, graded_dims, make_algebra, operator_parity,
-    parity_dims, quotient_algebra, subalgebra, supercommutator,
+    center, check_super_jacobi, check_superanticommutative, check_supercommutative,
+    derived, graded_dims, make_algebra, parity_dims, quotient_algebra, subalgebra,
 )
 from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_algebra
-from supertkk.structure import double
+from supertkk.structure import double, l_stack
 from supertkk.tkk import j_functor, koecher
 
 SETTINGS = dict(max_examples=40, deadline=None)
@@ -72,10 +71,14 @@ def test_super_jacobi_on_sl2_and_a_broken_table():
 
 
 def test_product_is_bilinear_against_left_mult():
+    # x * y = sum_i x_i L_{e_i} y, with L read off l_stack
     a = jordan_catalog("kacK")
     x = (Q(2), Q(1, 2), Q(-1))
     y = (Q(0), Q(3), Q(1, 3))
-    assert a.product(x, y) == a.left_mult_matrix(x).apply(y)
+    ls = l_stack(a)
+    lx_y = tuple(sum((xi * int(ls.blocks[0][i, r, c]) * yc for i, xi in enumerate(x)
+                      for c, yc in enumerate(y)), Q(0)) / ls.den for r in range(a.dim))
+    assert a.product(x, y) == lx_y
 
 
 @given(st.lists(rationals, min_size=3, max_size=3),
@@ -147,24 +150,16 @@ def test_subalgebra_restricts_structure_constants():
 
 def test_operator_parity_and_supercommutator():
     a = jordan_catalog("kacK")
-    le = a.left_mult_matrix((1, 0, 0))   # L_a, even
-    lx = a.left_mult_matrix((0, 1, 0))   # L_xi1, odd
-    assert operator_parity(a, le) == 0
-    assert operator_parity(a, lx) == 1
-    A = GradedOperator(lx, 1)
-    B = GradedOperator(lx, 1)
+    ls = l_stack(a)  # L_a, L_xi1, L_xi2 scaled by ls.den
+    assert ls.parities.tolist() == [0, 1, 1]
+    br = ls.bracket(ls)  # [L_i, L_j] at 3 i + j, scaled by ls.den**2
+    assert br.parities.tolist() == [0, 1, 1, 1, 0, 0, 1, 0, 0]
     # odd-odd supercommutator is an anticommutator: [A,A] = 2 A^2
-    assert supercommutator(A, B).matrix == (lx @ lx).scale(2)
-    assert operator_parity(a, le @ lx) == 1
-
-
-def test_graded_operator_zshift_tracking():
-    from supertkk.exact import Matrix
-    up = Matrix([[0, 1], [0, 0]])
-    down = Matrix([[0, 0], [1, 0]])
-    A = GradedOperator(up, 0, zshift=1)
-    B = GradedOperator(down, 0, zshift=-1)
-    assert supercommutator(A, B).zshift == 0
+    lx = ls.blocks[0][1]  # L_xi1, odd
+    assert (br.blocks[0][1 * 3 + 1] == 2 * lx @ lx).all() and (lx @ lx).any()
+    # even-odd: [L_a, L_xi1] = L_a L_xi1 - L_xi1 L_a
+    le = ls.blocks[0][0]
+    assert (br.blocks[0][0 * 3 + 1] == le @ lx - lx @ le).all()
 
 
 def test_mixed_basis_vector_proves_subspace_not_graded():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_identities as oracle
+from oracle_linalg import Matrix, left_mult_matrix, operators
 from pyrun import run_python
 from supertkk import tensor
 from supertkk.catalog import jordan_catalog, resolve
-from supertkk.exact import CertificateError, Matrix, Q
+from supertkk.exact import CertificateError, Q
 from supertkk.jordan import (check_commutator_identity, check_five_linear,
-                             check_jordan_identity, check_triple_symmetry, d_op)
+                             check_jordan_identity, check_triple_symmetry)
 from supertkk.structure import JordanPair, check_pair_axioms, double
 from supertkk.superspace import (SuperAlgebra, check_super_jacobi, check_superanticommutative,
                                  check_supercommutative, make_algebra)
@@ -168,12 +169,15 @@ def test_perturbed_lie_catalog_is_rejected_like_the_oracle(source):
 
 
 def test_d_op_matches_the_operator_formula():
+    # D_{e_i,e_j} read off the triple tensor, d**2 D[r, c] = T[i, j, c, r]
     for source in ("kacK", "full_matrix:1,1", "form:1,2"):
         V = resolve(source)
+        T, d = tensor.triple_tensor(V)
         for i in range(V.dim):
             for j in range(V.dim):
                 x, y = V.basis_vector(i), V.basis_vector(j)
-                assert d_op(V, x, y).matrix == oracle.d_op(V, x, y).matrix
+                got = Matrix([[Q(int(t), d * d) for t in row] for row in T[i, j].T.tolist()])
+                assert got == oracle.d_op(V, x, y).matrix
 
 
 def _sl2():
@@ -292,7 +296,7 @@ def _triples(results):
 
 def _oracle_lp(V):
     p_flat = oracle._hom2_flat_p(V)
-    return [oracle._g0_on_gplus(V, V.left_mult_matrix(V.basis_vector(a)), V.parity(a), p_flat, 0)
+    return [oracle._g0_on_gplus(V, left_mult_matrix(V, V.basis_vector(a)), V.parity(a), p_flat, 0)
             for a in range(V.dim)]
 
 
@@ -375,7 +379,7 @@ def test_kantor_contractions_prove_their_int64_bound(scale, monkeypatch):
 def _assert_kantor_top_matches_oracle(V):
     """[L_a, P] and the g_0 action block of Kan(V) against the Fraction loop."""
     kan = kantor(V)
-    top, ops = kan.data["top"], kan.data["middle"].operators()
+    top, ops = kan.data["top"], operators(kan.data["middle"])
     n, nm = V.dim, len(ops)
     assert top.lp_flats == _oracle_lp(V)
     for t, op in enumerate(ops):
