@@ -11,21 +11,27 @@ integer-row core `integer_kernel`, `Subspace`,
 row, eliminated over the integers (Bareiss-style v <- b*v - a*r, divided by
 the row gcd), and rationals are formed only when the reduced rows are read
 off.  A `GeneratedSpan` eliminates its generator list once and then writes
-any number of members in those generators, each by one reduction.  Every
-kernel vector is verified exactly against every row, and every expressed
-member is recombined from its coefficients; a failure of either certificate
-raises CertificateError, so the checks survive `python -O`.  `Matrix` is
-only the immutable container of such systems and of their results; no
-operator arithmetic runs on it.
+any number of members in those generators, each by one reduction.
+`integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
+first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
+with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
+x_d to x_c, round after round, so only the core rows left reach the
+elimination; its rank is the zeroed roots plus the tied columns plus the
+core pivots.  Every kernel vector is verified exactly against every
+original row, the basis must have one vector per free column, and every
+expressed member is recombined from its coefficients; a failure of either
+certificate raises CertificateError, so the checks survive `python -O`.
+`Matrix` is only the immutable container of such systems and of their
+results; no operator arithmetic runs on it.
 
 Integer systems assembled as numpy COO triplets are made primitive by
 `primitive_row_blocks`, one vectorised pass per chunk of equations (sort,
 sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
-splits them into blocks of columns and removes repeated rows; the rational
-`primitive_rows` serves `Subspace`, `rref` and `kernel_sparse`.  The kernel
-certificate evaluates only the nonzero entries of the rows.  Every numpy
-path runs in int64 only after proving its bound below 2**62 (`int_dtype`),
-and on object-dtype Python ints otherwise.
+splits them into blocks of columns (an `IntRows` each) and removes repeated
+rows; the rational `primitive_rows` serves `Subspace`, `rref` and
+`kernel_sparse`.  The kernel certificate evaluates only the nonzero entries
+of the rows.  Every numpy path runs in int64 only after proving its bound
+below 2**62 (`int_dtype`), and on object-dtype Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -377,7 +383,48 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2 ** 62 else object
 
 
-def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int, list[dict]]:
+class IntRows:
+    """A sparse integer system as flat arrays, the one input of
+    `integer_kernel`: row r holds the entries cols[s:s + lens[r]] (column
+    indices) and vals[s:s + lens[r]] (nonzero ints, int64 or object dtype),
+    s = lens[0] + ... + lens[r - 1].  Every row has an entry."""
+
+    __slots__ = ("lens", "cols", "vals")
+
+    def __init__(self, lens, cols, vals):
+        self.lens, self.cols, self.vals = lens, cols, vals
+
+    @classmethod
+    def from_dicts(cls, rows: Iterable[dict]) -> "IntRows":
+        """The nonzero rows of sparse integer rows (col -> int)."""
+        import numpy as np
+        rows = [r for r in rows if r]
+        vals = [x for r in rows for x in r.values()]
+        dtype = int_dtype(max(map(abs, vals), default=0))
+        return cls(np.array([len(r) for r in rows], dtype=np.int64),
+                   np.array([c for r in rows for c in r], dtype=np.int64),
+                   np.array(vals, dtype=dtype))
+
+    @classmethod
+    def concat(cls, systems: Iterable["IntRows"]) -> "IntRows":
+        """The rows of several systems, one after the other."""
+        import numpy as np
+        parts = [(s.lens, s.cols, s.vals) for s in systems]
+        return cls(*map(np.concatenate, zip(*parts))) if parts else cls.from_dicts(())
+
+    def dicts(self) -> list[dict]:
+        """The rows as dicts col -> int."""
+        at, vals, out, start = self.cols.tolist(), self.vals.tolist(), [], 0
+        for end in self.lens.cumsum().tolist():
+            out.append(dict(zip(at[start:end], vals[start:end])))
+            start = end
+        return out
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+
+def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int, IntRows]:
     """The distinct primitive rows of a sparse integer system given as COO
     triplets, split into blocks of columns.
 
@@ -392,9 +439,10 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     (e, b, c), duplicates summed by `np.add.reduceat`, zeros dropped, and
     each row divided by its gcd (`np.gcd.reduceat`), signed so that its first
     entry is positive, as `row_primitive` signs.  Rows repeated anywhere in
-    the system are then removed.  Returns {block: rows} for the blocks that
-    have a row, each row a dict {position: int}, in the order of the chunks
-    and, within one, of (e, b).
+    the system are then removed.  Returns {block: IntRows} for every block
+    (with no row for a block no equation reaches), the columns given by
+    their positions, the rows in the order of the chunks and, within one, of
+    (e, b).
 
     The values run in int64 only when terms * max|val| < 2**62, and the sort
     keys when (rows) * (columns) < 2**62; otherwise both run on object-dtype
@@ -412,31 +460,33 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
         key = (key * nblocks + block_of[col]) * ncols + col
         order = np.argsort(key, kind="stable")
         key, val = key[order], val[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        first = _run_starts(key)
         key, val = key[first], np.add.reduceat(val, first)
         nonzero = val != 0
         key, val = key[nonzero], val[nonzero]
         if not len(key):
             continue
         row, col = key // ncols, (key % ncols).astype(np.int64)
-        start = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        lens = np.diff(np.r_[start, len(key)])
+        start = _run_starts(row)
+        lens = np.diff(start, append=len(key))
         g = np.gcd.reduceat(np.abs(val), start)
         val = val // np.repeat(np.where(val[start] < 0, -g, g), lens)
         # deduplicated per chunk first, so that only about the distinct rows
         # are held until the last pass
         parts.append(_distinct_rows(block_of[col[start]], start, lens, col, val))
-    out: dict[int, list[dict]] = {}
     if not parts:
-        return out
+        return {b: IntRows.from_dicts(()) for b in range(nblocks)}
     blocks, lens, cols, vals = (np.concatenate(a) for a in zip(*parts))
     blocks, lens, cols, vals = _distinct_rows(blocks, np.r_[0, np.cumsum(lens)[:-1]], lens,
                                               cols, vals)
-    at, vals, start = position_of[cols].tolist(), vals.tolist(), 0
-    for b, end in zip(blocks.tolist(), np.cumsum(lens).tolist()):
-        out.setdefault(b, []).append(dict(zip(at[start:end], vals[start:end])))
-        start = end
-    return out
+    by_block = np.argsort(np.repeat(blocks, lens), kind="stable")
+    rows = np.argsort(blocks, kind="stable")
+    blocks, lens = blocks[rows], lens[rows]
+    cols, vals = position_of[cols[by_block]], vals[by_block]
+    row_cut = np.searchsorted(blocks, np.arange(nblocks + 1)).tolist()
+    entry_cut = np.r_[0, np.cumsum(lens)][row_cut].tolist()
+    return {b: IntRows(lens[row_cut[b]:row_cut[b + 1]], cols[entry_cut[b]:entry_cut[b + 1]],
+                       vals[entry_cut[b]:entry_cut[b + 1]]) for b in range(nblocks)}
 
 
 def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
@@ -466,6 +516,12 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
         keep = np.array(sorted(seen.values()), dtype=np.int64)
     at = _entries(starts[keep], lens[keep])
     return blocks[keep], lens[keep], cols[at], vals[at]
+
+
+def _run_starts(a):
+    """Indices of the entries of a sorted array that differ from the one before."""
+    import numpy as np
+    return np.flatnonzero(np.concatenate(([len(a) > 0], a[1:] != a[:-1])))
 
 
 def _entries(starts, lens):
@@ -548,7 +604,7 @@ def _echelon(int_rows: list[dict]) -> dict[int, dict]:
     return store
 
 
-def _verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
+def _verify_kernel(int_rows: IntRows, vecs: list[dict], ncols: int) -> bool:
     """Exact check that every sparse integer vector kills every row.
 
     Only the nonzero entries of the rows are evaluated: the products
@@ -557,23 +613,21 @@ def _verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
     row) < 2**62 bounds every partial sum, else object-dtype Python ints."""
     import numpy as np
 
-    rows = [r for r in int_rows if r]
-    if not vecs or not rows:
+    if not vecs or not len(int_rows):
         return True
-    max_r = max(abs(x) for r in rows for x in r.values())
-    max_v = max(abs(x) for v in vecs for x in v.values())
-    dtype = int_dtype(max_r * max_v * max(map(len, rows)))
+    lens, cols = int_rows.lens, int_rows.cols
+    max_r = int(np.abs(int_rows.vals).max())
+    max_v = max((abs(x) for v in vecs for x in v.values()), default=0)
+    dtype = int_dtype(max_r * max_v * int(lens.max()))
     V = np.zeros((ncols, len(vecs)), dtype=dtype)
     for k, v in enumerate(vecs):
         V[list(v), k] = list(v.values())
-    cols = np.fromiter((c for r in rows for c in r), dtype=np.int64)
-    vals = np.array([x for r in rows for x in r.values()], dtype=dtype)
-    lens = np.array([len(r) for r in rows])
+    vals = int_rows.vals.astype(dtype)
     ends = np.cumsum(lens)
     starts = ends - lens
     chunk = max(1, 2 ** 16 // len(vecs))  # entries per chunk, ~0.5 MB of int64 products
     first = 0
-    while first < len(rows):  # whole rows, about chunk entries at a time
+    while first < len(lens):  # whole rows, about chunk entries at a time
         last = max(first + 1, int(np.searchsorted(ends, starts[first] + chunk, side="right")))
         lo, hi = starts[first], ends[last - 1]
         if np.add.reduceat(vals[lo:hi, None] * V[cols[lo:hi]], starts[first:last] - lo,
@@ -583,28 +637,114 @@ def _verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
     return True
 
 
+def rank_in_kernel(int_rows: IntRows, vecs: list[dict], ncols: int, message: str) -> int:
+    """The rank of sparse integer vectors, each certified to kill every row:
+    CertificateError(message) if one does not."""
+    certify(_verify_kernel(int_rows, vecs, ncols), message)
+    return len(_echelon(vecs))
+
+
 def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
     """Canonical RREF kernel basis of a sparse system (rows: dicts col->scalar):
     the rows scaled to distinct primitive integer rows, then `integer_kernel`."""
-    return integer_kernel(primitive_rows(rows), ncols)
+    return integer_kernel(IntRows.from_dicts(primitive_rows(rows)), ncols)
 
 
-def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
-    """Canonical RREF kernel basis of sparse integer rows (col -> int), which
-    callers pass already primitive and distinct, as `primitive_rows` and
-    `primitive_row_blocks` leave them.
+def _absorb(int_rows: IntRows, ncols: int):
+    """Structured elimination of the rows that tie columns: (root, sign, core).
 
-    The rows are eliminated over the integers.  The kernel is read off as one
-    integer vector per free column f (lcm of the pivots involved at f,
-    -r[f]*lcm/r[p] at each pivot column p), and the same elimination brings
-    those vectors to the canonical RREF basis.  Certificate: that basis has one
-    vector per free column and every vector kills every row exactly;
-    rationals are formed only at the end.
+    Column c is x_c = sign[c] * x_root[c], sign 0 for a column forced to 0,
+    and core holds the rows left over the live roots (sign 1, root itself).
+    Each round substitutes (root, sign) into the rows, sums their entries
+    per (row, column) by `np.add.reduceat` and drops zeros.  A row left with
+    one entry forces its column to 0; a row a x_c + b x_d with |a| = |b|,
+    c < d and neither column forced to 0 this round, ties x_d = -(a/b) x_c.
+    A column tied by several rows takes the smallest c, and the other rows
+    stay; parents have smaller indices, so pointer jumping ends.  Rounds
+    repeat until one absorbs nothing, and its rows are the core.
+
+    An entry is a sum of at most (longest row) signed entries of its row, so
+    the values run in int64 only when that times max|entry| is below 2**62
+    (`int_dtype`), and on object-dtype Python ints otherwise.
     """
-    store = _echelon(int_rows)
+    import numpy as np
+
+    root, sign = np.arange(ncols), np.ones(ncols, dtype=np.int64)
+    if not len(int_rows):
+        return root, sign, int_rows
+    lens = int_rows.lens
+    vals = int_rows.vals.astype(int_dtype(int(lens.max()) * int(np.abs(int_rows.vals).max())))
+    row, col = np.repeat(np.arange(len(lens)), lens), int_rows.cols
+    key_type = int_dtype(len(lens) * ncols)
+    while len(row):
+        key = row.astype(key_type) * ncols + root[col]
+        vals = vals * sign[col]
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        first = _run_starts(key)
+        key, vals = key[first], np.add.reduceat(vals, first)
+        nonzero = vals != 0
+        key, vals = key[nonzero], vals[nonzero]
+        row, col = (key // ncols).astype(np.int64), (key % ncols).astype(np.int64)
+        start = _run_starts(row)
+        lens = np.diff(start, append=len(row))
+        single, pair = lens == 1, np.flatnonzero(lens == 2)
+        zeroed = np.zeros(ncols, dtype=bool)
+        zeroed[col[start[single]]] = True
+        at = start[pair]
+        a, b, c, d = vals[at], vals[at + 1], col[at], col[at + 1]
+        tie = np.flatnonzero((abs(a) == abs(b)) & ~zeroed[c] & ~zeroed[d])
+        by_child = tie[np.lexsort((c[tie], d[tie]))]
+        chosen = by_child[_run_starts(d[by_child])]
+        if not len(chosen) and not single.any():
+            return root, sign, IntRows(lens, col, vals)
+        parent, step = np.arange(ncols), np.ones(ncols, dtype=np.int64)
+        parent[d[chosen]] = c[chosen]
+        step[d[chosen]] = np.where((a[chosen] > 0) == (b[chosen] > 0), -1, 1)
+        while (parent[parent] != parent).any():
+            step, parent = step * step[parent], parent[parent]
+        step[zeroed] = 0
+        # the rows just absorbed are 0 once substituted: drop them now
+        single[pair[chosen]] = True
+        keep = ~np.repeat(single, lens)
+        row, col, vals = row[keep], col[keep], vals[keep]
+        root, sign = parent[root], sign * step[root]
+    return root, sign, IntRows.from_dicts(())
+
+
+def integer_kernel(int_rows: IntRows, ncols: int) -> list[tuple]:
+    """Canonical RREF kernel basis of a sparse integer system (callers pass
+    the rows primitive and distinct, as `primitive_rows` and
+    `primitive_row_blocks` leave them).
+
+    A structured-elimination pre-pass (`_absorb`, vectorised) first absorbs
+    the rows with one entry (the column is 0) and the rows a x_c + b x_d
+    with |a| = |b| (x_d = -(a/b) x_c), until none is left; only the core
+    rows that remain are eliminated over the integers (`_echelon`).  The
+    rank is the zeroed roots plus the tied columns plus the core pivots.  The
+    kernel is read off as one integer vector per free root f (lcm of the
+    pivots involved at f, -r[f]*lcm/r[p] at each pivot p), carried to every
+    column tied to those roots, and the same elimination brings the vectors
+    to the canonical RREF basis.  Certificate: that basis has one vector per
+    free column (ncols - rank) and every vector kills every original row
+    exactly, not only the core rows; rationals are formed only at the end.
+    """
+    import numpy as np
+
+    root, sign, core = _absorb(int_rows, ncols)
+    store = _echelon(core.dicts())
+    is_root = root == np.arange(ncols)
+    rank = int((is_root & (sign == 0)).sum()) + int((~is_root).sum()) + len(store)
+    live = np.flatnonzero(is_root & (sign != 0))
     pivots = sorted(store.items())
+    # the columns of each live root, with their signs
+    at = np.flatnonzero(sign != 0)
+    at = at[np.argsort(root[at], kind="stable")]
+    cut = np.searchsorted(root[at], live).tolist() + [len(at)]
+    members = {r: list(zip(at[lo:hi].tolist(), sign[at[lo:hi]].tolist()))
+               for r, lo, hi in zip(live.tolist(), cut, cut[1:])}
     vecs = []
-    for f in range(ncols):
+    for f in live.tolist():
         if f in store:
             continue
         hits = [(p, r) for p, r in pivots if f in r]
@@ -612,9 +752,10 @@ def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
         v = {f: m}
         for p, r in hits:
             v[p] = -r[f] * (m // r[p])
-        vecs.append(v)
+        vecs.append({c: s * x for q, x in v.items() for c, s in members[q]})
     basis = _echelon(vecs)
-    certify(len(basis) == len(vecs) and _verify_kernel(int_rows, list(basis.values()), ncols),
+    certify(len(basis) == ncols - rank
+            and _verify_kernel(int_rows, list(basis.values()), ncols),
             "kernel verification failed: the basis needs one vector per free column, "
             "each killing every row")
     return _rational_rows(basis, ncols)[0]

@@ -35,7 +35,7 @@ from functools import cached_property
 from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, Q, Subspace, certify, int_dtype, integer_kernel,
+from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, int_dtype, integer_kernel,
                     primitive_row_blocks)
 from .superspace import (SuperAlgebra, Witness, check_superanticommutative,
                          check_supercommutative, frozen_table, memoized)
@@ -272,7 +272,7 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
 
     Maps each (shift, parity) to (cols, rows): the operator entries (r, c)
     of the block in row-major order, and the distinct primitive integer rows
-    over their positions.
+    over their positions, as `exact.IntRows`.
 
     Equation (i, j, k) is the e_k coordinate, on the table scaled to integers.
     When the table is supercommutative or super-anticommutative the (j, i)
@@ -331,7 +331,7 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     chunks = (_triplets(terms(lo, hi))
               for lo, hi in _runs(2 * n * np.bincount(I, minlength=n) + len(I)))
     rows = primitive_row_blocks(chunks, 3, block_of, position_of)
-    return {key: (tuple(cols[key]), tuple(rows.get(b, ()))) for b, key in enumerate(keys)}
+    return {key: (tuple(cols[key]), rows[b]) for b, key in enumerate(keys)}
 
 
 def _kernel_space(kernel, positions, ambient: int) -> Subspace:
@@ -353,13 +353,14 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     stacks every block of that parity into one system and eliminates that
     independently of the blocks.
     """
+    import numpy as np
     n = a.dim
     blocks = [b for (s, p), b in leibniz_blocks(a).items()
               if p == parity and zshift in (None, s)]
     cols = sorted(rc for b_cols, _ in blocks for rc in b_cols)
     pos = {rc: idx for idx, rc in enumerate(cols)}
-    rows = [{pos[b_cols[idx]]: x for idx, x in row.items()}
-            for b_cols, b_rows in blocks for row in b_rows]
+    rows = IntRows.concat(IntRows(r.lens, np.array([pos[rc] for rc in b_cols])[r.cols], r.vals)
+                          for b_cols, r in blocks)
     return _kernel_space(integer_kernel(rows, len(cols)), [r * n + c for r, c in cols], n * n)
 
 
@@ -459,7 +460,8 @@ def _derivation_rule_kernels(maps, parities) -> tuple:
     kernels = []
     for b in (0, 1):
         at = np.flatnonzero(block_of == b).tolist()
-        kernels.append(_kernel_space(integer_kernel(rows.get(b, []), len(at)), at, len(block_of)))
+        kernels.append(_kernel_space(integer_kernel(rows.get(b, IntRows.from_dicts(())), len(at)),
+                                     at, len(block_of)))
     return tuple(kernels)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import tensor
 from .exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify, int_dtype,
-                    integer_kernel, span)
+                    integer_kernel, rank_in_kernel, row_primitive, span)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -846,22 +846,22 @@ def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
 
     Der is the kernel of each `leibniz_blocks` block.  Inn is the span of the
     adjoint operators: every entry of ad_x is a table constant in the block
-    (deg x, |x|), so Inn of a block is the rank of those rows, and they are
-    certified to lie in the block's Der.  The outer dimensions are the
-    block-wise differences.  With check_total, the block dimensions are
-    re-verified against the ungraded derivation kernel.
+    (deg x, |x|), so each ad_x of the block is scaled to a primitive integer
+    row, certified to kill the block's Leibniz rows, and Inn is the rank of
+    those rows.  The outer dimensions are the block-wise differences.  With
+    check_total, the block dimensions are re-verified against the ungraded
+    derivation kernel.
     """
     n = g.dim
     tower = {}
     for (shift, parity), (cols, rows) in leibniz_blocks(g).items():
         m = len(cols)
         der = integer_kernel(rows, m)
-        ad = [{(k, c): x for c in range(n) for k, x in g.basis_product(i, c).items()}
+        pos = {rc: idx for idx, rc in enumerate(cols)}
+        ad = [row_primitive({pos[k, c]: x for c in range(n)
+                             for k, x in g.basis_product(i, c).items()})
               for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)]
-        ad_rows = [[e.get(rc, ZERO) for rc in cols] for e in ad]
-        certify(Subspace(m, der + ad_rows).dim == len(der),
-                f"adjoint operators must be derivations (shift {shift})")
-        inn = Subspace(m, ad_rows).dim
+        inn = rank_in_kernel(rows, ad, m, f"adjoint operators must be derivations (shift {shift})")
         if der or inn:
             tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
     if check_total:

@@ -21,7 +21,11 @@ before it built the system as numpy COO triplets for
 and deduplicated by `exact.primitive_rows`; it is kept verbatim, not
 memoized.  `verify_kernel` is the dense kernel certificate that
 supertkk.exact ran before it evaluated only the nonzero entries: every row
-block built densely and multiplied by the kernel basis.
+block built densely and multiplied by the kernel basis.  `integer_kernel`
+is the all-rows elimination that supertkk.exact ran before its
+structured-elimination pre-pass: every row goes through `exact._echelon`
+as a dict; it is kept verbatim but for its certificate, which is the dense
+`verify_kernel` here.
 
 The last section is the dense operator arithmetic that supertkk ran beside
 its integer operator stacks, kept verbatim for the oracles: `Matrix` is
@@ -36,10 +40,12 @@ oracle_identities), and `operators` the former `OperatorSpace.operators()`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Sequence
 
 from supertkk import exact
-from supertkk.exact import ONE, ZERO, Q, Subspace, kernel_sparse, primitive_rows, vec_is_zero
+from supertkk.exact import (ONE, ZERO, Q, Subspace, certify, kernel_sparse, primitive_rows,
+                            vec_is_zero)
 from supertkk.jordan import _parity_parts, triple
 from supertkk.structure import JordanPair, OperatorSpace, _integer_tables
 from supertkk.superspace import (SuperAlgebra, check_superanticommutative,
@@ -547,3 +553,34 @@ def verify_kernel(int_rows: list[dict], vecs: list[dict], ncols: int) -> bool:
             if sum(c * v.get(j, 0) for j, c in row.items()):
                 return False
     return True
+
+
+def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
+    """Canonical RREF kernel basis of sparse integer rows (col -> int), which
+    callers pass already primitive and distinct, as `primitive_rows` and
+    `primitive_row_blocks` leave them.
+
+    The rows are eliminated over the integers.  The kernel is read off as one
+    integer vector per free column f (lcm of the pivots involved at f,
+    -r[f]*lcm/r[p] at each pivot column p), and the same elimination brings
+    those vectors to the canonical RREF basis.  Certificate: that basis has one
+    vector per free column and every vector kills every row exactly;
+    rationals are formed only at the end.
+    """
+    store = exact._echelon(int_rows)
+    pivots = sorted(store.items())
+    vecs = []
+    for f in range(ncols):
+        if f in store:
+            continue
+        hits = [(p, r) for p, r in pivots if f in r]
+        m = lcm(*(r[p] for p, r in hits))
+        v = {f: m}
+        for p, r in hits:
+            v[p] = -r[f] * (m // r[p])
+        vecs.append(v)
+    basis = exact._echelon(vecs)
+    certify(len(basis) == len(vecs) and verify_kernel(int_rows, list(basis.values()), ncols),
+            "kernel verification failed: the basis needs one vector per free column, "
+            "each killing every row")
+    return exact._rational_rows(basis, ncols)[0]

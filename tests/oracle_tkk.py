@@ -28,6 +28,10 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   D_{x,e} and [L_a, L_b]).  The last two run on the Ti, Kan and Ko that
   supertkk builds (`tkk.tits`, ...), so that a test can perturb those, and
   `equivalence_images` reads each middle coordinate with `op_coords`.
+- `lie_der_tower` is the former derivation tower: its adjoint operators
+  are dense Fraction rows, certified by the dimension of a `Subspace` of
+  Der plus those rows, and Inn is the dimension of their span; its Der is
+  the all-rows `oracle_linalg.integer_kernel`.
 The dense operators themselves (Matrix, l_op, d_op, supercommutator,
 operators) come from oracle_linalg.
 """
@@ -35,13 +39,14 @@ operators) come from oracle_linalg.
 from __future__ import annotations
 
 from oracle_identities import _gplus_on_gminus
+import oracle_linalg
 from oracle_linalg import Matrix, d_op, l_op, left_mult_matrix, operators, supercommutator
 from supertkk import tensor, tkk
-from supertkk.exact import GeneratedSpan, Q, certify, solve, span
+from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, solve, span
 from supertkk.jordan import find_unit, triple
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
-                                der_algebra, derivation_kernel, istr_algebra, pair_der,
-                                str_w)
+                                der_algebra, derivation_kernel, istr_algebra, leibniz_blocks,
+                                pair_der, str_w)
 from supertkk.superspace import SuperAlgebra, make_algebra, mirror
 from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _sl2
 
@@ -741,3 +746,25 @@ def pair_der_matches_der0(v) -> CheckResult:
     return CheckResult("pair_der_equals_der0", True,
                        "Der(V+,V-) fills Der(Ko)_0 and matches brackets")
 
+
+
+# ---------------------------------------------------------------------------
+# derivation towers
+
+
+def lie_der_tower(g: SuperAlgebra) -> dict:
+    """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity)."""
+    n = g.dim
+    tower = {}
+    for (shift, parity), (cols, rows) in leibniz_blocks(g).items():
+        m = len(cols)
+        der = oracle_linalg.integer_kernel(rows.dicts(), m)
+        ad = [{(k, c): x for c in range(n) for k, x in g.basis_product(i, c).items()}
+              for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)]
+        ad_rows = [[e.get(rc, ZERO) for rc in cols] for e in ad]
+        certify(Subspace(m, der + ad_rows).dim == len(der),
+                f"adjoint operators must be derivations (shift {shift})")
+        inn = Subspace(m, ad_rows).dim
+        if der or inn:
+            tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
+    return tower

@@ -14,8 +14,8 @@ from pyrun import run_python
 from supertkk import exact
 from supertkk.catalog import lie_catalog
 from supertkk.exact import (
-    GeneratedSpan, Q, Matrix, Subspace, grassmann_ok, integer_kernel, kernel, kernel_sparse,
-    primitive_rows, rref, solve, span,
+    GeneratedSpan, IntRows, Q, Matrix, Subspace, grassmann_ok, integer_kernel, kernel,
+    kernel_sparse, primitive_rows, rref, solve, span,
 )
 from supertkk.structure import leibniz_blocks
 
@@ -211,14 +211,15 @@ def certificate_cases(draw):
                                 min_size=least, max_size=most))
                   for least, most in ((0, 8), (1, 4)))
     if draw(st.booleans()):
-        vecs = _integer_vectors(integer_kernel(primitive_rows(rows), n))
+        vecs = _integer_vectors(integer_kernel(IntRows.from_dicts(primitive_rows(rows)), n))
     return rows, vecs, n
 
 
 @given(certificate_cases())
 @settings(**SETTINGS)
 def test_sparse_kernel_certificate_matches_the_dense_check(case):
-    assert exact._verify_kernel(*case) == oracle.verify_kernel(*case)
+    rows, vecs, n = case
+    assert exact._verify_kernel(IntRows.from_dicts(rows), vecs, n) == oracle.verify_kernel(*case)
 
 
 def test_raising_one_kernel_entry_fails_the_certificate():
@@ -228,13 +229,13 @@ def test_raising_one_kernel_entry_fails_the_certificate():
     for cols, rows in leibniz_blocks(g).values():
         vecs = _integer_vectors(integer_kernel(rows, len(cols)))
         assert exact._verify_kernel(rows, vecs, len(cols))
-        used = sorted({c for r in rows for c in r})
+        used = sorted(set(rows.cols.tolist()))
         for k, v in enumerate(vecs[:4]):
             j = next((c for c in v if c in used), used[0])
             bad = [dict(u) for u in vecs]
             bad[k][j] = bad[k].get(j, 0) + 1
             assert not exact._verify_kernel(rows, bad, len(cols))
-            assert not oracle.verify_kernel(rows, bad, len(cols))
+            assert not oracle.verify_kernel(rows.dicts(), bad, len(cols))
 
 
 @pytest.mark.parametrize("scale", [10 ** 6, 10 ** 12])
@@ -273,6 +274,139 @@ def test_integer_kernel_differential(system):
     sub = Subspace(ncols, ker)
     assert sub.basis == tuple(ker)  # already canonical
     assert _canonical(sub) == oracle.kernel(rows, ncols)
+
+
+# ---------------------------------------------------------------------------
+# the structured-elimination pre-pass of integer_kernel
+
+
+units = st.one_of(st.integers(1, 9), st.just(2 ** 62 + 3), st.just(2 ** 70))
+
+
+@st.composite
+def structured_systems(draw):
+    """(rows, ncols): integer rows built from the shapes the pre-pass
+    absorbs or must leave alone, in any order, over shared columns."""
+    n = draw(st.integers(0, 9))
+    rows = []
+    col = st.integers(0, n - 1) if n else st.nothing()
+    pairs = st.lists(col, min_size=2, max_size=2, unique=True)
+    sign = st.sampled_from([1, -1])
+    for shape in draw(st.lists(st.sampled_from(
+            ["singleton", "unit", "chain", "cycle", "late unit", "non-unit", "dense"]),
+            max_size=8 if n >= 3 else 0)):
+        a = draw(units) * draw(sign)
+        if shape == "singleton":  # x_c = 0
+            rows.append({draw(col): a})
+        elif shape == "unit":  # a x_c + (+-a) x_d: x_d = -+x_c
+            c, d = draw(pairs)
+            rows.append({c: a, d: a * draw(sign)})
+        elif shape == "chain":  # x_0 = +-x_1 = ... along a run of columns
+            run = draw(st.lists(col, min_size=2, max_size=n, unique=True))
+            rows += [{c: a, d: a * draw(sign)} for c, d in zip(run, run[1:])]
+        elif shape == "cycle":  # x_c = x_d and x_d = -x_c: both are 0
+            c, d = draw(pairs)
+            rows += [{c: a, d: -a}, {c: a, d: a}]
+        elif shape == "late unit":  # (k - 1) x_c + x_e + k x_d, then x_e = x_c
+            c, d, e = draw(st.lists(col, min_size=3, max_size=3, unique=True))
+            k = draw(st.integers(-4, 4).filter(bool))
+            rows += [{e: 1, c: -1}, {c: k - 1, e: 1, d: k * draw(sign)}]
+        elif shape == "non-unit":  # 2 x_c = 3 x_d stays in the core
+            c, d = draw(pairs)
+            rows.append({c: 2 * a, d: -3 * a})
+        else:
+            rows.append(draw(st.dictionaries(col, st.integers(-5, 5).filter(bool), max_size=n)))
+    if rows and draw(st.booleans()):
+        rows.append(dict(rows[0]))  # a repeated row
+    order = draw(st.permutations(range(len(rows))))
+    return [{c: x for c, x in rows[i].items() if x} for i in order], n
+
+
+@given(structured_systems())
+@settings(max_examples=200, deadline=None)
+def test_structured_elimination_matches_the_all_rows_oracle(system):
+    rows, n = system
+    got = integer_kernel(IntRows.from_dicts(rows), n)
+    assert got == oracle.integer_kernel([r for r in rows if r], n)
+    assert Subspace(n, got).basis == tuple(got)  # canonical
+
+
+def test_structured_elimination_of_degenerate_systems():
+    assert integer_kernel(IntRows.from_dicts([]), 0) == []
+    assert integer_kernel(IntRows.from_dicts([]), 2) == [(1, 0), (0, 1)]
+    # every row absorbed: x_1 = -x_0, x_2 = x_1, x_3 = 0, and two rows that
+    # substitution empties
+    rows = [{0: 1, 1: 1}, {1: 1, 2: -1}, {3: 5}, {0: 1, 2: 1}, {1: 2 ** 70, 2: -2 ** 70}]
+    assert integer_kernel(IntRows.from_dicts(rows), 5) == oracle.integer_kernel(rows, 5)
+    assert integer_kernel(IntRows.from_dicts(rows), 5) == [(1, -1, -1, 0, 0), (0, 0, 0, 0, 1)]
+
+
+def test_only_the_core_reaches_the_elimination(monkeypatch):
+    calls = []
+    echelon = exact._echelon
+
+    def spy(rows):
+        calls.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(exact, "_echelon", spy)
+    # ties and zeros leave one core row, x_0 + 2 x_4 once x_2 = 0 and x_3 = x_0
+    rows = [{0: 1, 1: -1}, {2: 3}, {3: 1, 0: -1}, {0: 1, 2: 1, 3: -2, 4: 2}]
+    integer_kernel(IntRows.from_dicts(rows), 5)
+    assert calls[0] == [{0: -1, 4: 2}]
+    # nothing to absorb: the rows reach the elimination as they are
+    calls.clear()
+    rows = [{0: 1, 1: 2}, {0: 3, 2: 1, 3: 1}]
+    integer_kernel(IntRows.from_dicts(rows), 4)
+    assert calls[0] == rows
+
+
+ABSORB_FAULT = """
+import sys
+import numpy as np
+from supertkk import exact
+absorb = exact._absorb
+def broken(rows, ncols):
+    root, sign, core = absorb(rows, ncols)
+    sign = sign.copy()
+    if sys.argv[1] == "flip":  # one tied column takes the other sign
+        c = np.flatnonzero((root != np.arange(ncols)) & (sign != 0))[0]
+        sign[c] = -sign[c]
+    else:  # one column forced to 0 is free again
+        sign[np.flatnonzero(sign == 0)[0]] = 1
+    return root, sign, core
+exact._absorb = broken
+exact.kernel_sparse([{0: 1, 1: -1}, {1: 1, 2: 1}, {3: 4}, {3: 1, 4: 1, 5: 2}], 6)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python_O"])
+@pytest.mark.parametrize("fault", ["flip", "forget"])
+def test_absorption_faults_fail_the_certificate(fault, flags):
+    done = run_python(flags, ABSORB_FAULT.replace("sys.argv[1]", repr(fault)))
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert ("CertificateError: kernel verification failed"
+            in done.stderr.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 12])
+def test_absorption_proves_its_int64_bound(scale, monkeypatch):
+    # the longest row (3 entries) times max|entry| (2 * scale**2) bounds
+    # every sum of the pre-pass: int64 at 1, object-dtype Python ints at 10^12
+    rows = [{0: 1, 1: -1}, {1: scale, 2: scale}, {2: 2 * scale ** 2, 3: 3, 4: 1}, {4: 1}]
+    casts = []
+    cast = exact.int_dtype
+
+    def spy(bound):
+        dtype = cast(bound)
+        casts.append((sys._getframe(1).f_code.co_name, bound < 2 ** 62, dtype))
+        return dtype
+
+    monkeypatch.setattr(exact, "int_dtype", spy)
+    assert integer_kernel(IntRows.from_dicts(rows), 5) == oracle.integer_kernel(rows, 5)
+    proved = [ok for caller, ok, _ in casts if caller == "_absorb"]
+    assert proved == ([True, True] if scale == 1 else [False, True])  # values, then keys
+    assert all((dtype is np.int64) == ok for _, ok, dtype in casts)
 
 
 def _with_repeats(data, vectors, n):
@@ -402,14 +536,14 @@ from supertkk import exact
 if not sys.flags.optimize:
     raise SystemExit("expected python -O")
 echelon, calls = exact._echelon, []
-def broken(rows):  # doubles the pivots of the system's echelon form only
+def broken(rows):  # doubles the pivots of the core's echelon form only
     store = echelon(rows)
     if not calls:
         calls.append(rows)
         store = {p: {**r, p: 2 * r[p]} for p, r in store.items()}
     return store
 exact._echelon = broken
-exact.kernel_sparse([{0: 1, 1: 1}], 2)
+exact.kernel_sparse([{0: 1, 1: 2}], 2)  # not absorbed: 1 != 2
 """
 
 BROKEN_SOLVE = """

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+import oracle_linalg
+import oracle_tkk
 from pyrun import run_python
 from supertkk import tkk
-from supertkk.catalog import jordan_catalog, resolve
-from supertkk.exact import Q
-from supertkk.structure import l_space, pair_der
-from supertkk.superspace import graded_dims, parity_dims
+from supertkk.catalog import jordan_catalog, load_algebra, resolve, save_algebra
+from supertkk.exact import CertificateError, Q, integer_kernel
+from supertkk.structure import l_space, leibniz_blocks, pair_der
+from supertkk.superspace import SuperAlgebra, graded_dims, parity_dims
 from supertkk.tkk import (
     check_propnu,
     check_unital_equivalences,
@@ -295,6 +297,43 @@ def test_out_koecher_tilde_vanishes(name, params):
 def test_lie_catalog_towers_sum_to_the_ungraded_kernel(source):
     tower = lie_der_tower(resolve(source), check_total=True)
     assert all(b["out"] == b["der"] - b["inn"] >= 0 for b in tower.values())
+
+
+# the catalog entries up to w(3) (dim 24) in the benchmark's order
+SMALL_LIE_SOURCES = LIE_SOURCES[:LIE_SOURCES.index("w:3") + 1]
+
+
+def test_structured_elimination_matches_the_all_rows_oracle_on_the_lie_catalog():
+    for source in SMALL_LIE_SOURCES:
+        for key, (cols, rows) in leibniz_blocks(resolve(source)).items():
+            assert (integer_kernel(rows, len(cols))
+                    == oracle_linalg.integer_kernel(rows.dicts(), len(cols))), (source, key)
+
+
+def test_der_tower_matches_the_subspace_oracle():
+    algebras = [resolve(s) for s in SMALL_LIE_SOURCES]
+    for V in map(resolve, ("kacK", "j19", "dt:2")):
+        algebras += [koecher(V).lie, koecher_tilde(V).lie]
+    for g in algebras:
+        assert lie_der_tower(g) == oracle_tkk.lie_der_tower(g), g.name
+
+
+def test_a_perturbed_adjoint_fails_the_certificate(monkeypatch):
+    # ad_{e_0} of w(2) with one constant raised: the Leibniz rows still come
+    # from the table, so the raised operator is no derivation, on both sides
+    g = load_algebra(save_algebra(resolve("w:2")))  # fresh: an empty memo
+    product = SuperAlgebra.basis_product
+    c, w = next((c, w) for c in range(g.dim) if (w := product(g, 0, c)))
+    k = next(iter(w))
+
+    def raised(a, i, j):
+        out = product(a, i, j)
+        return {**out, k: out[k] + 1} if a is g and (i, j) == (0, c) else out
+
+    monkeypatch.setattr(SuperAlgebra, "basis_product", raised)
+    for tower in (lie_der_tower, oracle_tkk.lie_der_tower):
+        with pytest.raises(CertificateError, match="adjoint operators must be derivations"):
+            tower(g)
 
 
 NOT_LIE = """
