@@ -29,12 +29,13 @@ from .superspace import (SuperAlgebra, derived, make_algebra, mirror, quotient_a
 
 
 def _norm_param(p):
-    if isinstance(p, int):
-        return p
-    if isinstance(p, str):
-        p = Q(p)
-    q = Q(p)
-    return int(q) if q == int(q) else q
+    """A parameter (int, rational or "p/q" string) as an int when integral,
+    else as a rational; anything else raises ValueError."""
+    try:
+        q = Q(p)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"bad catalog parameter {p!r}") from None
+    return int(q) if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +560,8 @@ def _catalog(side, builders, name, params):
         params = params[:1]
     if len(params) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    if name != "dt" and not all(isinstance(p, int) for p in params):
+        raise ValueError(f"{name} takes integer parameters, got {', '.join(map(str, params))}")
     if name == "dt":
         return fn(*params)
     key = (side, name, params)
@@ -607,7 +610,6 @@ def lie_entries() -> dict:
 
 
 _SOURCE_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:[:(]([^)]*)\)?)?$")
-_INT_RE = re.compile(r"^-?[0-9]+$")
 
 
 def resolve(source: str) -> SuperAlgebra:
@@ -629,10 +631,7 @@ def resolve(source: str) -> SuperAlgebra:
             raise ValueError(f"cannot parse algebra source {source!r}")
         known = ", ".join(sorted(set(_JORDAN_BUILDERS) | set(_LIE_BUILDERS)))
         raise ValueError(f"unknown algebra {name!r}; known names: {known}")
-    params = []
-    for tok in m.group(2).split(",") if m.group(2) else ():
-        tok = tok.strip()
-        params.append(int(tok) if _INT_RE.match(tok) else Q(tok))
+    params = [tok.strip() for tok in m.group(2).split(",")] if m.group(2) else []
     if name in _JORDAN_BUILDERS:
         return jordan_catalog(name, *params)
     return lie_catalog(name, *params)

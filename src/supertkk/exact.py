@@ -759,8 +759,3 @@ def integer_kernel(int_rows: IntRows, ncols: int) -> list[tuple]:
             "kernel verification failed: the basis needs one vector per free column, "
             "each killing every row")
     return _rational_rows(basis, ncols)[0]
-
-
-def grassmann_ok(a: Subspace, b: Subspace) -> bool:
-    """dim(a+b) + dim(a cap b) == dim a + dim b."""
-    return a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim

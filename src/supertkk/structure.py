@@ -31,7 +31,6 @@ loops they replaced are test oracles in tests/oracle_tkk.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import lcm
 
 from . import tensor
@@ -111,6 +110,7 @@ class OperatorSpace:
     odd: Subspace
     shape: tuple
     algebra: object = field(default=None, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def paired(self) -> bool:
@@ -126,12 +126,10 @@ class OperatorSpace:
     def part(self, parity: int) -> Subspace:
         return self.odd if parity % 2 else self.even
 
-    def contains_flat(self, vec, parity: int) -> bool:
-        return self.part(parity).contains(vec)
-
     def contains_space(self, other: "OperatorSpace") -> bool:
-        return (self.even.contains_space(other.even)
-                and self.odd.contains_space(other.odd))
+        if self.shape != other.shape:
+            raise ValueError("operator spaces live on different spaces")
+        return self.contains_stack(other.stack)
 
     def sum(self, other: "OperatorSpace", label=None) -> "OperatorSpace":
         if self.shape != other.shape:
@@ -148,7 +146,8 @@ class OperatorSpace:
                              self.odd.intersect(other.odd),
                              self.shape, self.algebra)
 
-    @cached_property
+    @property
+    @memoized
     def stack(self) -> OperatorStack:
         """The basis, even rows then odd, as an OperatorStack."""
         return OperatorStack.from_flats(self.even.basis + self.odd.basis,
@@ -495,21 +494,6 @@ class JordanPair:
     def basis_triple(self, sigma: int, i: int, j: int, k: int) -> dict:
         return self.triples[sigma].get((i, j, k), {})
 
-    def triple(self, sigma: int, x, y, z) -> tuple:
-        out = [Q(0)] * self.dim(sigma)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, zk in enumerate(z):
-                    if not zk:
-                        continue
-                    for l, c in self.basis_triple(sigma, i, j, k).items():
-                        out[l] += xi * yj * zk * c
-        return tuple(out)
-
     @property
     def shape(self) -> tuple:
         return (self.dim(0), self.dim(1))
@@ -694,7 +678,8 @@ def inclusion_report(V: SuperAlgebra) -> list:
         parity = 0 if overlap.even.dim else 1
         w = overlap.part(parity).basis[0]
         x = _l_witness(V, w)
-        where = "Inn(V)" if inn.contains_flat(w, parity) else "Der(V)"
+        where = ("Inn(V)" if inn.contains_stack(OperatorStack.from_flats([w], [parity], (n,)))
+                 else "Der(V)")
         results.append(CheckResult(
             "chain_hypothesis", False,
             f"chain hypothesis fails: L_{{{_format_element(x)}}} in {where}", "note"))

@@ -20,8 +20,10 @@ product, `pivot_coordinates` reads coordinates in a canonical basis off its
 pivot columns and certifies them by one recombination, `decode` turns an
 integer tensor back into a rational table (the doubled pair is `decode` of
 `triple_tensor`), and `bracket_map_defect` checks a linear map against two
-bracket tables.  Nothing is cached here; numpy is imported lazily, so
-building algebras never loads it.
+bracket tables.  The J functor's triples [[x, y], z] of a 3-graded Lie
+table are one product of two of its slices (`lie_triples`, by `contract`).
+Nothing is cached here.  numpy is imported lazily: a Jordan algebra is built
+without it, while a Lie algebra loads it through its super-Jacobi check.
 """
 
 from math import lcm
@@ -141,6 +143,24 @@ def triple_tensor(a):
     X = np.einsum('jkm,iml->ijkl', C, C)  # e_i (e_j e_k)
     P = np.einsum('ijm,mkl->ijkl', C, C)  # (e_i e_j) e_k
     return 2 * (P + X - s[:, :, None, None] * X.transpose(1, 0, 2, 3)), d
+
+
+def contract(A, B):
+    """A . B for integer arrays, the last axis of A against the first of B;
+    in int64 only under k * max|entry|**2 < 2**62 for that axis of length k,
+    else on Python ints."""
+    import numpy as np
+    A, B = _exact([A, B], A.shape[-1], 2)
+    return np.tensordot(A, B, axes=1)
+
+
+def lie_triples(C, plus, minus):
+    """(T+, T-) for the table C of a 3-graded Lie superalgebra scaled by d
+    and the indices of its degree +1 and -1 basis vectors:
+    T+[i, j, k] = d**2 [[e_plus[i], e_minus[j]], e_plus[k]] in all
+    coordinates, C[plus][:, minus] . C[:, plus], and T- its mirror with the
+    two blocks exchanged."""
+    return tuple(contract(C[a][:, b], C[:, a]) for a, b in ((plus, minus), (minus, plus)))
 
 
 def outer_symmetry_defect(T, p, q):

@@ -16,8 +16,11 @@ bracket tables by `tensor.bracket_map_defect`.  The checks run on the same
 integer layer: `tits_roundtrip` compares all [e (x) a, f (x) b] at once with
 the coordinates of the [L_a, L_b], the images of the unital equivalence maps
 are operator stacks read in one go, and the half-Killing form of sl2 is one
-contraction of its table.  The Fraction Matrix loops these replaced are test
-oracles in tests/oracle_tkk.py.
+contraction of its table.  The J side reads the encoded table of g as well:
+the triples of J(g) are one contraction (`tensor.lie_triples`), [g+, g-] is
+one slice of it, and the middle images of Ko(J(g)) -> g and the brackets
+with the embedded Ko are one product each.  The Fraction loops these
+replaced are test oracles in tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
@@ -151,26 +154,26 @@ def koecher_tilde(v) -> TkkAlgebra:
 
 
 def koecher_ideal_check(v) -> CheckResult:
-    """Ko(V+,V-) embeds in Ko~(V+,V-) as an ideal, not just a subalgebra."""
+    """Ko(V+,V-) embeds in Ko~(V+,V-) as an ideal, not just a subalgebra.
+
+    The embedded Ko is spanned by the tips and the coordinates of Inn(V,V)
+    in Der(V,V); the brackets [e_b, s] of each spanning vector s with every
+    basis vector are one contraction of the encoded table, and they stay
+    inside iff adding them leaves the rank unchanged."""
+    import numpy as np
     kot = koecher_tilde(v)
-    g = kot.lie
-    mid = kot.data["middle"]
+    g, mid = kot.lie, kot.data["middle"]
     dp, dm = kot.data["pair"].shape
-    nm = mid.dim
-    sub = []
-    for i in range(dp):
-        sub.append(tuple(Q(1) if r == i else Q(0) for r in range(g.dim)))
-    for w in _coordinate_rows(mid, pair_inn(v).stack):
-        vec = [Q(0)] * g.dim
-        for l, c in w.items():
-            vec[dp + l] = c
-        sub.append(tuple(vec))
-    for u in range(dm):
-        sub.append(tuple(Q(1) if r == dp + nm + u else Q(0)
-                         for r in range(g.dim)))
-    s = span(sub, ambient=g.dim)
-    ok = all(s.contains(g.product(g.basis_vector(b), vec))
-             for b in range(g.dim) for vec in s.basis)
+    n, nm = g.dim, mid.dim
+    W = mid.coordinates(pair_inn(v).stack)
+    S = np.zeros((dp + len(W) + dm, n), dtype=W.dtype)
+    S[dp:dp + len(W), dp:dp + nm] = W
+    tips = np.r_[0:dp, dp + nm:n]
+    S[np.r_[0:dp, dp + len(W):len(S)], tips] = 1
+    (C,), _ = tensor.encode([g.table], [(n, n, n)])
+    brackets = tensor.contract(S, C.transpose(1, 0, 2)).reshape(len(S) * n, n)
+    rows = S.tolist()
+    ok = Subspace(n, rows).dim == Subspace(n, rows + brackets.tolist()).dim
     return CheckResult("ko_ideal_in_kotilde", ok,
                        "Ko(V,V) is an ideal in Ko~(V,V)" if ok
                        else "bracket leaves the embedded Ko(V,V)")
@@ -573,39 +576,37 @@ def check_propnu(V: SuperAlgebra, d="inn") -> list:
 # J functor and Jordan-graded recognition
 
 
+def _graded_table(g: SuperAlgebra):
+    """(C, d, z, pm): g's table encoded, C[i, j, k] = d [e_i, e_j]_k, the
+    degrees z of its basis, and the rows pm of the slice C[plus][:, minus],
+    the [e_i, e_j] for e_i in g+ and e_j in g- in row-major order."""
+    import numpy as np
+    n, z = g.dim, np.array(g.zdegrees, dtype=np.int64)
+    (C,), d = tensor.encode([g.table], [(n, n, n)])
+    pm = C[z == 1][:, z == -1]
+    return C, d, z, pm.reshape(pm.shape[0] * pm.shape[1], n)
+
+
 def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
     """The superpair (g_{+1}, g_{-1}) with {x,y,z} = [[x,y],z].
 
-    With check=True (the default) the superpair axioms — outer symmetry and
-    the 5-linear identity — are verified on all homogeneous basis tuples;
-    a failed certificate raises CertificateError.
+    Both triple tables are one contraction of the encoded table
+    (`tensor.lie_triples`), certified to stay in their graded block.  With
+    check=True (the default) the superpair axioms — outer symmetry and the
+    5-linear identity — are verified on all homogeneous basis tuples; a
+    failed certificate raises CertificateError.
     """
+    import numpy as np
     if g.zdegrees is None:
         raise ValueError("j_functor needs a Z-graded Lie superalgebra")
     if not set(g.zdegrees) <= {-1, 0, 1}:
         raise ValueError("j_functor expects a 3-graded algebra")
-    blocks = {1: [i for i in range(g.dim) if g.zdegree(i) == 1],
-              -1: [i for i in range(g.dim) if g.zdegree(i) == -1]}
+    C, d, z, _ = _graded_table(g)
     tables = []
-    for ssign in (1, -1):
-        same, other = blocks[ssign], blocks[-ssign]
-        posmap = {b: idx for idx, b in enumerate(same)}
-        table = {}
-        for i, bi in enumerate(same):
-            for j, bj in enumerate(other):
-                inner = g.product(g.basis_vector(bi), g.basis_vector(bj))
-                for k, bk in enumerate(same):
-                    out = g.product(inner, g.basis_vector(bk))
-                    entry = {}
-                    for l, c in enumerate(out):
-                        if c:
-                            certify(l in posmap, "triple left the graded block")
-                            entry[posmap[l]] = c
-                    if entry:
-                        table[i, j, k] = entry
-        tables.append(table)
-    parities = (tuple(g.parity(i) for i in blocks[1]),
-                tuple(g.parity(i) for i in blocks[-1]))
+    for T, s in zip(tensor.lie_triples(C, *(np.flatnonzero(z == s) for s in (1, -1))), (1, -1)):
+        certify(not T[..., z != s].any(), "triple left the graded block")
+        tables.append(tensor.decode(T[..., z == s], d * d))
+    parities = tuple(tuple(p for p, k in zip(g.parities, g.zdegrees) if k == s) for s in (1, -1))
     pair = JordanPair(f"J({g.name})", parities, tuple(tables))
     if check:
         witness = check_pair_axioms(pair)
@@ -614,20 +615,19 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
 
 
 def is_jordan_graded(g: SuperAlgebra) -> CheckResult:
-    """3-graded with [g+, g-] = g0 and g0 meeting the center trivially."""
+    """3-graded with [g+, g-] = g0 and g0 meeting the center trivially.
+
+    [g+, g-] is spanned by the rows of one slice of the encoded table; it is
+    g0 iff they stay in g0 and their rank is dim g0."""
     if g.zdegrees is None or not set(g.zdegrees) <= {-1, 0, 1}:
         return CheckResult("jordan_graded", False, "not 3-graded")
-    plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
-    minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
-    zero = [i for i in range(g.dim) if g.zdegree(i) == 0]
-    brackets = [g.product(g.basis_vector(i), g.basis_vector(j))
-                for i in plus for j in minus]
-    spanned = span(brackets, ambient=g.dim)
-    g0 = span([g.basis_vector(i) for i in zero], ambient=g.dim)
-    if not (spanned.contains_space(g0) and g0.contains_space(spanned)):
+    _, _, z, pm = _graded_table(g)
+    zero = (z == 0).nonzero()[0].tolist()
+    spanned = Subspace(g.dim, pm.tolist()).dim
+    if spanned != len(zero) or pm[:, z != 0].any():
         return CheckResult("jordan_graded", False,
-                           f"[g+, g-] has dim {spanned.dim}, g0 has dim {g0.dim}")
-    meet = center(g).intersect(g0)
+                           f"[g+, g-] has dim {spanned}, g0 has dim {len(zero)}")
+    meet = center(g).intersect(span([g.basis_vector(i) for i in zero], ambient=g.dim))
     if meet.dim:
         return CheckResult("jordan_graded", False,
                            f"center meets g0 in dim {meet.dim}")
@@ -651,37 +651,30 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     Degree-0 basis elements are mapped by solving over the spanning family
     D_{x,u} -> [x, u]_g; any solution works because two of them differ by an
     operator pair acting as zero, whose g-side image lies in g0 and the
-    center, hence vanishes for Jordan-graded g.
+    center, hence vanishes for Jordan-graded g.  The images of the whole
+    middle are one product: the coefficients over the D_{x,u}, scaled to
+    integers, times the rows [x, u]_g of the encoded table.
     """
     results = [is_jordan_graded(g)]
     if not results[0].passed:
         return results
     pair = j_functor(g)
     ko2 = koecher(pair, middle="inn")
-    plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
-    minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
+    _, d, z, pm = _graded_table(g)
     dp, dm = pair.shape
     ds = pair_d_stack(pair)
-    gen_pairs = [(i, j) for i in range(dp) for j in range(dm)]
     gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
                           for row in ds.flats().tolist()], dp * dp + dm * dm)
-    mid_flats = _basis_flats(ko2.data["middle"])
-    images = []
-    for tag in ko2.origin:
-        if tag[0] == "vplus":
-            images.append(g.basis_vector(plus[tag[1]]))
-        elif tag[0] == "vminus":
-            images.append(g.basis_vector(minus[tag[1]]))
-        else:
-            coeffs = gens.express(mid_flats[tag[1]])
-            certify(coeffs is not None, "middle element outside the D span")
-            vec = [Q(0)] * g.dim
-            for c, (i, j) in zip(coeffs, gen_pairs):
-                if c:
-                    br = g.product(g.basis_vector(plus[i]),
-                                   g.basis_vector(minus[j]))
-                    vec = [a + c * b for a, b in zip(vec, br)]
-            images.append(tuple(vec))
+    coeffs = {}
+    for t, flat in enumerate(_basis_flats(ko2.data["middle"])):
+        c = gens.express(flat)
+        certify(c is not None, "middle element outside the D span")
+        coeffs[t,] = {k: x for k, x in enumerate(c) if x}
+    (K,), dk = tensor.encode([coeffs], [(len(coeffs), dp * dm)])
+    mid = tensor.contract(K, pm).tolist()  # dk d times the images
+    tips = {"vplus": (z == 1).nonzero()[0].tolist(), "vminus": (z == -1).nonzero()[0].tolist()}
+    images = [g.basis_vector(tips[tag][i]) if tag in tips else tuple(Q(x, dk * d) for x in mid[i])
+              for tag, i in ko2.origin]
     results.append(_check_bracket_map(ko2.lie, g, images, "ko_of_j_iso"))
     return results
 

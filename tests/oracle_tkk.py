@@ -1,4 +1,5 @@
-"""Loop reference implementations of the degree-0 layer (test-only oracle).
+"""Loop reference implementations of the degree-0 layer and of the J side
+(test-only oracle).
 
 These are the Fraction loops that supertkk ran for the degree-0 parts of
 the TKK constructions before they moved onto the integer-tensor layer
@@ -8,7 +9,8 @@ supercommutator is a dense Matrix product, and each coordinate vector comes
 from `Subspace.coordinates` one operator at a time (`op_coords`).
 
 - `inn_algebra`, `l_space`, `double`, `pair_d_ops`, `pair_inn` and
-  `istr_tilde` are the former structure builders (`double` calls the
+  `istr_tilde` are the former structure builders, and `pair_triple` the
+  former `JordanPair.triple` (`double` calls the
   Fraction `triple` n**3 times, and so does `istr_tilde` through n**2
   `d_op` matrices), and `inclusion_checks` the former loops of the
   operator-pair checks of `inclusion_report`.
@@ -28,6 +30,14 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   D_{x,e} and [L_a, L_b]).  The last two run on the Ti, Kan and Ko that
   supertkk builds (`tkk.tits`, ...), so that a test can perturb those, and
   `equivalence_images` reads each middle coordinate with `op_coords`.
+- `j_functor`, `is_jordan_graded`, `koecher_inverse_check` and
+  `koecher_ideal_check` are the former J-side loops: every triple
+  [[x, y], z], every bracket [x+, u-], every middle image of Ko(J(g)) -> g
+  and every bracket with the embedded Ko is a `SuperAlgebra.product` on
+  Fractions.  `koecher_inverse_check` runs on the Ko(J(g)) and the bracket
+  map certificate of supertkk, and both checks read `tkk.koecher_tilde`,
+  `tkk.pair_inn` and the `GeneratedSpan` of supertkk, so that a test can
+  perturb those.
 - `lie_der_tower` is the former derivation tower: its adjoint operators
   are dense Fraction rows, certified by the dimension of a `Subspace` of
   Der plus those rows, and Inn is the dimension of their span; its Der is
@@ -45,9 +55,9 @@ from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, solve, span
 from supertkk.jordan import find_unit, triple
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
-                                der_algebra, derivation_kernel, istr_algebra, leibniz_blocks,
-                                pair_der, str_w)
-from supertkk.superspace import SuperAlgebra, make_algebra, mirror
+                                check_pair_axioms, der_algebra, derivation_kernel,
+                                istr_algebra, leibniz_blocks, pair_d_stack, pair_der, str_w)
+from supertkk.superspace import SuperAlgebra, center, make_algebra, mirror
 from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _sl2
 
 
@@ -77,6 +87,18 @@ def double(V: SuperAlgebra) -> JordanPair:
                 if any(t):
                     table[i, j, k] = {l: c for l, c in enumerate(t) if c}
     return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (table, table))
+
+
+def pair_triple(pair: JordanPair, sigma: int, x, y, z) -> tuple:
+    """{x, y, z}^sigma, extended trilinearly from the pair's basis triples."""
+    out = [Q(0)] * pair.dim(sigma)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, zk in enumerate(z):
+                if xi and yj and zk:
+                    for l, c in pair.basis_triple(sigma, i, j, k).items():
+                        out[l] += xi * yj * zk * c
+    return tuple(out)
 
 
 def pair_d_ops(pair: JordanPair, sigma: int, i: int, j: int):
@@ -142,17 +164,17 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
     for i in range(n):
         li = l_op(V, V.basis_vector(i)).matrix
         vec = li.flatten() + (-li).flatten()
-        ok = ok and pder.contains_flat(vec, V.parity(i))
+        ok = ok and pder.part(V.parity(i)).contains(vec)
     out["lx_minus_lx_in_pair_der"] = ok
     ok = True
     for op in operators(der):
         vec = op.matrix.flatten() + op.matrix.flatten()
-        ok = ok and pder.contains_flat(vec, op.parity)
+        ok = ok and pder.part(op.parity).contains(vec)
     out["diag_der_in_pair_der"] = ok
     ok = True
     for op in operators(inn):
         vec = op.matrix.flatten() + op.matrix.flatten()
-        ok = ok and pinn.contains_flat(vec, op.parity)
+        ok = ok and pinn.part(op.parity).contains(vec)
     out["diag_inn_in_pair_inn"] = ok
     image: dict = {0: [], 1: []}
     for d_plus, _, parity in operators(pinn):
@@ -166,13 +188,13 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
             s = Q(-1) if (pa * pb) % 2 else Q(1)
             br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(s)
             br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(s)
-            ok = ok and pinn.contains_flat(br_plus.flatten() + br_minus.flatten(),
-                                           (pa + pb) % 2)
+            ok = ok and pinn.part((pa + pb) % 2).contains(br_plus.flatten()
+                                                          + br_minus.flatten())
     out["pair_inn_ideal"] = ok
     ok = True
     for x, y, parity in operators(sw):
         vec = x.flatten() + (-y).flatten()
-        ok = ok and pder.contains_flat(vec, parity)
+        ok = ok and pder.part(parity).contains(vec)
     out["str_w_swap_in_pair_der"] = ok
     return out
 
@@ -344,15 +366,18 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         label = d
     else:
         dsp, label = d, d.label
-    if not der_algebra(V).contains_space(dsp):
+    def contains(a, b):
+        return a.even.contains_space(b.even) and a.odd.contains_space(b.odd)
+
+    if not contains(der_algebra(V), dsp):
         raise ValueError("derivation container must consist of derivations")
-    if not dsp.contains_space(inn_algebra(V)):
+    if not contains(dsp, inn_algebra(V)):
         raise ValueError("derivation container must contain the inner derivations")
     ops = operators(dsp)
     for i, a_op in enumerate(ops):
         for b_op in ops[i:]:
             br = supercommutator(a_op, b_op)
-            if not dsp.contains_flat(br.matrix.flatten(), br.parity):
+            if not dsp.part(br.parity).contains(br.matrix.flatten()):
                 raise ValueError("derivation container is not closed under bracket")
     sl2 = _sl2()
     return TitsData(dsp, sl2, killing_half(sl2), label)
@@ -746,6 +771,129 @@ def pair_der_matches_der0(v) -> CheckResult:
     return CheckResult("pair_der_equals_der0", True,
                        "Der(V+,V-) fills Der(Ko)_0 and matches brackets")
 
+
+
+# ---------------------------------------------------------------------------
+# J functor
+
+
+def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
+    """The superpair (g_{+1}, g_{-1}) with {x,y,z} = [[x,y],z]."""
+    if g.zdegrees is None:
+        raise ValueError("j_functor needs a Z-graded Lie superalgebra")
+    if not set(g.zdegrees) <= {-1, 0, 1}:
+        raise ValueError("j_functor expects a 3-graded algebra")
+    blocks = {1: [i for i in range(g.dim) if g.zdegree(i) == 1],
+              -1: [i for i in range(g.dim) if g.zdegree(i) == -1]}
+    tables = []
+    for ssign in (1, -1):
+        same, other = blocks[ssign], blocks[-ssign]
+        posmap = {b: idx for idx, b in enumerate(same)}
+        table = {}
+        for i, bi in enumerate(same):
+            for j, bj in enumerate(other):
+                inner = g.product(g.basis_vector(bi), g.basis_vector(bj))
+                for k, bk in enumerate(same):
+                    out = g.product(inner, g.basis_vector(bk))
+                    entry = {}
+                    for l, c in enumerate(out):
+                        if c:
+                            certify(l in posmap, "triple left the graded block")
+                            entry[posmap[l]] = c
+                    if entry:
+                        table[i, j, k] = entry
+        tables.append(table)
+    parities = (tuple(g.parity(i) for i in blocks[1]),
+                tuple(g.parity(i) for i in blocks[-1]))
+    pair = JordanPair(f"J({g.name})", parities, tuple(tables))
+    if check:
+        witness = check_pair_axioms(pair)
+        certify(witness is None, f"superpair axioms fail: {witness}")
+    return pair
+
+
+def is_jordan_graded(g: SuperAlgebra) -> CheckResult:
+    """3-graded with [g+, g-] = g0 and g0 meeting the center trivially."""
+    if g.zdegrees is None or not set(g.zdegrees) <= {-1, 0, 1}:
+        return CheckResult("jordan_graded", False, "not 3-graded")
+    plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
+    minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
+    zero = [i for i in range(g.dim) if g.zdegree(i) == 0]
+    brackets = [g.product(g.basis_vector(i), g.basis_vector(j))
+                for i in plus for j in minus]
+    spanned = span(brackets, ambient=g.dim)
+    g0 = span([g.basis_vector(i) for i in zero], ambient=g.dim)
+    if not (spanned.contains_space(g0) and g0.contains_space(spanned)):
+        return CheckResult("jordan_graded", False,
+                           f"[g+, g-] has dim {spanned.dim}, g0 has dim {g0.dim}")
+    meet = center(g).intersect(g0)
+    if meet.dim:
+        return CheckResult("jordan_graded", False,
+                           f"center meets g0 in dim {meet.dim}")
+    return CheckResult("jordan_graded", True, "[g+,g-] = g0 and g0 meets Z(g) in 0")
+
+
+def koecher_inverse_check(g: SuperAlgebra) -> list:
+    """Rebuild g as Ko(J(g)) and exhibit the isomorphism explicitly, each
+    middle image a Fraction sum of brackets [x, u]_g."""
+    results = [is_jordan_graded(g)]
+    if not results[0].passed:
+        return results
+    pair = j_functor(g)
+    ko2 = tkk.koecher(pair, middle="inn")
+    plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
+    minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
+    dp, dm = pair.shape
+    ds = pair_d_stack(pair)
+    gen_pairs = [(i, j) for i in range(dp) for j in range(dm)]
+    gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
+                          for row in ds.flats().tolist()], dp * dp + dm * dm)
+    mid_flats = tkk._basis_flats(ko2.data["middle"])
+    images = []
+    for tag in ko2.origin:
+        if tag[0] == "vplus":
+            images.append(g.basis_vector(plus[tag[1]]))
+        elif tag[0] == "vminus":
+            images.append(g.basis_vector(minus[tag[1]]))
+        else:
+            coeffs = gens.express(mid_flats[tag[1]])
+            certify(coeffs is not None, "middle element outside the D span")
+            vec = [Q(0)] * g.dim
+            for c, (i, j) in zip(coeffs, gen_pairs):
+                if c:
+                    br = g.product(g.basis_vector(plus[i]),
+                                   g.basis_vector(minus[j]))
+                    vec = [a + c * b for a, b in zip(vec, br)]
+            images.append(tuple(vec))
+    results.append(tkk._check_bracket_map(ko2.lie, g, images, "ko_of_j_iso"))
+    return results
+
+
+def koecher_ideal_check(v) -> CheckResult:
+    """Ko(V+,V-) embeds in Ko~(V+,V-) as an ideal, one bracket and one
+    containment test at a time."""
+    kot = tkk.koecher_tilde(v)
+    g = kot.lie
+    mid = kot.data["middle"]
+    dp, dm = kot.data["pair"].shape
+    nm = mid.dim
+    sub = []
+    for i in range(dp):
+        sub.append(tuple(Q(1) if r == i else Q(0) for r in range(g.dim)))
+    for w in tkk._coordinate_rows(mid, tkk.pair_inn(v).stack):
+        vec = [Q(0)] * g.dim
+        for l, c in w.items():
+            vec[dp + l] = c
+        sub.append(tuple(vec))
+    for u in range(dm):
+        sub.append(tuple(Q(1) if r == dp + nm + u else Q(0)
+                         for r in range(g.dim)))
+    s = span(sub, ambient=g.dim)
+    ok = all(s.contains(g.product(g.basis_vector(b), vec))
+             for b in range(g.dim) for vec in s.basis)
+    return CheckResult("ko_ideal_in_kotilde", ok,
+                       "Ko(V,V) is an ideal in Ko~(V,V)" if ok
+                       else "bracket leaves the embedded Ko(V,V)")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ def test_parse_source_forms():
     assert resolve("full_matrix:1,1").name == "full_matrix(1,1)"
     assert resolve("full_matrix(1,2)").name == "full_matrix(1,2)"
     assert resolve("dt:1/2").name == "dt(1/2)"
+    assert resolve("form:1,2/1") is resolve("form:1,2")  # 2/1 is the integer 2
     with pytest.raises(ValueError):
         resolve("nosuch.alg")
 
@@ -155,6 +156,18 @@ def test_export_stdout(capsys):
 def test_unknown_source_exit_code(capsys):
     assert main(["dims", "nosuch"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "dims", "tkk"])
+@pytest.mark.parametrize("source", ["dt:1/0", "full_matrix:1.5,1", "w:3/2", "gl:1/2,1",
+                                    "trunc_poly:9/2", "dt:x"])
+def test_malformed_catalog_parameter_exit_code(source, command, capsys):
+    # exit 1 means "a check failed"; a parameter the catalog cannot take is
+    # an error of the command line, like an unknown name
+    argv = [command, source] + (["ko"] if command == "tkk" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_max_dim_guard():

@@ -108,7 +108,7 @@ def test_bracket_coordinates_match_the_loop_oracle(space):
 def test_bracket_of_two_spaces_is_contained_like_the_loop(data):
     a = data.draw(operator_spaces())
     b = data.draw(operator_spaces(a.shape))
-    want = all(b.contains_flat(flat, parity) for flat, parity in _loop_brackets(a, b))
+    want = all(b.part(parity).contains(flat) for flat, parity in _loop_brackets(a, b))
     assert b.contains_stack(a.stack.bracket(b.stack)) is want
     flats = [v for v in a.even.basis + a.odd.basis]
     assert [[Q(int(x), a.stack.den) for x in row] for row in a.stack.flats().tolist()] == \

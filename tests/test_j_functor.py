@@ -1,0 +1,227 @@
+"""The J side against the loop oracle (tests/oracle_tkk.py).
+
+`j_functor`, `is_jordan_graded`, `koecher_inverse_check` and
+`koecher_ideal_check` read every bracket they need off the encoded table of
+g: the triples [[x, y], z] are one contraction (`tensor.lie_triples`), the
+brackets [g+, g-] one slice, the middle images of Ko(J(g)) -> g one product
+and the brackets with the embedded Ko one more contraction.  They must give
+what the `SuperAlgebra.product` loops gave, on the Ko, Ko~, Kan and Ti(inn)
+of every Jordan catalog entry, and fail where the loops fail on perturbed
+tables and images.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_tkk as oracle
+from pyrun import run_python
+from supertkk import tensor, tkk
+from supertkk.catalog import _JORDAN_DEFAULTS, jordan_catalog, resolve
+from supertkk.exact import CertificateError, GeneratedSpan, Q
+from supertkk.structure import _space, pair_inn
+from supertkk.superspace import SuperAlgebra
+from test_tensor import _rescaled, twelfths
+
+SETTINGS = dict(max_examples=15, deadline=None)
+SMALL = ("kacK", "j19", "full_matrix:1,1", "form:1,2", "dt:1/2", "trunc_poly:4")
+
+
+def _lie_side(V):
+    """The 3-graded Lie superalgebras built from V, by label."""
+    return {"Ko": tkk.koecher(V).lie, "Ko~": tkk.koecher_tilde(V).lie,
+            "Kan": tkk.kantor(V).lie, "Ti": tkk.tits(V, "inn").lie}
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except CertificateError as e:
+        return ("raised", str(e))
+
+
+def _pair(module, g):
+    pair = module.j_functor(g, check=False)
+    return pair.parities, pair.triples
+
+
+def _inverse(module, g):
+    """koecher_inverse_check's results and the images it certified."""
+    images = []
+    check = tkk._check_bracket_map
+
+    def spy(src, dst, got, name):
+        images.append(got)
+        return check(src, dst, got, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tkk, "_check_bracket_map", spy)
+        results = _outcome(lambda: module.koecher_inverse_check(g))
+    return results, images
+
+
+def _assert_same(g):
+    assert _outcome(lambda: _pair(tkk, g)) == _outcome(lambda: _pair(oracle, g))
+    assert tkk.is_jordan_graded(g) == oracle.is_jordan_graded(g)
+    assert _inverse(tkk, g) == _inverse(oracle, g)
+
+
+@pytest.mark.parametrize("source", _JORDAN_DEFAULTS)
+def test_j_side_matches_the_loop_oracle(source):
+    V = resolve(source)
+    for g in _lie_side(V).values():
+        _assert_same(g)
+    assert tkk.koecher_ideal_check(V) == oracle.koecher_ideal_check(V)
+    assert tkk.koecher_ideal_check(V).passed
+
+
+# ---------------------------------------------------------------------------
+# perturbed tables and images
+
+
+def _blocks(g):
+    return ([i for i in range(g.dim) if g.zdegree(i) == z] for z in (1, -1, 0))
+
+
+def _with_table(g, table):
+    return SuperAlgebra(f"{g.name}'", g.parities, table, g.zdegrees, kind="lie")
+
+
+@given(st.data())
+@settings(**SETTINGS)
+def test_a_triple_leaving_its_block_fails_like_the_loop(data):
+    # one constant of [e_m, e_k], m in g0 and k in g+-, raised at a basis
+    # vector outside e_k's block: every triple through e_m and e_k leaves it
+    g = _lie_side(resolve(data.draw(st.sampled_from(SMALL))))["Ko"]
+    plus, minus, zero = _blocks(g)
+    m = data.draw(st.sampled_from(zero))
+    k = data.draw(st.sampled_from(plus + minus))
+    l = data.draw(st.sampled_from([i for i in range(g.dim) if g.zdegree(i) != g.zdegree(k)]))
+    table = {key: dict(row) for key, row in g.table.items()}
+    row = table.setdefault((m, k), {})
+    row[l] = row.get(l, Q(0)) + data.draw(twelfths.filter(bool))
+    bad = _with_table(g, table)
+    got = _outcome(lambda: _pair(tkk, bad))
+    assert got == _outcome(lambda: _pair(oracle, bad))
+    assert got == ("raised", "triple left the graded block")
+
+
+@given(st.data())
+@settings(**SETTINGS)
+def test_brackets_missing_or_leaving_g0_fail_like_the_loop(data):
+    # every [x+, u-] (and [u-, x+]) loses its e_t component, t in g0, or
+    # one of them gains a component outside g0
+    g = _lie_side(resolve(data.draw(st.sampled_from(SMALL))))[
+        data.draw(st.sampled_from(("Ko", "Kan", "Ti")))]
+    plus, minus, zero = _blocks(g)
+    table = {key: dict(row) for key, row in g.table.items()}
+    if data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(zero))
+        for i in plus:
+            for j in minus:
+                for key in ((i, j), (j, i)):
+                    table.get(key, {}).pop(t, None)
+    else:
+        key = (data.draw(st.sampled_from(plus)), data.draw(st.sampled_from(minus)))
+        at = data.draw(st.sampled_from(plus + minus))
+        table.setdefault(key, {})[at] = data.draw(twelfths.filter(bool))
+    bad = _with_table(g, table)
+    got = tkk.is_jordan_graded(bad)
+    assert not got.passed and got == oracle.is_jordan_graded(bad)
+    assert got.detail.startswith("[g+, g-] has dim ")
+    assert tkk.koecher_inverse_check(bad) == [got]
+
+
+@given(st.data())
+@settings(**SETTINGS)
+def test_a_broken_middle_image_fails_like_the_loop(data):
+    # the D-span coefficients of one middle element, raised at a nonzero
+    # generator D_{x,u}: the image moves by a multiple of [x, u] != 0, which
+    # is not central in Jordan-graded g, so no bracket map can absorb it
+    V = resolve(data.draw(st.sampled_from(SMALL)))
+    g = _lie_side(V)[data.draw(st.sampled_from(("Ko", "Ti")))]
+    nm = tkk.koecher(tkk.j_functor(g)).data["middle"].dim
+    target, pick = data.draw(st.integers(0, nm - 1)), data.draw(st.integers(0, 50))
+    shift = data.draw(twelfths.filter(bool))
+    express, calls = GeneratedSpan.express, []
+
+    def broken(self, vec):
+        c = express(self, vec)
+        calls.append(None)
+        if len(calls) - 1 == target and c is not None:
+            nonzero = [i for i, gen in enumerate(self._gens) if gen]
+            at = nonzero[pick % len(nonzero)]
+            c = c[:at] + (c[at] + shift,) + c[at + 1:]
+        return c
+
+    results = {}
+    for module in (tkk, oracle):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GeneratedSpan, "express", broken)
+            results[module] = _inverse(module, g)
+    assert results[tkk] == results[oracle]
+    jordan, *iso = results[tkk][0]
+    assert not iso[0].passed if jordan.passed else iso == [], iso  # Ti(j19) is not graded
+
+
+@pytest.mark.parametrize("source", ("kacK", "full_matrix:1,1", "j19"))
+def test_a_smaller_middle_is_no_ideal_like_the_loop(source, monkeypatch):
+    # Inn(V,V) cut to its first basis operator: [x+, u-] leaves the span
+    V = resolve(source)
+    full = pair_inn(V)
+    cut = _space("cut", {0: full.even.basis[:1]}, full.shape)
+    monkeypatch.setattr(tkk, "pair_inn", lambda v: cut)
+    got = tkk.koecher_ideal_check(V)
+    assert not got.passed and got == oracle.koecher_ideal_check(V)
+
+
+# ---------------------------------------------------------------------------
+# the int64 bound and python -O
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 12])
+def test_the_j_side_proves_its_int64_bound(scale, monkeypatch):
+    # full_matrix(1,1) with e12 scaled: the constants of Ko, Ko~ and their
+    # products pass 2**62 at 10^12, and every contraction is cast for its
+    # own bound
+    V = _rescaled(jordan_catalog("full_matrix", 1, 1), [Q(1), Q(scale), Q(1), Q(1)])
+    g = tkk.koecher(V).lie
+    tkk.koecher_tilde(V)  # built outside the spy
+    casts = []
+    cast = tensor._exact
+
+    def spy(arrays, factor, degree):
+        out = cast(arrays, factor, degree)
+        top = max((int(abs(a).max()) for a in arrays if a.size), default=0)
+        casts.append((sys._getframe(1).f_code.co_name, factor * max(top, 1) ** degree < 2 ** 62,
+                      {str(t.dtype) for t in out}))
+        return out
+
+    monkeypatch.setattr(tensor, "_exact", spy)
+    _assert_same(g)
+    assert tkk.koecher_ideal_check(V) == oracle.koecher_ideal_check(V)
+    proved = {p for caller, p, _ in casts if caller == "contract"}
+    assert proved == {True} if scale == 1 else False in proved, proved
+    assert all(dtypes == ({"int64"} if p else {"object"}) for _, p, dtypes in casts)
+
+
+LEAVING_TRIPLE = """
+import sys
+from supertkk.exact import Q
+from supertkk.superspace import SuperAlgebra
+from supertkk.tkk import j_functor
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+# [a, b] = h but [h, a] = b: {a, b, a} lands in g-1
+g = SuperAlgebra("bad", (0, 0, 0), {(0, 1): {2: Q(1)}, (2, 0): {1: Q(1)}}, zdegrees=(1, -1, 0))
+j_functor(g, check=False)
+"""
+
+
+def test_triple_certificate_survives_python_O():
+    done = run_python(["-O"], LEAVING_TRIPLE)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stderr.strip().splitlines()[-1] == (
+        "supertkk.exact.CertificateError: triple left the graded block")

@@ -14,7 +14,7 @@ from pyrun import run_python
 from supertkk import exact
 from supertkk.catalog import lie_catalog
 from supertkk.exact import (
-    GeneratedSpan, IntRows, Q, Matrix, Subspace, grassmann_ok, integer_kernel, kernel,
+    GeneratedSpan, IntRows, Q, Matrix, Subspace, integer_kernel, kernel,
     kernel_sparse, primitive_rows, rref, solve, span,
 )
 from supertkk.structure import leibniz_blocks
@@ -102,7 +102,8 @@ def test_echelon_canonicity(vectors, data):
 @given(st.lists(vecs(5), max_size=4), st.lists(vecs(5), max_size=4))
 @settings(**SETTINGS)
 def test_grassmann_identity(us, ws):
-    assert grassmann_ok(Subspace(5, us), Subspace(5, ws))
+    a, b = Subspace(5, us), Subspace(5, ws)
+    assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
 
 
 @given(st.lists(vecs(3), min_size=3, max_size=3), vecs(3))

@@ -235,7 +235,7 @@ def test_j_functor_triple_is_double_bracket(data):
     pair = j_functor(g, check=False)
     dp = pair.dim(0)
     xs = [data.draw(st.tuples(*[rationals] * dp)) for _ in range(3)]
-    got = pair.triple(0, *xs)
+    got = oracle_tkk.pair_triple(pair, 0, *xs)
     plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
     minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
 
