@@ -182,12 +182,17 @@ def parity_sign(e: int):
 
 def _check_symmetry(a: SuperAlgebra, sign: int, what: str) -> Witness | None:
     for i, j in sorted({(max(key), min(key)) for key in a.table}):  # other pairs: 0 = 0
-        s = sign * parity_sign(a.parity(i) * a.parity(j))
         left, right = a.basis_product(i, j), a.basis_product(j, i)
-        for k in set(left) | set(right):
-            if left.get(k, ZERO) != s * right.get(k, ZERO):
-                return Witness((i, j), f"{what} fails at pair ({i},{j})")
+        if sign * (-1) ** (a.parity(i) * a.parity(j)) < 0:
+            right = {k: -c for k, c in right.items()}
+        if left != right and _support(left) != _support(right):
+            return Witness((i, j), f"{what} fails at pair ({i},{j})")
     return None
+
+
+def _support(row) -> dict:
+    """row without its explicit zeros, which count as absent entries."""
+    return {k: c for k, c in row.items() if c}
 
 
 @memoized
@@ -204,12 +209,14 @@ def check_superanticommutative(a: SuperAlgebra) -> Witness | None:
     return _check_symmetry(a, -1, "super-anticommutativity")
 
 
+@memoized
 def check_super_jacobi(a: SuperAlgebra) -> Witness | None:
     """Graded Jacobi identity on homogeneous basis triples.
 
     Requires super-anticommutativity (checked first); given it, the Jacobi
     expression is permutation-covariant up to a nonzero sign, so scanning
-    unordered triples i <= j <= k is complete.
+    unordered triples i <= j <= k is complete.  Memoized: the proof
+    make_algebra makes for a Lie table serves every later caller.
     """
     w = check_superanticommutative(a)
     if w is not None:

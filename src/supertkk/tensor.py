@@ -5,8 +5,10 @@ denominator d, output coordinate last), and an identity of degree r holds iff
 the same sum over the tensor, d**r times it, is zero.  A check runs in int64
 only after proving its bound terms * n * max|a| * max|b| < 2**62 for each sum
 of `terms` contractions over an index of length n; else in object-dtype Python
-ints, still exact.  Per leading index, super-Jacobi holds O(n**3) entries (Lie
-tables reach dim 64) and the Jordan checks O(n**5).
+ints, still exact.  Super-Jacobi joins the table's nonzeros with each other
+on the contracted index, a fixed number of products at a time, so its work
+follows the nonzeros and its memory the chunk; the Jordan checks hold O(n**5)
+entries.
 
 The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
@@ -72,40 +74,97 @@ def _first(mask):
     return None
 
 
-def _matmul(a, b):
-    """a @ b over the nonzero entries of a (~10x a dense product on sparse Lie tables)."""
-    import numpy as np
-    out, (rows, cols) = np.zeros((a.shape[0], b.shape[1]), dtype=b.dtype), np.nonzero(a)
-    step = max(1, 2 ** 16 // max(1, b.shape[1]))  # products per chunk (~0.5 MB)
-    for s in range(0, len(rows), step):
-        r, c = rows[s:s + step], cols[s:s + step]
-        np.add.at(out, r, a[r, c][:, None] * b[c])
-    return out
-
-
 def _bracket(A, B, sign):
     """Super-commutator AB - sign BA of (broadcast stacks of) matrices."""
     return A @ B - sign * (B @ A)
 
 
+_JACOBI_CHUNK = 2 ** 13  # products per chunk of the super-Jacobi join (~1.3 MB of arrays)
+
+
 def jacobi_defect(a):
-    """First basis triple i <= j <= k with a nonzero super-Jacobi sum
-    s(i,k)[e_i,[e_j,e_k]] + s(j,i)[e_j,[e_k,e_i]] + s(k,j)[e_k,[e_i,e_j]]."""
+    """First basis triple i <= j <= k, in C order, with a nonzero super-Jacobi
+    sum s(i,k)[e_i,[e_j,e_k]] + s(j,i)[e_j,[e_k,e_i]] + s(k,j)[e_k,[e_i,e_j]].
+
+    A term s(x,z) C[y,z,l] C[x,l,t] is a product of a nonzero [e_y, e_z] =
+    c e_l with a nonzero [e_x, e_l] = c' e_t, so the sums are a join of the
+    table's nonzeros on l (Gustavson's row-wise sparse product).  Only the
+    (x, y, z) that are a rotation of a sorted triple (i, j, k) are joined,
+    and the product goes to that triple's sum at coordinate t:
+      y > z,  z <= x <= y:          (i, j, k) = (z, x, y);
+      y <= z, x <= y:               (i, j, k) = (x, y, z);
+      y <= z, x >= max(y + 1, z):   (i, j, k) = (y, z, x).
+    Each case is a range of one factor's nonzeros sorted by (l, index) for
+    a fixed nonzero of the other: [e_x, e_l] by (l, x) in the first and
+    last, [e_y, e_z] by (l, y) in the second.  For i = j = k, whose three
+    terms are equal, the product is counted once, which keeps the zero test.
+
+    The ranges run in order of i, _JACOBI_CHUNK products at a time.  Each
+    chunk is folded into a sorted set of the nonzero partial sums per
+    (i, j, k, t); once no range of some i is left, the sums of the triples
+    before it are complete, so the first of them that is nonzero is the
+    answer, and the set only holds the sums of the i under way.  No array
+    has n**4 entries or one per product.  A sum has at most 3n terms of at
+    most max|C|**2, which `_structure` proves below 2**62 before it casts to
+    int64; else the sums run on Python ints.
+    """
     import numpy as np
     n = a.dim
     C, s, _ = _structure(a, 3, 2)
-    upper = np.triu(np.ones((n, n), bool))
-    for i in range(n):
-        m = n - i  # j, k >= i only
-        mid = C[i:].transpose(1, 0, 2).reshape(n, m * n)  # [l, (j, t)] = C[j, l, t]
-        t1 = _matmul(C[i:, i:].reshape(m * m, n), C[i]).reshape(m, m, n)
-        t23 = _matmul(np.concatenate([C[i:, i], C[i, i:]]), mid).reshape(2, m, m, n)
-        total = (s[i, None, i:, None] * t1 + s[i:, i, None, None] * t23[0].transpose(1, 0, 2)
-                 + s[i:, i:, None] * t23[1])
-        hit = _first((total != 0).any(axis=2) & upper[i:, i:])
-        if hit is not None:
-            return (i, i + hit[0], i + hit[1])
+    y, z, l = np.nonzero(C)                        # [e_y, e_z] = sum_l C[y, z, l] e_l
+    lo, xo, to = np.nonzero(C.transpose(1, 0, 2))  # [e_x, e_l] = sum_t C[x, l, t] e_t, by (l, x)
+    down, up = np.flatnonzero(y > z), np.flatnonzero(y <= z)
+    by_ly = up[np.lexsort((y[up], l[up]))]
+    at_x, at_y = lo * n + xo, l[by_ly] * n + y[by_ly]
+
+    def ranges(at, first, last, lead, fixed, inner_moves):
+        """Per fixed nonzero, the range first <= at <= last of the sorted keys
+        at, whose sums all start at index lead."""
+        start = np.searchsorted(at, first)
+        size = np.maximum(np.searchsorted(at, last, side="right") - start, 0)
+        return lead, start, size, fixed, np.full(len(lead), inner_moves)
+
+    lead, base, size, fixed, inner_moves = (np.concatenate(v) for v in zip(
+        ranges(at_x, l[down] * n + z[down], l[down] * n + y[down], z[down], down, False),
+        ranges(at_y, at_x, lo * n + n - 1, xo, np.arange(len(xo)), True),
+        ranges(at_x, l[up] * n + np.maximum(y[up] + 1, z[up]), l[up] * n + n - 1, y[up], up,
+               False)))
+    keep = np.flatnonzero(size)
+    keep = keep[np.argsort(lead[keep], kind="stable")]
+    lead, base, size, fixed, inner_moves = (v[keep] for v in (lead, base, size, fixed, inner_moves))
+    ends = np.cumsum(size)
+    total = int(ends[-1]) if len(ends) else 0
+    inner, outer = C[y, z, l], C[xo, lo, to]
+    keys, sums = np.zeros(0, np.int64), np.zeros(0, C.dtype)
+    for p0 in range(0, total, _JACOBI_CHUNK):
+        p1 = min(p0 + _JACOBI_CHUNK, total)
+        p = np.arange(p0, p1)
+        g = np.searchsorted(ends, p, side="right")  # each product's range
+        r, moves = base[g] + p - (ends[g] - size[g]), inner_moves[g]
+        e = fixed[g]                    # the nonzero [e_y, e_z] of each product,
+        o = np.where(moves, e, r)       # and its [e_x, e_l]
+        e[moves] = by_ly[r[moves]]
+        x, yy, zz = xo[o], y[e], z[e]
+        i, k = np.minimum(np.minimum(x, yy), zz), np.maximum(np.maximum(x, yy), zz)
+        key = ((i * n + (x + yy + zz - i - k)) * n + k) * n + to[o]
+        keys, sums = _fold(np.concatenate([keys, key]),
+                           np.concatenate([sums, s[x, zz] * inner[e] * outer[o]]))
+        done = n if p1 == total else int(lead[np.searchsorted(ends, p1, side="right")])
+        if len(keys) and keys[0] < done * n ** 3:  # no range of its i is left: complete
+            return tuple(int(v) for v in np.unravel_index(int(keys[0]), (n, n, n, n))[:3])
     return None
+
+
+def _fold(keys, vals):
+    """(keys, sums): the distinct keys of a nonempty array in ascending order
+    with their summed values, those summing to zero dropped."""
+    import numpy as np
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    head = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    keys, vals = keys[head], np.add.reduceat(vals, head)
+    keep = vals != 0
+    return keys[keep], vals[keep]
 
 
 def jordan_defect(a):

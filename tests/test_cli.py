@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pyrun import run_python
-from supertkk import tkk
+from supertkk import tensor, tkk
 from supertkk.catalog import load_algebra, resolve, save_algebra
 from supertkk.cli import (cmd_dims, cmd_tkk, cmd_verify, main,
                           report_from_machine, report_to_human,
@@ -226,6 +226,23 @@ def test_verify_section_builds_each_construction_once(source, monkeypatch):
     pair = f"({V.name},{V.name})"
     for name in (f"Ko{pair}", f"Ko~{pair}", f"Kan({V.name})", f"Ti({V.name},inn)"):
         assert built[name] == 1, (name, built)
+
+
+def test_verify_section_proves_super_jacobi_once_per_lie_algebra(monkeypatch):
+    # make_algebra proves super-Jacobi for each Lie table it builds, and the
+    # super_jacobi_ko check reuses that proof on the same object
+    V = load_algebra(save_algebra(resolve("j19")))
+    checked = []
+    jacobi_defect = tensor.jacobi_defect
+
+    def spy(a):
+        checked.append(a)
+        return jacobi_defect(a)
+
+    monkeypatch.setattr(tensor, "jacobi_defect", spy)
+    verify_section(V, 64)
+    assert f"Ko({V.name},{V.name})" in {g.name for g in checked}
+    assert len({id(g) for g in checked}) == len(checked), [g.name for g in checked]
 
 
 def test_verify_section_releases_its_algebra():

@@ -4,6 +4,8 @@ Every tensor-backed checker must return what its loop reference returns:
 None, or a witness with identical indices and message.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,7 @@ JORDAN_CHECKS = [
 SMALL_JORDAN = ("j19", "kacK", "trunc_poly:4", "trunc_poly:5", "full_matrix:1,1",
                 "form:1,2", "form:3,0", "dt:2")
 SMALL_LIE = ("gl:1,1", "sl:2,1", "psl:2,2", "pe:2", "q:2", "w:2", "lambda:4")
+DENSE_LIE = ("gl:1,1", "sl:2,1", "pe:2", "q:2", "w:2")
 
 
 def _key(w):
@@ -116,16 +119,71 @@ def test_jordan_checkers_match_the_loop_oracle(V):
     _assert_same(V)
 
 
-@given(graded_tables(-1))
+@st.composite
+def dense_lie_tables(draw):
+    """A catalog Lie table in the basis f_a = sum_b P[a, b] e_b, for a random
+    unit upper-triangular integer P that mixes only basis vectors of one
+    parity: still a Lie superalgebra, but with most constants nonzero.  Half
+    of them get one constant raised, its mirror kept antisymmetric."""
+    g = resolve(draw(st.sampled_from(DENSE_LIE)))
+    n, p = g.dim, g.parities
+    P = [[1 if a == b else draw(st.integers(-2, 2)) if a < b and p[a] == p[b] else 0
+          for b in range(n)] for a in range(n)]
+    inv = [None] * n  # P**-1, unit upper-triangular and integer, by back substitution
+    for a in reversed(range(n)):
+        inv[a] = [int(a == t) - sum(P[a][b] * inv[b][t] for b in range(a + 1, n))
+                  for t in range(n)]
+    products = []
+    for a in range(n):
+        for b in range(n):
+            e: dict = {}  # [f_a, f_b] in the old basis
+            for (c, d), row in g.table.items():
+                for m, x in row.items():
+                    e[m] = e.get(m, 0) + P[a][c] * P[b][d] * x
+            for t in range(n):
+                c = sum(x * inv[m][t] for m, x in e.items())
+                if c:
+                    products.append((a, b, t, c))
+    h = make_algebra(p, products, name=f"{g.name}~", check=False)
+    return _perturbed(h, -1) if draw(st.booleans()) else h
+
+
+@given(st.one_of(graded_tables(-1), dense_lie_tables()))
 @settings(**SETTINGS)
 def test_super_jacobi_matches_the_loop_oracle(g):
     assert _key(check_super_jacobi(g)) == _key(oracle.check_super_jacobi(g))
 
 
+@given(st.one_of(graded_tables(-1), dense_lie_tables()))
+@settings(**SETTINGS)
+def test_super_jacobi_matches_the_loop_oracle_one_product_per_chunk(g):
+    # every product is its own chunk, so every cancellation spans chunks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_JACOBI_CHUNK", 1)
+        assert _key(check_super_jacobi(g)) == _key(oracle.check_super_jacobi(g))
+
+
+def test_super_jacobi_runs_in_bounded_memory():
+    # w(4) (dim 64): the join forms 15,840 products, folded a chunk at a
+    # time, and holds no n**4 array and no array with one entry per product
+    g = resolve("w:4")
+    tracemalloc.start()
+    try:
+        assert tensor.jacobi_defect(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
 @given(st.sampled_from([1, -1]).flatmap(graded_tables))
 @settings(**SETTINGS)
 def test_graded_symmetry_checks_match_the_loop_oracle(a):
-    for table in (a, _perturbed(a)) if a.table else (a,):
+    # an explicit zero constant counts as an absent one
+    n = a.dim
+    zeros = SuperAlgebra(a.name, a.parities, {
+        **a.table, (0, n - 1): {**{k: Q(0) for k in range(n)}, **a.table.get((0, n - 1), {})}})
+    for table in (a, zeros, _perturbed(a)) if a.table else (a, zeros):
         for new, old in ((check_supercommutative, oracle.check_supercommutative),
                          (check_superanticommutative, oracle.check_superanticommutative)):
             assert _key(new(table)) == _key(old(table)), new.__name__
