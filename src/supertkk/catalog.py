@@ -647,7 +647,7 @@ def _load_file(path) -> SuperAlgebra:
 # ---------------------------------------------------------------------------
 # serialization
 
-_COEFF_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_COEFF_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # used with fullmatch
 
 
 @dataclass(frozen=True)
@@ -675,12 +675,19 @@ def algebra_to_spec(a: SuperAlgebra) -> AlgebraSpec:
                        metadata=meta)
 
 
+def _coeff(c: str):
+    """The rational of a coefficient string of _COEFF_RE's syntax."""
+    num, _, den = c.partition("/")
+    return Q(int(num), int(den)) if den else Q(int(num))
+
+
 def spec_to_algebra(spec: AlgebraSpec, *, check=True) -> SuperAlgebra:
     meta = dict(spec.metadata)
     kind = meta.pop("kind", "plain")
     if kind not in ("plain", "jordan", "lie"):
         raise ValueError(f"unknown algebra kind {kind!r}")
-    products = [(i, j, k, Q(c)) for i, j, k, c in spec.products]
+    parsed = {c: _coeff(c) for c in {c for *_, c in spec.products}}  # a few values, repeated
+    products = [(i, j, k, parsed[c]) for i, j, k, c in spec.products]
     return make_algebra(spec.parities, products, spec.zdegrees, name=spec.name,
                         kind=kind, metadata=meta, check=check)
 
@@ -709,8 +716,18 @@ def _expect(cond, msg):
         raise ValueError(msg)
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON gives no int subclass but bool
+
+
+_PRODUCT_FIELDS = {"i", "j", "k", "coeff"}
+
+
 def load(data: bytes) -> AlgebraSpec:
-    """Parse and validate a serialized algebra, with field-level diagnostics."""
+    """Parse and validate a serialized algebra, with field-level diagnostics.
+
+    A diagnostic is formatted only when its check fails, so a valid
+    document costs one pass of plain tests over its structure constants."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -724,47 +741,49 @@ def load(data: bytes) -> AlgebraSpec:
     for key in ("schema_version", "name", "parities", "products", "metadata"):
         _expect(key in doc, f"missing field {key!r}")
     ver = doc["schema_version"]
-    _expect(isinstance(ver, int) and not isinstance(ver, bool),
-            "schema_version must be an integer")
+    _expect(_is_int(ver), "schema_version must be an integer")
     _expect(ver == 1, f"unsupported schema_version: {ver}")
     _expect(isinstance(doc["name"], str), "name must be a string")
     pars = doc["parities"]
     _expect(isinstance(pars, list), "parities must be a list")
     for idx, p in enumerate(pars):
-        _expect(p in (0, 1) and not isinstance(p, bool),
-                f"parities[{idx}]: expected 0 or 1, got {p!r}")
+        if p not in (0, 1) or isinstance(p, bool):
+            raise ValueError(f"parities[{idx}]: expected 0 or 1, got {p!r}")
     n = len(pars)
     zd = doc.get("zdegrees")
     if zd is not None:
         _expect(isinstance(zd, list) and len(zd) == n,
                 f"zdegrees must be a list of length {n}")
         for idx, z in enumerate(zd):
-            _expect(isinstance(z, int) and not isinstance(z, bool),
-                    f"zdegrees[{idx}]: expected an integer, got {z!r}")
+            if not _is_int(z):
+                raise ValueError(f"zdegrees[{idx}]: expected an integer, got {z!r}")
     prods = doc["products"]
     _expect(isinstance(prods, list), "products must be a list")
     entries = []
     seen = set()
     for idx, item in enumerate(prods):
-        _expect(isinstance(item, dict), f"products[{idx}]: expected an object")
-        _expect(set(item) == {"i", "j", "k", "coeff"},
-                f"products[{idx}]: expected exactly the fields i, j, k, coeff")
-        for fieldname in ("i", "j", "k"):
-            v = item[fieldname]
-            _expect(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n,
-                    f"products[{idx}].{fieldname}: expected an index in 0..{n - 1}, got {v!r}")
+        if not isinstance(item, dict):
+            raise ValueError(f"products[{idx}]: expected an object")
+        if item.keys() != _PRODUCT_FIELDS:
+            raise ValueError(f"products[{idx}]: expected exactly the fields i, j, k, coeff")
+        key = i, j, k = item["i"], item["j"], item["k"]
+        for fieldname, v in zip("ijk", key):
+            if not (_is_int(v) and 0 <= v < n):
+                raise ValueError(f"products[{idx}].{fieldname}: expected an index in "
+                                 f"0..{n - 1}, got {v!r}")
         c = item["coeff"]
-        _expect(isinstance(c, str) and _COEFF_RE.match(c),
-                f"products[{idx}].coeff: {c!r} does not match integer-or-fraction syntax")
-        key = (item["i"], item["j"], item["k"])
-        _expect(key not in seen, f"products[{idx}]: duplicate entry for {key}")
+        if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)):
+            raise ValueError(f"products[{idx}].coeff: {c!r} does not match "
+                             "integer-or-fraction syntax")
+        if key in seen:
+            raise ValueError(f"products[{idx}]: duplicate entry for {key}")
         seen.add(key)
-        entries.append((item["i"], item["j"], item["k"], c))
+        entries.append((i, j, k, c))
     meta = doc["metadata"]
     _expect(isinstance(meta, dict), "metadata must be an object")
     for k, v in meta.items():
-        _expect(isinstance(k, str) and isinstance(v, str),
-                f"metadata entries must be string-to-string, got {k!r}: {v!r}")
+        if not (isinstance(k, str) and isinstance(v, str)):
+            raise ValueError(f"metadata entries must be string-to-string, got {k!r}: {v!r}")
     return AlgebraSpec(name=doc["name"], parities=tuple(pars),
                        products=tuple(sorted(entries)),
                        zdegrees=tuple(zd) if zd is not None else None,

@@ -195,9 +195,8 @@ def _space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
 def l_stack(V: SuperAlgebra) -> OperatorStack:
     """The left multiplications L_{e_i} as an OperatorStack, read off the
     table: d L_{e_i}[r, c] = d (e_i e_c)_r."""
-    n = V.dim
-    (C,), d = tensor.encode([V.table], [(n, n, n)])
-    return OperatorStack((C.transpose(0, 2, 1),), V.parities, d)
+    t = V.int_table
+    return OperatorStack((t.dense().transpose(0, 2, 1),), V.parities, t.d)
 
 
 def _stack_space(label, ops: OperatorStack, shape, algebra=None) -> OperatorSpace:
@@ -305,7 +304,8 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     for b, key in enumerate(keys):
         flat = [r * n + c for r, c in cols[key]]
         block_of[flat], position_of[flat] = b, np.arange(len(flat))
-    I, J, K, C = _support(*_integer_tables(a.table), 2)
+    t = a.int_table
+    I, J, K, C = t.i, t.j, t.k, t.value
     p, ks = np.array(par, dtype=np.int64), np.arange(n)
 
     def terms(lo, hi):

@@ -115,6 +115,13 @@ class SuperAlgebra:
                     out[k] += xi * yj * c
         return tuple(out)
 
+    @property
+    @memoized
+    def int_table(self) -> tensor.IntTable:
+        """The table on the integers (`tensor.IntTable`): encoded on first
+        use, then kept for every later reader."""
+        return tensor.IntTable.of(self.table, self.dim)
+
     def __repr__(self):
         return f"SuperAlgebra({self.name!r}, dim={self.dim}, kind={self.kind})"
 

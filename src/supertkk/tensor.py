@@ -5,10 +5,18 @@ denominator d, output coordinate last), and an identity of degree r holds iff
 the same sum over the tensor, d**r times it, is zero.  A check runs in int64
 only after proving its bound terms * n * max|a| * max|b| < 2**62 for each sum
 of `terms` contractions over an index of length n; else in object-dtype Python
-ints, still exact.  Super-Jacobi joins the table's nonzeros with each other
-on the contracted index, a fixed number of products at a time, so its work
-follows the nonzeros and its memory the chunk; the Jordan checks hold O(n**5)
-entries.
+ints, still exact.
+
+An algebra's own table is encoded once, as an `IntTable`: its nonzero
+constants as sorted COO arrays with d and max|value|, built in one pass over
+the rational table and kept, read-only, in the algebra's memo
+(`SuperAlgebra.int_table`).  Every reader of an algebra's table starts from
+it.  Super-Jacobi joins its nonzeros with each other on the contracted
+index, a fixed number of products at a time, so its work follows the
+nonzeros and its memory the chunk; the dense kernels (the Jordan checks,
+which hold O(n**5) entries, and the Kantor relations) scatter a dense
+n x n x n array from it on request.  `encode` serves the tables that belong
+to no algebra: operator flats, triple tables, images of a map.
 
 The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
@@ -24,18 +32,78 @@ integer tensor back into a rational table (the doubled pair is `decode` of
 `triple_tensor`), and `bracket_map_defect` checks a linear map against two
 bracket tables.  The J functor's triples [[x, y], z] of a 3-graded Lie
 table are one product of two of its slices (`lie_triples`, by `contract`).
-Nothing is cached here.  numpy is imported lazily: a Jordan algebra is built
-without it, while a Lie algebra loads it through its super-Jacobi check.
+numpy is imported lazily: a Jordan algebra is built without it, while a Lie
+algebra loads it through its super-Jacobi check.
 """
 
+from dataclasses import dataclass
 from math import lcm
 
 from .exact import Q, int_dtype
 
 
+@dataclass(frozen=True, eq=False)
+class IntTable:
+    """The table {(i, j): {k: c}} of an n-dimensional algebra on the
+    integers: its nonzero constants as COO arrays i, j, k and value, sorted
+    by (i, j, k), with value = c * d for the common denominator d of the
+    constants, and top = max|value| (0 for an empty table).  value is int64
+    when top < 2**62, else object.  The arrays are read-only, so one table
+    serves every reader of the algebra; build it with `of`."""
+
+    n: int
+    i: object
+    j: object
+    k: object
+    value: object
+    d: int
+    top: int
+
+    @classmethod
+    def of(cls, table, n: int) -> "IntTable":
+        """Encode a rational table in one pass over its constants."""
+        import numpy as np
+        at, nums, dens = [], [], []
+        for (i, j), row in table.items():
+            base = (i * n + j) * n
+            for k, c in row.items():
+                at.append(base + k)
+                nums.append(int(c.numerator))  # a Python int under either backend
+                dens.append(int(c.denominator))
+        d = lcm(1, *set(dens))
+        vals = nums if d == 1 else [x * (d // y) for x, y in zip(nums, dens)]
+        top = max(map(abs, vals), default=0)
+        at, value = np.array(at, dtype=np.int64), np.array(vals, dtype=int_dtype(top))
+        if not value.all():  # a table may hold explicit zeros
+            at, value = at[value != 0], value[value != 0]
+        if (at[1:] < at[:-1]).any():
+            order = np.argsort(at, kind="stable")
+            at, value = at[order], value[order]
+        ij, k = np.divmod(at, n)
+        i, j = np.divmod(ij, n)
+        for a in (i, j, k, value):
+            a.flags.writeable = False
+        return cls(n, i, j, k, value, d, top)
+
+    def dtype(self, factor: int = 1, degree: int = 1):
+        """The dtype of a check on the table whose sums stay within
+        factor * max|value|**degree: int64 if that is below 2**62, else
+        object (`int_dtype`)."""
+        return int_dtype(factor * max(self.top, 1) ** degree)
+
+    def dense(self, factor: int = 1, degree: int = 1):
+        """A fresh array C[i, j, k] = value, in self.dtype(factor, degree)."""
+        import numpy as np
+        C = np.zeros((self.n,) * 3, dtype=self.dtype(factor, degree))
+        C[self.i, self.j, self.k] = self.value
+        return C
+
+
 def encode(tables, shapes) -> tuple:
     """(tensors, d): tensors of the given shapes for sparse tables {index: {k: c}},
-    entry [index + (k,)] = c * d with one denominator d common to all tables."""
+    entry [index + (k,)] = c * d with one denominator d common to all tables.
+    For tables that belong to no algebra (operator flats, triples, the
+    images of a map); an algebra's own table is read off its `IntTable`."""
     import numpy as np
     d = lcm(1, *{int(c.denominator) for t in tables for e in t.values() for c in e.values()})
     out = []
@@ -57,13 +125,11 @@ def _exact(arrays, factor, degree) -> list:
 
 
 def _structure(a, terms, degree):
-    """(C, s, d): C[i, j, k] = d (e_i e_j)_k cast for the check's bound,
-    s[i, j] = (-1)**(|i||j|)."""
+    """(C, s, d): C[i, j, k] = d (e_i e_j)_k scattered from a's `IntTable` in
+    the dtype of the check's bound, s[i, j] = (-1)**(|i||j|)."""
     import numpy as np
-    n, p = a.dim, np.array(a.parities, dtype=np.int64)
-    (C,), d = encode([a.table], [(n, n, n)])
-    C, = _exact([C], terms * n ** (degree - 1), degree)
-    return C, 1 - 2 * (np.outer(p, p) % 2), d
+    t, p = a.int_table, np.array(a.parities, dtype=np.int64)
+    return t.dense(terms * t.n ** (degree - 1), degree), 1 - 2 * (np.outer(p, p) % 2), t.d
 
 
 def _first(mask):
@@ -105,14 +171,19 @@ def jacobi_defect(a):
     before it are complete, so the first of them that is nonzero is the
     answer, and the set only holds the sums of the i under way.  No array
     has n**4 entries or one per product.  A sum has at most 3n terms of at
-    most max|C|**2, which `_structure` proves below 2**62 before it casts to
-    int64; else the sums run on Python ints.
+    most max|C|**2, proved below 2**62 before the values are cast to int64;
+    else the sums run on Python ints.  Both factors are read off a's
+    `IntTable`: [e_y, e_z] in its (i, j, k) order, [e_x, e_l] in one
+    lexsort by (j, i, k); no dense C is formed.
     """
     import numpy as np
-    n = a.dim
-    C, s, _ = _structure(a, 3, 2)
-    y, z, l = np.nonzero(C)                        # [e_y, e_z] = sum_l C[y, z, l] e_l
-    lo, xo, to = np.nonzero(C.transpose(1, 0, 2))  # [e_x, e_l] = sum_t C[x, l, t] e_t, by (l, x)
+    t = a.int_table
+    n, p = t.n, np.array(a.parities, dtype=np.int64)
+    s = 1 - 2 * (np.outer(p, p) % 2)
+    value = t.value.astype(t.dtype(3 * n, 2), copy=False)
+    y, z, l, inner = t.i, t.j, t.k, value           # [e_y, e_z] = sum_l C[y, z, l] e_l
+    by_jik = np.lexsort((t.k, t.i, t.j))            # [e_x, e_l] = sum_t C[x, l, t] e_t, by (l, x)
+    lo, xo, to, outer = t.j[by_jik], t.i[by_jik], t.k[by_jik], value[by_jik]
     down, up = np.flatnonzero(y > z), np.flatnonzero(y <= z)
     by_ly = up[np.lexsort((y[up], l[up]))]
     at_x, at_y = lo * n + xo, l[by_ly] * n + y[by_ly]
@@ -134,8 +205,7 @@ def jacobi_defect(a):
     lead, base, size, fixed, inner_moves = (v[keep] for v in (lead, base, size, fixed, inner_moves))
     ends = np.cumsum(size)
     total = int(ends[-1]) if len(ends) else 0
-    inner, outer = C[y, z, l], C[xo, lo, to]
-    keys, sums = np.zeros(0, np.int64), np.zeros(0, C.dtype)
+    keys, sums = np.zeros(0, np.int64), np.zeros(0, value.dtype)
     for p0 in range(0, total, _JACOBI_CHUNK):
         p1 = min(p0 + _JACOBI_CHUNK, total)
         p = np.arange(p0, p1)
@@ -274,9 +344,9 @@ def g0_action(A, B, sign, p):
 def lp_tensor(a):
     """(LP, d): LP[x] = d**2 [L_x, P], with P(e_i, e_j) = e_i e_j and d the
     table's common denominator."""
-    n = a.dim
-    (C,), d = encode([a.table], [(n, n, n)])
-    return g0_action(C.transpose(0, 2, 1), C, 1, a.parities), d
+    t = a.int_table
+    C = t.dense()
+    return g0_action(C.transpose(0, 2, 1), C, 1, a.parities), t.d
 
 
 def kantor_relation_verdicts(a, unit=None) -> list:
@@ -293,9 +363,9 @@ def kantor_relation_verdicts(a, unit=None) -> list:
     Loops over a keep every array at n**5 entries.
     """
     import numpy as np
-    n, p = a.dim, np.array(a.parities, dtype=np.int64)
+    t, p = a.int_table, np.array(a.parities, dtype=np.int64)
+    n, d, C = t.n, t.d, t.dense()
     s = 1 - 2 * (np.outer(p, p) % 2)
-    (C,), d = encode([a.table], [(n, n, n)])
     L = C.transpose(0, 2, 1)                       # d L_a
     LP = g0_action(L, C, 1, p)                     # d**2 [L_a, P]
     Cq, Lq = _exact([C, L], 3 * n, 2)
@@ -374,16 +444,18 @@ def mismatch(X, fx, Y, fy):
 def bracket_map_defect(src, dst, images):
     """First basis pair (i, j), in row-major order, where the linear map
     phi: e_i -> images[i] (rational coordinates) breaks phi(e_i e_j) =
-    phi(e_i) phi(e_j), or None.  On the tables and images scaled by one
-    common denominator d (F[i, a] = d phi(e_i)_a) the two sides are
-    d**2 phi(e_i e_j) = C_src[i, j] F and d**3 phi(e_i) phi(e_j) =
-    F[i, a] F[j, b] C_dst[a, b], compared as d * lhs == rhs."""
+    phi(e_i) phi(e_j), or None.  The tables come scaled by their own
+    denominators ds, dd (`IntTable`) and the images by theirs, df
+    (F[i, a] = df phi(e_i)_a); the two sides are ds df phi(e_i e_j) =
+    C_src[i, j] F and df**2 dd phi(e_i) phi(e_j) = F[i, a] F[j, b]
+    C_dst[a, b], compared as df dd lhs == ds rhs."""
     import numpy as np
     n = src.dim
     phi = {(i,): {a: c for a, c in enumerate(v) if c} for i, v in enumerate(images)}
-    (Cs, Cd, F), d = encode([src.table, dst.table, phi], [(n, n, n), (n, n, n), (n, n)])
-    Cs, Fs = _exact([Cs, F], n, 2)
+    (F,), df = encode([phi], [(n, n)])
+    ts, td = src.int_table, dst.int_table
+    Cs, Fs = _exact([ts.dense(), F], n, 2)
     lhs = np.einsum('ijk,kc->ijc', Cs, Fs)
-    Cd, Fd = _exact([Cd, F], n * n, 3)  # n**2 max**3 bounds both contractions
+    Cd, Fd = _exact([td.dense(), F], n * n, 3)  # n**2 max**3 bounds both contractions
     rhs = np.einsum('jb,ibc->ijc', Fd, np.einsum('ia,abc->ibc', Fd, Cd))
-    return _first(mismatch(lhs, d, rhs, 1).any(axis=2))
+    return _first(mismatch(lhs, df * td.d, rhs, ts.d).any(axis=2))

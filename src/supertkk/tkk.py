@@ -170,8 +170,7 @@ def koecher_ideal_check(v) -> CheckResult:
     S[dp:dp + len(W), dp:dp + nm] = W
     tips = np.r_[0:dp, dp + nm:n]
     S[np.r_[0:dp, dp + len(W):len(S)], tips] = 1
-    (C,), _ = tensor.encode([g.table], [(n, n, n)])
-    brackets = tensor.contract(S, C.transpose(1, 0, 2)).reshape(len(S) * n, n)
+    brackets = tensor.contract(S, g.int_table.dense().transpose(1, 0, 2)).reshape(len(S) * n, n)
     rows = S.tolist()
     ok = Subspace(n, rows).dim == Subspace(n, rows + brackets.tolist()).dim
     return CheckResult("ko_ideal_in_kotilde", ok,
@@ -351,10 +350,9 @@ def _killing_half(y: SuperAlgebra) -> Matrix:
     d**2 tr(ad e_i ad e_j) = sum over c, k of C[i, c, k] C[j, k, c], taken
     on Python ints."""
     import numpy as np
-    n = y.dim
-    (C,), d = tensor.encode([y.table], [(n, n, n)])
-    C = C.astype(object)
-    return Matrix([[Q(int(t), 2 * d * d) for t in row]
+    t = y.int_table
+    C, d = t.dense().astype(object), t.d
+    return Matrix([[Q(int(x), 2 * d * d) for x in row]
                    for row in np.einsum('ick,jkc->ij', C, C).tolist()])
 
 
@@ -452,10 +450,11 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
 
     [e (x) a, f (x) b] = (e,f)<a,b> + h (x) ab, so projecting onto h (x) V must
     return the product, and the D component divided by (e,f) must be [L_a,L_b].
-    The n**2 brackets are one integer tensor X, at one denominator dx with the
-    table of V, and their D components are compared at once with the
-    coordinates in D of l_stack(V).bracket(l_stack(V)); the first failing
-    (a, b) in row-major order is reported, as a loop over them would.
+    The n**2 brackets are one integer tensor X at a denominator dx, their
+    h (x) V components are compared with V's `IntTable` cross-multiplied,
+    and their D components at once with the coordinates in D of
+    l_stack(V).bracket(l_stack(V)); the first failing (a, b) in row-major
+    order is reported, as a loop over them would.
     """
     import numpy as np
     ti = tits(V, d)
@@ -466,14 +465,15 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     ef = ti.data["kappa"][0, 2]
     certify(ef, "sl2 pairing (e,f) must be nonzero")
     brs = {(a, b): g.basis_product(nd + a, nd + 2 * n + b) for a in range(n) for b in range(n)}
-    (X, P), dx = tensor.encode([brs, V.table], [(n, n, g.dim), (n, n, n)])
+    (X,), dx = tensor.encode([brs], [(n, n, g.dim)])
+    t = V.int_table
     ls = l_stack(V)
     lbr = ls.bracket(ls)
     M = dsp.coordinates(lbr).reshape(n, n, nd)  # lbr.den [L_a, L_b] in D
     # X / (dx ef) == M / lbr.den on the D components, cross-multiplied
     num, den = int(ef.numerator), int(ef.denominator)
     leaves = X[..., nd:nd + n].any(axis=2) | X[..., nd + 2 * n:].any(axis=2)
-    product = (X[..., nd + n:nd + 2 * n] != P).any(axis=2)
+    product = tensor.mismatch(X[..., nd + n:nd + 2 * n], t.d, t.dense(), dx).any(axis=2)
     pairing = tensor.mismatch(X[..., :nd], lbr.den * den, M if num > 0 else -M,
                               dx * abs(num)).any(axis=2)
     bad = np.argwhere(leaves | product | pairing)
@@ -581,21 +581,15 @@ def _graded_table(g: SuperAlgebra):
     degrees z of its basis, and the rows pm of the slice C[plus][:, minus],
     the [e_i, e_j] for e_i in g+ and e_j in g- in row-major order."""
     import numpy as np
-    n, z = g.dim, np.array(g.zdegrees, dtype=np.int64)
-    (C,), d = tensor.encode([g.table], [(n, n, n)])
+    t, z = g.int_table, np.array(g.zdegrees, dtype=np.int64)
+    C = t.dense()
     pm = C[z == 1][:, z == -1]
-    return C, d, z, pm.reshape(pm.shape[0] * pm.shape[1], n)
+    return C, t.d, z, pm.reshape(pm.shape[0] * pm.shape[1], t.n)
 
 
-def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
-    """The superpair (g_{+1}, g_{-1}) with {x,y,z} = [[x,y],z].
-
-    Both triple tables are one contraction of the encoded table
-    (`tensor.lie_triples`), certified to stay in their graded block.  With
-    check=True (the default) the superpair axioms — outer symmetry and the
-    5-linear identity — are verified on all homogeneous basis tuples; a
-    failed certificate raises CertificateError.
-    """
+@memoized
+def _j_pair(g: SuperAlgebra) -> JordanPair:
+    """J(g) without the axiom check, built once per g."""
     import numpy as np
     if g.zdegrees is None:
         raise ValueError("j_functor needs a Z-graded Lie superalgebra")
@@ -607,7 +601,21 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
         certify(not T[..., z != s].any(), "triple left the graded block")
         tables.append(tensor.decode(T[..., z == s], d * d))
     parities = tuple(tuple(p for p, k in zip(g.parities, g.zdegrees) if k == s) for s in (1, -1))
-    pair = JordanPair(f"J({g.name})", parities, tuple(tables))
+    return JordanPair(f"J({g.name})", parities, tuple(tables))
+
+
+def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
+    """The superpair (g_{+1}, g_{-1}) with {x,y,z} = [[x,y],z].
+
+    Both triple tables are one contraction of the encoded table
+    (`tensor.lie_triples`), certified to stay in their graded block.  With
+    check=True (the default) the superpair axioms — outer symmetry and the
+    5-linear identity — are verified on all homogeneous basis tuples; a
+    failed certificate raises CertificateError.  The pair is built once per
+    g and returned on every call, with or without the check, so what is
+    memoized on it (Ko(J(g)) and its Inn(V,V)) is built once too.
+    """
+    pair = _j_pair(g)
     if check:
         witness = check_pair_axioms(pair)
         certify(witness is None, f"superpair axioms fail: {witness}")

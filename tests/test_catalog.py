@@ -1,5 +1,7 @@
 """Shipped catalogs: dimensions, identities, simplicity data, file format."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -195,6 +197,110 @@ def test_load_rejects_malformed_documents():
                           b'{"i": 0, "j": 0, "k": 0, "coeff": "1"},\n'
                           b'{"i": 0, "j": 0, "k": 0, "coeff": "2"}', 1)
         load(dup)
+
+
+def _j19_doc():
+    """j19's saved document as a dict, with zdegrees set so that they are read."""
+    doc = json.loads(save_algebra(jordan_catalog("j19")))
+    doc["zdegrees"] = [0, 0, 0]
+    return doc
+
+
+def _edit(path, value):
+    """An edit in place: set doc[path[0]]...[path[-1]] = value, or delete
+    that key when value is _DROP."""
+    def apply(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        if value is _DROP:
+            del doc[last]
+        else:
+            doc[last] = value
+    return apply
+
+
+def _both(*edits):
+    def apply(doc):
+        for edit in edits:
+            edit(doc)
+    return apply
+
+
+_DROP = object()
+_PRODUCT = {"i": 0, "j": 0, "k": 0, "coeff": "1"}
+MALFORMED = [
+    ("top-level-list", lambda doc: [doc], "top level must be a JSON object"),
+    ("unknown-field", _edit(["extra"], 1), "unknown field 'extra'"),
+    ("missing-field", _edit(["metadata"], _DROP), "missing field 'metadata'"),
+    ("schema-bool", _edit(["schema_version"], True), "schema_version must be an integer"),
+    ("schema-2", _edit(["schema_version"], 2), "unsupported schema_version: 2"),
+    ("name-not-string", _edit(["name"], 19), "name must be a string"),
+    ("parities-not-list", _edit(["parities"], "000"), "parities must be a list"),
+    ("parity-2", _edit(["parities", 1], 2), "parities[1]: expected 0 or 1, got 2"),
+    ("parity-bool", _edit(["parities", 0], False), "parities[0]: expected 0 or 1, got False"),
+    ("zdegrees-length", _edit(["zdegrees"], [0, 0]), "zdegrees must be a list of length 3"),
+    ("zdegrees-not-list", _edit(["zdegrees"], 0), "zdegrees must be a list of length 3"),
+    ("zdegree-float", _edit(["zdegrees", 2], 1.5), "zdegrees[2]: expected an integer, got 1.5"),
+    ("zdegree-bool", _edit(["zdegrees", 0], True), "zdegrees[0]: expected an integer, got True"),
+    ("products-not-list", _edit(["products"], {}), "products must be a list"),
+    ("product-not-object", _edit(["products", 1], [0, 1, 1, "1/2"]),
+     "products[1]: expected an object"),
+    ("product-missing-field", _edit(["products", 0, "coeff"], _DROP),
+     "products[0]: expected exactly the fields i, j, k, coeff"),
+    ("product-extra-field", _edit(["products", 2, "l"], 0),
+     "products[2]: expected exactly the fields i, j, k, coeff"),
+    ("index-bool", _edit(["products", 0, "i"], True),
+     "products[0].i: expected an index in 0..2, got True"),
+    ("index-out-of-range", _edit(["products", 1, "k"], 3),
+     "products[1].k: expected an index in 0..2, got 3"),
+    ("index-negative", _edit(["products", 0, "j"], -1),
+     "products[0].j: expected an index in 0..2, got -1"),
+    ("index-string", _edit(["products", 0, "k"], "0"),
+     "products[0].k: expected an index in 0..2, got '0'"),
+    ("coeff-not-string", _edit(["products", 0, "coeff"], 1),
+     "products[0].coeff: 1 does not match integer-or-fraction syntax"),
+    ("coeff-decimal", _edit(["products", 0, "coeff"], "1.5"),
+     "products[0].coeff: '1.5' does not match integer-or-fraction syntax"),
+    ("coeff-zero-denominator", _edit(["products", 1, "coeff"], "1/0"),
+     "products[1].coeff: '1/0' does not match integer-or-fraction syntax"),
+    ("duplicate", lambda doc: doc["products"].append(dict(_PRODUCT, coeff="2")),
+     "products[4]: duplicate entry for (0, 0, 0)"),
+    ("metadata-not-object", _edit(["metadata"], []), "metadata must be an object"),
+    ("metadata-value", _edit(["metadata", "family"], 1),
+     "metadata entries must be string-to-string, got 'family': 1"),
+    # the first fault is reported: fields in order, a product's index before
+    # its coefficient, and earlier products before later ones
+    ("first-parity-then-product", _both(_edit(["parities", 2], 3), _edit(["products", 0, "i"], 9)),
+     "parities[2]: expected 0 or 1, got 3"),
+    ("first-index-then-coeff", _both(_edit(["products", 1, "coeff"], "x"),
+                                     _edit(["products", 1, "j"], 5)),
+     "products[1].j: expected an index in 0..2, got 5"),
+    ("first-product", _both(_edit(["products", 3, "i"], 7), _edit(["products", 2, "coeff"], "")),
+     "products[2].coeff: '' does not match integer-or-fraction syntax"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_load_pins_each_diagnostic(edit, message):
+    doc = _j19_doc()
+    load(json.dumps(doc).encode())  # the unedited document loads
+    doc = edit(doc) or doc  # an edit in place returns None
+    with pytest.raises(ValueError) as err:
+        load(json.dumps(doc).encode())
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coeff", ["2\n", " 2", "+2", "1_0", "1/2\n", "1/ 2"])
+def test_load_rejects_coefficients_only_python_would_parse(coeff):
+    # int() and Fraction() accept each of these; the file syntax does not
+    doc = _j19_doc()
+    doc["products"][0]["coeff"] = coeff
+    with pytest.raises(ValueError) as err:
+        load(json.dumps(doc).encode())
+    assert str(err.value) == (f"products[0].coeff: {coeff!r} does not match "
+                              "integer-or-fraction syntax")
 
 
 def test_save_is_deterministic_across_processes_inputs():

@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_tkk as oracle
 from pyrun import run_python
-from supertkk import tensor, tkk
-from supertkk.catalog import _JORDAN_DEFAULTS, jordan_catalog, resolve
+from supertkk import structure, tensor, tkk
+from supertkk.catalog import (_JORDAN_DEFAULTS, jordan_catalog, load_algebra, resolve,
+                              save_algebra)
 from supertkk.exact import CertificateError, GeneratedSpan, Q
 from supertkk.structure import _space, pair_inn
 from supertkk.superspace import SuperAlgebra
@@ -175,6 +176,25 @@ def test_a_smaller_middle_is_no_ideal_like_the_loop(source, monkeypatch):
     monkeypatch.setattr(tkk, "pair_inn", lambda v: cut)
     got = tkk.koecher_ideal_check(V)
     assert not got.passed and got == oracle.koecher_ideal_check(V)
+
+
+def test_repeated_inverse_checks_build_ko_of_j_once(monkeypatch):
+    # J(g) is memoized on g, so Ko(J(g)) and its Inn(V,V) are built by the
+    # first check and found by the next two
+    V = load_algebra(save_algebra(jordan_catalog("full_matrix", 2, 1)))  # a fresh object
+    g = tkk.koecher(V).lie
+    labels = []
+    build = structure._stack_space
+
+    def spy(label, *args):
+        labels.append(label)
+        return build(label, *args)
+
+    monkeypatch.setattr(structure, "_stack_space", spy)
+    for _ in range(3):
+        assert all(r.passed for r in tkk.koecher_inverse_check(g))
+    assert labels.count("Inn(V,V)") == 1, labels
+    assert tkk.j_functor(g) is tkk.j_functor(g, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Every tensor-backed checker must return what its loop reference returns:
 None, or a witness with identical indices and message.
 """
 
+import random
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +16,7 @@ import oracle_identities as oracle
 from oracle_linalg import Matrix, left_mult_matrix, operators
 from pyrun import run_python
 from supertkk import tensor
-from supertkk.catalog import jordan_catalog, resolve
+from supertkk.catalog import _LIE_DEFAULTS, jordan_catalog, resolve
 from supertkk.exact import CertificateError, Q
 from supertkk.jordan import (check_commutator_identity, check_five_linear,
                              check_jordan_identity, check_triple_symmetry)
@@ -96,11 +99,12 @@ def triple_pairs(draw):
     return JordanPair("random", tuple(par), tuple(tables))
 
 
-def _perturbed(a, sym=None):
-    """a with its first structure constant raised by one; with sym = +-1 the
-    first off-diagonal one, its mirror adjusted to keep the (anti)symmetry."""
+def _perturbed(a, sym=None, nth=0):
+    """a with its first (nth) structure constant raised by one; with sym = +-1
+    the first (nth) off-diagonal one, its mirror adjusted to keep the
+    (anti)symmetry."""
     entries = [(i, j, k, c) for (i, j), e in a.table.items() for k, c in e.items()]
-    at = 0 if sym is None else next(n for n, e in enumerate(entries) if e[0] != e[1])
+    at = nth if sym is None else [n for n, e in enumerate(entries) if e[0] != e[1]][nth]
     i, j, k, c = entries[at]
     entries[at] = (i, j, k, c + 1)
     if sym is not None:
@@ -121,13 +125,20 @@ def test_jordan_checkers_match_the_loop_oracle(V):
 
 @st.composite
 def dense_lie_tables(draw):
-    """A catalog Lie table in the basis f_a = sum_b P[a, b] e_b, for a random
-    unit upper-triangular integer P that mixes only basis vectors of one
-    parity: still a Lie superalgebra, but with most constants nonzero.  Half
-    of them get one constant raised, its mirror kept antisymmetric."""
+    """A catalog Lie table in a random basis (`_basis_changed`).  Half of
+    them get one constant raised, its mirror kept antisymmetric."""
     g = resolve(draw(st.sampled_from(DENSE_LIE)))
+    h = _basis_changed(g, lambda: draw(st.integers(-2, 2)))
+    return _perturbed(h, -1) if draw(st.booleans()) else h
+
+
+def _basis_changed(g, entry):
+    """g's table in the basis f_a = sum_b P[a, b] e_b, for a unit
+    upper-triangular integer P whose entries above the diagonal that mix
+    basis vectors of one parity come from entry(): still a Lie
+    superalgebra, but with most constants nonzero."""
     n, p = g.dim, g.parities
-    P = [[1 if a == b else draw(st.integers(-2, 2)) if a < b and p[a] == p[b] else 0
+    P = [[1 if a == b else entry() if a < b and p[a] == p[b] else 0
           for b in range(n)] for a in range(n)]
     inv = [None] * n  # P**-1, unit upper-triangular and integer, by back substitution
     for a in reversed(range(n)):
@@ -144,8 +155,7 @@ def dense_lie_tables(draw):
                 c = sum(x * inv[m][t] for m, x in e.items())
                 if c:
                     products.append((a, b, t, c))
-    h = make_algebra(p, products, name=f"{g.name}~", check=False)
-    return _perturbed(h, -1) if draw(st.booleans()) else h
+    return make_algebra(p, products, name=f"{g.name}~", check=False)
 
 
 @given(st.one_of(graded_tables(-1), dense_lie_tables()))
@@ -174,6 +184,47 @@ def test_super_jacobi_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, peak
+
+
+def test_super_jacobi_of_w5_forms_no_dense_table():
+    # w(5) (dim 160): one dense int64 copy of its table takes 31 MiB, and
+    # the check used to make two.  The integer table is encoded under the
+    # trace too, for a fresh copy of the algebra.
+    g = resolve("w:5")
+    g = SuperAlgebra(g.name, g.parities, g.table, g.zdegrees, g.kind)
+    tracemalloc.start()
+    try:
+        assert tensor.jacobi_defect(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
+def _jacobi_controls(g):
+    """g, then three copies of it with one off-diagonal constant raised and
+    its mirror kept super-anticommutative: the first, a middle and the last."""
+    count = sum(len(e) for (i, j), e in g.table.items() if i != j)
+    return [g] + [_perturbed(g, -1, nth) for nth in (0, count // 2, count - 1)]
+
+
+JACOBI_TABLES = ([(source, None) for source in _LIE_DEFAULTS]
+                 + [(source, seed) for source in DENSE_LIE for seed in (1, 2)])
+
+
+@pytest.mark.parametrize("source, seed", JACOBI_TABLES,
+                         ids=[f"{s}-{seed}" if seed else s for s, seed in JACOBI_TABLES])
+def test_jacobi_witness_matches_the_oracle(source, seed):
+    # every Lie catalog entry (w(4) and h(6) included), and some in a dense
+    # basis (`_basis_changed`, seeded), each with three negative controls
+    g = resolve(source)
+    if seed is not None:
+        rng = random.Random(seed)
+        g = _basis_changed(g, lambda: rng.randint(-2, 2))
+    for a in _jacobi_controls(g):
+        w = oracle.check_super_jacobi(a)  # super-anticommutativity holds: a Jacobi witness
+        assert check_superanticommutative(a) is None, a.name
+        assert tensor.jacobi_defect(a) == (w and w.indices), a.name
 
 
 @given(st.sampled_from([1, -1]).flatmap(graded_tables))
@@ -257,18 +308,29 @@ def test_constants_near_1e12_take_the_exact_object_path(monkeypatch):
     # sl(2) with e scaled by 10^12 and kacK with xi1 scaled: [e, f] = 10^12 h,
     # xi1 xi2 = 10^12 a.  No int64 bound can be proved for their sums.
     big = Q(10 ** 12)
-    lie = _rescaled(_sl2(), [big, Q(1), Q(1)])
-    jordan = _rescaled(jordan_catalog("kacK"), [Q(1), big, Q(1)])
-    assert max(abs(c) for e in lie.table.values() for c in e.values()) == big
-    dtypes = []
-    cast = tensor._exact
+    sl2, jordan = _sl2(), _rescaled(jordan_catalog("kacK"), [Q(1), big, Q(1)])
+    dtypes, jacobi = [], []
+    cast, table_cast = tensor._exact, tensor.IntTable.dtype
 
     def spy(*args):
         out = cast(*args)
         dtypes.extend(str(t.dtype) for t in out)
         return out
 
+    def table_spy(*args):  # the casts of checks that read an IntTable
+        out = table_cast(*args)
+        dtypes.append(str(np.dtype(out)))
+        if sys._getframe(1).f_code.co_name == "jacobi_defect":
+            jacobi.append(dtypes[-1])
+        return out
+
     monkeypatch.setattr(tensor, "_exact", spy)
+    monkeypatch.setattr(tensor.IntTable, "dtype", table_spy)
+    # built under the spies: make_algebra proves super-Jacobi, and the
+    # check_super_jacobi below is a memo hit
+    lie = _rescaled(sl2, [big, Q(1), Q(1)])
+    assert jacobi == ["object"]
+    assert max(abs(c) for e in lie.table.values() for c in e.values()) == big
     assert check_super_jacobi(lie) is None is oracle.check_super_jacobi(lie)
     _assert_same(jordan)
     assert all(check(jordan) is None for check, _ in JORDAN_CHECKS)
@@ -277,6 +339,38 @@ def test_constants_near_1e12_take_the_exact_object_path(monkeypatch):
     w = check_super_jacobi(bad)
     assert w is not None and _key(w) == _key(oracle.check_super_jacobi(bad))
     _assert_same(_perturbed(jordan))
+
+
+def test_int_table_is_read_only_sorted_and_kept_per_algebra():
+    g = resolve("w:3")
+    t = g.int_table
+    assert g.int_table is t
+    for a in (t.i, t.j, t.k, t.value):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    twin = SuperAlgebra(g.name, g.parities, g.table, g.zdegrees, g.kind)
+    assert twin.int_table is not t  # equal content, its own table
+    keys = list(zip(t.i.tolist(), t.j.tolist(), t.k.tolist()))
+    assert keys == sorted(keys)
+    assert ({key: Q(v, t.d) for key, v in zip(keys, t.value.tolist())}
+            == {(i, j, k): c for (i, j), e in g.table.items() for k, c in e.items()})
+
+
+@given(st.sampled_from([1, -1]).flatmap(graded_tables), st.sampled_from([1, 2 ** 61, 2 ** 70]))
+@settings(**SETTINGS)
+def test_int_table_matches_encode(a, scale):
+    # explicit zeros are left out of the COO arrays; past 2**62 the values
+    # are Python ints
+    n = a.dim
+    table = {key: {k: c * scale for k, c in e.items()} for key, e in a.table.items()}
+    table[0, n - 1] = {**{k: Q(0) for k in range(n)}, **table.get((0, n - 1), {})}
+    b = SuperAlgebra(a.name, a.parities, table)
+    t = b.int_table
+    (C,), d = tensor.encode([b.table], [(n, n, n)])
+    dense = t.dense()
+    assert (t.d, t.top) == (d, int(abs(C).max()))
+    assert dense.dtype == C.dtype == t.value.dtype and (dense == C).all()
+    assert len(t.value) == np.count_nonzero(C)
 
 
 def test_building_the_jordan_catalog_does_not_import_numpy():
