@@ -6,17 +6,23 @@ algebra str_w cut out by the two U-operator identities.  Everything is an
 exact kernel or span computation over the rationals; operator spaces are kept
 as canonical subspaces of flattened matrices, split by parity.
 
+A superpair (`JordanPair`) is its two triple tensors, read-only integer
+arrays with one denominator, as `tensor.triple_tensor` (`double`) and
+`tensor.lie_triples` (the J functor) give them; every pair reader starts
+from them, and no rational triple table is formed.
+
 The Leibniz system of an algebra is assembled once, on the integers, and
 split into (degree shift, parity) blocks (`leibniz_blocks`);
 `derivation_kernel` and the derivation towers of tkk read it from there.
 The pair derivations and str_w are the graded derivation rule of trilinear
-tables (the pair's two triples; the U operator of the algebra, twice), and
-one integer assembler writes both.  Both systems are numpy COO triplets
-broadcast from the support of the tables, made primitive, split into
-blocks and deduplicated by `exact.primitive_row_blocks`, which proves its
-int64 bounds first (an entry sums at most 3 constants in a Leibniz system,
-4 in a derivation-rule system).  The Fraction row builders and the Python
-Leibniz assembler these replaced are test oracles in tests/oracle_linalg.py.
+tensors (the pair's two; the U operator, a signed transpose of the doubled
+pair's, twice), and one integer assembler writes both.  Both systems are
+numpy COO triplets broadcast from the nonzeros of the tensors, made
+primitive, split into blocks and deduplicated by
+`exact.primitive_row_blocks`, which proves its int64 bounds first (an entry
+sums at most 3 constants in a Leibniz system, 4 in a derivation-rule
+system).  The Fraction row builders and the Python Leibniz assembler these
+replaced are test oracles in tests/oracle_linalg.py.
 
 Bracket arithmetic on operators runs on integers: an `OperatorStack` holds
 a batch of operators as integer arrays with one denominator, its `bracket`
@@ -31,13 +37,12 @@ loops they replaced are test oracles in tests/oracle_tkk.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, int_dtype, integer_kernel,
+from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, integer_kernel,
                     primitive_row_blocks)
 from .superspace import (SuperAlgebra, Witness, check_superanticommutative,
-                         check_supercommutative, frozen_table, memoized)
+                         check_supercommutative, memoized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,26 +224,6 @@ def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
     return _stack_space("Inn", l_stack(V).bracket(), (V.dim,), V)
 
 
-def _integer_tables(*tables) -> tuple:
-    """Sparse tables {key: {k: c}} scaled by one common denominator to integer
-    tables.  Every row of a system assembled from them is scaled alike, so its
-    kernel is unchanged."""
-    den = lcm(*(int(c.denominator) for t in tables for w in t.values() for c in w.values()))
-    return tuple({key: {k: int(c.numerator) * (den // int(c.denominator)) for k, c in w.items()}
-                  for key, w in t.items()} for t in tables)
-
-
-def _support(table, arity: int) -> tuple:
-    """The nonzero entries of an integer table {key: {k: c}} with keys of the
-    given length, as int arrays (one per key slot, then k) and the constants,
-    in int64 when they fit (`int_dtype`)."""
-    import numpy as np
-    keys = [key + (k,) for key, w in table.items() for k in w]
-    vals = [c for w in table.values() for c in w.values()]
-    at = np.array(keys, dtype=np.int64).reshape(len(keys), arity + 1).T
-    return (*at, np.array(vals, dtype=int_dtype(max(map(abs, vals), default=0))))
-
-
 def _runs(cost, budget: int = 2 ** 16):
     """Ranges [lo, hi) of consecutive first indices whose costs (triplets
     broadcast) sum to about budget, one index at least: the chunks of an
@@ -401,14 +386,15 @@ def _derivation_rule_kernels(maps, parities) -> tuple:
                                      T(..., X_{op_s} x_s, ...)
 
     of every trilinear table in maps, given as (T, out, (op_1, op_2, op_3),
-    (eps_1, eps_2, eps_3)); T maps (i, j, k) to the coordinates of
-    T(e_i, e_j, e_k), and slot s takes its basis from the space of X_{op_s}.
+    (eps_1, eps_2, eps_3)); T[i, j, k, l] is an integer multiple, one for
+    all of T, of the e_l coordinate of T(e_i, e_j, e_k), and slot s takes
+    its basis from the space of X_{op_s}.
 
-    Equation (T, i, j, k, l) is the e_l coordinate, on the tables scaled to
-    one common denominator; its terms are COO triplets broadcast from the
-    support of T, four at most to an entry, and `exact.primitive_row_blocks`
-    splits them by the parity of X.  Each kernel comes back with X_s
-    flattened row-major at offset s * dim_0^2.
+    Equation (T, i, j, k, l) is the e_l coordinate (one T each, so T's scale
+    leaves the kernel unchanged); its terms are COO triplets broadcast from
+    the nonzeros of T, four at most to an entry, and
+    `exact.primitive_row_blocks` splits them by the parity of X.  Each
+    kernel comes back with X_s flattened row-major at offset s * dim_0^2.
     """
     import numpy as np
     dims = [len(p) for p in parities]
@@ -418,7 +404,6 @@ def _derivation_rule_kernels(maps, parities) -> tuple:
     position_of = np.zeros_like(block_of)
     for b in (0, 1):
         position_of[block_of == b] = np.arange(np.count_nonzero(block_of == b))
-    tables = _integer_tables(*(t for t, *_ in maps))
 
     def terms(m, table, lo, hi):
         """(eq, col, val, keep), broadcast, for the equations (T, i, j, k, l)
@@ -446,8 +431,9 @@ def _derivation_rule_kernels(maps, parities) -> tuple:
                    np.where(koszul, e * xs, -e * xs), True)
 
     def chunks():
-        for m, (_, out, ops, _) in enumerate(maps):
-            table = _support(tables[m], 3)
+        for m, (T, out, ops, _) in enumerate(maps):
+            at = np.nonzero(T)
+            table = (*at, T[at])
             # equation (T, i, j, k, l) broadcasts a triplet per entry T(e_i, ...)
             # and output slot of X_out, X_{op_2} and X_{op_3}, one per entry of T
             width = dims[out] + dims[ops[1]] + dims[ops[2]]
@@ -472,18 +458,29 @@ def _derivation_rule_kernels(maps, parities) -> tuple:
 class JordanPair:
     """Superpair (V+, V-) stored through its basis triple products.
 
-    triples[sigma] maps (i, j, k) to the coordinates of {e_i, e_j, e_k}^sigma,
-    where i, k index V^sigma and j indexes V^(-sigma); sigma is 0 for + and
-    1 for -.  Immutable like SuperAlgebra: the triples are read-only copies.
+    tensors[sigma][i, j, k, l] = den ({e_i, e_j, e_k}^sigma)_l, where i, k
+    index V^sigma and j indexes V^(-sigma); sigma is 0 for + and 1 for -.
+    Two integer arrays with one denominator; a pair given by rational triples
+    {(i, j, k): {l: c}} is JordanPair(name, parities,
+    *tensor.encode(triples, shapes)).  Immutable like SuperAlgebra: the
+    arrays are read-only copies.
     """
 
     name: str
     parities: tuple  # (parities of V+, parities of V-)
-    triples: tuple   # (dict for sigma=+, dict for sigma=-)
+    tensors: tuple   # (T+, T-)
+    den: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "triples", tuple(frozen_table(t) for t in self.triples))
+        import numpy as np
+        dp, dm = map(len, self.parities)
+        tensors = tuple(np.array(t) for t in self.tensors)
+        if [t.shape for t in tensors] != [(dp, dm, dp, dp), (dm, dp, dm, dm)]:
+            raise ValueError(f"triple tensors do not fit the dims {(dp, dm)}")
+        for t in tensors:
+            t.flags.writeable = False
+        object.__setattr__(self, "tensors", tensors)
 
     def dim(self, sigma: int) -> int:
         return len(self.parities[sigma])
@@ -492,7 +489,8 @@ class JordanPair:
         return self.parities[sigma][i]
 
     def basis_triple(self, sigma: int, i: int, j: int, k: int) -> dict:
-        return self.triples[sigma].get((i, j, k), {})
+        """The nonzero coordinates {l: c} of {e_i, e_j, e_k}^sigma."""
+        return {l: Q(x, self.den) for l, x in enumerate(self.tensors[sigma][i, j, k].tolist()) if x}
 
     @property
     def shape(self) -> tuple:
@@ -501,25 +499,24 @@ class JordanPair:
 
 @memoized
 def double(V: SuperAlgebra) -> JordanPair:
-    """The doubled superpair (V, V), both triples read off
-    `tensor.triple_tensor` (d**2 times the algebra triple)."""
+    """The doubled superpair (V, V), both tensors `tensor.triple_tensor`
+    (d**2 times the algebra triple)."""
     T, d = tensor.triple_tensor(V)
-    table = tensor.decode(T, d * d)
-    return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (table, table))
+    return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (T, T), d * d)
 
 
 def pair_d_stack(pair: JordanPair) -> OperatorStack:
     """The derivation pairs D_{e_i, e_u}, e_i in V+ and e_u in V-, in
     row-major order over (i, u): D {e_i, e_u, .}+ on V+ and the companion
-    -(-1)^{|i||u|} {e_u, e_i, .}- on V-, read off the encoded triples."""
+    -(-1)^{|i||u|} {e_u, e_i, .}- on V-, read off the pair's tensors."""
     import numpy as np
     dp, dm = pair.shape
-    (T0, T1), d = tensor.encode(pair.triples, [(dp, dm, dp, dp), (dm, dp, dm, dm)])
+    T0, T1 = pair.tensors
     pp, pm = (np.array(p, dtype=np.int64) for p in pair.parities)
     odd = np.outer(pp, pm) % 2  # the companion's sign is 2 odd - 1
     plus = T0.transpose(0, 1, 3, 2).reshape(dp * dm, dp, dp)
     minus = ((2 * odd - 1)[:, :, None, None] * T1.transpose(1, 0, 3, 2)).reshape(dp * dm, dm, dm)
-    return OperatorStack((plus, minus), ((pp[:, None] + pm[None]) % 2).reshape(-1), d)
+    return OperatorStack((plus, minus), ((pp[:, None] + pm[None]) % 2).reshape(-1), pair.den)
 
 
 @memoized
@@ -532,29 +529,21 @@ def pair_inn(v) -> OperatorSpace:
     return _stack_space("Inn(V,V)", pair_d_stack(pair), pair.shape)
 
 
-def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
-    """Pairs (D+, D-) satisfying the derivation rule for both triples:
+@memoized
+def pair_der(v) -> OperatorSpace:
+    """All superderivations of the pair (of the doubled pair for an algebra):
+    the pairs (D+, D-) satisfying the derivation rule for both triples,
     D_sigma {x, y, z} = {D_sigma x, y, z} + (-1)^{|D||x|} {x, D_-sigma y, z}
                         + (-1)^{|D|(|x|+|y|)} {x, y, D_sigma z}."""
-    return _pair_derivation_kernels(pair)[parity]
-
-
-def _pair_derivation_kernels(pair: JordanPair) -> tuple:
-    return _derivation_rule_kernels(
-        [(pair.triples[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)], pair.parities)
+    pair = double(v) if isinstance(v, SuperAlgebra) else v
+    maps = [(pair.tensors[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)]
+    return OperatorSpace("Der(V,V)", *_derivation_rule_kernels(maps, pair.parities), pair.shape)
 
 
 @memoized
-def pair_der(v) -> OperatorSpace:
-    """All superderivations of the pair (of the doubled pair for an algebra)."""
-    pair = double(v) if isinstance(v, SuperAlgebra) else v
-    return OperatorSpace("Der(V,V)", *_pair_derivation_kernels(pair), pair.shape)
-
-
 def check_pair_axioms(pair: JordanPair) -> Witness | None:
     """Outer symmetry and the 5-linear identity on all homogeneous basis tuples."""
-    tables, _ = tensor.encode(pair.triples,
-                              [(a, b, a, a) for a, b in (pair.shape, pair.shape[::-1])])
+    tables = pair.tensors
     for sigma in (0, 1):
         p, q = pair.parities[sigma], pair.parities[1 - sigma]
         at = tensor.outer_symmetry_defect(tables[sigma], p, q)
@@ -578,12 +567,12 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
                   = X U_{a,b} + (-1)^{|Y|(|a|+|b|)} U_{a,b} Y,
     identity 2 is the same with X and Y exchanged.  Applied to z, identity 1
     is the derivation rule of U(a, b, z) = U_{a,b} z with X on the output and
-    the first two slots and Y, with sign -1, on the third; U is read off the
-    doubled pair's triple as U(a, b, z) = (-1)^{|b||z|} {a, z, b}.
+    the first two slots and Y, with sign -1, on the third; U is one signed
+    transpose of the doubled pair's tensor, U(a, b, z) = (-1)^{|b||z|} T[a, z, b].
     """
+    import numpy as np
     par = V.parities
-    U = {(a, b, z): {l: -c if par[b] * par[z] else c for l, c in w.items()}
-         for (a, z, b), w in double(V).triples[0].items()}
+    U = ((-1) ** np.outer(par, par))[:, :, None] * double(V).tensors[0].transpose(0, 2, 1, 3)
     maps = [(U, f, (f, f, 1 - f), (1, 1, -1)) for f in (0, 1)]
     return OperatorSpace("str_w", *_derivation_rule_kernels(maps, (par, par)), (V.dim, V.dim), V)
 

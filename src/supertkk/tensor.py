@@ -10,13 +10,17 @@ ints, still exact.
 An algebra's own table is encoded once, as an `IntTable`: its nonzero
 constants as sorted COO arrays with d and max|value|, built in one pass over
 the rational table and kept, read-only, in the algebra's memo
-(`SuperAlgebra.int_table`).  Every reader of an algebra's table starts from
-it.  Super-Jacobi joins its nonzeros with each other on the contracted
-index, a fixed number of products at a time, so its work follows the
-nonzeros and its memory the chunk; the dense kernels (the Jordan checks,
-which hold O(n**5) entries, and the Kantor relations) scatter a dense
-n x n x n array from it on request.  `encode` serves the tables that belong
-to no algebra: operator flats, triple tables, images of a map.
+(`SuperAlgebra.int_table`).  The identity checks, the Leibniz system and
+the integer readers of the constructions start from it; the symmetry
+checks, `center`, `derived`, `subalgebra`, `jordan.find_unit`, the ad rows
+of `tkk.lie_der_tower`, the Kantor P vector and the `tits` and `koecher_d`
+builders still read the rational table.  Super-Jacobi joins its nonzeros
+with each other on the contracted index, a fixed number of products at a
+time, so its work follows the nonzeros and its memory the chunk; the dense
+kernels (the Jordan checks, which hold O(n**5) entries, and the Kantor
+relations) scatter a dense n x n x n array from it on request.  `encode`
+serves the tables that belong to no algebra: operator flats, images of a
+map, the triples of a pair given by rational constants.
 
 The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
@@ -28,10 +32,10 @@ The degree-0 parts of the TKK constructions run here too: `brackets` forms
 the supercommutators of two stacks of integer matrices in one batched
 product, `pivot_coordinates` reads coordinates in a canonical basis off its
 pivot columns and certifies them by one recombination, `decode` turns an
-integer tensor back into a rational table (the doubled pair is `decode` of
-`triple_tensor`), and `bracket_map_defect` checks a linear map against two
-bracket tables.  The J functor's triples [[x, y], z] of a 3-graded Lie
-table are one product of two of its slices (`lie_triples`, by `contract`).
+integer tensor back into a rational table, and `bracket_map_defect` checks
+a linear map against two bracket tables.  The J functor's triples
+[[x, y], z] of a 3-graded Lie table are one product of two of its slices
+(`lie_triples`, by `contract`).
 numpy is imported lazily: a Jordan algebra is built without it, while a Lie
 algebra loads it through its super-Jacobi check.
 """
@@ -102,8 +106,9 @@ class IntTable:
 def encode(tables, shapes) -> tuple:
     """(tensors, d): tensors of the given shapes for sparse tables {index: {k: c}},
     entry [index + (k,)] = c * d with one denominator d common to all tables.
-    For tables that belong to no algebra (operator flats, triples, the
-    images of a map); an algebra's own table is read off its `IntTable`."""
+    For tables that belong to no algebra (operator flats, the images of a
+    map, the triples of a pair given by rational constants); an algebra's
+    own table is read off its `IntTable`."""
     import numpy as np
     d = lcm(1, *{int(c.denominator) for t in tables for e in t.values() for c in e.values()})
     out = []

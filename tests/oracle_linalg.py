@@ -19,9 +19,10 @@ dense U_{e_i,e_j} matrices of the two U-operator identities.
 before it built the system as numpy COO triplets for
 `exact.primitive_row_blocks`: per-equation dict rows, each made primitive
 and deduplicated by `exact.primitive_rows`; it is kept verbatim, not
-memoized.  `verify_kernel` is the dense kernel certificate that
-supertkk.exact ran before it evaluated only the nonzero entries: every row
-block built densely and multiplied by the kernel basis.  `integer_kernel`
+memoized, with the `_integer_tables` it scaled its table by.
+`verify_kernel` is the dense kernel certificate that supertkk.exact ran
+before it evaluated only the nonzero entries: every row block built
+densely and multiplied by the kernel basis.  `integer_kernel`
 is the all-rows elimination that supertkk.exact ran before its
 structured-elimination pre-pass: every row goes through `exact._echelon`
 as a dict; it is kept verbatim but for its certificate, which is the dense
@@ -47,7 +48,7 @@ from supertkk import exact
 from supertkk.exact import (ONE, ZERO, Q, Subspace, certify, kernel_sparse, primitive_rows,
                             vec_is_zero)
 from supertkk.jordan import _parity_parts, triple
-from supertkk.structure import JordanPair, OperatorSpace, _integer_tables
+from supertkk.structure import JordanPair, OperatorSpace
 from supertkk.superspace import (SuperAlgebra, check_superanticommutative,
                                  check_supercommutative, parity_sign)
 
@@ -466,6 +467,15 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
         parts[parity] = _kernel_space(kernel_sparse(rows, len(cols)),
                                       [s * n * n + r * n + c for s, r, c in cols], 2 * n * n)
     return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)
+
+
+def _integer_tables(*tables) -> tuple:
+    """Sparse tables {key: {k: c}} scaled by one common denominator to integer
+    tables.  Every row of a system assembled from them is scaled alike, so its
+    kernel is unchanged."""
+    den = lcm(*(int(c.denominator) for t in tables for w in t.values() for c in w.values()))
+    return tuple({key: {k: int(c.numerator) * (den // int(c.denominator)) for k, c in w.items()}
+                  for key, w in t.items()} for t in tables)
 
 
 def leibniz_blocks(a: SuperAlgebra) -> dict:

@@ -86,7 +86,8 @@ def double(V: SuperAlgebra) -> JordanPair:
                 t = triple(V, V.basis_vector(i), V.basis_vector(j), V.basis_vector(k))
                 if any(t):
                     table[i, j, k] = {l: c for l, c in enumerate(t) if c}
-    return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (table, table))
+    return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities),
+                      *tensor.encode((table, table), [(n,) * 4] * 2))
 
 
 def pair_triple(pair: JordanPair, sigma: int, x, y, z) -> tuple:
@@ -805,7 +806,9 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
         tables.append(table)
     parities = (tuple(g.parity(i) for i in blocks[1]),
                 tuple(g.parity(i) for i in blocks[-1]))
-    pair = JordanPair(f"J({g.name})", parities, tuple(tables))
+    dp, dm = len(blocks[1]), len(blocks[-1])
+    pair = JordanPair(f"J({g.name})", parities,
+                      *tensor.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
     if check:
         witness = check_pair_axioms(pair)
         certify(witness is None, f"superpair axioms fail: {witness}")

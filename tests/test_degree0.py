@@ -24,7 +24,7 @@ from supertkk.exact import CertificateError, Q, Subspace
 from supertkk.structure import (OperatorSpace, _space, double, inclusion_report,
                                 inn_algebra, istr_tilde, l_space, pair_inn)
 from supertkk.superspace import SuperAlgebra, make_algebra
-from test_tensor import _as_jordan, _rescaled, _sl2, graded_tables, twelfths
+from test_tensor import _as_jordan, _pair_tables, _rescaled, _sl2, graded_tables, twelfths
 
 SETTINGS = dict(max_examples=25, deadline=None)
 values = st.one_of(st.just(Q(0)), st.just(Q(0)), twelfths)
@@ -193,7 +193,7 @@ def test_istr_tilde_matches_the_d_op_loop(V):
 @settings(**SETTINGS)
 def test_double_matches_the_triple_loop(V):
     got, want = double(V), oracle.double(V)
-    assert got.parities == want.parities and got.triples == want.triples
+    assert got.parities == want.parities and _pair_tables(got) == _pair_tables(want)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_degree0_contractions_prove_their_int64_bound(monkeypatch):
 
     monkeypatch.setattr(tensor, "_exact", spy)
     _assert_constructions_match(V)
-    assert double(V).triples == oracle.double(V).triples
+    assert _pair_tables(double(V)) == _pair_tables(oracle.double(V))
     assert tkk.pair_der_matches_der0(V) == oracle.pair_der_matches_der0(V)
     for kernel in ("brackets", "pivot_coordinates"):  # both reach the object path
         assert False in {proved for caller, proved, _ in casts if caller == kernel}, kernel

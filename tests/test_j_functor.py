@@ -12,6 +12,7 @@ tables and images.
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +22,9 @@ from supertkk import structure, tensor, tkk
 from supertkk.catalog import (_JORDAN_DEFAULTS, jordan_catalog, load_algebra, resolve,
                               save_algebra)
 from supertkk.exact import CertificateError, GeneratedSpan, Q
-from supertkk.structure import _space, pair_inn
+from supertkk.structure import JordanPair, _space, pair_inn
 from supertkk.superspace import SuperAlgebra
-from test_tensor import _rescaled, twelfths
+from test_tensor import _pair_tables, _rescaled, twelfths
 
 SETTINGS = dict(max_examples=15, deadline=None)
 SMALL = ("kacK", "j19", "full_matrix:1,1", "form:1,2", "dt:1/2", "trunc_poly:4")
@@ -44,7 +45,7 @@ def _outcome(compute):
 
 def _pair(module, g):
     pair = module.j_functor(g, check=False)
-    return pair.parities, pair.triples
+    return pair.parities, _pair_tables(pair)
 
 
 def _inverse(module, g):
@@ -195,6 +196,44 @@ def test_repeated_inverse_checks_build_ko_of_j_once(monkeypatch):
         assert all(r.passed for r in tkk.koecher_inverse_check(g))
     assert labels.count("Inn(V,V)") == 1, labels
     assert tkk.j_functor(g) is tkk.j_functor(g, check=False)
+
+
+def test_repeated_inverse_checks_run_the_axiom_check_once(monkeypatch):
+    # check_pair_axioms is memoized on the pair, which J(g) keeps: the first
+    # check scans both triples, the next two find its verdict
+    V = load_algebra(save_algebra(jordan_catalog("full_matrix", 2, 1)))  # a fresh object
+    g = tkk.koecher(V).lie
+    scans = []
+    scan = tensor.outer_symmetry_defect
+
+    def spy(T, p, q):
+        scans.append(T.shape)
+        return scan(T, p, q)
+
+    monkeypatch.setattr(tensor, "outer_symmetry_defect", spy)
+    for _ in range(3):
+        assert all(r.passed for r in tkk.koecher_inverse_check(g))
+    assert len(scans) == 2, scans  # one run: sigma = + and sigma = -
+
+
+@pytest.mark.parametrize("source", ("kacK", "full_matrix:1,1", "j19"))
+def test_j_roundtrip_compares_the_tensors_at_their_denominators(source, monkeypatch):
+    # a raised entry of either tensor of J(Ko(V)) fails the round trip; the
+    # same pair at 3 times its tensors and 3 times its denominator passes
+    V = resolve(source)
+    pair = tkk.j_functor(tkk.koecher(V).lie, check=False)
+    assert tkk.j_roundtrip_check(V).passed
+    cases = [(JordanPair(pair.name, pair.parities, tuple(3 * T for T in pair.tensors),
+                         3 * pair.den), "triple tables agree")]
+    for sigma, nth in ((0, 0), (1, -1)):  # the first nonzero of T+, the last of T-
+        tensors = [T.copy() for T in pair.tensors]
+        tensors[sigma][tuple(np.argwhere(tensors[sigma])[nth])] += 1
+        cases.append((JordanPair(pair.name, pair.parities, tensors, pair.den),
+                      "triple tables differ"))
+    for other, detail in cases:
+        monkeypatch.setattr(tkk, "j_functor", lambda g, check=True: other)
+        got = tkk.j_roundtrip_check(V)
+        assert (got.passed, got.detail) == (detail.endswith("agree"), detail), detail
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,13 @@ from supertkk.structure import (
     l_stack,
     pair_d_stack,
     pair_der,
-    pair_derivation_kernel,
     pair_inn,
     str_algebra,
     str_w,
     structure_summary,
 )
 from supertkk.superspace import SuperAlgebra, make_algebra, memoized, mirror
-from test_tensor import _rescaled, _sl2
+from test_tensor import _pair_tables, _rescaled, _sl2
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -176,12 +175,12 @@ def test_pair_der_of_a_j_functor_pair_matches_the_oracle(source):
     g = resolve(source)
     pair = tkk.j_functor(tkk.koecher(g).lie if g.kind == "jordan" else g)
     for parity in (0, 1):
-        assert (pair_derivation_kernel(pair, parity)
-                == oracle.pair_derivation_kernel(pair, parity)), parity
+        assert pair_der(pair).part(parity) == oracle.pair_derivation_kernel(pair, parity), parity
     if g.kind == "jordan":
         assert pair_der(pair) == pair_der(g)
     else:
-        assert pair.triples[0] != pair.triples[1]
+        plus, minus = _pair_tables(pair)
+        assert plus != minus
 
 
 def test_unital_str_w_is_str():
@@ -290,10 +289,11 @@ def test_der_algebra_of_a_table_without_symmetry():
 
 
 @st.composite
-def rational_pairs(draw):
-    """A random pair of triple tables on V+ and V- with dim V+ != dim V-, at
-    least one odd basis vector, parity-homogeneous rational constants, and in
-    general no superpair axiom."""
+def rational_triples(draw):
+    """(parities, tables): random triple tables {(i, j, k): {l: c}} on V+ and
+    V- with dim V+ != dim V-, at least one odd basis vector,
+    parity-homogeneous nonzero rational constants, and in general no
+    superpair axiom."""
     dp, dm = draw(st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]))
     parities = [draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)) for d in (dp, dm)]
     if not any(parities[0] + parities[1]):
@@ -311,15 +311,44 @@ def rational_pairs(draw):
                                 and draw(st.integers(1, sparsity)) == 1):
                             table.setdefault((i, j, k), {})[l] = draw(constants)
         tables.append(table)
-    return JordanPair("random", tuple(map(tuple, parities)), tuple(tables))
+    return tuple(map(tuple, parities)), tables
 
 
-@given(rational_pairs())
+def _pair_of(parities, tables):
+    """The JordanPair of rational triple tables, encoded at one denominator."""
+    dp, dm = map(len, parities)
+    return JordanPair("random", parities,
+                      *tensor.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
+
+
+@given(rational_triples())
 @settings(max_examples=60, deadline=None)
-def test_pair_derivation_kernel_matches_fraction_oracle(pair):
+def test_pair_derivation_kernel_matches_fraction_oracle(triples):
+    pair = _pair_of(*triples)
     for parity in (0, 1):
-        assert (pair_derivation_kernel(pair, parity)
-                == oracle.pair_derivation_kernel(pair, parity)), parity
+        assert pair_der(pair).part(parity) == oracle.pair_derivation_kernel(pair, parity), parity
+
+
+@given(rational_triples())
+@settings(max_examples=40, deadline=None)
+def test_a_pair_returns_its_rational_triples_and_is_read_only(triples):
+    parities, tables = triples
+    pair = _pair_of(parities, tables)
+    for sigma, table in enumerate(tables):
+        dims = (pair.dim(sigma), pair.dim(1 - sigma), pair.dim(sigma))
+        for key in np.ndindex(*dims):
+            assert pair.basis_triple(sigma, *key) == table.get(key, {}), (sigma, key)
+        T = pair.tensors[sigma]
+        with pytest.raises(ValueError):
+            T[(0,) * 4] = 1
+    # the pair keeps a copy: writing to the arrays it was built from changes nothing
+    source, den = tensor.encode(tables, [t.shape for t in pair.tensors])
+    copy = JordanPair("copy", parities, source, den)
+    source[0][...] += 1
+    assert all(copy.basis_triple(0, *key) == tables[0].get(key, {})
+               for key in np.ndindex(*copy.tensors[0].shape[:3]))
+    with pytest.raises(ValueError, match="do not fit"):  # dim V+ != dim V-
+        JordanPair("swapped", parities, source[::-1], den)
 
 
 @st.composite

@@ -199,11 +199,10 @@ def test_algebras_are_immutable():
 def test_superpairs_are_immutable():
     V = jordan_catalog("j19")
     for pair in (double(V), j_functor(koecher(V).lie)):
-        for table in pair.triples:
-            key = next(iter(table))
-            with pytest.raises(TypeError):
-                table[key] = {0: Q(1)}
-            with pytest.raises(TypeError):
-                table[key][0] = Q(1)
+        for T in pair.tensors:
+            with pytest.raises(ValueError):
+                T[(0,) * 4] = 1
         with pytest.raises(AttributeError):
             pair.name = "x"
+        with pytest.raises(AttributeError):
+            pair.tensors = ()

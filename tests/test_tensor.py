@@ -96,7 +96,15 @@ def triple_pairs(draw):
                             if symmetric and k != i:
                                 table.setdefault((k, j, i), {})[l] = s * c
         tables.append(table)
-    return JordanPair("random", tuple(par), tuple(tables))
+    dp, dm = dims
+    return JordanPair("random", tuple(par),
+                      *tensor.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
+
+
+def _pair_tables(pair):
+    """The pair's rational triple tables {(i, j, k): {l: c}}, decoded from its
+    tensors, for exact comparison."""
+    return tuple(tensor.decode(T, pair.den) for T in pair.tensors)
 
 
 def _perturbed(a, sym=None, nth=0):
@@ -257,11 +265,9 @@ def test_perturbed_jordan_catalog_is_rejected_like_the_oracle(source):
         _assert_same(bad)
         assert any(new(bad) is not None for new, _ in JORDAN_CHECKS) or not control
     pair = j_functor(koecher(V).lie, check=False)
-    plus = dict(pair.triples[0])
-    (i, j, k), entry = next(iter(plus.items()))
-    l, c = next(iter(entry.items()))
-    plus[i, j, k] = {**entry, l: c + 1}
-    bad_pair = JordanPair(pair.name, pair.parities, (plus, pair.triples[1]))
+    plus = pair.tensors[0].copy()
+    plus[tuple(np.argwhere(plus)[0])] += pair.den  # its first nonzero triple, raised by 1
+    bad_pair = JordanPair(pair.name, pair.parities, (plus, pair.tensors[1]), pair.den)
     assert check_pair_axioms(pair) is None
     w = check_pair_axioms(bad_pair)
     assert _key(w) == _key(oracle.check_pair_axioms(bad_pair))
