@@ -29,9 +29,10 @@ Integer systems assembled as numpy COO triplets are made primitive by
 sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
 splits them into blocks of columns (an `IntRows` each) and removes repeated
 rows; the rational `primitive_rows` serves `Subspace`, `rref` and
-`kernel_sparse`.  The kernel certificate evaluates only the nonzero entries
-of the rows.  Every numpy path runs in int64 only after proving its bound
-below 2**62 (`int_dtype`), and on object-dtype Python ints otherwise.
+`kernel_sparse` (which only `kernel` calls).  The kernel certificate
+evaluates only the nonzero entries of the rows.  Every numpy path runs in
+int64 only after proving its bound below 2**62 (`int_dtype`), else on
+object-dtype Python ints.
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ class Subspace:
         self.basis = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
         return self
+
+    @classmethod
+    def from_int_rows(cls, ambient: int, int_rows: "IntRows") -> "Subspace":
+        """The span of the rows of an integer system (`IntRows`)."""
+        return cls._from_canonical(ambient, *_rational_rows(_echelon(int_rows.dicts()), ambient))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -362,9 +368,8 @@ def row_primitive(row: dict) -> dict:
 
 def primitive_rows(rows: Iterable[dict]) -> list[dict]:
     """The distinct nonzero primitive integer rows of sparse rational rows,
-    one `row_primitive` each: for the rational rows of `Subspace`, `rref` and
-    `kernel_sparse` (`center`); integer systems assembled as COO triplets take
-    `primitive_row_blocks`."""
+    one `row_primitive` each: for `Subspace`, `rref` and `kernel_sparse`
+    (`kernel`); integer systems take `primitive_row_blocks`."""
     out, seen = [], set()
     for row in rows:
         pr = row_primitive(row)
@@ -477,8 +482,9 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     if not parts:
         return {b: IntRows.from_dicts(()) for b in range(nblocks)}
     blocks, lens, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    blocks, lens, cols, vals = _distinct_rows(blocks, np.r_[0, np.cumsum(lens)[:-1]], lens,
-                                              cols, vals)
+    if len(parts) > 1:  # the rows of one chunk are distinct already
+        blocks, lens, cols, vals = _distinct_rows(blocks, np.r_[0, np.cumsum(lens)[:-1]], lens,
+                                                  cols, vals)
     by_block = np.argsort(np.repeat(blocks, lens), kind="stable")
     rows = np.argsort(blocks, kind="stable")
     blocks, lens = blocks[rows], lens[rows]

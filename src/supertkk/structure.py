@@ -270,28 +270,23 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     them; an entry sums at most three table constants.
     """
     import numpy as np
-    n = a.dim
-    deg, par = [a.zdegree(i) for i in range(n)], a.parities
-    for (i, j), w in a.table.items():
-        for k in w:
-            if par[k] != (par[i] + par[j]) % 2 or deg[k] != deg[i] + deg[j]:
-                raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k}")
+    n, t, ks = a.dim, a.int_table, np.arange(a.dim)
+    I, J, K, C = t.i, t.j, t.k, t.value
+    deg, p = (np.array(x, dtype=np.int64) for x in ([a.zdegree(i) for i in range(n)], a.parities))
+    bad = np.flatnonzero((p[K] != (p[I] + p[J]) % 2) | (deg[K] != deg[I] + deg[J]))
+    if len(bad):
+        raise ValueError("inhomogeneous product: e_{}*e_{} hits e_{}".format(
+            *(int(x[bad[0]]) for x in (I, J, K))))
     # the symmetry checks are memoized; asking first for the one a's kind
     # was built with reuses the check make_algebra ran
     checks = (check_superanticommutative, check_supercommutative)
     symmetric = any(check(a) is None for check in (checks[::-1] if a.kind == "jordan" else checks))
-    cols: dict = {}
-    block_of, position_of = np.zeros(n * n, dtype=np.int64), np.zeros(n * n, dtype=np.int64)
-    for r in range(n):
-        for c in range(n):
-            cols.setdefault((deg[r] - deg[c], (par[r] + par[c]) % 2), []).append((r, c))
-    keys = sorted(cols)
-    for b, key in enumerate(keys):
-        flat = [r * n + c for r, c in cols[key]]
-        block_of[flat], position_of[flat] = b, np.arange(len(flat))
-    t = a.int_table
-    I, J, K, C = t.i, t.j, t.k, t.value
-    p, ks = np.array(par, dtype=np.int64), np.arange(n)
+    # D[r, c] lies in block (deg r - deg c, |r| + |c|), numbered by its code 2 shift + parity
+    codes, block_of = np.unique((2 * (deg[:, None] - deg) + (p[:, None] + p) % 2).ravel(),
+                                return_inverse=True)
+    flats = np.argsort(block_of, kind="stable")  # row-major within each block
+    cut = np.searchsorted(block_of[flats], np.arange(len(codes) + 1))
+    position_of = np.argsort(flats) - cut[block_of]
 
     def terms(lo, hi):
         """(eq, col, val, keep), broadcast, for the equations (i, j, k) with
@@ -315,7 +310,9 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     chunks = (_triplets(terms(lo, hi))
               for lo, hi in _runs(2 * n * np.bincount(I, minlength=n) + len(I)))
     rows = primitive_row_blocks(chunks, 3, block_of, position_of)
-    return {key: (tuple(cols[key]), rows[b]) for b, key in enumerate(keys)}
+    rc, cut = list(zip(*(x.tolist() for x in np.divmod(flats, n)))), cut.tolist()
+    return {(code // 2, code % 2): (tuple(rc[cut[b]:cut[b + 1]]), rows[b])
+            for b, code in enumerate(codes.tolist())}
 
 
 def _kernel_space(kernel, positions, ambient: int) -> Subspace:

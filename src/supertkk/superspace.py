@@ -19,8 +19,8 @@ from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (GeneratedSpan, Q, Subspace, ZERO, certify, kernel_sparse,
-                            row_primitive)
+from supertkk.exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, integer_kernel,
+                            primitive_row_blocks)
 
 
 @dataclass
@@ -246,33 +246,23 @@ def parity_dims(a: SuperAlgebra) -> tuple:
     return even, a.dim - even
 
 
+def _table_rows(a: SuperAlgebra, eq, col) -> IntRows:
+    """The distinct primitive rows of entries (eq[m], col[m]) = a.int_table.value[m]."""
+    import numpy as np
+    return primitive_row_blocks([(eq, col, a.int_table.value)], 1,
+                                np.zeros(a.dim, dtype=np.int64), np.arange(a.dim))[0]
+
+
 def center(a: SuperAlgebra) -> Subspace:
-    """{x : x*y = 0 for all y} as a subspace of the underlying space."""
-    rows = []
-    for i in range(a.dim):
-        cells: dict = {}
-        for j in range(a.dim):
-            for k, c in a.basis_product(j, i).items():
-                cells.setdefault(k, {})[j] = c
-        rows.extend(cells.values())
-    return Subspace(a.dim, kernel_sparse(rows, a.dim))
+    """{x : x*y = 0 for all y}: the kernel of M[(j, k), i] = C[i, j, k]."""
+    t = a.int_table
+    return Subspace(a.dim, integer_kernel(_table_rows(a, t.j * a.dim + t.k, t.i), a.dim))
 
 
 def derived(a: SuperAlgebra) -> Subspace:
-    """Span of all products of basis elements."""
-    vecs = []
-    seen = set()  # the table repeats many proportional rows; dedupe first
-    for entry in a.table.values():
-        key = row_primitive(entry)
-        sig = tuple(sorted(key.items()))
-        if not sig or sig in seen:
-            continue
-        seen.add(sig)
-        v = [ZERO] * a.dim
-        for k, c in entry.items():
-            v[k] = c
-        vecs.append(tuple(v))
-    return Subspace(a.dim, vecs)
+    """Span of all products of basis elements: the table's rows (i, j) -> k."""
+    t = a.int_table
+    return Subspace.from_int_rows(a.dim, _table_rows(a, t.i * a.dim + t.j, t.k))
 
 
 def _graded_components(a: SuperAlgebra, vec) -> dict:

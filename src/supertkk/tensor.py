@@ -10,11 +10,11 @@ ints, still exact.
 An algebra's own table is encoded once, as an `IntTable`: its nonzero
 constants as sorted COO arrays with d and max|value|, built in one pass over
 the rational table and kept, read-only, in the algebra's memo
-(`SuperAlgebra.int_table`).  The identity checks, the Leibniz system and
-the integer readers of the constructions start from it; the symmetry
-checks, `center`, `derived`, `subalgebra`, `jordan.find_unit`, the ad rows
-of `tkk.lie_der_tower`, the Kantor P vector and the `tits` and `koecher_d`
-builders still read the rational table.  Super-Jacobi joins its nonzeros
+(`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
+`center`, `derived`, the ad rows of `tkk.lie_der_tower` and the integer
+readers of the constructions start from it; the symmetry checks,
+`subalgebra`, `jordan.find_unit`, the Kantor P vector and the `tits` and
+`koecher_d` builders still read the rational table.  Super-Jacobi joins its nonzeros
 with each other on the contracted index, a fixed number of products at a
 time, so its work follows the nonzeros and its memory the chunk; the dense
 kernels (the Jordan checks, which hold O(n**5) entries, and the Kantor

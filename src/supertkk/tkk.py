@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tensor
-from .exact import (GeneratedSpan, Matrix, Q, Subspace, ZERO, certify, int_dtype,
-                    integer_kernel, rank_in_kernel, row_primitive, span)
+from .exact import (GeneratedSpan, IntRows, Matrix, Q, Subspace, ZERO, certify, int_dtype,
+                    integer_kernel, rank_in_kernel, span)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -845,27 +845,34 @@ def kantor_koecher_comparison(V: SuperAlgebra) -> CheckResult:
 # derivation towers of graded Lie superalgebras
 
 
+def _ad_rows(g: SuperAlgebra, shift: int, parity: int, cols) -> IntRows:
+    """The nonzero ad_x of the x of degree shift and parity, in order of x:
+    the entries C[x, c, k] = d [e_x, e_c]_k of the integer table, each at the
+    position of (k, c) in cols, the block's Leibniz columns in row-major order."""
+    import numpy as np
+    t, n = g.int_table, g.dim
+    flats = np.array(cols, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+    x = np.array([(g.zdegree(i), g.parity(i)) == (shift, parity) for i in range(n)])[t.i]
+    return IntRows(np.unique(t.i[x], return_counts=True)[1],
+                   np.searchsorted(flats, t.k[x] * n + t.j[x]), t.value[x])
+
+
 @memoized
 def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
     """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity).
 
-    Der is the kernel of each `leibniz_blocks` block.  Inn is the span of the
-    adjoint operators: every entry of ad_x is a table constant in the block
-    (deg x, |x|), so each ad_x of the block is scaled to a primitive integer
-    row, certified to kill the block's Leibniz rows, and Inn is the rank of
-    those rows.  The outer dimensions are the block-wise differences.  With
-    check_total, the block dimensions are re-verified against the ungraded
-    derivation kernel.
+    Der is the kernel of each `leibniz_blocks` block.  Inn is the rank of the
+    ad_x of the block (deg x, |x|), integer rows read off the integer table
+    (`_ad_rows`) and certified to kill the block's Leibniz rows; blocks have
+    disjoint columns, so the Inn ranks add up to dim g - dim Z(g).  The outer
+    dimensions are the block-wise differences.  With check_total, the block
+    dimensions are re-verified against the ungraded derivation kernel.
     """
-    n = g.dim
     tower = {}
     for (shift, parity), (cols, rows) in leibniz_blocks(g).items():
         m = len(cols)
         der = integer_kernel(rows, m)
-        pos = {rc: idx for idx, rc in enumerate(cols)}
-        ad = [row_primitive({pos[k, c]: x for c in range(n)
-                             for k, x in g.basis_product(i, c).items()})
-              for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)]
+        ad = _ad_rows(g, shift, parity, cols).dicts()
         inn = rank_in_kernel(rows, ad, m, f"adjoint operators must be derivations (shift {shift})")
         if der or inn:
             tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
@@ -936,18 +943,17 @@ def pair_der_matches_der0(v) -> CheckResult:
                        "Der(V+,V-) fills Der(Ko)_0 and matches brackets")
 
 
-def fingerprint(g: SuperAlgebra, include_out: bool = True) -> dict:
-    """Graded/parity dimensions, center and derived dims, and Out dims.
+def fingerprint(g: SuperAlgebra) -> dict:
+    """Graded/parity dimensions, center and derived dims, and Out dims; the
+    center has dim g - sum(Inn) over the derivation tower, as Inn(g) = g/Z(g).
 
     Equality of fingerprints is isomorphism evidence, never a proof; reports
     must say "consistent with", not "isomorphic".
     """
-    out = {
+    tower = lie_der_tower(g)
+    return {
         "dims": tuple(sorted(graded_dims(g).items())),
-        "center": center(g).dim,
+        "center": g.dim - sum(b["inn"] for b in tower.values()),
         "derived": derived(g).dim,
+        "out": tuple(sorted((k, b["out"]) for k, b in tower.items() if b["out"])),
     }
-    if include_out:
-        out["out"] = tuple(sorted(
-            (k, b["out"]) for k, b in lie_der_tower(g).items() if b["out"]))
-    return out

@@ -4,9 +4,13 @@ These are the basis-loop checkers that supertkk used before its exact tensor
 layer (supertkk.tensor), kept verbatim as the slow reference: the
 differential tests require the tensor checkers to return the same verdicts
 and witnesses.  The two graded-symmetry loops are the references for the
-table-key scan in superspace, and d_op is the former operator-formula
-D_{x,y}, the reference for the D operators read off tensor.triple_tensor
-(and for the Fraction-triple d_op of oracle_linalg).  The dense operators
+table-key scan in superspace, `center` and `derived` the former Fraction
+builders of superspace (a `kernel_sparse` over rows read off
+`basis_product`, and a span of the table rows deduplicated by
+`row_primitive`), the references for the ones on the integer table, and
+d_op is the former operator-formula D_{x,y}, the reference for the D
+operators read off tensor.triple_tensor (and for the Fraction-triple d_op
+of oracle_linalg).  The dense operators
 (Matrix, l_op, supercommutator) come from oracle_linalg.
 The tkk section holds the former Fraction loops of the g_0 action on
 Hom(V (x) V, V) and of kantor_relations, the references for
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from oracle_linalg import (GradedOperator, Matrix, l_op, left_mult_matrix, operator_parity,
                            supercommutator)
-from supertkk.exact import Q, ZERO
+from supertkk.exact import Q, Subspace, ZERO, kernel_sparse, row_primitive
 from supertkk.jordan import _parity_parts, find_unit, triple
 from supertkk.structure import CheckResult, JordanPair
 from supertkk.superspace import SuperAlgebra, Witness, parity_sign
@@ -87,6 +91,35 @@ def check_super_jacobi(a: SuperAlgebra) -> Witness | None:
                     return Witness((i, j, k),
                                    f"super-Jacobi fails at basis triple ({i},{j},{k})")
     return None
+
+
+def center(a: SuperAlgebra) -> Subspace:
+    """{x : x*y = 0 for all y} as a subspace of the underlying space."""
+    rows = []
+    for i in range(a.dim):
+        cells: dict = {}
+        for j in range(a.dim):
+            for k, c in a.basis_product(j, i).items():
+                cells.setdefault(k, {})[j] = c
+        rows.extend(cells.values())
+    return Subspace(a.dim, kernel_sparse(rows, a.dim))
+
+
+def derived(a: SuperAlgebra) -> Subspace:
+    """Span of all products of basis elements."""
+    vecs = []
+    seen = set()  # the table repeats many proportional rows; dedupe first
+    for entry in a.table.values():
+        key = row_primitive(entry)
+        sig = tuple(sorted(key.items()))
+        if not sig or sig in seen:
+            continue
+        seen.add(sig)
+        v = [ZERO] * a.dim
+        for k, c in entry.items():
+            v[k] = c
+        vecs.append(tuple(v))
+    return Subspace(a.dim, vecs)
 
 
 # ---------------------------------------------------------------------------

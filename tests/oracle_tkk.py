@@ -41,23 +41,27 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
 - `lie_der_tower` is the former derivation tower: its adjoint operators
   are dense Fraction rows, certified by the dimension of a `Subspace` of
   Der plus those rows, and Inn is the dimension of their span; its Der is
-  the all-rows `oracle_linalg.integer_kernel`.
+  the all-rows `oracle_linalg.integer_kernel`.  `ad_rows` is the loop that
+  built the ad rows of `tkk.lie_der_tower` before it read them off the
+  integer table: `basis_product` dicts, each made primitive by
+  `row_primitive`.  `is_jordan_graded` takes the former `center`,
+  `oracle_identities.center`.
 The dense operators themselves (Matrix, l_op, d_op, supercommutator,
 operators) come from oracle_linalg.
 """
 
 from __future__ import annotations
 
-from oracle_identities import _gplus_on_gminus
+from oracle_identities import _gplus_on_gminus, center
 import oracle_linalg
 from oracle_linalg import Matrix, d_op, l_op, left_mult_matrix, operators, supercommutator
 from supertkk import tensor, tkk
-from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, solve, span
+from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
 from supertkk.jordan import find_unit, triple
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
                                 check_pair_axioms, der_algebra, derivation_kernel,
                                 istr_algebra, leibniz_blocks, pair_d_stack, pair_der, str_w)
-from supertkk.superspace import SuperAlgebra, center, make_algebra, mirror
+from supertkk.superspace import SuperAlgebra, make_algebra, mirror
 from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _sl2
 
 
@@ -919,3 +923,14 @@ def lie_der_tower(g: SuperAlgebra) -> dict:
         if der or inn:
             tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
     return tower
+
+
+def ad_rows(g: SuperAlgebra, shift: int, parity: int, cols) -> list:
+    """The ad_x of the x of degree shift and parity as primitive integer rows
+    over the positions of the block's columns cols, one per x (empty for a
+    central x): the former loop of `tkk.lie_der_tower`."""
+    n = g.dim
+    pos = {rc: idx for idx, rc in enumerate(cols)}
+    return [row_primitive({pos[k, c]: x for c in range(n)
+                           for k, x in g.basis_product(i, c).items()})
+            for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)]

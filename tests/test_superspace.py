@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_identities
 from supertkk.exact import Q, span
 from supertkk.superspace import (
     center, check_super_jacobi, check_superanticommutative, check_supercommutative,
@@ -13,6 +14,7 @@ from supertkk.superspace import (
 from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_algebra
 from supertkk.structure import double, l_stack
 from supertkk.tkk import j_functor, koecher
+from test_structure import tables_with_zeros
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -118,6 +120,13 @@ def test_derived_of_sl2_is_everything():
     assert derived(sl2()).dim == 3
     # the one-dimensional abelian algebra has zero derived algebra
     assert derived(make_algebra([0], [])).dim == 0
+
+
+@given(tables_with_zeros())
+@settings(max_examples=60, deadline=None)
+def test_center_and_derived_match_the_fraction_oracle(a):
+    assert center(a) == oracle_identities.center(a)
+    assert derived(a) == oracle_identities.derived(a)
 
 
 def test_quotient_sl22_by_identity_is_psl22():

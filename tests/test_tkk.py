@@ -11,11 +11,12 @@ import pytest
 import oracle_linalg
 import oracle_tkk
 from pyrun import run_python
+from test_structure import tables_with_zeros
 from supertkk import tkk
-from supertkk.catalog import jordan_catalog, load_algebra, resolve, save_algebra
-from supertkk.exact import CertificateError, Q, integer_kernel
+from supertkk.catalog import jordan_catalog, lie_entries, load_algebra, resolve, save_algebra
+from supertkk.exact import CertificateError, Q, integer_kernel, row_primitive
 from supertkk.structure import l_space, leibniz_blocks, pair_der
-from supertkk.superspace import SuperAlgebra, graded_dims, parity_dims
+from supertkk.superspace import SuperAlgebra, center, graded_dims, parity_dims
 from supertkk.tkk import (
     check_propnu,
     check_unital_equivalences,
@@ -152,8 +153,7 @@ def test_tits_fingerprint_matches_koecher():
     K = jordan_catalog("kacK")
     ti = tits(K, "inn")
     ko = koecher(K)
-    assert fingerprint(ti.lie, include_out=False) == fingerprint(ko.lie,
-                                                                 include_out=False)
+    assert fingerprint(ti.lie) == fingerprint(ko.lie)
 
 
 def test_tits_der_matches_koecher_tilde():
@@ -318,18 +318,47 @@ def test_der_tower_matches_the_subspace_oracle():
         assert lie_der_tower(g) == oracle_tkk.lie_der_tower(g), g.name
 
 
+@given(tables_with_zeros())
+@settings(max_examples=60, deadline=None)
+def test_ad_rows_match_the_row_primitive_loop(a):
+    for (shift, parity), (cols, _) in leibniz_blocks(a).items():
+        got = tkk._ad_rows(a, shift, parity, cols).dicts()
+        want = oracle_tkk.ad_rows(a, shift, parity, cols)
+        assert [row_primitive(r) for r in got] == [r for r in want if r], (shift, parity)
+
+
+def test_fingerprint_center_is_the_dimension_of_the_center():
+    # the fingerprint reads the center off the tower, dim g - sum of Inn
+    algebras = list(lie_entries().values())
+    for V in map(resolve, ("kacK", "j19", "dt:2")):
+        algebras += [koecher(V).lie, koecher_tilde(V).lie]
+    for g in algebras:
+        assert fingerprint(g)["center"] == center(g).dim, g.name
+
+
 def test_a_perturbed_adjoint_fails_the_certificate(monkeypatch):
     # ad_{e_0} of w(2) with one constant raised: the Leibniz rows still come
-    # from the table, so the raised operator is no derivation, on both sides
+    # from the table, so the raised operator is no derivation, on both sides.
+    # The tower reads its ad rows off the integer table (tkk._ad_rows), the
+    # oracle off SuperAlgebra.basis_product
     g = load_algebra(save_algebra(resolve("w:2")))  # fresh: an empty memo
-    product = SuperAlgebra.basis_product
+    rows, product = tkk._ad_rows, SuperAlgebra.basis_product
     c, w = next((c, w) for c in range(g.dim) if (w := product(g, 0, c)))
     k = next(iter(w))
+
+    def raised_rows(a, shift, parity, cols):
+        # the first row of e_0's block is ad_{e_0}, which is nonzero
+        out = rows(a, shift, parity, cols)
+        if a is g and (shift, parity) == (g.zdegree(0), g.parity(0)):
+            out.vals = out.vals.copy()
+            out.vals[0] += 1
+        return out
 
     def raised(a, i, j):
         out = product(a, i, j)
         return {**out, k: out[k] + 1} if a is g and (i, j) == (0, c) else out
 
+    monkeypatch.setattr(tkk, "_ad_rows", raised_rows)
     monkeypatch.setattr(SuperAlgebra, "basis_product", raised)
     for tower in (lie_der_tower, oracle_tkk.lie_der_tower):
         with pytest.raises(CertificateError, match="adjoint operators must be derivations"):
