@@ -17,10 +17,11 @@ first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
 x_d to x_c, round after round, so only the core rows left reach the
 elimination; its rank is the zeroed roots plus the tied columns plus the
-core pivots.  Every kernel vector is verified exactly against every
-original row, the basis must have one vector per free column, and every
-expressed member is recombined from its coefficients; a failure of either
-certificate raises CertificateError, so the checks survive `python -O`.
+core pivots (`kernel_columns` stops at that count).  Every kernel vector
+is verified exactly against every original row, there is one per free
+column, and every expressed member is recombined from its coefficients; a
+failure of either certificate raises CertificateError, so the checks
+survive `python -O`.
 `Matrix` is only the immutable container of such systems and of their
 results; no operator arithmetic runs on it.
 
@@ -30,9 +31,10 @@ sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
 splits them into blocks of columns (an `IntRows` each) and removes repeated
 rows; the rational `primitive_rows` serves `Subspace`, `rref` and
 `kernel_sparse` (which only `kernel` calls).  The kernel certificate
-evaluates only the nonzero entries of the rows.  Every numpy path runs in
-int64 only after proving its bound below 2**62 (`int_dtype`), else on
-object-dtype Python ints.
+(`_verify_kernel`) is a sparse join on the column: each nonzero row entry
+meets only the vector entries on its column (Gustavson, ACM TOMS 4, 1978).
+Every numpy path runs in int64 only after proving its bound below 2**62
+(`int_dtype`), else on object-dtype Python ints.
 """
 
 from __future__ import annotations
@@ -610,44 +612,54 @@ def _echelon(int_rows: list[dict]) -> dict[int, dict]:
     return store
 
 
-def _verify_kernel(int_rows: IntRows, vecs: list[dict], ncols: int) -> bool:
-    """Exact check that every sparse integer vector kills every row.
+_KERNEL_CHUNK = 2 ** 13  # products per chunk of the kernel certificate (~0.7 MB of arrays)
 
-    Only the nonzero entries of the rows are evaluated: the products
-    row[c] * V[c] of a chunk of entries are summed per row by
-    `np.add.reduceat`.  int64 is used when max|row| * max|v| * (longest
-    row) < 2**62 bounds every partial sum, else object-dtype Python ints."""
+
+def _verify_kernel(int_rows: IntRows, vecs: IntRows, ncols: int):
+    """The mask of the vectors (the rows of vecs) that fail to kill some
+    row of int_rows: a join on the column, each row entry times the vector
+    entries on its column, whole rows and about _KERNEL_CHUNK products at a
+    time, summed per (row, vector) by a sort and `np.add.reduceat`.  A sum
+    has at most (longest row) terms: int64 when max|row| * max|v| * (longest
+    row) < 2**62, else object-dtype Python ints."""
     import numpy as np
 
-    if not vecs or not len(int_rows):
-        return True
-    lens, cols = int_rows.lens, int_rows.cols
-    max_r = int(np.abs(int_rows.vals).max())
-    max_v = max((abs(x) for v in vecs for x in v.values()), default=0)
-    dtype = int_dtype(max_r * max_v * int(lens.max()))
-    V = np.zeros((ncols, len(vecs)), dtype=dtype)
-    for k, v in enumerate(vecs):
-        V[list(v), k] = list(v.values())
-    vals = int_rows.vals.astype(dtype)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    chunk = max(1, 2 ** 16 // len(vecs))  # entries per chunk, ~0.5 MB of int64 products
+    bad = np.zeros(len(vecs), dtype=bool)
+    dtype = int_dtype(int(np.abs(int_rows.vals).max(initial=1))  # so at least max|v|, to cast v
+                      * int(np.abs(vecs.vals).max(initial=0)) * int(int_rows.lens.max(initial=1)))
+    by_col = np.argsort(vecs.cols, kind="stable")
+    owner = np.repeat(np.arange(len(vecs)), vecs.lens)[by_col]
+    v = vecs.vals[by_col].astype(dtype)
+    count = np.bincount(vecs.cols, minlength=ncols)
+    where = np.cumsum(count) - count  # the first vector entry on each column
+    hit = np.flatnonzero((count > 0)[int_rows.cols])  # the row entries that meet one
+    row = np.searchsorted(np.cumsum(int_rows.lens), hit, side="right")
+    per = count[int_rows.cols[hit]]
+    ends = np.cumsum(per)
     first = 0
-    while first < len(lens):  # whole rows, about chunk entries at a time
-        last = max(first + 1, int(np.searchsorted(ends, starts[first] + chunk, side="right")))
-        lo, hi = starts[first], ends[last - 1]
-        if np.add.reduceat(vals[lo:hi, None] * V[cols[lo:hi]], starts[first:last] - lo,
-                           axis=0).any():
-            return False
+    while first < len(hit):
+        last = max(first + 1, int(np.searchsorted(ends, ends[first] - per[first] + _KERNEL_CHUNK,
+                                                  side="right")))
+        last = int(np.searchsorted(row, row[last - 1], side="right"))  # whole rows
+        e = np.repeat(np.arange(last - first), per[first:last])
+        at = _entries(where[int_rows.cols[hit[first:last]]], per[first:last])
+        key = (row[first:last][e] - row[first]) * len(vecs) + owner[at]
+        order = np.argsort(key, kind="stable")
+        key, prod = key[order], (int_rows.vals[hit[first:last]].astype(dtype)[e] * v[at])[order]
+        head = _run_starts(key)
+        bad[key[head][np.add.reduceat(prod, head) != 0] % len(vecs)] = True
         first = last
-    return True
+    return bad
 
 
-def rank_in_kernel(int_rows: IntRows, vecs: list[dict], ncols: int, message: str) -> int:
-    """The rank of sparse integer vectors, each certified to kill every row:
-    CertificateError(message) if one does not."""
-    certify(_verify_kernel(int_rows, vecs, ncols), message)
-    return len(_echelon(vecs))
+def span_in_kernel(int_rows: IntRows, vecs: IntRows, ncols: int, message) -> list:
+    """The sorted pivot columns of the span of vecs (the rows of an
+    `IntRows`), each certified to kill every row: CertificateError(
+    message(bad)) if the vectors of the indices bad do not."""
+    bad = _verify_kernel(int_rows, vecs, ncols).nonzero()[0]
+    if len(bad):
+        raise CertificateError(message(bad))
+    return sorted(_echelon(vecs.dicts()))
 
 
 def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
@@ -718,23 +730,12 @@ def _absorb(int_rows: IntRows, ncols: int):
     return root, sign, IntRows.from_dicts(())
 
 
-def integer_kernel(int_rows: IntRows, ncols: int) -> list[tuple]:
-    """Canonical RREF kernel basis of a sparse integer system (callers pass
-    the rows primitive and distinct, as `primitive_rows` and
-    `primitive_row_blocks` leave them).
-
-    A structured-elimination pre-pass (`_absorb`, vectorised) first absorbs
-    the rows with one entry (the column is 0) and the rows a x_c + b x_d
-    with |a| = |b| (x_d = -(a/b) x_c), until none is left; only the core
-    rows that remain are eliminated over the integers (`_echelon`).  The
-    rank is the zeroed roots plus the tied columns plus the core pivots.  The
-    kernel is read off as one integer vector per free root f (lcm of the
-    pivots involved at f, -r[f]*lcm/r[p] at each pivot p), carried to every
-    column tied to those roots, and the same elimination brings the vectors
-    to the canonical RREF basis.  Certificate: that basis has one vector per
-    free column (ncols - rank) and every vector kills every original row
-    exactly, not only the core rows; rationals are formed only at the end.
-    """
+def _free_vectors(int_rows: IntRows, ncols: int):
+    """(rank, free, vecs) of a sparse integer system: `_absorb` leaves the
+    core rows to `_echelon`, and vecs[k] (col -> int) is the kernel vector
+    of the free root f = free[k]: m at f, m the lcm of the pivots p of the
+    rows r nonzero at f (a column -> pivots index finds them), -r[f]*m/r[p]
+    at each p, carried to every column tied to those roots."""
     import numpy as np
 
     root, sign, core = _absorb(int_rows, ncols)
@@ -742,26 +743,57 @@ def integer_kernel(int_rows: IntRows, ncols: int) -> list[tuple]:
     is_root = root == np.arange(ncols)
     rank = int((is_root & (sign == 0)).sum()) + int((~is_root).sum()) + len(store)
     live = np.flatnonzero(is_root & (sign != 0))
-    pivots = sorted(store.items())
     # the columns of each live root, with their signs
     at = np.flatnonzero(sign != 0)
     at = at[np.argsort(root[at], kind="stable")]
     cut = np.searchsorted(root[at], live).tolist() + [len(at)]
     members = {r: list(zip(at[lo:hi].tolist(), sign[at[lo:hi]].tolist()))
                for r, lo, hi in zip(live.tolist(), cut, cut[1:])}
-    vecs = []
-    for f in live.tolist():
-        if f in store:
-            continue
-        hits = [(p, r) for p, r in pivots if f in r]
-        m = lcm(*(r[p] for p, r in hits))
-        v = {f: m}
-        for p, r in hits:
-            v[p] = -r[f] * (m // r[p])
+    hits: dict = {}  # column -> the pivots whose rows are nonzero on it
+    for p, r in store.items():
+        for c in r.keys() - {p}:
+            hits.setdefault(c, []).append(p)
+    free, vecs = [f for f in live.tolist() if f not in store], []
+    for f in free:
+        ps = hits.get(f, [])
+        m = lcm(*(store[p][p] for p in ps))
+        v = {f: m, **{p: -store[p][f] * (m // store[p][p]) for p in ps}}
         vecs.append({c: s * x for q, x in v.items() for c, s in members[q]})
+    return rank, np.array(free, dtype=np.int64), vecs
+
+
+_KERNEL_FAILED = ("kernel verification failed: the basis needs one vector per free column, "
+                  "each killing every row")
+
+
+def integer_kernel(int_rows: IntRows, ncols: int) -> list[tuple]:
+    """Canonical RREF kernel basis of a sparse integer system (callers pass
+    the rows primitive and distinct, as `primitive_rows` and
+    `primitive_row_blocks` leave them).
+
+    `_echelon` brings the vectors of `_free_vectors` to the canonical basis,
+    certified to have ncols - rank vectors, each killing every original row
+    (`_verify_kernel`); rationals are formed only at the end."""
+    rank, _, vecs = _free_vectors(int_rows, ncols)
     basis = _echelon(vecs)
     certify(len(basis) == ncols - rank
-            and _verify_kernel(int_rows, list(basis.values()), ncols),
-            "kernel verification failed: the basis needs one vector per free column, "
-            "each killing every row")
+            and not _verify_kernel(int_rows, IntRows.from_dicts(basis.values()), ncols).any(),
+            _KERNEL_FAILED)
     return _rational_rows(basis, ncols)[0]
+
+
+def kernel_columns(int_rows: IntRows, ncols: int):
+    """The free columns of a sparse integer system, a sorted int array with
+    one entry per kernel dimension, certified with neither a canonical basis
+    nor a rational: there are ncols - rank of them, the vector of each
+    (`_free_vectors`) is the only one nonzero on its own free column, so the
+    vectors are independent, and each kills every original row."""
+    import numpy as np
+    rank, free, vecs = _free_vectors(int_rows, ncols)
+    vecs = IntRows.from_dicts(vecs)
+    on = np.isin(vecs.cols, free) & (vecs.vals != 0)  # the entries on free columns
+    k = np.repeat(np.arange(len(vecs)), vecs.lens)[on]  # and their vectors
+    certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))
+            and np.array_equal(free[k], vecs.cols[on])
+            and not _verify_kernel(int_rows, vecs, ncols).any(), _KERNEL_FAILED)
+    return free

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import tensor
 from .exact import (GeneratedSpan, IntRows, Matrix, Q, Subspace, ZERO, certify, int_dtype,
-                    integer_kernel, rank_in_kernel, span)
+                    kernel_columns, span, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -845,37 +845,45 @@ def kantor_koecher_comparison(V: SuperAlgebra) -> CheckResult:
 # derivation towers of graded Lie superalgebras
 
 
-def _ad_rows(g: SuperAlgebra, shift: int, parity: int, cols) -> IntRows:
-    """The nonzero ad_x of the x of degree shift and parity, in order of x:
-    the entries C[x, c, k] = d [e_x, e_c]_k of the integer table, each at the
-    position of (k, c) in cols, the block's Leibniz columns in row-major order."""
+def _ad_rows(g: SuperAlgebra, blocks: dict):
+    """(ad, of): the nonzero ad_x, in order of x, as integer rows over the
+    tower's columns (the blocks' Leibniz columns, one block after the
+    other), entry C[x, c, k] = d [e_x, e_c]_k of the integer table at the
+    column of (k, c); of[t] indexes row t's block (deg x, |x|) in blocks."""
     import numpy as np
     t, n = g.int_table, g.dim
-    flats = np.array(cols, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
-    x = np.array([(g.zdegree(i), g.parity(i)) == (shift, parity) for i in range(n)])[t.i]
-    return IntRows(np.unique(t.i[x], return_counts=True)[1],
-                   np.searchsorted(flats, t.k[x] * n + t.j[x]), t.value[x])
+    flats = np.concatenate([np.array(cols, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+                            for cols, _ in blocks.values()])
+    x, lens = np.unique(t.i, return_counts=True)  # the table is sorted by (i, j, k)
+    return (IntRows(lens, np.argsort(flats)[t.k * n + t.j], t.value),
+            np.array([list(blocks).index((g.zdegree(i), g.parity(i))) for i in x.tolist()]))
 
 
 @memoized
 def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
     """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity).
 
-    Der is the kernel of each `leibniz_blocks` block.  Inn is the rank of the
-    ad_x of the block (deg x, |x|), integer rows read off the integer table
-    (`_ad_rows`) and certified to kill the block's Leibniz rows; blocks have
-    disjoint columns, so the Inn ranks add up to dim g - dim Z(g).  The outer
-    dimensions are the block-wise differences.  With check_total, the block
-    dimensions are re-verified against the ungraded derivation kernel.
+    The `leibniz_blocks` blocks have disjoint columns: offset block after
+    block, their rows form one system, counted by one certified elimination,
+    and Der of a block is its number of free columns (`exact.kernel_columns`).
+    The ad_x of every x, read off the integer table onto the same columns
+    (`_ad_rows`), are certified to kill every row, and Inn of a block is its
+    number of pivots of their span (`exact.span_in_kernel`); the Inn ranks
+    add up to dim g - dim Z(g), and Out is Der - Inn.  With check_total,
+    the Der blocks are re-verified against the ungraded derivation kernel.
     """
-    tower = {}
-    for (shift, parity), (cols, rows) in leibniz_blocks(g).items():
-        m = len(cols)
-        der = integer_kernel(rows, m)
-        ad = _ad_rows(g, shift, parity, cols).dicts()
-        inn = rank_in_kernel(rows, ad, m, f"adjoint operators must be derivations (shift {shift})")
-        if der or inn:
-            tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
+    import numpy as np
+    blocks = leibniz_blocks(g)
+    cut = np.cumsum([0] + [len(cols) for cols, _ in blocks.values()])
+    rows = IntRows.concat(IntRows(r.lens, r.cols + lo, r.vals)
+                          for (_, r), lo in zip(blocks.values(), cut.tolist()))
+    der = np.diff(np.searchsorted(kernel_columns(rows, int(cut[-1])), cut)).tolist()
+    ad, of = _ad_rows(g, blocks)
+    pivots = span_in_kernel(rows, ad, int(cut[-1]), lambda bad: (
+        f"adjoint operators must be derivations (shift {list(blocks)[of[bad].min()][0]})"))
+    inn = np.diff(np.searchsorted(pivots, cut)).tolist()
+    tower = {key: {"der": d, "inn": i, "out": d - i}
+             for key, d, i in zip(blocks, der, inn) if d or i}
     if check_total:
         for parity in (0, 1):
             total = sum(b["der"] for (s, p), b in tower.items() if p == parity)
@@ -944,11 +952,11 @@ def pair_der_matches_der0(v) -> CheckResult:
 
 
 def fingerprint(g: SuperAlgebra) -> dict:
-    """Graded/parity dimensions, center and derived dims, and Out dims; the
-    center has dim g - sum(Inn) over the derivation tower, as Inn(g) = g/Z(g).
-
-    Equality of fingerprints is isomorphism evidence, never a proof; reports
-    must say "consistent with", not "isomorphic".
+    """Graded/parity dimensions, center and derived dims, and Out dims: the
+    tower (`lie_der_tower`) counts Der and Inn of every block in one
+    certified elimination, and the center has dim g - sum(Inn), as Inn(g) =
+    g/Z(g).  Equality of fingerprints is isomorphism evidence, never a
+    proof; reports must say "consistent with", not "isomorphic".
     """
     tower = lie_der_tower(g)
     return {

@@ -21,8 +21,8 @@ before it built the system as numpy COO triplets for
 and deduplicated by `exact.primitive_rows`; it is kept verbatim, not
 memoized, with the `_integer_tables` it scaled its table by.
 `verify_kernel` is the dense kernel certificate that supertkk.exact ran
-before it evaluated only the nonzero entries: every row block built
-densely and multiplied by the kernel basis.  `integer_kernel`
+before its sparse join on the column: every row block built densely and
+multiplied by the kernel basis.  `integer_kernel`
 is the all-rows elimination that supertkk.exact ran before its
 structured-elimination pre-pass: every row goes through `exact._echelon`
 as a dict; it is kept verbatim but for its certificate, which is the dense

@@ -41,10 +41,10 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
 - `lie_der_tower` is the former derivation tower: its adjoint operators
   are dense Fraction rows, certified by the dimension of a `Subspace` of
   Der plus those rows, and Inn is the dimension of their span; its Der is
-  the all-rows `oracle_linalg.integer_kernel`.  `ad_rows` is the loop that
-  built the ad rows of `tkk.lie_der_tower` before it read them off the
-  integer table: `basis_product` dicts, each made primitive by
-  `row_primitive`.  `is_jordan_graded` takes the former `center`,
+  the all-rows `oracle_linalg.integer_kernel`, one block at a time.
+  `ad_rows` is the loop that built the ad rows of one block of
+  `tkk.lie_der_tower` before it read them off the integer table:
+  `basis_product` dicts, each made primitive by `row_primitive`.  `is_jordan_graded` takes the former `center`,
   `oracle_identities.center`.
 The dense operators themselves (Matrix, l_op, d_op, supercommutator,
 operators) come from oracle_linalg.

@@ -2,22 +2,25 @@
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_linalg as oracle
 from pyrun import run_python
 from supertkk import exact
-from supertkk.catalog import lie_catalog
+from supertkk.catalog import lie_catalog, load_algebra, resolve, save_algebra
 from supertkk.exact import (
-    GeneratedSpan, IntRows, Q, Matrix, Subspace, integer_kernel, kernel,
-    kernel_sparse, primitive_rows, rref, solve, span,
+    CertificateError, GeneratedSpan, IntRows, Q, Matrix, Subspace, integer_kernel, kernel,
+    kernel_columns, kernel_sparse, primitive_rows, rref, solve, span,
 )
 from supertkk.structure import leibniz_blocks
+from supertkk.tkk import lie_der_tower
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -216,11 +219,27 @@ def certificate_cases(draw):
     return rows, vecs, n
 
 
+def _assert_join_matches_the_dense_check(case):
+    rows, vecs, n = case
+    bad = exact._verify_kernel(IntRows.from_dicts(rows), IntRows.from_dicts(vecs), n)
+    assert (not bad.any()) == oracle.verify_kernel(*case)
+    assert bad.tolist() == [not oracle.verify_kernel(rows, [v], n) for v in vecs]
+
+
 @given(certificate_cases())
+@example(([], [{0: 2 ** 63}], 1))  # no row: the bound still covers casting the vectors
 @settings(**SETTINGS)
 def test_sparse_kernel_certificate_matches_the_dense_check(case):
-    rows, vecs, n = case
-    assert exact._verify_kernel(IntRows.from_dicts(rows), vecs, n) == oracle.verify_kernel(*case)
+    _assert_join_matches_the_dense_check(case)
+
+
+@given(certificate_cases())
+@settings(**SETTINGS)
+def test_sparse_kernel_certificate_matches_the_dense_check_one_row_per_chunk(case):
+    # a chunk always holds whole rows, so one product budget per chunk runs
+    # every row in a chunk of its own
+    with mock.patch.object(exact, "_KERNEL_CHUNK", 1):
+        _assert_join_matches_the_dense_check(case)
 
 
 def test_raising_one_kernel_entry_fails_the_certificate():
@@ -229,14 +248,69 @@ def test_raising_one_kernel_entry_fails_the_certificate():
     g = lie_catalog("w", 3)
     for cols, rows in leibniz_blocks(g).values():
         vecs = _integer_vectors(integer_kernel(rows, len(cols)))
-        assert exact._verify_kernel(rows, vecs, len(cols))
+        assert not exact._verify_kernel(rows, IntRows.from_dicts(vecs), len(cols)).any()
         used = sorted(set(rows.cols.tolist()))
         for k, v in enumerate(vecs[:4]):
             j = next((c for c in v if c in used), used[0])
             bad = [dict(u) for u in vecs]
             bad[k][j] = bad[k].get(j, 0) + 1
-            assert not exact._verify_kernel(rows, bad, len(cols))
+            assert np.flatnonzero(exact._verify_kernel(rows, IntRows.from_dicts(bad),
+                                                       len(cols))).tolist() == [k]
             assert not oracle.verify_kernel(rows.dicts(), bad, len(cols))
+
+
+def _raise_one_entry(vecs, used):
+    # the first entry, of the first vector, on a column some row uses
+    k, c = next((k, c) for k, v in enumerate(vecs) for c in v if c in used)
+    vecs[k][c] += 1
+
+
+def _copy_one_vector(vecs, used):
+    vecs[1] = dict(vecs[0])
+
+
+def _zero_one_vector(vecs, used):
+    vecs[0] = dict.fromkeys(vecs[0], 0)
+
+
+@pytest.mark.parametrize("fault", [_raise_one_entry, _copy_one_vector, _zero_one_vector],
+                         ids=["raised entry", "copied vector", "zero vector"])
+def test_a_perturbed_free_vector_fails_the_count_certificate(fault, monkeypatch):
+    # the tower of w(3) counts its derivations from one vector per free
+    # column: a vector that no longer kills every row, two vectors on one
+    # free column (so none on the other), or a zero vector (which kills
+    # every row, on no free column) must fail the count
+    read = exact._free_vectors
+
+    def perturbed(int_rows, ncols):
+        rank, free, vecs = read(int_rows, ncols)
+        fault(vecs, set(int_rows.cols.tolist()))
+        return rank, free, vecs
+
+    g = load_algebra(save_algebra(lie_catalog("w", 3)))  # fresh: an empty memo
+    monkeypatch.setattr(exact, "_free_vectors", perturbed)
+    with pytest.raises(CertificateError, match="kernel verification failed"):
+        lie_der_tower(g)
+
+
+def test_certifying_the_tower_of_w5_stays_in_bounded_memory(monkeypatch):
+    # the joins of fingerprint(w(5))'s whole Leibniz system (366,325 rows,
+    # 870,505 entries, 25,600 columns) with its 160 kernel vectors, then
+    # with its 160 ad rows, traced: each peaks at 10.1 MiB (numpy 2.4)
+    verify, peaks = exact._verify_kernel, []
+
+    def traced(int_rows, vecs, ncols):
+        tracemalloc.start()
+        try:
+            return verify(int_rows, vecs, ncols)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    g = load_algebra(save_algebra(resolve("w:5")))  # fresh: an empty memo
+    monkeypatch.setattr(exact, "_verify_kernel", traced)
+    lie_der_tower(g)
+    assert len(peaks) == 2 and max(peaks) < 16 * 2 ** 20, peaks
 
 
 @pytest.mark.parametrize("scale", [10 ** 6, 10 ** 12])
@@ -330,6 +404,7 @@ def test_structured_elimination_matches_the_all_rows_oracle(system):
     got = integer_kernel(IntRows.from_dicts(rows), n)
     assert got == oracle.integer_kernel([r for r in rows if r], n)
     assert Subspace(n, got).basis == tuple(got)  # canonical
+    assert len(kernel_columns(IntRows.from_dicts(rows), n)) == len(got)
 
 
 def test_structured_elimination_of_degenerate_systems():

@@ -501,10 +501,12 @@ def test_leibniz_system_is_assembled_once(monkeypatch):
 
 
 def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
-    # the block rows are primitive and distinct already: lie_der_tower and
-    # derivation_kernel hand them to integer_kernel, never to kernel_sparse
-    # and its second primitive_rows pass (structure does not even bind it)
-    assert not hasattr(structure, "kernel_sparse")
+    # the block rows are primitive and distinct already: lie_der_tower counts
+    # them as they are, in one system with each block's columns offset past
+    # the blocks before it, and derivation_kernel hands them to
+    # integer_kernel; neither calls kernel_sparse and its second
+    # primitive_rows pass (structure and tkk do not even bind it)
+    assert not hasattr(structure, "kernel_sparse") and not hasattr(tkk, "kernel_sparse")
     g = load_algebra(save_algebra(lie_catalog("w", 2)))
     blocks = leibniz_blocks(g)
     passed = []
@@ -513,18 +515,28 @@ def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
         passed.append(rows)
         return exact.integer_kernel(rows, ncols)
 
+    def count(rows, ncols):
+        passed.append(rows)
+        return exact.kernel_columns(rows, ncols)
+
     def refuse(rows, ncols):
         raise AssertionError("kernel_sparse called on Leibniz rows")
 
-    for module in (structure, tkk):
-        monkeypatch.setattr(module, "integer_kernel", spy)
+    monkeypatch.setattr(structure, "integer_kernel", spy)
+    monkeypatch.setattr(tkk, "kernel_columns", count)
     monkeypatch.setattr(exact, "kernel_sparse", refuse)
     tkk.lie_der_tower(g)
-    assert [id(r) for r in passed] == [id(rows) for _, rows in blocks.values()]
+    (got,) = passed
+    parts = [rows for _, rows in blocks.values()]
+    lo = np.cumsum([0] + [len(cols) for cols, _ in blocks.values()])
+    assert got.lens.tolist() == np.concatenate([r.lens for r in parts]).tolist()
+    assert got.cols.tolist() == np.concatenate([r.cols + at for r, at in zip(parts, lo)]).tolist()
+    assert got.vals.tolist() == np.concatenate([r.vals for r in parts]).tolist()
     passed.clear()
     assert derivation_kernel(g, 0) == oracle.derivation_kernel(g, 0)  # every even block
     rows = passed[0].dicts()
     assert len(passed) == 1 and exact.primitive_rows(rows) == rows
+
 
 def test_operator_space_basis_roundtrip():
     V = jordan_catalog("kacK")

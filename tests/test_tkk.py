@@ -321,10 +321,16 @@ def test_der_tower_matches_the_subspace_oracle():
 @given(tables_with_zeros())
 @settings(max_examples=60, deadline=None)
 def test_ad_rows_match_the_row_primitive_loop(a):
-    for (shift, parity), (cols, _) in leibniz_blocks(a).items():
-        got = tkk._ad_rows(a, shift, parity, cols).dicts()
+    # the one-pass read, restricted to each block and its columns
+    blocks = leibniz_blocks(a)
+    ad, of = tkk._ad_rows(a, blocks)
+    rows, lo = ad.dicts(), 0
+    for b, ((shift, parity), (cols, _)) in enumerate(blocks.items()):
+        got = [{c - lo: x for c, x in r.items()} for r, at in zip(rows, of) if at == b]
+        assert all(0 <= c < len(cols) for r in got for c in r), (shift, parity)
         want = oracle_tkk.ad_rows(a, shift, parity, cols)
         assert [row_primitive(r) for r in got] == [r for r in want if r], (shift, parity)
+        lo += len(cols)
 
 
 def test_fingerprint_center_is_the_dimension_of_the_center():
@@ -339,20 +345,20 @@ def test_fingerprint_center_is_the_dimension_of_the_center():
 def test_a_perturbed_adjoint_fails_the_certificate(monkeypatch):
     # ad_{e_0} of w(2) with one constant raised: the Leibniz rows still come
     # from the table, so the raised operator is no derivation, on both sides.
-    # The tower reads its ad rows off the integer table (tkk._ad_rows), the
-    # oracle off SuperAlgebra.basis_product
+    # The tower reads the ad rows of every block off the integer table in
+    # one pass (tkk._ad_rows), the oracle off SuperAlgebra.basis_product
     g = load_algebra(save_algebra(resolve("w:2")))  # fresh: an empty memo
     rows, product = tkk._ad_rows, SuperAlgebra.basis_product
     c, w = next((c, w) for c in range(g.dim) if (w := product(g, 0, c)))
     k = next(iter(w))
 
-    def raised_rows(a, shift, parity, cols):
-        # the first row of e_0's block is ad_{e_0}, which is nonzero
-        out = rows(a, shift, parity, cols)
-        if a is g and (shift, parity) == (g.zdegree(0), g.parity(0)):
+    def raised_rows(a, blocks):
+        # the first row is ad_{e_0}, which is nonzero
+        out, of = rows(a, blocks)
+        if a is g:
             out.vals = out.vals.copy()
             out.vals[0] += 1
-        return out
+        return out, of
 
     def raised(a, i, j):
         out = product(a, i, j)
