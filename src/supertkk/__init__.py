@@ -3,11 +3,10 @@ Jordan superalgebras over Q."""
 
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog,
                               lie_entries, load_algebra, resolve, save_algebra)
-from supertkk.exact import CertificateError, Q, Matrix, Subspace, kernel, solve, span
-from supertkk.jordan import (JordanAlgebra, check_commutator_identity,
-                             check_five_linear, check_jordan_identity,
-                             check_triple_symmetry, find_unit, make_jordan,
-                             triple)
+from supertkk.exact import CertificateError, Q, Matrix, Subspace, solve, span
+from supertkk.jordan import (check_commutator_identity, check_five_linear,
+                             check_jordan_identity, check_triple_symmetry,
+                             find_unit)
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace,
                                 check_pair_axioms, der_algebra, double,
                                 inclusion_report, inn_algebra, istr_algebra,
@@ -25,10 +24,10 @@ from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
                           tits_roundtrip)
 
 __all__ = [
-    "Q", "Matrix", "Subspace", "kernel", "solve", "span", "CertificateError",
+    "Q", "Matrix", "Subspace", "solve", "span", "CertificateError",
     "SuperAlgebra", "Witness", "make_algebra", "graded_dims", "parity_dims",
     "center", "derived",
-    "JordanAlgebra", "make_jordan", "find_unit", "triple",
+    "find_unit",
     "check_jordan_identity", "check_commutator_identity",
     "check_triple_symmetry", "check_five_linear",
     "jordan_catalog", "jordan_entries", "lie_catalog", "lie_entries",

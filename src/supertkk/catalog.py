@@ -609,7 +609,7 @@ def lie_entries() -> dict:
     return {a.name: a for a in algs}
 
 
-_SOURCE_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:[:(]([^)]*)\)?)?$")
+_SOURCE_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?::([^()]*)|\(([^()]*)\))?$")
 
 
 def resolve(source: str) -> SuperAlgebra:
@@ -631,7 +631,8 @@ def resolve(source: str) -> SuperAlgebra:
             raise ValueError(f"cannot parse algebra source {source!r}")
         known = ", ".join(sorted(set(_JORDAN_BUILDERS) | set(_LIE_BUILDERS)))
         raise ValueError(f"unknown algebra {name!r}; known names: {known}")
-    params = [tok.strip() for tok in m.group(2).split(",")] if m.group(2) else []
+    given = m.group(2) or m.group(3)
+    params = [tok.strip() for tok in given.split(",")] if given else []
     if name in _JORDAN_BUILDERS:
         return jordan_catalog(name, *params)
     return lie_catalog(name, *params)
@@ -681,7 +682,7 @@ def _coeff(c: str):
     return Q(int(num), int(den)) if den else Q(int(num))
 
 
-def spec_to_algebra(spec: AlgebraSpec, *, check=True) -> SuperAlgebra:
+def spec_to_algebra(spec: AlgebraSpec) -> SuperAlgebra:
     meta = dict(spec.metadata)
     kind = meta.pop("kind", "plain")
     if kind not in ("plain", "jordan", "lie"):
@@ -689,7 +690,7 @@ def spec_to_algebra(spec: AlgebraSpec, *, check=True) -> SuperAlgebra:
     parsed = {c: _coeff(c) for c in {c for *_, c in spec.products}}  # a few values, repeated
     products = [(i, j, k, parsed[c]) for i, j, k, c in spec.products]
     return make_algebra(spec.parities, products, spec.zdegrees, name=spec.name,
-                        kind=kind, metadata=meta, check=check)
+                        kind=kind, metadata=meta)
 
 
 def save(spec: AlgebraSpec) -> bytes:
@@ -794,5 +795,5 @@ def save_algebra(a: SuperAlgebra) -> bytes:
     return save(algebra_to_spec(a))
 
 
-def load_algebra(data: bytes, *, check=True) -> SuperAlgebra:
-    return spec_to_algebra(load(data), check=check)
+def load_algebra(data: bytes) -> SuperAlgebra:
+    return spec_to_algebra(load(data))

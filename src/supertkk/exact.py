@@ -6,12 +6,12 @@ checks is an algebraic identity over Q and must hold exactly.
 
 There is one elimination, fraction-free over the integers, for kernels,
 spans, solves and generator coordinates (`kernel_sparse` and its
-integer-row core `integer_kernel`, `Subspace`,
-`rref`, `GeneratedSpan`, `solve`): each row is scaled to a primitive integer
-row, eliminated over the integers (Bareiss-style v <- b*v - a*r, divided by
-the row gcd), and rationals are formed only when the reduced rows are read
-off.  A `GeneratedSpan` eliminates its generator list once and then writes
-any number of members in those generators, each by one reduction.
+integer-row core `integer_kernel`, `Subspace`, `GeneratedSpan`, `solve`):
+each row is scaled to a primitive integer row, eliminated over the integers
+(Bareiss-style v <- b*v - a*r, divided by the row gcd), and rationals are
+formed only when the reduced rows are read off.  A `GeneratedSpan`
+eliminates its generator list once and then writes any number of members
+in those generators, each by one reduction.
 `integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
 first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
@@ -29,10 +29,12 @@ Integer systems assembled as numpy COO triplets are made primitive by
 `primitive_row_blocks`, one vectorised pass per chunk of equations (sort,
 sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
 splits them into blocks of columns (an `IntRows` each) and removes repeated
-rows; the rational `primitive_rows` serves `Subspace`, `rref` and
-`kernel_sparse` (which only `kernel` calls).  The kernel certificate
-(`_verify_kernel`) is a sparse join on the column: each nonzero row entry
-meets only the vector entries on its column (Gustavson, ACM TOMS 4, 1978).
+rows; the rational `primitive_rows` serves `Subspace` and `kernel_sparse`.
+`integer_kernel` returns its canonical basis as a `Subspace` read straight
+off the elimination, and `Subspace.embedded` places it in a larger space
+without a second one.  The kernel certificate (`_verify_kernel`) is a
+sparse join on the column: each nonzero row entry meets only the vector
+entries on its column (Gustavson, ACM TOMS 4, 1978).
 Every numpy path runs in int64 only after proving its bound below 2**62
 (`int_dtype`), else on object-dtype Python ints.
 """
@@ -80,9 +82,9 @@ def vec_is_zero(v: Sequence) -> bool:
 
 
 class Matrix:
-    """Dense exact-rational matrix (immutable): the container that `rref`,
-    `solve` and `kernel` take or return.  It has no arithmetic; operators
-    are multiplied as integer stacks (`structure.OperatorStack`)."""
+    """Dense exact-rational matrix (immutable): the container that `solve`
+    takes.  It has no arithmetic; operators are multiplied as integer stacks
+    (`structure.OperatorStack`)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -159,12 +161,6 @@ def _rref_rows(vectors: Iterable[Sequence], ncols: int):
             raise ValueError(f"ambient dimension mismatch: {len(v)} != {ncols}")
         rows.append({j: x for j, x in enumerate(v) if x})
     return _rational_rows(_echelon(primitive_rows(rows)), ncols)
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form of a matrix: (Matrix, pivot columns)."""
-    rows, pivots = _rref_rows(m.data, m.cols)
-    return Matrix(rows) if rows else Matrix.zero(0, m.cols), tuple(pivots)
 
 
 def solve(m: Matrix, b: Sequence):
@@ -251,11 +247,25 @@ class Subspace:
         inter = [r[n:] for r, p in zip(rows, pivots) if p >= n]
         return Subspace(n, inter)
 
-    def quotient_dim(self, sub: "Subspace") -> int:
-        """dim(self / sub); requires sub to lie inside self."""
-        if not self.contains_space(sub):
-            raise ValueError("quotient_dim: second space not contained in first")
-        return self.dim - sub.dim
+    def embedded(self, positions: Sequence[int], ambient: int) -> "Subspace":
+        """This space inside Q^ambient, coordinate j moved to positions[j] and
+        every other coordinate 0.  Strictly increasing positions keep each
+        basis vector's pivot its first entry and the pivots in order, so the
+        basis stays canonical and is not eliminated again; other positions
+        raise ValueError."""
+        positions = list(positions)
+        if len(positions) != self.ambient:
+            raise ValueError(f"ambient dimension mismatch: {len(positions)} != {self.ambient}")
+        if any(b <= a for a, b in zip(positions, positions[1:])) or (
+                positions and (positions[0] < 0 or positions[-1] >= ambient)):
+            raise ValueError(f"embedding positions must increase strictly within 0..{ambient - 1}")
+        rows = []
+        for v in self.basis:
+            flat = [ZERO] * ambient
+            for at, x in zip(positions, v):
+                flat[at] = x
+            rows.append(flat)
+        return Subspace._from_canonical(ambient, rows, [positions[p] for p in self.pivots])
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -279,13 +289,6 @@ def span(vectors: Sequence[Sequence], ambient: int | None = None) -> Subspace:
             raise ValueError("span of an empty list needs an explicit ambient")
         ambient = len(vectors[0])
     return Subspace(ambient, vectors)
-
-
-def kernel(m: Matrix) -> Subspace:
-    """Exact null space; dim(kernel) + rank = cols."""
-    rows = [{j: x for j, x in enumerate(r) if x} for r in m.data]
-    vecs = kernel_sparse(rows, m.cols)
-    return Subspace(m.cols, vecs)
 
 
 class GeneratedSpan:
@@ -370,8 +373,8 @@ def row_primitive(row: dict) -> dict:
 
 def primitive_rows(rows: Iterable[dict]) -> list[dict]:
     """The distinct nonzero primitive integer rows of sparse rational rows,
-    one `row_primitive` each: for `Subspace`, `rref` and `kernel_sparse`
-    (`kernel`); integer systems take `primitive_row_blocks`."""
+    one `row_primitive` each: for `Subspace` and `kernel_sparse`; integer
+    systems take `primitive_row_blocks`."""
     out, seen = [], set()
     for row in rows:
         pr = row_primitive(row)
@@ -665,7 +668,7 @@ def span_in_kernel(int_rows: IntRows, vecs: IntRows, ncols: int, message) -> lis
 def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
     """Canonical RREF kernel basis of a sparse system (rows: dicts col->scalar):
     the rows scaled to distinct primitive integer rows, then `integer_kernel`."""
-    return integer_kernel(IntRows.from_dicts(primitive_rows(rows)), ncols)
+    return list(integer_kernel(IntRows.from_dicts(primitive_rows(rows)), ncols).basis)
 
 
 def _absorb(int_rows: IntRows, ncols: int):
@@ -766,20 +769,21 @@ _KERNEL_FAILED = ("kernel verification failed: the basis needs one vector per fr
                   "each killing every row")
 
 
-def integer_kernel(int_rows: IntRows, ncols: int) -> list[tuple]:
-    """Canonical RREF kernel basis of a sparse integer system (callers pass
-    the rows primitive and distinct, as `primitive_rows` and
+def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
+    """The kernel of a sparse integer system as a `Subspace` of Q^ncols
+    (callers pass the rows primitive and distinct, as `primitive_rows` and
     `primitive_row_blocks` leave them).
 
     `_echelon` brings the vectors of `_free_vectors` to the canonical basis,
     certified to have ncols - rank vectors, each killing every original row
-    (`_verify_kernel`); rationals are formed only at the end."""
+    (`_verify_kernel`); rationals are formed only at the end, and the
+    `Subspace` takes that basis as it is."""
     rank, _, vecs = _free_vectors(int_rows, ncols)
     basis = _echelon(vecs)
     certify(len(basis) == ncols - rank
             and not _verify_kernel(int_rows, IntRows.from_dicts(basis.values()), ncols).any(),
             _KERNEL_FAILED)
-    return _rational_rows(basis, ncols)[0]
+    return Subspace._from_canonical(ncols, *_rational_rows(basis, ncols))
 
 
 def kernel_columns(int_rows: IntRows, ncols: int):

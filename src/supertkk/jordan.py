@@ -1,4 +1,4 @@
-"""The Jordan triple product, identity verification, and unit detection.
+"""Jordan identity verification and unit detection.
 
 The operators L_x, D_{x,y} and U_{x,y} have no dense form here: the identity
 checks contract them as integer tensors (supertkk.tensor), L is
@@ -7,11 +7,9 @@ checks contract them as integer tensors (supertkk.tensor), L is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from supertkk import tensor
 from supertkk.exact import GeneratedSpan, Q, ZERO
-from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative, parity_sign
+from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative
 
 
 def check_jordan_identity(V: SuperAlgebra) -> Witness | None:
@@ -34,29 +32,6 @@ def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
     """{x,y,z} = (-1)^{|x||y|+|y||z|+|x||z|} {z,y,x} on basis triples."""
     at = tensor.outer_symmetry_defect(tensor.triple_tensor(V)[0], V.parities, V.parities)
     return at and Witness(at, "triple symmetry fails at ({},{},{})".format(*at))
-
-
-def _parity_parts(V: SuperAlgebra, x):
-    parts = {0: [ZERO] * V.dim, 1: [ZERO] * V.dim}
-    for i, c in enumerate(x):
-        if c:
-            parts[V.parity(i)][i] = c
-    return [(par, tuple(v)) for par, v in parts.items() if any(v)]
-
-
-def triple(V: SuperAlgebra, x, y, z) -> tuple:
-    """{x,y,z} = 2((xy)z + x(yz) - (-1)^{|x||y|} y(xz)), extended multilinearly."""
-    out = [ZERO] * V.dim
-    for px, xp in _parity_parts(V, x):
-        for py, yp in _parity_parts(V, y):
-            s = parity_sign(px * py)
-            xy = V.product(xp, yp)
-            t1 = V.product(xy, z)
-            t2 = V.product(xp, V.product(yp, z))
-            t3 = V.product(yp, V.product(xp, z))
-            for i in range(V.dim):
-                out[i] += 2 * (t1[i] + t2[i] - s * t3[i])
-    return tuple(out)
 
 
 def check_five_linear(V: SuperAlgebra) -> Witness | None:
@@ -90,17 +65,3 @@ def find_unit(V: SuperAlgebra):
     if gens.dim < n:
         raise ValueError("unit system is underdetermined: unit not unique")
     return x
-
-
-@dataclass
-class JordanAlgebra:
-    """A verified Jordan superalgebra together with its unit, if any."""
-    base: SuperAlgebra
-    unit: tuple | None
-
-
-def make_jordan(a: SuperAlgebra) -> JordanAlgebra:
-    w = check_supercommutative(a) or check_jordan_identity(a)
-    if w is not None:
-        raise ValueError(f"not a Jordan superalgebra: {w}")
-    return JordanAlgebra(a, find_unit(a))

@@ -315,18 +315,6 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
             for b, code in enumerate(codes.tolist())}
 
 
-def _kernel_space(kernel, positions, ambient: int) -> Subspace:
-    """A kernel basis over len(positions) unknowns as a Subspace of Q^ambient,
-    each vector scattered to the given flat positions."""
-    scattered = []
-    for v in kernel:
-        flat = [Q(0)] * ambient
-        for at, x in zip(positions, v):
-            flat[at] = x
-        scattered.append(tuple(flat))
-    return Subspace(ambient, scattered)
-
-
 def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     """Leibniz kernel: operators of given parity (and degree shift, if set).
 
@@ -342,7 +330,7 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     pos = {rc: idx for idx, rc in enumerate(cols)}
     rows = IntRows.concat(IntRows(r.lens, np.array([pos[rc] for rc in b_cols])[r.cols], r.vals)
                           for b_cols, r in blocks)
-    return _kernel_space(integer_kernel(rows, len(cols)), [r * n + c for r, c in cols], n * n)
+    return integer_kernel(rows, len(cols)).embedded([r * n + c for r, c in cols], n * n)
 
 
 @memoized
@@ -442,8 +430,8 @@ def _derivation_rule_kernels(maps, parities) -> tuple:
     kernels = []
     for b in (0, 1):
         at = np.flatnonzero(block_of == b).tolist()
-        kernels.append(_kernel_space(integer_kernel(rows.get(b, IntRows.from_dicts(())), len(at)),
-                                     at, len(block_of)))
+        kernels.append(integer_kernel(rows.get(b, IntRows.from_dicts(())), len(at))
+                       .embedded(at, len(block_of)))
     return tuple(kernels)
 
 

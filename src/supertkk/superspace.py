@@ -182,11 +182,6 @@ def mirror(parities, upper, sym):
     return out
 
 
-def parity_sign(e: int):
-    """(-1)**e as a rational."""
-    return Q(-1) if e % 2 else Q(1)
-
-
 def _check_symmetry(a: SuperAlgebra, sign: int, what: str) -> Witness | None:
     for i, j in sorted({(max(key), min(key)) for key in a.table}):  # other pairs: 0 = 0
         left, right = a.basis_product(i, j), a.basis_product(j, i)
@@ -256,7 +251,7 @@ def _table_rows(a: SuperAlgebra, eq, col) -> IntRows:
 def center(a: SuperAlgebra) -> Subspace:
     """{x : x*y = 0 for all y}: the kernel of M[(j, k), i] = C[i, j, k]."""
     t = a.int_table
-    return Subspace(a.dim, integer_kernel(_table_rows(a, t.j * a.dim + t.k, t.i), a.dim))
+    return integer_kernel(_table_rows(a, t.j * a.dim + t.k, t.i), a.dim)
 
 
 def derived(a: SuperAlgebra) -> Subspace:

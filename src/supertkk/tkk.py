@@ -860,7 +860,7 @@ def _ad_rows(g: SuperAlgebra, blocks: dict):
 
 
 @memoized
-def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
+def lie_der_tower(g: SuperAlgebra) -> dict:
     """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity).
 
     The `leibniz_blocks` blocks have disjoint columns: offset block after
@@ -869,8 +869,7 @@ def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
     The ad_x of every x, read off the integer table onto the same columns
     (`_ad_rows`), are certified to kill every row, and Inn of a block is its
     number of pivots of their span (`exact.span_in_kernel`); the Inn ranks
-    add up to dim g - dim Z(g), and Out is Der - Inn.  With check_total,
-    the Der blocks are re-verified against the ungraded derivation kernel.
+    add up to dim g - dim Z(g), and Out is Der - Inn.
     """
     import numpy as np
     blocks = leibniz_blocks(g)
@@ -882,14 +881,8 @@ def lie_der_tower(g: SuperAlgebra, check_total: bool = False) -> dict:
     pivots = span_in_kernel(rows, ad, int(cut[-1]), lambda bad: (
         f"adjoint operators must be derivations (shift {list(blocks)[of[bad].min()][0]})"))
     inn = np.diff(np.searchsorted(pivots, cut)).tolist()
-    tower = {key: {"der": d, "inn": i, "out": d - i}
-             for key, d, i in zip(blocks, der, inn) if d or i}
-    if check_total:
-        for parity in (0, 1):
-            total = sum(b["der"] for (s, p), b in tower.items() if p == parity)
-            full = derivation_kernel(g, parity).dim
-            certify(total == full, f"graded Der blocks sum to {total}, full kernel has {full}")
-    return tower
+    return {key: {"der": d, "inn": i, "out": d - i}
+            for key, d, i in zip(blocks, der, inn) if d or i}
 
 
 def out_dims(tower: dict) -> dict:

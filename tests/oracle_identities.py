@@ -11,7 +11,8 @@ builders of superspace (a `kernel_sparse` over rows read off
 d_op is the former operator-formula D_{x,y}, the reference for the D
 operators read off tensor.triple_tensor (and for the Fraction-triple d_op
 of oracle_linalg).  The dense operators
-(Matrix, l_op, supercommutator) come from oracle_linalg.
+(Matrix, l_op, supercommutator) and the Fraction triple come from
+oracle_linalg.
 The tkk section holds the former Fraction loops of the g_0 action on
 Hom(V (x) V, V) and of kantor_relations, the references for
 tensor.g0_action, tensor.lp_tensor and tensor.kantor_relation_verdicts.
@@ -19,12 +20,12 @@ tensor.g0_action, tensor.lp_tensor and tensor.kantor_relation_verdicts.
 
 from __future__ import annotations
 
-from oracle_linalg import (GradedOperator, Matrix, l_op, left_mult_matrix, operator_parity,
-                           supercommutator)
+from oracle_linalg import (GradedOperator, Matrix, _parity_parts, l_op, left_mult_matrix,
+                           operator_parity, parity_sign, supercommutator, triple)
 from supertkk.exact import Q, Subspace, ZERO, kernel_sparse, row_primitive
-from supertkk.jordan import _parity_parts, find_unit, triple
+from supertkk.jordan import find_unit
 from supertkk.structure import CheckResult, JordanPair
-from supertkk.superspace import SuperAlgebra, Witness, parity_sign
+from supertkk.superspace import SuperAlgebra, Witness
 
 _sign = _sgn = parity_sign  # the names the checkers used in their modules
 

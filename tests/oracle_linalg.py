@@ -28,6 +28,11 @@ structured-elimination pre-pass: every row goes through `exact._echelon`
 as a dict; it is kept verbatim but for its certificate, which is the dense
 `verify_kernel` here.
 
+`triple` is the Fraction Jordan triple product that supertkk.jordan
+exported, with its helpers `_parity_parts` and the former
+`superspace.parity_sign`: the reference `tensor.triple_tensor` is tested
+against.
+
 The last section is the dense operator arithmetic that supertkk ran beside
 its integer operator stacks, kept verbatim for the oracles: `Matrix` is
 `exact.Matrix` with the products, sums, scalings and `apply` that the
@@ -47,10 +52,40 @@ from typing import Iterable, Sequence
 from supertkk import exact
 from supertkk.exact import (ONE, ZERO, Q, Subspace, certify, kernel_sparse, primitive_rows,
                             vec_is_zero)
-from supertkk.jordan import _parity_parts, triple
 from supertkk.structure import JordanPair, OperatorSpace
-from supertkk.superspace import (SuperAlgebra, check_superanticommutative,
-                                 check_supercommutative, parity_sign)
+from supertkk.superspace import SuperAlgebra, check_superanticommutative, check_supercommutative
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Jordan triple
+
+
+def parity_sign(e: int):
+    """(-1)**e as a rational."""
+    return Q(-1) if e % 2 else Q(1)
+
+
+def _parity_parts(V: SuperAlgebra, x):
+    parts = {0: [ZERO] * V.dim, 1: [ZERO] * V.dim}
+    for i, c in enumerate(x):
+        if c:
+            parts[V.parity(i)][i] = c
+    return [(par, tuple(v)) for par, v in parts.items() if any(v)]
+
+
+def triple(V: SuperAlgebra, x, y, z) -> tuple:
+    """{x,y,z} = 2((xy)z + x(yz) - (-1)^{|x||y|} y(xz)), extended multilinearly."""
+    out = [ZERO] * V.dim
+    for px, xp in _parity_parts(V, x):
+        for py, yp in _parity_parts(V, y):
+            s = parity_sign(px * py)
+            xy = V.product(xp, yp)
+            t1 = V.product(xy, z)
+            t2 = V.product(xp, V.product(yp, z))
+            t3 = V.product(yp, V.product(xp, z))
+            for i in range(V.dim):
+                out[i] += 2 * (t1[i] + t2[i] - s * t3[i])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

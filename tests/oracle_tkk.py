@@ -46,6 +46,9 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   `tkk.lie_der_tower` before it read them off the integer table:
   `basis_product` dicts, each made primitive by `row_primitive`.  `is_jordan_graded` takes the former `center`,
   `oracle_identities.center`.
+- `checked_lie_der_tower` is the re-check that `tkk.lie_der_tower` ran
+  under its former check_total flag: the Der blocks of each parity add up
+  to the ungraded `derivation_kernel` of that parity.
 The dense operators themselves (Matrix, l_op, d_op, supercommutator,
 operators) come from oracle_linalg.
 """
@@ -54,10 +57,11 @@ from __future__ import annotations
 
 from oracle_identities import _gplus_on_gminus, center
 import oracle_linalg
-from oracle_linalg import Matrix, d_op, l_op, left_mult_matrix, operators, supercommutator
+from oracle_linalg import (Matrix, d_op, l_op, left_mult_matrix, operators, supercommutator,
+                           triple)
 from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
-from supertkk.jordan import find_unit, triple
+from supertkk.jordan import find_unit
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
                                 check_pair_axioms, der_algebra, derivation_kernel,
                                 istr_algebra, leibniz_blocks, pair_d_stack, pair_der, str_w)
@@ -922,6 +926,17 @@ def lie_der_tower(g: SuperAlgebra) -> dict:
         inn = Subspace(m, ad_rows).dim
         if der or inn:
             tower[shift, parity] = {"der": len(der), "inn": inn, "out": len(der) - inn}
+    return tower
+
+
+def checked_lie_der_tower(g: SuperAlgebra) -> dict:
+    """`tkk.lie_der_tower(g)`, its Der blocks of each parity certified to add
+    up to the dimension of the ungraded derivation kernel."""
+    tower = tkk.lie_der_tower(g)
+    for parity in (0, 1):
+        total = sum(b["der"] for (s, p), b in tower.items() if p == parity)
+        full = derivation_kernel(g, parity).dim
+        certify(total == full, f"graded Der blocks sum to {total}, full kernel has {full}")
     return tower
 
 

@@ -5,6 +5,7 @@ import json
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +253,21 @@ def test_verify_section_releases_its_algebra():
     del V
     gc.collect()
     assert ref() is None
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+RUN_SCRIPT = """
+import runpy, sys
+sys.argv = {argv!r}
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [["dimension_survey.py", "--max-dim", "4"],
+                                  ["tkk_survey.py", "--max-dim", "4", "--fingerprints"]],
+                         ids=["dimension_survey", "tkk_survey"])
+def test_survey_scripts_run(argv):
+    # the scripts import public names of the package, which no other test runs them against
+    done = run_python([], RUN_SCRIPT.format(argv=[str(SCRIPTS / argv[0]), *argv[1:]]))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "skipped (--max-dim)" in done.stdout

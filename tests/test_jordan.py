@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_linalg as oracle
+from oracle_linalg import triple
 from supertkk import tensor
 from supertkk.exact import Matrix, Q
 from supertkk.jordan import (
     check_commutator_identity, check_five_linear, check_jordan_identity,
-    check_triple_symmetry, find_unit, make_jordan, triple,
+    check_triple_symmetry, find_unit,
 )
 from supertkk.structure import l_stack
 from supertkk.superspace import make_algebra
@@ -159,6 +160,9 @@ def test_identity_suite_catches_a_mutated_table():
     w = check_jordan_identity(bad)
     assert w is not None and "Jordan identity" in str(w)
     assert check_commutator_identity(bad) is not None
+    # a table that is not supercommutative fails before the Jordan identity
+    w = check_jordan_identity(_non_jordan())
+    assert w is not None and "supercommutativity" in str(w)
 
 
 def test_five_linear_catches_a_broken_odd_sign():
@@ -179,6 +183,7 @@ def test_find_unit_outcomes():
     assert find_unit(jordan_catalog("trunc_poly", 5)) is None
     unit = find_unit(jordan_catalog("full_matrix", 1, 1))
     assert unit == (Q(1), Q(0), Q(0), Q(1))  # the identity matrix
+    assert find_unit(jordan_catalog("dt", Q(1, 2))) == (Q(1), Q(1), Q(0), Q(0))
 
 
 def test_find_unit_rejects_non_unique_left_units():
@@ -188,13 +193,6 @@ def test_find_unit_rejects_non_unique_left_units():
     a = make_algebra([0, 0], products, kind="plain")
     with pytest.raises(ValueError, match="not unique"):
         find_unit(a)
-
-
-def test_make_jordan_wraps_verified_algebras():
-    J = make_jordan(jordan_catalog("dt", Q(1, 2)))
-    assert J.unit == (Q(1), Q(1), Q(0), Q(0))
-    with pytest.raises(ValueError):
-        make_jordan(_non_jordan())
 
 
 def _non_jordan():

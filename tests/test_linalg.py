@@ -16,8 +16,8 @@ from pyrun import run_python
 from supertkk import exact
 from supertkk.catalog import lie_catalog, load_algebra, resolve, save_algebra
 from supertkk.exact import (
-    CertificateError, GeneratedSpan, IntRows, Q, Matrix, Subspace, integer_kernel, kernel,
-    kernel_columns, kernel_sparse, primitive_rows, rref, solve, span,
+    CertificateError, GeneratedSpan, IntRows, Q, Matrix, Subspace, integer_kernel,
+    kernel_columns, kernel_sparse, primitive_rows, solve, span,
 )
 from supertkk.structure import leibniz_blocks
 from supertkk.tkk import lie_der_tower
@@ -47,16 +47,19 @@ def test_q_keeps_an_existing_rational():
 
 
 def test_kernel_identity_and_zero():
-    assert kernel(Matrix.identity(2)).dim == 0
-    full = kernel(Matrix.zero(3, 3))
+    assert integer_kernel(IntRows.from_dicts([{0: 1}, {1: 1}]), 2).dim == 0
+    full = integer_kernel(IntRows.from_dicts([]), 3)
     assert full.dim == 3 and full == Subspace.full(3)
+    assert kernel_sparse([{0: Q(0)}, {}], 3) == list(full.basis)  # zero rows
 
 
 def test_kernel_rank_one():
     # [[1,2],[2,4]] has kernel spanned by (2,-1); canonical form (1,-1/2)
-    ker = kernel(Matrix([[1, 2], [2, 4]]))
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}]
+    assert kernel_sparse(rows, 2) == [(Q(1), Q(-1, 2))]
+    ker = integer_kernel(IntRows.from_dicts(primitive_rows(rows)), 2)
     assert ker.dim == 1
-    assert ker.basis == ((Q(1), Q(-1, 2)),)
+    assert ker.basis == ((Q(1), Q(-1, 2)),) and ker.pivots == (0,)
     assert ker.contains((2, -1))
 
 
@@ -75,18 +78,6 @@ def test_span_examples():
     a = span([(1, 1, 0), (0, 0, 1)])
     b = span([(1, 1, 1)])
     assert a.intersect(b) == b
-
-
-def test_quotient_dim():
-    a = span([(1, 0, 0), (0, 1, 0)])
-    b = span([(1, 1, 0)])
-    assert a.quotient_dim(b) == 1
-    try:
-        span([(0, 0, 1)]).quotient_dim(b)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("quotient_dim must reject non-contained subspace")
 
 
 @given(st.lists(vecs(4), min_size=0, max_size=5), st.data())
@@ -122,9 +113,9 @@ def test_solve_verifies(rows, x):
 @settings(**SETTINGS)
 def test_kernel_orthogonal_to_rows(rows):
     m = oracle.Matrix(rows)
-    ker = kernel(m)
-    assert ker.dim + rref(m)[0].rows == 4
-    for v in ker.basis:
+    ker = kernel_sparse([{c: x for c, x in enumerate(r) if x} for r in rows], 4)
+    assert len(ker) + Subspace(4, rows).dim == 4
+    for v in ker:
         assert all(not x for x in m.apply(v))
 
 
@@ -215,7 +206,7 @@ def certificate_cases(draw):
                                 min_size=least, max_size=most))
                   for least, most in ((0, 8), (1, 4)))
     if draw(st.booleans()):
-        vecs = _integer_vectors(integer_kernel(IntRows.from_dicts(primitive_rows(rows)), n))
+        vecs = _integer_vectors(integer_kernel(IntRows.from_dicts(primitive_rows(rows)), n).basis)
     return rows, vecs, n
 
 
@@ -247,7 +238,7 @@ def test_raising_one_kernel_entry_fails_the_certificate():
     # some row uses no longer kills every row, on both checks
     g = lie_catalog("w", 3)
     for cols, rows in leibniz_blocks(g).values():
-        vecs = _integer_vectors(integer_kernel(rows, len(cols)))
+        vecs = _integer_vectors(integer_kernel(rows, len(cols)).basis)
         assert not exact._verify_kernel(rows, IntRows.from_dicts(vecs), len(cols)).any()
         used = sorted(set(rows.cols.tolist()))
         for k, v in enumerate(vecs[:4]):
@@ -402,19 +393,20 @@ def structured_systems(draw):
 def test_structured_elimination_matches_the_all_rows_oracle(system):
     rows, n = system
     got = integer_kernel(IntRows.from_dicts(rows), n)
-    assert got == oracle.integer_kernel([r for r in rows if r], n)
-    assert Subspace(n, got).basis == tuple(got)  # canonical
-    assert len(kernel_columns(IntRows.from_dicts(rows), n)) == len(got)
+    assert list(got.basis) == oracle.integer_kernel([r for r in rows if r], n)
+    assert _canonical(Subspace(n, got.basis)) == _canonical(got)  # canonical
+    assert len(kernel_columns(IntRows.from_dicts(rows), n)) == got.dim
 
 
 def test_structured_elimination_of_degenerate_systems():
-    assert integer_kernel(IntRows.from_dicts([]), 0) == []
-    assert integer_kernel(IntRows.from_dicts([]), 2) == [(1, 0), (0, 1)]
+    assert integer_kernel(IntRows.from_dicts([]), 0).basis == ()
+    assert integer_kernel(IntRows.from_dicts([]), 2).basis == ((1, 0), (0, 1))
     # every row absorbed: x_1 = -x_0, x_2 = x_1, x_3 = 0, and two rows that
     # substitution empties
     rows = [{0: 1, 1: 1}, {1: 1, 2: -1}, {3: 5}, {0: 1, 2: 1}, {1: 2 ** 70, 2: -2 ** 70}]
-    assert integer_kernel(IntRows.from_dicts(rows), 5) == oracle.integer_kernel(rows, 5)
-    assert integer_kernel(IntRows.from_dicts(rows), 5) == [(1, -1, -1, 0, 0), (0, 0, 0, 0, 1)]
+    got = integer_kernel(IntRows.from_dicts(rows), 5)
+    assert list(got.basis) == oracle.integer_kernel(rows, 5)
+    assert got.basis == ((1, -1, -1, 0, 0), (0, 0, 0, 0, 1)) and got.pivots == (0, 4)
 
 
 def test_only_the_core_reaches_the_elimination(monkeypatch):
@@ -479,7 +471,7 @@ def test_absorption_proves_its_int64_bound(scale, monkeypatch):
         return dtype
 
     monkeypatch.setattr(exact, "int_dtype", spy)
-    assert integer_kernel(IntRows.from_dicts(rows), 5) == oracle.integer_kernel(rows, 5)
+    assert list(integer_kernel(IntRows.from_dicts(rows), 5).basis) == oracle.integer_kernel(rows, 5)
     proved = [ok for caller, ok, _ in casts if caller == "_absorb"]
     assert proved == ([True, True] if scale == 1 else [False, True])  # values, then keys
     assert all((dtype is np.int64) == ok for _, ok, dtype in casts)
@@ -514,10 +506,49 @@ def test_subspace_matches_dense_oracle(system, data):
 
 @given(dense_systems(), st.data())
 @settings(**SETTINGS)
-def test_rref_matches_dense_oracle(system, data):
+def test_kernel_of_repeated_rows_matches_dense_oracle(system, data):
     n, vectors = system
-    m = Matrix(_with_repeats(data, vectors, n) or [(Q(0),) * n])
-    assert rref(m) == oracle.rref(m)
+    rows = [{c: x for c, x in enumerate(v) if x} for v in _with_repeats(data, vectors, n)]
+    got = integer_kernel(IntRows.from_dicts(primitive_rows(rows)), n)
+    assert _canonical(got) == oracle.kernel(rows, n)
+    assert kernel_sparse(rows, n) == list(got.basis)
+
+
+@st.composite
+def embeddings(draw):
+    """(space, positions, ambient): a canonical Subspace of Q^n, from a
+    spanning set or as a kernel, and n strictly increasing positions inside
+    range(ambient)."""
+    n, vectors = draw(dense_systems())
+    if draw(st.booleans()):
+        space = Subspace(n, vectors)
+    else:
+        rows = [{c: x for c, x in enumerate(v) if x} for v in vectors]
+        space = integer_kernel(IntRows.from_dicts(primitive_rows(rows)), n)
+    ambient = n + draw(st.integers(0, 6))
+    positions = sorted(draw(st.lists(st.integers(0, ambient - 1), min_size=n, max_size=n,
+                                     unique=True)))
+    return space, positions, ambient
+
+
+@given(embeddings())
+@settings(**SETTINGS)
+def test_embedded_matches_the_re_elimination_oracle(case):
+    space, positions, ambient = case
+    got = space.embedded(positions, ambient)
+    want = oracle._kernel_space(space.basis, positions, ambient)
+    assert got == want and _canonical(got) == _canonical(want)
+
+
+@pytest.mark.parametrize("positions,message", [
+    ([3, 1, 4], "increase strictly"), ([0, 0, 4], "increase strictly"),
+    ([1, 3, 5], "increase strictly"), ([-1, 0, 2], "increase strictly"),
+    ([0, 1], "ambient dimension mismatch"),
+], ids=["decreasing", "repeated", "past the end", "negative", "too few"])
+def test_embedded_refuses_positions_that_break_the_canonical_basis(positions, message):
+    plane = Subspace(3, [(1, 0, 2), (0, 1, -1)])
+    with pytest.raises(ValueError, match=message):
+        plane.embedded(positions, 5)
 
 
 @given(dense_systems(), st.data())

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import oracle_linalg as oracle
+from oracle_linalg import triple
 import oracle_tkk
 from supertkk import exact, structure, tensor, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
 from supertkk.exact import Matrix, Q, Subspace
-from supertkk.jordan import triple
 from supertkk.structure import (
     JordanPair,
     der_algebra,
@@ -34,7 +34,7 @@ from supertkk.structure import (
     str_w,
     structure_summary,
 )
-from supertkk.superspace import SuperAlgebra, make_algebra, memoized, mirror
+from supertkk.superspace import SuperAlgebra, center, make_algebra, memoized, mirror
 from test_tensor import _pair_tables, _rescaled, _sl2
 
 SETTINGS = dict(max_examples=40, deadline=None)
@@ -495,9 +495,27 @@ def test_leibniz_system_is_assembled_once(monkeypatch):
     monkeypatch.setattr(structure, "leibniz_blocks", spy)
     monkeypatch.setattr(tkk, "leibniz_blocks", spy)
     g = load_algebra(save_algebra(lie_catalog("w", 2)))  # fresh: an empty memo
-    tkk.lie_der_tower(g, check_total=True)
+    oracle_tkk.checked_lie_der_tower(g)
     der_algebra(g)
     assert calls == [g]
+
+
+def test_kernel_bases_are_eliminated_once(monkeypatch):
+    # integer_kernel's basis is canonical already: Der, the pair derivations,
+    # str_w and the centre take it as it is (scattered by Subspace.embedded),
+    # and no Subspace eliminates it a second time
+    kack, w2 = resolve("kacK"), lie_catalog("w", 2)
+    V, g = (load_algebra(save_algebra(a)) for a in (kack, w2))  # fresh: empty memos
+
+    def spaces(V, g):
+        return der_algebra(V).dims(), pair_der(V).dims(), str_w(V).dims(), center(g).dim
+
+    def refuse(vectors, ncols):
+        raise AssertionError("a canonical kernel basis was eliminated again")
+
+    want = spaces(kack, w2)
+    monkeypatch.setattr(exact, "_rref_rows", refuse)
+    assert spaces(V, g) == want
 
 
 def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
