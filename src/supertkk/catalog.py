@@ -617,7 +617,8 @@ def resolve(source: str) -> SuperAlgebra:
 
     Accepts catalog names with colon or parenthesis parameter syntax, and a
     serialized algebra file given as "file:PATH" or as a bare path (anything
-    that is not a catalog name and has a suffix or names a file).
+    that names a file, or has a suffix and neither is a catalog name nor
+    starts with one followed by ":" or "(").
     """
     if source.startswith("file:"):
         return _load_file(source[5:])
@@ -625,7 +626,10 @@ def resolve(source: str) -> SuperAlgebra:
     name = m.group(1) if m else None
     if name not in _JORDAN_BUILDERS and name not in _LIE_BUILDERS:
         path = Path(source)
-        if path.suffix or path.is_file():
+        # a catalog name followed by bad parameters is no file name
+        lead = re.match(r"([A-Za-z_][A-Za-z_0-9]*)[:(]", source.strip())
+        named = lead and lead.group(1) in _JORDAN_BUILDERS.keys() | _LIE_BUILDERS.keys()
+        if (path.suffix and not named) or path.is_file():
             return _load_file(path)
         if m is None:
             raise ValueError(f"cannot parse algebra source {source!r}")

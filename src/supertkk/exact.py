@@ -445,10 +445,10 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     in that block (int arrays).  Row (e, b) is equation e on the columns of
     block b.
 
-    Each chunk is reduced in one vectorised pass: the triplets are sorted by
-    (e, b, c), duplicates summed by `np.add.reduceat`, zeros dropped, and
-    each row divided by its gcd (`np.gcd.reduceat`), signed so that its first
-    entry is positive, as `row_primitive` signs.  Rows repeated anywhere in
+    Each chunk is reduced in one vectorised pass: the triplets are summed
+    per (e, b, c) by `sum_by_key`, which drops zeros, and each row is
+    divided by its gcd (`np.gcd.reduceat`), signed so that its first entry
+    is positive, as `row_primitive` signs.  Rows repeated anywhere in
     the system are then removed.  Returns {block: IntRows} for every block
     (with no row for a block no equation reaches), the columns given by
     their positions, the rows in the order of the chunks and, within one, of
@@ -468,12 +468,7 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
         val = val.astype(int_dtype(terms * int(np.abs(val).max())))
         key = eq.astype(int_dtype((int(eq.max()) + 1) * nblocks * ncols))
         key = (key * nblocks + block_of[col]) * ncols + col
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], val[order]
-        first = _run_starts(key)
-        key, val = key[first], np.add.reduceat(val, first)
-        nonzero = val != 0
-        key, val = key[nonzero], val[nonzero]
+        key, val = sum_by_key(key, val)
         if not len(key):
             continue
         row, col = key // ncols, (key % ncols).astype(np.int64)
@@ -527,6 +522,19 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
         keep = np.array(sorted(seen.values()), dtype=np.int64)
     at = _entries(starts[keep], lens[keep])
     return blocks[keep], lens[keep], cols[at], vals[at]
+
+
+def sum_by_key(keys, vals):
+    """(keys, sums): the distinct keys of an array in ascending order with
+    the sums of their values (`np.add.reduceat` over a stable sort), those
+    summing to zero dropped."""
+    import numpy as np
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = _run_starts(keys)
+    keys, vals = keys[first], np.add.reduceat(vals, first)
+    keep = vals != 0
+    return keys[keep], vals[keep]
 
 
 def _run_starts(a):
@@ -622,9 +630,9 @@ def _verify_kernel(int_rows: IntRows, vecs: IntRows, ncols: int):
     """The mask of the vectors (the rows of vecs) that fail to kill some
     row of int_rows: a join on the column, each row entry times the vector
     entries on its column, whole rows and about _KERNEL_CHUNK products at a
-    time, summed per (row, vector) by a sort and `np.add.reduceat`.  A sum
-    has at most (longest row) terms: int64 when max|row| * max|v| * (longest
-    row) < 2**62, else object-dtype Python ints."""
+    time, summed per (row, vector) by `sum_by_key`.  A sum has at most
+    (longest row) terms: int64 when max|row| * max|v| * (longest row) <
+    2**62, else object-dtype Python ints."""
     import numpy as np
 
     bad = np.zeros(len(vecs), dtype=bool)
@@ -646,11 +654,9 @@ def _verify_kernel(int_rows: IntRows, vecs: IntRows, ncols: int):
         last = int(np.searchsorted(row, row[last - 1], side="right"))  # whole rows
         e = np.repeat(np.arange(last - first), per[first:last])
         at = _entries(where[int_rows.cols[hit[first:last]]], per[first:last])
-        key = (row[first:last][e] - row[first]) * len(vecs) + owner[at]
-        order = np.argsort(key, kind="stable")
-        key, prod = key[order], (int_rows.vals[hit[first:last]].astype(dtype)[e] * v[at])[order]
-        head = _run_starts(key)
-        bad[key[head][np.add.reduceat(prod, head) != 0] % len(vecs)] = True
+        key, _ = sum_by_key((row[first:last][e] - row[first]) * len(vecs) + owner[at],
+                            int_rows.vals[hit[first:last]].astype(dtype)[e] * v[at])
+        bad[key % len(vecs)] = True
         first = last
     return bad
 
@@ -676,8 +682,8 @@ def _absorb(int_rows: IntRows, ncols: int):
 
     Column c is x_c = sign[c] * x_root[c], sign 0 for a column forced to 0,
     and core holds the rows left over the live roots (sign 1, root itself).
-    Each round substitutes (root, sign) into the rows, sums their entries
-    per (row, column) by `np.add.reduceat` and drops zeros.  A row left with
+    Each round substitutes (root, sign) into the rows and sums their entries
+    per (row, column) by `sum_by_key`, which drops zeros.  A row left with
     one entry forces its column to 0; a row a x_c + b x_d with |a| = |b|,
     c < d and neither column forced to 0 this round, ties x_d = -(a/b) x_c.
     A column tied by several rows takes the smallest c, and the other rows
@@ -699,13 +705,7 @@ def _absorb(int_rows: IntRows, ncols: int):
     key_type = int_dtype(len(lens) * ncols)
     while len(row):
         key = row.astype(key_type) * ncols + root[col]
-        vals = vals * sign[col]
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        first = _run_starts(key)
-        key, vals = key[first], np.add.reduceat(vals, first)
-        nonzero = vals != 0
-        key, vals = key[nonzero], vals[nonzero]
+        key, vals = sum_by_key(key, vals * sign[col])
         row, col = (key // ncols).astype(np.int64), (key % ncols).astype(np.int64)
         start = _run_starts(row)
         lens = np.diff(start, append=len(row))

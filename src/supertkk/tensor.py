@@ -12,9 +12,10 @@ constants as sorted COO arrays with d and max|value|, built in one pass over
 the rational table and kept, read-only, in the algebra's memo
 (`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
 `center`, `derived`, the ad rows of `tkk.lie_der_tower` and the integer
-readers of the constructions start from it; the symmetry checks,
-`subalgebra`, `jordan.find_unit`, the Kantor P vector and the `tits` and
-`koecher_d` builders still read the rational table.  Super-Jacobi joins its nonzeros
+readers of the constructions start from it, and so does the Kantor top
+space (P = d C and `lp_tensor`); the symmetry checks, `subalgebra`,
+`jordan.find_unit` and the products of the `tits` and `koecher_d` builders
+still read the rational table.  Super-Jacobi joins its nonzeros
 with each other on the contracted index, a fixed number of products at a
 time, so its work follows the nonzeros and its memory the chunk; the dense
 kernels (the Jordan checks, which hold O(n**5) entries, and the Kantor
@@ -43,7 +44,7 @@ algebra loads it through its super-Jacobi check.
 from dataclasses import dataclass
 from math import lcm
 
-from .exact import Q, int_dtype
+from .exact import Q, int_dtype, sum_by_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,24 +223,12 @@ def jacobi_defect(a):
         x, yy, zz = xo[o], y[e], z[e]
         i, k = np.minimum(np.minimum(x, yy), zz), np.maximum(np.maximum(x, yy), zz)
         key = ((i * n + (x + yy + zz - i - k)) * n + k) * n + to[o]
-        keys, sums = _fold(np.concatenate([keys, key]),
-                           np.concatenate([sums, s[x, zz] * inner[e] * outer[o]]))
+        keys, sums = sum_by_key(np.concatenate([keys, key]),
+                                np.concatenate([sums, s[x, zz] * inner[e] * outer[o]]))
         done = n if p1 == total else int(lead[np.searchsorted(ends, p1, side="right")])
         if len(keys) and keys[0] < done * n ** 3:  # no range of its i is left: complete
             return tuple(int(v) for v in np.unravel_index(int(keys[0]), (n, n, n, n))[:3])
     return None
-
-
-def _fold(keys, vals):
-    """(keys, sums): the distinct keys of a nonempty array in ascending order
-    with their summed values, those summing to zero dropped."""
-    import numpy as np
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    head = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    keys, vals = keys[head], np.add.reduceat(vals, head)
-    keep = vals != 0
-    return keys[keep], vals[keep]
 
 
 def jordan_defect(a):

@@ -8,10 +8,16 @@ superalgebras to superpairs, derivation towers of graded Lie superalgebras,
 and the explicit equivalence maps between all of these.  Every constructed
 bracket table goes through make_algebra with the super-Jacobi check enabled.
 
-The constructions differ only in their degree-0 parts, and each block of
+Each construction is 3-graded, g_{-1} (+) g_0 (+) g_1, and the builders share
+its scaffold: `_layout` lays out the basis blocks, `_act` writes every
+middle's action on the tips (a column of the operator, with the Koszul sign
+when the tip comes first), and `_lie` mirrors, checks and wraps the table.
+So the constructions differ only in their degree-0 parts, and each block of
 brackets there is one batched integer bracket of operator stacks followed
 by one certified coordinate read (`OperatorStack.bracket`,
-`OperatorSpace.coordinates`); an equivalence map is certified against both
+`OperatorSpace.coordinates`).  The Kantor top space is one integer tensor
+(`KantorTop`) read off the table and `tensor.lp_tensor`, with coordinates
+certified by `GeneratedSpan`.  An equivalence map is certified against both
 bracket tables by `tensor.bracket_map_defect`.  The checks run on the same
 integer layer: `tits_roundtrip` compares all [e (x) a, f (x) b] at once with
 the coordinates of the [L_a, L_b], the images of the unital equivalence maps
@@ -28,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Matrix, Q, Subspace, ZERO, certify, int_dtype,
-                    kernel_columns, span, span_in_kernel)
+from .exact import (GeneratedSpan, IntRows, Matrix, Q, Subspace, ZERO, certify, kernel_columns,
+                    span, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -87,6 +93,49 @@ def _entries(upper: dict) -> list:
     return [(i, j, k, c) for (i, j), vec in upper.items() for k, c in vec.items() if c]
 
 
+def _layout(*blocks) -> tuple:
+    """(parities, zdegrees, origin) of a basis given as (tag, parities,
+    degree) blocks, one after the other; a block's origins are (tag, i), or
+    the tags themselves when tag is a list."""
+    parities, zdegrees, origin = [], [], []
+    for tag, par, z in blocks:
+        parities += [int(p) for p in par]
+        zdegrees += [z] * len(par)
+        origin += tag if isinstance(tag, list) else [(tag, i) for i in range(len(par))]
+    return tuple(parities), tuple(zdegrees), tuple(origin)
+
+
+def _act(upper: dict, space: OperatorSpace, at: int, copies) -> None:
+    """Write [A_t, e_i] = A_t e_i for the basis A_t of space, placed at
+    offset at, on each copy (offset, block, parities) of V: block is the
+    block of A_t acting on that copy.  A copy placed before the operators
+    gets [e_i, A_t] = -(-1)^{|i||A_t|} A_t e_i.  The entries share one
+    Fraction per value, so the table holds a handful of new objects."""
+    stack = space.stack
+    spar, fracs = stack.parities.tolist(), {}
+    for off, b, par in copies:
+        M = stack.blocks[b]
+        nz = M.nonzero()
+        for t, l, i, x in zip(*(a.tolist() for a in nz), M[nz].tolist()):
+            if off < at:
+                key, x = (off + i, at + t), x if par[i] * spar[t] % 2 else -x
+            else:
+                key = at + t, off + i
+            if x not in fracs:
+                fracs[x] = Q(x, stack.den)
+            upper.setdefault(key, {})[off + l] = fracs[x]
+
+
+def _lie(upper: dict, layout: tuple, name: str, construction: str, metadata: dict,
+         **data) -> TkkAlgebra:
+    """The Lie superalgebra of an upper-triangle bracket table, mirrored and
+    checked by make_algebra, with its basis bookkeeping."""
+    parities, zdegrees, origin = layout
+    alg = make_algebra(parities, mirror(parities, _entries(upper), -1), zdegrees=zdegrees,
+                       name=name, kind="lie", metadata=metadata)
+    return TkkAlgebra(alg, construction, origin, source=name, data=data)
+
+
 def zdims(g: SuperAlgebra) -> dict:
     """Total dimension per Z-degree."""
     out: dict = {}
@@ -115,38 +164,22 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
         raise ValueError(f"unknown middle {middle!r}, expected 'inn' or 'der'")
     dp, dm = pair.shape
     nm = mid.dim
-    mid_par = mid.stack.parities.tolist()
-    parities = tuple(pair.parities[0]) + tuple(mid_par) + tuple(pair.parities[1])
-    zdeg = (1,) * dp + (0,) * nm + (-1,) * dm
-    origin = tuple([("vplus", i) for i in range(dp)]
-                   + [("op0", t) for t in range(nm)]
-                   + [("vminus", u) for u in range(dm)])
-
     upper: dict = {}
     # [x+, u-] = D_{x,u} as an operator pair in the middle
     for b, w in enumerate(_coordinate_rows(mid, pair_d_stack(pair))):
         i, u = divmod(b, dm)
         upper[i, dp + nm + u] = {dp + t: c for t, c in w.items()}
-    for t, (flat, pa) in enumerate(zip(_basis_flats(mid), mid_par)):
-        for i in range(dp):
-            # [x+, M] = -(-1)^{|x||M|} (M+ x)+, column i of M+
-            s = -1 if pair.parity(0, i) * pa % 2 else 1
-            upper[i, dp + t] = {l: -s * flat[l * dp + i] for l in range(dp)
-                                if flat[l * dp + i]}
-        for u in range(dm):
-            # [M, u-] = (M- u)-, column u of M-
-            col = [flat[dp * dp + l * dm + u] for l in range(dm)]
-            upper[dp + t, dp + nm + u] = {dp + nm + l: c for l, c in enumerate(col) if c}
+    # M acts on V+ by its block M+ and on V- by M-
+    _act(upper, mid, dp, [(0, 0, pair.parities[0]), (dp + nm, 1, pair.parities[1])])
     _middle_brackets(upper, mid, dp)
 
     prefix = "Ko" if middle == "inn" else "Ko~"
     name = (prefix + pair.name if pair.name.startswith("(")
             else f"{prefix}({pair.name})")
-    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
-                       zdegrees=zdeg, name=name, kind="lie",
-                       metadata={"construction": "koecher", "middle": middle})
-    return TkkAlgebra(alg, "Ko" if middle == "inn" else "KoTilde",
-                      origin, source=name, data={"pair": pair, "middle": mid})
+    layout = _layout(("vplus", pair.parities[0], 1), ("op0", mid.stack.parities, 0),
+                     ("vminus", pair.parities[1], -1))
+    return _lie(upper, layout, name, "Ko" if middle == "inn" else "KoTilde",
+                {"construction": "koecher", "middle": middle}, pair=pair, middle=mid)
 
 
 def koecher_tilde(v) -> TkkAlgebra:
@@ -182,58 +215,43 @@ def koecher_ideal_check(v) -> CheckResult:
 # Kantor construction
 
 
-def _hom2_flat_p(V: SuperAlgebra) -> tuple:
-    """P(x, y) = xy as a vector in Hom(V (x) V, V), flat index (l, i, j)."""
-    n = V.dim
-    flat = [Q(0)] * n ** 3
-    for (i, j), vec in V.table.items():
-        for l, c in vec.items():
-            flat[l * n * n + i * n + j] = c
-    return tuple(flat)
-
-
 class KantorTop:
-    """The degree +1 space <P, [L_a, P]> inside Hom(V (x) V, V).
+    """The degree +1 space <P, [L_a, P]> inside Hom(V (x) V, V), on integers.
 
-    The basis is picked greedily from the spanning family (P first, then the
-    [L_a, P] in basis order), so every basis vector carries an honest origin
-    tag; for unital V the [L_e, P] direction collapses onto P = -[L_e, P].
+    The spanning family is P = d C, read off V's `IntTable` (C = d P), then
+    the d**2 [L_a, P] of `tensor.lp_tensor`, all at den = d**2.  The basis is
+    picked greedily from it per parity (P first, then the [L_a, P] in basis
+    order, one `GeneratedSpan` each), so every basis vector carries an
+    honest origin tag; for unital V the [L_e, P] direction collapses onto
+    P = -[L_e, P].  tensors[u, i, j, l] = den B_u(e_i, e_j)_l for the basis
+    B_u, even block first, with tags[u] and parities[u].
     """
 
     def __init__(self, V: SuperAlgebra):
-        n = V.dim
-        self.p_flat = _hom2_flat_p(V)
-        lp, d = tensor.lp_tensor(V)  # d**2 [L_a, P]
-        self.lp_flats = [tuple(Q(x, d * d) if x else ZERO for x in flat)
-                         for flat in lp.transpose(0, 3, 1, 2).reshape(n, n ** 3).tolist()]
-        candidates = [(("kantorP", 0), self.p_flat, 0)] + [
-            (("kantorLP", a), self.lp_flats[a], V.parity(a)) for a in range(n)]
-        self.kept, self._spans = {}, {}
-        for par in (0, 1):
-            block = [(tag, flat) for tag, flat, p in candidates if p == par]
-            self._spans[par] = GeneratedSpan([f for _, f in block], n ** 3)
-            self.kept[par] = [block[i] for i in self._spans[par].independent]
-
-    def dims(self) -> tuple:
-        return len(self.kept[0]), len(self.kept[1])
-
-    @property
-    def dim(self) -> int:
-        return len(self.kept[0]) + len(self.kept[1])
-
-    def basis(self):
-        """(tag, flat, parity) triples, even block first."""
-        return ([(t, f, 0) for t, f in self.kept[0]]
-                + [(t, f, 1) for t, f in self.kept[1]])
+        import numpy as np
+        n, t = V.dim, V.int_table
+        lp, d = tensor.lp_tensor(V)
+        family = np.concatenate([(t.dense(d) * d)[None], lp])
+        tags = [("kantorP", 0)] + [("kantorLP", a) for a in range(n)]
+        par = (0,) + V.parities
+        flats, kept, self._spans = family.reshape(n + 1, n ** 3), [], {}
+        for p in (0, 1):
+            block = [u for u in range(n + 1) if par[u] == p]
+            self._spans[p] = GeneratedSpan(flats[block].tolist(), n ** 3)
+            kept += [block[i] for i in self._spans[p].independent]
+        self.tags, self.parities = [tags[u] for u in kept], [par[u] for u in kept]
+        self.tensors, self.den = family[kept], d * d
 
     def coords(self, flat, parity: int) -> list:
+        """The coordinates over the basis of a flattened tensor (i, j, l) of
+        the given parity, certified by `GeneratedSpan.express`; the flat of
+        s T gives s / den times the coordinates of T."""
         gens = self._spans[parity % 2]
         c = gens.express(flat)
         certify(c is not None, "element does not lie in the Kantor top space")
         c = [c[i] for i in gens.independent]
-        if parity % 2:
-            return [Q(0)] * len(self.kept[0]) + c
-        return c + [Q(0)] * len(self.kept[1])
+        zeros = [ZERO] * self.parities.count(1 - parity % 2)
+        return zeros + c if parity % 2 else c + zeros
 
 
 @memoized
@@ -245,57 +263,37 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
     istr = istr_algebra(V)
     basis = istr.stack
     nm = istr.dim
-    mid_par = basis.parities.tolist()
     top = KantorTop(V)
-    top_basis = top.basis()
-    nt = len(top_basis)
-    top_par = [p for _, _, p in top_basis]
-    parities = tuple(V.parities) + tuple(mid_par) + tuple(top_par)
-    zdeg = (-1,) * n + (0,) * nm + (1,) * nt
-    origin = tuple([("vminus", i) for i in range(n)]
-                   + [("op0", t) for t in range(nm)]
-                   + [tag for tag, _, _ in top_basis])
+    tops, top_par = top.tensors, top.parities
+    nt = len(top_par)
 
     upper: dict = {}
-    for t, (flat, pa) in enumerate(zip(_basis_flats(istr), mid_par)):
-        for i in range(n):
-            # [x, A] = -(-1)^{|x||A|} A(x), column i of A
-            s = -1 if V.parity(i) * pa % 2 else 1
-            entry = {l: -s * flat[l * n + i] for l in range(n) if flat[l * n + i]}
-            if entry:
-                upper[i, n + t] = entry
-    tops: dict = {}  # (u, i, j) -> {l: B_u(e_i, e_j)_l}
-    for u, (_, t_flat, _) in enumerate(top_basis):
-        for at, x in enumerate(t_flat):
-            if x:
-                l, ij = divmod(at, n * n)
-                tops.setdefault((u,) + divmod(ij, n), {})[l] = x
-    (tops,), d = tensor.encode([tops], [(nt, n, n, n)])
+    _act(upper, istr, n, [(0, 0, V.parities)])
     # [x, B] = -(-1)^{|x||B|} [B, x], with [B, x](y) = B(x, y) in istr:
     # the operator of (x, B) has entries [l, j] = B(e_x, e_j)_l
     at_x = OperatorStack((tops.transpose(1, 0, 3, 2).reshape(n * nt, n, n),),
-                         [(p + q) % 2 for p in V.parities for q in top_par], d)
+                         [(p + q) % 2 for p in V.parities for q in top_par], top.den)
     for b, w in enumerate(_coordinate_rows(istr, at_x)):
         i, u = divmod(b, nt)
         s = -1 if V.parity(i) * top_par[u] % 2 else 1
         if w:
             upper[i, n + nm + u] = {n + l: -s * c for l, c in w.items()}
     _middle_brackets(upper, istr, n)
-    # [A, B] for A in istr and B in the top: basis.den * d times integer flats
-    for t, pa in enumerate(mid_par):
+    # [A, B] for A in istr and B in the top: basis.den * top.den times
+    # integer tensors, whose coordinates come at basis.den
+    for t, pa in enumerate(basis.parities.tolist()):
         sign = [-1 if pa * q % 2 else 1 for q in top_par]
         acted = tensor.g0_action(basis.blocks[0][t], tops, sign, V.parities)
-        for u, flat in enumerate(acted.transpose(0, 3, 1, 2).reshape(nt, n ** 3).tolist()):
+        for u, flat in enumerate(acted.reshape(nt, n ** 3).tolist()):
             coords = top.coords(flat, (pa + top_par[u]) % 2)
-            entry = {n + nm + l: c / (basis.den * d) for l, c in enumerate(coords) if c}
+            entry = {n + nm + l: c / basis.den for l, c in enumerate(coords) if c}
             if entry:
                 upper[n + t, n + nm + u] = entry
 
-    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
-                       zdegrees=zdeg, name=f"Kan({V.name})", kind="lie",
-                       metadata={"construction": "kantor"})
-    return TkkAlgebra(alg, "Kan", origin, source=f"Kan({V.name})",
-                      data={"middle": istr, "top": top})
+    layout = _layout(("vminus", V.parities, -1), ("op0", basis.parities, 0),
+                     (top.tags, top_par, 1))
+    return _lie(upper, layout, f"Kan({V.name})", "Kan", {"construction": "kantor"},
+                middle=istr, top=top)
 
 
 _KANTOR_RELATIONS = (
@@ -390,27 +388,14 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     data = tits_data(V, d)
     dsp, y, kappa = data.dspace, data.sl2, data.killing
     nd = dsp.dim
-    # sl2 basis order e, h, f carries the 3-grading +1, 0, -1
-    sl2_deg = (1, 0, -1)
-    parities = tuple(dsp.stack.parities.tolist()) + tuple(V.parities) * 3
-    zdeg = tuple(0 for _ in range(nd)) + tuple(
-        z for z in sl2_deg for _ in range(n))
-    origin = tuple([("d", t) for t in range(nd)]
-                   + [(tag, i) for tag in ("e", "h", "f") for i in range(n)])
 
     def tensor_index(y_idx: int, v_idx: int) -> int:
         return nd + y_idx * n + v_idx
 
     upper: dict = {}
     _middle_brackets(upper, dsp, 0)
-    for t, flat in enumerate(_basis_flats(dsp)):
-        for yi in range(3):
-            # [d, y (x) v] = y (x) d(v), column v of d
-            for vj in range(n):
-                entry = {tensor_index(yi, l): flat[l * n + vj] for l in range(n)
-                         if flat[l * n + vj]}
-                if entry:
-                    upper[t, tensor_index(yi, vj)] = entry
+    # [d, y (x) v] = y (x) d(v) on each of the three copies of V
+    _act(upper, dsp, 0, [(tensor_index(yi, 0), 0, V.parities) for yi in range(3)])
     ls = l_stack(V)
     lbr = _coordinate_rows(dsp, ls.bracket(ls))  # [L_v, L_v'] at v * n + v'
     for yi in range(3):
@@ -436,13 +421,12 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                     if entry:
                         upper[a, b] = entry
 
-    name = f"Ti({V.name},{data.label})"
-    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
-                       zdegrees=zdeg, name=name, kind="lie",
-                       metadata={"construction": "tits", "dchoice": data.label})
-    return TkkAlgebra(alg, "Ti", origin, source=name,
-                      data={"dspace": dsp, "sl2": y, "kappa": kappa,
-                            "label": data.label})
+    # sl2 basis order e, h, f carries the 3-grading +1, 0, -1
+    layout = _layout(("d", dsp.stack.parities, 0), ("e", V.parities, 1), ("h", V.parities, 0),
+                     ("f", V.parities, -1))
+    return _lie(upper, layout, f"Ti({V.name},{data.label})", "Ti",
+                {"construction": "tits", "dchoice": data.label},
+                dspace=dsp, sl2=y, kappa=kappa, label=data.label)
 
 
 def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
@@ -502,13 +486,6 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     data = tits_data(V, d)
     dsp = data.dspace
     nd = dsp.dim
-    d_par = dsp.stack.parities.tolist()
-    parities = tuple(V.parities) + tuple(d_par) + tuple(V.parities) + tuple(V.parities)
-    zdeg = (1,) * n + (0,) * (nd + n) + (-1,) * n
-    origin = tuple([("vplus", i) for i in range(n)]
-                   + [("d", t) for t in range(nd)]
-                   + [("lhat", i) for i in range(n)]
-                   + [("vminus", i) for i in range(n)])
     off_d, off_l, off_m = n, n + nd, n + nd + n
     ls = l_stack(V)
     lbr = _coordinate_rows(dsp, ls.bracket(ls))  # [L_x, L_y] at x * n + y
@@ -521,16 +498,9 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
             entry.update({off_d + l: 2 * c for l, c in lbr[i * n + u].items()})
             if entry:
                 upper[i, off_m + u] = entry
-    for t, (flat, pa) in enumerate(zip(_basis_flats(dsp), d_par)):
-        for i in range(n):
-            col = {l: flat[l * n + i] for l in range(n) if flat[l * n + i]}
-            # [x+, D] = -(-1)^{|x||D|}[D, x+] = -(-1)^{|x||D|}(Dx)+
-            s = 1 if V.parity(i) * pa % 2 else -1
-            if col:
-                upper[i, off_d + t] = {l: s * c for l, c in col.items()}
-                # [D, u-] = (Du)- and [D, L-hat_y] = L-hat_{D(y)}
-                upper[off_d + t, off_m + i] = {off_m + l: c for l, c in col.items()}
-                upper[off_d + t, off_l + i] = {off_l + l: c for l, c in col.items()}
+    # D acts on x+ and u- by D, and [D, L-hat_y] = L-hat_{D(y)}
+    _act(upper, dsp, off_d, [(0, 0, V.parities), (off_l, 0, V.parities),
+                             (off_m, 0, V.parities)])
     _middle_brackets(upper, dsp, off_d)
     for i in range(n):
         for j in range(n):
@@ -545,12 +515,10 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
             if lbr[i * n + j]:
                 upper[off_l + i, off_l + j] = {off_d + l: c for l, c in lbr[i * n + j].items()}
 
-    name = f"Ko_{data.label}({V.name})"
-    alg = make_algebra(parities, mirror(parities, _entries(upper), -1),
-                       zdegrees=zdeg, name=name, kind="lie",
-                       metadata={"construction": "koecher_d",
-                                 "dchoice": data.label})
-    return TkkAlgebra(alg, "KoD", origin, source=name, data={"dspace": dsp})
+    layout = _layout(("vplus", V.parities, 1), ("d", dsp.stack.parities, 0),
+                     ("lhat", V.parities, 0), ("vminus", V.parities, -1))
+    return _lie(upper, layout, f"Ko_{data.label}({V.name})", "KoD",
+                {"construction": "koecher_d", "dchoice": data.label}, dspace=dsp)
 
 
 def check_propnu(V: SuperAlgebra, d="inn") -> list:
@@ -607,21 +575,20 @@ def _j_pair(g: SuperAlgebra) -> JordanPair:
     return JordanPair(f"J({g.name})", parities, tensors, d * d)
 
 
-def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
+def j_functor(g: SuperAlgebra) -> JordanPair:
     """The superpair (g_{+1}, g_{-1}) with {x,y,z} = [[x,y],z].
 
     Both triple tables are one contraction of the encoded table
-    (`tensor.lie_triples`), certified to stay in their graded block.  With
-    check=True (the default) the superpair axioms — outer symmetry and the
-    5-linear identity — are verified on all homogeneous basis tuples; a
-    failed certificate raises CertificateError.  The pair is built once per
-    g and returned on every call, with or without the check, so what is
-    memoized on it (Ko(J(g)) and its Inn(V,V)) is built once too.
+    (`tensor.lie_triples`), certified to stay in their graded block, and the
+    superpair axioms — outer symmetry and the 5-linear identity — are
+    verified on all homogeneous basis tuples; a failed certificate raises
+    CertificateError.  The pair is built once per g and returned on every
+    call, so what is memoized on it (Ko(J(g)), its Inn(V,V) and the axiom
+    check) is built once too.
     """
     pair = _j_pair(g)
-    if check:
-        witness = check_pair_axioms(pair)
-        certify(witness is None, f"superpair axioms fail: {witness}")
+    witness = check_pair_axioms(pair)
+    certify(witness is None, f"superpair axioms fail: {witness}")
     return pair
 
 
@@ -649,7 +616,7 @@ def j_roundtrip_check(V: SuperAlgebra) -> CheckResult:
     """J(Ko(V,V)) must reproduce the doubled pair's tensors, cross-multiplied by the dens."""
     ko = koecher(V, middle="inn")
     # table equality against the doubled pair subsumes the axiom check here
-    got = j_functor(ko.lie, check=False)
+    got = _j_pair(ko.lie)
     want = double(V)
     ok = got.parities == want.parities and not any(
         tensor.mismatch(x, want.den, y, got.den).any() for x, y in zip(got.tensors, want.tensors))
@@ -764,11 +731,8 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
         certify(coeffs is not None, "istr basis element outside the L span")
         table[t,] = {k: c for k, c in enumerate(coeffs) if c}
     (C,), dc = tensor.encode([table], [(istr.dim, len(G))])
-    # each entry of an image sums len(G) products
-    dtype = int_dtype(len(G) * max((abs(int(x)) for x in C.flat), default=0)
-                      * max((abs(int(x)) for x in G.flat), default=0))
-    C, G = C.astype(dtype), G.astype(dtype)
-    plus, minus = (C * np.r_[[-1] * n, [1] * n * n]) @ G, C @ G  # L_x -> (-L_x, L_x)
+    # L_x -> (-L_x, L_x)
+    plus, minus = tensor.contract(C * np.r_[[-1] * n, [1] * n * n], G), tensor.contract(C, G)
     images = []
     for tag in kan.origin:
         vec = [Q(0)] * ko.dim

@@ -18,7 +18,11 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   constructions, not memoized.  They build Inn(V), Inn(V,V) and the doubled
   pair with the loops here and take Der(V), Der(V,V) and istr from supertkk;
   every middle is a canonical subspace, so both sides write their brackets
-  in the same basis.
+  in the same basis.  `KantorTop` is the former top space of `kantor` on
+  `Fraction` flats: P and the [L_a, P] from the loops of
+  oracle_identities, and the greedy pick and the coordinates from
+  `oracle_linalg.SpanSolver`, so that neither shares code with
+  `tkk.KantorTop` and its `GeneratedSpan`.
 - `check_bracket_map` is the former `_check_bracket_map` loop and
   `pair_der_matches_der0` the former embedding check.
 - `l_witness`, `killing_half`, `tits_roundtrip` and `equivalence_images`
@@ -55,10 +59,10 @@ operators) come from oracle_linalg.
 
 from __future__ import annotations
 
-from oracle_identities import _gplus_on_gminus, center
+from oracle_identities import _g0_on_gplus, _gplus_on_gminus, _hom2_flat_p, center
 import oracle_linalg
-from oracle_linalg import (Matrix, d_op, l_op, left_mult_matrix, operators, supercommutator,
-                           triple)
+from oracle_linalg import (Matrix, SpanSolver, d_op, l_op, left_mult_matrix, operators,
+                           supercommutator, triple)
 from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
 from supertkk.jordan import find_unit
@@ -66,7 +70,7 @@ from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
                                 check_pair_axioms, der_algebra, derivation_kernel,
                                 istr_algebra, leibniz_blocks, pair_d_stack, pair_der, str_w)
 from supertkk.superspace import SuperAlgebra, make_algebra, mirror
-from supertkk.tkk import KantorTop, TitsData, TkkAlgebra, _entries, _sl2
+from supertkk.tkk import TitsData, TkkAlgebra, _entries, _sl2
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,44 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
                        metadata={"construction": "koecher", "middle": middle})
     return TkkAlgebra(alg, "Ko" if middle == "inn" else "KoTilde",
                       origin, source=name, data={"pair": pair, "middle": mid})
+
+
+class KantorTop:
+    """The former Kantor top space, on Fraction flats (flat index (l, i, j)):
+    P and the [L_a, P] of the loops in oracle_identities, the basis picked
+    greedily per parity by `oracle_linalg.SpanSolver` (P first, then the
+    [L_a, P] in basis order), even block first, and coordinates over it
+    read by `SpanSolver.express`."""
+
+    def __init__(self, V: SuperAlgebra):
+        n = V.dim
+        p_flat = _hom2_flat_p(V)
+        self.lp_flats = [_g0_on_gplus(V, left_mult_matrix(V, V.basis_vector(a)), V.parity(a),
+                                      p_flat, 0) for a in range(n)]
+        candidates = [(("kantorP", 0), p_flat, 0)] + [
+            (("kantorLP", a), self.lp_flats[a], V.parity(a)) for a in range(n)]
+        self.tags, self.flats, self.parities, self._solvers = [], [], [], {}
+        for par in (0, 1):
+            solver, kept = SpanSolver(n ** 3), []
+            for tag, flat, p in candidates:
+                if p == par and solver.add(flat):
+                    kept.append(solver.count - 1)
+                    self.tags.append(tag)
+                    self.flats.append(flat)
+                    self.parities.append(par)
+            self._solvers[par] = solver, kept
+
+    def basis(self):
+        """(tag, flat, parity) triples, even block first."""
+        return list(zip(self.tags, self.flats, self.parities))
+
+    def coords(self, flat, parity: int) -> list:
+        solver, kept = self._solvers[parity % 2]
+        c = solver.express(flat)
+        certify(c is not None, "element does not lie in the Kantor top space")
+        c = [c[i] for i in kept]
+        zeros = [Q(0)] * self.parities.count(1 - parity % 2)
+        return zeros + c if parity % 2 else c + zeros
 
 
 def kantor(V: SuperAlgebra) -> TkkAlgebra:

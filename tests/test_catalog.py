@@ -142,9 +142,12 @@ def test_resolve_accepts_colon_and_paren_syntax():
         resolve("dt:1,2")
     with pytest.raises(ValueError, match="avoid 0 and -1"):
         resolve("dt:0")
-    for unbalanced in ("form(2,2", "form:2,2)", "form:(2,2)"):
+    # a catalog name before ":" or "(" makes no file name of a source with a suffix
+    for unbalanced in ("form(2,2", "form:2,2)", "form:(2,2)", "form:(2.2)", "form(2.2"):
         with pytest.raises(ValueError, match="cannot parse algebra source"):
             resolve(unbalanced)
+    with pytest.raises(ValueError, match="no such file"):
+        resolve("nosuch.json")
     with pytest.raises(ValueError, match="must be in 3..8"):
         jordan_catalog("trunc_poly", 12)
 

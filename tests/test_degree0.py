@@ -12,7 +12,6 @@ of sl2) must give what those loops give, on perturbed input too.
 
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -403,17 +402,12 @@ def test_killing_half_of_sl2_is_computed():
 @pytest.mark.parametrize("scale", [1, 10 ** 12])
 def test_roundtrip_and_equivalences_prove_their_int64_bound(scale, monkeypatch):
     # full_matrix(1,1) with e12 scaled: the equivalence images (a product of
-    # generator coefficients and stack flats, cast by int_dtype) and the
+    # generator coefficients and stack flats, by tensor.contract) and the
     # round trip's comparison (tensor.mismatch) run in int64 only where
     # their bounds are proved, and give what the loops give
     V = _rescaled(jordan_catalog("full_matrix", 1, 1), [Q(1), Q(scale), Q(1), Q(1)])
     casts = []
-    cast, exact_cast = tkk.int_dtype, tensor._exact
-
-    def spy(bound):
-        dtype = cast(bound)
-        casts.append(("int_dtype", bound < 2 ** 62, {np.dtype(dtype).name}))
-        return dtype
+    exact_cast = tensor._exact
 
     def exact_spy(arrays, factor, degree):
         out = exact_cast(arrays, factor, degree)
@@ -425,13 +419,12 @@ def test_roundtrip_and_equivalences_prove_their_int64_bound(scale, monkeypatch):
     for d in ("inn", "der"):
         tkk.tits(V, d)  # built outside the spies
     images = oracle.equivalence_images(V)
-    monkeypatch.setattr(tkk, "int_dtype", spy)
     monkeypatch.setattr(tensor, "_exact", exact_spy)
     assert _equivalence_images(V)[0] == images
     for d in ("inn", "der"):
         got = tkk.tits_roundtrip(V, d)
         assert got.passed and got == oracle.tits_roundtrip(V, d)
-    for caller in ("int_dtype", "mismatch"):  # both reach the object path at 10^12
+    for caller in ("contract", "mismatch"):  # both reach the object path at 10^12
         proved = {p for c, p, _ in casts if c == caller}
         assert proved == {True} if scale == 1 else False in proved, (caller, proved)
     assert all(dtypes == ({"int64"} if proved else {"object"}) for _, proved, dtypes in casts)

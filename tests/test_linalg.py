@@ -233,6 +233,32 @@ def test_sparse_kernel_certificate_matches_the_dense_check_one_row_per_chunk(cas
         _assert_join_matches_the_dense_check(case)
 
 
+@st.composite
+def keyed_values(draw):
+    """Keys from a small range, so that they repeat, and values that often
+    cancel: int64, or object-dtype Python ints beyond 2**63."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)), max_size=30))
+    big = draw(st.sampled_from([0, 2 ** 70]))
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    vals = [v * (big or 1) for _, v in pairs]
+    return keys, np.array(vals, dtype=object if big else np.int64)
+
+
+@given(keyed_values())
+@example((np.array([2, 0, 2]), np.array([5, 1, -5])))  # key 2 cancels
+@example((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)))
+@settings(**SETTINGS)
+def test_sum_by_key_matches_a_dict_sum(case):
+    keys, vals = case
+    want: dict = {}
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        want[k] = want.get(k, 0) + v
+    got_keys, sums = exact.sum_by_key(keys, vals)
+    assert sums.dtype == vals.dtype
+    assert list(zip(got_keys.tolist(), sums.tolist())) == sorted(
+        (k, v) for k, v in want.items() if v)
+
+
 def test_raising_one_kernel_entry_fails_the_certificate():
     # the Leibniz blocks of w(3): each kernel vector raised by 1 at a column
     # some row uses no longer kills every row, on both checks

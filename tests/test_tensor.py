@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_identities as oracle
-from oracle_linalg import Matrix, left_mult_matrix, operators
+import oracle_tkk
+from oracle_linalg import Matrix, operators
 from pyrun import run_python
 from supertkk import tensor
 from supertkk.catalog import _LIE_DEFAULTS, jordan_catalog, resolve
@@ -264,7 +265,7 @@ def test_perturbed_jordan_catalog_is_rejected_like_the_oracle(source):
     for bad in (_perturbed(V), _perturbed(V, 1)):
         _assert_same(bad)
         assert any(new(bad) is not None for new, _ in JORDAN_CHECKS) or not control
-    pair = j_functor(koecher(V).lie, check=False)
+    pair = j_functor(koecher(V).lie)
     plus = pair.tensors[0].copy()
     plus[tuple(np.argwhere(plus)[0])] += pair.den  # its first nonzero triple, raised by 1
     bad_pair = JordanPair(pair.name, pair.parities, (plus, pair.tensors[1]), pair.den)
@@ -452,10 +453,20 @@ def _triples(results):
     return [(r.name, r.passed, r.detail) for r in results]
 
 
-def _oracle_lp(V):
-    p_flat = oracle._hom2_flat_p(V)
-    return [oracle._g0_on_gplus(V, left_mult_matrix(V, V.basis_vector(a)), V.parity(a), p_flat, 0)
-            for a in range(V.dim)]
+def _flats(T, den):
+    """Integer tensors T[u, i, j, l] at den as Fraction flats, index (l, i, j)."""
+    return [tuple(Q(int(x), den) for x in t.transpose(2, 0, 1).ravel()) for t in T]
+
+
+def _assert_top_matches_oracle(V, top):
+    """[L_a, P] and the Kantor top's tags, parities and basis against the
+    Fraction loops; returns the oracle's top."""
+    want = oracle_tkk.KantorTop(V)
+    lp, d = tensor.lp_tensor(V)
+    assert _flats(lp, d * d) == want.lp_flats
+    assert (top.tags, top.parities) == (want.tags, want.parities)
+    assert _flats(top.tensors, top.den) == want.flats
+    return want
 
 
 @given(kantor_inputs())
@@ -468,7 +479,7 @@ def test_kantor_relations_match_the_loop_oracle(V):
             kantor_relations(V)
         return
     assert _triples(kantor_relations(V)) == want
-    assert KantorTop(V).lp_flats == _oracle_lp(V)
+    _assert_top_matches_oracle(V, KantorTop(V))
 
 
 @st.composite
@@ -535,19 +546,39 @@ def test_kantor_contractions_prove_their_int64_bound(scale, monkeypatch):
 
 
 def _assert_kantor_top_matches_oracle(V):
-    """[L_a, P] and the g_0 action block of Kan(V) against the Fraction loop."""
+    """The top space and the g_0 action block of Kan(V) against the Fraction
+    loops: the oracle's basis, acted on and read in its own coordinates."""
     kan = kantor(V)
-    top, ops = kan.data["top"], operators(kan.data["middle"])
+    want = _assert_top_matches_oracle(V, kan.data["top"])
+    ops = operators(kan.data["middle"])
     n, nm = V.dim, len(ops)
-    assert top.lp_flats == _oracle_lp(V)
     for t, op in enumerate(ops):
-        for u, (_, flat, par) in enumerate(top.basis()):
+        for u, (_, flat, par) in enumerate(want.basis()):
             acted = oracle._g0_on_gplus(V, op.matrix, op.parity, flat, par)
-            coords = top.coords(acted, (op.parity + par) % 2)
-            want = {n + nm + l: c for l, c in enumerate(coords) if c}
-            assert kan.lie.basis_product(n + t, n + nm + u) == want
+            coords = want.coords(acted, (op.parity + par) % 2)
+            want_row = {n + nm + l: c for l, c in enumerate(coords) if c}
+            assert kan.lie.basis_product(n + t, n + nm + u) == want_row
 
 
 @pytest.mark.parametrize("source", ["kacK", "full_matrix:1,1", "form:1,2", "dt:1/2"])
 def test_kantor_top_block_matches_the_loop_oracle(source):
     _assert_kantor_top_matches_oracle(resolve(source))
+
+
+@pytest.mark.parametrize("nth", [0, -1])
+@pytest.mark.parametrize("source", ["kacK", "full_matrix:1,1", "dt:1/2"])
+def test_a_raised_top_entry_fails_kantor(source, nth, monkeypatch):
+    # the first or last nonzero entry of the top basis, raised by 1: the
+    # [x, B] block leaves istr, or an [A, B] leaves the top space
+    V = _rescaled(resolve(source), [Q(1)] * resolve(source).dim)  # a fresh object
+    init = KantorTop.__init__
+
+    def raised(self, V):
+        init(self, V)
+        self.tensors = self.tensors.copy()
+        self.tensors[tuple(np.argwhere(self.tensors)[nth])] += 1
+
+    monkeypatch.setattr(KantorTop, "__init__", raised)
+    with pytest.raises(CertificateError, match="operator does not lie in istr|"
+                                              "element does not lie in the Kantor top space"):
+        kantor(V)

@@ -232,7 +232,7 @@ def test_j_functor_triple_is_double_bracket(data):
     V = jordan_catalog("kacK")
     ko = koecher(V)
     g = ko.lie
-    pair = j_functor(g, check=False)
+    pair = j_functor(g)
     dp = pair.dim(0)
     xs = [data.draw(st.tuples(*[rationals] * dp)) for _ in range(3)]
     got = oracle_tkk.pair_triple(pair, 0, *xs)
