@@ -10,8 +10,9 @@ integer-row core `integer_kernel`, `Subspace`, `GeneratedSpan`, `solve`):
 each row is scaled to a primitive integer row, eliminated over the integers
 (Bareiss-style v <- b*v - a*r, divided by the row gcd), and rationals are
 formed only when the reduced rows are read off.  A `GeneratedSpan`
-eliminates its generator list once and then writes any number of members
-in those generators, each by one reduction.
+holds its generators once, as integer rows with a denominator each,
+eliminates them once and then writes any number of members in those
+generators, each by one reduction.
 `integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
 first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
@@ -19,9 +20,9 @@ x_d to x_c, round after round, so only the core rows left reach the
 elimination; its rank is the zeroed roots plus the tied columns plus the
 core pivots (`kernel_columns` stops at that count).  Every kernel vector
 is verified exactly against every original row, there is one per free
-column, and every expressed member is recombined from its coefficients; a
-failure of either certificate raises CertificateError, so the checks
-survive `python -O`.
+column, and every expressed member is recombined from its coefficients,
+on the integers too; a failure of either certificate raises
+CertificateError, so the checks survive `python -O`.
 `Matrix` is only the immutable container of such systems and of their
 results; no operator arithmetic runs on it.
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational, Real
 from typing import Iterable, Sequence
 
 try:
@@ -55,11 +57,15 @@ def Q(value=0, den=None):
     """Exact rational from an int, a "p/q" string, or another rational.
 
     A rational is returned as it is (rationals are immutable): every entry
-    of a `Matrix` and every vector a `Subspace` reduces passes through here."""
+    of a `Matrix` and every vector a `Subspace` reduces passes through here.
+    A float, numpy's included, raises TypeError: its binary expansion is no
+    constant anyone wrote down."""
     if den is not None:
         return _Scalar(value, den)
     if type(value) is _Scalar:
         return value
+    if type(value) is not int and isinstance(value, Real) and not isinstance(value, Rational):
+        raise TypeError(f"not an exact rational: {value!r} ({type(value).__name__})")
     return _Scalar(value)
 
 
@@ -295,31 +301,39 @@ class GeneratedSpan:
     """The span of a fixed generator list, eliminated once, that writes its
     members as combinations of the generators.
 
-    One `_echelon` runs over the rows [g_i | e_i], e_i at column ambient +
-    k - 1 - i for k generators.  A row with a right-half pivot is a relation
-    led by the last generator it involves, so the generators a left-to-right
-    greedy scan keeps are those whose identity column is no pivot
-    (`independent`).  A left-pivot row reads w = sum t_i g_i off its right
-    half, and full RREF puts t on the independent generators only, so
+    Each generator g_i is held once, on the integers, as g_i = G_i / d_i
+    with G_i an integer row (`_gens`) and d_i > 0 its denominator (`_dens`).
+    One `_echelon` runs over the rows [G_i | d_i e_i], e_i at column
+    ambient + k - 1 - i for k generators.  A row with a right-half pivot is
+    a relation led by the last generator it involves, so the generators a
+    left-to-right greedy scan keeps are those whose identity column is no
+    pivot (`independent`).  A left-pivot row reads w = sum t_i g_i off its
+    right half, and full RREF puts t on the independent generators only, so
     `express` returns the unique coefficients over those."""
 
-    __slots__ = ("ambient", "count", "independent", "_gens", "_store")
+    __slots__ = ("ambient", "count", "independent", "_gens", "_dens", "_store")
 
     def __init__(self, generators: Iterable[Sequence], ambient: int):
         self.ambient = ambient
-        self._gens = [self._sparse(g) for g in generators]
+        scaled = [self._scaled(g) for g in generators]
+        self._gens, self._dens = [g for g, _ in scaled], [d for _, d in scaled]
         self.count = len(self._gens)
         top = ambient + self.count - 1
-        self._store = _echelon([row_primitive({**g, top - i: ONE})
-                                for i, g in enumerate(self._gens)])
+        self._store = _echelon([row_primitive({**g, top - i: d})
+                                for i, (g, d) in enumerate(zip(self._gens, self._dens))])
         self.independent = tuple(i for i in range(self.count)
                                  if top - i not in self._store)
 
-    def _sparse(self, vec: Sequence) -> dict:
+    def _scaled(self, vec: Sequence) -> tuple[dict, int]:
+        """(row, d): vec = row / d, row a sparse integer row (col -> int) and
+        d the lcm of the denominators of vec's entries."""
         v = tuple(vec)
         if len(v) != self.ambient:
             raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
-        return {j: Q(x) for j, x in enumerate(v) if x}
+        items = [(j, x if isinstance(x, (int, Fraction, _Scalar)) else Q(x))
+                 for j, x in enumerate(v) if x]
+        d = lcm(1, *{int(x.denominator) for _, x in items})
+        return {j: int(x.numerator) * (d // int(x.denominator)) for j, x in items}, d
 
     @property
     def dim(self) -> int:
@@ -327,24 +341,31 @@ class GeneratedSpan:
 
     def express(self, vec: Sequence):
         """Coefficients over the generators reproducing vec, or None if vec is
-        outside the span.  Certified by recombining sum c_i g_i == vec."""
-        v = self._sparse(vec)
-        # [v | 0 | 1]: the marker column keeps the scale the reduction applies
+        outside the span.
+
+        Certified on the integers: vec = V / e, and the reduced row gives
+        c_i = -x_i / m, so with L the lcm of e and the d_i of the generators
+        used, sum (-x_i) (L / d_i) G_i must equal (L / e) m V."""
+        v, e = self._scaled(vec)
+        # [v | 0 | 1], times e: the marker column keeps the scale the reduction applies
         mark = self.ambient + self.count
-        row = _reduce(row_primitive({**v, mark: ONE}), self._store)
+        row = _reduce(row_primitive({**v, mark: e}), self._store)
         if any(c < self.ambient for c in row):
             return None
-        coeffs = [ZERO] * self.count
-        for c, x in row.items():
-            if c != mark:
-                coeffs[mark - 1 - c] = Q(-x, row[mark])
-        got = {}
-        for c, g in zip(coeffs, self._gens):
-            if c:
-                for j, x in g.items():
-                    got[j] = got.get(j, ZERO) + c * x
-        certify({j: x for j, x in got.items() if x} == v,
+        m = row.pop(mark)
+        used = [(mark - 1 - c, x) for c, x in row.items()]
+        scale = lcm(e, *(self._dens[i] for i, _ in used))
+        got: dict = {}
+        for i, x in used:
+            f = -x * (scale // self._dens[i])
+            for j, y in self._gens[i].items():
+                got[j] = got.get(j, 0) + f * y
+        f = scale // e * m
+        certify({j: y for j, y in got.items() if y} == {j: f * y for j, y in v.items()},
                 "solve verification failed: sum c_i g_i != v")
+        coeffs = [ZERO] * self.count
+        for i, x in used:
+            coeffs[i] = Q(-x, m)
         return tuple(coeffs)
 
 

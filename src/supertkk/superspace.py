@@ -8,6 +8,11 @@ are required to be homogeneous with respect to both.  Operators on these
 spaces have no class here: left multiplications, their supercommutators and
 operator spaces are integer stacks in supertkk.structure (`l_stack`,
 `OperatorStack`).
+
+Supercommutativity, which every Jordan build checks, compares rational rows
+as dicts, so a Jordan algebra is built without numpy; super-anticommutativity
+and super-Jacobi, which a Lie build checks, run on the algebra's integer
+table (`tensor.IntTable`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Sequence
 
 from supertkk import tensor
 from supertkk.exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, integer_kernel,
-                            primitive_row_blocks)
+                            primitive_row_blocks, sum_by_key)
 
 
 @dataclass
@@ -182,13 +187,18 @@ def mirror(parities, upper, sym):
     return out
 
 
-def _check_symmetry(a: SuperAlgebra, sign: int, what: str) -> Witness | None:
+@memoized
+def check_supercommutative(a: SuperAlgebra) -> Witness | None:
+    """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds.
+    Memoized like every fact of an immutable algebra: the check make_algebra
+    runs serves every later caller.  It compares the rational rows of each
+    pair as dicts, so a Jordan build stays free of numpy."""
     for i, j in sorted({(max(key), min(key)) for key in a.table}):  # other pairs: 0 = 0
         left, right = a.basis_product(i, j), a.basis_product(j, i)
-        if sign * (-1) ** (a.parity(i) * a.parity(j)) < 0:
+        if a.parity(i) * a.parity(j):
             right = {k: -c for k, c in right.items()}
         if left != right and _support(left) != _support(right):
-            return Witness((i, j), f"{what} fails at pair ({i},{j})")
+            return Witness((i, j), f"supercommutativity fails at pair ({i},{j})")
     return None
 
 
@@ -198,17 +208,26 @@ def _support(row) -> dict:
 
 
 @memoized
-def check_supercommutative(a: SuperAlgebra) -> Witness | None:
-    """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds.
-    Memoized like every fact of an immutable algebra: the check make_algebra
-    runs serves every later caller."""
-    return _check_symmetry(a, 1, "supercommutativity")
-
-
-@memoized
 def check_superanticommutative(a: SuperAlgebra) -> Witness | None:
-    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs; memoized."""
-    return _check_symmetry(a, -1, "super-anticommutativity")
+    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs; memoized.
+
+    One array pass over the `IntTable`: the constants v at (i, j, k) and
+    (-1)^{|i||j|} v at (j, i, k) are summed per key (`exact.sum_by_key`),
+    which leaves exactly the keys where the identity fails.  The witness is
+    the least pair (max(i, j), min(i, j)) among them."""
+    import numpy as np
+    t, n = a.int_table, a.dim
+    p = np.array(a.parities, dtype=np.int64)
+    sign = 1 - 2 * (p[t.i] * p[t.j])
+    keys, _ = sum_by_key(np.concatenate([(t.i * n + t.j) * n + t.k, (t.j * n + t.i) * n + t.k]),
+                         np.concatenate([t.value, sign * t.value]))
+    if not len(keys):
+        return None
+    i, j = keys // (n * n), keys // n % n
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    at = int(np.argmin(hi * n + lo))
+    i, j = int(hi[at]), int(lo[at])
+    return Witness((i, j), f"super-anticommutativity fails at pair ({i},{j})")
 
 
 @memoized

@@ -12,10 +12,11 @@ constants as sorted COO arrays with d and max|value|, built in one pass over
 the rational table and kept, read-only, in the algebra's memo
 (`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
 `center`, `derived`, the ad rows of `tkk.lie_der_tower` and the integer
-readers of the constructions start from it, and so does the Kantor top
-space (P = d C and `lp_tensor`); the symmetry checks, `subalgebra`,
-`jordan.find_unit` and the products of the `tits` and `koecher_d` builders
-still read the rational table.  Super-Jacobi joins its nonzeros
+readers of the constructions start from it, and so do the Kantor top
+space (P = d C and `lp_tensor`) and `superspace.check_superanticommutative`;
+supercommutativity (run on every Jordan build, which stays free of numpy),
+`subalgebra`, `jordan.find_unit` and the products of the `tits` and
+`koecher_d` builders still read the rational table.  Super-Jacobi joins its nonzeros
 with each other on the contracted index, a fixed number of products at a
 time, so its work follows the nonzeros and its memory the chunk; the dense
 kernels (the Jordan checks, which hold O(n**5) entries, and the Kantor

@@ -20,6 +20,7 @@ from supertkk.exact import (
     kernel_columns, kernel_sparse, primitive_rows, solve, span,
 )
 from supertkk.structure import leibniz_blocks
+from supertkk.superspace import make_algebra
 from supertkk.tkk import lie_der_tower
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -627,19 +628,32 @@ def _greedy_independent(n, gens):
     return tuple(kept)
 
 
+# generators of different denominators in the hyperplane x_3 = 0 (the last
+# is 2 g_0 - g_1), member coefficients whose denominators none of them has,
+# and a vector outside
+MIXED_GENS = [(Q(1, 2), Q(1, 3), Q(0), Q(0)), (Q(0), Q(1, 5), Q(2, 7), Q(0)),
+              (Q(1, 4), Q(0), Q(-1, 6), Q(0)), (Q(1), Q(7, 15), Q(-2, 7), Q(0))]
+MIXED_MEMBERS = [(Q(1, 11), Q(-3, 13), Q(5, 17), Q(0)), (Q(0), Q(0), Q(0), Q(9, 19))]
+
+
 @given(dense_systems(), st.data())
+@example((4, MIXED_GENS), None)
 @settings(**SETTINGS)
 def test_generated_span_matches_span_solver_oracle(system, data):
     n, gens = system
-    gens = _with_repeats(data, gens, n)
+    if data is None:  # the explicit example above
+        coefficients, outside = MIXED_MEMBERS, (Q(1, 3), Q(0), Q(0), Q(1, 9))
+    else:
+        gens = _with_repeats(data, gens, n)
+        coefficients, outside = [data.draw(vecs(len(gens)))], data.draw(vecs(n))
     ours = GeneratedSpan(gens, n)
     theirs = oracle.SpanSolver(n)
     added = [theirs.add(g) for g in gens]
     assert ours.independent == _greedy_independent(n, gens)
     assert ours.independent == tuple(i for i, grew in enumerate(added) if grew)
     m = oracle.Matrix.from_columns(gens) if gens else None
-    member = m.apply(data.draw(vecs(len(gens)))) if gens else (Q(0),) * n
-    for v in (member, data.draw(vecs(n))):  # the second is usually outside
+    members = [m.apply(c) for c in coefficients] if gens else [(Q(0),) * n]
+    for v in (*members, outside):  # the last is usually outside
         got = ours.express(v)
         assert got == theirs.express(v)
         if gens:
@@ -661,6 +675,33 @@ def test_outside_the_span_is_none_on_both_sides(system, data):
     assert solver.express(v) is None
     if gens:
         assert oracle.solve(Matrix.from_columns(gens), v) is None
+
+
+def test_a_raised_stored_generator_fails_the_recombination():
+    # negative control: the elimination is untouched, so the coefficients
+    # are those of the true generators, and the recombination from the
+    # stored integer rows no longer gives the member
+    gens = GeneratedSpan(MIXED_GENS, 4)
+    member = oracle.Matrix.from_columns(MIXED_GENS).apply(MIXED_MEMBERS[0])
+    assert gens.express(member) == MIXED_MEMBERS[0]
+    gens._gens[1][2] += 1
+    with pytest.raises(CertificateError, match="solve verification failed"):
+        gens.express(member)
+
+
+def test_floats_are_rejected():
+    # a float's binary expansion is no exact constant: Fraction(0.1) would
+    # be 3602879701896397/36028797018963968
+    for x in (0.1, np.float64(0.1), np.float32(0.5), np.longdouble(0.5)):
+        with pytest.raises(TypeError):
+            Q(x)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        make_algebra([0], [(0, 0, 0, 0.1)], kind="jordan")
+    with pytest.raises(TypeError, match="not an exact rational"):
+        GeneratedSpan([(1, 0)], 2).express((0.5, 0))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        GeneratedSpan([(1, np.float64(0.5))], 2)
+    assert Q(np.int64(3)) == 3 and Q(True) == 1
 
 
 BROKEN_KERNEL = """

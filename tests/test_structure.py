@@ -1,5 +1,6 @@
 """Structure algebras checked against hand-computed small cases."""
 
+import functools
 import sys
 from unittest import mock
 
@@ -588,13 +589,20 @@ def test_symmetry_is_checked_once_per_algebra(monkeypatch):
     sources = ("sl:2,1", "w:2", "psl:2,2", "kacK", "full_matrix:1,1")
     data = [save_algebra(resolve(s)) for s in sources]
     passes = Counter()
-    check = superspace._check_symmetry
 
-    def spy(a, sign, what):
-        passes[a] += 1
-        return check(a, sign, what)
+    def spied(check):
+        """check, memoized afresh, counting the passes it makes."""
+        @functools.wraps(check)
+        def spy(a):
+            passes[a] += 1
+            return check(a)
+        return superspace.memoized(spy)
 
-    monkeypatch.setattr(superspace, "_check_symmetry", spy)
+    for name in ("check_supercommutative", "check_superanticommutative"):
+        check = spied(getattr(superspace, name).__wrapped__)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("supertkk") and hasattr(module, name):
+                monkeypatch.setattr(module, name, check)
     loaded = []
     for blob in data:
         g = load_algebra(blob)

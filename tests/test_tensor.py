@@ -236,14 +236,36 @@ def test_jacobi_witness_matches_the_oracle(source, seed):
         assert tensor.jacobi_defect(a) == (w and w.indices), a.name
 
 
+def _scaled(a, factor):
+    """a with every structure constant times factor."""
+    return SuperAlgebra(a.name, a.parities, {
+        key: {k: c * factor for k, c in row.items()} for key, row in a.table.items()})
+
+
+def _sign_flipped(a):
+    """a with its first off-diagonal constant negated and the mirror kept:
+    the support is unchanged, the values differ."""
+    (i, j), row = next((key, row) for key, row in a.table.items() if key[0] != key[1])
+    k = next(iter(row))
+    return SuperAlgebra(a.name, a.parities, {**a.table, (i, j): {**row, k: -row[k]}})
+
+
 @given(st.sampled_from([1, -1]).flatmap(graded_tables))
 @settings(**SETTINGS)
 def test_graded_symmetry_checks_match_the_loop_oracle(a):
-    # an explicit zero constant counts as an absent one
+    # an explicit zero constant counts as an absent one; constants past
+    # 2**62 put the integer table on object dtype
     n = a.dim
     zeros = SuperAlgebra(a.name, a.parities, {
         **a.table, (0, n - 1): {**{k: Q(0) for k in range(n)}, **a.table.get((0, n - 1), {})}})
-    for table in (a, zeros, _perturbed(a)) if a.table else (a, zeros):
+    huge = _scaled(a, 2 ** 70)
+    assert huge.int_table.value.dtype == object or not a.table
+    tables = [a, zeros, huge]
+    if a.table:
+        tables.append(_perturbed(a))
+    if any(i != j for i, j in a.table):
+        tables.append(_sign_flipped(a))
+    for table in tables:
         for new, old in ((check_supercommutative, oracle.check_supercommutative),
                          (check_superanticommutative, oracle.check_superanticommutative)):
             assert _key(new(table)) == _key(old(table)), new.__name__
