@@ -11,18 +11,19 @@ An algebra's own table is encoded once, as an `IntTable`: its nonzero
 constants as sorted COO arrays with d and max|value|, built in one pass over
 the rational table and kept, read-only, in the algebra's memo
 (`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
-`center`, `derived`, the ad rows of `tkk.lie_der_tower` and the integer
-readers of the constructions start from it, and so do the Kantor top
-space (P = d C and `lp_tensor`) and `superspace.check_superanticommutative`;
-supercommutativity (run on every Jordan build, which stays free of numpy),
-`subalgebra`, `jordan.find_unit` and the products of the `tits` and
-`koecher_d` builders still read the rational table.  Super-Jacobi joins its nonzeros
-with each other on the contracted index, a fixed number of products at a
-time, so its work follows the nonzeros and its memory the chunk; the dense
-kernels (the Jordan checks, which hold O(n**5) entries, and the Kantor
-relations) scatter a dense n x n x n array from it on request.  `encode`
-serves the tables that belong to no algebra: operator flats, images of a
-map, the triples of a pair given by rational constants.
+`center`, `derived`, the ad rows of `tkk.lie_der_tower`, the integer
+readers of the constructions and the products of the Tits and Ko_D builders
+start from it, and so do the Kantor top space (P = d C and `lp_tensor`) and
+`superspace.check_superanticommutative`; supercommutativity (run on every
+Jordan build, which stays free of numpy), `subalgebra` and
+`jordan.find_unit` still read the rational table.  Super-Jacobi joins its
+nonzeros with each other on the contracted index, a fixed number of
+products at a time, so its work follows the nonzeros and its memory the
+chunk; the dense kernels (the Jordan checks, which hold O(n**5) entries,
+and the Kantor relations) scatter a dense n x n x n array from it on
+request.  `encode` serves the tables that belong to no algebra: operator
+flats, coordinates read off a `GeneratedSpan`, the triples of a pair given
+by rational constants.
 
 The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
@@ -35,9 +36,9 @@ the supercommutators of two stacks of integer matrices in one batched
 product, `pivot_coordinates` reads coordinates in a canonical basis off its
 pivot columns and certifies them by one recombination, `decode` turns an
 integer tensor back into a rational table, and `bracket_map_defect` checks
-a linear map against two bracket tables.  The J functor's triples
-[[x, y], z] of a 3-graded Lie table are one product of two of its slices
-(`lie_triples`, by `contract`).
+a linear map, an integer matrix over one denominator, against two tables.
+The J functor's triples [[x, y], z] of a 3-graded Lie table are one product
+of two of its slices (`lie_triples`, by `contract`).
 numpy is imported lazily: a Jordan algebra is built without it, while a Lie
 algebra loads it through its super-Jacobi check.
 """
@@ -436,18 +437,16 @@ def mismatch(X, fx, Y, fy):
     return Xq * fx != Yq * fy
 
 
-def bracket_map_defect(src, dst, images):
+def bracket_map_defect(src, dst, F, df):
     """First basis pair (i, j), in row-major order, where the linear map
-    phi: e_i -> images[i] (rational coordinates) breaks phi(e_i e_j) =
-    phi(e_i) phi(e_j), or None.  The tables come scaled by their own
-    denominators ds, dd (`IntTable`) and the images by theirs, df
-    (F[i, a] = df phi(e_i)_a); the two sides are ds df phi(e_i e_j) =
-    C_src[i, j] F and df**2 dd phi(e_i) phi(e_j) = F[i, a] F[j, b]
-    C_dst[a, b], compared as df dd lhs == ds rhs."""
+    phi: e_i -> sum_a F[i, a] / df e_a (F an integer matrix, int64 or
+    object, and df > 0) breaks phi(e_i e_j) = phi(e_i) phi(e_j), or None.
+    The tables come scaled by their own denominators ds, dd (`IntTable`);
+    the two sides are ds df phi(e_i e_j) = C_src[i, j] F and
+    df**2 dd phi(e_i) phi(e_j) = F[i, a] F[j, b] C_dst[a, b], compared as
+    df dd lhs == ds rhs."""
     import numpy as np
     n = src.dim
-    phi = {(i,): {a: c for a, c in enumerate(v) if c} for i, v in enumerate(images)}
-    (F,), df = encode([phi], [(n, n)])
     ts, td = src.int_table, dst.int_table
     Cs, Fs = _exact([ts.dense(), F], n, 2)
     lhs = np.einsum('ijk,kc->ijc', Cs, Fs)

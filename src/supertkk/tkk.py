@@ -8,30 +8,32 @@ superalgebras to superpairs, derivation towers of graded Lie superalgebras,
 and the explicit equivalence maps between all of these.  Every constructed
 bracket table goes through make_algebra with the super-Jacobi check enabled.
 
-Each construction is 3-graded, g_{-1} (+) g_0 (+) g_1, and the builders share
-its scaffold: `_layout` lays out the basis blocks, `_act` writes every
-middle's action on the tips (a column of the operator, with the Koszul sign
-when the tip comes first), and `_lie` mirrors, checks and wraps the table.
-So the constructions differ only in their degree-0 parts, and each block of
-brackets there is one batched integer bracket of operator stacks followed
-by one certified coordinate read (`OperatorStack.bracket`,
-`OperatorSpace.coordinates`).  The Kantor top space is one integer tensor
-(`KantorTop`) read off the table and `tensor.lp_tensor`, with coordinates
-certified by `GeneratedSpan`.  An equivalence map is certified against both
-bracket tables by `tensor.bracket_map_defect`.  The checks run on the same
-integer layer: `tits_roundtrip` compares all [e (x) a, f (x) b] at once with
-the coordinates of the [L_a, L_b], the images of the unital equivalence maps
-are operator stacks read in one go, and the half-Killing form of sl2 is one
-contraction of its table.  The J side reads the encoded table of g as well:
-the triples of J(g) are one contraction (`tensor.lie_triples`), [g+, g-] is
-one slice of it, and the middle images of Ko(J(g)) -> g and the brackets
-with the embedded Ko are one product each.  The Fraction loops these
-replaced are test oracles in tests/oracle_tkk.py.
+Each construction is 3-graded, g_{-1} (+) g_0 (+) g_1, and its table is a
+list of integer COO blocks (i, j, k, x, den): [e_i, e_j] has x/den at e_k,
+i <= j.  The builders share the scaffold: `_layout` lays out the basis,
+`_act` writes every middle's action on the tips (with the Koszul sign when
+the tip comes first), and `_lie` scales the blocks to one denominator,
+mirrors them and wraps the table.  Each degree-0 block is one batched
+bracket of operator stacks and one certified coordinate read
+(`OperatorStack.bracket`, `OperatorSpace.coordinates`, `_block`); Ti's
+[y (x) v, y' (x) v'] joins the sl2 table with V's (`_join`), and Ko_D's
+other blocks are index maps of V's `IntTable`.  The Kantor top space is one
+integer tensor (`KantorTop`), its coordinates certified by `GeneratedSpan`.
+An equivalence map is an integer matrix over one denominator, certified
+against both tables by `tensor.bracket_map_defect`.  `tits_roundtrip`
+compares all [e (x) a, f (x) b] at once with the coordinates of the
+[L_a, L_b], and the half-Killing form of sl2 is one contraction of its
+table.  The J side reads the encoded table of g as well: the triples of
+J(g) are one contraction (`tensor.lie_triples`), [g+, g-] is one slice of
+it, and the middle images of Ko(J(g)) -> g and the brackets with the
+embedded Ko are one product each.  The Fraction loops these replaced are
+test oracles in tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import tensor
 from .exact import (GeneratedSpan, IntRows, Matrix, Q, Subspace, ZERO, certify, kernel_columns,
@@ -69,28 +71,22 @@ class TkkAlgebra:
         return [i for i, o in enumerate(self.origin) if o[0] == tag]
 
 
-def _coordinate_rows(space: OperatorSpace, ops: OperatorStack) -> list:
-    """The coordinates of each operator of a stack over the basis of space,
-    as sparse dicts (certified, see OperatorSpace.coordinates)."""
-    rows = tensor.decode(space.coordinates(ops), ops.den)
-    return [rows.get((b,), {}) for b in range(len(ops))]
+def _block(C, den: int, i, j, at: int) -> tuple:
+    """The block [e_{i[b]}, e_{j[b]}] = sum_l C[b, l] / den e_{at + l} of an
+    integer array C, b running over all axes of C but the last; i and j are
+    index arrays of the shape of those axes."""
+    import numpy as np
+    nz = np.nonzero(C)
+    return i[nz[:-1]], j[nz[:-1]], at + nz[-1], C[nz], den
 
 
-def _middle_brackets(upper: dict, space: OperatorSpace, at: int):
-    """Write [A_t, A_s] = sum_l c_l A_l, t <= s, for the basis of space
+def _middle_brackets(space: OperatorSpace, at: int) -> tuple:
+    """The block [A_t, A_s] = sum_l c_l A_l, t <= s, for the basis of space
     placed at offset at: one batched bracket, one certified read."""
-    pairs = [(t, s) for t in range(space.dim) for s in range(t, space.dim)]
-    for (t, s), w in zip(pairs, _coordinate_rows(space, space.stack.bracket())):
-        if w:
-            upper[at + t, at + s] = {at + l: c for l, c in w.items()}
-
-
-def _basis_flats(space: OperatorSpace) -> tuple:
-    return space.even.basis + space.odd.basis
-
-
-def _entries(upper: dict) -> list:
-    return [(i, j, k, c) for (i, j), vec in upper.items() for k, c in vec.items() if c]
+    import numpy as np
+    ops = space.stack.bracket()
+    t, s = np.triu_indices(space.dim)
+    return _block(space.coordinates(ops), ops.den, at + t, at + s, at)
 
 
 def _layout(*blocks) -> tuple:
@@ -105,34 +101,54 @@ def _layout(*blocks) -> tuple:
     return tuple(parities), tuple(zdegrees), tuple(origin)
 
 
-def _act(upper: dict, space: OperatorSpace, at: int, copies) -> None:
-    """Write [A_t, e_i] = A_t e_i for the basis A_t of space, placed at
-    offset at, on each copy (offset, block, parities) of V: block is the
-    block of A_t acting on that copy.  A copy placed before the operators
-    gets [e_i, A_t] = -(-1)^{|i||A_t|} A_t e_i.  The entries share one
-    Fraction per value, so the table holds a handful of new objects."""
-    stack = space.stack
-    spar, fracs = stack.parities.tolist(), {}
+def _act(space: OperatorSpace, at: int, copies) -> list:
+    """The blocks [A_t, e_i] = A_t e_i for the basis A_t of space, placed at
+    offset at, one for each copy (offset, block, parities) of V: block is
+    the block of A_t acting on that copy.  A copy placed before the
+    operators gets [e_i, A_t] = -(-1)^{|i||A_t|} A_t e_i."""
+    import numpy as np
+    stack, out = space.stack, []
     for off, b, par in copies:
         M = stack.blocks[b]
-        nz = M.nonzero()
-        for t, l, i, x in zip(*(a.tolist() for a in nz), M[nz].tolist()):
-            if off < at:
-                key, x = (off + i, at + t), x if par[i] * spar[t] % 2 else -x
-            else:
-                key = at + t, off + i
-            if x not in fracs:
-                fracs[x] = Q(x, stack.den)
-            upper.setdefault(key, {})[off + l] = fracs[x]
+        t, l, i = np.nonzero(M)
+        if off < at:
+            odd = np.array(par, dtype=np.int64)[i] * stack.parities[t] % 2
+            out.append((off + i, at + t, off + l, (2 * odd - 1) * M[t, l, i], stack.den))
+        else:
+            out.append((at + t, off + i, off + l, M[t, l, i], stack.den))
+    return out
 
 
-def _lie(upper: dict, layout: tuple, name: str, construction: str, metadata: dict,
+def _join(ys, vs, at: int, n: int, den: int) -> tuple:
+    """The block of brackets of y (x) v, with y_a (x) e_c at at + a n + c:
+    each entry (a, b, base, s) of ys times each entry (c, e, l, v) of vs puts
+    s v / den on [y_a (x) e_c, y_b (x) e_e] at base + l, upper triangle only."""
+    (a, b, base, s), (c, e, l, v) = ys, vs
+    i, j = at + a[:, None] * n + c, at + b[:, None] * n + e
+    keep = i <= j
+    x = s.astype(object)[:, None] * v.astype(object)
+    return i[keep], j[keep], (base[:, None] + l)[keep], x[keep], den
+
+
+def _lie(blocks: list, layout: tuple, name: str, construction: str, metadata: dict,
          **data) -> TkkAlgebra:
-    """The Lie superalgebra of an upper-triangle bracket table, mirrored and
-    checked by make_algebra, with its basis bookkeeping."""
+    """The Lie superalgebra of the upper-triangle blocks, scaled to one
+    denominator on Python ints and mirrored, [e_j, e_i] = -(-1)^{|i||j|}
+    [e_i, e_j], in one array pass, then checked by make_algebra, with its
+    basis bookkeeping.  The table shares one Fraction per value."""
+    import numpy as np
     parities, zdegrees, origin = layout
-    alg = make_algebra(parities, mirror(parities, _entries(upper), -1), zdegrees=zdegrees,
-                       name=name, kind="lie", metadata=metadata)
+    den = lcm(1, *(b[4] for b in blocks))
+    i, j, k = (np.concatenate([b[a] for b in blocks]) for a in range(3))
+    x = np.concatenate([b[3].astype(object) * (den // b[4]) for b in blocks])
+    p = np.array(parities, dtype=np.int64)
+    off = np.flatnonzero(i != j)
+    x = np.concatenate([x, (2 * (p[i[off]] * p[j[off]]) - 1) * x[off]])
+    i, j, k = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[k, k[off]]
+    fracs = {v: Q(v, den) for v in set(x.tolist())}
+    entries = zip(i.tolist(), j.tolist(), k.tolist(), map(fracs.get, x.tolist()))
+    alg = make_algebra(parities, entries, zdegrees=zdegrees, name=name, kind="lie",
+                       metadata=metadata)
     return TkkAlgebra(alg, construction, origin, source=name, data=data)
 
 
@@ -162,23 +178,23 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
         mid = pair_der(v)
     else:
         raise ValueError(f"unknown middle {middle!r}, expected 'inn' or 'der'")
+    import numpy as np
     dp, dm = pair.shape
     nm = mid.dim
-    upper: dict = {}
-    # [x+, u-] = D_{x,u} as an operator pair in the middle
-    for b, w in enumerate(_coordinate_rows(mid, pair_d_stack(pair))):
-        i, u = divmod(b, dm)
-        upper[i, dp + nm + u] = {dp + t: c for t, c in w.items()}
-    # M acts on V+ by its block M+ and on V- by M-
-    _act(upper, mid, dp, [(0, 0, pair.parities[0]), (dp + nm, 1, pair.parities[1])])
-    _middle_brackets(upper, mid, dp)
+    ops = pair_d_stack(pair)
+    x, u = np.indices((dp, dm))
+    blocks = [  # [x+, u-] = D_{x,u} as an operator pair in the middle
+        _block(mid.coordinates(ops).reshape(dp, dm, nm), ops.den, x, dp + nm + u, dp),
+        _middle_brackets(mid, dp),
+        # M acts on V+ by its block M+ and on V- by M-
+        *_act(mid, dp, [(0, 0, pair.parities[0]), (dp + nm, 1, pair.parities[1])])]
 
     prefix = "Ko" if middle == "inn" else "Ko~"
     name = (prefix + pair.name if pair.name.startswith("(")
             else f"{prefix}({pair.name})")
     layout = _layout(("vplus", pair.parities[0], 1), ("op0", mid.stack.parities, 0),
                      ("vminus", pair.parities[1], -1))
-    return _lie(upper, layout, name, "Ko" if middle == "inn" else "KoTilde",
+    return _lie(blocks, layout, name, "Ko" if middle == "inn" else "KoTilde",
                 {"construction": "koecher", "middle": middle}, pair=pair, middle=mid)
 
 
@@ -259,6 +275,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
     """Kantor's 3-graded Lie superalgebra V (+) istr(V) (+) <P, [L_a, P]>."""
     if V.kind != "jordan":
         raise ValueError("kantor expects a Jordan superalgebra")
+    import numpy as np
     n = V.dim
     istr = istr_algebra(V)
     basis = istr.stack
@@ -267,32 +284,29 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
     tops, top_par = top.tensors, top.parities
     nt = len(top_par)
 
-    upper: dict = {}
-    _act(upper, istr, n, [(0, 0, V.parities)])
     # [x, B] = -(-1)^{|x||B|} [B, x], with [B, x](y) = B(x, y) in istr:
     # the operator of (x, B) has entries [l, j] = B(e_x, e_j)_l
     at_x = OperatorStack((tops.transpose(1, 0, 3, 2).reshape(n * nt, n, n),),
                          [(p + q) % 2 for p in V.parities for q in top_par], top.den)
-    for b, w in enumerate(_coordinate_rows(istr, at_x)):
-        i, u = divmod(b, nt)
-        s = -1 if V.parity(i) * top_par[u] % 2 else 1
-        if w:
-            upper[i, n + nm + u] = {n + l: -s * c for l, c in w.items()}
-    _middle_brackets(upper, istr, n)
     # [A, B] for A in istr and B in the top: basis.den * top.den times
     # integer tensors, whose coordinates come at basis.den
+    coords = {}
     for t, pa in enumerate(basis.parities.tolist()):
-        sign = [-1 if pa * q % 2 else 1 for q in top_par]
-        acted = tensor.g0_action(basis.blocks[0][t], tops, sign, V.parities)
+        acted = tensor.g0_action(basis.blocks[0][t], tops, 1 - 2 * (pa * np.array(top_par) % 2),
+                                 V.parities)
         for u, flat in enumerate(acted.reshape(nt, n ** 3).tolist()):
-            coords = top.coords(flat, (pa + top_par[u]) % 2)
-            entry = {n + nm + l: c / basis.den for l, c in enumerate(coords) if c}
-            if entry:
-                upper[n + t, n + nm + u] = entry
+            coords[t, u] = dict(enumerate(top.coords(flat, (pa + top_par[u]) % 2)))
+    (AB,), d = tensor.encode([coords], [(nm, nt, nt)])
+    sign = 2 * (np.outer(V.parities, top_par) % 2) - 1
+    (x, u), (t, s) = np.indices((n, nt)), np.indices((nm, nt))
+    blocks = [*_act(istr, n, [(0, 0, V.parities)]), _middle_brackets(istr, n),
+              _block(istr.coordinates(at_x).reshape(n, nt, nm) * sign[..., None], top.den,
+                     x, n + nm + u, n),
+              _block(AB, d * basis.den, n + t, n + nm + s, n + nm)]
 
     layout = _layout(("vminus", V.parities, -1), ("op0", basis.parities, 0),
                      (top.tags, top_par, 1))
-    return _lie(upper, layout, f"Kan({V.name})", "Kan", {"construction": "kantor"},
+    return _lie(blocks, layout, f"Kan({V.name})", "Kan", {"construction": "kantor"},
                 middle=istr, top=top)
 
 
@@ -334,6 +348,13 @@ class TitsData:
     sl2: SuperAlgebra
     killing: Matrix
     label: str
+
+
+def _l_brackets(V: SuperAlgebra, dsp: OperatorSpace) -> tuple:
+    """(M, den): M[a, b] / den are the coordinates of [L_a, L_b] in dsp."""
+    ls = l_stack(V)
+    lbr = ls.bracket(ls)
+    return dsp.coordinates(lbr).reshape(V.dim, V.dim, dsp.dim), lbr.den
 
 
 def _sl2() -> SuperAlgebra:
@@ -384,47 +405,28 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     """Tits construction D (+) (sl2 (x) V) with the half-Killing pairing."""
     if V.kind != "jordan":
         raise ValueError("tits expects a Jordan superalgebra")
+    import numpy as np
     n = V.dim
     data = tits_data(V, d)
     dsp, y, kappa = data.dspace, data.sl2, data.killing
     nd = dsp.dim
-
-    def tensor_index(y_idx: int, v_idx: int) -> int:
-        return nd + y_idx * n + v_idx
-
-    upper: dict = {}
-    _middle_brackets(upper, dsp, 0)
-    # [d, y (x) v] = y (x) d(v) on each of the three copies of V
-    _act(upper, dsp, 0, [(tensor_index(yi, 0), 0, V.parities) for yi in range(3)])
-    ls = l_stack(V)
-    lbr = _coordinate_rows(dsp, ls.bracket(ls))  # [L_v, L_v'] at v * n + v'
-    for yi in range(3):
-        for yj in range(3):
-            for vi in range(n):
-                for vj in range(n):
-                    a, b = tensor_index(yi, vi), tensor_index(yj, vj)
-                    if a > b:
-                        continue
-                    # [y (x) v, y' (x) v'] = (y,y')[L_v,L_{v'}] + [y,y'] (x) vv'
-                    entry: dict = {}
-                    if kappa[yi, yj]:
-                        for l, c in lbr[vi * n + vj].items():
-                            entry[l] = entry.get(l, Q(0)) + kappa[yi, yj] * c
-                    ybr = y.basis_product(yi, yj)
-                    if ybr:
-                        prod = V.basis_product(vi, vj)
-                        for yk, yc in ybr.items():
-                            for l, c in prod.items():
-                                idx = tensor_index(yk, l)
-                                entry[idx] = entry.get(idx, Q(0)) + yc * c
-                    entry = {k: c for k, c in entry.items() if c}
-                    if entry:
-                        upper[a, b] = entry
+    M, dm = _l_brackets(V, dsp)
+    (K,), dk = tensor.encode([{(a,): dict(enumerate(row)) for a, row in enumerate(kappa.data)}],
+                             [(3, 3)])
+    ty, tv = y.int_table, V.int_table
+    a, b = np.nonzero(K)
+    blocks = [_middle_brackets(dsp, 0),
+              # [d, y (x) v] = y (x) d(v) on each of the three copies of V
+              *_act(dsp, 0, [(nd + yi * n, 0, V.parities) for yi in range(3)]),
+              # [y (x) v, y' (x) v'] = (y,y')[L_v,L_{v'}] + [y,y'] (x) vv'
+              _join((a, b, 0 * a, K[a, b]), (*np.nonzero(M), M[M != 0]), nd, n, dk * dm),
+              _join((ty.i, ty.j, nd + ty.k * n, ty.value), (tv.i, tv.j, tv.k, tv.value), nd, n,
+                    ty.d * tv.d)]
 
     # sl2 basis order e, h, f carries the 3-grading +1, 0, -1
     layout = _layout(("d", dsp.stack.parities, 0), ("e", V.parities, 1), ("h", V.parities, 0),
                      ("f", V.parities, -1))
-    return _lie(upper, layout, f"Ti({V.name},{data.label})", "Ti",
+    return _lie(blocks, layout, f"Ti({V.name},{data.label})", "Ti",
                 {"construction": "tits", "dchoice": data.label},
                 dspace=dsp, sl2=y, kappa=kappa, label=data.label)
 
@@ -454,14 +456,12 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     X, dx = np.zeros((n, n, g.dim), dtype=tg.value.dtype), tg.d
     X[tg.i[at] - nd, tg.j[at] - nd - 2 * n, tg.k[at]] = tg.value[at]
     t = V.int_table
-    ls = l_stack(V)
-    lbr = ls.bracket(ls)
-    M = dsp.coordinates(lbr).reshape(n, n, nd)  # lbr.den [L_a, L_b] in D
-    # X / (dx ef) == M / lbr.den on the D components, cross-multiplied
+    M, dm = _l_brackets(V, dsp)
+    # X / (dx ef) == M / dm on the D components, cross-multiplied
     num, den = int(ef.numerator), int(ef.denominator)
     leaves = X[..., nd:nd + n].any(axis=2) | X[..., nd + 2 * n:].any(axis=2)
     product = tensor.mismatch(X[..., nd + n:nd + 2 * n], t.d, t.dense(), dx).any(axis=2)
-    pairing = tensor.mismatch(X[..., :nd], lbr.den * den, M if num > 0 else -M,
+    pairing = tensor.mismatch(X[..., :nd], dm * den, M if num > 0 else -M,
                               dx * abs(num)).any(axis=2)
     bad = np.argwhere(leaves | product | pairing)
     if len(bad):
@@ -482,65 +482,50 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     """V+ (+) (D (+) a formal L-hat copy of V) (+) V-."""
     if V.kind != "jordan":
         raise ValueError("koecher_d expects a Jordan superalgebra")
+    import numpy as np
     n = V.dim
     data = tits_data(V, d)
     dsp = data.dspace
     nd = dsp.dim
     off_d, off_l, off_m = n, n + nd, n + nd + n
-    ls = l_stack(V)
-    lbr = _coordinate_rows(dsp, ls.bracket(ls))  # [L_x, L_y] at x * n + y
-
-    upper: dict = {}
-    for i in range(n):
-        for u in range(n):
-            # [x+, u-] = 2 L-hat_{xu} + 2 [L_x, L_u] in D
-            entry = {off_l + l: 2 * c for l, c in V.basis_product(i, u).items()}
-            entry.update({off_d + l: 2 * c for l, c in lbr[i * n + u].items()})
-            if entry:
-                upper[i, off_m + u] = entry
-    # D acts on x+ and u- by D, and [D, L-hat_y] = L-hat_{D(y)}
-    _act(upper, dsp, off_d, [(0, 0, V.parities), (off_l, 0, V.parities),
-                             (off_m, 0, V.parities)])
-    _middle_brackets(upper, dsp, off_d)
-    for i in range(n):
-        for j in range(n):
-            # [L-hat_y, x+] = (yx)+ and [L-hat_y, u-] = -(yu)-
-            prod = V.basis_product(j, i)
-            s = -1 if V.parity(i) * V.parity(j) % 2 else 1
-            if prod:
-                upper[i, off_l + j] = {l: -s * c for l, c in prod.items()}
-                upper[off_l + j, off_m + i] = {off_m + l: -c for l, c in prod.items()}
-        for j in range(i, n):
-            # [L-hat_x, L-hat_y] = [L_x, L_y] lands in D via Inn <= D
-            if lbr[i * n + j]:
-                upper[off_l + i, off_l + j] = {off_d + l: c for l, c in lbr[i * n + j].items()}
+    M, dm = _l_brackets(V, dsp)
+    t = V.int_table  # e_i e_j = sum value / t.d e_k
+    p = np.array(V.parities)
+    odd = p[t.i] * p[t.j] % 2
+    x, u = np.indices((n, n))
+    a, b = np.triu_indices(n)
+    blocks = [  # [x+, u-] = 2 L-hat_{xu} + 2 [L_x, L_u] in D
+        (t.i, off_m + t.j, off_l + t.k, 2 * t.value.astype(object), t.d),
+        _block(2 * M.astype(object), dm, x, off_m + u, off_d),
+        # D acts on x+ and u- by D, and [D, L-hat_y] = L-hat_{D(y)}
+        *_act(dsp, off_d, [(0, 0, V.parities), (off_l, 0, V.parities), (off_m, 0, V.parities)]),
+        _middle_brackets(dsp, off_d),
+        # [L-hat_y, x+] = (yx)+, so [x+, L-hat_y] = -(-1)^{|x||y|} (yx)+
+        (t.j, off_l + t.i, t.k, (2 * odd - 1) * t.value, t.d),
+        # [L-hat_y, u-] = -(yu)-
+        (off_l + t.i, off_m + t.j, off_m + t.k, -t.value, t.d),
+        # [L-hat_x, L-hat_y] = [L_x, L_y] lands in D via Inn <= D
+        _block(M[a, b], dm, off_l + a, off_l + b, off_d)]
 
     layout = _layout(("vplus", V.parities, 1), ("d", dsp.stack.parities, 0),
                      ("lhat", V.parities, 0), ("vminus", V.parities, -1))
-    return _lie(upper, layout, f"Ko_{data.label}({V.name})", "KoD",
+    return _lie(blocks, layout, f"Ko_{data.label}({V.name})", "KoD",
                 {"construction": "koecher_d", "dchoice": data.label}, dspace=dsp)
 
 
 def check_propnu(V: SuperAlgebra, d="inn") -> list:
-    """The explicit isomorphism Ti(V, D, sl2) -> Ko_D(V)."""
+    """The explicit isomorphism Ti(V, D, sl2) -> Ko_D(V): d -> d, e (x) a ->
+    a+, f (x) a -> a- and h (x) a -> 2 L-hat_a."""
+    import numpy as np
     ti = tits(V, d)
     kd = koecher_d(V, d)
     n = V.dim
     nd = ti.data["dspace"].dim
-    off_d, off_l, off_m = n, n + nd, n + nd + n
-    images = []
-    for tag in ti.origin:
-        vec = [Q(0)] * kd.dim
-        if tag[0] == "d":
-            vec[off_d + tag[1]] = Q(1)
-        elif tag[0] == "e":
-            vec[tag[1]] = Q(1)
-        elif tag[0] == "f":
-            vec[off_m + tag[1]] = Q(1)
-        else:  # h (x) a -> 2 L-hat_a
-            vec[off_l + tag[1]] = Q(2)
-        images.append(tuple(vec))
-    return [_check_bracket_map(ti.lie, kd.lie, images, "propnu")]
+    at = {"d": n, "e": 0, "h": n + nd, "f": n + nd + n}
+    F = np.zeros((ti.dim, kd.dim), dtype=np.int64)
+    for r, (tag, i) in enumerate(ti.origin):
+        F[r, at[tag] + i] = 2 if tag == "h" else 1
+    return [_check_bracket_map(ti.lie, kd.lie, F, 1, "propnu")]
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +619,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     middle are one product: the coefficients over the D_{x,u}, scaled to
     integers, times the rows [x, u]_g of the encoded table.
     """
+    import numpy as np
     results = [is_jordan_graded(g)]
     if not results[0].passed:
         return results
@@ -645,16 +631,17 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
                           for row in ds.flats().tolist()], dp * dp + dm * dm)
     coeffs = {}
-    for t, flat in enumerate(_basis_flats(ko2.data["middle"])):
+    mid = ko2.data["middle"]
+    for t, flat in enumerate(mid.even.basis + mid.odd.basis):
         c = gens.express(flat)
         certify(c is not None, "middle element outside the D span")
         coeffs[t,] = {k: x for k, x in enumerate(c) if x}
     (K,), dk = tensor.encode([coeffs], [(len(coeffs), dp * dm)])
-    mid = tensor.contract(K, pm).tolist()  # dk d times the images
-    tips = {"vplus": (z == 1).nonzero()[0].tolist(), "vminus": (z == -1).nonzero()[0].tolist()}
-    images = [g.basis_vector(tips[tag][i]) if tag in tips else tuple(Q(x, dk * d) for x in mid[i])
-              for tag, i in ko2.origin]
-    results.append(_check_bracket_map(ko2.lie, g, images, "ko_of_j_iso"))
+    F = np.zeros((ko2.dim, g.dim), dtype=object)  # dk d times the images
+    F[ko2.block("op0")] = tensor.contract(K, pm)
+    F[ko2.block("vplus"), np.flatnonzero(z == 1)] = dk * d
+    F[ko2.block("vminus"), np.flatnonzero(z == -1)] = dk * d
+    results.append(_check_bracket_map(ko2.lie, g, F, dk * d, "ko_of_j_iso"))
     return results
 
 
@@ -662,30 +649,21 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
 # explicit equivalence maps
 
 
-def _image_parity(dst: SuperAlgebra, vec):
-    par = None
-    for l, c in enumerate(vec):
-        if c:
-            if par is None:
-                par = dst.parity(l)
-            elif par != dst.parity(l):
-                return -1  # mixed parity never matches
-    return par
-
-
-def _check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, images: list,
+def _check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, F, den: int,
                        name: str) -> CheckResult:
-    """Verify that basis -> images extends to an isomorphism src -> dst."""
+    """Verify that e_i -> sum_a F[i, a] / den e_a, for an integer matrix F,
+    extends to an isomorphism src -> dst: the rows of F are independent, no
+    image has a component of the other parity, and every bracket matches
+    (`tensor.bracket_map_defect`)."""
+    import numpy as np
     if src.dim != dst.dim:
-        return CheckResult(name, False,
-                           f"dimension mismatch {src.dim} vs {dst.dim}")
-    if span(images, ambient=dst.dim).dim != src.dim:
+        return CheckResult(name, False, f"dimension mismatch {src.dim} vs {dst.dim}")
+    if Subspace(dst.dim, F.tolist()).dim != src.dim:
         return CheckResult(name, False, "images are linearly dependent")
-    for i in range(src.dim):
-        par = _image_parity(dst, images[i])
-        if par is not None and par != src.parity(i):
-            return CheckResult(name, False, f"parity broken at basis {i}")
-    at = tensor.bracket_map_defect(src, dst, images)
+    broken = np.flatnonzero(((F != 0) & np.not_equal.outer(src.parities, dst.parities)).any(1))
+    if len(broken):
+        return CheckResult(name, False, f"parity broken at basis {broken[0]}")
+    at = tensor.bracket_map_defect(src, dst, F, den)
     if at is not None:
         return CheckResult(name, False, "bracket mismatch at basis pair ({},{})".format(*at))
     return CheckResult(name, True, "linear bijection matching all brackets")
@@ -699,23 +677,14 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     unit = find_unit(V)
     if unit is None:
         return [CheckResult("unital_equivalences", False,
-                            "no unit: see the counterexample comparisons",
-                            "note")]
+                            "no unit: see the counterexample comparisons", "note")]
     import numpy as np
     results = []
     ko = koecher(V, middle="inn")
     mid = ko.data["middle"]
     n = V.dim
-    nm = mid.dim
-    off_mid, off_minus = n, n + nm
+    off_mid, off_minus = n, n + mid.dim
     ls = l_stack(V)
-
-    def fill_mid(images, at, ops):
-        # ops[t] is the operator pair that images[at[t]] has in the middle:
-        # one batched read
-        for i, w in zip(at, _coordinate_rows(mid, ops)):
-            for l, c in w.items():
-                images[i][off_mid + l] = c
 
     # Kantor vs Koecher: x -> x-, P -> -(e/2)+, [L_a,P] -> (a/2)+,
     # L_x -> -D_{x,e}/2 = (-L_x, L_x) as e is the unit,
@@ -726,46 +695,36 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     G = np.concatenate([ls.flats(), ls.bracket(ls).flats()])
     gens = GeneratedSpan(G.tolist(), n * n)
     table = {}
-    for t, w in enumerate(_basis_flats(istr)):
+    for t, w in enumerate(istr.even.basis + istr.odd.basis):
         coeffs = gens.express(w)
         certify(coeffs is not None, "istr basis element outside the L span")
         table[t,] = {k: c for k, c in enumerate(coeffs) if c}
     (C,), dc = tensor.encode([table], [(istr.dim, len(G))])
     # L_x -> (-L_x, L_x)
     plus, minus = tensor.contract(C * np.r_[[-1] * n, [1] * n * n], G), tensor.contract(C, G)
-    images = []
-    for tag in kan.origin:
-        vec = [Q(0)] * ko.dim
-        if tag[0] == "vminus":
-            vec[off_minus + tag[1]] = Q(1)
-        elif tag[0] == "kantorP":
-            for l, c in enumerate(unit):
-                vec[l] = -c * Q(1, 2)
-        elif tag[0] == "kantorLP":
-            vec[tag[1]] = Q(1, 2)
-        images.append(vec)
-    fill_mid(images, kan.block("op0"), OperatorStack(
-        (plus.reshape(-1, n, n), minus.reshape(-1, n, n)), istr.stack.parities, dc))
-    results.append(_check_bracket_map(kan.lie, ko.lie, [tuple(v) for v in images],
-                                      "kantor_equals_koecher"))
+    ops = OperatorStack((plus.reshape(-1, n, n), minus.reshape(-1, n, n)), istr.stack.parities, dc)
+    den = lcm(dc, *(2 * int(c.denominator) for c in unit))
+    F = np.zeros((kan.dim, ko.dim), dtype=object)
+    F[kan.block("op0"), off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // dc)
+    F[kan.block("vminus"), off_minus + np.arange(n)] = den
+    F[kan.block("kantorP"), :n] = [int(-c * den / 2) for c in unit]
+    lp = kan.block("kantorLP")
+    F[lp, [kan.origin[r][1] for r in lp]] = den // 2
+    results.append(_check_bracket_map(kan.lie, ko.lie, F, den, "kantor_equals_koecher"))
 
     # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-,
     # h(x)a -> D_{a,e} = (2 L_a, -2 L_a), inner derivation W -> (W, W)
     ti = tits(V, "inn")
     W = ti.data["dspace"].stack
-    images = []
-    for tag in ti.origin:
-        vec = [Q(0)] * ko.dim
-        if tag[0] == "e":
-            vec[tag[1]] = Q(1)
-        elif tag[0] == "f":
-            vec[off_minus + tag[1]] = Q(1)
-        images.append(vec)
     L = ls.blocks[0]
-    fill_mid(images, ti.block("h"), OperatorStack((2 * L, -2 * L), ls.parities, ls.den))
-    fill_mid(images, ti.block("d"), OperatorStack(W.blocks * 2, W.parities, W.den))
-    results.append(_check_bracket_map(ti.lie, ko.lie, [tuple(v) for v in images],
-                                      "tits_inn_equals_koecher"))
+    den = lcm(ls.den, W.den)
+    F = np.zeros((ti.dim, ko.dim), dtype=object)
+    F[ti.block("e"), np.arange(n)] = den
+    F[ti.block("f"), off_minus + np.arange(n)] = den
+    for rows, ops in ((ti.block("h"), OperatorStack((2 * L, -2 * L), ls.parities, ls.den)),
+                      (ti.block("d"), OperatorStack(W.blocks * 2, W.parities, W.den))):
+        F[rows, off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // ops.den)
+    results.append(_check_bracket_map(ti.lie, ko.lie, F, den, "tits_inn_equals_koecher"))
 
     # derivation tower of Ko(V) against Ko~(V), dim V, and str/istr
     tower = lie_der_tower(ko.lie)

@@ -23,8 +23,12 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   oracle_identities, and the greedy pick and the coordinates from
   `oracle_linalg.SpanSolver`, so that neither shares code with
   `tkk.KantorTop` and its `GeneratedSpan`.
-- `check_bracket_map` is the former `_check_bracket_map` loop and
-  `pair_der_matches_der0` the former embedding check.
+- `check_bracket_map` is the former `_check_bracket_map` loop, on a list
+  of rational images, and `pair_der_matches_der0` the former embedding
+  check.  `map_matrix` and `map_images` convert between such a list and
+  the integer matrix F over one denominator that supertkk's certificate
+  takes; `_entries` is the former flattening of a builder's upper-triangle
+  dict table.
 - `l_witness`, `killing_half`, `tits_roundtrip` and `equivalence_images`
   are the last dense `Matrix` loops of supertkk: `structure._l_witness`
   (`solve` over the L_{e_i} matrices), `tkk._killing_half` (adjoint
@@ -70,7 +74,25 @@ from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
                                 check_pair_axioms, der_algebra, derivation_kernel,
                                 istr_algebra, leibniz_blocks, pair_d_stack, pair_der, str_w)
 from supertkk.superspace import SuperAlgebra, make_algebra, mirror
-from supertkk.tkk import TitsData, TkkAlgebra, _entries, _sl2
+from supertkk.tkk import TitsData, TkkAlgebra, _sl2
+
+
+def _entries(upper: dict) -> list:
+    return [(i, j, k, c) for (i, j), vec in upper.items() for k, c in vec.items() if c]
+
+
+def map_matrix(images: list) -> tuple:
+    """(F, den) of the linear map e_i -> images[i] (rational coordinates):
+    F[i, a] = den images[i][a], the form `tkk._check_bracket_map` takes."""
+    (F,), den = tensor.encode([{(i,): dict(enumerate(v)) for i, v in enumerate(images)}],
+                              [(len(images), len(images[0]) if images else 0)])
+    return F, den
+
+
+def map_images(F, den: int) -> list:
+    """The images e_i -> F[i] / den as tuples of rationals, the inverse of
+    `map_matrix`."""
+    return [tuple(Q(int(x), den) for x in row) for row in F.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +923,8 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     gen_pairs = [(i, j) for i in range(dp) for j in range(dm)]
     gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
                           for row in ds.flats().tolist()], dp * dp + dm * dm)
-    mid_flats = tkk._basis_flats(ko2.data["middle"])
+    mid = ko2.data["middle"]
+    mid_flats = mid.even.basis + mid.odd.basis
     images = []
     for tag in ko2.origin:
         if tag[0] == "vplus":
@@ -918,7 +941,7 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
                                    g.basis_vector(minus[j]))
                     vec = [a + c * b for a, b in zip(vec, br)]
             images.append(tuple(vec))
-    results.append(tkk._check_bracket_map(ko2.lie, g, images, "ko_of_j_iso"))
+    results.append(tkk._check_bracket_map(ko2.lie, g, *map_matrix(images), "ko_of_j_iso"))
     return results
 
 
@@ -933,9 +956,11 @@ def koecher_ideal_check(v) -> CheckResult:
     sub = []
     for i in range(dp):
         sub.append(tuple(Q(1) if r == i else Q(0) for r in range(g.dim)))
-    for w in tkk._coordinate_rows(mid, tkk.pair_inn(v).stack):
+    ops = tkk.pair_inn(v).stack
+    rows = tensor.decode(mid.coordinates(ops), ops.den)
+    for b in range(len(ops)):
         vec = [Q(0)] * g.dim
-        for l, c in w.items():
+        for l, c in rows.get((b,), {}).items():
             vec[dp + l] = c
         sub.append(tuple(vec))
     for u in range(dm):

@@ -12,8 +12,9 @@ of sl2) must give what those loops give, on perturbed input too.
 
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_tkk as oracle
 from oracle_linalg import operators, supercommutator
@@ -213,7 +214,7 @@ def test_perturbed_bracket_map_fails_like_the_loop(data):
     to = data.draw(st.sampled_from([k for k in range(g.dim) if g.parity(k) == g.parity(at)]))
     images[at][to] += data.draw(twelfths.filter(bool))
     images = [tuple(v) for v in images]
-    got = tkk._check_bracket_map(g, g, images, "perturbed")
+    got = tkk._check_bracket_map(g, g, *oracle.map_matrix(images), "perturbed")
     assert got == oracle.check_bracket_map(g, g, images, "perturbed")
 
 
@@ -232,9 +233,43 @@ def test_a_perturbed_image_names_the_first_pair_in_loop_order():
         images.append(vec)
     images[nd + n][off_l] = Q(3)  # h (x) e_0
     images = [tuple(v) for v in images]
-    got = tkk._check_bracket_map(ti.lie, kd.lie, images, "propnu")
+    got = tkk._check_bracket_map(ti.lie, kd.lie, *oracle.map_matrix(images), "propnu")
     want = oracle.check_bracket_map(ti.lie, kd.lie, images, "propnu")
     assert got == want and not got.passed
+    assert got.detail.startswith("bracket mismatch at basis pair (")
+
+
+def test_each_early_exit_of_the_map_certificate_matches_the_loop():
+    # a map into an algebra of another dimension, a map with two equal
+    # images, and one that swaps an even and an odd basis vector: each stops
+    # the certificate before the brackets, with the loop's detail
+    V = resolve("kacK")
+    ko, kot = tkk.koecher(V).lie, tkk.koecher_tilde(V).lie
+    even, odd = ko.parities.index(0), ko.parities.index(1)
+    dependent = np.eye(ko.dim, dtype=np.int64)
+    dependent[odd] = dependent[even]
+    order = list(range(ko.dim))
+    order[even], order[odd] = odd, even
+    cases = [(kot, np.eye(ko.dim, kot.dim, dtype=np.int64), "dimension mismatch 14 vs 15"),
+             (ko, dependent, "images are linearly dependent"),
+             (ko, np.eye(ko.dim, dtype=np.int64)[order],
+              f"parity broken at basis {min(even, odd)}")]
+    for dst, F, detail in cases:
+        got = tkk._check_bracket_map(ko, dst, F, 1, "exit")
+        assert got == oracle.check_bracket_map(ko, dst, oracle.map_images(F, 1), "exit")
+        assert not got.passed and got.detail == detail
+
+
+def test_a_map_past_int64_is_checked_on_python_ints():
+    # the identity of Ko(kacK) written as 2**70 I / 2**70, then with one
+    # image moved by 2**-70 along a basis vector of its parity
+    g = tkk.koecher(resolve("kacK")).lie
+    big = 2 ** 70
+    F = np.eye(g.dim, dtype=np.int64).astype(object) * big
+    assert tensor.bracket_map_defect(g, g, F, big) is None
+    F[0, next(k for k in range(1, g.dim) if g.parity(k) == g.parity(0))] += 1
+    got = tkk._check_bracket_map(g, g, F, big, "big")
+    assert got == oracle.check_bracket_map(g, g, oracle.map_images(F, big), "big")
     assert got.detail.startswith("bracket mismatch at basis pair (")
 
 
@@ -283,9 +318,9 @@ def _equivalence_images(V):
     images = {}
     check = tkk._check_bracket_map
 
-    def spy(src, dst, got, name):
-        images[name] = got
-        return check(src, dst, got, name)
+    def spy(src, dst, F, den, name):
+        images[name] = oracle.map_images(F, den)
+        return check(src, dst, F, den, name)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tkk, "_check_bracket_map", spy)
@@ -316,23 +351,29 @@ def _perturbed_tits(V, d, changes):
 @st.composite
 def tits_perturbations(draw):
     """A catalog algebra, a derivation choice and one or two raised constants
-    of [e (x) a, f (x) b]: in its D component, in h (x) V, or outside D + h (x) V."""
+    of [e (x) a, f (x) b]: in its D component, in h (x) V, or outside D + h (x) V.
+    The raised constants sit at distinct (a, b, k), so two changes never
+    cancel."""
     V = resolve(draw(st.sampled_from(("kacK", "full_matrix:1,1", "j19", "form:1,2"))))
     d = draw(st.sampled_from(("inn", "der")))
     n, nd = V.dim, tkk.tits(V, d).data["dspace"].dim
-    changes = []
-    for _ in range(draw(st.integers(1, 2))):
+
+    @st.composite
+    def change(draw):
         a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         where = draw(st.sampled_from(("D", "h", "e", "f")))
         k = {"D": draw(st.integers(0, nd - 1)) if nd else nd + n,
              "h": nd + n + draw(st.integers(0, n - 1)),
              "e": nd + draw(st.integers(0, n - 1)),
              "f": nd + 2 * n + draw(st.integers(0, n - 1))}[where]
-        changes.append((a, b, k, draw(twelfths.filter(bool))))
+        return a, b, k, draw(twelfths.filter(bool))
+
+    changes = draw(st.lists(change(), min_size=1, max_size=2, unique_by=lambda c: c[:3]))
     return V, d, changes
 
 
 @given(tits_perturbations())
+@example((resolve("kacK"), "inn", [(0, 0, 0, Q(1)), (0, 0, 1, Q(-1))]))  # one (a, b), two k
 @settings(**SETTINGS)
 def test_perturbed_tits_fails_like_the_loop(case):
     # a Ti whose [e (x) a, f (x) b] has raised constants fails the round trip

@@ -54,9 +54,9 @@ def _inverse(module, g):
     images = []
     check = tkk._check_bracket_map
 
-    def spy(src, dst, got, name):
-        images.append(got)
-        return check(src, dst, got, name)
+    def spy(src, dst, F, den, name):
+        images.append(oracle.map_images(F, den))
+        return check(src, dst, F, den, name)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tkk, "_check_bracket_map", spy)
