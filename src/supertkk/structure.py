@@ -11,18 +11,20 @@ arrays with one denominator, as `tensor.triple_tensor` (`double`) and
 `tensor.lie_triples` (the J functor) give them; every pair reader starts
 from them, and no rational triple table is formed.
 
-The Leibniz system of an algebra is assembled once, on the integers, and
-split into (degree shift, parity) blocks (`leibniz_blocks`);
-`derivation_kernel` and the derivation towers of tkk read it from there.
-The pair derivations and str_w are the graded derivation rule of trilinear
-tensors (the pair's two; the U operator, a signed transpose of the doubled
-pair's, twice), and one integer assembler writes both.  Both systems are
-numpy COO triplets broadcast from the nonzeros of the tensors, made
-primitive, split into blocks and deduplicated by
-`exact.primitive_row_blocks`, which proves its int64 bounds first (an entry
-sums at most 3 constants in a Leibniz system, 4 in a derivation-rule
-system).  The Fraction row builders and the Python Leibniz assembler these
-replaced are test oracles in tests/oracle_linalg.py.
+Der, Der(V,V) and str_w are kernels of one graded derivation rule,
+X T(x_1, ..., x_r) = sum_s +-T(..., X x_s, ...), and one integer assembler
+writes it for every table (`_rule_blocks`): numpy COO triplets broadcast
+from the table's nonzeros, made primitive, split into blocks of operator
+entries and deduplicated by `exact.primitive_row_blocks`, which proves its
+int64 bounds first (an entry sums at most r + 1 constants).  The Leibniz
+system is its bilinear case, assembled once per algebra and split into
+(degree shift, parity) blocks (`leibniz_blocks`); `derivation_kernel` and
+the derivation towers of tkk read it from there.  The pair derivations and
+str_w are its trilinear case, split by parity (the pair's two tensors; the
+U operator, a signed transpose of the doubled pair's, twice).  One kernel
+step (`_kernel`) joins the blocks a space needs and eliminates them once.
+The Fraction row builders and the Python Leibniz assembler these replaced
+are test oracles in tests/oracle_linalg.py.
 
 Bracket arithmetic on operators runs on integers: an `OperatorStack` holds
 a batch of operators as integer arrays with one denominator, its `bracket`
@@ -185,14 +187,6 @@ class OperatorSpace:
         return bool(self._read(ops)[1].all())
 
 
-def _space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
-    amb = sum(d * d for d in shape)
-    return OperatorSpace(label,
-                         Subspace(amb, flats_by_parity.get(0, ())),
-                         Subspace(amb, flats_by_parity.get(1, ())),
-                         shape, algebra)
-
-
 # ---------------------------------------------------------------------------
 # plain operator spaces
 
@@ -206,10 +200,9 @@ def l_stack(V: SuperAlgebra) -> OperatorStack:
 
 def _stack_space(label, ops: OperatorStack, shape, algebra=None) -> OperatorSpace:
     """The span of a stack; its integer rows span what the operators do."""
-    flats: dict = {0: [], 1: []}
-    for row, parity in zip(ops.flats().tolist(), ops.parities.tolist()):
-        flats[parity].append(row)
-    return _space(label, flats, shape, algebra)
+    amb, rows = sum(d * d for d in shape), list(zip(ops.flats().tolist(), ops.parities.tolist()))
+    return OperatorSpace(label, *(Subspace(amb, [r for r, q in rows if q == parity])
+                                  for parity in (0, 1)), shape, algebra)
 
 
 @memoized
@@ -248,10 +241,102 @@ def _triplets(terms) -> tuple:
     return tuple(np.concatenate(t) for t in zip(*parts))
 
 
+def _rule_blocks(maps, parities, codes, halve: bool) -> dict:
+    """The graded derivation rule
+
+        X_out T(x_1, ..., x_r) = sum_s eps_s (-1)^{|X|(|x_1| + ... + |x_{s-1}|)}
+                                        T(..., X_{op_s} x_s, ...)
+
+    of each r-linear map (table, out, ops, eps) in maps, on the integers.
+    table = ((k_1, ..., k_r), l, x) are COO arrays: T(e_{k_1}, ...) has x at
+    e_l, x the constant times one integer for all of T; slot s takes its
+    basis from the space of X_{op_s}.  X_o acts on the space whose basis has
+    parities[o]; entry X_o[a, b] is column offset_o + a dim_o + b, the X_o
+    one after the other, and codes[c] names the block of column c.  halve
+    keeps the equations with i_1 <= i_2 only, which loses nothing when T is
+    supercommutative or super-anticommutative in its first two slots.
+
+    Equation (m, i_1, ..., i_r, l) is the e_l coordinate of the rule on map
+    m (one T each, so T's scale does not matter).  Its terms are COO
+    triplets broadcast from T's nonzeros, a run of first indices i_1 at a
+    time (`_runs`), which `exact.primitive_row_blocks` sums, reduces, splits
+    and deduplicates; an entry sums at most r + 1 constants.  Returns
+    {code: (cols, rows)}: the block's columns in increasing order and its
+    distinct primitive rows over their positions (`exact.IntRows`), in the
+    order of the equations.
+    """
+    import numpy as np
+    p = [np.array(q, dtype=np.int64) for q in parities]
+    dims = [len(q) for q in p]
+    top, offset = max(dims), np.cumsum([0] + [d * d for d in dims]).tolist()
+    codes, block_of = np.unique(codes, return_inverse=True)
+    flats = np.argsort(block_of, kind="stable")  # increasing within each block
+    cut = np.searchsorted(block_of[flats], np.arange(len(codes) + 1))
+    position_of = np.argsort(flats) - cut[block_of]
+
+    def terms(m, lo, hi):
+        """(eq, col, val, keep), broadcast, for the equations of map m with
+        lo <= i_1 < hi."""
+        (key, l, x), out, ops, eps = maps[m]
+        first = (key[0] >= lo) & (key[0] < hi)
+
+        def eq(*index):  # (m, i_1, ..., i_r, l) in base top
+            e = m
+            for i in index:
+                e = e * top + i
+            return e
+
+        def entries(at):  # the entries at a mask, broadcast against an index range
+            return [k[at][:, None] for k in key], l[at][:, None], x[at][:, None]
+
+        chunk = entries(first)
+        # X_out T(e_{i_1}, ...): T(...)_c X_out[a, c]
+        slots, c, xs = entries(first & (key[0] <= key[1])) if halve else chunk
+        a = np.arange(dims[out])
+        yield eq(*slots, a), offset[out] + a * dims[out] + c, xs, True
+        for s, (op, e) in enumerate(zip(ops, eps)):
+            # -eps_s (-1)^{|X|(|i_1| + ... + |i_{s-1}|)} T(..., X_op e_b, ...):
+            # T(..., e_a, ...)_l X_op[a, b], |X| = |a| + |b|
+            slots, ls, xs = chunk if s else entries(slice(None))
+            b = np.arange(dims[op]) if s else np.arange(lo, hi)
+            before = sum(p[ops[t]][slots[t]] for t in range(s))
+            # no slot precedes the first, so its terms need no sign array
+            koszul = (p[op][slots[s]] + p[op][b]) * before % 2 if s else False
+            index = slots[:s] + [b] + slots[s + 1:]
+            yield (eq(*index, ls), offset[op] + slots[s] * dims[op] + b,
+                   np.where(koszul, e * xs, -e * xs), index[0] <= index[1] if halve else True)
+
+    def chunks():
+        for m, ((key, _, x), out, ops, _) in enumerate(maps):
+            # equation (m, i_1, ...) broadcasts a triplet per entry of
+            # T(e_{i_1}, ...) and index of X_out and of each X_{op_s} but the
+            # first, and one per entry of T
+            width = dims[out] + sum(dims[op] for op in ops[1:])
+            for lo, hi in _runs(np.bincount(key[0], minlength=dims[ops[0]]) * width + len(x)):
+                yield _triplets(terms(m, lo, hi))
+
+    rows = primitive_row_blocks(chunks(), len(maps[0][2]) + 1, block_of, position_of)
+    cut = cut.tolist()
+    return {code: (flats[cut[b]:cut[b + 1]], rows[b]) for b, code in enumerate(codes.tolist())}
+
+
+def _kernel(blocks, ncols: int) -> Subspace:
+    """The common kernel of blocks (cols, rows), each of rows over the
+    positions of its flat columns cols, joined into one system: one certified
+    integer elimination, its canonical basis scattered among ncols columns."""
+    import numpy as np
+    blocks = [(np.asarray(cols, dtype=np.int64), rows) for cols, rows in blocks]
+    cols = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in blocks]))
+    rows = IntRows.concat(IntRows(r.lens, np.searchsorted(cols, c)[r.cols], r.vals)
+                          for c, r in blocks)
+    return integer_kernel(rows, len(cols)).embedded(cols.tolist(), ncols)
+
+
 @memoized
 def leibniz_blocks(a: SuperAlgebra) -> dict:
     """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j),
-    assembled once on the integers and split into (shift, parity) blocks.
+    the derivation rule of the table (`_rule_blocks`), split into
+    (shift, parity) blocks.
 
     Maps each (shift, parity) to (cols, rows): the operator entries (r, c)
     of the block in row-major order, and the distinct primitive integer rows
@@ -263,74 +348,41 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     any other table gets every ordered pair.  On a homogeneous table every
     term of equation (i, j, k) is an entry of the block
     (deg k - deg i - deg j, |i| + |j| + |k|).
-
-    The three terms are COO triplets broadcast from the table's support, for
-    a run of first indices i at a time (`_runs`), and
-    `exact.primitive_row_blocks` sums, reduces, splits and deduplicates
-    them; an entry sums at most three table constants.
     """
     import numpy as np
-    n, t, ks = a.dim, a.int_table, np.arange(a.dim)
-    I, J, K, C = t.i, t.j, t.k, t.value
+    n, t = a.dim, a.int_table
     deg, p = (np.array(x, dtype=np.int64) for x in ([a.zdegree(i) for i in range(n)], a.parities))
-    bad = np.flatnonzero((p[K] != (p[I] + p[J]) % 2) | (deg[K] != deg[I] + deg[J]))
+    bad = np.flatnonzero((p[t.k] != (p[t.i] + p[t.j]) % 2) | (deg[t.k] != deg[t.i] + deg[t.j]))
     if len(bad):
         raise ValueError("inhomogeneous product: e_{}*e_{} hits e_{}".format(
-            *(int(x[bad[0]]) for x in (I, J, K))))
+            *(int(x[bad[0]]) for x in (t.i, t.j, t.k))))
     # the symmetry checks are memoized; asking first for the one a's kind
     # was built with reuses the check make_algebra ran
     checks = (check_superanticommutative, check_supercommutative)
     symmetric = any(check(a) is None for check in (checks[::-1] if a.kind == "jordan" else checks))
     # D[r, c] lies in block (deg r - deg c, |r| + |c|), numbered by its code 2 shift + parity
-    codes, block_of = np.unique((2 * (deg[:, None] - deg) + (p[:, None] + p) % 2).ravel(),
-                                return_inverse=True)
-    flats = np.argsort(block_of, kind="stable")  # row-major within each block
-    cut = np.searchsorted(block_of[flats], np.arange(len(codes) + 1))
-    position_of = np.argsort(flats) - cut[block_of]
-
-    def terms(lo, hi):
-        """(eq, col, val, keep), broadcast, for the equations (i, j, k) with
-        lo <= i < hi: eq = (i n + j) n + k, col = r n + c for D[r, c]."""
-        first = (I >= lo) & (I < hi)
-        # D(e_i e_j): (e_i e_j)_c D[k, c]
-        i, j, c, x = (t[first & (I <= J) if symmetric else first] for t in (I, J, K, C))
-        yield ((i * n + j) * n)[:, None] + ks, ks * n + c[:, None], x[:, None], True
-        # -D(e_i) e_j: (e_r e_j)_k D[r, i]
-        i = np.arange(lo, hi)
-        yield ((i * n + J[:, None]) * n + K[:, None], I[:, None] * n + i, -C[:, None],
-               i <= J[:, None] if symmetric else True)
-        # -(-1)^{|D||i|} e_i D(e_j): (e_i e_r)_k D[r, j], |D| = |r| + |j|
-        i, r, k, x = (t[first] for t in (I, J, K, C))
-        flip = (p[r][:, None] + p) * p[i][:, None] % 2
-        yield ((i[:, None] * n + ks) * n + k[:, None], r[:, None] * n + ks,
-               np.where(flip, x[:, None], -x[:, None]), ks >= i[:, None] if symmetric else True)
-
-    # equation (i, j, k) broadcasts n triplets per entry of e_i e_* (two
-    # terms) and one per entry of the table
-    chunks = (_triplets(terms(lo, hi))
-              for lo, hi in _runs(2 * n * np.bincount(I, minlength=n) + len(I)))
-    rows = primitive_row_blocks(chunks, 3, block_of, position_of)
-    rc, cut = list(zip(*(x.tolist() for x in np.divmod(flats, n)))), cut.tolist()
-    return {(code // 2, code % 2): (tuple(rc[cut[b]:cut[b + 1]]), rows[b])
-            for b, code in enumerate(codes.tolist())}
+    codes = (2 * (deg[:, None] - deg) + (p[:, None] + p) % 2).ravel()
+    blocks = _rule_blocks([(((t.i, t.j), t.k, t.value), 0, (0, 0), (1, 1))], (p,), codes,
+                          symmetric)
+    # every block's columns as (r, c), converted in one pass
+    flats = [cols for cols, _ in blocks.values()]
+    rc = list(zip(*(x.tolist() for x in np.divmod(np.concatenate(flats), n))))
+    cut = np.cumsum([0] + [len(cols) for cols in flats]).tolist()
+    return {(code // 2, code % 2): (tuple(rc[cut[b]:cut[b + 1]]), rows)
+            for b, (code, (_, rows)) in enumerate(blocks.items())}
 
 
 def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     """Leibniz kernel: operators of given parity (and degree shift, if set).
 
     Reads the (zshift, parity) block of `leibniz_blocks`; with zshift None it
-    stacks every block of that parity into one system and eliminates that
+    joins every block of that parity into one system and eliminates that
     independently of the blocks.
     """
-    import numpy as np
     n = a.dim
-    blocks = [b for (s, p), b in leibniz_blocks(a).items()
-              if p == parity and zshift in (None, s)]
-    cols = sorted(rc for b_cols, _ in blocks for rc in b_cols)
-    pos = {rc: idx for idx, rc in enumerate(cols)}
-    rows = IntRows.concat(IntRows(r.lens, np.array([pos[rc] for rc in b_cols])[r.cols], r.vals)
-                          for b_cols, r in blocks)
-    return integer_kernel(rows, len(cols)).embedded([r * n + c for r, c in cols], n * n)
+    return _kernel([([r * n + c for r, c in cols], rows)
+                    for (s, q), (cols, rows) in leibniz_blocks(a).items()
+                    if q == parity and zshift in (None, s)], n * n)
 
 
 @memoized
@@ -362,77 +414,21 @@ def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
     return _stack_space("istr~", ops, (n,), V)
 
 
-def _derivation_rule_kernels(maps, parities) -> tuple:
-    """The even and the odd operators (X_0, X_1), X_s acting on the space
-    whose basis has the parities parities[s], satisfying the graded
-    derivation rule
-
-        X_out T(x1, x2, x3) = sum_s eps_s (-1)^{|X|(|x1| + ... + |x_{s-1}|)}
-                                     T(..., X_{op_s} x_s, ...)
-
-    of every trilinear table in maps, given as (T, out, (op_1, op_2, op_3),
-    (eps_1, eps_2, eps_3)); T[i, j, k, l] is an integer multiple, one for
-    all of T, of the e_l coordinate of T(e_i, e_j, e_k), and slot s takes
-    its basis from the space of X_{op_s}.
-
-    Equation (T, i, j, k, l) is the e_l coordinate (one T each, so T's scale
-    leaves the kernel unchanged); its terms are COO triplets broadcast from
-    the nonzeros of T, four at most to an entry, and
-    `exact.primitive_row_blocks` splits them by the parity of X.  Each
-    kernel comes back with X_s flattened row-major at offset s * dim_0^2.
-    """
+def _rule_space(label, maps, parities, shape, algebra=None) -> OperatorSpace:
+    """The operators (X_0, X_1), X_o on the space whose basis has the
+    parities parities[o], satisfying the derivation rule (`_rule_blocks`) of
+    every map in maps, given as (T, out, ops, eps) with T a dense integer
+    tensor T[i, j, k, l]: one block and one kernel per parity of X, X_0 and
+    X_1 flattened row-major one after the other."""
     import numpy as np
-    dims = [len(p) for p in parities]
-    p = [np.array(q, dtype=np.int64) for q in parities]
-    offset, top = (0, dims[0] ** 2), max(dims)
-    block_of = np.concatenate([(q[:, None] + q).reshape(-1) % 2 for q in p])
-    position_of = np.zeros_like(block_of)
-    for b in (0, 1):
-        position_of[block_of == b] = np.arange(np.count_nonzero(block_of == b))
-
-    def terms(m, table, lo, hi):
-        """(eq, col, val, keep), broadcast, for the equations (T, i, j, k, l)
-        of map m with lo <= i < hi."""
-        _, out, ops, eps = maps[m]
-        *key, l, x = table
-        first = (key[0] >= lo) & (key[0] < hi)
-
-        def eq(i, j, k, l):
-            return (((m * top + i) * top + j) * top + k) * top + l
-
-        def entries(at):  # the entries at a mask, broadcast against the range
-            return [k[at][:, None] for k in key], l[at][:, None], x[at][:, None]
-
-        # X_out T(e_i, e_j, e_k): X_out[l', l]
-        slots, ls, xs = entries(first)
-        a = np.arange(dims[out])
-        yield eq(*slots, a), offset[out] + a * dims[out] + ls, xs, True
-        for s, (op, e) in enumerate(zip(ops, eps)):  # T(..., X_op e_a, ...): X_op[key_s, a]
-            slots, ls, xs = entries(first) if s else entries(slice(None))
-            a = np.arange(lo, hi) if s == 0 else np.arange(dims[op])
-            before = sum((p[ops[t]][slots[t]] for t in range(s)), np.zeros_like(ls))
-            koszul = (p[op][slots[s]] + p[op][a]) * before % 2
-            yield (eq(*slots[:s], a, *slots[s + 1:], ls), offset[op] + slots[s] * dims[op] + a,
-                   np.where(koszul, e * xs, -e * xs), True)
-
-    def chunks():
-        for m, (T, out, ops, _) in enumerate(maps):
-            at = np.nonzero(T)
-            table = (*at, T[at])
-            # equation (T, i, j, k, l) broadcasts a triplet per entry T(e_i, ...)
-            # and output slot of X_out, X_{op_2} and X_{op_3}, one per entry of T
-            width = dims[out] + dims[ops[1]] + dims[ops[2]]
-            for lo, hi in _runs(np.bincount(table[0], minlength=dims[ops[0]]) * width
-                                + len(table[-1])):
-                yield _triplets(terms(m, table, lo, hi))
-
-    rows = primitive_row_blocks(chunks(), 4, block_of, position_of)
-    kernels = []
-    for b in (0, 1):
-        at = np.flatnonzero(block_of == b).tolist()
-        kernels.append(integer_kernel(rows.get(b, IntRows.from_dicts(())), len(at))
-                       .embedded(at, len(block_of)))
-    return tuple(kernels)
+    rules = []
+    for T, *rule in maps:
+        at = np.nonzero(T)
+        rules.append(((at[:-1], at[-1], T[at]), *rule))
+    codes = np.concatenate([np.add.outer(q, q).ravel() % 2 for q in map(np.array, parities)])
+    blocks = _rule_blocks(rules, parities, codes, False)
+    return OperatorSpace(label, *(_kernel([blocks[b]] if b in blocks else [], len(codes))
+                                  for b in (0, 1)), shape, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +518,7 @@ def pair_der(v) -> OperatorSpace:
                         + (-1)^{|D|(|x|+|y|)} {x, y, D_sigma z}."""
     pair = double(v) if isinstance(v, SuperAlgebra) else v
     maps = [(pair.tensors[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)]
-    return OperatorSpace("Der(V,V)", *_derivation_rule_kernels(maps, pair.parities), pair.shape)
+    return _rule_space("Der(V,V)", maps, pair.parities, pair.shape)
 
 
 @memoized
@@ -559,7 +555,7 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
     par = V.parities
     U = ((-1) ** np.outer(par, par))[:, :, None] * double(V).tensors[0].transpose(0, 2, 1, 3)
     maps = [(U, f, (f, f, 1 - f), (1, 1, -1)) for f in (0, 1)]
-    return OperatorSpace("str_w", *_derivation_rule_kernels(maps, (par, par)), (V.dim, V.dim), V)
+    return _rule_space("str_w", maps, (par, par), (V.dim, V.dim), V)
 
 
 # ---------------------------------------------------------------------------

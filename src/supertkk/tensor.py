@@ -394,18 +394,6 @@ def kantor_relation_verdicts(a, unit=None) -> list:
     return verdicts
 
 
-def decode(T, d) -> dict:
-    """The sparse table {index: {k: T[index + (k,)] / d}} of an integer
-    tensor, the inverse of `encode`; indices without a nonzero entry are left
-    out, and both levels come in C order."""
-    import numpy as np
-    out: dict = {}
-    for at in zip(*np.nonzero(T)):
-        at = tuple(int(x) for x in at)
-        out.setdefault(at[:-1], {})[at[-1]] = Q(int(T[at]), d)
-    return out
-
-
 def brackets(A, pa, B, pb):
     """[A_t, B_s] = A_t B_s - (-1)**(pa_t pb_s) B_s A_t for stacks of integer
     matrices A[t, r, c], B[s, r, c] with parities pa, pb, as one array

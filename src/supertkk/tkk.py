@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Matrix, Q, Subspace, ZERO, certify, kernel_columns,
+from .exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, kernel_columns,
                     span, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
@@ -335,18 +335,19 @@ def kantor_relations(V: SuperAlgebra) -> list:
 # Tits construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TitsData:
     """A derivation container Inn(V) <= D <= Der(V) plus the fixed sl2 data.
 
     The morphism into Der(V) is the inclusion, so it restricts to the identity
     on Inn(V); the half-Killing coefficients are computed from adjoint traces,
-    never hardcoded.
+    never hardcoded.  Compared and hashed by identity, as killing holds an
+    array.
     """
 
     dspace: OperatorSpace
     sl2: SuperAlgebra
-    killing: Matrix
+    killing: tuple  # (K, den): (y_a, y_b) = K[a, b] / den, K an object array
     label: str
 
 
@@ -364,15 +365,14 @@ def _sl2() -> SuperAlgebra:
         zdegrees=(1, 0, -1), name="sl2", kind="lie", metadata={})
 
 
-def _killing_half(y: SuperAlgebra) -> Matrix:
-    """(a, b) = 1/2 tr(ad a . ad b), one contraction on the encoded table:
-    d**2 tr(ad e_i ad e_j) = sum over c, k of C[i, c, k] C[j, k, c], taken
-    on Python ints."""
+def _killing_half(y: SuperAlgebra) -> tuple:
+    """(K, den): (e_i, e_j) = 1/2 tr(ad e_i . ad e_j) = K[i, j] / den, one
+    contraction on the encoded table: d**2 tr(ad e_i ad e_j) = sum over c, k
+    of C[i, c, k] C[j, k, c], taken on Python ints, and den = 2 d**2."""
     import numpy as np
     t = y.int_table
     C, d = t.dense().astype(object), t.d
-    return Matrix([[Q(int(x), 2 * d * d) for x in row]
-                   for row in np.einsum('ick,jkc->ij', C, C).tolist()])
+    return np.einsum('ick,jkc->ij', C, C), 2 * d * d
 
 
 def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
@@ -408,11 +408,9 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     import numpy as np
     n = V.dim
     data = tits_data(V, d)
-    dsp, y, kappa = data.dspace, data.sl2, data.killing
+    dsp, y, (K, dk) = data.dspace, data.sl2, data.killing
     nd = dsp.dim
     M, dm = _l_brackets(V, dsp)
-    (K,), dk = tensor.encode([{(a,): dict(enumerate(row)) for a, row in enumerate(kappa.data)}],
-                             [(3, 3)])
     ty, tv = y.int_table, V.int_table
     a, b = np.nonzero(K)
     blocks = [_middle_brackets(dsp, 0),
@@ -428,7 +426,7 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                      ("f", V.parities, -1))
     return _lie(blocks, layout, f"Ti({V.name},{data.label})", "Ti",
                 {"construction": "tits", "dchoice": data.label},
-                dspace=dsp, sl2=y, kappa=kappa, label=data.label)
+                dspace=dsp, sl2=y, kappa=data.killing, label=data.label)
 
 
 def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
@@ -449,8 +447,9 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     n = V.dim
     dsp = ti.data["dspace"]
     nd = dsp.dim
-    ef = ti.data["kappa"][0, 2]
-    certify(ef, "sl2 pairing (e,f) must be nonzero")
+    K, den = ti.data["kappa"]
+    num = int(K[0, 2])  # (e,f) = num / den
+    certify(num, "sl2 pairing (e,f) must be nonzero")
     tg = g.int_table
     at = np.flatnonzero((tg.i >= nd) & (tg.i < nd + n) & (tg.j >= nd + 2 * n))
     X, dx = np.zeros((n, n, g.dim), dtype=tg.value.dtype), tg.d
@@ -458,7 +457,6 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     t = V.int_table
     M, dm = _l_brackets(V, dsp)
     # X / (dx ef) == M / dm on the D components, cross-multiplied
-    num, den = int(ef.numerator), int(ef.denominator)
     leaves = X[..., nd:nd + n].any(axis=2) | X[..., nd + 2 * n:].any(axis=2)
     product = tensor.mismatch(X[..., nd + n:nd + 2 * n], t.d, t.dense(), dx).any(axis=2)
     pairing = tensor.mismatch(X[..., :nd], dm * den, M if num > 0 else -M,

@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/supertkk/"
 DEGREE0 = "tests/test_degree0.py::"
+STRUCTURE = "tests/test_structure.py::"
 TKK = "tests/test_tkk.py::"
 
 # (name, file, old text, new text, tests)
@@ -80,6 +81,41 @@ MUTANTS = [
     ("exact.Q accepts floats", PKG + "exact.py",
      "and not isinstance(value, Rational):", "and False:",
      ["tests/test_linalg.py::test_floats_are_rejected"]),
+    ("structure._rule_blocks halves to i < j", PKG + "structure.py",
+     "index[0] <= index[1] if halve", "index[0] < index[1] if halve",
+     [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
+    ("structure._rule_blocks does not halve the output term", PKG + "structure.py",
+     "entries(first & (key[0] <= key[1])) if halve else chunk", "chunk",
+     [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
+    ("structure._rule_blocks drops the Koszul sign of the slots before", PKG + "structure.py",
+     "before = sum(p[ops[t]][slots[t]] for t in range(s))", "before = 0",
+     [STRUCTURE + "test_pair_der_of_a_j_functor_pair_matches_the_oracle"]),
+    ("structure._rule_blocks proves its int64 bound for r terms", PKG + "structure.py",
+     "primitive_row_blocks(chunks(), len(maps[0][2]) + 1,",
+     "primitive_row_blocks(chunks(), len(maps[0][2]),",
+     [STRUCTURE + "test_leibniz_assembly_proves_its_int64_bound"]),
+    ("structure.str_w puts Y on the right side with +1", PKG + "structure.py",
+     "(f, f, 1 - f), (1, 1, -1)", "(f, f, 1 - f), (1, 1, 1)",
+     [STRUCTURE + "test_str_w_matches_fraction_oracle"]),
+    ("tensor.jacobi_defect sorts [e_x, e_l] by (i, j, k)", PKG + "tensor.py",
+     "np.lexsort((t.k, t.i, t.j))", "np.lexsort((t.k, t.j, t.i))",
+     ["tests/test_tensor.py::test_super_jacobi_matches_the_loop_oracle"]),
+    ("tkk._ad_rows swaps (c, k)", PKG + "tkk.py",
+     "np.argsort(flats)[t.k * n + t.j]", "np.argsort(flats)[t.j * n + t.k]",
+     [TKK + "test_ad_rows_match_the_row_primitive_loop"]),
+    ("tkk.lie_der_tower does not offset the blocks", PKG + "tkk.py",
+     "IntRows(r.lens, r.cols + lo, r.vals)", "IntRows(r.lens, r.cols, r.vals)",
+     [TKK + "test_der_tower_matches_the_subspace_oracle"]),
+    ("tkk._j_pair takes d for the denominator", PKG + "tkk.py",
+     'JordanPair(f"J({g.name})", parities, tensors, d * d)',
+     'JordanPair(f"J({g.name})", parities, tensors, d)',
+     ["tests/test_j_functor.py::test_j_side_matches_the_loop_oracle"]),
+    ("tkk._killing_half drops the 1/2", PKG + "tkk.py",
+     "np.einsum('ick,jkc->ij', C, C), 2 * d * d", "np.einsum('ick,jkc->ij', C, C), d * d",
+     [DEGREE0 + "test_killing_half_of_sl2_is_computed"]),
+    ("catalog.load matches a coefficient's prefix", PKG + "catalog.py",
+     "_COEFF_RE.fullmatch(c)", "_COEFF_RE.match(c)",
+     ["tests/test_catalog.py::test_load_rejects_coefficients_only_python_would_parse"]),
 ]
 
 

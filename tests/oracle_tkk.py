@@ -3,7 +3,7 @@
 
 These are the Fraction loops that supertkk ran for the degree-0 parts of
 the TKK constructions before they moved onto the integer-tensor layer
-(`OperatorStack.bracket`, `OperatorSpace.coordinates`, `tensor.decode`,
+(`OperatorStack.bracket`, `OperatorSpace.coordinates`,
 `tensor.bracket_map_defect`), kept verbatim as the slow reference: each
 supercommutator is a dense Matrix product, and each coordinate vector comes
 from `Subspace.coordinates` one operator at a time (`op_coords`).
@@ -22,13 +22,18 @@ from `Subspace.coordinates` one operator at a time (`op_coords`).
   `Fraction` flats: P and the [L_a, P] from the loops of
   oracle_identities, and the greedy pick and the coordinates from
   `oracle_linalg.SpanSolver`, so that neither shares code with
-  `tkk.KantorTop` and its `GeneratedSpan`.
+  `tkk.KantorTop` and its `GeneratedSpan`.  The oracle's `tits_data` holds
+  the `Matrix` of `killing_half` in `TitsData.killing`, where supertkk
+  holds (K, den).
 - `check_bracket_map` is the former `_check_bracket_map` loop, on a list
   of rational images, and `pair_der_matches_der0` the former embedding
   check.  `map_matrix` and `map_images` convert between such a list and
   the integer matrix F over one denominator that supertkk's certificate
   takes; `_entries` is the former flattening of a builder's upper-triangle
-  dict table.
+  dict table.  `operator_space` is the former `structure._space` (an
+  OperatorSpace from rational flats by parity) and `decode` the former
+  `tensor.decode` (an integer tensor as a sparse rational table); no
+  package code needs either.
 - `l_witness`, `killing_half`, `tits_roundtrip` and `equivalence_images`
   are the last dense `Matrix` loops of supertkk: `structure._l_witness`
   (`solve` over the L_{e_i} matrices), `tkk._killing_half` (adjoint
@@ -70,7 +75,7 @@ from oracle_linalg import (Matrix, SpanSolver, d_op, l_op, left_mult_matrix, ope
 from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
 from supertkk.jordan import find_unit
-from supertkk.structure import (CheckResult, JordanPair, OperatorSpace, _space,
+from supertkk.structure import (CheckResult, JordanPair, OperatorSpace,
                                 check_pair_axioms, der_algebra, derivation_kernel,
                                 istr_algebra, leibniz_blocks, pair_d_stack, pair_der, str_w)
 from supertkk.superspace import SuperAlgebra, make_algebra, mirror
@@ -79,6 +84,25 @@ from supertkk.tkk import TitsData, TkkAlgebra, _sl2
 
 def _entries(upper: dict) -> list:
     return [(i, j, k, c) for (i, j), vec in upper.items() for k, c in vec.items() if c]
+
+
+def operator_space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
+    """The OperatorSpace spanned by rational flats {parity: [flat, ...]}."""
+    amb = sum(d * d for d in shape)
+    return OperatorSpace(label, Subspace(amb, flats_by_parity.get(0, ())),
+                         Subspace(amb, flats_by_parity.get(1, ())), shape, algebra)
+
+
+def decode(T, d) -> dict:
+    """The sparse table {index: {k: T[index + (k,)] / d}} of an integer
+    tensor, the inverse of `tensor.encode`; indices without a nonzero entry
+    are left out, and both levels come in C order."""
+    import numpy as np
+    out: dict = {}
+    for at in zip(*np.nonzero(T)):
+        at = tuple(int(x) for x in at)
+        out.setdefault(at[:-1], {})[at[-1]] = Q(int(T[at]), d)
+    return out
 
 
 def map_matrix(images: list) -> tuple:
@@ -107,7 +131,7 @@ def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
         for j in range(i, V.dim):
             br = supercommutator(mats[i], mats[j])
             flats[(V.parity(i) + V.parity(j)) % 2].append(br.matrix.flatten())
-    return _space("Inn", flats, (V.dim,), V)
+    return operator_space("Inn", flats, (V.dim,), V)
 
 
 def double(V: SuperAlgebra) -> JordanPair:
@@ -167,7 +191,7 @@ def pair_inn(v) -> OperatorSpace:
         for j in range(pair.dim(1)):
             d_plus, d_minus, parity = pair_d_ops(pair, 0, i, j)
             flats[parity].append(d_plus.flatten() + d_minus.flatten())
-    return _space("Inn(V,V)", flats, pair.shape)
+    return operator_space("Inn(V,V)", flats, pair.shape)
 
 
 def l_space(V: SuperAlgebra) -> OperatorSpace:
@@ -175,7 +199,7 @@ def l_space(V: SuperAlgebra) -> OperatorSpace:
     flats: dict = {0: [], 1: []}
     for i in range(V.dim):
         flats[V.parity(i)].append(l_op(V, V.basis_vector(i)).matrix.flatten())
-    return _space("{L}", flats, (V.dim,), V)
+    return operator_space("{L}", flats, (V.dim,), V)
 
 
 def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
@@ -185,7 +209,7 @@ def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
         for j in range(V.dim):
             m = d_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
             flats[(V.parity(i) + V.parity(j)) % 2].append(m.flatten())
-    return _space("istr~", flats, (V.dim,), V)
+    return operator_space("istr~", flats, (V.dim,), V)
 
 
 def inclusion_checks(V: SuperAlgebra) -> dict:
@@ -214,7 +238,7 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
     image: dict = {0: [], 1: []}
     for d_plus, _, parity in operators(pinn):
         image[parity].append(d_plus.flatten())
-    psi_img = _space("psi(Inn(V,V))", image, (n,), V)
+    psi_img = operator_space("psi(Inn(V,V))", image, (n,), V)
     itld = istr_tilde(V)
     out["psi_onto_istr_tilde"] = psi_img.even == itld.even and psi_img.odd == itld.odd
     ok = True
@@ -623,7 +647,8 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     n = V.dim
     dsp = ti.data["dspace"]
     nd = dsp.dim
-    ef = ti.data["kappa"][0, 2]
+    K, den = ti.data["kappa"]
+    ef = Q(int(K[0, 2]), den)
     certify(ef, "sl2 pairing (e,f) must be nonzero")
     dmats = [op.matrix for op in operators(dsp)]
     lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
@@ -957,7 +982,7 @@ def koecher_ideal_check(v) -> CheckResult:
     for i in range(dp):
         sub.append(tuple(Q(1) if r == i else Q(0) for r in range(g.dim)))
     ops = tkk.pair_inn(v).stack
-    rows = tensor.decode(mid.coordinates(ops), ops.den)
+    rows = decode(mid.coordinates(ops), ops.den)
     for b in range(len(ops)):
         vec = [Q(0)] * g.dim
         for l, c in rows.get((b,), {}).items():

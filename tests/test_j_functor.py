@@ -22,7 +22,7 @@ from supertkk import structure, tensor, tkk
 from supertkk.catalog import (_JORDAN_DEFAULTS, jordan_catalog, load_algebra, resolve,
                               save_algebra)
 from supertkk.exact import CertificateError, GeneratedSpan, Q
-from supertkk.structure import JordanPair, _space, pair_inn
+from supertkk.structure import JordanPair, pair_inn
 from supertkk.superspace import SuperAlgebra
 from test_tensor import _pair_tables, _rescaled, twelfths
 
@@ -174,7 +174,7 @@ def test_a_smaller_middle_is_no_ideal_like_the_loop(source, monkeypatch):
     # Inn(V,V) cut to its first basis operator: [x+, u-] leaves the span
     V = resolve(source)
     full = pair_inn(V)
-    cut = _space("cut", {0: full.even.basis[:1]}, full.shape)
+    cut = oracle.operator_space("cut", {0: full.even.basis[:1]}, full.shape)
     monkeypatch.setattr(tkk, "pair_inn", lambda v: cut)
     got = tkk.koecher_ideal_check(V)
     assert not got.passed and got == oracle.koecher_ideal_check(V)

@@ -454,26 +454,54 @@ def test_leibniz_blocks_of_the_catalog_match_the_oracle_one_first_index_per_chun
 @pytest.mark.parametrize("scale", [10 ** 12, 10 ** 20])
 def test_leibniz_assembly_proves_its_int64_bound(scale, monkeypatch):
     # sl(2) with e scaled and kacK with xi1 scaled: [e, f] = scale h and
-    # xi1 xi2 = scale a.  An entry sums at most three constants, so the
-    # triplet values stay int64 at 10^12 and take object-dtype Python ints
-    # at 10^20.  Every cast is checked against its own bound.
-    casts = []
-    cast = exact.int_dtype
+    # xi1 xi2 = scale a.  A Leibniz entry sums at most three constants, so
+    # the triplet values stay int64 at 10^12 and take object-dtype Python
+    # ints at 10^20.  The pair derivations and str_w of the scaled kacK are
+    # the trilinear rule, an entry of which sums four triple constants of
+    # size up to 8 scale: int64 at 10^12 and Python ints at 10^20 as well.
+    # Every cast is checked against its own bound, and each value cast of an
+    # assembly against r + 1 times the largest value of its chunk.
+    casts, bounds = [], []
+    cast, assemble = exact.int_dtype, structure.primitive_row_blocks
 
     def spy(bound):
         dtype = cast(bound)
-        casts.append((sys._getframe(1).f_code.co_name, bound < 2 ** 62, dtype))
+        casts.append((sys._getframe(1).f_code.co_name, bound, dtype))
         return dtype
+
+    def assembly(r):
+        """primitive_row_blocks for an r-linear rule, recording the bound
+        (r + 1) max|val| that each chunk's value cast must prove."""
+        def run(chunks, terms, *args):
+            assert terms == r + 1
+
+            def seen():
+                for eq, col, val in chunks:
+                    if len(eq):
+                        bounds.append(terms * int(np.abs(val).max()))
+                    yield eq, col, val
+            return assemble(seen(), terms, *args)
+        return run
 
     monkeypatch.setattr(exact, "int_dtype", spy)
     lie = _rescaled(_sl2(), [Q(scale), Q(1), Q(1)])
     jordan = _rescaled(jordan_catalog("kacK"), [Q(1), Q(scale), Q(1)])
+    monkeypatch.setattr(structure, "primitive_row_blocks", assembly(2))
     for a in (lie, jordan):
         _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
     assert tkk.lie_der_tower(lie) == tkk.lie_der_tower(_sl2())
-    proved = {ok for caller, ok, _ in casts if caller == "primitive_row_blocks"}
+    proved = {bound < 2 ** 62 for caller, bound, _ in casts if caller == "primitive_row_blocks"}
     assert proved == ({True} if 3 * scale < 2 ** 62 else {True, False})  # the keys fit
-    assert all((dtype is np.int64) == ok for _, ok, dtype in casts)
+    leibniz = len(bounds)
+    monkeypatch.setattr(structure, "primitive_row_blocks", assembly(3))
+    for parity in (0, 1):
+        assert pair_der(jordan).part(parity) == oracle.pair_derivation_kernel(double(jordan), parity)
+    got, want = str_w(jordan), oracle.str_w(jordan)
+    assert (got.even, got.odd) == (want.even, want.odd)
+    assert {bound < 2 ** 62 for bound in bounds[leibniz:]} == {scale == 10 ** 12}
+    # a chunk casts its values, then its keys
+    assert [bound for caller, bound, _ in casts if caller == "primitive_row_blocks"][::2] == bounds
+    assert all((dtype is np.int64) == (bound < 2 ** 62) for _, bound, dtype in casts)
 
 
 def test_row_hash_collisions_fall_back_to_exact_comparison(monkeypatch):

@@ -105,7 +105,7 @@ def triple_pairs(draw):
 def _pair_tables(pair):
     """The pair's rational triple tables {(i, j, k): {l: c}}, decoded from its
     tensors, for exact comparison."""
-    return tuple(tensor.decode(T, pair.den) for T in pair.tensors)
+    return tuple(oracle_tkk.decode(T, pair.den) for T in pair.tensors)
 
 
 def _perturbed(a, sym=None, nth=0):

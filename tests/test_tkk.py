@@ -170,9 +170,11 @@ def test_tits_data_validation():
     with pytest.raises(ValueError):
         tits_data(K, l_space(K))  # multiplications are not derivations here
     data = tits_data(K, "inn")
-    # the half Killing form of sl2 in the basis e, h, f
-    assert [[data.killing[i, j] for j in range(3)] for i in range(3)] == [
-        [0, 0, 2], [0, 4, 0], [2, 0, 0]]
+    # the half Killing form of sl2 in the basis e, h, f, on integers
+    kappa, den = data.killing
+    got = [[Q(int(kappa[i, j]), den) for j in range(3)] for i in range(3)]
+    assert got == [[0, 0, 2], [0, 4, 0], [2, 0, 0]]
+    assert got == [list(row) for row in oracle_tkk.killing_half(data.sl2).data]
 
 
 def test_tits_data_builds_sl2_once(monkeypatch):
