@@ -12,8 +12,8 @@ from supertkk.structure import (CheckResult, JordanPair, OperatorSpace,
                                 inclusion_report, inn_algebra, istr_algebra,
                                 istr_tilde, pair_der, pair_inn, str_algebra,
                                 str_w, structure_summary)
-from supertkk.superspace import (SuperAlgebra, Witness, center, derived,
-                                 graded_dims, make_algebra, parity_dims)
+from supertkk.superspace import (SuperAlgebra, Witness, center, derived, graded_dims,
+                                 integer_algebra, make_algebra, parity_dims)
 from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
                           check_unital_equivalences, fingerprint, j_functor,
                           j_roundtrip_check, kantor, kantor_koecher_comparison,
@@ -25,7 +25,7 @@ from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
 
 __all__ = [
     "Q", "Matrix", "Subspace", "solve", "span", "CertificateError",
-    "SuperAlgebra", "Witness", "make_algebra", "graded_dims", "parity_dims",
+    "SuperAlgebra", "Witness", "integer_algebra", "make_algebra", "graded_dims", "parity_dims",
     "center", "derived",
     "find_unit",
     "check_jordan_identity", "check_commutator_identity",

@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from math import lcm
 from pathlib import Path
 
 from .exact import GeneratedSpan, Q, certify, span
-from .superspace import (SuperAlgebra, derived, make_algebra, mirror, quotient_algebra,
-                         subalgebra)
+from .superspace import (SuperAlgebra, derived, integer_algebra, make_algebra, mirror,
+                         quotient_algebra, subalgebra)
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -335,9 +336,9 @@ def _build_lambda(n):
     for i, a in enumerate(masks):
         for j, b in enumerate(masks):
             for c, v in _poisson(n, a, b, pairs).items():
-                products.append((i, j, pos[c], Q(v)))
-    return make_algebra(parities, products, zdeg, name=f"lambda({n})",
-                        kind="lie", metadata={"family": "lambda"})
+                products.append((i, j, pos[c], v))
+    return integer_algebra(parities, products, 1, zdeg, name=f"lambda({n})",
+                           kind="lie", metadata={"family": "lambda"})
 
 
 def _build_htilde(n):
@@ -377,25 +378,24 @@ def _build_w(n):
                     s = -1 if parities[k1] * parities[k2] % 2 else 1
                     t = (w[1], i)
                     acc[t] = acc.get(t, 0) - s * pf[0] * w[0]
-            products.extend((k1, k2, pos[t], Q(v)) for t, v in acc.items() if v)
-    return make_algebra(parities, products, zdeg, name=f"w({n})", kind="lie",
-                        metadata={"family": "w", **({"simple": "yes"} if n >= 2 else {})})
+            products.extend((k1, k2, pos[t], v) for t, v in acc.items() if v)
+    return integer_algebra(parities, products, 1, zdeg, name=f"w({n})", kind="lie",
+                           metadata={"family": "w", **({"simple": "yes"} if n >= 2 else {})})
 
 
 def _build_c_htilde(n):
     # K C |x htilde(n): C is the Euler grading operator, [C, f] = (deg f - 2) f
     ht = lie_catalog("htilde", n)
-    products = [(i + 1, j + 1, k + 1, c)
-                for (i, j), row in ht.table.items() for k, c in row.items()]
+    products = [(i + 1, j + 1, k + 1, v) for i, j, k, v in ht.entries]
     for j in range(ht.dim):
-        wt = ht.zdegree(j)
+        wt = ht.zdegree(j) * ht.d
         if wt:
-            products.append((0, j + 1, j + 1, Q(wt)))
-            products.append((j + 1, 0, j + 1, Q(-wt)))
+            products.append((0, j + 1, j + 1, wt))
+            products.append((j + 1, 0, j + 1, -wt))
     parities = (0,) + tuple(ht.parity(i) for i in range(ht.dim))
     zdeg = (0,) + tuple(ht.zdegree(i) for i in range(ht.dim))
-    return make_algebra(parities, products, zdeg, name=f"c_htilde({n})",
-                        kind="lie", metadata={"family": "c_htilde"})
+    return integer_algebra(parities, products, ht.d, zdeg, name=f"c_htilde({n})",
+                           kind="lie", metadata={"family": "c_htilde"})
 
 
 def _build_c_htilde_lambda(n):
@@ -409,8 +409,8 @@ def _build_c_htilde_lambda(n):
     pairs = _poisson_pairs(n)
     hoff, loff = 1, 1 + ht.dim
     lpos = {mask: loff + i for i, mask in enumerate(masks)}
-    products = [(i + hoff, j + hoff, k + hoff, c)
-                for (i, j), row in ht.table.items() for k, c in row.items()]
+    d = ht.d
+    products = [(i + hoff, j + hoff, k + hoff, v) for i, j, k, v in ht.entries]
     par = [0] + [ht.parity(i) for i in range(ht.dim)] \
         + [bin(m).count("1") % 2 for m in masks]
     zdeg = [0] + [ht.zdegree(i) for i in range(ht.dim)] \
@@ -420,14 +420,14 @@ def _build_c_htilde_lambda(n):
         for j, g in enumerate(masks):
             for c, v in _poisson(n, f, g, pairs).items():
                 s = -1 if par[hoff + i] * par[loff + j] % 2 else 1
-                products.append((hoff + i, loff + j, lpos[c], Q(v)))
-                products.append((loff + j, hoff + i, lpos[c], Q(-s * v)))
+                products.append((hoff + i, loff + j, lpos[c], v * d))
+                products.append((loff + j, hoff + i, lpos[c], -s * v * d))
     for k in range(1, 1 + ht.dim + len(masks)):
         if zdeg[k]:
-            products.append((0, k, k, Q(zdeg[k])))
-            products.append((k, 0, k, Q(-zdeg[k])))
-    return make_algebra(par, products, zdeg, name=f"c_htilde_lambda({n})",
-                        kind="lie", metadata={"family": "c_htilde_lambda"})
+            products.append((0, k, k, zdeg[k] * d))
+            products.append((k, 0, k, -zdeg[k] * d))
+    return integer_algebra(par, products, d, zdeg, name=f"c_htilde_lambda({n})",
+                           kind="lie", metadata={"family": "c_htilde_lambda"})
 
 
 # ---------------------------------------------------------------------------
@@ -668,22 +668,14 @@ class AlgebraSpec:
 
 
 def algebra_to_spec(a: SuperAlgebra) -> AlgebraSpec:
-    entries = []
-    for (i, j), row in a.table.items():
-        entries.extend((i, j, k, str(c)) for k, c in row.items())
+    text = {v: str(Q(v, a.d)) for v in {e[3] for e in a.entries}}  # one per distinct value
     meta = dict(a.metadata)
     meta["kind"] = a.kind
     return AlgebraSpec(name=a.name,
                        parities=tuple(a.parities),
-                       products=tuple(sorted(entries)),
+                       products=tuple((i, j, k, text[v]) for i, j, k, v in a.entries),
                        zdegrees=tuple(a.zdegrees) if a.zdegrees is not None else None,
                        metadata=meta)
-
-
-def _coeff(c: str):
-    """The rational of a coefficient string of _COEFF_RE's syntax."""
-    num, _, den = c.partition("/")
-    return Q(int(num), int(den)) if den else Q(int(num))
 
 
 def spec_to_algebra(spec: AlgebraSpec) -> SuperAlgebra:
@@ -691,10 +683,12 @@ def spec_to_algebra(spec: AlgebraSpec) -> SuperAlgebra:
     kind = meta.pop("kind", "plain")
     if kind not in ("plain", "jordan", "lie"):
         raise ValueError(f"unknown algebra kind {kind!r}")
-    parsed = {c: _coeff(c) for c in {c for *_, c in spec.products}}  # a few values, repeated
-    products = [(i, j, k, parsed[c]) for i, j, k, c in spec.products]
-    return make_algebra(spec.parities, products, spec.zdegrees, name=spec.name,
-                        kind=kind, metadata=meta)
+    # each distinct coefficient string, a few repeated, as an integer over d
+    parsed = {c: c.partition("/") for c in {c for *_, c in spec.products}}
+    d = lcm(1, *(int(den) for _, _, den in parsed.values() if den))
+    value = {c: int(num) * (d // int(den or 1)) for c, (num, _, den) in parsed.items()}
+    return integer_algebra(spec.parities, [(i, j, k, value[c]) for i, j, k, c in spec.products],
+                           d, spec.zdegrees, name=spec.name, kind=kind, metadata=meta)
 
 
 def save(spec: AlgebraSpec) -> bytes:
@@ -752,7 +746,7 @@ def load(data: bytes) -> AlgebraSpec:
     pars = doc["parities"]
     _expect(isinstance(pars, list), "parities must be a list")
     for idx, p in enumerate(pars):
-        if p not in (0, 1) or isinstance(p, bool):
+        if not (_is_int(p) and p in (0, 1)):
             raise ValueError(f"parities[{idx}]: expected 0 or 1, got {p!r}")
     n = len(pars)
     zd = doc.get("zdegrees")

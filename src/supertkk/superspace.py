@@ -9,10 +9,15 @@ spaces have no class here: left multiplications, their supercommutators and
 operator spaces are integer stacks in supertkk.structure (`l_stack`,
 `OperatorStack`).
 
-Supercommutativity, which every Jordan build checks, compares rational rows
-as dicts, so a Jordan algebra is built without numpy; super-anticommutativity
-and super-Jacobi, which a Lie build checks, run on the algebra's integer
-table (`tensor.IntTable`).
+An algebra keeps its constants once: the sorted nonzero integer entries
+(i, j, k, value) over one least common denominator d.  Every build goes
+through `integer_algebra`, the one check of range, repetition and
+homogeneity; `make_algebra` encodes rational constants for it.  The arrays
+of `int_table` and the rational view `table` are made from the entries on
+first use.  Supercommutativity, which every Jordan build checks, and
+super-anticommutativity compare each entry with its mirror in pure Python,
+so a Jordan algebra is built without numpy; super-Jacobi, which a Lie build
+checks, runs on the integer table (`tensor.IntTable`).
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, integer_kernel,
-                            primitive_row_blocks, sum_by_key)
+from supertkk.exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, int_dtype,
+                            integer_kernel, primitive_row_blocks)
 
 
 @dataclass
@@ -38,24 +44,25 @@ class Witness:
         return self.message
 
 
-def frozen_table(table) -> MappingProxyType:
-    """A read-only copy of a sparse table {index: {k: c}}, rows read-only too."""
-    return MappingProxyType({key: MappingProxyType(dict(row)) for key, row in table.items()})
-
-
 def memoized(fn):
     """Cache fn(obj, ...) in obj's memo slot, keyed by the arguments with their
-    defaults filled in, so f(V) and f(V, x=<default>) share one entry.  The
-    memo lives and dies with obj, which is immutable, so a result never goes
-    stale and never serves another object."""
+    defaults filled in, so f(V) and f(V, x=<default>) share one entry (f(V)
+    alone takes that key without binding).  The memo lives and dies with
+    obj, which is immutable, so a result never goes stale and never serves
+    another object."""
     sig = inspect.signature(fn)
+    rest = list(sig.parameters.values())[1:]
+    alone = None if any(p.default is p.empty for p in rest) else (fn, *(p.default for p in rest))
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        obj, *rest = bound.arguments.values()
-        memo, key = obj._memo, (fn, *rest)
+        if alone and len(args) == 1 and not kwargs:
+            memo, key = args[0]._memo, alone
+        else:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            obj, *given = bound.arguments.values()
+            memo, key = obj._memo, (fn, *given)
         if key not in memo:
             memo[key] = fn(*args, **kwargs)
         return memo[key]
@@ -64,23 +71,24 @@ def memoized(fn):
 
 
 class SuperAlgebra:
-    """A finite-dimensional algebra given by exact structure constants.
+    """A finite-dimensional algebra given by exact structure constants:
+    entries are the sorted nonzero (i, j, k, value), b_i * b_j = sum
+    value / d b_k, over the least common denominator d.  kind is "jordan",
+    "lie" or "plain".  The constructor stores its arguments unchecked;
+    `integer_algebra` and `make_algebra` check them.  Immutable: attributes
+    cannot be set, and the rational `table` is a read-only view."""
 
-    table maps a basis pair (i, j) to the sparse coordinate dict of b_i * b_j.
-    kind is "jordan", "lie" or "plain"; constructors verify the corresponding
-    symmetry axioms unless explicitly told not to.  Immutable: table, its rows
-    and metadata are read-only mappings, and attributes cannot be set.
-    """
-
-    __slots__ = ("name", "parities", "zdegrees", "table", "kind", "metadata",
+    __slots__ = ("name", "parities", "zdegrees", "entries", "d", "kind", "metadata",
                  "_memo", "__weakref__")
 
-    def __init__(self, name, parities, table, zdegrees=None, kind="plain", metadata=None):
+    def __init__(self, name, parities, entries, d=1, zdegrees=None, kind="plain",
+                 metadata=None):
         init = functools.partial(object.__setattr__, self)
         init("name", name)
         init("parities", tuple(int(p) % 2 for p in parities))
         init("zdegrees", tuple(int(z) for z in zdegrees) if zdegrees is not None else None)
-        init("table", frozen_table(table))
+        init("entries", tuple(entries))
+        init("d", d)
         init("kind", kind)
         init("metadata", MappingProxyType(dict(metadata or {})))
         init("_memo", {})
@@ -99,6 +107,18 @@ class SuperAlgebra:
 
     def zdegree(self, i: int) -> int:
         return self.zdegrees[i] if self.zdegrees is not None else 0
+
+    @property
+    @memoized
+    def table(self) -> MappingProxyType:
+        """The read-only rational view {(i, j): {k: c}} of the entries, built
+        on first use for the readers that need rationals (`find_unit`,
+        `product`), one rational per distinct value."""
+        rational = {v: Q(v, self.d) for v in {e[3] for e in self.entries}}
+        rows: dict = {}
+        for i, j, k, v in self.entries:
+            rows.setdefault((i, j), {})[k] = rational[v]
+        return MappingProxyType({key: MappingProxyType(row) for key, row in rows.items()})
 
     def basis_product(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
@@ -123,45 +143,49 @@ class SuperAlgebra:
     @property
     @memoized
     def int_table(self) -> tensor.IntTable:
-        """The table on the integers (`tensor.IntTable`): encoded on first
-        use, then kept for every later reader."""
-        return tensor.IntTable.of(self.table, self.dim)
+        """The entries as read-only numpy arrays (`tensor.IntTable`), built
+        on first use, then kept for every later reader."""
+        import numpy as np
+        columns = list(zip(*self.entries)) or [()] * 4
+        top = max(map(abs, columns[3]), default=0)
+        arrays = [np.array(c, dtype=np.int64 if a < 3 else int_dtype(top))
+                  for a, c in enumerate(columns)]
+        for a in arrays:
+            a.flags.writeable = False
+        return tensor.IntTable(self.dim, *arrays, self.d, top)
 
     def __repr__(self):
         return f"SuperAlgebra({self.name!r}, dim={self.dim}, kind={self.kind})"
 
 
-def make_algebra(parities, products, zdegrees=None, *, name="", kind="plain",
-                 metadata=None, check=True) -> SuperAlgebra:
-    """Build a SuperAlgebra from (i, j, k, coeff) entries.
-
-    Homogeneity of every entry is verified (a violation is an error, not a
-    warning); duplicate (i, j, k) entries are rejected.  kind="jordan" also
-    verifies supercommutativity, kind="lie" verifies super-anticommutativity
-    and the super-Jacobi identity, unless check=False.
-    """
+def integer_algebra(parities, entries, d=1, zdegrees=None, *, name="", kind="plain",
+                    metadata=None, check=True) -> SuperAlgebra:
+    """Build a SuperAlgebra from integer entries (i, j, k, value), value / d
+    being the constant of b_i * b_j at b_k.  Indices must lie in range, no
+    (i, j, k) may repeat and nonzero entries must be homogeneous (an error,
+    not a warning); zeros are dropped and d is reduced to the least common
+    denominator.  kind="jordan" also verifies supercommutativity, kind="lie"
+    super-anticommutativity and super-Jacobi, unless check=False."""
     parities = tuple(int(p) % 2 for p in parities)
     n = len(parities)
     zdeg = tuple(int(z) for z in zdegrees) if zdegrees is not None else None
     table: dict = {}
-    seen = set()
-    for i, j, k, coeff in products:
+    for i, j, k, v in entries:
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ValueError(f"product entry ({i},{j},{k}) out of range for dim {n}")
-        if (i, j, k) in seen:
+        if (i, j, k) in table:
             raise ValueError(f"duplicate structure constant for ({i},{j},{k})")
-        seen.add((i, j, k))
-        c = Q(coeff)
-        if not c:
+        table[i, j, k] = v
+        if not v:
             continue
         if parities[k] != (parities[i] + parities[j]) % 2:
-            raise ValueError(
-                f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong parity")
+            raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong parity")
         if zdeg is not None and zdeg[k] != zdeg[i] + zdeg[j]:
-            raise ValueError(
-                f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong degree")
-        table.setdefault((i, j), {})[k] = c
-    alg = SuperAlgebra(name, parities, table, zdeg, kind, metadata)
+            raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong degree")
+    nonzero = sorted((key, v) for key, v in table.items() if v)
+    g = gcd(d, *(v for _, v in nonzero))
+    alg = SuperAlgebra(name, parities, ((i, j, k, v // g) for (i, j, k), v in nonzero),
+                       d // g, zdeg, kind, metadata)
     if check and kind == "jordan":
         w = check_supercommutative(alg)
         if w is not None:
@@ -171,6 +195,17 @@ def make_algebra(parities, products, zdegrees=None, *, name="", kind="plain",
         if w is not None:
             raise ValueError(f"not a Lie superalgebra: {w}")
     return alg
+
+
+def make_algebra(parities, products, zdegrees=None, *, name="", kind="plain",
+                 metadata=None, check=True) -> SuperAlgebra:
+    """`integer_algebra` of (i, j, k, coeff) entries with rational coefficients
+    (ints, "p/q" strings or rationals), over their common denominator."""
+    products = [(i, j, k, Q(c)) for i, j, k, c in products]
+    d = lcm(1, *{int(c.denominator) for *_, c in products})
+    return integer_algebra(parities, [(i, j, k, int(c.numerator) * (d // int(c.denominator)))
+                                      for i, j, k, c in products], d, zdegrees,
+                           name=name, kind=kind, metadata=metadata, check=check)
 
 
 def mirror(parities, upper, sym):
@@ -187,47 +222,30 @@ def mirror(parities, upper, sym):
     return out
 
 
+def _mirror_defect(a: SuperAlgebra, sign: int):
+    """The least pair (max(i, j), min(i, j)) with [e_j, e_i] !=
+    sign (-1)^{|i||j|} [e_i, e_j], or None: each integer entry is compared
+    with its mirror in pure Python, so a Jordan build stays free of numpy."""
+    p, table = a.parities, {e[:3]: e[3] for e in a.entries}
+    return min(((max(i, j), min(i, j)) for (i, j, k), v in table.items()
+                if table.get((j, i, k), 0) != (-sign * v if p[i] * p[j] else sign * v)),
+               default=None)
+
+
 @memoized
 def check_supercommutative(a: SuperAlgebra) -> Witness | None:
     """x*y = (-1)^{|x||y|} y*x on homogeneous basis pairs; None iff it holds.
     Memoized like every fact of an immutable algebra: the check make_algebra
-    runs serves every later caller.  It compares the rational rows of each
-    pair as dicts, so a Jordan build stays free of numpy."""
-    for i, j in sorted({(max(key), min(key)) for key in a.table}):  # other pairs: 0 = 0
-        left, right = a.basis_product(i, j), a.basis_product(j, i)
-        if a.parity(i) * a.parity(j):
-            right = {k: -c for k, c in right.items()}
-        if left != right and _support(left) != _support(right):
-            return Witness((i, j), f"supercommutativity fails at pair ({i},{j})")
-    return None
-
-
-def _support(row) -> dict:
-    """row without its explicit zeros, which count as absent entries."""
-    return {k: c for k, c in row.items() if c}
+    runs serves every later caller."""
+    bad = _mirror_defect(a, 1)
+    return bad and Witness(bad, "supercommutativity fails at pair ({},{})".format(*bad))
 
 
 @memoized
 def check_superanticommutative(a: SuperAlgebra) -> Witness | None:
-    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs; memoized.
-
-    One array pass over the `IntTable`: the constants v at (i, j, k) and
-    (-1)^{|i||j|} v at (j, i, k) are summed per key (`exact.sum_by_key`),
-    which leaves exactly the keys where the identity fails.  The witness is
-    the least pair (max(i, j), min(i, j)) among them."""
-    import numpy as np
-    t, n = a.int_table, a.dim
-    p = np.array(a.parities, dtype=np.int64)
-    sign = 1 - 2 * (p[t.i] * p[t.j])
-    keys, _ = sum_by_key(np.concatenate([(t.i * n + t.j) * n + t.k, (t.j * n + t.i) * n + t.k]),
-                         np.concatenate([t.value, sign * t.value]))
-    if not len(keys):
-        return None
-    i, j = keys // (n * n), keys // n % n
-    hi, lo = np.maximum(i, j), np.minimum(i, j)
-    at = int(np.argmin(hi * n + lo))
-    i, j = int(hi[at]), int(lo[at])
-    return Witness((i, j), f"super-anticommutativity fails at pair ({i},{j})")
+    """[x,y] = -(-1)^{|x||y|}[y,x] on homogeneous basis pairs; memoized."""
+    bad = _mirror_defect(a, -1)
+    return bad and Witness(bad, "super-anticommutativity fails at pair ({},{})".format(*bad))
 
 
 @memoized

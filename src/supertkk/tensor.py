@@ -7,23 +7,21 @@ only after proving its bound terms * n * max|a| * max|b| < 2**62 for each sum
 of `terms` contractions over an index of length n; else in object-dtype Python
 ints, still exact.
 
-An algebra's own table is encoded once, as an `IntTable`: its nonzero
-constants as sorted COO arrays with d and max|value|, built in one pass over
-the rational table and kept, read-only, in the algebra's memo
+An algebra keeps its constants once, as the sorted nonzero integer entries
+(i, j, k, value) over one least common denominator d
+(`SuperAlgebra.entries`).  Its `IntTable` holds them as read-only COO arrays
+with d and max|value|, built on first use and kept in the algebra's memo
 (`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
-`center`, `derived`, the ad rows of `tkk.lie_der_tower`, the integer
-readers of the constructions and the products of the Tits and Ko_D builders
-start from it, and so do the Kantor top space (P = d C and `lp_tensor`) and
-`superspace.check_superanticommutative`; supercommutativity (run on every
-Jordan build, which stays free of numpy), `subalgebra` and
-`jordan.find_unit` still read the rational table.  Super-Jacobi joins its
-nonzeros with each other on the contracted index, a fixed number of
-products at a time, so its work follows the nonzeros and its memory the
-chunk; the dense kernels (the Jordan checks, which hold O(n**5) entries,
-and the Kantor relations) scatter a dense n x n x n array from it on
-request.  `encode` serves the tables that belong to no algebra: operator
-flats, coordinates read off a `GeneratedSpan`, the triples of a pair given
-by rational constants.
+`center`, `derived`, the ad rows of `tkk.lie_der_tower`, the integer readers
+of the constructions, the products of the Tits and Ko_D builders and the
+Kantor top space (P = d C and `lp_tensor`) start from it.  Super-Jacobi
+joins its nonzeros with each other on the contracted index, a fixed number
+of products at a time, so its work follows the nonzeros and its memory the
+chunk; the dense kernels (the Jordan checks, which hold O(n**5) entries, and
+the Kantor relations) scatter a dense n x n x n array from it on request.
+`encode` serves the tables that belong to no algebra: operator flats,
+coordinates read off a `GeneratedSpan`, the triples of a pair given by
+rational constants.
 
 The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
@@ -46,17 +44,17 @@ algebra loads it through its super-Jacobi check.
 from dataclasses import dataclass
 from math import lcm
 
-from .exact import Q, int_dtype, sum_by_key
+from .exact import int_dtype, sum_by_key
 
 
 @dataclass(frozen=True, eq=False)
 class IntTable:
     """The table {(i, j): {k: c}} of an n-dimensional algebra on the
     integers: its nonzero constants as COO arrays i, j, k and value, sorted
-    by (i, j, k), with value = c * d for the common denominator d of the
-    constants, and top = max|value| (0 for an empty table).  value is int64
+    by (i, j, k), with value = c * d for the least common denominator d of
+    the constants, and top = max|value| (0 for an empty table).  value is int64
     when top < 2**62, else object.  The arrays are read-only, so one table
-    serves every reader of the algebra; build it with `of`."""
+    serves every reader of the algebra (`SuperAlgebra.int_table`)."""
 
     n: int
     i: object
@@ -65,32 +63,6 @@ class IntTable:
     value: object
     d: int
     top: int
-
-    @classmethod
-    def of(cls, table, n: int) -> "IntTable":
-        """Encode a rational table in one pass over its constants."""
-        import numpy as np
-        at, nums, dens = [], [], []
-        for (i, j), row in table.items():
-            base = (i * n + j) * n
-            for k, c in row.items():
-                at.append(base + k)
-                nums.append(int(c.numerator))  # a Python int under either backend
-                dens.append(int(c.denominator))
-        d = lcm(1, *set(dens))
-        vals = nums if d == 1 else [x * (d // y) for x, y in zip(nums, dens)]
-        top = max(map(abs, vals), default=0)
-        at, value = np.array(at, dtype=np.int64), np.array(vals, dtype=int_dtype(top))
-        if not value.all():  # a table may hold explicit zeros
-            at, value = at[value != 0], value[value != 0]
-        if (at[1:] < at[:-1]).any():
-            order = np.argsort(at, kind="stable")
-            at, value = at[order], value[order]
-        ij, k = np.divmod(at, n)
-        i, j = np.divmod(ij, n)
-        for a in (i, j, k, value):
-            a.flags.writeable = False
-        return cls(n, i, j, k, value, d, top)
 
     def dtype(self, factor: int = 1, degree: int = 1):
         """The dtype of a check on the table whose sums stay within

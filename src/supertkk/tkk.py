@@ -6,7 +6,7 @@ construction D (+) (sl2 (x) V), the generalized Koecher construction with a
 formal copy of V in the middle, the J functor back from 3-graded Lie
 superalgebras to superpairs, derivation towers of graded Lie superalgebras,
 and the explicit equivalence maps between all of these.  Every constructed
-bracket table goes through make_algebra with the super-Jacobi check enabled.
+bracket table goes through integer_algebra with the super-Jacobi check enabled.
 
 Each construction is 3-graded, g_{-1} (+) g_0 (+) g_1, and its table is a
 list of integer COO blocks (i, j, k, x, den): [e_i, e_j] has x/den at e_k,
@@ -43,7 +43,7 @@ from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
                         double, inn_algebra, istr_algebra, l_stack, leibniz_blocks,
                         pair_d_stack, pair_der, pair_inn, str_algebra)
-from .superspace import (SuperAlgebra, center, derived, graded_dims,
+from .superspace import (SuperAlgebra, center, derived, graded_dims, integer_algebra,
                          make_algebra, memoized, mirror)
 
 
@@ -134,8 +134,8 @@ def _lie(blocks: list, layout: tuple, name: str, construction: str, metadata: di
          **data) -> TkkAlgebra:
     """The Lie superalgebra of the upper-triangle blocks, scaled to one
     denominator on Python ints and mirrored, [e_j, e_i] = -(-1)^{|i||j|}
-    [e_i, e_j], in one array pass, then checked by make_algebra, with its
-    basis bookkeeping.  The table shares one Fraction per value."""
+    [e_i, e_j], in one array pass, then checked and built by
+    `integer_algebra`, with its basis bookkeeping."""
     import numpy as np
     parities, zdegrees, origin = layout
     den = lcm(1, *(b[4] for b in blocks))
@@ -145,10 +145,8 @@ def _lie(blocks: list, layout: tuple, name: str, construction: str, metadata: di
     off = np.flatnonzero(i != j)
     x = np.concatenate([x, (2 * (p[i[off]] * p[j[off]]) - 1) * x[off]])
     i, j, k = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[k, k[off]]
-    fracs = {v: Q(v, den) for v in set(x.tolist())}
-    entries = zip(i.tolist(), j.tolist(), k.tolist(), map(fracs.get, x.tolist()))
-    alg = make_algebra(parities, entries, zdegrees=zdegrees, name=name, kind="lie",
-                       metadata=metadata)
+    alg = integer_algebra(parities, zip(i.tolist(), j.tolist(), k.tolist(), x.tolist()), den,
+                          zdegrees, name=name, kind="lie", metadata=metadata)
     return TkkAlgebra(alg, construction, origin, source=name, data=data)
 
 

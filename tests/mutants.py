@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/supertkk/"
 DEGREE0 = "tests/test_degree0.py::"
 STRUCTURE = "tests/test_structure.py::"
+SUPERSPACE = "tests/test_superspace.py::"
+TENSOR = "tests/test_tensor.py::"
 TKK = "tests/test_tkk.py::"
 
 # (name, file, old text, new text, tests)
@@ -75,8 +77,8 @@ MUTANTS = [
     ("exact.GeneratedSpan.express drops the L/d_i factor", PKG + "exact.py",
      "f = -x * (scale // self._dens[i])", "f = -x * scale",
      ["tests/test_linalg.py::test_generated_span_matches_span_solver_oracle"]),
-    ("superspace antisymmetry witness is (min, max)", PKG + "superspace.py",
-     "hi, lo = np.maximum(i, j), np.minimum(i, j)", "hi, lo = np.minimum(i, j), np.maximum(i, j)",
+    ("superspace mirror witness is (min, max)", PKG + "superspace.py",
+     "min(((max(i, j), min(i, j))", "min(((min(i, j), max(i, j))",
      ["tests/test_tensor.py::test_graded_symmetry_checks_match_the_loop_oracle"]),
     ("exact.Q accepts floats", PKG + "exact.py",
      "and not isinstance(value, Rational):", "and False:",
@@ -89,7 +91,8 @@ MUTANTS = [
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks drops the Koszul sign of the slots before", PKG + "structure.py",
      "before = sum(p[ops[t]][slots[t]] for t in range(s))", "before = 0",
-     [STRUCTURE + "test_pair_der_of_a_j_functor_pair_matches_the_oracle"]),
+     [STRUCTURE + "test_pair_der_of_a_j_functor_pair_matches_the_oracle",
+      STRUCTURE + "test_pair_derivation_kernel_with_odd_derivations_matches_fraction_oracle"]),
     ("structure._rule_blocks proves its int64 bound for r terms", PKG + "structure.py",
      "primitive_row_blocks(chunks(), len(maps[0][2]) + 1,",
      "primitive_row_blocks(chunks(), len(maps[0][2]),",
@@ -116,6 +119,28 @@ MUTANTS = [
     ("catalog.load matches a coefficient's prefix", PKG + "catalog.py",
      "_COEFF_RE.fullmatch(c)", "_COEFF_RE.match(c)",
      ["tests/test_catalog.py::test_load_rejects_coefficients_only_python_would_parse"]),
+    ("superspace.integer_algebra lets k run to n", PKG + "superspace.py",
+     "0 <= k < n)", "0 <= k <= n)",
+     [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
+    ("superspace.integer_algebra keeps the later of two duplicates", PKG + "superspace.py",
+     "if (i, j, k) in table:", "if False:",
+     [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
+    ("superspace.integer_algebra adds parities without mod 2", PKG + "superspace.py",
+     "parities[k] != (parities[i] + parities[j]) % 2", "parities[k] != parities[i] + parities[j]",
+     [SUPERSPACE + "test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator"]),
+    ("superspace.integer_algebra skips the degree check", PKG + "superspace.py",
+     "if zdeg is not None and zdeg[k] != zdeg[i] + zdeg[j]:", "if False:",
+     [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
+    ("superspace.integer_algebra does not reduce d", PKG + "superspace.py",
+     "g = gcd(d, *(v for _, v in nonzero))", "g = 1",
+     [TENSOR + "test_lie_blocks_come_out_over_the_least_denominator"]),
+    ("exact.sum_by_key keeps the zero sums", PKG + "exact.py",
+     "keep = vals != 0", "keep = vals == vals",
+     ["tests/test_linalg.py::test_sum_by_key_matches_a_dict_sum"]),
+    ("exact.int_dtype admits int64 up to 2**63", PKG + "exact.py",
+     "return np.int64 if bound < 2 ** 62 else object",
+     "return np.int64 if bound < 2 ** 63 else object",
+     ["tests/test_linalg.py::test_int_dtype_leaves_room_for_a_sum_of_two"]),
 ]
 
 

@@ -245,6 +245,7 @@ MALFORMED = [
     ("parities-not-list", _edit(["parities"], "000"), "parities must be a list"),
     ("parity-2", _edit(["parities", 1], 2), "parities[1]: expected 0 or 1, got 2"),
     ("parity-bool", _edit(["parities", 0], False), "parities[0]: expected 0 or 1, got False"),
+    ("parity-float", _edit(["parities", 0], 0.0), "parities[0]: expected 0 or 1, got 0.0"),
     ("zdegrees-length", _edit(["zdegrees"], [0, 0]), "zdegrees must be a list of length 3"),
     ("zdegrees-not-list", _edit(["zdegrees"], 0), "zdegrees must be a list of length 3"),
     ("zdegree-float", _edit(["zdegrees", 2], 1.5), "zdegrees[2]: expected an integer, got 1.5"),

@@ -216,13 +216,13 @@ def test_verify_section_builds_each_construction_once(source, monkeypatch):
     # a freshly loaded object, so no construction can be warm from earlier tests
     V = load_algebra(save_algebra(resolve(source)))
     built = Counter()
-    make_algebra = tkk.make_algebra
+    integer_algebra = tkk.integer_algebra
 
     def spy(*args, **kwargs):
         built[kwargs["name"]] += 1
-        return make_algebra(*args, **kwargs)
+        return integer_algebra(*args, **kwargs)
 
-    monkeypatch.setattr(tkk, "make_algebra", spy)
+    monkeypatch.setattr(tkk, "integer_algebra", spy)
     verify_section(V, 64)
     pair = f"({V.name},{V.name})"
     for name in (f"Ko{pair}", f"Ko~{pair}", f"Kan({V.name})", f"Ti({V.name},inn)"):

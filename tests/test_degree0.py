@@ -18,12 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle_tkk as oracle
 from oracle_linalg import operators, supercommutator
+from oracle_tables import unchecked
 from supertkk import structure, tensor, tkk
 from supertkk.catalog import jordan_catalog, lie_catalog, resolve
 from supertkk.exact import CertificateError, Q, Subspace
 from supertkk.structure import (OperatorSpace, double, inclusion_report,
                                 inn_algebra, istr_tilde, l_space, pair_inn)
-from supertkk.superspace import SuperAlgebra, make_algebra
+from supertkk.superspace import make_algebra
 from test_tensor import _as_jordan, _pair_tables, _rescaled, _sl2, graded_tables, twelfths
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -344,7 +345,7 @@ def _perturbed_tits(V, d, changes):
     for a, b, k, c in changes:
         row = table.setdefault((nd + a, nd + 2 * n + b), {})
         row[k] = row.get(k, Q(0)) + c
-    lie = SuperAlgebra(g.name, g.parities, table, g.zdegrees, g.kind, g.metadata)
+    lie = unchecked(g.name, g.parities, table, g.zdegrees, g.kind, g.metadata)
     return tkk.TkkAlgebra(lie, ti.construction, ti.origin, ti.source, ti.data)
 
 

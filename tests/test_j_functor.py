@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_tkk as oracle
+from oracle_tables import unchecked
 from pyrun import run_python
 from supertkk import structure, tensor, tkk
 from supertkk.catalog import (_JORDAN_DEFAULTS, jordan_catalog, load_algebra, resolve,
                               save_algebra)
 from supertkk.exact import CertificateError, GeneratedSpan, Q
 from supertkk.structure import JordanPair, pair_inn
-from supertkk.superspace import SuperAlgebra
 from test_tensor import _pair_tables, _rescaled, twelfths
 
 SETTINGS = dict(max_examples=15, deadline=None)
@@ -88,7 +88,7 @@ def _blocks(g):
 
 
 def _with_table(g, table):
-    return SuperAlgebra(f"{g.name}'", g.parities, table, g.zdegrees, kind="lie")
+    return unchecked(f"{g.name}'", g.parities, table, g.zdegrees, kind="lie")
 
 
 @given(st.data())
@@ -269,13 +269,12 @@ def test_the_j_side_proves_its_int64_bound(scale, monkeypatch):
 
 LEAVING_TRIPLE = """
 import sys
-from supertkk.exact import Q
 from supertkk.superspace import SuperAlgebra
 from supertkk.tkk import j_functor
 if not sys.flags.optimize:
     raise SystemExit("expected python -O")
 # [a, b] = h but [h, a] = b: {a, b, a} lands in g-1
-g = SuperAlgebra("bad", (0, 0, 0), {(0, 1): {2: Q(1)}, (2, 0): {1: Q(1)}}, zdegrees=(1, -1, 0))
+g = SuperAlgebra("bad", (0, 0, 0), [(0, 1, 2, 1), (2, 0, 1, 1)], 1, (1, -1, 0))
 j_functor(g)
 """
 

@@ -260,6 +260,16 @@ def test_sum_by_key_matches_a_dict_sum(case):
         (k, v) for k, v in want.items() if v)
 
 
+def test_int_dtype_leaves_room_for_a_sum_of_two():
+    # int64 holds values below 2**62, so that the sum or difference of two
+    # of them stays in range; from 2**62 on the values are Python ints
+    assert exact.int_dtype(2 ** 62 - 1) is np.int64 and exact.int_dtype(2 ** 62) is object
+    top = np.array([2 ** 62 - 1, 1 - 2 ** 62], dtype=exact.int_dtype(2 ** 62 - 1))
+    assert (top + top).tolist() == [2 ** 63 - 2, 2 - 2 ** 63]
+    a = make_algebra([0], [(0, 0, 0, 2 ** 62)])
+    assert a.int_table.value.dtype == object and a.int_table.top == 2 ** 62
+
+
 def test_raising_one_kernel_entry_fails_the_certificate():
     # the Leibniz blocks of w(3): each kernel vector raised by 1 at a column
     # some row uses no longer kills every row, on both checks

@@ -9,7 +9,8 @@ import oracle_identities
 from supertkk.exact import Q, span
 from supertkk.superspace import (
     center, check_super_jacobi, check_superanticommutative, check_supercommutative,
-    derived, graded_dims, make_algebra, parity_dims, quotient_algebra, subalgebra,
+    derived, graded_dims, integer_algebra, make_algebra, parity_dims, quotient_algebra,
+    subalgebra,
 )
 from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_algebra
 from supertkk.structure import double, l_stack
@@ -38,6 +39,45 @@ def test_make_algebra_rejects_bad_entries():
         make_algebra([0, 0, 1], [(0, 1, 2, 1)])
     with pytest.raises(ValueError, match="wrong degree"):
         make_algebra([0, 0, 0], [(0, 1, 2, 1)], zdegrees=[1, 1, 3])
+
+
+BAD_ENTRIES = [
+    ("k-out-of-range", (0, 0), [(0, 0, 2, 1)], None, "product entry (0,0,2) out of range for dim 2"),
+    ("i-negative", (0, 0), [(-1, 0, 0, 1)], None, "product entry (-1,0,0) out of range for dim 2"),
+    ("j-out-of-range", (0, 0), [(0, 2, 0, 0)], None, "product entry (0,2,0) out of range for dim 2"),
+    ("duplicate", (0, 0), [(0, 0, 1, 1), (0, 0, 1, 2)], None,
+     "duplicate structure constant for (0,0,1)"),
+    ("duplicate-zero", (0, 1), [(1, 1, 0, 0), (1, 1, 0, 0)], None,
+     "duplicate structure constant for (1,1,0)"),
+    ("parity", (0, 0, 1), [(0, 1, 2, 1)], None,
+     "inhomogeneous product: e_0*e_1 hits e_2 of wrong parity"),
+    ("degree", (0, 0, 0), [(0, 1, 2, 1)], (1, 1, 3),
+     "inhomogeneous product: e_0*e_1 hits e_2 of wrong degree"),
+    # entries are checked in order, each for range, repetition, parity, degree
+    ("first-parity-then-range", (0, 0, 1), [(0, 1, 2, 1), (0, 0, 3, 1)], None,
+     "inhomogeneous product: e_0*e_1 hits e_2 of wrong parity"),
+    ("first-range-then-parity", (0, 0, 1), [(0, 0, 3, 1), (0, 1, 2, 1)], None,
+     "product entry (0,0,3) out of range for dim 3"),
+]
+
+
+@pytest.mark.parametrize("parities, entries, zdegrees, message",
+                         [case[1:] for case in BAD_ENTRIES], ids=[case[0] for case in BAD_ENTRIES])
+def test_integer_algebra_pins_each_diagnostic(parities, entries, zdegrees, message):
+    with pytest.raises(ValueError) as err:
+        integer_algebra(parities, entries, 1, zdegrees, check=False)
+    assert str(err.value) == message
+
+
+def test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator():
+    # odd * odd -> even at the last index, degrees 1 + -1 = 0, a zero entry
+    # that would be inhomogeneous, and constants over 12 whose least
+    # common denominator is 4: b_0 b_1 = 3/4 b_2 = -b_1 b_0, b_2 b_2 = 1/2 b_2
+    a = integer_algebra((1, 1, 0), [(2, 2, 2, 6), (0, 1, 2, 9), (1, 0, 2, -9), (0, 0, 0, 0)],
+                        12, (1, -1, 0), kind="jordan")
+    assert (a.entries, a.d) == (((0, 1, 2, 3), (1, 0, 2, -3), (2, 2, 2, 2)), 4)
+    assert a.table == {(0, 1): {2: Q(3, 4)}, (1, 0): {2: Q(-3, 4)}, (2, 2): {2: Q(1, 2)}}
+    assert integer_algebra((0,), [(0, 0, 0, 0)], 6).d == 1  # an empty table is over 1
 
 
 def test_zero_coefficients_are_dropped_after_duplicate_check():
@@ -185,7 +225,7 @@ def _assert_frozen(a):
         a.table[key][0] = Q(1)
     with pytest.raises(TypeError):
         a.metadata["family"] = "x"
-    for attr in ("name", "table", "metadata", "parities"):
+    for attr in ("name", "table", "entries", "d", "metadata", "parities"):
         with pytest.raises(AttributeError):
             setattr(a, attr, getattr(a, attr))
 

@@ -4,6 +4,7 @@ Every tensor-backed checker must return what its loop reference returns:
 None, or a witness with identical indices and message.
 """
 
+import json
 import random
 import sys
 import tracemalloc
@@ -13,17 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_identities as oracle
+import oracle_tables
 import oracle_tkk
 from oracle_linalg import Matrix, operators
 from pyrun import run_python
-from supertkk import tensor
-from supertkk.catalog import _LIE_DEFAULTS, jordan_catalog, resolve
+from supertkk import catalog, superspace, tensor, tkk
+from supertkk.catalog import (_JORDAN_DEFAULTS, _LIE_DEFAULTS, jordan_catalog, load_algebra,
+                              resolve, save_algebra)
 from supertkk.exact import CertificateError, Q
 from supertkk.jordan import (check_commutator_identity, check_five_linear,
                              check_jordan_identity, check_triple_symmetry)
 from supertkk.structure import JordanPair, check_pair_axioms, double
 from supertkk.superspace import (SuperAlgebra, check_super_jacobi, check_superanticommutative,
-                                 check_supercommutative, make_algebra)
+                                 check_supercommutative, integer_algebra, make_algebra)
 from supertkk.tkk import KantorTop, j_functor, kantor, kantor_relations, koecher
 
 SETTINGS = dict(max_examples=30, deadline=None)
@@ -200,7 +203,7 @@ def test_super_jacobi_of_w5_forms_no_dense_table():
     # the check used to make two.  The integer table is encoded under the
     # trace too, for a fresh copy of the algebra.
     g = resolve("w:5")
-    g = SuperAlgebra(g.name, g.parities, g.table, g.zdegrees, g.kind)
+    g = SuperAlgebra(g.name, g.parities, g.entries, g.d, g.zdegrees, g.kind)
     tracemalloc.start()
     try:
         assert tensor.jacobi_defect(g) is None
@@ -238,26 +241,27 @@ def test_jacobi_witness_matches_the_oracle(source, seed):
 
 def _scaled(a, factor):
     """a with every structure constant times factor."""
-    return SuperAlgebra(a.name, a.parities, {
-        key: {k: c * factor for k, c in row.items()} for key, row in a.table.items()})
+    return integer_algebra(a.parities, [(i, j, k, v * factor) for i, j, k, v in a.entries], a.d,
+                           name=a.name)
 
 
 def _sign_flipped(a):
     """a with its first off-diagonal constant negated and the mirror kept:
     the support is unchanged, the values differ."""
-    (i, j), row = next((key, row) for key, row in a.table.items() if key[0] != key[1])
-    k = next(iter(row))
-    return SuperAlgebra(a.name, a.parities, {**a.table, (i, j): {**row, k: -row[k]}})
+    at = next(m for m, e in enumerate(a.entries) if e[0] != e[1])
+    return integer_algebra(a.parities, [e[:3] + (-e[3] if m == at else e[3],)
+                                        for m, e in enumerate(a.entries)], a.d, name=a.name)
 
 
 @given(st.sampled_from([1, -1]).flatmap(graded_tables))
 @settings(**SETTINGS)
 def test_graded_symmetry_checks_match_the_loop_oracle(a):
-    # an explicit zero constant counts as an absent one; constants past
+    # an explicit zero constant is dropped as it is built; constants past
     # 2**62 put the integer table on object dtype
     n = a.dim
-    zeros = SuperAlgebra(a.name, a.parities, {
-        **a.table, (0, n - 1): {**{k: Q(0) for k in range(n)}, **a.table.get((0, n - 1), {})}})
+    zeros = integer_algebra(a.parities, list(a.entries) + [
+        (0, n - 1, k, 0) for k in range(n) if k not in a.basis_product(0, n - 1)], a.d,
+        name=a.name)
     huge = _scaled(a, 2 ** 70)
     assert huge.int_table.value.dtype == object or not a.table
     tables = [a, zeros, huge]
@@ -364,7 +368,7 @@ def test_constants_near_1e12_take_the_exact_object_path(monkeypatch):
     _assert_same(jordan)
     assert all(check(jordan) is None for check, _ in JORDAN_CHECKS)
     assert dtypes and set(dtypes) == {"object"}
-    bad = _perturbed(lie, -1)
+    bad = _perturbed(lie, -1, 1)  # the first is [e, f] = (10^12 + 1) h: sl(2) again
     w = check_super_jacobi(bad)
     assert w is not None and _key(w) == _key(oracle.check_super_jacobi(bad))
     _assert_same(_perturbed(jordan))
@@ -377,7 +381,7 @@ def test_int_table_is_read_only_sorted_and_kept_per_algebra():
     for a in (t.i, t.j, t.k, t.value):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    twin = SuperAlgebra(g.name, g.parities, g.table, g.zdegrees, g.kind)
+    twin = SuperAlgebra(g.name, g.parities, g.entries, g.d, g.zdegrees, g.kind)
     assert twin.int_table is not t  # equal content, its own table
     keys = list(zip(t.i.tolist(), t.j.tolist(), t.k.tolist()))
     assert keys == sorted(keys)
@@ -388,18 +392,141 @@ def test_int_table_is_read_only_sorted_and_kept_per_algebra():
 @given(st.sampled_from([1, -1]).flatmap(graded_tables), st.sampled_from([1, 2 ** 61, 2 ** 70]))
 @settings(**SETTINGS)
 def test_int_table_matches_encode(a, scale):
-    # explicit zeros are left out of the COO arrays; past 2**62 the values
-    # are Python ints
+    # explicit zeros are dropped as the algebra is built; past 2**62 the
+    # values are Python ints
     n = a.dim
     table = {key: {k: c * scale for k, c in e.items()} for key, e in a.table.items()}
     table[0, n - 1] = {**{k: Q(0) for k in range(n)}, **table.get((0, n - 1), {})}
-    b = SuperAlgebra(a.name, a.parities, table)
+    b = make_algebra(a.parities, [(i, j, k, c) for (i, j), e in table.items() for k, c in e.items()],
+                     name=a.name, check=False)
     t = b.int_table
     (C,), d = tensor.encode([b.table], [(n, n, n)])
     dense = t.dense()
     assert (t.d, t.top) == (d, int(abs(C).max()))
     assert dense.dtype == C.dtype == t.value.dtype and (dense == C).all()
     assert len(t.value) == np.count_nonzero(C)
+
+
+# ---------------------------------------------------------------------------
+# the integer form of an algebra against the rational path it replaced
+
+
+def _assert_matches_the_rational_path(a, parities, products, zdegrees=None):
+    """a, built from the (i, j, k, c) products, against the former path
+    (tests/oracle_tables.py): the Fraction table of make_algebra and the
+    `IntTable` encoded from it."""
+    table = oracle_tables.fraction_table(parities, products, zdegrees)
+    want, got = oracle_tables.int_table_of(table, len(parities)), a.int_table
+    for axis in ("i", "j", "k", "value"):
+        assert getattr(got, axis).tolist() == getattr(want, axis).tolist(), (a.name, axis)
+    assert (got.value.dtype, got.d, got.top) == (want.value.dtype, want.d, want.top), a.name
+    assert a.table == table, a.name
+
+
+def _record_builds(patch) -> list:
+    """Every algebra make_algebra and integer_algebra build from now on, as
+    (algebra, parities, rational products, zdegrees): make_algebra's own
+    products, and value / d for each integer entry."""
+    builds = []
+
+    def spy(build, rational):
+        def wrapper(parities, entries, *args, **kwargs):
+            entries = list(entries)
+            a = build(parities, entries, *args, **kwargs)
+            builds.append((a, parities, rational(entries, args, kwargs), a.zdegrees))
+            return a
+        return wrapper
+
+    over_d = spy(superspace.integer_algebra, lambda entries, args, kwargs: [
+        (i, j, k, Q(v, args[0] if args else kwargs.get("d", 1))) for i, j, k, v in entries])
+    as_given = spy(superspace.make_algebra, lambda entries, args, kwargs: entries)
+    for module in (superspace, catalog, tkk):
+        patch.setattr(module, "integer_algebra", over_d)
+        if hasattr(module, "make_algebra"):
+            patch.setattr(module, "make_algebra", as_given)
+    patch.setattr(catalog, "_MEMO", {})  # every catalog entry built afresh
+    return builds
+
+
+@given(st.one_of(st.sampled_from([1, -1]).flatmap(graded_tables), dense_lie_tables()),
+       st.sampled_from([1, 2 ** 61, 2 ** 70]))
+@settings(**SETTINGS)
+def test_integer_form_matches_the_rational_path(a, scale):
+    # 2**61 times a denominator up to 6 crosses 2**62: object dtype
+    products = [(i, j, k, c * scale) for (i, j), e in a.table.items() for k, c in e.items()]
+    b = make_algebra(a.parities, products, name=a.name, check=False)
+    _assert_matches_the_rational_path(b, a.parities, products)
+
+
+@pytest.mark.parametrize("source", _JORDAN_DEFAULTS + _LIE_DEFAULTS)
+def test_catalog_builds_match_the_rational_path(source):
+    # every algebra a catalog entry builds on the way, from make_algebra's
+    # rational products or from integer entries over d
+    with pytest.MonkeyPatch.context() as patch:
+        builds = _record_builds(patch)
+        resolve(source)
+    assert builds
+    for a, parities, products, zdegrees in builds:
+        _assert_matches_the_rational_path(a, parities, products, zdegrees)
+
+
+@pytest.mark.parametrize("source", ["kacK", "j19", "full_matrix:1,1"])
+def test_constructions_match_the_rational_path(source):
+    # a fresh copy of V, so that no construction is a memo hit
+    V = load_algebra(save_algebra(resolve(source)))
+    with pytest.MonkeyPatch.context() as patch:
+        builds = _record_builds(patch)
+        for build in (tkk.kantor, tkk.koecher, tkk.koecher_tilde, tkk.tits):
+            build(V)
+    assert {a.name for a, *_ in builds} >= {f"Kan({V.name})", f"Ti({V.name},inn)"}
+    for a, parities, products, zdegrees in builds:
+        _assert_matches_the_rational_path(a, parities, products, zdegrees)
+
+
+def test_lie_blocks_come_out_over_the_least_denominator():
+    # sl(2) = <e, h, f> with [e, f] = h/2, each bracket over a denominator
+    # that shares a factor with its value: [e, h] = -8/4 e, [e, f] = 3/6 h,
+    # [h, f] = -4/2 f.  _lie scales them to 12, and d comes out 2.
+    one = lambda x: np.array([x])
+    blocks = [(one(0), one(1), one(0), one(-8), 4), (one(0), one(2), one(1), one(3), 6),
+              (one(1), one(2), one(2), one(-4), 2)]
+    layout = tkk._layout(("e", [0], 1), ("h", [0], 0), ("f", [0], -1))
+    with pytest.MonkeyPatch.context() as patch:
+        builds = _record_builds(patch)
+        g = tkk._lie(blocks, layout, "sl2/2", "Ko", {}).lie
+    assert (g.d, g.entries) == (2, ((0, 1, 0, -4), (0, 2, 1, 1), (1, 0, 0, 4), (1, 2, 2, -4),
+                                    (2, 0, 1, -1), (2, 1, 2, 4)))
+    (a, parities, products, zdegrees), = builds
+    _assert_matches_the_rational_path(a, parities, products, zdegrees)
+
+
+@pytest.mark.parametrize("source, triple", [("kacK", "(0,3,9)"), ("j19", "(0,3,4)"),
+                                            ("full_matrix:1,1", "(0,4,8)")])
+def test_a_lie_block_over_twice_its_denominator_fails_super_jacobi(source, triple):
+    # Ko(V) with the action of the middle on V+ (its second block) halved
+    lie = tkk._lie
+
+    def halved(blocks, *args, **kwargs):
+        i, j, k, x, den = blocks[1]
+        return lie([blocks[0], (i, j, k, x, 2 * den), *blocks[2:]], *args, **kwargs)
+
+    V = load_algebra(save_algebra(resolve(source)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tkk, "_lie", halved)
+        with pytest.raises(ValueError) as err:
+            tkk.koecher(V)
+    assert str(err.value) == f"not a Lie superalgebra: super-Jacobi fails at basis triple {triple}"
+
+
+def test_a_saved_coefficient_halved_fails_on_load():
+    # w(3)'s first constant [e_0, e_3] = e_0 rewritten as 1/2: its mirror
+    # [e_3, e_0] = e_0 no longer matches
+    doc = json.loads(save_algebra(resolve("w:3")))
+    assert doc["products"][0] == {"i": 0, "j": 3, "k": 0, "coeff": "1"}
+    doc["products"][0]["coeff"] = "1/2"
+    with pytest.raises(ValueError) as err:
+        load_algebra(json.dumps(doc).encode())
+    assert str(err.value) == "not a Lie superalgebra: super-anticommutativity fails at pair (3,0)"
 
 
 def test_building_the_jordan_catalog_does_not_import_numpy():
@@ -433,8 +560,7 @@ def test_superpair_certificate_survives_python_O():
 def test_triple_leaving_the_graded_block_raises_a_certificate_error():
     assert issubclass(CertificateError, ValueError)  # the CLI's exit-2 path
     # [a, b] = h but [h, a] = b breaks the grading: {a, b, a} lands in g-1
-    g = SuperAlgebra("bad", (0, 0, 0), {(0, 1): {2: Q(1)}, (2, 0): {1: Q(1)}},
-                     zdegrees=(1, -1, 0))
+    g = SuperAlgebra("bad", (0, 0, 0), [(0, 1, 2, 1), (2, 0, 1, 1)], 1, (1, -1, 0))
     with pytest.raises(CertificateError, match="left the graded block"):
         j_functor(g)
 
