@@ -7,12 +7,16 @@ checks is an algebraic identity over Q and must hold exactly.
 There is one elimination, fraction-free over the integers, for kernels,
 spans, solves and generator coordinates (`kernel_sparse` and its
 integer-row core `integer_kernel`, `Subspace`, `GeneratedSpan`, `solve`):
-each row is scaled to a primitive integer row, eliminated over the integers
-(Bareiss-style v <- b*v - a*r, divided by the row gcd), and rationals are
-formed only when the reduced rows are read off.  A `GeneratedSpan`
-holds its generators once, as integer rows with a denominator each,
-eliminates them once and then writes any number of members in those
-generators, each by one reduction.
+each row is scaled to a primitive integer row and eliminated over the
+integers (Bareiss-style v <- b*v - a*r, divided by the row gcd).  What is
+read off stays on the integers: a `Subspace` is its canonical RREF basis
+as integer rows over one least common denominator (`rows`, `den`,
+`pivots`), taken straight off the elimination store, with `basis` its
+rational view.  A `GeneratedSpan` holds its generators once, as integer
+rows with a denominator each, eliminates them once and then writes any
+number of members in those generators, each by one reduction, as integers
+over one denominator (`coordinates`) or, for one member, as rationals
+(`express`).
 `integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
 first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
@@ -30,12 +34,12 @@ Integer systems assembled as numpy COO triplets are made primitive by
 `primitive_row_blocks`, one vectorised pass per chunk of equations (sort,
 sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
 splits them into blocks of columns (an `IntRows` each) and removes repeated
-rows; the rational `primitive_rows` serves `Subspace` and `kernel_sparse`.
-`integer_kernel` returns its canonical basis as a `Subspace` read straight
-off the elimination, and `Subspace.embedded` places it in a larger space
-without a second one.  The kernel certificate (`_verify_kernel`) is a
-sparse join on the column: each nonzero row entry meets only the vector
-entries on its column (Gustavson, ACM TOMS 4, 1978).
+rows; `primitive_rows` serves dense or rational rows (`Subspace` and
+`kernel_sparse`).  `integer_kernel` returns its canonical basis as a
+`Subspace` read straight off the elimination, and `Subspace.embedded`
+places it in a larger space without a second one.  The kernel certificate
+(`_verify_kernel`) is a sparse join on the column: each nonzero row entry
+meets only the vector entries on its column (Gustavson, ACM TOMS 4, 1978).
 Every numpy path runs in int64 only after proving its bound below 2**62
 (`int_dtype`), else on object-dtype Python ints.
 """
@@ -81,10 +85,6 @@ def certify(ok, message: str):
     """Raise CertificateError(message) unless ok; unlike assert, survives python -O."""
     if not ok:
         raise CertificateError(message)
-
-
-def vec_is_zero(v: Sequence) -> bool:
-    return all(not x for x in v)
 
 
 class Matrix:
@@ -153,20 +153,19 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# reduced row echelon form
+# subspaces and spans, on integers over one denominator
 
 
-def _rref_rows(vectors: Iterable[Sequence], ncols: int):
-    """Exact RREF of dense rational vectors by the integer elimination of
-    `kernel_sparse`.  Returns (rows, pivots): tuples fully reduced, pivot
-    entries 1, pivot columns cleared elsewhere, sorted by pivot column."""
-    rows = []
-    for vec in vectors:
-        v = tuple(vec)
-        if len(v) != ncols:
-            raise ValueError(f"ambient dimension mismatch: {len(v)} != {ncols}")
-        rows.append({j: x for j, x in enumerate(v) if x})
-    return _rational_rows(_echelon(primitive_rows(rows)), ncols)
+def _scaled(vec: Sequence, ambient: int) -> tuple[dict, int]:
+    """(row, d): vec = row / d, row a sparse integer row (col -> int) and d
+    the lcm of the denominators of vec's entries."""
+    v = tuple(vec)
+    if len(v) != ambient:
+        raise ValueError(f"ambient dimension mismatch: {len(v)} != {ambient}")
+    items = [(j, x if isinstance(x, (int, Fraction, _Scalar)) else Q(x))
+             for j, x in enumerate(v) if x]
+    d = lcm(1, *{int(x.denominator) for _, x in items})
+    return {j: int(x.numerator) * (d // int(x.denominator)) for j, x in items}, d
 
 
 def solve(m: Matrix, b: Sequence):
@@ -178,80 +177,110 @@ def solve(m: Matrix, b: Sequence):
 
 
 class Subspace:
-    """Subspace of Q^n with a canonical RREF basis; equality is decidable."""
+    """Subspace of Q^n, kept as its canonical RREF basis on the integers.
 
-    __slots__ = ("ambient", "basis", "pivots")
+    rows[i] / den is the basis vector with pivot pivots[i] (1 there, 0 at
+    the other pivots), the rows dense integer tuples sorted by pivot and den
+    the least common denominator of the basis; so the form is unique,
+    equality and hash compare it, and `basis` is its rational view, formed
+    on first use."""
+
+    __slots__ = ("ambient", "rows", "den", "pivots", "_basis")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        self.ambient = ambient
-        rows, pivots = _rref_rows(vectors, ambient)
-        self.basis = tuple(rows)
-        self.pivots = tuple(pivots)
+        self._take(ambient, _echelon(primitive_rows(_scaled(v, ambient)[0] for v in vectors)))
+
+    def _take(self, ambient: int, store: dict[int, dict]) -> "Subspace":
+        """Read an `_echelon` store off as it is: each row r divided by its
+        gcd, so that |r[p]| is the least denominator of r / r[p], and den the
+        lcm of those (`lcm` drops the sign, which den // r[p] carries)."""
+        self.ambient, self.pivots, self._basis = ambient, tuple(sorted(store)), None
+        prim = [(store[p], gcd(*store[p].values()), p) for p in self.pivots]
+        self.den = lcm(1, *(r[p] // g for r, g, p in prim))
+        rows = []
+        for r, g, p in prim:
+            row, f = [0] * ambient, self.den // (r[p] // g)
+            for c, x in r.items():
+                row[c] = x // g * f
+            rows.append(tuple(row))
+        self.rows = tuple(rows)
+        return self
 
     @classmethod
-    def _from_canonical(cls, ambient: int, rows, pivots) -> "Subspace":
-        self = cls.__new__(cls)
-        self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-        return self
+    def _of(cls, ambient: int, store: dict[int, dict]) -> "Subspace":
+        """The span of the rows of an `_echelon` store, with no second elimination."""
+        return cls.__new__(cls)._take(ambient, store)
 
     @classmethod
     def from_int_rows(cls, ambient: int, int_rows: "IntRows") -> "Subspace":
         """The span of the rows of an integer system (`IntRows`)."""
-        return cls._from_canonical(ambient, *_rational_rows(_echelon(int_rows.dicts()), ambient))
+        return cls._of(ambient, _echelon(int_rows.dicts()))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        eye = Matrix.identity(ambient)
-        return cls._from_canonical(ambient, eye.data, range(ambient))
+        return cls._of(ambient, {j: {j: 1} for j in range(ambient)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def reduce(self, vec: Sequence):
-        """vec reduced by the canonical basis (pivot coordinates zeroed); 0 iff vec is inside."""
-        v = [Q(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
-        for r, p in zip(self.basis, self.pivots):
-            c = v[p]
+    @property
+    def basis(self) -> tuple:
+        """The canonical basis as tuples of rationals rows[i] / den."""
+        if self._basis is None:
+            self._basis = tuple(tuple(Q(x, self.den) if x else ZERO for x in row)
+                                for row in self.rows)
+        return self._basis
+
+    def _residue(self, vec: Sequence) -> tuple[list, int]:
+        """(R, s): vec reduced by the basis is R / s, on the integers: with
+        vec = V / e, R = den V - sum V[p] rows_p over the pivots p, s = den e."""
+        v, e = _scaled(vec, self.ambient)
+        out = [0] * self.ambient
+        for j, x in v.items():
+            out[j] = x * self.den
+        for row, p in zip(self.rows, self.pivots):
+            c = v.get(p)
             if c:
-                for j in range(self.ambient):
-                    if r[j]:
-                        v[j] -= c * r[j]
-        return v
+                for j, y in enumerate(row):
+                    if y:
+                        out[j] -= c * y
+        return out, self.den * e
+
+    def reduce(self, vec: Sequence) -> list:
+        """vec reduced by the canonical basis (pivot coordinates zeroed); 0 iff vec is inside."""
+        R, s = self._residue(vec)
+        return [Q(x, s) if x else ZERO for x in R]
 
     def contains(self, vec: Sequence) -> bool:
-        return vec_is_zero(self.reduce(vec))
+        return not any(self._residue(vec)[0])
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains(v) for v in other.basis)
+        return all(self.contains(r) for r in other.rows)
 
     def coordinates(self, vec: Sequence):
         """Coefficients of vec in the canonical basis, or None if outside.
 
         Each basis row is 1 at its own pivot and 0 at the others, so the
         coefficients are the entries of vec at the pivot columns."""
-        v = [Q(x) for x in vec]
-        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
+        v = tuple(vec)
+        return tuple(Q(v[p]) for p in self.pivots) if self.contains(v) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: RREF of [v|v] over self and [w|0] over other; rows with
-        # vanishing left half carry the intersection in their right half.
+        # Zassenhaus: eliminate [v|v] over self and [w|0] over other; the rows
+        # pivoting in the right half vanish on the left and are the canonical
+        # basis of the intersection there
         self._check_ambient(other)
         n = self.ambient
-        stacked = [v + v for v in self.basis]
-        stacked += [w + (ZERO,) * n for w in other.basis]
-        rows, pivots = _rref_rows(stacked, 2 * n)
-        inter = [r[n:] for r, p in zip(rows, pivots) if p >= n]
-        return Subspace(n, inter)
+        stacked = [v + v for v in self.rows] + [w + (0,) * n for w in other.rows]
+        store = _echelon(primitive_rows(_scaled(v, 2 * n)[0] for v in stacked))
+        return Subspace._of(n, {p - n: {c - n: x for c, x in r.items()}
+                                for p, r in store.items() if p >= n})
 
     def embedded(self, positions: Sequence[int], ambient: int) -> "Subspace":
         """This space inside Q^ambient, coordinate j moved to positions[j] and
@@ -265,13 +294,8 @@ class Subspace:
         if any(b <= a for a, b in zip(positions, positions[1:])) or (
                 positions and (positions[0] < 0 or positions[-1] >= ambient)):
             raise ValueError(f"embedding positions must increase strictly within 0..{ambient - 1}")
-        rows = []
-        for v in self.basis:
-            flat = [ZERO] * ambient
-            for at, x in zip(positions, v):
-                flat[at] = x
-            rows.append(flat)
-        return Subspace._from_canonical(ambient, rows, [positions[p] for p in self.pivots])
+        return Subspace._of(ambient, {positions[p]: {positions[j]: x for j, x in enumerate(v) if x}
+                                      for v, p in zip(self.rows, self.pivots)})
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -279,10 +303,10 @@ class Subspace:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self.den == other.den and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.den, self.rows))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
@@ -309,13 +333,15 @@ class GeneratedSpan:
     left-to-right greedy scan keeps are those whose identity column is no
     pivot (`independent`).  A left-pivot row reads w = sum t_i g_i off its
     right half, and full RREF puts t on the independent generators only, so
-    `express` returns the unique coefficients over those."""
+    the coefficients over those are unique: `coordinates` reads them for a
+    batch of members as integers over one denominator, and `express` for one
+    member as rationals."""
 
     __slots__ = ("ambient", "count", "independent", "_gens", "_dens", "_store")
 
     def __init__(self, generators: Iterable[Sequence], ambient: int):
         self.ambient = ambient
-        scaled = [self._scaled(g) for g in generators]
+        scaled = [_scaled(g, ambient) for g in generators]
         self._gens, self._dens = [g for g, _ in scaled], [d for _, d in scaled]
         self.count = len(self._gens)
         top = ambient + self.count - 1
@@ -324,29 +350,18 @@ class GeneratedSpan:
         self.independent = tuple(i for i in range(self.count)
                                  if top - i not in self._store)
 
-    def _scaled(self, vec: Sequence) -> tuple[dict, int]:
-        """(row, d): vec = row / d, row a sparse integer row (col -> int) and
-        d the lcm of the denominators of vec's entries."""
-        v = tuple(vec)
-        if len(v) != self.ambient:
-            raise ValueError(f"ambient dimension mismatch: {len(v)} != {self.ambient}")
-        items = [(j, x if isinstance(x, (int, Fraction, _Scalar)) else Q(x))
-                 for j, x in enumerate(v) if x]
-        d = lcm(1, *{int(x.denominator) for _, x in items})
-        return {j: int(x.numerator) * (d // int(x.denominator)) for j, x in items}, d
-
     @property
     def dim(self) -> int:
         return len(self.independent)
 
-    def express(self, vec: Sequence):
-        """Coefficients over the generators reproducing vec, or None if vec is
-        outside the span.
+    def _solve(self, vec: Sequence):
+        """(used, m): vec = sum (-x / m) g_i over (i, x) in used, or None if
+        vec is outside the span.
 
         Certified on the integers: vec = V / e, and the reduced row gives
         c_i = -x_i / m, so with L the lcm of e and the d_i of the generators
         used, sum (-x_i) (L / d_i) G_i must equal (L / e) m V."""
-        v, e = self._scaled(vec)
+        v, e = _scaled(vec, self.ambient)
         # [v | 0 | 1], times e: the marker column keeps the scale the reduction applies
         mark = self.ambient + self.count
         row = _reduce(row_primitive({**v, mark: e}), self._store)
@@ -363,9 +378,35 @@ class GeneratedSpan:
         f = scale // e * m
         certify({j: y for j, y in got.items() if y} == {j: f * y for j, y in v.items()},
                 "solve verification failed: sum c_i g_i != v")
+        return used, m
+
+    def coordinates(self, vectors: Iterable[Sequence], message: str) -> tuple:
+        """(C, den): vectors[r] = sum_i C[r, i] / den g_i, C an integer array
+        over all the generators (0 at the dependent ones) and den > 0 the
+        least common denominator; each row certified by recombination, and a
+        vector outside the span raises CertificateError(message).  The row
+        of (used, m) has the lowest terms -x_i / m, as the reduced row is
+        primitive, so den is the lcm of the |m|."""
+        import numpy as np
+        solved = [self._solve(vec) for vec in vectors]
+        certify(all(s is not None for s in solved), message)
+        den = lcm(1, *(abs(m) for _, m in solved))
+        C = [[0] * self.count for _ in solved]
+        for row, (used, m) in zip(C, solved):
+            for i, x in used:
+                row[i] = -x * (den // m)
+        top = max((abs(x) for row in C for x in row), default=0)
+        return np.array(C, dtype=int_dtype(top)).reshape(len(C), self.count), den
+
+    def express(self, vec: Sequence):
+        """Coefficients over the generators reproducing vec, or None if vec is
+        outside the span: the rationals of `_solve`."""
+        solved = self._solve(vec)
+        if solved is None:
+            return None
         coeffs = [ZERO] * self.count
-        for i, x in used:
-            coeffs[i] = Q(-x, m)
+        for i, x in solved[0]:
+            coeffs[i] = Q(-x, solved[1])
         return tuple(coeffs)
 
 
@@ -375,8 +416,8 @@ class GeneratedSpan:
 
 def row_primitive(row: dict) -> dict:
     """Scale a sparse rational row to a primitive integer row, its entry in
-    the lowest column positive.  For rational rows (`Subspace`,
-    `GeneratedSpan`, `derived`); assembled integer systems take
+    the lowest column positive.  For dense or rational rows (`Subspace`,
+    `GeneratedSpan`); assembled integer systems take
     `primitive_row_blocks`."""
     # ints and rationals already carry numerator/denominator; re-wrapping
     # them in Q() was the larger part of this function's time
@@ -585,20 +626,6 @@ def _row_hashes(starts, lens, cols, vals):
     return np.add.reduceat(x, starts) + lens.astype(u) * u(0xD6E8FEB86659FD93)
 
 
-def _rational_rows(store: dict[int, dict], ncols: int):
-    """Read an `_echelon` store off as (rows, pivots): dense rational rows
-    r/r[p], sorted by pivot column p.  Rationals are formed only here."""
-    pivots = sorted(store)
-    rows = []
-    for p in pivots:
-        r, d = store[p], store[p][p]
-        v = [ZERO] * ncols
-        for j, x in r.items():
-            v[j] = Q(x, d)
-        rows.append(tuple(v))
-    return rows, pivots
-
-
 def _combine(s: int, v: dict, terms) -> dict:
     """The primitive part of s*v - sum(f*r for f, r in terms), zeros dropped."""
     out = {c: s * x for c, x in v.items()}
@@ -797,14 +824,13 @@ def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
 
     `_echelon` brings the vectors of `_free_vectors` to the canonical basis,
     certified to have ncols - rank vectors, each killing every original row
-    (`_verify_kernel`); rationals are formed only at the end, and the
-    `Subspace` takes that basis as it is."""
+    (`_verify_kernel`), and the `Subspace` takes that store as it is."""
     rank, _, vecs = _free_vectors(int_rows, ncols)
     basis = _echelon(vecs)
     certify(len(basis) == ncols - rank
             and not _verify_kernel(int_rows, IntRows.from_dicts(basis.values()), ncols).any(),
             _KERNEL_FAILED)
-    return Subspace._from_canonical(ncols, *_rational_rows(basis, ncols))
+    return Subspace._of(ncols, basis)
 
 
 def kernel_columns(int_rows: IntRows, ncols: int):

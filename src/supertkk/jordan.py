@@ -8,7 +8,7 @@ checks contract them as integer tensors (supertkk.tensor), L is
 from __future__ import annotations
 
 from supertkk import tensor
-from supertkk.exact import GeneratedSpan, Q, ZERO
+from supertkk.exact import GeneratedSpan
 from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative
 
 
@@ -55,11 +55,13 @@ def find_unit(V: SuperAlgebra):
     reported as an error rather than an arbitrary pick.
     """
     n = V.dim
-    # unknown j contributes e_j * b_i at coordinate k of row (i, k)
-    gens = GeneratedSpan([[V.basis_product(j, i).get(k, ZERO)
-                           for i in range(n) for k in range(n)] for j in range(n)],
-                         n * n)
-    x = gens.express([Q(1) if k == i else ZERO for i in range(n) for k in range(n)])
+    # unknown j contributes e_j * b_i at coordinate k of row (i, k): the
+    # entry (j, i, k, v) puts v / d at column i n + k of generator j
+    rows: list = [{} for _ in range(n)]
+    for j, i, k, v in V.entries:
+        rows[j][i * n + k] = v
+    gens = GeneratedSpan([[row.get(c, 0) for c in range(n * n)] for row in rows], n * n)
+    x = gens.express([V.d if c % (n + 1) == 0 else 0 for c in range(n * n)])
     if x is None:
         return None
     if gens.dim < n:

@@ -3,8 +3,10 @@
 Computes Der, Inn, istr = {L} + Inn, str = {L} + Der, the D-operator span
 istr~, the superpair spaces Inn(V,V) and Der(V,V), and the weak structure
 algebra str_w cut out by the two U-operator identities.  Everything is an
-exact kernel or span computation over the rationals; operator spaces are kept
-as canonical subspaces of flattened matrices, split by parity.
+exact kernel or span computation over the rationals, run on the integers;
+operator spaces are kept as canonical subspaces of flattened matrices, split
+by parity, each part its integer rows over one denominator
+(`exact.Subspace`), and an `OperatorSpace.stack` is those rows as they are.
 
 A superpair (`JordanPair`) is its two triple tensors, read-only integer
 arrays with one denominator, as `tensor.triple_tensor` (`double`) and
@@ -39,9 +41,10 @@ loops they replaced are test oracles in tests/oracle_tkk.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, integer_kernel,
+from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, int_dtype, integer_kernel,
                     primitive_row_blocks)
 from .superspace import (SuperAlgebra, Witness, check_superanticommutative,
                          check_supercommutative, memoized)
@@ -65,20 +68,6 @@ class OperatorStack:
 
     def __len__(self) -> int:
         return len(self.parities)
-
-    @classmethod
-    def from_flats(cls, flats, parities, shape) -> "OperatorStack":
-        """Rational flattened operators, row-major, the V- block after the
-        V+ block when paired (the vectors of an OperatorSpace)."""
-        flats = list(flats)
-        (ints,), den = tensor.encode(
-            [{(b,): {j: x for j, x in enumerate(f) if x} for b, f in enumerate(flats)}],
-            [(len(flats), sum(m * m for m in shape))])
-        blocks, at = [], 0
-        for m in shape:
-            blocks.append(ints[:, at:at + m * m].reshape(len(flats), m, m))
-            at += m * m
-        return cls(tuple(blocks), parities, den)
 
     def flats(self):
         """The operators flattened as in an OperatorSpace, one row each."""
@@ -156,9 +145,19 @@ class OperatorSpace:
     @property
     @memoized
     def stack(self) -> OperatorStack:
-        """The basis, even rows then odd, as an OperatorStack."""
-        return OperatorStack.from_flats(self.even.basis + self.odd.basis,
-                                        [0] * self.even.dim + [1] * self.odd.dim, self.shape)
+        """The basis, even rows then odd, as an OperatorStack: the two
+        parts' integer rows over the lcm of their denominators, the V- block
+        of each after its V+ block when paired."""
+        import numpy as np
+        den = lcm(self.even.den, self.odd.den)
+        rows = [[x * (den // part.den) for x in row]
+                for part in (self.even, self.odd) for row in part.rows]
+        top = max((abs(x) for row in rows for x in row), default=0)
+        cut = np.cumsum([0] + [m * m for m in self.shape]).tolist()
+        flats = np.array(rows, dtype=int_dtype(top)).reshape(len(rows), cut[-1])
+        return OperatorStack(tuple(flats[:, lo:hi].reshape(len(rows), m, m)
+                                   for lo, hi, m in zip(cut, cut[1:], self.shape)),
+                             [0] * self.even.dim + [1] * self.odd.dim, den)
 
     def _read(self, ops: OperatorStack):
         """(C, inside): `tensor.pivot_coordinates` of each operator in the
@@ -441,10 +440,10 @@ class JordanPair:
 
     tensors[sigma][i, j, k, l] = den ({e_i, e_j, e_k}^sigma)_l, where i, k
     index V^sigma and j indexes V^(-sigma); sigma is 0 for + and 1 for -.
-    Two integer arrays with one denominator; a pair given by rational triples
-    {(i, j, k): {l: c}} is JordanPair(name, parities,
-    *tensor.encode(triples, shapes)).  Immutable like SuperAlgebra: the
-    arrays are read-only copies.
+    Two integer arrays with one denominator, scaled by the caller (the
+    tests write pairs given by rational triples with
+    tests/oracle_tables.encode).  Immutable like SuperAlgebra: the arrays
+    are read-only copies.
     """
 
     name: str
@@ -645,11 +644,11 @@ def inclusion_report(V: SuperAlgebra) -> list:
         results.append(CheckResult(
             "chain_hypothesis", True, "no nonzero L_x is a derivation", "note"))
     else:
-        parity = 0 if overlap.even.dim else 1
-        w = overlap.part(parity).basis[0]
-        x = _l_witness(V, w)
-        where = ("Inn(V)" if inn.contains_stack(OperatorStack.from_flats([w], [parity], (n,)))
-                 else "Der(V)")
+        # the first basis operator of the first nonzero part
+        S = overlap.stack
+        x = _l_witness(V, S.flats()[0].tolist())
+        where = ("Inn(V)" if inn.contains_stack(OperatorStack((S.blocks[0][:1],), S.parities[:1],
+                                                               S.den)) else "Der(V)")
         results.append(CheckResult(
             "chain_hypothesis", False,
             f"chain hypothesis fails: L_{{{_format_element(x)}}} in {where}", "note"))

@@ -19,9 +19,9 @@ joins its nonzeros with each other on the contracted index, a fixed number
 of products at a time, so its work follows the nonzeros and its memory the
 chunk; the dense kernels (the Jordan checks, which hold O(n**5) entries, and
 the Kantor relations) scatter a dense n x n x n array from it on request.
-`encode` serves the tables that belong to no algebra: operator flats,
-coordinates read off a `GeneratedSpan`, the triples of a pair given by
-rational constants.
+Tables that belong to no algebra are integers from the start: operator
+stacks are read off the integer rows of `exact.Subspace`, coordinates off
+`exact.GeneratedSpan.coordinates`, and no rational table is encoded here.
 
 The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
 (`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
@@ -32,8 +32,8 @@ of d.
 The degree-0 parts of the TKK constructions run here too: `brackets` forms
 the supercommutators of two stacks of integer matrices in one batched
 product, `pivot_coordinates` reads coordinates in a canonical basis off its
-pivot columns and certifies them by one recombination, `decode` turns an
-integer tensor back into a rational table, and `bracket_map_defect` checks
+pivot columns and certifies them by one recombination, and
+`bracket_map_defect` checks
 a linear map, an integer matrix over one denominator, against two tables.
 The J functor's triples [[x, y], z] of a 3-graded Lie table are one product
 of two of its slices (`lie_triples`, by `contract`).
@@ -76,25 +76,6 @@ class IntTable:
         C = np.zeros((self.n,) * 3, dtype=self.dtype(factor, degree))
         C[self.i, self.j, self.k] = self.value
         return C
-
-
-def encode(tables, shapes) -> tuple:
-    """(tensors, d): tensors of the given shapes for sparse tables {index: {k: c}},
-    entry [index + (k,)] = c * d with one denominator d common to all tables.
-    For tables that belong to no algebra (operator flats, the images of a
-    map, the triples of a pair given by rational constants); an algebra's
-    own table is read off its `IntTable`."""
-    import numpy as np
-    d = lcm(1, *{int(c.denominator) for t in tables for e in t.values() for c in e.values()})
-    out = []
-    for table, shape in zip(tables, shapes):
-        at = np.array([i + (k,) for i, e in table.items() for k in e], dtype=np.int64)
-        vals = [int(c.numerator) * (d // int(c.denominator))
-                for e in table.values() for c in e.values()]
-        t = np.zeros(shape, dtype=int_dtype(max(map(abs, vals), default=0)))
-        t[tuple(at.reshape(-1, len(shape)).T)] = vals
-        out.append(t)
-    return out, d
 
 
 def _exact(arrays, factor, degree) -> list:

@@ -18,9 +18,12 @@ bracket of operator stacks and one certified coordinate read
 (`OperatorStack.bracket`, `OperatorSpace.coordinates`, `_block`); Ti's
 [y (x) v, y' (x) v'] joins the sl2 table with V's (`_join`), and Ko_D's
 other blocks are index maps of V's `IntTable`.  The Kantor top space is one
-integer tensor (`KantorTop`), its coordinates certified by `GeneratedSpan`.
-An equivalence map is an integer matrix over one denominator, certified
-against both tables by `tensor.bracket_map_defect`.  `tits_roundtrip`
+integer tensor (`KantorTop`), picked by one `GeneratedSpan`, whose
+`coordinates` read every [A, B] of the istr x top block at once.  An
+equivalence map is an integer matrix over one denominator, its middle rows
+read off integer stacks and the (C, den) of `GeneratedSpan.coordinates`,
+certified against both tables by `tensor.bracket_map_defect`.  No rational
+is formed while Ko, Ko~, Kan, Ti or Ko_D is built.  `tits_roundtrip`
 compares all [e (x) a, f (x) b] at once with the coordinates of the
 [L_a, L_b], and the half-Killing form of sl2 is one contraction of its
 table.  The J side reads the encoded table of g as well: the triples of
@@ -36,15 +39,13 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, kernel_columns,
-                    span, span_in_kernel)
+from .exact import GeneratedSpan, IntRows, Subspace, certify, kernel_columns, span, span_in_kernel
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
                         double, inn_algebra, istr_algebra, l_stack, leibniz_blocks,
                         pair_d_stack, pair_der, pair_inn, str_algebra)
-from .superspace import (SuperAlgebra, center, derived, graded_dims, integer_algebra,
-                         make_algebra, memoized, mirror)
+from .superspace import SuperAlgebra, center, derived, graded_dims, integer_algebra, memoized
 
 
 @dataclass
@@ -234,11 +235,14 @@ class KantorTop:
 
     The spanning family is P = d C, read off V's `IntTable` (C = d P), then
     the d**2 [L_a, P] of `tensor.lp_tensor`, all at den = d**2.  The basis is
-    picked greedily from it per parity (P first, then the [L_a, P] in basis
-    order, one `GeneratedSpan` each), so every basis vector carries an
-    honest origin tag; for unital V the [L_e, P] direction collapses onto
+    picked greedily from it by one `GeneratedSpan` (`span`) over the family
+    sorted even-first (P and the even [L_a, P] in basis order, then the odd
+    ones): even and odd members have disjoint supports, so the scan keeps
+    what a scan per parity would, and every basis vector carries an honest
+    origin tag; for unital V the [L_e, P] direction collapses onto
     P = -[L_e, P].  tensors[u, i, j, l] = den B_u(e_i, e_j)_l for the basis
-    B_u, even block first, with tags[u] and parities[u].
+    B_u, even block first, with tags[u] and parities[u]; the columns
+    span.independent of `span.coordinates` are the coordinates over it.
     """
 
     def __init__(self, V: SuperAlgebra):
@@ -246,26 +250,13 @@ class KantorTop:
         n, t = V.dim, V.int_table
         lp, d = tensor.lp_tensor(V)
         family = np.concatenate([(t.dense(d) * d)[None], lp])
-        tags = [("kantorP", 0)] + [("kantorLP", a) for a in range(n)]
         par = (0,) + V.parities
-        flats, kept, self._spans = family.reshape(n + 1, n ** 3), [], {}
-        for p in (0, 1):
-            block = [u for u in range(n + 1) if par[u] == p]
-            self._spans[p] = GeneratedSpan(flats[block].tolist(), n ** 3)
-            kept += [block[i] for i in self._spans[p].independent]
-        self.tags, self.parities = [tags[u] for u in kept], [par[u] for u in kept]
+        order = sorted(range(n + 1), key=par.__getitem__)
+        self.span = GeneratedSpan(family[order].reshape(n + 1, n ** 3).tolist(), n ** 3)
+        kept = [order[i] for i in self.span.independent]
+        self.tags = [("kantorLP", u - 1) if u else ("kantorP", 0) for u in kept]
+        self.parities = [par[u] for u in kept]
         self.tensors, self.den = family[kept], d * d
-
-    def coords(self, flat, parity: int) -> list:
-        """The coordinates over the basis of a flattened tensor (i, j, l) of
-        the given parity, certified by `GeneratedSpan.express`; the flat of
-        s T gives s / den times the coordinates of T."""
-        gens = self._spans[parity % 2]
-        c = gens.express(flat)
-        certify(c is not None, "element does not lie in the Kantor top space")
-        c = [c[i] for i in gens.independent]
-        zeros = [ZERO] * self.parities.count(1 - parity % 2)
-        return zeros + c if parity % 2 else c + zeros
 
 
 @memoized
@@ -287,14 +278,12 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
     at_x = OperatorStack((tops.transpose(1, 0, 3, 2).reshape(n * nt, n, n),),
                          [(p + q) % 2 for p in V.parities for q in top_par], top.den)
     # [A, B] for A in istr and B in the top: basis.den * top.den times
-    # integer tensors, whose coordinates come at basis.den
-    coords = {}
-    for t, pa in enumerate(basis.parities.tolist()):
-        acted = tensor.g0_action(basis.blocks[0][t], tops, 1 - 2 * (pa * np.array(top_par) % 2),
-                                 V.parities)
-        for u, flat in enumerate(acted.reshape(nt, n ** 3).tolist()):
-            coords[t, u] = dict(enumerate(top.coords(flat, (pa + top_par[u]) % 2)))
-    (AB,), d = tensor.encode([coords], [(nm, nt, nt)])
+    # integer tensors, whose coordinates over the top come at basis.den
+    acted = tensor.g0_action(basis.blocks[0][:, None], tops[None],
+                             1 - 2 * (np.outer(basis.parities, top_par) % 2), V.parities)
+    C, d = top.span.coordinates(acted.reshape(nm * nt, n ** 3).tolist(),
+                                "element does not lie in the Kantor top space")
+    AB = C[:, list(top.span.independent)].reshape(nm, nt, nt)
     sign = 2 * (np.outer(V.parities, top_par) % 2) - 1
     (x, u), (t, s) = np.indices((n, nt)), np.indices((nm, nt))
     blocks = [*_act(istr, n, [(0, 0, V.parities)]), _middle_brackets(istr, n),
@@ -358,9 +347,9 @@ def _l_brackets(V: SuperAlgebra, dsp: OperatorSpace) -> tuple:
 
 def _sl2() -> SuperAlgebra:
     # basis order e, h, f with [e,f] = h, [h,e] = 2e, [h,f] = -2f
-    return make_algebra((0, 0, 0), mirror((0, 0, 0), [
-        (0, 2, 1, Q(1)), (1, 0, 0, Q(2)), (1, 2, 2, Q(-2))], -1),
-        zdegrees=(1, 0, -1), name="sl2", kind="lie", metadata={})
+    return integer_algebra((0, 0, 0), [(0, 2, 1, 1), (2, 0, 1, -1), (1, 0, 0, 2), (0, 1, 0, -2),
+                                       (1, 2, 2, -2), (2, 1, 2, 2)], 1, (1, 0, -1),
+                           name="sl2", kind="lie", metadata={})
 
 
 def _killing_half(y: SuperAlgebra) -> tuple:
@@ -624,20 +613,16 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     _, d, z, pm = _graded_table(g)
     dp, dm = pair.shape
     ds = pair_d_stack(pair)
-    gens = GeneratedSpan([[Q(x, ds.den) if x else ZERO for x in row]
-                          for row in ds.flats().tolist()], dp * dp + dm * dm)
-    coeffs = {}
-    mid = ko2.data["middle"]
-    for t, flat in enumerate(mid.even.basis + mid.odd.basis):
-        c = gens.express(flat)
-        certify(c is not None, "middle element outside the D span")
-        coeffs[t,] = {k: x for k, x in enumerate(c) if x}
-    (K,), dk = tensor.encode([coeffs], [(len(coeffs), dp * dm)])
-    F = np.zeros((ko2.dim, g.dim), dtype=object)  # dk d times the images
-    F[ko2.block("op0")] = tensor.contract(K, pm)
-    F[ko2.block("vplus"), np.flatnonzero(z == 1)] = dk * d
-    F[ko2.block("vminus"), np.flatnonzero(z == -1)] = dk * d
-    results.append(_check_bracket_map(ko2.lie, g, F, dk * d, "ko_of_j_iso"))
+    mid = ko2.data["middle"].stack
+    # W_t = sum_k K[t, k] / dk D_k with the D_k at ds.den and the W_t at mid.den
+    K, dk = GeneratedSpan(ds.flats().tolist(), dp * dp + dm * dm).coordinates(
+        mid.flats().tolist(), "middle element outside the D span")
+    den = dk * mid.den * d  # F / den are the images
+    F = np.zeros((ko2.dim, g.dim), dtype=object)
+    F[ko2.block("op0")] = tensor.contract(K, pm).astype(object) * ds.den
+    F[ko2.block("vplus"), np.flatnonzero(z == 1)] = den
+    F[ko2.block("vminus"), np.flatnonzero(z == -1)] = den
+    results.append(_check_bracket_map(ko2.lie, g, F, den, "ko_of_j_iso"))
     return results
 
 
@@ -689,19 +674,16 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     istr = kan.data["middle"]
     # the L_a, then the [L_a, L_b] at n + a n + b, each row at its stack's scale
     G = np.concatenate([ls.flats(), ls.bracket(ls).flats()])
-    gens = GeneratedSpan(G.tolist(), n * n)
-    table = {}
-    for t, w in enumerate(istr.even.basis + istr.odd.basis):
-        coeffs = gens.express(w)
-        certify(coeffs is not None, "istr basis element outside the L span")
-        table[t,] = {k: c for k, c in enumerate(coeffs) if c}
-    (C,), dc = tensor.encode([table], [(istr.dim, len(G))])
-    # L_x -> (-L_x, L_x)
+    w = istr.stack
+    C, dc = GeneratedSpan(G.tolist(), n * n).coordinates(
+        w.flats().tolist(), "istr basis element outside the L span")
+    # L_x -> (-L_x, L_x): sum_k C[t, k] G_k is dc w.den times the operator
     plus, minus = tensor.contract(C * np.r_[[-1] * n, [1] * n * n], G), tensor.contract(C, G)
-    ops = OperatorStack((plus.reshape(-1, n, n), minus.reshape(-1, n, n)), istr.stack.parities, dc)
-    den = lcm(dc, *(2 * int(c.denominator) for c in unit))
+    ops = OperatorStack((plus.reshape(-1, n, n), minus.reshape(-1, n, n)), w.parities,
+                        dc * w.den)
+    den = lcm(ops.den, *(2 * int(c.denominator) for c in unit))
     F = np.zeros((kan.dim, ko.dim), dtype=object)
-    F[kan.block("op0"), off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // dc)
+    F[kan.block("op0"), off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // ops.den)
     F[kan.block("vminus"), off_minus + np.arange(n)] = den
     F[kan.block("kantorP"), :n] = [int(-c * den / 2) for c in unit]
     lp = kan.block("kantorLP")

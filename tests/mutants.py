@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/supertkk/"
 DEGREE0 = "tests/test_degree0.py::"
+LINALG = "tests/test_linalg.py::"
 STRUCTURE = "tests/test_structure.py::"
 SUPERSPACE = "tests/test_superspace.py::"
 TENSOR = "tests/test_tensor.py::"
@@ -68,8 +69,8 @@ MUTANTS = [
      "[int(-c * den / 2) for c in unit]", "[int(c * den / 2) for c in unit]",
      [TKK + "test_unital_equivalences"]),
     ("tkk.check_unital_equivalences scales in int64", PKG + "tkk.py",
-     "mid.coordinates(ops).astype(object) * (den // ops.den)",
-     "mid.coordinates(ops) * (den // ops.den)",
+     "F[rows, off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // ops.den)",
+     "F[rows, off_mid:off_minus] = mid.coordinates(ops) * (den // ops.den)",
      [DEGREE0 + "test_roundtrip_and_equivalences_prove_their_int64_bound"]),
     ("tensor.bracket_map_defect cross-multiplies by the wrong table", PKG + "tensor.py",
      "mismatch(lhs, df * td.d, rhs, ts.d)", "mismatch(lhs, df * td.d, rhs, td.d)",
@@ -141,6 +142,35 @@ MUTANTS = [
      "return np.int64 if bound < 2 ** 62 else object",
      "return np.int64 if bound < 2 ** 63 else object",
      ["tests/test_linalg.py::test_int_dtype_leaves_room_for_a_sum_of_two"]),
+    ("exact.Subspace takes den off the raw pivot entries", PKG + "exact.py",
+     "prim = [(store[p], gcd(*store[p].values()), p)", "prim = [(store[p], 1, p)",
+     [STRUCTURE + "test_derivation_kernel_graded_blocks",
+      LINALG + "test_a_store_of_non_primitive_rows_reads_the_canonical_form"]),
+    ("exact.Subspace.intersect drops the row pivoting at column n", PKG + "exact.py",
+     "for p, r in store.items() if p >= n})", "for p, r in store.items() if p > n})",
+     [LINALG + "test_intersect_matches_dense_oracle"]),
+    ("exact.Subspace.embedded admits the position ambient", PKG + "exact.py",
+     "positions[-1] >= ambient", "positions[-1] > ambient",
+     [LINALG + "test_embedded_refuses_positions_that_break_the_canonical_basis"]),
+    ("exact.GeneratedSpan.coordinates drops the den // m rescale", PKG + "exact.py",
+     "row[i] = -x * (den // m)", "row[i] = -x",
+     [LINALG + "test_span_coordinates_are_express_times_den"]),
+    ("exact.GeneratedSpan.express drops the L/e factor", PKG + "exact.py",
+     "f = scale // e * m", "f = m",
+     [LINALG + "test_generated_span_matches_span_solver_oracle"]),
+    ("exact.kernel_columns drops its ncols - rank count", PKG + "exact.py",
+     "certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))",
+     "certify(np.array_equal(k, np.arange(len(free)))",
+     [LINALG + "test_a_dropped_free_vector_fails_the_count_certificate"]),
+    ("tkk.KantorTop.den is d, not d * d", PKG + "tkk.py",
+     "self.tensors, self.den = family[kept], d * d", "self.tensors, self.den = family[kept], d",
+     [TENSOR + "test_kantor_top_block_matches_the_loop_oracle"]),
+    ("tkk.KantorTop scans its family in basis order", PKG + "tkk.py",
+     "order = sorted(range(n + 1), key=par.__getitem__)", "order = list(range(n + 1))",
+     [TENSOR + "test_kantor_top_of_an_odd_first_basis_lists_its_even_members_first"]),
+    ("structure.OperatorSpace.stack leaves each part at its own den", PKG + "structure.py",
+     "rows = [[x * (den // part.den) for x in row]", "rows = [[x for x in row]",
+     [DEGREE0 + "test_constructions_match_the_loop_oracle"]),
 ]
 
 

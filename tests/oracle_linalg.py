@@ -40,7 +40,8 @@ package's container no longer has; `GradedOperator`, `operator_parity`,
 `supercommutator` and `left_mult_matrix` are the former superspace
 operators, `l_op`, `d_op` and `u_op` the former jordan ones (`d_op` here
 built from the Fraction `triple`, unlike the operator-formula `d_op` of
-oracle_identities), and `operators` the former `OperatorSpace.operators()`.
+oracle_identities), and `operators` the former `OperatorSpace.operators()`;
+`vec_is_zero` is the former `exact.vec_is_zero`, which no package code calls.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from supertkk import exact
-from supertkk.exact import (ONE, ZERO, Q, Subspace, certify, kernel_sparse, primitive_rows,
-                            vec_is_zero)
+from supertkk.exact import ONE, ZERO, Q, Subspace, certify, kernel_sparse, primitive_rows
 from supertkk.structure import JordanPair, OperatorSpace
 from supertkk.superspace import SuperAlgebra, check_superanticommutative, check_supercommutative
 
@@ -90,6 +90,10 @@ def triple(V: SuperAlgebra, x, y, z) -> tuple:
 
 # ---------------------------------------------------------------------------
 # dense operator arithmetic
+
+
+def vec_is_zero(v: Sequence) -> bool:
+    return all(not x for x in v)
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
@@ -628,4 +632,5 @@ def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
     certify(len(basis) == len(vecs) and verify_kernel(int_rows, list(basis.values()), ncols),
             "kernel verification failed: the basis needs one vector per free column, "
             "each killing every row")
-    return exact._rational_rows(basis, ncols)[0]
+    return list(exact.Subspace(ncols, [[r.get(c, 0) for c in range(ncols)]
+                                       for r in basis.values()]).basis)

@@ -14,6 +14,14 @@ the integer form is compared with:
 `unchecked` builds an algebra from a rational table with no check at all,
 for the tests that need a table the checking constructor refuses (an
 inhomogeneous one, say).
+
+`encode` is the former `tensor.encode`, which scaled sparse rational tables
+that belong to no algebra to integer tensors over one denominator: operator
+flats (`OperatorStack.from_flats`), the coordinates a `GeneratedSpan` read
+one at a time, the triples of a pair given by rational constants.  The
+package now reads those off integer subspaces and spans (`Subspace.rows`,
+`GeneratedSpan.coordinates`); the tests still write their rational tables
+with it.
 """
 
 from math import lcm
@@ -82,3 +90,18 @@ def unchecked(name, parities, table, zdegrees=None, kind="plain", metadata=None)
     t = int_table_of(table, len(parities))
     entries = zip(*(a.tolist() for a in (t.i, t.j, t.k, t.value)))
     return SuperAlgebra(name, parities, entries, t.d, zdegrees, kind, metadata)
+
+
+def encode(tables, shapes) -> tuple:
+    """(tensors, d): tensors of the given shapes for sparse tables {index: {k: c}},
+    entry [index + (k,)] = c * d with one denominator d common to all tables."""
+    d = lcm(1, *{int(c.denominator) for t in tables for e in t.values() for c in e.values()})
+    out = []
+    for table, shape in zip(tables, shapes):
+        at = np.array([i + (k,) for i, e in table.items() for k in e], dtype=np.int64)
+        vals = [int(c.numerator) * (d // int(c.denominator))
+                for e in table.values() for c in e.values()]
+        t = np.zeros(shape, dtype=int_dtype(max(map(abs, vals), default=0)))
+        t[tuple(at.reshape(-1, len(shape)).T)] = vals
+        out.append(t)
+    return out, d

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from oracle_identities import _g0_on_gplus, _gplus_on_gminus, _hom2_flat_p, center
 import oracle_linalg
+import oracle_tables
 from oracle_linalg import (Matrix, SpanSolver, d_op, l_op, left_mult_matrix, operators,
                            supercommutator, triple)
 from supertkk import tensor, tkk
@@ -95,7 +96,7 @@ def operator_space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace
 
 def decode(T, d) -> dict:
     """The sparse table {index: {k: T[index + (k,)] / d}} of an integer
-    tensor, the inverse of `tensor.encode`; indices without a nonzero entry
+    tensor, the inverse of `oracle_tables.encode`; indices without a nonzero entry
     are left out, and both levels come in C order."""
     import numpy as np
     out: dict = {}
@@ -108,8 +109,8 @@ def decode(T, d) -> dict:
 def map_matrix(images: list) -> tuple:
     """(F, den) of the linear map e_i -> images[i] (rational coordinates):
     F[i, a] = den images[i][a], the form `tkk._check_bracket_map` takes."""
-    (F,), den = tensor.encode([{(i,): dict(enumerate(v)) for i, v in enumerate(images)}],
-                              [(len(images), len(images[0]) if images else 0)])
+    (F,), den = oracle_tables.encode([{(i,): dict(enumerate(v)) for i, v in enumerate(images)}],
+                                     [(len(images), len(images[0]) if images else 0)])
     return F, den
 
 
@@ -145,7 +146,7 @@ def double(V: SuperAlgebra) -> JordanPair:
                 if any(t):
                     table[i, j, k] = {l: c for l, c in enumerate(t) if c}
     return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities),
-                      *tensor.encode((table, table), [(n,) * 4] * 2))
+                      *oracle_tables.encode((table, table), [(n,) * 4] * 2))
 
 
 def pair_triple(pair: JordanPair, sigma: int, x, y, z) -> tuple:
@@ -417,7 +418,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
                 tops.setdefault((u,) + divmod(ij, n), {})[l] = x
     ops = {(t, r): {c: x for c, x in enumerate(row) if x}
            for t, op in enumerate(mid_ops) for r, row in enumerate(op.matrix.data)}
-    (ops, tops), d = tensor.encode([ops, tops], [(nm, n, n), (nt, n, n, n)])
+    (ops, tops), d = oracle_tables.encode([ops, tops], [(nm, n, n), (nt, n, n, n)])
     top_par = [p for _, _, p in top_basis]
     for t, a_op in enumerate(mid_ops):
         for s_idx in range(t, nm):
@@ -905,7 +906,7 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
                 tuple(g.parity(i) for i in blocks[-1]))
     dp, dm = len(blocks[1]), len(blocks[-1])
     pair = JordanPair(f"J({g.name})", parities,
-                      *tensor.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
+                      *oracle_tables.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
     if check:
         witness = check_pair_axioms(pair)
         certify(witness is None, f"superpair axioms fail: {witness}")

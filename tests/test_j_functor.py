@@ -141,28 +141,46 @@ def test_brackets_missing_or_leaving_g0_fail_like_the_loop(data):
 def test_a_broken_middle_image_fails_like_the_loop(data):
     # the D-span coefficients of one middle element, raised at a nonzero
     # generator D_{x,u}: the image moves by a multiple of [x, u] != 0, which
-    # is not central in Jordan-graded g, so no bracket map can absorb it
+    # is not central in Jordan-graded g, so no bracket map can absorb it.
+    # The loop reads each element's rationals (express); supertkk reads the
+    # whole middle as (C, den) over the D_{x,u} at their stack's scale, so
+    # its coefficient is raised by the same shift in the units of its rows
     V = resolve(data.draw(st.sampled_from(SMALL)))
     g = _lie_side(V)[data.draw(st.sampled_from(("Ko", "Ti")))]
-    nm = tkk.koecher(tkk.j_functor(g)).data["middle"].dim
-    target, pick = data.draw(st.integers(0, nm - 1)), data.draw(st.integers(0, 50))
+    pair = tkk.j_functor(g)
+    mid = tkk.koecher(pair).data["middle"]
+    target, pick = data.draw(st.integers(0, mid.dim - 1)), data.draw(st.integers(0, 50))
     shift = data.draw(twelfths.filter(bool))
-    express, calls = GeneratedSpan.express, []
+    express, coordinates, calls = GeneratedSpan.express, GeneratedSpan.coordinates, []
+
+    def at(gens):
+        nonzero = [i for i, gen in enumerate(gens) if gen]
+        return nonzero[pick % len(nonzero)]
 
     def broken(self, vec):
         c = express(self, vec)
         calls.append(None)
         if len(calls) - 1 == target and c is not None:
-            nonzero = [i for i, gen in enumerate(self._gens) if gen]
-            at = nonzero[pick % len(nonzero)]
-            c = c[:at] + (c[at] + shift,) + c[at + 1:]
+            i = at(self._gens)
+            c = c[:i] + (c[i] + shift,) + c[i + 1:]
         return c
+
+    def broken_batch(self, vectors, message):
+        C, den = coordinates(self, vectors, message)
+        if message == "middle element outside the D span":
+            # row t / den holds the coefficients of mid.den W_t over ds.den D_k
+            s = shift * mid.stack.den / tkk.pair_d_stack(pair).den
+            C = C.astype(object) * s.denominator
+            C[target, at(self._gens)] += s.numerator * den
+            den *= s.denominator
+        return C, den
 
     results = {}
     for module in (tkk, oracle):
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(GeneratedSpan, "express", broken)
+            mp.setattr(GeneratedSpan, "coordinates", broken_batch)
             results[module] = _inverse(module, g)
     assert results[tkk] == results[oracle]
     jordan, *iso = results[tkk][0]

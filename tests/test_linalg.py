@@ -321,6 +321,22 @@ def test_a_perturbed_free_vector_fails_the_count_certificate(fault, monkeypatch)
         lie_der_tower(g)
 
 
+def test_a_dropped_free_vector_fails_the_count_certificate(monkeypatch):
+    # the last free column and its vector dropped: the vectors left are each
+    # alone on their own free column and kill every row, so only the count
+    # of ncols - rank free columns sees the lost kernel dimension
+    read = exact._free_vectors
+
+    def dropped(int_rows, ncols):
+        rank, free, vecs = read(int_rows, ncols)
+        return rank, free[:-1], vecs[:-1]
+
+    g = load_algebra(save_algebra(lie_catalog("w", 3)))  # fresh: an empty memo
+    monkeypatch.setattr(exact, "_free_vectors", dropped)
+    with pytest.raises(CertificateError, match="kernel verification failed"):
+        lie_der_tower(g)
+
+
 def test_certifying_the_tower_of_w5_stays_in_bounded_memory(monkeypatch):
     # the joins of fingerprint(w(5))'s whole Leibniz system (366,325 rows,
     # 870,505 entries, 25,600 columns) with its 160 kernel vectors, then
@@ -699,6 +715,99 @@ def test_a_raised_stored_generator_fails_the_recombination():
         gens.express(member)
 
 
+def _integer_form_holds(space):
+    """rows / den is the rational basis, den its least common denominator."""
+    assert space.den == lcm(1, *(int(x.denominator) for v in space.basis for x in v))
+    assert space.rows == tuple(tuple(int(x * space.den) for x in v) for v in space.basis)
+
+
+@given(dense_systems(), dense_systems(), st.data())
+@settings(**SETTINGS)
+def test_integer_subspace_matches_the_fraction_rref_oracle(us, ws, data):
+    # basis, pivots, == and hash against the dense Fraction RREF, for a
+    # spanning set and a shuffled, rescaled copy of it, and sum, intersect,
+    # embedded and contains against the same oracle
+    n = min(us[0], ws[0])
+    us = _with_repeats(data, [u[:n] for u in us[1]], n)
+    ws = _with_repeats(data, [w[:n] for w in ws[1]], n)
+    a, b = Subspace(n, us), Subspace(n, ws)
+    assert _canonical(a) == oracle.subspace(n, us)
+    _integer_form_holds(a)
+    again = Subspace(n, _with_repeats(data, [tuple(-2 * x for x in u) for u in us], n))
+    assert again == a and hash(again) == hash(a)
+    assert (a == b) == (oracle.subspace(n, us) == oracle.subspace(n, ws))
+    assert _canonical(a.sum(b)) == oracle.subspace(n, us + ws)
+    meet = a.intersect(b)
+    assert _canonical(meet) == oracle.intersect(n, us, ws)
+    _integer_form_holds(meet)
+    v = data.draw(vecs(n))
+    assert a.contains(v) == (oracle.subspace(n, us + [v])[1] == oracle.subspace(n, us)[1])
+    assert all(a.contains(u) for u in us) and a.contains_space(meet)
+    ambient = n + data.draw(st.integers(0, 4))
+    positions = sorted(data.draw(st.lists(st.integers(0, ambient - 1), min_size=n,
+                                          max_size=n, unique=True)))
+    scattered = [[Q(0)] * ambient for _ in a.basis]
+    for row, u in zip(scattered, a.basis):
+        for at, x in zip(positions, u):
+            row[at] = x
+    moved = a.embedded(positions, ambient)
+    assert _canonical(moved) == oracle.subspace(ambient, scattered) and moved.den == a.den
+
+
+@st.composite
+def non_primitive_stores(draw):
+    """(n, rows): integer rows of Q^n, each times a factor, so that the
+    `_echelon` store keeps some of them as they are, not primitive."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6))
+    factors = st.sampled_from([1, 2, -3, 6, -10])
+    return n, [[draw(factors) * x for x in row] for row in rows]
+
+
+@given(non_primitive_stores(), st.data())
+@settings(**SETTINGS)
+def test_a_store_of_non_primitive_rows_reads_the_canonical_form(case, data):
+    # the integer form is read off an elimination store as it is
+    # (`Subspace.from_int_rows`, `integer_kernel`): each store row divided by
+    # its gcd first, so the same space compares equal however it was built
+    n, rows = case
+    dicts = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    got = Subspace.from_int_rows(n, IntRows.from_dicts(dicts))
+    want = Subspace(n, rows)
+    assert _canonical(got) == oracle.subspace(n, rows) == _canonical(want)
+    assert got == want and hash(got) == hash(want) and got.rows == want.rows
+    _integer_form_holds(got)
+    kernel = integer_kernel(IntRows.from_dicts(primitive_rows(dicts)), n)
+    assert _canonical(kernel) == oracle.kernel(dicts, n)
+    again = Subspace(n, kernel.basis)
+    assert kernel == again and hash(kernel) == hash(again)
+    _integer_form_holds(kernel)
+
+
+@given(dense_systems(), st.data())
+@example((4, MIXED_GENS), None)
+@settings(**SETTINGS)
+def test_span_coordinates_are_express_times_den(system, data):
+    # one batch of members, of mixed denominators: row r of C is express of
+    # member r times den, den the least common denominator of all the rows
+    n, gens = system
+    if data is None:  # the explicit example above
+        coefficients = MIXED_MEMBERS[:1] + [(Q(-2, 9), Q(1, 4), Q(0), Q(5))]
+    else:
+        gens = _with_repeats(data, gens, n)
+        coefficients = data.draw(st.lists(vecs(len(gens)), max_size=4))
+    m = oracle.Matrix.from_columns(gens) if gens else None
+    members = [m.apply(c) for c in coefficients] if gens else [(Q(0),) * n]
+    span_ = GeneratedSpan(gens, n)
+    C, den = span_.coordinates(members, "outside")
+    assert C.shape == (len(members), span_.count)
+    rational = [span_.express(v) for v in members]
+    assert [tuple(Q(int(x)) for x in row) for row in C.tolist()] == [
+        tuple(c * den for c in row) for row in rational]
+    assert den == lcm(1, *(int(c.denominator) for row in rational for c in row))
+
+
 def test_floats_are_rejected():
     # a float's binary expansion is no exact constant: Fraction(0.1) would
     # be 3602879701896397/36028797018963968
@@ -797,6 +906,24 @@ for name, (call, (error, text)) in calls.items():
         raise SystemExit(f"{name}: no {error.__name__}")
 print("ok")
 """
+
+
+OUTSIDE_THE_SPAN = """
+import sys
+from supertkk.exact import CertificateError, GeneratedSpan
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+try:
+    GeneratedSpan([(1, 0, 0), (0, 1, 0)], 3).coordinates([(1, 2, 0), (0, 0, 1)], "left the span")
+except CertificateError as e:
+    print(e)
+"""
+
+
+def test_span_coordinates_certificate_survives_python_O():
+    done = run_python(["-O"], OUTSIDE_THE_SPAN)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "left the span"
 
 
 def test_shape_guards_survive_python_O():

@@ -12,6 +12,7 @@ import pytest
 import oracle_linalg as oracle
 from oracle_linalg import triple
 import oracle_tkk
+import oracle_tables
 from supertkk import exact, structure, tensor, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
@@ -338,7 +339,7 @@ def _pair_of(parities, tables):
     """The JordanPair of rational triple tables, encoded at one denominator."""
     dp, dm = map(len, parities)
     return JordanPair("random", parities,
-                      *tensor.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
+                      *oracle_tables.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
 
 
 @given(rational_triples())
@@ -399,7 +400,7 @@ def test_a_pair_returns_its_rational_triples_and_is_read_only(triples):
         with pytest.raises(ValueError):
             T[(0,) * 4] = 1
     # the pair keeps a copy: writing to the arrays it was built from changes nothing
-    source, den = tensor.encode(tables, [t.shape for t in pair.tensors])
+    source, den = oracle_tables.encode(tables, [t.shape for t in pair.tensors])
     copy = JordanPair("copy", parities, source, den)
     source[0][...] += 1
     assert all(copy.basis_triple(0, *key) == tables[0].get(key, {})
@@ -570,18 +571,18 @@ def test_leibniz_system_is_assembled_once(monkeypatch):
 def test_kernel_bases_are_eliminated_once(monkeypatch):
     # integer_kernel's basis is canonical already: Der, the pair derivations,
     # str_w and the centre take it as it is (scattered by Subspace.embedded),
-    # and no Subspace eliminates it a second time
+    # and no Subspace(ambient, vectors) eliminates it a second time
     kack, w2 = resolve("kacK"), lie_catalog("w", 2)
     V, g = (load_algebra(save_algebra(a)) for a in (kack, w2))  # fresh: empty memos
 
     def spaces(V, g):
         return der_algebra(V).dims(), pair_der(V).dims(), str_w(V).dims(), center(g).dim
 
-    def refuse(vectors, ncols):
+    def refuse(rows):
         raise AssertionError("a canonical kernel basis was eliminated again")
 
     want = spaces(kack, w2)
-    monkeypatch.setattr(exact, "_rref_rows", refuse)
+    monkeypatch.setattr(exact, "primitive_rows", refuse)
     assert spaces(V, g) == want
 
 

@@ -102,7 +102,7 @@ def triple_pairs(draw):
         tables.append(table)
     dp, dm = dims
     return JordanPair("random", tuple(par),
-                      *tensor.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
+                      *oracle_tables.encode(tables, [(dp, dm, dp, dp), (dm, dp, dm, dm)]))
 
 
 def _pair_tables(pair):
@@ -400,7 +400,7 @@ def test_int_table_matches_encode(a, scale):
     b = make_algebra(a.parities, [(i, j, k, c) for (i, j), e in table.items() for k, c in e.items()],
                      name=a.name, check=False)
     t = b.int_table
-    (C,), d = tensor.encode([b.table], [(n, n, n)])
+    (C,), d = oracle_tables.encode([b.table], [(n, n, n)])
     dense = t.dense()
     assert (t.d, t.top) == (d, int(abs(C).max()))
     assert dense.dtype == C.dtype == t.value.dtype and (dense == C).all()
@@ -650,7 +650,7 @@ def g0_inputs(draw):
 def test_g0_action_matches_the_loop_oracle(inputs):
     V, A, pa, B, pb = inputs
     n = V.dim
-    (a, b), d = tensor.encode(
+    (a, b), d = oracle_tables.encode(
         [{(r,): {c: x for c, x in enumerate(row) if x} for r, row in enumerate(A.data)},
          {(i, j): {l: B[l * n * n + i * n + j] for l in range(n) if B[l * n * n + i * n + j]}
           for i in range(n) for j in range(n)}], [(n, n), (n, n, n)])
@@ -711,6 +711,23 @@ def _assert_kantor_top_matches_oracle(V):
 @pytest.mark.parametrize("source", ["kacK", "full_matrix:1,1", "form:1,2", "dt:1/2"])
 def test_kantor_top_block_matches_the_loop_oracle(source):
     _assert_kantor_top_matches_oracle(resolve(source))
+
+
+def test_kantor_top_of_an_odd_first_basis_lists_its_even_members_first():
+    # kacK in the basis xi1, a, xi2: the top's family P, [L_0, P], [L_1, P],
+    # [L_2, P] has parities 0, 1, 0, 1 and keeps every member (kacK has no
+    # unit); the one greedy scan over it sorted even-first lists P and
+    # [L_1, P] first, as the oracle's scan per parity does
+    K = resolve("kacK")
+    perm = (1, 0, 2)
+    where = {old: new for new, old in enumerate(perm)}
+    V = superspace.integer_algebra([K.parities[o] for o in perm],
+                                   [(where[i], where[j], where[k], v) for i, j, k, v in K.entries],
+                                   K.d, name="kacK'", kind="jordan")
+    top = kantor(V).data["top"]
+    assert top.tags == [("kantorP", 0), ("kantorLP", 1), ("kantorLP", 0), ("kantorLP", 2)]
+    assert top.parities == [0, 0, 1, 1]
+    _assert_kantor_top_matches_oracle(V)
 
 
 @pytest.mark.parametrize("nth", [0, -1])

@@ -180,13 +180,13 @@ def test_tits_data_validation():
 def test_tits_data_builds_sl2_once(monkeypatch):
     K = jordan_catalog("kacK")
     built = []
-    make_algebra = tkk.make_algebra
+    integer_algebra = tkk.integer_algebra
 
     def spy(*args, **kwargs):
         built.append(kwargs["name"])
-        return make_algebra(*args, **kwargs)
+        return integer_algebra(*args, **kwargs)
 
-    monkeypatch.setattr(tkk, "make_algebra", spy)
+    monkeypatch.setattr(tkk, "integer_algebra", spy)
     data = tits_data(K, "inn")
     assert built.count("sl2") == 1, built
     assert data.sl2.name == "sl2"
@@ -451,10 +451,37 @@ def test_tkk_algebra_bookkeeping():
     assert {o[0] for o in ti.origin} == {"d", "e", "h", "f"}
 
 
+def test_constructions_form_no_rational(monkeypatch):
+    """Ko, Ko~, Kan, Ti and Ko_D of a fresh unital and a fresh non-unital
+    algebra read integer tables, subspaces and spans only: no module of the
+    package calls Q while they are built (Ti's and Ko_D's sl2 included)."""
+    import supertkk
+    from supertkk import catalog, exact, jordan, structure, superspace
+
+    fresh = [load_algebra(save_algebra(resolve(s))) for s in ("full_matrix:1,1", "kacK")]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return Q(*args)
+
+    for module in (supertkk, catalog, exact, jordan, structure, superspace, tkk):
+        if hasattr(module, "Q"):
+            monkeypatch.setattr(module, "Q", spy)
+    for V in fresh:
+        for build in (koecher, koecher_tilde, kantor, lambda V: tits(V, "inn"),
+                      lambda V: tits(V, "der"), lambda V: koecher_d(V, "inn"),
+                      lambda V: koecher_d(V, "der")):
+            assert build(V).lie.dim
+    assert calls == []
+    jordan.find_unit(fresh[0])  # the spy sees the rationals express forms
+    assert calls
+
+
 @pytest.mark.parametrize("source", [("full_matrix", 1, 1), ("form", 1, 2)])
 def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch):
     """The Kantor top space and both equivalence checks factorise their
-    generator lists once per call, however many elements they express."""
+    generator lists once per call, however many elements they read."""
     from collections import Counter
 
     from supertkk.catalog import load_algebra, save_algebra
@@ -466,22 +493,24 @@ def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch
     kantor(V), tits(V, "inn"), koecher_tilde(V), lie_der_tower(ko.lie)
     koecher(j_functor(ko.lie), middle="inn")  # warm every memoized construction
     calls = Counter()
-    init, express = GeneratedSpan.__init__, GeneratedSpan.express
+    init, coordinates = GeneratedSpan.__init__, GeneratedSpan.coordinates
 
     def spy_init(self, *args):
         calls["built"] += 1
         init(self, *args)
 
-    def spy_express(self, *args):
-        calls["expressed"] += 1
-        return express(self, *args)
+    def spy_coordinates(self, vectors, message):
+        vectors = list(vectors)
+        calls["read"] += 1
+        calls["expressed"] += len(vectors)
+        return coordinates(self, vectors, message)
 
     monkeypatch.setattr(GeneratedSpan, "__init__", spy_init)
-    monkeypatch.setattr(GeneratedSpan, "express", spy_express)
-    for run, built in ((lambda: tkk.KantorTop(V), 2), (lambda: find_unit(V), 1),
-                       (lambda: check_unital_equivalences(V), 2),
-                       (lambda: koecher_inverse_check(ko.lie), 1)):
+    monkeypatch.setattr(GeneratedSpan, "coordinates", spy_coordinates)
+    for run, built, read in ((lambda: tkk.KantorTop(V), 1, 0), (lambda: find_unit(V), 1, 0),
+                             (lambda: check_unital_equivalences(V), 2, 1),
+                             (lambda: koecher_inverse_check(ko.lie), 1, 1)):
         calls.clear()
         run()
-        assert calls["built"] == built, calls
+        assert (calls["built"], calls["read"]) == (built, read), calls
     assert calls["expressed"] > 1
