@@ -9,6 +9,14 @@ families, and the exterior tower: the Poisson bracket on lambda(n), the
 derivation algebra w(n), htilde(n)/h(n), and two semidirect extensions by the
 Euler operator C.
 
+Every Lie entry is built on the integers.  The matrix families are spans of
++-1 matrices: their supercommutators are one batched product
+(`tensor.brackets`), written in the spanning matrices by one certified
+`GeneratedSpan.coordinates` call; the quotients (psl, pgl, psq, pq,
+htilde) and h go through the sparse integer `quotient_algebra` and
+`subalgebra`, and the exterior tower writes its integer constants itself.
+Each entry is checked by `integer_algebra`.
+
 Files are line-oriented JSON with exact rational coefficients kept as strings,
 so load(save(spec)) == spec and saving is byte-for-byte reproducible.
 """
@@ -21,7 +29,8 @@ from dataclasses import dataclass, field
 from math import lcm
 from pathlib import Path
 
-from .exact import GeneratedSpan, Q, certify, span
+from . import tensor
+from .exact import GeneratedSpan, Q, span
 from .superspace import (SuperAlgebra, derived, integer_algebra, make_algebra, mirror,
                          quotient_algebra, subalgebra)
 
@@ -132,24 +141,6 @@ def _build_dt(t):
 # matrix Lie families, built from explicit spanning matrices
 
 
-def _compose(x, y):
-    rows = {}
-    for (b, c), v in y.items():
-        rows.setdefault(b, []).append((c, v))
-    out = {}
-    for (a, b), v in x.items():
-        for c, w in rows.get(b, ()):
-            out[a, c] = out.get((a, c), Q(0)) + v * w
-    return {k: v for k, v in out.items() if v}
-
-
-def _flat(mat, d):
-    row = [Q(0)] * (d * d)
-    for (a, b), v in mat.items():
-        row[a * d + b] = v
-    return tuple(row)
-
-
 def _mat_parity(mat, idx_par):
     pars = {(idx_par[a] + idx_par[b]) % 2 for a, b in mat}
     if len(pars) != 1:
@@ -157,43 +148,49 @@ def _mat_parity(mat, idx_par):
     return pars.pop()
 
 
+def _stack(mats, d):
+    """The integer matrices {(a, b): value} as one array [t, a, b]."""
+    import numpy as np
+    M = np.zeros((len(mats), d, d), dtype=np.int64)
+    for t, mat in enumerate(mats):
+        for (a, b), v in mat.items():
+            M[t, a, b] = v
+    return M
+
+
 def _span_algebra(idx_par, mats, *, name, metadata=None):
-    """Structure constants of a bracket-closed span of matrices.
+    """Structure constants of a bracket-closed span of integer matrices.
 
     idx_par gives the parity of each index of the underlying superspace; the
-    bracket is the supercommutator.  Raises if the matrices are dependent or
-    the span is not closed.
+    bracket is the supercommutator, formed for every pair in one batched
+    product (`tensor.brackets`), and its coordinates in the matrices are
+    read in one certified batch (`GeneratedSpan.coordinates`).  Raises if
+    the matrices are dependent or the span is not closed.
     """
-    d = len(idx_par)
-    gens = GeneratedSpan([_flat(m, d) for m in mats], d * d)
-    if gens.dim < len(mats):
+    import numpy as np
+    d, k = len(idx_par), len(mats)
+    M = _stack(mats, d)
+    gens = GeneratedSpan(M.reshape(k, d * d).tolist(), d * d)
+    if gens.dim < k:
         raise ValueError(f"{name}: spanning matrices are dependent")
     parities = tuple(_mat_parity(m, idx_par) for m in mats)
-    products = []
-    for i, x in enumerate(mats):
-        for j, y in enumerate(mats):
-            xy, yx = _compose(x, y), _compose(y, x)
-            s = 1 if parities[i] * parities[j] % 2 == 0 else -1
-            br = dict(xy)
-            for ab, v in yx.items():
-                br[ab] = br.get(ab, Q(0)) - v * s
-            coords = gens.express(_flat(br, d))
-            if coords is None:
-                raise ValueError(f"{name}: span not closed under the bracket")
-            products.extend((i, j, k, c) for k, c in enumerate(coords) if c)
-    return make_algebra(parities, products, name=name, kind="lie",
-                        metadata=metadata or {})
+    C, den = gens.coordinates(tensor.brackets(M, parities, M, parities).reshape(k * k, d * d)
+                              .tolist(), f"{name}: span not closed under the bracket")
+    ts, r = np.nonzero(C)
+    entries = zip((ts // k).tolist(), (ts % k).tolist(), r.tolist(), C[ts, r].tolist())
+    return integer_algebra(parities, entries, den, name=name, kind="lie",
+                           metadata=metadata or {})
 
 
 def _E(a, b):
-    return {(a, b): Q(1)}
+    return {(a, b): 1}
 
 
 def _mat_sum(*terms):
     out = {}
     for mat, c in terms:
         for ab, v in mat.items():
-            out[ab] = out.get(ab, Q(0)) + v * c
+            out[ab] = out.get(ab, 0) + v * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -208,37 +205,32 @@ def _sl_mats(m, n):
     idx_par = tuple(int(a >= m) for a in range(d))
     mats = [_E(a, b) for a in range(d) for b in range(d) if a != b]
     for a in range(d - 1):
-        sa = Q(-1) if idx_par[a] else Q(1)
-        sb = Q(-1) if idx_par[a + 1] else Q(1)
+        sa = -1 if idx_par[a] else 1
+        sb = -1 if idx_par[a + 1] else 1
         mats.append(_mat_sum((_E(a, a), sa), (_E(a + 1, a + 1), -sb)))
     return idx_par, mats
 
 
-def _identity_mat(d):
-    return _mat_sum(*((_E(a, a), Q(1)) for a in range(d)))
-
-
 def _quotient_by_identity(alg, idx_par, mats, *, name, metadata):
     d = len(idx_par)
-    coords = GeneratedSpan([_flat(m, d) for m in mats], d * d).express(
-        _flat(_identity_mat(d), d))
-    certify(coords is not None, "identity matrix should lie in the span")
-    return quotient_algebra(alg, span([coords]), name=name, metadata=metadata)
+    C, _ = GeneratedSpan(_stack(mats, d).reshape(len(mats), d * d).tolist(), d * d).coordinates(
+        [[int(c % (d + 1) == 0) for c in range(d * d)]], "identity matrix should lie in the span")
+    return quotient_algebra(alg, span(C.tolist()), name=name, metadata=metadata)
 
 
 def _pe_mats(n):
     idx_par = (0,) * n + (1,) * n
-    mats = [_mat_sum((_E(a, b), Q(1)), (_E(n + b, n + a), Q(-1)))
+    mats = [_mat_sum((_E(a, b), 1), (_E(n + b, n + a), -1))
             for a in range(n) for b in range(n)]
     for a in range(n):
         for b in range(a, n):
             if a == b:
                 mats.append(_E(a, n + a))
             else:
-                mats.append(_mat_sum((_E(a, n + b), Q(1)), (_E(b, n + a), Q(1))))
+                mats.append(_mat_sum((_E(a, n + b), 1), (_E(b, n + a), 1)))
     for a in range(n):
         for b in range(a + 1, n):
-            mats.append(_mat_sum((_E(n + a, b), Q(1)), (_E(n + b, a), Q(-1))))
+            mats.append(_mat_sum((_E(n + a, b), 1), (_E(n + b, a), -1)))
     return idx_par, mats
 
 
@@ -247,17 +239,17 @@ def _spe_mats(n):
     diag = {a * n + a: pe[a * n + a] for a in range(n)}  # A_aa positions
     mats = [m for i, m in enumerate(pe) if i not in diag]
     for a in range(n - 1):
-        mats.append(_mat_sum((diag[a * n + a], Q(1)),
-                             (diag[(a + 1) * n + a + 1], Q(-1))))
+        mats.append(_mat_sum((diag[a * n + a], 1),
+                             (diag[(a + 1) * n + a + 1], -1)))
     return idx_par, mats
 
 
 def _q_even(n, a, b):
-    return _mat_sum((_E(a, b), Q(1)), (_E(n + a, n + b), Q(1)))
+    return _mat_sum((_E(a, b), 1), (_E(n + a, n + b), 1))
 
 
 def _q_odd(n, a, b):
-    return _mat_sum((_E(a, n + b), Q(1)), (_E(n + a, b), Q(1)))
+    return _mat_sum((_E(a, n + b), 1), (_E(n + a, b), 1))
 
 
 def _q_mats(n):
@@ -272,7 +264,7 @@ def _sq_mats(n):
     mats = [_q_even(n, a, b) for a in range(n) for b in range(n)]
     mats += [_q_odd(n, a, b) for a in range(n) for b in range(n) if a != b]
     for a in range(n - 1):
-        mats.append(_mat_sum((_q_odd(n, a, a), Q(1)), (_q_odd(n, a + 1, a + 1), Q(-1))))
+        mats.append(_mat_sum((_q_odd(n, a, a), 1), (_q_odd(n, a + 1, a + 1), -1)))
     return idx_par, mats
 
 
@@ -343,7 +335,7 @@ def _build_lambda(n):
 
 def _build_htilde(n):
     lam = lie_catalog("lambda", n)
-    return quotient_algebra(lam, span([lam.basis_vector(0)]), name=f"htilde({n})",
+    return quotient_algebra(lam, span([(1,) + (0,) * (lam.dim - 1)]), name=f"htilde({n})",
                             metadata={"family": "htilde"})
 
 

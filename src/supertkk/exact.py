@@ -232,10 +232,10 @@ class Subspace:
                                 for row in self.rows)
         return self._basis
 
-    def _residue(self, vec: Sequence) -> tuple[list, int]:
-        """(R, s): vec reduced by the basis is R / s, on the integers: with
-        vec = V / e, R = den V - sum V[p] rows_p over the pivots p, s = den e."""
-        v, e = _scaled(vec, self.ambient)
+    def contains(self, vec: Sequence) -> bool:
+        """Whether vec lies in the space: with vec = V / e, its integer residue
+        den V - sum V[p] rows_p over the pivots p is zero."""
+        v, _ = _scaled(vec, self.ambient)
         out = [0] * self.ambient
         for j, x in v.items():
             out[j] = x * self.den
@@ -245,27 +245,11 @@ class Subspace:
                 for j, y in enumerate(row):
                     if y:
                         out[j] -= c * y
-        return out, self.den * e
-
-    def reduce(self, vec: Sequence) -> list:
-        """vec reduced by the canonical basis (pivot coordinates zeroed); 0 iff vec is inside."""
-        R, s = self._residue(vec)
-        return [Q(x, s) if x else ZERO for x in R]
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._residue(vec)[0])
+        return not any(out)
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(self.contains(r) for r in other.rows)
-
-    def coordinates(self, vec: Sequence):
-        """Coefficients of vec in the canonical basis, or None if outside.
-
-        Each basis row is 1 at its own pivot and 0 at the others, so the
-        coefficients are the entries of vec at the pivot columns."""
-        v = tuple(vec)
-        return tuple(Q(v[p]) for p in self.pivots) if self.contains(v) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -18,6 +18,14 @@ first use.  Supercommutativity, which every Jordan build checks, and
 super-anticommutativity compare each entry with its mirror in pure Python,
 so a Jordan algebra is built without numpy; super-Jacobi, which a Lie build
 checks, runs on the integer table (`tensor.IntTable`).
+
+`subalgebra` and `quotient_algebra` read a subspace's integer rows over
+its denominator and join them with the table's nonzeros (Gustavson's
+row-wise sparse product), folded by `exact.sum_by_key`; a product lies in
+the subspace iff its integer residue is zero (`_residues`), which
+certifies the coordinates they read off the pivot columns.  Their arrays
+follow the nonzeros (no slot per product and coordinate), and no rational
+is formed.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (GeneratedSpan, IntRows, Q, Subspace, ZERO, certify, int_dtype,
-                            integer_kernel, primitive_row_blocks)
+from supertkk.exact import (IntRows, Q, Subspace, ZERO, certify, int_dtype, integer_kernel,
+                            primitive_row_blocks, sum_by_key)
 
 
 @dataclass
@@ -297,17 +305,8 @@ def derived(a: SuperAlgebra) -> Subspace:
     return Subspace.from_int_rows(a.dim, _table_rows(a, t.i * a.dim + t.j, t.k))
 
 
-def _graded_components(a: SuperAlgebra, vec) -> dict:
-    comps: dict = {}
-    for i, x in enumerate(vec):
-        if x:
-            key = (a.zdegree(i), a.parity(i))
-            comps.setdefault(key, [ZERO] * a.dim)[i] = x
-    return comps
-
-
-def _split_graded_basis(a: SuperAlgebra, s: Subspace, what: str):
-    """Homogeneous basis of a graded subspace, sorted by (degree, parity).
+def _row_grades(a: SuperAlgebra, s: Subspace, what: str) -> list:
+    """The (degree, parity) of each canonical basis row of a graded subspace.
 
     Basis coordinates are homogeneous, so the canonical RREF basis of a graded
     subspace is automatically homogeneous; a mixed basis vector is proof the
@@ -315,67 +314,139 @@ def _split_graded_basis(a: SuperAlgebra, s: Subspace, what: str):
     """
     if s.ambient != a.dim:
         raise ValueError(f"{what}: ambient {s.ambient} != algebra dim {a.dim}")
-    out = []
-    for v in s.basis:
-        comps = _graded_components(a, v)
+    keys = []
+    for row in s.rows:
+        comps = {(a.zdegree(i), a.parity(i)) for i, x in enumerate(row) if x}
         if len(comps) > 1:
             raise ValueError(f"{what}: subspace is not graded (mixed basis vector)")
-        (key,) = comps or {(0, 0): None}
-        out.append((key, v))
-    out.sort(key=lambda kv: kv[0])
-    return out
+        keys.append(comps.pop())
+    return keys
+
+
+def _join(left, right):
+    """Index arrays (a, b) of every pair with left[a] == right[b], a
+    ascending: each left entry meets the run of right entries sharing its
+    key, so the work follows the pairs (Gustavson's row-wise sparse
+    product)."""
+    import numpy as np
+    order = np.argsort(right, kind="stable")
+    lo = np.searchsorted(right[order], left)
+    lens = np.searchsorted(right[order], left, side="right") - lo
+    a = np.repeat(np.arange(len(left)), lens)
+    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(lens) + lens, lens)]
+
+
+def _nonzeros(s: Subspace, order=None):
+    """(row, col, value, top) of s's integer basis rows, taken in the given
+    order (pivot order by default): the arrays of their nonzero entries and
+    max|value|."""
+    import numpy as np
+    rows = [s.rows[r] for r in (range(s.dim) if order is None else order)]
+    top = max((abs(x) for row in rows for x in row), default=0)
+    M = np.array(rows, dtype=int_dtype(top)).reshape(len(rows), s.ambient)
+    r, c = np.nonzero(M)
+    return r, c, M[r, c], top
+
+
+def _residues(s: Subspace, group, col, val):
+    """The nonzero entries (group, col, value) of the integer residues
+    den w_g - sum_p w_g[pivots[p]] rows[p] of the sparse integer vectors w_g
+    given by their entries (group, col, val) in s = span(rows / den): as the
+    basis row p is den at pivots[p] and 0 at the other pivots, w_g / e lies
+    in s, for any scale e, iff its residue is zero, and then its coordinates
+    are its entries at the pivot columns.  The pivot entries of the w_g meet
+    the entries of the rows on p (`_join`), and `sum_by_key` folds both
+    sides per (group, col).  val's dtype must hold
+    max|val| (den + dim max|rows|), which bounds every residue."""
+    import numpy as np
+    n = s.ambient
+    at = np.full(n, -1, dtype=np.int64)
+    at[list(s.pivots)] = np.arange(s.dim)
+    r, c, x, _ = _nonzeros(s)
+    hit = np.flatnonzero(at[col] >= 0)
+    w, e = _join(at[col[hit]], r)
+    key, res = sum_by_key(np.concatenate([group * n + col, group[hit][w] * n + c[e]]),
+                          np.concatenate([val * s.den, -(val[hit][w] * x[e])]))
+    return key // n, key % n, res
 
 
 def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None, metadata=None) -> SuperAlgebra:
-    """Restrict the product to a graded subspace closed under it; metadata defaults to a's."""
-    graded = _split_graded_basis(a, s, "subalgebra")
-    vectors = [v for _, v in graded]
-    gens = GeneratedSpan(vectors, a.dim)
-    products = []
-    for m, vm in enumerate(vectors):
-        for l, vl in enumerate(vectors):
-            prod = a.product(vm, vl)
-            coords = gens.express(prod)
-            if coords is None:
-                raise ValueError(
-                    f"subalgebra: not closed, product of basis vectors ({m},{l}) leaves it")
-            products.extend((m, l, k, c) for k, c in enumerate(coords) if c)
-    parities = [a.parity(next(i for i, x in enumerate(v) if x)) if any(v) else 0
-                for v in vectors]
-    zdeg = None
-    if a.zdegrees is not None:
-        zdeg = [a.zdegree(next(i for i, x in enumerate(v) if x)) if any(v) else 0
-                for v in vectors]
-    return make_algebra(parities, products, zdeg,
-                        name=name or f"{a.name}|sub", kind=a.kind,
-                        metadata=a.metadata if metadata is None else metadata,
-                        check=False)
+    """Restrict the product to a graded subspace closed under it, its basis
+    the canonical one sorted by (degree, parity); metadata defaults to a's.
+
+    With the basis x_p = X_p / den (X integer), the products are
+    P[p, q] = d den**2 x_p x_q = sum X[p, i] X[q, j] C[i, j] over the
+    table's nonzeros C[i, j, k] = d (e_i e_j)_k: two sparse joins, on i and
+    then on j, each folded by `sum_by_key`.  The coordinates of x_p x_q are
+    P[p, q] at the pivot columns over d den**2, certified by their integer
+    residue (`_residues`); a product outside the span names the first pair
+    (p, q) in row-major order."""
+    import numpy as np
+    keys = _row_grades(a, s, "subalgebra")
+    order = sorted(range(s.dim), key=keys.__getitem__)
+    t, n, m = a.int_table, a.dim, s.dim
+    r, c, x, top = _nonzeros(s, order)
+    # |P| <= n**2 max|C| top**2, and its residues (`_residues`) (den + m top) times that
+    dtype = int_dtype(n * n * max(t.top, 1) * top ** 2 * (s.den + m * top))
+    x, value = x.astype(dtype), t.value.astype(dtype)
+    e, f = _join(t.i, c)                    # x_p e_j over (p, j, k), times d den
+    key, val = sum_by_key((r[f] * n + t.j[e]) * n + t.k[e], value[e] * x[f])
+    e, f = _join(key // n % n, c)           # P over (p, q, k)
+    key, val = sum_by_key((key[e] // (n * n) * m + r[f]) * n + key[e] % n, val[e] * x[f])
+    group, col = key // n, key % n
+    bad, _, _ = _residues(s, group, col, val)
+    if len(bad):
+        raise ValueError("subalgebra: not closed, product of basis vectors "
+                         f"({bad[0] // m},{bad[0] % m}) leaves it")
+    at = np.full(n, -1, dtype=np.int64)
+    at[[s.pivots[o] for o in order]] = np.arange(m)
+    on = at[col] >= 0
+    entries = zip((group[on] // m).tolist(), (group[on] % m).tolist(), at[col[on]].tolist(),
+                  val[on].tolist())
+    return integer_algebra([keys[o][1] for o in order], entries, t.d * s.den ** 2,
+                           [keys[o][0] for o in order] if a.zdegrees is not None else None,
+                           name=name or f"{a.name}|sub", kind=a.kind,
+                           metadata=a.metadata if metadata is None else metadata, check=False)
 
 
 def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
                      metadata=None) -> SuperAlgebra:
-    """Quotient by a graded two-sided ideal (verified); metadata defaults to a's."""
-    _split_graded_basis(a, ideal, "quotient")
-    for i in range(a.dim):
-        b = a.basis_vector(i)
-        for v in ideal.basis:
-            if not ideal.contains(a.product(b, v)):
-                raise ValueError(f"quotient: not an ideal, e_{i}*v escapes (v in ideal)")
-            if not ideal.contains(a.product(v, b)):
-                raise ValueError(f"quotient: not an ideal, v*e_{i} escapes (v in ideal)")
-    keep = [i for i in range(a.dim) if i not in set(ideal.pivots)]
-    pos = {i: m for m, i in enumerate(keep)}
-    products = []
-    for m, i in enumerate(keep):
-        for l, j in enumerate(keep):
-            prod = ideal.reduce(a.product(a.basis_vector(i), a.basis_vector(j)))
-            for k, c in enumerate(prod):
-                if c:
-                    certify(k in pos, "reduction left a pivot coordinate")
-                    products.append((m, l, pos[k], c))
-    parities = [a.parity(i) for i in keep]
-    zdeg = [a.zdegree(i) for i in keep] if a.zdegrees is not None else None
-    return make_algebra(parities, products, zdeg,
-                        name=name or f"{a.name}/ideal", kind=a.kind,
-                        metadata=a.metadata if metadata is None else metadata,
-                        check=False)
+    """Quotient by a graded two-sided ideal (verified); metadata defaults to a's.
+
+    With the ideal's canonical basis v_r = Y_r / den, the products
+    d den e_i v_r and d den v_r e_i are sparse joins of the table's nonzeros
+    with the rows' on j, and each lies in the ideal iff its integer residue
+    is zero (`_residues`); the first failure, in the order of i, then r,
+    then e_i v_r before v_r e_i, is reported.  The quotient's basis is the
+    e_i off the ideal's pivots, and its table the residues of their
+    products, certified to leave no pivot coordinate, over d den."""
+    import numpy as np
+    _row_grades(a, ideal, "quotient")
+    t, n, m = a.int_table, a.dim, ideal.dim
+    r, c, y, top = _nonzeros(ideal)
+    # |d den e_i v_r| <= n max|C| top, and its residues (den + m top) times that
+    dtype = int_dtype(n * max(t.top, 1) * max(top, 1) * (ideal.den + m * top))
+    y, value = y.astype(dtype), t.value.astype(dtype)
+    group, col, val = [], [], []
+    for side, (i, j) in enumerate(((t.i, t.j), (t.j, t.i))):
+        e, f = _join(j, c)
+        group.append((i[e] * m + r[f]) * 2 + side)
+        col.append(t.k[e])
+        val.append(value[e] * y[f])
+    bad, _, _ = _residues(ideal, *map(np.concatenate, (group, col, val)))
+    if len(bad):
+        i, side = int(bad[0]) // (2 * m), int(bad[0]) % 2
+        where = f"v*e_{i}" if side else f"e_{i}*v"
+        raise ValueError(f"quotient: not an ideal, {where} escapes (v in ideal)")
+    keep = np.ones(n, dtype=bool)
+    keep[list(ideal.pivots)] = False
+    at = np.cumsum(keep) - 1                # position of each kept e_i in the quotient
+    on = keep[t.i] & keep[t.j]
+    group, col, val = _residues(ideal, at[t.i[on]] * n + at[t.j[on]], t.k[on], value[on])
+    certify(keep[col].all(), "reduction left a pivot coordinate")
+    kept = np.flatnonzero(keep)
+    entries = zip((group // n).tolist(), (group % n).tolist(), at[col].tolist(), val.tolist())
+    return integer_algebra([a.parity(i) for i in kept], entries, t.d * ideal.den,
+                           [a.zdegree(i) for i in kept] if a.zdegrees is not None else None,
+                           name=name or f"{a.name}/ideal", kind=a.kind,
+                           metadata=a.metadata if metadata is None else metadata, check=False)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/supertkk/"
+CATALOG = "tests/test_catalog.py::"
 DEGREE0 = "tests/test_degree0.py::"
 LINALG = "tests/test_linalg.py::"
 STRUCTURE = "tests/test_structure.py::"
@@ -171,6 +172,30 @@ MUTANTS = [
     ("structure.OperatorSpace.stack leaves each part at its own den", PKG + "structure.py",
      "rows = [[x * (den // part.den) for x in row]", "rows = [[x for x in row]",
      [DEGREE0 + "test_constructions_match_the_loop_oracle"]),
+    ("superspace.quotient_algebra tests only e_i v", PKG + "superspace.py",
+     "enumerate(((t.i, t.j), (t.j, t.i)))", "enumerate(((t.i, t.j),))",
+     [SUPERSPACE + "test_subalgebra_and_quotient_refuse_like_the_oracle"]),
+    ("superspace.subalgebra drops its recombination certificate", PKG + "superspace.py",
+     "bad, _, _ = _residues(s, group, col, val)", "bad = []",
+     [SUPERSPACE + "test_subalgebra_and_quotient_refuse_like_the_oracle"]),
+    ("catalog._span_algebra drops the odd-odd sign", PKG + "catalog.py",
+     "tensor.brackets(M, parities, M, parities)", "tensor.brackets(M, parities, M, [0] * k)",
+     [CATALOG + "test_every_lie_default_matches_its_rational_build"]),
+    ("superspace.quotient_algebra drops the ideal's den", PKG + "superspace.py",
+     "t.d * ideal.den,", "t.d,",
+     [SUPERSPACE + "test_quotient_by_a_centre_over_a_denominator",
+      SUPERSPACE + "test_subalgebra_and_quotient_match_the_rational_oracle"]),
+    ("superspace._residues drops the den of w", PKG + "superspace.py",
+     "[val * s.den,", "[val,",
+     [SUPERSPACE + "test_quotient_by_a_centre_over_a_denominator",
+      SUPERSPACE + "test_subalgebra_and_quotient_match_the_rational_oracle"]),
+    ("superspace.subalgebra runs in int64 without its bound", PKG + "superspace.py",
+     "dtype = int_dtype(n * n * max(t.top, 1) * top ** 2 * (s.den + m * top))",
+     "dtype = np.int64",
+     [SUPERSPACE + "test_subalgebra_and_quotient_match_the_rational_oracle"]),
+    ("superspace.subalgebra keeps the pivot order", PKG + "superspace.py",
+     "order = sorted(range(s.dim), key=keys.__getitem__)", "order = list(range(s.dim))",
+     [SUPERSPACE + "test_subalgebra_and_quotient_match_the_rational_oracle"]),
 ]
 
 

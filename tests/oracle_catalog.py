@@ -1,0 +1,177 @@
+"""The rational builders of the Lie catalog (test-only oracle).
+
+Before the Lie catalog was built on the integers, its matrix spans,
+subalgebras and quotients ran on `Fraction`s, one product at a time; they
+are kept here verbatim as the reference the integer builders are compared
+with:
+
+- `span_algebra` is the former `catalog._span_algebra`: each spanning
+  matrix a sparse rational dict, each supercommutator composed pair by pair
+  (`_compose`), flattened (`_flat`) and written in the matrices by
+  `GeneratedSpan.express`.  `quotient_by_identity` is the former
+  `catalog._quotient_by_identity`, which expressed the identity the same way.
+- `subalgebra` and `quotient_algebra` are the former `superspace` functions:
+  every product of two basis vectors by `SuperAlgebra.product`, each
+  expressed (`subalgebra`), tested for membership (`Subspace.contains`) or
+  reduced (`oracle_linalg.reduce`, the former `Subspace.reduce`) on its own.
+
+`BUILDERS` maps the names under which `supertkk.catalog` calls the four, so
+a test can build the whole Lie catalog through them.
+"""
+
+from oracle_linalg import reduce
+from supertkk.exact import GeneratedSpan, Q, Subspace, ZERO, certify, span
+from supertkk.superspace import SuperAlgebra, make_algebra
+
+
+def _compose(x, y):
+    rows = {}
+    for (b, c), v in y.items():
+        rows.setdefault(b, []).append((c, v))
+    out = {}
+    for (a, b), v in x.items():
+        for c, w in rows.get(b, ()):
+            out[a, c] = out.get((a, c), Q(0)) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+def _flat(mat, d):
+    row = [Q(0)] * (d * d)
+    for (a, b), v in mat.items():
+        row[a * d + b] = v
+    return tuple(row)
+
+
+def _mat_parity(mat, idx_par):
+    pars = {(idx_par[a] + idx_par[b]) % 2 for a, b in mat}
+    if len(pars) != 1:
+        raise ValueError("spanning matrix is not parity-homogeneous")
+    return pars.pop()
+
+
+def span_algebra(idx_par, mats, *, name, metadata=None):
+    """Structure constants of a bracket-closed span of matrices.
+
+    idx_par gives the parity of each index of the underlying superspace; the
+    bracket is the supercommutator.  Raises if the matrices are dependent or
+    the span is not closed.
+    """
+    d = len(idx_par)
+    gens = GeneratedSpan([_flat(m, d) for m in mats], d * d)
+    if gens.dim < len(mats):
+        raise ValueError(f"{name}: spanning matrices are dependent")
+    parities = tuple(_mat_parity(m, idx_par) for m in mats)
+    products = []
+    for i, x in enumerate(mats):
+        for j, y in enumerate(mats):
+            xy, yx = _compose(x, y), _compose(y, x)
+            s = 1 if parities[i] * parities[j] % 2 == 0 else -1
+            br = dict(xy)
+            for ab, v in yx.items():
+                br[ab] = br.get(ab, Q(0)) - v * s
+            coords = gens.express(_flat(br, d))
+            if coords is None:
+                raise ValueError(f"{name}: span not closed under the bracket")
+            products.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+    return make_algebra(parities, products, name=name, kind="lie",
+                        metadata=metadata or {})
+
+
+def _identity_mat(d):
+    return {(a, a): Q(1) for a in range(d)}
+
+
+def quotient_by_identity(alg, idx_par, mats, *, name, metadata):
+    d = len(idx_par)
+    coords = GeneratedSpan([_flat(m, d) for m in mats], d * d).express(
+        _flat(_identity_mat(d), d))
+    certify(coords is not None, "identity matrix should lie in the span")
+    return quotient_algebra(alg, span([coords]), name=name, metadata=metadata)
+
+
+def _graded_components(a: SuperAlgebra, vec) -> dict:
+    comps: dict = {}
+    for i, x in enumerate(vec):
+        if x:
+            key = (a.zdegree(i), a.parity(i))
+            comps.setdefault(key, [ZERO] * a.dim)[i] = x
+    return comps
+
+
+def _split_graded_basis(a: SuperAlgebra, s: Subspace, what: str):
+    """Homogeneous basis of a graded subspace, sorted by (degree, parity).
+
+    Basis coordinates are homogeneous, so the canonical RREF basis of a graded
+    subspace is automatically homogeneous; a mixed basis vector is proof the
+    subspace is not graded.
+    """
+    if s.ambient != a.dim:
+        raise ValueError(f"{what}: ambient {s.ambient} != algebra dim {a.dim}")
+    out = []
+    for v in s.basis:
+        comps = _graded_components(a, v)
+        if len(comps) > 1:
+            raise ValueError(f"{what}: subspace is not graded (mixed basis vector)")
+        (key,) = comps or {(0, 0): None}
+        out.append((key, v))
+    out.sort(key=lambda kv: kv[0])
+    return out
+
+
+def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None, metadata=None) -> SuperAlgebra:
+    """Restrict the product to a graded subspace closed under it; metadata defaults to a's."""
+    graded = _split_graded_basis(a, s, "subalgebra")
+    vectors = [v for _, v in graded]
+    gens = GeneratedSpan(vectors, a.dim)
+    products = []
+    for m, vm in enumerate(vectors):
+        for l, vl in enumerate(vectors):
+            prod = a.product(vm, vl)
+            coords = gens.express(prod)
+            if coords is None:
+                raise ValueError(
+                    f"subalgebra: not closed, product of basis vectors ({m},{l}) leaves it")
+            products.extend((m, l, k, c) for k, c in enumerate(coords) if c)
+    parities = [a.parity(next(i for i, x in enumerate(v) if x)) if any(v) else 0
+                for v in vectors]
+    zdeg = None
+    if a.zdegrees is not None:
+        zdeg = [a.zdegree(next(i for i, x in enumerate(v) if x)) if any(v) else 0
+                for v in vectors]
+    return make_algebra(parities, products, zdeg,
+                        name=name or f"{a.name}|sub", kind=a.kind,
+                        metadata=a.metadata if metadata is None else metadata,
+                        check=False)
+
+
+def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
+                     metadata=None) -> SuperAlgebra:
+    """Quotient by a graded two-sided ideal (verified); metadata defaults to a's."""
+    _split_graded_basis(a, ideal, "quotient")
+    for i in range(a.dim):
+        b = a.basis_vector(i)
+        for v in ideal.basis:
+            if not ideal.contains(a.product(b, v)):
+                raise ValueError(f"quotient: not an ideal, e_{i}*v escapes (v in ideal)")
+            if not ideal.contains(a.product(v, b)):
+                raise ValueError(f"quotient: not an ideal, v*e_{i} escapes (v in ideal)")
+    keep = [i for i in range(a.dim) if i not in set(ideal.pivots)]
+    pos = {i: m for m, i in enumerate(keep)}
+    products = []
+    for m, i in enumerate(keep):
+        for l, j in enumerate(keep):
+            prod = reduce(ideal, a.product(a.basis_vector(i), a.basis_vector(j)))
+            for k, c in enumerate(prod):
+                if c:
+                    certify(k in pos, "reduction left a pivot coordinate")
+                    products.append((m, l, pos[k], c))
+    parities = [a.parity(i) for i in keep]
+    zdeg = [a.zdegree(i) for i in keep] if a.zdegrees is not None else None
+    return make_algebra(parities, products, zdeg,
+                        name=name or f"{a.name}/ideal", kind=a.kind,
+                        metadata=a.metadata if metadata is None else metadata,
+                        check=False)
+
+
+BUILDERS = {"_span_algebra": span_algebra, "_quotient_by_identity": quotient_by_identity,
+            "subalgebra": subalgebra, "quotient_algebra": quotient_algebra}

@@ -42,6 +42,10 @@ operators, `l_op`, `d_op` and `u_op` the former jordan ones (`d_op` here
 built from the Fraction `triple`, unlike the operator-formula `d_op` of
 oracle_identities), and `operators` the former `OperatorSpace.operators()`;
 `vec_is_zero` is the former `exact.vec_is_zero`, which no package code calls.
+`reduce` and `coordinates` are the former `Subspace.reduce` and
+`Subspace.coordinates`, which no package code calls since `subalgebra` and
+`quotient_algebra` read integer residues in one sparse join; `reduce` is
+written here on the rational basis, `coordinates` verbatim.
 """
 
 from __future__ import annotations
@@ -94,6 +98,26 @@ def triple(V: SuperAlgebra, x, y, z) -> tuple:
 
 def vec_is_zero(v: Sequence) -> bool:
     return all(not x for x in v)
+
+
+def reduce(s: Subspace, vec: Sequence) -> list:
+    """vec reduced by the canonical basis (pivot coordinates zeroed); 0 iff vec is inside."""
+    v = [Q(x) for x in vec]
+    if len(v) != s.ambient:
+        raise ValueError(f"ambient dimension mismatch: {len(v)} != {s.ambient}")
+    for b, p in zip(s.basis, s.pivots):
+        c = v[p]
+        v = [x - c * y for x, y in zip(v, b)]
+    return v
+
+
+def coordinates(s: Subspace, vec: Sequence):
+    """Coefficients of vec in the canonical basis, or None if outside.
+
+    Each basis row is 1 at its own pivot and 0 at the others, so the
+    coefficients are the entries of vec at the pivot columns."""
+    v = tuple(vec)
+    return tuple(Q(v[p]) for p in s.pivots) if s.contains(v) else None
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:

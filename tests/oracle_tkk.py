@@ -6,7 +6,7 @@ the TKK constructions before they moved onto the integer-tensor layer
 (`OperatorStack.bracket`, `OperatorSpace.coordinates`,
 `tensor.bracket_map_defect`), kept verbatim as the slow reference: each
 supercommutator is a dense Matrix product, and each coordinate vector comes
-from `Subspace.coordinates` one operator at a time (`op_coords`).
+from the former `Subspace.coordinates` one operator at a time (`op_coords`).
 
 - `inn_algebra`, `l_space`, `double`, `pair_d_ops`, `pair_inn` and
   `istr_tilde` are the former structure builders, and `pair_triple` the
@@ -71,8 +71,8 @@ from __future__ import annotations
 from oracle_identities import _g0_on_gplus, _gplus_on_gminus, _hom2_flat_p, center
 import oracle_linalg
 import oracle_tables
-from oracle_linalg import (Matrix, SpanSolver, d_op, l_op, left_mult_matrix, operators,
-                           supercommutator, triple)
+from oracle_linalg import (Matrix, SpanSolver, coordinates, d_op, l_op, left_mult_matrix,
+                           operators, supercommutator, triple)
 from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
 from supertkk.jordan import find_unit
@@ -265,7 +265,7 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
 
 def op_coords(space: OperatorSpace, flat, parity: int) -> list:
     """Coordinates of a flattened operator in the basis order of operators()."""
-    coords = space.part(parity).coordinates(flat)
+    coords = coordinates(space.part(parity), flat)
     certify(coords is not None, f"operator does not lie in {space.label}")
     if parity % 2:
         return [Q(0)] * space.even.dim + list(coords)

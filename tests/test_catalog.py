@@ -332,3 +332,68 @@ def test_round_trip_random_even_tables(entries):
     assert load(save(spec)) == spec
     b = spec_to_algebra(spec)
     assert b.table == a.table
+
+
+def _fields(a):
+    return a.entries, a.d, a.parities, a.zdegrees, a.name, dict(a.metadata), a.kind
+
+
+def test_every_lie_default_matches_its_rational_build(monkeypatch):
+    """Each Lie default, built fresh on the integers, equals its build on the
+    rational oracle builders (`oracle_catalog`), which rebuild everything
+    it depends on too."""
+    import oracle_catalog
+    from supertkk import catalog
+
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    built = {s: _fields(resolve(s)) for s in catalog._LIE_DEFAULTS}
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    for name, fn in oracle_catalog.BUILDERS.items():
+        monkeypatch.setattr(catalog, name, fn)
+    assert {s: _fields(resolve(s)) for s in catalog._LIE_DEFAULTS} == built
+
+
+def test_building_the_lie_catalog_forms_no_rational(monkeypatch):
+    """No module of the package calls Q while every Lie default is built
+    fresh, except `_norm_param`, which reads the catalog parameters."""
+    import sys
+
+    import supertkk
+    from supertkk import catalog, exact, jordan, structure, superspace, tensor, tkk
+
+    calls = []
+
+    def spy(*args):
+        if sys._getframe(1).f_code.co_name != "_norm_param":
+            calls.append(args)
+        return Q(*args)
+
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    for module in (supertkk, catalog, exact, jordan, structure, superspace, tensor, tkk):
+        if hasattr(module, "Q"):
+            monkeypatch.setattr(module, "Q", spy)
+    for s in catalog._LIE_DEFAULTS:
+        assert resolve(s).dim
+    assert calls == []
+    resolve("dt:1/3")  # a Jordan build writes rationals: the spy sees them
+    assert calls
+
+
+def test_h6_from_a_memoised_htilde6_stays_sparse(monkeypatch):
+    """h(6) = [htilde(6), htilde(6)] is read off sparse joins: building it
+    from a memoised htilde(6) traces well under the 7.8 MiB that a dense
+    closure check costs."""
+    import tracemalloc
+
+    from supertkk import catalog
+
+    ht = lie_catalog("htilde", 6)
+    monkeypatch.setattr(catalog, "_MEMO", {("lie", "htilde", (6,)): ht})
+    tracemalloc.start()
+    try:
+        h = lie_catalog("h", 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.dim == 62
+    assert peak < 4 * 2 ** 20, peak

@@ -123,10 +123,11 @@ def test_kernel_orthogonal_to_rows(rows):
 def test_subspace_contains_and_coordinates():
     s = span([(1, 0, 2), (0, 1, -1)])
     assert s.contains((2, 3, 1))
-    coords = s.coordinates((2, 3, 1))
+    coords = oracle.coordinates(s, (2, 3, 1))
     assert coords == (Q(2), Q(3))
     assert not s.contains((0, 0, 1))
-    assert s.coordinates((0, 0, 1)) is None
+    assert oracle.coordinates(s, (0, 0, 1)) is None
+    assert oracle.reduce(s, (2, 3, 2)) == [0, 0, 1]
 
 
 def test_generated_span_expresses_members():
@@ -866,21 +867,20 @@ gens = GeneratedSpan([(1, 0, 0)], 3)
 on2, on3 = (OperatorSpace("a", Subspace(k * k), Subspace(k * k), (k,)) for k in (2, 3))
 gl11 = catalog.lie_catalog("gl", 1, 1)
 
-class Unreduced(Subspace):  # claims every vector, reduces none
-    __slots__ = ()
-    def contains(self, vec):
-        return True
-    def reduce(self, vec):
-        return list(vec)
+# gl(1,1)'s centre, its identity row raised after construction to twice the
+# identity: still central, so the ideal test passes, but the residue of
+# [E01, E10] = I over den = 1 keeps -1 at the pivot
+raised = Subspace(4, [(1, 0, 0, 1)])
+raised.rows = ((2, 0, 0, 2),)
 
 idx_par, mats = catalog._gl_mats(1, 1)
 mismatch = (ValueError, "ambient dimension mismatch")
 calls = {
     "Subspace long": (lambda: Subspace(2, [(1, 0), (1, 2, 3)]), mismatch),
     "Subspace short": (lambda: Subspace(3, [(1, 2)]), mismatch),
-    "reduce long": (lambda: plane.reduce((0, 0, 0, 1)), mismatch),
-    "reduce short": (lambda: plane.reduce((1, 0)), mismatch),
-    "coordinates long": (lambda: plane.coordinates((1, 0, 0, 1)), mismatch),
+    "contains long": (lambda: plane.contains((0, 0, 0, 1)), mismatch),
+    "contains short": (lambda: plane.contains((1, 0)), mismatch),
+    "GeneratedSpan.coordinates long": (lambda: gens.coordinates([(1, 0, 0, 1)], "x"), mismatch),
     "GeneratedSpan long": (lambda: GeneratedSpan([(0, 1, 0, 1)], 3), mismatch),
     "GeneratedSpan.express short": (lambda: gens.express((1, 0)), mismatch),
     "Matrix ragged": (lambda: Matrix([(1, 2), (3,)]), (ValueError, "ragged")),
@@ -889,7 +889,7 @@ calls = {
     "OperatorSpace.sum": (lambda: on2.sum(on3), (ValueError, "different spaces")),
     "OperatorSpace.intersect": (lambda: on2.intersect(on3),
                                 (ValueError, "different spaces")),
-    "quotient pivot": (lambda: quotient_algebra(gl11, Unreduced(4, [(1, 0, 0, 1)])),
+    "quotient pivot": (lambda: quotient_algebra(gl11, raised),
                        (CertificateError, "reduction left a pivot coordinate")),
     "quotient by identity": (
         lambda: catalog._quotient_by_identity(gl11, idx_par, mats[1:3],

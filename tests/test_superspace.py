@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_catalog
 import oracle_identities
 from supertkk.exact import Q, span
 from supertkk.superspace import (
@@ -16,6 +17,7 @@ from supertkk.catalog import jordan_catalog, lie_catalog, load_algebra, save_alg
 from supertkk.structure import double, l_stack
 from supertkk.tkk import j_functor, koecher
 from test_structure import tables_with_zeros
+from test_tensor import dense_lie_tables
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -255,3 +257,92 @@ def test_superpairs_are_immutable():
             pair.name = "x"
         with pytest.raises(AttributeError):
             pair.tensors = ()
+
+
+def _outcome(build, a, s):
+    """The fields of build(a, s), or the message of the ValueError it raises."""
+    try:
+        g = build(a, s)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    return g.entries, g.d, g.parities, g.zdegrees, g.name, dict(g.metadata), g.kind
+
+
+def _rescaled(a, scale):
+    """a in the basis f_i = scale[i] e_i: rational constants, so that the
+    canonical bases of its centre and derived algebra take denominators."""
+    return make_algebra(a.parities, [(i, j, k, Q(v * scale[i] * scale[j], a.d * scale[k]))
+                                     for i, j, k, v in a.entries], a.zdegrees,
+                        name=a.name, check=False)
+
+
+# a scale of 2**40 takes the joins past their int64 bound, onto Python ints
+@given(dense_lie_tables(),
+       st.lists(st.sampled_from([1, 2, 3, -2, 5, 2 ** 40]), min_size=8, max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_subalgebra_and_quotient_match_the_rational_oracle(a, scale):
+    a = _rescaled(a, scale)
+    assert _outcome(subalgebra, a, derived(a)) == _outcome(oracle_catalog.subalgebra, a,
+                                                           derived(a))
+    assert _outcome(quotient_algebra, a, center(a)) == _outcome(oracle_catalog.quotient_algebra,
+                                                                a, center(a))
+
+
+def test_quotient_by_a_centre_over_a_denominator():
+    # in the basis E00, E01, E10, 3 E11 the identity is (1, 0, 0, 1/3): the
+    # centre's canonical basis is over 3, so the residues are 3 times the
+    # quotient's constants
+    a = _rescaled(lie_catalog("gl", 1, 1), [1, 1, 1, 3])
+    z = center(a)
+    assert (z.rows, z.den) == (((3, 0, 0, 1),), 3)
+    q = _outcome(quotient_algebra, a, z)
+    assert q == _outcome(oracle_catalog.quotient_algebra, a, z)
+    # [E01, 3 E11] = 3 E01, [E10, 3 E11] = -3 E10, [E01, E10] = 0 mod the centre
+    assert q[:2] == (((0, 2, 0, 3), (1, 2, 1, -3), (2, 0, 0, -3), (2, 1, 1, 3)), 1)
+
+
+def _left_not_right():
+    # b_1 b_0 = b_0 and no other product: span(b_1) absorbs b_i b_1 = 0 but
+    # not b_1 b_0
+    return make_algebra([0, 0], [(1, 0, 0, 1)], name="lr")
+
+
+REFUSED = [
+    ("non-ideal", lambda: lie_catalog("gl", 1, 1), quotient_algebra, [(0, 1, 0, 0)],
+     "quotient: not an ideal, e_2*v escapes (v in ideal)"),
+    ("left-ideal-only", _left_not_right, quotient_algebra, [(0, 1)],
+     "quotient: not an ideal, v*e_0 escapes (v in ideal)"),
+    ("non-closed", sl2, subalgebra, [(1, 0, 0), (0, 0, 1)],
+     "subalgebra: not closed, product of basis vectors (0,1) leaves it"),
+    ("mixed-subalgebra", lambda: jordan_catalog("kacK"), subalgebra, [(1, 1, 0)],
+     "subalgebra: subspace is not graded (mixed basis vector)"),
+    ("mixed-quotient", lambda: jordan_catalog("kacK"), quotient_algebra, [(0, 1, 1), (1, 1, 0)],
+     "quotient: subspace is not graded (mixed basis vector)"),
+    ("ambient", sl2, subalgebra, [(1, 0)], "subalgebra: ambient 2 != algebra dim 3"),
+]
+
+
+@pytest.mark.parametrize("algebra, build, vectors, message", [case[1:] for case in REFUSED],
+                         ids=[case[0] for case in REFUSED])
+def test_subalgebra_and_quotient_refuse_like_the_oracle(algebra, build, vectors, message):
+    a, s = algebra(), span(vectors)
+    oracle_build = getattr(oracle_catalog, build.__name__)
+    assert _outcome(build, a, s) == _outcome(oracle_build, a, s) == ("ValueError", message)
+
+
+SPANS_REFUSED = [
+    ("dependent", [{(0, 1): 1}, {(1, 0): 1}, {(0, 1): -1}], "x: spanning matrices are dependent"),
+    ("not-closed", [{(0, 1): 1}, {(1, 0): 1}], "x: span not closed under the bracket"),
+    ("inhomogeneous", [{(0, 1): 1, (0, 0): 1}], "spanning matrix is not parity-homogeneous"),
+]
+
+
+@pytest.mark.parametrize("mats, message", [case[1:] for case in SPANS_REFUSED],
+                         ids=[case[0] for case in SPANS_REFUSED])
+def test_matrix_spans_refuse_like_the_oracle(mats, message):
+    from supertkk import catalog
+
+    for build in (catalog._span_algebra, oracle_catalog.span_algebra):
+        with pytest.raises(ValueError) as err:
+            build((0, 1), mats, name="x")
+        assert str(err.value) == message
