@@ -692,7 +692,8 @@ def save(spec: AlgebraSpec) -> bytes:
     zd = list(spec.zdegrees) if spec.zdegrees is not None else None
     lines.append(f'"zdegrees": {json.dumps(zd)},')
     lines.append('"products": [')
-    body = [f'{{"i": {i}, "j": {j}, "k": {k}, "coeff": {json.dumps(c)}}}'
+    text = {c: json.dumps(c) for c in {c for *_, c in spec.products}}  # one per distinct string
+    body = [f'{{"i": {i}, "j": {j}, "k": {k}, "coeff": {text[c]}}}'
             for i, j, k, c in sorted(spec.products)]
     lines.append(",\n".join(body))
     lines.append("],")

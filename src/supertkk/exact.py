@@ -22,11 +22,14 @@ first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
 x_d to x_c, round after round, so only the core rows left reach the
 elimination; its rank is the zeroed roots plus the tied columns plus the
-core pivots (`kernel_columns` stops at that count).  Every kernel vector
-is verified exactly against every original row, there is one per free
-column, and every expressed member is recombined from its coefficients,
-on the integers too; a failure of either certificate raises
-CertificateError, so the checks survive `python -O`.
+core pivots (`kernel_columns` stops at that count).  A core with more
+entries than a dense system of 2 * ncols rows is eliminated on its
+shortest rows, and on the rows the certificate finds their vectors miss,
+in at most two rounds (`_kernel_rounds`).  Every kernel vector is verified
+exactly against every original row, there is one per free column, and
+every expressed member is recombined from its coefficients, on the
+integers too; a failure of either certificate raises CertificateError, so
+the checks survive `python -O`.
 `Matrix` is only the immutable container of such systems and of their
 results; no operator arithmetic runs on it.
 
@@ -39,7 +42,9 @@ rows; `primitive_rows` serves dense or rational rows (`Subspace` and
 `Subspace` read straight off the elimination, and `Subspace.embedded`
 places it in a larger space without a second one.  The kernel certificate
 (`_verify_kernel`) is a sparse join on the column: each nonzero row entry
-meets only the vector entries on its column (Gustavson, ACM TOMS 4, 1978).
+meets only the range of vector entries on its column (Gustavson, ACM TOMS
+4, 1978).  `range_join` is that join, and `tensor.jacobi_defect` runs on it
+too.
 Every numpy path runs in int64 only after proving its bound below 2**62
 (`int_dtype`), else on object-dtype Python ints.
 """
@@ -572,15 +577,57 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
 
 def sum_by_key(keys, vals):
     """(keys, sums): the distinct keys of an array in ascending order with
-    the sums of their values (`np.add.reduceat` over a stable sort), those
-    summing to zero dropped."""
+    the sums of their values (`np.add.reduceat` over one sort of the keys),
+    those summing to zero dropped.  The sort need not be stable: exact
+    integer sums do not depend on the order of their terms."""
     import numpy as np
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     first = _run_starts(keys)
     keys, vals = keys[first], np.add.reduceat(vals, first)
     keep = vals != 0
     return keys[keep], vals[keep]
+
+
+def range_join(ranges, varying, scale: int, chunk: int):
+    """The nonzero sums of a sparse product, as (keys, sums) per chunk, of
+    the sums known complete after it (Gustavson's row-wise join, ACM TOMS 4,
+    1978).
+
+    ranges = (start, size, const, value, flag): each fixed nonzero meets
+    the entries start .. start + size - 1 of the varying side, given as one
+    array each of keys, values and parity bits, varying = (key, val, odd),
+    sorted by the contracted index so that a range is contiguous.  A product
+    adds value * val, negated where flag and odd are both set (flag None:
+    never), to the sum of key const + key.  Every key of a range lies in
+    [lead * scale, (lead + 1) * scale) for its lead const // scale, and the
+    ranges come in ascending order of lead.
+
+    The ranges run in that order, whole, about `chunk` products at a time
+    and at least one range per chunk; each chunk is enumerated by
+    `np.repeat`/`_entries` and folded with the sums left open into sorted
+    nonzero sums (`sum_by_key`).  Once no range of a lead is left, the sums
+    below it are complete: they are yielded and dropped, so only the sums of
+    the lead under way are held.  The values must be of a dtype that holds
+    every sum."""
+    import numpy as np
+    start, size, const, value, flag = ranges
+    key, val, odd = varying
+    ends = np.cumsum(size)
+    keys, sums = np.zeros(0, dtype=const.dtype), np.zeros(0, dtype=value.dtype)
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + chunk, side="right")))
+        m = size[lo:hi]
+        at = _entries(start[lo:hi], m)
+        v = np.repeat(value[lo:hi], m) * val[at]
+        if flag is not None:
+            np.negative(v, out=v, where=np.repeat(flag[lo:hi], m) & odd[at])
+        keys, sums = sum_by_key(np.concatenate([keys, np.repeat(const[lo:hi], m) + key[at]]),
+                                np.concatenate([sums, v]))
+        done = len(keys) if hi == len(ends) else int(np.searchsorted(keys, const[hi] // scale * scale))
+        yield keys[:done], sums[:done]
+        keys, sums, lo = keys[done:], sums[done:], hi
 
 
 def _run_starts(a):
@@ -659,45 +706,42 @@ _KERNEL_CHUNK = 2 ** 13  # products per chunk of the kernel certificate (~0.7 MB
 
 
 def _verify_kernel(int_rows: IntRows, vecs: IntRows, ncols: int):
-    """The mask of the vectors (the rows of vecs) that fail to kill some
-    row of int_rows: a join on the column, each row entry times the vector
-    entries on its column, whole rows and about _KERNEL_CHUNK products at a
-    time, summed per (row, vector) by `sum_by_key`.  A sum has at most
-    (longest row) terms: int64 when max|row| * max|v| * (longest row) <
+    """(bad, missed): the masks of the vectors (the rows of vecs) that fail
+    to kill some row of int_rows, and of the rows that some vector fails to
+    kill.  A `range_join` on the column: each row entry meets the range of
+    the vector entries on its column, and the products are summed per (row,
+    vector), led by the row, about _KERNEL_CHUNK at a time.  A sum has at
+    most (longest row) terms: int64 when max|row| * max|v| * (longest row) <
     2**62, else object-dtype Python ints."""
     import numpy as np
 
-    bad = np.zeros(len(vecs), dtype=bool)
+    nvec = len(vecs)
+    bad, missed = np.zeros(nvec, dtype=bool), np.zeros(len(int_rows), dtype=bool)
     dtype = int_dtype(int(np.abs(int_rows.vals).max(initial=1))  # so at least max|v|, to cast v
                       * int(np.abs(vecs.vals).max(initial=0)) * int(int_rows.lens.max(initial=1)))
-    by_col = np.argsort(vecs.cols, kind="stable")
-    owner = np.repeat(np.arange(len(vecs)), vecs.lens)[by_col]
-    v = vecs.vals[by_col].astype(dtype)
+    by_col = np.argsort(vecs.cols)
+    owner = np.repeat(np.arange(nvec), vecs.lens)[by_col]
     count = np.bincount(vecs.cols, minlength=ncols)
-    where = np.cumsum(count) - count  # the first vector entry on each column
-    hit = np.flatnonzero((count > 0)[int_rows.cols])  # the row entries that meet one
-    row = np.searchsorted(np.cumsum(int_rows.lens), hit, side="right")
-    per = count[int_rows.cols[hit]]
-    ends = np.cumsum(per)
-    first = 0
-    while first < len(hit):
-        last = max(first + 1, int(np.searchsorted(ends, ends[first] - per[first] + _KERNEL_CHUNK,
-                                                  side="right")))
-        last = int(np.searchsorted(row, row[last - 1], side="right"))  # whole rows
-        e = np.repeat(np.arange(last - first), per[first:last])
-        at = _entries(where[int_rows.cols[hit[first:last]]], per[first:last])
-        key, _ = sum_by_key((row[first:last][e] - row[first]) * len(vecs) + owner[at],
-                            int_rows.vals[hit[first:last]].astype(dtype)[e] * v[at])
-        bad[key % len(vecs)] = True
-        first = last
-    return bad
+    # one range per row entry that meets a vector entry, built an array at
+    # a time: the w(5) tower's system has 288,320 of them
+    hit = np.flatnonzero((count > 0)[int_rows.cols])
+    const = np.searchsorted(np.cumsum(int_rows.lens), hit, side="right") * nvec
+    value = int_rows.vals[hit].astype(dtype, copy=False)
+    col = int_rows.cols[hit]
+    del hit
+    ranges = ((np.cumsum(count) - count)[col], count[col], const, value, None)
+    del col, const, value
+    for key, _ in range_join(ranges, (owner, vecs.vals[by_col].astype(dtype), None), nvec,
+                             _KERNEL_CHUNK):
+        bad[key % nvec] = missed[key // nvec] = True
+    return bad, missed
 
 
 def span_in_kernel(int_rows: IntRows, vecs: IntRows, ncols: int, message) -> list:
     """The sorted pivot columns of the span of vecs (the rows of an
     `IntRows`), each certified to kill every row: CertificateError(
     message(bad)) if the vectors of the indices bad do not."""
-    bad = _verify_kernel(int_rows, vecs, ncols).nonzero()[0]
+    bad = _verify_kernel(int_rows, vecs, ncols)[0].nonzero()[0]
     if len(bad):
         raise CertificateError(message(bad))
     return sorted(_echelon(vecs.dicts()))
@@ -765,16 +809,40 @@ def _absorb(int_rows: IntRows, ncols: int):
     return root, sign, IntRows.from_dicts(())
 
 
-def _free_vectors(int_rows: IntRows, ncols: int):
+def _tall(int_rows: IntRows, ncols: int) -> bool:
+    """Whether a system holds more entries than a dense one of 2 * ncols
+    rows: its core is then eliminated on its 2 * ncols shortest rows first
+    (`_free_vectors`)."""
+    return len(int_rows.cols) > 2 * ncols * ncols
+
+
+def _free_vectors(int_rows: IntRows, ncols: int, missed=None):
     """(rank, free, vecs) of a sparse integer system: `_absorb` leaves the
     core rows to `_echelon`, and vecs[k] (col -> int) is the kernel vector
     of the free root f = free[k]: m at f, m the lcm of the pivots p of the
     rows r nonzero at f (a column -> pivots index finds them), -r[f]*m/r[p]
-    at each p, carried to every column tied to those roots."""
+    at each p, carried to every column tied to those roots.
+
+    A `_tall` system eliminates only its 2 * ncols shortest core rows, and
+    with them, given the mask missed of the original rows that some vector
+    of that first round fails to kill, those rows with (root, sign)
+    substituted (`_kernel_rounds`).  The vectors then span the kernel of the
+    rows eliminated, which only a certificate can show to be the kernel of
+    the system; the rank counts the pivots of the rows eliminated."""
     import numpy as np
 
     root, sign, core = _absorb(int_rows, ncols)
-    store = _echelon(core.dicts())
+    rows = core.dicts()
+    if _tall(int_rows, ncols):
+        rows = sorted(rows, key=len)[:2 * ncols]
+        if missed is not None:
+            at, by, dicts = root.tolist(), sign.tolist(), int_rows.dicts()
+            for r in (dicts[i] for i in np.flatnonzero(missed).tolist()):
+                out: dict = {}
+                for c, x in r.items():
+                    out[at[c]] = out.get(at[c], 0) + by[c] * x
+                rows.append({c: x for c, x in out.items() if x})
+    store = _echelon(rows)
     is_root = root == np.arange(ncols)
     rank = int((is_root & (sign == 0)).sum()) + int((~is_root).sum()) + len(store)
     live = np.flatnonzero(is_root & (sign != 0))
@@ -797,6 +865,35 @@ def _free_vectors(int_rows: IntRows, ncols: int):
     return rank, np.array(free, dtype=np.int64), vecs
 
 
+def _kernel_rounds(int_rows: IntRows, ncols: int, finish):
+    """(rank, free, out, bad): the vectors of `_free_vectors`, brought by
+    finish to (out, its rows as `IntRows`), and the mask bad of those rows
+    that fail to kill some row of the system (`_verify_kernel`).
+
+    A `_tall` system takes at most two rounds.  The first eliminates the
+    shortest rows of its core.  If the join names rows that the vectors
+    fail to kill, the second eliminates those rows too, and the join runs
+    again.  That completes the span: a row every vector kills is zero on
+    the kernel of the rows eliminated, so it lies in their span.  The count
+    argument of the callers holds for either round, as the rank of rows of
+    the system is at most its rank: ncols - rank independent vectors that
+    kill every row are a basis of the kernel."""
+    rank, free, vecs = _free_vectors(int_rows, ncols)
+    out, rows = finish(vecs)
+    bad, missed = _verify_kernel(int_rows, rows, ncols)
+    if missed.any() and _tall(int_rows, ncols):
+        rank, free, vecs = _free_vectors(int_rows, ncols, missed)
+        out, rows = finish(vecs)
+        bad, _ = _verify_kernel(int_rows, rows, ncols)
+    return rank, free, out, bad
+
+
+def _canonical(vecs: list) -> tuple:
+    """The `_echelon` store of vecs, with its rows as `IntRows`."""
+    basis = _echelon(vecs)
+    return basis, IntRows.from_dicts(basis.values())
+
+
 _KERNEL_FAILED = ("kernel verification failed: the basis needs one vector per free column, "
                   "each killing every row")
 
@@ -808,12 +905,10 @@ def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
 
     `_echelon` brings the vectors of `_free_vectors` to the canonical basis,
     certified to have ncols - rank vectors, each killing every original row
-    (`_verify_kernel`), and the `Subspace` takes that store as it is."""
-    rank, _, vecs = _free_vectors(int_rows, ncols)
-    basis = _echelon(vecs)
-    certify(len(basis) == ncols - rank
-            and not _verify_kernel(int_rows, IntRows.from_dicts(basis.values()), ncols).any(),
-            _KERNEL_FAILED)
+    (`_verify_kernel`, in at most two rounds: `_kernel_rounds`), and the
+    `Subspace` takes that store as it is."""
+    rank, _, basis, bad = _kernel_rounds(int_rows, ncols, _canonical)
+    certify(len(basis) == ncols - rank and not bad.any(), _KERNEL_FAILED)
     return Subspace._of(ncols, basis)
 
 
@@ -822,13 +917,13 @@ def kernel_columns(int_rows: IntRows, ncols: int):
     one entry per kernel dimension, certified with neither a canonical basis
     nor a rational: there are ncols - rank of them, the vector of each
     (`_free_vectors`) is the only one nonzero on its own free column, so the
-    vectors are independent, and each kills every original row."""
+    vectors are independent, and each kills every original row (in at most
+    two rounds: `_kernel_rounds`)."""
     import numpy as np
-    rank, free, vecs = _free_vectors(int_rows, ncols)
-    vecs = IntRows.from_dicts(vecs)
+    rank, free, vecs, bad = _kernel_rounds(int_rows, ncols,
+                                           lambda vecs: (IntRows.from_dicts(vecs),) * 2)
     on = np.isin(vecs.cols, free) & (vecs.vals != 0)  # the entries on free columns
     k = np.repeat(np.arange(len(vecs)), vecs.lens)[on]  # and their vectors
     certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))
-            and np.array_equal(free[k], vecs.cols[on])
-            and not _verify_kernel(int_rows, vecs, ncols).any(), _KERNEL_FAILED)
+            and np.array_equal(free[k], vecs.cols[on]) and not bad.any(), _KERNEL_FAILED)
     return free

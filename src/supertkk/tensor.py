@@ -15,7 +15,9 @@ with d and max|value|, built on first use and kept in the algebra's memo
 `center`, `derived`, the ad rows of `tkk.lie_der_tower`, the integer readers
 of the constructions, the products of the Tits and Ko_D builders and the
 Kantor top space (P = d C and `lp_tensor`) start from it.  Super-Jacobi
-joins its nonzeros with each other on the contracted index, a fixed number
+joins its nonzeros with each other on the contracted index, by the join
+that also certifies the kernels (`exact.range_join`): each fixed nonzero
+meets a contiguous range of the other factor, whole ranges a fixed number
 of products at a time, so its work follows the nonzeros and its memory the
 chunk; the dense kernels (the Jordan checks, which hold O(n**5) entries, and
 the Kantor relations) scatter a dense n x n x n array from it on request.
@@ -44,7 +46,7 @@ algebra loads it through its super-Jacobi check.
 from dataclasses import dataclass
 from math import lcm
 
-from .exact import int_dtype, sum_by_key
+from .exact import int_dtype, range_join
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,73 +117,65 @@ def jacobi_defect(a):
 
     A term s(x,z) C[y,z,l] C[x,l,t] is a product of a nonzero [e_y, e_z] =
     c e_l with a nonzero [e_x, e_l] = c' e_t, so the sums are a join of the
-    table's nonzeros on l (Gustavson's row-wise sparse product).  Only the
-    (x, y, z) that are a rotation of a sorted triple (i, j, k) are joined,
-    and the product goes to that triple's sum at coordinate t:
+    table's nonzeros on l (`exact.range_join`).  Only the (x, y, z) that are
+    a rotation of a sorted triple (i, j, k) are joined, and the product goes
+    to that triple's sum at coordinate t, key ((i n + j) n + k) n + t:
       y > z,  z <= x <= y:          (i, j, k) = (z, x, y);
       y <= z, x <= y:               (i, j, k) = (x, y, z);
       y <= z, x >= max(y + 1, z):   (i, j, k) = (y, z, x).
     Each case is a range of one factor's nonzeros sorted by (l, index) for
     a fixed nonzero of the other: [e_x, e_l] by (l, x) in the first and
-    last, [e_y, e_z] by (l, y) in the second.  For i = j = k, whose three
-    terms are equal, the product is counted once, which keeps the zero test.
+    last, [e_y, e_z] by (l, y) in the second.  The fixed nonzero gives the
+    range its lead i, the part of the key it knows, its value and the
+    parity of its x or z; the varying side is one array of the three runs
+    (the [e_x, e_l] twice, keyed for the first and the last case), each
+    entry with the rest of the key, its value and the parity of its z or
+    x, and s(x,z) is applied per product.  For i = j = k, whose three terms
+    are equal, the product is counted once, which keeps the zero test.
 
-    The ranges run in order of i, _JACOBI_CHUNK products at a time.  Each
-    chunk is folded into a sorted set of the nonzero partial sums per
-    (i, j, k, t); once no range of some i is left, the sums of the triples
-    before it are complete, so the first of them that is nonzero is the
-    answer, and the set only holds the sums of the i under way.  No array
-    has n**4 entries or one per product.  A sum has at most 3n terms of at
-    most max|C|**2, proved below 2**62 before the values are cast to int64;
-    else the sums run on Python ints.  Both factors are read off a's
-    `IntTable`: [e_y, e_z] in its (i, j, k) order, [e_x, e_l] in one
-    lexsort by (j, i, k); no dense C is formed.
+    The ranges run in order of i, whole, _JACOBI_CHUNK products at a time;
+    once no range of some i is left, the sums of the triples before it are
+    complete, so the first of them that is nonzero is the answer, and only
+    the sums of the i under way are held.  No array has n**4 entries or one
+    per product.  A sum has at most 3n terms of at most max|C|**2, proved
+    below 2**62 before the values are cast to int64; else the sums run on
+    Python ints.  Both factors are read off a's `IntTable`: [e_y, e_z] in
+    its (i, j, k) order, [e_x, e_l] in one lexsort by (j, i, k); no dense C
+    is formed.
     """
     import numpy as np
     t = a.int_table
-    n, p = t.n, np.array(a.parities, dtype=np.int64)
-    s = 1 - 2 * (np.outer(p, p) % 2)
+    n, p = t.n, np.array(a.parities, dtype=bool)
     value = t.value.astype(t.dtype(3 * n, 2), copy=False)
     y, z, l, inner = t.i, t.j, t.k, value           # [e_y, e_z] = sum_l C[y, z, l] e_l
     by_jik = np.lexsort((t.k, t.i, t.j))            # [e_x, e_l] = sum_t C[x, l, t] e_t, by (l, x)
     lo, xo, to, outer = t.j[by_jik], t.i[by_jik], t.k[by_jik], value[by_jik]
     down, up = np.flatnonzero(y > z), np.flatnonzero(y <= z)
     by_ly = up[np.lexsort((y[up], l[up]))]
-    at_x, at_y = lo * n + xo, l[by_ly] * n + y[by_ly]
+    yu, zu = y[by_ly], z[by_ly]
+    at_x, at_y, m, n3 = lo * n + xo, l[by_ly] * n + yu, len(xo), n ** 3
+    varying = (np.concatenate([xo * n * n + to, xo * n + to, (yu * n + zu) * n]),
+               np.concatenate([outer, outer, inner[by_ly]]), np.concatenate([p[xo], p[xo], p[zu]]))
 
-    def ranges(at, first, last, lead, fixed, inner_moves):
-        """Per fixed nonzero, the range first <= at <= last of the sorted keys
-        at, whose sums all start at index lead."""
+    def within(at, first, last, offset, const, fixed, flag):
+        """Per fixed nonzero, the range first <= at <= last of the sorted
+        keys at, placed at offset in the varying side."""
         start = np.searchsorted(at, first)
         size = np.maximum(np.searchsorted(at, last, side="right") - start, 0)
-        return lead, start, size, fixed, np.full(len(lead), inner_moves)
+        return start + offset, size, const, fixed, flag
 
-    lead, base, size, fixed, inner_moves = (np.concatenate(v) for v in zip(
-        ranges(at_x, l[down] * n + z[down], l[down] * n + y[down], z[down], down, False),
-        ranges(at_y, at_x, lo * n + n - 1, xo, np.arange(len(xo)), True),
-        ranges(at_x, l[up] * n + np.maximum(y[up] + 1, z[up]), l[up] * n + n - 1, y[up], up,
-               False)))
-    keep = np.flatnonzero(size)
-    keep = keep[np.argsort(lead[keep], kind="stable")]
-    lead, base, size, fixed, inner_moves = (v[keep] for v in (lead, base, size, fixed, inner_moves))
-    ends = np.cumsum(size)
-    total = int(ends[-1]) if len(ends) else 0
-    keys, sums = np.zeros(0, np.int64), np.zeros(0, value.dtype)
-    for p0 in range(0, total, _JACOBI_CHUNK):
-        p1 = min(p0 + _JACOBI_CHUNK, total)
-        p = np.arange(p0, p1)
-        g = np.searchsorted(ends, p, side="right")  # each product's range
-        r, moves = base[g] + p - (ends[g] - size[g]), inner_moves[g]
-        e = fixed[g]                    # the nonzero [e_y, e_z] of each product,
-        o = np.where(moves, e, r)       # and its [e_x, e_l]
-        e[moves] = by_ly[r[moves]]
-        x, yy, zz = xo[o], y[e], z[e]
-        i, k = np.minimum(np.minimum(x, yy), zz), np.maximum(np.maximum(x, yy), zz)
-        key = ((i * n + (x + yy + zz - i - k)) * n + k) * n + to[o]
-        keys, sums = sum_by_key(np.concatenate([keys, key]),
-                                np.concatenate([sums, s[x, zz] * inner[e] * outer[o]]))
-        done = n if p1 == total else int(lead[np.searchsorted(ends, p1, side="right")])
-        if len(keys) and keys[0] < done * n ** 3:  # no range of its i is left: complete
+    yd, zd, yp, zp = y[down], z[down], y[up], z[up]
+    ranges = [np.concatenate(v) for v in zip(
+        within(at_x, l[down] * n + zd, l[down] * n + yd, 0, zd * n3 + yd * n, inner[down], p[zd]),
+        within(at_y, at_x, lo * n + n - 1, 2 * m, xo * n3 + to, outer, p[xo]),
+        within(at_x, l[up] * n + np.maximum(yp + 1, zp), l[up] * n + n - 1, m,
+               (yp * n + zp) * n * n, inner[up], p[zp]))]
+    keep = np.flatnonzero(ranges[1])
+    keep = keep[np.argsort(ranges[2][keep])]  # by const, so by lead i = const // n**3
+    for f in range(len(ranges)):  # one array at a time, so that one copy is held
+        ranges[f] = ranges[f][keep]
+    for keys, _ in range_join(ranges, varying, n3, _JACOBI_CHUNK):
+        if len(keys):  # complete and nonzero: the first is the answer
             return tuple(int(v) for v in np.unravel_index(int(keys[0]), (n, n, n, n))[:3])
     return None
 

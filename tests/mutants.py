@@ -163,6 +163,19 @@ MUTANTS = [
      "certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))",
      "certify(np.array_equal(k, np.arange(len(free)))",
      [LINALG + "test_a_dropped_free_vector_fails_the_count_certificate"]),
+    ("exact._kernel_rounds stops after its first round", PKG + "exact.py",
+     "if missed.any() and _tall(int_rows, ncols):", "if False:",
+     [LINALG + "test_a_tall_system_eliminates_the_rows_its_shortest_miss",
+      LINALG + "test_tall_kernel_matches_the_all_rows_oracle"]),
+    ("exact.range_join drops the sign flag", PKG + "exact.py",
+     "np.negative(v, out=v, where=np.repeat(flag[lo:hi], m) & odd[at])", "pass",
+     [TENSOR + "test_super_jacobi_matches_the_loop_oracle",
+      TENSOR + "test_jacobi_witness_matches_the_oracle"]),
+    ("exact.range_join cuts a chunk inside a range", PKG + "exact.py",
+     "m = size[lo:hi]", "m = np.minimum(size[lo:hi], chunk)",
+     [TENSOR + "test_super_jacobi_matches_the_loop_oracle_one_product_per_chunk",
+      LINALG + "test_sparse_kernel_certificate_matches_the_dense_check_one_row_per_chunk",
+      LINALG + "test_tall_kernel_matches_the_all_rows_oracle_one_product_per_chunk"]),
     ("tkk.KantorTop.den is d, not d * d", PKG + "tkk.py",
      "self.tensors, self.den = family[kept], d * d", "self.tensors, self.den = family[kept], d",
      [TENSOR + "test_kantor_top_block_matches_the_loop_oracle"]),

@@ -4,12 +4,13 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_linalg as oracle
 from pyrun import run_python
@@ -214,9 +215,10 @@ def certificate_cases(draw):
 
 def _assert_join_matches_the_dense_check(case):
     rows, vecs, n = case
-    bad = exact._verify_kernel(IntRows.from_dicts(rows), IntRows.from_dicts(vecs), n)
+    bad, missed = exact._verify_kernel(IntRows.from_dicts(rows), IntRows.from_dicts(vecs), n)
     assert (not bad.any()) == oracle.verify_kernel(*case)
     assert bad.tolist() == [not oracle.verify_kernel(rows, [v], n) for v in vecs]
+    assert missed.tolist() == [not oracle.verify_kernel([r], vecs, n) for r in rows if r]
 
 
 @given(certificate_cases())
@@ -229,8 +231,9 @@ def test_sparse_kernel_certificate_matches_the_dense_check(case):
 @given(certificate_cases())
 @settings(**SETTINGS)
 def test_sparse_kernel_certificate_matches_the_dense_check_one_row_per_chunk(case):
-    # a chunk always holds whole rows, so one product budget per chunk runs
-    # every row in a chunk of its own
+    # a chunk always holds whole ranges, so one product budget per chunk runs
+    # every row entry in a chunk of its own, and a row's sums stay open
+    # across the chunks of its entries
     with mock.patch.object(exact, "_KERNEL_CHUNK", 1):
         _assert_join_matches_the_dense_check(case)
 
@@ -277,14 +280,14 @@ def test_raising_one_kernel_entry_fails_the_certificate():
     g = lie_catalog("w", 3)
     for cols, rows in leibniz_blocks(g).values():
         vecs = _integer_vectors(integer_kernel(rows, len(cols)).basis)
-        assert not exact._verify_kernel(rows, IntRows.from_dicts(vecs), len(cols)).any()
+        assert not exact._verify_kernel(rows, IntRows.from_dicts(vecs), len(cols))[0].any()
         used = sorted(set(rows.cols.tolist()))
         for k, v in enumerate(vecs[:4]):
             j = next((c for c in v if c in used), used[0])
             bad = [dict(u) for u in vecs]
             bad[k][j] = bad[k].get(j, 0) + 1
             assert np.flatnonzero(exact._verify_kernel(rows, IntRows.from_dicts(bad),
-                                                       len(cols))).tolist() == [k]
+                                                       len(cols))[0]).tolist() == [k]
             assert not oracle.verify_kernel(rows.dicts(), bad, len(cols))
 
 
@@ -341,7 +344,7 @@ def test_a_dropped_free_vector_fails_the_count_certificate(monkeypatch):
 def test_certifying_the_tower_of_w5_stays_in_bounded_memory(monkeypatch):
     # the joins of fingerprint(w(5))'s whole Leibniz system (366,325 rows,
     # 870,505 entries, 25,600 columns) with its 160 kernel vectors, then
-    # with its 160 ad rows, traced: each peaks at 10.1 MiB (numpy 2.4)
+    # with its 160 ad rows, traced: each peaks at 12.2 MiB (numpy 2.4)
     verify, peaks = exact._verify_kernel, []
 
     def traced(int_rows, vecs, ncols):
@@ -481,6 +484,78 @@ def test_only_the_core_reaches_the_elimination(monkeypatch):
     rows = [{0: 1, 1: 2}, {0: 3, 2: 1, 3: 1}]
     integer_kernel(IntRows.from_dicts(rows), 4)
     assert calls[0] == rows
+
+
+# ---------------------------------------------------------------------------
+# tall systems: the core eliminated on its shortest rows, then on the rows missed
+
+
+@st.composite
+def tall_systems(draw):
+    """(rows, ncols): the distinct primitive combinations, coefficients in
+    -3..3, of two or three integer rows (the first at times scaled by 2**40,
+    which puts the joins on Python ints), then a few rows that may lie off
+    their span: more rows than columns by far, most of them dependent, and
+    more entries than a dense system of 2 * ncols rows (`exact._tall`)."""
+    n = draw(st.integers(2, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    base = draw(st.lists(row, min_size=2, max_size=3))
+    base[0] = [x * draw(st.sampled_from([1, 1, 1, 2 ** 40])) for x in base[0]]
+    coefficients = product(range(-3, 4), repeat=len(base))
+    rows = [{c: sum(a * b[c] for a, b in zip(coef, base)) for c in range(n)} for coef in coefficients]
+    rows = primitive_rows(rows + [dict(enumerate(r)) for r in draw(st.lists(row, max_size=2))])
+    assume(exact._tall(IntRows.from_dicts(rows), n))
+    return rows, n
+
+
+def _assert_tall_kernel_matches_the_oracle(system):
+    rows, n = system
+    want = oracle.integer_kernel(rows, n)
+    assert list(integer_kernel(IntRows.from_dicts(rows), n).basis) == want
+    assert len(kernel_columns(IntRows.from_dicts(rows), n)) == len(want)
+
+
+@given(tall_systems())
+@settings(**SETTINGS)
+def test_tall_kernel_matches_the_all_rows_oracle(system):
+    _assert_tall_kernel_matches_the_oracle(system)
+
+
+@given(tall_systems())
+@settings(**SETTINGS)
+def test_tall_kernel_matches_the_all_rows_oracle_one_product_per_chunk(system):
+    # every row entry's range is a chunk of its own in both joins
+    with mock.patch.object(exact, "_KERNEL_CHUNK", 1):
+        _assert_tall_kernel_matches_the_oracle(system)
+
+
+def _shortest_rows_miss_the_rank():
+    """(rows, ncols): every primitive combination of u = (1, 2, 0, 0) and
+    w = (0, 1, 3, 0) with coefficients in -3..3, then x_0 + x_1 + x_2 + x_3:
+    17 rows and 49 entries, more than a dense system of 8 rows, of rank 3,
+    whose 8 shortest rows lie in the span of u and w."""
+    u, w = (1, 2, 0, 0), (0, 1, 3, 0)
+    rows = primitive_rows({c: a * x + b * y for c, (x, y) in enumerate(zip(u, w)) if a * x + b * y}
+                          for a in range(-3, 4) for b in range(-3, 4))
+    return rows + [{0: 1, 1: 1, 2: 1, 3: 1}], 4
+
+
+def test_a_tall_system_eliminates_the_rows_its_shortest_miss(monkeypatch):
+    rows, n = _shortest_rows_miss_the_rank()
+    calls = []
+    read = exact._free_vectors
+
+    def spy(int_rows, ncols, *missed):
+        calls.append([np.flatnonzero(m).tolist() for m in missed])
+        return read(int_rows, ncols, *missed)
+
+    monkeypatch.setattr(exact, "_free_vectors", spy)
+    assert exact._tall(IntRows.from_dicts(rows), n)
+    assert list(integer_kernel(IntRows.from_dicts(rows), n).basis) == oracle.integer_kernel(rows, n)
+    assert kernel_columns(IntRows.from_dicts(rows), n).tolist() == [3]
+    # each a first round on the shortest rows, then a second with the one
+    # row whose vectors the first did not kill: the last
+    assert calls == [[], [[16]]] * 2
 
 
 ABSORB_FAULT = """
@@ -840,6 +915,18 @@ exact._echelon = broken
 exact.kernel_sparse([{0: 1, 1: 2}], 2)  # not absorbed: 1 != 2
 """
 
+SECOND_ROUND_FAULT = """
+import sys
+from supertkk import exact
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+read = exact._free_vectors
+def broken(int_rows, ncols, missed=None):  # the second round leaves out the rows missed
+    return read(int_rows, ncols)
+exact._free_vectors = broken
+exact.integer_kernel(exact.IntRows.from_dicts(ROWS), 4)
+"""
+
 BROKEN_SOLVE = """
 import sys
 from supertkk import exact
@@ -934,6 +1021,14 @@ def test_shape_guards_survive_python_O():
 
 def test_kernel_certificate_survives_python_O():
     done = run_python(["-O"], BROKEN_KERNEL)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert ("CertificateError: kernel verification failed"
+            in done.stderr.strip().splitlines()[-1])
+
+
+def test_tall_kernel_second_round_survives_python_O():
+    rows, _ = _shortest_rows_miss_the_rank()
+    done = run_python(["-O"], SECOND_ROUND_FAULT.replace("ROWS", repr(rows)))
     assert done.returncode == 1, done.stdout + done.stderr
     assert ("CertificateError: kernel verification failed"
             in done.stderr.strip().splitlines()[-1])
