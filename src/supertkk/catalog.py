@@ -17,16 +17,18 @@ htilde) and h go through the sparse integer `quotient_algebra` and
 `subalgebra`, and the exterior tower writes its integer constants itself.
 Each entry is checked by `integer_algebra`.
 
-Files are line-oriented JSON with exact rational coefficients kept as strings,
-so load(save(spec)) == spec and saving is byte-for-byte reproducible.
+Files are line-oriented JSON with exact rational coefficients kept as strings.
+`save_algebra` and `load_algebra` are the one writer and the one reader of
+the format: load_algebra(save_algebra(a)) has a's entries, d, parities,
+degrees, name, metadata and kind, and saving is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 from pathlib import Path
 
 from . import tensor
@@ -647,59 +649,19 @@ def _load_file(path) -> SuperAlgebra:
 _COEFF_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # used with fullmatch
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Plain serializable description of a superalgebra's structure constants."""
-
-    name: str
-    parities: tuple
-    products: tuple  # sorted (i, j, k, coeff-string) entries
-    zdegrees: tuple | None = None
-    metadata: dict = field(default_factory=dict)
-    schema_version: int = 1
-
-
-def algebra_to_spec(a: SuperAlgebra) -> AlgebraSpec:
-    text = {v: str(Q(v, a.d)) for v in {e[3] for e in a.entries}}  # one per distinct value
-    meta = dict(a.metadata)
-    meta["kind"] = a.kind
-    return AlgebraSpec(name=a.name,
-                       parities=tuple(a.parities),
-                       products=tuple((i, j, k, text[v]) for i, j, k, v in a.entries),
-                       zdegrees=tuple(a.zdegrees) if a.zdegrees is not None else None,
-                       metadata=meta)
-
-
-def spec_to_algebra(spec: AlgebraSpec) -> SuperAlgebra:
-    meta = dict(spec.metadata)
-    kind = meta.pop("kind", "plain")
-    if kind not in ("plain", "jordan", "lie"):
-        raise ValueError(f"unknown algebra kind {kind!r}")
-    # each distinct coefficient string, a few repeated, as an integer over d
-    parsed = {c: c.partition("/") for c in {c for *_, c in spec.products}}
-    d = lcm(1, *(int(den) for _, _, den in parsed.values() if den))
-    value = {c: int(num) * (d // int(den or 1)) for c, (num, _, den) in parsed.items()}
-    return integer_algebra(spec.parities, [(i, j, k, value[c]) for i, j, k, c in spec.products],
-                           d, spec.zdegrees, name=spec.name, kind=kind, metadata=meta)
-
-
-def save(spec: AlgebraSpec) -> bytes:
-    """Serialize to line-oriented JSON: one structure constant per line."""
-    lines = ["{"]
-    lines.append(f'"schema_version": {spec.schema_version},')
-    lines.append(f'"name": {json.dumps(spec.name)},')
-    lines.append(f'"parities": {json.dumps(list(spec.parities))},')
-    zd = list(spec.zdegrees) if spec.zdegrees is not None else None
-    lines.append(f'"zdegrees": {json.dumps(zd)},')
-    lines.append('"products": [')
-    text = {c: json.dumps(c) for c in {c for *_, c in spec.products}}  # one per distinct string
-    body = [f'{{"i": {i}, "j": {j}, "k": {k}, "coeff": {text[c]}}}'
-            for i, j, k, c in sorted(spec.products)]
-    lines.append(",\n".join(body))
-    lines.append("],")
-    meta = {k: spec.metadata[k] for k in sorted(spec.metadata)}
-    lines.append(f'"metadata": {json.dumps(meta)}')
-    lines.append("}")
+def save_algebra(a: SuperAlgebra) -> bytes:
+    """Serialize to line-oriented JSON, one structure constant per line in
+    the order of a.entries (sorted by (i, j, k)), each distinct value
+    written and quoted once."""
+    text = {v: json.dumps(str(Q(v, a.d))) for v in {e[3] for e in a.entries}}
+    zd = list(a.zdegrees) if a.zdegrees is not None else None
+    meta = {**a.metadata, "kind": a.kind}
+    lines = ["{", '"schema_version": 1,', f'"name": {json.dumps(a.name)},',
+             f'"parities": {json.dumps(list(a.parities))},', f'"zdegrees": {json.dumps(zd)},',
+             '"products": [',
+             ",\n".join([f'{{"i": {i}, "j": {j}, "k": {k}, "coeff": {text[v]}}}'
+                         for i, j, k, v in a.entries]),
+             "],", f'"metadata": {json.dumps(dict(sorted(meta.items())))}', "}"]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -712,14 +674,20 @@ def _is_int(v) -> bool:
     return type(v) is int  # JSON gives no int subclass but bool
 
 
-_PRODUCT_FIELDS = {"i", "j", "k", "coeff"}
+_FIELDS = {"schema_version", "name", "parities", "zdegrees", "products", "metadata"}
+_PRODUCT = itemgetter("i", "j", "k", "coeff")
 
 
-def load(data: bytes) -> AlgebraSpec:
-    """Parse and validate a serialized algebra, with field-level diagnostics.
+def load_algebra(data: bytes) -> SuperAlgebra:
+    """Parse, validate and build a serialized algebra, with field-level
+    diagnostics: the first fault is reported, the fields in order, each
+    product for its fields, indices and coefficient, then repetition.
 
-    A diagnostic is formatted only when its check fails, so a valid
-    document costs one pass of plain tests over its structure constants."""
+    One loop reads the products; each distinct coefficient string is matched
+    once, and a diagnostic is formatted only when its check fails.  The
+    integer entries over the least common denominator go to
+    `integer_algebra`, which checks homogeneity and, by kind, the identities
+    (super-Jacobi for a Lie table)."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -727,9 +695,8 @@ def load(data: bytes) -> AlgebraSpec:
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     _expect(isinstance(doc, dict), "top level must be a JSON object")
-    allowed = {"schema_version", "name", "parities", "zdegrees", "products", "metadata"}
     for key in doc:
-        _expect(key in allowed, f"unknown field {key!r}")
+        _expect(key in _FIELDS, f"unknown field {key!r}")
     for key in ("schema_version", "name", "parities", "products", "metadata"):
         _expect(key in doc, f"missing field {key!r}")
     ver = doc["schema_version"]
@@ -751,40 +718,45 @@ def load(data: bytes) -> AlgebraSpec:
                 raise ValueError(f"zdegrees[{idx}]: expected an integer, got {z!r}")
     prods = doc["products"]
     _expect(isinstance(prods, list), "products must be a list")
-    entries = []
-    seen = set()
-    for idx, item in enumerate(prods):
-        if not isinstance(item, dict):
-            raise ValueError(f"products[{idx}]: expected an object")
-        if item.keys() != _PRODUCT_FIELDS:
-            raise ValueError(f"products[{idx}]: expected exactly the fields i, j, k, coeff")
-        key = i, j, k = item["i"], item["j"], item["k"]
-        for fieldname, v in zip("ijk", key):
-            if not (_is_int(v) and 0 <= v < n):
-                raise ValueError(f"products[{idx}].{fieldname}: expected an index in "
-                                 f"0..{n - 1}, got {v!r}")
-        c = item["coeff"]
-        if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)):
-            raise ValueError(f"products[{idx}].coeff: {c!r} does not match "
-                             "integer-or-fraction syntax")
-        if key in seen:
-            raise ValueError(f"products[{idx}]: duplicate entry for {key}")
-        seen.add(key)
-        entries.append((i, j, k, c))
+    raw, seen, frac = [], set(), {}  # frac: each coefficient string matched, as (num, den)
+    try:
+        for idx, item in enumerate(prods):
+            if not isinstance(item, dict):
+                raise ValueError(f"products[{idx}]: expected an object")
+            if len(item) != 4:
+                raise KeyError  # as a field other than i, j, k, coeff does below
+            entry = i, j, k, c = _PRODUCT(item)
+            if not (type(i) is type(j) is type(k) is int and 0 <= i < n and 0 <= j < n
+                    and 0 <= k < n):
+                name, v = next((f, v) for f, v in zip("ijk", entry)
+                               if not (_is_int(v) and 0 <= v < n))
+                raise ValueError(f"products[{idx}].{name}: expected an index in 0..{n - 1}, "
+                                 f"got {v!r}")
+            if type(c) is not str or c not in frac:
+                if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)):
+                    raise ValueError(f"products[{idx}].coeff: {c!r} does not match "
+                                     "integer-or-fraction syntax")
+                num, _, den = c.partition("/")
+                frac[c] = int(num), int(den or 1)
+            key = (i * n + j) * n + k
+            if key in seen:
+                raise ValueError(f"products[{idx}]: duplicate entry for {(i, j, k)}")
+            seen.add(key)
+            raw.append(entry)
+    except KeyError:
+        raise ValueError(f"products[{idx}]: expected exactly the fields i, j, k, coeff") from None
     meta = doc["metadata"]
     _expect(isinstance(meta, dict), "metadata must be an object")
     for k, v in meta.items():
         if not (isinstance(k, str) and isinstance(v, str)):
             raise ValueError(f"metadata entries must be string-to-string, got {k!r}: {v!r}")
-    return AlgebraSpec(name=doc["name"], parities=tuple(pars),
-                       products=tuple(sorted(entries)),
-                       zdegrees=tuple(zd) if zd is not None else None,
-                       metadata=dict(meta))
-
-
-def save_algebra(a: SuperAlgebra) -> bytes:
-    return save(algebra_to_spec(a))
-
-
-def load_algebra(data: bytes) -> SuperAlgebra:
-    return spec_to_algebra(load(data))
+    kind = meta.pop("kind", "plain")
+    if kind not in ("plain", "jordan", "lie"):
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    d = lcm(1, *(den for _, den in frac.values()))
+    value = {c: num * (d // den) for c, (num, den) in frac.items()}
+    # sorted, as a saved document is already, so that integer_algebra meets
+    # an unsorted document's homogeneity faults in (i, j, k) order too
+    raw.sort()
+    return integer_algebra(pars, [(i, j, k, value[c]) for i, j, k, c in raw], d, zd,
+                           name=doc["name"], kind=kind, metadata=meta)

@@ -25,11 +25,11 @@ elimination; its rank is the zeroed roots plus the tied columns plus the
 core pivots (`kernel_columns` stops at that count).  A core with more
 entries than a dense system of 2 * ncols rows is eliminated on its
 shortest rows, and on the rows the certificate finds their vectors miss,
-in at most two rounds (`_kernel_rounds`).  Every kernel vector is verified
-exactly against every original row, there is one per free column, and
-every expressed member is recombined from its coefficients, on the
-integers too; a failure of either certificate raises CertificateError, so
-the checks survive `python -O`.
+in at most two rounds that share one pre-pass (`_kernel_rounds`).  Every
+kernel vector is verified exactly against every original row, there is one
+per free column, and every expressed member is recombined from its
+coefficients, on the integers too; a failure of either certificate raises
+CertificateError, so the checks survive `python -O`.
 `Matrix` is only the immutable container of such systems and of their
 results; no operator arithmetic runs on it.
 
@@ -557,15 +557,14 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
     import numpy as np
     keep = None
     if vals.dtype != object:
-        h = _row_hashes(starts, lens, cols, vals)
-        _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-        dup = np.flatnonzero(first[inverse] != np.arange(len(h)))
-        rep = first[inverse[dup]]
+        first, rep = _first_occurrences(_row_hashes(starts, lens, cols, vals))
+        dup = np.flatnonzero(rep != np.arange(len(rep)))
+        rep = rep[dup]
         if (lens[dup] == lens[rep]).all():
             a, b = _entries(starts[dup], lens[dup]), _entries(starts[rep], lens[dup])
             same = (cols[a] == cols[b]) & (vals[a] == vals[b])
             if same.all():
-                keep = np.sort(first)
+                keep = first
     if keep is None:
         seen: dict = {}
         for r, (s, m) in enumerate(zip(starts.tolist(), lens.tolist())):
@@ -573,6 +572,20 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
         keep = np.array(sorted(seen.values()), dtype=np.int64)
     at = _entries(starts[keep], lens[keep])
     return blocks[keep], lens[keep], cols[at], vals[at]
+
+
+def _first_occurrences(h):
+    """(first, rep): the ascending indices of the first occurrence of each
+    distinct value of h, and for each index that of its value.  One sort of
+    h, which need not be stable: `np.minimum.reduceat` takes the least index
+    of each run of equal values."""
+    import numpy as np
+    order = np.argsort(h)
+    start = _run_starts(h[order])
+    first = np.minimum.reduceat(order, start)
+    rep = np.empty_like(order)
+    rep[order] = np.repeat(first, np.diff(start, append=len(h)))
+    return np.sort(first), rep
 
 
 def sum_by_key(keys, vals):
@@ -812,36 +825,23 @@ def _absorb(int_rows: IntRows, ncols: int):
 def _tall(int_rows: IntRows, ncols: int) -> bool:
     """Whether a system holds more entries than a dense one of 2 * ncols
     rows: its core is then eliminated on its 2 * ncols shortest rows first
-    (`_free_vectors`)."""
+    (`_kernel_rounds`)."""
     return len(int_rows.cols) > 2 * ncols * ncols
 
 
-def _free_vectors(int_rows: IntRows, ncols: int, missed=None):
-    """(rank, free, vecs) of a sparse integer system: `_absorb` leaves the
-    core rows to `_echelon`, and vecs[k] (col -> int) is the kernel vector
-    of the free root f = free[k]: m at f, m the lcm of the pivots p of the
-    rows r nonzero at f (a column -> pivots index finds them), -r[f]*m/r[p]
-    at each p, carried to every column tied to those roots.
-
-    A `_tall` system eliminates only its 2 * ncols shortest core rows, and
-    with them, given the mask missed of the original rows that some vector
-    of that first round fails to kill, those rows with (root, sign)
-    substituted (`_kernel_rounds`).  The vectors then span the kernel of the
-    rows eliminated, which only a certificate can show to be the kernel of
-    the system; the rank counts the pivots of the rows eliminated."""
+def _free_vectors(root, sign, rows: list):
+    """(rank, free, vecs) of the rows (dicts over the live roots) left to
+    eliminate once `_absorb` tied every column c to root[c] with sign[c]:
+    vecs[k] (col -> int) is the kernel vector of the free root f = free[k]:
+    m at f, m the lcm of the pivots p of the rows r nonzero at f (a column
+    -> pivots index finds them), -r[f]*m/r[p] at each p, carried to every
+    column tied to those roots.  The vectors span the kernel of the rows
+    eliminated (all of the core, or a tall system's subset chosen by
+    `_kernel_rounds`), which only a certificate can show to be the kernel
+    of the system; the rank counts the pivots of the rows eliminated."""
     import numpy as np
 
-    root, sign, core = _absorb(int_rows, ncols)
-    rows = core.dicts()
-    if _tall(int_rows, ncols):
-        rows = sorted(rows, key=len)[:2 * ncols]
-        if missed is not None:
-            at, by, dicts = root.tolist(), sign.tolist(), int_rows.dicts()
-            for r in (dicts[i] for i in np.flatnonzero(missed).tolist()):
-                out: dict = {}
-                for c, x in r.items():
-                    out[at[c]] = out.get(at[c], 0) + by[c] * x
-                rows.append({c: x for c, x in out.items() if x})
+    ncols = len(root)
     store = _echelon(rows)
     is_root = root == np.arange(ncols)
     rank = int((is_root & (sign == 0)).sum()) + int((~is_root).sum()) + len(store)
@@ -870,21 +870,36 @@ def _kernel_rounds(int_rows: IntRows, ncols: int, finish):
     finish to (out, its rows as `IntRows`), and the mask bad of those rows
     that fail to kill some row of the system (`_verify_kernel`).
 
-    A `_tall` system takes at most two rounds.  The first eliminates the
-    shortest rows of its core.  If the join names rows that the vectors
-    fail to kill, the second eliminates those rows too, and the join runs
-    again.  That completes the span: a row every vector kills is zero on
-    the kernel of the rows eliminated, so it lies in their span.  The count
-    argument of the callers holds for either round, as the rank of rows of
-    the system is at most its rank: ncols - rank independent vectors that
-    kill every row are a basis of the kernel."""
-    rank, free, vecs = _free_vectors(int_rows, ncols)
-    out, rows = finish(vecs)
-    bad, missed = _verify_kernel(int_rows, rows, ncols)
-    if missed.any() and _tall(int_rows, ncols):
-        rank, free, vecs = _free_vectors(int_rows, ncols, missed)
-        out, rows = finish(vecs)
-        bad, _ = _verify_kernel(int_rows, rows, ncols)
+    `_absorb` runs once.  A `_tall` system takes at most two rounds.  The
+    first eliminates the 2 * ncols shortest rows of its core.  If the join
+    names rows that the vectors fail to kill, the second eliminates those
+    rows too, with (root, sign) substituted, and the join runs again.  That
+    completes the span: a row every vector kills is zero on the kernel of
+    the rows eliminated, so it lies in their span.  The count argument of
+    the callers holds for either round, as the rank of rows of the system is
+    at most its rank: ncols - rank independent vectors that kill every row
+    are a basis of the kernel."""
+    import numpy as np
+
+    root, sign, core = _absorb(int_rows, ncols)
+    rows, tall = core.dicts(), _tall(int_rows, ncols)
+    if tall:
+        rows = sorted(rows, key=len)[:2 * ncols]
+    rank, free, vecs = _free_vectors(root, sign, rows)
+    out, kept = finish(vecs)
+    bad, missed = _verify_kernel(int_rows, kept, ncols)
+    if missed.any() and tall:
+        lens = int_rows.lens[missed]
+        sub = _entries((np.cumsum(int_rows.lens) - int_rows.lens)[missed], lens)
+        at, by, rows = root.tolist(), sign.tolist(), list(rows)
+        for r in IntRows(lens, int_rows.cols[sub], int_rows.vals[sub]).dicts():
+            tied: dict = {}
+            for c, x in r.items():
+                tied[at[c]] = tied.get(at[c], 0) + by[c] * x
+            rows.append({c: x for c, x in tied.items() if x})
+        rank, free, vecs = _free_vectors(root, sign, rows)
+        out, kept = finish(vecs)
+        bad, _ = _verify_kernel(int_rows, kept, ncols)
     return rank, free, out, bad
 
 

@@ -168,32 +168,38 @@ class SuperAlgebra:
 
 def integer_algebra(parities, entries, d=1, zdegrees=None, *, name="", kind="plain",
                     metadata=None, check=True) -> SuperAlgebra:
-    """Build a SuperAlgebra from integer entries (i, j, k, value), value / d
-    being the constant of b_i * b_j at b_k.  Indices must lie in range, no
-    (i, j, k) may repeat and nonzero entries must be homogeneous (an error,
-    not a warning); zeros are dropped and d is reduced to the least common
+    """Build a SuperAlgebra from integer entries, tuples (i, j, k, value),
+    value / d being the constant of b_i * b_j at b_k.  Indices must lie in
+    range, no (i, j, k) may repeat and nonzero entries must be homogeneous
+    (an error, not a warning); each entry is checked in that order, in one
+    loop, and the first fault is reported.  Zeros are dropped, the nonzero
+    tuples are kept as given, and d is reduced to the least common
     denominator.  kind="jordan" also verifies supercommutativity, kind="lie"
     super-anticommutativity and super-Jacobi, unless check=False."""
     parities = tuple(int(p) % 2 for p in parities)
     n = len(parities)
     zdeg = tuple(int(z) for z in zdegrees) if zdegrees is not None else None
-    table: dict = {}
-    for i, j, k, v in entries:
+    seen, nonzero = set(), []
+    for e in entries:
+        i, j, k, v = e
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ValueError(f"product entry ({i},{j},{k}) out of range for dim {n}")
-        if (i, j, k) in table:
+        key = (i * n + j) * n + k
+        if key in seen:
             raise ValueError(f"duplicate structure constant for ({i},{j},{k})")
-        table[i, j, k] = v
+        seen.add(key)
         if not v:
             continue
         if parities[k] != (parities[i] + parities[j]) % 2:
             raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong parity")
         if zdeg is not None and zdeg[k] != zdeg[i] + zdeg[j]:
             raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong degree")
-    nonzero = sorted((key, v) for key, v in table.items() if v)
-    g = gcd(d, *(v for _, v in nonzero))
-    alg = SuperAlgebra(name, parities, ((i, j, k, v // g) for (i, j, k), v in nonzero),
-                       d // g, zdeg, kind, metadata)
+        nonzero.append(e)
+    nonzero.sort()
+    g = gcd(d, *(e[3] for e in nonzero))
+    if g != 1:
+        nonzero = [(i, j, k, v // g) for i, j, k, v in nonzero]
+    alg = SuperAlgebra(name, parities, nonzero, d // g, zdeg, kind, metadata)
     if check and kind == "jordan":
         w = check_supercommutative(alg)
         if w is not None:

@@ -118,14 +118,21 @@ MUTANTS = [
     ("tkk._killing_half drops the 1/2", PKG + "tkk.py",
      "np.einsum('ick,jkc->ij', C, C), 2 * d * d", "np.einsum('ick,jkc->ij', C, C), d * d",
      [DEGREE0 + "test_killing_half_of_sl2_is_computed"]),
-    ("catalog.load matches a coefficient's prefix", PKG + "catalog.py",
+    ("catalog.load_algebra matches a coefficient's prefix", PKG + "catalog.py",
      "_COEFF_RE.fullmatch(c)", "_COEFF_RE.match(c)",
      ["tests/test_catalog.py::test_load_rejects_coefficients_only_python_would_parse"]),
+    ("catalog.load_algebra records a coefficient string before matching it", PKG + "catalog.py",
+     "            if type(c) is not str or c not in frac:",
+     "            frac.setdefault(c, (0, 1))\n            if type(c) is not str or c not in frac:",
+     [CATALOG + "test_load_rejects_coefficients_only_python_would_parse"]),
+    ("catalog.save_algebra skips the json.dumps quoting", PKG + "catalog.py",
+     "text = {v: json.dumps(str(Q(v, a.d)))", "text = {v: str(Q(v, a.d))",
+     [CATALOG + "test_save_algebra_matches_the_former_writer"]),
     ("superspace.integer_algebra lets k run to n", PKG + "superspace.py",
      "0 <= k < n)", "0 <= k <= n)",
      [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
     ("superspace.integer_algebra keeps the later of two duplicates", PKG + "superspace.py",
-     "if (i, j, k) in table:", "if False:",
+     "if key in seen:", "if False:",
      [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
     ("superspace.integer_algebra adds parities without mod 2", PKG + "superspace.py",
      "parities[k] != (parities[i] + parities[j]) % 2", "parities[k] != parities[i] + parities[j]",
@@ -134,8 +141,11 @@ MUTANTS = [
      "if zdeg is not None and zdeg[k] != zdeg[i] + zdeg[j]:", "if False:",
      [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
     ("superspace.integer_algebra does not reduce d", PKG + "superspace.py",
-     "g = gcd(d, *(v for _, v in nonzero))", "g = 1",
+     "g = gcd(d, *(e[3] for e in nonzero))", "g = 1",
      [TENSOR + "test_lie_blocks_come_out_over_the_least_denominator"]),
+    ("superspace.integer_algebra skips the rescale when the gcd is not 1", PKG + "superspace.py",
+     "if g != 1:", "if False:",
+     [SUPERSPACE + "test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator"]),
     ("exact.sum_by_key keeps the zero sums", PKG + "exact.py",
      "keep = vals != 0", "keep = vals == vals",
      ["tests/test_linalg.py::test_sum_by_key_matches_a_dict_sum"]),
@@ -164,9 +174,12 @@ MUTANTS = [
      "certify(np.array_equal(k, np.arange(len(free)))",
      [LINALG + "test_a_dropped_free_vector_fails_the_count_certificate"]),
     ("exact._kernel_rounds stops after its first round", PKG + "exact.py",
-     "if missed.any() and _tall(int_rows, ncols):", "if False:",
+     "if missed.any() and tall:", "if False:",
      [LINALG + "test_a_tall_system_eliminates_the_rows_its_shortest_miss",
       LINALG + "test_tall_kernel_matches_the_all_rows_oracle"]),
+    ("exact._first_occurrences takes the first index of a run after an unstable sort",
+     PKG + "exact.py", "first = np.minimum.reduceat(order, start)", "first = order[start]",
+     [LINALG + "test_first_occurrences_match_np_unique"]),
     ("exact.range_join drops the sign flag", PKG + "exact.py",
      "np.negative(v, out=v, where=np.repeat(flag[lo:hi], m) & odd[at])", "pass",
      [TENSOR + "test_super_jacobi_matches_the_loop_oracle",

@@ -17,7 +17,14 @@ with:
 
 `BUILDERS` maps the names under which `supertkk.catalog` calls the four, so
 a test can build the whole Lie catalog through them.
+
+`save_algebra` is the former writer of the file format, which went through
+a plain description of the algebra (`AlgebraSpec`, `algebra_to_spec`,
+`save`), kept verbatim as the byte oracle of `catalog.save_algebra`.
 """
+
+import json
+from dataclasses import dataclass, field
 
 from oracle_linalg import reduce
 from supertkk.exact import GeneratedSpan, Q, Subspace, ZERO, certify, span
@@ -175,3 +182,50 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
 
 BUILDERS = {"_span_algebra": span_algebra, "_quotient_by_identity": quotient_by_identity,
             "subalgebra": subalgebra, "quotient_algebra": quotient_algebra}
+
+
+@dataclass(frozen=True)
+class AlgebraSpec:
+    """Plain serializable description of a superalgebra's structure constants."""
+
+    name: str
+    parities: tuple
+    products: tuple  # sorted (i, j, k, coeff-string) entries
+    zdegrees: tuple | None = None
+    metadata: dict = field(default_factory=dict)
+    schema_version: int = 1
+
+
+def algebra_to_spec(a: SuperAlgebra) -> AlgebraSpec:
+    text = {v: str(Q(v, a.d)) for v in {e[3] for e in a.entries}}  # one per distinct value
+    meta = dict(a.metadata)
+    meta["kind"] = a.kind
+    return AlgebraSpec(name=a.name,
+                       parities=tuple(a.parities),
+                       products=tuple((i, j, k, text[v]) for i, j, k, v in a.entries),
+                       zdegrees=tuple(a.zdegrees) if a.zdegrees is not None else None,
+                       metadata=meta)
+
+
+def save(spec: AlgebraSpec) -> bytes:
+    """Serialize to line-oriented JSON: one structure constant per line."""
+    lines = ["{"]
+    lines.append(f'"schema_version": {spec.schema_version},')
+    lines.append(f'"name": {json.dumps(spec.name)},')
+    lines.append(f'"parities": {json.dumps(list(spec.parities))},')
+    zd = list(spec.zdegrees) if spec.zdegrees is not None else None
+    lines.append(f'"zdegrees": {json.dumps(zd)},')
+    lines.append('"products": [')
+    text = {c: json.dumps(c) for c in {c for *_, c in spec.products}}  # one per distinct string
+    body = [f'{{"i": {i}, "j": {j}, "k": {k}, "coeff": {text[c]}}}'
+            for i, j, k, c in sorted(spec.products)]
+    lines.append(",\n".join(body))
+    lines.append("],")
+    meta = {k: spec.metadata[k] for k in sorted(spec.metadata)}
+    lines.append(f'"metadata": {json.dumps(meta)}')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def save_algebra(a: SuperAlgebra) -> bytes:
+    return save(algebra_to_spec(a))

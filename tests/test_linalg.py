@@ -264,6 +264,20 @@ def test_sum_by_key_matches_a_dict_sum(case):
         (k, v) for k, v in want.items() if v)
 
 
+@given(st.sampled_from([0, 1, 5, 17, 2000, 30000]), st.integers(1, 60), st.integers(0, 2 ** 32))
+@settings(**SETTINGS)
+def test_first_occurrences_match_np_unique(size, distinct, seed):
+    # row hashes with repeats, long enough that the unstable sort moves equal
+    # hashes: the first index of each hash, and the first index of every
+    # entry's hash, as the stable np.unique that `_distinct_rows` used
+    rng = np.random.default_rng(seed)
+    h = rng.integers(0, distinct, size).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    got, rep = exact._first_occurrences(h)
+    assert got.tolist() == sorted(first.tolist())
+    assert rep.tolist() == first[inverse.reshape(-1)].tolist()
+
+
 def test_int_dtype_leaves_room_for_a_sum_of_two():
     # int64 holds values below 2**62, so that the sum or difference of two
     # of them stays in range; from 2**62 on the values are Python ints
@@ -314,9 +328,9 @@ def test_a_perturbed_free_vector_fails_the_count_certificate(fault, monkeypatch)
     # every row, on no free column) must fail the count
     read = exact._free_vectors
 
-    def perturbed(int_rows, ncols):
-        rank, free, vecs = read(int_rows, ncols)
-        fault(vecs, set(int_rows.cols.tolist()))
+    def perturbed(root, sign, rows):
+        rank, free, vecs = read(root, sign, rows)
+        fault(vecs, {c for r in rows for c in r})  # a root a core row uses
         return rank, free, vecs
 
     g = load_algebra(save_algebra(lie_catalog("w", 3)))  # fresh: an empty memo
@@ -331,8 +345,8 @@ def test_a_dropped_free_vector_fails_the_count_certificate(monkeypatch):
     # of ncols - rank free columns sees the lost kernel dimension
     read = exact._free_vectors
 
-    def dropped(int_rows, ncols):
-        rank, free, vecs = read(int_rows, ncols)
+    def dropped(root, sign, rows):
+        rank, free, vecs = read(root, sign, rows)
         return rank, free[:-1], vecs[:-1]
 
     g = load_algebra(save_algebra(lie_catalog("w", 3)))  # fresh: an empty memo
@@ -542,20 +556,27 @@ def _shortest_rows_miss_the_rank():
 
 def test_a_tall_system_eliminates_the_rows_its_shortest_miss(monkeypatch):
     rows, n = _shortest_rows_miss_the_rank()
-    calls = []
-    read = exact._free_vectors
+    calls, absorbed = [], []
+    read, absorb = exact._free_vectors, exact._absorb
 
-    def spy(int_rows, ncols, *missed):
-        calls.append([np.flatnonzero(m).tolist() for m in missed])
-        return read(int_rows, ncols, *missed)
+    def spy(root, sign, eliminated):
+        calls.append((len(eliminated), eliminated[-1]))
+        return read(root, sign, eliminated)
+
+    def absorb_spy(int_rows, ncols):
+        absorbed.append(len(int_rows))
+        return absorb(int_rows, ncols)
 
     monkeypatch.setattr(exact, "_free_vectors", spy)
+    monkeypatch.setattr(exact, "_absorb", absorb_spy)
     assert exact._tall(IntRows.from_dicts(rows), n)
     assert list(integer_kernel(IntRows.from_dicts(rows), n).basis) == oracle.integer_kernel(rows, n)
     assert kernel_columns(IntRows.from_dicts(rows), n).tolist() == [3]
-    # each a first round on the shortest rows, then a second with the one
-    # row whose vectors the first did not kill: the last
-    assert calls == [[], [[16]]] * 2
+    # each a first round on the 8 shortest rows, then a second with the one
+    # row whose vectors the first did not kill, the last, added; the second
+    # round reuses the first's pre-pass, so each kernel runs `_absorb` once
+    assert calls == [(8, {0: 3, 1: 4, 2: -6}), (9, rows[-1])] * 2
+    assert absorbed == [len(rows)] * 2
 
 
 ABSORB_FAULT = """
@@ -920,9 +941,10 @@ import sys
 from supertkk import exact
 if not sys.flags.optimize:
     raise SystemExit("expected python -O")
-read = exact._free_vectors
-def broken(int_rows, ncols, missed=None):  # the second round leaves out the rows missed
-    return read(int_rows, ncols)
+read, first = exact._free_vectors, []
+def broken(root, sign, rows):  # the second round leaves out the rows missed
+    first.append(len(rows))
+    return read(root, sign, rows[:first[0]])
 exact._free_vectors = broken
 exact.integer_kernel(exact.IntRows.from_dicts(ROWS), 4)
 """
