@@ -9,8 +9,10 @@ families, and the exterior tower: the Poisson bracket on lambda(n), the
 derivation algebra w(n), htilde(n)/h(n), and two semidirect extensions by the
 Euler operator C.
 
-Every Lie entry is built on the integers.  The matrix families are spans of
-+-1 matrices: their supercommutators are one batched product
+Every entry is built on the integers.  A Jordan builder writes its
+constants over one denominator (2 for j19, kacK and full_matrix, 2 times the
+denominator of t for dt(t)).  The Lie matrix families are spans of +-1
+matrices: their supercommutators are one batched product
 (`tensor.brackets`), written in the spanning matrices by one certified
 `GeneratedSpan.coordinates` call; the quotients (psl, pgl, psq, pq,
 htilde) and h go through the sparse integer `quotient_algebra` and
@@ -33,8 +35,8 @@ from pathlib import Path
 
 from . import tensor
 from .exact import GeneratedSpan, Q, span
-from .superspace import (SuperAlgebra, derived, integer_algebra, make_algebra, mirror,
-                         quotient_algebra, subalgebra)
+from .superspace import (SuperAlgebra, derived, integer_algebra, mirror, quotient_algebra,
+                         subalgebra)
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -54,35 +56,32 @@ def _norm_param(p):
 # Jordan families
 
 
+def _jordan(parities, upper, d, name, metadata):
+    """The Jordan superalgebra whose upper-triangle integer constants over d
+    are completed supercommutatively (`mirror`)."""
+    return integer_algebra(parities, mirror(parities, upper, 1), d, name=name, kind="jordan",
+                           metadata=metadata)
+
+
 def _build_j19():
-    upper = [(0, 0, 0, Q(1)), (0, 1, 1, Q(1, 2)), (1, 1, 2, Q(1))]
-    parities = (0, 0, 0)
-    return make_algebra(parities, mirror(parities, upper, 1), name="j19",
-                        kind="jordan", metadata={"family": "j19"})
+    # e0 e0 = e0, e0 e1 = e1/2, e1 e1 = e2, over d = 2
+    return _jordan((0, 0, 0), [(0, 0, 0, 2), (0, 1, 1, 1), (1, 1, 2, 2)], 2, "j19",
+                   {"family": "j19"})
 
 
 def _build_kac_k():
-    # basis a (even), xi1, xi2 (odd); a^2 = a, a xi_i = xi_i/2, xi1 xi2 = a
-    upper = [(0, 0, 0, Q(1)), (0, 1, 1, Q(1, 2)), (0, 2, 2, Q(1, 2)),
-             (1, 2, 0, Q(1))]
-    parities = (0, 1, 1)
-    return make_algebra(parities, mirror(parities, upper, 1), name="kacK",
-                        kind="jordan", metadata={"family": "kacK"})
+    # basis a (even), xi1, xi2 (odd); a^2 = a, a xi_i = xi_i/2, xi1 xi2 = a, over d = 2
+    return _jordan((0, 1, 1), [(0, 0, 0, 2), (0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 0, 2)], 2,
+                   "kacK", {"family": "kacK"})
 
 
 def _build_trunc_poly(k):
     if not 3 <= k <= 8:
         raise ValueError(f"trunc_poly: k must be in 3..8, got {k}")
     # basis t, t^2, ..., t^(k-1); index i holds t^(i+1)
-    upper = []
-    for i in range(k - 1):
-        for j in range(i, k - 1):
-            if i + j + 2 <= k - 1:
-                upper.append((i, j, i + j + 1, Q(1)))
-    parities = (0,) * (k - 1)
-    return make_algebra(parities, mirror(parities, upper, 1),
-                        name=f"trunc_poly({k})", kind="jordan",
-                        metadata={"family": "trunc_poly"})
+    upper = [(i, j, i + j + 1, 1) for i in range(k - 1) for j in range(i, k - 1)
+             if i + j + 2 <= k - 1]
+    return _jordan((0,) * (k - 1), upper, 1, f"trunc_poly({k})", {"family": "trunc_poly"})
 
 
 def _build_full_matrix(m, n):
@@ -92,19 +91,18 @@ def _build_full_matrix(m, n):
     cells = [(a, b) for a in range(d) for b in range(d)]
     idx = {ab: i for i, ab in enumerate(cells)}
     parities = tuple((int(a >= m) + int(b >= m)) % 2 for a, b in cells)
-    products = []
+    products = []  # over d = 2
     for i, (a, b) in enumerate(cells):
         for j, (c, e) in enumerate(cells):
             acc = {}
             if b == c:  # x y contributes E_{ae}/2
-                acc[idx[a, e]] = acc.get(idx[a, e], Q(0)) + Q(1, 2)
+                acc[idx[a, e]] = 1
             if e == a:  # (-1)^{|x||y|} y x contributes +-E_{cb}/2
-                s = Q(1, 2) if parities[i] * parities[j] % 2 == 0 else Q(-1, 2)
-                acc[idx[c, b]] = acc.get(idx[c, b], Q(0)) + s
+                s = -1 if parities[i] * parities[j] % 2 else 1
+                acc[idx[c, b]] = acc.get(idx[c, b], 0) + s
             products.extend((i, j, k, v) for k, v in acc.items() if v)
-    return make_algebra(parities, products, name=f"full_matrix({m},{n})",
-                        kind="jordan",
-                        metadata={"family": "full_matrix", "external": "yes"})
+    return integer_algebra(parities, products, 2, name=f"full_matrix({m},{n})", kind="jordan",
+                           metadata={"family": "full_matrix", "external": "yes"})
 
 
 def _build_form(p, two_q):
@@ -114,29 +112,22 @@ def _build_form(p, two_q):
         raise ValueError(f"form: need 1 <= p+2q <= 5, got ({p},{two_q})")
     # basis e, u_1..u_p (even), z_1..z_2q (odd); e is the unit,
     # u_i u_j = delta_ij e, z pairs are symplectic: z_{2l-1} z_{2l} = e.
-    dim = 1 + p + two_q
-    parities = (0,) * (1 + p) + (1,) * two_q
-    upper = [(0, i, i, Q(1)) for i in range(dim)]
-    upper += [(i, i, 0, Q(1)) for i in range(1, 1 + p)]
-    upper += [(1 + p + 2 * l, 2 + p + 2 * l, 0, Q(1)) for l in range(two_q // 2)]
-    return make_algebra(parities, mirror(parities, upper, 1),
-                        name=f"form({p},{two_q})", kind="jordan",
-                        metadata={"family": "form", "external": "yes"})
+    upper = [(0, i, i, 1) for i in range(1 + p + two_q)]
+    upper += [(i, i, 0, 1) for i in range(1, 1 + p)]
+    upper += [(1 + p + 2 * l, 2 + p + 2 * l, 0, 1) for l in range(two_q // 2)]
+    return _jordan((0,) * (1 + p) + (1,) * two_q, upper, 1, f"form({p},{two_q})",
+                   {"family": "form", "external": "yes"})
 
 
 def _build_dt(t):
-    t = Q(t)
     if t == 0 or t == -1:
         raise ValueError("dt: parameter must avoid 0 and -1")
     # basis e1, e2 (even idempotents), x, y (odd); e1+e2 is the unit.
-    upper = [(0, 0, 0, Q(1)), (1, 1, 1, Q(1)),
-             (0, 2, 2, Q(1, 2)), (0, 3, 3, Q(1, 2)),
-             (1, 2, 2, Q(1, 2)), (1, 3, 3, Q(1, 2)),
-             (2, 3, 0, Q(1)), (2, 3, 1, t)]
-    parities = (0, 0, 1, 1)
-    return make_algebra(parities, mirror(parities, upper, 1),
-                        name=f"dt({t})", kind="jordan",
-                        metadata={"family": "dt", "external": "yes"})
+    # Over d = 2 t.denominator, 1 is d, 1/2 is h and t is 2 t.numerator.
+    d, h = 2 * t.denominator, t.denominator
+    upper = [(0, 0, 0, d), (1, 1, 1, d), (0, 2, 2, h), (0, 3, 3, h), (1, 2, 2, h), (1, 3, 3, h),
+             (2, 3, 0, d), (2, 3, 1, 2 * t.numerator)]
+    return _jordan((0, 0, 1, 1), upper, d, f"dt({t})", {"family": "dt", "external": "yes"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact rational linear algebra: the substrate every other module solves on.
 
-Scalars are arbitrary-precision rationals (gmpy2.mpq when available, else
-fractions.Fraction).  No floating point anywhere: every identity this package
-checks is an algebraic identity over Q and must hold exactly.
+Scalars are arbitrary-precision rationals (`fractions.Fraction`).  No
+floating point anywhere: every identity this package checks is an algebraic
+identity over Q and must hold exactly.
 
 There is one elimination, fraction-free over the integers, for kernels,
 spans, solves and generator coordinates (`kernel_sparse` and its
@@ -56,11 +56,6 @@ from math import gcd, lcm
 from numbers import Rational, Real
 from typing import Iterable, Sequence
 
-try:
-    from gmpy2 import mpq as _Scalar
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Scalar = Fraction
-
 
 def Q(value=0, den=None):
     """Exact rational from an int, a "p/q" string, or another rational.
@@ -70,12 +65,12 @@ def Q(value=0, den=None):
     A float, numpy's included, raises TypeError: its binary expansion is no
     constant anyone wrote down."""
     if den is not None:
-        return _Scalar(value, den)
-    if type(value) is _Scalar:
+        return Fraction(value, den)
+    if type(value) is Fraction:
         return value
     if type(value) is not int and isinstance(value, Real) and not isinstance(value, Rational):
         raise TypeError(f"not an exact rational: {value!r} ({type(value).__name__})")
-    return _Scalar(value)
+    return Fraction(value)
 
 
 ZERO = Q(0)
@@ -161,14 +156,19 @@ class Matrix:
 # subspaces and spans, on integers over one denominator
 
 
-def _scaled(vec: Sequence, ambient: int) -> tuple[dict, int]:
-    """(row, d): vec = row / d, row a sparse integer row (col -> int) and d
-    the lcm of the denominators of vec's entries."""
+def _sparse(vec: Sequence, ambient: int) -> dict:
+    """vec as a sparse row (col -> entry), its length checked against ambient."""
     v = tuple(vec)
     if len(v) != ambient:
         raise ValueError(f"ambient dimension mismatch: {len(v)} != {ambient}")
-    items = [(j, x if isinstance(x, (int, Fraction, _Scalar)) else Q(x))
-             for j, x in enumerate(v) if x]
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _scaled(vec: Sequence, ambient: int) -> tuple[dict, int]:
+    """(row, d): vec = row / d, row a sparse integer row (col -> int) and d
+    the lcm of the denominators of vec's entries (`GeneratedSpan`)."""
+    items = [(j, x if isinstance(x, (int, Fraction)) else Q(x))
+             for j, x in _sparse(vec, ambient).items()]
     d = lcm(1, *{int(x.denominator) for _, x in items})
     return {j: int(x.numerator) * (d // int(x.denominator)) for j, x in items}, d
 
@@ -193,7 +193,7 @@ class Subspace:
     __slots__ = ("ambient", "rows", "den", "pivots", "_basis")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        self._take(ambient, _echelon(primitive_rows(_scaled(v, ambient)[0] for v in vectors)))
+        self._take(ambient, _echelon(primitive_rows(_sparse(v, ambient) for v in vectors)))
 
     def _take(self, ambient: int, store: dict[int, dict]) -> "Subspace":
         """Read an `_echelon` store off as it is: each row r divided by its
@@ -237,25 +237,6 @@ class Subspace:
                                 for row in self.rows)
         return self._basis
 
-    def contains(self, vec: Sequence) -> bool:
-        """Whether vec lies in the space: with vec = V / e, its integer residue
-        den V - sum V[p] rows_p over the pivots p is zero."""
-        v, _ = _scaled(vec, self.ambient)
-        out = [0] * self.ambient
-        for j, x in v.items():
-            out[j] = x * self.den
-        for row, p in zip(self.rows, self.pivots):
-            c = v.get(p)
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        out[j] -= c * y
-        return not any(out)
-
-    def contains_space(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(r) for r in other.rows)
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace(self.ambient, self.rows + other.rows)
@@ -267,7 +248,7 @@ class Subspace:
         self._check_ambient(other)
         n = self.ambient
         stacked = [v + v for v in self.rows] + [w + (0,) * n for w in other.rows]
-        store = _echelon(primitive_rows(_scaled(v, 2 * n)[0] for v in stacked))
+        store = _echelon(primitive_rows(dict(enumerate(v)) for v in stacked))
         return Subspace._of(n, {p - n: {c - n: x for c, x in r.items()}
                                 for p, r in store.items() if p >= n})
 
@@ -410,8 +391,9 @@ def row_primitive(row: dict) -> dict:
     `primitive_row_blocks`."""
     # ints and rationals already carry numerator/denominator; re-wrapping
     # them in Q() was the larger part of this function's time
-    items = [(c, v if isinstance(v, (int, Fraction, _Scalar)) else Q(v))
+    items = [(c, v if isinstance(v, (int, Fraction)) else Q(v))
              for c, v in row.items() if v]
+    items = [(c, v) for c, v in items if v]  # a "0" string is truthy
     if not items:
         return {}
     den = lcm(*(int(v.denominator) for _, v in items))

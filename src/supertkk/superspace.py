@@ -223,7 +223,8 @@ def make_algebra(parities, products, zdegrees=None, *, name="", kind="plain",
 
 
 def mirror(parities, upper, sym):
-    """Complete an upper-triangle product list by (anti)supersymmetry.
+    """Complete an upper-triangle list of (i, j, k, c), c an int or a
+    rational, by (anti)supersymmetry.
 
     sym=+1 mirrors supercommutatively (Jordan), sym=-1 anticommutatively (Lie).
     Diagonal entries (i == j) are kept as given.
@@ -232,7 +233,7 @@ def mirror(parities, upper, sym):
     for i, j, k, c in upper:
         if i != j:
             s = sym if parities[i] * parities[j] % 2 == 0 else -sym
-            out.append((j, i, k, Q(c) * s))
+            out.append((j, i, k, c * s))
     return out
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import GeneratedSpan, IntRows, Subspace, certify, kernel_columns, span, span_in_kernel
+from .exact import GeneratedSpan, IntRows, Subspace, certify, kernel_columns, span_in_kernel
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -575,7 +575,7 @@ def is_jordan_graded(g: SuperAlgebra) -> CheckResult:
     if spanned != len(zero) or pm[:, z != 0].any():
         return CheckResult("jordan_graded", False,
                            f"[g+, g-] has dim {spanned}, g0 has dim {len(zero)}")
-    meet = center(g).intersect(span([g.basis_vector(i) for i in zero], ambient=g.dim))
+    meet = center(g).intersect(Subspace.full(len(zero)).embedded(zero, g.dim))
     if meet.dim:
         return CheckResult("jordan_graded", False,
                            f"center meets g0 in dim {meet.dim}")

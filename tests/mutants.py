@@ -222,6 +222,21 @@ MUTANTS = [
     ("superspace.subalgebra keeps the pivot order", PKG + "superspace.py",
      "order = sorted(range(s.dim), key=keys.__getitem__)", "order = list(range(s.dim))",
      [SUPERSPACE + "test_subalgebra_and_quotient_match_the_rational_oracle"]),
+    ("catalog._build_full_matrix drops its odd-odd sign", PKG + "catalog.py",
+     "s = -1 if parities[i] * parities[j] % 2 else 1", "s = 1",
+     [CATALOG + "test_every_jordan_build_matches_its_rational_build"]),
+    ("catalog._build_dt writes t over d / 2", PKG + "catalog.py",
+     "(2, 3, 1, 2 * t.numerator)", "(2, 3, 1, t.numerator)",
+     [CATALOG + "test_every_jordan_build_matches_its_rational_build"]),
+    ("exact._sparse skips the ambient-length check", PKG + "exact.py",
+     "if len(v) != ambient:", "if False:",
+     [LINALG + "test_shape_guards_survive_python_O"]),
+    ("exact.row_primitive keeps a zero given as a string", PKG + "exact.py",
+     "items = [(c, v) for c, v in items if v]", "pass",
+     [LINALG + "test_subspace_reads_a_zero_string_as_zero"]),
+    ("tkk.is_jordan_graded meets the centre with the wrong coordinates", PKG + "tkk.py",
+     "embedded(zero, g.dim)", "embedded(range(len(zero)), g.dim)",
+     ["tests/test_j_functor.py::test_a_central_g0_fails_like_the_loop"]),
 ]
 
 

@@ -1,6 +1,6 @@
-"""The rational builders of the Lie catalog (test-only oracle).
+"""The rational builders of the catalog (test-only oracle).
 
-Before the Lie catalog was built on the integers, its matrix spans,
+Before the catalog was built on the integers, its matrix spans,
 subalgebras and quotients ran on `Fraction`s, one product at a time; they
 are kept here verbatim as the reference the integer builders are compared
 with:
@@ -12,11 +12,17 @@ with:
   `catalog._quotient_by_identity`, which expressed the identity the same way.
 - `subalgebra` and `quotient_algebra` are the former `superspace` functions:
   every product of two basis vectors by `SuperAlgebra.product`, each
-  expressed (`subalgebra`), tested for membership (`Subspace.contains`) or
-  reduced (`oracle_linalg.reduce`, the former `Subspace.reduce`) on its own.
+  expressed (`subalgebra`), tested for membership (`oracle_linalg.contains`,
+  the former `Subspace.contains`) or reduced (`oracle_linalg.reduce`, the
+  former `Subspace.reduce`) on its own.
 
 `BUILDERS` maps the names under which `supertkk.catalog` calls the four, so
 a test can build the whole Lie catalog through them.
+
+The Jordan builders (`_build_j19` to `_build_dt`) are the former rational
+ones of `supertkk.catalog`, kept verbatim: each writes its constants as
+rationals (`Q`) and hands them to `make_algebra`.  `JORDAN_BUILDERS` has the
+layout of `catalog._JORDAN_BUILDERS`, so a test can swap the whole table.
 
 `save_algebra` is the former writer of the file format, which went through
 a plain description of the algebra (`AlgebraSpec`, `algebra_to_spec`,
@@ -26,9 +32,9 @@ a plain description of the algebra (`AlgebraSpec`, `algebra_to_spec`,
 import json
 from dataclasses import dataclass, field
 
-from oracle_linalg import reduce
+from oracle_linalg import contains, reduce
 from supertkk.exact import GeneratedSpan, Q, Subspace, ZERO, certify, span
-from supertkk.superspace import SuperAlgebra, make_algebra
+from supertkk.superspace import SuperAlgebra, make_algebra, mirror
 
 
 def _compose(x, y):
@@ -158,9 +164,9 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
     for i in range(a.dim):
         b = a.basis_vector(i)
         for v in ideal.basis:
-            if not ideal.contains(a.product(b, v)):
+            if not contains(ideal, a.product(b, v)):
                 raise ValueError(f"quotient: not an ideal, e_{i}*v escapes (v in ideal)")
-            if not ideal.contains(a.product(v, b)):
+            if not contains(ideal, a.product(v, b)):
                 raise ValueError(f"quotient: not an ideal, v*e_{i} escapes (v in ideal)")
     keep = [i for i in range(a.dim) if i not in set(ideal.pivots)]
     pos = {i: m for m, i in enumerate(keep)}
@@ -182,6 +188,101 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
 
 BUILDERS = {"_span_algebra": span_algebra, "_quotient_by_identity": quotient_by_identity,
             "subalgebra": subalgebra, "quotient_algebra": quotient_algebra}
+
+
+def _build_j19():
+    upper = [(0, 0, 0, Q(1)), (0, 1, 1, Q(1, 2)), (1, 1, 2, Q(1))]
+    parities = (0, 0, 0)
+    return make_algebra(parities, mirror(parities, upper, 1), name="j19",
+                        kind="jordan", metadata={"family": "j19"})
+
+
+def _build_kac_k():
+    # basis a (even), xi1, xi2 (odd); a^2 = a, a xi_i = xi_i/2, xi1 xi2 = a
+    upper = [(0, 0, 0, Q(1)), (0, 1, 1, Q(1, 2)), (0, 2, 2, Q(1, 2)),
+             (1, 2, 0, Q(1))]
+    parities = (0, 1, 1)
+    return make_algebra(parities, mirror(parities, upper, 1), name="kacK",
+                        kind="jordan", metadata={"family": "kacK"})
+
+
+def _build_trunc_poly(k):
+    if not 3 <= k <= 8:
+        raise ValueError(f"trunc_poly: k must be in 3..8, got {k}")
+    # basis t, t^2, ..., t^(k-1); index i holds t^(i+1)
+    upper = []
+    for i in range(k - 1):
+        for j in range(i, k - 1):
+            if i + j + 2 <= k - 1:
+                upper.append((i, j, i + j + 1, Q(1)))
+    parities = (0,) * (k - 1)
+    return make_algebra(parities, mirror(parities, upper, 1),
+                        name=f"trunc_poly({k})", kind="jordan",
+                        metadata={"family": "trunc_poly"})
+
+
+def _build_full_matrix(m, n):
+    if m < 0 or n < 0 or not 1 <= m + n <= 3:
+        raise ValueError(f"full_matrix: need m,n >= 0 and 1 <= m+n <= 3, got ({m},{n})")
+    d = m + n
+    cells = [(a, b) for a in range(d) for b in range(d)]
+    idx = {ab: i for i, ab in enumerate(cells)}
+    parities = tuple((int(a >= m) + int(b >= m)) % 2 for a, b in cells)
+    products = []
+    for i, (a, b) in enumerate(cells):
+        for j, (c, e) in enumerate(cells):
+            acc = {}
+            if b == c:  # x y contributes E_{ae}/2
+                acc[idx[a, e]] = acc.get(idx[a, e], Q(0)) + Q(1, 2)
+            if e == a:  # (-1)^{|x||y|} y x contributes +-E_{cb}/2
+                s = Q(1, 2) if parities[i] * parities[j] % 2 == 0 else Q(-1, 2)
+                acc[idx[c, b]] = acc.get(idx[c, b], Q(0)) + s
+            products.extend((i, j, k, v) for k, v in acc.items() if v)
+    return make_algebra(parities, products, name=f"full_matrix({m},{n})",
+                        kind="jordan",
+                        metadata={"family": "full_matrix", "external": "yes"})
+
+
+def _build_form(p, two_q):
+    if p < 0 or two_q < 0 or two_q % 2:
+        raise ValueError(f"form: need p >= 0 and even 2q >= 0, got ({p},{two_q})")
+    if not 1 <= p + two_q <= 5:
+        raise ValueError(f"form: need 1 <= p+2q <= 5, got ({p},{two_q})")
+    # basis e, u_1..u_p (even), z_1..z_2q (odd); e is the unit,
+    # u_i u_j = delta_ij e, z pairs are symplectic: z_{2l-1} z_{2l} = e.
+    dim = 1 + p + two_q
+    parities = (0,) * (1 + p) + (1,) * two_q
+    upper = [(0, i, i, Q(1)) for i in range(dim)]
+    upper += [(i, i, 0, Q(1)) for i in range(1, 1 + p)]
+    upper += [(1 + p + 2 * l, 2 + p + 2 * l, 0, Q(1)) for l in range(two_q // 2)]
+    return make_algebra(parities, mirror(parities, upper, 1),
+                        name=f"form({p},{two_q})", kind="jordan",
+                        metadata={"family": "form", "external": "yes"})
+
+
+def _build_dt(t):
+    t = Q(t)
+    if t == 0 or t == -1:
+        raise ValueError("dt: parameter must avoid 0 and -1")
+    # basis e1, e2 (even idempotents), x, y (odd); e1+e2 is the unit.
+    upper = [(0, 0, 0, Q(1)), (1, 1, 1, Q(1)),
+             (0, 2, 2, Q(1, 2)), (0, 3, 3, Q(1, 2)),
+             (1, 2, 2, Q(1, 2)), (1, 3, 3, Q(1, 2)),
+             (2, 3, 0, Q(1)), (2, 3, 1, t)]
+    parities = (0, 0, 1, 1)
+    return make_algebra(parities, mirror(parities, upper, 1),
+                        name=f"dt({t})", kind="jordan",
+                        metadata={"family": "dt", "external": "yes"})
+
+
+JORDAN_BUILDERS = {
+    "j19": (_build_j19, 0),
+    "kacK": (_build_kac_k, 0),
+    "trunc_poly": (_build_trunc_poly, 1),
+    "full_matrix": (_build_full_matrix, 2),
+    "form": (_build_form, 2),
+    "dt": (_build_dt, 1),
+}
 
 
 @dataclass(frozen=True)

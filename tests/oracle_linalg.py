@@ -45,7 +45,10 @@ oracle_identities), and `operators` the former `OperatorSpace.operators()`;
 `reduce` and `coordinates` are the former `Subspace.reduce` and
 `Subspace.coordinates`, which no package code calls since `subalgebra` and
 `quotient_algebra` read integer residues in one sparse join; `reduce` is
-written here on the rational basis, `coordinates` verbatim.
+written here on the rational basis, `coordinates` verbatim.  `contains` and
+`contains_space` are the former `Subspace.contains` and
+`Subspace.contains_space`, kept verbatim; no package code tests membership
+one vector at a time.
 """
 
 from __future__ import annotations
@@ -111,13 +114,34 @@ def reduce(s: Subspace, vec: Sequence) -> list:
     return v
 
 
+def contains(s: Subspace, vec: Sequence) -> bool:
+    """Whether vec lies in the space: with vec = V / e, its integer residue
+    den V - sum V[p] rows_p over the pivots p is zero."""
+    v, _ = exact._scaled(vec, s.ambient)
+    out = [0] * s.ambient
+    for j, x in v.items():
+        out[j] = x * s.den
+    for row, p in zip(s.rows, s.pivots):
+        c = v.get(p)
+        if c:
+            for j, y in enumerate(row):
+                if y:
+                    out[j] -= c * y
+    return not any(out)
+
+
+def contains_space(s: Subspace, t: Subspace) -> bool:
+    s._check_ambient(t)
+    return all(contains(s, r) for r in t.rows)
+
+
 def coordinates(s: Subspace, vec: Sequence):
     """Coefficients of vec in the canonical basis, or None if outside.
 
     Each basis row is 1 at its own pivot and 0 at the others, so the
     coefficients are the entries of vec at the pivot columns."""
     v = tuple(vec)
-    return tuple(Q(v[p]) for p in s.pivots) if s.contains(v) else None
+    return tuple(Q(v[p]) for p in s.pivots) if contains(s, v) else None
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:

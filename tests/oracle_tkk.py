@@ -71,8 +71,8 @@ from __future__ import annotations
 from oracle_identities import _g0_on_gplus, _gplus_on_gminus, _hom2_flat_p, center
 import oracle_linalg
 import oracle_tables
-from oracle_linalg import (Matrix, SpanSolver, coordinates, d_op, l_op, left_mult_matrix,
-                           operators, supercommutator, triple)
+from oracle_linalg import (Matrix, SpanSolver, contains, contains_space, coordinates, d_op,
+                           l_op, left_mult_matrix, operators, supercommutator, triple)
 from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
 from supertkk.jordan import find_unit
@@ -224,17 +224,17 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
     for i in range(n):
         li = l_op(V, V.basis_vector(i)).matrix
         vec = li.flatten() + (-li).flatten()
-        ok = ok and pder.part(V.parity(i)).contains(vec)
+        ok = ok and contains(pder.part(V.parity(i)), vec)
     out["lx_minus_lx_in_pair_der"] = ok
     ok = True
     for op in operators(der):
         vec = op.matrix.flatten() + op.matrix.flatten()
-        ok = ok and pder.part(op.parity).contains(vec)
+        ok = ok and contains(pder.part(op.parity), vec)
     out["diag_der_in_pair_der"] = ok
     ok = True
     for op in operators(inn):
         vec = op.matrix.flatten() + op.matrix.flatten()
-        ok = ok and pinn.part(op.parity).contains(vec)
+        ok = ok and contains(pinn.part(op.parity), vec)
     out["diag_inn_in_pair_inn"] = ok
     image: dict = {0: [], 1: []}
     for d_plus, _, parity in operators(pinn):
@@ -248,13 +248,13 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
             s = Q(-1) if (pa * pb) % 2 else Q(1)
             br_plus = a_plus @ b_plus - (b_plus @ a_plus).scale(s)
             br_minus = a_minus @ b_minus - (b_minus @ a_minus).scale(s)
-            ok = ok and pinn.part((pa + pb) % 2).contains(br_plus.flatten()
+            ok = ok and contains(pinn.part((pa + pb) % 2), br_plus.flatten()
                                                           + br_minus.flatten())
     out["pair_inn_ideal"] = ok
     ok = True
     for x, y, parity in operators(sw):
         vec = x.flatten() + (-y).flatten()
-        ok = ok and pder.part(parity).contains(vec)
+        ok = ok and contains(pder.part(parity), vec)
     out["str_w_swap_in_pair_der"] = ok
     return out
 
@@ -464,18 +464,18 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         label = d
     else:
         dsp, label = d, d.label
-    def contains(a, b):
-        return a.even.contains_space(b.even) and a.odd.contains_space(b.odd)
+    def includes(a, b):
+        return contains_space(a.even, b.even) and contains_space(a.odd, b.odd)
 
-    if not contains(der_algebra(V), dsp):
+    if not includes(der_algebra(V), dsp):
         raise ValueError("derivation container must consist of derivations")
-    if not contains(dsp, inn_algebra(V)):
+    if not includes(dsp, inn_algebra(V)):
         raise ValueError("derivation container must contain the inner derivations")
     ops = operators(dsp)
     for i, a_op in enumerate(ops):
         for b_op in ops[i:]:
             br = supercommutator(a_op, b_op)
-            if not dsp.part(br.parity).contains(br.matrix.flatten()):
+            if not contains(dsp.part(br.parity), br.matrix.flatten()):
                 raise ValueError("derivation container is not closed under bracket")
     sl2 = _sl2()
     return TitsData(dsp, sl2, killing_half(sl2), label)
@@ -844,7 +844,7 @@ def pair_der_matches_der0(v) -> CheckResult:
     embedded = []
     for d_plus, d_minus, par in pd_ops:
         m = embed(d_plus, d_minus, par)
-        if not der0[par].contains(m.flatten()):
+        if not contains(der0[par], m.flatten()):
             return CheckResult("pair_der_equals_der0", False,
                                "embedded pair derivation is not a derivation of Ko")
         embedded.append((m, par))
@@ -924,7 +924,7 @@ def is_jordan_graded(g: SuperAlgebra) -> CheckResult:
                 for i in plus for j in minus]
     spanned = span(brackets, ambient=g.dim)
     g0 = span([g.basis_vector(i) for i in zero], ambient=g.dim)
-    if not (spanned.contains_space(g0) and g0.contains_space(spanned)):
+    if not (contains_space(spanned, g0) and contains_space(g0, spanned)):
         return CheckResult("jordan_graded", False,
                            f"[g+, g-] has dim {spanned.dim}, g0 has dim {g0.dim}")
     meet = center(g).intersect(g0)
@@ -993,7 +993,7 @@ def koecher_ideal_check(v) -> CheckResult:
         sub.append(tuple(Q(1) if r == dp + nm + u else Q(0)
                          for r in range(g.dim)))
     s = span(sub, ambient=g.dim)
-    ok = all(s.contains(g.product(g.basis_vector(b), vec))
+    ok = all(contains(s, g.product(g.basis_vector(b), vec))
              for b in range(g.dim) for vec in s.basis)
     return CheckResult("ko_ideal_in_kotilde", ok,
                        "Ko(V,V) is an ideal in Ko~(V,V)" if ok

@@ -5,6 +5,7 @@ criterion.  Everything asserts exact rational equality; there are no
 tolerances anywhere.
 """
 
+from oracle_linalg import contains
 from supertkk.catalog import jordan_catalog, jordan_entries, lie_catalog, lie_entries
 from supertkk.exact import Q
 from supertkk.jordan import (check_commutator_identity, check_five_linear,
@@ -59,7 +60,7 @@ def test_criterion_01_identity_suites():
 
 def test_criterion_02_j19_structure():
     V = jordan_catalog("j19")
-    assert inn_algebra(V).part(0).contains(_l_flat(V, 1))
+    assert contains(inn_algebra(V).part(0), _l_flat(V, 1))
     assert istr_algebra(V).dim == 2
     assert str_algebra(V).dim == 3
     assert pair_inn(V).dim == 3
@@ -75,7 +76,7 @@ def test_criterion_03_truncated_polynomials():
         assert istr_algebra(V).dim == k - 2, k
         assert istr_tilde(V).dim == k - 3, k
         # basis is t, t^2, ..., t^{k-1}, so t^{k-2} sits at index k-3
-        assert der_algebra(V).part(0).contains(_l_flat(V, k - 3)), k
+        assert contains(der_algebra(V).part(0), _l_flat(V, k - 3)), k
         meet_even = l_space(V).even.intersect(der_algebra(V).even)
         assert meet_even.dim > 0, f"k={k}: {{L}} + Der must not be direct"
 

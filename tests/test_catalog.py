@@ -419,8 +419,69 @@ def test_building_the_lie_catalog_forms_no_rational(monkeypatch):
     for s in catalog._LIE_DEFAULTS:
         assert resolve(s).dim
     assert calls == []
-    resolve("dt:1/3")  # a Jordan build writes rationals: the spy sees them
+    save_algebra(resolve("dt:1/3"))  # the writer forms rationals: the spy sees them
     assert calls
+
+
+# every parameter each Jordan family admits, and dt at a few more rationals
+JORDAN_SOURCES = (
+    ["j19", "kacK"] + [f"trunc_poly:{k}" for k in range(3, 9)]
+    + [f"full_matrix:{m},{n}" for m in range(4) for n in range(4) if 1 <= m + n <= 3]
+    + [f"form:{p},{q}" for p in range(6) for q in (0, 2, 4) if 1 <= p + q <= 5]
+    + ["dt:2", "dt:1/2", "dt:-2", "dt:-1/3", "dt:5/4"])
+
+
+def test_every_jordan_build_matches_its_rational_build(monkeypatch):
+    """Each Jordan family, built on the integers, equals its build by the
+    former rational builders (`oracle_catalog.JORDAN_BUILDERS`) at every
+    parameter it admits."""
+    from supertkk import catalog
+
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    built = {s: _fields(resolve(s)) for s in JORDAN_SOURCES}
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    monkeypatch.setattr(catalog, "_JORDAN_BUILDERS", oracle_catalog.JORDAN_BUILDERS)
+    assert {s: _fields(resolve(s)) for s in JORDAN_SOURCES} == built
+
+
+def test_building_the_jordan_catalog_hands_integer_algebra_ints(monkeypatch):
+    """Every Jordan default, built fresh, reaches `integer_algebra` with int
+    constants and an int denominator; no module of the package calls
+    `make_algebra` for it, and none calls Q but `_norm_param`, which reads
+    the catalog parameters."""
+    import sys
+
+    import supertkk
+    from supertkk import catalog, exact, superspace
+
+    made, constants, rationals = [], [], []
+    make, integer = superspace.make_algebra, superspace.integer_algebra
+
+    def make_spy(*args, **kwargs):
+        made.append(kwargs.get("name"))
+        return make(*args, **kwargs)
+
+    def integer_spy(parities, entries, d=1, *args, **kwargs):
+        entries = list(entries)
+        constants.extend([d] + [e[3] for e in entries])
+        return integer(parities, entries, d, *args, **kwargs)
+
+    def q_spy(*args):
+        if sys._getframe(1).f_code.co_name != "_norm_param":
+            rationals.append(args)
+        return Q(*args)
+
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    for module in (supertkk, catalog, exact, superspace):
+        for name, spy in (("make_algebra", make_spy), ("integer_algebra", integer_spy),
+                          ("Q", q_spy)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    for s in _JORDAN_DEFAULTS:
+        assert resolve(s).kind == "jordan"
+    assert made == [] and rationals == []
+    assert len(constants) > len(_JORDAN_DEFAULTS)
+    assert all(type(c) is int for c in constants)
 
 
 def test_h6_from_a_memoised_htilde6_stays_sparse(monkeypatch):

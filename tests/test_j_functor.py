@@ -24,6 +24,7 @@ from supertkk.catalog import (_JORDAN_DEFAULTS, jordan_catalog, load_algebra, re
                               save_algebra)
 from supertkk.exact import CertificateError, GeneratedSpan, Q
 from supertkk.structure import JordanPair, pair_inn
+from supertkk.superspace import integer_algebra
 from test_tensor import _pair_tables, _rescaled, twelfths
 
 SETTINGS = dict(max_examples=15, deadline=None)
@@ -134,6 +135,16 @@ def test_brackets_missing_or_leaving_g0_fail_like_the_loop(data):
     assert not got.passed and got == oracle.is_jordan_graded(bad)
     assert got.detail.startswith("[g+, g-] has dim ")
     assert tkk.koecher_inverse_check(bad) == [got]
+
+
+def test_a_central_g0_fails_like_the_loop():
+    # Heisenberg, basis a, b, z of degrees 1, -1, 0: [a, b] = z spans g0, but
+    # z is central, so g0 meets the centre
+    g = integer_algebra([0, 0, 0], [(0, 1, 2, 1), (1, 0, 2, -1)], 1, [1, -1, 0],
+                        name="heisenberg", kind="lie")
+    got = tkk.is_jordan_graded(g)
+    assert got == oracle.is_jordan_graded(g)
+    assert not got.passed and got.detail == "center meets g0 in dim 1"
 
 
 @given(st.data())

@@ -62,7 +62,7 @@ def test_kernel_rank_one():
     ker = integer_kernel(IntRows.from_dicts(primitive_rows(rows)), 2)
     assert ker.dim == 1
     assert ker.basis == ((Q(1), Q(-1, 2)),) and ker.pivots == (0,)
-    assert ker.contains((2, -1))
+    assert oracle.contains(ker, (2, -1))
 
 
 def test_solve_basic():
@@ -123,12 +123,19 @@ def test_kernel_orthogonal_to_rows(rows):
 
 def test_subspace_contains_and_coordinates():
     s = span([(1, 0, 2), (0, 1, -1)])
-    assert s.contains((2, 3, 1))
+    assert oracle.contains(s, (2, 3, 1))
     coords = oracle.coordinates(s, (2, 3, 1))
     assert coords == (Q(2), Q(3))
-    assert not s.contains((0, 0, 1))
+    assert not oracle.contains(s, (0, 0, 1))
     assert oracle.coordinates(s, (0, 0, 1)) is None
     assert oracle.reduce(s, (2, 3, 2)) == [0, 0, 1]
+
+
+def test_subspace_reads_a_zero_string_as_zero():
+    # "p/q" strings are exact rationals too, and "0", though a truthy
+    # string, is no entry of the row, let alone its pivot
+    s = Subspace(2, [("0", "1/2")])
+    assert s == Subspace(2, [(0, 1)]) and s.pivots == (1,)
 
 
 def test_generated_span_expresses_members():
@@ -838,8 +845,8 @@ def test_integer_subspace_matches_the_fraction_rref_oracle(us, ws, data):
     assert _canonical(meet) == oracle.intersect(n, us, ws)
     _integer_form_holds(meet)
     v = data.draw(vecs(n))
-    assert a.contains(v) == (oracle.subspace(n, us + [v])[1] == oracle.subspace(n, us)[1])
-    assert all(a.contains(u) for u in us) and a.contains_space(meet)
+    assert oracle.contains(a, v) == (oracle.subspace(n, us + [v])[1] == oracle.subspace(n, us)[1])
+    assert all(oracle.contains(a, u) for u in us) and oracle.contains_space(a, meet)
     ambient = n + data.draw(st.integers(0, 4))
     positions = sorted(data.draw(st.lists(st.integers(0, ambient - 1), min_size=n,
                                           max_size=n, unique=True)))
@@ -987,8 +994,8 @@ mismatch = (ValueError, "ambient dimension mismatch")
 calls = {
     "Subspace long": (lambda: Subspace(2, [(1, 0), (1, 2, 3)]), mismatch),
     "Subspace short": (lambda: Subspace(3, [(1, 2)]), mismatch),
-    "contains long": (lambda: plane.contains((0, 0, 0, 1)), mismatch),
-    "contains short": (lambda: plane.contains((1, 0)), mismatch),
+    "Subspace.embedded long": (lambda: plane.embedded([0, 1, 2, 3], 5), mismatch),
+    "Subspace.embedded short": (lambda: plane.embedded([0, 1], 5), mismatch),
     "GeneratedSpan.coordinates long": (lambda: gens.coordinates([(1, 0, 0, 1)], "x"), mismatch),
     "GeneratedSpan long": (lambda: GeneratedSpan([(0, 1, 0, 1)], 3), mismatch),
     "GeneratedSpan.express short": (lambda: gens.express((1, 0)), mismatch),
