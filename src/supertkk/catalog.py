@@ -310,8 +310,8 @@ def _poisson(n, a, b, pairs):
 
 
 def _build_lambda(n):
-    if not 2 <= n <= 6:
-        raise ValueError(f"lambda: n must be in 2..6, got {n}")
+    if not 2 <= n <= 7:
+        raise ValueError(f"lambda: n must be in 2..7, got {n}")
     masks = _masks(n)
     pos = {mask: i for i, mask in enumerate(masks)}
     pairs = _poisson_pairs(n)
@@ -339,8 +339,8 @@ def _build_h(n):
 
 
 def _build_w(n):
-    if not 1 <= n <= 6:
-        raise ValueError(f"w: n must be in 1..6, got {n}")
+    if not 1 <= n <= 7:
+        raise ValueError(f"w: n must be in 1..7, got {n}")
     basis = [(mask, i) for mask in _masks(n) for i in range(n)]
     pos = {fi: k for k, fi in enumerate(basis)}
     parities = tuple((bin(mask).count("1") + 1) % 2 for mask, _ in basis)

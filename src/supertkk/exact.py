@@ -543,7 +543,7 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
         dup = np.flatnonzero(rep != np.arange(len(rep)))
         rep = rep[dup]
         if (lens[dup] == lens[rep]).all():
-            a, b = _entries(starts[dup], lens[dup]), _entries(starts[rep], lens[dup])
+            a, b = (concat_ranges(starts[r], lens[dup]) for r in (dup, rep))
             same = (cols[a] == cols[b]) & (vals[a] == vals[b])
             if same.all():
                 keep = first
@@ -552,7 +552,7 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
         for r, (s, m) in enumerate(zip(starts.tolist(), lens.tolist())):
             seen.setdefault((tuple(cols[s:s + m].tolist()), tuple(vals[s:s + m].tolist())), r)
         keep = np.array(sorted(seen.values()), dtype=np.int64)
-    at = _entries(starts[keep], lens[keep])
+    at = concat_ranges(starts[keep], lens[keep])
     return blocks[keep], lens[keep], cols[at], vals[at]
 
 
@@ -600,7 +600,7 @@ def range_join(ranges, varying, scale: int, chunk: int):
 
     The ranges run in that order, whole, about `chunk` products at a time
     and at least one range per chunk; each chunk is enumerated by
-    `np.repeat`/`_entries` and folded with the sums left open into sorted
+    `np.repeat`/`concat_ranges` and folded with the sums left open into sorted
     nonzero sums (`sum_by_key`).  Once no range of a lead is left, the sums
     below it are complete: they are yielded and dropped, so only the sums of
     the lead under way are held.  The values must be of a dtype that holds
@@ -614,7 +614,7 @@ def range_join(ranges, varying, scale: int, chunk: int):
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + chunk, side="right")))
         m = size[lo:hi]
-        at = _entries(start[lo:hi], m)
+        at = concat_ranges(start[lo:hi], m)
         v = np.repeat(value[lo:hi], m) * val[at]
         if flag is not None:
             np.negative(v, out=v, where=np.repeat(flag[lo:hi], m) & odd[at])
@@ -631,7 +631,7 @@ def _run_starts(a):
     return np.flatnonzero(np.concatenate(([len(a) > 0], a[1:] != a[:-1])))
 
 
-def _entries(starts, lens):
+def concat_ranges(starts, lens):
     """Indices of the entries of the rows given by starts and lens, row after row."""
     import numpy as np
     ends = np.cumsum(lens)
@@ -872,7 +872,7 @@ def _kernel_rounds(int_rows: IntRows, ncols: int, finish):
     bad, missed = _verify_kernel(int_rows, kept, ncols)
     if missed.any() and tall:
         lens = int_rows.lens[missed]
-        sub = _entries((np.cumsum(int_rows.lens) - int_rows.lens)[missed], lens)
+        sub = concat_ranges((np.cumsum(int_rows.lens) - int_rows.lens)[missed], lens)
         at, by, rows = root.tolist(), sign.tolist(), list(rows)
         for r in IntRows(lens, int_rows.cols[sub], int_rows.vals[sub]).dicts():
             tied: dict = {}

@@ -15,13 +15,15 @@ from them, and no rational triple table is formed.
 
 Der, Der(V,V) and str_w are kernels of one graded derivation rule,
 X T(x_1, ..., x_r) = sum_s +-T(..., X x_s, ...), and one integer assembler
-writes it for every table (`_rule_blocks`): numpy COO triplets broadcast
+writes it for every table (`_rule_blocks`): numpy COO triplets written
 from the table's nonzeros, made primitive, split into blocks of operator
 entries and deduplicated by `exact.primitive_row_blocks`, which proves its
-int64 bounds first (an entry sums at most r + 1 constants).  The Leibniz
-system is its bilinear case, assembled once per algebra and split into
-(degree shift, parity) blocks (`leibniz_blocks`); `derivation_kernel` and
-the derivation towers of tkk read it from there.  The pair derivations and
+int64 bounds first (an entry sums at most r + 1 constants).  Given a weight
+class per basis vector, it writes only the operators' weight-zero entries.
+The Leibniz system is its bilinear case, split into (degree shift, parity)
+blocks: its weight-zero part (`leibniz_weight_zero`) is what the derivation
+tower of tkk eliminates, and the whole system, assembled once per algebra
+(`leibniz_blocks`), is what `derivation_kernel` reads.  The pair derivations and
 str_w are its trilinear case, split by parity (the pair's two tensors; the
 U operator, a signed transpose of the doubled pair's, twice).  One kernel
 step (`_kernel`) joins the blocks a space needs and eliminates them once.
@@ -44,8 +46,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, int_dtype, integer_kernel,
-                    primitive_row_blocks)
+from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, concat_ranges, int_dtype,
+                    integer_kernel, primitive_row_blocks)
 from .superspace import (SuperAlgebra, Witness, check_superanticommutative,
                          check_supercommutative, memoized)
 
@@ -240,44 +242,71 @@ def _triplets(terms) -> tuple:
     return tuple(np.concatenate(t) for t in zip(*parts))
 
 
-def _rule_blocks(maps, parities, codes, halve: bool) -> dict:
+def _same_weight(weight):
+    """members(at, lo, hi) -> (t, b): for each t, every b in [lo, hi) of the
+    class weight[at[t]], in increasing order, t repeated once per b.  weight
+    numbers the classes 0, 1, ...; with one class, b runs over all of [lo,
+    hi), as a broadcast would."""
+    import numpy as np
+    n = len(weight)
+    order = np.argsort(weight, kind="stable")
+    key = weight[order] * n + order  # increasing: by class, then by index
+
+    def members(at, lo, hi):
+        start, stop = (np.searchsorted(key, weight[at] * n + x) for x in (lo, hi))
+        lens = stop - start
+        return np.repeat(np.arange(len(at)), lens), order[concat_ranges(start, lens)]
+    return members
+
+
+def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
     """The graded derivation rule
 
         X_out T(x_1, ..., x_r) = sum_s eps_s (-1)^{|X|(|x_1| + ... + |x_{s-1}|)}
                                         T(..., X_{op_s} x_s, ...)
 
-    of each r-linear map (table, out, ops, eps) in maps, on the integers.
+    of each r-linear map (table, out, ops, eps) in maps, on the integers,
+    for the operators supported on their weight-zero entries.
     table = ((k_1, ..., k_r), l, x) are COO arrays: T(e_{k_1}, ...) has x at
     e_l, x the constant times one integer for all of T; slot s takes its
     basis from the space of X_{op_s}.  X_o acts on the space whose basis has
-    parities[o]; entry X_o[a, b] is column offset_o + a dim_o + b, the X_o
-    one after the other, and codes[c] names the block of column c.  halve
-    keeps the equations with i_1 <= i_2 only, which loses nothing when T is
-    supercommutative or super-anticommutative in its first two slots.
+    parities[o] and weight classes weights[o] (numbered 0, 1, ...; one class
+    when weights is None); entry X_o[a, b] has weight zero when a and b
+    share a class.  Those entries are the columns: X_o[a, b] is column
+    offset_o + a dim_o + b, the X_o one after the other, and codes[c] names
+    the block of column c.  halve keeps the equations with i_1 <= i_2 only,
+    which loses nothing when T is supercommutative or super-anticommutative
+    in its first two slots.
 
     Equation (m, i_1, ..., i_r, l) is the e_l coordinate of the rule on map
     m (one T each, so T's scale does not matter).  Its terms are COO
-    triplets broadcast from T's nonzeros, a run of first indices i_1 at a
-    time (`_runs`), which `exact.primitive_row_blocks` sums, reduces, splits
-    and deduplicates; an entry sums at most r + 1 constants.  Returns
-    {code: (cols, rows)}: the block's columns in increasing order and its
-    distinct primitive rows over their positions (`exact.IntRows`), in the
-    order of the equations.
+    triplets written from T's nonzeros, a run of first indices i_1 at a
+    time (`_runs`): each nonzero meets only the indices of the class that
+    makes its column weight-zero (`_same_weight`), so no triplet is formed
+    and then dropped.  `exact.primitive_row_blocks` sums, reduces, splits
+    and deduplicates them; an entry sums at most r + 1 constants.  Returns
+    {code: (cols, rows)}: the block's weight-zero columns in increasing
+    order and its distinct primitive rows over their positions
+    (`exact.IntRows`), in the order of the equations.
     """
     import numpy as np
     p = [np.array(q, dtype=np.int64) for q in parities]
     dims = [len(q) for q in p]
+    w = [np.zeros(d, dtype=np.int64) for d in dims] if weights is None else weights
+    same = [_same_weight(x) for x in w]
+    size = [np.bincount(x)[x] for x in w]  # the size of each basis vector's class
     top, offset = max(dims), np.cumsum([0] + [d * d for d in dims]).tolist()
     codes, block_of = np.unique(codes, return_inverse=True)
-    flats = np.argsort(block_of, kind="stable")  # increasing within each block
+    live = np.flatnonzero(np.concatenate([np.equal.outer(x, x).ravel() for x in w]))
+    flats = live[np.argsort(block_of[live], kind="stable")]  # increasing within each block
     cut = np.searchsorted(block_of[flats], np.arange(len(codes) + 1))
-    position_of = np.argsort(flats) - cut[block_of]
+    position_of = np.zeros(len(block_of), dtype=np.int64)
+    position_of[flats] = np.arange(len(flats)) - cut[block_of[flats]]
 
     def terms(m, lo, hi):
-        """(eq, col, val, keep), broadcast, for the equations of map m with
-        lo <= i_1 < hi."""
+        """(eq, col, val, keep) for the equations of map m with lo <= i_1 < hi."""
         (key, l, x), out, ops, eps = maps[m]
-        first = (key[0] >= lo) & (key[0] < hi)
+        chunk = np.flatnonzero((key[0] >= lo) & (key[0] < hi))
 
         def eq(*index):  # (m, i_1, ..., i_r, l) in base top
             e = m
@@ -285,19 +314,20 @@ def _rule_blocks(maps, parities, codes, halve: bool) -> dict:
                 e = e * top + i
             return e
 
-        def entries(at):  # the entries at a mask, broadcast against an index range
-            return [k[at][:, None] for k in key], l[at][:, None], x[at][:, None]
+        def entries(at):  # the entries at an index array
+            return [k[at] for k in key], l[at], x[at]
 
-        chunk = entries(first)
-        # X_out T(e_{i_1}, ...): T(...)_c X_out[a, c]
-        slots, c, xs = entries(first & (key[0] <= key[1])) if halve else chunk
-        a = np.arange(dims[out])
+        # X_out T(e_{i_1}, ...): T(...)_c X_out[a, c], a of c's class
+        at = chunk[key[0][chunk] <= key[1][chunk]] if halve else chunk
+        rep, a = same[out](l[at], 0, dims[out])
+        slots, c, xs = entries(at[rep])
         yield eq(*slots, a), offset[out] + a * dims[out] + c, xs, True
         for s, (op, e) in enumerate(zip(ops, eps)):
             # -eps_s (-1)^{|X|(|i_1| + ... + |i_{s-1}|)} T(..., X_op e_b, ...):
-            # T(..., e_a, ...)_l X_op[a, b], |X| = |a| + |b|
-            slots, ls, xs = chunk if s else entries(slice(None))
-            b = np.arange(dims[op]) if s else np.arange(lo, hi)
+            # T(..., e_a, ...)_l X_op[a, b], |X| = |a| + |b|, b of a's class;
+            # the first slot's b runs over [lo, hi), against every entry
+            rep, b = same[op](key[s][chunk], 0, dims[op]) if s else same[op](key[0], lo, hi)
+            slots, ls, xs = entries(chunk[rep] if s else rep)
             before = sum(p[ops[t]][slots[t]] for t in range(s))
             # no slot precedes the first, so its terms need no sign array
             koszul = (p[op][slots[s]] + p[op][b]) * before % 2 if s else False
@@ -306,12 +336,16 @@ def _rule_blocks(maps, parities, codes, halve: bool) -> dict:
                    np.where(koszul, e * xs, -e * xs), index[0] <= index[1] if halve else True)
 
     def chunks():
-        for m, ((key, _, x), out, ops, _) in enumerate(maps):
-            # equation (m, i_1, ...) broadcasts a triplet per entry of
-            # T(e_{i_1}, ...) and index of X_out and of each X_{op_s} but the
-            # first, and one per entry of T
-            width = dims[out] + sum(dims[op] for op in ops[1:])
-            for lo, hi in _runs(np.bincount(key[0], minlength=dims[ops[0]]) * width + len(x)):
+        for m, ((key, l, x), out, ops, _) in enumerate(maps):
+            # equation (m, i_1, ...) takes a triplet per entry of T(e_{i_1},
+            # ...) and index of its class for X_out and for each X_{op_s} but
+            # the first, and one per entry of T whose first index shares the
+            # class of i_1
+            width = size[out][l] + sum(size[op][k] for op, k in zip(ops[1:], key[1:]))
+            first = w[ops[0]]
+            cost = (np.bincount(key[0], width, dims[ops[0]]).astype(np.int64)
+                    + np.bincount(first[key[0]], minlength=dims[ops[0]])[first])
+            for lo, hi in _runs(cost):
                 yield _triplets(terms(m, lo, hi))
 
     rows = primitive_row_blocks(chunks(), len(maps[0][2]) + 1, block_of, position_of)
@@ -331,15 +365,15 @@ def _kernel(blocks, ncols: int) -> Subspace:
     return integer_kernel(rows, len(cols)).embedded(cols.tolist(), ncols)
 
 
-@memoized
-def leibniz_blocks(a: SuperAlgebra) -> dict:
-    """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j),
-    the derivation rule of the table (`_rule_blocks`), split into
-    (shift, parity) blocks.
+def leibniz_weight_zero(a: SuperAlgebra, weight) -> dict:
+    """The Leibniz system D(e_i e_j) = D(e_i) e_j + (-1)^{|D||i|} e_i D(e_j)
+    for the D supported on the entries D[r, c] with weight[r] == weight[c]
+    (weight numbers classes of basis vectors 0, 1, ...): the derivation rule
+    of the table (`_rule_blocks`), split into (shift, parity) blocks.
 
-    Maps each (shift, parity) to (cols, rows): the operator entries (r, c)
-    of the block in row-major order, and the distinct primitive integer rows
-    over their positions, as `exact.IntRows`.
+    Maps each (shift, parity) to (cols, rows): the flat indices r n + c of
+    the block's weight-zero entries in increasing order, and the distinct
+    primitive integer rows over their positions, as `exact.IntRows`.
 
     Equation (i, j, k) is the e_k coordinate, on the table scaled to integers.
     When the table is supercommutative or super-anticommutative the (j, i)
@@ -362,13 +396,23 @@ def leibniz_blocks(a: SuperAlgebra) -> dict:
     # D[r, c] lies in block (deg r - deg c, |r| + |c|), numbered by its code 2 shift + parity
     codes = (2 * (deg[:, None] - deg) + (p[:, None] + p) % 2).ravel()
     blocks = _rule_blocks([(((t.i, t.j), t.k, t.value), 0, (0, 0), (1, 1))], (p,), codes,
-                          symmetric)
+                          symmetric, (np.asarray(weight, dtype=np.int64),))
+    return {(code // 2, code % 2): block for code, block in blocks.items()}
+
+
+@memoized
+def leibniz_blocks(a: SuperAlgebra) -> dict:
+    """The whole Leibniz system (`leibniz_weight_zero` with one weight class),
+    its columns as operator entries (r, c) in row-major order."""
+    import numpy as np
+    n = a.dim
+    blocks = leibniz_weight_zero(a, np.zeros(n, dtype=np.int64))
     # every block's columns as (r, c), converted in one pass
     flats = [cols for cols, _ in blocks.values()]
     rc = list(zip(*(x.tolist() for x in np.divmod(np.concatenate(flats), n))))
     cut = np.cumsum([0] + [len(cols) for cols in flats]).tolist()
-    return {(code // 2, code % 2): (tuple(rc[cut[b]:cut[b + 1]]), rows)
-            for b, (code, (_, rows)) in enumerate(blocks.items())}
+    return {key: (tuple(rc[cut[b]:cut[b + 1]]), rows)
+            for b, (key, (_, rows)) in enumerate(blocks.items())}
 
 
 def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:

@@ -35,17 +35,20 @@ test oracles in tests/oracle_tkk.py.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import GeneratedSpan, IntRows, Subspace, certify, kernel_columns, span_in_kernel
+from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify, kernel_columns,
+                    span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
-                        double, inn_algebra, istr_algebra, l_stack, leibniz_blocks,
+                        double, inn_algebra, istr_algebra, l_stack, leibniz_weight_zero,
                         pair_d_stack, pair_der, pair_inn, str_algebra)
-from .superspace import SuperAlgebra, center, derived, graded_dims, integer_algebra, memoized
+from .superspace import (SuperAlgebra, center, check_super_jacobi, derived, graded_dims,
+                         integer_algebra, memoized)
 
 
 @dataclass
@@ -746,17 +749,53 @@ def kantor_koecher_comparison(V: SuperAlgebra) -> CheckResult:
 # derivation towers of graded Lie superalgebras
 
 
-def _ad_rows(g: SuperAlgebra, blocks: dict):
-    """(ad, of): the nonzero ad_x, in order of x, as integer rows over the
-    tower's columns (the blocks' Leibniz columns, one block after the
-    other), entry C[x, c, k] = d [e_x, e_c]_k of the integer table at the
-    column of (k, c); of[t] indexes row t's block (deg x, |x|) in blocks."""
+def _torus(g: SuperAlgebra):
+    """(weight, zero): the weight class of each basis vector under the
+    diagonal torus of a Lie superalgebra g (numbered 0, 1, ...), and the
+    mask of the basis vectors of weight 0.
+
+    The torus is the even e_h whose table row is diagonal, [e_h, e_j] in
+    Q e_j for every j, and not zero; the weight of e_j is the integer vector
+    of the d [e_h, e_j]_j over h.  It is read only when g satisfies
+    super-Jacobi (memoized), so that each ad e_h is a derivation; with no
+    torus every weight is 0.  The weights are certified to grade the table,
+    w(k) = w(i) + w(j) on every nonzero [e_i, e_j]_k: CertificateError
+    otherwise, which survives python -O."""
     import numpy as np
     t, n = g.int_table, g.dim
-    flats = np.concatenate([np.array(cols, dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
-                            for cols, _ in blocks.values()])
-    x, lens = np.unique(t.i, return_counts=True)  # the table is sorted by (i, j, k)
-    return (IntRows(lens, np.argsort(flats)[t.k * n + t.j], t.value),
+    torus = np.zeros(n, dtype=bool)
+    if check_super_jacobi(g) is None:
+        torus[t.i] = True
+        torus[t.i[t.k != t.j]] = False
+        torus &= np.array(g.parities) == 0
+    h = np.flatnonzero(torus)
+    W = np.zeros((n, len(h)), dtype=t.dtype(2))
+    at = np.flatnonzero(torus[t.i])
+    W[t.j[at], np.searchsorted(h, t.i[at])] = t.value[at]
+    bad = np.flatnonzero((W[t.k] != W[t.i] + W[t.j]).any(1))
+    if len(bad):
+        raise CertificateError("torus weights must grade the table: [e_{}, e_{}] hits e_{}"
+                               .format(*(int(x[bad[0]]) for x in (t.i, t.j, t.k))))
+    classes: dict = {}
+    weight = [classes.setdefault(w, len(classes)) for w in map(tuple, W.tolist())]
+    return np.array(weight, dtype=np.int64), ~W.any(1)
+
+
+def _ad_rows(g: SuperAlgebra, blocks: dict, zero):
+    """(ad, of): the nonzero ad_x of the x with zero[x], in order of x, as
+    integer rows over the tower's columns (the blocks' flat columns r n + c,
+    one block after the other), entry C[x, c, k] = d [e_x, e_c]_k of the
+    integer table at the column of (k, c); of[t] indexes row t's block
+    (deg x, |x|) in blocks.  Every such column is a column of the tower when
+    the weights grade the table and x has weight 0."""
+    import numpy as np
+    t, n = g.int_table, g.dim
+    flats = np.concatenate([np.zeros(0, dtype=np.int64)] + [cols for cols, _ in blocks.values()])
+    column = np.full(n * n, -1)
+    column[flats] = np.arange(len(flats))
+    keep = zero[t.i]
+    x, lens = np.unique(t.i[keep], return_counts=True)  # the table is sorted by (i, j, k)
+    return (IntRows(lens, column[t.k[keep] * n + t.j[keep]], t.value[keep]),
             np.array([list(blocks).index((g.zdegree(i), g.parity(i))) for i in x.tolist()]))
 
 
@@ -764,26 +803,48 @@ def _ad_rows(g: SuperAlgebra, blocks: dict):
 def lie_der_tower(g: SuperAlgebra) -> dict:
     """Der, Inn and Out of a graded Lie superalgebra, per (degree shift, parity).
 
-    The `leibniz_blocks` blocks have disjoint columns: offset block after
-    block, their rows form one system, counted by one certified elimination,
-    and Der of a block is its number of free columns (`exact.kernel_columns`).
-    The ad_x of every x, read off the integer table onto the same columns
-    (`_ad_rows`), are certified to kill every row, and Inn of a block is its
-    number of pivots of their span (`exact.span_in_kernel`); the Inn ranks
-    add up to dim g - dim Z(g), and Out is Der - Inn.
+    Der is the kernel of the Leibniz system (de Graaf, Lie Algebras: Theory
+    and Algorithms, 2000), of which only the weight-zero part is eliminated.
+    The weights are those of the diagonal torus (`_torus`): ad e_h of each
+    torus element h is diagonal, so the operators split into weight spaces,
+    entry D[r, c] of weight w(r) - w(c), and Der into the derivations of each
+    weight.
+
+    Lemma.  If D is a derivation with [ad h, D] = lambda(h) D and lambda is
+    not 0, D is inner: as h is even, [ad h, D] x = [h, D x] - D [h, x] =
+    -[D h, x], so lambda(h) D = -ad(D h) for every h, and lambda(h) is not 0
+    for some h.  Z(g) has weight 0 (ad h kills it), so ad is injective on
+    each g_lambda with lambda not 0, and Der_lambda = ad(g_lambda).  In a
+    (shift, parity) block, then, Der = Der_0 + N and Inn = Inn_0 + N, where
+    N counts the basis vectors of nonzero weight of that degree and parity,
+    and Out = Der_0 - Inn_0.
+
+    Der_0 is the kernel of the equations (i, j, l) with w(l) = w(i) + w(j)
+    on the columns (r, c) with w(r) = w(c) (`leibniz_weight_zero`), whose
+    blocks have disjoint columns: offset block after block, their rows form
+    one system, counted by one certified elimination, and Der_0 of a block
+    is its number of free columns (`exact.kernel_columns`).  The ad_x of
+    every x of weight 0, read off the integer table onto the same columns
+    (`_ad_rows`), are certified to kill every row, and Inn_0 of a block is
+    its number of pivots of their span (`exact.span_in_kernel`).  The Inn
+    ranks add up to dim g - dim Z(g).  With no torus every weight is 0, and
+    this is the whole Leibniz system.
     """
     import numpy as np
-    blocks = leibniz_blocks(g)
+    weight, zero = _torus(g)
+    blocks = leibniz_weight_zero(g, weight)
     cut = np.cumsum([0] + [len(cols) for cols, _ in blocks.values()])
     rows = IntRows.concat(IntRows(r.lens, r.cols + lo, r.vals)
                           for (_, r), lo in zip(blocks.values(), cut.tolist()))
     der = np.diff(np.searchsorted(kernel_columns(rows, int(cut[-1])), cut)).tolist()
-    ad, of = _ad_rows(g, blocks)
+    ad, of = _ad_rows(g, blocks, zero)
     pivots = span_in_kernel(rows, ad, int(cut[-1]), lambda bad: (
         f"adjoint operators must be derivations (shift {list(blocks)[of[bad].min()][0]})"))
     inn = np.diff(np.searchsorted(pivots, cut)).tolist()
-    return {key: {"der": d, "inn": i, "out": d - i}
-            for key, d, i in zip(blocks, der, inn) if d or i}
+    # N: the basis vectors of nonzero weight, per (degree, parity)
+    nonzero = Counter((g.zdegree(x), g.parity(x)) for x in np.flatnonzero(~zero).tolist())
+    return {key: {"der": d + nonzero[key], "inn": i + nonzero[key], "out": d - i}
+            for key, d, i in zip(blocks, der, inn) if d or i or nonzero[key]}
 
 
 def out_dims(tower: dict) -> dict:

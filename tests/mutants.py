@@ -89,7 +89,7 @@ MUTANTS = [
      "index[0] <= index[1] if halve", "index[0] < index[1] if halve",
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks does not halve the output term", PKG + "structure.py",
-     "entries(first & (key[0] <= key[1])) if halve else chunk", "chunk",
+     "chunk[key[0][chunk] <= key[1][chunk]] if halve else chunk", "chunk",
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks drops the Koszul sign of the slots before", PKG + "structure.py",
      "before = sum(p[ops[t]][slots[t]] for t in range(s))", "before = 0",
@@ -106,11 +106,30 @@ MUTANTS = [
      "np.lexsort((t.k, t.i, t.j))", "np.lexsort((t.k, t.j, t.i))",
      ["tests/test_tensor.py::test_super_jacobi_matches_the_loop_oracle"]),
     ("tkk._ad_rows swaps (c, k)", PKG + "tkk.py",
-     "np.argsort(flats)[t.k * n + t.j]", "np.argsort(flats)[t.j * n + t.k]",
+     "column[t.k[keep] * n + t.j[keep]]", "column[t.j[keep] * n + t.k[keep]]",
      [TKK + "test_ad_rows_match_the_row_primitive_loop"]),
     ("tkk.lie_der_tower does not offset the blocks", PKG + "tkk.py",
      "IntRows(r.lens, r.cols + lo, r.vals)", "IntRows(r.lens, r.cols, r.vals)",
      [TKK + "test_der_tower_matches_the_subspace_oracle"]),
+    ("tkk._torus reads the weights of e_j, j < h, off the mirror entry without its sign",
+     PKG + "tkk.py",
+     "W[t.j[at], np.searchsorted(h, t.i[at])] = t.value[at]",
+     "W[t.j[at], np.searchsorted(h, t.i[at])] = np.where(t.j[at] < t.i[at], -1, 1) * t.value[at]",
+     [TKK + "test_torus_weights_match_the_loop_oracle"]),
+    ("tkk._torus accepts a row with one off-diagonal entry", PKG + "tkk.py",
+     "torus[t.i[t.k != t.j]] = False",
+     "torus[np.flatnonzero(np.bincount(t.i[t.k != t.j], minlength=n) > 1)] = False",
+     [TKK + "test_torus_weights_match_the_loop_oracle"]),
+    ("tkk._torus reads a torus off a table that fails super-Jacobi", PKG + "tkk.py",
+     "if check_super_jacobi(g) is None:", "if True:",
+     [TKK + "test_adjoint_certificate_survives_python_O"]),
+    ("tkk.lie_der_tower adds N to the block of the other parity", PKG + "tkk.py",
+     "Counter((g.zdegree(x), g.parity(x))", "Counter((g.zdegree(x), 1 - g.parity(x))",
+     [TKK + "test_der_tower_matches_the_subspace_oracle"]),
+    ("structure._rule_blocks writes the columns of nonzero weight too", PKG + "structure.py",
+     "live = np.flatnonzero(np.concatenate([np.equal.outer(x, x).ravel() for x in w]))",
+     "live = np.arange(len(block_of))",
+     [STRUCTURE + "test_weight_zero_blocks_are_the_weight_zero_rows_of_the_oracle"]),
     ("tkk._j_pair takes d for the denominator", PKG + "tkk.py",
      'JordanPair(f"J({g.name})", parities, tensors, d * d)',
      'JordanPair(f"J({g.name})", parities, tensors, d)',

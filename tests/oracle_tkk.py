@@ -57,7 +57,9 @@ from the former `Subspace.coordinates` one operator at a time (`op_coords`).
   the all-rows `oracle_linalg.integer_kernel`, one block at a time.
   `ad_rows` is the loop that built the ad rows of one block of
   `tkk.lie_der_tower` before it read them off the integer table:
-  `basis_product` dicts, each made primitive by `row_primitive`.  `is_jordan_graded` takes the former `center`,
+  `basis_product` dicts, each made primitive by `row_primitive`.
+  `torus_weights` reads the diagonal torus of `tkk._torus` and its weights
+  off the rational table with loops.  `is_jordan_graded` takes the former `center`,
   `oracle_identities.center`.
 - `checked_lie_der_tower` is the re-check that `tkk.lie_der_tower` ran
   under its former check_total flag: the Der blocks of each parity add up
@@ -1033,12 +1035,26 @@ def checked_lie_der_tower(g: SuperAlgebra) -> dict:
     return tower
 
 
-def ad_rows(g: SuperAlgebra, shift: int, parity: int, cols) -> list:
-    """The ad_x of the x of degree shift and parity as primitive integer rows
-    over the positions of the block's columns cols, one per x (empty for a
-    central x): the former loop of `tkk.lie_der_tower`."""
+def ad_rows(g: SuperAlgebra, shift: int, parity: int, cols, xs=None) -> list:
+    """The ad_x of the x of degree shift and parity (among xs, if given) as
+    primitive integer rows over the positions of the block's columns cols,
+    one per x (empty for a central x): the former loop of
+    `tkk.lie_der_tower`."""
     n = g.dim
     pos = {rc: idx for idx, rc in enumerate(cols)}
     return [row_primitive({pos[k, c]: x for c in range(n)
                            for k, x in g.basis_product(i, c).items()})
-            for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)]
+            for i in range(n) if (g.zdegree(i), g.parity(i)) == (shift, parity)
+            and (xs is None or i in xs)]
+
+
+def torus_weights(g: SuperAlgebra) -> list:
+    """The weight of each basis vector under the diagonal torus of g, a tuple
+    over the torus, read off the rational table by loops: the torus is the
+    even h whose products [e_h, e_j] are multiples of e_j, not all zero, and
+    the weight of e_j is the d [e_h, e_j]_j over h."""
+    n = g.dim
+    rows = [[g.basis_product(h, j) for j in range(n)] for h in range(n)]
+    torus = [h for h in range(n) if g.parity(h) == 0 and any(rows[h])
+             and all(set(row) <= {j} for j, row in enumerate(rows[h]))]
+    return [tuple(int(rows[h][j].get(j, 0) * g.d) for h in torus) for j in range(n)]

@@ -22,6 +22,7 @@ from supertkk.structure import (
     der_algebra,
     derivation_kernel,
     leibniz_blocks,
+    leibniz_weight_zero,
     double,
     inclusion_report,
     inn_algebra,
@@ -490,6 +491,35 @@ def test_leibniz_blocks_of_the_catalog_match_the_oracle_one_first_index_per_chun
         _assert_same_blocks(leibniz_blocks.__wrapped__(a), oracle.leibniz_blocks(a))
 
 
+def _weight_zero_rows(a, weight) -> dict:
+    """The rows of the oracle's whole Leibniz system supported on the
+    entries D[r, c] with weight[r] == weight[c], per block, over those
+    entries' positions: the weight-zero system, read off the oracle."""
+    out = {}
+    for key, (cols, rows) in oracle.leibniz_blocks(a).items():
+        live = [rc for rc in cols if weight[rc[0]] == weight[rc[1]]]
+        at = {cols.index(rc): p for p, rc in enumerate(live)}
+        out[key] = ([r * a.dim + c for r, c in live],
+                    [{at[c]: x for c, x in row.items()} for row in rows if row.keys() <= at.keys()])
+    return out
+
+
+@pytest.mark.parametrize("per_index", [False, True])
+def test_weight_zero_blocks_are_the_weight_zero_rows_of_the_oracle(per_index, monkeypatch):
+    # once the torus weights grade the table, each Leibniz equation lies on
+    # weight-zero columns or on none, so the weight-zero system is the rows
+    # of the whole system that lie there; also one first index per chunk
+    if per_index:
+        monkeypatch.setattr(structure, "_runs", _one_first_index_per_chunk)
+    algebras = [lie_catalog("w", 2), lie_catalog("w", 3), resolve("sl:2,1"), resolve("q:2"),
+                resolve("pe:3"), tkk.koecher(resolve("kacK")).lie]
+    for a in algebras:
+        weight = tkk._torus(a)[0]
+        got = {key: (cols.tolist(), rows) for key, (cols, rows)
+               in structure.leibniz_weight_zero(a, weight).items()}
+        _assert_same_blocks(got, _weight_zero_rows(a, weight.tolist()))
+
+
 @pytest.mark.parametrize("scale", [10 ** 12, 10 ** 20])
 def test_leibniz_assembly_proves_its_int64_bound(scale, monkeypatch):
     # sl(2) with e scaled and kacK with xi1 scaled: [e, f] = scale h and
@@ -553,6 +583,9 @@ def test_row_hash_collisions_fall_back_to_exact_comparison(monkeypatch):
 
 
 def test_leibniz_system_is_assembled_once(monkeypatch):
+    # the ungraded kernel the checked tower compares with and der_algebra
+    # share one assembly; the tower itself assembles only its weight-zero
+    # part (tkk.lie_der_tower)
     calls = []
 
     def counted(a):
@@ -561,7 +594,6 @@ def test_leibniz_system_is_assembled_once(monkeypatch):
 
     spy = memoized(counted)
     monkeypatch.setattr(structure, "leibniz_blocks", spy)
-    monkeypatch.setattr(tkk, "leibniz_blocks", spy)
     g = load_algebra(save_algebra(lie_catalog("w", 2)))  # fresh: an empty memo
     oracle_tkk.checked_lie_der_tower(g)
     der_algebra(g)
@@ -588,13 +620,14 @@ def test_kernel_bases_are_eliminated_once(monkeypatch):
 
 def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
     # the block rows are primitive and distinct already: lie_der_tower counts
-    # them as they are, in one system with each block's columns offset past
-    # the blocks before it, and derivation_kernel hands them to
-    # integer_kernel; neither calls kernel_sparse and its second
-    # primitive_rows pass (structure and tkk do not even bind it)
+    # the rows of its weight-zero system as they are, in one system with each
+    # block's columns offset past the blocks before it, and derivation_kernel
+    # hands the rows of leibniz_blocks to integer_kernel; neither calls
+    # kernel_sparse and its second primitive_rows pass (structure and tkk do
+    # not even bind it)
     assert not hasattr(structure, "kernel_sparse") and not hasattr(tkk, "kernel_sparse")
     g = load_algebra(save_algebra(lie_catalog("w", 2)))
-    blocks = leibniz_blocks(g)
+    blocks = leibniz_weight_zero(g, tkk._torus(g)[0])
     passed = []
 
     def spy(rows, ncols):

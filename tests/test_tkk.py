@@ -6,6 +6,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 import oracle_linalg
@@ -13,10 +14,11 @@ import oracle_tkk
 from pyrun import run_python
 from test_structure import tables_with_zeros
 from supertkk import tkk
-from supertkk.catalog import jordan_catalog, lie_entries, load_algebra, resolve, save_algebra
+from supertkk.catalog import (jordan_catalog, jordan_entries, lie_entries, load_algebra, resolve,
+                             save_algebra)
 from supertkk.exact import CertificateError, Q, integer_kernel, row_primitive
-from supertkk.structure import l_space, leibniz_blocks, pair_der
-from supertkk.superspace import SuperAlgebra, center, graded_dims, parity_dims
+from supertkk.structure import l_space, leibniz_blocks, leibniz_weight_zero, pair_der
+from supertkk.superspace import SuperAlgebra, center, graded_dims, make_algebra, parity_dims
 from supertkk.tkk import (
     check_propnu,
     check_unital_equivalences,
@@ -312,24 +314,98 @@ def test_structured_elimination_matches_the_all_rows_oracle_on_the_lie_catalog()
 
 
 def test_der_tower_matches_the_subspace_oracle():
-    algebras = [resolve(s) for s in SMALL_LIE_SOURCES]
-    for V in map(resolve, ("kacK", "j19", "dt:2")):
-        algebras += [koecher(V).lie, koecher_tilde(V).lie]
+    # the weight-zero tower against the whole Leibniz system, on the Lie
+    # catalog and on Ko, Ko~ and Kan of every Jordan default (Ko of
+    # trunc_poly and Kan of full_matrix have no torus)
+    algebras = list(lie_entries().values())
+    for V in jordan_entries().values():
+        algebras += [koecher(V).lie, koecher_tilde(V).lie, kantor(V).lie]
     for g in algebras:
         assert lie_der_tower(g) == oracle_tkk.lie_der_tower(g), g.name
 
 
-@given(tables_with_zeros())
+# catalog Lie tables whose torus is diagonal in the catalog basis
+TORUS_LIE = ("gl:2,1", "sl:2,1", "psl:2,2", "pe:3", "q:3", "pq:2", "w:3", "h:4", "c_htilde:4")
+
+
+@st.composite
+def torus_lie_tables(draw):
+    """A catalog Lie table in the basis f_a = s_a e_{pi(a)}, for a
+    permutation pi and nonzero integers s_a: a diagonal row stays diagonal,
+    so the torus is kept, its weights rescaled and permuted."""
+    g = resolve(draw(st.sampled_from(TORUS_LIE)))
+    n = g.dim
+    pi = draw(st.permutations(range(n)))
+    s = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=n, max_size=n))
+    at = {b: a for a, b in enumerate(pi)}  # e_b = f_{at[b]} / s_{at[b]}
+    entries = [(at[i], at[j], at[k], Q(s[at[i]] * s[at[j]] * v, g.d * s[at[k]]))
+               for i, j, k, v in g.entries]
+    return make_algebra([g.parity(b) for b in pi], entries, [g.zdegree(b) for b in pi],
+                        name=f"{g.name}^", kind="lie")
+
+
+@given(torus_lie_tables())
+@settings(**SETTINGS)
+def test_der_tower_of_a_permuted_rescaled_basis_matches_the_subspace_oracle(g):
+    assert lie_der_tower(g) == oracle_tkk.lie_der_tower(g)
+
+
+def _classes(weights) -> list:
+    """Each weight's class, numbered in order of first occurrence."""
+    classes: dict = {}
+    return [classes.setdefault(w, len(classes)) for w in weights]
+
+
+# [x, a] = a and [x, b] = c: the row of x has one off-diagonal entry, so
+# this algebra has no torus at all
+ONE_OFF_DIAGONAL = ((0, 0, 0, 0), [(0, 1, 1, 1), (1, 0, 1, -1), (0, 2, 3, 1), (2, 0, 3, -1)])
+
+
+def test_torus_weights_match_the_loop_oracle():
+    algebras = [make_algebra(*ONE_OFF_DIAGONAL, kind="lie")]
+    algebras += [resolve(s) for s in TORUS_LIE + ("w:4", "h:6")]
+    for V in map(resolve, ("kacK", "trunc_poly:4", "full_matrix:1,1")):
+        algebras += [koecher(V).lie, koecher_tilde(V).lie, kantor(V).lie]
+    for g in algebras:
+        weight, zero = tkk._torus(g)
+        want = oracle_tkk.torus_weights(g)
+        assert weight.tolist() == _classes(want), g.name
+        assert zero.tolist() == [not any(w) for w in want], g.name
+
+
+# sl(2)-like h, e, f with [h, e] = e, [h, f] = f and [e, f] = h: the row of h
+# is diagonal, but [e, f] has weight 2 and lands on h, of weight 0
+NOT_GRADED = """
+from supertkk import tkk
+from supertkk.superspace import make_algebra, mirror
+g = make_algebra([0, 0, 0], mirror([0, 0, 0], [(0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 0, 1)], -1),
+                 check=False)
+tkk.check_super_jacobi = lambda a: None  # pretend it is a Lie superalgebra
+tkk.lie_der_tower(g)
+"""
+
+
+def test_torus_certificate_survives_python_O():
+    done = run_python(["-O"], NOT_GRADED)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert (done.stderr.strip().splitlines()[-1] == "supertkk.exact.CertificateError: "
+            "torus weights must grade the table: [e_1, e_2] hits e_0")
+
+
+@given(st.one_of(tables_with_zeros(), torus_lie_tables()))
 @settings(max_examples=60, deadline=None)
 def test_ad_rows_match_the_row_primitive_loop(a):
-    # the one-pass read, restricted to each block and its columns
-    blocks = leibniz_blocks(a)
-    ad, of = tkk._ad_rows(a, blocks)
-    rows, lo = ad.dicts(), 0
+    # the one-pass read of the ad_x of weight 0, restricted to each block and
+    # its weight-zero columns (every x, on the tables with no torus)
+    weight, zero = tkk._torus(a)
+    blocks = leibniz_weight_zero(a, weight)
+    ad, of = tkk._ad_rows(a, blocks, zero)
+    rows, lo, xs = ad.dicts(), 0, set(np.flatnonzero(zero).tolist())
     for b, ((shift, parity), (cols, _)) in enumerate(blocks.items()):
         got = [{c - lo: x for c, x in r.items()} for r, at in zip(rows, of) if at == b]
         assert all(0 <= c < len(cols) for r in got for c in r), (shift, parity)
-        want = oracle_tkk.ad_rows(a, shift, parity, cols)
+        rc = [divmod(c, a.dim) for c in cols.tolist()]
+        want = oracle_tkk.ad_rows(a, shift, parity, rc, xs)
         assert [row_primitive(r) for r in got] == [r for r in want if r], (shift, parity)
         lo += len(cols)
 
@@ -344,18 +420,21 @@ def test_fingerprint_center_is_the_dimension_of_the_center():
 
 
 def test_a_perturbed_adjoint_fails_the_certificate(monkeypatch):
-    # ad_{e_0} of w(2) with one constant raised: the Leibniz rows still come
-    # from the table, so the raised operator is no derivation, on both sides.
-    # The tower reads the ad rows of every block off the integer table in
-    # one pass (tkk._ad_rows), the oracle off SuperAlgebra.basis_product
+    # ad_x of w(2), x the first basis vector of weight 0 whose ad is not
+    # zero, with one constant raised: the Leibniz rows still come from the
+    # table, so the raised operator is no derivation, on both sides.  The
+    # tower reads the ad rows of weight 0 off the integer table in one pass
+    # (tkk._ad_rows), the oracle every ad row off SuperAlgebra.basis_product
     g = load_algebra(save_algebra(resolve("w:2")))  # fresh: an empty memo
     rows, product = tkk._ad_rows, SuperAlgebra.basis_product
-    c, w = next((c, w) for c in range(g.dim) if (w := product(g, 0, c)))
+    zero = tkk._torus(g)[1]
+    x, c, w = next((x, c, w) for x in np.flatnonzero(zero).tolist() for c in range(g.dim)
+                   if (w := product(g, x, c)))
     k = next(iter(w))
 
-    def raised_rows(a, blocks):
-        # the first row is ad_{e_0}, which is nonzero
-        out, of = rows(a, blocks)
+    def raised_rows(a, blocks, zero):
+        # the first row is ad_x
+        out, of = rows(a, blocks, zero)
         if a is g:
             out.vals = out.vals.copy()
             out.vals[0] += 1
@@ -363,7 +442,7 @@ def test_a_perturbed_adjoint_fails_the_certificate(monkeypatch):
 
     def raised(a, i, j):
         out = product(a, i, j)
-        return {**out, k: out[k] + 1} if a is g and (i, j) == (0, c) else out
+        return {**out, k: out[k] + 1} if a is g and (i, j) == (x, c) else out
 
     monkeypatch.setattr(tkk, "_ad_rows", raised_rows)
     monkeypatch.setattr(SuperAlgebra, "basis_product", raised)
