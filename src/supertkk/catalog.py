@@ -16,8 +16,12 @@ matrices: their supercommutators are one batched product
 (`tensor.brackets`), written in the spanning matrices by one certified
 `GeneratedSpan.coordinates` call; the quotients (psl, pgl, psq, pq,
 htilde) and h go through the sparse integer `quotient_algebra` and
-`subalgebra`, and the exterior tower writes its integer constants itself.
-Each entry is checked by `integer_algebra`.
+`subalgebra`.  The exterior tower writes its integer constants itself,
+by bitmask array passes over all pairs of basis monomials (`_exterior`,
+`_summed_terms`): signs are parities of the bits below an index, read off
+a popcount table, terms are summed by `exact.sum_by_key`, and pairs come
+in chunks of consecutive first indices so that the arrays of w(7) stay
+small.  Each entry is checked by `integer_algebra`.
 
 Files are line-oriented JSON with exact rational coefficients kept as strings.
 `save_algebra` and `load_algebra` are the one writer and the one reader of
@@ -34,7 +38,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import tensor
-from .exact import GeneratedSpan, Q, span
+from .exact import GeneratedSpan, Q, span, sum_by_key
 from .superspace import (SuperAlgebra, derived, integer_algebra, mirror, quotient_algebra,
                          subalgebra)
 
@@ -163,12 +167,12 @@ def _span_algebra(idx_par, mats, *, name, metadata=None):
     import numpy as np
     d, k = len(idx_par), len(mats)
     M = _stack(mats, d)
-    gens = GeneratedSpan(M.reshape(k, d * d).tolist(), d * d)
+    gens = GeneratedSpan(M.reshape(k, d * d), d * d)
     if gens.dim < k:
         raise ValueError(f"{name}: spanning matrices are dependent")
     parities = tuple(_mat_parity(m, idx_par) for m in mats)
-    C, den = gens.coordinates(tensor.brackets(M, parities, M, parities).reshape(k * k, d * d)
-                              .tolist(), f"{name}: span not closed under the bracket")
+    C, den = gens.coordinates(tensor.brackets(M, parities, M, parities).reshape(k * k, d * d),
+                              f"{name}: span not closed under the bracket")
     ts, r = np.nonzero(C)
     entries = zip((ts // k).tolist(), (ts % k).tolist(), r.tolist(), C[ts, r].tolist())
     return integer_algebra(parities, entries, den, name=name, kind="lie",
@@ -205,9 +209,10 @@ def _sl_mats(m, n):
 
 
 def _quotient_by_identity(alg, idx_par, mats, *, name, metadata):
+    import numpy as np
     d = len(idx_par)
-    C, _ = GeneratedSpan(_stack(mats, d).reshape(len(mats), d * d).tolist(), d * d).coordinates(
-        [[int(c % (d + 1) == 0) for c in range(d * d)]], "identity matrix should lie in the span")
+    C, _ = GeneratedSpan(_stack(mats, d).reshape(len(mats), d * d), d * d).coordinates(
+        np.eye(d, dtype=np.int64).reshape(1, d * d), "identity matrix should lie in the span")
     return quotient_algebra(alg, span(C.tolist()), name=name, metadata=metadata)
 
 
@@ -270,23 +275,66 @@ def _masks(n):
     return sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
 
 
-def _wedge(a, b):
-    """Sign and mask of xi^a * xi^b in the exterior algebra, or None."""
-    if a & b:
-        return None
-    inv = 0
-    for j in range(b.bit_length()):
-        if (b >> j) & 1:
-            inv += bin(a >> (j + 1)).count("1")
-    return (-1 if inv % 2 else 1), a | b
+_PAIR_CHUNK = 2 ** 16  # basis pairs per chunk of an exterior bracket (~0.5 MB per int64 array)
 
 
-def _partial(i, a):
-    """Sign and mask of the odd derivation d/d xi_i on xi^a, or None."""
-    if not (a >> i) & 1:
-        return None
-    below = bin(a & ((1 << i) - 1)).count("1")
-    return (-1 if below % 2 else 1), a ^ (1 << i)
+def _exterior(n):
+    """The exterior algebra on xi_0 .. xi_{n-1}, each monomial xi^a a bitmask a:
+    (masks, pos, sign, partial, wedge), int arrays.
+
+    masks lists the monomials in basis order (`_masks`) and pos[a] is the
+    place of a in it; sign[a] = (-1)^{|a|}.  d/d xi_i sends xi^a to
+    partial[a, i] xi^(a ^ 1 << i), and xi^a xi^b = wedge[a, b] xi^(a | b);
+    both are 0 where the result vanishes.  Every sign is read off the
+    parity of the bits of a mask below an index, by a popcount table:
+    partial[a, i] is (-1)^{bits of a below i}, and wedge[a, b] is the
+    product over the bits p of a of (-1)^{bits of b below p}."""
+    import numpy as np
+    a = np.arange(1 << n)
+    count = np.array([bin(m).count("1") for m in range(1 << n)])
+    masks = np.array(_masks(n))
+    pos = np.empty_like(masks)
+    pos[masks] = np.arange(1 << n)
+    has = (a[:, None] >> np.arange(n)) & 1
+    low = count[a[:, None] & ((1 << np.arange(n)) - 1)] & 1  # parity of the bits below i
+    inv = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    for p in range(n):
+        inv += np.outer(has[:, p], low[:, p])  # bit p of a passes the bits of b below it
+    wedge = np.where(a[:, None] & a[None, :], 0, 1 - 2 * (inv & 1))
+    return masks, pos, 1 - 2 * (count & 1), has * (1 - 2 * low), wedge
+
+
+def _summed_terms(rows: int, cols: int, width: int, terms) -> tuple:
+    """(i, j, k, v) arrays: the nonzero sums over the terms (k, v) that
+    terms(i, j) yields for index arrays i < rows, j < cols of pairs, each
+    term two arrays of the length of i (k < width, v 0 where the term
+    vanishes).  The pairs are taken in chunks of
+    consecutive first indices, about _PAIR_CHUNK pairs each, so that the
+    arrays of one chunk stay small; the terms of a chunk are summed per
+    (i, j, k) by `sum_by_key`, which drops zero sums."""
+    import numpy as np
+    step, keys, sums = max(1, _PAIR_CHUNK // cols), [], []
+    for lo in range(0, rows, step):
+        i, j = np.divmod(np.arange(lo * cols, min(rows, lo + step) * cols), cols)
+        at = (i * cols + j) * width
+        k, v = (np.concatenate(x) for x in zip(*terms(i, j)))
+        keep = v != 0
+        key, val = sum_by_key(np.tile(at, len(k) // len(at))[keep] + k[keep], v[keep])
+        keys.append(key)
+        sums.append(val)
+    key, v = np.concatenate(keys), np.concatenate(sums)
+    ij, k = np.divmod(key, width)
+    return (*np.divmod(ij, cols), k, v)
+
+
+def _entries(i, j, k, v) -> list:
+    """(i, j, k, v) tuples of Python ints from index and value arrays.  The
+    indices are looked up in one object array of ints, so that the tuples
+    share one int object per basis index (w(7) has 132,678 entries)."""
+    import numpy as np
+    ints = np.array(list(range(max(i.max(initial=0), j.max(initial=0), k.max(initial=0)) + 1)),
+                    dtype=object)
+    return list(zip(ints[i].tolist(), ints[j].tolist(), ints[k].tolist(), v.tolist()))
 
 
 def _poisson_pairs(n):
@@ -295,35 +343,26 @@ def _poisson_pairs(n):
     return [(i, i) for i in range(n - 2)] + [(n - 2, n - 1), (n - 1, n - 2)]
 
 
-def _poisson(n, a, b, pairs):
-    sf = -1 if bin(a).count("1") % 2 else 1  # (-1)^{|f|} prefactor
-    out = {}
-    for i, j in pairs:
-        pa, pb = _partial(i, a), _partial(j, b)
-        if pa is None or pb is None:
-            continue
-        w = _wedge(pa[1], pb[1])
-        if w is None:
-            continue
-        out[w[1]] = out.get(w[1], 0) + sf * pa[0] * pb[0] * w[0]
-    return {k: v for k, v in out.items() if v}
+def _poisson(ext, n, a, b):
+    """The terms (mask, value) of the Poisson bracket {xi^a, xi^b} of the
+    mask arrays a and b, one per pair (p, q) of `_poisson_pairs`:
+    (-1)^{|a|} d_p(xi^a) d_q(xi^b), value 0 where it vanishes."""
+    _, _, sign, partial, wedge = ext
+    for p, q in _poisson_pairs(n):
+        x, y = a ^ (1 << p), b ^ (1 << q)
+        yield x | y, sign[a] * partial[a, p] * partial[b, q] * wedge[x, y]
 
 
 def _build_lambda(n):
     if not 2 <= n <= 7:
         raise ValueError(f"lambda: n must be in 2..7, got {n}")
-    masks = _masks(n)
-    pos = {mask: i for i, mask in enumerate(masks)}
-    pairs = _poisson_pairs(n)
-    parities = tuple(bin(m).count("1") % 2 for m in masks)
-    zdeg = tuple(bin(m).count("1") - 2 for m in masks)
-    products = []
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            for c, v in _poisson(n, a, b, pairs).items():
-                products.append((i, j, pos[c], v))
-    return integer_algebra(parities, products, 1, zdeg, name=f"lambda({n})",
-                           kind="lie", metadata={"family": "lambda"})
+    ext = _exterior(n)
+    masks, pos = ext[:2]
+    i, j, k, v = _summed_terms(len(masks), len(masks), len(masks), lambda i, j: (
+        (pos[c], x) for c, x in _poisson(ext, n, masks[i], masks[j])))
+    deg = [bin(m).count("1") for m in masks.tolist()]
+    return integer_algebra([x % 2 for x in deg], _entries(i, j, k, v), 1, [x - 2 for x in deg],
+                           name=f"lambda({n})", kind="lie", metadata={"family": "lambda"})
 
 
 def _build_htilde(n):
@@ -341,30 +380,22 @@ def _build_h(n):
 def _build_w(n):
     if not 1 <= n <= 7:
         raise ValueError(f"w: n must be in 1..7, got {n}")
-    basis = [(mask, i) for mask in _masks(n) for i in range(n)]
-    pos = {fi: k for k, fi in enumerate(basis)}
-    parities = tuple((bin(mask).count("1") + 1) % 2 for mask, _ in basis)
-    zdeg = tuple(bin(mask).count("1") - 1 for mask, _ in basis)
-    products = []
-    # [f di, g dj] = f di(g) dj - (-1)^{(|f|+1)(|g|+1)} g dj(f) di
-    for k1, (f, i) in enumerate(basis):
-        for k2, (g, j) in enumerate(basis):
-            acc = {}
-            pg = _partial(i, g)
-            if pg is not None:
-                w = _wedge(f, pg[1])
-                if w is not None:
-                    t = (w[1], j)
-                    acc[t] = acc.get(t, 0) + pg[0] * w[0]
-            pf = _partial(j, f)
-            if pf is not None:
-                w = _wedge(g, pf[1])
-                if w is not None:
-                    s = -1 if parities[k1] * parities[k2] % 2 else 1
-                    t = (w[1], i)
-                    acc[t] = acc.get(t, 0) - s * pf[0] * w[0]
-            products.extend((k1, k2, pos[t], v) for t, v in acc.items() if v)
-    return integer_algebra(parities, products, 1, zdeg, name=f"w({n})", kind="lie",
+    import numpy as np
+    masks, pos, _, partial, wedge = _exterior(n)
+    size = len(masks) * n
+    deg = np.repeat([bin(m).count("1") for m in masks.tolist()], n)  # basis f d_i at f n + i
+    odd = (deg + 1) % 2
+
+    def terms(k1, k2):
+        # [f di, g dj] = f di(g) dj - (-1)^{(|f|+1)(|g|+1)} g dj(f) di
+        (f, i), (g, j) = divmod(k1, n), divmod(k2, n)
+        f, g = masks[f], masks[g]
+        x, y = g ^ (1 << i), f ^ (1 << j)
+        yield pos[f | x] * n + j, partial[g, i] * wedge[f, x]
+        yield pos[g | y] * n + i, (2 * (odd[k1] & odd[k2]) - 1) * partial[f, j] * wedge[g, y]
+
+    return integer_algebra(odd.tolist(), _entries(*_summed_terms(size, size, size, terms)), 1,
+                           (deg - 1).tolist(), name=f"w({n})", kind="lie",
                            metadata={"family": "w", **({"simple": "yes"} if n >= 2 else {})})
 
 
@@ -389,24 +420,24 @@ def _build_c_htilde_lambda(n):
     # lambda(n).
     if not 2 <= n <= 5:
         raise ValueError(f"c_htilde_lambda: n must be in 2..5, got {n}")
+    import numpy as np
     ht = lie_catalog("htilde", n)
-    masks = _masks(n)
-    pairs = _poisson_pairs(n)
+    ext = _exterior(n)
+    masks, pos = ext[:2]
     hoff, loff = 1, 1 + ht.dim
-    lpos = {mask: loff + i for i, mask in enumerate(masks)}
     d = ht.d
     products = [(i + hoff, j + hoff, k + hoff, v) for i, j, k, v in ht.entries]
     par = [0] + [ht.parity(i) for i in range(ht.dim)] \
-        + [bin(m).count("1") % 2 for m in masks]
+        + [bin(m).count("1") % 2 for m in masks.tolist()]
     zdeg = [0] + [ht.zdegree(i) for i in range(ht.dim)] \
-        + [bin(m).count("1") for m in masks]
-    for i in range(ht.dim):
-        f = masks[i + 1]  # coset representative of basis element i of htilde
-        for j, g in enumerate(masks):
-            for c, v in _poisson(n, f, g, pairs).items():
-                s = -1 if par[hoff + i] * par[loff + j] % 2 else 1
-                products.append((hoff + i, loff + j, lpos[c], v * d))
-                products.append((loff + j, hoff + i, lpos[c], -s * v * d))
+        + [bin(m).count("1") for m in masks.tolist()]
+    # f = masks[i + 1] is the coset representative of basis element i of htilde
+    i, j, k, v = _summed_terms(ht.dim, len(masks), len(masks), lambda i, j: (
+        (pos[c], x) for c, x in _poisson(ext, n, masks[i + 1], masks[j])))
+    odd = np.array(par)
+    s = 2 * (odd[hoff + i] & odd[loff + j]) - 1
+    products += _entries(hoff + i, loff + j, loff + k, v * d)
+    products += _entries(loff + j, hoff + i, loff + k, s * v * d)
     for k in range(1, 1 + ht.dim + len(masks)):
         if zdeg[k]:
             products.append((0, k, k, zdeg[k] * d))

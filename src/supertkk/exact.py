@@ -12,11 +12,11 @@ integers (Bareiss-style v <- b*v - a*r, divided by the row gcd).  What is
 read off stays on the integers: a `Subspace` is its canonical RREF basis
 as integer rows over one least common denominator (`rows`, `den`,
 `pivots`), taken straight off the elimination store, with `basis` its
-rational view.  A `GeneratedSpan` holds its generators once, as integer
-rows with a denominator each, eliminates them once and then writes any
-number of members in those generators, each by one reduction, as integers
-over one denominator (`coordinates`) or, for one member, as rationals
-(`express`).
+rational view.  A `GeneratedSpan` holds its generators once, as the rows
+of an integer array with a denominator each, eliminates them once and then
+writes any number of members in those generators in one batched pass over
+the pivot rows as arrays (`_read`), as integers over one denominator
+(`coordinates`) or, for one member, as rationals (`express`).
 `integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
 first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
@@ -27,8 +27,8 @@ entries than a dense system of 2 * ncols rows is eliminated on its
 shortest rows, and on the rows the certificate finds their vectors miss,
 in at most two rounds that share one pre-pass (`_kernel_rounds`).  Every
 kernel vector is verified exactly against every original row, there is one
-per free column, and every expressed member is recombined from its
-coefficients, on the integers too; a failure of either certificate raises
+per free column, and every batch of members is recombined from its
+coefficients by one integer product; a failure of either certificate raises
 CertificateError, so the checks survive `python -O`.
 `Matrix` is only the immutable container of such systems and of their
 results; no operator arithmetic runs on it.
@@ -291,93 +291,155 @@ def span(vectors: Sequence[Sequence], ambient: int | None = None) -> Subspace:
     return Subspace(ambient, vectors)
 
 
+def _integer_rows(vectors, ambient: int) -> tuple:
+    """(V, e): the rows vectors[r] = V[r] / e[r], V a 2-d integer array
+    (int64 when its entries allow, else object) and e[r] > 0 the least
+    denominator of row r, as a list.  An array of integers is taken as it
+    is, with every e[r] = 1; other rows are scaled one by one (`_scaled`)."""
+    import numpy as np
+    if isinstance(vectors, np.ndarray) and (vectors.dtype.kind in "iu" or (
+            vectors.dtype == object and all(type(x) is int for x in vectors.flat))):
+        if vectors.ndim != 2 or vectors.shape[1] != ambient:
+            raise ValueError(f"ambient dimension mismatch: {vectors.shape[-1]} != {ambient}")
+        return vectors, [1] * len(vectors)
+    scaled = [_scaled(v, ambient) for v in vectors]
+    V = np.zeros((len(scaled), ambient), dtype=int_dtype(
+        max((abs(x) for row, _ in scaled for x in row.values()), default=0)))
+    for r, (row, _) in enumerate(scaled):
+        V[r, list(row)] = list(row.values())
+    return V, [d for _, d in scaled]
+
+
 class GeneratedSpan:
     """The span of a fixed generator list, eliminated once, that writes its
     members as combinations of the generators.
 
     Each generator g_i is held once, on the integers, as g_i = G_i / d_i
-    with G_i an integer row (`_gens`) and d_i > 0 its denominator (`_dens`).
-    One `_echelon` runs over the rows [G_i | d_i e_i], e_i at column
-    ambient + k - 1 - i for k generators.  A row with a right-half pivot is
+    with G_i row i of an integer array (`_gens`) and d_i > 0 its
+    denominator (`_dens`).  One `_echelon` runs over the rows
+    [G_i | d_i e_i], e_i at column ambient + k - 1 - i for k generators.  A row with a right-half pivot is
     a relation led by the last generator it involves, so the generators a
     left-to-right greedy scan keeps are those whose identity column is no
     pivot (`independent`).  A left-pivot row reads w = sum t_i g_i off its
     right half, and full RREF puts t on the independent generators only, so
-    the coefficients over those are unique: `coordinates` reads them for a
-    batch of members as integers over one denominator, and `express` for one
-    member as rationals."""
+    the coefficients over those are unique.  Members are read a batch at a
+    time in one certified pass (`_read`): `coordinates` gives a batch as
+    integers over one denominator, and `express`, the case of one member,
+    as rationals."""
 
-    __slots__ = ("ambient", "count", "independent", "_gens", "_dens", "_store")
+    __slots__ = ("ambient", "count", "independent", "_gens", "_dens", "_store", "_pivots")
 
-    def __init__(self, generators: Iterable[Sequence], ambient: int):
+    def __init__(self, generators, ambient: int):
+        import numpy as np
         self.ambient = ambient
-        scaled = [_scaled(g, ambient) for g in generators]
-        self._gens, self._dens = [g for g, _ in scaled], [d for _, d in scaled]
+        self._gens, self._dens = _integer_rows(generators, ambient)
         self.count = len(self._gens)
         top = ambient + self.count - 1
-        self._store = _echelon([row_primitive({**g, top - i: d})
-                                for i, (g, d) in enumerate(zip(self._gens, self._dens))])
+        rows: list = [{} for _ in range(self.count)]
+        at, col = np.nonzero(self._gens)
+        for i, c, x in zip(at.tolist(), col.tolist(), self._gens[at, col].tolist()):
+            rows[i][c] = x
+        self._store = _echelon([row_primitive({**row, top - i: d})
+                                for i, (row, d) in enumerate(zip(rows, self._dens))])
         self.independent = tuple(i for i in range(self.count)
                                  if top - i not in self._store)
+        self._pivots = None
 
     @property
     def dim(self) -> int:
         return len(self.independent)
 
-    def _solve(self, vec: Sequence):
-        """(used, m): vec = sum (-x / m) g_i over (i, x) in used, or None if
-        vec is outside the span.
+    def _pivot_arrays(self) -> tuple:
+        """(piv, P, p, bound, lg, scale), formed on the first read: the left
+        pivot columns piv, P[t] the store row of piv[t] over the ambient
+        columns and then the generators in order, p[t] = P[t, piv[t]],
+        bound = lcm(p) * (1 + len(piv) * max|P|), lg the lcm of the d_i and
+        scale[i] = lg / d_i."""
+        import numpy as np
+        n, top = self.ambient, self.ambient + self.count - 1
+        piv = sorted(c for c in self._store if c < n)
+        P = np.zeros((len(piv), n + self.count), dtype=int_dtype(
+            max((abs(x) for c in piv for x in self._store[c].values()), default=0)))
+        for t, c in enumerate(piv):
+            row = self._store[c]
+            P[t, [j if j < n else n + top - j for j in row]] = list(row.values())
+        p = P[np.arange(len(piv)), piv]
+        bound = lcm(1, *p.tolist()) * (1 + len(piv) * int(np.abs(P).max(initial=0)))
+        lg = lcm(1, *self._dens)
+        scale = np.array([lg // d for d in self._dens], dtype=int_dtype(lg))
+        return np.array(piv, dtype=np.int64), P, p, bound, lg, scale
 
-        Certified on the integers: vec = V / e, and the reduced row gives
-        c_i = -x_i / m, so with L the lcm of e and the d_i of the generators
-        used, sum (-x_i) (L / d_i) G_i must equal (L / e) m V."""
-        v, e = _scaled(vec, self.ambient)
-        # [v | 0 | 1], times e: the marker column keeps the scale the reduction applies
-        mark = self.ambient + self.count
-        row = _reduce(row_primitive({**v, mark: e}), self._store)
-        if any(c < self.ambient for c in row):
+    def _read(self, V, e: list):
+        """(C, den) with V[r] / e[r] = sum_i C[r, i] / den g_i for every row
+        r, C an integer array over all the generators (0 at the dependent
+        ones) and den > 0 the least common denominator, or None if some row
+        lies outside the span.
+
+        One fraction-free step for the whole batch (Bareiss, Math. Comp. 22,
+        1968): row r is scaled by L_r, the lcm of the pivot entries p_t it
+        meets (V[r, piv[t]] != 0), and reduced by one product with the pivot
+        rows, L_r [V[r] | 0] - F[r] P with F[r, t] = (L_r / p_t) V[r, piv[t]].
+        Full RREF zeroes every pivot column, so the left half vanishes iff
+        the row lies in the span, and then c_i = (F P)[r, ambient + i] /
+        (L_r e_r), brought to lowest terms over den.  One recombination
+        product certifies every row, with lg the lcm of the d_i:
+        e_r sum_i C[r, i] (lg / d_i) G_i = den lg V[r].  Each product runs
+        in int64 only when its bound is below 2**62 (`int_dtype`), else on
+        object-dtype Python ints."""
+        import numpy as np
+        if self._pivots is None:
+            self._pivots = self._pivot_arrays()
+        piv, P, p, bound, lg, scale = self._pivots
+        n, emax = self.ambient, max(e, default=1)
+        vmax = int(np.abs(V).max(initial=0))
+        # L_r divides lcm(p) and |F[r, t]| <= L_r |V|
+        dtype = int_dtype(bound * max(vmax, emax))
+        V, P, p = (a.astype(dtype, copy=False) for a in (V, P, p))
+        W = V[:, piv]
+        L = np.lcm.reduce(np.where(W != 0, p, 1), axis=1, initial=1)
+        R = (L[:, None] // p * W) @ P
+        if (R[:, :n] != L[:, None] * V).any():
             return None
-        m = row.pop(mark)
-        used = [(mark - 1 - c, x) for c, x in row.items()]
-        scale = lcm(e, *(self._dens[i] for i, _ in used))
-        got: dict = {}
-        for i, x in used:
-            f = -x * (scale // self._dens[i])
-            for j, y in self._gens[i].items():
-                got[j] = got.get(j, 0) + f * y
-        f = scale // e * m
-        certify({j: y for j, y in got.items() if y} == {j: f * y for j, y in v.items()},
+        N, D = R[:, n:], L * np.array(e, dtype=dtype)
+        g = np.gcd(np.gcd.reduce(N, axis=1), D)  # D > 0, so g > 0
+        m = D // g
+        den = lcm(1, *m.tolist())
+        N = N // g[:, None]
+        dtype = int_dtype(int(np.abs(N).max(initial=0)) * den)
+        C = N.astype(dtype) * np.array([den // x for x in m.tolist()], dtype=dtype)[:, None]
+        top = int(np.abs(C).max(initial=0))
+        C = C.astype(int_dtype(top), copy=False)
+        G = self._gens
+        # max(top, 1): at least max|G|, to cast G
+        dtype = int_dtype(max(max(top, 1) * int(scale.max(initial=0)) * self.count * emax
+                              * int(np.abs(G).max(initial=0)), den * lg * vmax))
+        got = (C.astype(dtype) * scale.astype(dtype)) @ G.astype(dtype)
+        certify(np.array_equal(got * np.array(e, dtype=dtype)[:, None],
+                               V.astype(dtype) * (den * lg)),
                 "solve verification failed: sum c_i g_i != v")
-        return used, m
+        return C, den
 
-    def coordinates(self, vectors: Iterable[Sequence], message: str) -> tuple:
+    def coordinates(self, vectors, message: str) -> tuple:
         """(C, den): vectors[r] = sum_i C[r, i] / den g_i, C an integer array
         over all the generators (0 at the dependent ones) and den > 0 the
-        least common denominator; each row certified by recombination, and a
-        vector outside the span raises CertificateError(message).  The row
-        of (used, m) has the lowest terms -x_i / m, as the reduced row is
-        primitive, so den is the lcm of the |m|."""
-        import numpy as np
-        solved = [self._solve(vec) for vec in vectors]
-        certify(all(s is not None for s in solved), message)
-        den = lcm(1, *(abs(m) for _, m in solved))
-        C = [[0] * self.count for _ in solved]
-        for row, (used, m) in zip(C, solved):
-            for i, x in used:
-                row[i] = -x * (den // m)
-        top = max((abs(x) for row in C for x in row), default=0)
-        return np.array(C, dtype=int_dtype(top)).reshape(len(C), self.count), den
+        least common denominator, read and certified in one pass (`_read`);
+        a vector outside the span raises CertificateError(message).  An
+        integer array of vectors is read as it is, other rows are scaled
+        to integers first."""
+        got = self._read(*_integer_rows(vectors, self.ambient))
+        certify(got is not None, message)
+        return got
 
     def express(self, vec: Sequence):
-        """Coefficients over the generators reproducing vec, or None if vec is
-        outside the span: the rationals of `_solve`."""
-        solved = self._solve(vec)
-        if solved is None:
+        """Coefficients over the generators reproducing vec, as rationals,
+        or None if vec is outside the span: `_read` of one row."""
+        import numpy as np
+        got = self._read(*_integer_rows(vec[None] if isinstance(vec, np.ndarray) else [vec],
+                                        self.ambient))
+        if got is None:
             return None
-        coeffs = [ZERO] * self.count
-        for i, x in solved[0]:
-            coeffs[i] = Q(-x, solved[1])
-        return tuple(coeffs)
+        C, den = got
+        return tuple(Q(x, den) if x else ZERO for x in C[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +915,9 @@ def _kernel_rounds(int_rows: IntRows, ncols: int, finish):
     that fail to kill some row of the system (`_verify_kernel`).
 
     `_absorb` runs once.  A `_tall` system takes at most two rounds.  The
-    first eliminates the 2 * ncols shortest rows of its core.  If the join
+    first eliminates the 2 * ncols shortest rows of its core, chosen on its
+    arrays (a stable argsort of the row lengths), so that only those rows
+    become dicts.  If the join
     names rows that the vectors fail to kill, the second eliminates those
     rows too, with (root, sign) substituted, and the join runs again.  That
     completes the span: a row every vector kills is zero on the kernel of
@@ -864,9 +928,12 @@ def _kernel_rounds(int_rows: IntRows, ncols: int, finish):
     import numpy as np
 
     root, sign, core = _absorb(int_rows, ncols)
-    rows, tall = core.dicts(), _tall(int_rows, ncols)
-    if tall:
-        rows = sorted(rows, key=len)[:2 * ncols]
+    tall = _tall(int_rows, ncols)
+    if tall:  # its shortest rows, in the order sorted(rows, key=len) gives
+        short = np.argsort(core.lens, kind="stable")[:2 * ncols]
+        at = concat_ranges((np.cumsum(core.lens) - core.lens)[short], core.lens[short])
+        core = IntRows(core.lens[short], core.cols[at], core.vals[at])
+    rows = core.dicts()
     rank, free, vecs = _free_vectors(root, sign, rows)
     out, kept = finish(vecs)
     bad, missed = _verify_kernel(int_rows, kept, ncols)
@@ -919,7 +986,9 @@ def kernel_columns(int_rows: IntRows, ncols: int):
     import numpy as np
     rank, free, vecs, bad = _kernel_rounds(int_rows, ncols,
                                            lambda vecs: (IntRows.from_dicts(vecs),) * 2)
-    on = np.isin(vecs.cols, free) & (vecs.vals != 0)  # the entries on free columns
+    is_free = np.zeros(ncols, dtype=bool)
+    is_free[free] = True
+    on = is_free[vecs.cols] & (vecs.vals != 0)  # the entries on free columns
     k = np.repeat(np.arange(len(vecs)), vecs.lens)[on]  # and their vectors
     certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))
             and np.array_equal(free[k], vecs.cols[on]) and not bad.any(), _KERNEL_FAILED)

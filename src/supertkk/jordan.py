@@ -8,8 +8,8 @@ checks contract them as integer tensors (supertkk.tensor), L is
 from __future__ import annotations
 
 from supertkk import tensor
-from supertkk.exact import GeneratedSpan
-from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative
+from supertkk.exact import GeneratedSpan, int_dtype
+from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative, memoized
 
 
 def check_jordan_identity(V: SuperAlgebra) -> Witness | None:
@@ -48,20 +48,23 @@ def check_five_linear(V: SuperAlgebra) -> Witness | None:
                            .format(hit[0], *hit[1]))
 
 
+@memoized
 def find_unit(V: SuperAlgebra):
-    """The unit solving e*b_i = b_i for all basis b_i, or None if inconsistent.
+    """The unit solving e*b_i = b_i for all basis b_i, or None if inconsistent;
+    memoized, as V is immutable.
 
     Non-uniqueness (possible only with zero multiplication directions) is
     reported as an error rather than an arbitrary pick.
     """
+    import numpy as np
     n = V.dim
     # unknown j contributes e_j * b_i at coordinate k of row (i, k): the
     # entry (j, i, k, v) puts v / d at column i n + k of generator j
-    rows: list = [{} for _ in range(n)]
-    for j, i, k, v in V.entries:
-        rows[j][i * n + k] = v
-    gens = GeneratedSpan([[row.get(c, 0) for c in range(n * n)] for row in rows], n * n)
-    x = gens.express([V.d if c % (n + 1) == 0 else 0 for c in range(n * n)])
+    t = V.int_table
+    rows = np.zeros((n, n * n), dtype=t.value.dtype)
+    rows[t.i, t.j * n + t.k] = t.value
+    gens = GeneratedSpan(rows, n * n)
+    x = gens.express((np.eye(n, dtype=int_dtype(V.d)) * V.d).reshape(n * n))
     if x is None:
         return None
     if gens.dim < n:

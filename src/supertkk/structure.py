@@ -402,17 +402,10 @@ def leibniz_weight_zero(a: SuperAlgebra, weight) -> dict:
 
 @memoized
 def leibniz_blocks(a: SuperAlgebra) -> dict:
-    """The whole Leibniz system (`leibniz_weight_zero` with one weight class),
-    its columns as operator entries (r, c) in row-major order."""
+    """The whole Leibniz system: `leibniz_weight_zero` with one weight class,
+    each block's columns the flat indices r n + c of its operator entries."""
     import numpy as np
-    n = a.dim
-    blocks = leibniz_weight_zero(a, np.zeros(n, dtype=np.int64))
-    # every block's columns as (r, c), converted in one pass
-    flats = [cols for cols, _ in blocks.values()]
-    rc = list(zip(*(x.tolist() for x in np.divmod(np.concatenate(flats), n))))
-    cut = np.cumsum([0] + [len(cols) for cols in flats]).tolist()
-    return {key: (tuple(rc[cut[b]:cut[b + 1]]), rows)
-            for b, (key, (_, rows)) in enumerate(blocks.items())}
+    return leibniz_weight_zero(a, np.zeros(a.dim, dtype=np.int64))
 
 
 def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
@@ -422,10 +415,8 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     joins every block of that parity into one system and eliminates that
     independently of the blocks.
     """
-    n = a.dim
-    return _kernel([([r * n + c for r, c in cols], rows)
-                    for (s, q), (cols, rows) in leibniz_blocks(a).items()
-                    if q == parity and zshift in (None, s)], n * n)
+    return _kernel([(cols, rows) for (s, q), (cols, rows) in leibniz_blocks(a).items()
+                    if q == parity and zshift in (None, s)], a.dim ** 2)
 
 
 @memoized
@@ -640,7 +631,7 @@ def _l_witness(V: SuperAlgebra, flat_op):
     """Recover x with L_x proportional to the given flattened operator: its
     coordinates over the flats of `l_stack`, whose common scale the
     normalisation divides out."""
-    x = GeneratedSpan(l_stack(V).flats().tolist(), V.dim ** 2).express(flat_op)
+    x = GeneratedSpan(l_stack(V).flats(), V.dim ** 2).express(flat_op)
     certify(x is not None, "operator claimed to be a left multiplication is not")
     lead = next((c for c in x if c), None)
     return tuple(c / lead for c in x) if lead else x
@@ -690,7 +681,7 @@ def inclusion_report(V: SuperAlgebra) -> list:
     else:
         # the first basis operator of the first nonzero part
         S = overlap.stack
-        x = _l_witness(V, S.flats()[0].tolist())
+        x = _l_witness(V, S.flats()[0])
         where = ("Inn(V)" if inn.contains_stack(OperatorStack((S.blocks[0][:1],), S.parities[:1],
                                                                S.den)) else "Der(V)")
         results.append(CheckResult(

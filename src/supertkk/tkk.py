@@ -255,7 +255,7 @@ class KantorTop:
         family = np.concatenate([(t.dense(d) * d)[None], lp])
         par = (0,) + V.parities
         order = sorted(range(n + 1), key=par.__getitem__)
-        self.span = GeneratedSpan(family[order].reshape(n + 1, n ** 3).tolist(), n ** 3)
+        self.span = GeneratedSpan(family[order].reshape(n + 1, n ** 3), n ** 3)
         kept = [order[i] for i in self.span.independent]
         self.tags = [("kantorLP", u - 1) if u else ("kantorP", 0) for u in kept]
         self.parities = [par[u] for u in kept]
@@ -284,7 +284,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
     # integer tensors, whose coordinates over the top come at basis.den
     acted = tensor.g0_action(basis.blocks[0][:, None], tops[None],
                              1 - 2 * (np.outer(basis.parities, top_par) % 2), V.parities)
-    C, d = top.span.coordinates(acted.reshape(nm * nt, n ** 3).tolist(),
+    C, d = top.span.coordinates(acted.reshape(nm * nt, n ** 3),
                                 "element does not lie in the Kantor top space")
     AB = C[:, list(top.span.independent)].reshape(nm, nt, nt)
     sign = 2 * (np.outer(V.parities, top_par) % 2) - 1
@@ -618,8 +618,8 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     ds = pair_d_stack(pair)
     mid = ko2.data["middle"].stack
     # W_t = sum_k K[t, k] / dk D_k with the D_k at ds.den and the W_t at mid.den
-    K, dk = GeneratedSpan(ds.flats().tolist(), dp * dp + dm * dm).coordinates(
-        mid.flats().tolist(), "middle element outside the D span")
+    K, dk = GeneratedSpan(ds.flats(), dp * dp + dm * dm).coordinates(
+        mid.flats(), "middle element outside the D span")
     den = dk * mid.den * d  # F / den are the images
     F = np.zeros((ko2.dim, g.dim), dtype=object)
     F[ko2.block("op0")] = tensor.contract(K, pm).astype(object) * ds.den
@@ -678,8 +678,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     # the L_a, then the [L_a, L_b] at n + a n + b, each row at its stack's scale
     G = np.concatenate([ls.flats(), ls.bracket(ls).flats()])
     w = istr.stack
-    C, dc = GeneratedSpan(G.tolist(), n * n).coordinates(
-        w.flats().tolist(), "istr basis element outside the L span")
+    C, dc = GeneratedSpan(G, n * n).coordinates(w.flats(), "istr basis element outside the L span")
     # L_x -> (-L_x, L_x): sum_k C[t, k] G_k is dc w.den times the operator
     plus, minus = tensor.contract(C * np.r_[[-1] * n, [1] * n * n], G), tensor.contract(C, G)
     ops = OperatorStack((plus.reshape(-1, n, n), minus.reshape(-1, n, n)), w.parities,

@@ -77,7 +77,7 @@ MUTANTS = [
      "mismatch(lhs, df * td.d, rhs, ts.d)", "mismatch(lhs, df * td.d, rhs, td.d)",
      [DEGREE0 + "test_equivalence_images_match_the_loop_oracle"]),
     ("exact.GeneratedSpan.express drops the L/d_i factor", PKG + "exact.py",
-     "f = -x * (scale // self._dens[i])", "f = -x * scale",
+     "scale = np.array([lg // d for d in self._dens]", "scale = np.array([lg for d in self._dens]",
      ["tests/test_linalg.py::test_generated_span_matches_span_solver_oracle"]),
     ("superspace mirror witness is (min, max)", PKG + "superspace.py",
      "min(((max(i, j), min(i, j))", "min(((min(i, j), max(i, j))",
@@ -183,11 +183,31 @@ MUTANTS = [
      "positions[-1] >= ambient", "positions[-1] > ambient",
      [LINALG + "test_embedded_refuses_positions_that_break_the_canonical_basis"]),
     ("exact.GeneratedSpan.coordinates drops the den // m rescale", PKG + "exact.py",
-     "row[i] = -x * (den // m)", "row[i] = -x",
+     "C = N.astype(dtype) * np.array([den // x for x in m.tolist()], dtype=dtype)[:, None]",
+     "C = N.astype(dtype)",
      [LINALG + "test_span_coordinates_are_express_times_den"]),
     ("exact.GeneratedSpan.express drops the L/e factor", PKG + "exact.py",
-     "f = scale // e * m", "f = m",
+     "certify(np.array_equal(got * np.array(e, dtype=dtype)[:, None],",
+     "certify(np.array_equal(got,",
      [LINALG + "test_generated_span_matches_span_solver_oracle"]),
+    ("exact.GeneratedSpan._read scales a row by the product of its pivots", PKG + "exact.py",
+     "L = np.lcm.reduce(np.where(W != 0, p, 1), axis=1, initial=1)",
+     "L = np.multiply.reduce(np.where(W != 0, p, 1), axis=1, initial=1)",
+     [LINALG + "test_pivots_sharing_a_factor_keep_the_int64_path"]),
+    ("exact.GeneratedSpan._read recombines without L/d_i", PKG + "exact.py",
+     "got = (C.astype(dtype) * scale.astype(dtype)) @ G.astype(dtype)",
+     "got = C.astype(dtype) @ G.astype(dtype)",
+     [LINALG + "test_generated_span_matches_span_solver_oracle"]),
+    ("exact._kernel_rounds takes the longest core rows first", PKG + "exact.py",
+     'short = np.argsort(core.lens, kind="stable")[:2 * ncols]',
+     'short = np.argsort(-core.lens, kind="stable")[:2 * ncols]',
+     [LINALG + "test_a_tall_system_eliminates_the_rows_its_shortest_miss"]),
+    ("exact.kernel_columns marks every column free", PKG + "exact.py",
+     "is_free[free] = True", "is_free[:] = True",
+     [LINALG + "test_a_tall_system_eliminates_the_rows_its_shortest_miss"]),
+    ("catalog._exterior counts the wedge parity below the wrong bit", PKG + "catalog.py",
+     "inv += np.outer(has[:, p], low[:, p])", "inv += np.outer(has[:, p], low[:, p - 1])",
+     [CATALOG + "test_exterior_builders_match_the_loop_oracles"]),
     ("exact.kernel_columns drops its ncols - rank count", PKG + "exact.py",
      "certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))",
      "certify(np.array_equal(k, np.arange(len(free)))",

@@ -24,6 +24,12 @@ ones of `supertkk.catalog`, kept verbatim: each writes its constants as
 rationals (`Q`) and hands them to `make_algebra`.  `JORDAN_BUILDERS` has the
 layout of `catalog._JORDAN_BUILDERS`, so a test can swap the whole table.
 
+`_build_lambda`, `_build_w` and `_build_c_htilde_lambda` are the former
+loop builders of the exterior families, kept verbatim with their helpers
+`_wedge`, `_partial` and `_poisson`: one pair of basis monomials at a time,
+each sign counted bit by bit.  `EXTERIOR_BUILDERS` maps the names under
+which `supertkk.catalog` calls them, so a test can swap them in.
+
 `save_algebra` is the former writer of the file format, which went through
 a plain description of the algebra (`AlgebraSpec`, `algebra_to_spec`,
 `save`), kept verbatim as the byte oracle of `catalog.save_algebra`.
@@ -34,7 +40,8 @@ from dataclasses import dataclass, field
 
 from oracle_linalg import contains, reduce
 from supertkk.exact import GeneratedSpan, Q, Subspace, ZERO, certify, span
-from supertkk.superspace import SuperAlgebra, make_algebra, mirror
+from supertkk.catalog import _masks, _poisson_pairs, lie_catalog
+from supertkk.superspace import SuperAlgebra, integer_algebra, make_algebra, mirror
 
 
 def _compose(x, y):
@@ -283,6 +290,122 @@ JORDAN_BUILDERS = {
     "form": (_build_form, 2),
     "dt": (_build_dt, 1),
 }
+
+
+def _wedge(a, b):
+    """Sign and mask of xi^a * xi^b in the exterior algebra, or None."""
+    if a & b:
+        return None
+    inv = 0
+    for j in range(b.bit_length()):
+        if (b >> j) & 1:
+            inv += bin(a >> (j + 1)).count("1")
+    return (-1 if inv % 2 else 1), a | b
+
+
+def _partial(i, a):
+    """Sign and mask of the odd derivation d/d xi_i on xi^a, or None."""
+    if not (a >> i) & 1:
+        return None
+    below = bin(a & ((1 << i) - 1)).count("1")
+    return (-1 if below % 2 else 1), a ^ (1 << i)
+
+
+def _poisson(n, a, b, pairs):
+    sf = -1 if bin(a).count("1") % 2 else 1  # (-1)^{|f|} prefactor
+    out = {}
+    for i, j in pairs:
+        pa, pb = _partial(i, a), _partial(j, b)
+        if pa is None or pb is None:
+            continue
+        w = _wedge(pa[1], pb[1])
+        if w is None:
+            continue
+        out[w[1]] = out.get(w[1], 0) + sf * pa[0] * pb[0] * w[0]
+    return {k: v for k, v in out.items() if v}
+
+
+def _build_lambda(n):
+    if not 2 <= n <= 7:
+        raise ValueError(f"lambda: n must be in 2..7, got {n}")
+    masks = _masks(n)
+    pos = {mask: i for i, mask in enumerate(masks)}
+    pairs = _poisson_pairs(n)
+    parities = tuple(bin(m).count("1") % 2 for m in masks)
+    zdeg = tuple(bin(m).count("1") - 2 for m in masks)
+    products = []
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            for c, v in _poisson(n, a, b, pairs).items():
+                products.append((i, j, pos[c], v))
+    return integer_algebra(parities, products, 1, zdeg, name=f"lambda({n})",
+                           kind="lie", metadata={"family": "lambda"})
+
+
+def _build_w(n):
+    if not 1 <= n <= 7:
+        raise ValueError(f"w: n must be in 1..7, got {n}")
+    basis = [(mask, i) for mask in _masks(n) for i in range(n)]
+    pos = {fi: k for k, fi in enumerate(basis)}
+    parities = tuple((bin(mask).count("1") + 1) % 2 for mask, _ in basis)
+    zdeg = tuple(bin(mask).count("1") - 1 for mask, _ in basis)
+    products = []
+    # [f di, g dj] = f di(g) dj - (-1)^{(|f|+1)(|g|+1)} g dj(f) di
+    for k1, (f, i) in enumerate(basis):
+        for k2, (g, j) in enumerate(basis):
+            acc = {}
+            pg = _partial(i, g)
+            if pg is not None:
+                w = _wedge(f, pg[1])
+                if w is not None:
+                    t = (w[1], j)
+                    acc[t] = acc.get(t, 0) + pg[0] * w[0]
+            pf = _partial(j, f)
+            if pf is not None:
+                w = _wedge(g, pf[1])
+                if w is not None:
+                    s = -1 if parities[k1] * parities[k2] % 2 else 1
+                    t = (w[1], i)
+                    acc[t] = acc.get(t, 0) - s * pf[0] * w[0]
+            products.extend((k1, k2, pos[t], v) for t, v in acc.items() if v)
+    return integer_algebra(parities, products, 1, zdeg, name=f"w({n})", kind="lie",
+                           metadata={"family": "w", **({"simple": "yes"} if n >= 2 else {})})
+
+
+def _build_c_htilde_lambda(n):
+    # K C |x (htilde(n) |x lambda(n)): htilde acts on the abelian lambda(n)
+    # through the Poisson bracket, C acts by (deg - 2) on htilde and deg on
+    # lambda(n).
+    if not 2 <= n <= 5:
+        raise ValueError(f"c_htilde_lambda: n must be in 2..5, got {n}")
+    ht = lie_catalog("htilde", n)
+    masks = _masks(n)
+    pairs = _poisson_pairs(n)
+    hoff, loff = 1, 1 + ht.dim
+    lpos = {mask: loff + i for i, mask in enumerate(masks)}
+    d = ht.d
+    products = [(i + hoff, j + hoff, k + hoff, v) for i, j, k, v in ht.entries]
+    par = [0] + [ht.parity(i) for i in range(ht.dim)] \
+        + [bin(m).count("1") % 2 for m in masks]
+    zdeg = [0] + [ht.zdegree(i) for i in range(ht.dim)] \
+        + [bin(m).count("1") for m in masks]
+    for i in range(ht.dim):
+        f = masks[i + 1]  # coset representative of basis element i of htilde
+        for j, g in enumerate(masks):
+            for c, v in _poisson(n, f, g, pairs).items():
+                s = -1 if par[hoff + i] * par[loff + j] % 2 else 1
+                products.append((hoff + i, loff + j, lpos[c], v * d))
+                products.append((loff + j, hoff + i, lpos[c], -s * v * d))
+    for k in range(1, 1 + ht.dim + len(masks)):
+        if zdeg[k]:
+            products.append((0, k, k, zdeg[k] * d))
+            products.append((k, 0, k, -zdeg[k] * d))
+    return integer_algebra(par, products, d, zdeg, name=f"c_htilde_lambda({n})",
+                           kind="lie", metadata={"family": "c_htilde_lambda"})
+
+
+EXTERIOR_BUILDERS = {"_build_lambda": _build_lambda, "_build_w": _build_w,
+                     "_build_c_htilde_lambda": _build_c_htilde_lambda}
 
 
 @dataclass(frozen=True)

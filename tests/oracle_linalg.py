@@ -49,6 +49,12 @@ written here on the rational basis, `coordinates` verbatim.  `contains` and
 `contains_space` are the former `Subspace.contains` and
 `Subspace.contains_space`, kept verbatim; no package code tests membership
 one vector at a time.
+
+`GeneratedSpan` is the former `exact.GeneratedSpan`, kept verbatim: it
+read each member on its own (`_solve`: one `_reduce` of a dict row by the
+elimination store, and one recombination of the sparse generator rows), and
+`coordinates` made one `_solve` call per member.  The package's batched
+read is tested against it.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from supertkk import exact
-from supertkk.exact import ONE, ZERO, Q, Subspace, certify, kernel_sparse, primitive_rows
+from supertkk.exact import (ONE, ZERO, Q, Subspace, _echelon, _reduce, _scaled, certify, int_dtype,
+                            kernel_sparse, primitive_rows, row_primitive)
 from supertkk.structure import JordanPair, OperatorSpace
 from supertkk.superspace import SuperAlgebra, check_superanticommutative, check_supercommutative
 
@@ -682,3 +689,96 @@ def integer_kernel(int_rows: list[dict], ncols: int) -> list[tuple]:
             "each killing every row")
     return list(exact.Subspace(ncols, [[r.get(c, 0) for c in range(ncols)]
                                        for r in basis.values()]).basis)
+
+
+# ---------------------------------------------------------------------------
+# the one-member reader of generator coordinates
+
+
+class GeneratedSpan:
+    """The span of a fixed generator list, eliminated once, that writes its
+    members as combinations of the generators.
+
+    Each generator g_i is held once, on the integers, as g_i = G_i / d_i
+    with G_i an integer row (`_gens`) and d_i > 0 its denominator (`_dens`).
+    One `_echelon` runs over the rows [G_i | d_i e_i], e_i at column
+    ambient + k - 1 - i for k generators.  A row with a right-half pivot is
+    a relation led by the last generator it involves, so the generators a
+    left-to-right greedy scan keeps are those whose identity column is no
+    pivot (`independent`).  A left-pivot row reads w = sum t_i g_i off its
+    right half, and full RREF puts t on the independent generators only, so
+    the coefficients over those are unique: `coordinates` reads them for a
+    batch of members as integers over one denominator, and `express` for one
+    member as rationals."""
+
+    __slots__ = ("ambient", "count", "independent", "_gens", "_dens", "_store")
+
+    def __init__(self, generators: Iterable[Sequence], ambient: int):
+        self.ambient = ambient
+        scaled = [_scaled(g, ambient) for g in generators]
+        self._gens, self._dens = [g for g, _ in scaled], [d for _, d in scaled]
+        self.count = len(self._gens)
+        top = ambient + self.count - 1
+        self._store = _echelon([row_primitive({**g, top - i: d})
+                                for i, (g, d) in enumerate(zip(self._gens, self._dens))])
+        self.independent = tuple(i for i in range(self.count)
+                                 if top - i not in self._store)
+
+    @property
+    def dim(self) -> int:
+        return len(self.independent)
+
+    def _solve(self, vec: Sequence):
+        """(used, m): vec = sum (-x / m) g_i over (i, x) in used, or None if
+        vec is outside the span.
+
+        Certified on the integers: vec = V / e, and the reduced row gives
+        c_i = -x_i / m, so with L the lcm of e and the d_i of the generators
+        used, sum (-x_i) (L / d_i) G_i must equal (L / e) m V."""
+        v, e = _scaled(vec, self.ambient)
+        # [v | 0 | 1], times e: the marker column keeps the scale the reduction applies
+        mark = self.ambient + self.count
+        row = _reduce(row_primitive({**v, mark: e}), self._store)
+        if any(c < self.ambient for c in row):
+            return None
+        m = row.pop(mark)
+        used = [(mark - 1 - c, x) for c, x in row.items()]
+        scale = lcm(e, *(self._dens[i] for i, _ in used))
+        got: dict = {}
+        for i, x in used:
+            f = -x * (scale // self._dens[i])
+            for j, y in self._gens[i].items():
+                got[j] = got.get(j, 0) + f * y
+        f = scale // e * m
+        certify({j: y for j, y in got.items() if y} == {j: f * y for j, y in v.items()},
+                "solve verification failed: sum c_i g_i != v")
+        return used, m
+
+    def coordinates(self, vectors: Iterable[Sequence], message: str) -> tuple:
+        """(C, den): vectors[r] = sum_i C[r, i] / den g_i, C an integer array
+        over all the generators (0 at the dependent ones) and den > 0 the
+        least common denominator; each row certified by recombination, and a
+        vector outside the span raises CertificateError(message).  The row
+        of (used, m) has the lowest terms -x_i / m, as the reduced row is
+        primitive, so den is the lcm of the |m|."""
+        import numpy as np
+        solved = [self._solve(vec) for vec in vectors]
+        certify(all(s is not None for s in solved), message)
+        den = lcm(1, *(abs(m) for _, m in solved))
+        C = [[0] * self.count for _ in solved]
+        for row, (used, m) in zip(C, solved):
+            for i, x in used:
+                row[i] = -x * (den // m)
+        top = max((abs(x) for row in C for x in row), default=0)
+        return np.array(C, dtype=int_dtype(top)).reshape(len(C), self.count), den
+
+    def express(self, vec: Sequence):
+        """Coefficients over the generators reproducing vec, or None if vec is
+        outside the span: the rationals of `_solve`."""
+        solved = self._solve(vec)
+        if solved is None:
+            return None
+        coeffs = [ZERO] * self.count
+        for i, x in solved[0]:
+            coeffs[i] = Q(-x, solved[1])
+        return tuple(coeffs)

@@ -1011,6 +1011,7 @@ def lie_der_tower(g: SuperAlgebra) -> dict:
     n = g.dim
     tower = {}
     for (shift, parity), (cols, rows) in leibniz_blocks(g).items():
+        cols = [divmod(c, n) for c in cols.tolist()]  # flat indices r n + c as (r, c)
         m = len(cols)
         der = oracle_linalg.integer_kernel(rows.dicts(), m)
         ad = [{(k, c): x for c in range(n) for k, x in g.basis_product(i, c).items()}

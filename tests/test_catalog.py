@@ -382,6 +382,68 @@ def _fields(a):
     return a.entries, a.d, a.parities, a.zdegrees, a.name, dict(a.metadata), a.kind
 
 
+# every n each exterior family admits
+EXTERIOR = [("_build_lambda", n) for n in range(2, 8)] + [("_build_w", n) for n in range(1, 8)] \
+    + [("_build_c_htilde_lambda", n) for n in range(2, 6)]
+
+
+def _unchecked(monkeypatch):
+    """Both sides' integer_algebra without the identity checks, which the
+    catalog's own builds run; a fresh catalog memo."""
+    from functools import partial
+
+    from supertkk import catalog, superspace
+
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    for module in (catalog, oracle_catalog):
+        monkeypatch.setattr(module, "integer_algebra",
+                            partial(superspace.integer_algebra, check=False))
+
+
+def test_exterior_builders_match_the_loop_oracles(monkeypatch):
+    """The bitmask array builders against the former loop builders, entry
+    for entry, for every n each family admits."""
+    from supertkk import catalog
+
+    _unchecked(monkeypatch)
+    for name, n in EXTERIOR:
+        got = getattr(catalog, name)(n)
+        assert _fields(got) == _fields(oracle_catalog.EXTERIOR_BUILDERS[name](n)), (name, n)
+
+
+def test_exterior_builders_match_one_first_index_per_chunk(monkeypatch):
+    # chunks of one first index each sum the same terms
+    from supertkk import catalog
+
+    _unchecked(monkeypatch)
+    whole = {(name, n): _fields(getattr(catalog, name)(n)) for name, n in EXTERIOR if n <= 4}
+    monkeypatch.setattr(catalog, "_PAIR_CHUNK", 1)
+    for (name, n), want in whole.items():
+        assert _fields(getattr(catalog, name)(n)) == want, (name, n)
+
+
+@pytest.mark.parametrize("name,n", [("_build_lambda", 4), ("_build_w", 3),
+                                    ("_build_c_htilde_lambda", 4)])
+def test_a_flipped_wedge_sign_is_refused_by_super_jacobi(name, n, monkeypatch):
+    # negative control: xi_0 xi_1 and xi_1 xi_0 both negated keep the
+    # exterior product supercommutative, so the bracket stays
+    # super-anticommutative and super-Jacobi is the check that refuses it
+    from supertkk import catalog
+
+    exterior = catalog._exterior
+
+    def flipped(n):
+        masks, pos, sign, partial, wedge = exterior(n)
+        wedge = wedge.copy()
+        wedge[1, 2], wedge[2, 1] = -wedge[1, 2], -wedge[2, 1]
+        return masks, pos, sign, partial, wedge
+
+    monkeypatch.setattr(catalog, "_MEMO", {})
+    monkeypatch.setattr(catalog, "_exterior", flipped)
+    with pytest.raises(ValueError, match="super-Jacobi fails"):
+        getattr(catalog, name)(n)
+
+
 def test_every_lie_default_matches_its_rational_build(monkeypatch):
     """Each Lie default, built fresh on the integers, equals its build on the
     rational oracle builders (`oracle_catalog`), which rebuild everything

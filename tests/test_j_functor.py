@@ -165,7 +165,7 @@ def test_a_broken_middle_image_fails_like_the_loop(data):
     express, coordinates, calls = GeneratedSpan.express, GeneratedSpan.coordinates, []
 
     def at(gens):
-        nonzero = [i for i, gen in enumerate(gens) if gen]
+        nonzero = [i for i, gen in enumerate(gens) if gen.any()]  # the rows of an array
         return nonzero[pick % len(nonzero)]
 
     def broken(self, vec):

@@ -912,6 +912,118 @@ def test_span_coordinates_are_express_times_den(system, data):
     assert den == lcm(1, *(int(c.denominator) for row in rational for c in row))
 
 
+def _read(span, vectors):
+    """What coordinates gives, or the text of the CertificateError it raises."""
+    try:
+        C, den = span.coordinates(vectors, "left the span")
+    except CertificateError as e:
+        return str(e)
+    return C.tolist(), C.dtype, den
+
+
+@given(dense_systems(), st.data())
+@example((4, MIXED_GENS), None)
+@settings(**SETTINGS)
+def test_batch_read_matches_the_solve_oracle(system, data):
+    # the batched read against the former one-member reader, on rational
+    # rows, members inside and outside the span, and generators and members
+    # scaled far enough that the bound forces object dtype; an integer
+    # array of the members reads as the list of them does
+    n, gens = system
+    if data is None:  # the explicit example above
+        coefficients, outside, big = MIXED_MEMBERS, [(Q(1, 3), Q(0), Q(0), Q(1, 9))], 3 ** 45
+    else:
+        gens = _with_repeats(data, gens, n)
+        coefficients = data.draw(st.lists(vecs(len(gens)), max_size=4))
+        outside = data.draw(st.lists(vecs(n), max_size=2))
+        big = data.draw(st.sampled_from([1, 2 ** 40, 3 ** 45]))
+    gens = [tuple(big * x for x in g) for g in gens]
+    m = oracle.Matrix.from_columns(gens) if gens else None
+    members = [m.apply(c) for c in coefficients] if gens else [(Q(0),) * n]
+    ours, theirs = GeneratedSpan(gens, n), oracle.GeneratedSpan(gens, n)
+    assert ours.independent == theirs.independent
+    for v in members + outside:
+        assert ours.express(v) == theirs.express(v)
+    batch = members + outside[:1]
+    random.Random(len(batch)).shuffle(batch)
+    assert _read(ours, members) == _read(theirs, members) != "left the span"
+    assert _read(ours, batch) == _read(theirs, batch)
+    scale = lcm(1, *(int(x.denominator) for v in members for x in v))
+    ints = [tuple(int(x * scale) for x in v) for v in members]
+    array = np.array(ints, dtype=exact.int_dtype(max((abs(x) for v in ints for x in v), default=0)))
+    assert _read(ours, array.reshape(len(ints), n)) == _read(theirs, ints)
+
+
+def test_a_batch_past_the_int64_bound_reads_on_python_ints(monkeypatch):
+    # generators of the plane x_2 = 0 scaled by 3**45: the bound of the
+    # reduction passes 2**62, so it runs on object dtype, exactly
+    gens = [(3 ** 45, 0, 0), (3 ** 45, 3 ** 45 * 2, 0)]
+    members = [(1, 2, 0), (Q(7, 3), 0, 0), (3 ** 50, 1, 0)]
+    dtypes, int_dtype = [], exact.int_dtype
+    monkeypatch.setattr(exact, "int_dtype", lambda bound: dtypes.append(int_dtype(bound))
+                        or dtypes[-1])
+    got = GeneratedSpan(gens, 3).coordinates(members, "left the span")
+    assert object in dtypes
+    want = oracle.GeneratedSpan(gens, 3).coordinates(members, "left the span")
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+
+@pytest.mark.parametrize("base", [2 ** 16, 5 ** 7])
+def test_pivots_sharing_a_factor_keep_the_int64_path(base):
+    # the pivot entries base (t + 2) share the factor base: a row that meets
+    # all three is scaled by their lcm, 12 base, whose bound stays below
+    # 2**62; their product, base**3 * 24, would overflow int64
+    gens = [tuple(Q(base * (t + 2) if c == t else int(c == 3), 1000) for c in range(4))
+            for t in range(3)]
+    member = tuple(sum((t + 1) * g[c] for t, g in enumerate(gens)) for c in range(4))
+    C, den = GeneratedSpan(gens, 4).coordinates([member], "left the span")
+    assert C.dtype == np.int64 and (C.tolist(), den) == ([[1, 2, 3]], 1)
+    want = oracle.GeneratedSpan(gens, 4).coordinates([member], "left the span")
+    assert (C.tolist(), den) == (want[0].tolist(), want[1])
+
+
+def test_batch_read_of_an_empty_batch_and_an_empty_span():
+    for span_ in (GeneratedSpan(MIXED_GENS, 4), oracle.GeneratedSpan(MIXED_GENS, 4)):
+        C, den = span_.coordinates([], "left the span")
+        assert C.shape == (0, 4) and den == 1
+    C, den = GeneratedSpan(MIXED_GENS, 4).coordinates(np.zeros((0, 4), dtype=np.int64), "x")
+    assert C.shape == (0, 4) and den == 1
+    for span_ in (GeneratedSpan([], 3), oracle.GeneratedSpan([], 3)):
+        C, den = span_.coordinates([(0, 0, 0), (0, 0, 0)], "left the span")
+        assert C.shape == (2, 0) and den == 1
+        with pytest.raises(CertificateError, match="left the span"):
+            span_.coordinates([(0, 0, 0), (0, 1, 0)], "left the span")
+        assert span_.express((0, 0, 0)) == () and span_.express((0, 0, 1)) is None
+
+
+def _raise_a_coordinate(monkeypatch):
+    """Raise one generator coordinate of the first pivot row of every span."""
+    arrays = GeneratedSpan._pivot_arrays
+
+    def raised(self):
+        piv, P, *rest = arrays(self)
+        P = P.copy()
+        P[0, self.ambient] += 1
+        return (piv, P, *rest)
+
+    monkeypatch.setattr(GeneratedSpan, "_pivot_arrays", raised)
+
+
+def test_a_raised_coordinate_fails_the_recombination(monkeypatch):
+    # negative control: (2, 1) = g_0 + g_1 reads as 3 g_0 + g_1 once the
+    # pivot row of column 0 records 2 g_0, and no member is returned
+    gens = GeneratedSpan([(1, 0), (1, 1)], 2)
+    assert gens.express((2, 1)) == (1, 1)
+    _raise_a_coordinate(monkeypatch)
+    for span_ in (GeneratedSpan([(1, 0), (1, 1)], 2), GeneratedSpan(MIXED_GENS, 4)):
+        member = (2, 1) if span_.ambient == 2 else oracle.Matrix.from_columns(
+            MIXED_GENS).apply(MIXED_MEMBERS[0])
+        with pytest.raises(CertificateError, match="solve verification failed"):
+            span_.coordinates([member], "left the span")
+        with pytest.raises(CertificateError, match="solve verification failed"):
+            span_.express(member)
+
+
 def test_floats_are_rejected():
     # a float's binary expansion is no exact constant: Fraction(0.1) would
     # be 3602879701896397/36028797018963968
@@ -1034,6 +1146,29 @@ try:
 except CertificateError as e:
     print(e)
 """
+
+
+RAISED_COORDINATE = """
+import sys
+from supertkk import exact
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+arrays = exact.GeneratedSpan._pivot_arrays
+def raised(self):  # one generator coordinate of the first pivot row raised by 1
+    piv, P, *rest = arrays(self)
+    P = P.copy()
+    P[0, self.ambient] += 1
+    return (piv, P, *rest)
+exact.GeneratedSpan._pivot_arrays = raised
+exact.GeneratedSpan([(1, 0), (1, 1)], 2).coordinates([(2, 1)], "left the span")
+"""
+
+
+def test_raised_coordinate_certificate_survives_python_O():
+    done = run_python(["-O"], RAISED_COORDINATE)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert ("CertificateError: solve verification failed"
+            in done.stderr.strip().splitlines()[-1])
 
 
 def test_span_coordinates_certificate_survives_python_O():

@@ -441,20 +441,21 @@ def _row_set(rows) -> frozenset:
     return frozenset(tuple(sorted(row.items())) for row in rows)
 
 
-def _assert_same_blocks(got, want):
-    """Same blocks and columns, and the same distinct rows in each block."""
+def _assert_same_blocks(got, want, n):
+    """Same blocks and columns, and the same distinct rows in each block (got
+    gives each column as its flat index r n + c, the oracle as (r, c))."""
     assert got.keys() == want.keys()
     for key, (cols, rows) in got.items():
         want_cols, want_rows = want[key]
         rows = rows.dicts()
-        assert cols == want_cols, key
+        assert tuple(divmod(c, n) for c in cols.tolist()) == want_cols, key
         assert len(rows) == len(want_rows) and _row_set(rows) == _row_set(want_rows), key
 
 
 @given(homogeneous_tables())
 @settings(max_examples=60, deadline=None)
 def test_leibniz_blocks_match_the_assembler_oracle(a):
-    _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
+    _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a), a.dim)
 
 
 def test_leibniz_blocks_match_the_oracle_on_fixed_tables():
@@ -465,7 +466,7 @@ def test_leibniz_blocks_match_the_oracle_on_fixed_tables():
         V = resolve(source)
         algebras += [tkk.koecher(V).lie, tkk.koecher_tilde(V).lie]
     for a in algebras:
-        _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
+        _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a), a.dim)
 
 
 def _one_first_index_per_chunk(cost, budget=None):
@@ -478,7 +479,7 @@ def test_leibniz_blocks_match_the_oracle_one_first_index_per_chunk(a):
     # rows repeated across chunks are removed by the pass over all chunks
     with mock.patch.object(structure, "_runs", _one_first_index_per_chunk):
         got = leibniz_blocks.__wrapped__(a)
-    _assert_same_blocks(got, oracle.leibniz_blocks(a))
+    _assert_same_blocks(got, oracle.leibniz_blocks(a), a.dim)
 
 
 def test_leibniz_blocks_of_the_catalog_match_the_oracle_one_first_index_per_chunk(monkeypatch):
@@ -488,7 +489,7 @@ def test_leibniz_blocks_of_the_catalog_match_the_oracle_one_first_index_per_chun
         V = resolve(source)
         algebras += [tkk.koecher(V).lie, tkk.koecher_tilde(V).lie]
     for a in algebras:
-        _assert_same_blocks(leibniz_blocks.__wrapped__(a), oracle.leibniz_blocks(a))
+        _assert_same_blocks(leibniz_blocks.__wrapped__(a), oracle.leibniz_blocks(a), a.dim)
 
 
 def _weight_zero_rows(a, weight) -> dict:
@@ -499,7 +500,7 @@ def _weight_zero_rows(a, weight) -> dict:
     for key, (cols, rows) in oracle.leibniz_blocks(a).items():
         live = [rc for rc in cols if weight[rc[0]] == weight[rc[1]]]
         at = {cols.index(rc): p for p, rc in enumerate(live)}
-        out[key] = ([r * a.dim + c for r, c in live],
+        out[key] = (tuple(live),
                     [{at[c]: x for c, x in row.items()} for row in rows if row.keys() <= at.keys()])
     return out
 
@@ -515,9 +516,8 @@ def test_weight_zero_blocks_are_the_weight_zero_rows_of_the_oracle(per_index, mo
                 resolve("pe:3"), tkk.koecher(resolve("kacK")).lie]
     for a in algebras:
         weight = tkk._torus(a)[0]
-        got = {key: (cols.tolist(), rows) for key, (cols, rows)
-               in structure.leibniz_weight_zero(a, weight).items()}
-        _assert_same_blocks(got, _weight_zero_rows(a, weight.tolist()))
+        got = structure.leibniz_weight_zero(a, weight)
+        _assert_same_blocks(got, _weight_zero_rows(a, weight.tolist()), a.dim)
 
 
 @pytest.mark.parametrize("scale", [10 ** 12, 10 ** 20])
@@ -557,7 +557,7 @@ def test_leibniz_assembly_proves_its_int64_bound(scale, monkeypatch):
     jordan = _rescaled(jordan_catalog("kacK"), [Q(1), Q(scale), Q(1)])
     monkeypatch.setattr(structure, "primitive_row_blocks", assembly(2))
     for a in (lie, jordan):
-        _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a))
+        _assert_same_blocks(leibniz_blocks(a), oracle.leibniz_blocks(a), a.dim)
     assert tkk.lie_der_tower(lie) == tkk.lie_der_tower(_sl2())
     proved = {bound < 2 ** 62 for caller, bound, _ in casts if caller == "primitive_row_blocks"}
     assert proved == ({True} if 3 * scale < 2 ** 62 else {True, False})  # the keys fit
@@ -579,7 +579,7 @@ def test_row_hash_collisions_fall_back_to_exact_comparison(monkeypatch):
     monkeypatch.setattr(exact, "_row_hashes",
                         lambda starts, lens, cols, vals: np.zeros(len(starts), dtype=np.uint64))
     for a in (lie_catalog("w", 2), lie_catalog("q", 2), resolve("kacK")):
-        _assert_same_blocks(leibniz_blocks.__wrapped__(a), oracle.leibniz_blocks(a))
+        _assert_same_blocks(leibniz_blocks.__wrapped__(a), oracle.leibniz_blocks(a), a.dim)
 
 
 def test_leibniz_system_is_assembled_once(monkeypatch):

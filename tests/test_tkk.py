@@ -560,7 +560,9 @@ def test_constructions_form_no_rational(monkeypatch):
 @pytest.mark.parametrize("source", [("full_matrix", 1, 1), ("form", 1, 2)])
 def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch):
     """The Kantor top space and both equivalence checks factorise their
-    generator lists once per call, however many elements they read."""
+    generator lists once per call, however many elements they read.  The
+    unit is memoized on V: each run starts without it, and a second
+    `find_unit` builds nothing."""
     from collections import Counter
 
     from supertkk.catalog import load_algebra, save_algebra
@@ -579,7 +581,6 @@ def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch
         init(self, *args)
 
     def spy_coordinates(self, vectors, message):
-        vectors = list(vectors)
         calls["read"] += 1
         calls["expressed"] += len(vectors)
         return coordinates(self, vectors, message)
@@ -590,6 +591,10 @@ def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch
                              (lambda: check_unital_equivalences(V), 2, 1),
                              (lambda: koecher_inverse_check(ko.lie), 1, 1)):
         calls.clear()
+        V._memo.pop((find_unit.__wrapped__,), None)
         run()
         assert (calls["built"], calls["read"]) == (built, read), calls
     assert calls["expressed"] > 1
+    unit = find_unit(V)
+    calls.clear()
+    assert find_unit(V) is unit and calls["built"] == 0
