@@ -21,12 +21,19 @@ by bitmask array passes over all pairs of basis monomials (`_exterior`,
 `_summed_terms`): signs are parities of the bits below an index, read off
 a popcount table, terms are summed by `exact.sum_by_key`, and pairs come
 in chunks of consecutive first indices so that the arrays of w(7) stay
-small.  Each entry is checked by `integer_algebra`.
+small.  Each entry is checked by `integer_algebra`: the Jordan builders
+hand it tuples, so that building the Jordan catalog imports no numpy, and
+the Lie builders their four arrays (i, j, k, value), which the algebra
+keeps as its `IntTable`.
 
 Files are line-oriented JSON with exact rational coefficients kept as strings.
 `save_algebra` and `load_algebra` are the one writer and the one reader of
 the format: load_algebra(save_algebra(a)) has a's entries, d, parities,
 degrees, name, metadata and kind, and saving is byte-for-byte reproducible.
+The writer reads the entries' columns (`SuperAlgebra.columns`); saving a
+Jordan algebra built from tuples imports no numpy.  The reader checks the
+products in one pass per column and builds the algebra from the sorted
+arrays; a diagnostic is formatted only for the first faulty product.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import tensor
-from .exact import GeneratedSpan, Q, span, sum_by_key
+from .exact import GeneratedSpan, Q, certify, int_dtype, span, sum_by_key
 from .superspace import (SuperAlgebra, derived, integer_algebra, mirror, quotient_algebra,
-                         subalgebra)
+                         subalgebra, table_keys)
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -174,8 +181,7 @@ def _span_algebra(idx_par, mats, *, name, metadata=None):
     C, den = gens.coordinates(tensor.brackets(M, parities, M, parities).reshape(k * k, d * d),
                               f"{name}: span not closed under the bracket")
     ts, r = np.nonzero(C)
-    entries = zip((ts // k).tolist(), (ts % k).tolist(), r.tolist(), C[ts, r].tolist())
-    return integer_algebra(parities, entries, den, name=name, kind="lie",
+    return integer_algebra(parities, (ts // k, ts % k, r, C[ts, r]), den, name=name, kind="lie",
                            metadata=metadata or {})
 
 
@@ -327,16 +333,6 @@ def _summed_terms(rows: int, cols: int, width: int, terms) -> tuple:
     return (*np.divmod(ij, cols), k, v)
 
 
-def _entries(i, j, k, v) -> list:
-    """(i, j, k, v) tuples of Python ints from index and value arrays.  The
-    indices are looked up in one object array of ints, so that the tuples
-    share one int object per basis index (w(7) has 132,678 entries)."""
-    import numpy as np
-    ints = np.array(list(range(max(i.max(initial=0), j.max(initial=0), k.max(initial=0)) + 1)),
-                    dtype=object)
-    return list(zip(ints[i].tolist(), ints[j].tolist(), ints[k].tolist(), v.tolist()))
-
-
 def _poisson_pairs(n):
     if n < 2:
         raise ValueError(f"the Poisson bracket needs n >= 2, got {n}")
@@ -358,10 +354,10 @@ def _build_lambda(n):
         raise ValueError(f"lambda: n must be in 2..7, got {n}")
     ext = _exterior(n)
     masks, pos = ext[:2]
-    i, j, k, v = _summed_terms(len(masks), len(masks), len(masks), lambda i, j: (
+    entries = _summed_terms(len(masks), len(masks), len(masks), lambda i, j: (
         (pos[c], x) for c, x in _poisson(ext, n, masks[i], masks[j])))
     deg = [bin(m).count("1") for m in masks.tolist()]
-    return integer_algebra([x % 2 for x in deg], _entries(i, j, k, v), 1, [x - 2 for x in deg],
+    return integer_algebra([x % 2 for x in deg], entries, 1, [x - 2 for x in deg],
                            name=f"lambda({n})", kind="lie", metadata={"family": "lambda"})
 
 
@@ -394,23 +390,28 @@ def _build_w(n):
         yield pos[f | x] * n + j, partial[g, i] * wedge[f, x]
         yield pos[g | y] * n + i, (2 * (odd[k1] & odd[k2]) - 1) * partial[f, j] * wedge[g, y]
 
-    return integer_algebra(odd.tolist(), _entries(*_summed_terms(size, size, size, terms)), 1,
+    return integer_algebra(odd.tolist(), _summed_terms(size, size, size, terms), 1,
                            (deg - 1).tolist(), name=f"w({n})", kind="lie",
                            metadata={"family": "w", **({"simple": "yes"} if n >= 2 else {})})
+
+
+def _with_euler(blocks, zdeg, d) -> tuple:
+    """The (i, j, k, v) arrays of the blocks, joined, and of the Euler
+    operator C at index 0, [C, e_x] = zdeg[x] e_x = -[e_x, C], over d."""
+    import numpy as np
+    x = np.flatnonzero(zdeg)
+    w, at = np.asarray(zdeg)[x] * d, np.zeros_like(x)
+    return tuple(np.concatenate(c) for c in zip(*blocks, (at, x, x, w), (x, at, x, -w)))
 
 
 def _build_c_htilde(n):
     # K C |x htilde(n): C is the Euler grading operator, [C, f] = (deg f - 2) f
     ht = lie_catalog("htilde", n)
-    products = [(i + 1, j + 1, k + 1, v) for i, j, k, v in ht.entries]
-    for j in range(ht.dim):
-        wt = ht.zdegree(j) * ht.d
-        if wt:
-            products.append((0, j + 1, j + 1, wt))
-            products.append((j + 1, 0, j + 1, -wt))
+    t = ht.int_table
     parities = (0,) + tuple(ht.parity(i) for i in range(ht.dim))
     zdeg = (0,) + tuple(ht.zdegree(i) for i in range(ht.dim))
-    return integer_algebra(parities, products, ht.d, zdeg, name=f"c_htilde({n})",
+    entries = _with_euler([(t.i + 1, t.j + 1, t.k + 1, t.value)], zdeg, ht.d)
+    return integer_algebra(parities, entries, ht.d, zdeg, name=f"c_htilde({n})",
                            kind="lie", metadata={"family": "c_htilde"})
 
 
@@ -422,11 +423,11 @@ def _build_c_htilde_lambda(n):
         raise ValueError(f"c_htilde_lambda: n must be in 2..5, got {n}")
     import numpy as np
     ht = lie_catalog("htilde", n)
+    t = ht.int_table
     ext = _exterior(n)
     masks, pos = ext[:2]
     hoff, loff = 1, 1 + ht.dim
     d = ht.d
-    products = [(i + hoff, j + hoff, k + hoff, v) for i, j, k, v in ht.entries]
     par = [0] + [ht.parity(i) for i in range(ht.dim)] \
         + [bin(m).count("1") % 2 for m in masks.tolist()]
     zdeg = [0] + [ht.zdegree(i) for i in range(ht.dim)] \
@@ -436,13 +437,10 @@ def _build_c_htilde_lambda(n):
         (pos[c], x) for c, x in _poisson(ext, n, masks[i + 1], masks[j])))
     odd = np.array(par)
     s = 2 * (odd[hoff + i] & odd[loff + j]) - 1
-    products += _entries(hoff + i, loff + j, loff + k, v * d)
-    products += _entries(loff + j, hoff + i, loff + k, s * v * d)
-    for k in range(1, 1 + ht.dim + len(masks)):
-        if zdeg[k]:
-            products.append((0, k, k, zdeg[k] * d))
-            products.append((k, 0, k, -zdeg[k] * d))
-    return integer_algebra(par, products, d, zdeg, name=f"c_htilde_lambda({n})",
+    entries = _with_euler([(t.i + hoff, t.j + hoff, t.k + hoff, t.value),
+                           (hoff + i, loff + j, loff + k, v * d),
+                           (loff + j, hoff + i, loff + k, s * v * d)], zdeg, d)
+    return integer_algebra(par, entries, d, zdeg, name=f"c_htilde_lambda({n})",
                            kind="lie", metadata={"family": "c_htilde_lambda"})
 
 
@@ -674,15 +672,18 @@ _COEFF_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # used with fullmatch
 def save_algebra(a: SuperAlgebra) -> bytes:
     """Serialize to line-oriented JSON, one structure constant per line in
     the order of a.entries (sorted by (i, j, k)), each distinct value
-    written and quoted once."""
-    text = {v: json.dumps(str(Q(v, a.d))) for v in {e[3] for e in a.entries}}
+    written and quoted once and each index written once; the lines are
+    written from the entries' columns (`SuperAlgebra.columns`)."""
+    i, j, k, v = a.columns()
+    text = {x: json.dumps(str(Q(x, a.d))) for x in set(v)}
+    index = [str(x) for x in range(a.dim)].__getitem__
     zd = list(a.zdegrees) if a.zdegrees is not None else None
     meta = {**a.metadata, "kind": a.kind}
     lines = ["{", '"schema_version": 1,', f'"name": {json.dumps(a.name)},',
              f'"parities": {json.dumps(list(a.parities))},', f'"zdegrees": {json.dumps(zd)},',
              '"products": [',
-             ",\n".join([f'{{"i": {i}, "j": {j}, "k": {k}, "coeff": {text[v]}}}'
-                         for i, j, k, v in a.entries]),
+             ",\n".join([f'{{"i": {index(r)}, "j": {index(c)}, "k": {index(o)}, "coeff": {x}}}'
+                         for r, c, o, x in zip(i, j, k, map(text.__getitem__, v))]),
              "],", f'"metadata": {json.dumps(dict(sorted(meta.items())))}', "}"]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -700,16 +701,82 @@ _FIELDS = {"schema_version", "name", "parities", "zdegrees", "products", "metada
 _PRODUCT = itemgetter("i", "j", "k", "coeff")
 
 
+def _check_product(idx, item, n, seen):
+    """Raise the diagnostic of products[idx], if it has a fault: its fields,
+    indices and coefficient, then repetition of a key in seen, the keys of
+    the products before it; else add its key to seen."""
+    if not isinstance(item, dict):
+        raise ValueError(f"products[{idx}]: expected an object")
+    try:
+        if len(item) != 4:
+            raise KeyError  # as a field other than i, j, k, coeff does below
+        entry = i, j, k, c = _PRODUCT(item)
+    except KeyError:
+        raise ValueError(f"products[{idx}]: expected exactly the fields i, j, k, coeff") from None
+    for name, v in zip("ijk", entry):
+        if not (_is_int(v) and 0 <= v < n):
+            raise ValueError(f"products[{idx}].{name}: expected an index in 0..{n - 1}, "
+                             f"got {v!r}")
+    if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)):
+        raise ValueError(f"products[{idx}].coeff: {c!r} does not match "
+                         "integer-or-fraction syntax")
+    key = (i * n + j) * n + k
+    if key in seen:
+        raise ValueError(f"products[{idx}]: duplicate entry for {(i, j, k)}")
+    seen.add(key)
+
+
+def _product_arrays(prods, n):
+    """(i, j, k, value, d): the products as int64 index arrays and integer
+    values over the least common denominator d, sorted by (i, j, k), or
+    None if some product has a fault.  Each check runs on a whole column:
+    the products' types and field sets, the indices' types, their range
+    (two reductions), each distinct coefficient string matched once, and
+    repetition by one sort of the keys, skipped when they already increase."""
+    import numpy as np
+    if set(map(type, prods)) - {dict} or set(map(len, prods)) - {4}:
+        return None
+    try:
+        *ijk, coeffs = list(zip(*map(_PRODUCT, prods))) or [()] * 4
+    except KeyError:
+        return None
+    if any(set(map(type, col)) - {int} for col in ijk) or set(map(type, coeffs)) - {str}:
+        return None
+    try:
+        i, j, k = ijk = np.array(ijk, dtype=np.int64).reshape(3, len(coeffs))
+    except OverflowError:  # an index past int64
+        return None
+    if ijk.size and not (ijk.min() >= 0 and ijk.max() < n):
+        return None
+    distinct = set(coeffs)
+    if not all(map(_COEFF_RE.fullmatch, distinct)):
+        return None
+    frac = {c: (int(num), int(den or 1)) for c in distinct for num, _, den in [c.partition("/")]}
+    d = lcm(1, *(den for _, den in frac.values()))
+    value = {c: num * (d // den) for c, (num, den) in frac.items()}
+    v = np.fromiter(map(value.__getitem__, coeffs), count=len(coeffs),
+                    dtype=int_dtype(max(map(abs, value.values()), default=0)))
+    key = table_keys(i, j, k, n)
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        if (key[order[1:]] == key[order[:-1]]).any():
+            return None
+        i, j, k, v = i[order], j[order], k[order], v[order]
+    return i, j, k, v, d
+
+
 def load_algebra(data: bytes) -> SuperAlgebra:
     """Parse, validate and build a serialized algebra, with field-level
     diagnostics: the first fault is reported, the fields in order, each
     product for its fields, indices and coefficient, then repetition.
 
-    One loop reads the products; each distinct coefficient string is matched
-    once, and a diagnostic is formatted only when its check fails.  The
-    integer entries over the least common denominator go to
-    `integer_algebra`, which checks homogeneity and, by kind, the identities
-    (super-Jacobi for a Lie table)."""
+    The products are checked column by column (`_product_arrays`); only on
+    a fault are they checked one at a time (`_check_product`), up to the
+    first faulty one, whose diagnostic is formatted.  The sorted integer
+    arrays over the least common denominator go to `integer_algebra`,
+    whose own range and repetition checks are then a few reductions, and
+    which checks homogeneity in (i, j, k) order and, by kind, the
+    identities (super-Jacobi for a Lie table)."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -740,33 +807,12 @@ def load_algebra(data: bytes) -> SuperAlgebra:
                 raise ValueError(f"zdegrees[{idx}]: expected an integer, got {z!r}")
     prods = doc["products"]
     _expect(isinstance(prods, list), "products must be a list")
-    raw, seen, frac = [], set(), {}  # frac: each coefficient string matched, as (num, den)
-    try:
+    arrays = _product_arrays(prods, n)
+    if arrays is None:
+        seen: set = set()
         for idx, item in enumerate(prods):
-            if not isinstance(item, dict):
-                raise ValueError(f"products[{idx}]: expected an object")
-            if len(item) != 4:
-                raise KeyError  # as a field other than i, j, k, coeff does below
-            entry = i, j, k, c = _PRODUCT(item)
-            if not (type(i) is type(j) is type(k) is int and 0 <= i < n and 0 <= j < n
-                    and 0 <= k < n):
-                name, v = next((f, v) for f, v in zip("ijk", entry)
-                               if not (_is_int(v) and 0 <= v < n))
-                raise ValueError(f"products[{idx}].{name}: expected an index in 0..{n - 1}, "
-                                 f"got {v!r}")
-            if type(c) is not str or c not in frac:
-                if not (isinstance(c, str) and _COEFF_RE.fullmatch(c)):
-                    raise ValueError(f"products[{idx}].coeff: {c!r} does not match "
-                                     "integer-or-fraction syntax")
-                num, _, den = c.partition("/")
-                frac[c] = int(num), int(den or 1)
-            key = (i * n + j) * n + k
-            if key in seen:
-                raise ValueError(f"products[{idx}]: duplicate entry for {(i, j, k)}")
-            seen.add(key)
-            raw.append(entry)
-    except KeyError:
-        raise ValueError(f"products[{idx}]: expected exactly the fields i, j, k, coeff") from None
+            _check_product(idx, item, n, seen)
+        certify(False, "a column check rejected products that each pass their checks")
     meta = doc["metadata"]
     _expect(isinstance(meta, dict), "metadata must be an object")
     for k, v in meta.items():
@@ -775,10 +821,6 @@ def load_algebra(data: bytes) -> SuperAlgebra:
     kind = meta.pop("kind", "plain")
     if kind not in ("plain", "jordan", "lie"):
         raise ValueError(f"unknown algebra kind {kind!r}")
-    d = lcm(1, *(den for _, den in frac.values()))
-    value = {c: num * (d // den) for c, (num, den) in frac.items()}
-    # sorted, as a saved document is already, so that integer_algebra meets
-    # an unsorted document's homogeneity faults in (i, j, k) order too
-    raw.sort()
-    return integer_algebra(pars, [(i, j, k, value[c]) for i, j, k, c in raw], d, zd,
-                           name=doc["name"], kind=kind, metadata=meta)
+    *entries, d = arrays
+    return integer_algebra(pars, tuple(entries), d, zd, name=doc["name"], kind=kind,
+                           metadata=meta)

@@ -12,12 +12,18 @@ operator spaces are integer stacks in supertkk.structure (`l_stack`,
 An algebra keeps its constants once: the sorted nonzero integer entries
 (i, j, k, value) over one least common denominator d.  Every build goes
 through `integer_algebra`, the one check of range, repetition and
-homogeneity; `make_algebra` encodes rational constants for it.  The arrays
-of `int_table` and the rational view `table` are made from the entries on
-first use.  Supercommutativity, which every Jordan build checks, and
-super-anticommutativity compare each entry with its mirror in pure Python,
-so a Jordan algebra is built without numpy; super-Jacobi, which a Lie build
-checks, runs on the integer table (`tensor.IntTable`).
+homogeneity, which takes its entries in one of two forms.  Tuples are
+checked in a pure-Python loop, and the rational view `table` and the arrays
+of `int_table` are made from them on first use; the Jordan catalog,
+`make_algebra` and the sl2 of the Tits construction build this way, so a
+Jordan algebra is built and saved without numpy, and its
+supercommutativity compares each entry with its mirror in Python.  Four
+integer arrays (i, j, k, value), which the loader, the TKK constructions,
+`subalgebra`, `quotient_algebra` and the Lie catalog hand in, are checked
+by array passes and kept as the algebra's `tensor.IntTable`, with the
+entry tuples formed only if a reader asks for them; the mirror check of
+such a table is one `searchsorted` of the mirror keys.  Super-Jacobi,
+which a Lie build checks, runs on the integer table.
 
 `subalgebra` and `quotient_algebra` read a subspace's integer rows over
 its denominator and join them with the table's nonzeros (Gustavson's
@@ -83,19 +89,23 @@ class SuperAlgebra:
     entries are the sorted nonzero (i, j, k, value), b_i * b_j = sum
     value / d b_k, over the least common denominator d.  kind is "jordan",
     "lie" or "plain".  The constructor stores its arguments unchecked;
-    `integer_algebra` and `make_algebra` check them.  Immutable: attributes
-    cannot be set, and the rational `table` is a read-only view."""
+    `integer_algebra` and `make_algebra` check them.  entries may be given
+    as tuples or as a `tensor.IntTable` (over d), which is then kept as
+    `int_table`.  Immutable: attributes cannot be set, and the rational
+    `table` is a read-only view."""
 
-    __slots__ = ("name", "parities", "zdegrees", "entries", "d", "kind", "metadata",
-                 "_memo", "__weakref__")
+    __slots__ = ("name", "parities", "zdegrees", "_entries", "_int_table", "d", "kind",
+                 "metadata", "_memo", "__weakref__")
 
     def __init__(self, name, parities, entries, d=1, zdegrees=None, kind="plain",
                  metadata=None):
         init = functools.partial(object.__setattr__, self)
+        held = isinstance(entries, tensor.IntTable)
         init("name", name)
         init("parities", tuple(int(p) % 2 for p in parities))
         init("zdegrees", tuple(int(z) for z in zdegrees) if zdegrees is not None else None)
-        init("entries", tuple(entries))
+        init("_entries", None if held else tuple(entries))
+        init("_int_table", entries if held else None)
         init("d", d)
         init("kind", kind)
         init("metadata", MappingProxyType(dict(metadata or {})))
@@ -117,6 +127,23 @@ class SuperAlgebra:
         return self.zdegrees[i] if self.zdegrees is not None else 0
 
     @property
+    def entries(self) -> tuple:
+        """The sorted nonzero (i, j, k, value) tuples, formed from the
+        `IntTable` on first use if the algebra was built from arrays."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(zip(*self.columns())))
+        return self._entries
+
+    def columns(self) -> tuple:
+        """The entries as four lists (i, j, k, value) of Python ints: the
+        `IntTable`'s columns if the algebra was built from arrays, so that
+        no tuple is formed, else the entries transposed (no numpy)."""
+        if self._entries is None:
+            t = self._int_table
+            return tuple(a.tolist() for a in (t.i, t.j, t.k, t.value))
+        return tuple(map(list, zip(*self._entries))) or ([], [], [], [])
+
+    @property
     @memoized
     def table(self) -> MappingProxyType:
         """The read-only rational view {(i, j): {k: c}} of the entries, built
@@ -130,9 +157,6 @@ class SuperAlgebra:
 
     def basis_product(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
-
-    def basis_vector(self, i: int) -> tuple:
-        return tuple(Q(1) if j == i else ZERO for j in range(self.dim))
 
     def product(self, x: Sequence, y: Sequence) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
@@ -149,37 +173,30 @@ class SuperAlgebra:
         return tuple(out)
 
     @property
-    @memoized
     def int_table(self) -> tensor.IntTable:
-        """The entries as read-only numpy arrays (`tensor.IntTable`), built
-        on first use, then kept for every later reader."""
-        import numpy as np
-        columns = list(zip(*self.entries)) or [()] * 4
-        top = max(map(abs, columns[3]), default=0)
-        arrays = [np.array(c, dtype=np.int64 if a < 3 else int_dtype(top))
-                  for a, c in enumerate(columns)]
-        for a in arrays:
-            a.flags.writeable = False
-        return tensor.IntTable(self.dim, *arrays, self.d, top)
+        """The entries as read-only numpy arrays (`tensor.IntTable`): the
+        arrays the algebra was built from, or built from the tuples on first
+        use, then kept for every later reader."""
+        if self._int_table is None:
+            import numpy as np
+            columns = list(zip(*self._entries)) or [()] * 4
+            top = max(map(abs, columns[3]), default=0)
+            arrays = [np.array(c, dtype=np.int64 if a < 3 else int_dtype(top))
+                      for a, c in enumerate(columns)]
+            for a in arrays:
+                a.flags.writeable = False
+            object.__setattr__(self, "_int_table", tensor.IntTable(self.dim, *arrays, self.d, top))
+        return self._int_table
 
     def __repr__(self):
         return f"SuperAlgebra({self.name!r}, dim={self.dim}, kind={self.kind})"
 
 
-def integer_algebra(parities, entries, d=1, zdegrees=None, *, name="", kind="plain",
-                    metadata=None, check=True) -> SuperAlgebra:
-    """Build a SuperAlgebra from integer entries, tuples (i, j, k, value),
-    value / d being the constant of b_i * b_j at b_k.  Indices must lie in
-    range, no (i, j, k) may repeat and nonzero entries must be homogeneous
-    (an error, not a warning); each entry is checked in that order, in one
-    loop, and the first fault is reported.  Zeros are dropped, the nonzero
-    tuples are kept as given, and d is reduced to the least common
-    denominator.  kind="jordan" also verifies supercommutativity, kind="lie"
-    super-anticommutativity and super-Jacobi, unless check=False."""
-    parities = tuple(int(p) % 2 for p in parities)
-    n = len(parities)
-    zdeg = tuple(int(z) for z in zdegrees) if zdegrees is not None else None
-    seen, nonzero = set(), []
+def _checked_tuples(parities, zdeg, entries, seen) -> list:
+    """The nonzero entries of (i, j, k, value) tuples, each checked in
+    order for range, repetition (its key among the keys in seen and those
+    of the entries before it), parity and degree; the first fault raises."""
+    n, nonzero = len(parities), []
     for e in entries:
         i, j, k, v = e
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
@@ -195,11 +212,85 @@ def integer_algebra(parities, entries, d=1, zdegrees=None, *, name="", kind="pla
         if zdeg is not None and zdeg[k] != zdeg[i] + zdeg[j]:
             raise ValueError(f"inhomogeneous product: e_{i}*e_{j} hits e_{k} of wrong degree")
         nonzero.append(e)
-    nonzero.sort()
-    g = gcd(d, *(e[3] for e in nonzero))
-    if g != 1:
-        nonzero = [(i, j, k, v // g) for i, j, k, v in nonzero]
-    alg = SuperAlgebra(name, parities, nonzero, d // g, zdeg, kind, metadata)
+    return nonzero
+
+
+def table_keys(i, j, k, n):
+    """The keys (i n + j) n + k of the index arrays of an n-dimensional
+    table, which order entries as (i, j, k) does: int64 while
+    n**3 < 2**62, else Python ints."""
+    return (i.astype(int_dtype(n ** 3), copy=False) * n + j) * n + k
+
+
+def _checked_arrays(parities, zdeg, d, i, j, k, v) -> tensor.IntTable:
+    """The `IntTable` of the entries given as arrays i, j, k, value: the
+    checks of `_checked_tuples` as array passes, then the nonzeros sorted by
+    the key (i n + j) n + k over the least denominator.  Range is two
+    reductions, and repetition one on sorted keys; an entry repeats when an
+    earlier one has its key.  The first faulty entry in input order is
+    checked alone by `_checked_tuples`, which raises its message."""
+    import numpy as np
+    n = len(parities)
+    i, j, k = (np.asarray(a, dtype=np.int64) for a in (i, j, k))
+    v = np.asarray(v)
+    ijk = np.stack([i, j, k])
+    fault = np.zeros(len(v), dtype=bool)
+    if ijk.size and not (ijk.min() >= 0 and ijk.max() < n):
+        fault = ((ijk < 0) | (ijk >= n)).any(axis=0)
+        i, j, k = np.where(fault, n, ijk)   # the spare slot n of p and z below
+    key = table_keys(i, j, k, n)
+    repeated = np.zeros(len(v), dtype=bool)
+    order = None
+    if not (key[1:] > key[:-1]).all():      # not strictly increasing
+        order = np.argsort(key, kind="stable")
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    nonzero = v != 0
+    p = np.array(parities + (0,), dtype=np.int8)
+    fault |= repeated | (nonzero & (p[i] ^ p[j] ^ p[k] != 0))
+    if zdeg is not None:
+        z = np.array(zdeg + (0,), dtype=np.int64)
+        fault |= nonzero & (z[k] != z[i] + z[j])
+    if fault.any():
+        m = int(fault.argmax())
+        entry = tuple(int(a[m]) for a in (ijk[0], ijk[1], ijk[2], v))
+        _checked_tuples(parities, zdeg, [entry], {int(key[m])} if repeated[m] else set())
+        certify(False, f"array check flagged the valid entry {entry}")
+    keep = np.flatnonzero(nonzero) if order is None else order[nonzero[order]]
+    v = v[keep]
+    g = gcd(d, int(np.gcd.reduce(v)))
+    top = int(abs(v).max()) // g if len(v) else 0
+    columns = [a[keep] for a in (i, j, k)] + [(v // g).astype(int_dtype(top))]
+    for a in columns:
+        a.flags.writeable = False
+    return tensor.IntTable(n, *columns, d // g, top)
+
+
+def integer_algebra(parities, entries, d=1, zdegrees=None, *, name="", kind="plain",
+                    metadata=None, check=True) -> SuperAlgebra:
+    """Build a SuperAlgebra from integer entries, value / d being the
+    constant of b_i * b_j at b_k: tuples (i, j, k, value), or a tuple of
+    four integer arrays (i, j, k, value).  Indices must lie in range, no
+    (i, j, k) may repeat and nonzero entries must be homogeneous (an error,
+    not a warning); each entry is checked in that order, and the first
+    faulty entry in input order is reported.  Zeros are dropped, the
+    nonzeros sorted by (i, j, k), and d is reduced to the least common
+    denominator.  Tuples are checked in a pure-Python loop
+    (`_checked_tuples`), arrays by array passes (`_checked_arrays`), whose
+    result the algebra keeps as its `int_table`.  kind="jordan" also
+    verifies supercommutativity, kind="lie" super-anticommutativity and
+    super-Jacobi, unless check=False."""
+    parities = tuple(int(p) % 2 for p in parities)
+    zdeg = tuple(int(z) for z in zdegrees) if zdegrees is not None else None
+    if type(entries) is tuple and len(entries) == 4 and hasattr(entries[0], "dtype"):
+        table = _checked_arrays(parities, zdeg, d, *entries)
+        alg = SuperAlgebra(name, parities, table, table.d, zdeg, kind, metadata)
+    else:
+        nonzero = _checked_tuples(parities, zdeg, entries, set())
+        nonzero.sort()
+        g = gcd(d, *(e[3] for e in nonzero))
+        if g != 1:
+            nonzero = [(i, j, k, v // g) for i, j, k, v in nonzero]
+        alg = SuperAlgebra(name, parities, nonzero, d // g, zdeg, kind, metadata)
     if check and kind == "jordan":
         w = check_supercommutative(alg)
         if w is not None:
@@ -239,12 +330,29 @@ def mirror(parities, upper, sym):
 
 def _mirror_defect(a: SuperAlgebra, sign: int):
     """The least pair (max(i, j), min(i, j)) with [e_j, e_i] !=
-    sign (-1)^{|i||j|} [e_i, e_j], or None: each integer entry is compared
-    with its mirror in pure Python, so a Jordan build stays free of numpy."""
-    p, table = a.parities, {e[:3]: e[3] for e in a.entries}
-    return min(((max(i, j), min(i, j)) for (i, j, k), v in table.items()
-                if table.get((j, i, k), 0) != (-sign * v if p[i] * p[j] else sign * v)),
-               default=None)
+    sign (-1)^{|i||j|} [e_i, e_j], or None.  On an algebra that holds its
+    `IntTable`, the mirror key (j n + i) n + k of each nonzero is looked up
+    in the sorted keys by one `searchsorted`, a missing mirror reading 0;
+    otherwise each integer entry is compared with its mirror in pure
+    Python, so that a Jordan build from tuples stays free of numpy."""
+    p, n = a.parities, a.dim
+    if a._int_table is None:
+        table = {e[:3]: e[3] for e in a.entries}
+        return min(((max(i, j), min(i, j)) for (i, j, k), v in table.items()
+                    if table.get((j, i, k), 0) != (-sign * v if p[i] * p[j] else sign * v)),
+                   default=None)
+    import numpy as np
+    t = a.int_table
+    key, mirror = table_keys(t.i, t.j, t.k, n), table_keys(t.j, t.i, t.k, n)
+    at = np.minimum(np.searchsorted(key, mirror), max(len(key) - 1, 0))
+    odd = np.array(p, dtype=np.int64)
+    want = t.value * (sign - 2 * sign * (odd[t.i] & odd[t.j]))
+    found = key[at] == mirror
+    bad = np.flatnonzero(np.where(found, t.value[at], 0) != want)
+    if not len(bad):
+        return None
+    pair = int((np.maximum(t.i[bad], t.j[bad]) * n + np.minimum(t.i[bad], t.j[bad])).min())
+    return pair // n, pair % n
 
 
 @memoized
@@ -408,8 +516,7 @@ def subalgebra(a: SuperAlgebra, s: Subspace, *, name=None, metadata=None) -> Sup
     at = np.full(n, -1, dtype=np.int64)
     at[[s.pivots[o] for o in order]] = np.arange(m)
     on = at[col] >= 0
-    entries = zip((group[on] // m).tolist(), (group[on] % m).tolist(), at[col[on]].tolist(),
-                  val[on].tolist())
+    entries = group[on] // m, group[on] % m, at[col[on]], val[on]
     return integer_algebra([keys[o][1] for o in order], entries, t.d * s.den ** 2,
                            [keys[o][0] for o in order] if a.zdegrees is not None else None,
                            name=name or f"{a.name}|sub", kind=a.kind,
@@ -452,7 +559,7 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
     group, col, val = _residues(ideal, at[t.i[on]] * n + at[t.j[on]], t.k[on], value[on])
     certify(keep[col].all(), "reduction left a pivot coordinate")
     kept = np.flatnonzero(keep)
-    entries = zip((group // n).tolist(), (group % n).tolist(), at[col].tolist(), val.tolist())
+    entries = group // n, group % n, at[col], val
     return integer_algebra([a.parity(i) for i in kept], entries, t.d * ideal.den,
                            [a.zdegree(i) for i in kept] if a.zdegrees is not None else None,
                            name=name or f"{a.name}/ideal", kind=a.kind,

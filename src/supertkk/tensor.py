@@ -10,7 +10,9 @@ ints, still exact.
 An algebra keeps its constants once, as the sorted nonzero integer entries
 (i, j, k, value) over one least common denominator d
 (`SuperAlgebra.entries`).  Its `IntTable` holds them as read-only COO arrays
-with d and max|value|, built on first use and kept in the algebra's memo
+with d and max|value|: the arrays it was built from when a loader, a
+construction or a Lie builder handed `integer_algebra` arrays, else built
+from the tuples on first use, and kept on the algebra
 (`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
 `center`, `derived`, the ad rows of `tkk.lie_der_tower`, the integer readers
 of the constructions, the products of the Tits and Ko_D builders and the
@@ -39,8 +41,10 @@ pivot columns and certifies them by one recombination, and
 a linear map, an integer matrix over one denominator, against two tables.
 The J functor's triples [[x, y], z] of a 3-graded Lie table are one product
 of two of its slices (`lie_triples`, by `contract`).
-numpy is imported lazily: a Jordan algebra is built without it, while a Lie
-algebra loads it through its super-Jacobi check.
+numpy is imported lazily: a Jordan algebra built from tuples (the Jordan
+catalog, `make_algebra`) is built and saved without it, while a loaded
+algebra, a construction and a Lie algebra load it through their array
+checks and super-Jacobi.
 """
 
 from dataclasses import dataclass

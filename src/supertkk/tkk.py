@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import tensor
-from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify, kernel_columns,
-                    span_in_kernel)
+from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify, int_dtype,
+                    kernel_columns, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
@@ -137,20 +137,23 @@ def _join(ys, vs, at: int, n: int, den: int) -> tuple:
 def _lie(blocks: list, layout: tuple, name: str, construction: str, metadata: dict,
          **data) -> TkkAlgebra:
     """The Lie superalgebra of the upper-triangle blocks, scaled to one
-    denominator on Python ints and mirrored, [e_j, e_i] = -(-1)^{|i||j|}
-    [e_i, e_j], in one array pass, then checked and built by
-    `integer_algebra`, with its basis bookkeeping."""
+    denominator and mirrored, [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j], in one
+    array pass, then checked and built by `integer_algebra` from the
+    arrays, with its basis bookkeeping.  The scaled values run in int64
+    when max|x| den / den_b < 2**62 is proved for every block (`int_dtype`),
+    else on Python ints."""
     import numpy as np
     parities, zdegrees, origin = layout
     den = lcm(1, *(b[4] for b in blocks))
+    top = max((int(abs(b[3]).max()) * (den // b[4]) for b in blocks if len(b[3])), default=0)
     i, j, k = (np.concatenate([b[a] for b in blocks]) for a in range(3))
-    x = np.concatenate([b[3].astype(object) * (den // b[4]) for b in blocks])
+    x = np.concatenate([b[3].astype(int_dtype(top)) * (den // b[4]) for b in blocks])
     p = np.array(parities, dtype=np.int64)
     off = np.flatnonzero(i != j)
     x = np.concatenate([x, (2 * (p[i[off]] * p[j[off]]) - 1) * x[off]])
     i, j, k = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[k, k[off]]
-    alg = integer_algebra(parities, zip(i.tolist(), j.tolist(), k.tolist(), x.tolist()), den,
-                          zdegrees, name=name, kind="lie", metadata=metadata)
+    alg = integer_algebra(parities, (i, j, k, x), den, zdegrees, name=name, kind="lie",
+                          metadata=metadata)
     return TkkAlgebra(alg, construction, origin, source=name, data=data)
 
 

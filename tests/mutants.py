@@ -137,15 +137,20 @@ MUTANTS = [
     ("tkk._killing_half drops the 1/2", PKG + "tkk.py",
      "np.einsum('ick,jkc->ij', C, C), 2 * d * d", "np.einsum('ick,jkc->ij', C, C), d * d",
      [DEGREE0 + "test_killing_half_of_sl2_is_computed"]),
-    ("catalog.load_algebra matches a coefficient's prefix", PKG + "catalog.py",
-     "_COEFF_RE.fullmatch(c)", "_COEFF_RE.match(c)",
+    ("catalog._product_arrays matches a coefficient's prefix", PKG + "catalog.py",
+     "all(map(_COEFF_RE.fullmatch, distinct))", "all(map(_COEFF_RE.match, distinct))",
      ["tests/test_catalog.py::test_load_rejects_coefficients_only_python_would_parse"]),
-    ("catalog.load_algebra records a coefficient string before matching it", PKG + "catalog.py",
-     "            if type(c) is not str or c not in frac:",
-     "            frac.setdefault(c, (0, 1))\n            if type(c) is not str or c not in frac:",
+    ("catalog._check_product matches a coefficient's prefix", PKG + "catalog.py",
+     "isinstance(c, str) and _COEFF_RE.fullmatch(c)", "isinstance(c, str) and _COEFF_RE.match(c)",
      [CATALOG + "test_load_rejects_coefficients_only_python_would_parse"]),
+    ("catalog._product_arrays lets an index run to n", PKG + "catalog.py",
+     "ijk.max() < n)", "ijk.max() <= n)",
+     [CATALOG + "test_load_pins_each_diagnostic"]),
+    ("catalog._product_arrays skips the repetition check", PKG + "catalog.py",
+     "if (key[order[1:]] == key[order[:-1]]).any():", "if False:",
+     [CATALOG + "test_load_pins_each_diagnostic"]),
     ("catalog.save_algebra skips the json.dumps quoting", PKG + "catalog.py",
-     "text = {v: json.dumps(str(Q(v, a.d)))", "text = {v: str(Q(v, a.d))",
+     "text = {x: json.dumps(str(Q(x, a.d)))", "text = {x: str(Q(x, a.d))",
      [CATALOG + "test_save_algebra_matches_the_former_writer"]),
     ("superspace.integer_algebra lets k run to n", PKG + "superspace.py",
      "0 <= k < n)", "0 <= k <= n)",
@@ -161,10 +166,35 @@ MUTANTS = [
      [SUPERSPACE + "test_integer_algebra_pins_each_diagnostic"]),
     ("superspace.integer_algebra does not reduce d", PKG + "superspace.py",
      "g = gcd(d, *(e[3] for e in nonzero))", "g = 1",
+     [SUPERSPACE + "test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator"]),
+    ("superspace._checked_arrays does not reduce d", PKG + "superspace.py",
+     "g = gcd(d, int(np.gcd.reduce(v)))", "g = 1",
      [TENSOR + "test_lie_blocks_come_out_over_the_least_denominator"]),
     ("superspace.integer_algebra skips the rescale when the gcd is not 1", PKG + "superspace.py",
      "if g != 1:", "if False:",
      [SUPERSPACE + "test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator"]),
+    ("superspace._checked_arrays marks the first of two repeated keys", PKG + "superspace.py",
+     "repeated[order[1:]] = key[order[1:]] == key[order[:-1]]",
+     "repeated[order[:-1]] = key[order[1:]] == key[order[:-1]]",
+     [SUPERSPACE + "test_array_entries_are_checked_like_the_tuple_loop"]),
+    ("superspace._checked_arrays adds parities with +", PKG + "superspace.py",
+     "p[i] ^ p[j] ^ p[k] != 0", "p[i] + p[j] + p[k] != 0",
+     [SUPERSPACE + "test_array_entries_are_checked_like_the_tuple_loop"]),
+    ("superspace._checked_arrays lets an index run to n", PKG + "superspace.py",
+     "(ijk < 0) | (ijk >= n)", "(ijk < 0) | (ijk > n)",
+     [SUPERSPACE + "test_array_entries_are_checked_like_the_tuple_loop"]),
+    ("superspace._checked_arrays takes nondecreasing keys for sorted", PKG + "superspace.py",
+     "if not (key[1:] > key[:-1]).all():", "if not (key[1:] >= key[:-1]).all():",
+     [SUPERSPACE + "test_array_entries_are_checked_like_the_tuple_loop"]),
+    ("superspace.table_keys keys in int64 past 2**62", PKG + "superspace.py",
+     "i.astype(int_dtype(n ** 3), copy=False)", "i.astype(np.int64, copy=False)",
+     [SUPERSPACE + "test_array_keys_past_int64_order_like_the_tuples"]),
+    ("superspace._mirror_defect's join ignores a missing mirror", PKG + "superspace.py",
+     "np.where(found, t.value[at], 0)", "np.where(found, t.value[at], want)",
+     [TENSOR + "test_graded_symmetry_checks_match_the_loop_oracle"]),
+    ("tkk._lie scales in int64 without its bound", PKG + "tkk.py",
+     "b[3].astype(int_dtype(top))", "b[3].astype(np.int64)",
+     [TENSOR + "test_lie_scales_its_blocks_on_python_ints_past_the_int64_bound"]),
     ("exact.sum_by_key keeps the zero sums", PKG + "exact.py",
      "keep = vals != 0", "keep = vals == vals",
      ["tests/test_linalg.py::test_sum_by_key_matches_a_dict_sum"]),

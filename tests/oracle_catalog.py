@@ -38,7 +38,7 @@ a plain description of the algebra (`AlgebraSpec`, `algebra_to_spec`,
 import json
 from dataclasses import dataclass, field
 
-from oracle_linalg import contains, reduce
+from oracle_linalg import basis_vector, contains, reduce
 from supertkk.exact import GeneratedSpan, Q, Subspace, ZERO, certify, span
 from supertkk.catalog import _masks, _poisson_pairs, lie_catalog
 from supertkk.superspace import SuperAlgebra, integer_algebra, make_algebra, mirror
@@ -169,7 +169,7 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
     """Quotient by a graded two-sided ideal (verified); metadata defaults to a's."""
     _split_graded_basis(a, ideal, "quotient")
     for i in range(a.dim):
-        b = a.basis_vector(i)
+        b = basis_vector(a, i)
         for v in ideal.basis:
             if not contains(ideal, a.product(b, v)):
                 raise ValueError(f"quotient: not an ideal, e_{i}*v escapes (v in ideal)")
@@ -180,7 +180,7 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
     products = []
     for m, i in enumerate(keep):
         for l, j in enumerate(keep):
-            prod = reduce(ideal, a.product(a.basis_vector(i), a.basis_vector(j)))
+            prod = reduce(ideal, a.product(basis_vector(a, i), basis_vector(a, j)))
             for k, c in enumerate(prod):
                 if c:
                     certify(k in pos, "reduction left a pivot coordinate")

@@ -20,8 +20,9 @@ tensor.g0_action, tensor.lp_tensor and tensor.kantor_relation_verdicts.
 
 from __future__ import annotations
 
-from oracle_linalg import (GradedOperator, Matrix, _parity_parts, l_op, left_mult_matrix,
-                           operator_parity, parity_sign, supercommutator, triple)
+from oracle_linalg import (GradedOperator, Matrix, _parity_parts, basis_vector, l_op,
+                           left_mult_matrix, operator_parity, parity_sign, supercommutator,
+                           triple)
 from supertkk.exact import Q, Subspace, ZERO, kernel_sparse, row_primitive
 from supertkk.jordan import find_unit
 from supertkk.structure import CheckResult, JordanPair
@@ -145,7 +146,7 @@ def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
 
 
 def _l_matrices(V: SuperAlgebra):
-    return [left_mult_matrix(V, V.basis_vector(i)) for i in range(V.dim)]
+    return [left_mult_matrix(V, basis_vector(V, i)) for i in range(V.dim)]
 
 
 def _combine(mats, coords) -> Matrix:
@@ -193,7 +194,7 @@ def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
     L = _l_matrices(V)
     p = V.parities
     n = V.dim
-    e = [V.basis_vector(i) for i in range(n)]
+    e = [basis_vector(V, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             lij = _commutator(L[i], L[j], _sgn(p[i] * p[j]))
@@ -212,7 +213,7 @@ def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
     """{x,y,z} = (-1)^{|x||y|+|y||z|+|x||z|} {z,y,x} on basis triples."""
     p = V.parities
     n = V.dim
-    e = [V.basis_vector(i) for i in range(n)]
+    e = [basis_vector(V, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -235,7 +236,7 @@ def check_five_linear(V: SuperAlgebra) -> Witness | None:
     """
     n = V.dim
     p = V.parities
-    e = [V.basis_vector(i) for i in range(n)]
+    e = [basis_vector(V, i) for i in range(n)]
     D = [[d_op(V, e[i], e[j]).matrix for j in range(n)] for i in range(n)]
 
     def d_vec_right(i, w):  # D_{e_i, w} for a coordinate vector w
@@ -374,7 +375,7 @@ def _gplus_on_gminus(V: SuperAlgebra, t_flat, x_index: int) -> Matrix:
 def kantor_relations(V: SuperAlgebra) -> list:
     """The bracket relations that pin down the Kantor construction."""
     n = V.dim
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    lmats = [l_op(V, basis_vector(V, i)) for i in range(n)]
     # KantorTop's P and [L_a, P], formed here so that no Kan(V) is built
     p_flat = _hom2_flat_p(V)
     lp = [_g0_on_gplus(V, la.matrix, la.parity, p_flat, 0) for la in lmats]
@@ -396,7 +397,7 @@ def kantor_relations(V: SuperAlgebra) -> list:
         for x in range(n):
             got = _gplus_on_gminus(V, lp[a], x)
             want = (supercommutator(lmats[a], lmats[x]).matrix
-                    - l_op(V, V.product(V.basis_vector(a), V.basis_vector(x))).matrix)
+                    - l_op(V, V.product(basis_vector(V, a), basis_vector(V, x))).matrix)
             ok = ok and got == want
     results.append(CheckResult(
         "kantor_lp_bracket", ok, "[[L_a,P], x] = [L_a,L_x] - L_{ax}"))
@@ -406,8 +407,8 @@ def kantor_relations(V: SuperAlgebra) -> list:
         for b in range(n):
             got = _g0_on_gplus(V, lmats[a].matrix, lmats[a].parity,
                                lp[b], V.parity(b))
-            want = tuple(-c for c in lp_of(V.product(V.basis_vector(a),
-                                                     V.basis_vector(b))))
+            want = tuple(-c for c in lp_of(V.product(basis_vector(V, a),
+                                                     basis_vector(V, b))))
             ok = ok and got == want
     results.append(CheckResult(
         "kantor_mid_action", ok, "[L_a, [L_b,P]] = -[L_{ab}, P]"))
@@ -428,11 +429,11 @@ def kantor_relations(V: SuperAlgebra) -> list:
             br = inner[a, b]
             for c in range(n):
                 got = _g0_on_gplus(V, br.matrix, br.parity, lp[c], V.parity(c))
-                cb = V.product(V.basis_vector(c), V.basis_vector(b))
+                cb = V.product(basis_vector(V, c), basis_vector(V, b))
                 w = [x - y for x, y in zip(
-                    V.product(V.basis_vector(a), cb),
-                    V.product(V.product(V.basis_vector(a), V.basis_vector(c)),
-                              V.basis_vector(b)))]
+                    V.product(basis_vector(V, a), cb),
+                    V.product(V.product(basis_vector(V, a), basis_vector(V, c)),
+                              basis_vector(V, b)))]
                 s = Q(-1) if (V.parity(b) * V.parity(c)) % 2 else Q(1)
                 want = tuple(s * x for x in lp_of(w))
                 ok = ok and got == want

@@ -79,6 +79,12 @@ def parity_sign(e: int):
     return Q(-1) if e % 2 else Q(1)
 
 
+def basis_vector(a: SuperAlgebra, i: int) -> tuple:
+    """The i-th unit vector of the algebra a, in rational coordinates (the
+    former method `SuperAlgebra.basis_vector`)."""
+    return tuple(Q(1) if j == i else ZERO for j in range(a.dim))
+
+
 def _parity_parts(V: SuperAlgebra, x):
     parts = {0: [ZERO] * V.dim, 1: [ZERO] * V.dim}
     for i, c in enumerate(x):
@@ -205,7 +211,7 @@ class Matrix(exact.Matrix):
 
 def left_mult_matrix(a: SuperAlgebra, x: Sequence) -> Matrix:
     """Matrix of y -> x*y (the adjoint map for Lie kind)."""
-    cols = [a.product(x, a.basis_vector(j)) for j in range(a.dim)]
+    cols = [a.product(x, basis_vector(a, j)) for j in range(a.dim)]
     return Matrix.from_columns(cols) if cols else Matrix([])
 
 
@@ -258,7 +264,7 @@ def l_op(V: SuperAlgebra, x) -> GradedOperator:
 
 def d_op(V: SuperAlgebra, x, y) -> GradedOperator:
     """D_{x,y} = 2L_{xy} + 2[L_x,L_y]: the operator z -> {x,y,z}."""
-    m = Matrix.from_columns([triple(V, x, y, V.basis_vector(c)) for c in range(V.dim)])
+    m = Matrix.from_columns([triple(V, x, y, basis_vector(V, c)) for c in range(V.dim)])
     return GradedOperator(m, operator_parity(V, m), algebra=V)
 
 
@@ -270,7 +276,7 @@ def u_op(V: SuperAlgebra, x, y) -> GradedOperator:
         col = [ZERO] * V.dim
         for py, yp in ys:
             s = parity_sign(py * V.parity(k))
-            t = triple(V, x, V.basis_vector(k), yp)
+            t = triple(V, x, basis_vector(V, k), yp)
             for i in range(V.dim):
                 col[i] += s * t[i]
         cols.append(tuple(col))
@@ -525,7 +531,7 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
     identity 2 is the same with X and Y exchanged.
     """
     n = V.dim
-    U = [[u_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
+    U = [[u_op(V, basis_vector(V, i), basis_vector(V, j)).matrix
           for j in range(n)] for i in range(n)]
     parts = {}
     for parity in (0, 1):

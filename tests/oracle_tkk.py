@@ -73,8 +73,9 @@ from __future__ import annotations
 from oracle_identities import _g0_on_gplus, _gplus_on_gminus, _hom2_flat_p, center
 import oracle_linalg
 import oracle_tables
-from oracle_linalg import (Matrix, SpanSolver, contains, contains_space, coordinates, d_op,
-                           l_op, left_mult_matrix, operators, supercommutator, triple)
+from oracle_linalg import (Matrix, SpanSolver, basis_vector, contains, contains_space,
+                           coordinates, d_op, l_op, left_mult_matrix, operators,
+                           supercommutator, triple)
 from supertkk import tensor, tkk
 from supertkk.exact import ZERO, GeneratedSpan, Q, Subspace, certify, row_primitive, solve, span
 from supertkk.jordan import find_unit
@@ -129,7 +130,7 @@ def map_images(F, den: int) -> list:
 def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
     """Inner derivations: the span of the [L_x, L_y]."""
     flats: dict = {0: [], 1: []}
-    mats = [l_op(V, V.basis_vector(i)) for i in range(V.dim)]
+    mats = [l_op(V, basis_vector(V, i)) for i in range(V.dim)]
     for i in range(V.dim):
         for j in range(i, V.dim):
             br = supercommutator(mats[i], mats[j])
@@ -144,7 +145,7 @@ def double(V: SuperAlgebra) -> JordanPair:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                t = triple(V, V.basis_vector(i), V.basis_vector(j), V.basis_vector(k))
+                t = triple(V, basis_vector(V, i), basis_vector(V, j), basis_vector(V, k))
                 if any(t):
                     table[i, j, k] = {l: c for l, c in enumerate(t) if c}
     return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities),
@@ -201,7 +202,7 @@ def l_space(V: SuperAlgebra) -> OperatorSpace:
     """Span of the left multiplications L_x."""
     flats: dict = {0: [], 1: []}
     for i in range(V.dim):
-        flats[V.parity(i)].append(l_op(V, V.basis_vector(i)).matrix.flatten())
+        flats[V.parity(i)].append(l_op(V, basis_vector(V, i)).matrix.flatten())
     return operator_space("{L}", flats, (V.dim,), V)
 
 
@@ -210,7 +211,7 @@ def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
     flats: dict = {0: [], 1: []}
     for i in range(V.dim):
         for j in range(V.dim):
-            m = d_op(V, V.basis_vector(i), V.basis_vector(j)).matrix
+            m = d_op(V, basis_vector(V, i), basis_vector(V, j)).matrix
             flats[(V.parity(i) + V.parity(j)) % 2].append(m.flatten())
     return operator_space("istr~", flats, (V.dim,), V)
 
@@ -224,7 +225,7 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
     out = {}
     ok = True
     for i in range(n):
-        li = l_op(V, V.basis_vector(i)).matrix
+        li = l_op(V, basis_vector(V, i)).matrix
         vec = li.flatten() + (-li).flatten()
         ok = ok and contains(pder.part(V.parity(i)), vec)
     out["lx_minus_lx_in_pair_der"] = ok
@@ -348,7 +349,7 @@ class KantorTop:
     def __init__(self, V: SuperAlgebra):
         n = V.dim
         p_flat = _hom2_flat_p(V)
-        self.lp_flats = [_g0_on_gplus(V, left_mult_matrix(V, V.basis_vector(a)), V.parity(a),
+        self.lp_flats = [_g0_on_gplus(V, left_mult_matrix(V, basis_vector(V, a)), V.parity(a),
                                       p_flat, 0) for a in range(n)]
         candidates = [(("kantorP", 0), p_flat, 0)] + [
             (("kantorLP", a), self.lp_flats[a], V.parity(a)) for a in range(n)]
@@ -399,7 +400,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
         for t, op in enumerate(mid_ops):
             # [x, A] = -(-1)^{|x||A|} A(x)
             s = Q(-1) if (V.parity(i) * op.parity) % 2 else Q(1)
-            vec = op.matrix.apply(V.basis_vector(i))
+            vec = op.matrix.apply(basis_vector(V, i))
             entry = {l: -s * c for l, c in enumerate(vec) if c}
             if entry:
                 upper[i, n + t] = entry
@@ -446,7 +447,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
 
 def killing_half(y: SuperAlgebra) -> Matrix:
     """(a, b) = 1/2 tr(ad a . ad b)."""
-    ads = [left_mult_matrix(y, y.basis_vector(i)) for i in range(y.dim)]
+    ads = [left_mult_matrix(y, basis_vector(y, i)) for i in range(y.dim)]
     return Matrix([[Q(1, 2) * sum((ads[i] @ ads[j])[k, k] for k in range(y.dim))
                     for j in range(y.dim)] for i in range(y.dim)])
 
@@ -514,11 +515,11 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
         for yi in range(3):
             # [d, y (x) v] = y (x) d(v)
             for vj in range(n):
-                vec = a_op.matrix.apply(V.basis_vector(vj))
+                vec = a_op.matrix.apply(basis_vector(V, vj))
                 entry = {tensor_index(yi, l): c for l, c in enumerate(vec) if c}
                 if entry:
                     upper[t, tensor_index(yi, vj)] = entry
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    lmats = [l_op(V, basis_vector(V, i)) for i in range(n)]
     for yi in range(3):
         for yj in range(3):
             for vi in range(n):
@@ -536,7 +537,7 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                                 entry[l] = entry.get(l, Q(0)) + kappa[yi, yj] * c
                     ybr = y.basis_product(yi, yj)
                     if ybr:
-                        prod = V.product(V.basis_vector(vi), V.basis_vector(vj))
+                        prod = V.product(basis_vector(V, vi), basis_vector(V, vj))
                         for yk, yc in ybr.items():
                             for l, c in enumerate(prod):
                                 if c:
@@ -572,13 +573,13 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                    + [("lhat", i) for i in range(n)]
                    + [("vminus", i) for i in range(n)])
     off_d, off_l, off_m = n, n + nd, n + nd + n
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    lmats = [l_op(V, basis_vector(V, i)) for i in range(n)]
 
     upper: dict = {}
     for i in range(n):
         for u in range(n):
             # [x+, u-] = 2 L-hat_{xu} + 2 [L_x, L_u] in D
-            prod = V.product(V.basis_vector(i), V.basis_vector(u))
+            prod = V.product(basis_vector(V, i), basis_vector(V, u))
             entry = {off_l + l: 2 * c for l, c in enumerate(prod) if c}
             br = supercommutator(lmats[i], lmats[u])
             coords = op_coords(dsp, br.matrix.flatten(), br.parity)
@@ -590,7 +591,7 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                 upper[i, off_m + u] = entry
     for t, a_op in enumerate(dops):
         for i in range(n):
-            vec = a_op.matrix.apply(V.basis_vector(i))
+            vec = a_op.matrix.apply(basis_vector(V, i))
             # [x+, D] = -(-1)^{|x||D|}[D, x+] = -(-1)^{|x||D|}(Dx)+
             s = Q(1) if (V.parity(i) * a_op.parity) % 2 else Q(-1)
             entry = {l: s * c for l, c in enumerate(vec) if c}
@@ -608,14 +609,14 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                 upper[off_d + t, off_d + s_idx] = entry
         for j in range(n):
             # [D, L-hat_y] = L-hat_{D(y)}
-            vec = a_op.matrix.apply(V.basis_vector(j))
+            vec = a_op.matrix.apply(basis_vector(V, j))
             entry = {off_l + l: c for l, c in enumerate(vec) if c}
             if entry:
                 upper[off_d + t, off_l + j] = entry
     for i in range(n):
         for j in range(n):
             # [L-hat_y, x+] = (yx)+ and [L-hat_y, u-] = -(yu)-
-            prod = V.product(V.basis_vector(j), V.basis_vector(i))
+            prod = V.product(basis_vector(V, j), basis_vector(V, i))
             s = Q(-1) if (V.parity(i) * V.parity(j)) % 2 else Q(1)
             entry_p = {l: -s * c for l, c in enumerate(prod) if c}
             if entry_p:
@@ -654,15 +655,15 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     ef = Q(int(K[0, 2]), den)
     certify(ef, "sl2 pairing (e,f) must be nonzero")
     dmats = [op.matrix for op in operators(dsp)]
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    lmats = [l_op(V, basis_vector(V, i)) for i in range(n)]
     for a in range(n):
         for b in range(n):
-            br = g.product(g.basis_vector(nd + a), g.basis_vector(nd + 2 * n + b))
+            br = g.product(basis_vector(g, nd + a), basis_vector(g, nd + 2 * n + b))
             if any(br[nd:nd + n]) or any(br[nd + 2 * n:]):
                 return CheckResult("tits_roundtrip", False,
                                    f"[e (x) {a}, f (x) {b}] leaves D + h (x) V")
-            if br[nd + n:nd + 2 * n] != V.product(V.basis_vector(a),
-                                                  V.basis_vector(b)):
+            if br[nd + n:nd + 2 * n] != V.product(basis_vector(V, a),
+                                                  basis_vector(V, b)):
                 return CheckResult("tits_roundtrip", False,
                                    f"recovered product wrong at ({a},{b})")
             w = Matrix.zero(n, n)
@@ -704,7 +705,7 @@ def equivalence_images(V: SuperAlgebra) -> dict:
     out = {}
     kan = tkk.kantor(V)
     istr = kan.data["middle"]
-    lmats = [l_op(V, V.basis_vector(i)) for i in range(n)]
+    lmats = [l_op(V, basis_vector(V, i)) for i in range(n)]
     l_flats = [op.matrix.flatten() for op in lmats]
     lbr = {(i, j): supercommutator(lmats[i], lmats[j])
            for i in range(n) for j in range(n)}
@@ -726,7 +727,7 @@ def equivalence_images(V: SuperAlgebra) -> dict:
                 if not c:
                     continue
                 if idx < n:
-                    dp, dm = dxe_pair(V.basis_vector(idx))
+                    dp, dm = dxe_pair(basis_vector(V, idx))
                     acc_plus = acc_plus - dp.scale(c * Q(1, 2))
                     acc_minus = acc_minus - dm.scale(c * Q(1, 2))
                 else:
@@ -754,7 +755,7 @@ def equivalence_images(V: SuperAlgebra) -> dict:
         elif tag[0] == "f":
             vec[off_minus + tag[1]] = Q(1)
         elif tag[0] == "h":
-            pending.append((len(images), *dxe_pair(V.basis_vector(tag[1])), V.parity(tag[1])))
+            pending.append((len(images), *dxe_pair(basis_vector(V, tag[1])), V.parity(tag[1])))
         else:
             w = dsp_ops[tag[1]]
             pending.append((len(images), w.matrix, w.matrix, w.parity))
@@ -765,7 +766,7 @@ def equivalence_images(V: SuperAlgebra) -> dict:
 
 def l_witness(V: SuperAlgebra, flat_op):
     """Recover x with L_x proportional to the given flattened operator."""
-    columns = [l_op(V, V.basis_vector(i)).matrix.flatten() for i in range(V.dim)]
+    columns = [l_op(V, basis_vector(V, i)).matrix.flatten() for i in range(V.dim)]
     x = solve(Matrix.from_columns(columns), flat_op)
     certify(x is not None, "operator claimed to be a left multiplication is not")
     lead = next((c for c in x if c), None)
@@ -798,7 +799,7 @@ def check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, images: list,
             return CheckResult(name, False, f"parity broken at basis {i}")
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = m.apply(src.product(src.basis_vector(i), src.basis_vector(j)))
+            lhs = m.apply(src.product(basis_vector(src, i), basis_vector(src, j)))
             rhs = dst.product(images[i], images[j])
             if lhs != rhs:
                 return CheckResult(
@@ -893,9 +894,9 @@ def j_functor(g: SuperAlgebra, check: bool = True) -> JordanPair:
         table = {}
         for i, bi in enumerate(same):
             for j, bj in enumerate(other):
-                inner = g.product(g.basis_vector(bi), g.basis_vector(bj))
+                inner = g.product(basis_vector(g, bi), basis_vector(g, bj))
                 for k, bk in enumerate(same):
-                    out = g.product(inner, g.basis_vector(bk))
+                    out = g.product(inner, basis_vector(g, bk))
                     entry = {}
                     for l, c in enumerate(out):
                         if c:
@@ -922,10 +923,10 @@ def is_jordan_graded(g: SuperAlgebra) -> CheckResult:
     plus = [i for i in range(g.dim) if g.zdegree(i) == 1]
     minus = [i for i in range(g.dim) if g.zdegree(i) == -1]
     zero = [i for i in range(g.dim) if g.zdegree(i) == 0]
-    brackets = [g.product(g.basis_vector(i), g.basis_vector(j))
+    brackets = [g.product(basis_vector(g, i), basis_vector(g, j))
                 for i in plus for j in minus]
     spanned = span(brackets, ambient=g.dim)
-    g0 = span([g.basis_vector(i) for i in zero], ambient=g.dim)
+    g0 = span([basis_vector(g, i) for i in zero], ambient=g.dim)
     if not (contains_space(spanned, g0) and contains_space(g0, spanned)):
         return CheckResult("jordan_graded", False,
                            f"[g+, g-] has dim {spanned.dim}, g0 has dim {g0.dim}")
@@ -956,17 +957,17 @@ def koecher_inverse_check(g: SuperAlgebra) -> list:
     images = []
     for tag in ko2.origin:
         if tag[0] == "vplus":
-            images.append(g.basis_vector(plus[tag[1]]))
+            images.append(basis_vector(g, plus[tag[1]]))
         elif tag[0] == "vminus":
-            images.append(g.basis_vector(minus[tag[1]]))
+            images.append(basis_vector(g, minus[tag[1]]))
         else:
             coeffs = gens.express(mid_flats[tag[1]])
             certify(coeffs is not None, "middle element outside the D span")
             vec = [Q(0)] * g.dim
             for c, (i, j) in zip(coeffs, gen_pairs):
                 if c:
-                    br = g.product(g.basis_vector(plus[i]),
-                                   g.basis_vector(minus[j]))
+                    br = g.product(basis_vector(g, plus[i]),
+                                   basis_vector(g, minus[j]))
                     vec = [a + c * b for a, b in zip(vec, br)]
             images.append(tuple(vec))
     results.append(tkk._check_bracket_map(ko2.lie, g, *map_matrix(images), "ko_of_j_iso"))
@@ -995,7 +996,7 @@ def koecher_ideal_check(v) -> CheckResult:
         sub.append(tuple(Q(1) if r == dp + nm + u else Q(0)
                          for r in range(g.dim)))
     s = span(sub, ambient=g.dim)
-    ok = all(contains(s, g.product(g.basis_vector(b), vec))
+    ok = all(contains(s, g.product(basis_vector(g, b), vec))
              for b in range(g.dim) for vec in s.basis)
     return CheckResult("ko_ideal_in_kotilde", ok,
                        "Ko(V,V) is an ideal in Ko~(V,V)" if ok

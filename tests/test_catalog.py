@@ -311,6 +311,8 @@ MALFORMED = [
      "products[0].j: expected an index in 0..2, got -1"),
     ("index-string", _edit(["products", 0, "k"], "0"),
      "products[0].k: expected an index in 0..2, got '0'"),
+    ("index-past-int64", _edit(["products", 0, "i"], 2 ** 70),
+     f"products[0].i: expected an index in 0..2, got {2 ** 70}"),
     ("coeff-not-string", _edit(["products", 0, "coeff"], 1),
      "products[0].coeff: 1 does not match integer-or-fraction syntax"),
     ("coeff-decimal", _edit(["products", 0, "coeff"], "1.5"),

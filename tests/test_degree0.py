@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_tkk as oracle
-from oracle_linalg import contains, operators, supercommutator
+from oracle_linalg import basis_vector, contains, operators, supercommutator
 from oracle_tables import unchecked
 from supertkk import structure, tensor, tkk
 from supertkk.catalog import jordan_catalog, lie_catalog, resolve
@@ -202,7 +202,7 @@ def test_double_matches_the_triple_loop(V):
 
 
 def _identity_images(g):
-    return [g.basis_vector(i) for i in range(g.dim)]
+    return [basis_vector(g, i) for i in range(g.dim)]
 
 
 @given(st.data())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracle_linalg as oracle
-from oracle_linalg import contains, contains_space, triple
+from oracle_linalg import basis_vector, contains, contains_space, triple
 import oracle_tkk
 import oracle_tables
 from supertkk import exact, structure, tensor, tkk
@@ -280,7 +280,7 @@ def _is_derivation(a, flat, parity) -> bool:
     m, n = oracle.Matrix.unflatten(a.dim, a.dim, flat), a.dim
     for i in range(n):
         for j in range(n):
-            x, y = a.basis_vector(i), a.basis_vector(j)
+            x, y = basis_vector(a, i), basis_vector(a, j)
             left = m.apply(a.product(x, y))
             right = [u + (-v if parity * a.parity(i) % 2 else v) for u, v in
                      zip(a.product(m.apply(x), y), a.product(x, m.apply(y)))]

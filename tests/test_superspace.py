@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +82,87 @@ def test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator():
     assert (a.entries, a.d) == (((0, 1, 2, 3), (1, 0, 2, -3), (2, 2, 2, 2)), 4)
     assert a.table == {(0, 1): {2: Q(3, 4)}, (1, 0): {2: Q(-3, 4)}, (2, 2): {2: Q(1, 2)}}
     assert integer_algebra((0,), [(0, 0, 0, 0)], 6).d == 1  # an empty table is over 1
+
+
+@st.composite
+def entry_lists(draw):
+    """(parities, entries, d, zdegrees): a random table of dim <= 4, its
+    homogeneous entries with zeros and values past 2**62 among them, faults
+    planted (an index out of range, a repeated key, a nonzero that may break
+    parity or degree homogeneity), in a shuffled order."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    z = draw(st.none() | st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    values = st.integers(-3, 3) | st.sampled_from([2 ** 62, -2 ** 62 - 5, 3 * 2 ** 70])
+    entries = []
+    for i, j, k in draw(st.lists(st.tuples(index, index, index), unique=True, max_size=10)):
+        homogeneous = p[k] == p[i] ^ p[j] and (z is None or z[k] == z[i] + z[j])
+        entries.append((i, j, k, draw(values) if homogeneous else 0))
+    for fault in draw(st.lists(st.sampled_from(["range", "repeat", "inhomogeneous"]),
+                               max_size=3)):
+        if fault == "range":
+            e = [draw(index), draw(index), draw(index), draw(values)]
+            e[draw(st.integers(0, 2))] = draw(st.sampled_from([-1, n]))
+            entries.append(tuple(e))
+        elif fault == "repeat" and entries:
+            entries.append(draw(st.sampled_from(entries))[:3] + (draw(values),))
+        elif fault == "inhomogeneous":
+            entries.append((draw(index), draw(index), draw(index), draw(st.integers(1, 3))))
+    entries = draw(st.permutations(entries))
+    return p, entries, draw(st.sampled_from([1, 4, 6])), z
+
+
+def _as_arrays(entries, value_dtype):
+    """The entries as four arrays: int64 indices, values in value_dtype."""
+    columns = list(zip(*entries)) or [()] * 4
+    return tuple(np.array(c, dtype=np.int64 if a < 3 else value_dtype)
+                 for a, c in enumerate(columns))
+
+
+def _built(parities, entries, d, zdegrees):
+    """The algebra's entries, d and `IntTable` fields, or the error raised."""
+    try:
+        a = integer_algebra(parities, entries, d, zdegrees, check=False)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    t = a.int_table
+    assert all(not c.flags.writeable for c in (t.i, t.j, t.k, t.value))
+    return (a.entries, a.d, t.n, t.i.tolist(), t.j.tolist(), t.k.tolist(), t.value.tolist(),
+            t.i.dtype, t.value.dtype, t.d, t.top)
+
+
+@given(entry_lists(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_array_entries_are_checked_like_the_tuple_loop(table, as_object):
+    # the same accept or reject, the same first fault and message, equal
+    # tables; values go in as int64 when they fit, else as Python ints
+    parities, entries, d, zdegrees = table
+    fits = all(abs(e[3]) < 2 ** 63 for e in entries)
+    arrays = _as_arrays(entries, object if as_object or not fits else np.int64)
+    assert _built(parities, arrays, d, zdegrees) == _built(parities, entries, d, zdegrees)
+
+
+def test_array_keys_past_int64_order_like_the_tuples():
+    # at n = 2**21 + 1 the key (i n + j) n + k of (n-1, n-1, n-1) passes
+    # 2**63, so the keys are Python ints there
+    n = 2 ** 21 + 1
+    entries = [(n - 1, n - 1, n - 1, 1), (0, 0, 1, 2)]
+    built = _built((0,) * n, _as_arrays(entries, np.int64), 1, None)
+    assert built == _built((0,) * n, entries, 1, None)
+    assert built[0] == ((0, 0, 1, 2), (n - 1, n - 1, n - 1, 1))
+
+
+def test_array_entries_keep_their_arrays_and_form_tuples_on_first_use():
+    # an empty table is over 1; the arrays are the algebra's IntTable
+    a = integer_algebra((0, 1), _as_arrays([], np.int64), 6)
+    assert (a.entries, a.d, a.int_table.top) == ((), 1, 0)
+    b = integer_algebra((1, 1, 0), _as_arrays([(2, 2, 2, 6), (0, 1, 2, 9), (1, 0, 2, -9),
+                                               (0, 0, 0, 0)], np.int64), 12, kind="jordan")
+    assert b._entries is None and b.int_table.value.tolist() == [3, -3, 2]
+    assert b.columns() == ([0, 1, 2], [1, 0, 2], [2, 2, 2], [3, -3, 2])
+    assert b._entries is None  # columns() reads the arrays
+    assert (b.entries, b.d) == (((0, 1, 2, 3), (1, 0, 2, -3), (2, 2, 2, 2)), 4)
 
 
 def test_zero_coefficients_are_dropped_after_duplicate_check():

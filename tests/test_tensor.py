@@ -8,6 +8,7 @@ import json
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracle_identities as oracle
 import oracle_tables
 import oracle_tkk
-from oracle_linalg import Matrix, operators
+from oracle_linalg import Matrix, basis_vector, operators
 from pyrun import run_python
 from supertkk import catalog, superspace, tensor, tkk
 from supertkk.catalog import (_JORDAN_DEFAULTS, _LIE_DEFAULTS, jordan_catalog, load_algebra,
@@ -245,6 +246,21 @@ def _scaled(a, factor):
                            name=a.name)
 
 
+def _dropped(a):
+    """a without its first off-diagonal constant, whose mirror stays."""
+    at = next(m for m, e in enumerate(a.entries) if e[0] != e[1])
+    return integer_algebra(a.parities, a.entries[:at] + a.entries[at + 1:], a.d, name=a.name)
+
+
+def _from_arrays(a):
+    """a built again from its entries as four arrays, which it keeps as its
+    `IntTable`: its mirror checks run as a join."""
+    *ijk, v = a.columns()
+    value = np.array(v, dtype=np.int64 if max(map(abs, v), default=0) < 2 ** 62 else object)
+    return integer_algebra(a.parities, (*(np.array(c, dtype=np.int64) for c in ijk), value), a.d,
+                           name=a.name)
+
+
 def _sign_flipped(a):
     """a with its first off-diagonal constant negated and the mirror kept:
     the support is unchanged, the values differ."""
@@ -268,8 +284,8 @@ def test_graded_symmetry_checks_match_the_loop_oracle(a):
     if a.table:
         tables.append(_perturbed(a))
     if any(i != j for i, j in a.table):
-        tables.append(_sign_flipped(a))
-    for table in tables:
+        tables += [_sign_flipped(a), _dropped(a)]
+    for table in tables + [_from_arrays(t) for t in tables]:
         for new, old in ((check_supercommutative, oracle.check_supercommutative),
                          (check_superanticommutative, oracle.check_superanticommutative)):
             assert _key(new(table)) == _key(old(table)), new.__name__
@@ -317,7 +333,7 @@ def test_d_op_matches_the_operator_formula():
         T, d = tensor.triple_tensor(V)
         for i in range(V.dim):
             for j in range(V.dim):
-                x, y = V.basis_vector(i), V.basis_vector(j)
+                x, y = basis_vector(V, i), basis_vector(V, j)
                 got = Matrix([[Q(int(t), d * d) for t in row] for row in T[i, j].T.tolist()])
                 assert got == oracle.d_op(V, x, y).matrix
 
@@ -423,17 +439,24 @@ def _assert_matches_the_rational_path(a, parities, products, zdegrees=None):
     assert a.table == table, a.name
 
 
+def _is_arrays(entries) -> bool:
+    """Whether integer_algebra's entries are four arrays (i, j, k, value)."""
+    return type(entries) is tuple and len(entries) == 4 and isinstance(entries[0], np.ndarray)
+
+
 def _record_builds(patch) -> list:
     """Every algebra make_algebra and integer_algebra build from now on, as
     (algebra, parities, rational products, zdegrees): make_algebra's own
-    products, and value / d for each integer entry."""
+    products, and value / d for each integer entry, given as tuples or as
+    four arrays (which go on to the build as they are)."""
     builds = []
 
     def spy(build, rational):
         def wrapper(parities, entries, *args, **kwargs):
-            entries = list(entries)
+            entries = entries if _is_arrays(entries) else list(entries)
             a = build(parities, entries, *args, **kwargs)
-            builds.append((a, parities, rational(entries, args, kwargs), a.zdegrees))
+            rows = list(zip(*(c.tolist() for c in entries))) if _is_arrays(entries) else entries
+            builds.append((a, parities, rational(rows, args, kwargs), a.zdegrees))
             return a
         return wrapper
 
@@ -500,6 +523,18 @@ def test_lie_blocks_come_out_over_the_least_denominator():
     _assert_matches_the_rational_path(a, parities, products, zdegrees)
 
 
+def test_lie_scales_its_blocks_on_python_ints_past_the_int64_bound():
+    # the sl(2) above with [e, h] written as -2**62 / 2**61 e: over the lcm
+    # 3 * 2**61 of the blocks' denominators it is -3 * 2**62 e, past int64
+    one = lambda x: np.array([x])
+    blocks = [(one(0), one(1), one(0), one(-2 ** 62), 2 ** 61),
+              (one(0), one(2), one(1), one(3), 6), (one(1), one(2), one(2), one(-4), 2)]
+    layout = tkk._layout(("e", [0], 1), ("h", [0], 0), ("f", [0], -1))
+    g = tkk._lie(blocks, layout, "sl2/2", "Ko", {}).lie
+    assert (g.d, g.entries) == (2, ((0, 1, 0, -4), (0, 2, 1, 1), (1, 0, 0, 4), (1, 2, 2, -4),
+                                    (2, 0, 1, -1), (2, 1, 2, 4)))
+
+
 @pytest.mark.parametrize("source, triple", [("kacK", "(0,3,9)"), ("j19", "(0,3,4)"),
                                             ("full_matrix:1,1", "(0,4,8)")])
 def test_a_lie_block_over_twice_its_denominator_fails_super_jacobi(source, triple):
@@ -531,11 +566,17 @@ def test_a_saved_coefficient_halved_fails_on_load():
 
 def test_building_the_jordan_catalog_does_not_import_numpy():
     # supercommutativity runs on every make_algebra and stays pure Python;
-    # numpy's import would otherwise land in every command's start-up
-    done = run_python([], "import sys, supertkk\nsupertkk.jordan_entries()\n"
-                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    # numpy's import would otherwise land in every command's start-up.  The
+    # second input is tkk-export-dense's set-up: each Jordan default in a
+    # dense basis (make_algebra(..., kind="jordan")), then save_algebra.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    for build in ("supertkk.jordan_entries()",
+                  f"sys.path.insert(0, {str(bench)!r})\nimport workloads\n"
+                  "assert workloads.prepare('tkk-export-dense', 1)"):
+        done = run_python([], f"import sys, supertkk\n{build}\n"
+                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]", build
 
 
 BROKEN_PAIR = """

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracle_linalg
+from oracle_linalg import basis_vector
 import oracle_tkk
 from pyrun import run_python
 from test_structure import tables_with_zeros
@@ -87,7 +88,7 @@ def test_koecher_tips_are_abelian():
     for block in (plus, minus):
         for i in block:
             for j in block:
-                br = g.product(g.basis_vector(i), g.basis_vector(j))
+                br = g.product(basis_vector(g, i), basis_vector(g, j))
                 assert not any(br), "[g_{+-1}, g_{+-1}] must vanish"
 
 
