@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/supertkk/"
 CATALOG = "tests/test_catalog.py::"
+CLI = "tests/test_cli.py::"
 DEGREE0 = "tests/test_degree0.py::"
 LINALG = "tests/test_linalg.py::"
 STRUCTURE = "tests/test_structure.py::"
@@ -306,6 +307,28 @@ MUTANTS = [
     ("tkk.is_jordan_graded meets the centre with the wrong coordinates", PKG + "tkk.py",
      "embedded(zero, g.dim)", "embedded(range(len(zero)), g.dim)",
      ["tests/test_j_functor.py::test_a_central_g0_fails_like_the_loop"]),
+    ("cli.verify_section drops tits_roundtrip(V, 'inn')", PKG + "cli.py",
+     '    checks.append(tits_roundtrip(V, "inn"))\n', "",
+     [CLI + "test_reports_match_their_pins"]),
+    ("cli._skipped skips a dim equal to --max-dim", PKG + "cli.py",
+     "    if dim > max_dim:", "    if dim >= max_dim:",
+     [CLI + "test_max_dim_bounds_are_inclusive"]),
+    ("cli.verify_section skips Out(Ko) at a dim equal to --max-dim", PKG + "cli.py",
+     "ko.dim <= max_dim", "ko.dim < max_dim",
+     [CLI + "test_max_dim_bounds_are_inclusive"]),
+    ("cli.cmd_tkk skips the der tower at a dim equal to --max-dim", PKG + "cli.py",
+     "g.dim <= max_dim", "g.dim < max_dim",
+     [CLI + "test_max_dim_bounds_are_inclusive"]),
+    ("cli.cmd_tkk runs the unital section only for ko", PKG + "cli.py",
+     'if construction in ("kan", "ko"):', 'if construction == "ko":',
+     [CLI + "test_reports_match_their_pins"]),
+    ("cli._catalog_report leaves the catalog in build order", PKG + "cli.py",
+     "sorted((section_of(V, max_dim) for V in entries), key=lambda s: s.name)",
+     "[section_of(V, max_dim) for V in entries]",
+     [CLI + "test_dims_all_is_the_sections_of_each_source"]),
+    ("cli.main lets an OSError through", PKG + "cli.py",
+     "except (ValueError, OSError) as err:", "except ValueError as err:",
+     [CLI + "test_io_errors_exit_2_without_a_traceback"]),
 ]
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands, report formats and exit codes."""
 
 import gc
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -11,8 +12,8 @@ import pytest
 
 from pyrun import run_python
 from supertkk import tensor, tkk
-from supertkk.catalog import load_algebra, resolve, save_algebra
-from supertkk.cli import (cmd_dims, cmd_tkk, cmd_verify, main,
+from supertkk.catalog import _JORDAN_DEFAULTS, load_algebra, resolve, save_algebra
+from supertkk.cli import (CONSTRUCTIONS, cmd_dims, cmd_tkk, cmd_verify, main,
                           report_from_machine, report_to_human,
                           report_to_machine, verify_section)
 from supertkk.superspace import check_super_jacobi
@@ -171,6 +172,89 @@ def test_malformed_catalog_parameter_exit_code(source, command, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_io_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # exit 1 means "a check failed"; a file that cannot be written or read is
+    # an error line and exit 2, like any other error of the command line
+    done = run_python([], "import sys\nfrom supertkk.cli import main\n"
+                      f"sys.exit(main(['export', 'j19', 'ko', '-o', {str(tmp_path / 'no' / 'x.alg')!r}]))")
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    path = tmp_path / "j19.alg"
+    assert main(["export", "j19", "self", "-o", str(path)]) == 0
+
+    def unreadable(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+
+
+PINS = Path(__file__).with_name("verify_dim9.sha256")
+PINNED_REPORTS = [
+    ("verify-all.out", ["--format", "machine", "verify", "all"]),
+    ("tkk-kacK-ko.out", ["--format", "machine", "tkk", "kacK", "ko"]),
+    ("tkk-kacK-kotilde.out", ["--format", "machine", "tkk", "kacK", "kotilde"]),
+    ("tkk-full_matrix:2,1-kan.out", ["--format", "machine", "tkk", "full_matrix:2,1", "kan"]),
+    ("verify-all-human.out", ["verify", "all"]),
+    ("tkk-kacK-ko-human.out", ["tkk", "kacK", "ko"]),
+    ("dims-j19-human.out", ["dims", "j19"]),
+]
+
+
+@pytest.mark.parametrize("out, argv", PINNED_REPORTS, ids=[o for o, _ in PINNED_REPORTS])
+def test_reports_match_their_pins(out, argv, capsys):
+    # the same reports the CI step writes to files, rendered in process, so
+    # that the mutation check sees the command layer
+    pins = dict(reversed(line.split()) for line in PINS.read_text().splitlines())
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pins[out]
+
+
+def test_max_dim_bounds_are_inclusive():
+    # Ko(kacK) has dim 14 and Ko~(kacK) dim 15: a cap equal to a dimension
+    # still runs the work on it
+    for cap, tower, out_ko in ((15, True, True), (14, False, True), (13, False, False)):
+        section = cmd_verify("kacK", cap).sections[0]
+        assert ("out_kotilde_zero" in {c.name for c in section.checks}) == tower, cap
+        assert any("derivation tower skipped" in n for n in section.notes) != tower, cap
+        assert any(n.startswith("Out(Ko) dims") for n in section.notes) == out_ko, cap
+    assert "der_tower" in cmd_tkk("kacK", "ko", 14).sections[0].tables
+    assert "der_tower" not in cmd_tkk("kacK", "ko", 13).sections[0].tables
+    for report in (cmd_dims("kacK", 3), cmd_tkk("kacK", "kan", 3), cmd_verify("kacK", 3)):
+        assert report.sections[0].checks
+        assert not any(n.startswith("skipped:") for n in report.sections[0].notes)
+    for report in (cmd_dims("kacK", 2), cmd_tkk("kacK", "kan", 2), cmd_verify("kacK", 2)):
+        assert report.sections[0].notes == ["skipped: dim 3 exceeds --max-dim 2"]
+        assert not report.sections[0].checks
+
+
+def test_check_names_are_unique_within_each_section():
+    reports = [cmd_verify("all", 64)] + [cmd_tkk(source, c, 64)
+                                         for source in ("kacK", "full_matrix:1,1")
+                                         for c in CONSTRUCTIONS[:-1]]
+    assert len(reports[0].sections) == 14
+    for report in reports:
+        for section in report.sections:
+            names = [c.name for c in section.checks]
+            assert len(names) == len(set(names)), (report.title, section.name, names)
+
+
+def test_dims_all_is_the_sections_of_each_source(capsys):
+    report = cmd_dims("all", 64)
+    assert report.title == "dims all"
+    names = [s.name for s in report.sections]
+    assert names == sorted(names) and len(names) == len(_JORDAN_DEFAULTS)
+    by_name = dict(zip(names, report.sections))
+    for source in _JORDAN_DEFAULTS:
+        section = cmd_dims(source, 64).sections[0]
+        assert by_name[section.name] == section, source
+    assert cmd_dims("all", 64, seed=7) == report
+    assert main(["--seed", "7", "--format", "machine", "dims", "all"]) == 0
+    assert report_from_machine(capsys.readouterr().out) == report
+
+
 def test_max_dim_guard():
     report = cmd_dims("full_matrix:1,2", 4)
     assert any("exceeds --max-dim" in n for n in report.sections[0].notes)
@@ -263,9 +347,8 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("argv", [["dimension_survey.py", "--max-dim", "4"],
-                                  ["tkk_survey.py", "--max-dim", "4", "--fingerprints"]],
-                         ids=["dimension_survey", "tkk_survey"])
+@pytest.mark.parametrize("argv", [["tkk_survey.py", "--max-dim", "4", "--fingerprints"]],
+                         ids=["tkk_survey"])
 def test_survey_scripts_run(argv):
     # the scripts import public names of the package, which no other test runs them against
     done = run_python([], RUN_SCRIPT.format(argv=[str(SCRIPTS / argv[0]), *argv[1:]]))
