@@ -659,7 +659,7 @@ def resolve(source: str) -> SuperAlgebra:
 def _load_file(path) -> SuperAlgebra:
     path = Path(path)
     if not path.is_file():
-        raise ValueError(f"no such file: {path}")
+        raise ValueError(f"{'not a regular file' if path.exists() else 'no such file'}: {path}")
     return load_algebra(path.read_bytes())
 
 

@@ -2,13 +2,14 @@
 
 The operators L_x, D_{x,y} and U_{x,y} have no dense form here: the identity
 checks contract them as integer tensors (supertkk.tensor), L is
-`structure.l_stack`, and D and U are read off `tensor.triple_tensor`
-(`structure.istr_tilde`, `structure.str_w`)."""
+`structure.l_stack`, and the triple, D and U are read off the one triple
+tensor of `structure.double` (`structure.istr_tilde`, `structure.str_w`)."""
 
 from __future__ import annotations
 
 from supertkk import tensor
 from supertkk.exact import GeneratedSpan, int_dtype
+from supertkk.structure import double
 from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative, memoized
 
 
@@ -30,22 +31,23 @@ def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
 
 def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
     """{x,y,z} = (-1)^{|x||y|+|y||z|+|x||z|} {z,y,x} on basis triples."""
-    at = tensor.outer_symmetry_defect(tensor.triple_tensor(V)[0], V.parities, V.parities)
+    at = tensor.outer_symmetry_defect(double(V).tensors[0], V.parities, V.parities)
     return at and Witness(at, "triple symmetry fails at ({},{},{})".format(*at))
 
 
 def check_five_linear(V: SuperAlgebra) -> Witness | None:
-    """The operator form of the 5-linear identity, in both of its shapes:
+    """The operator form of the 5-linear identity,
 
-    [D_{x,y}, D_{u,v}] = D_{{x,y,u},v} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{u,{v,x,y}}
-                       = D_{x,{y,u,v}} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{{u,v,x},y}
+    [D_{x,y}, D_{u,v}] = D_{{x,y,u},v} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{u,{v,x,y}},
 
-    over all homogeneous basis 4-tuples; the first is the superpair form.
+    over all homogeneous basis 4-tuples, the first failing one in C order.
+    Its second shape, [D_{x,y}, D_{u,v}] = D_{x,{y,u,v}} - s D_{{u,v,x},y},
+    needs no scan: applied to w, it is at (x, y, u, v) -s times the first at
+    (u, v, x, y), as s is symmetric and s^2 = 1.
     """
-    T, _ = tensor.triple_tensor(V)
-    hit = tensor.five_linear_defect(T, T, V.parities, V.parities, both_forms=True)
-    return hit and Witness(hit[1], "5-linear identity (form {}) fails at ({},{},{},{})"
-                           .format(hit[0], *hit[1]))
+    T = double(V).tensors[0]
+    hit = tensor.five_linear_defect(T, T, V.parities, V.parities)
+    return hit and Witness(hit[:4], "5-linear identity fails at ({},{},{},{})".format(*hit[:4]))
 
 
 @memoized

@@ -11,7 +11,8 @@ by parity, each part its integer rows over one denominator
 A superpair (`JordanPair`) is its two triple tensors, read-only integer
 arrays with one denominator, as `tensor.triple_tensor` (`double`) and
 `tensor.lie_triples` (the J functor) give them; every pair reader starts
-from them, and no rational triple table is formed.
+from them, and no rational triple table is formed; `double` is the one
+builder of an algebra's triple, which the Jordan checks and istr~ read too.
 
 Der, Der(V,V) and str_w are kernels of one graded derivation rule,
 X T(x_1, ..., x_r) = sum_s +-T(..., X x_s, ...), and one integer assembler
@@ -36,7 +37,7 @@ forms every supercommutator in one batched product (`tensor.brackets`), and
 `OperatorSpace.coordinates` reads a stack's coordinates off the pivots of
 the canonical basis, certified by one recombination per parity.  Inn,
 Inn(V,V), the doubled pair and the ideal check [Der(V,V), Inn(V,V)] are
-built this way, and istr~ is read off `tensor.triple_tensor`; the Fraction
+built this way, and istr~ is read off the doubled pair (`double`); the Fraction
 loops they replaced are test oracles in tests/oracle_tkk.py.
 """
 
@@ -439,12 +440,11 @@ def str_algebra(V: SuperAlgebra) -> OperatorSpace:
 @memoized
 def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
     """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y], read off
-    `tensor.triple_tensor`: d**2 D_{e_i,e_j}[r, c] = T[i, j, c, r]."""
+    the doubled pair's tensor T: d**2 D_{e_i,e_j}[r, c] = T[i, j, c, r]."""
     import numpy as np
-    n, p = V.dim, np.array(V.parities, dtype=np.int64)
-    T, d = tensor.triple_tensor(V)
-    ops = OperatorStack((T.transpose(0, 1, 3, 2).reshape(n * n, n, n),),
-                        ((p[:, None] + p) % 2).reshape(-1), d * d)
+    n, p, pair = V.dim, np.array(V.parities, dtype=np.int64), double(V)
+    ops = OperatorStack((pair.tensors[0].transpose(0, 1, 3, 2).reshape(n * n, n, n),),
+                        ((p[:, None] + p) % 2).reshape(-1), pair.den)
     return _stack_space("istr~", ops, (n,), V)
 
 
@@ -557,16 +557,18 @@ def pair_der(v) -> OperatorSpace:
 
 @memoized
 def check_pair_axioms(pair: JordanPair) -> Witness | None:
-    """Outer symmetry and the 5-linear identity on all homogeneous basis tuples."""
+    """Outer symmetry and the 5-linear identity on all homogeneous basis
+    tuples; equal halves (one tensor, one parity vector) are scanned once."""
     tables = pair.tensors
-    for sigma in (0, 1):
+    equal = pair.parities[0] == pair.parities[1] and (tables[0] == tables[1]).all()
+    for sigma in (0,) if equal else (0, 1):
         p, q = pair.parities[sigma], pair.parities[1 - sigma]
         at = tensor.outer_symmetry_defect(tables[sigma], p, q)
         if at is not None:
             return Witness((sigma,) + at, f"outer symmetry fails at {(sigma,) + at}")
         hit = tensor.five_linear_defect(tables[sigma], tables[1 - sigma], p, q)
         if hit is not None:
-            return Witness((sigma,) + hit[1], f"5-linear identity fails at {(sigma,) + hit[1]}")
+            return Witness((sigma,) + hit, f"5-linear identity fails at {(sigma,) + hit}")
     return None
 
 

@@ -147,7 +147,7 @@ class SuperAlgebra:
     @memoized
     def table(self) -> MappingProxyType:
         """The read-only rational view {(i, j): {k: c}} of the entries, built
-        on first use for the readers that need rationals (`find_unit`,
+        on first use for the readers that need rationals (`basis_product`,
         `product`), one rational per distinct value."""
         rational = {v: Q(v, self.d) for v in {e[3] for e in self.entries}}
         rows: dict = {}

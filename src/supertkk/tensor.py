@@ -247,29 +247,23 @@ def outer_symmetry_defect(T, p, q):
     return _first((T != (1 - 2 * (e % 2))[..., None] * T.transpose(2, 1, 0, 3)).any(axis=3))
 
 
-def five_linear_defect(T, U, p, q, both_forms=False):
-    """First failure of the 5-linear identity of triples T on V, U on W (T[i, j, k]:
-    i, k in V, j in W; scaled alike; parities p, q).  Form 1, the pair form
-    {x,y,{u,v,w}} - {{x,y,u},v,w} + s{u,{v,x,y},w} - s{u,v,{x,y,w}} = 0 with
-    s = (-1)**((|x|+|y|)(|u|+|v|)), gives (1, (i, j, u, v, w)).  both_forms (U is T)
-    adds form 2, {x,y,{u,v,w}} - s{u,v,{x,y,w}} - {x,{y,u,v},w} + s{{u,v,x},y,w}
-    = 0, and gives (form, (i, j, u, v)) at the first 4-tuple failing either, 1 first."""
+def five_linear_defect(T, U, p, q):
+    """First (i, j, u, v, w), in C order, where the 5-linear identity of triples
+    T on V, U on W (T[i, j, k]: i, k in V, j in W; scaled alike; parities p, q)
+    {x,y,{u,v,w}} - {{x,y,u},v,w} + s{u,{v,x,y},w} - s{u,v,{x,y,w}} = 0, with
+    s = (-1)**((|x|+|y|)(|u|+|v|)), fails; None if it holds."""
     import numpy as np
     p, q = np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
     T, U = _exact([T, U], 4 * max(len(p), len(q)), 2)
     uv = (p[:, None] + q[None, :]) % 2
     for i in range(len(p)):
         s = 1 - 2 * (((p[i] + q)[:, None, None] * uv) % 2)[..., None, None]
-        a = np.einsum('uvwm,jml->juvwl', T, T[i])
-        d = np.einsum('jwm,uvml->juvwl', T[i], T)
-        bad = (a - np.einsum('jum,mvwl->juvwl', T[i], T)
-               + s * (np.einsum('vjm,umwl->juvwl', U[:, i], T) - d) != 0).any(axis=4)
-        if both_forms:
-            bad2 = (a - s * d - np.einsum('juvm,mwl->juvwl', T, T[i])
-                    + s * np.einsum('uvm,mjwl->juvwl', T[:, :, i], T) != 0).any(axis=(3, 4))
-        hit = _first(bad.any(axis=3) | bad2 if both_forms else bad)
+        sums = (np.einsum('uvwm,jml->juvwl', T, T[i]) - np.einsum('jum,mvwl->juvwl', T[i], T)
+                + s * (np.einsum('vjm,umwl->juvwl', U[:, i], T)
+                       - np.einsum('jwm,uvml->juvwl', T[i], T)))
+        hit = _first((sums != 0).any(axis=4))
         if hit is not None:
-            return (1 if bad[hit].any() else 2), (i,) + hit
+            return (i,) + hit
     return None
 
 

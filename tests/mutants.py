@@ -103,6 +103,23 @@ MUTANTS = [
     ("structure.str_w puts Y on the right side with +1", PKG + "structure.py",
      "(f, f, 1 - f), (1, 1, -1)", "(f, f, 1 - f), (1, 1, 1)",
      [STRUCTURE + "test_str_w_matches_fraction_oracle"]),
+    ("structure.check_pair_axioms never scans sigma = -", PKG + "structure.py",
+     "for sigma in (0,) if equal else (0, 1):", "for sigma in (0,):",
+     [TENSOR + "test_a_pair_with_one_half_raised_is_scanned_on_both_halves"]),
+    ("structure.check_pair_axioms compares the halves by their parities only", PKG + "structure.py",
+     "equal = pair.parities[0] == pair.parities[1] and (tables[0] == tables[1]).all()",
+     "equal = pair.parities[0] == pair.parities[1]",
+     [TENSOR + "test_a_pair_with_one_half_raised_is_scanned_on_both_halves"]),
+    ("structure.check_pair_axioms scans equal halves twice", PKG + "structure.py",
+     "for sigma in (0,) if equal else (0, 1):", "for sigma in (0, 1):",
+     [CLI + "test_verify_section_evaluates_each_jordan_triple_identity_once"]),
+    ("jordan.check_triple_symmetry builds a triple of its own", PKG + "jordan.py",
+     "tensor.outer_symmetry_defect(double(V).tensors[0],",
+     "tensor.outer_symmetry_defect(tensor.triple_tensor(V)[0],",
+     [CLI + "test_verify_section_evaluates_each_jordan_triple_identity_once"]),
+    ("tensor.five_linear_defect reads T where U belongs", PKG + "tensor.py",
+     "np.einsum('vjm,umwl->juvwl', U[:, i], T)", "np.einsum('vjm,umwl->juvwl', T[:, i], T)",
+     [TENSOR + "test_pair_axioms_match_the_loop_oracle"]),
     ("tensor.jacobi_defect sorts [e_x, e_l] by (i, j, k)", PKG + "tensor.py",
      "np.lexsort((t.k, t.i, t.j))", "np.lexsort((t.k, t.j, t.i))",
      ["tests/test_tensor.py::test_super_jacobi_matches_the_loop_oracle"]),

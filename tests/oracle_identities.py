@@ -10,7 +10,10 @@ builders of superspace (a `kernel_sparse` over rows read off
 `row_primitive`), the references for the ones on the integer table, and
 d_op is the former operator-formula D_{x,y}, the reference for the D
 operators read off tensor.triple_tensor (and for the Fraction-triple d_op
-of oracle_linalg).  The dense operators
+of oracle_linalg).  The 5-linear loop yields every failure of both of its
+forms (`five_linear_failures`): its first form-1 failure is the reference
+of the package's one scan, and its form-2 failures check the lemma that
+makes a second scan needless.  The dense operators
 (Matrix, l_op, supercommutator) and the Fraction triple come from
 oracle_linalg.
 The tkk section holds the former Fraction loops of the g_0 action on
@@ -226,13 +229,17 @@ def check_triple_symmetry(V: SuperAlgebra) -> Witness | None:
     return None
 
 
-def check_five_linear(V: SuperAlgebra) -> Witness | None:
-    """The operator form of the 5-linear identity, in both of its shapes:
+def five_linear_failures(V: SuperAlgebra):
+    """Every failure (form, (i, j, u, v)) of the operator form of the
+    5-linear identity, in both of its shapes:
 
-    [D_{x,y}, D_{u,v}] = D_{{x,y,u},v} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{u,{v,x,y}}
-                       = D_{x,{y,u,v}} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{{u,v,x},y}
+    [D_{x,y}, D_{u,v}] = D_{{x,y,u},v} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{u,{v,x,y}}   (form 1)
+                       = D_{x,{y,u,v}} - (-1)^{(|x|+|y|)(|u|+|v|)} D_{{u,v,x},y}   (form 2)
 
-    over all homogeneous basis 4-tuples.
+    over all homogeneous basis 4-tuples in C order, form 1 before form 2 at
+    each.  This is the both-forms loop supertkk ran before it scanned form 1
+    alone; the tests keep it as the oracle of the lemma that form 2 fails
+    exactly where form 1 fails with the pairs swapped.
     """
     n = V.dim
     p = V.parities
@@ -255,14 +262,18 @@ def check_five_linear(V: SuperAlgebra) -> Witness | None:
                     rhs1 = (d_vec_left(triple(V, e[i], e[j], e[u]), v)
                             - d_vec_right(u, triple(V, e[v], e[i], e[j])).scale(s))
                     if lhs != rhs1:
-                        return Witness((i, j, u, v),
-                                       f"5-linear identity (form 1) fails at ({i},{j},{u},{v})")
+                        yield 1, (i, j, u, v)
                     rhs2 = (d_vec_right(i, triple(V, e[j], e[u], e[v]))
                             - d_vec_left(triple(V, e[u], e[v], e[i]), j).scale(s))
                     if lhs != rhs2:
-                        return Witness((i, j, u, v),
-                                       f"5-linear identity (form 2) fails at ({i},{j},{u},{v})")
-    return None
+                        yield 2, (i, j, u, v)
+
+
+def check_five_linear(V: SuperAlgebra) -> Witness | None:
+    """The first basis 4-tuple (i, j, u, v) where form 1 of the 5-linear
+    identity (`five_linear_failures`) fails, or None."""
+    at = next((at for form, at in five_linear_failures(V) if form == 1), None)
+    return at and Witness(at, "5-linear identity fails at ({},{},{},{})".format(*at))
 
 
 # ---------------------------------------------------------------------------

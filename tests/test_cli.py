@@ -191,6 +191,15 @@ def test_io_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and "Permission denied" in err
 
 
+def test_a_directory_is_not_reported_as_a_missing_file(tmp_path, monkeypatch, capsys):
+    (tmp_path / "d.alg").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for source in ("d.alg", "file:d.alg"):
+        assert main(["verify", source]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: not a regular file: d.alg\n", err
+
+
 PINS = Path(__file__).with_name("verify_dim9.sha256")
 PINNED_REPORTS = [
     ("verify-all.out", ["--format", "machine", "verify", "all"]),
@@ -328,6 +337,22 @@ def test_verify_section_proves_super_jacobi_once_per_lie_algebra(monkeypatch):
     verify_section(V, 64)
     assert f"Ko({V.name},{V.name})" in {g.name for g in checked}
     assert len({id(g) for g in checked}) == len(checked), [g.name for g in checked]
+
+
+@pytest.mark.parametrize("source", ["j19", "kacK", "full_matrix:1,1"])
+def test_verify_section_evaluates_each_jordan_triple_identity_once(source, monkeypatch):
+    # one triple tensor per algebra (double(V)); one outer-symmetry and one
+    # 5-linear scan of V, and one of each for J(Ko(V)), whose halves are equal
+    V = load_algebra(save_algebra(resolve(source)))
+    calls = Counter()
+    for name in ("triple_tensor", "five_linear_defect", "outer_symmetry_defect"):
+        def spy(*args, _kernel=getattr(tensor, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(tensor, name, spy)
+    verify_section(V, 64)
+    assert calls == {"triple_tensor": 1, "five_linear_defect": 2, "outer_symmetry_defect": 2}
 
 
 def test_verify_section_releases_its_algebra():

@@ -167,14 +167,16 @@ def test_identity_suite_catches_a_mutated_table():
 
 def test_five_linear_catches_a_broken_odd_sign():
     # xi2 xi1 = +a instead of -a: the mutated table is no longer
-    # supercommutative and the five-linear consequence fails too
+    # supercommutative and the five-linear consequence fails too: form 1
+    # first at (0,1,1,2); form 2's earlier failure at (0,0,1,2) is form 1's
+    # at (1,2,0,0)
     products = [(0, 0, 0, 1), (0, 1, 1, Q(1, 2)), (1, 0, 1, Q(1, 2)),
                 (0, 2, 2, Q(1, 2)), (2, 0, 2, Q(1, 2)),
                 (1, 2, 0, 1), (2, 1, 0, 1)]
     bad = make_algebra([0, 1, 1], products, check=False)
     w = check_five_linear(bad)
-    assert w is not None and w.indices == (0, 0, 1, 2)
-    assert str(w) == "5-linear identity (form 2) fails at (0,0,1,2)"
+    assert w is not None and w.indices == (0, 1, 1, 2)
+    assert str(w) == "5-linear identity fails at (0,1,1,2)"
 
 
 def test_find_unit_outcomes():

@@ -136,6 +136,34 @@ def test_jordan_checkers_match_the_loop_oracle(V):
     _assert_same(V)
 
 
+def _five_linear_lemma(V):
+    """Whether the 5-linear identity fails on V, after checking the lemma
+    behind its one scan on the both-forms loop: form 2 at (x, y, u, v) is
+    -s times form 1 at (u, v, x, y), so the two fail on swapped sets, and
+    the verdict of both forms is that of `check_five_linear`."""
+    failures = list(oracle.five_linear_failures(V))
+    form1 = {at for form, at in failures if form == 1}
+    assert {at for form, at in failures if form == 2} == {(u, v, x, y) for x, y, u, v in form1}
+    assert (check_five_linear(V) is None) == (not failures)
+    return bool(failures)
+
+
+@given(graded_tables(1))
+@settings(**SETTINGS)
+def test_five_linear_form_2_fails_where_form_1_fails_with_the_pairs_swapped(V):
+    _five_linear_lemma(V)
+
+
+@pytest.mark.parametrize("source", SMALL_JORDAN)
+def test_five_linear_lemma_holds_on_the_perturbed_catalog(source):
+    # the raised truncated polynomial algebras keep the 5-linear identity (they
+    # are nilpotent); the others fail it, so the failure sets are not empty
+    V = resolve(source)
+    assert not _five_linear_lemma(V)
+    for bad in (_perturbed(V), _perturbed(V, 1)):
+        assert _five_linear_lemma(bad) is not source.startswith("trunc_poly")
+
+
 @st.composite
 def dense_lie_tables(draw):
     """A catalog Lie table in a random basis (`_basis_changed`).  Half of
@@ -315,6 +343,21 @@ def test_perturbed_jordan_catalog_is_rejected_like_the_oracle(source):
     w = check_pair_axioms(bad_pair)
     assert _key(w) == _key(oracle.check_pair_axioms(bad_pair))
     assert w is not None or not control
+
+
+def test_a_pair_with_one_half_raised_is_scanned_on_both_halves():
+    # double(V) has equal halves, which are scanned once; with one entry of
+    # T- raised they differ, and sigma = - must be scanned too.  The entry
+    # is a coordinate that the middle slot of T+ kills (t**2 in trunc_poly(4),
+    # as t**4 = 0), so sigma = + still passes and the witness is sigma = -'s
+    pair = double(resolve("trunc_poly:4"))
+    plus, minus = pair.tensors[0], pair.tensors[1].copy()
+    l = next(l for l in range(pair.dim(1)) if not plus[:, l].any())
+    minus[0, 0, 1, l] += pair.den
+    bad = JordanPair(pair.name, pair.parities, (plus, minus), pair.den)
+    assert check_pair_axioms(pair) is None
+    w = check_pair_axioms(bad)
+    assert w is not None and w.indices[0] == 1 and _key(w) == _key(oracle.check_pair_axioms(bad))
 
 
 @pytest.mark.parametrize("source", SMALL_LIE)
