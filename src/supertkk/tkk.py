@@ -17,20 +17,26 @@ mirrors them and wraps the table.  Each degree-0 block is one batched
 bracket of operator stacks and one certified coordinate read
 (`OperatorStack.bracket`, `OperatorSpace.coordinates`, `_block`); Ti's
 [y (x) v, y' (x) v'] joins the sl2 table with V's (`_join`), and Ko_D's
-other blocks are index maps of V's `IntTable`.  The Kantor top space is one
-integer tensor (`KantorTop`), picked by one `GeneratedSpan`, whose
-`coordinates` read every [A, B] of the istr x top block at once.  An
-equivalence map is an integer matrix over one denominator, its middle rows
-read off integer stacks and the (C, den) of `GeneratedSpan.coordinates`,
-certified against both tables by `tensor.bracket_map_defect`.  No rational
-is formed while Ko, Ko~, Kan, Ti or Ko_D is built.  `tits_roundtrip`
-compares all [e (x) a, f (x) b] at once with the coordinates of the
-[L_a, L_b], and the half-Killing form of sl2 is one contraction of its
-table.  The J side reads the encoded table of g as well: the triples of
-J(g) are one contraction (`tensor.lie_triples`), [g+, g-] is one slice of
-it, and the middle images of Ko(J(g)) -> g and the brackets with the
-embedded Ko are one product each.  The Fraction loops these replaced are
-test oracles in tests/oracle_tkk.py.
+other blocks are index maps of V's `IntTable`.  Their derivation container
+D is certified by `tits_data` without building Der(V): D consists of
+derivations when its derivation defect [D, P] vanishes, one
+`tensor.g0_action` contraction with V's table, and Inn(V) <= D and
+[D, D] <= D are the certified reads of the [L_a, L_b] and of D's own
+brackets that Ti and Ko_D write, done once per V and container and kept on
+the `TitsData`.  The Kantor top space is one integer tensor (`KantorTop`),
+picked by one `GeneratedSpan`, whose `coordinates` read every [A, B] of
+the istr x top block at once.  An equivalence map is an integer matrix
+over one denominator, its middle rows read off integer stacks and the
+(C, den) of `GeneratedSpan.coordinates`, certified against both tables by
+`tensor.bracket_map_defect`.  No rational is formed while Ko, Ko~, Kan, Ti
+or Ko_D is built.  `tits_roundtrip` compares all [e (x) a, f (x) b] at
+once with the coordinates of the [L_a, L_b] on the `TitsData`, and the
+half-Killing form of sl2 is one contraction of its table.  The J side
+reads the encoded table of g as well: the triples of J(g) are one
+contraction (`tensor.lie_triples`), [g+, g-] is one slice of it, and the
+middle images of Ko(J(g)) -> g and the brackets with the embedded Ko are
+one product each.  The Fraction loops these replaced are test oracles in
+tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
@@ -47,8 +53,8 @@ from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
                         double, inn_algebra, istr_algebra, l_stack, leibniz_weight_zero,
                         pair_d_stack, pair_der, pair_inn, str_algebra)
-from .superspace import (SuperAlgebra, center, check_super_jacobi, derived, graded_dims,
-                         integer_algebra, memoized)
+from .superspace import (SuperAlgebra, center, check_super_jacobi, check_supercommutative,
+                         derived, graded_dims, integer_algebra, memoized)
 
 
 @dataclass
@@ -58,7 +64,7 @@ class TkkAlgebra:
     origin[i] names where basis vector i came from: ("vplus", 2), ("op0", 0),
     ("vminus", 1), ("kantorP", 0), ("kantorLP", a), and for the Tits-style
     middles ("d", t), ("e"/"h"/"f", i), ("lhat", i).  data holds extras such
-    as the middle OperatorSpace or the superpair.
+    as the middle OperatorSpace, the superpair or Ti's `TitsData`.
     """
 
     lie: SuperAlgebra
@@ -84,13 +90,21 @@ def _block(C, den: int, i, j, at: int) -> tuple:
     return i[nz[:-1]], j[nz[:-1]], at + nz[-1], C[nz], den
 
 
-def _middle_brackets(space: OperatorSpace, at: int) -> tuple:
-    """The block [A_t, A_s] = sum_l c_l A_l, t <= s, for the basis of space
-    placed at offset at: one batched bracket, one certified read."""
-    import numpy as np
+def _self_brackets(space: OperatorSpace) -> tuple:
+    """(C, den): C[b] / den are the coordinates in space of the b-th [A_t, A_s],
+    t <= s in row-major order, for the basis A of space: one batched
+    bracket, one certified read."""
     ops = space.stack.bracket()
-    t, s = np.triu_indices(space.dim)
-    return _block(space.coordinates(ops), ops.den, at + t, at + s, at)
+    return space.coordinates(ops), ops.den
+
+
+def _middle_brackets(read: tuple, at: int) -> tuple:
+    """The block [A_t, A_s] = sum_l c_l A_l, t <= s, for a basis placed at
+    offset at, from the read (C, den) of `_self_brackets`."""
+    import numpy as np
+    C, den = read
+    t, s = np.triu_indices(C.shape[1])
+    return _block(C, den, at + t, at + s, at)
 
 
 def _layout(*blocks) -> tuple:
@@ -190,7 +204,7 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
     x, u = np.indices((dp, dm))
     blocks = [  # [x+, u-] = D_{x,u} as an operator pair in the middle
         _block(mid.coordinates(ops).reshape(dp, dm, nm), ops.den, x, dp + nm + u, dp),
-        _middle_brackets(mid, dp),
+        _middle_brackets(_self_brackets(mid), dp),
         # M acts on V+ by its block M+ and on V- by M-
         *_act(mid, dp, [(0, 0, pair.parities[0]), (dp + nm, 1, pair.parities[1])])]
 
@@ -292,7 +306,7 @@ def kantor(V: SuperAlgebra) -> TkkAlgebra:
     AB = C[:, list(top.span.independent)].reshape(nm, nt, nt)
     sign = 2 * (np.outer(V.parities, top_par) % 2) - 1
     (x, u), (t, s) = np.indices((n, nt)), np.indices((nm, nt))
-    blocks = [*_act(istr, n, [(0, 0, V.parities)]), _middle_brackets(istr, n),
+    blocks = [*_act(istr, n, [(0, 0, V.parities)]), _middle_brackets(_self_brackets(istr), n),
               _block(istr.coordinates(at_x).reshape(n, nt, nm) * sign[..., None], top.den,
                      x, n + nm + u, n),
               _block(AB, d * basis.den, n + t, n + nm + s, n + nm)]
@@ -330,7 +344,12 @@ def kantor_relations(V: SuperAlgebra) -> list:
 
 @dataclass(frozen=True, eq=False)
 class TitsData:
-    """A derivation container Inn(V) <= D <= Der(V) plus the fixed sl2 data.
+    """A derivation container Inn(V) <= D <= Der(V) of the Jordan
+    superalgebra V = algebra, the fixed sl2 data, and the two certified
+    reads that prove D's preconditions and that Ti, Ko_D and the Tits round
+    trip write: l_brackets = (M, den), M[a, b] / den the coordinates in D
+    of [L_a, L_b], and brackets = (C, den), C[b] / den those of the b-th
+    [A_t, A_s], t <= s in row-major order, for the basis A of D.
 
     The morphism into Der(V) is the inclusion, so it restricts to the identity
     on Inn(V); the half-Killing coefficients are computed from adjoint traces,
@@ -338,17 +357,34 @@ class TitsData:
     array.
     """
 
+    algebra: SuperAlgebra
     dspace: OperatorSpace
     sl2: SuperAlgebra
     killing: tuple  # (K, den): (y_a, y_b) = K[a, b] / den, K an object array
     label: str
+    l_brackets: tuple
+    brackets: tuple
 
 
-def _l_brackets(V: SuperAlgebra, dsp: OperatorSpace) -> tuple:
-    """(M, den): M[a, b] / den are the coordinates of [L_a, L_b] in dsp."""
-    ls = l_stack(V)
-    lbr = ls.bracket(ls)
-    return dsp.coordinates(lbr).reshape(V.dim, V.dim, dsp.dim), lbr.den
+_DEFECT_CHUNK = 4  # container operators per derivation-defect contraction
+
+
+def _are_derivations(V: SuperAlgebra, ops: OperatorStack) -> bool:
+    """Whether every operator A of the stack is a superderivation of V's
+    supercommutative product P of the parity it carries: A has no entry
+    A[r, c] with |r| + |c| + |A| odd, and [A, P] = 0, where [A, P](x, y) =
+    A(xy) - (Ax)y - (-1)^{|x||y|} (Ay)x = A(xy) - (Ax)y - (-1)^{|A||x|} x(Ay)
+    (`tensor.g0_action`, P even).  The defect is contracted against V's
+    integer table _DEFECT_CHUNK operators at a time, so that no transient
+    array holds more than a few n**3 tables."""
+    import numpy as np
+    p = np.array(V.parities, dtype=np.int64)
+    A = ops.blocks[0]
+    if (A * ((p[:, None] + p + ops.parities[:, None, None]) % 2)).any():
+        return False
+    C = V.int_table.dense()
+    return not any(tensor.g0_action(A[lo:lo + _DEFECT_CHUNK], C, 1, V.parities).any()
+                   for lo in range(0, len(A), _DEFECT_CHUNK))
 
 
 def _sl2() -> SuperAlgebra:
@@ -368,10 +404,14 @@ def _killing_half(y: SuperAlgebra) -> tuple:
     return np.einsum('ick,jkc->ij', C, C), 2 * d * d
 
 
-def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
-    """Resolve a derivation-container choice and validate its preconditions."""
-    if isinstance(d, TitsData):
-        return d
+@memoized
+def _container(V: SuperAlgebra, d) -> tuple:
+    """(dspace, label, l_brackets, brackets) of the derivation container d
+    of V, "inn", "der" or an OperatorSpace, its preconditions checked in
+    order: the shape (V.dim,), derivations (`_are_derivations`), then
+    Inn(V) <= D and [D, D] <= D by the reads of `TitsData`; a failed check
+    raises ValueError.  Memoized on V, so that each read is done once per
+    V and container."""
     if isinstance(d, str):
         if d == "inn":
             dsp = inn_algebra(V)
@@ -383,30 +423,53 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         label = d
     else:
         dsp, label = d, d.label
-    if not der_algebra(V).contains_space(dsp):
+    if dsp.shape != (V.dim,):
+        raise ValueError(f"derivation container must act on V: shape {dsp.shape}, "
+                         f"expected {(V.dim,)}")
+    if not _are_derivations(V, dsp.stack):
         raise ValueError("derivation container must consist of derivations")
-    if not dsp.contains_space(inn_algebra(V)):
-        raise ValueError("derivation container must contain the inner derivations")
-    if not dsp.contains_stack(dsp.stack.bracket()):
-        raise ValueError("derivation container is not closed under bracket")
+    ls = l_stack(V)
+    lbr = ls.bracket(ls)
+    try:
+        inner = dsp.coordinates(lbr).reshape(V.dim, V.dim, dsp.dim), lbr.den
+    except CertificateError:
+        raise ValueError("derivation container must contain the inner derivations") from None
+    try:
+        closed = _self_brackets(dsp)
+    except CertificateError:
+        raise ValueError("derivation container is not closed under bracket") from None
+    return dsp, label, inner, closed
+
+
+def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
+    """Resolve a derivation-container choice, certify its preconditions
+    (`_container`, memoized on V) and add the sl2 data; a TitsData is
+    returned as it is if it was built for V, and refused otherwise.  The
+    derivation defect reads V's product as supercommutative, which is
+    checked first (memoized: a checked Jordan build has proved it)."""
+    if V.kind != "jordan" or check_supercommutative(V) is not None:
+        raise ValueError("tits expects a Jordan superalgebra")
+    if isinstance(d, TitsData):
+        if d.algebra is not V:
+            raise ValueError(f"TitsData built for {d.algebra.name} given for {V.name}")
+        return d
+    dsp, label, inner, closed = _container(V, d)
     sl2 = _sl2()
-    return TitsData(dsp, sl2, _killing_half(sl2), label)
+    return TitsData(V, dsp, sl2, _killing_half(sl2), label, inner, closed)
 
 
 @memoized
 def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     """Tits construction D (+) (sl2 (x) V) with the half-Killing pairing."""
-    if V.kind != "jordan":
-        raise ValueError("tits expects a Jordan superalgebra")
     import numpy as np
     n = V.dim
     data = tits_data(V, d)
     dsp, y, (K, dk) = data.dspace, data.sl2, data.killing
     nd = dsp.dim
-    M, dm = _l_brackets(V, dsp)
+    M, dm = data.l_brackets
     ty, tv = y.int_table, V.int_table
     a, b = np.nonzero(K)
-    blocks = [_middle_brackets(dsp, 0),
+    blocks = [_middle_brackets(data.brackets, 0),
               # [d, y (x) v] = y (x) d(v) on each of the three copies of V
               *_act(dsp, 0, [(nd + yi * n, 0, V.parities) for yi in range(3)]),
               # [y (x) v, y' (x) v'] = (y,y')[L_v,L_{v'}] + [y,y'] (x) vv'
@@ -419,7 +482,7 @@ def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:
                      ("f", V.parities, -1))
     return _lie(blocks, layout, f"Ti({V.name},{data.label})", "Ti",
                 {"construction": "tits", "dchoice": data.label},
-                dspace=dsp, sl2=y, kappa=data.killing, label=data.label)
+                dspace=dsp, sl2=y, kappa=data.killing, label=data.label, tits=data)
 
 
 def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
@@ -431,16 +494,16 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     scattered from the entries of Ti's `IntTable` with i in the e block and
     j in the f block; their h (x) V components are compared with V's
     `IntTable` cross-multiplied, and their D components at once with the
-    coordinates in D of l_stack(V).bracket(l_stack(V)); the first failing
-    (a, b) in row-major order is reported, as a loop over them would.
+    coordinates in D of the [L_a, L_b] that `tits_data` read; the first
+    failing (a, b) in row-major order is reported, as a loop over them would.
     """
     import numpy as np
     ti = tits(V, d)
     g = ti.lie
     n = V.dim
-    dsp = ti.data["dspace"]
-    nd = dsp.dim
-    K, den = ti.data["kappa"]
+    data = ti.data["tits"]
+    nd = data.dspace.dim
+    K, den = data.killing
     num = int(K[0, 2])  # (e,f) = num / den
     certify(num, "sl2 pairing (e,f) must be nonzero")
     tg = g.int_table
@@ -448,7 +511,7 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
     X, dx = np.zeros((n, n, g.dim), dtype=tg.value.dtype), tg.d
     X[tg.i[at] - nd, tg.j[at] - nd - 2 * n, tg.k[at]] = tg.value[at]
     t = V.int_table
-    M, dm = _l_brackets(V, dsp)
+    M, dm = data.l_brackets
     # X / (dx ef) == M / dm on the D components, cross-multiplied
     leaves = X[..., nd:nd + n].any(axis=2) | X[..., nd + 2 * n:].any(axis=2)
     product = tensor.mismatch(X[..., nd + n:nd + 2 * n], t.d, t.dense(), dx).any(axis=2)
@@ -479,7 +542,7 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     dsp = data.dspace
     nd = dsp.dim
     off_d, off_l, off_m = n, n + nd, n + nd + n
-    M, dm = _l_brackets(V, dsp)
+    M, dm = data.l_brackets
     t = V.int_table  # e_i e_j = sum value / t.d e_k
     p = np.array(V.parities)
     odd = p[t.i] * p[t.j] % 2
@@ -490,7 +553,7 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
         _block(2 * M.astype(object), dm, x, off_m + u, off_d),
         # D acts on x+ and u- by D, and [D, L-hat_y] = L-hat_{D(y)}
         *_act(dsp, off_d, [(0, 0, V.parities), (off_l, 0, V.parities), (off_m, 0, V.parities)]),
-        _middle_brackets(dsp, off_d),
+        _middle_brackets(data.brackets, off_d),
         # [L-hat_y, x+] = (yx)+, so [x+, L-hat_y] = -(-1)^{|x||y|} (yx)+
         (t.j, off_l + t.i, t.k, (2 * odd - 1) * t.value, t.d),
         # [L-hat_y, u-] = -(yu)-

@@ -43,8 +43,15 @@ MUTANTS = [
      "(2 * (p[i[off]] * p[j[off]]) - 1) * x[off]", "-x[off]",
      [TKK + "test_koecher_kack_dims"]),
     ("tkk._middle_brackets pairs t >= s", PKG + "tkk.py",
-     "t, s = np.triu_indices(space.dim)", "s, t = np.triu_indices(space.dim)",
+     "t, s = np.triu_indices(C.shape[1])", "s, t = np.triu_indices(C.shape[1])",
      [TKK + "test_koecher_kack_dims"]),
+    ("tkk._are_derivations takes the defect of the first operator only", PKG + "tkk.py",
+     "tensor.g0_action(A[lo:lo + _DEFECT_CHUNK], C, 1, V.parities)",
+     "tensor.g0_action(A[:1], C, 1, V.parities)",
+     [TKK + "test_a_non_derivation_past_the_first_operator_is_refused"]),
+    ("tkk.tits_roundtrip compares against the container's own brackets", PKG + "tkk.py",
+     "M, dm = data.l_brackets\n    # X / (dx ef)", "M, dm = data.brackets\n    # X / (dx ef)",
+     [TKK + "test_propnu_and_tits_roundtrip"]),
     ("tkk._join drops the diagonal a == b", PKG + "tkk.py",
      "keep = i <= j", "keep = i < j",
      [DEGREE0 + "test_constructions_match_the_loop_oracle"]),

@@ -24,7 +24,9 @@ from the former `Subspace.coordinates` one operator at a time (`op_coords`).
   `oracle_linalg.SpanSolver`, so that neither shares code with
   `tkk.KantorTop` and its `GeneratedSpan`.  The oracle's `tits_data` holds
   the `Matrix` of `killing_half` in `TitsData.killing`, where supertkk
-  holds (K, den).
+  holds (K, den), and checks its container against the computed Der(V);
+  its loop builders read no coordinates off it, so its `l_brackets` and
+  `brackets` are None.
 - `check_bracket_map` is the former `_check_bracket_map` loop, on a list
   of rational images, and `pair_der_matches_der0` the former embedding
   check.  `map_matrix` and `map_images` convert between such a list and
@@ -481,7 +483,7 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
             if not contains(dsp.part(br.parity), br.matrix.flatten()):
                 raise ValueError("derivation container is not closed under bracket")
     sl2 = _sl2()
-    return TitsData(dsp, sl2, killing_half(sl2), label)
+    return TitsData(V, dsp, sl2, killing_half(sl2), label, None, None)
 
 
 def tits(V: SuperAlgebra, d="inn") -> TkkAlgebra:

@@ -22,7 +22,7 @@ from oracle_tables import unchecked
 from supertkk import structure, tensor, tkk
 from supertkk.catalog import jordan_catalog, lie_catalog, resolve
 from supertkk.exact import CertificateError, Q, Subspace
-from supertkk.structure import (OperatorSpace, double, inclusion_report,
+from supertkk.structure import (OperatorSpace, der_algebra, double, inclusion_report,
                                 inn_algebra, istr_tilde, l_space, pair_inn)
 from supertkk.superspace import make_algebra
 from test_tensor import _as_jordan, _pair_tables, _rescaled, _sl2, graded_tables, twelfths
@@ -132,6 +132,61 @@ def test_an_unclosed_space_raises_where_the_loop_raised():
     for tits_data in (tkk.tits_data, oracle.tits_data):
         with pytest.raises(ValueError, match="derivation container is not closed under bracket"):
             tits_data(V, space)
+
+
+@st.composite
+def tits_containers(draw):
+    """A rescaled catalog algebra V and a derivation container of V: Inn,
+    Der, {L} or the sum of two of them, as it is or with one operator
+    perturbed: a basis operator of one parity dropped, dropped with a
+    nonzero multiple of it folded into another one (which can break the
+    closure, as span{x d, x^2 d + x^3 d} in Der(Q[x]/(x^4)) does), or raised
+    by a random operator of that parity (added to the part when it is
+    empty)."""
+    V = draw(rescaled_jordan())
+    n, p = V.dim, V.parities
+    spaces = {"Inn": inn_algebra(V), "Der": der_algebra(V), "{L}": l_space(V)}
+    names = draw(st.lists(st.sampled_from(sorted(spaces)), min_size=1, max_size=2, unique=True))
+    space = spaces[names[0]] if len(names) == 1 else spaces[names[0]].sum(spaces[names[1]])
+    change = draw(st.sampled_from(("none", "drop", "fold", "raise")))
+    if change == "none":
+        return V, space
+    parity = draw(st.integers(0, 1))
+    rows = list(space.part(parity).basis)
+    at = draw(st.integers(0, len(rows) - 1)) if rows else None
+    if change == "drop" and rows:
+        del rows[at]
+    elif change == "fold" and len(rows) > 1:
+        to = draw(st.integers(0, len(rows) - 1).filter(lambda b: b != at))
+        c = draw(twelfths.filter(bool))
+        rows[to] = tuple(a + c * b for a, b in zip(rows[to], rows[at]))
+        del rows[at]
+    elif change == "raise":
+        X = tuple(draw(values) if (p[r] + p[c]) % 2 == parity else Q(0)
+                  for r in range(n) for c in range(n))
+        if rows:
+            rows[at] = tuple(a + b for a, b in zip(rows[at], X))
+        else:
+            rows.append(X)
+    parts = [space.even, space.odd]
+    parts[parity] = Subspace(n * n, rows)
+    return V, OperatorSpace("+".join(names), *parts, (n,), V)
+
+
+@given(tits_containers())
+@settings(**SETTINGS)
+def test_tits_data_accepts_and_refuses_like_the_loop_oracle(case):
+    # the derivation defect and the two certified reads against membership
+    # in the computed Der(V), containment of Inn(V) and the bracket loop
+    V, space = case
+
+    def outcome(tits_data):
+        try:
+            return tits_data(V, space).dspace
+        except ValueError as err:
+            return ("raised", str(err))
+
+    assert outcome(tkk.tits_data) == outcome(oracle.tits_data)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,102 @@ def test_tits_data_builds_sl2_once(monkeypatch):
     assert data.sl2.name == "sl2"
 
 
+def test_a_tits_data_of_another_algebra_is_refused():
+    K, J = jordan_catalog("kacK"), jordan_catalog("j19")
+    data = tits_data(K, "inn")
+    assert data.algebra is K and tits_data(K, data) is data
+    for build in (tits_data, tits, koecher_d, tits_roundtrip, check_propnu):
+        with pytest.raises(ValueError, match=r"TitsData built for kacK given for j19"):
+            build(J, data)
+
+
+def test_a_container_that_does_not_act_on_v_is_refused():
+    from supertkk.structure import inn_algebra, pair_inn
+    K = jordan_catalog("kacK")
+    for space in (pair_inn(K), inn_algebra(jordan_catalog("full_matrix", 1, 1))):
+        with pytest.raises(ValueError, match=r"derivation container must act on V: "
+                                             rf"shape \({space.shape[0]},.*expected \(3,\)"):
+            tits_data(K, space)
+
+
+def test_a_table_that_is_not_supercommutative_is_refused():
+    # the derivation defect reads (Ay)x as +-x(Ay): on e0 e1 = e1, e1 e0 = 0
+    # the map e0 -> e1, e1 -> 0 has no defect but is no derivation
+    V = SuperAlgebra("e0e1", (0, 0), [(0, 1, 1, 1)], 1, None, "jordan")
+    with pytest.raises(ValueError, match="tits expects a Jordan superalgebra"):
+        tits_data(V, "der")
+
+
+def test_a_non_derivation_past_the_first_operator_is_refused():
+    # Inn(kacK) (3|2) plus the odd L_{xi1}: the first operator of the stack
+    # is an inner derivation, the last no derivation at all
+    from supertkk.exact import Subspace
+    from supertkk.structure import OperatorSpace, inn_algebra
+    K = jordan_catalog("kacK")
+    inn, L = inn_algebra(K), l_space(K)
+    odd = inn.odd.sum(Subspace(9, [L.odd.basis[0]]))
+    space = OperatorSpace("Inn+L", inn.even, odd, (3,), K)
+    for build in (tits_data, oracle_tkk.tits_data):
+        with pytest.raises(ValueError, match="derivation container must consist of derivations"):
+            build(K, space)
+
+
+def test_tits_inn_builds_no_der(monkeypatch):
+    # a fresh kacK, so that no memo of an earlier test answers
+    from supertkk import structure
+    V = load_algebra(save_algebra(resolve("kacK")))
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (tkk, structure):
+        for name in ("der_algebra", "derivation_kernel"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    assert tits(V, "inn").lie.dim == 14
+    assert check_propnu(V, "inn")[0].passed and tits_roundtrip(V, "inn").passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", ["inn", "der"])
+def test_the_tits_reads_are_done_once(d, monkeypatch):
+    # Ti, Ko_D (through propnu) and the round trip of one fresh V read the
+    # container once for the [L_a, L_b] and once for its own brackets
+    from supertkk.structure import OperatorSpace
+    V = load_algebra(save_algebra(resolve("j19")))
+    read, reads = OperatorSpace._read, []
+
+    def spy(self, ops):
+        reads.append((self, len(ops)))
+        return read(self, ops)
+
+    monkeypatch.setattr(OperatorSpace, "_read", spy)
+    assert tits(V, d) and check_propnu(V, d)[0].passed and tits_roundtrip(V, d).passed
+    dsp = tits_data(V, d).dspace
+    n, nd = V.dim, dsp.dim
+    assert sorted(len_ for space, len_ in reads if space is dsp) == sorted(
+        [n * n, nd * (nd + 1) // 2]), reads
+
+
+NOT_DERIVATIONS = """
+from supertkk.catalog import jordan_catalog
+from supertkk.structure import l_space
+from supertkk.tkk import tits_data
+K = jordan_catalog("kacK")
+tits_data(K, l_space(K))
+"""
+
+
+def test_the_derivation_defect_survives_python_O():
+    done = run_python(["-O"], NOT_DERIVATIONS)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert (done.stderr.strip().splitlines()[-1]
+            == "ValueError: derivation container must consist of derivations")
+
+
 @pytest.mark.parametrize("name,params,d", [
     ("kacK", (), "inn"), ("kacK", (), "der"),
     ("full_matrix", (1, 1), "inn"), ("j19", (), "der"),
