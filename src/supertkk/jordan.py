@@ -1,15 +1,16 @@
 """Jordan identity verification and unit detection.
 
 The operators L_x, D_{x,y} and U_{x,y} have no dense form here: the identity
-checks contract them as integer tensors (supertkk.tensor), L is
-`structure.l_stack`, and the triple, D and U are read off the one triple
-tensor of `structure.double` (`structure.istr_tilde`, `structure.str_w`)."""
+checks contract them as integer tensors (supertkk.tensor), both identities
+on L read the one stack of the [L_a, L_b] (`structure.l_brackets`), and the
+triple, D and U are read off the one triple tensor of `structure.double`
+(`structure.istr_tilde`, `structure.str_w`)."""
 
 from __future__ import annotations
 
 from supertkk import tensor
 from supertkk.exact import GeneratedSpan, int_dtype
-from supertkk.structure import double
+from supertkk.structure import double, l_brackets
 from supertkk.superspace import SuperAlgebra, Witness, check_supercommutative, memoized
 
 
@@ -19,13 +20,17 @@ def check_jordan_identity(V: SuperAlgebra) -> Witness | None:
     w = check_supercommutative(V)
     if w is not None:
         return w
-    at = tensor.jordan_defect(V)
+    at = tensor.jordan_defect(V, l_brackets(V).blocks[0])
     return at and Witness(at, "Jordan identity fails at basis triple ({},{},{})".format(*at))
 
 
 def check_commutator_identity(V: SuperAlgebra) -> Witness | None:
-    """[[L_x,L_y],L_z] = L_{x(yz)} - (-1)^{|x||y|} L_{y(xz)} on basis triples."""
-    at = tensor.commutator_defect(V)
+    """[[L_x,L_y],L_z] = L_{x(yz)} - (-1)^{|x||y|} L_{y(xz)} on basis triples,
+    i.e. [A, L_z] = L_{Az} for A = [L_x,L_y]: the derivation defect of
+    `l_brackets` (`tensor.derivation_defect`), at operator x n + y and z."""
+    B = l_brackets(V)
+    hit = tensor.derivation_defect(V, B.blocks[0], B.parities)
+    at = hit and (*divmod(hit[0], V.dim), hit[1])
     return at and Witness(at, "operator identity fails at basis triple ({},{},{})".format(*at))
 
 

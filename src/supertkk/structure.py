@@ -10,9 +10,8 @@ by parity, each part its integer rows over one denominator
 
 A superpair (`JordanPair`) is its two triple tensors, read-only integer
 arrays with one denominator, as `tensor.triple_tensor` (`double`) and
-`tensor.lie_triples` (the J functor) give them; every pair reader starts
-from them, and no rational triple table is formed; `double` is the one
-builder of an algebra's triple, which the Jordan checks and istr~ read too.
+`tensor.lie_triples` (the J functor) give them; no rational triple table is
+formed, and `double` is the one builder of an algebra's triple.
 
 Der, Der(V,V) and str_w are kernels of one graded derivation rule,
 X T(x_1, ..., x_r) = sum_s +-T(..., X x_s, ...), and one integer assembler
@@ -28,17 +27,16 @@ tower of tkk eliminates, and the whole system, assembled once per algebra
 str_w are its trilinear case, split by parity (the pair's two tensors; the
 U operator, a signed transpose of the doubled pair's, twice).  One kernel
 step (`_kernel`) joins the blocks a space needs and eliminates them once.
-The Fraction row builders and the Python Leibniz assembler these replaced
-are test oracles in tests/oracle_linalg.py.
 
 Bracket arithmetic on operators runs on integers: an `OperatorStack` holds
 a batch of operators as integer arrays with one denominator, its `bracket`
 forms every supercommutator in one batched product (`tensor.brackets`), and
 `OperatorSpace.coordinates` reads a stack's coordinates off the pivots of
-the canonical basis, certified by one recombination per parity.  Inn,
-Inn(V,V), the doubled pair and the ideal check [Der(V,V), Inn(V,V)] are
-built this way, and istr~ is read off the doubled pair (`double`); the Fraction
-loops they replaced are test oracles in tests/oracle_tkk.py.
+the canonical basis, certified by one recombination per parity.  The
+[L_a, L_b] are formed once per algebra (`l_brackets`), which Inn(V) spans,
+and the D_{x,u} once per pair (`pair_d_stack`), which Inn(V,V), istr~ and
+the Koecher middles read.  The Fraction loops these replaced are test
+oracles in tests/oracle_linalg.py and tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
@@ -108,7 +106,6 @@ class OperatorSpace:
     even: Subspace
     odd: Subspace
     shape: tuple
-    algebra: object = field(default=None, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -134,16 +131,14 @@ class OperatorSpace:
         if self.shape != other.shape:
             raise ValueError("operator spaces live on different spaces")
         return OperatorSpace(label or f"{self.label}+{other.label}",
-                             self.even.sum(other.even), self.odd.sum(other.odd),
-                             self.shape, self.algebra)
+                             self.even.sum(other.even), self.odd.sum(other.odd), self.shape)
 
     def intersect(self, other: "OperatorSpace", label=None) -> "OperatorSpace":
         if self.shape != other.shape:
             raise ValueError("operator spaces live on different spaces")
         return OperatorSpace(label or f"{self.label}&{other.label}",
                              self.even.intersect(other.even),
-                             self.odd.intersect(other.odd),
-                             self.shape, self.algebra)
+                             self.odd.intersect(other.odd), self.shape)
 
     @property
     @memoized
@@ -200,23 +195,35 @@ def l_stack(V: SuperAlgebra) -> OperatorStack:
     return OperatorStack((t.dense().transpose(0, 2, 1),), V.parities, t.d)
 
 
-def _stack_space(label, ops: OperatorStack, shape, algebra=None) -> OperatorSpace:
+@memoized
+def l_brackets(V: SuperAlgebra) -> OperatorStack:
+    """The [L_a, L_b] of all n**2 pairs (a, b), in row-major order, at d**2,
+    by one batched bracket (`tensor.brackets`): the one source of them, which
+    Inn(V), the Jordan and operator identities, the Tits container and the
+    unital equivalences read."""
+    t, p = V.int_table, V.parities
+    L = t.dense(2 * t.n, 2).transpose(0, 2, 1)  # in the dtype of the brackets' bound
+    return OperatorStack((tensor.brackets(L, p, L, p).reshape(t.n * t.n, t.n, t.n),),
+                         [a ^ b for a in p for b in p], t.d * t.d)
+
+
+def _stack_space(label, ops: OperatorStack, shape) -> OperatorSpace:
     """The span of a stack; its integer rows span what the operators do."""
     amb, rows = sum(d * d for d in shape), list(zip(ops.flats().tolist(), ops.parities.tolist()))
     return OperatorSpace(label, *(Subspace(amb, [r for r, q in rows if q == parity])
-                                  for parity in (0, 1)), shape, algebra)
+                                  for parity in (0, 1)), shape)
 
 
 @memoized
 def l_space(V: SuperAlgebra) -> OperatorSpace:
     """Span of the left multiplications L_x."""
-    return _stack_space("{L}", l_stack(V), (V.dim,), V)
+    return _stack_space("{L}", l_stack(V), (V.dim,))
 
 
 @memoized
 def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
-    """Inner derivations: the span of the [L_x, L_y]."""
-    return _stack_space("Inn", l_stack(V).bracket(), (V.dim,), V)
+    """Inner derivations: the span of the [L_x, L_y] (`l_brackets`)."""
+    return _stack_space("Inn", l_brackets(V), (V.dim,))
 
 
 def _runs(cost, budget: int = 2 ** 16):
@@ -423,8 +430,7 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
 @memoized
 def der_algebra(V: SuperAlgebra) -> OperatorSpace:
     """All superderivations of the product."""
-    return OperatorSpace("Der", derivation_kernel(V, 0), derivation_kernel(V, 1),
-                         (V.dim,), V)
+    return OperatorSpace("Der", derivation_kernel(V, 0), derivation_kernel(V, 1), (V.dim,))
 
 
 @memoized
@@ -439,16 +445,13 @@ def str_algebra(V: SuperAlgebra) -> OperatorSpace:
 
 @memoized
 def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
-    """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y], read off
-    the doubled pair's tensor T: d**2 D_{e_i,e_j}[r, c] = T[i, j, c, r]."""
-    import numpy as np
-    n, p, pair = V.dim, np.array(V.parities, dtype=np.int64), double(V)
-    ops = OperatorStack((pair.tensors[0].transpose(0, 1, 3, 2).reshape(n * n, n, n),),
-                        ((p[:, None] + p) % 2).reshape(-1), pair.den)
-    return _stack_space("istr~", ops, (n,), V)
+    """Span of the operators D_{x,y} = 2 L_{xy} + 2 [L_x, L_y]: the V+ block
+    of the doubled pair's `pair_d_stack`, which Inn(V,V) and Ko read too."""
+    ds = pair_d_stack(double(V))
+    return _stack_space("istr~", OperatorStack(ds.blocks[:1], ds.parities, ds.den), (V.dim,))
 
 
-def _rule_space(label, maps, parities, shape, algebra=None) -> OperatorSpace:
+def _rule_space(label, maps, parities, shape) -> OperatorSpace:
     """The operators (X_0, X_1), X_o on the space whose basis has the
     parities parities[o], satisfying the derivation rule (`_rule_blocks`) of
     every map in maps, given as (T, out, ops, eps) with T a dense integer
@@ -462,7 +465,7 @@ def _rule_space(label, maps, parities, shape, algebra=None) -> OperatorSpace:
     codes = np.concatenate([np.add.outer(q, q).ravel() % 2 for q in map(np.array, parities)])
     blocks = _rule_blocks(rules, parities, codes, False)
     return OperatorSpace(label, *(_kernel([blocks[b]] if b in blocks else [], len(codes))
-                                  for b in (0, 1)), shape, algebra)
+                                  for b in (0, 1)), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +523,13 @@ def double(V: SuperAlgebra) -> JordanPair:
     return JordanPair(f"({V.name},{V.name})", (V.parities, V.parities), (T, T), d * d)
 
 
+@memoized
 def pair_d_stack(pair: JordanPair) -> OperatorStack:
     """The derivation pairs D_{e_i, e_u}, e_i in V+ and e_u in V-, in
     row-major order over (i, u): D {e_i, e_u, .}+ on V+ and the companion
-    -(-1)^{|i||u|} {e_u, e_i, .}- on V-, read off the pair's tensors."""
+    -(-1)^{|i||u|} {e_u, e_i, .}- on V-, read off the pair's tensors.  The
+    one D_{x,u} stack: Inn(V,V), both Koecher middles and istr~ read it,
+    memoized on the pair."""
     import numpy as np
     dp, dm = pair.shape
     T0, T1 = pair.tensors
@@ -591,7 +597,7 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
     par = V.parities
     U = ((-1) ** np.outer(par, par))[:, :, None] * double(V).tensors[0].transpose(0, 2, 1, 3)
     maps = [(U, f, (f, f, 1 - f), (1, 1, -1)) for f in (0, 1)]
-    return _rule_space("str_w", maps, (par, par), (V.dim, V.dim), V)
+    return _rule_space("str_w", maps, (par, par), (V.dim, V.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +719,7 @@ def inclusion_report(V: SuperAlgebra) -> list:
 
     # psi forgets the second component: Inn(V,V) -> istr~
     P = pinn.stack
-    psi_img = _stack_space("psi(Inn(V,V))", OperatorStack(P.blocks[:1], P.parities, P.den),
-                           (n,), V)
+    psi_img = _stack_space("psi(Inn(V,V))", OperatorStack(P.blocks[:1], P.parities, P.den), (n,))
     results.append(CheckResult(
         "psi_onto_istr_tilde",
         psi_img.even == itld.even and psi_img.odd == itld.odd,

@@ -40,12 +40,13 @@ import functools
 import inspect
 from dataclasses import dataclass
 from math import gcd, lcm
+from numbers import Integral
 from types import MappingProxyType
 from typing import Sequence
 
 from supertkk import tensor
-from supertkk.exact import (IntRows, Q, Subspace, ZERO, certify, int_dtype, integer_kernel,
-                            primitive_row_blocks, sum_by_key)
+from supertkk.exact import (IntRows, Q, Subspace, ZERO, certify, concat_ranges, int_dtype,
+                            integer_kernel, primitive_row_blocks, sum_by_key)
 
 
 @dataclass
@@ -274,13 +275,18 @@ def integer_algebra(parities, entries, d=1, zdegrees=None, *, name="", kind="pla
     not a warning); each entry is checked in that order, and the first
     faulty entry in input order is reported.  Zeros are dropped, the
     nonzeros sorted by (i, j, k), and d is reduced to the least common
-    denominator.  Tuples are checked in a pure-Python loop
+    denominator, which must be a positive integer; zdegrees, if given,
+    hold one degree per parity.  Tuples are checked in a pure-Python loop
     (`_checked_tuples`), arrays by array passes (`_checked_arrays`), whose
     result the algebra keeps as its `int_table`.  kind="jordan" also
     verifies supercommutativity, kind="lie" super-anticommutativity and
     super-Jacobi, unless check=False."""
     parities = tuple(int(p) % 2 for p in parities)
     zdeg = tuple(int(z) for z in zdegrees) if zdegrees is not None else None
+    if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+        raise ValueError(f"denominator must be a positive integer, got {d!r}")
+    if zdeg is not None and len(zdeg) != len(parities):
+        raise ValueError(f"{len(zdeg)} zdegrees given for dim {len(parities)}")
     if type(entries) is tuple and len(entries) == 4 and hasattr(entries[0], "dtype"):
         table = _checked_arrays(parities, zdeg, d, *entries)
         alg = SuperAlgebra(name, parities, table, table.d, zdeg, kind, metadata)
@@ -447,8 +453,7 @@ def _join(left, right):
     order = np.argsort(right, kind="stable")
     lo = np.searchsorted(right[order], left)
     lens = np.searchsorted(right[order], left, side="right") - lo
-    a = np.repeat(np.arange(len(left)), lens)
-    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(lens) + lens, lens)]
+    return np.repeat(np.arange(len(left)), lens), order[concat_ranges(lo, lens)]
 
 
 def _nonzeros(s: Subspace, order=None):

@@ -8,43 +8,36 @@ of `terms` contractions over an index of length n; else in object-dtype Python
 ints, still exact.
 
 An algebra keeps its constants once, as the sorted nonzero integer entries
-(i, j, k, value) over one least common denominator d
-(`SuperAlgebra.entries`).  Its `IntTable` holds them as read-only COO arrays
-with d and max|value|: the arrays it was built from when a loader, a
-construction or a Lie builder handed `integer_algebra` arrays, else built
-from the tuples on first use, and kept on the algebra
-(`SuperAlgebra.int_table`).  The identity checks, the Leibniz system,
-`center`, `derived`, the ad rows of `tkk.lie_der_tower`, the integer readers
-of the constructions, the products of the Tits and Ko_D builders and the
-Kantor top space (P = d C and `lp_tensor`) start from it.  Super-Jacobi
-joins its nonzeros with each other on the contracted index, by the join
-that also certifies the kernels (`exact.range_join`): each fixed nonzero
-meets a contiguous range of the other factor, whole ranges a fixed number
-of products at a time, so its work follows the nonzeros and its memory the
-chunk; the dense kernels (the Jordan checks, which hold O(n**5) entries, and
-the Kantor relations) scatter a dense n x n x n array from it on request.
-Tables that belong to no algebra are integers from the start: operator
-stacks are read off the integer rows of `exact.Subspace`, coordinates off
-`exact.GeneratedSpan.coordinates`, and no rational table is encoded here.
+(i, j, k, value) over one least common denominator d.  Its `IntTable` holds
+them as read-only COO arrays with d and max|value|, kept on the algebra
+(`SuperAlgebra.int_table`): the arrays a loader, a construction or a Lie
+builder handed `integer_algebra`, else built from the tuples on first use.
+Every integer reader starts from it.  Super-Jacobi joins its nonzeros with
+each other on the contracted index (`exact.range_join`), so that its work
+follows the nonzeros and its memory the chunk; the dense kernels (the Jordan
+checks, which hold O(n**5) entries, and the Kantor relations) scatter a
+dense n x n x n array from it on request.  Tables that belong to no algebra
+are integers from the start: operator stacks are read off the integer rows
+of `exact.Subspace`, coordinates off `exact.GeneratedSpan.coordinates`.
 
-The same layer carries the action of g_0 = End(V) on Hom(V (x) V, V)
-(`g0_action`): the Kantor construction's top space <P, [L_a, P]> is built
-from it (`lp_tensor`), and so are the bracket relations that pin Kan(V)
-down (`kantor_relation_verdicts`), each compared as integers at one power
-of d.
+The identities on L read one stack of the [L_a, L_b]
+(`structure.l_brackets`): the Jordan identity contracts it with the table
+(`jordan_defect`), and the operator identity is its derivation defect
+(`derivation_defect`), the one derivation test, which assumes no symmetry
+of the product and also certifies the Tits container.  The action of
+g_0 = End(V) on Hom(V (x) V, V) (`g0_action`) builds the Kantor top space
+<P, [L_a, P]> (`lp_tensor`) and the bracket relations that pin Kan(V) down
+(`kantor_relation_verdicts`), each compared as integers at one power of d.
 
 The degree-0 parts of the TKK constructions run here too: `brackets` forms
 the supercommutators of two stacks of integer matrices in one batched
 product, `pivot_coordinates` reads coordinates in a canonical basis off its
 pivot columns and certifies them by one recombination, and
-`bracket_map_defect` checks
-a linear map, an integer matrix over one denominator, against two tables.
-The J functor's triples [[x, y], z] of a 3-graded Lie table are one product
-of two of its slices (`lie_triples`, by `contract`).
+`bracket_map_defect` checks a linear map, an integer matrix over one
+denominator, against two tables.  The J functor's triples [[x, y], z] of a
+3-graded Lie table are one product of two of its slices (`lie_triples`).
 numpy is imported lazily: a Jordan algebra built from tuples (the Jordan
-catalog, `make_algebra`) is built and saved without it, while a loaded
-algebra, a construction and a Lie algebra load it through their array
-checks and super-Jacobi.
+catalog, `make_algebra`) is built and saved without it.
 """
 
 from dataclasses import dataclass
@@ -105,11 +98,6 @@ def _first(mask):
     if mask.any():
         return tuple(int(x) for x in np.unravel_index(int(mask.argmax()), mask.shape))
     return None
-
-
-def _bracket(A, B, sign):
-    """Super-commutator AB - sign BA of (broadcast stacks of) matrices."""
-    return A @ B - sign * (B @ A)
 
 
 _JACOBI_CHUNK = 2 ** 13  # products per chunk of the super-Jacobi join (~1.3 MB of arrays)
@@ -184,30 +172,44 @@ def jacobi_defect(a):
     return None
 
 
-def jordan_defect(a):
+def jordan_defect(a, B):
     """First basis triple i <= j <= k where the sum over its cyclic shifts
-    (x, y, z) of s(x,z)[L_x, L_{yz}] is nonzero."""
+    (x, y, z) of s(x,z)[L_x, L_{yz}] is nonzero, for B[x n + m] = d**2
+    [L_x, L_m] (`structure.l_brackets`): d**3 [L_x, L_{yz}] is
+    sum_m C[y, z, m] B[x n + m], and a cyclic sum has 3n terms of at most
+    2n max|C|**2 times max|C|, within the bound of C's dtype."""
     import numpy as np
     C, s, _ = _structure(a, 6, 3)
-    L = C.transpose(0, 2, 1)               # L[x][r, c] = C[x, c, r]
-    Lw = np.einsum('yzm,mrc->yzrc', C, L)  # L_{e_y e_z}
-    sxz = s[:, None, :, None, None]
-    H = sxz * _bracket(L[:, None, None], Lw[None], s[:, :, None, None, None] * sxz)
-    J = H + H.transpose(1, 2, 0, 3, 4) + H.transpose(2, 0, 1, 3, 4)  # [x, y, z, r, c]
+    n = len(C)
+    H = np.einsum('yzm,xmf->xyzf', C, B.reshape(n, n, n * n)) * s[:, None, :, None]
+    J = H + H.transpose(1, 2, 0, 3) + H.transpose(2, 0, 1, 3)  # [x, y, z, (r, c)]
     i, j, k = np.indices(J.shape[:3])
-    return _first((J != 0).any(axis=(3, 4)) & (i <= j) & (j <= k))
+    return _first((J != 0).any(axis=3) & (i <= j) & (j <= k))
 
 
-def commutator_defect(a):
-    """First (i, j, k) with [[L_i, L_j], L_k] != L_{i(jk)} - s(i,j) L_{j(ik)}."""
+_DEFECT_CHUNK = 4  # operators per derivation-defect contraction
+
+
+def derivation_defect(a, A, parities):
+    """First (t, x), in row-major order, where the operator A_t (A_t e_c =
+    sum_r A[t, r, c] e_r, of parity parities[t]) breaks A(xy) = (Ax)y +
+    (-1)**(|A||x|) x(Ay) for x = e_x and some basis y, or None; no symmetry
+    of the product is assumed.  Each term is one product per _DEFECT_CHUNK
+    operators, so that no transient array holds more than a few n**3
+    tables; the defect sums 3n products of an entry of A and a constant."""
     import numpy as np
-    C, s, _ = _structure(a, 4, 3)
-    L = C.transpose(0, 2, 1)
-    M = _bracket(L[:, None], L[None], s[:, :, None, None])  # [L_i, L_j]
-    lhs = _bracket(M[:, :, None], L[None, None], (s[:, None] * s[None])[..., None, None])
-    W = (np.einsum('jkl,ilt->ijkt', C, C)
-         - s[:, :, None, None] * np.einsum('ikl,jlt->ijkt', C, C))  # i(jk) - s j(ik)
-    return _first((lhs != np.einsum('ijkt,trc->ijkrc', W, L)).any(axis=(3, 4)))
+    t, n = a.int_table, a.dim
+    A, C = _exact([A.transpose(0, 2, 1), t.dense(3 * n, 2)], 3 * n, 2)  # A[t, c, r]
+    sign = 1 - 2 * (np.outer(parities, a.parities) % 2)  # (-1)**(|A_t||x|)
+    xy, r_yl, r_xl = C.reshape(n * n, n), C.reshape(n, n * n), C.transpose(1, 0, 2).reshape(n, -1)
+    for lo in range(0, len(A), _DEFECT_CHUNK):
+        X, s = A[lo:lo + _DEFECT_CHUNK], sign[lo:lo + _DEFECT_CHUNK, :, None, None]
+        D = ((xy @ X).reshape(-1, n, n, n) - (X @ r_yl).reshape(-1, n, n, n)  # [t, x, y, l]
+             - s * (X @ r_xl).reshape(-1, n, n, n).transpose(0, 2, 1, 3))
+        hit = _first((D != 0).any(axis=(2, 3)))
+        if hit is not None:
+            return lo + hit[0], hit[1]
+    return None
 
 
 def triple_tensor(a):
@@ -346,7 +348,8 @@ def brackets(A, pa, B, pb):
     sums 2m products for m x m matrices."""
     import numpy as np
     A, B = _exact([A, B], 2 * A.shape[-1], 2)
-    return _bracket(A[:, None], B[None], (1 - 2 * (np.outer(pa, pb) % 2))[:, :, None, None])
+    A, B = A[:, None], B[None]
+    return A @ B - (1 - 2 * (np.outer(pa, pb) % 2))[:, :, None, None] * (B @ A)
 
 
 def pivot_coordinates(X, pivots, B, den):

@@ -18,10 +18,9 @@ bracket of operator stacks and one certified coordinate read
 (`OperatorStack.bracket`, `OperatorSpace.coordinates`, `_block`); Ti's
 [y (x) v, y' (x) v'] joins the sl2 table with V's (`_join`), and Ko_D's
 other blocks are index maps of V's `IntTable`.  Their derivation container
-D is certified by `tits_data` without building Der(V): D consists of
-derivations when its derivation defect [D, P] vanishes, one
-`tensor.g0_action` contraction with V's table, and Inn(V) <= D and
-[D, D] <= D are the certified reads of the [L_a, L_b] and of D's own
+D is certified by `tits_data` without building Der(V): by the derivation
+defect of the operator identity (`tensor.derivation_defect`), then by the
+certified reads of the [L_a, L_b] (`structure.l_brackets`) and of D's own
 brackets that Ti and Ko_D write, done once per V and container and kept on
 the `TitsData`.  The Kantor top space is one integer tensor (`KantorTop`),
 picked by one `GeneratedSpan`, whose `coordinates` read every [A, B] of
@@ -51,8 +50,8 @@ from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify,
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernel,
-                        double, inn_algebra, istr_algebra, l_stack, leibniz_weight_zero,
-                        pair_d_stack, pair_der, pair_inn, str_algebra)
+                        double, inn_algebra, istr_algebra, l_brackets, l_stack,
+                        leibniz_weight_zero, pair_d_stack, pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, check_super_jacobi, check_supercommutative,
                          derived, graded_dims, integer_algebra, memoized)
 
@@ -191,12 +190,9 @@ def koecher(v, middle: str = "inn") -> TkkAlgebra:
     Der(V,V) (the extended one, in which the former embeds as an ideal).
     """
     pair = double(v) if isinstance(v, SuperAlgebra) else v
-    if middle == "inn":
-        mid = pair_inn(v)
-    elif middle == "der":
-        mid = pair_der(v)
-    else:
+    if middle not in ("inn", "der"):
         raise ValueError(f"unknown middle {middle!r}, expected 'inn' or 'der'")
+    mid = (pair_inn if middle == "inn" else pair_der)(v)
     import numpy as np
     dp, dm = pair.shape
     nm = mid.dim
@@ -348,8 +344,9 @@ class TitsData:
     superalgebra V = algebra, the fixed sl2 data, and the two certified
     reads that prove D's preconditions and that Ti, Ko_D and the Tits round
     trip write: l_brackets = (M, den), M[a, b] / den the coordinates in D
-    of [L_a, L_b], and brackets = (C, den), C[b] / den those of the b-th
-    [A_t, A_s], t <= s in row-major order, for the basis A of D.
+    of [L_a, L_b] (`structure.l_brackets`), and brackets = (C, den), C[b] /
+    den those of the b-th [A_t, A_s], t <= s in row-major order, for the
+    basis A of D.
 
     The morphism into Der(V) is the inclusion, so it restricts to the identity
     on Inn(V); the half-Killing coefficients are computed from adjoint traces,
@@ -366,25 +363,16 @@ class TitsData:
     brackets: tuple
 
 
-_DEFECT_CHUNK = 4  # container operators per derivation-defect contraction
-
-
 def _are_derivations(V: SuperAlgebra, ops: OperatorStack) -> bool:
-    """Whether every operator A of the stack is a superderivation of V's
-    supercommutative product P of the parity it carries: A has no entry
-    A[r, c] with |r| + |c| + |A| odd, and [A, P] = 0, where [A, P](x, y) =
-    A(xy) - (Ax)y - (-1)^{|x||y|} (Ay)x = A(xy) - (Ax)y - (-1)^{|A||x|} x(Ay)
-    (`tensor.g0_action`, P even).  The defect is contracted against V's
-    integer table _DEFECT_CHUNK operators at a time, so that no transient
-    array holds more than a few n**3 tables."""
+    """Whether every operator A of the stack is a superderivation of V of
+    the parity it carries: A has no entry A[r, c] with |r| + |c| + |A| odd,
+    and no derivation defect A(xy) - (Ax)y - (-1)^{|A||x|} x(Ay)
+    (`tensor.derivation_defect`, the kernel of the operator identity)."""
     import numpy as np
     p = np.array(V.parities, dtype=np.int64)
     A = ops.blocks[0]
-    if (A * ((p[:, None] + p + ops.parities[:, None, None]) % 2)).any():
-        return False
-    C = V.int_table.dense()
-    return not any(tensor.g0_action(A[lo:lo + _DEFECT_CHUNK], C, 1, V.parities).any()
-                   for lo in range(0, len(A), _DEFECT_CHUNK))
+    return (not (A * ((p[:, None] + p + ops.parities[:, None, None]) % 2)).any()
+            and tensor.derivation_defect(V, A, ops.parities) is None)
 
 
 def _sl2() -> SuperAlgebra:
@@ -413,14 +401,9 @@ def _container(V: SuperAlgebra, d) -> tuple:
     raises ValueError.  Memoized on V, so that each read is done once per
     V and container."""
     if isinstance(d, str):
-        if d == "inn":
-            dsp = inn_algebra(V)
-        elif d == "der":
-            dsp = der_algebra(V)
-        else:
-            raise ValueError(f"unknown derivation choice {d!r}, "
-                             "expected 'inn' or 'der'")
-        label = d
+        if d not in ("inn", "der"):
+            raise ValueError(f"unknown derivation choice {d!r}, expected 'inn' or 'der'")
+        dsp, label = (inn_algebra if d == "inn" else der_algebra)(V), d
     else:
         dsp, label = d, d.label
     if dsp.shape != (V.dim,):
@@ -428,8 +411,7 @@ def _container(V: SuperAlgebra, d) -> tuple:
                          f"expected {(V.dim,)}")
     if not _are_derivations(V, dsp.stack):
         raise ValueError("derivation container must consist of derivations")
-    ls = l_stack(V)
-    lbr = ls.bracket(ls)
+    lbr = l_brackets(V)
     try:
         inner = dsp.coordinates(lbr).reshape(V.dim, V.dim, dsp.dim), lbr.den
     except CertificateError:
@@ -444,9 +426,8 @@ def _container(V: SuperAlgebra, d) -> tuple:
 def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     """Resolve a derivation-container choice, certify its preconditions
     (`_container`, memoized on V) and add the sl2 data; a TitsData is
-    returned as it is if it was built for V, and refused otherwise.  The
-    derivation defect reads V's product as supercommutative, which is
-    checked first (memoized: a checked Jordan build has proved it)."""
+    returned as it is if it was built for V, and refused otherwise.  V must
+    be a supercommutative Jordan table (memoized: its checked build proved it)."""
     if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("tits expects a Jordan superalgebra")
     if isinstance(d, TitsData):
@@ -742,7 +723,7 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     kan = kantor(V)
     istr = kan.data["middle"]
     # the L_a, then the [L_a, L_b] at n + a n + b, each row at its stack's scale
-    G = np.concatenate([ls.flats(), ls.bracket(ls).flats()])
+    G = np.concatenate([ls.flats(), l_brackets(V).flats()])
     w = istr.stack
     C, dc = GeneratedSpan(G, n * n).coordinates(w.flats(), "istr basis element outside the L span")
     # L_x -> (-L_x, L_x): sum_k C[t, k] G_k is dc w.den times the operator

@@ -45,10 +45,20 @@ MUTANTS = [
     ("tkk._middle_brackets pairs t >= s", PKG + "tkk.py",
      "t, s = np.triu_indices(C.shape[1])", "s, t = np.triu_indices(C.shape[1])",
      [TKK + "test_koecher_kack_dims"]),
-    ("tkk._are_derivations takes the defect of the first operator only", PKG + "tkk.py",
-     "tensor.g0_action(A[lo:lo + _DEFECT_CHUNK], C, 1, V.parities)",
-     "tensor.g0_action(A[:1], C, 1, V.parities)",
+    ("tensor.derivation_defect takes the defect of the first operator only", PKG + "tensor.py",
+     "X, s = A[lo:lo + _DEFECT_CHUNK], sign[lo:lo + _DEFECT_CHUNK,", "X, s = A[:1], sign[:1,",
      [TKK + "test_a_non_derivation_past_the_first_operator_is_refused"]),
+    ("tensor.derivation_defect drops (-1)**(|A||x|)", PKG + "tensor.py",
+     "- s * (X @ r_xl)", "- (X @ r_xl)",
+     [TENSOR + "test_operator_identity_matches_the_loop_oracle_without_symmetry",
+      TENSOR + "test_perturbed_jordan_catalog_is_rejected_like_the_oracle"]),
+    ("structure.l_brackets drops the Koszul sign", PKG + "structure.py",
+     "tensor.brackets(L, p, L, p)", "tensor.brackets(L, p, L, [0] * t.n)",
+     [TENSOR + "test_perturbed_jordan_catalog_is_rejected_like_the_oracle"]),
+    ("tensor.jordan_defect contracts [L_x, L_{zy}]", PKG + "tensor.py",
+     "np.einsum('yzm,xmf->xyzf', C,", "np.einsum('zym,xmf->xyzf', C,",
+     ["tests/test_acceptance.py::test_criterion_01_identity_suites",
+      CLI + "test_reports_match_their_pins[verify-all.out]"]),
     ("tkk.tits_roundtrip compares against the container's own brackets", PKG + "tkk.py",
      "M, dm = data.l_brackets\n    # X / (dx ef)", "M, dm = data.brackets\n    # X / (dx ef)",
      [TKK + "test_propnu_and_tits_roundtrip"]),

@@ -295,8 +295,7 @@ def operators(space: OperatorSpace):
                             Matrix.unflatten(dm, dm, v[dp * dp:]), parity))
             else:
                 n = space.shape[0]
-                out.append(GradedOperator(Matrix.unflatten(n, n, v), parity,
-                                          algebra=space.algebra))
+                out.append(GradedOperator(Matrix.unflatten(n, n, v), parity))
     return out
 
 
@@ -566,7 +565,7 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
                                 rows.append(row)
         parts[parity] = _kernel_space(kernel_sparse(rows, len(cols)),
                                       [s * n * n + r * n + c for s, r, c in cols], 2 * n * n)
-    return OperatorSpace("str_w", parts[0], parts[1], (n, n), V)
+    return OperatorSpace("str_w", parts[0], parts[1], (n, n))
 
 
 def _integer_tables(*tables) -> tuple:

@@ -92,11 +92,11 @@ def _entries(upper: dict) -> list:
     return [(i, j, k, c) for (i, j), vec in upper.items() for k, c in vec.items() if c]
 
 
-def operator_space(label, flats_by_parity, shape, algebra=None) -> OperatorSpace:
+def operator_space(label, flats_by_parity, shape) -> OperatorSpace:
     """The OperatorSpace spanned by rational flats {parity: [flat, ...]}."""
     amb = sum(d * d for d in shape)
     return OperatorSpace(label, Subspace(amb, flats_by_parity.get(0, ())),
-                         Subspace(amb, flats_by_parity.get(1, ())), shape, algebra)
+                         Subspace(amb, flats_by_parity.get(1, ())), shape)
 
 
 def decode(T, d) -> dict:
@@ -137,7 +137,7 @@ def inn_algebra(V: SuperAlgebra) -> OperatorSpace:
         for j in range(i, V.dim):
             br = supercommutator(mats[i], mats[j])
             flats[(V.parity(i) + V.parity(j)) % 2].append(br.matrix.flatten())
-    return operator_space("Inn", flats, (V.dim,), V)
+    return operator_space("Inn", flats, (V.dim,))
 
 
 def double(V: SuperAlgebra) -> JordanPair:
@@ -205,7 +205,7 @@ def l_space(V: SuperAlgebra) -> OperatorSpace:
     flats: dict = {0: [], 1: []}
     for i in range(V.dim):
         flats[V.parity(i)].append(l_op(V, basis_vector(V, i)).matrix.flatten())
-    return operator_space("{L}", flats, (V.dim,), V)
+    return operator_space("{L}", flats, (V.dim,))
 
 
 def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
@@ -215,7 +215,7 @@ def istr_tilde(V: SuperAlgebra) -> OperatorSpace:
         for j in range(V.dim):
             m = d_op(V, basis_vector(V, i), basis_vector(V, j)).matrix
             flats[(V.parity(i) + V.parity(j)) % 2].append(m.flatten())
-    return operator_space("istr~", flats, (V.dim,), V)
+    return operator_space("istr~", flats, (V.dim,))
 
 
 def inclusion_checks(V: SuperAlgebra) -> dict:
@@ -244,7 +244,7 @@ def inclusion_checks(V: SuperAlgebra) -> dict:
     image: dict = {0: [], 1: []}
     for d_plus, _, parity in operators(pinn):
         image[parity].append(d_plus.flatten())
-    psi_img = operator_space("psi(Inn(V,V))", image, (n,), V)
+    psi_img = operator_space("psi(Inn(V,V))", image, (n,))
     itld = istr_tilde(V)
     out["psi_onto_istr_tilde"] = psi_img.even == itld.even and psi_img.odd == itld.odd
     ok = True

@@ -355,6 +355,46 @@ def test_verify_section_evaluates_each_jordan_triple_identity_once(source, monke
     assert calls == {"triple_tensor": 1, "five_linear_defect": 2, "outer_symmetry_defect": 2}
 
 
+class _Stores(dict):
+    """A memo that counts the results stored in it, by function name."""
+
+    def __init__(self, memo, counts):
+        super().__init__(memo)
+        self.counts = counts
+
+    def __setitem__(self, key, value):
+        self.counts[key[0].__name__] += 1
+        super().__setitem__(key, value)
+
+
+def test_verify_section_builds_one_l_bracket_stack_and_one_d_stack(monkeypatch):
+    # l_brackets and pair_d_stack are memoized on V and on double(V), so a
+    # store in those memos is a build; the [L_a, L_b] are one batched
+    # tensor.brackets of the L_a, which Inn(V), the identities, the Tits
+    # container and the unital equivalences share
+    from supertkk.structure import double, l_stack
+    formed, brackets = [], tensor.brackets
+
+    def spy(A, pa, B, pb):
+        L = l_stack(V).blocks[0]
+        formed.append(A.shape == B.shape == L.shape and (A == L).all() and (B == L).all())
+        return brackets(A, pa, B, pb)
+
+    monkeypatch.setattr(tensor, "brackets", spy)
+    for first in ("verify", "tits"):
+        V = load_algebra(save_algebra(resolve("full_matrix:1,1")))
+        stores, pair = Counter(), double(V)
+        for obj in (V, pair):
+            object.__setattr__(obj, "_memo", _Stores(obj._memo, stores))
+        if first == "tits":
+            tkk.tits(V, "inn")
+            assert formed.count(True) == 1 and stores["l_brackets"] == 1
+        verify_section(V, 64)
+        assert stores["l_brackets"] == stores["pair_d_stack"] == 1, stores
+        assert tkk.tits(V, "inn") and formed.count(True) == 1, first
+        formed.clear()
+
+
 def test_verify_section_releases_its_algebra():
     V = load_algebra(save_algebra(resolve("j19")))
     ref = weakref.ref(V)

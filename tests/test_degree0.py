@@ -170,7 +170,7 @@ def tits_containers(draw):
             rows.append(X)
     parts = [space.even, space.odd]
     parts[parity] = Subspace(n * n, rows)
-    return V, OperatorSpace("+".join(names), *parts, (n,), V)
+    return V, OperatorSpace("+".join(names), *parts, (n,))
 
 
 @given(tits_containers())

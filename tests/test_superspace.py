@@ -84,6 +84,28 @@ def test_integer_algebra_keeps_homogeneous_entries_over_the_least_denominator():
     assert integer_algebra((0,), [(0, 0, 0, 0)], 6).d == 1  # an empty table is over 1
 
 
+HEADER_FAULTS = [
+    (0, None, "denominator must be a positive integer, got 0"),
+    (-2, None, "denominator must be a positive integer, got -2"),
+    (2.0, None, "denominator must be a positive integer, got 2.0"),
+    (True, None, "denominator must be a positive integer, got True"),
+    (1, (0,), "1 zdegrees given for dim 3"),
+    (1, (0, 0, 0, 5), "4 zdegrees given for dim 3"),
+]
+
+
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["tuples", "arrays"])
+@pytest.mark.parametrize("d, zdegrees, message", HEADER_FAULTS)
+def test_integer_algebra_refuses_a_bad_denominator_or_degree_list(d, zdegrees, message,
+                                                                  as_arrays):
+    # refused before any entry: the second entry is out of range for dim 3
+    entries = [(0, 0, 0, 2), (0, 0, 3, 1)]
+    with pytest.raises(ValueError) as err:
+        integer_algebra((0, 0, 0), _as_arrays(entries, np.int64) if as_arrays else entries,
+                        d, zdegrees, kind="jordan")
+    assert str(err.value) == message
+
+
 @st.composite
 def entry_lists(draw):
     """(parities, entries, d, zdegrees): a random table of dim <= 4, its

@@ -229,7 +229,7 @@ def test_a_non_derivation_past_the_first_operator_is_refused():
     K = jordan_catalog("kacK")
     inn, L = inn_algebra(K), l_space(K)
     odd = inn.odd.sum(Subspace(9, [L.odd.basis[0]]))
-    space = OperatorSpace("Inn+L", inn.even, odd, (3,), K)
+    space = OperatorSpace("Inn+L", inn.even, odd, (3,))
     for build in (tits_data, oracle_tkk.tits_data):
         with pytest.raises(ValueError, match="derivation container must consist of derivations"):
             build(K, space)
