@@ -10,8 +10,8 @@ from supertkk.jordan import (check_commutator_identity, check_five_linear,
 from supertkk.structure import (CheckResult, JordanPair, OperatorSpace,
                                 check_pair_axioms, der_algebra, double,
                                 inclusion_report, inn_algebra, istr_algebra,
-                                istr_tilde, pair_der, pair_inn, str_algebra,
-                                str_w, structure_summary)
+                                istr_tilde, pair_der, pair_inn, projects_onto,
+                                str_algebra, str_w, structure_summary)
 from supertkk.superspace import (SuperAlgebra, Witness, center, derived, graded_dims,
                                  integer_algebra, make_algebra, parity_dims)
 from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
@@ -34,7 +34,7 @@ __all__ = [
     "resolve", "save_algebra", "load_algebra",
     "OperatorSpace", "JordanPair", "CheckResult", "double", "check_pair_axioms",
     "inn_algebra", "der_algebra", "istr_algebra", "istr_tilde", "str_algebra",
-    "pair_inn", "pair_der", "str_w", "structure_summary", "inclusion_report",
+    "pair_inn", "pair_der", "str_w", "projects_onto", "structure_summary", "inclusion_report",
     "TkkAlgebra", "TitsData", "kantor", "kantor_relations", "koecher",
     "koecher_tilde", "koecher_d", "tits", "tits_data", "tits_roundtrip",
     "check_propnu", "check_unital_equivalences", "kantor_koecher_comparison",

@@ -20,9 +20,10 @@ the pivot rows as arrays (`_read`), as integers over one denominator
 `integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
 first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
-x_d to x_c, round after round, so only the core rows left reach the
-elimination; its rank is the zeroed roots plus the tied columns plus the
-core pivots (`kernel_columns` stops at that count).  A core with more
+x_d to x_c, round after round (a system with neither returns at once), so
+only the core rows left reach the elimination; its rank is the zeroed
+roots plus the tied columns plus the core pivots (`kernel_columns` stops
+at that count).  A core with more
 entries than a dense system of 2 * ncols rows is eliminated on its
 shortest rows, and on the rows the certificate finds their vectors miss,
 in at most two rounds that share one pre-pass (`_kernel_rounds`).  Every
@@ -34,13 +35,15 @@ CertificateError, so the checks survive `python -O`.
 results; no operator arithmetic runs on it.
 
 Integer systems assembled as numpy COO triplets are made primitive by
-`primitive_row_blocks`, one vectorised pass per chunk of equations (sort,
-sum duplicates, drop zeros, divide by the row gcd, fix the sign), which also
-splits them into blocks of columns (an `IntRows` each) and removes repeated
-rows; `primitive_rows` serves dense or rational rows (`Subspace` and
-`kernel_sparse`).  `integer_kernel` returns its canonical basis as a
-`Subspace` read straight off the elimination, and `Subspace.embedded`
-places it in a larger space without a second one.  The kernel certificate
+`primitive_row_blocks`, one vectorised pass per chunk of equations (sort by
+block, equation and column, sum duplicates, drop zeros, divide by the row
+gcd, fix the sign), which also splits them into blocks of columns (an
+`IntRows` each) and removes repeated rows.  Integer rows are spanned as they
+are (`Subspace.from_int_rows`); `primitive_rows` serves rational rows
+(`Subspace(ambient, vectors)` and `kernel_sparse`).  `integer_kernel`
+returns its canonical basis as a `Subspace` read straight off the
+elimination, which `Subspace.split` parts by pivot and `Subspace.embedded`
+places in a larger space, neither with a second elimination.  The kernel certificate
 (`_verify_kernel`) is a sparse join on the column: each nonzero row entry
 meets only the range of vector entries on its column (Gustavson, ACM TOMS
 4, 1978).  `range_join` is that join, and `tensor.jacobi_defect` runs on it
@@ -218,7 +221,7 @@ class Subspace:
 
     @classmethod
     def from_int_rows(cls, ambient: int, int_rows: "IntRows") -> "Subspace":
-        """The span of the rows of an integer system (`IntRows`)."""
+        """The span of the rows of an integer system (`IntRows`), primitive or not."""
         return cls._of(ambient, _echelon(int_rows.dicts()))
 
     @classmethod
@@ -239,7 +242,8 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient, self.rows + other.rows)
+        return Subspace._of(self.ambient, _echelon([{c: x for c, x in enumerate(row) if x}
+                                                    for row in self.rows + other.rows]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # Zassenhaus: eliminate [v|v] over self and [w|0] over other; the rows
@@ -248,7 +252,7 @@ class Subspace:
         self._check_ambient(other)
         n = self.ambient
         stacked = [v + v for v in self.rows] + [w + (0,) * n for w in other.rows]
-        store = _echelon(primitive_rows(dict(enumerate(v)) for v in stacked))
+        store = _echelon([{c: x for c, x in enumerate(v) if x} for v in stacked])
         return Subspace._of(n, {p - n: {c - n: x for c, x in r.items()}
                                 for p, r in store.items() if p >= n})
 
@@ -266,6 +270,14 @@ class Subspace:
             raise ValueError(f"embedding positions must increase strictly within 0..{ambient - 1}")
         return Subspace._of(ambient, {positions[p]: {positions[j]: x for j, x in enumerate(v) if x}
                                       for v, p in zip(self.rows, self.pivots)})
+
+    def split(self, part: Sequence[int]) -> tuple:
+        """(S_0, S_1): S_q spanned by the basis vectors of pivot p with part[p]
+        == q; a subset of a canonical basis is canonical, so no elimination."""
+        stores: tuple = ({}, {})
+        for row, p in zip(self.rows, self.pivots):
+            stores[part[p]][p] = {c: x for c, x in enumerate(row) if x}
+        return tuple(Subspace._of(self.ambient, store) for store in stores)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -339,7 +351,7 @@ class GeneratedSpan:
         at, col = np.nonzero(self._gens)
         for i, c, x in zip(at.tolist(), col.tolist(), self._gens[at, col].tolist()):
             rows[i][c] = x
-        self._store = _echelon([row_primitive({**row, top - i: d})
+        self._store = _echelon([{**row, top - i: d}
                                 for i, (row, d) in enumerate(zip(rows, self._dens))])
         self.independent = tuple(i for i in range(self.count)
                                  if top - i not in self._store)
@@ -448,9 +460,9 @@ class GeneratedSpan:
 
 def row_primitive(row: dict) -> dict:
     """Scale a sparse rational row to a primitive integer row, its entry in
-    the lowest column positive.  For dense or rational rows (`Subspace`,
-    `GeneratedSpan`); assembled integer systems take
-    `primitive_row_blocks`."""
+    the lowest column positive.  For rational rows (`Subspace(ambient,
+    vectors)`); integer rows go to `_echelon` as they are, and assembled
+    integer systems take `primitive_row_blocks`."""
     # ints and rationals already carry numerator/denominator; re-wrapping
     # them in Q() was the larger part of this function's time
     items = [(c, v if isinstance(v, (int, Fraction)) else Q(v))
@@ -517,6 +529,15 @@ class IntRows:
         parts = [(s.lens, s.cols, s.vals) for s in systems]
         return cls(*map(np.concatenate, zip(*parts))) if parts else cls.from_dicts(())
 
+    @classmethod
+    def from_dense(cls, A) -> "IntRows":
+        """The nonzero rows of a 2-d integer array (int64 or object), as they
+        are: `_echelon` needs them neither primitive nor distinct."""
+        import numpy as np
+        at, col = np.nonzero(A)
+        lens = np.bincount(at, minlength=len(A))
+        return cls(lens[lens > 0], col, A[at, col])
+
     def dicts(self) -> list[dict]:
         """The rows as dicts col -> int."""
         at, vals, out, start = self.cols.tolist(), self.vals.tolist(), [], 0
@@ -541,13 +562,14 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     block b.
 
     Each chunk is reduced in one vectorised pass: the triplets are summed
-    per (e, b, c) by `sum_by_key`, which drops zeros, and each row is
-    divided by its gcd (`np.gcd.reduceat`), signed so that its first entry
-    is positive, as `row_primitive` signs.  Rows repeated anywhere in
-    the system are then removed.  Returns {block: IntRows} for every block
-    (with no row for a block no equation reaches), the columns given by
-    their positions, the rows in the order of the chunks and, within one, of
-    (e, b).
+    per (b, e, c) by `sum_by_key`, which drops zeros and leaves the rows
+    grouped by block, and each row is divided by its gcd
+    (`np.gcd.reduceat`), signed so that its first entry is positive, as
+    `row_primitive` signs.  Rows repeated anywhere in the system are then
+    removed; only the rows of several chunks are sorted by block again.
+    Returns {block: IntRows} for every block (with no row for a block no
+    equation reaches), the columns given by their positions, the rows in
+    the order of the chunks and, within one, of e.
 
     The values run in int64 only when terms * max|val| < 2**62, and the sort
     keys when (rows) * (columns) < 2**62; otherwise both run on object-dtype
@@ -560,15 +582,17 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     for eq, col, val in chunks:
         if not len(eq):
             continue
-        val = val.astype(int_dtype(terms * int(np.abs(val).max())))
-        key = eq.astype(int_dtype((int(eq.max()) + 1) * nblocks * ncols))
-        key = (key * nblocks + block_of[col]) * ncols + col
+        val = val.astype(int_dtype(terms * int(np.abs(val).max())), copy=False)
+        top = int(eq.max()) + 1
+        key = (block_of[col].astype(int_dtype(top * nblocks * ncols), copy=False) * top
+               + eq) * ncols + col
+        del eq, col  # only the keys and values are held past here
         key, val = sum_by_key(key, val)
         if not len(key):
             continue
-        row, col = key // ncols, (key % ncols).astype(np.int64)
-        start = _run_starts(row)
-        lens = np.diff(start, append=len(key))
+        start, col = _run_starts(key // ncols), (key % ncols).astype(np.int64)
+        del key
+        lens = np.diff(start, append=len(col))
         g = np.gcd.reduceat(np.abs(val), start)
         val = val // np.repeat(np.where(val[start] < 0, -g, g), lens)
         # deduplicated per chunk first, so that only about the distinct rows
@@ -576,16 +600,16 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
         parts.append(_distinct_rows(block_of[col[start]], start, lens, col, val))
     if not parts:
         return {b: IntRows.from_dicts(()) for b in range(nblocks)}
-    blocks, lens, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    if len(parts) > 1:  # the rows of one chunk are distinct already
-        blocks, lens, cols, vals = _distinct_rows(blocks, np.r_[0, np.cumsum(lens)[:-1]], lens,
-                                                  cols, vals)
-    by_block = np.argsort(np.repeat(blocks, lens), kind="stable")
-    rows = np.argsort(blocks, kind="stable")
-    blocks, lens = blocks[rows], lens[rows]
-    cols, vals = position_of[cols[by_block]], vals[by_block]
+    blocks, lens, cols, vals = parts[0]  # distinct and grouped by block
+    if len(parts) > 1:
+        blocks, lens, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        blocks, lens, cols, vals = _distinct_rows(blocks, np.cumsum(lens) - lens, lens, cols, vals)
+        by_block = np.argsort(np.repeat(blocks, lens), kind="stable")
+        rows = np.argsort(blocks, kind="stable")
+        blocks, lens, cols, vals = blocks[rows], lens[rows], cols[by_block], vals[by_block]
+    cols = position_of[cols]
     row_cut = np.searchsorted(blocks, np.arange(nblocks + 1)).tolist()
-    entry_cut = np.r_[0, np.cumsum(lens)][row_cut].tolist()
+    entry_cut = np.concatenate([[0], np.cumsum(lens)])[row_cut].tolist()
     return {b: IntRows(lens[row_cut[b]:row_cut[b + 1]], cols[entry_cut[b]:entry_cut[b + 1]],
                        vals[entry_cut[b]:entry_cut[b + 1]]) for b in range(nblocks)}
 
@@ -640,8 +664,11 @@ def sum_by_key(keys, vals):
     import numpy as np
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
+    del order  # each step below frees its input first: few arrays held at once
     first = _run_starts(keys)
-    keys, vals = keys[first], np.add.reduceat(vals, first)
+    vals = np.add.reduceat(vals, first)
+    keys = keys[first]
+    del first
     keep = vals != 0
     return keys[keep], vals[keep]
 
@@ -821,7 +848,8 @@ def _absorb(int_rows: IntRows, ncols: int):
     c < d and neither column forced to 0 this round, ties x_d = -(a/b) x_c.
     A column tied by several rows takes the smallest c, and the other rows
     stay; parents have smaller indices, so pointer jumping ends.  Rounds
-    repeat until one absorbs nothing, and its rows are the core.
+    repeat until one absorbs nothing, and its rows are the core; a system
+    with no row of one entry and no tie is its own core, returned at once.
 
     An entry is a sum of at most (longest row) signed entries of its row, so
     the values run in int64 only when that times max|entry| is below 2**62
@@ -830,18 +858,19 @@ def _absorb(int_rows: IntRows, ncols: int):
     import numpy as np
 
     root, sign = np.arange(ncols), np.ones(ncols, dtype=np.int64)
-    if not len(int_rows):
-        return root, sign, int_rows
-    lens = int_rows.lens
-    vals = int_rows.vals.astype(int_dtype(int(lens.max()) * int(np.abs(int_rows.vals).max())))
+    lens, vals = int_rows.lens, int_rows.vals
+    two = (np.cumsum(lens) - lens)[lens == 2]
+    if not (lens == 1).any() and not (abs(vals[two]) == abs(vals[two + 1])).any():
+        return root, sign, int_rows  # the first round would absorb nothing
+    vals = vals.astype(int_dtype(int(lens.max()) * int(np.abs(vals).max())))
     row, col = np.repeat(np.arange(len(lens)), lens), int_rows.cols
-    key_type = int_dtype(len(lens) * ncols)
+    key_type, nrows = int_dtype(len(lens) * ncols), len(lens)
     while len(row):
         key = row.astype(key_type) * ncols + root[col]
         key, vals = sum_by_key(key, vals * sign[col])
-        row, col = (key // ncols).astype(np.int64), (key % ncols).astype(np.int64)
-        start = _run_starts(row)
-        lens = np.diff(start, append=len(row))
+        row, col = (key // ncols).astype(np.int64, copy=False), (key % ncols).astype(np.int64)
+        lens = np.bincount(row, minlength=nrows)  # 0 for the rows gone
+        start = np.cumsum(lens) - lens
         single, pair = lens == 1, np.flatnonzero(lens == 2)
         zeroed = np.zeros(ncols, dtype=bool)
         zeroed[col[start[single]]] = True
@@ -851,7 +880,7 @@ def _absorb(int_rows: IntRows, ncols: int):
         by_child = tie[np.lexsort((c[tie], d[tie]))]
         chosen = by_child[_run_starts(d[by_child])]
         if not len(chosen) and not single.any():
-            return root, sign, IntRows(lens, col, vals)
+            return root, sign, IntRows(lens[lens > 0], col, vals)
         parent, step = np.arange(ncols), np.ones(ncols, dtype=np.int64)
         parent[d[chosen]] = c[chosen]
         step[d[chosen]] = np.where((a[chosen] > 0) == (b[chosen] > 0), -1, 1)
@@ -894,8 +923,8 @@ def _free_vectors(root, sign, rows: list):
     at = np.flatnonzero(sign != 0)
     at = at[np.argsort(root[at], kind="stable")]
     cut = np.searchsorted(root[at], live).tolist() + [len(at)]
-    members = {r: list(zip(at[lo:hi].tolist(), sign[at[lo:hi]].tolist()))
-               for r, lo, hi in zip(live.tolist(), cut, cut[1:])}
+    tied = list(zip(at.tolist(), sign[at].tolist()))
+    members = {r: tied[lo:hi] for r, lo, hi in zip(live.tolist(), cut, cut[1:])}
     hits: dict = {}  # column -> the pivots whose rows are nonzero on it
     for p, r in store.items():
         for c in r.keys() - {p}:

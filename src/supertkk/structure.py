@@ -6,7 +6,8 @@ algebra str_w cut out by the two U-operator identities.  Everything is an
 exact kernel or span computation over the rationals, run on the integers;
 operator spaces are kept as canonical subspaces of flattened matrices, split
 by parity, each part its integer rows over one denominator
-(`exact.Subspace`), and an `OperatorSpace.stack` is those rows as they are.
+(`exact.Subspace`), and an `OperatorSpace.stack` is those rows as they are;
+a stack is spanned from its integer flats (`_stack_space`).
 
 A superpair (`JordanPair`) is its two triple tensors, read-only integer
 arrays with one denominator, as `tensor.triple_tensor` (`double`) and
@@ -15,10 +16,11 @@ formed, and `double` is the one builder of an algebra's triple.
 
 Der, Der(V,V) and str_w are kernels of one graded derivation rule,
 X T(x_1, ..., x_r) = sum_s +-T(..., X x_s, ...), and one integer assembler
-writes it for every table (`_rule_blocks`): numpy COO triplets written
-from the table's nonzeros, made primitive, split into blocks of operator
-entries and deduplicated by `exact.primitive_row_blocks`, which proves its
-int64 bounds first (an entry sums at most r + 1 constants).  Given a weight
+writes it for every table (`_rule_blocks`): numpy COO triplets written from
+the tables' nonzeros, every map and slot of a run in one batch, made
+primitive, split into blocks of operator entries and deduplicated by
+`exact.primitive_row_blocks`, which proves its int64 bounds first (an entry
+sums at most r + 1 constants).  Given a weight
 class per basis vector, it writes only the operators' weight-zero entries.
 The Leibniz system is its bilinear case, split into (degree shift, parity)
 blocks: its weight-zero part (`leibniz_weight_zero`) is what the derivation
@@ -26,7 +28,9 @@ tower of tkk eliminates, and the whole system, assembled once per algebra
 (`leibniz_blocks`), is what `derivation_kernel` reads.  The pair derivations and
 str_w are its trilinear case, split by parity (the pair's two tensors; the
 U operator, a signed transpose of the doubled pair's, twice).  One kernel
-step (`_kernel`) joins the blocks a space needs and eliminates them once.
+step (`_kernel`) eliminates the blocks of both parities a space needs at
+once and splits the canonical basis by the parity of each pivot column.
+`projects_onto` proves that (X, Y) -> X maps str_w(V) onto str(V).
 
 Bracket arithmetic on operators runs on integers: an `OperatorStack` holds
 a batch of operators as integer arrays with one denominator, its `bracket`
@@ -42,6 +46,7 @@ oracles in tests/oracle_linalg.py and tests/oracle_tkk.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import lcm
 
 from . import tensor
@@ -150,7 +155,7 @@ class OperatorSpace:
         den = lcm(self.even.den, self.odd.den)
         rows = [[x * (den // part.den) for x in row]
                 for part in (self.even, self.odd) for row in part.rows]
-        top = max((abs(x) for row in rows for x in row), default=0)
+        top = max(map(abs, chain.from_iterable(rows)), default=0)
         cut = np.cumsum([0] + [m * m for m in self.shape]).tolist()
         flats = np.array(rows, dtype=int_dtype(top)).reshape(len(rows), cut[-1])
         return OperatorStack(tuple(flats[:, lo:hi].reshape(len(rows), m, m)
@@ -167,8 +172,9 @@ class OperatorSpace:
         inside = np.ones(len(ops), dtype=bool)
         for parity, at in ((0, 0), (1, self.even.dim)):
             rows, part = np.flatnonzero(ops.parities == parity), self.part(parity)
-            C[rows, at:at + part.dim], inside[rows] = tensor.pivot_coordinates(
-                X[rows], part.pivots, B[at:at + part.dim], basis.den)
+            if len(rows):
+                C[rows, at:at + part.dim], inside[rows] = tensor.pivot_coordinates(
+                    X[rows], part.pivots, B[at:at + part.dim], basis.den)
         return C, inside
 
     def coordinates(self, ops: OperatorStack):
@@ -208,10 +214,10 @@ def l_brackets(V: SuperAlgebra) -> OperatorStack:
 
 
 def _stack_space(label, ops: OperatorStack, shape) -> OperatorSpace:
-    """The span of a stack; its integer rows span what the operators do."""
-    amb, rows = sum(d * d for d in shape), list(zip(ops.flats().tolist(), ops.parities.tolist()))
-    return OperatorSpace(label, *(Subspace(amb, [r for r, q in rows if q == parity])
-                                  for parity in (0, 1)), shape)
+    """The span of a stack, each part from its operators' integer flats."""
+    flats = ops.flats()
+    return OperatorSpace(label, *(Subspace.from_int_rows(flats.shape[1], IntRows.from_dense(
+        flats[ops.parities == parity])) for parity in (0, 1)), shape)
 
 
 @memoized
@@ -231,7 +237,7 @@ def _runs(cost, budget: int = 2 ** 16):
     broadcast) sum to about budget, one index at least: the chunks of an
     assembly, which bound its transient arrays."""
     import numpy as np
-    before = np.cumsum(np.r_[0, cost])
+    before = np.cumsum(np.concatenate([[0], cost]))
     lo = 0
     while lo < len(cost):
         hi = max(lo + 1, int(np.searchsorted(before, before[lo] + budget, "right")) - 1)
@@ -239,22 +245,11 @@ def _runs(cost, budget: int = 2 ** 16):
         lo = hi
 
 
-def _triplets(terms) -> tuple:
-    """(eq, col, val) of terms (eq, col, val, keep) of broadcastable arrays,
-    each flattened where keep holds, concatenated."""
-    import numpy as np
-    parts = []
-    for term in terms:
-        *arrays, keep = np.broadcast_arrays(*term)
-        parts.append([t[keep] for t in arrays])
-    return tuple(np.concatenate(t) for t in zip(*parts))
-
-
 def _same_weight(weight):
     """members(at, lo, hi) -> (t, b): for each t, every b in [lo, hi) of the
-    class weight[at[t]], in increasing order, t repeated once per b.  weight
-    numbers the classes 0, 1, ...; with one class, b runs over all of [lo,
-    hi), as a broadcast would."""
+    class weight[at[t]], in increasing order, t repeated once per b; lo and
+    hi are ints or arrays over at.  weight numbers the classes 0, 1, ...;
+    with one class, b runs over all of [lo, hi)."""
     import numpy as np
     n = len(weight)
     order = np.argsort(weight, kind="stable")
@@ -287,90 +282,122 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
     in its first two slots.
 
     Equation (m, i_1, ..., i_r, l) is the e_l coordinate of the rule on map
-    m (one T each, so T's scale does not matter).  Its terms are COO
-    triplets written from T's nonzeros, a run of first indices i_1 at a
-    time (`_runs`): each nonzero meets only the indices of the class that
-    makes its column weight-zero (`_same_weight`), so no triplet is formed
-    and then dropped.  `exact.primitive_row_blocks` sums, reduces, splits
-    and deduplicates them; an entry sums at most r + 1 constants.  Returns
-    {code: (cols, rows)}: the block's weight-zero columns in increasing
-    order and its distinct primitive rows over their positions
-    (`exact.IntRows`), in the order of the equations.
+    m (one T each, so T's scale does not matter).  A term swaps one index
+    of a nonzero for each index of its class: X_out[a, l] for the output,
+    X_{op_s}[k_s, b] for slot s.  The terms of every map and slot of a run
+    of first indices (`_runs`, over each map's first indices in turn) are
+    one batch of flat arrays with one class lookup (`_same_weight`), and
+    `exact.primitive_row_blocks` sums, reduces, splits and deduplicates
+    each run; an entry sums at most r + 1 constants.  Returns {code: (cols,
+    rows)}: the block's weight-zero columns in increasing order and its
+    distinct primitive rows over their positions (`exact.IntRows`), in the
+    order of the equations.
     """
     import numpy as np
     p = [np.array(q, dtype=np.int64) for q in parities]
     dims = [len(q) for q in p]
     w = [np.zeros(d, dtype=np.int64) for d in dims] if weights is None else weights
-    same = [_same_weight(x) for x in w]
-    size = [np.bincount(x)[x] for x in w]  # the size of each basis vector's class
-    top, offset = max(dims), np.cumsum([0] + [d * d for d in dims]).tolist()
+    top, offset = max(dims), np.cumsum([0] + [d * d for d in dims])
     codes, block_of = np.unique(codes, return_inverse=True)
     live = np.flatnonzero(np.concatenate([np.equal.outer(x, x).ravel() for x in w]))
     flats = live[np.argsort(block_of[live], kind="stable")]  # increasing within each block
     cut = np.searchsorted(block_of[flats], np.arange(len(codes) + 1))
     position_of = np.zeros(len(block_of), dtype=np.int64)
     position_of[flats] = np.arange(len(flats)) - cut[block_of[flats]]
+    # the spaces' bases as one: basis vector b of space o is base[o] + b, its
+    # class numbered apart from the classes of the other spaces
+    base, par, dims = np.cumsum([0] + dims), np.concatenate(p) == 1, np.array(dims)
+    cls = np.concatenate([x + lo for x, lo in zip(w, base.tolist())])
+    n, members = len(cls), _same_weight(cls)
+    size = np.bincount(cls, minlength=n)[cls]
+    # nonzero t of map M[t]: K[s, t] its index in slot s < r, K[r, t] in the
+    # output, of the space S[s, M[t]]; odd[s, t] the parity of |x_1| + ... +
+    # |x_{s-1}|, sign[s, M[t]] the term's sign but for it, E[t] the equation
+    r = len(maps[0][2])
+    M = np.repeat(np.arange(len(maps)), [len(x) for (*_, x), *_ in maps])
+    K = np.concatenate([np.array([*key, l], dtype=np.int64).reshape(r + 1, -1)
+                        for (key, l, _), *_ in maps], axis=1)
+    const = np.concatenate([x for (*_, x), *_ in maps])
+    S = np.array([[*ops, out] for _, out, ops, _ in maps]).T
+    sign = np.array([[*(-e for e in eps), 1] for *_, eps in maps]).T
+    G = base[S[:, M]] + K
+    odd = np.zeros(K.shape, dtype=bool)
+    odd[1:r] = np.cumsum(par[G[:r - 1]], axis=0) % 2 == 1
+    E, power = M, top ** np.arange(r, -1, -1)
+    for k in K:
+        E = E * top + k
+    # the first indices of map m are the positions start[m] ...; equation
+    # (m, i_1, ...) takes a triplet per entry of T(e_{i_1}, ...) and index of
+    # its class for X_out and for each X_{op_s} but the first, and one per
+    # entry of T whose first index shares the class of i_1
+    first = np.array([ops[0] for _, _, ops, _ in maps])
+    start = np.cumsum(np.concatenate([[0], dims[first]]))
+    first_at = start[M] + K[0]
+    m_of = np.repeat(np.arange(len(maps)), dims[first])
+    class_of = cls[base[first][m_of] + np.arange(start[-1]) - start[m_of]]
+    cost = (np.bincount(first_at, size[G[r]] + size[G[1:r]].sum(0), start[-1]).astype(np.int64)
+            + np.bincount(M * n + cls[G[0]], minlength=len(maps) * n)[m_of * n + class_of])
+    del G
 
-    def terms(m, lo, hi):
-        """(eq, col, val, keep) for the equations of map m with lo <= i_1 < hi."""
-        (key, l, x), out, ops, eps = maps[m]
-        chunk = np.flatnonzero((key[0] >= lo) & (key[0] < hi))
+    def batch(lo, hi):
+        """(eq, col, val) of the run [lo, hi): slot 0 of each entry of a map
+        the run meets against the b of the run in its class, and the other
+        slots and the output of the entries with i_1 in the run against
+        their classes.  A function, so that none of its arrays outlives it."""
+        t = np.flatnonzero((first_at >= lo) & (first_at < hi))
+        lo_b, hi_b = (base[first] + np.minimum(np.maximum(x - start[:-1], 0), dims[first])
+                      for x in (lo, hi))
+        t0, tr = np.flatnonzero((lo_b < hi_b)[M]), t[K[0, t] <= K[1, t]] if halve else t
+        ts = np.concatenate([t0, np.tile(t, r - 1), tr])
+        ss = np.repeat(np.arange(r + 1), [len(t0)] + [len(t)] * (r - 1) + [len(tr)])
+        m, k, o = len(ts) - len(t0), K[ss, ts], S[ss, M[ts]]
+        g = base[o] + k
+        rep, at = members(g, np.concatenate([lo_b[M[t0]], np.zeros(m, dtype=int)]),
+                          np.concatenate([hi_b[M[t0]], np.full(m, n)]))
+        odd_b = par[at]
+        at -= (g - k)[rep]  # b's index in the space of k
+        if halve:  # i_1 <= i_2: b <= k_2 in slot 0, k_1 <= b in slot 1
+            keep = ((at >= np.where(ss == 1, K[0, ts], 0)[rep])
+                    & (at <= np.where(ss == 0, K[1, ts], top)[rep]))
+            rep, at, odd_b = rep[keep], at[keep], odd_b[keep]
+        # per request, the equation and column with the swapped index at 0
+        # and the value with its Koszul sign (-1)^{(|k| + |b|) odd} but for |b|;
+        # each triplet array is made in place, to hold few at once
+        out, flip, e = ss == r, odd[ss, ts], sign[ss, M[ts]]
+        eq0, col0 = E[ts] - k * power[ss], offset[o] + np.where(out, k, k * dims[o])
+        val = (const[ts] * np.where(par[g] & flip, -e, e))[rep]
+        np.negative(val, out=val, where=odd_b & flip[rep])
+        del odd_b
+        eq, col = power[ss][rep], np.where(out, dims[o], 1)[rep]
+        eq *= at
+        col *= at
+        del at
+        eq += eq0[rep]
+        col += col0[rep]
+        return eq, col, val
 
-        def eq(*index):  # (m, i_1, ..., i_r, l) in base top
-            e = m
-            for i in index:
-                e = e * top + i
-            return e
-
-        def entries(at):  # the entries at an index array
-            return [k[at] for k in key], l[at], x[at]
-
-        # X_out T(e_{i_1}, ...): T(...)_c X_out[a, c], a of c's class
-        at = chunk[key[0][chunk] <= key[1][chunk]] if halve else chunk
-        rep, a = same[out](l[at], 0, dims[out])
-        slots, c, xs = entries(at[rep])
-        yield eq(*slots, a), offset[out] + a * dims[out] + c, xs, True
-        for s, (op, e) in enumerate(zip(ops, eps)):
-            # -eps_s (-1)^{|X|(|i_1| + ... + |i_{s-1}|)} T(..., X_op e_b, ...):
-            # T(..., e_a, ...)_l X_op[a, b], |X| = |a| + |b|, b of a's class;
-            # the first slot's b runs over [lo, hi), against every entry
-            rep, b = same[op](key[s][chunk], 0, dims[op]) if s else same[op](key[0], lo, hi)
-            slots, ls, xs = entries(chunk[rep] if s else rep)
-            before = sum(p[ops[t]][slots[t]] for t in range(s))
-            # no slot precedes the first, so its terms need no sign array
-            koszul = (p[op][slots[s]] + p[op][b]) * before % 2 if s else False
-            index = slots[:s] + [b] + slots[s + 1:]
-            yield (eq(*index, ls), offset[op] + slots[s] * dims[op] + b,
-                   np.where(koszul, e * xs, -e * xs), index[0] <= index[1] if halve else True)
-
-    def chunks():
-        for m, ((key, l, x), out, ops, _) in enumerate(maps):
-            # equation (m, i_1, ...) takes a triplet per entry of T(e_{i_1},
-            # ...) and index of its class for X_out and for each X_{op_s} but
-            # the first, and one per entry of T whose first index shares the
-            # class of i_1
-            width = size[out][l] + sum(size[op][k] for op, k in zip(ops[1:], key[1:]))
-            first = w[ops[0]]
-            cost = (np.bincount(key[0], width, dims[ops[0]]).astype(np.int64)
-                    + np.bincount(first[key[0]], minlength=dims[ops[0]])[first])
-            for lo, hi in _runs(cost):
-                yield _triplets(terms(m, lo, hi))
-
-    rows = primitive_row_blocks(chunks(), len(maps[0][2]) + 1, block_of, position_of)
+    rows = primitive_row_blocks((batch(lo, hi) for lo, hi in _runs(cost)), r + 1, block_of,
+                                position_of)
     cut = cut.tolist()
     return {code: (flats[cut[b]:cut[b + 1]], rows[b]) for b, code in enumerate(codes.tolist())}
 
 
-def _kernel(blocks, ncols: int) -> Subspace:
-    """The common kernel of blocks (cols, rows), each of rows over the
-    positions of its flat columns cols, joined into one system: one certified
-    integer elimination, its canonical basis scattered among ncols columns."""
+def _kernel(blocks, ncols: int) -> tuple:
+    """The kernels (even, odd) of blocks (parity, cols, rows), rows over the
+    positions of the flat columns cols, in one certified elimination of the
+    joined system, its canonical basis split by the parity of the block of
+    each pivot column and scattered among ncols columns.  The blocks share no
+    column, so each part is the kernel of its parity's blocks."""
     import numpy as np
-    blocks = [(np.asarray(cols, dtype=np.int64), rows) for cols, rows in blocks]
-    cols = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in blocks]))
+    cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [np.asarray(c, dtype=np.int64)
+                                                           for _, c, _ in blocks])
+    order = np.argsort(cols)
+    parity = np.repeat([q for q, _, _ in blocks], [len(c) for _, c, _ in blocks])[order]
+    cols = cols[order]
     rows = IntRows.concat(IntRows(r.lens, np.searchsorted(cols, c)[r.cols], r.vals)
-                          for c, r in blocks)
-    return integer_kernel(rows, len(cols)).embedded(cols.tolist(), ncols)
+                          for _, c, r in blocks)
+    return tuple(part.embedded(cols.tolist(), ncols)
+                 for part in integer_kernel(rows, len(cols)).split(parity.tolist()))
 
 
 def leibniz_weight_zero(a: SuperAlgebra, weight) -> dict:
@@ -423,14 +450,22 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
     joins every block of that parity into one system and eliminates that
     independently of the blocks.
     """
-    return _kernel([(cols, rows) for (s, q), (cols, rows) in leibniz_blocks(a).items()
-                    if q == parity and zshift in (None, s)], a.dim ** 2)
+    return _kernel([(q, cols, rows) for (s, q), (cols, rows) in leibniz_blocks(a).items()
+                    if q == parity and zshift in (None, s)], a.dim ** 2)[parity]
+
+
+def derivation_kernels(a: SuperAlgebra, weight=None) -> tuple:
+    """(even, odd): the derivations supported on the weight-zero entries
+    (`leibniz_weight_zero`; every entry when weight is None), in one
+    elimination (`_kernel`)."""
+    blocks = leibniz_blocks(a) if weight is None else leibniz_weight_zero(a, weight)
+    return _kernel([(q, cols, rows) for (_, q), (cols, rows) in blocks.items()], a.dim ** 2)
 
 
 @memoized
 def der_algebra(V: SuperAlgebra) -> OperatorSpace:
-    """All superderivations of the product."""
-    return OperatorSpace("Der", derivation_kernel(V, 0), derivation_kernel(V, 1), (V.dim,))
+    """All superderivations of the product (`derivation_kernels`)."""
+    return OperatorSpace("Der", *derivation_kernels(V), (V.dim,))
 
 
 @memoized
@@ -455,8 +490,8 @@ def _rule_space(label, maps, parities, shape) -> OperatorSpace:
     """The operators (X_0, X_1), X_o on the space whose basis has the
     parities parities[o], satisfying the derivation rule (`_rule_blocks`) of
     every map in maps, given as (T, out, ops, eps) with T a dense integer
-    tensor T[i, j, k, l]: one block and one kernel per parity of X, X_0 and
-    X_1 flattened row-major one after the other."""
+    tensor T[i, j, k, l]: one block per parity of X and one kernel of both
+    (`_kernel`), X_0 and X_1 flattened row-major one after the other."""
     import numpy as np
     rules = []
     for T, *rule in maps:
@@ -464,8 +499,8 @@ def _rule_space(label, maps, parities, shape) -> OperatorSpace:
         rules.append(((at[:-1], at[-1], T[at]), *rule))
     codes = np.concatenate([np.add.outer(q, q).ravel() % 2 for q in map(np.array, parities)])
     blocks = _rule_blocks(rules, parities, codes, False)
-    return OperatorSpace(label, *(_kernel([blocks[b]] if b in blocks else [], len(codes))
-                                  for b in (0, 1)), shape)
+    return OperatorSpace(label, *_kernel([(b, *block) for b, block in blocks.items()],
+                                         len(codes)), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +633,19 @@ def str_w(V: SuperAlgebra) -> OperatorSpace:
     U = ((-1) ** np.outer(par, par))[:, :, None] * double(V).tensors[0].transpose(0, 2, 1, 3)
     maps = [(U, f, (f, f, 1 - f), (1, 1, -1)) for f in (0, 1)]
     return _rule_space("str_w", maps, (par, par), (V.dim, V.dim))
+
+
+def projects_onto(pairs: OperatorSpace, target: OperatorSpace) -> bool:
+    """Whether pi: (X, Y) -> X maps the paired space pairs onto target, a
+    space of operators on V+: injective (the X blocks of each part's basis
+    are independent), into target (one certified read) and, by equal dims,
+    onto.  It holds for str_w(V) and str(V) of a unital V."""
+    if target.shape != pairs.shape[:1]:
+        raise ValueError(f"target shape {target.shape} is not that of V+ {pairs.shape[:1]}")
+    S = pairs.stack
+    X = OperatorStack(S.blocks[:1], S.parities, S.den)
+    return (_stack_space("pi", X, target.shape).dims() == pairs.dims() == target.dims()
+            and target.contains_stack(X))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify,
                     kernel_columns, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
-                        check_pair_axioms, der_algebra, derivation_kernel,
+                        check_pair_axioms, der_algebra, derivation_kernels,
                         double, inn_algebra, istr_algebra, l_brackets, l_stack,
                         leibniz_weight_zero, pair_d_stack, pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, check_super_jacobi, check_supercommutative,
@@ -235,8 +235,8 @@ def koecher_ideal_check(v) -> CheckResult:
     tips = np.r_[0:dp, dp + nm:n]
     S[np.r_[0:dp, dp + len(W):len(S)], tips] = 1
     brackets = tensor.contract(S, g.int_table.dense().transpose(1, 0, 2)).reshape(len(S) * n, n)
-    rows = S.tolist()
-    ok = Subspace(n, rows).dim == Subspace(n, rows + brackets.tolist()).dim
+    ok = (Subspace.from_int_rows(n, IntRows.from_dense(S)).dim
+          == Subspace.from_int_rows(n, IntRows.from_dense(np.concatenate([S, brackets]))).dim)
     return CheckResult("ko_ideal_in_kotilde", ok,
                        "Ko(V,V) is an ideal in Ko~(V,V)" if ok
                        else "bracket leaves the embedded Ko(V,V)")
@@ -621,7 +621,7 @@ def is_jordan_graded(g: SuperAlgebra) -> CheckResult:
         return CheckResult("jordan_graded", False, "not 3-graded")
     _, _, z, pm = _graded_table(g)
     zero = (z == 0).nonzero()[0].tolist()
-    spanned = Subspace(g.dim, pm.tolist()).dim
+    spanned = Subspace.from_int_rows(g.dim, IntRows.from_dense(pm)).dim
     if spanned != len(zero) or pm[:, z != 0].any():
         return CheckResult("jordan_graded", False,
                            f"[g+, g-] has dim {spanned}, g0 has dim {len(zero)}")
@@ -689,7 +689,7 @@ def _check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, F, den: int,
     import numpy as np
     if src.dim != dst.dim:
         return CheckResult(name, False, f"dimension mismatch {src.dim} vs {dst.dim}")
-    if Subspace(dst.dim, F.tolist()).dim != src.dim:
+    if Subspace.from_int_rows(dst.dim, IntRows.from_dense(F)).dim != src.dim:
         return CheckResult(name, False, "images are linearly dependent")
     broken = np.flatnonzero(((F != 0) & np.not_equal.outer(src.parities, dst.parities)).any(1))
     if len(broken):
@@ -929,15 +929,16 @@ def pair_der_matches_der0(v) -> CheckResult:
     E[:, dp + nm:, dp + nm:] = P.blocks[1].astype(object) * W.den
     E[:, dp:dp + nm, dp:dp + nm] = M
     embedded = OperatorStack((E,), P.parities, P.den * W.den)
-    der0 = OperatorSpace("Der(Ko)_0", derivation_kernel(g, 0, 0),
-                         derivation_kernel(g, 1, 0), (N,))
+    # the shift-0 derivations: those supported on the entries D[r, c] of deg r = deg c
+    der0 = OperatorSpace("Der(Ko)_0", *derivation_kernels(
+        g, np.unique(g.zdegrees, return_inverse=True)[1]), (N,))
     if not der0.contains_stack(embedded):
         return CheckResult("pair_der_equals_der0", False,
                            "embedded pair derivation is not a derivation of Ko")
     if der0.dims() != pd.dims():
         return CheckResult("pair_der_equals_der0", False,
                            f"Der(Ko)_0 dims {der0.dims()} vs pair_der {pd.dims()}")
-    if Subspace(N * N, embedded.flats().tolist()).dim != pd.dim:
+    if Subspace.from_int_rows(N * N, IntRows.from_dense(embedded.flats())).dim != pd.dim:
         return CheckResult("pair_der_equals_der0", False,
                            "embedded derivations are dependent")
     # bracket match on the middle: E_[Da,Db] (P.den**2 W.den) against

@@ -58,7 +58,8 @@ MUTANTS = [
     ("tensor.jordan_defect contracts [L_x, L_{zy}]", PKG + "tensor.py",
      "np.einsum('yzm,xmf->xyzf', C,", "np.einsum('zym,xmf->xyzf', C,",
      ["tests/test_acceptance.py::test_criterion_01_identity_suites",
-      CLI + "test_reports_match_their_pins[verify-all.out]"]),
+      CLI + "test_reports_match_their_pins[verify-all.out]",
+      TENSOR + "test_kantor_doubles_pass_every_identity_like_the_loop_oracle"]),
     ("tkk.tits_roundtrip compares against the container's own brackets", PKG + "tkk.py",
      "M, dm = data.l_brackets\n    # X / (dx ef)", "M, dm = data.brackets\n    # X / (dx ef)",
      [TKK + "test_propnu_and_tits_roundtrip"]),
@@ -104,19 +105,38 @@ MUTANTS = [
      "and not isinstance(value, Rational):", "and False:",
      ["tests/test_linalg.py::test_floats_are_rejected"]),
     ("structure._rule_blocks halves to i < j", PKG + "structure.py",
-     "index[0] <= index[1] if halve", "index[0] < index[1] if halve",
+     "t[K[0, t] <= K[1, t]] if halve else t", "t[K[0, t] < K[1, t]] if halve else t",
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks does not halve the output term", PKG + "structure.py",
-     "chunk[key[0][chunk] <= key[1][chunk]] if halve else chunk", "chunk",
+     "t[K[0, t] <= K[1, t]] if halve else t", "t",
+     [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
+    ("structure._rule_blocks halves the terms of slot 1 by b < k_1", PKG + "structure.py",
+     "(at >= np.where(ss == 1, K[0, ts], 0)[rep])", "(at > np.where(ss == 1, K[0, ts], 0)[rep])",
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks drops the Koszul sign of the slots before", PKG + "structure.py",
-     "before = sum(p[ops[t]][slots[t]] for t in range(s))", "before = 0",
+     "    odd[1:r] = np.cumsum(par[G[:r - 1]], axis=0) % 2 == 1\n", "",
+     [STRUCTURE + "test_pair_der_of_a_j_functor_pair_matches_the_oracle",
+      STRUCTURE + "test_pair_derivation_kernel_with_odd_derivations_matches_fraction_oracle"]),
+    ("structure._rule_blocks drops the Koszul sign of the last slot", PKG + "structure.py",
+     "odd[1:r] = np.cumsum(par[G[:r - 1]], axis=0) % 2 == 1",
+     "odd[1:r - 1] = np.cumsum(par[G[:r - 2]], axis=0) % 2 == 1",
      [STRUCTURE + "test_pair_der_of_a_j_functor_pair_matches_the_oracle",
       STRUCTURE + "test_pair_derivation_kernel_with_odd_derivations_matches_fraction_oracle"]),
     ("structure._rule_blocks proves its int64 bound for r terms", PKG + "structure.py",
-     "primitive_row_blocks(chunks(), len(maps[0][2]) + 1,",
-     "primitive_row_blocks(chunks(), len(maps[0][2]),",
+     "_runs(cost)), r + 1, block_of,", "_runs(cost)), r, block_of,",
      [STRUCTURE + "test_leibniz_assembly_proves_its_int64_bound"]),
+    ("structure._kernel splits by the parity of the blocks' unsorted columns", PKG + "structure.py",
+     "[len(c) for _, c, _ in blocks])[order]", "[len(c) for _, c, _ in blocks])",
+     [STRUCTURE + "test_one_elimination_of_both_parities_splits_into_the_per_parity_kernels",
+      STRUCTURE + "test_kacK_dims"]),
+    ("structure.projects_onto compares dims only", PKG + "structure.py",
+     "return (_stack_space(\"pi\", X, target.shape).dims() == pairs.dims() == target.dims()\n"
+     "            and target.contains_stack(X))",
+     "return pairs.dims() == target.dims()",
+     [STRUCTURE + "test_the_projection_of_str_w_is_onto_str_and_a_same_dims_non_image_is_refused"]),
+    ("exact._absorb takes its shortcut while a two-entry row with |a| = |b| exists",
+     PKG + "exact.py", " and not (abs(vals[two]) == abs(vals[two + 1])).any():", ":",
+     [LINALG + "test_absorb_returns_at_once_only_when_no_row_ties_or_zeroes_a_column"]),
     ("structure.str_w puts Y on the right side with +1", PKG + "structure.py",
      "(f, f, 1 - f), (1, 1, -1)", "(f, f, 1 - f), (1, 1, 1)",
      [STRUCTURE + "test_str_w_matches_fraction_oracle"]),

@@ -419,3 +419,15 @@ def test_survey_scripts_run(argv):
     done = run_python([], RUN_SCRIPT.format(argv=[str(SCRIPTS / argv[0]), *argv[1:]]))
     assert done.returncode == 0, done.stdout + done.stderr
     assert "skipped (--max-dim)" in done.stdout
+
+
+def test_the_machine_report_is_the_asdict_rendering_without_the_copy(monkeypatch):
+    # report_to_machine reads the dataclasses as the encoder reaches them;
+    # the text is what json.dumps(dataclasses.asdict(report), indent=2) gave,
+    # and no deep copy is made
+    import dataclasses
+    report = cmd_dims("all", 64)
+    report.sections.append(cmd_verify("j19", 64).sections[0])
+    want = json.dumps(dataclasses.asdict(report), indent=2)
+    monkeypatch.setattr(dataclasses, "asdict", None)
+    assert report_to_machine(report) == want

@@ -1222,3 +1222,28 @@ def test_matrix_algebra():
     assert a == Matrix([[1, 2], [3, 4]])  # equal to the package's container
     assert not any(hasattr(Matrix, name) for name in (
         "__matmul__", "__add__", "__sub__", "__neg__", "scale", "apply", "is_zero"))
+
+
+def _absorbable(rows) -> bool:
+    """Whether a system has a row of one entry or a row a x_c + b x_d with |a| = |b|."""
+    return any(len(r) == 1 or (len(r) == 2 and len({abs(x) for x in r.values()}) == 1)
+               for r in rows)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3).filter(bool), min_size=1,
+                    max_size=3), max_size=6))))
+@settings(max_examples=150, deadline=None)
+@example((3, [{0: 2, 1: -2}, {0: 1, 1: 2, 2: 3}]))  # a tie and no row of one entry
+def test_absorb_returns_at_once_only_when_no_row_ties_or_zeroes_a_column(system):
+    # the shortcut of the pre-pass: a system with no row of one entry and no
+    # two-entry row of equal absolute values is its own core, with no sort;
+    # any other system absorbs a column in its first round
+    n, rows = system
+    rows = primitive_rows(rows)
+    int_rows = IntRows.from_dicts(rows)
+    root, sign, core = exact._absorb(int_rows, n)
+    assert (core is int_rows) == (not _absorbable(rows))
+    if _absorbable(rows):
+        assert (root != np.arange(n)).any() or (sign == 0).any()
+    assert list(integer_kernel(int_rows, n).basis) == oracle.integer_kernel(rows, n)

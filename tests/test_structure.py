@@ -710,3 +710,94 @@ def test_symmetry_is_checked_once_per_algebra(monkeypatch):
         lie_der_tower(g) if g.kind == "lie" else der_algebra(g)
     assert [passes[g] for g in loaded] == [1] * len(sources)
     assert set(passes) == set(loaded)
+
+
+@st.composite
+def block_diagonal_systems(draw):
+    """(ncols, blocks): blocks (parity, cols, rows) on disjoint flat columns
+    of Q^ncols, several per parity as the Leibniz system has, each a random
+    sparse integer system over the positions of its columns."""
+    ncols = draw(st.integers(1, 9))
+    block_of = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+    blocks = []
+    for b in sorted(set(block_of)):
+        cols = [c for c in range(ncols) if block_of[c] == b]
+        rows = draw(st.lists(st.dictionaries(st.integers(0, len(cols) - 1),
+                                             st.integers(-3, 3).filter(bool), min_size=1,
+                                             max_size=3), max_size=5))
+        blocks.append((b % 2, np.array(cols), exact.IntRows.from_dicts(exact.primitive_rows(rows))))
+    return ncols, blocks
+
+
+@given(block_diagonal_systems())
+@settings(max_examples=100, deadline=None)
+def test_one_elimination_of_both_parities_splits_into_the_per_parity_kernels(system):
+    # the blocks share no column, so the canonical basis of the joined
+    # kernel is the union of the blocks' canonical bases: split by the
+    # parity of its pivot column, each part is what eliminating the blocks
+    # of that parity alone gives
+    ncols, blocks = system
+    got = structure._kernel(blocks, ncols)
+    for q in (0, 1):
+        part = [(cols, rows) for p, cols, rows in blocks if p == q]
+        cols = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in part]))
+        rows = exact.IntRows.concat(exact.IntRows(r.lens, np.searchsorted(cols, c)[r.cols], r.vals)
+                                    for c, r in part)
+        want = exact.integer_kernel(rows, len(cols)).embedded(cols.tolist(), ncols)
+        assert got[q] == want, q
+
+
+def test_a_pair_system_within_one_run_is_reduced_in_one_pass(monkeypatch):
+    # Der(V,V) and str_w of kacK are two maps each, within one run's budget:
+    # their triplets are written as one batch and reduced and deduplicated
+    # once, not once per map and then again over both
+    distinct, calls = exact._distinct_rows, []
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return distinct(*args)
+
+    want = {space: space(resolve("kacK")) for space in (pair_der, str_w)}
+    V = load_algebra(save_algebra(resolve("kacK")))  # fresh: empty memos
+    monkeypatch.setattr(exact, "_distinct_rows", spy)
+    for space in (pair_der, str_w):
+        calls.clear()
+        assert space(V) == want[space]
+        assert len(calls) == 1, space.__name__
+
+
+def _unit_operators(V, parity):
+    """The flattened matrix units E_rc of the given parity, as tuples."""
+    n = V.dim
+    return [tuple(int(k == r * n + c) for k in range(n * n)) for r in range(n) for c in range(n)
+            if (V.parity(r) + V.parity(c)) % 2 == parity]
+
+
+@pytest.mark.parametrize("source", ["full_matrix:1,1", "dt:2", "form:1,2", "form:3,0"])
+def test_the_projection_of_str_w_is_onto_str_and_a_same_dims_non_image_is_refused(source):
+    # pi: (X, Y) -> X is injective on str_w(V), lands in str(V) and, with
+    # equal dims, onto it; a space of the same dims that is not the image
+    # (one basis operator of str swapped for a matrix unit outside str), and
+    # a paired space whose X blocks are dependent, fail
+    from supertkk.structure import OperatorSpace, projects_onto
+    V = resolve(source)
+    sw, st_ = str_w(V), str_algebra(V)
+    assert projects_onto(sw, st_)
+    unit = next(u for u in _unit_operators(V, 0) if not contains(st_.even, u))
+    fake = OperatorSpace("fake", Subspace(V.dim ** 2, list(st_.even.basis[1:]) + [unit]),
+                         st_.odd, st_.shape)
+    assert fake.dims() == st_.dims() and not projects_onto(sw, fake)
+    n2 = V.dim ** 2
+    zero_x = OperatorSpace("(0, Y)", *(Subspace(2 * n2, [(0,) * n2 + v[n2:] for v in part.basis])
+                                      for part in (sw.even, sw.odd)), sw.shape)
+    assert zero_x.dims() == st_.dims() and not projects_onto(zero_x, st_)
+    with pytest.raises(ValueError, match="not that of V"):
+        projects_onto(sw, pair_der(V))
+
+
+def test_the_projection_fails_on_the_non_unital_defaults():
+    # the dims differ (j19, trunc_poly:4) or the image leaves str(V) (kacK)
+    from supertkk.structure import projects_onto
+    for source in ("j19", "kacK", "trunc_poly:4"):
+        V = resolve(source)
+        assert not projects_onto(str_w(V), str_algebra(V)), source
