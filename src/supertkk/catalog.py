@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import re
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from pathlib import Path
 
@@ -675,7 +675,10 @@ def save_algebra(a: SuperAlgebra) -> bytes:
     written and quoted once and each index written once; the lines are
     written from the entries' columns (`SuperAlgebra.columns`)."""
     i, j, k, v = a.columns()
-    text = {x: json.dumps(str(Q(x, a.d))) for x in set(v)}
+    text = {}  # the quoted x/d in lowest terms, as str(Fraction(x, d)) writes it
+    for x in set(v):
+        g = gcd(x, a.d)
+        text[x] = '"%d"' % (x // g) if g == a.d else '"%d/%d"' % (x // g, a.d // g)
     index = [str(x) for x in range(a.dim)].__getitem__
     zd = list(a.zdegrees) if a.zdegrees is not None else None
     meta = {**a.metadata, "kind": a.kind}

@@ -47,7 +47,10 @@ places in a larger space, neither with a second elimination.  The kernel certifi
 (`_verify_kernel`) is a sparse join on the column: each nonzero row entry
 meets only the range of vector entries on its column (Gustavson, ACM TOMS
 4, 1978).  `range_join` is that join, and `tensor.jacobi_defect` runs on it
-too.
+too.  Every fold of summed keys (`sum_by_key`: the joins, the pre-pass,
+`primitive_row_blocks`) takes Gustavson's dense accumulator, a zeroed
+window over the keys' span, when the keys are many and dense in their
+span, as on dense tables, and one sort otherwise.
 Every numpy path runs in int64 only after proving its bound below 2**62
 (`int_dtype`), else on object-dtype Python ints.
 """
@@ -656,12 +659,33 @@ def _first_occurrences(h):
     return np.sort(first), rep
 
 
+_WINDOW_KEYS = 256  # the fewest keys that `sum_by_key` folds in a window
+_WINDOW_SPAN = 4  # the widest window, in slots per key
+
+
 def sum_by_key(keys, vals):
     """(keys, sums): the distinct keys of an array in ascending order with
-    the sums of their values (`np.add.reduceat` over one sort of the keys),
-    those summing to zero dropped.  The sort need not be stable: exact
-    integer sums do not depend on the order of their terms."""
+    the sums of their values, those summing to zero dropped, in vals.dtype.
+
+    At least _WINDOW_KEYS keys that span at most _WINDOW_SPAN times their
+    count are folded by `np.add.at` into a zeroed window over the span, a
+    dense sparse accumulator (Gustavson, ACM TOMS 4, 1978), whose nonzero
+    slots are the sums in ascending key order.  Other keys are sorted, and
+    each run summed by `np.add.reduceat`; the sort need not be stable:
+    exact integer sums do not depend on the order of their terms."""
     import numpy as np
+    if len(keys) >= _WINDOW_KEYS:
+        lo = keys.min()
+        span = int(keys.max()) - int(lo) + 1
+        if span <= _WINDOW_SPAN * len(keys):
+            acc = np.zeros(span, dtype=vals.dtype)
+            np.add.at(acc, (keys - lo).astype(np.intp, copy=False), vals)
+            at = np.flatnonzero(acc)
+            vals = acc[at]
+            del acc  # each step frees its input first, as below
+            keys = at.astype(keys.dtype, copy=False)
+            keys += lo
+            return keys, vals
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     del order  # each step below frees its input first: few arrays held at once
@@ -690,7 +714,9 @@ def range_join(ranges, varying, scale: int, chunk: int):
     The ranges run in that order, whole, about `chunk` products at a time
     and at least one range per chunk; each chunk is enumerated by
     `np.repeat`/`concat_ranges` and folded with the sums left open into sorted
-    nonzero sums (`sum_by_key`).  Once no range of a lead is left, the sums
+    nonzero sums (`sum_by_key`): in a dense accumulator over the chunk's key
+    span when its keys are many and span at most 4 times their count, as
+    on dense tables, else by a sort.  Once no range of a lead is left, the sums
     below it are complete: they are yielded and dropped, so only the sums of
     the lead under way are held.  The values must be of a dtype that holds
     every sum."""
@@ -786,7 +812,7 @@ def _echelon(int_rows: list[dict]) -> dict[int, dict]:
     return store
 
 
-_KERNEL_CHUNK = 2 ** 13  # products per chunk of the kernel certificate (~0.7 MB of arrays)
+_KERNEL_CHUNK = 2 ** 14  # products per chunk of the kernel certificate (~1.4 MB of arrays)
 
 
 def _verify_kernel(int_rows: IntRows, vecs: IntRows, ncols: int):

@@ -350,25 +350,35 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
         t0, tr = np.flatnonzero((lo_b < hi_b)[M]), t[K[0, t] <= K[1, t]] if halve else t
         ts = np.concatenate([t0, np.tile(t, r - 1), tr])
         ss = np.repeat(np.arange(r + 1), [len(t0)] + [len(t)] * (r - 1) + [len(tr)])
-        m, k, o = len(ts) - len(t0), K[ss, ts], S[ss, M[ts]]
-        g = base[o] + k
-        rep, at = members(g, np.concatenate([lo_b[M[t0]], np.zeros(m, dtype=int)]),
-                          np.concatenate([hi_b[M[t0]], np.full(m, n)]))
-        odd_b = par[at]
-        at -= (g - k)[rep]  # b's index in the space of k
-        if halve:  # i_1 <= i_2: b <= k_2 in slot 0, k_1 <= b in slot 1
-            keep = ((at >= np.where(ss == 1, K[0, ts], 0)[rep])
-                    & (at <= np.where(ss == 0, K[1, ts], top)[rep]))
-            rep, at, odd_b = rep[keep], at[keep], odd_b[keep]
-        # per request, the equation and column with the swapped index at 0
-        # and the value with its Koszul sign (-1)^{(|k| + |b|) odd} but for |b|;
-        # each triplet array is made in place, to hold few at once
-        out, flip, e = ss == r, odd[ss, ts], sign[ss, M[ts]]
+        m = len(ts) - len(t0)
+        b_lo = np.concatenate([lo_b[M[t0]], np.zeros(m, dtype=int)])
+        b_hi = np.concatenate([hi_b[M[t0]], np.full(m, n)])
+        del t, t0, tr
+        # per request, read before the expansion so that the request arrays
+        # are freed first: the equation and column with the swapped index at
+        # 0 and their steps per b, the bounds of b when halved, and the value
+        # with its Koszul sign (-1)^{(|k| + |b|) odd} but for |b|
+        k, o, out, flip, e = K[ss, ts], S[ss, M[ts]], ss == r, odd[ss, ts], sign[ss, M[ts]]
+        shift = base[o]
+        g = shift + k
         eq0, col0 = E[ts] - k * power[ss], offset[o] + np.where(out, k, k * dims[o])
-        val = (const[ts] * np.where(par[g] & flip, -e, e))[rep]
+        step_eq, step_col = power[ss], np.where(out, dims[o], 1)
+        val0 = const[ts] * np.where(par[g] & flip, -e, e)
+        if halve:  # i_1 <= i_2: b <= k_2 in slot 0, k_1 <= b in slot 1
+            b_min, b_max = np.where(ss == 1, K[0, ts], 0), np.where(ss == 0, K[1, ts], top)
+        del ts, ss, k, o, out, e
+        rep, at = members(g, b_lo, b_hi)
+        del g, b_lo, b_hi
+        odd_b = par[at]
+        at -= shift[rep]  # b's index in the space of k
+        if halve:
+            keep = (at >= b_min[rep]) & (at <= b_max[rep])
+            rep, at, odd_b = rep[keep], at[keep], odd_b[keep]
+        # each triplet array is made in place, to hold few at once
+        val = val0[rep]
         np.negative(val, out=val, where=odd_b & flip[rep])
         del odd_b
-        eq, col = power[ss][rep], np.where(out, dims[o], 1)[rep]
+        eq, col = step_eq[rep], step_col[rep]
         eq *= at
         col *= at
         del at
@@ -549,6 +559,12 @@ class JordanPair:
     def shape(self) -> tuple:
         return (self.dim(0), self.dim(1))
 
+    @property
+    def equal_halves(self) -> bool:
+        """Whether V+ and V- have one parity vector and one triple tensor."""
+        return (tuple(self.parities[0]) == tuple(self.parities[1])
+                and bool((self.tensors[0] == self.tensors[1]).all()))
+
 
 @memoized
 def double(V: SuperAlgebra) -> JordanPair:
@@ -590,10 +606,31 @@ def pair_der(v) -> OperatorSpace:
     """All superderivations of the pair (of the doubled pair for an algebra):
     the pairs (D+, D-) satisfying the derivation rule for both triples,
     D_sigma {x, y, z} = {D_sigma x, y, z} + (-1)^{|D||x|} {x, D_-sigma y, z}
-                        + (-1)^{|D|(|x|+|y|)} {x, y, D_sigma z}."""
+                        + (-1)^{|D|(|x|+|y|)} {x, y, D_sigma z},
+    one kernel of the two coupled maps (`_rule_space`).
+
+    A pair with equal halves (`JordanPair.equal_halves`, as every `double`)
+    is solved on its swap halves: (D+, D-) -> (D-, D+) preserves Der(V,V),
+    so it is {(A, A)} + {(B, -B)}; the sum and the difference of the sigma
+    = +- rules are the rules of A and of B, B's middle slot negated, and
+    the sigma = - equations only repeat the others up to sign.  That
+    system is block diagonal, so each canonical row [A | B] lies in one
+    half; it is mapped to [A + B | A - B] and spanned again."""
     pair = double(v) if isinstance(v, SuperAlgebra) else v
-    maps = [(pair.tensors[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)]
-    return _rule_space("Der(V,V)", maps, pair.parities, pair.shape)
+    if not pair.equal_halves:
+        maps = [(pair.tensors[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)]
+        return _rule_space("Der(V,V)", maps, pair.parities, pair.shape)
+    import numpy as np
+    T, m = pair.tensors[0], pair.dim(0) ** 2
+    halves = _rule_space("Der(V,V)", [(T, 0, (0, 0, 0), (1, 1, 1)), (T, 1, (1, 1, 1), (1, -1, 1))],
+                         pair.parities, pair.shape)
+    parts = []
+    for part in (halves.even, halves.odd):
+        top = max(map(abs, chain(*part.rows)), default=0)
+        R = np.array(part.rows, dtype=int_dtype(2 * top)).reshape(-1, 2 * m)
+        A, B = R[:, :m], R[:, m:]  # [A | B] -> [A + B | A - B]
+        parts.append(Subspace.from_int_rows(2 * m, IntRows.from_dense(np.hstack([A + B, A - B]))))
+    return OperatorSpace("Der(V,V)", *parts, pair.shape)
 
 
 @memoized
@@ -601,8 +638,7 @@ def check_pair_axioms(pair: JordanPair) -> Witness | None:
     """Outer symmetry and the 5-linear identity on all homogeneous basis
     tuples; equal halves (one tensor, one parity vector) are scanned once."""
     tables = pair.tensors
-    equal = pair.parities[0] == pair.parities[1] and (tables[0] == tables[1]).all()
-    for sigma in (0,) if equal else (0, 1):
+    for sigma in (0,) if pair.equal_halves else (0, 1):
         p, q = pair.parities[sigma], pair.parities[1 - sigma]
         at = tensor.outer_symmetry_defect(tables[sigma], p, q)
         if at is not None:

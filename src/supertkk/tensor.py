@@ -100,7 +100,7 @@ def _first(mask):
     return None
 
 
-_JACOBI_CHUNK = 2 ** 13  # products per chunk of the super-Jacobi join (~1.3 MB of arrays)
+_JACOBI_CHUNK = 2 ** 14  # products per chunk of the super-Jacobi join (~2.6 MB of arrays)
 
 
 def jacobi_defect(a):
@@ -132,18 +132,19 @@ def jacobi_defect(a):
     per product.  A sum has at most 3n terms of at most max|C|**2, proved
     below 2**62 before the values are cast to int64; else the sums run on
     Python ints.  Both factors are read off a's `IntTable`: [e_y, e_z] in
-    its (i, j, k) order, [e_x, e_l] in one lexsort by (j, i, k); no dense C
-    is formed.
+    its (i, j, k) order, [e_x, e_l] by (j, i, k) and the y <= z entries of
+    [e_y, e_z] by (l, y), each in one stable argsort of a composite int64
+    key, (j n + i) n + k and l n + y (below n**3); no dense C is formed.
     """
     import numpy as np
     t = a.int_table
     n, p = t.n, np.array(a.parities, dtype=bool)
     value = t.value.astype(t.dtype(3 * n, 2), copy=False)
     y, z, l, inner = t.i, t.j, t.k, value           # [e_y, e_z] = sum_l C[y, z, l] e_l
-    by_jik = np.lexsort((t.k, t.i, t.j))            # [e_x, e_l] = sum_t C[x, l, t] e_t, by (l, x)
+    by_jik = np.argsort((t.j * n + t.i) * n + t.k, kind="stable")  # [e_x, e_l] by (l, x)
     lo, xo, to, outer = t.j[by_jik], t.i[by_jik], t.k[by_jik], value[by_jik]
     down, up = np.flatnonzero(y > z), np.flatnonzero(y <= z)
-    by_ly = up[np.lexsort((y[up], l[up]))]
+    by_ly = up[np.argsort(l[up] * n + y[up], kind="stable")]
     yu, zu = y[by_ly], z[by_ly]
     at_x, at_y, m, n3 = lo * n + xo, l[by_ly] * n + yu, len(xo), n ** 3
     varying = (np.concatenate([xo * n * n + to, xo * n + to, (yu * n + zu) * n]),

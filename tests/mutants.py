@@ -111,7 +111,7 @@ MUTANTS = [
      "t[K[0, t] <= K[1, t]] if halve else t", "t",
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks halves the terms of slot 1 by b < k_1", PKG + "structure.py",
-     "(at >= np.where(ss == 1, K[0, ts], 0)[rep])", "(at > np.where(ss == 1, K[0, ts], 0)[rep])",
+     "(at >= b_min[rep])", "(at > b_min[rep])",
      [STRUCTURE + "test_leibniz_blocks_match_the_oracle_on_fixed_tables"]),
     ("structure._rule_blocks drops the Koszul sign of the slots before", PKG + "structure.py",
      "    odd[1:r] = np.cumsum(par[G[:r - 1]], axis=0) % 2 == 1\n", "",
@@ -141,14 +141,13 @@ MUTANTS = [
      "(f, f, 1 - f), (1, 1, -1)", "(f, f, 1 - f), (1, 1, 1)",
      [STRUCTURE + "test_str_w_matches_fraction_oracle"]),
     ("structure.check_pair_axioms never scans sigma = -", PKG + "structure.py",
-     "for sigma in (0,) if equal else (0, 1):", "for sigma in (0,):",
+     "for sigma in (0,) if pair.equal_halves else (0, 1):", "for sigma in (0,):",
      [TENSOR + "test_a_pair_with_one_half_raised_is_scanned_on_both_halves"]),
-    ("structure.check_pair_axioms compares the halves by their parities only", PKG + "structure.py",
-     "equal = pair.parities[0] == pair.parities[1] and (tables[0] == tables[1]).all()",
-     "equal = pair.parities[0] == pair.parities[1]",
+    ("structure.JordanPair.equal_halves compares the halves by their parities only", PKG + "structure.py",
+     "\n                and bool((self.tensors[0] == self.tensors[1]).all())", "",
      [TENSOR + "test_a_pair_with_one_half_raised_is_scanned_on_both_halves"]),
     ("structure.check_pair_axioms scans equal halves twice", PKG + "structure.py",
-     "for sigma in (0,) if equal else (0, 1):", "for sigma in (0, 1):",
+     "for sigma in (0,) if pair.equal_halves else (0, 1):", "for sigma in (0, 1):",
      [CLI + "test_verify_section_evaluates_each_jordan_triple_identity_once"]),
     ("jordan.check_triple_symmetry builds a triple of its own", PKG + "jordan.py",
      "tensor.outer_symmetry_defect(double(V).tensors[0],",
@@ -158,7 +157,7 @@ MUTANTS = [
      "np.einsum('vjm,umwl->juvwl', U[:, i], T)", "np.einsum('vjm,umwl->juvwl', T[:, i], T)",
      [TENSOR + "test_pair_axioms_match_the_loop_oracle"]),
     ("tensor.jacobi_defect sorts [e_x, e_l] by (i, j, k)", PKG + "tensor.py",
-     "np.lexsort((t.k, t.i, t.j))", "np.lexsort((t.k, t.j, t.i))",
+     "np.argsort((t.j * n + t.i) * n + t.k,", "np.argsort((t.i * n + t.j) * n + t.k,",
      ["tests/test_tensor.py::test_super_jacobi_matches_the_loop_oracle"]),
     ("tkk._ad_rows swaps (c, k)", PKG + "tkk.py",
      "column[t.k[keep] * n + t.j[keep]]", "column[t.j[keep] * n + t.k[keep]]",
@@ -204,8 +203,8 @@ MUTANTS = [
     ("catalog._product_arrays skips the repetition check", PKG + "catalog.py",
      "if (key[order[1:]] == key[order[:-1]]).any():", "if False:",
      [CATALOG + "test_load_pins_each_diagnostic"]),
-    ("catalog.save_algebra skips the json.dumps quoting", PKG + "catalog.py",
-     "text = {x: json.dumps(str(Q(x, a.d)))", "text = {x: str(Q(x, a.d))",
+    ("catalog.save_algebra leaves an integer coefficient unquoted", PKG + "catalog.py",
+     """'"%d"' % (x // g)""", """'%d' % (x // g)""",
      [CATALOG + "test_save_algebra_matches_the_former_writer"]),
     ("superspace.integer_algebra lets k run to n", PKG + "superspace.py",
      "0 <= k < n)", "0 <= k <= n)",
@@ -253,6 +252,18 @@ MUTANTS = [
     ("exact.sum_by_key keeps the zero sums", PKG + "exact.py",
      "keep = vals != 0", "keep = vals == vals",
      ["tests/test_linalg.py::test_sum_by_key_matches_a_dict_sum"]),
+    ("exact.sum_by_key's window drops its offset lo", PKG + "exact.py",
+     "            keys += lo\n", "",
+     ["tests/test_linalg.py::test_sum_by_key_matches_a_dict_sum"]),
+    ("exact.sum_by_key's window keeps the zero sums", PKG + "exact.py",
+     "at = np.flatnonzero(acc)", "at = np.unique(keys - lo)",
+     ["tests/test_linalg.py::test_sum_by_key_matches_a_dict_sum"]),
+    ("structure.pair_der's B half keeps eps (1, 1, 1)", PKG + "structure.py",
+     "(T, 1, (1, 1, 1), (1, -1, 1))", "(T, 1, (1, 1, 1), (1, 1, 1))",
+     [STRUCTURE + "test_pair_der_on_the_swap_halves_matches_the_coupled_system"]),
+    ("structure.pair_der recombines [A | B] as [A + B | A + B]", PKG + "structure.py",
+     "np.hstack([A + B, A - B])", "np.hstack([A + B, A + B])",
+     [STRUCTURE + "test_pair_der_on_the_swap_halves_matches_the_coupled_system"]),
     ("exact.int_dtype admits int64 up to 2**63", PKG + "exact.py",
      "return np.int64 if bound < 2 ** 62 else object",
      "return np.int64 if bound < 2 ** 63 else object",

@@ -209,6 +209,8 @@ PINNED_REPORTS = [
     ("verify-all-human.out", ["verify", "all"]),
     ("tkk-kacK-ko-human.out", ["tkk", "kacK", "ko"]),
     ("dims-j19-human.out", ["dims", "j19"]),
+    ("export-j19.out", ["export", "j19", "kotilde"]),
+    ("export-trunc_poly:7.out", ["export", "trunc_poly:7", "kotilde"]),
 ]
 
 

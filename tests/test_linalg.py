@@ -247,18 +247,41 @@ def test_sparse_kernel_certificate_matches_the_dense_check_one_row_per_chunk(cas
 
 @st.composite
 def keyed_values(draw):
-    """Keys from a small range, so that they repeat, and values that often
-    cancel: int64, or object-dtype Python ints beyond 2**63."""
-    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)), max_size=30))
+    """Keys that repeat and values that often cancel: int64, or object-dtype
+    Python ints beyond 2**63.  Short lists draw keys from a small range (the
+    sort); long ones, past `exact._WINDOW_KEYS`, draw them over a span on
+    either side of `exact._WINDOW_SPAN` times their count (the window or
+    the sort), from an offset that may be negative or, on object keys,
+    beyond 2**63; in some of them every sum cancels."""
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)), max_size=30))
+        keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        vals = np.array([v for _, v in pairs], dtype=np.int64)
+    else:
+        size = draw(st.integers(exact._WINDOW_KEYS, 3 * exact._WINDOW_KEYS))
+        span = draw(st.sampled_from([size // 8, size, exact._WINDOW_SPAN * size,
+                                     exact._WINDOW_SPAN * size + 1, 6 * size]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+        keys, vals = rng.integers(0, span, size), rng.integers(-3, 4, size)
+        if draw(st.booleans()):  # each key's terms in +-pairs: every sum cancels
+            keys, vals = np.concatenate([keys, keys]), np.concatenate([vals, -vals])
+        keys += draw(st.integers(-2 ** 40, 2 ** 40))
     big = draw(st.sampled_from([0, 2 ** 70]))
-    keys = np.array([k for k, _ in pairs], dtype=np.int64)
-    vals = [v * (big or 1) for _, v in pairs]
-    return keys, np.array(vals, dtype=object if big else np.int64)
+    if big:
+        keys = keys.astype(object) + draw(st.sampled_from([0, -big, big]))
+    return keys, vals.astype(object) * big if big else vals
+
+
+_WINDOWED = np.arange(400) % 300 - 1000  # 400 keys over a span of 300: the window
 
 
 @given(keyed_values())
 @example((np.array([2, 0, 2]), np.array([5, 1, -5])))  # key 2 cancels
 @example((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)))
+@example((_WINDOWED, _WINDOWED % 5 - 2))  # negative keys in the window
+@example((np.concatenate([_WINDOWED] * 2), np.repeat([1, -1], 400)))  # every window sum cancels
+@example((_WINDOWED.astype(object) + 2 ** 70, (_WINDOWED % 5 - 2).astype(object) * 2 ** 70))
+@example((np.arange(400) * 5 - 1000, np.arange(400) % 3 - 1))  # a span past 4x: the sort
 @settings(**SETTINGS)
 def test_sum_by_key_matches_a_dict_sum(case):
     keys, vals = case
@@ -266,7 +289,7 @@ def test_sum_by_key_matches_a_dict_sum(case):
     for k, v in zip(keys.tolist(), vals.tolist()):
         want[k] = want.get(k, 0) + v
     got_keys, sums = exact.sum_by_key(keys, vals)
-    assert sums.dtype == vals.dtype
+    assert sums.dtype == vals.dtype and got_keys.dtype == keys.dtype
     assert list(zip(got_keys.tolist(), sums.tolist())) == sorted(
         (k, v) for k, v in want.items() if v)
 

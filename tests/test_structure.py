@@ -1,6 +1,7 @@
 """Structure algebras checked against hand-computed small cases."""
 
 import functools
+import random
 import sys
 from unittest import mock
 
@@ -13,7 +14,7 @@ import oracle_linalg as oracle
 from oracle_linalg import basis_vector, contains, contains_space, triple
 import oracle_tkk
 import oracle_tables
-from supertkk import exact, structure, tensor, tkk
+from supertkk import catalog, exact, structure, tensor, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
 from supertkk.exact import Matrix, Q, Subspace
@@ -38,7 +39,7 @@ from supertkk.structure import (
     structure_summary,
 )
 from supertkk.superspace import SuperAlgebra, center, make_algebra, memoized, mirror
-from test_tensor import _pair_tables, _rescaled, _sl2
+from test_tensor import _basis_changed, _pair_tables, _rescaled, _sl2, kantor_double, symmetric_brackets
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -185,6 +186,36 @@ def test_pair_der_of_a_j_functor_pair_matches_the_oracle(source):
     else:
         plus, minus = _pair_tables(pair)
         assert plus != minus
+
+
+def _coupled_pair_der(pair):
+    """Der(V,V) as one kernel of the two coupled maps of the rule, whatever
+    the halves: the system `pair_der` solves for a pair with unequal halves."""
+    maps = [(pair.tensors[s], s, (s, 1 - s, s), (1, 1, 1)) for s in (0, 1)]
+    return structure._rule_space("Der(V,V)", maps, pair.parities, pair.shape)
+
+
+@pytest.mark.parametrize("source", catalog._JORDAN_DEFAULTS)
+def test_pair_der_on_the_swap_halves_matches_the_coupled_system(source):
+    # a doubled pair is solved on its swap halves {(A, A)} + {(B, -B)}; the
+    # canonical basis must be the coupled system's, on the catalog default
+    # and on seeded dense basis changes of it, as tkk-export-dense builds
+    V = resolve(source)
+    for seed in (None, 7, 1, 2):
+        rng = random.Random(seed)
+        W = V if seed is None else _basis_changed(V, lambda: rng.choice((-1, 1)))
+        pair = double(W)
+        assert pair.equal_halves
+        assert pair_der(pair) == _coupled_pair_der(pair), seed
+
+
+@given(symmetric_brackets())
+@settings(max_examples=20, deadline=None)
+def test_pair_der_of_a_kantor_double_matches_the_coupled_system(bracket):
+    # Kantor doubles have many odd elements, so odd A and B take their
+    # Koszul signs on both halves
+    pair = double(kantor_double(*bracket))
+    assert pair_der(pair) == _coupled_pair_der(pair)
 
 
 def test_unital_str_w_is_str():
