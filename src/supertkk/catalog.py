@@ -11,8 +11,9 @@ Euler operator C.
 
 Every entry is built on the integers.  A Jordan builder writes its
 constants over one denominator (2 for j19, kacK and full_matrix, 2 times the
-denominator of t for dt(t)).  The Lie matrix families are spans of +-1
-matrices: their supercommutators are one batched product
+denominator of t for dt(t)).  The Lie matrix families are spans of
+integer matrices, one int64 array M[t, a, b] each, cut from the matrix units
+(`_units`): their supercommutators are one batched product
 (`tensor.brackets`), written in the spanning matrices by one certified
 `GeneratedSpan.coordinates` call; the quotients (psl, pgl, psq, pq,
 htilde) and h go through the sparse integer `quotient_algebra` and
@@ -145,39 +146,30 @@ def _build_dt(t):
 # matrix Lie families, built from explicit spanning matrices
 
 
-def _mat_parity(mat, idx_par):
-    pars = {(idx_par[a] + idx_par[b]) % 2 for a, b in mat}
-    if len(pars) != 1:
-        raise ValueError("spanning matrix is not parity-homogeneous")
-    return pars.pop()
-
-
-def _stack(mats, d):
-    """The integer matrices {(a, b): value} as one array [t, a, b]."""
-    import numpy as np
-    M = np.zeros((len(mats), d, d), dtype=np.int64)
-    for t, mat in enumerate(mats):
-        for (a, b), v in mat.items():
-            M[t, a, b] = v
-    return M
-
-
-def _span_algebra(idx_par, mats, *, name, metadata=None):
+def _span_algebra(idx_par, M, *, name, metadata=None):
     """Structure constants of a bracket-closed span of integer matrices.
 
-    idx_par gives the parity of each index of the underlying superspace; the
-    bracket is the supercommutator, formed for every pair in one batched
-    product (`tensor.brackets`), and its coordinates in the matrices are
-    read in one certified batch (`GeneratedSpan.coordinates`).  Raises if
-    the matrices are dependent or the span is not closed.
+    idx_par gives the parity of each index of the underlying superspace and
+    M[t, a, b] the spanning matrices, each matrix's parity read off its
+    nonzeros in one pass; the bracket is the supercommutator, formed for
+    every pair in one batched product (`tensor.brackets`), and its
+    coordinates in the matrices are read in one certified batch
+    (`GeneratedSpan.coordinates`).  Raises if the matrices are dependent (a
+    zero one among them), not parity-homogeneous or not closed, in that order.
     """
     import numpy as np
-    d, k = len(idx_par), len(mats)
-    M = _stack(mats, d)
+    k, d = len(M), len(idx_par)
     gens = GeneratedSpan(M.reshape(k, d * d), d * d)
     if gens.dim < k:
         raise ValueError(f"{name}: spanning matrices are dependent")
-    parities = tuple(_mat_parity(m, idx_par) for m in mats)
+    p = np.array(idx_par)
+    t, a, b = np.nonzero(M)
+    odd = (p[a] + p[b]) % 2  # the parity of each nonzero
+    par = np.zeros(k, dtype=np.int64)
+    par[t] = odd
+    if (par[t] != odd).any():
+        raise ValueError("spanning matrix is not parity-homogeneous")
+    parities = tuple(par.tolist())
     C, den = gens.coordinates(tensor.brackets(M, parities, M, parities).reshape(k * k, d * d),
                               f"{name}: span not closed under the bracket")
     ts, r = np.nonzero(C)
@@ -185,91 +177,69 @@ def _span_algebra(idx_par, mats, *, name, metadata=None):
                            metadata=metadata or {})
 
 
-def _E(a, b):
-    return {(a, b): 1}
+def _units(d):
+    """The matrix units of size d: U[a, b] is E_ab, an int64 array [a, b, r, c]."""
+    import numpy as np
+    return np.eye(d * d, dtype=np.int64).reshape(d, d, d, d)
 
 
-def _mat_sum(*terms):
-    out = {}
-    for mat, c in terms:
-        for ab, v in mat.items():
-            out[ab] = out.get(ab, 0) + v * c
-    return {k: v for k, v in out.items() if v}
+def _traceless(M, at, n, s=(1,)):
+    """The members of M but the diagonal D_a = M[at + a (n + 1)], a < n, of
+    an n x n block of them, then s_a D_a - s_(a+1) D_(a+1) for a < n - 1
+    (s_a = 1 by default)."""
+    import numpy as np
+    keep = np.ones(len(M), dtype=bool)
+    keep[at:at + n * n:n + 1] = False
+    D = M[at:at + n * n:n + 1] * np.reshape(s, (-1, 1, 1))
+    return np.concatenate([M[keep], D[:-1] - D[1:]])
 
 
 def _gl_mats(m, n):
     d = m + n
-    idx_par = tuple(int(a >= m) for a in range(d))
-    return idx_par, [_E(a, b) for a in range(d) for b in range(d)]
+    return tuple(int(a >= m) for a in range(d)), _units(d).reshape(d * d, d, d)
 
 
 def _sl_mats(m, n):
-    d = m + n
-    idx_par = tuple(int(a >= m) for a in range(d))
-    mats = [_E(a, b) for a in range(d) for b in range(d) if a != b]
-    for a in range(d - 1):
-        sa = -1 if idx_par[a] else 1
-        sb = -1 if idx_par[a + 1] else 1
-        mats.append(_mat_sum((_E(a, a), sa), (_E(a + 1, a + 1), -sb)))
-    return idx_par, mats
+    idx_par, M = _gl_mats(m, n)
+    return idx_par, _traceless(M, 0, m + n, [1 - 2 * x for x in idx_par])
 
 
-def _quotient_by_identity(alg, idx_par, mats, *, name, metadata):
+def _quotient_by_identity(alg, idx_par, M, *, name, metadata):
     import numpy as np
     d = len(idx_par)
-    C, _ = GeneratedSpan(_stack(mats, d).reshape(len(mats), d * d), d * d).coordinates(
+    C, _ = GeneratedSpan(M.reshape(len(M), d * d), d * d).coordinates(
         np.eye(d, dtype=np.int64).reshape(1, d * d), "identity matrix should lie in the span")
     return quotient_algebra(alg, span(C.tolist()), name=name, metadata=metadata)
 
 
 def _pe_mats(n):
-    idx_par = (0,) * n + (1,) * n
-    mats = [_mat_sum((_E(a, b), 1), (_E(n + b, n + a), -1))
-            for a in range(n) for b in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            if a == b:
-                mats.append(_E(a, n + a))
-            else:
-                mats.append(_mat_sum((_E(a, n + b), 1), (_E(b, n + a), 1)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            mats.append(_mat_sum((_E(n + a, b), 1), (_E(n + b, a), -1)))
-    return idx_par, mats
+    # E_ab - E_(n+b)(n+a); E_a(n+b) + E_b(n+a) for a < b and E_a(n+a);
+    # E_(n+a)b - E_(n+b)a for a < b
+    import numpy as np
+    U, (a, b) = _units(2 * n), np.indices((n, n))
+    up, down = U[:n, n:], U[n:, :n]
+    return (0,) * n + (1,) * n, np.concatenate([
+        (U[:n, :n] - U[n:, n:].swapaxes(0, 1)).reshape(n * n, 2 * n, 2 * n),
+        (up + (a < b)[:, :, None, None] * up.swapaxes(0, 1))[a <= b],
+        (down - down.swapaxes(0, 1))[a < b]])
 
 
 def _spe_mats(n):
-    idx_par, pe = _pe_mats(n)
-    diag = {a * n + a: pe[a * n + a] for a in range(n)}  # A_aa positions
-    mats = [m for i, m in enumerate(pe) if i not in diag]
-    for a in range(n - 1):
-        mats.append(_mat_sum((diag[a * n + a], 1),
-                             (diag[(a + 1) * n + a + 1], -1)))
-    return idx_par, mats
-
-
-def _q_even(n, a, b):
-    return _mat_sum((_E(a, b), 1), (_E(n + a, n + b), 1))
-
-
-def _q_odd(n, a, b):
-    return _mat_sum((_E(a, n + b), 1), (_E(n + a, b), 1))
+    idx_par, M = _pe_mats(n)
+    return idx_par, _traceless(M, 0, n)
 
 
 def _q_mats(n):
-    idx_par = (0,) * n + (1,) * n
-    mats = [_q_even(n, a, b) for a in range(n) for b in range(n)]
-    mats += [_q_odd(n, a, b) for a in range(n) for b in range(n)]
-    return idx_par, mats
+    # E_ab + E_(n+a)(n+b), then E_a(n+b) + E_(n+a)b
+    import numpy as np
+    U = _units(2 * n)
+    return (0,) * n + (1,) * n, np.concatenate(
+        [U[:n, :n] + U[n:, n:], U[:n, n:] + U[n:, :n]]).reshape(2 * n * n, 2 * n, 2 * n)
 
 
 def _sq_mats(n):
-    idx_par = (0,) * n + (1,) * n
-    mats = [_q_even(n, a, b) for a in range(n) for b in range(n)]
-    mats += [_q_odd(n, a, b) for a in range(n) for b in range(n) if a != b]
-    for a in range(n - 1):
-        mats.append(_mat_sum((_q_odd(n, a, a), 1), (_q_odd(n, a + 1, a + 1), -1)))
-    return idx_par, mats
+    idx_par, M = _q_mats(n)
+    return idx_par, _traceless(M, n * n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -455,81 +425,70 @@ _MEMO: dict = {}
 def _build_gl(m, n):
     if m < 0 or n < 0 or not 1 <= m + n <= 4:
         raise ValueError(f"gl: need m,n >= 0 and 1 <= m+n <= 4, got ({m},{n})")
-    idx_par, mats = _gl_mats(m, n)
-    return _span_algebra(idx_par, mats, name=f"gl({m},{n})",
-                         metadata={"family": "gl"})
+    return _span_algebra(*_gl_mats(m, n), name=f"gl({m},{n})", metadata={"family": "gl"})
 
 
 def _build_sl(m, n):
     if m < 0 or n < 0 or not 2 <= m + n <= 4:
         raise ValueError(f"sl: need m,n >= 0 and 2 <= m+n <= 4, got ({m},{n})")
-    idx_par, mats = _sl_mats(m, n)
     meta = {"family": "sl"}
     if m != n:
         meta["simple"] = "yes"
-    return _span_algebra(idx_par, mats, name=f"sl({m},{n})", metadata=meta)
+    return _span_algebra(*_sl_mats(m, n), name=f"sl({m},{n})", metadata=meta)
 
 
 def _build_psl(n):
     if not 1 <= n <= 2:
         raise ValueError(f"psl: need 1 <= n <= 2, got {n}")
-    idx_par, mats = _sl_mats(n, n)
     return _quotient_by_identity(
-        lie_catalog("sl", n, n), idx_par, mats, name=f"psl({n},{n})",
+        lie_catalog("sl", n, n), *_sl_mats(n, n), name=f"psl({n},{n})",
         metadata={"family": "psl", **({"simple": "yes"} if n > 1 else {})})
 
 
 def _build_pgl(n):
     if not 1 <= n <= 2:
         raise ValueError(f"pgl: need 1 <= n <= 2, got {n}")
-    idx_par, mats = _gl_mats(n, n)
-    return _quotient_by_identity(lie_catalog("gl", n, n), idx_par, mats,
+    return _quotient_by_identity(lie_catalog("gl", n, n), *_gl_mats(n, n),
                                  name=f"pgl({n},{n})", metadata={"family": "pgl"})
 
 
 def _build_pe(n):
     if not 1 <= n <= 3:
         raise ValueError(f"pe: need 1 <= n <= 3, got {n}")
-    idx_par, mats = _pe_mats(n)
-    return _span_algebra(idx_par, mats, name=f"pe({n})", metadata={"family": "pe"})
+    return _span_algebra(*_pe_mats(n), name=f"pe({n})", metadata={"family": "pe"})
 
 
 def _build_spe(n):
     if not 1 <= n <= 3:
         raise ValueError(f"spe: need 1 <= n <= 3, got {n}")
-    idx_par, mats = _spe_mats(n)
     meta = {"family": "spe", **({"simple": "yes"} if n >= 3 else {})}
-    return _span_algebra(idx_par, mats, name=f"spe({n})", metadata=meta)
+    return _span_algebra(*_spe_mats(n), name=f"spe({n})", metadata=meta)
 
 
 def _build_q(n):
     if not 1 <= n <= 3:
         raise ValueError(f"q: need 1 <= n <= 3, got {n}")
-    idx_par, mats = _q_mats(n)
-    return _span_algebra(idx_par, mats, name=f"q({n})", metadata={"family": "q"})
+    return _span_algebra(*_q_mats(n), name=f"q({n})", metadata={"family": "q"})
 
 
 def _build_sq(n):
     if not 1 <= n <= 3:
         raise ValueError(f"sq: need 1 <= n <= 3, got {n}")
-    idx_par, mats = _sq_mats(n)
-    return _span_algebra(idx_par, mats, name=f"sq({n})", metadata={"family": "sq"})
+    return _span_algebra(*_sq_mats(n), name=f"sq({n})", metadata={"family": "sq"})
 
 
 def _build_psq(n):
     if not 1 <= n <= 3:
         raise ValueError(f"psq: need 1 <= n <= 3, got {n}")
-    idx_par, mats = _sq_mats(n)
     return _quotient_by_identity(
-        lie_catalog("sq", n), idx_par, mats, name=f"psq({n})",
+        lie_catalog("sq", n), *_sq_mats(n), name=f"psq({n})",
         metadata={"family": "psq", **({"simple": "yes"} if n >= 3 else {})})
 
 
 def _build_pq(n):
     if not 1 <= n <= 3:
         raise ValueError(f"pq: need 1 <= n <= 3, got {n}")
-    idx_par, mats = _q_mats(n)
-    return _quotient_by_identity(lie_catalog("q", n), idx_par, mats,
+    return _quotient_by_identity(lie_catalog("q", n), *_q_mats(n),
                                  name=f"pq({n})", metadata={"family": "pq"})
 
 

@@ -205,8 +205,8 @@ def l_stack(V: SuperAlgebra) -> OperatorStack:
 def l_brackets(V: SuperAlgebra) -> OperatorStack:
     """The [L_a, L_b] of all n**2 pairs (a, b), in row-major order, at d**2,
     by one batched bracket (`tensor.brackets`): the one source of them, which
-    Inn(V), the Jordan and operator identities, the Tits container and the
-    unital equivalences read."""
+    Inn(V), the Jordan and operator identities, the Kantor relations, the
+    Tits container and the unital equivalences read."""
     t, p = V.int_table, V.parities
     L = t.dense(2 * t.n, 2).transpose(0, 2, 1)  # in the dtype of the brackets' bound
     return OperatorStack((tensor.brackets(L, p, L, p).reshape(t.n * t.n, t.n, t.n),),

@@ -293,12 +293,13 @@ def lp_tensor(a):
     return g0_action(C.transpose(0, 2, 1), C, 1, a.parities), t.d
 
 
-def kantor_relation_verdicts(a, unit=None) -> list:
+def kantor_relation_verdicts(a, B, unit=None) -> list:
     """Whether each Kantor relation on Hom(V (x) V, V) holds, in the order
     [P, x] = L_x;  [[L_a, P], x] = [L_a, L_x] - L_{ax};
     [L_a, [L_b, P]] = -[L_{ab}, P];  [[L_a, L_b], P] = 0;
     [[L_a, L_b], [L_c, P]] = (-1)**(|b||c|) [L_{a(cb) - (ac)b}, P];
-    and, for a unit e (rational coordinates), P = -[L_e, P].
+    and, for a unit e (rational coordinates), P = -[L_e, P].  B[a n + x] =
+    d**2 [L_a, L_x] (`structure.l_brackets`).
 
     [B, x] is the operator y -> B(x, y).  Every relation but the last is
     homogeneous in the table, so both sides compare as integers at one power
@@ -313,8 +314,7 @@ def kantor_relation_verdicts(a, unit=None) -> list:
     L = C.transpose(0, 2, 1)                       # d L_a
     LP = g0_action(L, C, 1, p)                     # d**2 [L_a, P]
     Cq, Lq = _exact([C, L], 3 * n, 2)
-    LL = np.einsum('alm,xmj->axlj', Lq, Lq)        # d**2 L_a L_x
-    inner = LL - s[:, :, None, None] * LL.transpose(1, 0, 2, 3)  # d**2 [L_a, L_x]
+    inner = B.reshape(n, n, n, n)                  # d**2 [L_a, L_x]
     l_ax = np.einsum('axm,mlj->axlj', Cq, Lq)      # d**2 L_{ax}
     verdicts = [True,  # [P, x](y) = P(x, y) = xy = L_x y: P is the product itself
                 bool((LP.transpose(0, 1, 3, 2) == inner - l_ax).all())]

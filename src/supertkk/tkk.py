@@ -329,7 +329,7 @@ def kantor_relations(V: SuperAlgebra) -> list:
     not built."""
     if V.kind != "jordan":
         raise ValueError("kantor_relations expects a Jordan superalgebra")
-    verdicts = tensor.kantor_relation_verdicts(V, find_unit(V))
+    verdicts = tensor.kantor_relation_verdicts(V, l_brackets(V).blocks[0], find_unit(V))
     return [CheckResult(name, ok, detail)
             for (name, detail), ok in zip(_KANTOR_RELATIONS, verdicts)]
 
@@ -423,18 +423,26 @@ def _container(V: SuperAlgebra, d) -> tuple:
     return dsp, label, inner, closed
 
 
-def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
-    """Resolve a derivation-container choice, certify its preconditions
-    (`_container`, memoized on V) and add the sl2 data; a TitsData is
-    returned as it is if it was built for V, and refused otherwise.  V must
-    be a supercommutative Jordan table (memoized: its checked build proved it)."""
+def _certified(V: SuperAlgebra, d) -> tuple:
+    """The fields (dspace, label, l_brackets, brackets) of `tits_data(V, d)`,
+    without the sl2 data.  V must be a supercommutative Jordan table
+    (memoized: its checked build proved it)."""
     if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("tits expects a Jordan superalgebra")
     if isinstance(d, TitsData):
         if d.algebra is not V:
             raise ValueError(f"TitsData built for {d.algebra.name} given for {V.name}")
+        return d.dspace, d.label, d.l_brackets, d.brackets
+    return _container(V, d)
+
+
+def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
+    """Resolve a derivation-container choice, certify its preconditions
+    (`_container`, memoized on V) and add the sl2 data; a TitsData is
+    returned as it is if it was built for V, and refused otherwise."""
+    dsp, label, inner, closed = _certified(V, d)
+    if isinstance(d, TitsData):
         return d
-    dsp, label, inner, closed = _container(V, d)
     sl2 = _sl2()
     return TitsData(V, dsp, sl2, _killing_half(sl2), label, inner, closed)
 
@@ -514,16 +522,14 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
 
 
 def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
-    """V+ (+) (D (+) a formal L-hat copy of V) (+) V-."""
+    """V+ (+) (D (+) a formal L-hat copy of V) (+) V-; no sl2 is built."""
     if V.kind != "jordan":
         raise ValueError("koecher_d expects a Jordan superalgebra")
     import numpy as np
     n = V.dim
-    data = tits_data(V, d)
-    dsp = data.dspace
+    dsp, label, (M, dm), brackets = _certified(V, d)
     nd = dsp.dim
     off_d, off_l, off_m = n, n + nd, n + nd + n
-    M, dm = data.l_brackets
     t = V.int_table  # e_i e_j = sum value / t.d e_k
     p = np.array(V.parities)
     odd = p[t.i] * p[t.j] % 2
@@ -534,7 +540,7 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
         _block(2 * M.astype(object), dm, x, off_m + u, off_d),
         # D acts on x+ and u- by D, and [D, L-hat_y] = L-hat_{D(y)}
         *_act(dsp, off_d, [(0, 0, V.parities), (off_l, 0, V.parities), (off_m, 0, V.parities)]),
-        _middle_brackets(data.brackets, off_d),
+        _middle_brackets(brackets, off_d),
         # [L-hat_y, x+] = (yx)+, so [x+, L-hat_y] = -(-1)^{|x||y|} (yx)+
         (t.j, off_l + t.i, t.k, (2 * odd - 1) * t.value, t.d),
         # [L-hat_y, u-] = -(yu)-
@@ -544,8 +550,8 @@ def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
 
     layout = _layout(("vplus", V.parities, 1), ("d", dsp.stack.parities, 0),
                      ("lhat", V.parities, 0), ("vminus", V.parities, -1))
-    return _lie(blocks, layout, f"Ko_{data.label}({V.name})", "KoD",
-                {"construction": "koecher_d", "dchoice": data.label}, dspace=dsp)
+    return _lie(blocks, layout, f"Ko_{label}({V.name})", "KoD",
+                {"construction": "koecher_d", "dchoice": label}, dspace=dsp)
 
 
 def check_propnu(V: SuperAlgebra, d="inn") -> list:

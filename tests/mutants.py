@@ -342,6 +342,9 @@ MUTANTS = [
     ("catalog._span_algebra drops the odd-odd sign", PKG + "catalog.py",
      "tensor.brackets(M, parities, M, parities)", "tensor.brackets(M, parities, M, [0] * k)",
      [CATALOG + "test_every_lie_default_matches_its_rational_build"]),
+    ("catalog._pe_mats drops the transpose of its even block", PKG + "catalog.py",
+     "U[n:, n:].swapaxes(0, 1)", "U[n:, n:]",
+     [CATALOG + "test_matrix_families_match_the_dict_oracle"]),
     ("superspace.quotient_algebra drops the ideal's den", PKG + "superspace.py",
      "t.d * ideal.den,", "t.d,",
      [SUPERSPACE + "test_quotient_by_a_centre_over_a_denominator",

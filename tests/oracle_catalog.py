@@ -10,6 +10,13 @@ with:
   (`_compose`), flattened (`_flat`) and written in the matrices by
   `GeneratedSpan.express`.  `quotient_by_identity` is the former
   `catalog._quotient_by_identity`, which expressed the identity the same way.
+  Both take the matrices as dicts {(a, b): v} or as the integer array
+  M[t, a, b] the catalog hands over, which they convert (`_dicts`).
+- `_gl_mats` to `_sq_mats` are the former dict builders of the catalog's
+  spanning matrices, kept verbatim with `_E`, `_mat_sum`, `_q_even` and
+  `_q_odd`; `_stack` is the former conversion of their dicts to one
+  integer array [t, a, b], against which the catalog's array builders are
+  compared.
 - `subalgebra` and `quotient_algebra` are the former `superspace` functions:
   every product of two basis vectors by `SuperAlgebra.product`, each
   expressed (`subalgebra`), tested for membership (`oracle_linalg.contains`,
@@ -37,6 +44,8 @@ a plain description of the algebra (`AlgebraSpec`, `algebra_to_spec`,
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from oracle_linalg import basis_vector, contains, reduce
 from supertkk.exact import GeneratedSpan, Q, Subspace, ZERO, certify, span
@@ -69,6 +78,14 @@ def _mat_parity(mat, idx_par):
     return pars.pop()
 
 
+def _dicts(mats):
+    """The spanning matrices as dicts {(a, b): v}, converted from an integer
+    array M[t, a, b]; dicts are returned as they are."""
+    if not isinstance(mats, np.ndarray):
+        return mats
+    return [{(int(a), int(b)): int(m[a, b]) for a, b in zip(*np.nonzero(m))} for m in mats]
+
+
 def span_algebra(idx_par, mats, *, name, metadata=None):
     """Structure constants of a bracket-closed span of matrices.
 
@@ -76,7 +93,7 @@ def span_algebra(idx_par, mats, *, name, metadata=None):
     bracket is the supercommutator.  Raises if the matrices are dependent or
     the span is not closed.
     """
-    d = len(idx_par)
+    d, mats = len(idx_par), _dicts(mats)
     gens = GeneratedSpan([_flat(m, d) for m in mats], d * d)
     if gens.dim < len(mats):
         raise ValueError(f"{name}: spanning matrices are dependent")
@@ -102,7 +119,7 @@ def _identity_mat(d):
 
 
 def quotient_by_identity(alg, idx_par, mats, *, name, metadata):
-    d = len(idx_par)
+    d, mats = len(idx_par), _dicts(mats)
     coords = GeneratedSpan([_flat(m, d) for m in mats], d * d).express(
         _flat(_identity_mat(d), d))
     certify(coords is not None, "identity matrix should lie in the span")
@@ -195,6 +212,95 @@ def quotient_algebra(a: SuperAlgebra, ideal: Subspace, *, name=None,
 
 BUILDERS = {"_span_algebra": span_algebra, "_quotient_by_identity": quotient_by_identity,
             "subalgebra": subalgebra, "quotient_algebra": quotient_algebra}
+
+
+def _stack(mats, d):
+    """The integer matrices {(a, b): value} as one array [t, a, b]."""
+    import numpy as np
+    M = np.zeros((len(mats), d, d), dtype=np.int64)
+    for t, mat in enumerate(mats):
+        for (a, b), v in mat.items():
+            M[t, a, b] = v
+    return M
+
+
+def _E(a, b):
+    return {(a, b): 1}
+
+
+def _mat_sum(*terms):
+    out = {}
+    for mat, c in terms:
+        for ab, v in mat.items():
+            out[ab] = out.get(ab, 0) + v * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _gl_mats(m, n):
+    d = m + n
+    idx_par = tuple(int(a >= m) for a in range(d))
+    return idx_par, [_E(a, b) for a in range(d) for b in range(d)]
+
+
+def _sl_mats(m, n):
+    d = m + n
+    idx_par = tuple(int(a >= m) for a in range(d))
+    mats = [_E(a, b) for a in range(d) for b in range(d) if a != b]
+    for a in range(d - 1):
+        sa = -1 if idx_par[a] else 1
+        sb = -1 if idx_par[a + 1] else 1
+        mats.append(_mat_sum((_E(a, a), sa), (_E(a + 1, a + 1), -sb)))
+    return idx_par, mats
+
+
+def _pe_mats(n):
+    idx_par = (0,) * n + (1,) * n
+    mats = [_mat_sum((_E(a, b), 1), (_E(n + b, n + a), -1))
+            for a in range(n) for b in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if a == b:
+                mats.append(_E(a, n + a))
+            else:
+                mats.append(_mat_sum((_E(a, n + b), 1), (_E(b, n + a), 1)))
+    for a in range(n):
+        for b in range(a + 1, n):
+            mats.append(_mat_sum((_E(n + a, b), 1), (_E(n + b, a), -1)))
+    return idx_par, mats
+
+
+def _spe_mats(n):
+    idx_par, pe = _pe_mats(n)
+    diag = {a * n + a: pe[a * n + a] for a in range(n)}  # A_aa positions
+    mats = [m for i, m in enumerate(pe) if i not in diag]
+    for a in range(n - 1):
+        mats.append(_mat_sum((diag[a * n + a], 1),
+                             (diag[(a + 1) * n + a + 1], -1)))
+    return idx_par, mats
+
+
+def _q_even(n, a, b):
+    return _mat_sum((_E(a, b), 1), (_E(n + a, n + b), 1))
+
+
+def _q_odd(n, a, b):
+    return _mat_sum((_E(a, n + b), 1), (_E(n + a, b), 1))
+
+
+def _q_mats(n):
+    idx_par = (0,) * n + (1,) * n
+    mats = [_q_even(n, a, b) for a in range(n) for b in range(n)]
+    mats += [_q_odd(n, a, b) for a in range(n) for b in range(n)]
+    return idx_par, mats
+
+
+def _sq_mats(n):
+    idx_par = (0,) * n + (1,) * n
+    mats = [_q_even(n, a, b) for a in range(n) for b in range(n)]
+    mats += [_q_odd(n, a, b) for a in range(n) for b in range(n) if a != b]
+    for a in range(n - 1):
+        mats.append(_mat_sum((_q_odd(n, a, a), 1), (_q_odd(n, a + 1, a + 1), -1)))
+    return idx_par, mats
 
 
 def _build_j19():

@@ -446,6 +446,29 @@ def test_a_flipped_wedge_sign_is_refused_by_super_jacobi(name, n, monkeypatch):
         getattr(catalog, name)(n)
 
 
+# every parameter each family of spanning matrices admits: psl, pgl, psq and
+# pq are quotients of the spans of sl, gl, sq and q
+MATRIX_FAMILIES = ([("_gl_mats", (m, n)) for m in range(5) for n in range(5) if 1 <= m + n <= 4]
+                   + [("_sl_mats", (m, n)) for m in range(5) for n in range(5)
+                      if 2 <= m + n <= 4]
+                   + [(f"_{name}_mats", (n,)) for name in ("pe", "spe", "q", "sq")
+                      for n in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("family, params", MATRIX_FAMILIES,
+                         ids=[f"{f[1:-5]}{p}" for f, p in MATRIX_FAMILIES])
+def test_matrix_families_match_the_dict_oracle(family, params):
+    """Each family's array of spanning matrices against the former dict
+    builder's matrices stacked, in the same order and with the same signs."""
+    from supertkk import catalog
+
+    idx_par, M = getattr(catalog, family)(*params)
+    want_par, mats = getattr(oracle_catalog, family)(*params)
+    want = oracle_catalog._stack(mats, len(want_par))
+    assert idx_par == want_par
+    assert M.dtype == want.dtype and M.shape == want.shape and (M == want).all()
+
+
 def test_every_lie_default_matches_its_rational_build(monkeypatch):
     """Each Lie default, built fresh on the integers, equals its build on the
     rational oracle builders (`oracle_catalog`), which rebuild everything

@@ -437,6 +437,7 @@ def test_subalgebra_and_quotient_refuse_like_the_oracle(algebra, build, vectors,
 
 SPANS_REFUSED = [
     ("dependent", [{(0, 1): 1}, {(1, 0): 1}, {(0, 1): -1}], "x: spanning matrices are dependent"),
+    ("zero", [{(0, 1): 1}, {}], "x: spanning matrices are dependent"),
     ("not-closed", [{(0, 1): 1}, {(1, 0): 1}], "x: span not closed under the bracket"),
     ("inhomogeneous", [{(0, 1): 1, (0, 0): 1}], "spanning matrix is not parity-homogeneous"),
 ]
@@ -445,9 +446,11 @@ SPANS_REFUSED = [
 @pytest.mark.parametrize("mats, message", [case[1:] for case in SPANS_REFUSED],
                          ids=[case[0] for case in SPANS_REFUSED])
 def test_matrix_spans_refuse_like_the_oracle(mats, message):
+    # the catalog is handed the matrices as one integer array, the oracle as dicts
     from supertkk import catalog
 
-    for build in (catalog._span_algebra, oracle_catalog.span_algebra):
+    for build, given in ((catalog._span_algebra, oracle_catalog._stack(mats, 2)),
+                         (oracle_catalog.span_algebra, mats)):
         with pytest.raises(ValueError) as err:
-            build((0, 1), mats, name="x")
+            build((0, 1), given, name="x")
         assert str(err.value) == message

@@ -195,6 +195,24 @@ def test_tits_data_builds_sl2_once(monkeypatch):
     assert data.sl2.name == "sl2"
 
 
+@pytest.mark.parametrize("d", ["inn", "der"])
+def test_koecher_d_builds_no_sl2(d, monkeypatch):
+    # Ko_D reads the certified container only: once Ti(V, D) is built,
+    # checking the isomorphism onto Ko_D(V) builds no sl2 again
+    V = jordan_catalog("full_matrix", 1, 1)
+    tits(V, d)
+    built = []
+    sl2 = tkk._sl2
+
+    def spy():
+        built.append(1)
+        return sl2()
+
+    monkeypatch.setattr(tkk, "_sl2", spy)
+    assert check_propnu(V, d)[0].passed
+    assert built == []
+
+
 def test_a_tits_data_of_another_algebra_is_refused():
     K, J = jordan_catalog("kacK"), jordan_catalog("j19")
     data = tits_data(K, "inn")
