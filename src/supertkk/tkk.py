@@ -25,17 +25,16 @@ brackets that Ti and Ko_D write, done once per V and container and kept on
 the `TitsData`.  The Kantor top space is one integer tensor (`KantorTop`),
 picked by one `GeneratedSpan`, whose `coordinates` read every [A, B] of
 the istr x top block at once.  An equivalence map is an integer matrix
-over one denominator, its middle rows read off integer stacks and the
-(C, den) of `GeneratedSpan.coordinates`, certified against both tables by
-`tensor.bracket_map_defect`.  No rational is formed while Ko, Ko~, Kan, Ti
-or Ko_D is built.  `tits_roundtrip` compares all [e (x) a, f (x) b] at
-once with the coordinates of the [L_a, L_b] on the `TitsData`, and the
-half-Killing form of sl2 is one contraction of its table.  The J side
-reads the encoded table of g as well: the triples of J(g) are one
-contraction (`tensor.lie_triples`), [g+, g-] is one slice of it, and the
-middle images of Ko(J(g)) -> g and the brackets with the embedded Ko are
-one product each.  The Fraction loops these replaced are test oracles in
-tests/oracle_tkk.py.
+over one denominator, written from its degree +-1 images alone
+(`_graded_map`: g0 = [g+, g-] fixes the rest) and certified against both
+tables by `tensor.bracket_map_defect`.  No rational is formed while Ko,
+Ko~, Kan, Ti or Ko_D is built.  `tits_roundtrip` compares all
+[e (x) a, f (x) b] at once with the coordinates of the [L_a, L_b] on the
+`TitsData`, and the half-Killing form of sl2 is one contraction of its
+table.  The J side reads the encoded table of g as well: the triples of
+J(g) are one contraction (`tensor.lie_triples`), [g+, g-] is one slice of
+it, and the brackets with the embedded Ko are one more contraction.  The
+Fraction loops these replaced are test oracles in tests/oracle_tkk.py.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify,
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernels,
-                        double, inn_algebra, istr_algebra, l_brackets, l_stack,
+                        double, inn_algebra, istr_algebra, l_brackets,
                         leibniz_weight_zero, pair_d_stack, pair_der, pair_inn, str_algebra)
 from .superspace import (SuperAlgebra, center, check_super_jacobi, check_supercommutative,
                          derived, graded_dims, integer_algebra, memoized)
@@ -220,20 +219,17 @@ def koecher_tilde(v) -> TkkAlgebra:
 def koecher_ideal_check(v) -> CheckResult:
     """Ko(V+,V-) embeds in Ko~(V+,V-) as an ideal, not just a subalgebra.
 
-    The embedded Ko is spanned by the tips and the coordinates of Inn(V,V)
-    in Der(V,V); the brackets [e_b, s] of each spanning vector s with every
-    basis vector are one contraction of the encoded table, and they stay
-    inside iff adding them leaves the rank unchanged."""
+    The embedded Ko is the image of the graded map Ko -> Ko~ that is the
+    identity on the tips (`_graded_map`); the brackets [e_b, s] of each
+    image s with every basis vector are one contraction of the encoded
+    table, and they stay inside iff adding them leaves the rank unchanged."""
     import numpy as np
-    kot = koecher_tilde(v)
-    g, mid = kot.lie, kot.data["middle"]
-    dp, dm = kot.data["pair"].shape
-    n, nm = g.dim, mid.dim
-    W = mid.coordinates(pair_inn(v).stack)
-    S = np.zeros((dp + len(W) + dm, n), dtype=W.dtype)
-    S[dp:dp + len(W), dp:dp + nm] = W
-    tips = np.r_[0:dp, dp + nm:n]
-    S[np.r_[0:dp, dp + len(W):len(S)], tips] = 1
+    ko, kot = koecher(v), koecher_tilde(v)
+    g, n = kot.lie, kot.dim
+    F = np.zeros((ko.dim, n), dtype=np.int64)
+    for tag in ("vplus", "vminus"):
+        F[ko.block(tag), kot.block(tag)] = 1
+    S, _ = _graded_map(ko.lie, g, F, 1)
     brackets = tensor.contract(S, g.int_table.dense().transpose(1, 0, 2)).reshape(len(S) * n, n)
     ok = (Subspace.from_int_rows(n, IntRows.from_dense(S)).dim
           == Subspace.from_int_rows(n, IntRows.from_dense(np.concatenate([S, brackets]))).dim)
@@ -523,7 +519,7 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
 
 def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     """V+ (+) (D (+) a formal L-hat copy of V) (+) V-; no sl2 is built."""
-    if V.kind != "jordan":
+    if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("koecher_d expects a Jordan superalgebra")
     import numpy as np
     n = V.dim
@@ -651,34 +647,19 @@ def j_roundtrip_check(V: SuperAlgebra) -> CheckResult:
 
 
 def koecher_inverse_check(g: SuperAlgebra) -> list:
-    """Rebuild g as Ko(J(g)) and exhibit the isomorphism explicitly.
-
-    Degree-0 basis elements are mapped by solving over the spanning family
-    D_{x,u} -> [x, u]_g; any solution works because two of them differ by an
-    operator pair acting as zero, whose g-side image lies in g0 and the
-    center, hence vanishes for Jordan-graded g.  The images of the whole
-    middle are one product: the coefficients over the D_{x,u}, scaled to
-    integers, times the rows [x, u]_g of the encoded table.
-    """
+    """Rebuild g as Ko(J(g)) and exhibit the isomorphism explicitly: the
+    identity on g+ and g-, written out on the middle by `_graded_map`, as
+    the middle of Ko(J(g)) is spanned by its [x+, u-] = D_{x,u}."""
     import numpy as np
     results = [is_jordan_graded(g)]
     if not results[0].passed:
         return results
-    pair = j_functor(g)
-    ko2 = koecher(pair, middle="inn")
-    _, d, z, pm = _graded_table(g)
-    dp, dm = pair.shape
-    ds = pair_d_stack(pair)
-    mid = ko2.data["middle"].stack
-    # W_t = sum_k K[t, k] / dk D_k with the D_k at ds.den and the W_t at mid.den
-    K, dk = GeneratedSpan(ds.flats(), dp * dp + dm * dm).coordinates(
-        mid.flats(), "middle element outside the D span")
-    den = dk * mid.den * d  # F / den are the images
-    F = np.zeros((ko2.dim, g.dim), dtype=object)
-    F[ko2.block("op0")] = tensor.contract(K, pm).astype(object) * ds.den
-    F[ko2.block("vplus"), np.flatnonzero(z == 1)] = den
-    F[ko2.block("vminus"), np.flatnonzero(z == -1)] = den
-    results.append(_check_bracket_map(ko2.lie, g, F, den, "ko_of_j_iso"))
+    ko2 = koecher(j_functor(g), middle="inn")
+    z = np.array(g.zdegrees)
+    F = np.zeros((ko2.dim, g.dim), dtype=np.int64)
+    F[ko2.block("vplus"), np.flatnonzero(z == 1)] = 1
+    F[ko2.block("vminus"), np.flatnonzero(z == -1)] = 1
+    results.append(_check_bracket_map(ko2.lie, g, *_graded_map(ko2.lie, g, F, 1), "ko_of_j_iso"))
     return results
 
 
@@ -706,6 +687,35 @@ def _check_bracket_map(src: SuperAlgebra, dst: SuperAlgebra, F, den: int,
     return CheckResult(name, True, "linear bijection matching all brackets")
 
 
+def _graded_map(src: SuperAlgebra, dst: SuperAlgebra, F, den: int) -> tuple:
+    """(F, den) for the graded map src -> dst whose images of the degree +-1
+    basis vectors are e_i -> F[i] / den, with its degree-0 rows written
+    from these alone: a homomorphism sends [x, u] to [F x, F u], and the
+    [x, u], x in g+ and u in g-, span g0 of src.  Each degree-0 e_t of src
+    is sum_k K[t, k] / dk d [x_k, u_k] (one `GeneratedSpan` over the g0
+    columns of the slice [g+, g-] of the encoded table, `_graded_table`),
+    so it goes to the same sum of the [F x_k, F u_k]: two contractions of
+    dst's encoded table.  F comes back in int64 when its entries allow,
+    else on Python ints.  A src whose g0 is not [g+, g-] raises
+    CertificateError; whether the map is a homomorphism is left to
+    `_check_bracket_map`."""
+    import numpy as np
+    _, d, z, pm = _graded_table(src)
+    zero = np.flatnonzero(z == 0)
+    K, dk = GeneratedSpan(pm[:, zero], len(zero)).coordinates(
+        np.eye(len(zero), dtype=np.int64), f"g0 of {src.name} is not [g+, g-]")
+    t = dst.int_table
+    # R[u, x] = t.d den**2 [F x, F u] in dst, x in g+ and u in g- of src
+    R = tensor.contract(F[z == -1], tensor.contract(F[z == 1], t.dense()).transpose(1, 0, 2))
+    G = tensor.contract(K, R.transpose(1, 0, 2).reshape(len(K.T), dst.dim)).astype(object) * d
+    common = int(np.gcd.reduce(G, axis=None, initial=dk * t.d * den * den))
+    D = dk * t.d * den * den // common  # the image of e_t is (G[t] / common) / D
+    to = lcm(den, D)
+    out = F.astype(object) * (to // den)
+    out[zero] = G // common * (to // D)
+    return out.astype(int_dtype(int(abs(out).max(initial=0)))), to
+
+
 def check_unital_equivalences(V: SuperAlgebra) -> list:
     """For unital V: Kan(V) = Ko(V), Ti(V,Inn,sl2) = Ko(V) by explicit maps,
     plus the derivation-tower facts Der(Ko) = Ko~ per shift and parity,
@@ -718,46 +728,25 @@ def check_unital_equivalences(V: SuperAlgebra) -> list:
     import numpy as np
     results = []
     ko = koecher(V, middle="inn")
-    mid = ko.data["middle"]
-    n = V.dim
-    off_mid, off_minus = n, n + mid.dim
-    ls = l_stack(V)
 
-    # Kantor vs Koecher: x -> x-, P -> -(e/2)+, [L_a,P] -> (a/2)+,
-    # L_x -> -D_{x,e}/2 = (-L_x, L_x) as e is the unit,
-    # [L_a,L_b] -> ([L_a,L_b], [L_a,L_b])
+    # Kantor vs Koecher: x -> x-, P -> -(e/2)+, [L_a,P] -> (a/2)+
     kan = kantor(V)
-    istr = kan.data["middle"]
-    # the L_a, then the [L_a, L_b] at n + a n + b, each row at its stack's scale
-    G = np.concatenate([ls.flats(), l_brackets(V).flats()])
-    w = istr.stack
-    C, dc = GeneratedSpan(G, n * n).coordinates(w.flats(), "istr basis element outside the L span")
-    # L_x -> (-L_x, L_x): sum_k C[t, k] G_k is dc w.den times the operator
-    plus, minus = tensor.contract(C * np.r_[[-1] * n, [1] * n * n], G), tensor.contract(C, G)
-    ops = OperatorStack((plus.reshape(-1, n, n), minus.reshape(-1, n, n)), w.parities,
-                        dc * w.den)
-    den = lcm(ops.den, *(2 * int(c.denominator) for c in unit))
+    den = lcm(*(2 * int(c.denominator) for c in unit))
     F = np.zeros((kan.dim, ko.dim), dtype=object)
-    F[kan.block("op0"), off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // ops.den)
-    F[kan.block("vminus"), off_minus + np.arange(n)] = den
-    F[kan.block("kantorP"), :n] = [int(-c * den / 2) for c in unit]
+    F[kan.block("vminus"), ko.block("vminus")] = den
+    F[kan.block("kantorP"), ko.block("vplus")] = [int(-c * den / 2) for c in unit]
     lp = kan.block("kantorLP")
     F[lp, [kan.origin[r][1] for r in lp]] = den // 2
-    results.append(_check_bracket_map(kan.lie, ko.lie, F, den, "kantor_equals_koecher"))
+    results.append(_check_bracket_map(kan.lie, ko.lie, *_graded_map(kan.lie, ko.lie, F, den),
+                                      "kantor_equals_koecher"))
 
-    # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-,
-    # h(x)a -> D_{a,e} = (2 L_a, -2 L_a), inner derivation W -> (W, W)
+    # Tits with Inn vs Koecher: e(x)a -> a+, f(x)a -> a-
     ti = tits(V, "inn")
-    W = ti.data["dspace"].stack
-    L = ls.blocks[0]
-    den = lcm(ls.den, W.den)
-    F = np.zeros((ti.dim, ko.dim), dtype=object)
-    F[ti.block("e"), np.arange(n)] = den
-    F[ti.block("f"), off_minus + np.arange(n)] = den
-    for rows, ops in ((ti.block("h"), OperatorStack((2 * L, -2 * L), ls.parities, ls.den)),
-                      (ti.block("d"), OperatorStack(W.blocks * 2, W.parities, W.den))):
-        F[rows, off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // ops.den)
-    results.append(_check_bracket_map(ti.lie, ko.lie, F, den, "tits_inn_equals_koecher"))
+    F = np.zeros((ti.dim, ko.dim), dtype=np.int64)
+    F[ti.block("e"), ko.block("vplus")] = 1
+    F[ti.block("f"), ko.block("vminus")] = 1
+    results.append(_check_bracket_map(ti.lie, ko.lie, *_graded_map(ti.lie, ko.lie, F, 1),
+                                      "tits_inn_equals_koecher"))
 
     # derivation tower of Ko(V) against Ko~(V), dim V, and str/istr
     tower = lie_der_tower(ko.lie)

@@ -88,10 +88,17 @@ MUTANTS = [
     ("tkk.check_unital_equivalences sends P to +e/2", PKG + "tkk.py",
      "[int(-c * den / 2) for c in unit]", "[int(c * den / 2) for c in unit]",
      [TKK + "test_unital_equivalences"]),
-    ("tkk.check_unital_equivalences scales in int64", PKG + "tkk.py",
-     "F[rows, off_mid:off_minus] = mid.coordinates(ops).astype(object) * (den // ops.den)",
-     "F[rows, off_mid:off_minus] = mid.coordinates(ops) * (den // ops.den)",
-     [DEGREE0 + "test_roundtrip_and_equivalences_prove_their_int64_bound"]),
+    ("tkk._graded_map scales in int64", PKG + "tkk.py",
+     "dst.dim)).astype(object) * d", "dst.dim)) * d",
+     [DEGREE0 + "test_roundtrip_and_equivalences_prove_their_int64_bound",
+      DEGREE0 + "test_equivalence_images_match_the_loop_oracle"]),
+    ("tkk._graded_map drops the source denominator", PKG + "tkk.py",
+     "dst.dim)).astype(object) * d", "dst.dim)).astype(object)",
+     [DEGREE0 + "test_equivalence_images_match_the_loop_oracle"]),
+    ("tkk._graded_map contracts [Fu, Fx]", PKG + "tkk.py",
+     "tensor.contract(F[z == -1], tensor.contract(F[z == 1], t.dense())",
+     "tensor.contract(F[z == 1], tensor.contract(F[z == -1], t.dense())",
+     [DEGREE0 + "test_equivalence_images_match_the_loop_oracle"]),
     ("tensor.bracket_map_defect cross-multiplies by the wrong table", PKG + "tensor.py",
      "mismatch(lhs, df * td.d, rhs, ts.d)", "mismatch(lhs, df * td.d, rhs, td.d)",
      [DEGREE0 + "test_equivalence_images_match_the_loop_oracle"]),

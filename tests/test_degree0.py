@@ -455,6 +455,10 @@ def test_a_raised_d_coefficient_names_its_pair():
 
 
 @given(rescaled_jordan(UNITAL_SOURCES))
+# the contraction that combines the [F x, F u] of Ti(V, inn) -> Ko(V) proves
+# its int64 bound here (about 5.2 10**12), but times the denominator of Ti's
+# table (about 1.6 10**7) it passes 2**63
+@example(_rescaled(resolve("dt:2"), [Q(-5, 9), Q(-9, 11), Q(12, 7), Q(-2, 11)]))
 @settings(max_examples=12, deadline=None)
 def test_equivalence_images_match_the_loop_oracle(V):
     images, results = _equivalence_images(V)

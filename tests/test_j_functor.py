@@ -3,7 +3,8 @@
 `j_functor`, `is_jordan_graded`, `koecher_inverse_check` and
 `koecher_ideal_check` read every bracket they need off the encoded table of
 g: the triples [[x, y], z] are one contraction (`tensor.lie_triples`), the
-brackets [g+, g-] one slice, the middle images of Ko(J(g)) -> g one product
+brackets [g+, g-] one slice, the middle images of Ko(J(g)) -> g and of the
+embedding Ko -> Ko~ the brackets of their tip images (`tkk._graded_map`),
 and the brackets with the embedded Ko one more contraction.  They must give
 what the `SuperAlgebra.product` loops gave, on the Ko, Ko~, Kan and Ti(inn)
 of every Jordan catalog entry, and fail where the loops fail on perturbed
@@ -150,18 +151,19 @@ def test_a_central_g0_fails_like_the_loop():
 @given(st.data())
 @settings(**SETTINGS)
 def test_a_broken_middle_image_fails_like_the_loop(data):
-    # the D-span coefficients of one middle element, raised at a nonzero
-    # generator D_{x,u}: the image moves by a multiple of [x, u] != 0, which
-    # is not central in Jordan-graded g, so no bracket map can absorb it.
-    # The loop reads each element's rationals (express); supertkk reads the
-    # whole middle as (C, den) over the D_{x,u} at their stack's scale, so
-    # its coefficient is raised by the same shift in the units of its rows
+    # the coefficients of one middle element over the generators D_{x,u} =
+    # [x+, u-] of Ko(J(g)), raised at a nonzero generator: the image moves
+    # by a multiple of [x, u] != 0, which is not central in Jordan-graded g,
+    # so no bracket map can absorb it.  The loop reads each element's
+    # rationals over the D_{x,u} (express); `tkk._graded_map` reads the
+    # whole middle as (C, den) over the rows d [x+, u-] of the encoded table
+    # of Ko(J(g)), so its coefficient is raised by the same shift in the
+    # units of its rows
     V = resolve(data.draw(st.sampled_from(SMALL)))
     g = _lie_side(V)[data.draw(st.sampled_from(("Ko", "Ti")))]
-    pair = tkk.j_functor(g)
-    mid = tkk.koecher(pair).data["middle"]
-    target, pick = data.draw(st.integers(0, mid.dim - 1)), data.draw(st.integers(0, 50))
-    shift = data.draw(twelfths.filter(bool))
+    ko2 = tkk.koecher(tkk.j_functor(g)).lie
+    target = data.draw(st.integers(0, ko2.zdegrees.count(0) - 1))
+    pick, shift = data.draw(st.integers(0, 50)), data.draw(twelfths.filter(bool))
     express, coordinates, calls = GeneratedSpan.express, GeneratedSpan.coordinates, []
 
     def at(gens):
@@ -178,9 +180,9 @@ def test_a_broken_middle_image_fails_like_the_loop(data):
 
     def broken_batch(self, vectors, message):
         C, den = coordinates(self, vectors, message)
-        if message == "middle element outside the D span":
-            # row t / den holds the coefficients of mid.den W_t over ds.den D_k
-            s = shift * mid.stack.den / tkk.pair_d_stack(pair).den
+        if message == f"g0 of {ko2.name} is not [g+, g-]":
+            # row t / den holds the coefficients of e_t over d [x+, u-]
+            s = shift / ko2.int_table.d
             C = C.astype(object) * s.denominator
             C[target, at(self._gens)] += s.numerator * den
             den *= s.denominator
@@ -200,12 +202,21 @@ def test_a_broken_middle_image_fails_like_the_loop(data):
 
 @pytest.mark.parametrize("source", ("kacK", "full_matrix:1,1", "j19"))
 def test_a_smaller_middle_is_no_ideal_like_the_loop(source, monkeypatch):
-    # Inn(V,V) cut to its first basis operator: [x+, u-] leaves the span
+    # the embedded Ko(V,V) cut to its tips and the image of the first basis
+    # operator of Inn(V,V): [x+, u-] leaves the span
     V = resolve(source)
     full = pair_inn(V)
     cut = oracle.operator_space("cut", {0: full.even.basis[:1]}, full.shape)
-    monkeypatch.setattr(tkk, "pair_inn", lambda v: cut)
+    graded_map = tkk._graded_map
+
+    def cut_map(src, dst, F, den):
+        F, den = graded_map(src, dst, F, den)
+        first = src.zdegrees.index(0)
+        return F[[i for i, z in enumerate(src.zdegrees) if z or i == first]], den
+
+    monkeypatch.setattr(tkk, "_graded_map", cut_map)
     got = tkk.koecher_ideal_check(V)
+    monkeypatch.setattr(tkk, "pair_inn", lambda v: cut)
     assert not got.passed and got == oracle.koecher_ideal_check(V)
 
 

@@ -1,6 +1,7 @@
 """TKK constructions checked against hand-computed dimensions and roundtrips."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -237,6 +238,8 @@ def test_a_table_that_is_not_supercommutative_is_refused():
     V = SuperAlgebra("e0e1", (0, 0), [(0, 1, 1, 1)], 1, None, "jordan")
     with pytest.raises(ValueError, match="tits expects a Jordan superalgebra"):
         tits_data(V, "der")
+    with pytest.raises(ValueError, match="koecher_d expects a Jordan superalgebra"):
+        koecher_d(V, "der")
 
 
 def test_a_non_derivation_past_the_first_operator_is_refused():
@@ -675,10 +678,12 @@ def test_constructions_form_no_rational(monkeypatch):
 
 @pytest.mark.parametrize("source", [("full_matrix", 1, 1), ("form", 1, 2)])
 def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch):
-    """The Kantor top space and both equivalence checks factorise their
-    generator lists once per call, however many elements they read.  The
-    unit is memoized on V: each run starts without it, and a second
-    `find_unit` builds nothing."""
+    """The Kantor top space and every equivalence map factorise their
+    generator lists once per call, however many elements they read: one
+    span and one read per map (`_graded_map`), so two of each for the two
+    unital maps, whose run also builds the unit's span.  The unit is
+    memoized on V: each run starts without it, and a second `find_unit`
+    builds nothing."""
     from collections import Counter
 
     from supertkk.catalog import load_algebra, save_algebra
@@ -704,7 +709,7 @@ def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch
     monkeypatch.setattr(GeneratedSpan, "__init__", spy_init)
     monkeypatch.setattr(GeneratedSpan, "coordinates", spy_coordinates)
     for run, built, read in ((lambda: tkk.KantorTop(V), 1, 0), (lambda: find_unit(V), 1, 0),
-                             (lambda: check_unital_equivalences(V), 2, 1),
+                             (lambda: check_unital_equivalences(V), 3, 2),
                              (lambda: koecher_inverse_check(ko.lie), 1, 1)):
         calls.clear()
         V._memo.pop((find_unit.__wrapped__,), None)
@@ -714,3 +719,71 @@ def test_equivalence_maps_eliminate_each_generator_list_once(source, monkeypatch
     unit = find_unit(V)
     calls.clear()
     assert find_unit(V) is unit and calls["built"] == 0
+
+
+def _graded_maps(source) -> dict:
+    """The arguments (src, dst, F, den) each of the four maps hands
+    `tkk._graded_map` for V = resolve(source), by the check that asks: the
+    tip images alone, its degree-0 rows zero."""
+    V = resolve(source)
+    calls = {}
+    graded_map = tkk._graded_map
+
+    def spy(src, dst, F, den):
+        calls[src.name] = (src, dst, F.copy(), den)
+        return graded_map(src, dst, F, den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tkk, "_graded_map", spy)
+        check_unital_equivalences(V)
+        koecher_inverse_check(koecher(V).lie)
+        koecher_ideal_check(V)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["full_matrix:1,1", "form:1,2"])
+def test_a_raised_tip_image_fails_the_bracket_map(source):
+    # Kan -> Ko, Ti -> Ko, Ko(J(Ko)) -> Ko and Ko -> Ko~ (of equal dimension
+    # for form(1,2)): each written from its tips passes, and with its first
+    # tip entry raised by one it is written out and refused by the one proof
+    maps = _graded_maps(source)
+    assert len(maps) == 4, list(maps)
+    details = {}
+    for name, (src, dst, F, den) in maps.items():
+        if src.dim != dst.dim:
+            continue  # Ko(full_matrix(1,1)) in Ko~ is a proper ideal
+        assert all(not F[i].any() for i, z in enumerate(src.zdegrees) if z == 0)
+        assert tkk._check_bracket_map(src, dst, *tkk._graded_map(src, dst, F, den), "map").passed
+        raised = F.copy()
+        raised[tuple(np.argwhere(raised)[0])] += 1
+        got = tkk._check_bracket_map(src, dst, *tkk._graded_map(src, dst, raised, den), "map")
+        assert not got.passed and got.detail.startswith("bracket mismatch at basis pair ("), got
+        details[name] = got.detail
+    assert len(details) == 3 + (source == "form:1,2"), details
+    if source == "full_matrix:1,1":
+        assert details["Ti(full_matrix(1,1),inn)"] == "bracket mismatch at basis pair (0,2)"
+
+
+@pytest.mark.parametrize("source", ["kacK", "j19", "full_matrix:1,1"])
+def test_a_g0_beyond_the_tip_brackets_is_refused(source):
+    # Der(V,V) is larger than Inn(V,V) = [V+, V-] here, so no map out of
+    # Ko~(V) is fixed by its tips
+    g = koecher_tilde(resolve(source)).lie
+    with pytest.raises(CertificateError, match=rf"^g0 of {re.escape(g.name)} is not \[g\+, g-\]$"):
+        tkk._graded_map(g, g, np.eye(g.dim, dtype=np.int64), 1)
+
+
+BEYOND_THE_TIPS = """
+import numpy as np
+from supertkk.catalog import resolve
+from supertkk.tkk import _graded_map, koecher_tilde
+g = koecher_tilde(resolve("kacK")).lie
+_graded_map(g, g, np.eye(g.dim, dtype=np.int64), 1)
+"""
+
+
+def test_a_g0_beyond_the_tip_brackets_survives_python_O():
+    done = run_python(["-O"], BEYOND_THE_TIPS)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stderr.strip().splitlines()[-1] == (
+        "supertkk.exact.CertificateError: g0 of Ko~(kacK,kacK) is not [g+, g-]")
