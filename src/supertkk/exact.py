@@ -22,14 +22,14 @@ first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
 with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
 x_d to x_c, round after round (a system with neither returns at once), so
 only the core rows left reach the elimination; its rank is the zeroed
-roots plus the tied columns plus the core pivots (`kernel_columns` stops
-at that count).  A core with more
+roots plus the tied columns plus the core pivots.  A core with more
 entries than a dense system of 2 * ncols rows is eliminated on its
 shortest rows, and on the rows the certificate finds their vectors miss,
-in at most two rounds that share one pre-pass (`_kernel_rounds`).  Every
-kernel vector is verified exactly against every original row, there is one
-per free column, and every batch of members is recombined from its
-coefficients by one integer product; a failure of either certificate raises
+in at most two rounds that share one pre-pass.  There is one kernel
+vector per free column, each the only one nonzero there, so they are
+independent; their canonical basis is verified exactly against every
+original row; and every batch of members is recombined from its
+coefficients by one integer product; a failure of any certificate raises
 CertificateError, so the checks survive `python -O`.
 `Matrix` is only the immutable container of such systems and of their
 results; no operator arithmetic runs on it.
@@ -924,7 +924,7 @@ def _absorb(int_rows: IntRows, ncols: int):
 def _tall(int_rows: IntRows, ncols: int) -> bool:
     """Whether a system holds more entries than a dense one of 2 * ncols
     rows: its core is then eliminated on its 2 * ncols shortest rows first
-    (`_kernel_rounds`)."""
+    (`integer_kernel`)."""
     return len(int_rows.cols) > 2 * ncols * ncols
 
 
@@ -936,7 +936,7 @@ def _free_vectors(root, sign, rows: list):
     -> pivots index finds them), -r[f]*m/r[p] at each p, carried to every
     column tied to those roots.  The vectors span the kernel of the rows
     eliminated (all of the core, or a tall system's subset chosen by
-    `_kernel_rounds`), which only a certificate can show to be the kernel
+    `integer_kernel`), which only a certificate can show to be the kernel
     of the system; the rank counts the pivots of the rows eliminated."""
     import numpy as np
 
@@ -961,56 +961,7 @@ def _free_vectors(root, sign, rows: list):
         m = lcm(*(store[p][p] for p in ps))
         v = {f: m, **{p: -store[p][f] * (m // store[p][p]) for p in ps}}
         vecs.append({c: s * x for q, x in v.items() for c, s in members[q]})
-    return rank, np.array(free, dtype=np.int64), vecs
-
-
-def _kernel_rounds(int_rows: IntRows, ncols: int, finish):
-    """(rank, free, out, bad): the vectors of `_free_vectors`, brought by
-    finish to (out, its rows as `IntRows`), and the mask bad of those rows
-    that fail to kill some row of the system (`_verify_kernel`).
-
-    `_absorb` runs once.  A `_tall` system takes at most two rounds.  The
-    first eliminates the 2 * ncols shortest rows of its core, chosen on its
-    arrays (a stable argsort of the row lengths), so that only those rows
-    become dicts.  If the join
-    names rows that the vectors fail to kill, the second eliminates those
-    rows too, with (root, sign) substituted, and the join runs again.  That
-    completes the span: a row every vector kills is zero on the kernel of
-    the rows eliminated, so it lies in their span.  The count argument of
-    the callers holds for either round, as the rank of rows of the system is
-    at most its rank: ncols - rank independent vectors that kill every row
-    are a basis of the kernel."""
-    import numpy as np
-
-    root, sign, core = _absorb(int_rows, ncols)
-    tall = _tall(int_rows, ncols)
-    if tall:  # its shortest rows, in the order sorted(rows, key=len) gives
-        short = np.argsort(core.lens, kind="stable")[:2 * ncols]
-        at = concat_ranges((np.cumsum(core.lens) - core.lens)[short], core.lens[short])
-        core = IntRows(core.lens[short], core.cols[at], core.vals[at])
-    rows = core.dicts()
-    rank, free, vecs = _free_vectors(root, sign, rows)
-    out, kept = finish(vecs)
-    bad, missed = _verify_kernel(int_rows, kept, ncols)
-    if missed.any() and tall:
-        lens = int_rows.lens[missed]
-        sub = concat_ranges((np.cumsum(int_rows.lens) - int_rows.lens)[missed], lens)
-        at, by, rows = root.tolist(), sign.tolist(), list(rows)
-        for r in IntRows(lens, int_rows.cols[sub], int_rows.vals[sub]).dicts():
-            tied: dict = {}
-            for c, x in r.items():
-                tied[at[c]] = tied.get(at[c], 0) + by[c] * x
-            rows.append({c: x for c, x in tied.items() if x})
-        rank, free, vecs = _free_vectors(root, sign, rows)
-        out, kept = finish(vecs)
-        bad, _ = _verify_kernel(int_rows, kept, ncols)
-    return rank, free, out, bad
-
-
-def _canonical(vecs: list) -> tuple:
-    """The `_echelon` store of vecs, with its rows as `IntRows`."""
-    basis = _echelon(vecs)
-    return basis, IntRows.from_dicts(basis.values())
+    return rank, free, vecs
 
 
 _KERNEL_FAILED = ("kernel verification failed: the basis needs one vector per free column, "
@@ -1022,29 +973,48 @@ def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
     (callers pass the rows primitive and distinct, as `primitive_rows` and
     `primitive_row_blocks` leave them).
 
-    `_echelon` brings the vectors of `_free_vectors` to the canonical basis,
-    certified to have ncols - rank vectors, each killing every original row
-    (`_verify_kernel`, in at most two rounds: `_kernel_rounds`), and the
-    `Subspace` takes that store as it is."""
-    rank, _, basis, bad = _kernel_rounds(int_rows, ncols, _canonical)
-    certify(len(basis) == ncols - rank and not bad.any(), _KERNEL_FAILED)
-    return Subspace._of(ncols, basis)
+    `_absorb` runs once, and `_free_vectors` eliminates its core.  Its
+    vectors are certified independent before `_echelon` brings them to the
+    canonical basis: there are ncols - rank of them, and each is the only one
+    nonzero on its own free column.  The rows of that basis are then
+    certified to kill every original row (`_verify_kernel`), and the
+    `Subspace` takes the store as it is.  As the rank of rows of the system
+    is at most its rank, ncols - rank independent vectors that kill every
+    row are a basis of the kernel.
 
-
-def kernel_columns(int_rows: IntRows, ncols: int):
-    """The free columns of a sparse integer system, a sorted int array with
-    one entry per kernel dimension, certified with neither a canonical basis
-    nor a rational: there are ncols - rank of them, the vector of each
-    (`_free_vectors`) is the only one nonzero on its own free column, so the
-    vectors are independent, and each kills every original row (in at most
-    two rounds: `_kernel_rounds`)."""
+    A `_tall` system takes at most two rounds.  The first eliminates the
+    2 * ncols shortest rows of its core, chosen on its arrays (a stable
+    argsort of the row lengths), so that only those rows become dicts.  If
+    the join names rows that the basis fails to kill, the second eliminates
+    those rows too, with (root, sign) substituted, and both certificates run
+    again.  That completes the span: a row every vector kills is zero on the
+    kernel of the rows eliminated, so it lies in their span."""
     import numpy as np
-    rank, free, vecs, bad = _kernel_rounds(int_rows, ncols,
-                                           lambda vecs: (IntRows.from_dicts(vecs),) * 2)
-    is_free = np.zeros(ncols, dtype=bool)
-    is_free[free] = True
-    on = is_free[vecs.cols] & (vecs.vals != 0)  # the entries on free columns
-    k = np.repeat(np.arange(len(vecs)), vecs.lens)[on]  # and their vectors
-    certify(len(free) == ncols - rank and np.array_equal(k, np.arange(len(free)))
-            and np.array_equal(free[k], vecs.cols[on]) and not bad.any(), _KERNEL_FAILED)
-    return free
+
+    root, sign, core = _absorb(int_rows, ncols)
+    tall = _tall(int_rows, ncols)
+    if tall:  # its shortest rows, in the order sorted(rows, key=len) gives
+        short = np.argsort(core.lens, kind="stable")[:2 * ncols]
+        at = concat_ranges((np.cumsum(core.lens) - core.lens)[short], core.lens[short])
+        core = IntRows(core.lens[short], core.cols[at], core.vals[at])
+    rows = core.dicts()
+    for second in (False, True):
+        rank, free, vecs = _free_vectors(root, sign, rows)
+        is_free = set(free)
+        certify(len(vecs) == len(free) == ncols - rank and all(
+            [c for c, x in v.items() if x and c in is_free] == [f] for v, f in zip(vecs, free)),
+            _KERNEL_FAILED)
+        basis = _echelon(vecs)
+        bad, missed = _verify_kernel(int_rows, IntRows.from_dicts(basis.values()), ncols)
+        if second or not (tall and missed.any()):
+            break
+        lens = int_rows.lens[missed]
+        sub = concat_ranges((np.cumsum(int_rows.lens) - int_rows.lens)[missed], lens)
+        at, by = root.tolist(), sign.tolist()
+        for r in IntRows(lens, int_rows.cols[sub], int_rows.vals[sub]).dicts():
+            tied: dict = {}
+            for c, x in r.items():
+                tied[at[c]] = tied.get(at[c], 0) + by[c] * x
+            rows.append({c: x for c, x in tied.items() if x})
+    certify(not bad.any(), _KERNEL_FAILED)
+    return Subspace._of(ncols, basis)

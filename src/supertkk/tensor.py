@@ -312,7 +312,7 @@ def kantor_relation_verdicts(a, B, unit=None) -> list:
     n, d, C = t.n, t.d, t.dense()
     s = 1 - 2 * (np.outer(p, p) % 2)
     L = C.transpose(0, 2, 1)                       # d L_a
-    LP = g0_action(L, C, 1, p)                     # d**2 [L_a, P]
+    LP, _ = lp_tensor(a)                           # d**2 [L_a, P]
     Cq, Lq = _exact([C, L], 3 * n, 2)
     inner = B.reshape(n, n, n, n)                  # d**2 [L_a, L_x]
     l_ax = np.einsum('axm,mlj->axlj', Cq, Lq)      # d**2 L_{ax}

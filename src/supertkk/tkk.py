@@ -21,11 +21,12 @@ other blocks are index maps of V's `IntTable`.  Their derivation container
 D is certified by `tits_data` without building Der(V): by the derivation
 defect of the operator identity (`tensor.derivation_defect`), then by the
 certified reads of the [L_a, L_b] (`structure.l_brackets`) and of D's own
-brackets that Ti and Ko_D write, done once per V and container and kept on
-the `TitsData`.  The Kantor top space is one integer tensor (`KantorTop`),
-picked by one `GeneratedSpan`, whose `coordinates` read every [A, B] of
-the istr x top block at once.  An equivalence map is an integer matrix
-over one denominator, written from its degree +-1 images alone
+brackets that Ti and Ko_D write, done once per V and container, with the
+sl2, and kept on the memoized `TitsData`.  The Kantor top space is one
+integer tensor (`KantorTop`), picked by one `GeneratedSpan`, whose
+`coordinates` read every [A, B] of the istr x top block at once.  An
+equivalence map is an integer matrix over one denominator, written from
+its degree +-1 images alone
 (`_graded_map`: g0 = [g+, g-] fixes the rest) and certified against both
 tables by `tensor.bracket_map_defect`.  No rational is formed while Ko,
 Ko~, Kan, Ti or Ko_D is built.  `tits_roundtrip` compares all
@@ -45,7 +46,7 @@ from math import lcm
 
 from . import tensor
 from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify, int_dtype,
-                    kernel_columns, span_in_kernel)
+                    integer_kernel, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, derivation_kernels,
@@ -389,13 +390,22 @@ def _killing_half(y: SuperAlgebra) -> tuple:
 
 
 @memoized
-def _container(V: SuperAlgebra, d) -> tuple:
-    """(dspace, label, l_brackets, brackets) of the derivation container d
-    of V, "inn", "der" or an OperatorSpace, its preconditions checked in
-    order: the shape (V.dim,), derivations (`_are_derivations`), then
-    Inn(V) <= D and [D, D] <= D by the reads of `TitsData`; a failed check
-    raises ValueError.  Memoized on V, so that each read is done once per
-    V and container."""
+def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
+    """Resolve a derivation-container choice, certify its preconditions and
+    add the sl2 data; a TitsData is returned as it is if it was built for V,
+    and refused otherwise.  V must be a supercommutative Jordan table
+    (memoized: its checked build proved it), and d is "inn", "der" or an
+    OperatorSpace, whose preconditions are checked in order: the shape
+    (V.dim,), derivations (`_are_derivations`), then Inn(V) <= D and [D, D]
+    <= D by the reads of `TitsData`; a failed check raises ValueError.
+    Memoized on V, so that the reads, the sl2 and its super-Jacobi proof
+    are done once per V and container."""
+    if V.kind != "jordan" or check_supercommutative(V) is not None:
+        raise ValueError("tits expects a Jordan superalgebra")
+    if isinstance(d, TitsData):
+        if d.algebra is not V:
+            raise ValueError(f"TitsData built for {d.algebra.name} given for {V.name}")
+        return d
     if isinstance(d, str):
         if d not in ("inn", "der"):
             raise ValueError(f"unknown derivation choice {d!r}, expected 'inn' or 'der'")
@@ -416,29 +426,6 @@ def _container(V: SuperAlgebra, d) -> tuple:
         closed = _self_brackets(dsp)
     except CertificateError:
         raise ValueError("derivation container is not closed under bracket") from None
-    return dsp, label, inner, closed
-
-
-def _certified(V: SuperAlgebra, d) -> tuple:
-    """The fields (dspace, label, l_brackets, brackets) of `tits_data(V, d)`,
-    without the sl2 data.  V must be a supercommutative Jordan table
-    (memoized: its checked build proved it)."""
-    if V.kind != "jordan" or check_supercommutative(V) is not None:
-        raise ValueError("tits expects a Jordan superalgebra")
-    if isinstance(d, TitsData):
-        if d.algebra is not V:
-            raise ValueError(f"TitsData built for {d.algebra.name} given for {V.name}")
-        return d.dspace, d.label, d.l_brackets, d.brackets
-    return _container(V, d)
-
-
-def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
-    """Resolve a derivation-container choice, certify its preconditions
-    (`_container`, memoized on V) and add the sl2 data; a TitsData is
-    returned as it is if it was built for V, and refused otherwise."""
-    dsp, label, inner, closed = _certified(V, d)
-    if isinstance(d, TitsData):
-        return d
     sl2 = _sl2()
     return TitsData(V, dsp, sl2, _killing_half(sl2), label, inner, closed)
 
@@ -518,12 +505,14 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
 
 
 def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
-    """V+ (+) (D (+) a formal L-hat copy of V) (+) V-; no sl2 is built."""
+    """V+ (+) (D (+) a formal L-hat copy of V) (+) V-, from the certified
+    reads of `tits_data`, which Ti(V, D) shares."""
     if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("koecher_d expects a Jordan superalgebra")
     import numpy as np
     n = V.dim
-    dsp, label, (M, dm), brackets = _certified(V, d)
+    data = tits_data(V, d)
+    dsp, label, (M, dm), brackets = data.dspace, data.label, data.l_brackets, data.brackets
     nd = dsp.dim
     off_d, off_l, off_m = n, n + nd, n + nd + n
     t = V.int_table  # e_i e_j = sum value / t.d e_k
@@ -863,8 +852,9 @@ def lie_der_tower(g: SuperAlgebra) -> dict:
     Der_0 is the kernel of the equations (i, j, l) with w(l) = w(i) + w(j)
     on the columns (r, c) with w(r) = w(c) (`leibniz_weight_zero`), whose
     blocks have disjoint columns: offset block after block, their rows form
-    one system, counted by one certified elimination, and Der_0 of a block
-    is its number of free columns (`exact.kernel_columns`).  The ad_x of
+    one system, whose kernel is one certified elimination
+    (`exact.integer_kernel`).  Its basis vectors are supported on single
+    blocks, so Der_0 of a block is its number of pivots.  The ad_x of
     every x of weight 0, read off the integer table onto the same columns
     (`_ad_rows`), are certified to kill every row, and Inn_0 of a block is
     its number of pivots of their span (`exact.span_in_kernel`).  The Inn
@@ -877,7 +867,7 @@ def lie_der_tower(g: SuperAlgebra) -> dict:
     cut = np.cumsum([0] + [len(cols) for cols, _ in blocks.values()])
     rows = IntRows.concat(IntRows(r.lens, r.cols + lo, r.vals)
                           for (_, r), lo in zip(blocks.values(), cut.tolist()))
-    der = np.diff(np.searchsorted(kernel_columns(rows, int(cut[-1])), cut)).tolist()
+    der = np.diff(np.searchsorted(integer_kernel(rows, int(cut[-1])).pivots, cut)).tolist()
     ad, of = _ad_rows(g, blocks, zero)
     pivots = span_in_kernel(rows, ad, int(cut[-1]), lambda bad: (
         f"adjoint operators must be derivations (shift {list(blocks)[of[bad].min()][0]})"))

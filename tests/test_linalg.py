@@ -18,10 +18,10 @@ from supertkk import exact
 from supertkk.catalog import lie_catalog, load_algebra, resolve, save_algebra
 from supertkk.exact import (
     CertificateError, GeneratedSpan, IntRows, Q, Matrix, Subspace, integer_kernel,
-    kernel_columns, kernel_sparse, primitive_rows, solve, span,
+    kernel_sparse, primitive_rows, solve, span,
 )
-from supertkk.structure import leibniz_blocks
-from supertkk.superspace import make_algebra
+from supertkk.structure import der_algebra, derivation_kernels, leibniz_blocks, pair_der, str_w
+from supertkk.superspace import center, make_algebra
 from supertkk.tkk import lie_der_tower
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -385,10 +385,11 @@ def test_a_dropped_free_vector_fails_the_count_certificate(monkeypatch):
         lie_der_tower(g)
 
 
-def test_certifying_the_tower_of_w5_stays_in_bounded_memory(monkeypatch):
-    # the joins of fingerprint(w(5))'s whole Leibniz system (366,325 rows,
-    # 870,505 entries, 25,600 columns) with its 160 kernel vectors, then
-    # with its 160 ad rows, traced: each peaks at 12.2 MiB (numpy 2.4)
+def test_certifying_the_derivations_of_w5_stays_in_bounded_memory(monkeypatch):
+    # the join of the whole Leibniz system of w(5) (366,325 rows, 870,505
+    # entries, 25,600 columns) with its 160 kernel vectors, traced: it peaks
+    # at 12.6 MiB (numpy 2.4).  The tower of w(5) joins only the weight-zero
+    # part, 5,425 rows and 5 vectors.
     verify, peaks = exact._verify_kernel, []
 
     def traced(int_rows, vecs, ncols):
@@ -399,10 +400,74 @@ def test_certifying_the_tower_of_w5_stays_in_bounded_memory(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    g = load_algebra(save_algebra(resolve("w:5")))  # fresh: an empty memo
+    g = resolve("w:5")
     monkeypatch.setattr(exact, "_verify_kernel", traced)
-    lie_der_tower(g)
-    assert len(peaks) == 2 and max(peaks) < 16 * 2 ** 20, peaks
+    even, odd = derivation_kernels(g)
+    assert (even.dim, odd.dim) == (80, 80)
+    assert len(peaks) == 1 and max(peaks) < 16 * 2 ** 20, peaks
+
+
+def _zero_the_first_free_vector(monkeypatch):
+    read = exact._free_vectors
+
+    def zeroed(root, sign, rows):
+        rank, free, vecs = read(root, sign, rows)
+        if vecs:
+            _zero_one_vector(vecs, None)
+        return rank, free, vecs
+
+    monkeypatch.setattr(exact, "_free_vectors", zeroed)
+
+
+KERNEL_CALLERS = {
+    "der_algebra": lambda: der_algebra(load_algebra(save_algebra(resolve("kacK")))),
+    "pair_der": lambda: pair_der(load_algebra(save_algebra(resolve("j19")))),
+    "str_w": lambda: str_w(load_algebra(save_algebra(resolve("kacK")))),
+    "center": lambda: center(load_algebra(save_algebra(resolve("gl:1,1")))),
+    "integer_kernel": lambda: integer_kernel(IntRows.from_dicts([{0: 1, 1: 2}, {1: 1, 2: 3}]), 4),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(KERNEL_CALLERS))
+def test_a_zero_free_vector_fails_every_kernel_caller(caller, monkeypatch):
+    # the free vectors are certified independent before they are brought to
+    # the canonical basis: a zero one is on no free column, whichever
+    # structure space asked for the kernel
+    _zero_the_first_free_vector(monkeypatch)
+    with pytest.raises(CertificateError, match="kernel verification failed"):
+        KERNEL_CALLERS[caller]()
+
+
+ZERO_FREE_VECTOR = """
+import sys
+from supertkk import catalog, exact, structure, superspace
+if not sys.flags.optimize:
+    raise SystemExit("expected python -O")
+read = exact._free_vectors
+def zeroed(root, sign, rows):
+    rank, free, vecs = read(root, sign, rows)
+    if vecs:
+        vecs[0] = dict.fromkeys(vecs[0], 0)
+    return rank, free, vecs
+exact._free_vectors = zeroed
+fresh = lambda source: catalog.load_algebra(catalog.save_algebra(catalog.resolve(source)))
+calls = [lambda: structure.der_algebra(fresh("kacK")), lambda: structure.pair_der(fresh("j19")),
+         lambda: structure.str_w(fresh("kacK")), lambda: superspace.center(fresh("gl:1,1")),
+         lambda: exact.integer_kernel(exact.IntRows.from_dicts([{0: 1, 1: 2}, {1: 1, 2: 3}]), 4)]
+for call in calls:
+    try:
+        call()
+    except exact.CertificateError as err:
+        print(str(err).startswith("kernel verification failed"))
+    else:
+        print("passed")
+"""
+
+
+def test_a_zero_free_vector_fails_every_kernel_caller_under_python_O():
+    done = run_python(["-O"], ZERO_FREE_VECTOR)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.split() == ["True"] * 5
 
 
 @pytest.mark.parametrize("scale", [10 ** 6, 10 ** 12])
@@ -496,7 +561,6 @@ def test_structured_elimination_matches_the_all_rows_oracle(system):
     got = integer_kernel(IntRows.from_dicts(rows), n)
     assert list(got.basis) == oracle.integer_kernel([r for r in rows if r], n)
     assert _canonical(Subspace(n, got.basis)) == _canonical(got)  # canonical
-    assert len(kernel_columns(IntRows.from_dicts(rows), n)) == got.dim
 
 
 def test_structured_elimination_of_degenerate_systems():
@@ -556,7 +620,6 @@ def _assert_tall_kernel_matches_the_oracle(system):
     rows, n = system
     want = oracle.integer_kernel(rows, n)
     assert list(integer_kernel(IntRows.from_dicts(rows), n).basis) == want
-    assert len(kernel_columns(IntRows.from_dicts(rows), n)) == len(want)
 
 
 @given(tall_systems())
@@ -601,12 +664,11 @@ def test_a_tall_system_eliminates_the_rows_its_shortest_miss(monkeypatch):
     monkeypatch.setattr(exact, "_absorb", absorb_spy)
     assert exact._tall(IntRows.from_dicts(rows), n)
     assert list(integer_kernel(IntRows.from_dicts(rows), n).basis) == oracle.integer_kernel(rows, n)
-    assert kernel_columns(IntRows.from_dicts(rows), n).tolist() == [3]
-    # each a first round on the 8 shortest rows, then a second with the one
-    # row whose vectors the first did not kill, the last, added; the second
-    # round reuses the first's pre-pass, so each kernel runs `_absorb` once
-    assert calls == [(8, {0: 3, 1: 4, 2: -6}), (9, rows[-1])] * 2
-    assert absorbed == [len(rows)] * 2
+    # a first round on the 8 shortest rows, then a second with the one row
+    # whose vectors the first did not kill, the last, added; the second
+    # round reuses the first's pre-pass, so the kernel runs `_absorb` once
+    assert calls == [(8, {0: 3, 1: 4, 2: -6}), (9, rows[-1])]
+    assert absorbed == [len(rows)]
 
 
 ABSORB_FAULT = """

@@ -181,8 +181,10 @@ def test_tits_data_validation():
     assert got == [list(row) for row in oracle_tkk.killing_half(data.sl2).data]
 
 
-def test_tits_data_builds_sl2_once(monkeypatch):
-    K = jordan_catalog("kacK")
+def test_one_container_builds_sl2_once(monkeypatch):
+    # a fresh kacK: Ti, Ko_D, the isomorphism between them and the Tits
+    # round trip all read the one memoized TitsData of (V, "inn")
+    K = load_algebra(save_algebra(resolve("kacK")))
     built = []
     integer_algebra = tkk.integer_algebra
 
@@ -191,9 +193,11 @@ def test_tits_data_builds_sl2_once(monkeypatch):
         return integer_algebra(*args, **kwargs)
 
     monkeypatch.setattr(tkk, "integer_algebra", spy)
-    data = tits_data(K, "inn")
+    data, ti, kd = tits_data(K, "inn"), tits(K, "inn"), koecher_d(K, "inn")
+    checks = check_propnu(K, "inn") + [tits_roundtrip(K, "inn")]
     assert built.count("sl2") == 1, built
-    assert data.sl2.name == "sl2"
+    assert ti.data["tits"] is data and data.sl2.name == "sl2" and kd.dim == ti.dim
+    assert all(c.passed for c in checks), checks
 
 
 @pytest.mark.parametrize("d", ["inn", "der"])
