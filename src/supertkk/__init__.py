@@ -3,7 +3,7 @@ Jordan superalgebras over Q."""
 
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog,
                               lie_entries, load_algebra, resolve, save_algebra)
-from supertkk.exact import CertificateError, Q, Matrix, Subspace, solve, span
+from supertkk.exact import CertificateError, Q, Subspace, solve, span
 from supertkk.jordan import (check_commutator_identity, check_five_linear,
                              check_jordan_identity, check_triple_symmetry,
                              find_unit)
@@ -20,11 +20,10 @@ from supertkk.tkk import (TitsData, TkkAlgebra, check_propnu,
                           kantor_relations, koecher, koecher_d,
                           koecher_ideal_check, koecher_inverse_check,
                           koecher_tilde, lie_der_tower, is_jordan_graded,
-                          out_dims, pair_der_matches_der0, tits, tits_data,
-                          tits_roundtrip)
+                          out_dims, tits, tits_data, tits_roundtrip)
 
 __all__ = [
-    "Q", "Matrix", "Subspace", "solve", "span", "CertificateError",
+    "Q", "Subspace", "solve", "span", "CertificateError",
     "SuperAlgebra", "Witness", "integer_algebra", "make_algebra", "graded_dims", "parity_dims",
     "center", "derived",
     "find_unit",
@@ -39,7 +38,7 @@ __all__ = [
     "koecher_tilde", "koecher_d", "tits", "tits_data", "tits_roundtrip",
     "check_propnu", "check_unital_equivalences", "kantor_koecher_comparison",
     "j_functor", "is_jordan_graded", "j_roundtrip_check",
-    "koecher_inverse_check", "koecher_ideal_check", "pair_der_matches_der0",
+    "koecher_inverse_check", "koecher_ideal_check",
     "lie_der_tower", "out_dims", "fingerprint",
 ]
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ independent; their canonical basis is verified exactly against every
 original row; and every batch of members is recombined from its
 coefficients by one integer product; a failure of any certificate raises
 CertificateError, so the checks survive `python -O`.
-`Matrix` is only the immutable container of such systems and of their
-results; no operator arithmetic runs on it.
+`solve` takes its system as a sequence of rows: there is no dense matrix
+type, and operators are integer stacks (`structure.OperatorStack`).
 
 Integer systems assembled as numpy COO triplets are made primitive by
 `primitive_row_blocks`, one vectorised pass per chunk of equations (sort by
@@ -67,7 +67,8 @@ def Q(value=0, den=None):
     """Exact rational from an int, a "p/q" string, or another rational.
 
     A rational is returned as it is (rationals are immutable): every entry
-    of a `Matrix` and every vector a `Subspace` reduces passes through here.
+    of a vector that a `Subspace` reduces or a `GeneratedSpan` writes,
+    other than an int or a rational, passes through here.
     A float, numpy's included, raises TypeError: its binary expansion is no
     constant anyone wrote down."""
     if den is not None:
@@ -80,7 +81,6 @@ def Q(value=0, den=None):
 
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 class CertificateError(ValueError):
@@ -91,71 +91,6 @@ def certify(ok, message: str):
     """Raise CertificateError(message) unless ok; unlike assert, survives python -O."""
     if not ok:
         raise CertificateError(message)
-
-
-class Matrix:
-    """Dense exact-rational matrix (immutable): the container that `solve`
-    takes.  It has no arithmetic; operators are multiplied as integer stacks
-    (`structure.OperatorStack`)."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Iterable[Iterable]):
-        self.data = tuple(tuple(Q(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(r) != self.cols for r in self.data):
-            raise ValueError("ragged matrix rows")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
-        data = [[ZERO] * cols for _ in range(rows)]
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-            data[r][c] = Q(v)
-        return cls(data)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
-        return cls(zip(*columns)) if columns else cls([])
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
-    def column(self, c: int) -> tuple:
-        return tuple(row[c] for row in self.data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.data)) if self.data else Matrix([])
-
-    def flatten(self) -> tuple:
-        """Row-major flattening, used to treat operators as vectors."""
-        return tuple(x for row in self.data for x in row)
-
-    @classmethod
-    def unflatten(cls, rows: int, cols: int, flat: Sequence) -> "Matrix":
-        if len(flat) != rows * cols:
-            raise ValueError(f"flatten length mismatch: {len(flat)} != {rows}*{cols}")
-        return cls(flat[i * cols:(i + 1) * cols] for i in range(rows))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"Matrix({[[str(x) for x in row] for row in self.data]})"
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +114,16 @@ def _scaled(vec: Sequence, ambient: int) -> tuple[dict, int]:
     return {j: int(x.numerator) * (d // int(x.denominator)) for j, x in items}, d
 
 
-def solve(m: Matrix, b: Sequence):
-    """Some x with m@x = b (0 at each column that depends on earlier ones), or
-    None if inconsistent: `GeneratedSpan` over the columns of m, certified."""
-    if len(b) != m.rows:
-        raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    return GeneratedSpan([m.column(c) for c in range(m.cols)], m.rows).express(b)
+def solve(rows: Sequence[Sequence], b: Sequence):
+    """Some x with sum_c rows[r][c] x_c = b[r] for every row r (0 at each
+    column that depends on earlier ones), or None if inconsistent:
+    `GeneratedSpan` over the columns of the system, certified."""
+    rows = [tuple(r) for r in rows]
+    if len(b) != len(rows):
+        raise ValueError(f"rhs length {len(b)} != rows {len(rows)}")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged system rows")
+    return GeneratedSpan(list(zip(*rows)), len(rows)).express(b)
 
 
 class Subspace:

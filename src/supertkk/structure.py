@@ -50,7 +50,7 @@ from itertools import chain
 from math import lcm
 
 from . import tensor
-from .exact import (GeneratedSpan, IntRows, Q, Subspace, certify, concat_ranges, int_dtype,
+from .exact import (GeneratedSpan, IntRows, Subspace, certify, concat_ranges, int_dtype,
                     integer_kernel, primitive_row_blocks)
 from .superspace import (SuperAlgebra, Witness, check_superanticommutative,
                          check_supercommutative, memoized)
@@ -464,12 +464,11 @@ def derivation_kernel(a: SuperAlgebra, parity: int, zshift=None) -> Subspace:
                     if q == parity and zshift in (None, s)], a.dim ** 2)[parity]
 
 
-def derivation_kernels(a: SuperAlgebra, weight=None) -> tuple:
-    """(even, odd): the derivations supported on the weight-zero entries
-    (`leibniz_weight_zero`; every entry when weight is None), in one
-    elimination (`_kernel`)."""
-    blocks = leibniz_blocks(a) if weight is None else leibniz_weight_zero(a, weight)
-    return _kernel([(q, cols, rows) for (_, q), (cols, rows) in blocks.items()], a.dim ** 2)
+def derivation_kernels(a: SuperAlgebra) -> tuple:
+    """(even, odd): all superderivations of a, in one elimination of the
+    whole Leibniz system (`_kernel`)."""
+    return _kernel([(q, cols, rows) for (_, q), (cols, rows) in leibniz_blocks(a).items()],
+                   a.dim ** 2)
 
 
 @memoized
@@ -550,10 +549,6 @@ class JordanPair:
 
     def parity(self, sigma: int, i: int) -> int:
         return self.parities[sigma][i]
-
-    def basis_triple(self, sigma: int, i: int, j: int, k: int) -> dict:
-        """The nonzero coordinates {l: c} of {e_i, e_j, e_k}^sigma."""
-        return {l: Q(x, self.den) for l, x in enumerate(self.tensors[sigma][i, j, k].tolist()) if x}
 
     @property
     def shape(self) -> tuple:

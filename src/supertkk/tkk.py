@@ -21,14 +21,14 @@ other blocks are index maps of V's `IntTable`.  Their derivation container
 D is certified by `tits_data` without building Der(V): by the derivation
 defect of the operator identity (`tensor.derivation_defect`), then by the
 certified reads of the [L_a, L_b] (`structure.l_brackets`) and of D's own
-brackets that Ti and Ko_D write, done once per V and container, with the
-sl2, and kept on the memoized `TitsData`.  The Kantor top space is one
-integer tensor (`KantorTop`), picked by one `GeneratedSpan`, whose
-`coordinates` read every [A, B] of the istr x top block at once.  An
-equivalence map is an integer matrix over one denominator, written from
-its degree +-1 images alone
-(`_graded_map`: g0 = [g+, g-] fixes the rest) and certified against both
-tables by `tensor.bracket_map_defect`.  No rational is formed while Ko,
+brackets that Ti and Ko_D write, done once per V and container and kept
+on the memoized `TitsData` with the sl2, which is built once per process.
+The Kantor top space is one integer tensor (`KantorTop`), picked by one
+`GeneratedSpan`, whose `coordinates` read every [A, B] of the istr x top
+block at once.  An equivalence map is an integer matrix over one
+denominator, written from its degree +-1 images alone (`_graded_map`: g0
+= [g+, g-] fixes the rest) and certified against both tables by
+`tensor.bracket_map_defect`.  No rational is formed while Ko,
 Ko~, Kan, Ti or Ko_D is built.  `tits_roundtrip` compares all
 [e (x) a, f (x) b] at once with the coordinates of the [L_a, L_b] on the
 `TitsData`, and the half-Killing form of sl2 is one contraction of its
@@ -49,9 +49,9 @@ from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify,
                     integer_kernel, span_in_kernel)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
-                        check_pair_axioms, der_algebra, derivation_kernels,
-                        double, inn_algebra, istr_algebra, l_brackets,
-                        leibniz_weight_zero, pair_d_stack, pair_der, pair_inn, str_algebra)
+                        check_pair_axioms, der_algebra, double, inn_algebra, istr_algebra,
+                        l_brackets, leibniz_weight_zero, pair_d_stack, pair_der, pair_inn,
+                        str_algebra)
 from .superspace import (SuperAlgebra, center, check_super_jacobi, check_supercommutative,
                          derived, graded_dims, integer_algebra, memoized)
 
@@ -389,6 +389,23 @@ def _killing_half(y: SuperAlgebra) -> tuple:
     return np.einsum('ick,jkc->ij', C, C), 2 * d * d
 
 
+_SL2 = None  # (sl2, its half-Killing form), built by `_sl2_data` on first use
+
+
+def _sl2_data() -> tuple:
+    """The fixed sl2 and its half-Killing form (K read-only), which every
+    `TitsData` shares: they depend on no input, so they are built, and
+    super-Jacobi proved on the sl2, once per process on first use (at
+    import they would pull numpy into the numpy-free set-ups)."""
+    global _SL2
+    if _SL2 is None:
+        sl2 = _sl2()
+        killing = _killing_half(sl2)
+        killing[0].flags.writeable = False
+        _SL2 = sl2, killing
+    return _SL2
+
+
 @memoized
 def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     """Resolve a derivation-container choice, certify its preconditions and
@@ -398,8 +415,7 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     OperatorSpace, whose preconditions are checked in order: the shape
     (V.dim,), derivations (`_are_derivations`), then Inn(V) <= D and [D, D]
     <= D by the reads of `TitsData`; a failed check raises ValueError.
-    Memoized on V, so that the reads, the sl2 and its super-Jacobi proof
-    are done once per V and container."""
+    Memoized on V: the reads are done once per V and container."""
     if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("tits expects a Jordan superalgebra")
     if isinstance(d, TitsData):
@@ -426,8 +442,7 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         closed = _self_brackets(dsp)
     except CertificateError:
         raise ValueError("derivation container is not closed under bracket") from None
-    sl2 = _sl2()
-    return TitsData(V, dsp, sl2, _killing_half(sl2), label, inner, closed)
+    return TitsData(V, dsp, *_sl2_data(), label, inner, closed)
 
 
 @memoized
@@ -504,9 +519,10 @@ def tits_roundtrip(V: SuperAlgebra, d="inn") -> CheckResult:
 # generalized Koecher construction with a formal middle
 
 
+@memoized
 def koecher_d(V: SuperAlgebra, d="inn") -> TkkAlgebra:
     """V+ (+) (D (+) a formal L-hat copy of V) (+) V-, from the certified
-    reads of `tits_data`, which Ti(V, D) shares."""
+    reads of `tits_data`, which Ti(V, D) shares; memoized, as Ti is."""
     if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("koecher_d expects a Jordan superalgebra")
     import numpy as np
@@ -887,55 +903,6 @@ def out_dims(tower: dict) -> dict:
             pair[parity] += block["out"]
             out[shift] = tuple(pair)
     return out
-
-
-def pair_der_matches_der0(v) -> CheckResult:
-    """Pair derivations are exactly the shift-0 derivations of Ko(V+,V-).
-
-    The embedding E_D acts as D+ / D- on the tips and by bracket on the
-    middle, E_D W_t = [D, W_t]; it is verified to land in Der(Ko)_0, to fill
-    it, and to match brackets, E_[D,D'] = [E_D, E_D'].  Both sides are
-    block diagonal and agree on the tips by construction, so the brackets
-    are compared on the middle blocks: one batched contraction each.
-    """
-    import numpy as np
-    ko = koecher(v, middle="inn")
-    g = ko.lie
-    mid = ko.data["middle"]
-    dp, dm = ko.data["pair"].shape
-    nm, N = mid.dim, g.dim
-    pd = pair_der(v)
-    P, W = pd.stack, mid.stack
-    k = len(P)
-    # middle blocks [l, t] = coordinate l of [D, W_t], scaled by P.den * W.den
-    M = mid.coordinates(P.bracket(W)).reshape(k, nm, nm).transpose(0, 2, 1)
-    E = np.zeros((k, N, N), dtype=object)
-    E[:, :dp, :dp] = P.blocks[0].astype(object) * W.den
-    E[:, dp + nm:, dp + nm:] = P.blocks[1].astype(object) * W.den
-    E[:, dp:dp + nm, dp:dp + nm] = M
-    embedded = OperatorStack((E,), P.parities, P.den * W.den)
-    # the shift-0 derivations: those supported on the entries D[r, c] of deg r = deg c
-    der0 = OperatorSpace("Der(Ko)_0", *derivation_kernels(
-        g, np.unique(g.zdegrees, return_inverse=True)[1]), (N,))
-    if not der0.contains_stack(embedded):
-        return CheckResult("pair_der_equals_der0", False,
-                           "embedded pair derivation is not a derivation of Ko")
-    if der0.dims() != pd.dims():
-        return CheckResult("pair_der_equals_der0", False,
-                           f"Der(Ko)_0 dims {der0.dims()} vs pair_der {pd.dims()}")
-    if Subspace.from_int_rows(N * N, IntRows.from_dense(embedded.flats())).dim != pd.dim:
-        return CheckResult("pair_der_equals_der0", False,
-                           "embedded derivations are dependent")
-    # bracket match on the middle: E_[Da,Db] (P.den**2 W.den) against
-    # [E_Da, E_Db] (P.den**2 W.den**2)
-    MB = mid.coordinates(P.bracket(P).bracket(W)).reshape(k, k, nm, nm).transpose(0, 1, 3, 2)
-    bad = tensor.mismatch(MB, W.den, tensor.brackets(M, P.parities, M, P.parities), 1)
-    hits = np.argwhere(bad.any(axis=(2, 3)))
-    if len(hits):
-        return CheckResult("pair_der_equals_der0", False,
-                           "bracket mismatch at embedded pair ({},{})".format(*hits[0]))
-    return CheckResult("pair_der_equals_der0", True,
-                       "Der(V+,V-) fills Der(Ko)_0 and matches brackets")
 
 
 def fingerprint(g: SuperAlgebra) -> dict:

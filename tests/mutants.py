@@ -69,6 +69,12 @@ MUTANTS = [
     ("tkk.tits_data is not memoized", PKG + "tkk.py",
      "@memoized\ndef tits_data(", "def tits_data(",
      [TKK + "test_one_container_builds_sl2_once"]),
+    ("tkk builds the sl2 on every call", PKG + "tkk.py",
+     "    if _SL2 is None:\n", "    if True:\n",
+     [TKK + "test_one_container_builds_sl2_once"]),
+    ("tkk.koecher_d is not memoized", PKG + "tkk.py",
+     "@memoized\ndef koecher_d(", "def koecher_d(",
+     [TKK + "test_the_isomorphism_reads_the_ko_d_a_caller_built"]),
     ("tkk.tits drops the half-Killing factor", PKG + "tkk.py",
      "(a, b, 0 * a, K[a, b])", "(a, b, 0 * a, 0 * K[a, b] + 1)",
      [TKK + "test_propnu_and_tits_roundtrip"]),

@@ -26,6 +26,7 @@ from __future__ import annotations
 from oracle_linalg import (GradedOperator, Matrix, _parity_parts, basis_vector, l_op,
                            left_mult_matrix, operator_parity, parity_sign, supercommutator,
                            triple)
+from oracle_tables import basis_triple
 from supertkk.exact import Q, Subspace, ZERO, kernel_sparse, row_primitive
 from supertkk.jordan import find_unit
 from supertkk.structure import CheckResult, JordanPair
@@ -291,7 +292,7 @@ def check_pair_axioms(pair: JordanPair) -> Witness | None:
             out: dict = {}
             for l, c in vec.items():
                 args = ((l, a, b), (a, l, b), (a, b, l))[pos]
-                for k, w in pair.basis_triple(sigma, *args).items():
+                for k, w in basis_triple(pair, sigma, *args).items():
                     out[k] = out.get(k, Q(0)) + c * w
             return out
 
@@ -300,11 +301,11 @@ def check_pair_axioms(pair: JordanPair) -> Witness | None:
             for j in range(dm):
                 pj = pair.parity(other, j)
                 for k in range(dp):
-                    lhs = pair.basis_triple(sigma, i, j, k)
+                    lhs = basis_triple(pair, sigma, i, j, k)
                     pk = pair.parity(sigma, k)
                     s = Q(-1) if (pi * pj + pj * pk + pk * pi) % 2 else Q(1)
                     rhs = {l: s * c for l, c
-                           in pair.basis_triple(sigma, k, j, i).items()}
+                           in basis_triple(pair, sigma, k, j, i).items()}
                     if lhs != rhs:
                         return Witness((sigma, i, j, k),
                                        f"outer symmetry fails at {(sigma, i, j, k)}")
@@ -320,10 +321,10 @@ def check_pair_axioms(pair: JordanPair) -> Witness | None:
                             #   = sg * (-{u,{v,x,y},w} + {u,v,{x,y,w}})
                             total: dict = {}
                             for vec, f in (
-                                    (combo(2, i, j, pair.basis_triple(sigma, u, v, w)), Q(1)),
-                                    (combo(0, v, w, pair.basis_triple(sigma, i, j, u)), Q(-1)),
-                                    (combo(1, u, w, pair.basis_triple(other, v, i, j)), sg),
-                                    (combo(2, u, v, pair.basis_triple(sigma, i, j, w)), -sg)):
+                                    (combo(2, i, j, basis_triple(pair, sigma, u, v, w)), Q(1)),
+                                    (combo(0, v, w, basis_triple(pair, sigma, i, j, u)), Q(-1)),
+                                    (combo(1, u, w, basis_triple(pair, other, v, i, j)), sg),
+                                    (combo(2, u, v, basis_triple(pair, sigma, i, j, w)), -sg)):
                                 for l, c in vec.items():
                                     total[l] = total.get(l, Q(0)) + f * c
                             if any(total.values()):

@@ -35,9 +35,10 @@ against.
 
 The last section is the dense operator arithmetic that supertkk ran beside
 its integer operator stacks, kept verbatim for the oracles: `Matrix` is
-`exact.Matrix` with the products, sums, scalings and `apply` that the
-package's container no longer has; `GradedOperator`, `operator_parity`,
-`supercommutator` and `left_mult_matrix` are the former superspace
+the former `exact.Matrix`, the container `exact.solve` took before it took
+rows, with the products, sums, scalings and `apply` it had before that;
+`GradedOperator`, `operator_parity`, `supercommutator` and
+`left_mult_matrix` are the former superspace
 operators, `l_op`, `d_op` and `u_op` the former jordan ones (`d_op` here
 built from the Fraction `triple`, unlike the operator-formula `d_op` of
 oracle_identities), and `operators` the former `OperatorSpace.operators()`;
@@ -63,11 +64,14 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Sequence
 
+from oracle_tables import basis_triple
 from supertkk import exact
-from supertkk.exact import (ONE, ZERO, Q, Subspace, _echelon, _reduce, _scaled, certify, int_dtype,
+from supertkk.exact import (ZERO, Q, Subspace, _echelon, _reduce, _scaled, certify, int_dtype,
                             kernel_sparse, primitive_rows, row_primitive)
 from supertkk.structure import JordanPair, OperatorSpace
 from supertkk.superspace import SuperAlgebra, check_superanticommutative, check_supercommutative
+
+ONE = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +173,69 @@ def vec_scale(c, v: Sequence) -> tuple:
     return tuple(c * a for a in v)
 
 
-class Matrix(exact.Matrix):
-    """Dense exact-rational matrix with the arithmetic of the former
-    `exact.Matrix`; equal to an `exact.Matrix` with the same entries."""
+class Matrix:
+    """Dense exact-rational matrix (immutable), the former `exact.Matrix`
+    with the products, sums, scalings and `apply` it once had.  Iterating
+    it yields its rows, so it can be passed to `exact.solve` as it is."""
 
-    __slots__ = ()
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, data: Iterable[Iterable]):
+        self.data = tuple(tuple(Q(x) for x in row) for row in data)
+        self.rows = len(self.data)
+        self.cols = len(self.data[0]) if self.data else 0
+        if any(len(r) != self.cols for r in self.data):
+            raise ValueError("ragged matrix rows")
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "Matrix":
+        return cls([[ZERO] * cols for _ in range(rows)])
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
+        data = [[ZERO] * cols for _ in range(rows)]
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+            data[r][c] = Q(v)
+        return cls(data)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
+        return cls(zip(*columns)) if columns else cls([])
+
+    def __getitem__(self, rc):
+        r, c = rc
+        return self.data[r][c]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def column(self, c: int) -> tuple:
+        return tuple(row[c] for row in self.data)
+
+    def flatten(self) -> tuple:
+        """Row-major flattening, used to treat operators as vectors."""
+        return tuple(x for row in self.data for x in row)
+
+    @classmethod
+    def unflatten(cls, rows: int, cols: int, flat: Sequence) -> "Matrix":
+        if len(flat) != rows * cols:
+            raise ValueError(f"flatten length mismatch: {len(flat)} != {rows}*{cols}")
+        return cls(flat[i * cols:(i + 1) * cols] for i in range(rows))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Matrix) and self.data == other.data
+
+    def __hash__(self):
+        return hash(self.data)
+
+    def __repr__(self):
+        return f"Matrix({[[str(x) for x in row] for row in self.data]})"
 
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -505,16 +567,16 @@ def pair_derivation_kernel(pair: JordanPair, parity: int) -> Subspace:
                             cell = row_for.setdefault(l, {})
                             cell[pos[col]] = cell.get(pos[col], Q(0)) + val
 
-                    for c, wc in pair.basis_triple(sigma, i, j, k).items():
+                    for c, wc in basis_triple(pair, sigma, i, j, k).items():
                         for l in range(dims[sigma]):
                             add(l, (sigma, l, c), wc)
                     for r in range(dims[sigma]):
-                        for l, c in pair.basis_triple(sigma, r, j, k).items():
+                        for l, c in basis_triple(pair, sigma, r, j, k).items():
                             add(l, (sigma, r, i), -c)
-                        for l, c in pair.basis_triple(sigma, i, j, r).items():
+                        for l, c in basis_triple(pair, sigma, i, j, r).items():
                             add(l, (sigma, r, k), -s_ij * c)
                     for r in range(dims[other]):
-                        for l, c in pair.basis_triple(sigma, i, r, k).items():
+                        for l, c in basis_triple(pair, sigma, i, r, k).items():
                             add(l, (other, r, j), -s_i * c)
                     rows.extend(v for v in row_for.values() if v)
     return _kernel_space(kernel_sparse(rows, len(cols)),

@@ -11,6 +11,10 @@ the integer form is compared with:
   table, its constants scaled to their least common denominator, explicit
   zeros dropped, sorted by (i, j, k).
 
+`basis_triple` is the former `JordanPair.basis_triple`: one basis triple
+of a pair as a sparse rational vector, which the loop oracles extend
+trilinearly.
+
 `unchecked` builds an algebra from a rational table with no check at all,
 for the tests that need a table the checking constructor refuses (an
 inhomogeneous one, say).
@@ -82,6 +86,11 @@ def int_table_of(table, n: int) -> IntTable:
     for a in (i, j, k, value):
         a.flags.writeable = False
     return IntTable(n, i, j, k, value, d, top)
+
+
+def basis_triple(pair, sigma: int, i: int, j: int, k: int) -> dict:
+    """The nonzero coordinates {l: c} of {e_i, e_j, e_k}^sigma of a `JordanPair`."""
+    return {l: Q(x, pair.den) for l, x in enumerate(pair.tensors[sigma][i, j, k].tolist()) if x}
 
 
 def unchecked(name, parities, table, zdegrees=None, kind="plain", metadata=None):

@@ -29,7 +29,9 @@ from the former `Subspace.coordinates` one operator at a time (`op_coords`).
   `brackets` are None.
 - `check_bracket_map` is the former `_check_bracket_map` loop, on a list
   of rational images, and `pair_der_matches_der0` the former embedding
-  check.  `map_matrix` and `map_images` convert between such a list and
+  check; it is the only form of that check left, as supertkk dropped its
+  batched `tkk.pair_der_matches_der0`, which no command reported.
+  `map_matrix` and `map_images` convert between such a list and
   the integer matrix F over one denominator that supertkk's certificate
   takes; `_entries` is the former flattening of a builder's upper-triangle
   dict table.  `operator_space` is the former `structure._space` (an
@@ -75,6 +77,7 @@ from __future__ import annotations
 from oracle_identities import _g0_on_gplus, _gplus_on_gminus, _hom2_flat_p, center
 import oracle_linalg
 import oracle_tables
+from oracle_tables import basis_triple
 from oracle_linalg import (Matrix, SpanSolver, basis_vector, contains, contains_space,
                            coordinates, d_op, l_op, left_mult_matrix, operators,
                            supercommutator, triple)
@@ -161,7 +164,7 @@ def pair_triple(pair: JordanPair, sigma: int, x, y, z) -> tuple:
         for j, yj in enumerate(y):
             for k, zk in enumerate(z):
                 if xi and yj and zk:
-                    for l, c in pair.basis_triple(sigma, i, j, k).items():
+                    for l, c in basis_triple(pair, sigma, i, j, k).items():
                         out[l] += xi * yj * zk * c
     return tuple(out)
 
@@ -175,13 +178,13 @@ def pair_d_ops(pair: JordanPair, sigma: int, i: int, j: int):
     d_same = Matrix.from_entries(pair.dim(sigma), pair.dim(sigma), {
         (l, k): c
         for k in range(pair.dim(sigma))
-        for l, c in pair.basis_triple(sigma, i, j, k).items()})
+        for l, c in basis_triple(pair, sigma, i, j, k).items()})
     other = 1 - sigma
     s = Q(-1) if (pair.parity(sigma, i) * pair.parity(other, j)) % 2 == 0 else Q(1)
     d_other = Matrix.from_entries(pair.dim(other), pair.dim(other), {
         (l, k): s * c
         for k in range(pair.dim(other))
-        for l, c in pair.basis_triple(other, j, i, k).items()})
+        for l, c in basis_triple(pair, other, j, i, k).items()})
     parity = (pair.parity(sigma, i) + pair.parity(other, j)) % 2
     return d_same, d_other, parity
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracle_linalg as oracle
 from oracle_linalg import basis_vector, triple
 from supertkk import tensor
-from supertkk.exact import Matrix, Q
+from oracle_linalg import Matrix
+from supertkk.exact import Q
 from supertkk.jordan import (
     check_commutator_identity, check_five_linear, check_jordan_identity,
     check_triple_symmetry, find_unit,

@@ -1,5 +1,6 @@
-"""Module boundaries: no module imports another module's private names, and
-every name the benchmark's tracer wraps exists."""
+"""Module boundaries: no module imports another module's private names,
+every name the benchmark's tracer wraps exists, and the public surface
+resolves."""
 
 import ast
 import importlib
@@ -37,3 +38,17 @@ def test_every_traced_target_resolves():
         if not (callable(found) and (not isinstance(found, type) or "__init__" in vars(found))):
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def test_the_public_surface_resolves():
+    # every exported name imports, and the names only the tests used live
+    # in the test oracles: Matrix in oracle_linalg, basis_triple in
+    # oracle_tables, pair_der_matches_der0 in oracle_tkk
+    from supertkk import exact, structure, tkk
+    namespace = {}
+    exec("from supertkk import *", namespace)
+    assert set(supertkk.__all__) <= set(namespace)
+    retired = ("Matrix", "pair_der_matches_der0", "basis_triple")
+    found = [f"{owner.__name__}.{name}" for owner in (supertkk, exact, tkk, structure.JordanPair)
+             for name in retired if hasattr(owner, name) or name in supertkk.__all__]
+    assert not found, found

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import oracle_linalg as oracle
-from oracle_linalg import basis_vector, contains, contains_space, triple
+from oracle_linalg import Matrix, basis_vector, contains, contains_space, triple
 import oracle_tkk
 import oracle_tables
+from oracle_tables import basis_triple
 from supertkk import catalog, exact, structure, tensor, tkk
 from supertkk.catalog import (jordan_catalog, jordan_entries, lie_catalog, load_algebra,
                               resolve, save_algebra)
-from supertkk.exact import Matrix, Q, Subspace
+from supertkk.exact import Q, Subspace
 from supertkk.structure import (
     JordanPair,
     der_algebra,
@@ -427,7 +428,7 @@ def test_a_pair_returns_its_rational_triples_and_is_read_only(triples):
     for sigma, table in enumerate(tables):
         dims = (pair.dim(sigma), pair.dim(1 - sigma), pair.dim(sigma))
         for key in np.ndindex(*dims):
-            assert pair.basis_triple(sigma, *key) == table.get(key, {}), (sigma, key)
+            assert basis_triple(pair, sigma, *key) == table.get(key, {}), (sigma, key)
         T = pair.tensors[sigma]
         with pytest.raises(ValueError):
             T[(0,) * 4] = 1
@@ -435,7 +436,7 @@ def test_a_pair_returns_its_rational_triples_and_is_read_only(triples):
     source, den = oracle_tables.encode(tables, [t.shape for t in pair.tensors])
     copy = JordanPair("copy", parities, source, den)
     source[0][...] += 1
-    assert all(copy.basis_triple(0, *key) == tables[0].get(key, {})
+    assert all(basis_triple(copy, 0, *key) == tables[0].get(key, {})
                for key in np.ndindex(*copy.tensors[0].shape[:3]))
     with pytest.raises(ValueError, match="do not fit"):  # dim V+ != dim V-
         JordanPair("swapped", parities, source[::-1], den)
