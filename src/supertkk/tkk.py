@@ -21,14 +21,14 @@ other blocks are index maps of V's `IntTable`.  Their derivation container
 D is certified by `tits_data` without building Der(V): by the derivation
 defect of the operator identity (`tensor.derivation_defect`), then by the
 certified reads of the [L_a, L_b] (`structure.l_brackets`) and of D's own
-brackets that Ti and Ko_D write, done once per V and container and kept
-on the memoized `TitsData` with the sl2, which is built once per process.
-The Kantor top space is one integer tensor (`KantorTop`), picked by one
-`GeneratedSpan`, whose `coordinates` read every [A, B] of the istr x top
-block at once.  An equivalence map is an integer matrix over one
-denominator, written from its degree +-1 images alone (`_graded_map`: g0
-= [g+, g-] fixes the rest) and certified against both tables by
-`tensor.bracket_map_defect`.  No rational is formed while Ko,
+brackets that Ti and Ko_D write, done once per V and container, with the
+sl2, and kept on the memoized `TitsData`.  The Kantor top space is one
+integer tensor (`KantorTop`), picked by one `GeneratedSpan`, whose
+`coordinates` read every [A, B] of the istr x top block at once.  An
+equivalence map is an integer matrix over one denominator, written from
+its degree +-1 images alone
+(`_graded_map`: g0 = [g+, g-] fixes the rest) and certified against both
+tables by `tensor.bracket_map_defect`.  No rational is formed while Ko,
 Ko~, Kan, Ti or Ko_D is built.  `tits_roundtrip` compares all
 [e (x) a, f (x) b] at once with the coordinates of the [L_a, L_b] on the
 `TitsData`, and the half-Killing form of sl2 is one contraction of its
@@ -389,23 +389,6 @@ def _killing_half(y: SuperAlgebra) -> tuple:
     return np.einsum('ick,jkc->ij', C, C), 2 * d * d
 
 
-_SL2 = None  # (sl2, its half-Killing form), built by `_sl2_data` on first use
-
-
-def _sl2_data() -> tuple:
-    """The fixed sl2 and its half-Killing form (K read-only), which every
-    `TitsData` shares: they depend on no input, so they are built, and
-    super-Jacobi proved on the sl2, once per process on first use (at
-    import they would pull numpy into the numpy-free set-ups)."""
-    global _SL2
-    if _SL2 is None:
-        sl2 = _sl2()
-        killing = _killing_half(sl2)
-        killing[0].flags.writeable = False
-        _SL2 = sl2, killing
-    return _SL2
-
-
 @memoized
 def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     """Resolve a derivation-container choice, certify its preconditions and
@@ -415,7 +398,8 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
     OperatorSpace, whose preconditions are checked in order: the shape
     (V.dim,), derivations (`_are_derivations`), then Inn(V) <= D and [D, D]
     <= D by the reads of `TitsData`; a failed check raises ValueError.
-    Memoized on V: the reads are done once per V and container."""
+    Memoized on V, so that the reads, the sl2 and its super-Jacobi proof
+    are done once per V and container."""
     if V.kind != "jordan" or check_supercommutative(V) is not None:
         raise ValueError("tits expects a Jordan superalgebra")
     if isinstance(d, TitsData):
@@ -442,7 +426,8 @@ def tits_data(V: SuperAlgebra, d="inn") -> TitsData:
         closed = _self_brackets(dsp)
     except CertificateError:
         raise ValueError("derivation container is not closed under bracket") from None
-    return TitsData(V, dsp, *_sl2_data(), label, inner, closed)
+    sl2 = _sl2()
+    return TitsData(V, dsp, sl2, _killing_half(sl2), label, inner, closed)
 
 
 @memoized

@@ -69,9 +69,6 @@ MUTANTS = [
     ("tkk.tits_data is not memoized", PKG + "tkk.py",
      "@memoized\ndef tits_data(", "def tits_data(",
      [TKK + "test_one_container_builds_sl2_once"]),
-    ("tkk builds the sl2 on every call", PKG + "tkk.py",
-     "    if _SL2 is None:\n", "    if True:\n",
-     [TKK + "test_one_container_builds_sl2_once"]),
     ("tkk.koecher_d is not memoized", PKG + "tkk.py",
      "@memoized\ndef koecher_d(", "def koecher_d(",
      [TKK + "test_the_isomorphism_reads_the_ko_d_a_caller_built"]),

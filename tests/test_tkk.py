@@ -180,16 +180,21 @@ def test_tits_data_validation():
     assert got == [list(row) for row in oracle_tkk.killing_half(data.sl2).data]
 
 
-def test_one_container_builds_sl2_once():
-    # the sl2 and its half-Killing form depend on no input, so the TitsData
-    # of two fresh algebras share them; on a fresh kacK, Ti, Ko_D, the
-    # isomorphism between them and the Tits round trip all read the one
-    # memoized TitsData of (V, "inn")
-    K, J = (load_algebra(save_algebra(resolve(s))) for s in ("kacK", "j19"))
+def test_one_container_builds_sl2_once(monkeypatch):
+    # a fresh kacK: Ti, Ko_D, the isomorphism between them and the Tits
+    # round trip all read the one memoized TitsData of (V, "inn")
+    K = load_algebra(save_algebra(resolve("kacK")))
+    built = []
+    integer_algebra = tkk.integer_algebra
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["name"])
+        return integer_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(tkk, "integer_algebra", spy)
     data, ti, kd = tits_data(K, "inn"), tits(K, "inn"), koecher_d(K, "inn")
     checks = check_propnu(K, "inn") + [tits_roundtrip(K, "inn")]
-    other = tits_data(J, "inn")
-    assert other.sl2 is data.sl2 and other.killing is data.killing
+    assert built.count("sl2") == 1, built
     assert ti.data["tits"] is data and data.sl2.name == "sl2" and kd.dim == ti.dim
     assert all(c.passed for c in checks), checks
 
@@ -214,9 +219,9 @@ def test_the_isomorphism_reads_the_ko_d_a_caller_built(monkeypatch):
 @pytest.mark.parametrize("d", ["inn", "der"])
 def test_koecher_d_builds_no_sl2(d, monkeypatch):
     # Ko_D reads the certified container only: once Ti(V, D) is built,
-    # checking the isomorphism onto Ko_D(V) builds no sl2 again, even with
-    # the process-wide sl2 dropped
-    V = jordan_catalog("full_matrix", 1, 1)
+    # checking the isomorphism onto Ko_D(V) builds no sl2 again; a fresh V,
+    # so that no memoized Ko_D from another test skips the build
+    V = load_algebra(save_algebra(resolve("full_matrix:1,1")))
     tits(V, d)
     built = []
     sl2 = tkk._sl2
@@ -226,7 +231,6 @@ def test_koecher_d_builds_no_sl2(d, monkeypatch):
         return sl2()
 
     monkeypatch.setattr(tkk, "_sl2", spy)
-    monkeypatch.setattr(tkk, "_SL2", None)
     assert check_propnu(V, d)[0].passed
     assert built == []
 
