@@ -17,20 +17,24 @@ of an integer array with a denominator each, eliminates them once and then
 writes any number of members in those generators in one batched pass over
 the pivot rows as arrays (`_read`), as integers over one denominator
 (`coordinates`) or, for one member, as rationals (`express`).
-`integer_kernel` takes its system as `IntRows` (flat numpy arrays) and
-first runs a vectorised structured-elimination pre-pass (`_absorb`): rows
-with one entry zero their column and rows a x_c + b x_d with |a| = |b| tie
-x_d to x_c, round after round (a system with neither returns at once), so
-only the core rows left reach the elimination; its rank is the zeroed
-roots plus the tied columns plus the core pivots.  A core with more
-entries than a dense system of 2 * ncols rows is eliminated on its
-shortest rows, and on the rows the certificate finds their vectors miss,
-in at most two rounds that share one pre-pass.  There is one kernel
-vector per free column, each the only one nonzero there, so they are
-independent; their canonical basis is verified exactly against every
-original row; and every batch of members is recombined from its
-coefficients by one integer product; a failure of any certificate raises
-CertificateError, so the checks survive `python -O`.
+A kernel takes its system as `IntRows` (flat numpy arrays), and one loop
+serves both kernel entries (`_certified_kernel`).  It first runs a
+vectorised structured-elimination pre-pass (`_absorb`): rows with one
+entry zero their column and rows a x_c + b x_d with |a| = |b| tie x_d to
+x_c, round after round (a system with neither returns at once), so only
+the core rows left reach the elimination; its rank is the zeroed roots
+plus the tied columns plus the core pivots.  A core with more entries
+than a dense system of 2 * ncols rows is eliminated on its shortest rows,
+and on the rows the certificate finds their vectors miss, in at most two
+rounds that share one pre-pass.  There is one kernel vector per free
+column, each the only one nonzero there, so they are independent.
+`integer_kernel` verifies their canonical basis exactly against every
+original row; `kernel_span` verifies the vectors themselves, and in the
+same join the caller's vectors of the kernel, whose span it reads on the
+free columns alone (the derivation tower's ad rows).  Every batch of
+members is recombined from its coefficients by one integer product; a
+failure of any certificate raises CertificateError, so the checks survive
+`python -O`.
 `solve` takes its system as a sequence of rows: there is no dense matrix
 type, and operators are integer stacks (`structure.OperatorStack`).
 
@@ -52,7 +56,11 @@ too.  Every fold of summed keys (`sum_by_key`: the joins, the pre-pass,
 window over the keys' span, when the keys are many and dense in their
 span, as on dense tables, and one sort otherwise.
 Every numpy path runs in int64 only after proving its bound below 2**62
-(`int_dtype`), else on object-dtype Python ints.
+(`int_dtype`), else on object-dtype Python ints.  The helpers on the
+load and fingerprint path call ndarray methods (`a.cumsum()`,
+`m.nonzero()[0]`, `a.repeat(r)`, `a.argsort()`, `a.searchsorted(v)`)
+rather than numpy's module-level wrappers, each of which costs about a
+microsecond more per call on their small arrays.
 """
 
 from __future__ import annotations
@@ -524,7 +532,7 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     for eq, col, val in chunks:
         if not len(eq):
             continue
-        val = val.astype(int_dtype(terms * int(np.abs(val).max())), copy=False)
+        val = val.astype(int_dtype(terms * int(abs(val).max())), copy=False)
         top = int(eq.max()) + 1
         key = (block_of[col].astype(int_dtype(top * nblocks * ncols), copy=False) * top
                + eq) * ncols + col
@@ -534,9 +542,9 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
             continue
         start, col = _run_starts(key // ncols), (key % ncols).astype(np.int64)
         del key
-        lens = np.diff(start, append=len(col))
-        g = np.gcd.reduceat(np.abs(val), start)
-        val = val // np.repeat(np.where(val[start] < 0, -g, g), lens)
+        lens = np.append(start[1:], len(col)) - start
+        g = np.gcd.reduceat(abs(val), start)
+        val = val // np.where(val[start] < 0, -g, g).repeat(lens)
         # deduplicated per chunk first, so that only about the distinct rows
         # are held until the last pass
         parts.append(_distinct_rows(block_of[col[start]], start, lens, col, val))
@@ -545,13 +553,13 @@ def primitive_row_blocks(chunks, terms: int, block_of, position_of) -> dict[int,
     blocks, lens, cols, vals = parts[0]  # distinct and grouped by block
     if len(parts) > 1:
         blocks, lens, cols, vals = (np.concatenate(a) for a in zip(*parts))
-        blocks, lens, cols, vals = _distinct_rows(blocks, np.cumsum(lens) - lens, lens, cols, vals)
-        by_block = np.argsort(np.repeat(blocks, lens), kind="stable")
-        rows = np.argsort(blocks, kind="stable")
+        blocks, lens, cols, vals = _distinct_rows(blocks, lens.cumsum() - lens, lens, cols, vals)
+        by_block = blocks.repeat(lens).argsort(kind="stable")
+        rows = blocks.argsort(kind="stable")
         blocks, lens, cols, vals = blocks[rows], lens[rows], cols[by_block], vals[by_block]
     cols = position_of[cols]
-    row_cut = np.searchsorted(blocks, np.arange(nblocks + 1)).tolist()
-    entry_cut = np.concatenate([[0], np.cumsum(lens)])[row_cut].tolist()
+    row_cut = blocks.searchsorted(np.arange(nblocks + 1)).tolist()
+    entry_cut = np.append(0, lens.cumsum())[row_cut].tolist()
     return {b: IntRows(lens[row_cut[b]:row_cut[b + 1]], cols[entry_cut[b]:entry_cut[b + 1]],
                        vals[entry_cut[b]:entry_cut[b + 1]]) for b in range(nblocks)}
 
@@ -568,7 +576,7 @@ def _distinct_rows(blocks, starts, lens, cols, vals) -> tuple:
     keep = None
     if vals.dtype != object:
         first, rep = _first_occurrences(_row_hashes(starts, lens, cols, vals))
-        dup = np.flatnonzero(rep != np.arange(len(rep)))
+        dup = (rep != np.arange(len(rep))).nonzero()[0]
         rep = rep[dup]
         if (lens[dup] == lens[rep]).all():
             a, b = (concat_ranges(starts[r], lens[dup]) for r in (dup, rep))
@@ -590,12 +598,13 @@ def _first_occurrences(h):
     h, which need not be stable: `np.minimum.reduceat` takes the least index
     of each run of equal values."""
     import numpy as np
-    order = np.argsort(h)
+    order = h.argsort()
     start = _run_starts(h[order])
     first = np.minimum.reduceat(order, start)
     rep = np.empty_like(order)
-    rep[order] = np.repeat(first, np.diff(start, append=len(h)))
-    return np.sort(first), rep
+    rep[order] = first.repeat(np.append(start[1:], len(h)) - start)
+    first.sort()
+    return first, rep
 
 
 _WINDOW_KEYS = 256  # the fewest keys that `sum_by_key` folds in a window
@@ -619,13 +628,13 @@ def sum_by_key(keys, vals):
         if span <= _WINDOW_SPAN * len(keys):
             acc = np.zeros(span, dtype=vals.dtype)
             np.add.at(acc, (keys - lo).astype(np.intp, copy=False), vals)
-            at = np.flatnonzero(acc)
+            at = acc.nonzero()[0]
             vals = acc[at]
             del acc  # each step frees its input first, as below
             keys = at.astype(keys.dtype, copy=False)
             keys += lo
             return keys, vals
-    order = np.argsort(keys)
+    order = keys.argsort()
     keys, vals = keys[order], vals[order]
     del order  # each step below frees its input first: few arrays held at once
     first = _run_starts(keys)
@@ -662,19 +671,19 @@ def range_join(ranges, varying, scale: int, chunk: int):
     import numpy as np
     start, size, const, value, flag = ranges
     key, val, odd = varying
-    ends = np.cumsum(size)
+    ends = size.cumsum()
     keys, sums = np.zeros(0, dtype=const.dtype), np.zeros(0, dtype=value.dtype)
     lo = 0
     while lo < len(ends):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + chunk, side="right")))
+        hi = max(lo + 1, int(ends.searchsorted(ends[lo] - size[lo] + chunk, side="right")))
         m = size[lo:hi]
         at = concat_ranges(start[lo:hi], m)
-        v = np.repeat(value[lo:hi], m) * val[at]
+        v = value[lo:hi].repeat(m) * val[at]
         if flag is not None:
-            np.negative(v, out=v, where=np.repeat(flag[lo:hi], m) & odd[at])
-        keys, sums = sum_by_key(np.concatenate([keys, np.repeat(const[lo:hi], m) + key[at]]),
+            np.negative(v, out=v, where=flag[lo:hi].repeat(m) & odd[at])
+        keys, sums = sum_by_key(np.concatenate([keys, const[lo:hi].repeat(m) + key[at]]),
                                 np.concatenate([sums, v]))
-        done = len(keys) if hi == len(ends) else int(np.searchsorted(keys, const[hi] // scale * scale))
+        done = len(keys) if hi == len(ends) else int(keys.searchsorted(const[hi] // scale * scale))
         yield keys[:done], sums[:done]
         keys, sums, lo = keys[done:], sums[done:], hi
 
@@ -682,14 +691,14 @@ def range_join(ranges, varying, scale: int, chunk: int):
 def _run_starts(a):
     """Indices of the entries of a sorted array that differ from the one before."""
     import numpy as np
-    return np.flatnonzero(np.concatenate(([len(a) > 0], a[1:] != a[:-1])))
+    return np.concatenate(([len(a) > 0], a[1:] != a[:-1])).nonzero()[0]
 
 
 def concat_ranges(starts, lens):
     """Indices of the entries of the rows given by starts and lens, row after row."""
     import numpy as np
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+    ends = lens.cumsum()
+    return (starts - ends + lens).repeat(lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _row_hashes(starts, lens, cols, vals):
@@ -766,34 +775,24 @@ def _verify_kernel(int_rows: IntRows, vecs: IntRows, ncols: int):
 
     nvec = len(vecs)
     bad, missed = np.zeros(nvec, dtype=bool), np.zeros(len(int_rows), dtype=bool)
-    dtype = int_dtype(int(np.abs(int_rows.vals).max(initial=1))  # so at least max|v|, to cast v
-                      * int(np.abs(vecs.vals).max(initial=0)) * int(int_rows.lens.max(initial=1)))
-    by_col = np.argsort(vecs.cols)
-    owner = np.repeat(np.arange(nvec), vecs.lens)[by_col]
+    dtype = int_dtype(int(abs(int_rows.vals).max(initial=1))  # so at least max|v|, to cast v
+                      * int(abs(vecs.vals).max(initial=0)) * int(int_rows.lens.max(initial=1)))
+    by_col = vecs.cols.argsort()
+    owner = np.arange(nvec).repeat(vecs.lens)[by_col]
     count = np.bincount(vecs.cols, minlength=ncols)
     # one range per row entry that meets a vector entry, built an array at
     # a time: the w(5) tower's system has 288,320 of them
-    hit = np.flatnonzero((count > 0)[int_rows.cols])
-    const = np.searchsorted(np.cumsum(int_rows.lens), hit, side="right") * nvec
+    hit = (count > 0)[int_rows.cols].nonzero()[0]
+    const = int_rows.lens.cumsum().searchsorted(hit, side="right") * nvec
     value = int_rows.vals[hit].astype(dtype, copy=False)
     col = int_rows.cols[hit]
     del hit
-    ranges = ((np.cumsum(count) - count)[col], count[col], const, value, None)
+    ranges = ((count.cumsum() - count)[col], count[col], const, value, None)
     del col, const, value
     for key, _ in range_join(ranges, (owner, vecs.vals[by_col].astype(dtype), None), nvec,
                              _KERNEL_CHUNK):
         bad[key % nvec] = missed[key // nvec] = True
     return bad, missed
-
-
-def span_in_kernel(int_rows: IntRows, vecs: IntRows, ncols: int, message) -> list:
-    """The sorted pivot columns of the span of vecs (the rows of an
-    `IntRows`), each certified to kill every row: CertificateError(
-    message(bad)) if the vectors of the indices bad do not."""
-    bad = _verify_kernel(int_rows, vecs, ncols)[0].nonzero()[0]
-    if len(bad):
-        raise CertificateError(message(bad))
-    return sorted(_echelon(vecs.dicts()))
 
 
 def kernel_sparse(rows: Iterable[dict], ncols: int) -> list[tuple]:
@@ -824,24 +823,24 @@ def _absorb(int_rows: IntRows, ncols: int):
 
     root, sign = np.arange(ncols), np.ones(ncols, dtype=np.int64)
     lens, vals = int_rows.lens, int_rows.vals
-    two = (np.cumsum(lens) - lens)[lens == 2]
+    two = (lens.cumsum() - lens)[lens == 2]
     if not (lens == 1).any() and not (abs(vals[two]) == abs(vals[two + 1])).any():
         return root, sign, int_rows  # the first round would absorb nothing
-    vals = vals.astype(int_dtype(int(lens.max()) * int(np.abs(vals).max())))
-    row, col = np.repeat(np.arange(len(lens)), lens), int_rows.cols
+    vals = vals.astype(int_dtype(int(lens.max()) * int(abs(vals).max())))
+    row, col = np.arange(len(lens)).repeat(lens), int_rows.cols
     key_type, nrows = int_dtype(len(lens) * ncols), len(lens)
     while len(row):
         key = row.astype(key_type) * ncols + root[col]
         key, vals = sum_by_key(key, vals * sign[col])
         row, col = (key // ncols).astype(np.int64, copy=False), (key % ncols).astype(np.int64)
         lens = np.bincount(row, minlength=nrows)  # 0 for the rows gone
-        start = np.cumsum(lens) - lens
-        single, pair = lens == 1, np.flatnonzero(lens == 2)
+        start = lens.cumsum() - lens
+        single, pair = lens == 1, (lens == 2).nonzero()[0]
         zeroed = np.zeros(ncols, dtype=bool)
         zeroed[col[start[single]]] = True
         at = start[pair]
         a, b, c, d = vals[at], vals[at + 1], col[at], col[at + 1]
-        tie = np.flatnonzero((abs(a) == abs(b)) & ~zeroed[c] & ~zeroed[d])
+        tie = ((abs(a) == abs(b)) & ~zeroed[c] & ~zeroed[d]).nonzero()[0]
         by_child = tie[np.lexsort((c[tie], d[tie]))]
         chosen = by_child[_run_starts(d[by_child])]
         if not len(chosen) and not single.any():
@@ -854,7 +853,7 @@ def _absorb(int_rows: IntRows, ncols: int):
         step[zeroed] = 0
         # the rows just absorbed are 0 once substituted: drop them now
         single[pair[chosen]] = True
-        keep = ~np.repeat(single, lens)
+        keep = ~single.repeat(lens)
         row, col, vals = row[keep], col[keep], vals[keep]
         root, sign = parent[root], sign * step[root]
     return root, sign, IntRows.from_dicts(())
@@ -883,11 +882,11 @@ def _free_vectors(root, sign, rows: list):
     store = _echelon(rows)
     is_root = root == np.arange(ncols)
     rank = int((is_root & (sign == 0)).sum()) + int((~is_root).sum()) + len(store)
-    live = np.flatnonzero(is_root & (sign != 0))
+    live = (is_root & (sign != 0)).nonzero()[0]
     # the columns of each live root, with their signs
-    at = np.flatnonzero(sign != 0)
-    at = at[np.argsort(root[at], kind="stable")]
-    cut = np.searchsorted(root[at], live).tolist() + [len(at)]
+    at = (sign != 0).nonzero()[0]
+    at = at[root[at].argsort(kind="stable")]
+    cut = root[at].searchsorted(live).tolist() + [len(at)]
     tied = list(zip(at.tolist(), sign[at].tolist()))
     members = {r: tied[lo:hi] for r, lo, hi in zip(live.tolist(), cut, cut[1:])}
     hits: dict = {}  # column -> the pivots whose rows are nonzero on it
@@ -907,34 +906,37 @@ _KERNEL_FAILED = ("kernel verification failed: the basis needs one vector per fr
                   "each killing every row")
 
 
-def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
-    """The kernel of a sparse integer system as a `Subspace` of Q^ncols
+def _certified_kernel(int_rows: IntRows, ncols: int, others=None, canonical=False) -> tuple:
+    """(basis, bad): a basis of the kernel of a sparse integer system
     (callers pass the rows primitive and distinct, as `primitive_rows` and
-    `primitive_row_blocks` leave them).
+    `primitive_row_blocks` leave them), and the mask of the rows of others,
+    an `IntRows` or None, that fail to kill some row of the system.
 
     `_absorb` runs once, and `_free_vectors` eliminates its core.  Its
-    vectors are certified independent before `_echelon` brings them to the
-    canonical basis: there are ncols - rank of them, and each is the only one
-    nonzero on its own free column.  The rows of that basis are then
-    certified to kill every original row (`_verify_kernel`), and the
-    `Subspace` takes the store as it is.  As the rank of rows of the system
-    is at most its rank, ncols - rank independent vectors that kill every
-    row are a basis of the kernel.
+    vectors are certified independent: there are ncols - rank of them, and
+    each is the only one nonzero on its own free column.  basis maps each
+    free column to its vector, or with canonical each pivot to its row of
+    the canonical basis (`_echelon` of the vectors).  The rows of basis and
+    of others are then certified in one join (`_verify_kernel`): the basis
+    must kill every original row, else CertificateError.  As the rank of
+    rows of the system is at most its rank, ncols - rank independent
+    vectors that kill every row are a basis of the kernel.
 
     A `_tall` system takes at most two rounds.  The first eliminates the
     2 * ncols shortest rows of its core, chosen on its arrays (a stable
     argsort of the row lengths), so that only those rows become dicts.  If
-    the join names rows that the basis fails to kill, the second eliminates
-    those rows too, with (root, sign) substituted, and both certificates run
-    again.  That completes the span: a row every vector kills is zero on the
-    kernel of the rows eliminated, so it lies in their span."""
+    the join names rows that some vector fails to kill, the second
+    eliminates those rows too, with (root, sign) substituted, and both
+    certificates run again.  That completes the span: a row every vector
+    kills is zero on the kernel of the rows eliminated, so it lies in
+    their span."""
     import numpy as np
 
     root, sign, core = _absorb(int_rows, ncols)
     tall = _tall(int_rows, ncols)
     if tall:  # its shortest rows, in the order sorted(rows, key=len) gives
-        short = np.argsort(core.lens, kind="stable")[:2 * ncols]
-        at = concat_ranges((np.cumsum(core.lens) - core.lens)[short], core.lens[short])
+        short = core.lens.argsort(kind="stable")[:2 * ncols]
+        at = concat_ranges((core.lens.cumsum() - core.lens)[short], core.lens[short])
         core = IntRows(core.lens[short], core.cols[at], core.vals[at])
     rows = core.dicts()
     for second in (False, True):
@@ -943,17 +945,51 @@ def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
         certify(len(vecs) == len(free) == ncols - rank and all(
             [c for c, x in v.items() if x and c in is_free] == [f] for v, f in zip(vecs, free)),
             _KERNEL_FAILED)
-        basis = _echelon(vecs)
-        bad, missed = _verify_kernel(int_rows, IntRows.from_dicts(basis.values()), ncols)
+        basis = _echelon(vecs) if canonical else dict(zip(free, vecs))
+        joined = IntRows.from_dicts(basis.values())
+        if others is not None:
+            joined = IntRows.concat([joined, others])
+        bad, missed = _verify_kernel(int_rows, joined, ncols)
         if second or not (tall and missed.any()):
             break
         lens = int_rows.lens[missed]
-        sub = concat_ranges((np.cumsum(int_rows.lens) - int_rows.lens)[missed], lens)
+        sub = concat_ranges((int_rows.lens.cumsum() - int_rows.lens)[missed], lens)
         at, by = root.tolist(), sign.tolist()
         for r in IntRows(lens, int_rows.cols[sub], int_rows.vals[sub]).dicts():
             tied: dict = {}
             for c, x in r.items():
                 tied[at[c]] = tied.get(at[c], 0) + by[c] * x
             rows.append({c: x for c, x in tied.items() if x})
-    certify(not bad.any(), _KERNEL_FAILED)
-    return Subspace._of(ncols, basis)
+    certify(not bad[:len(basis)].any(), _KERNEL_FAILED)
+    return basis, bad[len(basis):]
+
+
+def integer_kernel(int_rows: IntRows, ncols: int) -> Subspace:
+    """The kernel of a sparse integer system as a `Subspace` of Q^ncols: the
+    canonical basis of `_certified_kernel`, certified to kill every row,
+    taken as its store is."""
+    return Subspace._of(ncols, _certified_kernel(int_rows, ncols, canonical=True)[0])
+
+
+def kernel_span(int_rows: IntRows, ncols: int, vecs: IntRows, message) -> tuple:
+    """(free, pivots) for a sparse integer system and vectors vecs (the
+    rows of an `IntRows`) in its kernel, as int64 arrays: free, the
+    ascending free columns of the kernel basis of `_certified_kernel`, one
+    vector per free column; pivots, the ascending pivot columns of the span
+    of vecs read on the free columns alone.  The kernel basis and vecs are
+    certified in one join: CertificateError(message(bad)) if the vecs of
+    the indices bad fail to kill some row.
+
+    Each kernel vector is the only one nonzero on its own free column, so a
+    vector of the kernel is the combination of them that its entries on the
+    free columns give: reading a vector on the free columns is injective on
+    the kernel, and the span of vecs has as many pivots as that of their
+    readings."""
+    import numpy as np
+    basis, bad = _certified_kernel(int_rows, ncols, vecs)
+    bad = bad.nonzero()[0]
+    if len(bad):
+        raise CertificateError(message(bad))
+    read = [{c: x for c, x in v.items() if c in basis} for v in vecs.dicts()]
+    return (np.array(list(basis), dtype=np.int64),
+            np.array(sorted(_echelon(read)), dtype=np.int64))

@@ -237,10 +237,10 @@ def _runs(cost, budget: int = 2 ** 16):
     broadcast) sum to about budget, one index at least: the chunks of an
     assembly, which bound its transient arrays."""
     import numpy as np
-    before = np.cumsum(np.concatenate([[0], cost]))
+    before = np.append(0, cost.cumsum())
     lo = 0
     while lo < len(cost):
-        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + budget, "right")) - 1)
+        hi = max(lo + 1, int(before.searchsorted(before[lo] + budget, "right")) - 1)
         yield lo, hi
         lo = hi
 
@@ -252,13 +252,13 @@ def _same_weight(weight):
     with one class, b runs over all of [lo, hi)."""
     import numpy as np
     n = len(weight)
-    order = np.argsort(weight, kind="stable")
+    order = weight.argsort(kind="stable")
     key = weight[order] * n + order  # increasing: by class, then by index
 
     def members(at, lo, hi):
-        start, stop = (np.searchsorted(key, weight[at] * n + x) for x in (lo, hi))
+        start, stop = (key.searchsorted(weight[at] * n + x) for x in (lo, hi))
         lens = stop - start
-        return np.repeat(np.arange(len(at)), lens), order[concat_ranges(start, lens)]
+        return np.arange(len(at)).repeat(lens), order[concat_ranges(start, lens)]
     return members
 
 
@@ -297,16 +297,16 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
     p = [np.array(q, dtype=np.int64) for q in parities]
     dims = [len(q) for q in p]
     w = [np.zeros(d, dtype=np.int64) for d in dims] if weights is None else weights
-    top, offset = max(dims), np.cumsum([0] + [d * d for d in dims])
+    top, offset = max(dims), np.array([0] + [d * d for d in dims]).cumsum()
     codes, block_of = np.unique(codes, return_inverse=True)
-    live = np.flatnonzero(np.concatenate([np.equal.outer(x, x).ravel() for x in w]))
-    flats = live[np.argsort(block_of[live], kind="stable")]  # increasing within each block
-    cut = np.searchsorted(block_of[flats], np.arange(len(codes) + 1))
+    live = np.concatenate([np.equal.outer(x, x).ravel() for x in w]).nonzero()[0]
+    flats = live[block_of[live].argsort(kind="stable")]  # increasing within each block
+    cut = block_of[flats].searchsorted(np.arange(len(codes) + 1))
     position_of = np.zeros(len(block_of), dtype=np.int64)
     position_of[flats] = np.arange(len(flats)) - cut[block_of[flats]]
     # the spaces' bases as one: basis vector b of space o is base[o] + b, its
     # class numbered apart from the classes of the other spaces
-    base, par, dims = np.cumsum([0] + dims), np.concatenate(p) == 1, np.array(dims)
+    base, par, dims = np.array([0] + dims).cumsum(), np.concatenate(p) == 1, np.array(dims)
     cls = np.concatenate([x + lo for x, lo in zip(w, base.tolist())])
     n, members = len(cls), _same_weight(cls)
     size = np.bincount(cls, minlength=n)[cls]
@@ -314,7 +314,7 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
     # output, of the space S[s, M[t]]; odd[s, t] the parity of |x_1| + ... +
     # |x_{s-1}|, sign[s, M[t]] the term's sign but for it, E[t] the equation
     r = len(maps[0][2])
-    M = np.repeat(np.arange(len(maps)), [len(x) for (*_, x), *_ in maps])
+    M = np.arange(len(maps)).repeat([len(x) for (*_, x), *_ in maps])
     K = np.concatenate([np.array([*key, l], dtype=np.int64).reshape(r + 1, -1)
                         for (key, l, _), *_ in maps], axis=1)
     const = np.concatenate([x for (*_, x), *_ in maps])
@@ -322,7 +322,7 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
     sign = np.array([[*(-e for e in eps), 1] for *_, eps in maps]).T
     G = base[S[:, M]] + K
     odd = np.zeros(K.shape, dtype=bool)
-    odd[1:r] = np.cumsum(par[G[:r - 1]], axis=0) % 2 == 1
+    odd[1:r] = par[G[:r - 1]].cumsum(axis=0) % 2 == 1
     E, power = M, top ** np.arange(r, -1, -1)
     for k in K:
         E = E * top + k
@@ -331,9 +331,9 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
     # its class for X_out and for each X_{op_s} but the first, and one per
     # entry of T whose first index shares the class of i_1
     first = np.array([ops[0] for _, _, ops, _ in maps])
-    start = np.cumsum(np.concatenate([[0], dims[first]]))
+    start = np.append(0, dims[first].cumsum())
     first_at = start[M] + K[0]
-    m_of = np.repeat(np.arange(len(maps)), dims[first])
+    m_of = np.arange(len(maps)).repeat(dims[first])
     class_of = cls[base[first][m_of] + np.arange(start[-1]) - start[m_of]]
     cost = (np.bincount(first_at, size[G[r]] + size[G[1:r]].sum(0), start[-1]).astype(np.int64)
             + np.bincount(M * n + cls[G[0]], minlength=len(maps) * n)[m_of * n + class_of])
@@ -344,12 +344,12 @@ def _rule_blocks(maps, parities, codes, halve: bool, weights=None) -> dict:
         the run meets against the b of the run in its class, and the other
         slots and the output of the entries with i_1 in the run against
         their classes.  A function, so that none of its arrays outlives it."""
-        t = np.flatnonzero((first_at >= lo) & (first_at < hi))
+        t = ((first_at >= lo) & (first_at < hi)).nonzero()[0]
         lo_b, hi_b = (base[first] + np.minimum(np.maximum(x - start[:-1], 0), dims[first])
                       for x in (lo, hi))
-        t0, tr = np.flatnonzero((lo_b < hi_b)[M]), t[K[0, t] <= K[1, t]] if halve else t
-        ts = np.concatenate([t0, np.tile(t, r - 1), tr])
-        ss = np.repeat(np.arange(r + 1), [len(t0)] + [len(t)] * (r - 1) + [len(tr)])
+        t0, tr = (lo_b < hi_b)[M].nonzero()[0], t[K[0, t] <= K[1, t]] if halve else t
+        ts = np.concatenate([t0, *[t] * (r - 1), tr])
+        ss = np.arange(r + 1).repeat([len(t0)] + [len(t)] * (r - 1) + [len(tr)])
         m = len(ts) - len(t0)
         b_lo = np.concatenate([lo_b[M[t0]], np.zeros(m, dtype=int)])
         b_hi = np.concatenate([hi_b[M[t0]], np.full(m, n)])
@@ -430,7 +430,7 @@ def leibniz_weight_zero(a: SuperAlgebra, weight) -> dict:
     import numpy as np
     n, t = a.dim, a.int_table
     deg, p = (np.array(x, dtype=np.int64) for x in ([a.zdegree(i) for i in range(n)], a.parities))
-    bad = np.flatnonzero((p[t.k] != (p[t.i] + p[t.j]) % 2) | (deg[t.k] != deg[t.i] + deg[t.j]))
+    bad = ((p[t.k] != (p[t.i] + p[t.j]) % 2) | (deg[t.k] != deg[t.i] + deg[t.j])).nonzero()[0]
     if len(bad):
         raise ValueError("inhomogeneous product: e_{}*e_{} hits e_{}".format(
             *(int(x[bad[0]]) for x in (t.i, t.j, t.k))))

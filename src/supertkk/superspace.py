@@ -234,7 +234,7 @@ def _checked_arrays(parities, zdeg, d, i, j, k, v) -> tensor.IntTable:
     n = len(parities)
     i, j, k = (np.asarray(a, dtype=np.int64) for a in (i, j, k))
     v = np.asarray(v)
-    ijk = np.stack([i, j, k])
+    ijk = np.array([i, j, k])
     fault = np.zeros(len(v), dtype=bool)
     if ijk.size and not (ijk.min() >= 0 and ijk.max() < n):
         fault = ((ijk < 0) | (ijk >= n)).any(axis=0)
@@ -243,7 +243,7 @@ def _checked_arrays(parities, zdeg, d, i, j, k, v) -> tensor.IntTable:
     repeated = np.zeros(len(v), dtype=bool)
     order = None
     if not (key[1:] > key[:-1]).all():      # not strictly increasing
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
     nonzero = v != 0
     p = np.array(parities + (0,), dtype=np.int8)
@@ -256,7 +256,7 @@ def _checked_arrays(parities, zdeg, d, i, j, k, v) -> tensor.IntTable:
         entry = tuple(int(a[m]) for a in (ijk[0], ijk[1], ijk[2], v))
         _checked_tuples(parities, zdeg, [entry], {int(key[m])} if repeated[m] else set())
         certify(False, f"array check flagged the valid entry {entry}")
-    keep = np.flatnonzero(nonzero) if order is None else order[nonzero[order]]
+    keep = nonzero.nonzero()[0] if order is None else order[nonzero[order]]
     v = v[keep]
     g = gcd(d, int(np.gcd.reduce(v)))
     top = int(abs(v).max()) // g if len(v) else 0
@@ -350,11 +350,11 @@ def _mirror_defect(a: SuperAlgebra, sign: int):
     import numpy as np
     t = a.int_table
     key, mirror = table_keys(t.i, t.j, t.k, n), table_keys(t.j, t.i, t.k, n)
-    at = np.minimum(np.searchsorted(key, mirror), max(len(key) - 1, 0))
+    at = np.minimum(key.searchsorted(mirror), max(len(key) - 1, 0))
     odd = np.array(p, dtype=np.int64)
     want = t.value * (sign - 2 * sign * (odd[t.i] & odd[t.j]))
     found = key[at] == mirror
-    bad = np.flatnonzero(np.where(found, t.value[at], 0) != want)
+    bad = (np.where(found, t.value[at], 0) != want).nonzero()[0]
     if not len(bad):
         return None
     pair = int((np.maximum(t.i[bad], t.j[bad]) * n + np.minimum(t.i[bad], t.j[bad])).min())

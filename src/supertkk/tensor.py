@@ -141,10 +141,10 @@ def jacobi_defect(a):
     n, p = t.n, np.array(a.parities, dtype=bool)
     value = t.value.astype(t.dtype(3 * n, 2), copy=False)
     y, z, l, inner = t.i, t.j, t.k, value           # [e_y, e_z] = sum_l C[y, z, l] e_l
-    by_jik = np.argsort((t.j * n + t.i) * n + t.k, kind="stable")  # [e_x, e_l] by (l, x)
+    by_jik = ((t.j * n + t.i) * n + t.k).argsort(kind="stable")  # [e_x, e_l] by (l, x)
     lo, xo, to, outer = t.j[by_jik], t.i[by_jik], t.k[by_jik], value[by_jik]
-    down, up = np.flatnonzero(y > z), np.flatnonzero(y <= z)
-    by_ly = up[np.argsort(l[up] * n + y[up], kind="stable")]
+    down, up = (y > z).nonzero()[0], (y <= z).nonzero()[0]
+    by_ly = up[(l[up] * n + y[up]).argsort(kind="stable")]
     yu, zu = y[by_ly], z[by_ly]
     at_x, at_y, m, n3 = lo * n + xo, l[by_ly] * n + yu, len(xo), n ** 3
     varying = (np.concatenate([xo * n * n + to, xo * n + to, (yu * n + zu) * n]),
@@ -153,8 +153,8 @@ def jacobi_defect(a):
     def within(at, first, last, offset, const, fixed, flag):
         """Per fixed nonzero, the range first <= at <= last of the sorted
         keys at, placed at offset in the varying side."""
-        start = np.searchsorted(at, first)
-        size = np.maximum(np.searchsorted(at, last, side="right") - start, 0)
+        start = at.searchsorted(first)
+        size = np.maximum(at.searchsorted(last, side="right") - start, 0)
         return start + offset, size, const, fixed, flag
 
     yd, zd, yp, zp = y[down], z[down], y[up], z[up]
@@ -163,8 +163,8 @@ def jacobi_defect(a):
         within(at_y, at_x, lo * n + n - 1, 2 * m, xo * n3 + to, outer, p[xo]),
         within(at_x, l[up] * n + np.maximum(yp + 1, zp), l[up] * n + n - 1, m,
                (yp * n + zp) * n * n, inner[up], p[zp]))]
-    keep = np.flatnonzero(ranges[1])
-    keep = keep[np.argsort(ranges[2][keep])]  # by const, so by lead i = const // n**3
+    keep = ranges[1].nonzero()[0]
+    keep = keep[ranges[2][keep].argsort()]  # by const, so by lead i = const // n**3
     for f in range(len(ranges)):  # one array at a time, so that one copy is held
         ranges[f] = ranges[f][keep]
     for keys, _ in range_join(ranges, varying, n3, _JACOBI_CHUNK):

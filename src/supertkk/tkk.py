@@ -46,7 +46,7 @@ from math import lcm
 
 from . import tensor
 from .exact import (CertificateError, GeneratedSpan, IntRows, Subspace, certify, int_dtype,
-                    integer_kernel, span_in_kernel)
+                    kernel_span)
 from .jordan import find_unit
 from .structure import (CheckResult, JordanPair, OperatorSpace, OperatorStack,
                         check_pair_axioms, der_algebra, double, inn_algebra, istr_algebra,
@@ -799,11 +799,11 @@ def _torus(g: SuperAlgebra):
         torus[t.i] = True
         torus[t.i[t.k != t.j]] = False
         torus &= np.array(g.parities) == 0
-    h = np.flatnonzero(torus)
+    h = torus.nonzero()[0]
     W = np.zeros((n, len(h)), dtype=t.dtype(2))
-    at = np.flatnonzero(torus[t.i])
-    W[t.j[at], np.searchsorted(h, t.i[at])] = t.value[at]
-    bad = np.flatnonzero((W[t.k] != W[t.i] + W[t.j]).any(1))
+    at = torus[t.i].nonzero()[0]
+    W[t.j[at], h.searchsorted(t.i[at])] = t.value[at]
+    bad = (W[t.k] != W[t.i] + W[t.j]).any(1).nonzero()[0]
     if len(bad):
         raise CertificateError("torus weights must grade the table: [e_{}, e_{}] hits e_{}"
                                .format(*(int(x[bad[0]]) for x in (t.i, t.j, t.k))))
@@ -825,8 +825,9 @@ def _ad_rows(g: SuperAlgebra, blocks: dict, zero):
     column = np.full(n * n, -1)
     column[flats] = np.arange(len(flats))
     keep = zero[t.i]
-    x, lens = np.unique(t.i[keep], return_counts=True)  # the table is sorted by (i, j, k)
-    return (IntRows(lens, column[t.k[keep] * n + t.j[keep]], t.value[keep]),
+    lens = np.bincount(t.i[keep], minlength=n)  # the table is sorted by (i, j, k)
+    x = lens.nonzero()[0]
+    return (IntRows(lens[x], column[t.k[keep] * n + t.j[keep]], t.value[keep]),
             np.array([list(blocks).index((g.zdegree(i), g.parity(i))) for i in x.tolist()]))
 
 
@@ -854,27 +855,30 @@ def lie_der_tower(g: SuperAlgebra) -> dict:
     on the columns (r, c) with w(r) = w(c) (`leibniz_weight_zero`), whose
     blocks have disjoint columns: offset block after block, their rows form
     one system, whose kernel is one certified elimination
-    (`exact.integer_kernel`).  Its basis vectors are supported on single
-    blocks, so Der_0 of a block is its number of pivots.  The ad_x of
-    every x of weight 0, read off the integer table onto the same columns
-    (`_ad_rows`), are certified to kill every row, and Inn_0 of a block is
-    its number of pivots of their span (`exact.span_in_kernel`).  The Inn
-    ranks add up to dim g - dim Z(g).  With no torus every weight is 0, and
-    this is the whole Leibniz system.
+    (`exact.kernel_span`), with one kernel vector per free column.  No row
+    spans two blocks, so each vector lies in the block of its free column,
+    and Der_0 of a block is its number of free columns.  The ad_x of every
+    x of weight 0, read off the integer table onto the same columns
+    (`_ad_rows`), lie in the block of x; the same join certifies that they
+    and the kernel vectors kill every row.  Read on the free columns,
+    vectors of the kernel keep their rank, and the elimination of the
+    readings keeps each row in its block, so Inn_0 of a block is its
+    number of pivots of their span.  The Inn ranks add up to dim g - dim Z(g).  With
+    no torus every weight is 0, and this is the whole Leibniz system.
     """
     import numpy as np
     weight, zero = _torus(g)
     blocks = leibniz_weight_zero(g, weight)
-    cut = np.cumsum([0] + [len(cols) for cols, _ in blocks.values()])
+    cut = np.array([0] + [len(cols) for cols, _ in blocks.values()]).cumsum()
     rows = IntRows.concat(IntRows(r.lens, r.cols + lo, r.vals)
                           for (_, r), lo in zip(blocks.values(), cut.tolist()))
-    der = np.diff(np.searchsorted(integer_kernel(rows, int(cut[-1])).pivots, cut)).tolist()
     ad, of = _ad_rows(g, blocks, zero)
-    pivots = span_in_kernel(rows, ad, int(cut[-1]), lambda bad: (
+    free, pivots = kernel_span(rows, int(cut[-1]), ad, lambda bad: (
         f"adjoint operators must be derivations (shift {list(blocks)[of[bad].min()][0]})"))
-    inn = np.diff(np.searchsorted(pivots, cut)).tolist()
+    der, inn = ((at[1:] - at[:-1]).tolist() for at in (free.searchsorted(cut),
+                                                       pivots.searchsorted(cut)))
     # N: the basis vectors of nonzero weight, per (degree, parity)
-    nonzero = Counter((g.zdegree(x), g.parity(x)) for x in np.flatnonzero(~zero).tolist())
+    nonzero = Counter((g.zdegree(x), g.parity(x)) for x in (~zero).nonzero()[0].tolist())
     return {key: {"der": d + nonzero[key], "inn": i + nonzero[key], "out": d - i}
             for key, d, i in zip(blocks, der, inn) if d or i or nonzero[key]}
 

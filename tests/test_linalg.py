@@ -14,15 +14,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_linalg as oracle
 from pyrun import run_python
-from supertkk import exact
+from supertkk import exact, tkk
 from supertkk.catalog import lie_catalog, load_algebra, resolve, save_algebra
 from supertkk.exact import (
     CertificateError, GeneratedSpan, IntRows, Q, Subspace, integer_kernel,
     kernel_sparse, primitive_rows, solve, span,
 )
-from supertkk.structure import der_algebra, derivation_kernels, leibniz_blocks, pair_der, str_w
+from supertkk.structure import (der_algebra, derivation_kernels, leibniz_blocks,
+                                leibniz_weight_zero, pair_der, str_w)
 from supertkk.superspace import center, make_algebra
-from supertkk.tkk import lie_der_tower
+from supertkk.tkk import kantor, lie_der_tower
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -384,6 +385,52 @@ def test_a_dropped_free_vector_fails_the_count_certificate(monkeypatch):
     monkeypatch.setattr(exact, "_free_vectors", dropped)
     with pytest.raises(CertificateError, match="kernel verification failed"):
         lie_der_tower(g)
+
+
+def test_the_tower_certifies_its_kernel_and_ad_rows_in_one_join(monkeypatch):
+    # the kernel vectors of the tower of w(3) and its nonzero ad rows of
+    # weight 0 meet the Leibniz rows in one join, not one join each
+    verify, joined = exact._verify_kernel, []
+
+    def counted(int_rows, vecs, ncols):
+        joined.append(len(vecs))
+        return verify(int_rows, vecs, ncols)
+
+    g = load_algebra(save_algebra(lie_catalog("w", 3)))  # fresh: an empty memo
+    monkeypatch.setattr(exact, "_verify_kernel", counted)
+    tower = lie_der_tower(g)
+    weight, zero = tkk._torus(g)
+    ad, _ = tkk._ad_rows(g, leibniz_weight_zero(g, weight), zero)
+    # Der_0 has one vector per free column: Der less the nonzero weights
+    der0 = sum(b["der"] for b in tower.values()) - int((~zero).sum())
+    assert joined == [der0 + len(ad)] and der0 and len(ad)
+
+
+def test_a_raised_ad_row_fails_the_joint_certificate(monkeypatch):
+    # the ad half of the tower's one join: one entry of one ad row raised,
+    # on a column some Leibniz row uses, and the error names the shift of
+    # that row's block, as the free-vector tests above see the kernel half.
+    # Kan(kacK) has five ad rows of weight 0, in the shifts -1, 0 and 1
+    source, read, named = kantor(resolve("kacK")).lie, tkk._ad_rows, []
+    for row in range(5):
+        g = load_algebra(save_algebra(source))  # fresh: an empty memo
+
+        def raised(a, blocks, zero):
+            ad, of = read(a, blocks, zero)
+            lo = np.cumsum([0] + [len(cols) for cols, _ in blocks.values()])
+            used = np.concatenate([r.cols + at for (_, r), at in zip(blocks.values(), lo)])
+            start = int(ad.lens[:row].sum())
+            entry = start + int(np.isin(ad.cols[start:start + ad.lens[row]], used).argmax())
+            ad.vals = ad.vals.copy()
+            ad.vals[entry] += 1
+            named.append(list(blocks)[of[row]][0])
+            return ad, of
+
+        monkeypatch.setattr(tkk, "_ad_rows", raised)
+        with pytest.raises(CertificateError) as err:
+            lie_der_tower(g)
+        assert str(err.value) == f"adjoint operators must be derivations (shift {named[-1]})"
+    assert sorted(set(named)) == [-1, 0, 1]
 
 
 def test_certifying_the_derivations_of_w5_stays_in_bounded_memory(monkeypatch):

@@ -651,12 +651,12 @@ def test_kernel_bases_are_eliminated_once(monkeypatch):
 
 
 def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
-    # the block rows are primitive and distinct already: lie_der_tower counts
-    # the rows of its weight-zero system as they are, in one system with each
-    # block's columns offset past the blocks before it, and derivation_kernel
-    # hands the rows of leibniz_blocks to integer_kernel; neither calls
-    # kernel_sparse and its second primitive_rows pass (structure and tkk do
-    # not even bind it)
+    # the block rows are primitive and distinct already: lie_der_tower hands
+    # the rows of its weight-zero system to kernel_span as they are, in one
+    # system with each block's columns offset past the blocks before it, and
+    # derivation_kernel hands the rows of leibniz_blocks to integer_kernel;
+    # neither calls kernel_sparse and its second primitive_rows pass
+    # (structure and tkk do not even bind it)
     assert not hasattr(structure, "kernel_sparse") and not hasattr(tkk, "kernel_sparse")
     g = load_algebra(save_algebra(lie_catalog("w", 2)))
     blocks = leibniz_weight_zero(g, tkk._torus(g)[0])
@@ -666,11 +666,15 @@ def test_leibniz_rows_reach_the_integer_kernel_as_assembled(monkeypatch):
         passed.append(rows)
         return exact.integer_kernel(rows, ncols)
 
+    def tower_spy(rows, ncols, vecs, message):
+        passed.append(rows)
+        return exact.kernel_span(rows, ncols, vecs, message)
+
     def refuse(rows, ncols):
         raise AssertionError("kernel_sparse called on Leibniz rows")
 
     monkeypatch.setattr(structure, "integer_kernel", spy)
-    monkeypatch.setattr(tkk, "integer_kernel", spy)
+    monkeypatch.setattr(tkk, "kernel_span", tower_spy)
     monkeypatch.setattr(exact, "kernel_sparse", refuse)
     tkk.lie_der_tower(g)
     (got,) = passed
